@@ -823,11 +823,10 @@ let micro_jit () =
     match Decode_cache.build cache mem 4096 with
     | None -> failwith "hot-loop block failed to decode"
     | Some b ->
-        let jit = Jit.create () in
         let rounds = 10_000 in
         let t0 = Unix.gettimeofday () in
         for _ = 1 to rounds do
-          ignore (Jit.compile jit b)
+          ignore (Jit.compile b)
         done;
         (Unix.gettimeofday () -. t0) /. float rounds *. 1e9
   in

@@ -26,8 +26,7 @@ let parse_epc_size s =
       (bytes + Occlum_sgx.Epc.page_size - 1) / Occlum_sgx.Epc.page_size
   | _ -> fail ()
 
-let run binaries args mode_name fs_image save_fs epc_size no_paging cores jit
-    jit_elide =
+let run binaries args mode_name fs_image save_fs epc_size no_paging cores jit =
   let mode =
     match mode_name with
     | "sip" | "occlum" -> Occlum_libos.Os.Sip
@@ -45,9 +44,7 @@ let run binaries args mode_name fs_image save_fs epc_size no_paging cores jit
     prerr_endline "--cores must be >= 1";
     exit 2
   end;
-  let config =
-    { Occlum_libos.Os.default_config with mode; cores; jit; jit_elide }
-  in
+  let config = { Occlum_libos.Os.default_config with mode; cores; jit } in
   let host_fs =
     match fs_image with
     | Some path when Sys.file_exists path ->
@@ -176,19 +173,10 @@ let jit_arg =
               ~doc:"Disable the block-JIT tier (decode cache only)." );
         ])
 
-let jit_elide_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "jit-elide" ]
-        ~doc:
-          "Feed verified guard-elision facts to the JIT at spawn time so \
-           provably-redundant MPX checks are skipped at translation time.")
-
 let cmd =
   Cmd.v
     (Cmd.info "occlum_run" ~doc:"Run OELF binaries on the Occlum LibOS")
     Term.(const run $ binaries_arg $ args_arg $ mode_arg $ fs_arg $ save_fs_arg
-          $ epc_size_arg $ no_paging_arg $ cores_arg $ jit_arg $ jit_elide_arg)
+          $ epc_size_arg $ no_paging_arg $ cores_arg $ jit_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -25,7 +25,6 @@ type result = {
   jit_compiles : int;
   jit_hits : int;
   jit_deopts : int;
-  jit_elisions : int;
   wall_s : float; (* host seconds spent inside Interp.run *)
 }
 
@@ -38,8 +37,8 @@ let guard = Occlum_oelf.Oelf.guard_size
 let code_base = 0x10000
 
 let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
-    ?(jit = false) ?jit_threshold ?(jit_elide_offsets = [])
-    ?(obs = Occlum_obs.Obs.disabled) (oelf : Occlum_oelf.Oelf.t) =
+    ?(jit = false) ?jit_threshold ?(obs = Occlum_obs.Obs.disabled)
+    (oelf : Occlum_oelf.Oelf.t) =
   let code_size = Occlum_util.Bytes_util.round_up (Bytes.length oelf.code) 4096 in
   let data_base = code_base + code_size + guard in
   let top = data_base + oelf.data_region_size + guard in
@@ -87,13 +86,7 @@ let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
   let remaining () = fuel - cpu.Cpu.insns in
   let cache = if decode_cache then Some (Decode_cache.create ()) else None in
   let jit =
-    if jit && decode_cache then begin
-      let j = Jit.create ?threshold:jit_threshold () in
-      List.iter
-        (fun off -> Jit.elide_fact j ~addr:(code_base + off))
-        jit_elide_offsets;
-      Some j
-    end
+    if jit && decode_cache then Some (Jit.create ?threshold:jit_threshold ())
     else None
   in
   let wall = ref 0. in
@@ -149,6 +142,5 @@ let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
     jit_compiles = cpu.Cpu.jit_compiles;
     jit_hits = cpu.Cpu.jit_hits;
     jit_deopts = cpu.Cpu.jit_deopts;
-    jit_elisions = (match jit with Some j -> Jit.elisions j | None -> 0);
     wall_s = !wall;
   }

@@ -15,7 +15,6 @@ type result = {
   jit_compiles : int;
   jit_hits : int;
   jit_deopts : int;
-  jit_elisions : int;  (** guards skipped at translation time *)
   wall_s : float;  (** host seconds spent inside [Interp.run] *)
 }
 
@@ -30,7 +29,6 @@ val run :
   ?decode_cache:bool ->
   ?jit:bool ->
   ?jit_threshold:int ->
-  ?jit_elide_offsets:int list ->
   ?obs:Occlum_obs.Obs.t ->
   Occlum_oelf.Oelf.t ->
   result
@@ -40,11 +38,7 @@ val run :
     fetch/decode/execute — the differential tests and the micro bench
     compare the two paths. [jit] (default [false]) additionally promotes
     hot blocks through the block-JIT tier; [jit_threshold] overrides the
-    promotion hotness (0 compiles every block at first build, the mode
-    under which translation-time elision counts are exact);
-    [jit_elide_offsets] registers
-    guard-elision facts as offsets into the binary's code section
-    (rebased to the load address) before any code runs. [obs] routes
+    promotion hotness (0 compiles every block at first build). [obs] routes
     decode-cache events to an observability instance; the run is
     bit-identical with or without it.
     @raise Runtime_fault on any machine fault. *)

@@ -179,90 +179,6 @@ let codec_case rng =
   | Diff d -> Some d
   | e -> Some ("codec raised: " ^ Printexc.to_string e)
 
-(* --- property: cached-vs-uncached equivalence --------------------------- *)
-
-(* Run the same binary in two isolated envs, cached and uncached, under
-   identical counter-based interrupt schedules, comparing architectural
-   state and counters at every stop and memory at syscall/fault/final
-   stops. [period >= 2] so a preempted boundary still makes progress on
-   re-entry. *)
-let drive_pair ?(intr_a = None) oelf ~period ~fuel =
-  let env_a = Exec.make oelf and env_b = Exec.make oelf in
-  let cache = Decode_cache.create () in
-  let ia =
-    match intr_a with
-    | Some i -> i
-    | None -> Inject.interrupt_silent ~period
-  in
-  let ib = Inject.interrupt_silent ~period in
-  let compare_cpu () = cpu_diff env_a.Exec.cpu env_b.Exec.cpu in
-  let compare_mem () = mem_diff env_a env_b in
-  let rec go () =
-    let rem = fuel - env_a.Exec.cpu.Cpu.insns in
-    if rem <= 0 then final ()
-    else begin
-      let stop_a =
-        Interp.run ~cache ~interrupt:ia env_a.Exec.mem env_a.Exec.cpu ~fuel:rem
-      in
-      let stop_b =
-        Interp.run ~interrupt:ib env_b.Exec.mem env_b.Exec.cpu ~fuel:rem
-      in
-      if stop_a <> stop_b then
-        Error
-          (Printf.sprintf "stops diverge: %s vs %s"
-             (Interp.stop_to_string stop_a)
-             (Interp.stop_to_string stop_b))
-      else
-        match compare_cpu () with
-        | Some d -> Error ("state diverges after stop: " ^ d)
-        | None -> (
-            match stop_a with
-            | Interp.Stop_fault _ -> final ()
-            | Interp.Stop_quantum -> go ()
-            | Interp.Stop_syscall -> (
-                match compare_mem () with
-                | Some d -> Error ("memory diverges at syscall: " ^ d)
-                | None ->
-                    let nr =
-                      Int64.to_int (Cpu.get env_a.Exec.cpu sys_nr_reg)
-                    in
-                    if nr = Occlum_abi.Abi.Sys.exit then final ()
-                    else begin
-                      Cpu.set env_a.Exec.cpu R.result 0L;
-                      Cpu.set env_b.Exec.cpu R.result 0L;
-                      go ()
-                    end))
-    end
-  and final () =
-    match compare_cpu () with
-    | Some d -> Error ("final state diverges: " ^ d)
-    | None -> (
-        match compare_mem () with
-        | Some d -> Error ("final memory diverges: " ^ d)
-        | None -> Ok ())
-  in
-  go ()
-
-let cache_equivalence_case inj shrink rng case =
-  let items = Gen.program rng in
-  let period = 2 + Rng.int rng 40 in
-  let fuel = 1500 + Rng.int rng 1500 in
-  match drive_pair ~intr_a:(Some (Inject.interrupt_every inj ~period)) (Gen.link items) ~period ~fuel with
-  | Ok () -> None
-  | Error detail ->
-      let minimized =
-        if not shrink then None
-        else
-          Some
-            (Shrink.minimize
-               (fun its ->
-                 match drive_pair (Gen.link its) ~period ~fuel with
-                 | Error _ -> true
-                 | Ok () -> false)
-               items)
-      in
-      Some { prop = Cache_equivalence; case; detail; minimized }
-
 (* --- property: verifier soundness --------------------------------------- *)
 
 let contained oelf ~period ~fuel =
@@ -1421,6 +1337,32 @@ let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
   match go () with
   | r -> r
   | exception Diff d -> Error d
+
+(* The cached-vs-uncached property, run through the 3-way driver: the
+   JIT tier is checked alongside the decode cache under the same
+   interrupt schedule. [period >= 2] so a preempted boundary still makes
+   progress on re-entry. *)
+let cache_equivalence_case inj shrink rng case =
+  let items = Gen.program rng in
+  let period = 2 + Rng.int rng 40 in
+  let fuel = 1500 + Rng.int rng 1500 in
+  let repro ?inj its =
+    drive_triple ?inj ~mode:J_plain ~perturb_seed:0L ~code_perm:Mem.perm_rwx
+      (Gen.link its) ~period ~fuel
+  in
+  match repro ~inj items with
+  | Ok () -> None
+  | Error detail ->
+      let minimized =
+        if not shrink then None
+        else
+          Some
+            (Shrink.minimize
+               (fun its ->
+                 match repro its with Error _ -> true | Ok () -> false)
+               items)
+      in
+      Some { prop = Cache_equivalence; case; detail; minimized }
 
 let jit_case inj shrink rng case =
   let period = 2 + Rng.int rng 6 in

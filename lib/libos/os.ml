@@ -59,11 +59,6 @@ type config = {
   decode_cache : bool; (* replay decoded basic blocks in Interp.run *)
   jit : bool; (* promote hot blocks to compiled closure chains (needs
                  the decode cache; per-core caches under multi-core) *)
-  jit_elide : bool; (* feed [Occlum_analysis.Elide] guard classifications
-                       to the JIT at spawn time so provably-redundant MPX
-                       checks are skipped at translation time (off by
-                       default: the verification pass is costly per
-                       distinct binary) *)
   fs_key : string;
   (* EIP model knobs *)
   eip_runtime_image_bytes : int; (* measured on every enclave creation *)
@@ -80,7 +75,6 @@ let default_config =
     cores = 1;
     decode_cache = true;
     jit = true;
-    jit_elide = false;
     fs_key = "occlum-fs-master-key";
     eip_runtime_image_bytes = 8 * 1024 * 1024;
     eip_ocall_ns = 6_000L;
@@ -98,13 +92,8 @@ type t = {
      domain slot is reused *)
   dcache : Decode_cache.t option;
   (* sequential-scheduler block JIT (cores = 1); under multi-core each
-     Sched core owns a private one. All share [jit_facts]. *)
+     Sched core owns a private one *)
   jit : Jit.t option;
-  jit_facts : (int, unit) Hashtbl.t;
-  (* guard-elision facts as absolute pcs, shared by every JIT *)
-  jit_elide_cache : (string, int list) Hashtbl.t;
-  (* binary digest -> elidable guard offsets, so the verifier+Elide
-     analysis runs once per distinct binary, not per spawn *)
   domains : Domain_mgr.t;
   procs : (int, proc) Hashtbl.t;
   mutable runq : int list;
@@ -180,7 +169,6 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     | Some host -> Sefs.mount ~encrypted ~key:config.fs_key host
     | None -> Sefs.create ~encrypted ~key:config.fs_key ()
   in
-  let jit_facts = Hashtbl.create 64 in
   let t =
     {
     cfg = config;
@@ -189,11 +177,8 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     mem = Occlum_sgx.Enclave.mem enclave;
     dcache = (if config.decode_cache then Some (Decode_cache.create ()) else None);
     jit =
-      (if config.jit && config.decode_cache then
-         Some (Jit.create ~elide:jit_facts ())
+      (if config.jit && config.decode_cache then Some (Jit.create ())
        else None);
-    jit_facts;
-    jit_elide_cache = Hashtbl.create 8;
     domains;
     procs = Hashtbl.create 32;
     runq = [];
@@ -215,11 +200,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
         (if config.cores > 1 then
            Some
              (Sched.create ~ncores:config.cores
-                ~decode_cache:config.decode_cache
-                ?jit_elide:
-                  (if config.jit && config.decode_cache then Some jit_facts
-                   else None)
-                ~obs ())
+                ~decode_cache:config.decode_cache ~jit:config.jit ~obs ())
          else None);
       cur_core = 0;
       last_run_pid = 0;
@@ -322,18 +303,6 @@ let jit_stats t =
              | None -> (a, b, c))
            (0, 0, 0) s.Sched.cores)
   | _ -> Option.map Jit.stats t.jit
-
-let jit_elisions t =
-  match t.sched with
-  | Some s when t.cfg.jit && t.cfg.decode_cache ->
-      Some
-        (Array.fold_left
-           (fun a core ->
-             match core.Sched.jit with
-             | Some j -> a + Jit.elisions j
-             | None -> a)
-           0 s.Sched.cores)
-  | _ -> Option.map Jit.elisions t.jit
 
 let proc_output t pid =
   match Hashtbl.find_opt t.proc_out pid with
@@ -565,50 +534,6 @@ let spawn t ~parent_pid ~path ~args =
         | None -> ());
         raise (Spawn_error Errno.enomem)
   in
-  (* translation-time guard elision: register the Elide classification
-     of this binary (memoized per digest) as absolute-pc facts before
-     any of its code runs; clear facts left by the slot's previous
-     tenant first. Compiled blocks never outlive the facts they used —
-     the loader's code writes already invalidated them. *)
-  (if t.cfg.jit_elide && t.cfg.jit && t.cfg.decode_cache then
-     let base = Domain_mgr.c_base img.slot in
-     let hi = base + img.slot.Domain_mgr.code_size in
-     let offsets =
-       let key = Digest.string binary in
-       match Hashtbl.find_opt t.jit_elide_cache key with
-       | Some offs -> offs
-       | None ->
-           let offs =
-             match Occlum_verifier.Verify.verify oelf with
-             | Ok d ->
-                 let r = Occlum_analysis.Elide.analyze oelf d in
-                 List.filter_map
-                   (fun (g : Occlum_analysis.Elide.guard) ->
-                     match g.cls with
-                     | Occlum_analysis.Elide.Required -> None
-                     | Occlum_analysis.Elide.Dominated_redundant
-                     | Occlum_analysis.Elide.Range_proven ->
-                         Some g.addr)
-                   r.Occlum_analysis.Elide.guards
-             | Error _ -> []
-           in
-           Hashtbl.add t.jit_elide_cache key offs;
-           offs
-     in
-     let register j =
-       Jit.clear_elide_facts j ~lo:base ~hi;
-       List.iter (fun off -> Jit.elide_fact j ~addr:(base + off)) offsets
-     in
-     match t.sched with
-     | Some s -> (
-         (* the fact table is shared: registering through any one core's
-            JIT updates them all *)
-         match
-           Array.find_opt (fun c -> c.Sched.jit <> None) s.Sched.cores
-         with
-         | Some { Sched.jit = Some j; _ } -> register j
-         | _ -> ())
-     | None -> ( match t.jit with Some j -> register j | None -> ()));
   let fds =
     match parent with
     | Some pp -> Fd.inherit_from pp.fds

@@ -61,12 +61,6 @@ type config = {
       (** promote hot blocks to compiled closure chains (default on;
           requires [decode_cache]; per-core code caches under
           multi-core) *)
-  jit_elide : bool;
-      (** run [Occlum_analysis.Elide] at spawn time (memoized per
-          distinct binary) and feed its dominated-redundant /
-          range-proven guard classifications to the JIT, which then
-          skips those MPX checks at translation time. Off by default —
-          the verification pass is costly on first spawn. *)
   fs_key : string;
   eip_runtime_image_bytes : int;
       (** the Graphene runtime pages measured on every EIP creation *)
@@ -86,10 +80,6 @@ type t = {
   jit : Jit.t option;
       (** the sequential scheduler's block JIT; under multi-core each
           {!Sched} core owns a private one instead *)
-  jit_facts : (int, unit) Hashtbl.t;
-      (** guard-elision facts (absolute pcs) shared by every JIT *)
-  jit_elide_cache : (string, int list) Hashtbl.t;
-      (** binary digest → elidable guard offsets (Elide memoization) *)
   domains : Domain_mgr.t;
   procs : (int, proc) Hashtbl.t;
   mutable runq : int list;
@@ -156,9 +146,6 @@ val decode_cache_stats : t -> (int * int * int) option
 val jit_stats : t -> (int * int * int) option
 (** [(compiles, hits, invalidations)], aggregated over the per-core JITs
     under multi-core; [None] when the JIT is disabled. *)
-
-val jit_elisions : t -> int option
-(** Guards elided at translation time (with [config.jit_elide]). *)
 
 val proc_output : t -> int -> string
 val find_proc : t -> int -> proc option

@@ -9,9 +9,7 @@ type core = {
   dcache : Occlum_machine.Decode_cache.t option;
   jit : Occlum_machine.Jit.t option;
       (* per-core code cache: compiled closures are mutable-state-free
-         but the cache tables are not, so cores never share a [Jit.t] —
-         only the read-mostly elision fact table, mutated by the LibOS
-         domain at spawn time while no worker is executing *)
+         but the cache tables are not, so cores never share a [Jit.t] *)
   shard : Occlum_obs.Obs.t;
   mutable backoff : int;
   mutable fail_streak : int;
@@ -33,7 +31,7 @@ type t = {
 
 let max_backoff = 16
 
-let create ~ncores ~decode_cache ?jit_elide ~obs () =
+let create ~ncores ~decode_cache ~jit ~obs () =
   if ncores < 1 then invalid_arg "Sched.create: ncores < 1";
   {
     ncores;
@@ -46,10 +44,8 @@ let create ~ncores ~decode_cache ?jit_elide ~obs () =
               (if decode_cache then Some (Occlum_machine.Decode_cache.create ())
                else None);
             jit =
-              (match jit_elide with
-              | Some elide when decode_cache ->
-                  Some (Occlum_machine.Jit.create ~elide ())
-              | _ -> None);
+              (if jit && decode_cache then Some (Occlum_machine.Jit.create ())
+               else None);
             shard = Occlum_obs.Obs.shard obs;
             backoff = 0;
             fail_streak = 0;

@@ -26,9 +26,7 @@ type core = {
       (** this vCPU's private decoded-block cache *)
   jit : Occlum_machine.Jit.t option;
       (** this vCPU's private block-JIT code cache — compiled closures
-          are never shared across domains; only the elision fact table
-          passed to {!create} is, and the LibOS mutates it exclusively
-          between epochs *)
+          are never shared across domains *)
   shard : Occlum_obs.Obs.t;  (** this vCPU's private metrics shard *)
   mutable backoff : int;  (** epochs left before stealing again *)
   mutable fail_streak : int;  (** consecutive failed steal rounds *)
@@ -55,13 +53,12 @@ val max_backoff : int
 val create :
   ncores:int ->
   decode_cache:bool ->
-  ?jit_elide:(int, unit) Hashtbl.t ->
+  jit:bool ->
   obs:Occlum_obs.Obs.t ->
   unit ->
   t
-(** [jit_elide] both enables the per-core block JITs (when the decode
-    cache is also on) and shares the guard-elision fact table across
-    them. *)
+(** [jit] gives every core a block JIT; it takes effect only when
+    [decode_cache] is also on. *)
 
 val enqueue : t -> int -> unit
 (** Queue a new pid on its home core ([pid mod ncores]), clearing that

@@ -3,15 +3,19 @@
    [Mem]. Execution stops on a syscall gate, a fault (→ AEX, captured by
    the LibOS) or quantum expiry (→ preemption).
 
-   Two execution paths share one executor ([exec_decoded]):
-   - [step] fetches and decodes at pc on every instruction;
-   - [run ~cache] replays decoded basic blocks from a [Decode_cache],
-     falling back to [step] whenever a block cannot be built. The cached
-     path must be observably identical to the uncached one: same cycle
-     charges (both go through [Cost.of_insn]), same counters, same fault
-     addresses, and the same mid-block stop when fuel runs out. *)
+   Two run loops share one executor ([exec_decoded]):
+   - [run_step], the reference, fetches and decodes at pc on every
+     instruction through [step];
+   - [run_tiered] replays decoded basic blocks from a [Decode_cache] and,
+     given a [Jit], compiled closure chains, falling back to [step]
+     whenever a block cannot be built. It must be observably identical
+     to the reference: same cycle charges (both go through
+     [Cost.of_insn]), same counters, same fault addresses, and the same
+     mid-block stop when fuel runs out. *)
 
 open Occlum_isa
+module Obs = Occlum_obs.Obs
+module Trace = Occlum_obs.Trace
 
 type stop = Jit.stop =
   | Stop_syscall   (* reached the LibOS trampoline's syscall_gate *)
@@ -289,9 +293,17 @@ let step mem cpu : stop option =
       | exception Fault.Fault f -> Some (Stop_fault f)
       | () -> exec_decoded mem cpu insn ~pc ~len)
 
-let run_uncached mem cpu ~fuel =
+let never () = false
+
+(* The reference loop: one [step] per instruction. Tests and fuzz
+   properties compare every other tier against it. With [hooked], the
+   interrupt hook is consulted exactly once per instruction boundary,
+   after the fuel check and before the fetch; firing preempts the SIP
+   exactly as quantum expiry would (an injected timer interrupt -> AEX). *)
+let run_step ~hooked ~intr mem cpu ~fuel =
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
+    else if hooked && intr () then Stop_quantum
     else
       match step mem cpu with
       | Some stop -> stop
@@ -299,70 +311,98 @@ let run_uncached mem cpu ~fuel =
   in
   loop fuel
 
-(* The interrupt-injected uncached loop (fault-injection testing). The
-   hook is consulted exactly once per instruction boundary, after the
-   fuel check and before the fetch; firing preempts the SIP exactly as
-   quantum expiry would (an injected timer interrupt -> AEX). Kept as a
-   separate loop so the production path above stays branch-free. *)
-let run_uncached_intr intr mem cpu ~fuel =
-  let rec loop fuel =
-    if fuel <= 0 then Stop_quantum
-    else if intr () then Stop_quantum
-    else
-      match step mem cpu with
-      | Some stop -> stop
-      | None -> loop (fuel - 1)
-  in
-  loop fuel
+(* The tiered loop. Dispatch per block boundary: compiled code (only
+   with [jit]) → decode cache, promoting blocks that have replayed
+   [Jit]'s threshold many times → build → [step] fallback. With
+   [jit = None] this is the decode-cache-only tier.
 
-(* The cached loop. Executable-span checks are elided for cached
-   instructions: block validity (unchanged page generations) implies the
-   span still decodes and is still executable, exactly as at build time.
-   Fuel is re-checked before every instruction so quantum expiry lands on
-   the same instruction boundary as the uncached loop, and fragile
-   blocks (those on writable+executable pages) are revalidated between
-   instructions so self-modifying stores take effect on the very next
-   fetch, as they would uncached.
+   Every tier keeps the reference loop's observable behaviour. Each
+   instruction boundary is consulted in one order: fuel check, then
+   fragile revalidation, then the hook (when [hooked]), then fetch or
+   replay. So [Stop_quantum] and injected interrupts land on the same
+   boundary as in [run_step], and the hook is consulted exactly once
+   per executed boundary:
+   - Executable-span checks are elided for cached instructions: block
+     validity (unchanged page generations) implies the span still
+     decodes and is still executable, exactly as at build time.
+   - Fragile blocks (on writable+executable pages) are revalidated
+     between instructions, so a self-modifying store takes effect on the
+     very next fetch. A refetch is not a new boundary: the hook is
+     consulted once the instruction is actually about to execute.
+   - A compiled unit runs its check-free [fast] variant only when no hook
+     is armed and the remaining fuel covers the whole unit; otherwise its
+     [safe] variant checks fuel and the hook at every internal boundary,
+     so superinstruction fusion never skips one.
+   - A fault inside a compiled unit deopts to the interpreter's fault
+     path: the closure charged and parked state exactly as
+     [exec_decoded] would have at the faulting instruction, so the AEX
+     capture is bit-identical.
 
-   Observability: cache hit/miss/invalidate events are emitted per block
-   lookup when the [Dcache] trace class is on; with tracing disabled the
-   cost is the [t_dcache] branch. Event timestamps extend the LibOS's
-   quantum-start clock by the cycles retired so far (the 3 cycles/ns
-   conversion the LibOS clock uses), so they interleave correctly with
-   the syscall/quantum events of the surrounding trace. *)
-let run_cached cache obs mem cpu ~fuel =
+   Observability: tier events are emitted per block lookup when the
+   [Dcache]/[Jit] trace classes are on; with tracing disabled the cost
+   is one flag test. Event timestamps extend the LibOS's quantum-start
+   clock by the cycles retired so far (the 3 cycles/ns conversion the
+   LibOS clock uses), so they interleave correctly with the
+   syscall/quantum events of the surrounding trace. *)
+let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
   let c0 = cpu.Cpu.cycles in
-  let base_ns = obs.Occlum_obs.Obs.now () in
-  let ts () = Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)) in
+  let base_ns = obs.Obs.now () in
+  (* [mk] is a closed constructor: nothing is allocated while [on] is off *)
+  let trace on mk =
+    if on then
+      Obs.emit_at obs
+        ~ts:(Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)))
+        (mk cpu.Cpu.pc)
+  in
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
     else
-      match Decode_cache.lookup cache mem cpu.Cpu.pc with
-      | Decode_cache.Hit b ->
-          cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_hit { pc = cpu.Cpu.pc });
-          exec_block b fuel
-      | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
-          if r = Decode_cache.Stale then begin
-            cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
-            if obs.Occlum_obs.Obs.t_dcache then
-              Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                (Occlum_obs.Trace.Dcache_invalidate { pc = cpu.Cpu.pc })
-          end;
-          cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_miss { pc = cpu.Cpu.pc });
-          match Decode_cache.build cache mem cpu.Cpu.pc with
-          | Some b -> exec_block b fuel
-          | None -> (
-              (* nothing decodable/executable at pc: the uncached step
-                 raises the fault with identical address and reason *)
+      match jit with
+      | None -> decoded_tier fuel
+      | Some j -> (
+          match Jit.lookup j mem cpu.Cpu.pc with
+          | Jit.Hit c ->
+              cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+              trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
+              exec_compiled j c fuel
+          | Jit.Stale ->
+              cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
+              trace obs.Obs.t_jit (fun pc -> Trace.Jit_invalidate { pc });
+              decoded_tier fuel
+          | Jit.Miss -> decoded_tier fuel)
+  and decoded_tier fuel =
+    match Decode_cache.lookup cache mem cpu.Cpu.pc with
+    | Decode_cache.Hit b ->
+        cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
+        trace obs.Obs.t_dcache (fun pc -> Trace.Dcache_hit { pc });
+        enter b fuel
+    | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
+        if r = Decode_cache.Stale then begin
+          cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
+          trace obs.Obs.t_dcache (fun pc -> Trace.Dcache_invalidate { pc })
+        end;
+        cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
+        trace obs.Obs.t_dcache (fun pc -> Trace.Dcache_miss { pc });
+        match Decode_cache.build cache mem cpu.Cpu.pc with
+        | Some b -> enter b fuel
+        | None -> (
+            (* nothing decodable/executable at pc: the reference step
+               raises the fault with identical address and reason *)
+            if hooked && intr () then Stop_quantum
+            else
               match step mem cpu with
               | Some stop -> stop
               | None -> loop (fuel - 1)))
+  (* promote-and-enter: a block hot enough for the JIT (with threshold 0,
+     every block at build) runs compiled from this entry on *)
+  and enter b fuel =
+    match jit with
+    | Some j when Jit.hot_enough j b ->
+        let c = Jit.promote j b in
+        cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
+        trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
+        exec_compiled j c fuel
+    | _ -> exec_block b fuel
   and exec_block (b : Decode_cache.block) fuel =
     let n = Array.length b.insns in
     let rec go i pc fuel =
@@ -371,6 +411,7 @@ let run_cached cache obs mem cpu ~fuel =
       else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
         (* a store inside this block rewrote its own code page: refetch *)
         loop fuel
+      else if hooked && intr () then Stop_quantum
       else
         let insn, len = b.insns.(i) in
         match exec_decoded mem cpu insn ~pc ~len with
@@ -378,165 +419,7 @@ let run_cached cache obs mem cpu ~fuel =
         | None -> go (i + 1) (pc + len) (fuel - 1)
     in
     go 0 b.entry fuel
-  in
-  loop fuel
-
-(* Interrupt-injected mirror of [run_cached]. The contract shared with
-   [run_uncached_intr]: the hook is consulted exactly once per executed
-   instruction boundary — after the boundary's fuel check, before its
-   fetch/replay — in every path (block replay, fallback single-step), so
-   a deterministic counter-based schedule fires at identical boundaries
-   cached and uncached. Firing returns [Stop_quantum] with the pc parked
-   on the boundary, exactly like fuel expiry. *)
-let run_cached_intr intr cache obs mem cpu ~fuel =
-  let c0 = cpu.Cpu.cycles in
-  let base_ns = obs.Occlum_obs.Obs.now () in
-  let ts () = Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)) in
-  let rec loop fuel =
-    if fuel <= 0 then Stop_quantum
-    else
-      match Decode_cache.lookup cache mem cpu.Cpu.pc with
-      | Decode_cache.Hit b ->
-          cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_hit { pc = cpu.Cpu.pc });
-          exec_block b fuel
-      | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
-          if r = Decode_cache.Stale then begin
-            cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
-            if obs.Occlum_obs.Obs.t_dcache then
-              Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                (Occlum_obs.Trace.Dcache_invalidate { pc = cpu.Cpu.pc })
-          end;
-          cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_miss { pc = cpu.Cpu.pc });
-          match Decode_cache.build cache mem cpu.Cpu.pc with
-          | Some b -> exec_block b fuel
-          | None -> (
-              if intr () then Stop_quantum
-              else
-                match step mem cpu with
-                | Some stop -> stop
-                | None -> loop (fuel - 1)))
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        (* refetch, not a new boundary: the intr consult happens once the
-           instruction is actually about to execute (go 0 after loop) *)
-        loop fuel
-      else if intr () then Stop_quantum
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
-  in
-  loop fuel
-
-let never () = false
-
-(* The JIT tier. Dispatch order per block boundary: compiled code →
-   decode cache (promoting blocks that have replayed [Jit]'s threshold
-   many times) → build → uncached single-step fallback. Compiled units
-   run their check-free [fast] variant only when the remaining fuel
-   covers the whole unit, so [Stop_quantum] lands on the same
-   instruction boundary as the other tiers; fragile blocks (single-
-   instruction units by construction) are revalidated between units and
-   deopt back to the decoded tier when a store rewrote their code page.
-   A fault inside a compiled unit deopts to the interpreter's fault
-   path: the closure charged and parked state exactly as [exec_decoded]
-   would have at the faulting instruction, so the AEX capture is
-   bit-identical. *)
-let run_jit jit cache obs mem cpu ~fuel =
-  let c0 = cpu.Cpu.cycles in
-  let base_ns = obs.Occlum_obs.Obs.now () in
-  let ts () = Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)) in
-  let rec loop fuel =
-    if fuel <= 0 then Stop_quantum
-    else
-      match Jit.lookup jit mem cpu.Cpu.pc with
-      | Jit.Hit c ->
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
-      | Jit.Stale ->
-          cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_invalidate { pc = cpu.Cpu.pc });
-          decoded_tier fuel
-      | Jit.Miss -> decoded_tier fuel
-  and decoded_tier fuel =
-    match Decode_cache.lookup cache mem cpu.Cpu.pc with
-    | Decode_cache.Hit b ->
-        cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
-        if obs.Occlum_obs.Obs.t_dcache then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Dcache_hit { pc = cpu.Cpu.pc });
-        if Jit.hot_enough jit b then begin
-          let c = Jit.promote jit b in
-          cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
-        end
-        else exec_block b fuel
-    | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
-        if r = Decode_cache.Stale then begin
-          cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_invalidate { pc = cpu.Cpu.pc })
-        end;
-        cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
-        if obs.Occlum_obs.Obs.t_dcache then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Dcache_miss { pc = cpu.Cpu.pc });
-        match Decode_cache.build cache mem cpu.Cpu.pc with
-        | Some b ->
-            (* a zero-threshold JIT promotes at build: every block runs
-               compiled from its very first entry, which is what makes
-               translation-time guard elision exactly equivalent to the
-               statically elided binary *)
-            if Jit.hot_enough jit b then begin
-              let c = Jit.promote jit b in
-              cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-              if obs.Occlum_obs.Obs.t_jit then
-                Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                  (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-              exec_compiled c fuel
-            end
-            else exec_block b fuel
-        | None -> (
-            match step mem cpu with
-            | Some stop -> stop
-            | None -> loop (fuel - 1)))
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        loop fuel
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
-  and exec_compiled (c : Jit.compiled) fuel =
+  and exec_compiled j (c : Jit.compiled) fuel =
     let n = Array.length c.Jit.units_fast in
     let rec go u fuel =
       if fuel <= 0 then Stop_quantum
@@ -549,10 +432,8 @@ let run_jit jit cache obs mem cpu ~fuel =
           && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
         then begin
           cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          Jit.note_hit jit;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
+          Jit.note_hit j;
+          trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
           go 0 fuel
         end
         else loop fuel
@@ -561,166 +442,32 @@ let run_jit jit cache obs mem cpu ~fuel =
       then begin
         (* self-modifying code: deopt back to the decoded tier *)
         cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-        if obs.Occlum_obs.Obs.t_jit then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
+        trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
         loop fuel
       end
+      else if hooked && intr () then Stop_quantum
       else
         let k = c.Jit.unit_insns.(u) in
         match
-          if fuel >= k then c.Jit.units_fast.(u) mem cpu
-          else c.Jit.units_safe.(u) mem cpu fuel never
+          if (not hooked) && fuel >= k then c.Jit.units_fast.(u) mem cpu
+          else c.Jit.units_safe.(u) mem cpu fuel intr
         with
         | Jit.U_fall -> go (u + 1) (fuel - k)
         | Jit.U_stop s -> s
         | exception Fault.Fault f ->
             cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-            if obs.Occlum_obs.Obs.t_jit then
-              Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
+            trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
             Stop_fault f
     in
     go 0 fuel
   in
   loop fuel
 
-(* Interrupt-injected mirror of [run_jit]: same boundary contract as
-   [run_cached_intr]. Compiled units always run their [safe] variant,
-   which consults the hook at every internal instruction boundary, so
-   superinstruction fusion can never skip a sync point; the outer loop
-   consults it for each unit's first boundary. *)
-let run_jit_intr intr jit cache obs mem cpu ~fuel =
-  let c0 = cpu.Cpu.cycles in
-  let base_ns = obs.Occlum_obs.Obs.now () in
-  let ts () = Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)) in
-  let rec loop fuel =
-    if fuel <= 0 then Stop_quantum
-    else
-      match Jit.lookup jit mem cpu.Cpu.pc with
-      | Jit.Hit c ->
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
-      | Jit.Stale ->
-          cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_invalidate { pc = cpu.Cpu.pc });
-          decoded_tier fuel
-      | Jit.Miss -> decoded_tier fuel
-  and decoded_tier fuel =
-    match Decode_cache.lookup cache mem cpu.Cpu.pc with
-    | Decode_cache.Hit b ->
-        cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
-        if obs.Occlum_obs.Obs.t_dcache then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Dcache_hit { pc = cpu.Cpu.pc });
-        if Jit.hot_enough jit b then begin
-          let c = Jit.promote jit b in
-          cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
-        end
-        else exec_block b fuel
-    | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
-        if r = Decode_cache.Stale then begin
-          cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_invalidate { pc = cpu.Cpu.pc })
-        end;
-        cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
-        if obs.Occlum_obs.Obs.t_dcache then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Dcache_miss { pc = cpu.Cpu.pc });
-        match Decode_cache.build cache mem cpu.Cpu.pc with
-        | Some b ->
-            if Jit.hot_enough jit b then begin
-              let c = Jit.promote jit b in
-              cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-              if obs.Occlum_obs.Obs.t_jit then
-                Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                  (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-              exec_compiled c fuel
-            end
-            else exec_block b fuel
-        | None -> (
-            if intr () then Stop_quantum
-            else
-              match step mem cpu with
-              | Some stop -> stop
-              | None -> loop (fuel - 1)))
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        loop fuel
-      else if intr () then Stop_quantum
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
-  and exec_compiled (c : Jit.compiled) fuel =
-    let n = Array.length c.Jit.units_fast in
-    let rec go u fuel =
-      if fuel <= 0 then Stop_quantum
-      else if u >= n then
-        (* self-loop re-entry; the hook is still consulted at the top of
-           unit 0 below, so the boundary contract is preserved *)
-        if
-          cpu.Cpu.pc = c.Jit.entry
-          && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
-        then begin
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          Jit.note_hit jit;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          go 0 fuel
-        end
-        else loop fuel
-      else if
-        c.Jit.fragile && u > 0 && not (Decode_cache.block_valid mem c.Jit.src)
-      then begin
-        cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-        if obs.Occlum_obs.Obs.t_jit then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
-        loop fuel
-      end
-      else if intr () then Stop_quantum
-      else
-        let k = c.Jit.unit_insns.(u) in
-        match c.Jit.units_safe.(u) mem cpu fuel intr with
-        | Jit.U_fall -> go (u + 1) (fuel - k)
-        | Jit.U_stop s -> s
-        | exception Fault.Fault f ->
-            cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-            if obs.Occlum_obs.Obs.t_jit then
-              Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
-            Stop_fault f
-    in
-    go 0 fuel
+let run ?cache ?jit ?(obs = Obs.disabled) ?interrupt mem cpu ~fuel =
+  let hooked, intr =
+    match interrupt with Some i -> (true, i) | None -> (false, never)
   in
-  loop fuel
-
-let run ?cache ?jit ?(obs = Occlum_obs.Obs.disabled) ?interrupt mem cpu ~fuel =
-  match (cache, jit, interrupt) with
-  | None, None, None -> run_uncached mem cpu ~fuel
-  | None, None, Some i -> run_uncached_intr i mem cpu ~fuel
-  | Some c, None, None -> run_cached c obs mem cpu ~fuel
-  | Some c, None, Some i -> run_cached_intr i c obs mem cpu ~fuel
-  | Some c, Some j, None -> run_jit j c obs mem cpu ~fuel
-  | Some c, Some j, Some i -> run_jit_intr i j c obs mem cpu ~fuel
-  | None, Some _, _ -> invalid_arg "Interp.run: ?jit requires ?cache"
+  match (cache, jit) with
+  | Some cache, _ -> run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel
+  | None, None -> run_step ~hooked ~intr mem cpu ~fuel
+  | None, Some _ -> invalid_arg "Interp.run: ?jit requires ?cache"

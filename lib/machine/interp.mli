@@ -23,36 +23,41 @@ val run :
   stop
 (** Run until a stop condition or [fuel] executed instructions.
 
-    With [?cache], straight-line runs of instructions are decoded once
-    into basic blocks and replayed from the cache on later visits.
-    Observable semantics are identical to the uncached loop: the same
-    per-instruction cycle charges and counters, the same fault points,
-    and fuel is checked before every instruction so [Stop_quantum]
-    lands on the same boundary. Cache hit/miss/invalidation totals are
-    accumulated into the {!Cpu.t} stats fields.
+    Two loops implement this. Without [?cache], the reference loop runs
+    {!step} once per instruction; tests and fuzz properties compare
+    every other tier against it. With [?cache], the tiered loop runs:
+    straight-line runs of instructions are decoded once into basic
+    blocks and replayed from the cache on later visits. Given [?jit]
+    too (it requires [?cache]; [Invalid_argument] otherwise), blocks the
+    decode cache has replayed {!Jit.create}'s threshold many times are
+    promoted to pre-compiled closure chains and dispatched first: JIT
+    hit → compiled replay, stale → invalidate and fall back, miss → the
+    decode cache (which promotes on a hot hit). Without [?jit] the
+    tiered loop is the decode-cache-only tier.
 
-    With [?jit] (requires [?cache]; [Invalid_argument] otherwise),
-    blocks the decode cache has replayed {!Jit.create}'s threshold many
-    times are promoted to pre-compiled closure chains and dispatched
-    first: JIT hit → compiled replay, stale → invalidate and fall back,
-    miss → the cached tier (which promotes on a hot decode-cache hit).
-    The compiled tier is architecturally bit-identical to the other two
-    — same counters, cycles, fault payloads and stop boundaries — which
-    fuzz property #8 (jit-equivalence) checks three ways. Any fault
-    inside compiled code deopts to the interpreter's fault path, and
-    writes to a JIT'd page invalidate its blocks through the same page
-    generations the decode cache uses.
+    Every tier is architecturally bit-identical to the reference: the
+    same per-instruction cycle charges and counters, the same fault
+    points and payloads, and the same stop boundaries — fuzz properties
+    #2 (cache-equivalence) and #8 (jit-equivalence) check this. Every
+    instruction boundary is consulted in one order: fuel check, then
+    revalidation of a block on writable+executable pages, then the
+    interrupt hook, then fetch or replay. A fault inside compiled code
+    deopts to the interpreter's fault path, and writes to a cached or
+    JIT'd page invalidate its blocks through per-page generations. Cache
+    and JIT hit/miss/invalidation totals accumulate into the {!Cpu.t}
+    stats fields.
 
-    With [?obs] (default {!Occlum_obs.Obs.disabled}), cache
-    hit/miss/invalidate trace events are emitted per block lookup when
-    the [Dcache] class is enabled. Observability never alters
-    architectural state, counters or cycle charges.
+    With [?obs] (default {!Occlum_obs.Obs.disabled}), decode-cache and
+    JIT trace events are emitted per block lookup when the [Dcache] /
+    [Jit] classes are enabled. Observability never alters architectural
+    state, counters or cycle charges.
 
     With [?interrupt], the hook is consulted exactly once per executed
-    instruction boundary — after that boundary's fuel check, before its
-    fetch — in both the cached and uncached loops, so a deterministic
-    counter-based schedule fires at identical boundaries either way.
-    Returning [true] preempts the run with [Stop_quantum] and the pc
-    parked on the boundary, modelling a hardware interrupt (the AEX
-    cause); the fault-injection harness uses this to force AEX storms.
-    The hook is absent on the production path, which stays branch-free. *)
+    instruction boundary, in the order above, in both loops and every
+    tier, so a deterministic counter-based schedule fires at identical
+    boundaries either way. Returning [true] preempts the run with
+    [Stop_quantum] and the pc parked on the boundary, modelling a
+    hardware interrupt (the AEX cause); the fault-injection harness uses
+    this to force AEX storms. Without [?interrupt] no hook is called,
+    and compiled units run their check-free fast variant whenever the
+    remaining fuel covers them. *)

@@ -28,13 +28,10 @@
    interpreter can revalidate them between instructions; self-modifying
    code thereby deopts back to the decoded-block tier mid-block.
 
-   Guard elision: translation consults a table of guard addresses that
-   [Occlum_analysis.Elide] classified dominated-redundant or
-   range-proven. Such a bndcl/bndcu compiles to a charge-only body: the
-   bound comparison and the [bound_checks] counter are skipped, giving
-   the memory behavior of the statically elided, re-verified binary
-   while keeping the unelided binary's instruction and cycle counts (the
-   virtual clock is unchanged, so digests and schedules are stable). *)
+   Translation never drops a bound check: every bndcl/bndcu in the
+   block compiles to a checking body. The only way to run with fewer
+   checks is to run a binary the verifier re-accepted without them (the
+   output of [Occlum_analysis.Elide.run]). *)
 
 open Occlum_isa
 
@@ -70,38 +67,22 @@ type t = {
   tbl : (int, compiled) Hashtbl.t;
   threshold : int;
   max_blocks : int;
-  elidable : (int, unit) Hashtbl.t; (* absolute guard pcs safe to skip *)
   mutable compiles : int;
   mutable hits : int;
   mutable invalidations : int;
-  mutable elisions : int; (* guards compiled away, lifetime *)
 }
 
-let create ?(threshold = 16) ?(max_blocks = 4096) ?elide () =
+let create ?(threshold = 16) ?(max_blocks = 4096) () =
   {
     tbl = Hashtbl.create 256;
     threshold;
     max_blocks;
-    elidable = (match elide with Some h -> h | None -> Hashtbl.create 16);
     compiles = 0;
     hits = 0;
     invalidations = 0;
-    elisions = 0;
   }
 
 let clear t = Hashtbl.reset t.tbl
-
-let elide_fact t ~addr = Hashtbl.replace t.elidable addr ()
-
-let clear_elide_facts t ~lo ~hi =
-  let doomed =
-    Hashtbl.fold
-      (fun a () acc -> if a >= lo && a < hi then a :: acc else acc)
-      t.elidable []
-  in
-  List.iter (fun a -> Hashtbl.remove t.elidable a) doomed
-
-let elide_fact_count t = Hashtbl.length t.elidable
 
 (* ---- translation helpers (must mirror Interp exactly) ---- *)
 
@@ -174,7 +155,7 @@ let compile_alu (op : Insn.alu_op) ~pc : int64 -> int64 -> int64 =
 (* Translate one instruction spanning [pc, pc+len). Total: every opcode
    compiles (privileged ones to a charge-then-fault stub, exactly as the
    interpreter charges before classifying them). *)
-let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
+let compile_body (insn : Insn.t) ~pc ~len : body =
   let end_pc = pc + len in
   let cost = Cost.of_insn insn in
   let priv name =
@@ -184,36 +165,26 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
       U_stop (Stop_fault (Privileged { addr = pc; insn = name }))
   in
   let guard lower b ea =
-    if elided || Hashtbl.mem t.elidable pc then begin
-      t.elisions <- t.elisions + 1;
-      (* elided: proved redundant by Elide; charge but skip the check *)
-      fun _ (cpu : Cpu.t) ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.pc <- end_pc;
-        U_fall
-    end
-    else
-      let bi = Reg.bnd_to_int b in
-      let value : Cpu.t -> int64 =
-        match (ea : Insn.ea) with
-        | Ea_reg r ->
-            let ri = Reg.to_int r in
-            fun cpu -> cpu.Cpu.regs.(ri)
-        | Ea_mem m ->
-            let ea_f = compile_ea m ~end_pc in
-            fun cpu -> Int64.of_int (ea_f cpu)
-      in
-      fun _ (cpu : Cpu.t) ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        let v = value cpu in
-        cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-        let bd = cpu.Cpu.bnds.(bi) in
-        if if lower then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
-        then raise (Fault.Fault (Bound_fault { bnd = bi; value = v }));
-        cpu.Cpu.pc <- end_pc;
-        U_fall
+    let bi = Reg.bnd_to_int b in
+    let value : Cpu.t -> int64 =
+      match (ea : Insn.ea) with
+      | Ea_reg r ->
+          let ri = Reg.to_int r in
+          fun cpu -> cpu.Cpu.regs.(ri)
+      | Ea_mem m ->
+          let ea_f = compile_ea m ~end_pc in
+          fun cpu -> Int64.of_int (ea_f cpu)
+    in
+    fun _ (cpu : Cpu.t) ->
+      cpu.Cpu.insns <- cpu.Cpu.insns + 1;
+      cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+      let v = value cpu in
+      cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
+      let bd = cpu.Cpu.bnds.(bi) in
+      if if lower then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
+      then raise (Fault.Fault (Bound_fault { bnd = bi; value = v }));
+      cpu.Cpu.pc <- end_pc;
+      U_fall
   in
   match insn with
   | Nop | Cfi_label _ ->
@@ -853,37 +824,22 @@ let guard_of = function
   | Insn.Bndcu (b, Insn.Ea_mem m) -> Some (false, b, m)
   | _ -> None
 
-let compile t (b : Decode_cache.block) : compiled =
+let compile (b : Decode_cache.block) : compiled =
   let n = Array.length b.insns in
   let pcs = Array.make (n + 1) b.entry in
   for i = 0 to n - 1 do
     pcs.(i + 1) <- pcs.(i) + snd b.insns.(i)
-  done;
-  (* An Elide fact names the verifier's mem_guard *unit* — its address
-     is the bndcl's; the bndcu completing the window check sits right
-     after it and is elided with it. *)
-  let elided = Array.make n false in
-  for i = 0 to n - 1 do
-    elided.(i) <- Hashtbl.mem t.elidable pcs.(i)
-  done;
-  for i = 1 to n - 1 do
-    match (fst b.insns.(i - 1), fst b.insns.(i)) with
-    | Insn.Bndcl (_, ea1), Insn.Bndcu (_, ea2)
-      when elided.(i - 1) && ea1 = ea2 ->
-        elided.(i) <- true
-    | _ -> ()
   done;
   (* does a guard+memory superinstruction start at i? *)
   let pair_at i =
     (not b.fragile) && i + 1 < n
     &&
     match guard_of (fst b.insns.(i)) with
-    | Some (_, _, m) when fusable_mem m && not elided.(i) -> (
+    | Some (_, _, m) when fusable_mem m -> (
         match fst b.insns.(i + 1) with
         | Load { src; _ } -> src = m
         | Store { dst; _ } -> dst = m
-        | Bndcl (_, Ea_mem m2) | Bndcu (_, Ea_mem m2) ->
-            m2 = m && not elided.(i + 1)
+        | Bndcl (_, Ea_mem m2) | Bndcu (_, Ea_mem m2) -> m2 = m
         | _ -> false)
     | _ -> false
   in
@@ -892,7 +848,7 @@ let compile t (b : Decode_cache.block) : compiled =
   let emit fs k = units := (fs, k) :: !units in
   let body i =
     let insn, len = b.insns.(i) in
-    compile_body ~elided:elided.(i) t insn ~pc:pcs.(i) ~len
+    compile_body insn ~pc:pcs.(i) ~len
   in
   let i = ref 0 in
   while !i < n do
@@ -1033,10 +989,9 @@ let hot_enough t (b : Decode_cache.block) = b.Decode_cache.hot >= t.threshold
 
 let promote t (b : Decode_cache.block) =
   if Hashtbl.length t.tbl >= t.max_blocks then clear t;
-  let c = compile t b in
+  let c = compile b in
   t.compiles <- t.compiles + 1;
   Hashtbl.replace t.tbl b.entry c;
   c
 
 let stats t = (t.compiles, t.hits, t.invalidations)
-let elisions t = t.elisions

@@ -13,13 +13,8 @@
     blocks on writable+executable pages compile to single-instruction
     units so the interpreter can revalidate between instructions.
 
-    Translation-time guard elision: bndcl/bndcu whose address is
-    registered via {!elide_fact} (sourced from
-    [Occlum_analysis.Elide]'s dominated-redundant / range-proven
-    classifications) compile to charge-only bodies — the bound
-    comparison and the [bound_checks] counter are skipped, matching the
-    statically elided, re-verified binary's memory behavior while
-    keeping the unelided instruction and cycle counts. *)
+    Every bound check in a block compiles to a checking body; the JIT
+    never omits a check the verifier did not accept. *)
 
 type stop =
   | Stop_syscall  (** reached the LibOS trampoline's syscall_gate *)
@@ -51,29 +46,16 @@ type compiled = {
 
 type t
 
-val create : ?threshold:int -> ?max_blocks:int -> ?elide:(int, unit) Hashtbl.t -> unit -> t
+val create : ?threshold:int -> ?max_blocks:int -> unit -> t
 (** [threshold] (default 16) is the decode-cache replay count at which a
     block is promoted; [0] promotes every block at build, so all code
-    runs compiled from its first execution (the mode under which
-    translation-time guard elision is exactly equivalent to the
-    statically elided binary). [max_blocks] (default 4096) flushes the
-    code cache wholesale when full. [elide] shares a guard-elision fact table
-    (absolute pcs) with other JITs — mutate it only while no compiled
-    code for those addresses exists (the LibOS registers facts at load
-    time, before the code runs). *)
+    runs compiled from its first execution. [max_blocks] (default 4096)
+    flushes the code cache wholesale when full. *)
 
 val clear : t -> unit
-(** Drop all compiled code (elision facts are kept). *)
+(** Drop all compiled code. *)
 
-val elide_fact : t -> addr:int -> unit
-(** Mark the guard at absolute [addr] safe to skip at translation time. *)
-
-val clear_elide_facts : t -> lo:int -> hi:int -> unit
-(** Drop facts with [lo <= addr < hi] (e.g. on domain-slot reuse). *)
-
-val elide_fact_count : t -> int
-
-val compile : t -> Decode_cache.block -> compiled
+val compile : Decode_cache.block -> compiled
 (** Translate a block (total: every opcode compiles, privileged ones to
     charge-then-fault stubs). Exposed for tests; use {!promote} to also
     intern the result. *)
@@ -96,6 +78,3 @@ val promote : t -> Decode_cache.block -> compiled
 
 val stats : t -> int * int * int
 (** Lifetime [(compiles, hits, invalidations)]. *)
-
-val elisions : t -> int
-(** Guards compiled away over this JIT's lifetime. *)

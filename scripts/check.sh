@@ -94,6 +94,21 @@ dune exec bin/occlum_verify.exe -- _build/lint/guard_heavy_naive.elided.oelf || 
   echo "FAIL: elided guard_heavy rejected by the unmodified verifier" >&2
   exit 1
 }
+# Running the re-verified output is the one supported way to execute
+# with fewer checks: the naive and the elided build must print
+# bit-identical console output under occlum_run.
+dune exec bin/occlum_run.exe -- _build/lint/guard_heavy_naive.oelf \
+  | sed -n '/^---$/,/^---$/p' > _build/lint/naive-console.txt
+dune exec bin/occlum_run.exe -- _build/lint/guard_heavy_naive.elided.oelf \
+  | sed -n '/^---$/,/^---$/p' > _build/lint/elided-console.txt
+grep -q "sum 231" _build/lint/elided-console.txt || {
+  echo "FAIL: elided guard_heavy did not print its result" >&2
+  exit 1
+}
+cmp _build/lint/naive-console.txt _build/lint/elided-console.txt || {
+  echo "FAIL: naive and elided guard_heavy console output differ" >&2
+  exit 1
+}
 
 # EPC paging smoke: the same workload must produce bit-identical console
 # output under a pressured demand-paged pool (20K = 5 pages, small enough

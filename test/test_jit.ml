@@ -3,10 +3,10 @@
    registers, flags, counters, fault payloads and stop boundaries — and
    its extras must hold: per-page invalidation after writes to JIT'd
    pages, mid-block fault deopt with bit-identical CPU state, one
-   interrupt consultation per original-instruction boundary even inside
-   fused superinstructions, translation-time guard elision matching the
-   statically elided binary's dynamic check counts, and multi-core
-   LibOS determinism with the JIT on. *)
+   interrupt consultation per original-instruction boundary in every
+   tier even inside fused superinstructions, faithful execution of the
+   statically elided, re-verified binary, and multi-core LibOS
+   determinism with the JIT on. *)
 
 open Occlum_machine
 open Occlum_isa
@@ -54,14 +54,6 @@ let loop_prog iters =
    :: Insn.Mov_imm (Reg.r2, 0L) :: body)
   @ [ fix (-body_len); Insn.Syscall_gate ]
 
-let disasm_exn oelf =
-  match Occlum_verifier.Verify.verify oelf with
-  | Ok d -> d
-  | Error rs ->
-      Alcotest.fail
-        ("unexpected rejection: "
-        ^ Occlum_verifier.Verify.rejection_to_string (List.hd rs))
-
 (* --- 3-way differential over the SPEC kernels ----------------------------- *)
 
 let native_summary (r : Native_run.result) =
@@ -87,7 +79,7 @@ let test_spec_differential_3way () =
   Alcotest.(check bool) "JIT compiled and replayed on some kernel" true
     !engaged
 
-(* --- translation-time guard elision on guard_heavy ------------------------- *)
+(* --- guard elision on guard_heavy ------------------------------------------ *)
 
 let guard_heavy_src () =
   let path =
@@ -106,50 +98,31 @@ let guard_heavy_src () =
   close_in ic;
   s
 
+(* Elision has one path: run the binary [Elide.run] rewrote and the
+   unmodified verifier re-accepted. The JIT itself omits nothing, so on
+   either binary it must agree with the interpreter (threshold 0 = every
+   block compiled from first entry). *)
 let test_guard_heavy_elide_parity () =
   let naive =
     Compile.compile_exn ~config:Codegen.sfi_naive
       (Parser.parse (guard_heavy_src ()))
   in
-  let report = Elide.analyze naive (disasm_exn naive) in
-  let offsets =
-    List.filter_map
-      (fun (g : Elide.guard) ->
-        match g.Elide.cls with
-        | Elide.Dominated_redundant | Elide.Range_proven -> Some g.Elide.addr
-        | Elide.Required -> None)
-      report.Elide.guards
-  in
-  Alcotest.(check bool) "elision facts available" true (offsets <> []);
   let base = Native_run.run naive in
-  (* without facts the JIT is a pure accelerator: bit-identical, checks
-     included (threshold 0 = every block compiled from first entry) *)
-  let jit_plain = Native_run.run ~jit:true ~jit_threshold:0 naive in
-  Alcotest.(check string) "jit without facts = interpreter"
-    (native_summary base) (native_summary jit_plain);
-  (* with facts, the dynamic check count must match the statically
-     elided, re-verified binary exactly *)
+  let jit_naive = Native_run.run ~jit:true ~jit_threshold:0 naive in
+  Alcotest.(check string) "naive build: jit = interpreter"
+    (native_summary base) (native_summary jit_naive);
   let elided =
     match Elide.run naive with
     | Ok (o, _) -> o
     | Error e -> Alcotest.fail (Elide.error_to_string e)
   in
-  let re = Native_run.run elided in
-  let jf = Native_run.run ~jit:true ~jit_threshold:0 ~jit_elide_offsets:offsets naive in
-  Alcotest.(check int64) "same exit code" base.exit_code jf.exit_code;
-  Alcotest.(check string) "expected output" "sum 231\n" jf.stdout;
-  Alcotest.(check int) "jit bound checks = statically elided binary's"
-    re.bound_checks jf.bound_checks;
-  Alcotest.(check bool) "fewer checks than the naive interpreter" true
-    (jf.bound_checks < base.bound_checks);
-  Alcotest.(check bool) "translation-time elisions recorded" true
-    (jf.jit_elisions > 0);
-  (* elision drops the comparison and its counter, nothing else: the
-     unelided instruction/cycle/memory charges stay those of the input *)
-  Alcotest.(check int) "same insns as the naive binary" base.insns jf.insns;
-  Alcotest.(check int) "same cycles as the naive binary" base.cycles jf.cycles;
-  Alcotest.(check int) "same loads" base.loads jf.loads;
-  Alcotest.(check int) "same stores" base.stores jf.stores
+  let eu = Native_run.run ~decode_cache:false elided in
+  let ej = Native_run.run ~jit:true ~jit_threshold:0 elided in
+  Alcotest.(check string) "elided build: jit = uncached" (native_summary eu)
+    (native_summary ej);
+  Alcotest.(check string) "expected output" "sum 231\n" ej.stdout;
+  Alcotest.(check bool) "fewer checks than the naive build" true
+    (ej.bound_checks < base.bound_checks)
 
 (* --- per-page invalidation -------------------------------------------------- *)
 
@@ -245,17 +218,22 @@ let test_midblock_fault_identity () =
 (* --- interrupt consultation parity ----------------------------------------- *)
 
 (* [?interrupt] is specified to be consulted exactly once per executed
-   instruction boundary. The fused superinstructions are where that can
-   silently break, so: (a) the total consult count must match the
-   uncached loop's, and (b) an interrupt armed at EVERY boundary index
-   in turn must stop the JIT run bit-identically, and both runs must
-   resume to the same completion. *)
+   instruction boundary. The fused superinstructions and the tiered
+   loop's block replay are where that can silently break, so, for the
+   decode-cache-only and the JIT tier: (a) the total consult count must
+   match the uncached loop's, and (b) an interrupt armed at EVERY
+   boundary index in turn must stop the run bit-identically, and both
+   runs must resume to the same completion. *)
+type tier = Uncached | Cached | Jitted
+
 let test_interrupt_every_boundary () =
   let prog = loop_prog 20 in
-  let run_tier ~jit fire_at =
+  let run_tier tier fire_at =
     let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
-    let cache = if jit then Some (Decode_cache.create ()) else None in
-    let j = if jit then Some (Jit.create ~threshold:0 ()) else None in
+    let cache =
+      if tier = Uncached then None else Some (Decode_cache.create ())
+    in
+    let j = if tier = Jitted then Some (Jit.create ~threshold:0 ()) else None in
     let n = ref 0 in
     let hook () =
       let k = !n in
@@ -270,22 +248,27 @@ let test_interrupt_every_boundary () =
     in
     (mid, state_str s2 cpu, !n)
   in
-  let mu, fu, nu = run_tier ~jit:false None in
-  let mj, fj, nj = run_tier ~jit:true None in
-  Alcotest.(check string) "unfired runs agree" (mu ^ fu) (mj ^ fj);
-  Alcotest.(check int) "one consult per instruction boundary" nu nj;
+  (* every tier against the uncached run; returns its consult count *)
+  let agree label fire_at =
+    let mu, fu, nu = run_tier Uncached fire_at in
+    List.iter
+      (fun (name, tier) ->
+        let m, f, n = run_tier tier fire_at in
+        Alcotest.(check string)
+          (Printf.sprintf "%s, %s: identical stop" name label)
+          mu m;
+        Alcotest.(check string)
+          (Printf.sprintf "%s, %s: identical completion" name label)
+          fu f;
+        Alcotest.(check int)
+          (Printf.sprintf "%s, %s: one consult per boundary" name label)
+          nu n)
+      [ ("cached", Cached); ("jit", Jitted) ];
+    nu
+  in
+  let nu = agree "unfired" None in
   for i = 0 to nu - 1 do
-    let mu, fu, nu' = run_tier ~jit:false (Some i) in
-    let mj, fj, nj' = run_tier ~jit:true (Some i) in
-    Alcotest.(check string)
-      (Printf.sprintf "interrupt at boundary %d: identical stop" i)
-      mu mj;
-    Alcotest.(check string)
-      (Printf.sprintf "interrupt at boundary %d: identical completion" i)
-      fu fj;
-    Alcotest.(check int)
-      (Printf.sprintf "interrupt at boundary %d: same consult count" i)
-      nu' nj'
+    ignore (agree (Printf.sprintf "interrupt at boundary %d" i) (Some i))
   done
 
 (* --- LibOS: multi-core determinism and stats -------------------------------- *)

@@ -9,7 +9,8 @@ module Harness = Occlum_workloads.Harness
 module Check = Occlum_fuzzing.Check
 
 let mk ncores =
-  Sched.create ~ncores ~decode_cache:false ~obs:Occlum_obs.Obs.disabled ()
+  Sched.create ~ncores ~decode_cache:false ~jit:false
+    ~obs:Occlum_obs.Obs.disabled ()
 
 let always _ = true
 let claim_all s = Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> -1)
