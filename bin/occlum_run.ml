@@ -152,10 +152,10 @@ let no_paging_arg =
 
 let cores_arg =
   Arg.(value & opt int 1 & info [ "cores" ]
-         ~doc:"Simulated vCPUs. 1 (default) is the sequential scheduler; \
-               N runs SIP quanta in parallel on OCaml domains with \
-               per-core run queues and work stealing. Bit-reproducible \
-               for a fixed N.")
+         ~doc:"Simulated vCPUs (default 1) of the epoch scheduler: \
+               each epoch runs one SIP quantum per core, in parallel on \
+               OCaml domains, over per-core run queues with work \
+               stealing. Bit-reproducible for a fixed N.")
 
 let jit_arg =
   Arg.(

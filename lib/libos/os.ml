@@ -54,11 +54,10 @@ type config = {
                   preallocating (§6's "can be avoided on SGX 2.0") *)
   domains : Domain_mgr.config;
   quantum : int;
-  cores : int; (* simulated vCPUs; 1 = the sequential scheduler,
-                  bit-identical to every release before multi-core *)
+  cores : int; (* simulated vCPUs: cores of the epoch scheduler *)
   decode_cache : bool; (* replay decoded basic blocks in Interp.run *)
   jit : bool; (* promote hot blocks to compiled closure chains (needs
-                 the decode cache; per-core caches under multi-core) *)
+                 the decode cache; one code cache per core) *)
   fs_key : string;
   (* EIP model knobs *)
   eip_runtime_image_bytes : int; (* measured on every enclave creation *)
@@ -86,17 +85,8 @@ type t = {
   epc : Occlum_sgx.Epc.t;
   enclave : Occlum_sgx.Enclave.t;
   mem : Mem.t;
-  (* one decoded-block cache for the whole enclave: blocks are keyed by
-     absolute pc in the shared address space, and the loader's privileged
-     code writes bump the page generations that invalidate them when a
-     domain slot is reused *)
-  dcache : Decode_cache.t option;
-  (* sequential-scheduler block JIT (cores = 1); under multi-core each
-     Sched core owns a private one *)
-  jit : Jit.t option;
   domains : Domain_mgr.t;
   procs : (int, proc) Hashtbl.t;
-  mutable runq : int list;
   mutable next_pid : int;
   sefs : Sefs.t;
   net : Net.t;
@@ -113,7 +103,11 @@ type t = {
   prng : Occlum_util.Prng.t;
   eip_runtime_image : Bytes.t; (* stand-in for the Graphene runtime pages *)
   obs : Occlum_obs.Obs.t;
-  sched : Sched.t option; (* per-core run queues when cfg.cores > 1 *)
+  sched : Sched.t;
+  (* per-core run queues, decode caches and JITs; a core's caches key
+     blocks by absolute pc in the shared address space, and the loader's
+     privileged code writes bump the page generations that invalidate
+     them when a domain slot is reused *)
   mutable cur_core : int; (* core whose claim is being post-processed;
                              attributes futex wakes to their waker core *)
   mutable last_run_pid : int; (* previously scheduled pid, for Sched_switch *)
@@ -175,13 +169,8 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     epc;
     enclave;
     mem = Occlum_sgx.Enclave.mem enclave;
-    dcache = (if config.decode_cache then Some (Decode_cache.create ()) else None);
-    jit =
-      (if config.jit && config.decode_cache then Some (Jit.create ())
-       else None);
     domains;
     procs = Hashtbl.create 32;
-    runq = [];
     next_pid = 1;
     sefs;
     net = Net.create ();
@@ -197,11 +186,8 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       eip_runtime_image = Bytes.make config.eip_runtime_image_bytes '\x5a';
       obs;
       sched =
-        (if config.cores > 1 then
-           Some
-             (Sched.create ~ncores:config.cores
-                ~decode_cache:config.decode_cache ~jit:config.jit ~obs ())
-         else None);
+        Sched.create ~ncores:config.cores ~decode_cache:config.decode_cache
+          ~jit:config.jit ~obs ();
       cur_core = 0;
       last_run_pid = 0;
       paging_cycles_seen = 0;
@@ -284,25 +270,25 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
 let clock t = t.clock_ns
 let console_output t = Buffer.contents t.console
 
-(* (hits, misses, invalidations) of the enclave-wide decoded-block
-   cache; None when the cache is disabled in the config. *)
-let decode_cache_stats t = Option.map Decode_cache.stats t.dcache
+(* Sum a per-core cache's (x, y, z) stats over the cores; None when the
+   config gives the cores no such cache. *)
+let sum_over_cores t cache stats =
+  Array.fold_left
+    (fun acc core ->
+      match cache core with
+      | None -> acc
+      | Some c ->
+          let x, y, z = stats c in
+          let a, b, d = Option.value acc ~default:(0, 0, 0) in
+          Some (a + x, b + y, d + z))
+    None t.sched.Sched.cores
 
-(* Aggregate (compiles, hits, invalidations) across whichever JITs this
-   configuration runs: the sequential one, or one per Sched core. *)
-let jit_stats t =
-  match t.sched with
-  | Some s when t.cfg.jit && t.cfg.decode_cache ->
-      Some
-        (Array.fold_left
-           (fun (a, b, c) core ->
-             match core.Sched.jit with
-             | Some j ->
-                 let x, y, z = Jit.stats j in
-                 (a + x, b + y, c + z)
-             | None -> (a, b, c))
-           (0, 0, 0) s.Sched.cores)
-  | _ -> Option.map Jit.stats t.jit
+(* (hits, misses, invalidations) of the decoded-block caches *)
+let decode_cache_stats t =
+  sum_over_cores t (fun c -> c.Sched.dcache) Decode_cache.stats
+
+(* (compiles, hits, invalidations) of the block JITs *)
+let jit_stats t = sum_over_cores t (fun c -> c.Sched.jit) Jit.stats
 
 let proc_output t pid =
   match Hashtbl.find_opt t.proc_out pid with
@@ -466,8 +452,7 @@ let make_proc t ~parent ~img ~fds ~is_thread ~slot_refs ~path ~eip_enclave =
     }
   in
   Hashtbl.replace t.procs pid p;
-  t.runq <- t.runq @ [ pid ];
-  (match t.sched with Some s -> Sched.enqueue s pid | None -> ());
+  Sched.enqueue t.sched pid;
   let o = t.obs in
   if o.Occlum_obs.Obs.enabled then begin
     if o.Occlum_obs.Obs.t_life then
@@ -1081,11 +1066,9 @@ let sys_futex_wake t p =
           match find_proc t pid with
           | Some wp when wp.state = `Blocked ->
               wp.futex_woken <- true;
-              (* multi-core: a wake must cancel the sleeping SIP's home
-                 core's steal backoff, or the wakeup waits it out *)
-              (match t.sched with
-              | Some s -> Sched.notify_wake s ~waker:t.cur_core wp.pid
-              | None -> ())
+              (* a wake must cancel the sleeping SIP's core's steal
+                 backoff, or the wakeup waits it out *)
+              Sched.notify_wake t.sched ~waker:t.cur_core wp.pid
           | _ -> ())
         to_wake;
       ok (List.length to_wake)
@@ -1693,8 +1676,7 @@ let retry_blocked t =
 
 (* What the LibOS does when a quantum stops: dispatch the gate, or field
    the fault (EPC miss -> AEX + ELDU + resume; anything else kills the
-   SIP). Shared verbatim between the sequential scheduler and the
-   multi-core epoch's post phase. *)
+   SIP). Called from the epoch's post phase. *)
 let handle_stop t (p : proc) (stop : Interp.stop) =
   match stop with
   | Interp.Stop_quantum -> ()
@@ -1734,215 +1716,142 @@ let handle_stop t (p : proc) (stop : Interp.stop) =
       Occlum_sgx.Enclave.resume t.enclave p.cpu;
       kill_proc t p ~fatal_signal:11
 
-(* Run one quantum of one SIP. Returns false if nothing was runnable. *)
-let seq_step t =
-  retry_blocked t;
-  let rec pick tries =
-    if tries = 0 then None
-    else
-      match t.runq with
-      | [] -> None
-      | pid :: rest -> (
-          t.runq <- rest;
-          match find_proc t pid with
-          | Some p when p.state = `Runnable ->
-              t.runq <- t.runq @ [ pid ];
-              Some p
-          | Some p when p.state = `Blocked ->
-              t.runq <- t.runq @ [ pid ];
-              pick (tries - 1)
-          | _ -> pick (tries - 1))
-  in
-  match pick (List.length t.runq + 1) with
-  | None -> false
-  | Some p -> (
-      deliver_signals t p;
-      if p.state <> `Runnable then true
-      else begin
-        let o = t.obs in
-        if o.Occlum_obs.Obs.enabled then begin
-          if o.Occlum_obs.Obs.t_sched && t.last_run_pid <> p.pid then
-            Occlum_obs.Obs.emit o
-              (Occlum_obs.Trace.Sched_switch
-                 { from_pid = t.last_run_pid; to_pid = p.pid });
-          t.last_run_pid <- p.pid;
-          if o.Occlum_obs.Obs.t_quantum then
-            Occlum_obs.Obs.emit o
-              (Occlum_obs.Trace.Quantum_start { pid = p.pid })
-        end;
-        let before = p.cpu.cycles in
-        let insns_before = p.cpu.insns in
-        let stop =
-          Interp.run ?cache:t.dcache ?jit:t.jit ~obs:o t.mem p.cpu
-            ~fuel:t.cfg.quantum
-        in
-        t.clock_ns <- Int64.add t.clock_ns (cycles_to_ns (p.cpu.cycles - before));
-        if o.Occlum_obs.Obs.enabled then begin
-          if o.Occlum_obs.Obs.t_quantum then
-            Occlum_obs.Obs.emit o
-              (Occlum_obs.Trace.Quantum_end
-                 {
-                   pid = p.pid;
-                   insns = p.cpu.insns - insns_before;
-                   cycles = p.cpu.cycles - before;
-                 });
-          Occlum_obs.Metrics.inc
-            (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics "os.quanta");
-          Occlum_obs.Metrics.observe
-            (Occlum_obs.Metrics.histogram o.Occlum_obs.Obs.metrics
-               "os.quantum.insns"
-               ~bounds:
-                 [| 100; 1_000; 10_000; 25_000; 50_000; 75_000; 100_000 |])
-            (p.cpu.insns - insns_before)
-        end;
-        handle_stop t p stop;
-        sync_pressure_charges t;
-        true
-      end)
-
-(* --- the multi-core scheduler (cfg.cores > 1) ------------------------------
+(* --- the epoch scheduler ------------------------------------------------------
 
    Epoch model: a sequential claim phase picks at most one runnable SIP
-   per core (Sched.claim — deterministic, never two SIPs of one domain
-   slot), the execution phase runs one interpreter quantum per claimed
-   SIP — parallelizable across OCaml domains because a SIP's quantum
-   only touches its own domain slot's pages, its own Cpu, and its core's
-   private decode cache and metrics shard — and a sequential post phase,
-   in core order, handles gates, faults and requeueing. The virtual
-   clock advances once per epoch by the longest quantum (concurrent
-   cores overlap in virtual time); syscall and paging charges then
-   serialize exactly as in the sequential scheduler. Nothing observable
-   depends on host timing, so a run at a fixed core count is
-   bit-reproducible with or without the worker pool. *)
+   per core (Sched.claim — deterministic round-robin, never two SIPs of
+   one domain slot, the claimed pid requeued at claim time), the
+   execution phase runs one interpreter quantum per claimed SIP —
+   parallelizable across OCaml domains because a SIP's quantum only
+   touches its own domain slot's pages, its own Cpu, and its core's
+   private caches and Obs (core 0's quantum, which reports to [t.obs],
+   always runs on the calling domain) — and a sequential post phase, in
+   core order, handles gates and faults.
 
-let mc_runnable t pid =
+   The cores ran concurrently, so they overlap in virtual time: before
+   job i's stop is handled the clock reads [base + cycles_i], and the
+   epoch ends at the largest clock any job's handling reached. Syscall
+   handling is charged to the calling SIP's core — the paper's point is
+   precisely that syscalls are function calls inside the enclave — so a
+   handler sees its own core's time. Globally shared pressure (EPC
+   paging, host-I/O retry backoff) stays serial via
+   [sync_pressure_charges]. With one core an epoch is one round-robin
+   quantum followed by its handler. Nothing observable depends on host
+   timing, so a run at a fixed core count is bit-reproducible with or
+   without the worker pool. *)
+
+let runnable t pid =
   match find_proc t pid with Some p -> p.state = `Runnable | None -> false
 
-let mc_live t pid =
+let live t pid =
   match find_proc t pid with Some p -> p.state <> `Zombie | None -> false
 
-let mc_slot t pid =
+let slot t pid =
   match find_proc t pid with
   | Some p -> p.img.slot.Domain_mgr.id
   | None -> -1
 
-let mc_epoch ?pool t s =
+let epoch ?pool t =
+  let s = t.sched in
+  let o = t.obs in
   retry_blocked t;
   t.cur_core <- 0;
   let claims =
-    Sched.claim s ~runnable:(mc_runnable t) ~live:(mc_live t)
-      ~slot_of:(mc_slot t)
+    Sched.claim s ~runnable:(runnable t) ~live:(live t) ~slot_of:(slot t)
   in
-  if claims = [] then false
+  (* sequential prologue: signal delivery (a SIP killed or blocked by a
+     signal hands its core's slice back), then the switch/start events *)
+  let jobs =
+    List.filter_map
+      (fun (cid, pid) ->
+        match find_proc t pid with
+        | None -> None
+        | Some p ->
+            t.cur_core <- cid;
+            deliver_signals t p;
+            if p.state <> `Runnable then None
+            else begin
+              if o.Occlum_obs.Obs.enabled then begin
+                if o.Occlum_obs.Obs.t_sched && t.last_run_pid <> p.pid then
+                  Occlum_obs.Obs.emit o
+                    (Occlum_obs.Trace.Sched_switch
+                       { from_pid = t.last_run_pid; to_pid = p.pid });
+                t.last_run_pid <- p.pid;
+                if o.Occlum_obs.Obs.t_quantum then
+                  Occlum_obs.Obs.emit o
+                    (Occlum_obs.Trace.Quantum_start { pid = p.pid })
+              end;
+              Some (cid, p, p.cpu.cycles, p.cpu.insns)
+            end)
+      claims
+    |> Array.of_list
+  in
+  let n = Array.length jobs in
+  (* nothing claimed, or signals took every claimed slice: no quantum
+     ran and no time passed (pressure charges fold in next epoch) *)
+  if n = 0 then claims <> []
   else begin
-    (* sequential prologue: signal delivery; a SIP killed or blocked by
-       a signal hands its core's slice back *)
-    let jobs =
-      List.filter_map
-        (fun (cid, pid) ->
-          match find_proc t pid with
-          | None -> None
-          | Some p ->
-              t.cur_core <- cid;
-              deliver_signals t p;
-              if p.state = `Runnable then Some (cid, p)
-              else begin
-                if p.state <> `Zombie then Sched.requeue s ~core:cid pid;
-                None
-              end)
-        claims
-      |> Array.of_list
-    in
-    let n = Array.length jobs in
     let stops = Array.make n Interp.Stop_quantum in
-    let before = Array.map (fun (_, p) -> (p.cpu.cycles, p.cpu.insns)) jobs in
-    let thunks =
-      Array.mapi
-        (fun i (cid, p) ->
-          let core = s.Sched.cores.(cid) in
-          fun () ->
-            stops.(i) <-
-              Interp.run ?cache:core.Sched.dcache ?jit:core.Sched.jit
-                ~obs:core.Sched.shard t.mem p.cpu ~fuel:t.cfg.quantum)
-        jobs
+    let run_job i (cid, p, _, _) =
+      let core = s.Sched.cores.(cid) in
+      stops.(i) <-
+        Interp.run ?cache:core.Sched.dcache ?jit:core.Sched.jit
+          ~obs:core.Sched.obs t.mem p.cpu ~fuel:t.cfg.quantum
     in
     (match pool with
-    | Some pool when n > 1 -> Sched.Pool.run_all pool thunks
-    | _ -> Array.iter (fun f -> f ()) thunks);
-    (* The cores ran concurrently: one epoch advances virtual time by
-       the LONGEST per-core (execute + syscall-handling) span, not the
-       sum. Syscall handling is charged to the calling SIP's core — the
-       paper's point is precisely that syscalls are function calls
-       inside the enclave, handled on the core that issued them — so a
-       handler's direct clock charges ([charge_syscall], copy and wire
-       costs) are measured per job below and folded into the epoch max.
-       Globally shared pressure (EPC paging, host-I/O retry backoff)
-       stays serial via [sync_pressure_charges]. *)
-    let base = t.clock_ns in
-    let epoch_ns = ref 0L in
+    | Some pool when n > 1 ->
+        Sched.Pool.run_all pool (Array.mapi (fun i job () -> run_job i job) jobs)
+    | _ -> Array.iteri run_job jobs);
     (* sequential post phase, in core order *)
+    let base = t.clock_ns in
+    let epoch_end = ref base in
     Array.iteri
-      (fun i (cid, p) ->
+      (fun i (cid, p, cycles0, insns0) ->
         let core = s.Sched.cores.(cid) in
+        let cycles = p.cpu.cycles - cycles0 and insns = p.cpu.insns - insns0 in
         t.cur_core <- cid;
-        let di = p.cpu.insns - snd before.(i) in
         core.Sched.quanta <- core.Sched.quanta + 1;
-        core.Sched.insns <- core.Sched.insns + di;
-        core.Sched.cycles <- core.Sched.cycles + (p.cpu.cycles - fst before.(i));
-        let sh = core.Sched.shard in
-        if sh.Occlum_obs.Obs.enabled then begin
-          Occlum_obs.Metrics.inc
-            (Occlum_obs.Metrics.counter sh.Occlum_obs.Obs.metrics "os.quanta");
+        core.Sched.insns <- core.Sched.insns + insns;
+        core.Sched.cycles <- core.Sched.cycles + cycles;
+        t.clock_ns <- Int64.add base (cycles_to_ns cycles);
+        if o.Occlum_obs.Obs.enabled then begin
+          if o.Occlum_obs.Obs.t_quantum then
+            Occlum_obs.Obs.emit o
+              (Occlum_obs.Trace.Quantum_end { pid = p.pid; insns; cycles });
+          let m = o.Occlum_obs.Obs.metrics in
+          Occlum_obs.Metrics.inc (Occlum_obs.Metrics.counter m "os.quanta");
           Occlum_obs.Metrics.observe
-            (Occlum_obs.Metrics.histogram sh.Occlum_obs.Obs.metrics
-               "os.quantum.insns"
+            (Occlum_obs.Metrics.histogram m "os.quantum.insns"
                ~bounds:
                  [| 100; 1_000; 10_000; 25_000; 50_000; 75_000; 100_000 |])
-            di;
+            insns;
           Occlum_obs.Metrics.inc
-            (Occlum_obs.Metrics.counter sh.Occlum_obs.Obs.metrics
+            (Occlum_obs.Metrics.counter m
                (Printf.sprintf "sched.core%d.quanta" cid))
         end;
-        let c0 = t.clock_ns in
         handle_stop t p stops.(i);
-        let core_ns =
-          Int64.add
-            (cycles_to_ns (p.cpu.cycles - fst before.(i)))
-            (Int64.sub t.clock_ns c0)
-        in
-        if Int64.compare core_ns !epoch_ns > 0 then epoch_ns := core_ns;
-        if p.state <> `Zombie then Sched.requeue s ~core:cid p.pid)
+        if Int64.compare t.clock_ns !epoch_end > 0 then epoch_end := t.clock_ns)
       jobs;
-    t.clock_ns <- Int64.add base !epoch_ns;
+    t.clock_ns <- !epoch_end;
     sync_pressure_charges t;
     true
   end
 
-let merge_core_metrics t =
-  match t.sched with Some s -> Sched.merge_metrics s t.obs | None -> ()
+let merge_core_metrics t = Sched.merge_metrics t.sched t.obs
 
-(* One scheduler step: a single quantum (sequential mode) or one epoch
-   of up to [cores] quanta (multi-core mode, executed on the calling
-   domain — drivers that poke the system between steps keep working). *)
-let step t = match t.sched with Some s -> mc_epoch t s | None -> seq_step t
+(* One scheduler step: one epoch, executed on the calling domain —
+   drivers that poke the system between steps keep working. *)
+let step t = epoch t
 
 let run ?(max_steps = 1_000_000) t =
   (* the worker pool exists only for the duration of this call; quanta
      of one epoch run on up to cores-1 workers plus the calling domain *)
-  let pool =
-    match t.sched with
-    | None -> None
-    | Some s ->
-        let nworkers =
-          min (s.Sched.ncores - 1)
-            (max 0 (Domain.recommended_domain_count () - 1))
-        in
-        if nworkers > 0 then Some (Sched.Pool.create nworkers) else None
+  let nworkers =
+    min (t.sched.Sched.ncores - 1)
+      (max 0 (Domain.recommended_domain_count () - 1))
   in
-  let step_once =
-    match t.sched with
-    | None -> fun () -> seq_step t
-    | Some s -> fun () -> mc_epoch ?pool t s
+  let pool =
+    if nworkers > 0 then Some (Sched.Pool.create nworkers) else None
   in
   let finish status =
     merge_core_metrics t;
@@ -1951,7 +1860,7 @@ let run ?(max_steps = 1_000_000) t =
   let rec go n =
     if n = 0 then finish Quota_exhausted
     else if live_procs t = [] then finish All_exited
-    else if step_once () then go (n - 1)
+    else if epoch ?pool t then go (n - 1)
     else begin
       (* nothing runnable: either sleepers (advance the clock) or deadlock *)
       let sleepers =

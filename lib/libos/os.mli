@@ -50,17 +50,15 @@ type config = {
   domains : Domain_mgr.config;
   quantum : int;  (** instructions per scheduling slice *)
   cores : int;
-      (** simulated vCPUs. 1 (the default) is the sequential round-robin
-          scheduler, bit-identical to every release before multi-core;
-          [> 1] schedules in epochs over per-core run queues ({!Sched})
-          with quanta executed in parallel on OCaml domains. Runs are
-          bit-reproducible for a fixed core count. *)
+      (** simulated vCPUs (default 1). Every core count runs the same
+          epoch scheduler over per-core run queues ({!Sched}); with more
+          than one core an epoch's quanta execute in parallel on OCaml
+          domains. Runs are bit-reproducible for a fixed core count. *)
   decode_cache : bool;
       (** replay decoded basic blocks in [Interp.run] (default on) *)
   jit : bool;
       (** promote hot blocks to compiled closure chains (default on;
-          requires [decode_cache]; per-core code caches under
-          multi-core) *)
+          requires [decode_cache]; one code cache per core) *)
   fs_key : string;
   eip_runtime_image_bytes : int;
       (** the Graphene runtime pages measured on every EIP creation *)
@@ -75,14 +73,8 @@ type t = {
   epc : Occlum_sgx.Epc.t;
   enclave : Occlum_sgx.Enclave.t;
   mem : Mem.t;
-  dcache : Decode_cache.t option;
-      (** one decoded-block cache for the whole enclave address space *)
-  jit : Jit.t option;
-      (** the sequential scheduler's block JIT; under multi-core each
-          {!Sched} core owns a private one instead *)
   domains : Domain_mgr.t;
   procs : (int, proc) Hashtbl.t;
-  mutable runq : int list;
   mutable next_pid : int;
   sefs : Sefs.t;
   net : Net.t;
@@ -103,7 +95,8 @@ type t = {
       (** the observability instance every layer of this LibOS reports
           to; {!Occlum_obs.Obs.disabled} unless one was passed to
           {!boot} *)
-  sched : Sched.t option;  (** per-core run queues when [cfg.cores > 1] *)
+  sched : Sched.t;
+      (** the scheduler: per-core run queues, decode caches and JITs *)
   mutable cur_core : int;
       (** core whose claim is being post-processed; attributes futex
           wakes to their waker core *)
@@ -141,11 +134,12 @@ val clock : t -> int64
 val console_output : t -> string
 
 val decode_cache_stats : t -> (int * int * int) option
-(** [(hits, misses, invalidations)]; [None] when the cache is disabled. *)
+(** [(hits, misses, invalidations)] summed over the per-core caches;
+    [None] when the cache is disabled. *)
 
 val jit_stats : t -> (int * int * int) option
-(** [(compiles, hits, invalidations)], aggregated over the per-core JITs
-    under multi-core; [None] when the JIT is disabled. *)
+(** [(compiles, hits, invalidations)] summed over the per-core JITs;
+    [None] when the JIT is disabled. *)
 
 val proc_output : t -> int -> string
 val find_proc : t -> int -> proc option
@@ -170,25 +164,26 @@ val spawn_initial : t -> Occlum_oelf.Oelf.t -> args:string list -> int
 type run_status = All_exited | Deadlock of int list | Quota_exhausted
 
 val step : t -> bool
-(** Retry blocked SIPs, then run one scheduler step: one quantum of one
-    runnable SIP ([cores = 1]) or one epoch of up to [cores] quanta
-    ([cores > 1]; executed sequentially on the calling domain — only
-    {!run} spins up the worker pool). [false] if nothing was runnable. *)
+(** Retry blocked SIPs, then run one epoch: claim at most one runnable
+    SIP per core, run one quantum of each (sequentially on the calling
+    domain — only {!run} spins up the worker pool), then handle their
+    stops in core order. Before a SIP's stop is handled the clock reads
+    the epoch's start plus that quantum's cycles; the epoch ends at the
+    latest clock any handler reached. [false] if nothing was runnable. *)
 
 val run : ?max_steps:int -> t -> run_status
 (** Run until every process has exited (advancing the clock over sleep
     gaps), deadlock, or the step quota. With [cores > 1] this owns the
     worker-domain pool (created on entry, joined before returning, even
-    on exceptions) and folds the per-core metrics shards into [t.obs]
-    when the run completes. *)
+    on exceptions). Folds the scheduler counters into [t.obs] when the
+    run completes. *)
 
 val wait_pid_exit : ?max_steps:int -> t -> int -> run_status
 (** Run until a specific process has exited (or was reaped). *)
 
 val merge_core_metrics : t -> unit
-(** Fold the per-core metrics shards and scheduler counters into
-    [t.obs] now (normally done by {!run}); no-op when [cores = 1].
-    Idempotent. *)
+(** Fold the scheduler counters into [t.obs] now (normally done by
+    {!run}). Idempotent. *)
 
 val state_digest : t -> string
 (** Hex SHA-256 over the workload-observable final state: processes

@@ -10,7 +10,7 @@ type core = {
   jit : Occlum_machine.Jit.t option;
       (* per-core code cache: compiled closures are mutable-state-free
          but the cache tables are not, so cores never share a [Jit.t] *)
-  shard : Occlum_obs.Obs.t;
+  obs : Occlum_obs.Obs.t;
   mutable backoff : int;
   mutable fail_streak : int;
   mutable steals : int;
@@ -46,7 +46,9 @@ let create ~ncores ~decode_cache ~jit ~obs () =
             jit =
               (if jit && decode_cache then Some (Occlum_machine.Jit.create ())
                else None);
-            shard = Occlum_obs.Obs.shard obs;
+            (* core 0's quanta always run on the calling domain
+               ([Pool.run_all]), so only it may touch [obs]'s trace *)
+            obs = (if cid = 0 then obs else Occlum_obs.Obs.disabled);
             backoff = 0;
             fail_streak = 0;
             steals = 0;
@@ -63,14 +65,14 @@ let create ~ncores ~decode_cache ~jit ~obs () =
 
 let home t pid = pid mod t.ncores
 
+let push c pid = c.rq <- c.rq @ [ pid ]
+
 let enqueue t pid =
   let c = t.cores.(home t pid) in
-  c.rq <- c.rq @ [ pid ];
+  push c pid;
   (* fresh work cancels any backoff: the core must notice it next epoch *)
   c.backoff <- 0;
   c.fail_streak <- 0
-
-let requeue t ~core pid = t.cores.(core).rq <- t.cores.(core).rq @ [ pid ]
 
 let core_of t pid =
   let rec find i =
@@ -89,56 +91,75 @@ let notify_wake t ~waker pid =
       c.fail_streak <- 0;
       if holder <> waker then t.cross_wakes <- t.cross_wakes + 1
 
-(* Scan [q] front-to-back for the first claimable pid; dead pids are
-   dropped, unclaimable live ones keep their relative order. *)
-let rec scan ~runnable ~live ~claimable kept = function
-  | [] -> (None, List.rev kept)
-  | pid :: tl ->
-      if not (live pid) then scan ~runnable ~live ~claimable kept tl
-      else if runnable pid && claimable pid then
-        (Some pid, List.rev_append kept tl)
-      else scan ~runnable ~live ~claimable (pid :: kept) tl
+(* The owner's round-robin pick: pop the front; a dead pid is dropped, a
+   live one goes behind the tail — the claimed pid too, before it runs,
+   so a child it spawns queues after it. [len + 1] tries, so a queue with
+   nothing claimable ends rotated by one. *)
+let pick c ~live ~ok =
+  let rec go tries =
+    match c.rq with
+    | pid :: rest when tries > 0 ->
+        c.rq <- rest;
+        if not (live pid) then go (tries - 1)
+        else begin
+          push c pid;
+          if ok pid then Some pid else go (tries - 1)
+        end
+    | _ -> None
+  in
+  go (List.length c.rq + 1)
+
+(* A thief scans the victim's queue from the back (the oldest work the
+   owner would reach last); dead pids are dropped, skipped live ones
+   keep their order. *)
+let steal victim ~live ~ok =
+  let rec scan kept = function
+    | [] -> (None, kept)
+    | pid :: tl ->
+        if not (live pid) then scan kept tl
+        else if ok pid then (Some pid, List.rev_append tl kept)
+        else scan (pid :: kept) tl
+  in
+  let found, rq = scan [] (List.rev victim.rq) in
+  victim.rq <- rq;
+  found
 
 let claim t ~runnable ~live ~slot_of =
   t.epochs <- t.epochs + 1;
-  let claimed_slots = ref [] in
-  let claimable pid =
+  (* claimed pids stay queued, so a later core must skip them *)
+  let claims = ref [] and claimed_slots = ref [] in
+  let ok pid =
+    runnable pid
+    && (not (List.exists (fun (_, q) -> q = pid) !claims))
+    &&
     let s = slot_of pid in
     s < 0 || not (List.mem s !claimed_slots)
   in
-  let note pid = claimed_slots := slot_of pid :: !claimed_slots in
-  let claims = ref [] in
+  let take i pid =
+    t.cores.(i).fail_streak <- 0;
+    claimed_slots := slot_of pid :: !claimed_slots;
+    claims := (i, pid) :: !claims
+  in
   for i = 0 to t.ncores - 1 do
     let c = t.cores.(i) in
-    match scan ~runnable ~live ~claimable [] c.rq with
-    | Some pid, rest ->
-        c.rq <- rest;
-        c.fail_streak <- 0;
-        note pid;
-        claims := (i, pid) :: !claims
-    | None, rest ->
-        c.rq <- rest;
+    match pick c ~live ~ok with
+    | Some pid -> take i pid
+    | None ->
         if c.backoff > 0 then c.backoff <- c.backoff - 1
         else begin
-          (* steal round: victims in deterministic order, from the back
-             of their queue (the oldest work the owner would reach last) *)
+          (* steal round: victims in deterministic order; the stolen SIP
+             migrates to the thief's queue — locality follows the work *)
           let stolen = ref None in
           let v = ref 1 in
           while !stolen = None && !v < t.ncores do
-            let victim = t.cores.((i + !v) mod t.ncores) in
-            (match scan ~runnable ~live ~claimable [] (List.rev victim.rq) with
-            | Some pid, rest_rev ->
-                victim.rq <- List.rev rest_rev;
-                stolen := Some pid
-            | None, rest_rev -> victim.rq <- List.rev rest_rev);
+            stolen := steal t.cores.((i + !v) mod t.ncores) ~live ~ok;
             incr v
           done;
           match !stolen with
           | Some pid ->
+              push c pid;
               c.steals <- c.steals + 1;
-              c.fail_streak <- 0;
-              note pid;
-              claims := (i, pid) :: !claims
+              take i pid
           | None ->
               (* empty-handed: back off exponentially so idle cores stop
                  rescanning every victim each epoch *)
@@ -152,26 +173,19 @@ let steals_total t = Array.fold_left (fun a c -> a + c.steals) 0 t.cores
 
 let merge_metrics t (obs : Occlum_obs.Obs.t) =
   if obs.Occlum_obs.Obs.enabled then begin
-    let module M = Occlum_obs.Metrics in
-    Array.iter
-      (fun c ->
-        M.drain_into ~src:c.shard.Occlum_obs.Obs.metrics
-          ~dst:obs.Occlum_obs.Obs.metrics)
-      t.cores;
-    let delta name cur seen =
-      let d = cur - !seen in
-      if d > 0 then M.add (M.counter obs.Occlum_obs.Obs.metrics name) d;
-      seen := cur
+    let add name d =
+      if d > 0 then
+        Occlum_obs.Metrics.add
+          (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics name)
+          d
     in
-    let me = ref t.merged_epochs
-    and ms = ref t.merged_steals
-    and mw = ref t.merged_wakes in
-    delta "sched.mc.epochs" t.epochs me;
-    delta "sched.mc.steals" (steals_total t) ms;
-    delta "sched.mc.cross_wakes" t.cross_wakes mw;
-    t.merged_epochs <- !me;
-    t.merged_steals <- !ms;
-    t.merged_wakes <- !mw
+    let steals = steals_total t in
+    add "sched.epochs" (t.epochs - t.merged_epochs);
+    add "sched.steals" (steals - t.merged_steals);
+    add "sched.cross_wakes" (t.cross_wakes - t.merged_wakes);
+    t.merged_epochs <- t.epochs;
+    t.merged_steals <- steals;
+    t.merged_wakes <- t.cross_wakes
   end
 
 (* --- the vCPU worker pool ------------------------------------------------- *)

@@ -1,23 +1,26 @@
-(** The multi-core SIP scheduler: per-vCPU run queues with deterministic
-    work stealing.
+(** The SIP scheduler: per-vCPU run queues with deterministic work
+    stealing. The LibOS builds one at every core count; [cores = 1] is
+    simply a one-core instance.
 
     One [core] models one simulated vCPU. Each core owns a run queue
     (FIFO: the owner claims from the front, thieves steal from the
-    back), a private decode cache, and a private {!Occlum_obs.Obs}
-    metrics shard merged back into the main registry at report time.
+    back) and a private decode cache and JIT. Core 0's quanta report
+    their interpreter events to the LibOS's {!Occlum_obs.Obs}; the other
+    cores' run untraced, since they may execute on worker domains.
 
     Scheduling runs in {e epochs}. An epoch's claim phase walks the
     cores in index order; each core claims at most one runnable SIP —
-    from its own queue first, then (unless backing off) by stealing from
-    victims in the deterministic order [(self+1) mod n, ...]. Claims
-    exclude two SIPs that share a domain slot (threads) from running in
-    the same epoch, so a SIP's quantum is the only writer of its slot
-    memory during the parallel phase. Everything here is plain
-    sequential data-structure manipulation driven by the LibOS from one
-    domain — the OCaml [Domain]s of {!Pool} only execute interpreter
-    quanta, never touch these queues, and therefore cannot perturb the
-    schedule: a multi-core run is bit-reproducible for a fixed core
-    count regardless of host timing. *)
+    round-robin from its own queue first, then (unless backing off) by
+    stealing from victims in the deterministic order [(self+1) mod n,
+    ...]. A claimed SIP is requeued at the tail of the claiming core's
+    queue at claim time. Claims exclude two SIPs that share a domain
+    slot (threads) from running in the same epoch, so a SIP's quantum is
+    the only writer of its slot memory during the parallel phase.
+    Everything here is plain sequential data-structure manipulation
+    driven by the LibOS from one domain — the OCaml [Domain]s of {!Pool}
+    only execute interpreter quanta, never touch these queues, and
+    therefore cannot perturb the schedule: a run is bit-reproducible for
+    a fixed core count regardless of host timing. *)
 
 type core = {
   cid : int;
@@ -27,7 +30,9 @@ type core = {
   jit : Occlum_machine.Jit.t option;
       (** this vCPU's private block-JIT code cache — compiled closures
           are never shared across domains *)
-  shard : Occlum_obs.Obs.t;  (** this vCPU's private metrics shard *)
+  obs : Occlum_obs.Obs.t;
+      (** where this vCPU's quanta report: the scheduler's [obs] for
+          core 0, {!Occlum_obs.Obs.disabled} for the rest *)
   mutable backoff : int;  (** epochs left before stealing again *)
   mutable fail_streak : int;  (** consecutive failed steal rounds *)
   mutable steals : int;  (** SIPs this core stole *)
@@ -58,19 +63,15 @@ val create :
   unit ->
   t
 (** [jit] gives every core a block JIT; it takes effect only when
-    [decode_cache] is also on. *)
+    [decode_cache] is also on. Core 0 reports to [obs]. *)
 
 val enqueue : t -> int -> unit
 (** Queue a new pid on its home core ([pid mod ncores]), clearing that
     core's steal backoff. *)
 
-val requeue : t -> core:int -> int -> unit
-(** Put a claimed pid back at the tail of the core that ran it (a stolen
-    SIP migrates to the thief — locality follows the work). *)
-
 val core_of : t -> int -> int option
-(** Index of the core whose queue currently holds [pid]; [None] while
-    the pid is claimed (mid-epoch) or gone. *)
+(** Index of the core whose queue currently holds [pid]; [None] once
+    it is gone. *)
 
 val notify_wake : t -> waker:int -> int -> unit
 (** A futex wake from a SIP running on core [waker] targeted [pid]:
@@ -84,17 +85,20 @@ val claim :
   slot_of:(int -> int) ->
   (int * int) list
 (** One epoch's claim phase: returns [(core, pid)] pairs in core order,
-    at most one per core, no two sharing a domain slot. Dead pids are
-    dropped from the queues; blocked ones keep their position. Bumps
-    [epochs] and ticks the backoff counters. *)
+    at most one per core, no two sharing a domain slot. The owner pops
+    its queue's front up to [length + 1] times: a dead pid is dropped, a
+    live one moves behind the tail — the claimed one too, so a child it
+    spawns queues after it — and a queue with nothing claimable ends
+    rotated by one. A stolen pid leaves the victim's queue for the tail
+    of the thief's. Bumps [epochs] and ticks the backoff counters. *)
 
 val steals_total : t -> int
 
 val merge_metrics : t -> Occlum_obs.Obs.t -> unit
-(** Fold every core's metrics shard plus the scheduler's own counters
-    ([sched.mc.epochs], [sched.mc.steals], [sched.mc.cross_wakes]) into
-    [obs]. Idempotent across repeated calls (drains shards, merges
-    counter deltas). No-op on a disabled [obs]. *)
+(** Fold the scheduler's counters ([sched.epochs], [sched.steals],
+    [sched.cross_wakes]) into [obs]. Idempotent across repeated calls
+    (merges only the deltas since the last call). No-op on a disabled
+    [obs]. *)
 
 (** A pool of worker [Domain]s executing one epoch's interpreter quanta
     in parallel. The pool is an accelerator only: workers run closures

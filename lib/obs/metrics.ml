@@ -90,37 +90,6 @@ let size_buckets = [| 64; 256; 1_024; 4_096; 16_384; 65_536; 262_144 |]
 let items_in_order reg =
   List.rev_map (fun name -> Hashtbl.find reg.tbl name) reg.order
 
-(* Fold every counter/histogram of [src] into same-named items of [dst]
-   and zero [src] — the multi-core merge-at-report path. Draining (rather
-   than copying) makes repeated merges idempotent: a per-core shard can
-   be merged after every run without double counting. *)
-let drain_into ~src ~dst =
-  List.iter
-    (function
-      | Counter c ->
-          if c.v <> 0 then begin
-            add (counter dst c.c_name) c.v;
-            c.v <- 0
-          end
-      | Histogram h ->
-          if h.n > 0 then begin
-            let d = histogram dst h.h_name ~bounds:h.bounds in
-            if Array.length d.bounds <> Array.length h.bounds then
-              invalid_arg
-                ("Metrics.drain_into: bucket mismatch for " ^ h.h_name);
-            Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) h.counts;
-            d.sum <- d.sum + h.sum;
-            d.n <- d.n + h.n;
-            if h.max_v > d.max_v then d.max_v <- h.max_v;
-            if h.min_v < d.min_v then d.min_v <- h.min_v;
-            Array.fill h.counts 0 (Array.length h.counts) 0;
-            h.sum <- 0;
-            h.n <- 0;
-            h.max_v <- min_int;
-            h.min_v <- max_int
-          end)
-    (items_in_order src)
-
 let to_text reg =
   let b = Buffer.create 512 in
   List.iter

@@ -32,13 +32,6 @@ val hist_sum : histogram -> int
 val bucket_counts : histogram -> int array
 (** One cell per bound plus the trailing overflow bucket. *)
 
-val drain_into : src:registry -> dst:registry -> unit
-(** Fold every item of [src] into the same-named item of [dst], then
-    zero [src] — the merge-at-report path for per-core metric shards.
-    Draining makes repeated merges idempotent.
-    @raise Invalid_argument on a name registered with a different kind
-    or a histogram with different bucket bounds. *)
-
 val latency_buckets_ns : int array
 (** Default latency scale: 100 ns … 100 ms, decades. *)
 

@@ -120,31 +120,6 @@ let create ?(capacity = 65536) ?(events = all_classes) () =
     t_cluster = on Cluster;
   }
 
-(* A per-core shard of [parent]: its own metrics registry (merged back
-   with [Metrics.drain_into] at report time) with tracing and the clock
-   cut off, so a simulated vCPU can record counters from its own domain
-   without touching the parent's ring or reading the shared clock. *)
-let shard parent =
-  if not parent.enabled then disabled
-  else
-    {
-      parent with
-      trace = Trace.create ~capacity:0 ();
-      metrics = Metrics.create ();
-      now = (fun () -> 0L);
-      t_quantum = false;
-      t_syscall = false;
-      t_sched = false;
-      t_life = false;
-      t_aex = false;
-      t_page = false;
-      t_dcache = false;
-      t_jit = false;
-      t_sefs = false;
-      t_net = false;
-      t_cluster = false;
-    }
-
 let emit t kind = Trace.emit t.trace ~ts:(t.now ()) kind
 let emit_at t ~ts kind = Trace.emit t.trace ~ts kind
 

@@ -53,13 +53,6 @@ val create : ?capacity:int -> ?events:cls list -> unit -> t
 (** An enabled instance recording the given classes (default: all) into
     a ring of [capacity] events (default 65536). *)
 
-val shard : t -> t
-(** A per-core shard of an enabled instance: a fresh metrics registry
-    (fold it back with {!Metrics.drain_into} at report time), every
-    trace class off, and a zero clock — safe for a simulated vCPU to
-    update from its own domain. The shard of {!disabled} is
-    [disabled]. *)
-
 val emit : t -> Trace.kind -> unit
 (** Record an event stamped [now ()]. The caller has already checked the
     class flag. *)

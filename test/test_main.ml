@@ -23,4 +23,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("serving", Test_serving.suite);
       ("multicore", Test_multicore.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -27,10 +27,12 @@ let test_steal_order () =
     [ (0, 0); (1, 6); (2, 3) ]
     (claim_all s);
   Alcotest.(check int) "two steals counted" 2 (Sched.steals_total s);
-  (* a stolen SIP is requeued on the thief: locality follows the work *)
-  Sched.requeue s ~core:1 6;
+  (* a stolen SIP moves to the thief's queue at claim time: locality
+     follows the work *)
   Alcotest.(check (option int)) "6 now lives on core 1" (Some 1)
-    (Sched.core_of s 6)
+    (Sched.core_of s 6);
+  Alcotest.(check (option int)) "claimed 0 is requeued on its owner" (Some 0)
+    (Sched.core_of s 0)
 
 let test_slot_exclusion () =
   (* two runnable SIPs sharing a domain slot never co-run in one epoch *)
@@ -170,7 +172,7 @@ let test_fuzz_property_replay () =
   Alcotest.(check bool) "25 mc-determinism cases pass" true (Check.ok report)
 
 let test_metrics_merge () =
-  (* per-core shards fold into the main registry exactly once *)
+  (* scheduler counters fold into the main registry exactly once *)
   let obs = Occlum_obs.Obs.create ~capacity:16 () in
   let os =
     Os.boot ~config:{ Os.default_config with cores = 2 } ~obs ()
@@ -181,20 +183,76 @@ let test_metrics_merge () =
     ignore (Os.spawn os ~parent_pid:0 ~path:"/bin/compute" ~args:[ "1000" ])
   done;
   ignore (Os.run ~max_steps:100_000 os);
-  let quanta () =
+  let value name =
     Occlum_obs.Metrics.value
-      (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics "os.quanta")
+      (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics name)
   in
-  let q1 = quanta () in
-  Alcotest.(check bool) "quanta recorded via shards" true (q1 > 0);
+  let q1 = value "os.quanta" and e1 = value "sched.epochs" in
+  Alcotest.(check bool) "quanta recorded" true (q1 > 0);
+  Alcotest.(check int) "every epoch merged" os.Os.sched.Sched.epochs e1;
   Os.merge_core_metrics os;
   Os.merge_core_metrics os;
-  Alcotest.(check int) "re-merging adds nothing (drain semantics)" q1
-    (quanta ());
-  Alcotest.(check bool) "epochs counter merged" true
-    (Occlum_obs.Metrics.value
-       (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics "sched.mc.epochs")
-    > 0)
+  Alcotest.(check int) "re-merging adds nothing" e1 (value "sched.epochs");
+  Alcotest.(check int) "quanta unchanged by merging" q1 (value "os.quanta")
+
+let test_clock_covers_events () =
+  (* four SIPs doing large file writes on 4 cores: their handlers run one
+     after another in the post phase, each charging copy and encryption
+     time. Every event a step records must be stamped no later than the
+     clock the step leaves behind. *)
+  let module Trace = Occlum_obs.Trace in
+  let obs =
+    Occlum_obs.Obs.create ~capacity:(1 lsl 16)
+      ~events:[ Occlum_obs.Obs.Syscall; Occlum_obs.Obs.Sefs ]
+      ()
+  in
+  let domains =
+    { Occlum_libos.Domain_mgr.default_config with max_domains = 5 }
+  in
+  let os = Harness.boot ~domains ~cores:4 ~obs Harness.Occlum in
+  Harness.install os Harness.Occlum [ ("/bin/fileio", Harness.file_io_prog) ];
+  Occlum_libos.Sefs.ensure_parents os.Os.sefs "/data/x";
+  for _ = 1 to 4 do
+    ignore
+      (Os.spawn os ~parent_pid:0 ~path:"/bin/fileio"
+         ~args:[ "w"; "16384"; "65536" ])
+  done;
+  Trace.clear obs.Occlum_obs.Obs.trace;
+  let late = ref 0 and steps = ref 0 in
+  while Os.step os && !steps < 100_000 do
+    incr steps;
+    let now = Os.clock os in
+    List.iter
+      (fun (e : Trace.event) -> if Int64.compare e.ts now > 0 then incr late)
+      (Trace.events obs.Occlum_obs.Obs.trace);
+    Trace.clear obs.Occlum_obs.Obs.trace
+  done;
+  Alcotest.(check bool) "all writers exited" true (Os.live_procs os = []);
+  Alcotest.(check int) "no event stamped after the step's final clock" 0 !late
+
+let test_decode_cache_stats () =
+  (* at cores=4 the reported stats are the sum over the per-core caches *)
+  let os = Harness.boot ~cores:4 Harness.Occlum in
+  Harness.install os Harness.Occlum [ ("/bin/compute", Harness.compute_prog) ];
+  for _ = 1 to 4 do
+    ignore (Os.spawn os ~parent_pid:0 ~path:"/bin/compute" ~args:[ "2000" ])
+  done;
+  ignore (Os.run os);
+  let sum =
+    Array.fold_left
+      (fun (a, b, c) core ->
+        match core.Sched.dcache with
+        | Some d ->
+            let x, y, z = Occlum_machine.Decode_cache.stats d in
+            (a + x, b + y, c + z)
+        | None -> (a, b, c))
+      (0, 0, 0) os.Os.sched.Sched.cores
+  in
+  match Os.decode_cache_stats os with
+  | Some ((hits, _, _) as stats) ->
+      Alcotest.(check bool) "hits recorded" true (hits > 0);
+      Alcotest.(check (triple int int int)) "equals the per-core sum" sum stats
+  | None -> Alcotest.fail "stats missing with the cache enabled"
 
 let suite =
   [
@@ -216,4 +274,8 @@ let suite =
       test_fuzz_property_replay;
     Alcotest.test_case "per-core metrics merge exactly once" `Quick
       test_metrics_merge;
+    Alcotest.test_case "epoch clock covers every event's timestamp" `Quick
+      test_clock_covers_events;
+    Alcotest.test_case "decode-cache stats sum the per-core caches" `Quick
+      test_decode_cache_stats;
   ]

@@ -292,30 +292,45 @@ let test_differential_spec () =
 
 let test_differential_libos () =
   (* a whole multi-process LibOS run: console bytes, virtual clock and
-     bookkeeping counters must not move when tracing is on *)
-  let go obs =
-    let os = H.boot ?obs H.Occlum in
+     bookkeeping counters must not move when tracing is on — also at 4
+     cores, where core 0's quanta report to the traced instance itself *)
+  let go cores obs =
+    let os = H.boot ~cores ?obs H.Occlum in
     H.install os H.Occlum Occlum_workloads.Fish.binaries;
     let r = H.timed_run os "/bin/fish" ~args:[ "2"; "30" ] in
     Printf.sprintf "clock=%Ld syscalls=%d spawns=%d faults=%d console=%s"
       (Os.clock os) os.Os.syscalls os.Os.spawns (List.length os.Os.faults)
       r.H.console
   in
-  let off = go None in
-  let obs = Obs.create () in
-  let on = go (Some obs) in
-  Alcotest.(check string) "traced LibOS run = untraced" off on;
-  let kinds =
+  let kinds_of cores =
+    let off = go cores None in
+    let obs = Obs.create () in
+    let on = go cores (Some obs) in
+    Alcotest.(check string)
+      (Printf.sprintf "traced LibOS run = untraced (cores=%d)" cores)
+      off on;
     List.sort_uniq compare
       (List.map
          (fun (e : Trace.event) -> Trace.kind_name e.kind)
          (Trace.events obs.Obs.trace))
   in
+  let kinds = kinds_of 1 and kinds4 = kinds_of 4 in
   Alcotest.(check bool)
     (Printf.sprintf "boot trace has >= 4 distinct event kinds (got %d)"
        (List.length kinds))
     true
-    (List.length kinds >= 4)
+    (List.length kinds >= 4);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("cores=1 trace has " ^ k) true (List.mem k kinds);
+      Alcotest.(check bool) ("cores=4 trace has " ^ k) true (List.mem k kinds4))
+    [ "sched_switch"; "quantum_start"; "quantum_end" ];
+  Alcotest.(check bool) "cores=1 trace has a dcache_* or jit_* event" true
+    (List.exists
+       (fun k ->
+         String.starts_with ~prefix:"dcache_" k
+         || String.starts_with ~prefix:"jit_" k)
+       kinds)
 
 let test_disabled_is_inert () =
   (* the shared disabled instance must never accumulate anything, from
