@@ -1,7 +1,6 @@
 open Occlum_isa
 open Occlum_machine
 open Occlum_toolchain
-module R = Codegen_regs
 module Enclave = Occlum_sgx.Enclave
 module Epc = Occlum_sgx.Epc
 module Os = Occlum_libos.Os
@@ -87,56 +86,25 @@ type report = {
   injected : Inject.t;
 }
 
-let sys_nr_reg = Reg.of_int Occlum_abi.Abi.Regs.sys_nr
-
-(* --- state comparison helpers ------------------------------------------- *)
-
-exception Diff of string
-
-let cpu_diff (a : Cpu.t) (b : Cpu.t) =
-  try
-    if a.Cpu.pc <> b.Cpu.pc then
-      raise (Diff (Printf.sprintf "pc 0x%x vs 0x%x" a.Cpu.pc b.Cpu.pc));
-    if a.Cpu.flag_eq <> b.Cpu.flag_eq || a.Cpu.flag_lt <> b.Cpu.flag_lt then
-      raise (Diff "comparison flags");
-    for i = 0 to Reg.count - 1 do
-      if a.Cpu.regs.(i) <> b.Cpu.regs.(i) then
-        raise
-          (Diff
-             (Printf.sprintf "r%d: %Ld vs %Ld" i a.Cpu.regs.(i) b.Cpu.regs.(i)))
-    done;
-    for i = 0 to Reg.bnd_count - 1 do
-      let x = a.Cpu.bnds.(i) and y = b.Cpu.bnds.(i) in
-      if x.Cpu.lower <> y.Cpu.lower || x.Cpu.upper <> y.Cpu.upper then
-        raise (Diff (Printf.sprintf "bnd%d" i))
-    done;
-    List.iter
-      (fun (name, x, y) ->
-        if x <> y then raise (Diff (Printf.sprintf "%s: %d vs %d" name x y)))
-      [
-        ("cycles", a.Cpu.cycles, b.Cpu.cycles);
-        ("insns", a.Cpu.insns, b.Cpu.insns);
-        ("loads", a.Cpu.loads, b.Cpu.loads);
-        ("stores", a.Cpu.stores, b.Cpu.stores);
-        ("bound_checks", a.Cpu.bound_checks, b.Cpu.bound_checks);
-      ];
-    None
-  with Diff d -> Some d
-
-let mem_diff (a : Exec.env) (b : Exec.env) =
-  let region name base len =
-    let x = Mem.read_bytes_priv a.Exec.mem ~addr:base ~len in
-    let y = Mem.read_bytes_priv b.Exec.mem ~addr:base ~len in
-    if not (Bytes.equal x y) then raise (Diff (name ^ " region bytes"))
-  in
-  try
-    region "code" a.Exec.code_base a.Exec.code_region;
-    region "data" a.Exec.d_base a.Exec.d_size;
-    region "victim" a.Exec.victim_base a.Exec.victim_size;
-    None
-  with Diff d -> Some d
+(* A failing differential case, shrunk (with a throwaway injection
+   counter) under "the reproduction still fails". *)
+let lockstep_failure prop shrink case items repro inj =
+  match repro inj items with
+  | Ok _ -> None
+  | Error detail ->
+      let minimized =
+        if shrink then
+          Some
+            (Shrink.minimize
+               (fun its -> Result.is_error (repro (Inject.make ()) its))
+               items)
+        else None
+      in
+      Some { prop; case; detail; minimized }
 
 (* --- property: codec round-trip ----------------------------------------- *)
+
+exception Diff of string
 
 let codec_case rng =
   try
@@ -181,10 +149,10 @@ let codec_case rng =
 
 (* --- property: verifier soundness --------------------------------------- *)
 
-let contained oelf ~period ~fuel =
-  let env = Exec.make oelf in
-  let intr = Inject.interrupt_silent ~period in
-  Exec.run_contained ~fuel ~interrupt:intr env
+let contained inj oelf ~period ~fuel =
+  Exec.run_contained ~fuel
+    ~interrupt:(Inject.interrupt_every inj ~period)
+    (Exec.make oelf)
 
 let soundness_case inj shrink rng case =
   let period = 1 + Rng.int rng 2 in
@@ -196,9 +164,7 @@ let soundness_case inj shrink rng case =
     if shrink then Some (Shrink.minimize pred items) else None
   in
   let run_accepted tag items_opt oelf =
-    let env = Exec.make oelf in
-    let intr = Inject.interrupt_every inj ~period in
-    match Exec.run_contained ~fuel ~interrupt:intr env with
+    match contained inj oelf ~period ~fuel with
     | Ok _ -> None
     | Error v ->
         let detail =
@@ -215,7 +181,9 @@ let soundness_case inj shrink rng case =
                   match Verify.verify (Gen.link its) with
                   | Error _ -> false
                   | Ok _ -> (
-                      match contained (Gen.link its) ~period ~fuel with
+                      match
+                        contained (Inject.make ()) (Gen.link its) ~period ~fuel
+                      with
                       | Error _ -> true
                       | Ok _ -> false))
                 items
@@ -269,228 +237,51 @@ let soundness_case inj shrink rng case =
 
 (* --- property: AEX/resume bit-identity ---------------------------------- *)
 
-let capture (cpu : Cpu.t) =
-  (Array.copy cpu.Cpu.regs, Array.copy cpu.Cpu.bnds, cpu.Cpu.pc,
-   cpu.Cpu.flag_eq, cpu.Cpu.flag_lt)
-
-let resume_diff (regs, bnds, pc, fe, fl) (cpu : Cpu.t) =
-  try
-    if cpu.Cpu.pc <> pc then raise (Diff "pc");
-    if cpu.Cpu.flag_eq <> fe || cpu.Cpu.flag_lt <> fl then
-      raise (Diff "comparison flags");
-    Array.iteri
-      (fun i v ->
-        if cpu.Cpu.regs.(i) <> v then raise (Diff (Printf.sprintf "r%d" i)))
-      regs;
-    Array.iteri
-      (fun i (v : Cpu.bound) ->
-        let b = cpu.Cpu.bnds.(i) in
-        if b.Cpu.lower <> v.Cpu.lower || b.Cpu.upper <> v.Cpu.upper then
-          raise (Diff (Printf.sprintf "bnd%d" i)))
-      bnds;
-    None
-  with Diff d -> Some d
-
-let scramble rng (cpu : Cpu.t) =
-  for i = 0 to Reg.count - 1 do
-    Cpu.set cpu (Reg.of_int i) (Rng.next rng)
-  done;
-  for i = 0 to Reg.bnd_count - 1 do
-    Cpu.set_bnd cpu (Reg.bnd_of_int i)
-      { lower = Rng.next rng; upper = Rng.next rng }
-  done;
-  cpu.Cpu.pc <- Rng.int rng 0x200000;
-  cpu.Cpu.flag_eq <- Rng.bool rng;
-  cpu.Cpu.flag_lt <- Rng.bool rng
-
-(* Interrupted run with an AEX + full CPU scramble + resume at every
-   [period]-th boundary, stepping a never-interrupted twin in lockstep:
-   each resume must be bit-identical to the pre-AEX state, and the twin
-   must end bit-identical to the interrupted machine (AEX transparency). *)
-let drive_aex inj oelf ~period ~scramble_seed ~steps =
-  let env = Exec.make oelf and twin = Exec.make oelf in
-  let srng = Rng.of_seed scramble_seed in
-  let boundary = ref 0 in
-  let rec go n =
-    if n = 0 then transparency ()
-    else begin
-      incr boundary;
-      if !boundary mod period = 0 then begin
-        inj.Inject.aex <- inj.Inject.aex + 1;
-        let snap = capture env.Exec.cpu in
-        Enclave.aex ~reason:"fuzz-aex" env.Exec.enclave env.Exec.cpu;
-        scramble srng env.Exec.cpu;
-        Enclave.resume env.Exec.enclave env.Exec.cpu;
-        match resume_diff snap env.Exec.cpu with
-        | Some d -> Error ("aex/resume not bit-identical: " ^ d)
-        | None -> exec n
-      end
-      else exec n
-    end
-  and exec n =
-    let sa = Interp.step env.Exec.mem env.Exec.cpu in
-    let sb = Interp.step twin.Exec.mem twin.Exec.cpu in
-    if sa <> sb then Error "interrupted and twin runs took different stops"
-    else
-      match sa with
-      | Some Interp.Stop_syscall ->
-          let nr = Int64.to_int (Cpu.get env.Exec.cpu sys_nr_reg) in
-          if nr = Occlum_abi.Abi.Sys.exit then transparency ()
-          else begin
-            Cpu.set env.Exec.cpu R.result 0L;
-            Cpu.set twin.Exec.cpu R.result 0L;
-            go (n - 1)
-          end
-      | Some (Interp.Stop_fault _) -> transparency ()
-      | Some Interp.Stop_quantum | None -> go (n - 1)
-  and transparency () =
-    match cpu_diff env.Exec.cpu twin.Exec.cpu with
-    | Some d -> Error ("AEX transparency violated: " ^ d)
-    | None -> (
-        match mem_diff env twin with
-        | Some d -> Error ("AEX transparency violated: " ^ d)
-        | None -> Ok ())
+(* An AEX + full CPU scramble + resume at every [period]-th boundary,
+   against a never-interrupted twin: each resume must be bit-identical
+   to the pre-AEX state, and the twin identical at every sync point
+   (AEX transparency). *)
+let aex_repro ~period ~scramble_seed inj items =
+  let oelf = Gen.link items in
+  let scramble = Some (Rng.of_seed scramble_seed) in
+  let interrupt =
+    {
+      Exec.fires = Inject.interrupt_every inj ~period;
+      round_trip = Some (Exec.round_trip ~scramble);
+    }
   in
-  go steps
+  Exec.lockstep ~differ:Identical ~fuel:1200
+    [
+      { (Exec.machine (Exec.make oelf)) with interrupt = Some interrupt };
+      Exec.machine (Exec.make oelf);
+    ]
 
 let aex_case inj shrink rng case =
   let items = Gen.program rng in
   let period = 1 + Rng.int rng 6 in
   let scramble_seed = Rng.next rng in
-  let steps = 1200 in
-  match drive_aex inj (Gen.link items) ~period ~scramble_seed ~steps with
-  | Ok () -> None
-  | Error detail ->
-      let minimized =
-        if not shrink then None
-        else
-          Some
-            (Shrink.minimize
-               (fun its ->
-                 match
-                   drive_aex (Inject.make ()) (Gen.link its) ~period
-                     ~scramble_seed ~steps
-                 with
-                 | Error _ -> true
-                 | Ok () -> false)
-               items)
-      in
-      Some { prop = Aex_identity; case; detail; minimized }
+  lockstep_failure Aex_identity shrink case items
+    (aex_repro ~period ~scramble_seed)
+    inj
 
 (* --- property: guard elision -------------------------------------------- *)
 
-(* Observable synchronization points of a run: the elided binary's code
-   addresses differ from the original's, so lockstep pc comparison is
-   meaningless — but syscalls, faults and the exit are layout-free
-   events, and at each of them every register, bound register, flag and
-   the data/victim memory must be bit-identical (pushed return
-   addresses and lea'd cfi_label addresses are pinned by the rewriter,
-   so no live value is layout-dependent). *)
-type sync = S_syscall of int | S_exit | S_fault of Fault.t | S_fuel
-
-let sync_to_string = function
-  | S_syscall n -> Printf.sprintf "syscall %d" n
-  | S_exit -> "exit"
-  | S_fault f -> "fault " ^ Fault.to_string f
-  | S_fuel -> "out of fuel"
-
-let run_to_sync (env : Exec.env) intr fuel =
-  let rec go fuel =
-    if fuel <= 0 then (S_fuel, 0)
-    else begin
-      if intr () then begin
-        Enclave.aex ~reason:"guard-elide" env.Exec.enclave env.Exec.cpu;
-        Enclave.resume env.Exec.enclave env.Exec.cpu
-      end;
-      match Interp.step env.Exec.mem env.Exec.cpu with
-      | None | Some Interp.Stop_quantum -> go (fuel - 1)
-      | Some (Interp.Stop_fault f) -> (S_fault f, fuel - 1)
-      | Some Interp.Stop_syscall ->
-          let nr = Int64.to_int (Cpu.get env.Exec.cpu sys_nr_reg) in
-          if nr = Occlum_abi.Abi.Sys.exit then (S_exit, fuel - 1)
-          else (S_syscall nr, fuel - 1)
-    end
+(* One reproduction of the whole elision contract on fresh input: the
+   original under an interrupt storm and the elided binary under a
+   silent twin schedule, compared at every sync point. Their code
+   layouts differ, so pc is compared only inside the pinned trampoline
+   (syscall, exit) and code bytes never; pushed return addresses and
+   lea'd cfi_label addresses are pinned by the rewriter, so no live
+   value is layout-dependent. Counters (cycles, bound_checks) are
+   exactly what elision changes, so they are not compared. *)
+let elide_repro ~period ~fuel inj items =
+  let machine fires oelf =
+    let round_trip = Some (Exec.round_trip ~scramble:None) in
+    {
+      (Exec.machine (Exec.make oelf)) with
+      interrupt = Some { Exec.fires; round_trip };
+    }
   in
-  go fuel
-
-(* Drive original and elided side by side — the original under an
-   interrupt storm, the elided silently — comparing at every sync
-   point. Counters (cycles, bound_checks) are exactly what elision
-   changes, so they are NOT compared; code bytes differ by design, so
-   memory comparison covers data + victim only. *)
-let elide_equiv ?inj oelf oelf' ~period ~fuel =
-  let a = Exec.make oelf and b = Exec.make oelf' in
-  let ia =
-    match inj with
-    | Some inj -> Inject.interrupt_every inj ~period
-    | None -> Inject.interrupt_silent ~period
-  in
-  let ib = Inject.interrupt_silent ~period in
-  let data_victim_diff () =
-    let region name base len =
-      let x = Mem.read_bytes_priv a.Exec.mem ~addr:base ~len in
-      let y = Mem.read_bytes_priv b.Exec.mem ~addr:base ~len in
-      if not (Bytes.equal x y) then raise (Diff (name ^ " region bytes"))
-    in
-    try
-      region "data" a.Exec.d_base a.Exec.d_size;
-      region "victim" a.Exec.victim_base a.Exec.victim_size;
-      None
-    with Diff d -> Some d
-  in
-  let audits () =
-    match (Exec.audit a, Exec.audit b) with
-    | Some v, _ ->
-        Error ("original violated isolation: " ^ Exec.violation_to_string v)
-    | _, Some v ->
-        Error ("ELIDED violated isolation: " ^ Exec.violation_to_string v)
-    | None, None -> Ok ()
-  in
-  let finish () =
-    match data_victim_diff () with
-    | Some d -> Error ("final memory diverges: " ^ d)
-    | None -> audits ()
-  in
-  let rec go fa fb =
-    let sa, fa = run_to_sync a ia fa in
-    let sb, fb = run_to_sync b ib fb in
-    match (sa, sb) with
-    | S_fuel, _ | _, S_fuel -> audits () (* inconclusive but still audited *)
-    | S_fault f, S_fault f' ->
-        (* fault payloads are data-derived (addresses, bnd values), never
-           pc-derived, so structural equality is exact *)
-        if f = f' then finish ()
-        else
-          Error
-            (Printf.sprintf "faults differ: %s vs %s" (Fault.to_string f)
-               (Fault.to_string f'))
-    | S_exit, S_exit -> (
-        match resume_diff (capture a.Exec.cpu) b.Exec.cpu with
-        | Some d -> Error ("state diverges at exit: " ^ d)
-        | None -> finish ())
-    | S_syscall n, S_syscall n' when n = n' -> (
-        (* pc is inside the pinned trampoline at a syscall stop, so the
-           full register file including pc must match *)
-        match resume_diff (capture a.Exec.cpu) b.Exec.cpu with
-        | Some d ->
-            Error (Printf.sprintf "state diverges at syscall %d: %s" n d)
-        | None -> (
-            match data_victim_diff () with
-            | Some d ->
-                Error (Printf.sprintf "memory diverges at syscall %d: %s" n d)
-            | None ->
-                Cpu.set a.Exec.cpu R.result 0L;
-                Cpu.set b.Exec.cpu R.result 0L;
-                go fa fb))
-    | _ ->
-        Error
-          (Printf.sprintf "sync points diverge: %s vs %s" (sync_to_string sa)
-             (sync_to_string sb))
-  in
-  go fuel fuel
-
-(* One reproduction of the whole elision contract on fresh input. *)
-let elide_repro ?inj items ~period ~fuel =
   match Gen.link items with
   | exception _ -> Ok ()
   | oelf -> (
@@ -501,10 +292,26 @@ let elide_repro ?inj items ~period ~fuel =
           | Error e ->
               Error ("elision failed on a verified program: "
                      ^ Elide.error_to_string e)
-          | Ok (oelf', _report) ->
-              if not (Occlum_verifier.Signer.check oelf') then
-                Error "elided binary's signature does not check"
-              else elide_equiv ?inj oelf oelf' ~period ~fuel))
+          | Ok (oelf', _) when not (Occlum_verifier.Signer.check oelf') ->
+              Error "elided binary's signature does not check"
+          | Ok (oelf', _) -> (
+              let a = machine (Inject.interrupt_every inj ~period) oelf in
+              let b =
+                machine (Inject.interrupt_every (Inject.make ()) ~period) oelf'
+              in
+              match Exec.lockstep ~differ:Layout ~fuel [ a; b ] with
+              | Error d -> Error d
+              | Ok _ -> (
+                  match (Exec.audit a.env, Exec.audit b.env) with
+                  | Some v, _ ->
+                      Error
+                        ("original violated isolation: "
+                        ^ Exec.violation_to_string v)
+                  | _, Some v ->
+                      Error
+                        ("ELIDED violated isolation: "
+                        ^ Exec.violation_to_string v)
+                  | None, None -> Ok ()))))
 
 let elide_case inj shrink rng case =
   let period = 1 + Rng.int rng 3 in
@@ -542,22 +349,9 @@ let elide_case inj shrink rng case =
   else
     (* well-formed: elision must succeed, re-sign, and preserve every
        sync-point observation under an interrupt storm *)
-    let items = Gen.program rng in
-    match elide_repro ~inj items ~period ~fuel with
-    | Ok () -> None
-    | Error detail ->
-        let minimized =
-          if not shrink then None
-          else
-            Some
-              (Shrink.minimize
-                 (fun its ->
-                   match elide_repro its ~period ~fuel with
-                   | Error _ -> true
-                   | Ok () -> false)
-                 items)
-        in
-        fail detail minimized
+    lockstep_failure Guard_elide shrink case (Gen.program rng)
+      (elide_repro ~period ~fuel)
+      inj
 
 (* --- property: EPC pressure / LibOS clean failure ------------------------ *)
 
@@ -820,89 +614,50 @@ let io_faults inj _rng =
 
 (* --- paging transparency -------------------------------------------------- *)
 
-(* Run a program on a deliberately tiny paged pool, stepping an
-   uncapped twin in lockstep. Every Epc_miss takes the production
-   AEX -> ELDU -> resume path, with a full CPU scramble in the
-   evict-and-reload window to make resume transparency non-vacuous; the
-   paged machine must end bit-identical to the twin in architectural
-   state and memory (counters excluded: a faulted-and-retried
-   instruction legitimately charges extra cycles), and destroy must
-   return every frame and sealed page. *)
-let drive_paged inj oelf ~pool_pages ~scramble_seed ~steps =
-  let pool = Epc.create ~size:(pool_pages * Epc.page_size) () in
-  Epc.enable_paging pool;
-  let env = Exec.make ~epc:pool oelf in
-  let twin = Exec.make oelf in
-  let srng = Rng.of_seed scramble_seed in
-  let cid = Enclave.id env.Exec.enclave in
-  let rec exec n =
-    if n = 0 then finish ()
-    else
-      match Interp.step env.Exec.mem env.Exec.cpu with
-      | Some (Interp.Stop_fault (Fault.Epc_miss { addr; _ })) -> (
-          (* the paged machine page-faults; the twin does not step *)
-          inj.Inject.aex <- inj.Inject.aex + 1;
-          let snap = capture env.Exec.cpu in
-          Enclave.aex ~reason:"epc-miss" env.Exec.enclave env.Exec.cpu;
-          scramble srng env.Exec.cpu;
-          Enclave.resume env.Exec.enclave env.Exec.cpu;
-          match resume_diff snap env.Exec.cpu with
-          | Some d -> Error ("paging resume not bit-identical: " ^ d)
-          | None -> (
-              match Epc.eldu pool ~cid ~page:(addr / Epc.page_size) with
-              | () -> exec n
-              | exception e -> Error ("reload failed: " ^ Printexc.to_string e)
-              ))
-      | sa -> (
-          let sb = Interp.step twin.Exec.mem twin.Exec.cpu in
-          if sa <> sb then Error "paged and uncapped runs took different stops"
-          else
-            match sa with
-            | Some Interp.Stop_syscall ->
-                let nr = Int64.to_int (Cpu.get env.Exec.cpu sys_nr_reg) in
-                if nr = Occlum_abi.Abi.Sys.exit then finish ()
-                else begin
-                  Cpu.set env.Exec.cpu R.result 0L;
-                  Cpu.set twin.Exec.cpu R.result 0L;
-                  exec (n - 1)
-                end
-            | Some (Interp.Stop_fault _) -> finish ()
-            | Some Interp.Stop_quantum | None -> exec (n - 1))
-  and finish () =
-    match resume_diff (capture twin.Exec.cpu) env.Exec.cpu with
-    | Some d -> Error ("paging transparency violated: " ^ d)
-    | None -> (
-        match mem_diff env twin with
-        | Some d -> Error ("paging transparency violated: " ^ d)
-        | None ->
-            Enclave.destroy env.Exec.enclave;
-            (* destroy is idempotent: the second call must be a no-op *)
-            Enclave.destroy env.Exec.enclave;
-            Enclave.destroy twin.Exec.enclave;
-            if Epc.used_pages pool <> 0 then
-              Error
-                (Printf.sprintf "%d frames leaked after destroy"
-                   (Epc.used_pages pool))
-            else if Epc.backing_used pool <> 0 then
-              Error
-                (Printf.sprintf "%d sealed pages leaked after destroy"
-                   (Epc.backing_used pool))
-            else Ok ())
-  in
-  exec steps
-
+(* Run a program on a deliberately tiny paged pool against an uncapped
+   twin. Every Epc_miss takes the production AEX -> ELDU -> resume path,
+   with a full CPU scramble in the evict-and-reload window to make
+   resume transparency non-vacuous; the paged machine must match the
+   twin in architectural state and memory (counters excluded: a
+   faulted-and-retried instruction legitimately charges extra cycles),
+   and destroy must return every frame and sealed page. *)
 let paging_transparency inj rng =
   let items = Gen.program rng in
-  let scramble_seed = Rng.next rng in
+  let srng = Rng.of_seed (Rng.next rng) in
   (* small enough to force eviction for most generated programs (their
      enclaves span 12+ pages), large enough that the pin ring (4) never
      starves the reclaimer *)
   let pool_pages = 8 + Rng.int rng 4 in
+  let oelf = Gen.link items in
+  let pool = Epc.create ~size:(pool_pages * Epc.page_size) () in
+  Epc.enable_paging pool;
+  let env = Exec.make ~epc:pool oelf in
+  let twin = Exec.make oelf in
+  let aex env =
+    inj.Inject.aex <- inj.Inject.aex + 1;
+    Exec.round_trip ~scramble:(Some srng) env
+  in
+  let pager =
+    { Exec.reload = Exec.eldu pool; aex = Some aex; retry_spends_fuel = false }
+  in
   match
-    drive_paged inj (Gen.link items) ~pool_pages ~scramble_seed ~steps:1200
+    Exec.lockstep ~differ:Paging ~fuel:1200
+      [ { (Exec.machine env) with pager = Some pager }; Exec.machine twin ]
   with
-  | Ok () -> None
-  | Error d -> Some d
+  | Error d -> Some ("paging transparency violated: " ^ d)
+  | Ok _ ->
+      Enclave.destroy env.Exec.enclave;
+      (* destroy is idempotent: the second call must be a no-op *)
+      Enclave.destroy env.Exec.enclave;
+      Enclave.destroy twin.Exec.enclave;
+      if Epc.used_pages pool <> 0 then
+        Some
+          (Printf.sprintf "%d frames leaked after destroy" (Epc.used_pages pool))
+      else if Epc.backing_used pool <> 0 then
+        Some
+          (Printf.sprintf "%d sealed pages leaked after destroy"
+             (Epc.backing_used pool))
+      else None
 
 (* A tampered or version-rolled-back sealed page must be a hard fault on
    reload — never silent corruption — and must leave the pool balanced. *)
@@ -1157,13 +912,13 @@ let mc_case _inj _shrink rng case =
      test — a fused superinstruction that skipped an interrupt
      consultation at an original-instruction boundary would shift the
      storm to different architectural points and diverge immediately.
-   - [J_smc]: the driver additionally flips a code byte — the same byte,
+   - [J_smc]: the engine additionally flips a code byte — the same byte,
      the same flip — in all three envs at stop boundaries, exercising
      page-generation invalidation, JIT deopt and rebuild. With RWX code
      the blocks are fragile (single-instruction units, revalidated
      between instructions); with RX code the fused fast paths run.
    - [J_epc]: all three envs are demand-paged against one oversized pool
-     and the driver evicts the same page from each at stop boundaries.
+     and the engine evicts the same page from each at stop boundaries.
      Reloads are transparent ELDUs driven off [Epc_miss], mirroring the
      LibOS pager. A faulted-and-retried data access double-charges the
      counters, but identically in every tier (data accesses are
@@ -1178,19 +933,20 @@ type jit_mode = J_plain | J_smc | J_epc
 (* Fires exactly once per boundary whose architectural instruction count
    is a multiple of [period], no matter how many times that boundary is
    consulted (quantum re-entry, post-reload retry). *)
-let intr_at_insns ?inj (cpu : Cpu.t) ~period =
+let intr_at_insns inj (cpu : Cpu.t) ~period =
   let last = ref (-1) in
   fun () ->
     if cpu.Cpu.insns mod period = 0 && !last <> cpu.Cpu.insns then begin
       last := cpu.Cpu.insns;
-      (match inj with
-      | Some i -> i.Inject.aex <- i.Inject.aex + 1
-      | None -> ());
+      inj.Inject.aex <- inj.Inject.aex + 1;
       true
     end
     else false
 
-let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
+(* JIT, decode cache and uncached loop in lockstep; only the JIT
+   machine's interrupts count into [inj] (the others count into a
+   throwaway plan), so the plan counts each boundary once. *)
+let triple ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
   let pool =
     match mode with
     | J_epc ->
@@ -1199,146 +955,44 @@ let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
         Some p
     | J_plain | J_smc -> None
   in
-  let mk () =
-    match pool with
-    | Some epc -> Exec.make ~epc ~code_perm oelf
-    | None -> Exec.make ~code_perm oelf
+  let a = Exec.make ?epc:pool ~code_perm oelf in
+  let b = Exec.make ?epc:pool ~code_perm oelf in
+  let c = Exec.make ?epc:pool ~code_perm oelf in
+  let prng = Rng.of_seed perturb_seed in
+  let perturb =
+    match (mode, pool) with
+    | J_smc, _ -> Some (Exec.smc_flip prng ~code_region:a.Exec.code_region)
+    | J_epc, Some pool ->
+        Some (Exec.evict prng pool ~pages:(Mem.size a.Exec.mem / Mem.page_size))
+    | _ -> None
   in
-  let a = mk () and b = mk () and c = mk () in
-  let envs = [ a; b; c ] in
-  let cache_a = Decode_cache.create () and cache_b = Decode_cache.create () in
+  let machine env tier inj =
+    let fires =
+      match mode with
+      | J_epc -> intr_at_insns inj env.Exec.cpu ~period
+      | J_plain | J_smc -> Inject.interrupt_every inj ~period
+    in
+    {
+      Exec.env;
+      tier;
+      interrupt = Some { Exec.fires; round_trip = None };
+      pager =
+        Option.map
+          (fun pool ->
+            { Exec.reload = Exec.eldu pool; aex = None; retry_spends_fuel = true })
+          pool;
+    }
+  in
   (* threshold 2: generated loops are short, promotion must still happen *)
   let jit = Jit.create ~threshold:2 () in
-  let ia, ib, ic =
-    match mode with
-    | J_epc ->
-        ( intr_at_insns ?inj a.Exec.cpu ~period,
-          intr_at_insns b.Exec.cpu ~period,
-          intr_at_insns c.Exec.cpu ~period )
-    | J_plain | J_smc ->
-        ( (match inj with
-          | Some inj -> Inject.interrupt_every inj ~period
-          | None -> Inject.interrupt_silent ~period),
-          Inject.interrupt_silent ~period,
-          Inject.interrupt_silent ~period )
-  in
-  let prng = Rng.of_seed perturb_seed in
-  let pages = Mem.size a.Exec.mem / Mem.page_size in
-  let perturb () =
-    match mode with
-    | J_plain -> ()
-    | J_epc ->
-        if Rng.int prng 2 = 0 then begin
-          let page = Rng.int prng pages in
-          List.iter
-            (fun e ->
-              ignore
-                (Epc.evict_page (Option.get pool)
-                   ~cid:(Enclave.id e.Exec.enclave) ~page))
-            envs
-        end
-    | J_smc ->
-        let reserved = Occlum_oelf.Oelf.trampoline_reserved in
-        let room = a.Exec.code_region - reserved in
-        if room > 0 && Rng.int prng 3 = 0 then begin
-          let pos = reserved + Rng.int prng room in
-          let flip = 1 + Rng.int prng 255 in
-          List.iter
-            (fun e ->
-              let addr = e.Exec.code_base + pos in
-              let byte =
-                Bytes.get (Mem.read_bytes_priv e.Exec.mem ~addr ~len:1) 0
-              in
-              Mem.write_bytes_priv e.Exec.mem ~addr
-                (Bytes.make 1 (Char.chr (Char.code byte lxor flip))))
-            envs
-        end
-  in
-  let compare3 tag =
-    match cpu_diff a.Exec.cpu b.Exec.cpu with
-    | Some d -> Some (Printf.sprintf "%s: JIT vs cached: %s" tag d)
-    | None -> (
-        match cpu_diff b.Exec.cpu c.Exec.cpu with
-        | Some d -> Some (Printf.sprintf "%s: cached vs uncached: %s" tag d)
-        | None -> None)
-  in
-  let mem3 tag =
-    match mem_diff a b with
-    | Some d -> Some (Printf.sprintf "%s: JIT vs cached memory: %s" tag d)
-    | None -> (
-        match mem_diff b c with
-        | Some d ->
-            Some (Printf.sprintf "%s: cached vs uncached memory: %s" tag d)
-        | None -> None)
-  in
-  (* One env's run to its next architectural stop: an [Epc_miss] under
-     [J_epc] is a pager event, not a sync point — reload and re-enter. *)
-  let run_one env cache jitopt intr =
-    let rec go () =
-      let rem = fuel - env.Exec.cpu.Cpu.insns in
-      if rem <= 0 then Interp.Stop_quantum
-      else
-        match
-          Interp.run ?cache ?jit:jitopt ~interrupt:intr env.Exec.mem
-            env.Exec.cpu ~fuel:rem
-        with
-        | Interp.Stop_fault (Fault.Epc_miss { addr; _ }) when pool <> None -> (
-            match
-              Epc.eldu (Option.get pool)
-                ~cid:(Enclave.id env.Exec.enclave)
-                ~page:(addr / Epc.page_size)
-            with
-            | () -> go ()
-            | exception e ->
-                raise
-                  (Diff ("transparent reload failed: " ^ Printexc.to_string e)))
-        | s -> s
-    in
-    go ()
-  in
-  let rec go () =
-    if fuel - a.Exec.cpu.Cpu.insns <= 0 then final ()
-    else begin
-      let sa = run_one a (Some cache_a) (Some jit) ia in
-      let sb = run_one b (Some cache_b) None ib in
-      let sc = run_one c None None ic in
-      if sa <> sb || sb <> sc then
-        Error
-          (Printf.sprintf "stops diverge: jit %s / cached %s / uncached %s"
-             (Interp.stop_to_string sa)
-             (Interp.stop_to_string sb)
-             (Interp.stop_to_string sc))
-      else
-        match compare3 "after stop" with
-        | Some d -> Error d
-        | None -> (
-            match sa with
-            | Interp.Stop_fault _ -> final ()
-            | Interp.Stop_quantum ->
-                perturb ();
-                go ()
-            | Interp.Stop_syscall -> (
-                match mem3 "at syscall" with
-                | Some d -> Error d
-                | None ->
-                    let nr = Int64.to_int (Cpu.get a.Exec.cpu sys_nr_reg) in
-                    if nr = Occlum_abi.Abi.Sys.exit then final ()
-                    else begin
-                      List.iter (fun e -> Cpu.set e.Exec.cpu R.result 0L) envs;
-                      perturb ();
-                      go ()
-                    end))
-    end
-  and final () =
-    match compare3 "final" with
-    | Some d -> Error d
-    | None -> ( match mem3 "final" with Some d -> Error d | None -> Ok ())
-  in
-  match go () with
-  | r -> r
-  | exception Diff d -> Error d
+  Exec.lockstep ~differ:Identical ~fuel ?perturb
+    [
+      machine a (Exec.Jitted (Decode_cache.create (), jit)) inj;
+      machine b (Exec.Cached (Decode_cache.create ())) (Inject.make ());
+      machine c Exec.Reference (Inject.make ());
+    ]
 
-(* The cached-vs-uncached property, run through the 3-way driver: the
+(* The cached-vs-uncached property, run through the 3-way lockstep: the
    JIT tier is checked alongside the decode cache under the same
    interrupt schedule. [period >= 2] so a preempted boundary still makes
    progress on re-entry. *)
@@ -1346,23 +1000,11 @@ let cache_equivalence_case inj shrink rng case =
   let items = Gen.program rng in
   let period = 2 + Rng.int rng 40 in
   let fuel = 1500 + Rng.int rng 1500 in
-  let repro ?inj its =
-    drive_triple ?inj ~mode:J_plain ~perturb_seed:0L ~code_perm:Mem.perm_rwx
-      (Gen.link its) ~period ~fuel
-  in
-  match repro ~inj items with
-  | Ok () -> None
-  | Error detail ->
-      let minimized =
-        if not shrink then None
-        else
-          Some
-            (Shrink.minimize
-               (fun its ->
-                 match repro its with Error _ -> true | Ok () -> false)
-               items)
-      in
-      Some { prop = Cache_equivalence; case; detail; minimized }
+  lockstep_failure Cache_equivalence shrink case items
+    (fun inj its ->
+      triple ~mode:J_plain ~perturb_seed:0L ~code_perm:Mem.perm_rwx ~period
+        ~fuel inj (Gen.link its))
+    inj
 
 let jit_case inj shrink rng case =
   let period = 2 + Rng.int rng 6 in
@@ -1374,24 +1016,10 @@ let jit_case inj shrink rng case =
   (* RX is the loader's mapping (fused fast paths); RWX keeps every
      block fragile (single-instruction units + revalidation) *)
   let code_perm = if Rng.bool rng then Mem.perm_rx else Mem.perm_rwx in
-  let items = Gen.program rng in
-  let repro ?inj its =
-    drive_triple ?inj ~mode ~perturb_seed ~code_perm (Gen.link its) ~period
-      ~fuel
-  in
-  match repro ~inj items with
-  | Ok () -> None
-  | Error detail ->
-      let minimized =
-        if not shrink then None
-        else
-          Some
-            (Shrink.minimize
-               (fun its ->
-                 match repro its with Error _ -> true | Ok () -> false)
-               items)
-      in
-      Some { prop = Jit_equivalence; case; detail; minimized }
+  lockstep_failure Jit_equivalence shrink case (Gen.program rng)
+    (fun inj its ->
+      triple ~mode ~perturb_seed ~code_perm ~period ~fuel inj (Gen.link its))
+    inj
 
 (* --- property: cluster orderliness --------------------------------------- *)
 
@@ -2022,7 +1650,7 @@ let replay_items items =
           Error ("corpus program rejected: " ^ Verify.rejection_to_string r)
       | Error [] -> Error "corpus program rejected"
       | Ok _ -> (
-          match contained oelf ~period:1 ~fuel:20_000 with
+          match contained (Inject.make ()) oelf ~period:1 ~fuel:20_000 with
           | Error v ->
               Error ("corpus program escaped: " ^ Exec.violation_to_string v)
           | Ok _ -> (
@@ -2036,14 +1664,21 @@ let replay_items items =
               | Ok _ -> (
                   (* and the three execution tiers must agree on it *)
                   match
-                    drive_triple ~mode:J_plain ~perturb_seed:0L
-                      ~code_perm:Mem.perm_rx oelf ~period:3 ~fuel:6000
+                    triple ~mode:J_plain ~perturb_seed:0L ~code_perm:Mem.perm_rx
+                      ~period:3 ~fuel:6000 (Inject.make ()) oelf
                   with
-                  | Ok () -> Ok ()
+                  | Ok _ -> Ok ()
                   | Error d -> Error ("corpus program split the tiers: " ^ d)))))
 
 let has_insn p items =
   List.exists (function Asm.Ins i -> p i | _ -> false) items
+
+(* [p] of a generated program that links and verifies *)
+let verified p items =
+  match Gen.link items with
+  | exception _ -> false
+  | oelf -> (
+      match Verify.verify oelf with Error _ -> false | Ok d -> p oelf d)
 
 let features : (string * (Asm.item list -> bool)) list =
   [
@@ -2061,59 +1696,25 @@ let features : (string * (Asm.item list -> bool)) list =
     ("cfi-guard", fun items -> List.exists (function Asm.Cfi_guard _ -> true | _ -> false) items);
     ("alu-div", has_insn (function Insn.Alu ((Insn.Divu | Insn.Remu), _, _) -> true | _ -> false));
     ("guard-elide",
-     fun items ->
-       (* programs where the elision pass actually removes guards *)
-       match Gen.link items with
-       | exception _ -> false
-       | oelf -> (
-           match Verify.verify oelf with
-           | Error _ -> false
-           | Ok d -> (Elide.analyze oelf d).Elide.elided > 0));
+     (* programs where the elision pass actually removes guards *)
+     verified (fun oelf d -> (Elide.analyze oelf d).Elide.elided > 0));
     ("jit-equivalence",
-     fun items ->
-       (* programs hot enough that a block is actually promoted into the
-          JIT and then replayed from compiled code *)
-       match Gen.link items with
-       | exception _ -> false
-       | oelf -> (
-           match Verify.verify oelf with
-           | Error _ -> false
-           | Ok _ ->
-               let env = Exec.make ~code_perm:Mem.perm_rx oelf in
-               let cache = Decode_cache.create () in
-               let jit = Jit.create ~threshold:2 () in
-               let rec go () =
-                 let rem = 6000 - env.Exec.cpu.Cpu.insns in
-                 if rem > 0 then
-                   match
-                     Interp.run ~cache ~jit env.Exec.mem env.Exec.cpu ~fuel:rem
-                   with
-                   | Interp.Stop_syscall ->
-                       let nr =
-                         Int64.to_int (Cpu.get env.Exec.cpu sys_nr_reg)
-                       in
-                       if nr <> Occlum_abi.Abi.Sys.exit then begin
-                         Cpu.set env.Exec.cpu R.result 0L;
-                         go ()
-                       end
-                   | Interp.Stop_fault _ -> ()
-                   | Interp.Stop_quantum -> go ()
-               in
-               go ();
-               let compiles, _, _ = Jit.stats jit in
-               compiles > 0 && env.Exec.cpu.Cpu.jit_hits > 0));
+     (* programs hot enough that a block is actually promoted into the
+        JIT and then replayed from compiled code *)
+     verified (fun oelf _ ->
+         let env = Exec.make ~code_perm:Mem.perm_rx oelf in
+         let jit = Jit.create ~threshold:2 () in
+         let tier = Exec.Jitted (Decode_cache.create (), jit) in
+         ignore
+           (Exec.lockstep ~differ:Identical ~fuel:6000
+              [ { (Exec.machine env) with tier } ]);
+         let compiles, _, _ = Jit.stats jit in
+         compiles > 0 && env.Exec.cpu.Cpu.jit_hits > 0));
   ]
 
-let passes items =
-  match Gen.link items with
-  | exception _ -> false
-  | oelf -> (
-      match Verify.verify oelf with
-      | Error _ -> false
-      | Ok _ -> (
-          match Exec.run_contained ~fuel:20_000 (Exec.make oelf) with
-          | Ok _ -> true
-          | Error _ -> false))
+let passes =
+  verified (fun oelf _ ->
+      Result.is_ok (Exec.run_contained ~fuel:20_000 (Exec.make oelf)))
 
 let emit_corpus ~dir ~seed =
   let master = Rng.of_seed seed in

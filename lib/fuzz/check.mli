@@ -1,23 +1,29 @@
 (** The cross-layer fuzzing properties and their driver. Every run is a
     pure function of [(seed, cases, properties)]: reports are
     bit-reproducible, which is what makes a failing seed a bug report.
+    Every property that executes generated code runs it on the
+    {!Exec.lockstep} engine.
 
     Properties:
     - {b codec-roundtrip}: encode/decode/encode is a fixpoint over random
       instructions; decoding arbitrary byte soup is total, and whatever
       it decodes re-encodes to something that decodes back identically.
-    - {b cache-equivalence}: the decoded-block-cached interpreter and the
-      plain loop produce bit-identical architectural state, counters and
-      memory at every stop, under identical injected interrupt storms.
+    - {b cache-equivalence}: the uncached loop, the decode-cache tier
+      and the block-JIT tier produce bit-identical architectural state,
+      counters and memory at every stop, under identical injected
+      interrupt storms (the jit-equivalence lockstep with no
+      perturbation, over RWX code).
     - {b verifier-soundness}: generator-well-formed programs are
       accepted; accepted programs (including hostile mutants and
       byte-flipped binaries that slip through) never violate pc/memory
-      containment at runtime, even under an AEX storm.
+      containment at runtime, even under an AEX storm whose every
+      round trip restores the CPU bit-identically.
     - {b aex-identity}: an {!Occlum_sgx.Enclave.aex}/[resume] round trip
       at arbitrary instruction boundaries — with the CPU scrambled in
       between, as another SIP's execution would — restores every
       register, bound register, flag and the pc bit-identically, and the
-      interrupted run ends in the same state as an uninterrupted twin.
+      interrupted run matches an uninterrupted twin (state, counters and
+      memory) at every syscall and at the end.
     - {b epc-pressure}: EPC exhaustion (injected at the k-th allocation
       or real) leaves the pool balanced, partial enclaves destroyable
       with exact page restitution, and the LibOS failing cleanly

@@ -18,13 +18,6 @@ let interrupt_every t ~period =
     end
     else false
 
-let interrupt_silent ~period =
-  if period < 1 then invalid_arg "Inject.interrupt_silent";
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    !n mod period = 0
-
 let arm_epc t ~at =
   if at < 1 then invalid_arg "Inject.arm_epc";
   let n = ref 0 in

@@ -22,11 +22,9 @@ val interrupt_every : t -> period:int -> unit -> bool
     boundary ([period = 1] is the interrupt storm: an AEX at {e every}
     boundary). Schedules are pure counters, so two instances with the
     same period fire at identical boundaries — the contract the
-    cached-vs-uncached equivalence property depends on. *)
-
-val interrupt_silent : period:int -> unit -> bool
-(** Same schedule shape without counting — for the twin of a
-    differential pair, so the plan counts each boundary once. *)
+    cached-vs-uncached equivalence property depends on. A differential
+    twin counts into a throwaway plan, so a plan counts each boundary
+    once. *)
 
 val arm_epc : t -> at:int -> unit
 (** Make the [at]-th EPC allocation (1-based, platform-wide) raise

@@ -3,8 +3,9 @@
    under an interrupt storm), the codec exhaustive round-trip, a
    mutation test proving a deliberately broken guard is caught and
    auto-shrunk, AEX interposition between a guard and its guarded
-   access, LibOS EPC-pressure behavior, and replay of the checked-in
-   minimized corpus. *)
+   access, LibOS EPC-pressure behavior, replay of the checked-in
+   minimized corpus, injection totals pinned per property, and one
+   planted defect per part of the lockstep engine. *)
 
 open Occlum_isa
 open Occlum_fuzzing
@@ -14,6 +15,8 @@ module Layout = Occlum_toolchain.Layout
 module Os = Occlum_libos.Os
 module Epc = Occlum_sgx.Epc
 module Errno = Occlum_abi.Abi.Errno
+module Cpu = Occlum_machine.Cpu
+module Mem = Occlum_machine.Mem
 
 (* --- report determinism ---------------------------------------------------- *)
 
@@ -31,6 +34,31 @@ let test_distinct_seeds () =
       .Check.injected.Inject.aex
   in
   Alcotest.(check bool) "seeds diverge" true (aex 1L <> aex 2L)
+
+(* The fuzzer's schedules, pinned: per-property injection totals at
+   seed 7, 40 cases. They change only if a property's interrupt, EPC or
+   I/O plan changes, so a refactor of the fuzzer must leave them
+   alone. *)
+let test_schedule_pins () =
+  List.iter
+    (fun (prop, want) ->
+      let r = Check.run ~properties:[ prop ] ~seed:7L ~cases:40 () in
+      let inj = r.Check.injected in
+      Alcotest.(check (triple int int int))
+        (Check.property_name prop ^ " aex/epc/io")
+        want
+        (inj.Inject.aex, inj.Inject.epc, inj.Inject.io))
+    [
+      (Check.Cache_equivalence, (4825, 0, 0));
+      (Check.Verifier_soundness, (36301, 0, 0));
+      (Check.Aex_identity, (14619, 0, 0));
+      (Check.Epc_pressure, (12, 17, 50));
+      (Check.Guard_elide, (65324, 0, 0));
+      (Check.Jit_equivalence, (30501, 0, 0));
+    ];
+  let inj = (Check.run ~seed:7L ~cases:40 ()).Check.injected in
+  Alcotest.(check (list int)) "whole-run aex/epc/io/chan" [ 151582; 17; 50; 32 ]
+    [ inj.Inject.aex; inj.Inject.epc; inj.Inject.io; inj.Inject.chan ]
 
 (* --- the nine properties at acceptance volume ------------------------------ *)
 
@@ -178,6 +206,137 @@ let test_aex_between_guard_and_access () =
         0x5EED5EEDL
         (Occlum_machine.Mem.read_u64_priv env.Exec.mem (env.Exec.d_base + g))
 
+(* --- the lockstep engine: every part can fail ------------------------- *)
+
+(* One planted defect per engine part, each substituted through the
+   machine/perturbation interface; the engine must report every one. A
+   refactor that compared a machine against itself fails these. *)
+
+let expect_error ~wanted what = function
+  | Ok _ -> Alcotest.failf "%s went undetected" what
+  | Error d ->
+      let n = String.length wanted in
+      let rec found i =
+        i + n <= String.length d && (String.sub d i n = wanted || found (i + 1))
+      in
+      if not (found 0) then Alcotest.failf "%s: wanted %S in %S" what wanted d
+
+let gen_oelf seed = Gen.link (Gen.program (Rng.of_seed seed))
+
+(* a schedule counting into a throwaway plan *)
+let every period = Inject.interrupt_every (Inject.make ()) ~period
+
+let preempting fires env =
+  { (Exec.machine env) with interrupt = Some { Exec.fires; round_trip = None } }
+
+let test_engine_bad_resume () =
+  let flip env =
+    Exec.round_trip ~scramble:None env;
+    let cpu = env.Exec.cpu in
+    Cpu.set cpu Reg.r3 (Int64.logxor (Cpu.get cpu Reg.r3) 1L)
+  in
+  let interrupt = Some { Exec.fires = every 1; round_trip = Some flip } in
+  let env = Exec.make (gen_oelf 3L) in
+  expect_error ~wanted:"aex/resume not bit-identical: r3" "a resume flipping r3"
+    (Exec.lockstep ~differ:Identical ~fuel:500
+       [ { (Exec.machine env) with interrupt } ])
+
+let test_engine_schedule_off_by_one () =
+  let oelf = gen_oelf 3L in
+  let early =
+    let n = ref 1 in
+    fun () ->
+      incr n;
+      !n mod 5 = 0
+  in
+  expect_error ~wanted:"at preemption, machine 0 vs 1: 4 vs 3 instructions"
+    "a twin schedule one boundary early"
+    (Exec.lockstep ~differ:Identical ~fuel:500
+       [
+         preempting (every 5) (Exec.make oelf);
+         preempting early (Exec.make oelf);
+       ])
+
+(* A pool far smaller than the enclave: EADD already evicts, so the run
+   misses. *)
+let paged_pair oelf =
+  let pool = Epc.create ~size:(8 * Epc.page_size) () in
+  Epc.enable_paging pool;
+  let env = Exec.make ~epc:pool oelf in
+  (pool, env, Exec.make oelf)
+
+let test_engine_corrupting_pager () =
+  let pool, env, twin = paged_pair (gen_oelf 11L) in
+  let reloads = ref 0 in
+  let reload env ~page =
+    Exec.eldu pool env ~page;
+    incr reloads;
+    (* flip the reloaded page's last byte *)
+    let addr = ((page + 1) * Epc.page_size) - 1 in
+    let b = Mem.read_bytes_priv env.Exec.mem ~addr ~len:1 in
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+    Mem.write_bytes_priv env.Exec.mem ~addr b
+  in
+  let pager = { Exec.reload; aex = None; retry_spends_fuel = false } in
+  expect_error ~wanted:"region bytes" "a pager corrupting reloaded bytes"
+    (Exec.lockstep ~differ:Paging ~fuel:1200
+       [ { (Exec.machine env) with pager = Some pager }; Exec.machine twin ]);
+  Alcotest.(check bool) "the run missed" true (!reloads > 0)
+
+let test_engine_one_sided_smc () =
+  let oelf = gen_oelf 3L in
+  (* overwrite one code byte, in the first machine only *)
+  let perturb () =
+    let first = ref true in
+    fun env ->
+      if !first then begin
+        first := false;
+        let addr = env.Exec.code_base + Occlum_oelf.Oelf.trampoline_reserved in
+        Mem.write_bytes_priv env.Exec.mem ~addr (Bytes.make 1 '\xff')
+      end
+  in
+  expect_error ~wanted:"code region bytes" "an SMC flip on one machine only"
+    (Exec.lockstep ~differ:Identical ~fuel:500 ~perturb
+       [
+         preempting (every 3) (Exec.make oelf);
+         preempting (every 3) (Exec.make oelf);
+       ])
+
+let test_engine_elided_store_changed () =
+  let g = Layout.header_size in
+  let slot : Insn.mem =
+    Sib { base = R.data_base; index = None; scale = 1; disp = g }
+  in
+  let program src =
+    Gen.link
+      [
+        Asm.Label "_start";
+        Asm.Cfi_label_here;
+        Asm.Ins (Insn.Mov_imm (Reg.r1, 0x5EEDL));
+        Asm.Mem_guard slot;
+        Asm.Ins (Insn.Store { dst = slot; src; size = 8 });
+        Asm.Ins Insn.Hlt;
+      ]
+  in
+  expect_error ~wanted:"data region bytes" "an elided binary storing r2 for r1"
+    (Exec.lockstep ~differ:Layout ~fuel:500
+       [
+         Exec.machine (Exec.make (program Reg.r1));
+         Exec.machine (Exec.make (program Reg.r2));
+       ])
+
+(* A pager that never makes the page resident must fail the case with a
+   typed detail instead of retrying forever. *)
+let test_engine_pager_no_progress () =
+  let _, env, twin = paged_pair (gen_oelf 11L) in
+  let pager =
+    let reload _ ~page:_ = () in
+    { Exec.reload; aex = None; retry_spends_fuel = false }
+  in
+  expect_error ~wanted:"pager made no progress at pc 0x" "a pager skipping ELDU"
+    (Exec.lockstep ~differ:Paging ~fuel:1200
+       [ { (Exec.machine env) with pager = Some pager }; Exec.machine twin ])
+
 (* --- LibOS under EPC pressure ---------------------------------------------- *)
 
 let tiny_signed =
@@ -273,4 +432,18 @@ let suite =
     Alcotest.test_case "corpus replay" `Quick test_corpus_replay;
     Alcotest.test_case "corpus format round-trip" `Quick
       test_corpus_format_roundtrip;
+    Alcotest.test_case "schedules pinned (seed 7, 40 cases)" `Quick
+      test_schedule_pins;
+    Alcotest.test_case "engine: bad resume caught" `Quick
+      test_engine_bad_resume;
+    Alcotest.test_case "engine: schedule off by one caught" `Quick
+      test_engine_schedule_off_by_one;
+    Alcotest.test_case "engine: corrupting pager caught" `Quick
+      test_engine_corrupting_pager;
+    Alcotest.test_case "engine: one-sided SMC caught" `Quick
+      test_engine_one_sided_smc;
+    Alcotest.test_case "engine: changed elided store caught" `Quick
+      test_engine_elided_store_changed;
+    Alcotest.test_case "engine: stuck pager fails typed" `Quick
+      test_engine_pager_no_progress;
   ]

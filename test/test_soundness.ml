@@ -14,112 +14,15 @@
    interesting adversarial cases, since a flip can retarget jumps, change
    displacements, or alter immediates while remaining well-formed. *)
 
-open Occlum_isa
 open Occlum_toolchain
-module R = Codegen_regs
+module Exec = Occlum_fuzzing.Exec
 
-let guard = Occlum_oelf.Oelf.guard_size
-let code_base = 0x10000
-
-type violation =
-  | Pc_escape of int
-  | Victim_written
-  | Code_modified
-
-let violation_to_string = function
-  | Pc_escape pc -> Printf.sprintf "pc escaped the code region: 0x%x" pc
-  | Victim_written -> "a store landed in the adjacent domain"
-  | Code_modified -> "the code region was modified at runtime"
-
-(* Execute [oelf] in a domain flanked by a live victim region, stepping
-   one instruction at a time with full policy assertions. *)
-let run_isolated ?(fuel = 60_000) (oelf : Occlum_oelf.Oelf.t) :
-    (unit, violation) result =
-  let open Occlum_machine in
-  let code_region = Occlum_oelf.Oelf.code_region_size oelf in
-  let d_base = code_base + code_region + guard in
-  let d_size = Occlum_util.Bytes_util.round_up oelf.data_region_size 4096 in
-  let victim_base = d_base + d_size + guard in
-  let victim_size = 4 * 4096 in
-  let mem =
-    Mem.create
-      ~size:(Occlum_util.Bytes_util.round_up (victim_base + victim_size) 4096)
-  in
-  Mem.map mem ~addr:code_base ~len:code_region ~perm:Mem.perm_rwx;
-  Mem.map mem ~addr:d_base ~len:d_size ~perm:Mem.perm_rw;
-  (* where a neighbouring SIP's domain would start: mapped and writable,
-     so only the MPX policy stands between the fuzzed code and it *)
-  Mem.map mem ~addr:victim_base ~len:victim_size ~perm:Mem.perm_rw;
-  Mem.fill_priv mem ~addr:victim_base ~len:victim_size '\x5c';
-  (* load like the LibOS loader: patch ids, install the trampoline *)
-  let domain_id = 1 in
-  let code = Bytes.copy oelf.code in
-  Occlum_libos.Loader.patch_labels code domain_id;
-  Mem.write_bytes_priv mem ~addr:code_base code;
-  Mem.fill_priv mem ~addr:code_base ~len:Occlum_oelf.Oelf.trampoline_reserved '\x00';
-  let tramp =
-    String.concat ""
-      (List.map Codec.encode
-         [
-           Insn.Cfi_label (Int32.of_int domain_id);
-           Insn.Syscall_gate;
-           Insn.Pop R.ret_scratch;
-           Insn.Jmp_reg R.ret_scratch;
-         ])
-  in
-  Mem.write_bytes_priv mem ~addr:code_base (Bytes.of_string tramp);
-  Mem.write_bytes_priv mem ~addr:d_base oelf.data;
-  let code_snapshot = Mem.read_bytes_priv mem ~addr:code_base ~len:code_region in
-  let cpu = Cpu.create () in
-  cpu.Cpu.pc <- code_base + oelf.entry;
-  Cpu.set cpu Reg.sp (Int64.of_int (d_base + oelf.data_region_size - 16));
-  Cpu.set cpu R.code_base (Int64.of_int code_base);
-  Cpu.set cpu R.data_base (Int64.of_int d_base);
-  Cpu.set cpu R.ret_scratch (Int64.of_int code_base);
-  Cpu.set_bnd cpu Reg.bnd0
-    { lower = Int64.of_int d_base; upper = Int64.of_int (d_base + d_size - 1) };
-  let lv = Occlum_libos.Loader.cfi_label_value domain_id in
-  Cpu.set_bnd cpu Reg.bnd1 { lower = lv; upper = lv };
-  let in_code pc = pc >= code_base && pc < code_base + code_region in
-  let victim_intact () =
-    let b = Mem.read_bytes_priv mem ~addr:victim_base ~len:victim_size in
-    let ok = ref true in
-    Bytes.iter (fun c -> if c <> '\x5c' then ok := false) b;
-    !ok
-  in
-  (* the pc policy is asserted after every instruction (O(1)); the
-     memory policies are audited periodically and at the end — a
-     violation between audits is still caught at the next one *)
-  let rec step n =
-    if n = 0 then Ok () (* ran out of fuel without violating anything *)
-    else
-      match Interp.step mem cpu with
-      | Some Interp.Stop_syscall ->
-          (* emulate exit-only syscalls: anything else just returns 0 and
-             resumes through the trampoline *)
-          let nr = Int64.to_int (Cpu.get cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr)) in
-          if nr = Occlum_abi.Abi.Sys.exit then Ok ()
-          else begin
-            Cpu.set cpu R.result 0L;
-            check n
-          end
-      | Some (Interp.Stop_fault _) -> Ok () (* contained: the policy held *)
-      | Some Interp.Stop_quantum | None -> check n
-  and check n =
-    if not (in_code cpu.Cpu.pc) then Error (Pc_escape cpu.Cpu.pc)
-    else if n mod 1024 = 0 && not (victim_intact ()) then Error Victim_written
-    else step (n - 1)
-  in
-  match step fuel with
-  | Error v -> Error v
-  | Ok () ->
-      if not (victim_intact ()) then Error Victim_written
-      else if
-        not
-          (Bytes.equal code_snapshot
-             (Mem.read_bytes_priv mem ~addr:code_base ~len:code_region))
-      then Error Code_modified
-      else Ok ()
+(* Execute [oelf] in an enclave-backed domain flanked by a live victim
+   region ({!Exec.run_contained}): the pc is asserted after every
+   instruction, the victim audited periodically, and victim and code
+   integrity at the end. *)
+let run_isolated ?(fuel = 60_000) oelf =
+  Result.map ignore (Exec.run_contained ~fuel (Exec.make oelf))
 
 let base_programs =
   lazy
@@ -152,7 +55,7 @@ let test_compiled_binaries_sound () =
     (fun oelf ->
       match run_isolated oelf with
       | Ok () -> ()
-      | Error v -> Alcotest.fail (violation_to_string v))
+      | Error v -> Alcotest.fail (Exec.violation_to_string v))
     (Lazy.force base_programs);
   (* the workload binaries too *)
   List.iter
@@ -160,7 +63,7 @@ let test_compiled_binaries_sound () =
       let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
       match run_isolated ~fuel:200_000 oelf with
       | Ok () -> ()
-      | Error v -> Alcotest.fail (name ^ ": " ^ violation_to_string v))
+      | Error v -> Alcotest.fail (name ^ ": " ^ Exec.violation_to_string v))
     (Occlum_workloads.Spec.all ~scale:1)
 
 (* The adversarial property: byte-flipped mutants that still pass the
@@ -191,7 +94,7 @@ let prop_verified_mutants_are_contained =
           | Error v ->
               QCheck.Test.fail_reportf
                 "mutant (prog %d, seed %d) verified but violated isolation: %s"
-                which seed (violation_to_string v)))
+                which seed (Exec.violation_to_string v)))
 
 let suite =
   [
