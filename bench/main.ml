@@ -667,6 +667,10 @@ let micro () =
   | Error _ -> ());
   Occlum_libos.Sefs.flush sefs;
   let small_binary = H.build_for H.Occlum (H.sized_program ~code_kb:14) in
+  (* one serve response through a socket ring: written whole, drained a
+     page at a time *)
+  let ring = Occlum_libos.Ring.create 65536 in
+  let response = Bytes.make 10280 'r' and drain = Bytes.create 4096 in
   let tests =
     Test.make_grouped ~name:"occlum"
       [
@@ -682,6 +686,10 @@ let micro () =
                match Occlum_libos.Sefs.read_path sefs "/f" with
                | Ok _ -> ()
                | Error _ -> ()));
+        Test.make ~name:"ring-10k-write-drain"
+          (Staged.stage (fun () ->
+               ignore (Occlum_libos.Ring.write ring response 0 10280);
+               while Occlum_libos.Ring.read ring drain 0 4096 > 0 do () done));
         Test.make ~name:"verifier-14kb-binary"
           (Staged.stage (fun () ->
                ignore (Occlum_verifier.Verify.verify small_binary)));

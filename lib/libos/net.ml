@@ -150,7 +150,10 @@ let consult_io t ~send ~len =
       in
       attempt 1
 
-let send t (e : endpoint) src off len =
+(* [send_with]/[recv_with] leave the byte movement to [xfer ring len],
+   which moves at most [len] bytes into or out of [ring] and returns the
+   count: the LibOS copies straight between SIP memory and the ring. *)
+let send_with t (e : endpoint) len xfer =
   match consult_io t ~send:true ~len with
   | Some (Sefs.Io_error errno) -> Error errno
   | (Some (Sefs.Short _) | None) as f ->
@@ -162,7 +165,7 @@ let send t (e : endpoint) src off len =
   | Some p ->
       if p.closed then Error Occlum_abi.Abi.Errno.epipe
       else begin
-        let n = Ring.write p.inbox src off len in
+        let n = xfer p.inbox len in
         t.ocall_bytes <- t.ocall_bytes + n;
         if n = 0 then Error Occlum_abi.Abi.Errno.eagain
         else begin
@@ -172,14 +175,14 @@ let send t (e : endpoint) src off len =
         end
       end
 
-let recv t (e : endpoint) dst off len =
+let recv_with t (e : endpoint) len xfer =
   match consult_io t ~send:false ~len with
   | Some (Sefs.Io_error errno) -> Error errno
   | (Some (Sefs.Short _) | None) as f ->
   let len =
     match f with Some (Sefs.Short n) -> max 0 (min n len) | _ -> len
   in
-  let n = Ring.read e.inbox dst off len in
+  let n = xfer e.inbox len in
   if n > 0 then begin
     t.ocall_bytes <- t.ocall_bytes + n;
     note_io t ~send:false n;
@@ -191,6 +194,12 @@ let recv t (e : endpoint) dst off len =
     match e.peer with
     | Some p when not p.closed -> Error Occlum_abi.Abi.Errno.eagain
     | _ -> Ok 0 (* orderly EOF *)
+
+let send t e src off len =
+  send_with t e len (fun ring len -> Ring.write ring src off len)
+
+let recv t e dst off len =
+  recv_with t e len (fun ring len -> Ring.read ring dst off len)
 
 (* --- external (harness-side) API ---------------------------------------- *)
 

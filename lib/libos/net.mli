@@ -42,6 +42,20 @@ val connect : t -> port:int -> (endpoint, int) result
 val accept : listener -> endpoint option
 val send : t -> endpoint -> Bytes.t -> int -> int -> (int, int) result
 val recv : t -> endpoint -> Bytes.t -> int -> int -> (int, int) result
+
+val send_with :
+  t -> endpoint -> int -> (Ring.t -> int -> int) -> (int, int) result
+(** [send_with t e len xfer] is {!send} with the copy left to
+    [xfer ring len], which moves at most [len] bytes into the peer's
+    inbox and returns the count. The I/O hook is consulted exactly once,
+    before [xfer], and a [Short] fault shrinks the [len] it is given. *)
+
+val recv_with :
+  t -> endpoint -> int -> (Ring.t -> int -> int) -> (int, int) result
+(** [recv_with t e len xfer] is {!recv} with the copy left to
+    [xfer ring len], which moves at most [len] bytes out of [e]'s inbox
+    and returns the count. Same hook contract as {!send_with}. *)
+
 val close_endpoint : endpoint -> unit
 
 val close_listener : listener -> unit

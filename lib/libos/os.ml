@@ -399,15 +399,37 @@ let batched_call_ns t =
   | Eip -> Int64.div t.cfg.eip_ocall_ns 4L
 
 (* EIP pipes cross enclave boundaries as ciphertext: encrypt on the way
-   out, decrypt on the way in. *)
-let eip_pipe_crypto t chunk =
+   out, decrypt on the way in — two passes over each chunk the pipe
+   moves, run in place in the SIP's memory. The passes cancel, so the
+   bytes are left as they were; the host work is the model. *)
+let eip_pipe_crypto t =
   match t.cfg.mode with
-  | Sip | Linux -> ()
+  | Sip | Linux -> fun _ _ _ -> ()
   | Eip ->
       let nonce = Occlum_util.Cipher.derive_nonce "eip-pipe" t.syscalls in
       let key = String.make 32 'p' in
-      Occlum_util.Cipher.encrypt_bytes ~key ~nonce chunk;
-      Occlum_util.Cipher.encrypt_bytes ~key ~nonce chunk
+      fun b off len ->
+        Occlum_util.Cipher.encrypt_sub ~key ~nonce b off len;
+        Occlum_util.Cipher.encrypt_sub ~key ~nonce b off len
+
+(* The pipe/socket data path: bytes move straight between the SIP's
+   buffer and the ring, a page at a time with no staging copy. Only as
+   many bytes as the ring can take (or holds) are touched, so an
+   untrusted [len] sizes neither an allocation nor the pages walked.
+   [on_chunk] sees each moved chunk in the SIP's memory. *)
+let user_to_ring ?(on_chunk = fun _ _ _ -> ()) t ~buf ~len ring =
+  Mem.span_priv t.mem ~addr:buf ~len:(min len (Ring.free_space ring))
+    ~write:false (fun d a k ->
+      let n = Ring.write ring d a k in
+      on_chunk d a n;
+      n)
+
+let ring_to_user ?(on_chunk = fun _ _ _ -> ()) t ~buf ~len ring =
+  Mem.span_priv t.mem ~addr:buf ~len:(min len (Ring.length ring))
+    ~write:true (fun d a k ->
+      let n = Ring.read ring d a k in
+      on_chunk d a n;
+      n)
 
 (* --- process lifecycle ----------------------------------------------------- *)
 
@@ -688,24 +710,21 @@ let sys_read t p =
     | None -> err Errno.ebadf
     | Some entry -> (
         match entry.kind with
-        | Fd.File f ->
-            if f.append && false then err Errno.einval
-            else (
-              match Sefs.read_file t.sefs f.node ~pos:f.pos ~len with
-              | Error e -> err e
-              | Ok bytes ->
-                  f.pos <- f.pos + Bytes.length bytes;
-                  charge_file_io t ~write:false (Bytes.length bytes);
-                  ignore (write_user t p buf bytes);
-                  ok (Bytes.length bytes))
+        | Fd.File f -> (
+            match Sefs.read_file t.sefs f.node ~pos:f.pos ~len with
+            | Error e -> err e
+            | Ok bytes ->
+                f.pos <- f.pos + Bytes.length bytes;
+                charge_file_io t ~write:false (Bytes.length bytes);
+                ignore (write_user t p buf bytes);
+                ok (Bytes.length bytes))
         | Fd.Pipe_r pipe ->
             if Ring.is_empty pipe.ring then
               if pipe.writers > 0 then block_or_eagain entry else ok 0
             else begin
-              let tmp = Bytes.create len in
-              let n = Ring.read pipe.ring tmp 0 len in
-              eip_pipe_crypto t (Bytes.sub tmp 0 n);
-              ignore (write_user t p buf (Bytes.sub tmp 0 n));
+              let n =
+                ring_to_user ~on_chunk:(eip_pipe_crypto t) t ~buf ~len pipe.ring
+              in
               (* copy-out cost, ~4 GB/s *)
               t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (n / 4));
               Fd.pipe_wake pipe; (* writers gained space *)
@@ -716,13 +735,14 @@ let sys_read t p =
             match s.ep with
             | None -> err Errno.einval
             | Some ep -> (
-                let tmp = Bytes.create len in
-                match Net.recv t.net ep tmp 0 len with
+                match
+                  Net.recv_with t.net ep len (fun ring len ->
+                      ring_to_user t ~buf ~len ring)
+                with
                 | Ok 0 -> ok 0
                 | Ok n ->
                     (* the 1 Gbps wire of the paper's testbed *)
                     t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (8 * n));
-                    ignore (write_user t p buf (Bytes.sub tmp 0 n));
                     ok n
                 | Error e when e = Errno.eagain -> block_or_eagain entry
                 | Error e -> err e))
@@ -767,9 +787,9 @@ let sys_write t p =
             if pipe.readers = 0 then err Errno.epipe
             else if Ring.free_space pipe.ring = 0 then block_or_eagain entry
             else begin
-              let chunk = data () in
-              eip_pipe_crypto t chunk;
-              let n = Ring.write pipe.ring chunk 0 len in
+              let n =
+                user_to_ring ~on_chunk:(eip_pipe_crypto t) t ~buf ~len pipe.ring
+              in
               t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (n / 4));
               Fd.pipe_wake pipe; (* readers gained data *)
               ok n
@@ -779,7 +799,10 @@ let sys_write t p =
             match s.ep with
             | None -> err Errno.einval
             | Some ep -> (
-                match Net.send t.net ep (data ()) 0 len with
+                match
+                  Net.send_with t.net ep len (fun ring len ->
+                      user_to_ring t ~buf ~len ring)
+                with
                 | Ok n ->
                     t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (8 * n));
                     ok n

@@ -12,7 +12,11 @@ val free_space : t -> int
 val is_empty : t -> bool
 
 val write : t -> Bytes.t -> int -> int -> int
-(** [write t src off len] copies in as much as fits; returns the count. *)
+(** [write t src off len] copies in as much as fits; returns the count.
+    @raise Invalid_argument if [len < 0] or [(off, len)] is not a valid
+    span of [src]; the ring is then unchanged. *)
 
 val read : t -> Bytes.t -> int -> int -> int
-(** [read t dst off len] copies out up to [len]; returns the count. *)
+(** [read t dst off len] copies out up to [len]; returns the count.
+    @raise Invalid_argument if [len < 0] or [(off, len)] is not a valid
+    span of [dst]; the ring is then unchanged. *)

@@ -192,35 +192,43 @@ let write_u64 t addr v =
 
 (* Privileged accessors for the LibOS / loader: no permission checks,
    still bounds-checked. The LibOS is trusted (§3.1). *)
-(* Page-at-a-time transfer: under paging a span can exceed the EPC pool,
-   so paging in a later page may evict (and scrub) an earlier one. Each
-   page is ensured resident immediately before its bytes move, never
-   before the whole span. *)
-let by_page t ~addr ~len f =
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let chunk = min (len - !pos) (page_size - (a mod page_size)) in
-    ensure_resident t ~addr:a ~len:chunk;
-    f a !pos chunk;
-    pos := !pos + chunk
-  done
+(* The one privileged page walk. Under paging a span can exceed the EPC
+   pool, so paging in a later page may evict (and scrub) an earlier one:
+   each page is made resident immediately before its chunk moves, never
+   before the whole span. [f data a k] moves up to [k] bytes at
+   [data.[a]] and returns how many it took; the walk stops at the first
+   chunk not taken whole, so no page past the consumer's need is paged
+   in. Writes bump the generation of the executable pages they reach. *)
+let span_priv t ~addr ~len ~write f =
+  check_range t addr len;
+  let rec go pos =
+    if pos >= len then pos
+    else begin
+      let a = addr + pos in
+      let chunk = min (len - pos) (page_size - (a mod page_size)) in
+      ensure_resident t ~addr:a ~len:chunk;
+      let k = f t.data a chunk in
+      if k < 0 || k > chunk then invalid_arg "Mem.span_priv: count outside the chunk";
+      if write then touch_code t ~addr:a ~len:k;
+      if k < chunk then pos + k else go (pos + k)
+    end
+  in
+  go 0
 
 let read_bytes_priv t ~addr ~len =
   check_range t addr len;
-  if not t.paged then Bytes.sub t.data addr len
-  else begin
-    let out = Bytes.create len in
-    by_page t ~addr ~len (fun a pos chunk -> Bytes.blit t.data a out pos chunk);
-    out
-  end
+  let out = Bytes.create len in
+  ignore
+    (span_priv t ~addr ~len ~write:false (fun d a k ->
+         Bytes.blit d a out (a - addr) k;
+         k));
+  out
 
 let write_bytes_priv t ~addr bytes =
-  let len = Bytes.length bytes in
-  check_range t addr len;
-  touch_code t ~addr ~len;
-  if not t.paged then Bytes.blit bytes 0 t.data addr len
-  else by_page t ~addr ~len (fun a pos chunk -> Bytes.blit bytes pos t.data a chunk)
+  ignore
+    (span_priv t ~addr ~len:(Bytes.length bytes) ~write:true (fun d a k ->
+         Bytes.blit bytes (a - addr) d a k;
+         k))
 
 let read_u64_priv t addr =
   check_range t addr 8;
@@ -234,9 +242,9 @@ let write_u64_priv t addr v =
   Bytes.set_int64_le t.data addr v
 
 let fill_priv t ~addr ~len c =
-  check_range t addr len;
-  touch_code t ~addr ~len;
-  if not t.paged then Bytes.fill t.data addr len c
-  else by_page t ~addr ~len (fun a _ chunk -> Bytes.fill t.data a chunk c)
+  ignore
+    (span_priv t ~addr ~len ~write:true (fun d a k ->
+         Bytes.fill d a k c;
+         k))
 
 let raw t = t.data

@@ -88,6 +88,20 @@ val write_u64 : t -> int -> int64 -> unit
     For the LibOS and loader (the runtime TCB): bounds-checked but not
     permission-checked. *)
 
+val span_priv :
+  t -> addr:int -> len:int -> write:bool -> (Bytes.t -> int -> int -> int) -> int
+(** [span_priv t ~addr ~len ~write f] walks the span one page-bounded
+    chunk at a time and returns the bytes moved. Each chunk's page is
+    made resident just before [f (raw t) a k] runs; [f] moves up to [k]
+    bytes at offset [a] of the backing store and returns how many it
+    took. The walk stops at the first chunk [f] does not take whole, so
+    a consumer that fills up early pages in nothing past its need. With
+    [write], the executable pages actually written get their
+    {!page_gen} bumped. Every other privileged span accessor is built
+    on this walk, paged or not.
+    @raise Invalid_argument if the span is outside the address space or
+    [f] returns a count outside [0, k]. *)
+
 val read_bytes_priv : t -> addr:int -> len:int -> Bytes.t
 val write_bytes_priv : t -> addr:int -> Bytes.t -> unit
 val read_u64_priv : t -> int -> int64

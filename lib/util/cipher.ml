@@ -78,9 +78,10 @@ let check_sizes key nonce =
   if String.length key <> key_size then invalid_arg "Cipher: key must be 32 bytes";
   if String.length nonce <> nonce_size then invalid_arg "Cipher: nonce must be 12 bytes"
 
-let encrypt_bytes ~key ~nonce data =
+let encrypt_sub ~key ~nonce data off len =
   check_sizes key nonce;
-  let len = Bytes.length data in
+  if off < 0 || len < 0 || off > Bytes.length data - len then
+    invalid_arg "Cipher.encrypt_sub";
   let ks = Bytes.create 64 in
   let counter = ref 0 in
   let pos = ref 0 in
@@ -88,14 +89,18 @@ let encrypt_bytes ~key ~nonce data =
     block ~key ~nonce ~counter:!counter ks;
     incr counter;
     let n = min 64 (len - !pos) in
+    let base = off + !pos in
     for idx = 0 to n - 1 do
-      Bytes.unsafe_set data (!pos + idx)
+      Bytes.unsafe_set data (base + idx)
         (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get data (!pos + idx))
+           (Char.code (Bytes.unsafe_get data (base + idx))
             lxor Char.code (Bytes.unsafe_get ks idx)))
     done;
     pos := !pos + n
   done
+
+let encrypt_bytes ~key ~nonce data =
+  encrypt_sub ~key ~nonce data 0 (Bytes.length data)
 
 let encrypt ~key ~nonce data =
   let b = Bytes.of_string data in

@@ -15,5 +15,10 @@ val encrypt : key:string -> nonce:string -> string -> string
 val encrypt_bytes : key:string -> nonce:string -> Bytes.t -> unit
 (** In-place variant of {!encrypt}. *)
 
+val encrypt_sub : key:string -> nonce:string -> Bytes.t -> int -> int -> unit
+(** [encrypt_sub ~key ~nonce b off len] en/decrypts [b]'s bytes
+    [off .. off+len-1] in place, keystream starting at block 0.
+    @raise Invalid_argument on a bad key, nonce or span. *)
+
 val derive_nonce : string -> int -> string
 (** [derive_nonce tag index] is a deterministic per-context nonce. *)

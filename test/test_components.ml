@@ -21,25 +21,87 @@ let test_ring_basics () =
   Alcotest.(check int) "drained" 8 m;
   Alcotest.(check string) "fifo order" "hellowor" (Bytes.sub_string dst 0 8)
 
+(* Ring against a reference model (a string holding the queued bytes):
+   capacities from 1 to 64 (mostly not powers of two), non-zero source
+   and destination offsets, and transfer sizes that straddle the wrap
+   point or exactly fill or empty the ring. [length] and [free_space]
+   are checked after every operation. *)
 let prop_ring_fifo =
-  QCheck.Test.make ~name:"ring preserves byte order across wraps" ~count:200
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (string_of_size (QCheck.Gen.int_range 0 10)))
-    (fun chunks ->
-      let r = Ring.create 16 in
-      let expected = Buffer.create 64 and got = Buffer.create 64 in
-      let dst = Bytes.create 16 in
-      List.iter
-        (fun chunk ->
-          let b = Bytes.of_string chunk in
-          let n = Ring.write r b 0 (Bytes.length b) in
-          Buffer.add_subbytes expected b 0 n;
-          (* drain roughly half each round to force wrap-around *)
-          let m = Ring.read r dst 0 (1 + (Ring.length r / 2)) in
-          Buffer.add_subbytes got dst 0 m)
-        chunks;
-      let m = Ring.read r dst 0 16 in
-      Buffer.add_subbytes got dst 0 m;
-      Buffer.contents got = Buffer.contents expected)
+  (* (write?, size, offset); a size above 64 means "exactly fill" for a
+     write and "exactly empty" for a read *)
+  let op = QCheck.Gen.(triple bool (int_range 0 70) (int_range 0 7)) in
+  QCheck.Test.make ~name:"ring preserves byte order across wraps" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "cap=%d ops=%s" cap
+            (String.concat ";"
+               (List.map
+                  (fun (w, n, o) -> Printf.sprintf "%c%d@%d" (if w then 'w' else 'r') n o)
+                  ops)))
+        Gen.(pair (int_range 1 64) (list_size (int_range 1 60) op)))
+    (fun (cap, ops) ->
+      let r = Ring.create cap in
+      let model = ref "" in
+      let next = ref 0 in
+      List.for_all
+        (fun (is_write, size, off) ->
+          let queued = String.length !model in
+          let ok =
+            if is_write then begin
+              let want = if size > 64 then cap - queued else size in
+              let src =
+                Bytes.init (off + want) (fun _ ->
+                    incr next;
+                    Char.chr (!next land 0xff))
+              in
+              let n = Ring.write r src off want in
+              let fits = min want (cap - queued) in
+              model := !model ^ Bytes.sub_string src off fits;
+              n = fits
+            end
+            else begin
+              let want = if size > 64 then queued else size in
+              let dst = Bytes.make (off + want) '?' in
+              let n = Ring.read r dst off want in
+              let avail = min want queued in
+              let expect = String.sub !model 0 avail in
+              model := String.sub !model avail (queued - avail);
+              n = avail
+              && Bytes.sub_string dst off n = expect
+              && Bytes.sub_string dst 0 off = String.make off '?'
+            end
+          in
+          ok
+          && Ring.length r = String.length !model
+          && Ring.free_space r = cap - String.length !model
+          && Ring.is_empty r = (!model = ""))
+        ops)
+
+(* A bad span used to corrupt the ring: a negative read length moved
+   the read position to -1, and a negative write length made [length]
+   negative. Both, and any span past the buffer, now raise before any
+   state changes. *)
+let test_ring_bad_span () =
+  let r = Ring.create 8 in
+  ignore (Ring.write r (Bytes.of_string "abc") 0 3);
+  let buf = Bytes.create 4 in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.fail (name ^ ": accepted")
+    | exception Invalid_argument _ ->
+        Alcotest.(check int) (name ^ ": length kept") 3 (Ring.length r);
+        Alcotest.(check int) (name ^ ": free_space kept") 5 (Ring.free_space r)
+  in
+  rejects "read len -1" (fun () -> Ring.read r buf 0 (-1));
+  rejects "write len -1" (fun () -> Ring.write r buf 0 (-1));
+  rejects "read off -1" (fun () -> Ring.read r buf (-1) 2);
+  rejects "write off -1" (fun () -> Ring.write r buf (-1) 2);
+  rejects "read past dst" (fun () -> Ring.read r buf 2 3);
+  rejects "write past src" (fun () -> Ring.write r buf 3 2);
+  let out = Bytes.create 8 in
+  Alcotest.(check int) "still readable" 3 (Ring.read r out 0 8);
+  Alcotest.(check string) "bytes intact" "abc" (Bytes.sub_string out 0 3)
 
 (* --- loopback network ------------------------------------------------------ *)
 
@@ -254,6 +316,7 @@ let suite =
   [
     Alcotest.test_case "ring basics" `Quick test_ring_basics;
     QCheck_alcotest.to_alcotest prop_ring_fifo;
+    Alcotest.test_case "ring rejects bad spans" `Quick test_ring_bad_span;
     Alcotest.test_case "loopback network" `Quick test_net;
     Alcotest.test_case "listener close frees port" `Quick test_listener_close;
     Alcotest.test_case "fd table" `Quick test_fd_table;

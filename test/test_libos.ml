@@ -974,6 +974,166 @@ let test_epc_paging_differential () =
   Alcotest.(check int) "backing drained after destroy" 0
     (Occlum_sgx.Epc.backing_used pool)
 
+(* An untrusted [len] must not size a host allocation: a pipe read may
+   allocate only what is waiting, and a write may read only what the
+   ring takes. Two runs differ only in [len] (16 bytes vs 3 MiB): a read
+   from a pipe holding 3 bytes returns 3, a write into a ring with one
+   free byte returns 1, and the LibOS allocates the same either way. *)
+let test_untrusted_len_no_alloc () =
+  let big = 3 * 1024 * 1024 in
+  let prog len =
+    rt
+      [
+        func "main" []
+          [
+            Let ("fds", Global_addr "_rt_misc_buf");
+            Let ("buf", Call ("malloc", [ i 65536 ]));
+            Expr (Syscall (Sys.pipe, [ v "fds" ]));
+            Let ("r1", Load (v "fds"));
+            Let ("w1", Load (v "fds" +: i 8));
+            Expr (Syscall (Sys.pipe, [ v "fds" ]));
+            Let ("w2", Load (v "fds" +: i 8));
+            Expr (Call ("write", [ v "w1"; Str "abc"; i 3 ]));
+            Let ("got", Call ("read", [ v "r1"; v "buf"; i len ]));
+            If (Call ("write", [ v "w2"; v "buf"; i 65535 ]) <>: i 65535,
+                [ Return (i 1) ], []);
+            Let ("put", Call ("write", [ v "w2"; v "buf"; i len ]));
+            Return ((v "got" *: i 10) +: v "put");
+          ];
+      ]
+  in
+  let config =
+    { Os.default_config with
+      domains =
+        { Occlum_libos.Domain_mgr.max_domains = 2;
+          domain_code_size = 256 * 1024;
+          domain_data_size = 4 * 1024 * 1024 } }
+  in
+  let measure len =
+    let os = Os.boot ~config () in
+    let oelf =
+      match
+        Occlum_verifier.Verify.verify_and_sign
+          (Occlum_toolchain.Compile.compile_exn
+             ~config:Occlum_toolchain.Codegen.sfi (prog len))
+      with
+      | Ok s -> s
+      | Error rs ->
+          failwith (Occlum_verifier.Verify.rejection_to_string (List.hd rs))
+    in
+    Os.install_binary os "/bin/app" oelf;
+    let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+    let a0 = Gc.allocated_bytes () in
+    let status = Os.run ~max_steps:2_000_000 os in
+    let alloc = Gc.allocated_bytes () -. a0 in
+    Alcotest.(check bool) "finished" true (status = Os.All_exited);
+    let code =
+      match Os.find_proc os pid with Some p -> p.exit_code | None -> -1
+    in
+    Alcotest.(check int) (Printf.sprintf "len %d: read 3, wrote 1" len) 31 code;
+    alloc
+  in
+  (* the least of three runs, so a one-off resize of some long-lived
+     table does not count as the syscall's allocation *)
+  let least len = List.fold_left min infinity (List.init 3 (fun _ -> measure len)) in
+  let small = least 16 and large = least big in
+  Alcotest.(check bool)
+    (Printf.sprintf "3 MiB len allocates like 16 (%.0f vs %.0f bytes)" large small)
+    true
+    (Float.abs (large -. small) < 65536.)
+
+(* The direct pipe/socket path under EPC paging. A SIP writes a
+   20 KiB pattern through a pipe and through a loopback socket, from and
+   into unaligned buffers that span six pages each, and prints what it
+   received. The pool has four frames, so within one syscall paging in a
+   later page of the buffer evicts an earlier one. The console bytes and
+   every syscall's return value and virtual latency must match the
+   unpaged run. *)
+let test_direct_path_paged () =
+  let n = 5 * 4096 in
+  let prog =
+    rt
+      [
+        func "main" []
+          [
+            Let ("a", Call ("malloc", [ i (n + 32) ]) +: i 8);
+            Let ("b", Call ("malloc", [ i (n + 32) ]) +: i 8);
+            Let ("k", i 0);
+            While
+              ( v "k" <: i n,
+                [
+                  Store1 (v "a" +: v "k", i 33 +: ((v "k" *: i 7) %: i 90));
+                  Assign ("k", v "k" +: i 1);
+                ] );
+            Let ("fds", Global_addr "_rt_misc_buf");
+            Expr (Syscall (Sys.pipe, [ v "fds" ]));
+            Let ("r", Load (v "fds"));
+            Let ("w", Load (v "fds" +: i 8));
+            If (Call ("write", [ v "w"; v "a"; i n ]) <>: i n, [ Return (i 1) ], []);
+            If (Call ("read", [ v "r"; v "b"; i n ]) <>: i n, [ Return (i 2) ], []);
+            Expr (Call ("puts", [ v "b"; i n ]));
+            Let ("ls", Syscall (Sys.socket, []));
+            Expr (Syscall (Sys.bind, [ v "ls"; i 9100 ]));
+            Expr (Syscall (Sys.listen, [ v "ls"; i 4 ]));
+            Let ("cl", Syscall (Sys.socket, []));
+            Expr (Syscall (Sys.connect, [ v "cl"; i 9100 ]));
+            Let ("srv", Syscall (Sys.accept, [ v "ls" ]));
+            If (Syscall (Sys.send, [ v "cl"; v "a"; i n ]) <>: i n,
+                [ Return (i 3) ], []);
+            Expr (Call ("memset", [ v "b"; i 0; i n ]));
+            If (Syscall (Sys.recv, [ v "srv"; v "b"; i n ]) <>: i n,
+                [ Return (i 4) ], []);
+            Expr (Call ("puts", [ v "b"; i n ]));
+            Return (i 0);
+          ];
+      ]
+  in
+  let run ?epc () =
+    let obs = Occlum_obs.Obs.create ~events:[ Occlum_obs.Obs.Syscall ] () in
+    let os = Os.boot ?epc ~obs () in
+    (match
+       Occlum_verifier.Verify.verify_and_sign
+         (Occlum_toolchain.Compile.compile_exn
+            ~config:Occlum_toolchain.Codegen.sfi prog)
+     with
+    | Ok s -> Os.install_binary os "/bin/app" s
+    | Error rs ->
+        failwith (Occlum_verifier.Verify.rejection_to_string (List.hd rs)));
+    let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+    let status = Os.run ~max_steps:4_000_000 os in
+    Alcotest.(check bool) "finished" true (status = Os.All_exited);
+    let code =
+      match Os.find_proc os pid with Some p -> p.exit_code | None -> -1
+    in
+    Alcotest.(check int) "exit code" 0 code;
+    let syscalls =
+      List.filter_map
+        (fun (e : Occlum_obs.Trace.event) ->
+          match e.kind with
+          | Occlum_obs.Trace.Syscall_exit { nr; ret; latency_ns; _ } ->
+              Some (Printf.sprintf "%d=%Ld/%Ldns" nr ret latency_ns)
+          | _ -> None)
+        (Occlum_obs.Trace.events obs.Occlum_obs.Obs.trace)
+    in
+    (Os.console_output os, syscalls)
+  in
+  let console, syscalls = run () in
+  let pattern = String.init n (fun k -> Char.chr (33 + (k * 7 mod 90))) in
+  Alcotest.(check bool) "unpaged console is the pattern twice" true
+    (console = pattern ^ pattern);
+  let frames = 5 in
+  Alcotest.(check bool) "fewer frames than one buffer's pages" true
+    (frames < (n / 4096) + 1);
+  let pool = Occlum_sgx.Epc.create ~size:(frames * 4096) () in
+  Occlum_sgx.Epc.enable_paging pool;
+  let paged_console, paged_syscalls = run ~epc:pool () in
+  Alcotest.(check bool) "console bytes identical" true (console = paged_console);
+  Alcotest.(check (list string)) "syscall returns and virtual latencies identical"
+    syscalls paged_syscalls;
+  match Occlum_sgx.Epc.paging_stats pool with
+  | Some s -> Alcotest.(check bool) "paging happened" true (s.Occlum_sgx.Epc.ewb > 0)
+  | None -> Alcotest.fail "paging stats missing"
+
 let suite =
   [
     Alcotest.test_case "hello world" `Quick test_hello;
@@ -1010,4 +1170,8 @@ let suite =
     Alcotest.test_case "batched syscalls" `Quick test_batch_syscall;
     Alcotest.test_case "system facade" `Quick test_facade;
     Alcotest.test_case "user pointer validation" `Quick test_bad_user_pointer;
+    Alcotest.test_case "untrusted len sizes no allocation" `Quick
+      test_untrusted_len_no_alloc;
+    Alcotest.test_case "pipe/socket direct path under paging" `Quick
+      test_direct_path_paged;
   ]

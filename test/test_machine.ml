@@ -264,6 +264,55 @@ let test_cfi_label_is_nop () =
   in
   Alcotest.(check int64) "fell through the label" 5L (Cpu.get cpu Reg.r1)
 
+(* The privileged span walk under paging: every page starts evicted and
+   the pager logs each page-in. A consumer that takes part of its second
+   chunk stops the walk there, so the third page is never paged in. *)
+let test_span_priv_stops_early () =
+  let mem = Mem.create ~size:(8 * 4096) in
+  Mem.map mem ~addr:0 ~len:(8 * 4096) ~perm:Mem.perm_rw;
+  let paged_in = ref [] in
+  Mem.enable_paging mem ~pager:(fun p ->
+      paged_in := p :: !paged_in;
+      Mem.set_resident mem p true);
+  for p = 0 to 7 do Mem.set_resident mem p false done;
+  let addr = 4096 + 100 in
+  let chunks = ref [] in
+  let moved =
+    Mem.span_priv mem ~addr ~len:(3 * 4096) ~write:false (fun _ a k ->
+        chunks := (a, k) :: !chunks;
+        if a = addr then k else 50)
+  in
+  Alcotest.(check int) "first chunk plus the partial one" (4096 - 100 + 50) moved;
+  Alcotest.(check (list (pair int int))) "chunks are page-bounded"
+    [ (addr, 4096 - 100); (2 * 4096, 4096) ] (List.rev !chunks);
+  Alcotest.(check (list int)) "only the pages walked were paged in" [ 1; 2 ]
+    (List.rev !paged_in);
+  Alcotest.(check bool) "page 3 still evicted" false (Mem.page_resident mem 3);
+  (* a whole span walk moves every byte, one page at a time *)
+  Mem.write_bytes_priv mem ~addr (Bytes.make (3 * 4096) 'z');
+  Alcotest.(check string) "round trip" (String.make (3 * 4096) 'z')
+    (Bytes.to_string (Mem.read_bytes_priv mem ~addr ~len:(3 * 4096)));
+  match Mem.span_priv mem ~addr:0 ~len:8 ~write:false (fun _ _ k -> k + 1) with
+  | _ -> Alcotest.fail "overrunning consumer accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A write through the span walk bumps the generation of an executable
+   page it reaches, so decode caches see the new code; data pages and
+   reads stay generation-silent. *)
+let test_span_priv_bumps_code_gen () =
+  let mem = Mem.create ~size:(4 * 4096) in
+  Mem.map mem ~addr:0 ~len:4096 ~perm:Mem.perm_rwx;
+  Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rw;
+  let g0 = Mem.page_gen mem 0 and g1 = Mem.page_gen mem 1 in
+  let take _ _ k = k in
+  ignore (Mem.span_priv mem ~addr:4000 ~len:200 ~write:false take);
+  Alcotest.(check int) "read leaves code gen" g0 (Mem.page_gen mem 0);
+  ignore (Mem.span_priv mem ~addr:4000 ~len:200 ~write:true take);
+  Alcotest.(check int) "write bumps code gen" (g0 + 1) (Mem.page_gen mem 0);
+  Alcotest.(check int) "data page gen silent" g1 (Mem.page_gen mem 1);
+  ignore (Mem.span_priv mem ~addr:100 ~len:10 ~write:true (fun _ _ _ -> 0));
+  Alcotest.(check int) "nothing written, no bump" (g0 + 1) (Mem.page_gen mem 0)
+
 let suite =
   [
     Alcotest.test_case "memory permissions" `Quick test_mem_permissions;
@@ -282,4 +331,7 @@ let suite =
     Alcotest.test_case "rip-relative addressing" `Quick test_rip_relative;
     Alcotest.test_case "cpu snapshot (ssa)" `Quick test_cpu_snapshot;
     Alcotest.test_case "cfi_label is a nop" `Quick test_cfi_label_is_nop;
+    Alcotest.test_case "span walk stops early" `Quick test_span_priv_stops_early;
+    Alcotest.test_case "span write bumps code gen" `Quick
+      test_span_priv_bumps_code_gen;
   ]
