@@ -768,6 +768,78 @@ let hot_loop_run code ~tier =
   | s -> failwith ("hot loop stopped unexpectedly: " ^ Interp.stop_to_string s));
   (cpu, dt)
 
+(* The guarded load/store kernel of the JIT micro: the MMDSFI shape of
+   real SIP code ([bndcl]/[bndcu] before every load and store, as the
+   toolchain's mem_guard emits) mixed with ALU, shift and cmp/jcc, over
+   one data page. Returns the code and the data page's address. *)
+let guarded_loop_code iters =
+  let open Occlum_isa in
+  let r1 = Reg.of_int 1 and r2 = Reg.of_int 2 and r4 = Reg.of_int 4 in
+  let r5 = Reg.of_int 5 in
+  let at disp = Insn.Sib { base = r4; index = None; scale = 1; disp } in
+  let guarded m =
+    [ Insn.Bndcl (Reg.bnd0, Insn.Ea_mem m); Insn.Bndcu (Reg.bnd0, Insn.Ea_mem m) ]
+  in
+  let loop_body =
+    guarded (at 0)
+    @ [
+        Insn.Load { dst = r5; src = at 0; size = 8 };
+        Insn.Alu (Insn.Add, r5, Insn.O_reg r1);
+        Insn.Alu (Insn.Shl, r5, Insn.O_imm 1L);
+      ]
+    @ guarded (at 8)
+    @ [
+        Insn.Store { dst = at 8; src = r5; size = 8 };
+        Insn.Alu (Insn.Shr, r5, Insn.O_imm 2L);
+        Insn.Alu (Insn.Xor, r2, Insn.O_reg r5);
+        Insn.Alu (Insn.Sub, r1, Insn.O_imm 1L);
+        Insn.Cmp (r1, Insn.O_imm 0L);
+      ]
+  in
+  let body_len =
+    List.fold_left (fun a i -> a + String.length (Codec.encode i)) 0 loop_body
+  in
+  let rec fix_jcc disp =
+    let len = String.length (Codec.encode (Insn.Jcc (Insn.Ne, disp))) in
+    let disp' = -(body_len + len) in
+    if disp' = disp then Insn.Jcc (Insn.Ne, disp) else fix_jcc disp'
+  in
+  let data = 2 * 4096 in
+  let prog =
+    Insn.Mov_imm (r1, Int64.of_int iters)
+    :: Insn.Mov_imm (r2, 0L)
+    :: Insn.Mov_imm (r4, Int64.of_int (data + 64))
+    :: loop_body
+    @ [ fix_jcc (-body_len); Insn.Syscall_gate ]
+  in
+  (String.concat "" (List.map Codec.encode prog), data)
+
+(* One timed JIT run of the guarded kernel: code r-x, one rw data page
+   that bnd0 covers exactly. Returns the CPU, the host seconds and the
+   minor-heap words allocated. *)
+let guarded_loop_run (code, data) =
+  let open Occlum_machine in
+  let mem = Mem.create ~size:(16 * 4096) in
+  Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
+  Mem.map mem ~addr:data ~len:4096 ~perm:Mem.perm_rw;
+  Mem.write_bytes_priv mem ~addr:4096 (Bytes.of_string code);
+  let cpu = Cpu.create () in
+  cpu.Cpu.pc <- 4096;
+  Cpu.set_bnd cpu Occlum_isa.Reg.bnd0
+    { Cpu.lower = Int64.of_int data; upper = Int64.of_int (data + 4095) };
+  let cache = Decode_cache.create () and jit = Jit.create () in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let stop = Interp.run ~cache ~jit mem cpu ~fuel:max_int in
+  let dt = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  (match stop with
+  | Interp.Stop_syscall -> ()
+  | s ->
+      failwith
+        ("guarded loop stopped unexpectedly: " ^ Interp.stop_to_string s));
+  (cpu, dt, words)
+
 (* Decoded-block cache: interpret the hot loop with and without the
    cache; the figure of merit is retired instructions per host second. *)
 let micro_dcache () =
@@ -889,7 +961,13 @@ let micro_jit () =
       failwith "SMC kernel never deopted the promoted block";
     cpu.Cpu.jit_deopts
   in
+  (* real-code shape: guarded loads and stores through the page check *)
+  let guarded = guarded_loop_code iters in
+  ignore (guarded_loop_run guarded);
+  let cpu_m, t_m, words_m = guarded_loop_run guarded in
+  let m = ips cpu_m t_m in
   record "jit/insns-per-sec" j;
+  record "jit/mem-insns-per-sec" m;
   record "jit/over-dcache-speedup" (j /. c);
   record "jit/over-uncached-speedup" (j /. u);
   record "jit/compile-ns-per-block" compile_ns;
@@ -897,6 +975,9 @@ let micro_jit () =
   Printf.printf
     "%-34s %14.2f M insns/s   (%.2fx dcache, %.2fx uncached)\n"
     "occlum/interp-jit" (j /. 1e6) (j /. c) (j /. u);
+  Printf.printf "%-34s %14.2f M insns/s   (%.2f minor words/insn)\n"
+    "occlum/interp-jit-guarded-mem" (m /. 1e6)
+    (words_m /. float cpu_m.Cpu.insns);
   Printf.printf "%-34s %14.0f ns/block\n" "occlum/jit-compile" compile_ns;
   Printf.printf "%-34s %14d deopts (self-modifying kernel)\n" "occlum/jit-smc"
     smc_deopts

@@ -157,10 +157,11 @@ let cpu_diff ~pc ~counters (a : Cpu.t) (b : Cpu.t) =
     diverged "pc 0x%x vs 0x%x" a.Cpu.pc b.Cpu.pc;
   if a.Cpu.flag_eq <> b.Cpu.flag_eq || a.Cpu.flag_lt <> b.Cpu.flag_lt then
     diverged "comparison flags";
-  Array.iteri
-    (fun i x ->
-      if x <> b.Cpu.regs.(i) then diverged "r%d: %Ld vs %Ld" i x b.Cpu.regs.(i))
-    a.Cpu.regs;
+  for i = 0 to Reg.count - 1 do
+    let r = Reg.of_int i in
+    let x = Cpu.get a r and y = Cpu.get b r in
+    if x <> y then diverged "r%d: %Ld vs %Ld" i x y
+  done;
   Array.iteri
     (fun i (x : Cpu.bound) -> if x <> b.Cpu.bnds.(i) then diverged "bnd%d" i)
     a.Cpu.bnds;
@@ -188,7 +189,7 @@ let mem_diff ~code a b =
 (* An AEX round trip must restore the architectural state bit-identically. *)
 let checked round_trip env =
   let cpu = env.cpu in
-  let regs = Array.copy cpu.Cpu.regs and bnds = Array.copy cpu.Cpu.bnds in
+  let regs = Bytes.copy cpu.Cpu.regs and bnds = Array.copy cpu.Cpu.bnds in
   let before = { cpu with Cpu.regs; bnds } in
   round_trip env;
   try cpu_diff ~pc:true ~counters:false before cpu

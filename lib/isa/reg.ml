@@ -12,7 +12,7 @@ type t = int (* 0..15 *)
 
 let count = 16
 let of_int i = if i < 0 || i >= count then invalid_arg "Reg.of_int" else i
-let to_int r = r
+external to_int : t -> int = "%identity"
 
 let r0 = 0
 let r1 = 1
@@ -43,7 +43,7 @@ type bnd = int (* 0..3 *)
 
 let bnd_count = 4
 let bnd_of_int i = if i < 0 || i >= bnd_count then invalid_arg "Reg.bnd_of_int" else i
-let bnd_to_int b = b
+external bnd_to_int : bnd -> int = "%identity"
 let bnd0 = 0
 let bnd1 = 1
 let bnd2 = 2

@@ -15,7 +15,8 @@ val count : int
 val of_int : int -> t
 (** [of_int i] is register [i]. @raise Invalid_argument unless 0 <= i < 16. *)
 
-val to_int : t -> int
+external to_int : t -> int = "%identity"
+(** An external, so it inlines across modules even under [-opaque]. *)
 
 val r0 : t
 val r1 : t
@@ -46,7 +47,7 @@ type bnd
 
 val bnd_count : int
 val bnd_of_int : int -> bnd
-val bnd_to_int : bnd -> int
+external bnd_to_int : bnd -> int = "%identity"
 
 val bnd0 : bnd
 (** Initialized by the LibOS to the SIP's data-region range. *)

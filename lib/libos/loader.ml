@@ -146,7 +146,7 @@ let load ?(require_signature = true) ?dynamic mem (slot : Domain_mgr.slot)
 
 (* Apply the image to a CPU about to run the SIP's initial thread. *)
 let init_cpu (img : image) (cpu : Cpu.t) =
-  Array.fill cpu.regs 0 (Array.length cpu.regs) 0L;
+  Bytes.fill cpu.regs 0 (Bytes.length cpu.regs) '\x00';
   cpu.pc <- img.entry_pc;
   Cpu.set cpu Reg.sp (Int64.of_int img.init_sp);
   Cpu.set cpu R.code_base (Int64.of_int (Domain_mgr.c_base img.slot));

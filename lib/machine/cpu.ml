@@ -4,8 +4,11 @@
 
 type bound = { lower : int64; upper : int64 } (* inclusive range *)
 
+(* The 16 GPRs live unboxed in one 128-byte buffer, register [i] at byte
+   [8 * i]: a register write neither allocates nor goes through the
+   write barrier, as an [int64 array] slot would. *)
 type t = {
-  regs : int64 array;
+  regs : Bytes.t;
   bnds : bound array;
   mutable pc : int;
   mutable flag_eq : bool;
@@ -29,7 +32,7 @@ type t = {
 
 let create () =
   {
-    regs = Array.make Occlum_isa.Reg.count 0L;
+    regs = Bytes.make (8 * Occlum_isa.Reg.count) '\x00';
     bnds = Array.make Occlum_isa.Reg.bnd_count { lower = 0L; upper = -1L };
     pc = 0;
     flag_eq = false;
@@ -48,8 +51,11 @@ let create () =
     jit_deopts = 0;
   }
 
-let get t r = t.regs.(Occlum_isa.Reg.to_int r)
-let set t r v = t.regs.(Occlum_isa.Reg.to_int r) <- v
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let get t r = get64 t.regs (Occlum_isa.Reg.to_int r lsl 3)
+let set t r v = set64 t.regs (Occlum_isa.Reg.to_int r lsl 3) v
 let get_bnd t b = t.bnds.(Occlum_isa.Reg.bnd_to_int b)
 let set_bnd t b range = t.bnds.(Occlum_isa.Reg.bnd_to_int b) <- range
 
@@ -57,7 +63,7 @@ let set_bnd t b range = t.bnds.(Occlum_isa.Reg.bnd_to_int b) <- range
    the SSA on an asynchronous exit and restores them on resume (§2.1,
    §2.3). The LibOS also uses this to context-switch between SIPs. *)
 type snapshot = {
-  s_regs : int64 array;
+  s_regs : Bytes.t;
   s_bnds : bound array;
   s_pc : int;
   s_flag_eq : bool;
@@ -66,7 +72,7 @@ type snapshot = {
 
 let save t =
   {
-    s_regs = Array.copy t.regs;
+    s_regs = Bytes.copy t.regs;
     s_bnds = Array.copy t.bnds;
     s_pc = t.pc;
     s_flag_eq = t.flag_eq;
@@ -74,7 +80,7 @@ let save t =
   }
 
 let restore t s =
-  Array.blit s.s_regs 0 t.regs 0 (Array.length t.regs);
+  Bytes.blit s.s_regs 0 t.regs 0 (Bytes.length t.regs);
   Array.blit s.s_bnds 0 t.bnds 0 (Array.length t.bnds);
   t.pc <- s.s_pc;
   t.flag_eq <- s.s_flag_eq;

@@ -5,7 +5,10 @@
 type bound = { lower : int64; upper : int64 }  (** inclusive range *)
 
 type t = {
-  regs : int64 array;
+  regs : Bytes.t;
+      (** the 16 GPRs, unboxed: register [i] is the native-endian [int64]
+          at byte [8 * i]; read and write it with {!get64}/{!set64} or
+          {!get}/{!set} *)
   bnds : bound array;
   mutable pc : int;
   mutable flag_eq : bool;
@@ -28,6 +31,13 @@ type t = {
 }
 
 val create : unit -> t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+(** Unchecked register-file access at a byte offset ([8 * Reg.to_int r]).
+    These are externals so the execution tiers' hot paths inline them
+    across modules: no call, no box, no write barrier. The offset must
+    be [8 * i] for a register [i]. *)
 
 val get : t -> Occlum_isa.Reg.t -> int64
 val set : t -> Occlum_isa.Reg.t -> int64 -> unit

@@ -29,16 +29,24 @@ let stop_to_string = function
 
 let addr_mask = 0xFF_FFFF_FFFFL (* treat effective addresses as 40-bit *)
 
+(* Register access through [Cpu]'s externals, which inline across
+   modules: no call, no boxed [int64] (docs/jit.md, "Host cost"). *)
+let[@inline] get (cpu : Cpu.t) r =
+  Cpu.get64 cpu.Cpu.regs (Reg.to_int r lsl 3)
+
+let[@inline] set (cpu : Cpu.t) r v =
+  Cpu.set64 cpu.Cpu.regs (Reg.to_int r lsl 3) v
+
 let effective_address mem cpu (m : Insn.mem) ~end_pc =
   let open Int64 in
   let v =
     match m with
     | Sib { base; index; scale; disp } ->
-        let b = Cpu.get cpu base in
+        let b = get cpu base in
         let i =
           match index with
           | None -> 0L
-          | Some r -> mul (Cpu.get cpu r) (of_int scale)
+          | Some r -> mul (get cpu r) (of_int scale)
         in
         add (add b i) (of_int disp)
     | Rip_rel disp -> of_int (end_pc + disp)
@@ -52,18 +60,18 @@ let effective_address mem cpu (m : Insn.mem) ~end_pc =
 
 let unsigned_lt a b = Int64.unsigned_compare a b < 0
 
-let read_sized mem addr size =
+let[@inline] read_sized mem addr size =
   if size = 1 then Int64.of_int (Mem.read_u8 mem addr) else Mem.read_u64 mem addr
 
-let write_sized mem addr size v =
+let[@inline] write_sized mem addr size v =
   if size = 1 then Mem.write_u8 mem addr (Int64.to_int (Int64.logand v 0xFFL))
   else Mem.write_u64 mem addr v
 
-let operand_value cpu = function
-  | Insn.O_reg r -> Cpu.get cpu r
+let[@inline] operand_value cpu = function
+  | Insn.O_reg r -> get cpu r
   | Insn.O_imm v -> v
 
-let alu_exec op a b ~pc =
+let[@inline] alu_exec op a b ~pc =
   let open Int64 in
   match (op : Insn.alu_op) with
   | Add -> add a b
@@ -89,32 +97,32 @@ let cond_holds cpu = function
   | Insn.Gt -> not (cpu.Cpu.flag_lt || cpu.Cpu.flag_eq)
   | Insn.Ge -> not cpu.Cpu.flag_lt
 
-let bound_check cpu bnd value ~lower =
+let[@inline] bound_check cpu bnd value ~lower =
   cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-  let b = Cpu.get_bnd cpu bnd in
+  let b = cpu.Cpu.bnds.(Reg.bnd_to_int bnd) in
   let fails =
     if lower then unsigned_lt value b.lower else unsigned_lt b.upper value
   in
   if fails then
     raise (Fault.Fault (Bound_fault { bnd = Reg.bnd_to_int bnd; value }))
 
-let ea_value mem cpu ea ~end_pc =
+let[@inline] ea_value mem cpu ea ~end_pc =
   match (ea : Insn.ea) with
-  | Ea_reg r -> Cpu.get cpu r
+  | Ea_reg r -> get cpu r
   | Ea_mem m -> Int64.of_int (effective_address mem cpu m ~end_pc)
 
 (* The store happens first: if it faults, the AEX-captured state must
    still hold the pre-push stack pointer (a decremented sp with nothing
    written would corrupt the SIP's resume/kill diagnostics). *)
-let push_u64 mem cpu v =
-  let sp = Int64.sub (Cpu.get cpu Reg.sp) 8L in
+let[@inline] push_u64 mem cpu v =
+  let sp = Int64.sub (get cpu Reg.sp) 8L in
   Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) v;
-  Cpu.set cpu Reg.sp sp
+  set cpu Reg.sp sp
 
-let pop_u64 mem cpu =
-  let sp = Cpu.get cpu Reg.sp in
+let[@inline] pop_u64 mem cpu =
+  let sp = get cpu Reg.sp in
   let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-  Cpu.set cpu Reg.sp (Int64.add sp 8L);
+  set cpu Reg.sp (Int64.add sp 8L);
   v
 
 (* Execute one already-decoded instruction whose encoding spans
@@ -137,46 +145,46 @@ let exec_decoded mem cpu insn ~pc ~len : stop option =
         next ();
         None
     | Mov_imm (r, v) ->
-        Cpu.set cpu r v;
+        set cpu r v;
         next ();
         None
     | Mov_reg (d, s) ->
-        Cpu.set cpu d (Cpu.get cpu s);
+        set cpu d (get cpu s);
         next ();
         None
     | Load { dst; src; size } ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let addr = effective_address mem cpu src ~end_pc in
-        Cpu.set cpu dst (read_sized mem addr size);
+        set cpu dst (read_sized mem addr size);
         next ();
         None
     | Store { dst; src; size } ->
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         let addr = effective_address mem cpu dst ~end_pc in
-        write_sized mem addr size (Cpu.get cpu src);
+        write_sized mem addr size (get cpu src);
         next ();
         None
     | Push r ->
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        push_u64 mem cpu (Cpu.get cpu r);
+        push_u64 mem cpu (get cpu r);
         next ();
         None
     | Pop r ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let v = pop_u64 mem cpu in
-        Cpu.set cpu r v;
+        set cpu r v;
         next ();
         None
     | Lea (r, m) ->
-        Cpu.set cpu r (Int64.of_int (effective_address mem cpu m ~end_pc));
+        set cpu r (Int64.of_int (effective_address mem cpu m ~end_pc));
         next ();
         None
     | Alu (op, d, o) ->
-        Cpu.set cpu d (alu_exec op (Cpu.get cpu d) (operand_value cpu o) ~pc);
+        set cpu d (alu_exec op (get cpu d) (operand_value cpu o) ~pc);
         next ();
         None
     | Cmp (a, o) ->
-        let x = Cpu.get cpu a and y = operand_value cpu o in
+        let x = get cpu a and y = operand_value cpu o in
         cpu.Cpu.flag_eq <- Int64.equal x y;
         cpu.Cpu.flag_lt <- Int64.compare x y < 0;
         next ();
@@ -193,12 +201,12 @@ let exec_decoded mem cpu insn ~pc ~len : stop option =
         goto (end_pc + rel);
         None
     | Jmp_reg r ->
-        goto (Int64.to_int (Int64.logand (Cpu.get cpu r) addr_mask));
+        goto (Int64.to_int (Int64.logand (get cpu r) addr_mask));
         None
     | Call_reg r ->
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         push_u64 mem cpu (Int64.of_int end_pc);
-        goto (Int64.to_int (Int64.logand (Cpu.get cpu r) addr_mask));
+        goto (Int64.to_int (Int64.logand (get cpu r) addr_mask));
         None
     | Jmp_mem m ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
@@ -221,7 +229,7 @@ let exec_decoded mem cpu insn ~pc ~len : stop option =
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         (* the pop may fault; the sp adjustment commits only afterwards *)
         let target = pop_u64 mem cpu in
-        Cpu.set cpu Reg.sp (Int64.add (Cpu.get cpu Reg.sp) (Int64.of_int n));
+        set cpu Reg.sp (Int64.add (get cpu Reg.sp) (Int64.of_int n));
         goto (Int64.to_int (Int64.logand target addr_mask));
         None
     | Bndcl (b, ea) ->
@@ -250,7 +258,7 @@ let exec_decoded mem cpu insn ~pc ~len : stop option =
         (* one instruction, multiple non-contiguous stores — the
            reason Stage 4 rejects it (Figure 4) *)
         cpu.Cpu.stores <- cpu.Cpu.stores + 4;
-        let b = Cpu.get cpu base and i = Cpu.get cpu index in
+        let b = get cpu base and i = get cpu index in
         for lane = 0 to 3 do
           let a =
             Int64.add b
@@ -258,7 +266,7 @@ let exec_decoded mem cpu insn ~pc ~len : stop option =
           in
           Mem.write_u64 mem
             (Int64.to_int (Int64.logand a addr_mask))
-            (Cpu.get cpu src)
+            (get cpu src)
         done;
         next ();
         None
@@ -364,7 +372,7 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
           | Jit.Hit c ->
               cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
               trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
-              exec_compiled j c fuel
+              exec_compiled j c 0 fuel
           | Jit.Stale ->
               cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
               trace obs.Obs.t_jit (fun pc -> Trace.Jit_invalidate { pc });
@@ -401,65 +409,59 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
         let c = Jit.promote j b in
         cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
         trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
-        exec_compiled j c fuel
-    | _ -> exec_block b fuel
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        (* a store inside this block rewrote its own code page: refetch *)
-        loop fuel
-      else if hooked && intr () then Stop_quantum
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
-  and exec_compiled j (c : Jit.compiled) fuel =
-    let n = Array.length c.Jit.units_fast in
-    let rec go u fuel =
-      if fuel <= 0 then Stop_quantum
-      else if u >= n then
-        (* a block that branches back to its own entry (the hot-loop
-           shape) re-enters without the table lookup; validity is
-           re-checked so a store from the block still invalidates it *)
-        if
-          cpu.Cpu.pc = c.Jit.entry
-          && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
-        then begin
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          Jit.note_hit j;
-          trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
-          go 0 fuel
-        end
-        else loop fuel
-      else if
-        c.Jit.fragile && u > 0 && not (Decode_cache.block_valid mem c.Jit.src)
+        exec_compiled j c 0 fuel
+    | _ -> exec_block b 0 b.entry fuel
+  (* The two replay loops belong to this recursive group rather than
+     being local closures, so entering a block allocates nothing. *)
+  and exec_block (b : Decode_cache.block) i pc fuel =
+    if fuel <= 0 then Stop_quantum
+    else if i >= Array.length b.insns then loop fuel
+    else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
+      (* a store inside this block rewrote its own code page: refetch *)
+      loop fuel
+    else if hooked && intr () then Stop_quantum
+    else
+      let insn, len = b.insns.(i) in
+      match exec_decoded mem cpu insn ~pc ~len with
+      | Some stop -> stop
+      | None -> exec_block b (i + 1) (pc + len) (fuel - 1)
+  and exec_compiled j (c : Jit.compiled) u fuel =
+    if fuel <= 0 then Stop_quantum
+    else if u >= Array.length c.Jit.units_fast then
+      (* a block that branches back to its own entry (the hot-loop
+         shape) re-enters without the table lookup; validity is
+         re-checked so a store from the block still invalidates it *)
+      if
+        cpu.Cpu.pc = c.Jit.entry
+        && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
       then begin
-        (* self-modifying code: deopt back to the decoded tier *)
-        cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-        trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
-        loop fuel
+        cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+        Jit.note_hit j;
+        trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
+        exec_compiled j c 0 fuel
       end
-      else if hooked && intr () then Stop_quantum
-      else
-        let k = c.Jit.unit_insns.(u) in
-        match
-          if (not hooked) && fuel >= k then c.Jit.units_fast.(u) mem cpu
-          else c.Jit.units_safe.(u) mem cpu fuel intr
-        with
-        | Jit.U_fall -> go (u + 1) (fuel - k)
-        | Jit.U_stop s -> s
-        | exception Fault.Fault f ->
-            cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-            trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
-            Stop_fault f
-    in
-    go 0 fuel
+      else loop fuel
+    else if
+      c.Jit.fragile && u > 0 && not (Decode_cache.block_valid mem c.Jit.src)
+    then begin
+      (* self-modifying code: deopt back to the decoded tier *)
+      cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
+      trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
+      loop fuel
+    end
+    else if hooked && intr () then Stop_quantum
+    else
+      let k = c.Jit.unit_insns.(u) in
+      match
+        if (not hooked) && fuel >= k then c.Jit.units_fast.(u) mem cpu
+        else c.Jit.units_safe.(u) mem cpu fuel intr
+      with
+      | Jit.U_fall -> exec_compiled j c (u + 1) (fuel - k)
+      | Jit.U_stop s -> s
+      | exception Fault.Fault f ->
+          cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
+          trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
+          Stop_fault f
   in
   loop fuel
 

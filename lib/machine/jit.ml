@@ -84,44 +84,105 @@ let create ?(threshold = 16) ?(max_blocks = 4096) () =
 
 let clear t = Hashtbl.reset t.tbl
 
-(* ---- translation helpers (must mirror Interp exactly) ---- *)
+(* ---- translation helpers (must mirror Interp exactly) ----
+
+   Host-cost rule for everything a body runs per instruction: the
+   library may be built with [-opaque] (dune's dev profile), which stops
+   every cross-module call from inlining. So a hot-path helper is either
+   defined here, small and [@inline], or an [external] ([Cpu.get64],
+   [Cpu.set64], [Reg.to_int]). Register values stay unboxed and no
+   [int64] crosses a closure boundary, so a body allocates nothing
+   unless it faults or falls back to a checked [Mem] accessor. *)
 
 let addr_mask = 0xFF_FFFF_FFFFL
-let unsigned_lt a b = Int64.unsigned_compare a b < 0
-let sp_i = Reg.to_int Reg.sp
 
-let clamp v =
+let[@inline] unsigned_lt a b =
+  Int64.compare (Int64.sub a Int64.min_int) (Int64.sub b Int64.min_int) < 0
+
+let[@inline] off r = Reg.to_int r lsl 3 (* a register's byte offset in [regs] *)
+let[@inline] get (cpu : Cpu.t) o = Cpu.get64 cpu.Cpu.regs o
+let[@inline] set (cpu : Cpu.t) o v = Cpu.set64 cpu.Cpu.regs o v
+let sp_o = off Reg.sp
+
+let[@inline] charge (cpu : Cpu.t) cost =
+  cpu.Cpu.insns <- cpu.Cpu.insns + 1;
+  cpu.Cpu.cycles <- cpu.Cpu.cycles + cost
+
+let[@inline] clamp v =
   if Int64.compare (Int64.logand v addr_mask) v <> 0 then Int64.to_int addr_mask
   else Int64.to_int v
+
+(* A 40-bit address from a register or loaded value: stack slots and
+   indirect branch targets (no clamp, as in the interpreter) *)
+let[@inline] masked v = Int64.to_int (Int64.logand v addr_mask)
+
+(* bndcl/bndcu: count the check, raise the reference's fault *)
+let[@inline] bound_check (cpu : Cpu.t) bi lower v =
+  cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
+  let bd = cpu.Cpu.bnds.(bi) in
+  if if lower then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
+  then raise (Fault.Fault (Bound_fault { bnd = bi; value = v }))
+
+(* The page check. An access [a, a+size) within one page whose
+   [Mem.direct] byte has [bit] set behaves exactly like the checked
+   accessor (no fault, no side effect, no generation bump), so it touches
+   [Mem.data] directly; any other access takes the checked accessor,
+   which raises the identical fault. [a] is a clamped address, never
+   negative. The page size is a literal so this compiles to a shift and
+   a mask. *)
+let page_shift = 12
+let () = assert (Mem.page_size = 1 lsl page_shift)
+let rd = Mem.direct_read
+let wr = Mem.direct_write
+
+let[@inline] direct (mem : Mem.t) a size bit =
+  a land ((1 lsl page_shift) - 1) <= (1 lsl page_shift) - size
+  && a lsr page_shift < Bytes.length mem.Mem.direct
+  && Char.code (Bytes.unsafe_get mem.Mem.direct (a lsr page_shift)) land bit
+     <> 0
+
+let[@inline] load8 mem a =
+  if direct mem a 1 rd then Char.code (Bytes.unsafe_get mem.Mem.data a)
+  else Mem.read_u8 mem a
+
+(* A 64-bit load lands in its register (or, masked, in pc) inside each
+   branch: a helper returning the [int64] from a branch that calls [Mem]
+   would box it. *)
+let[@inline] load64_to cpu o mem a =
+  if direct mem a 8 rd then set cpu o (Bytes.get_int64_le mem.Mem.data a)
+  else set cpu o (Mem.read_u64 mem a)
+
+let[@inline] load_addr mem a =
+  if direct mem a 8 rd then masked (Bytes.get_int64_le mem.Mem.data a)
+  else masked (Mem.read_u64 mem a)
+
+let[@inline] store8 mem a v =
+  if direct mem a 1 wr then
+    Bytes.unsafe_set mem.Mem.data a (Char.unsafe_chr (v land 0xFF))
+  else Mem.write_u8 mem a v
+
+let[@inline] store64 mem a v =
+  if direct mem a 8 wr then Bytes.set_int64_le mem.Mem.data a v
+  else Mem.write_u64 mem a v
 
 (* Effective address, pre-resolved. Sib/Abs do not depend on end_pc;
    Rip_rel folds to a constant. Mirrors [Interp.effective_address]. *)
 let compile_ea (m : Insn.mem) ~end_pc : Cpu.t -> int =
   match m with
   | Sib { base; index = None; scale = _; disp } ->
-      let bi = Reg.to_int base and d = Int64.of_int disp in
-      fun cpu -> clamp (Int64.add cpu.Cpu.regs.(bi) d)
+      let bo = off base and d = Int64.of_int disp in
+      fun cpu -> clamp (Int64.add (get cpu bo) d)
   | Sib { base; index = Some r; scale; disp } ->
-      let bi = Reg.to_int base and ii = Reg.to_int r in
+      let bo = off base and io = off r in
       let s = Int64.of_int scale and d = Int64.of_int disp in
       fun cpu ->
-        clamp
-          (Int64.add
-             (Int64.add cpu.Cpu.regs.(bi) (Int64.mul cpu.Cpu.regs.(ii) s))
-             d)
+        clamp (Int64.add (Int64.add (get cpu bo) (Int64.mul (get cpu io) s)) d)
   | Rip_rel disp ->
       let a = clamp (Int64.of_int (end_pc + disp)) in
       fun _ -> a
   | Abs v ->
       let a = clamp v in
       fun _ -> a
-
-let compile_operand (o : Insn.operand) : Cpu.t -> int64 =
-  match o with
-  | O_imm v -> fun _ -> v
-  | O_reg r ->
-      let ri = Reg.to_int r in
-      fun cpu -> cpu.Cpu.regs.(ri)
 
 let compile_cond (c : Insn.cond) : bool -> bool -> bool =
   match c with
@@ -132,25 +193,87 @@ let compile_cond (c : Insn.cond) : bool -> bool -> bool =
   | Gt -> fun eq lt -> not (lt || eq)
   | Ge -> fun _ lt -> not lt
 
-let compile_alu (op : Insn.alu_op) ~pc : int64 -> int64 -> int64 =
-  match op with
-  | Add -> Int64.add
-  | Sub -> Int64.sub
-  | Mul -> Int64.mul
-  | Divu ->
-      fun a b ->
-        if b = 0L then raise (Fault.Fault (Div_by_zero { addr = pc }))
-        else Int64.unsigned_div a b
-  | Remu ->
-      fun a b ->
-        if b = 0L then raise (Fault.Fault (Div_by_zero { addr = pc }))
-        else Int64.unsigned_rem a b
-  | And -> Int64.logand
-  | Or -> Int64.logor
-  | Xor -> Int64.logxor
-  | Shl -> fun a b -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-  | Shr ->
-      fun a b -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
+(* ---- pure-register cores ---- *)
+
+(* A "core" is the architectural effect of a register-only instruction
+   that can neither fault nor touch memory: no counter charges, no pc
+   parking. [compile_body] wraps one in a charge and a park; a pure run
+   chains several under one bulk charge (see [pure_unit]). *)
+let core_of (insn : Insn.t) : (Cpu.t -> unit) option =
+  match insn with
+  | Nop -> Some (fun _ -> ())
+  | Mov_imm (d, v) ->
+      let dO = off d in
+      Some (fun cpu -> set cpu dO v)
+  | Mov_reg (d, s) ->
+      let dO = off d and so = off s in
+      Some (fun cpu -> set cpu dO (get cpu so))
+  | Alu (op, d, o) -> (
+      let dO = off d in
+      match (op, o) with
+      | Add, O_imm v -> Some (fun cpu -> set cpu dO (Int64.add (get cpu dO) v))
+      | Sub, O_imm v -> Some (fun cpu -> set cpu dO (Int64.sub (get cpu dO) v))
+      | Mul, O_imm v -> Some (fun cpu -> set cpu dO (Int64.mul (get cpu dO) v))
+      | And, O_imm v ->
+          Some (fun cpu -> set cpu dO (Int64.logand (get cpu dO) v))
+      | Or, O_imm v -> Some (fun cpu -> set cpu dO (Int64.logor (get cpu dO) v))
+      | Xor, O_imm v ->
+          Some (fun cpu -> set cpu dO (Int64.logxor (get cpu dO) v))
+      | Shl, O_imm v ->
+          let n = Int64.to_int v land 63 in
+          Some (fun cpu -> set cpu dO (Int64.shift_left (get cpu dO) n))
+      | Shr, O_imm v ->
+          let n = Int64.to_int v land 63 in
+          Some
+            (fun cpu -> set cpu dO (Int64.shift_right_logical (get cpu dO) n))
+      | Add, O_reg r ->
+          let ro = off r in
+          Some (fun cpu -> set cpu dO (Int64.add (get cpu dO) (get cpu ro)))
+      | Sub, O_reg r ->
+          let ro = off r in
+          Some (fun cpu -> set cpu dO (Int64.sub (get cpu dO) (get cpu ro)))
+      | Mul, O_reg r ->
+          let ro = off r in
+          Some (fun cpu -> set cpu dO (Int64.mul (get cpu dO) (get cpu ro)))
+      | And, O_reg r ->
+          let ro = off r in
+          Some (fun cpu -> set cpu dO (Int64.logand (get cpu dO) (get cpu ro)))
+      | Or, O_reg r ->
+          let ro = off r in
+          Some (fun cpu -> set cpu dO (Int64.logor (get cpu dO) (get cpu ro)))
+      | Xor, O_reg r ->
+          let ro = off r in
+          Some (fun cpu -> set cpu dO (Int64.logxor (get cpu dO) (get cpu ro)))
+      | Shl, O_reg r ->
+          let ro = off r in
+          Some
+            (fun cpu ->
+              set cpu dO
+                (Int64.shift_left (get cpu dO)
+                   (Int64.to_int (get cpu ro) land 63)))
+      | Shr, O_reg r ->
+          let ro = off r in
+          Some
+            (fun cpu ->
+              set cpu dO
+                (Int64.shift_right_logical (get cpu dO)
+                   (Int64.to_int (get cpu ro) land 63)))
+      | (Divu | Remu), _ -> None (* can fault: needs a full body *))
+  | Cmp (a, O_imm v) ->
+      let ao = off a in
+      Some
+        (fun cpu ->
+          let x = get cpu ao in
+          cpu.Cpu.flag_eq <- Int64.equal x v;
+          cpu.Cpu.flag_lt <- Int64.compare x v < 0)
+  | Cmp (a, O_reg r) ->
+      let ao = off a and ro = off r in
+      Some
+        (fun cpu ->
+          let x = get cpu ao and y = get cpu ro in
+          cpu.Cpu.flag_eq <- Int64.equal x y;
+          cpu.Cpu.flag_lt <- Int64.compare x y < 0)
+  | _ -> None
 
 (* Translate one instruction spanning [pc, pc+len). Total: every opcode
    compiles (privileged ones to a charge-then-fault stub, exactly as the
@@ -160,195 +283,162 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
   let cost = Cost.of_insn insn in
   let priv name =
     fun _ (cpu : Cpu.t) ->
-      cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-      cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+      charge cpu cost;
       U_stop (Stop_fault (Privileged { addr = pc; insn = name }))
   in
-  let guard lower b ea =
+  let guard lower b (ea : Insn.ea) =
     let bi = Reg.bnd_to_int b in
-    let value : Cpu.t -> int64 =
-      match (ea : Insn.ea) with
-      | Ea_reg r ->
-          let ri = Reg.to_int r in
-          fun cpu -> cpu.Cpu.regs.(ri)
-      | Ea_mem m ->
-          let ea_f = compile_ea m ~end_pc in
-          fun cpu -> Int64.of_int (ea_f cpu)
-    in
-    fun _ (cpu : Cpu.t) ->
-      cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-      cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-      let v = value cpu in
-      cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-      let bd = cpu.Cpu.bnds.(bi) in
-      if if lower then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
-      then raise (Fault.Fault (Bound_fault { bnd = bi; value = v }));
-      cpu.Cpu.pc <- end_pc;
-      U_fall
+    match ea with
+    | Ea_reg r ->
+        let ro = off r in
+        fun _ (cpu : Cpu.t) ->
+          charge cpu cost;
+          bound_check cpu bi lower (get cpu ro);
+          cpu.Cpu.pc <- end_pc;
+          U_fall
+    | Ea_mem m ->
+        let ea_f = compile_ea m ~end_pc in
+        fun _ (cpu : Cpu.t) ->
+          charge cpu cost;
+          bound_check cpu bi lower (Int64.of_int (ea_f cpu));
+          cpu.Cpu.pc <- end_pc;
+          U_fall
   in
   match insn with
   | Nop | Cfi_label _ ->
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Mov_imm (r, v) ->
-      let ri = Reg.to_int r in
+      let ro = off r in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(ri) <- v;
+        charge cpu cost;
+        set cpu ro v;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Mov_reg (d, s) ->
-      let di = Reg.to_int d and si = Reg.to_int s in
+      let dO = off d and so = off s in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- cpu.Cpu.regs.(si);
+        charge cpu cost;
+        set cpu dO (get cpu so);
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Load { dst; src; size } ->
-      let di = Reg.to_int dst in
+      let dO = off dst in
       let ea_f = compile_ea src ~end_pc in
-      if size = 1 then
-        fun mem cpu ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-          cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Int64.of_int (Mem.read_u8 mem (ea_f cpu));
-          cpu.Cpu.pc <- end_pc;
-          U_fall
-      else
-        fun mem cpu ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-          cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Mem.read_u64 mem (ea_f cpu);
-          cpu.Cpu.pc <- end_pc;
-          U_fall
+      if size = 1 then fun mem cpu ->
+        charge cpu cost;
+        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
+        set cpu dO (Int64.of_int (load8 mem (ea_f cpu)));
+        cpu.Cpu.pc <- end_pc;
+        U_fall
+      else fun mem cpu ->
+        charge cpu cost;
+        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
+        load64_to cpu dO mem (ea_f cpu);
+        cpu.Cpu.pc <- end_pc;
+        U_fall
   | Store { dst; src; size } ->
-      let si = Reg.to_int src in
+      let so = off src in
       let ea_f = compile_ea dst ~end_pc in
-      if size = 1 then
-        fun mem cpu ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-          cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u8 mem (ea_f cpu)
-            (Int64.to_int (Int64.logand cpu.Cpu.regs.(si) 0xFFL));
-          cpu.Cpu.pc <- end_pc;
-          U_fall
-      else
-        fun mem cpu ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-          cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u64 mem (ea_f cpu) cpu.Cpu.regs.(si);
-          cpu.Cpu.pc <- end_pc;
-          U_fall
+      if size = 1 then fun mem cpu ->
+        charge cpu cost;
+        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
+        store8 mem (ea_f cpu) (Int64.to_int (get cpu so));
+        cpu.Cpu.pc <- end_pc;
+        U_fall
+      else fun mem cpu ->
+        charge cpu cost;
+        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
+        store64 mem (ea_f cpu) (get cpu so);
+        cpu.Cpu.pc <- end_pc;
+        U_fall
   | Push r ->
-      let ri = Reg.to_int r in
+      let ro = off r in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         (* store before the sp update: fault atomicity *)
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem
-          (Int64.to_int (Int64.logand sp addr_mask))
-          cpu.Cpu.regs.(ri);
-        cpu.Cpu.regs.(sp_i) <- sp;
+        let sp = Int64.sub (get cpu sp_o) 8L in
+        store64 mem (masked sp) (get cpu ro);
+        set cpu sp_o sp;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Pop r ->
-      let ri = Reg.to_int r in
+      let ro = off r in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let sp = cpu.Cpu.regs.(sp_i) in
-        let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-        cpu.Cpu.regs.(sp_i) <- Int64.add sp 8L;
-        cpu.Cpu.regs.(ri) <- v;
+        let sp = get cpu sp_o in
+        load64_to cpu ro mem (masked sp);
+        (* [pop sp] keeps the loaded value, as in the interpreter *)
+        if ro <> sp_o then set cpu sp_o (Int64.add sp 8L);
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Lea (r, m) ->
-      let ri = Reg.to_int r in
+      let ro = off r in
       let ea_f = compile_ea m ~end_pc in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(ri) <- Int64.of_int (ea_f cpu);
+        charge cpu cost;
+        set cpu ro (Int64.of_int (ea_f cpu));
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Alu (Add, d, O_imm v) ->
-      let di = Reg.to_int d in
+      let dO = off d in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- Int64.add cpu.Cpu.regs.(di) v;
+        charge cpu cost;
+        set cpu dO (Int64.add (get cpu dO) v);
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Alu (Add, d, O_reg r) ->
-      let di = Reg.to_int d and ri = Reg.to_int r in
+      let dO = off d and ro = off r in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- Int64.add cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri);
+        charge cpu cost;
+        set cpu dO (Int64.add (get cpu dO) (get cpu ro));
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Alu (Sub, d, O_imm v) ->
-      let di = Reg.to_int d in
+      let dO = off d in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- Int64.sub cpu.Cpu.regs.(di) v;
+        charge cpu cost;
+        set cpu dO (Int64.sub (get cpu dO) v);
         cpu.Cpu.pc <- end_pc;
         U_fall
-  | Alu (op, d, o) ->
-      let di = Reg.to_int d in
-      let f = compile_alu op ~pc and get = compile_operand o in
+  | Alu (((Divu | Remu) as op), d, o) ->
+      let dO = off d and rem = op = Remu in
+      (* [so] < 0: the divisor is the immediate *)
+      let so = match o with O_reg r -> off r | O_imm _ -> -1 in
+      let imm = match o with O_imm v -> v | O_reg _ -> 0L in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- f cpu.Cpu.regs.(di) (get cpu);
+        charge cpu cost;
+        let b = if so < 0 then imm else get cpu so in
+        if Int64.equal b 0L then raise (Fault.Fault (Div_by_zero { addr = pc }));
+        let a = get cpu dO in
+        set cpu dO
+          (if rem then Int64.unsigned_rem a b else Int64.unsigned_div a b);
         cpu.Cpu.pc <- end_pc;
         U_fall
-  | Cmp (a, O_imm v) ->
-      let ai = Reg.to_int a in
-      fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        let x = cpu.Cpu.regs.(ai) in
-        cpu.Cpu.flag_eq <- Int64.equal x v;
-        cpu.Cpu.flag_lt <- Int64.compare x v < 0;
-        cpu.Cpu.pc <- end_pc;
-        U_fall
-  | Cmp (a, O_reg r) ->
-      let ai = Reg.to_int a and ri = Reg.to_int r in
-      fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        let x = cpu.Cpu.regs.(ai) and y = cpu.Cpu.regs.(ri) in
-        cpu.Cpu.flag_eq <- Int64.equal x y;
-        cpu.Cpu.flag_lt <- Int64.compare x y < 0;
-        cpu.Cpu.pc <- end_pc;
-        U_fall
+  | Alu _ | Cmp _ -> (
+      match core_of insn with
+      | Some core ->
+          fun _ cpu ->
+            charge cpu cost;
+            core cpu;
+            cpu.Cpu.pc <- end_pc;
+            U_fall
+      | None -> assert false)
   | Jmp rel ->
       let tgt = end_pc + rel in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.pc <- tgt;
         U_fall
   | Jcc (c, rel) ->
       let tgt = end_pc + rel in
       let decide = compile_cond c in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.pc <-
           (if decide cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc);
         U_fall
@@ -356,86 +446,75 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
       let tgt = end_pc + rel in
       let ret = Int64.of_int end_pc in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) ret;
-        cpu.Cpu.regs.(sp_i) <- sp;
+        let sp = Int64.sub (get cpu sp_o) 8L in
+        store64 mem (masked sp) ret;
+        set cpu sp_o sp;
         cpu.Cpu.pc <- tgt;
         U_fall
   | Jmp_reg r ->
-      let ri = Reg.to_int r in
+      let ro = off r in
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.pc <-
-          Int64.to_int (Int64.logand cpu.Cpu.regs.(ri) addr_mask);
+        charge cpu cost;
+        cpu.Cpu.pc <- masked (get cpu ro);
         U_fall
   | Call_reg r ->
-      let ri = Reg.to_int r in
+      let ro = off r in
       let ret = Int64.of_int end_pc in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) ret;
-        cpu.Cpu.regs.(sp_i) <- sp;
-        cpu.Cpu.pc <-
-          Int64.to_int (Int64.logand cpu.Cpu.regs.(ri) addr_mask);
+        let sp = Int64.sub (get cpu sp_o) 8L in
+        store64 mem (masked sp) ret;
+        set cpu sp_o sp;
+        cpu.Cpu.pc <- masked (get cpu ro);
         U_fall
   | Jmp_mem m ->
       let ea_f = compile_ea m ~end_pc in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        cpu.Cpu.pc <-
-          Int64.to_int (Int64.logand (Mem.read_u64 mem (ea_f cpu)) addr_mask);
+        cpu.Cpu.pc <- load_addr mem (ea_f cpu);
         U_fall
   | Call_mem m ->
       let ea_f = compile_ea m ~end_pc in
       let ret = Int64.of_int end_pc in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let target = Mem.read_u64 mem (ea_f cpu) in
+        let target = load_addr mem (ea_f cpu) in
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) ret;
-        cpu.Cpu.regs.(sp_i) <- sp;
-        cpu.Cpu.pc <- Int64.to_int (Int64.logand target addr_mask);
+        let sp = Int64.sub (get cpu sp_o) 8L in
+        store64 mem (masked sp) ret;
+        set cpu sp_o sp;
+        cpu.Cpu.pc <- target;
         U_fall
   | Ret ->
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let sp = cpu.Cpu.regs.(sp_i) in
-        let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-        cpu.Cpu.regs.(sp_i) <- Int64.add sp 8L;
-        cpu.Cpu.pc <- Int64.to_int (Int64.logand v addr_mask);
+        let sp = get cpu sp_o in
+        let target = load_addr mem (masked sp) in
+        set cpu sp_o (Int64.add sp 8L);
+        cpu.Cpu.pc <- target;
         U_fall
   | Ret_imm n ->
       let adj = Int64.of_int n in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         (* the pop may fault; sp commits only afterwards *)
-        let sp = cpu.Cpu.regs.(sp_i) in
-        let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-        cpu.Cpu.regs.(sp_i) <- Int64.add (Int64.add sp 8L) adj;
-        cpu.Cpu.pc <- Int64.to_int (Int64.logand v addr_mask);
+        let sp = get cpu sp_o in
+        let target = load_addr mem (masked sp) in
+        set cpu sp_o (Int64.add (Int64.add sp 8L) adj);
+        cpu.Cpu.pc <- target;
         U_fall
   | Bndcl (b, ea) -> guard true b ea
   | Bndcu (b, ea) -> guard false b ea
   | Syscall_gate ->
       fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.pc <- end_pc;
         U_stop Stop_syscall
   | Hlt -> priv "hlt"
@@ -448,21 +527,15 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
   | Wrfsbase _ -> priv "wrfsbase"
   | Wrgsbase _ -> priv "wrgsbase"
   | Vscatter { base; index; scale; src } ->
-      let bi = Reg.to_int base and ii = Reg.to_int index in
-      let si = Reg.to_int src in
+      let bo = off base and io = off index and so = off src in
       let s = Int64.of_int scale in
       fun mem cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+        charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 4;
-        let b = cpu.Cpu.regs.(bi) and i = cpu.Cpu.regs.(ii) in
+        let b = get cpu bo and i = get cpu io in
         for lane = 0 to 3 do
-          let a =
-            Int64.add b (Int64.mul (Int64.add i (Int64.of_int lane)) s)
-          in
-          Mem.write_u64 mem
-            (Int64.to_int (Int64.logand a addr_mask))
-            cpu.Cpu.regs.(si)
+          let a = Int64.add b (Int64.mul (Int64.add i (Int64.of_int lane)) s) in
+          store64 mem (masked a) (get cpu so)
         done;
         cpu.Cpu.pc <- end_pc;
         U_fall
@@ -564,64 +637,47 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
   let ea_f = compile_ea m ~end_pc:pc2 in
   (* guard, returning the shared effective address *)
   let part1 (cpu : Cpu.t) =
-    cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-    cpu.Cpu.cycles <- cpu.Cpu.cycles + cost1;
+    charge cpu cost1;
     let a = ea_f cpu in
-    let v = Int64.of_int a in
-    cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-    let bd = cpu.Cpu.bnds.(bi1) in
-    if if lower1 then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
-    then raise (Fault.Fault (Bound_fault { bnd = bi1; value = v }));
+    bound_check cpu bi1 lower1 (Int64.of_int a);
     cpu.Cpu.pc <- pc2;
     a
   in
   let part2 : Mem.t -> Cpu.t -> int -> ustat =
     match second with
     | S_load (dst, size) ->
-        let di = Reg.to_int dst in
+        let dO = off dst in
         if size = 1 then fun mem cpu a ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
+          charge cpu cost2;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Int64.of_int (Mem.read_u8 mem a);
+          set cpu dO (Int64.of_int (load8 mem a));
           cpu.Cpu.pc <- end2;
           U_fall
         else fun mem cpu a ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
+          charge cpu cost2;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Mem.read_u64 mem a;
+          load64_to cpu dO mem a;
           cpu.Cpu.pc <- end2;
           U_fall
     | S_store (src, size) ->
-        let si = Reg.to_int src in
+        let so = off src in
         if size = 1 then fun mem cpu a ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
+          charge cpu cost2;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u8 mem a
-            (Int64.to_int (Int64.logand cpu.Cpu.regs.(si) 0xFFL));
+          store8 mem a (Int64.to_int (get cpu so));
           cpu.Cpu.pc <- end2;
           U_fall
         else fun mem cpu a ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
+          charge cpu cost2;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u64 mem a cpu.Cpu.regs.(si);
+          store64 mem a (get cpu so);
           cpu.Cpu.pc <- end2;
           U_fall
     | S_guard (lower2, b2) ->
         let bi2 = Reg.bnd_to_int b2 in
         fun _ cpu a ->
-          cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-          cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
-          let v = Int64.of_int a in
-          cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-          let bd = cpu.Cpu.bnds.(bi2) in
-          if
-            if lower2 then unsigned_lt v bd.Cpu.lower
-            else unsigned_lt bd.Cpu.upper v
-          then raise (Fault.Fault (Bound_fault { bnd = bi2; value = v }));
+          charge cpu cost2;
+          bound_check cpu bi2 lower2 (Int64.of_int a);
           cpu.Cpu.pc <- end2;
           U_fall
   in
@@ -639,91 +695,12 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
 
 (* ---- pure-register superinstructions ---- *)
 
-(* A "core" is the architectural effect of a register-only instruction
-   that can neither fault nor touch memory: no counter charges, no pc
-   parking. A maximal run of such instructions compiles into one fast
-   unit that charges [insns]/[cycles] in bulk and executes the cores
-   back to back — legal because the fast variant only runs when the
-   remaining fuel covers the whole unit and no interrupt hook is armed,
-   so there is no observation point inside the run. The safe variant is
-   built from the ordinary per-instruction bodies. *)
-let core_of (insn : Insn.t) ~pc : (Cpu.t -> unit) option =
-  match insn with
-  | Nop -> Some (fun _ -> ())
-  | Mov_imm (d, v) ->
-      let di = Reg.to_int d in
-      Some (fun cpu -> cpu.Cpu.regs.(di) <- v)
-  | Mov_reg (d, s) ->
-      let di = Reg.to_int d and si = Reg.to_int s in
-      Some (fun cpu -> cpu.Cpu.regs.(di) <- cpu.Cpu.regs.(si))
-  | Alu ((Divu | Remu), _, _) -> None (* can fault: needs a full body *)
-  | Alu (op, d, o) -> (
-      let di = Reg.to_int d in
-      match (op, o) with
-      | Add, O_imm v ->
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- Int64.add cpu.Cpu.regs.(di) v)
-      | Sub, O_imm v ->
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- Int64.sub cpu.Cpu.regs.(di) v)
-      | Mul, O_imm v ->
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- Int64.mul cpu.Cpu.regs.(di) v)
-      | And, O_imm v ->
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <- Int64.logand cpu.Cpu.regs.(di) v)
-      | Or, O_imm v ->
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <- Int64.logor cpu.Cpu.regs.(di) v)
-      | Xor, O_imm v ->
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <- Int64.logxor cpu.Cpu.regs.(di) v)
-      | Add, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.add cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Sub, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.sub cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Mul, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.mul cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | And, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.logand cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Or, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.logor cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Xor, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.logxor cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | (Shl | Shr), _ ->
-          let f = compile_alu op ~pc and get = compile_operand o in
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- f cpu.Cpu.regs.(di) (get cpu))
-      | (Divu | Remu), _ -> None)
-  | Cmp (a, O_imm v) ->
-      let ai = Reg.to_int a in
-      Some
-        (fun cpu ->
-          let x = cpu.Cpu.regs.(ai) in
-          cpu.Cpu.flag_eq <- Int64.equal x v;
-          cpu.Cpu.flag_lt <- Int64.compare x v < 0)
-  | Cmp (a, O_reg r) ->
-      let ai = Reg.to_int a and ri = Reg.to_int r in
-      Some
-        (fun cpu ->
-          let x = cpu.Cpu.regs.(ai) and y = cpu.Cpu.regs.(ri) in
-          cpu.Cpu.flag_eq <- Int64.equal x y;
-          cpu.Cpu.flag_lt <- Int64.compare x y < 0)
-  | _ -> None
+(* A maximal run of cores compiles into one fast unit that charges
+   [insns]/[cycles] in bulk and executes the cores back to back — legal
+   because the fast variant only runs when the remaining fuel covers the
+   whole unit and no interrupt hook is armed, so there is no observation
+   point inside the run. The safe variant is built from the ordinary
+   per-instruction bodies. *)
 
 (* A direct branch as the run's tail: it only sets pc, so fusing it
    (cmp+branch is the classic pair) costs nothing extra. *)
@@ -888,7 +865,7 @@ let compile (b : Decode_cache.block) : compiled =
       let run = ref 0 in
       while
         !i + !run < n
-        && core_of (fst b.insns.(!i + !run)) ~pc:pcs.(!i + !run) <> None
+        && core_of (fst b.insns.(!i + !run)) <> None
       do
         incr run
       done;
@@ -901,7 +878,7 @@ let compile (b : Decode_cache.block) : compiled =
       if kk >= 2 then begin
         (* one bulk-charged unit over the whole run *)
         let core j =
-          match core_of (fst b.insns.(j)) ~pc:pcs.(j) with
+          match core_of (fst b.insns.(j)) with
           | Some f -> f
           | None -> assert false
         in
@@ -931,7 +908,7 @@ let compile (b : Decode_cache.block) : compiled =
           !k < 4
           && !i + !k < n
           && (not (pair_at (!i + !k)))
-          && core_of (fst b.insns.(!i + !k)) ~pc:pcs.(!i + !k) = None
+          && core_of (fst b.insns.(!i + !k)) = None
         do
           incr k
         done;
@@ -968,10 +945,11 @@ let compile (b : Decode_cache.block) : compiled =
 
 type lookup = Hit of compiled | Stale | Miss
 
+(* [Hashtbl.find], not [find_opt]: a hit allocates no option *)
 let lookup t mem pc =
-  match Hashtbl.find_opt t.tbl pc with
-  | None -> Miss
-  | Some c ->
+  match Hashtbl.find t.tbl pc with
+  | exception Not_found -> Miss
+  | c ->
       if Decode_cache.block_valid mem c.src then begin
         t.hits <- t.hits + 1;
         Hit c

@@ -18,6 +18,16 @@ let perm_to_string p =
 
 type t = {
   data : Bytes.t;
+  direct : Bytes.t;
+  (* One byte per page, written only by [map], [unmap] and
+     [enable_paging]. [direct_read] is set exactly when a read of the
+     page can neither fault nor have a side effect; [direct_write]
+     exactly when a write can neither fault nor bump a generation
+     (writable and not executable, so [touch_code] would do nothing).
+     Both are clear whenever paging is on, so the residency and
+     accessed-bit logic of [check_access] always runs there. A compiled
+     load or store within one page whose bit is set may use [data]
+     directly; any other access goes through the checked accessors. *)
   pages : perm option array; (* None = unmapped *)
   gens : int array; (* per-page code generation, see [page_gen] *)
   size : int;
@@ -39,6 +49,7 @@ let create ~size =
     invalid_arg "Mem.create: size must be a positive multiple of the page size";
   {
     data = Bytes.make size '\x00';
+    direct = Bytes.make (size / page_size) '\x00';
     pages = Array.make (size / page_size) None;
     gens = Array.make (size / page_size) 0;
     size;
@@ -48,9 +59,19 @@ let create ~size =
     pager = None;
   }
 
+let direct_read = 1
+let direct_write = 2
+
+let direct_bits t (perm : perm) =
+  if t.paged then 0
+  else
+    (if perm.r then direct_read else 0)
+    lor if perm.w && not perm.x then direct_write else 0
+
 let enable_paging t ~pager =
   t.paged <- true;
-  t.pager <- Some pager
+  t.pager <- Some pager;
+  Bytes.fill t.direct 0 (Bytes.length t.direct) '\x00'
 
 let paging_enabled t = t.paged
 let page_resident t page = (not t.paged) || Bytes.get t.resident page = '\x01'
@@ -105,7 +126,8 @@ let map t ~addr ~len ~perm =
       Bytes.set t.resident p '\x00';
       Bytes.set t.accessed p '\x00'
     end;
-    t.pages.(p) <- Some perm
+    t.pages.(p) <- Some perm;
+    Bytes.set t.direct p (Char.chr (direct_bits t perm))
   done;
   if len > 0 then bump_gen t ~addr ~len
 
@@ -114,7 +136,8 @@ let unmap t ~addr ~len =
   if addr mod page_size <> 0 || len mod page_size <> 0 then
     invalid_arg "Mem.unmap: unaligned";
   for p = addr / page_size to ((addr + len) / page_size) - 1 do
-    t.pages.(p) <- None
+    t.pages.(p) <- None;
+    Bytes.set t.direct p '\x00'
   done;
   if len > 0 then bump_gen t ~addr ~len
 

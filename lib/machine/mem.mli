@@ -14,7 +14,31 @@ val perm_rwx : perm
 val perm_ro : perm
 val perm_to_string : perm -> string
 
-type t
+type t = private {
+  data : Bytes.t;  (** the backing store, little-endian *)
+  direct : Bytes.t;
+      (** The page check: one byte per page, written only by {!map},
+          {!unmap} and {!enable_paging}. Bit {!direct_read} is set
+          exactly when a read of the page can neither fault nor have a
+          side effect. Bit {!direct_write} is set exactly when the page
+          is writable and not executable, so a write can neither fault
+          nor bump {!page_gen}. Both bits are clear whenever paging is
+          on. An access within one page whose bit is set may use [data]
+          directly; every other access must use the checked accessors,
+          which raise the fault. *)
+  pages : perm option array;
+  gens : int array;
+  size : int;
+  mutable paged : bool;
+  resident : Bytes.t;
+  accessed : Bytes.t;
+  mutable pager : (int -> unit) option;
+}
+(** Private so that the execution tiers can read [data] and [direct]
+    without a cross-module call; every other field is internal. *)
+
+val direct_read : int
+val direct_write : int
 
 val create : size:int -> t
 (** [create ~size] is a zeroed address space of [size] bytes (a positive

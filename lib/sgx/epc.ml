@@ -139,8 +139,11 @@ let unpin_client pg cid =
    back to an earlier version without failing the MAC/version check. *)
 let entry_label cid page version = Printf.sprintf "ewb:%d:%d:%d" cid page version
 
+(* Each eviction seals under a fresh ChaCha nonce: the label is an
+   injective encoding of (cid, page, version), and the version grows on
+   every EWB of a page. *)
 let entry_nonce cid page version =
-  Occlum_util.Cipher.derive_nonce "epc-ewb" (Hashtbl.hash (cid, page, version))
+  Occlum_util.Cipher.derive_nonce (entry_label cid page version) 0
 
 (* EWB: seal a resident frame out to the backing store, scrub the frame
    and drop the residency bit so the next touch faults. *)

@@ -102,6 +102,10 @@ val backing_used : t -> int
 
 (** {1 Test-only entry points} *)
 
+val entry_nonce : int -> int -> int -> string
+(** [entry_nonce cid page version] is the ChaCha nonce that seals that
+    EWB. Distinct triples get distinct nonces. *)
+
 val evict_page : t -> cid:int -> page:int -> bool
 (** Force one EWB; false if the page is not an evictable resident frame. *)
 

@@ -21,7 +21,8 @@ let state_str stop cpu =
     cpu.Cpu.pc cpu.Cpu.flag_eq cpu.Cpu.flag_lt cpu.Cpu.cycles cpu.Cpu.insns
     cpu.Cpu.loads cpu.Cpu.stores cpu.Cpu.bound_checks
     (String.concat ","
-       (Array.to_list (Array.map Int64.to_string cpu.Cpu.regs)))
+       (List.init Occlum_isa.Reg.count (fun i ->
+            Int64.to_string (Cpu.get cpu (Occlum_isa.Reg.of_int i)))))
 
 (* Run the same program with and without the cache and insist the
    observable outcome is identical; returns the cached run. *)

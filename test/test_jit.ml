@@ -33,7 +33,8 @@ let state_str stop cpu =
     cpu.Cpu.pc cpu.Cpu.flag_eq cpu.Cpu.flag_lt cpu.Cpu.cycles cpu.Cpu.insns
     cpu.Cpu.loads cpu.Cpu.stores cpu.Cpu.bound_checks
     (String.concat ","
-       (Array.to_list (Array.map Int64.to_string cpu.Cpu.regs)))
+       (List.init Occlum_isa.Reg.count (fun i ->
+            Int64.to_string (Cpu.get cpu (Occlum_isa.Reg.of_int i)))))
 
 (* A counted loop ending in a syscall gate (fixed-point displacement as
    in the decode-cache tests) — hot enough to promote. *)
@@ -271,6 +272,192 @@ let test_interrupt_every_boundary () =
     ignore (agree (Printf.sprintf "interrupt at boundary %d" i) (Some i))
   done
 
+(* --- the page check agrees with Mem --------------------------------------- *)
+
+(* A compiled load or store either takes the page-check fast path or the
+   checked [Mem] accessor; which one must never show. Every page state
+   the check distinguishes, both sizes, in-page, edge, straddling,
+   negative and out-of-range addresses, plain and guard-fused bodies:
+   the JIT tier must match the reference [step] in the loaded value,
+   memory, fault (kind and address), page generations and accessed bit. *)
+let test_page_check_agrees () =
+  let tgt = 8 in
+  let base = tgt * 4096 in
+  let size_mem = 16 * 4096 in
+  let states =
+    [
+      ("unmapped", None, `Plain);
+      ("r--", Some Mem.perm_ro, `Plain);
+      ("rw-", Some Mem.perm_rw, `Plain);
+      ("r-x", Some Mem.perm_rx, `Plain);
+      ("rwx", Some Mem.perm_rwx, `Plain);
+      ("paged resident", Some Mem.perm_rw, `Paged true);
+      ("paged non-resident", Some Mem.perm_rw, `Paged false);
+    ]
+  in
+  let setup perm paging prog =
+    let mem = Mem.create ~size:size_mem in
+    (match paging with
+    | `Paged _ ->
+        Mem.enable_paging mem ~pager:(fun p -> Mem.set_resident mem p true)
+    | `Plain -> ());
+    Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
+    let code, _ = Codec.encode_program prog in
+    Mem.write_bytes_priv mem ~addr:4096 code;
+    (match perm with
+    | Some perm ->
+        Mem.map mem ~addr:base ~len:4096 ~perm;
+        Mem.write_bytes_priv mem ~addr:base
+          (Bytes.init 4096 (fun k -> Char.chr ((k * 7) land 0xFF)))
+    | None -> ());
+    (match paging with
+    | `Paged resident -> Mem.set_resident mem tgt resident
+    | `Plain -> ());
+    Mem.set_accessed mem tgt false;
+    let cpu = Cpu.create () in
+    cpu.Cpu.pc <- 4096;
+    (mem, cpu)
+  in
+  let observe stop mem cpu =
+    Printf.sprintf "%s gen=%d,%d accessed=%b page=%d" (state_str stop cpu)
+      (Mem.page_gen mem tgt) (Mem.page_gen mem (tgt + 1))
+      (Mem.page_accessed mem tgt)
+      (Hashtbl.hash (Bytes.sub (Mem.raw mem) base 4096))
+  in
+  let m = Insn.Sib { base = Reg.r2; index = None; scale = 1; disp = 0 } in
+  let ops size =
+    [
+      ("load", false, Insn.Load { dst = Reg.r1; src = m; size });
+      ("store", true, Insn.Store { dst = m; src = Reg.r3; size });
+    ]
+  in
+  let compiled = ref 0 in
+  List.iter
+    (fun (sname, perm, paging) ->
+      List.iter
+        (fun size ->
+          let addrs =
+            [
+              ("in-page", base + 16);
+              ("page end", base + 4096 - size);
+              ("straddling", base + 4096 - 4);
+              ("negative", -8);
+              ("past the end", size_mem);
+              ("far", 1 lsl 36);
+            ]
+          in
+          List.iter
+            (fun (aname, addr) ->
+              List.iter
+                (fun (oname, is_store, op) ->
+                  List.iter
+                    (fun (fname, prog) ->
+                      let run jit =
+                        let mem, cpu = setup perm paging prog in
+                        Cpu.set cpu Reg.r2 (Int64.of_int addr);
+                        Cpu.set cpu Reg.r3 0x1122334455667788L;
+                        let gen0 = Mem.page_gen mem tgt in
+                        let stop =
+                          match jit with
+                          | None -> Interp.run mem cpu ~fuel:10
+                          | Some j ->
+                              Interp.run ~cache:(Decode_cache.create ()) ~jit:j
+                                mem cpu ~fuel:10
+                        in
+                        (observe stop mem cpu, stop, gen0, mem)
+                      in
+                      let label =
+                        Printf.sprintf "%s, size %d, %s, %s%s" sname size aname
+                          oname fname
+                      in
+                      let ref_obs, _, _, _ = run None in
+                      let j = Jit.create ~threshold:0 () in
+                      let jit_obs, stop, gen0, mem = run (Some j) in
+                      let c, _, _ = Jit.stats j in
+                      compiled := !compiled + c;
+                      Alcotest.(check string) label ref_obs jit_obs;
+                      if
+                        is_store && sname = "rwx" && aname = "in-page"
+                        && stop = Interp.Stop_syscall
+                      then
+                        Alcotest.(check bool)
+                          (label ^ ": store into rwx bumps the generation")
+                          true
+                          (Mem.page_gen mem tgt > gen0))
+                    [
+                      ("", [ op; Insn.Syscall_gate ]);
+                      ( " (guard-fused)",
+                        [
+                          Insn.Bndcl (Reg.bnd0, Insn.Ea_mem m);
+                          op;
+                          Insn.Syscall_gate;
+                        ] );
+                    ])
+                (ops size))
+            addrs)
+        [ 1; 8 ])
+    states;
+  Alcotest.(check bool) "every case ran compiled" true (!compiled > 0)
+
+(* --- the compiled hot path allocates nothing ------------------------------ *)
+
+(* A compiled self-loop in the MMDSFI shape of real SIP code: guarded
+   loads and stores, add, shifts and cmp/jcc. Its per-instruction cost
+   must not include the minor heap: [Gc.minor_words] is exact for a given
+   build, and every body keeps register values unboxed. *)
+let test_hot_path_allocation_free () =
+  let at disp = Insn.Sib { base = Reg.r4; index = None; scale = 1; disp } in
+  let guarded m =
+    [ Insn.Bndcl (Reg.bnd0, Ea_mem m); Insn.Bndcu (Reg.bnd0, Ea_mem m) ]
+  in
+  let body =
+    guarded (at 0)
+    @ [
+        Insn.Load { dst = Reg.r5; src = at 0; size = 8 };
+        Insn.Alu (Add, Reg.r5, O_reg Reg.r1);
+        Insn.Alu (Shl, Reg.r5, O_imm 1L);
+      ]
+    @ guarded (at 8)
+    @ [
+        Insn.Store { dst = at 8; src = Reg.r5; size = 8 };
+        Insn.Load { dst = Reg.r6; src = at 9; size = 1 };
+        Insn.Alu (Shr, Reg.r5, O_reg Reg.r6);
+        Insn.Alu (Xor, Reg.r2, O_reg Reg.r5);
+        Insn.Alu (Sub, Reg.r1, O_imm 1L);
+        Insn.Cmp (Reg.r1, O_imm 0L);
+      ]
+  in
+  let body_len = enc_len body in
+  let rec fix d =
+    let len = String.length (Codec.encode (Insn.Jcc (Ne, d))) in
+    if -(body_len + len) = d then Insn.Jcc (Ne, d) else fix (-(body_len + len))
+  in
+  let iters = 20_000 in
+  let prog =
+    (Insn.Mov_imm (Reg.r1, Int64.of_int iters)
+     :: Insn.Mov_imm (Reg.r4, Int64.of_int (Test_machine.data + 64))
+     :: body)
+    @ [ fix (-body_len); Insn.Syscall_gate ]
+  in
+  let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
+  Cpu.set_bnd cpu Reg.bnd0
+    {
+      Cpu.lower = Int64.of_int Test_machine.data;
+      upper = Int64.of_int (Test_machine.data + 4095);
+    };
+  let cache = Decode_cache.create () and jit = Jit.create ~threshold:0 () in
+  let w0 = Gc.minor_words () in
+  let stop = Interp.run ~cache ~jit mem cpu ~fuel:max_int in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check string) "loop ran to the gate" "syscall"
+    (Interp.stop_to_string stop);
+  (* the first two iterations run in the entry block and the compile *)
+  Alcotest.(check bool) "loop ran compiled" true (cpu.Cpu.jit_hits >= iters - 2);
+  let per_insn = words /. float cpu.Cpu.insns in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per instruction < 0.1" per_insn)
+    true (per_insn < 0.1)
+
 (* --- LibOS: multi-core determinism and stats -------------------------------- *)
 
 let test_libos_jit_on_off_identical () =
@@ -326,6 +513,10 @@ let suite =
       test_midblock_fault_identity;
     Alcotest.test_case "interrupt at every boundary" `Quick
       test_interrupt_every_boundary;
+    Alcotest.test_case "page check agrees with Mem" `Quick
+      test_page_check_agrees;
+    Alcotest.test_case "compiled hot path allocation-free" `Quick
+      test_hot_path_allocation_free;
     Alcotest.test_case "LibOS: jit on/off identical + stats" `Quick
       test_libos_jit_on_off_identical;
     Alcotest.test_case "multi-core digest with jit" `Quick

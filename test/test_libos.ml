@@ -510,7 +510,8 @@ let test_slot_exhaustion () =
   let build prog =
     match
       Occlum_verifier.Verify.verify_and_sign
-        (Occlum_toolchain.Compile.compile_exn ~config:Occlum_toolchain.Codegen.sfi prog)
+        (Occlum_toolchain.Compile.compile_exn
+           ~config:Occlum_toolchain.Codegen.sfi prog)
     with
     | Ok s -> s
     | Error _ -> failwith "verify"
@@ -522,6 +523,129 @@ let test_slot_exhaustion () =
   (match Os.find_proc os pid with
   | Some p -> Alcotest.(check int) "hit EAGAIN" 1 p.exit_code
   | None -> Alcotest.fail "spawner vanished")
+
+(* Confidentiality across slot reuse rests on the loader's scrub: SIP
+   memory is read and written directly by the compiled tier, with no
+   per-page ownership check. A first SIP fills its heap and everything
+   past its stack with a pattern, and has the LibOS write /dev/urandom
+   bytes (privileged writes only) into the top half of its data region;
+   its code image is larger than the next one's. The next occupant of
+   the same slot must read zeros over every byte of its data region it
+   did not write itself, and the code region past its image must be
+   zero too. *)
+let test_slot_scrub () =
+  let data_size = Occlum_libos.Domain_mgr.default_config.domain_data_size in
+  let half = data_size / 2 in
+  let sign prog =
+    match
+      Occlum_verifier.Verify.verify_and_sign
+        (Occlum_toolchain.Compile.compile_exn
+           ~config:Occlum_toolchain.Codegen.sfi prog)
+    with
+    | Ok s -> s
+    | Error _ -> failwith "verify"
+  in
+  (* a program's own zones depend only on its globals and literals, so
+     build once to learn them and again with them as constants *)
+  let with_zones prog =
+    let o = sign (prog (0, 0, 0)) in
+    let lo, hi = Occlum_oelf.Oelf.heap_zone o in
+    let o' = sign (prog (lo, hi, o.Occlum_oelf.Oelf.data_region_size)) in
+    Alcotest.(check bool) "zones stable" true
+      (Occlum_oelf.Oelf.heap_zone o' = (lo, hi));
+    o'
+  in
+  let fill p stop value =
+    While (p <: stop, [ Store (p, value); Assign ("p", p +: i 8) ])
+  in
+  let filler (lo, hi, top) =
+    rt
+      [
+        func "main" []
+          ([
+             Let ("p", Data_addr lo);
+             fill (v "p") (Data_addr hi) (Int 0x5A5A_A5A5_5A5A_A5A5L);
+             Assign ("p", Data_addr top);
+             fill (v "p") (Data_addr half) (Int 0x0123_4567_89AB_CDEFL);
+             Let ("fd", Call ("open", [ Str "/dev/urandom"; i 12; i F.rdonly ]));
+             Assign ("p", Data_addr half);
+             While
+               ( v "p" <: Data_addr data_size,
+                 [
+                   Expr (Call ("read", [ v "fd"; v "p"; i 4096 ]));
+                   Assign ("p", v "p" +: i 4096);
+                 ] );
+           ]
+          (* dead code, only to make this image larger than the reader's *)
+          @ List.init 200 (fun k ->
+                If (v "fd" =: i (-1000 - k), [ Store (Data_addr 4096, i k) ], [])
+            )
+          @ [ Return (i 0) ]);
+      ]
+  in
+  let reader (lo, hi, top) =
+    let scan lo hi =
+      [
+        Assign ("p", Data_addr lo);
+        While
+          ( v "p" <: Data_addr hi,
+            [
+              Assign ("bad", v "bad" |: Load (v "p"));
+              Assign ("p", v "p" +: i 8);
+            ] );
+      ]
+    in
+    rt
+      [
+        func "main" []
+          ([ Let ("bad", i 0); Let ("p", i 0) ]
+          @ scan lo hi @ scan top data_size
+          @ [ Return (Unop (Lnot, Unop (Lnot, v "bad"))) ]);
+      ]
+  in
+  let config =
+    { Os.default_config with
+      domains = { Occlum_libos.Domain_mgr.default_config with max_domains = 1 } }
+  in
+  let os = Os.boot ~config () in
+  Os.install_binary os "/bin/filler" (with_zones filler);
+  Os.install_binary os "/bin/reader" (with_zones reader);
+  let run path =
+    let pid = Os.spawn os ~parent_pid:0 ~path ~args:[] in
+    Alcotest.(check bool) (path ^ " spawned") true (pid > 0);
+    let p =
+      match Os.find_proc os pid with
+      | Some p -> p
+      | None -> Alcotest.fail (path ^ " vanished")
+    in
+    ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid);
+    Alcotest.(check int) (path ^ " exit code") 0 p.Os.exit_code;
+    p
+  in
+  let f = run "/bin/filler" in
+  let slot = f.Os.img.Occlum_libos.Loader.slot in
+  let d_base = Occlum_libos.Domain_mgr.d_base slot in
+  let sample =
+    Occlum_machine.Mem.read_bytes_priv os.Os.mem ~addr:(d_base + half)
+      ~len:4096
+  in
+  Alcotest.(check bool) "urandom left a pattern" true
+    (Bytes.exists (fun c -> c <> '\x00') sample);
+  let r = run "/bin/reader" in
+  Alcotest.(check int) "same slot" slot.id r.Os.img.Occlum_libos.Loader.slot.id;
+  let c_base = Occlum_libos.Domain_mgr.c_base slot in
+  let code_len (p : Os.proc) =
+    Bytes.length p.Os.img.Occlum_libos.Loader.oelf.Occlum_oelf.Oelf.code
+  in
+  let image = code_len r in
+  Alcotest.(check bool) "filler's code image is the larger" true
+    (code_len f > image);
+  let tail =
+    Occlum_machine.Mem.read_bytes_priv os.Os.mem ~addr:(c_base + image)
+      ~len:(slot.code_size - image)
+  in
+  Alcotest.(check bool) "code region past the image is zero" true
+    (Bytes.for_all (fun c -> c = '\x00') tail)
 
 let test_loader_rejects_unsigned () =
   let os = Os.boot () in
@@ -1156,6 +1280,7 @@ let suite =
     Alcotest.test_case "nanosleep/gettime" `Quick test_sleep_gettime;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "domain slot exhaustion" `Quick test_slot_exhaustion;
+    Alcotest.test_case "slot reuse is scrubbed" `Quick test_slot_scrub;
     Alcotest.test_case "loader rejects unsigned" `Quick test_loader_rejects_unsigned;
     Alcotest.test_case "EIP (Graphene) mode" `Quick test_eip_mode_runs;
     Alcotest.test_case "Linux mode" `Quick test_linux_mode_runs;

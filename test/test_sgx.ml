@@ -108,7 +108,7 @@ let test_aex_full_bit_identity () =
   cpu.Cpu.pc <- 0x1234;
   cpu.Cpu.flag_eq <- true;
   cpu.Cpu.flag_lt <- false;
-  let regs = Array.copy cpu.Cpu.regs and bnds = Array.copy cpu.Cpu.bnds in
+  let regs = Bytes.copy cpu.Cpu.regs and bnds = Array.copy cpu.Cpu.bnds in
   Enclave.aex ~reason:"test" e cpu;
   for i = 0 to Occlum_isa.Reg.count - 1 do
     Cpu.set cpu (Occlum_isa.Reg.of_int i) (-1L)
@@ -122,7 +122,7 @@ let test_aex_full_bit_identity () =
   cpu.Cpu.flag_eq <- false;
   cpu.Cpu.flag_lt <- true;
   Enclave.resume e cpu;
-  Alcotest.(check bool) "all GPRs restored" true (cpu.Cpu.regs = regs);
+  Alcotest.(check bool) "all GPRs restored" true (Bytes.equal cpu.Cpu.regs regs);
   Alcotest.(check bool) "all bound registers restored" true
     (cpu.Cpu.bnds = bnds);
   Alcotest.(check int) "pc restored" 0x1234 cpu.Cpu.pc;
@@ -308,6 +308,29 @@ let test_paging_tamper_and_rollback_hard_fault () =
   Alcotest.(check int) "drained" 0 (Epc.used_pages epc);
   Alcotest.(check int) "backing drained" 0 (Epc.backing_used epc)
 
+(* Two evictions must never share a ChaCha nonce under one key. Find two
+   (cid, page, version) triples that collide under the 30-bit
+   [Hashtbl.hash] (nonces were once derived from it) and check that
+   their nonces still differ. *)
+let test_ewb_nonce_unique () =
+  let seen = Hashtbl.create 65536 in
+  let rec search page version =
+    let t = (1, page, version) in
+    let h = Hashtbl.hash t in
+    match Hashtbl.find_opt seen h with
+    | Some t' -> (t', t)
+    | None ->
+        Hashtbl.add seen h t;
+        if version < 64 then search page (version + 1) else search (page + 1) 1
+  in
+  let (c1, p1, v1), (c2, p2, v2) = search 0 1 in
+  Alcotest.(check bool) "distinct triples" true ((c1, p1, v1) <> (c2, p2, v2));
+  Alcotest.(check bool)
+    (Printf.sprintf "nonces of (%d,%d,%d) and (%d,%d,%d) differ" c1 p1 v1 c2
+       p2 v2)
+    false
+    (String.equal (Epc.entry_nonce c1 p1 v1) (Epc.entry_nonce c2 p2 v2))
+
 let suite =
   [
     Alcotest.test_case "epc accounting" `Quick test_epc_accounting;
@@ -328,4 +351,5 @@ let suite =
     Alcotest.test_case "aex full bit-identity" `Quick test_aex_full_bit_identity;
     Alcotest.test_case "epc failure mid-build" `Quick test_epc_failure_mid_build;
     Alcotest.test_case "local attestation" `Quick test_attestation;
+    Alcotest.test_case "ewb nonces unique" `Quick test_ewb_nonce_unique;
   ]
