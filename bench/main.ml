@@ -744,24 +744,19 @@ let hot_loop_code iters =
   in
   String.concat "" (List.map Codec.encode prog)
 
-(* One timed run of the hot loop through the selected tier. The code
-   page is mapped r-x (the LibOS's W^X shape) so blocks are not
-   fragile. *)
-let hot_loop_run code ~tier =
+(* One timed run of the hot loop through the reference loop or, with
+   [tiered], the tiered loop. The code page is mapped r-x (the LibOS's W^X
+   shape) so blocks are not fragile. *)
+let hot_loop_run code ~tiered =
   let open Occlum_machine in
   let mem = Mem.create ~size:(16 * 4096) in
   Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
   Mem.write_bytes_priv mem ~addr:4096 (Bytes.of_string code);
   let cpu = Cpu.create () in
   cpu.Cpu.pc <- 4096;
-  let cache, jit =
-    match tier with
-    | `Uncached -> (None, None)
-    | `Cached -> (Some (Decode_cache.create ()), None)
-    | `Jit -> (Some (Decode_cache.create ()), Some (Jit.create ()))
-  in
+  let jit = if tiered then Some (Jit.create ()) else None in
   let t0 = Unix.gettimeofday () in
-  let stop = Interp.run ?cache ?jit mem cpu ~fuel:max_int in
+  let stop = Interp.run ?jit mem cpu ~fuel:max_int in
   let dt = Unix.gettimeofday () -. t0 in
   (match stop with
   | Interp.Stop_syscall -> ()
@@ -827,10 +822,10 @@ let guarded_loop_run (code, data) =
   cpu.Cpu.pc <- 4096;
   Cpu.set_bnd cpu Occlum_isa.Reg.bnd0
     { Cpu.lower = Int64.of_int data; upper = Int64.of_int (data + 4095) };
-  let cache = Decode_cache.create () and jit = Jit.create () in
+  let jit = Jit.create () in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let stop = Interp.run ~cache ~jit mem cpu ~fuel:max_int in
+  let stop = Interp.run ~jit mem cpu ~fuel:max_int in
   let dt = Unix.gettimeofday () -. t0 in
   let words = Gc.minor_words () -. w0 in
   (match stop with
@@ -840,67 +835,33 @@ let guarded_loop_run (code, data) =
         ("guarded loop stopped unexpectedly: " ^ Interp.stop_to_string s));
   (cpu, dt, words)
 
-(* Decoded-block cache: interpret the hot loop with and without the
-   cache; the figure of merit is retired instructions per host second. *)
-let micro_dcache () =
-  let open Occlum_isa in
-  let open Occlum_machine in
-  let iters = if full then 2_000_000 else 500_000 in
-  let r2 = Reg.of_int 2 in
-  let code = hot_loop_code iters in
-  let run ~cached =
-    hot_loop_run code ~tier:(if cached then `Cached else `Uncached)
-  in
-  ignore (run ~cached:false);
-  (* warm the host caches once *)
-  let cpu_u, t_u = run ~cached:false in
-  let cpu_c, t_c = run ~cached:true in
-  if
-    cpu_u.Cpu.insns <> cpu_c.Cpu.insns
-    || cpu_u.Cpu.cycles <> cpu_c.Cpu.cycles
-    || Cpu.get cpu_u r2 <> Cpu.get cpu_c r2
-  then failwith "cached and uncached interpretation diverged";
-  let ips cpu t = float cpu.Cpu.insns /. t in
-  let u = ips cpu_u t_u and c = ips cpu_c t_c in
-  record "micro/interp-uncached-insns-per-sec" u;
-  record "micro/interp-cached-insns-per-sec" c;
-  record "micro/interp-dcache-speedup" (c /. u);
-  Printf.printf "%-34s %14.2f M insns/s\n" "occlum/interp-uncached" (u /. 1e6);
-  Printf.printf
-    "%-34s %14.2f M insns/s   (%.2fx, %d hits / %d misses)\n"
-    "occlum/interp-dcache" (c /. 1e6) (c /. u) cpu_c.Cpu.dcache_hits
-    cpu_c.Cpu.dcache_misses
-
-(* Block-JIT tier: the third way through the same hot loop, plus the
-   translation cost per block and the deopt behavior of a kernel that
-   stores into its own (writable+executable) code page mid-run. *)
+(* The tiered loop against the reference loop on the same hot loop
+   (retired instructions per host second), plus the translation cost per
+   block and the deopt behavior of a kernel that stores into its own
+   (writable+executable) code page mid-run. *)
 let micro_jit () =
   let open Occlum_isa in
   let open Occlum_machine in
   let iters = if full then 2_000_000 else 500_000 in
   let r2 = Reg.of_int 2 in
   let code = hot_loop_code iters in
-  ignore (hot_loop_run code ~tier:`Jit);
+  ignore (hot_loop_run code ~tiered:true);
   (* warm the host caches once *)
-  let cpu_u, t_u = hot_loop_run code ~tier:`Uncached in
-  let cpu_c, t_c = hot_loop_run code ~tier:`Cached in
-  let cpu_j, t_j = hot_loop_run code ~tier:`Jit in
-  let same a b =
-    a.Cpu.insns = b.Cpu.insns
-    && a.Cpu.cycles = b.Cpu.cycles
-    && Cpu.get a r2 = Cpu.get b r2
-  in
-  if not (same cpu_u cpu_c && same cpu_u cpu_j) then
-    failwith "JIT, cached and uncached interpretation diverged";
+  let cpu_u, t_u = hot_loop_run code ~tiered:false in
+  let cpu_j, t_j = hot_loop_run code ~tiered:true in
+  if
+    cpu_u.Cpu.insns <> cpu_j.Cpu.insns
+    || cpu_u.Cpu.cycles <> cpu_j.Cpu.cycles
+    || Cpu.get cpu_u r2 <> Cpu.get cpu_j r2
+  then failwith "tiered and reference interpretation diverged";
   let ips cpu t = float cpu.Cpu.insns /. t in
-  let u = ips cpu_u t_u and c = ips cpu_c t_c and j = ips cpu_j t_j in
+  let u = ips cpu_u t_u and j = ips cpu_j t_j in
   (* translation cost: time repeated compiles of the hot-loop block *)
   let compile_ns =
     let mem = Mem.create ~size:(16 * 4096) in
     Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
     Mem.write_bytes_priv mem ~addr:4096 (Bytes.of_string code);
-    let cache = Decode_cache.create () in
-    match Decode_cache.build cache mem 4096 with
+    match Decode_cache.build (Decode_cache.create ()) mem 4096 with
     | None -> failwith "hot-loop block failed to decode"
     | Some b ->
         let rounds = 10_000 in
@@ -952,8 +913,7 @@ let micro_jit () =
     Mem.write_bytes_priv mem ~addr:8192 (Bytes.of_string smc);
     let cpu = Cpu.create () in
     cpu.Cpu.pc <- 8192;
-    let cache = Decode_cache.create () and jit = Jit.create () in
-    (match Interp.run ~cache ~jit mem cpu ~fuel:max_int with
+    (match Interp.run ~jit:(Jit.create ()) mem cpu ~fuel:max_int with
     | Interp.Stop_syscall -> ()
     | s ->
         failwith ("SMC kernel stopped unexpectedly: " ^ Interp.stop_to_string s));
@@ -966,15 +926,15 @@ let micro_jit () =
   ignore (guarded_loop_run guarded);
   let cpu_m, t_m, words_m = guarded_loop_run guarded in
   let m = ips cpu_m t_m in
+  record "micro/interp-uncached-insns-per-sec" u;
   record "jit/insns-per-sec" j;
   record "jit/mem-insns-per-sec" m;
-  record "jit/over-dcache-speedup" (j /. c);
   record "jit/over-uncached-speedup" (j /. u);
   record "jit/compile-ns-per-block" compile_ns;
   record "jit/smc-deopts" (float smc_deopts);
-  Printf.printf
-    "%-34s %14.2f M insns/s   (%.2fx dcache, %.2fx uncached)\n"
-    "occlum/interp-jit" (j /. 1e6) (j /. c) (j /. u);
+  Printf.printf "%-34s %14.2f M insns/s\n" "occlum/interp-uncached" (u /. 1e6);
+  Printf.printf "%-34s %14.2f M insns/s   (%.2fx uncached)\n"
+    "occlum/interp-jit" (j /. 1e6) (j /. u);
   Printf.printf "%-34s %14.2f M insns/s   (%.2f minor words/insn)\n"
     "occlum/interp-jit-guarded-mem" (m /. 1e6)
     (words_m /. float cpu_m.Cpu.insns);
@@ -1112,9 +1072,8 @@ let () =
   section "ripe" "RIPE attack corpus" ripe;
   section "micro" "Bechamel micro-benchmarks" (fun () ->
       micro ();
-      micro_eip ();
-      micro_dcache ());
-  section "jit" "block-JIT tier vs interpreter tiers" micro_jit;
+      micro_eip ());
+  section "jit" "block-JIT tiered loop vs the reference loop" micro_jit;
   match json_path with
   | None -> ()
   | Some path ->

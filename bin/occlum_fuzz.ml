@@ -72,9 +72,9 @@ let cases =
 
 let properties =
   let doc =
-    "Property to run (repeatable): codec-roundtrip, cache-equivalence, \
-     verifier-soundness, aex-identity, epc-pressure, mc-determinism, \
-     guard-elide, jit-equivalence, cluster-orderliness, or all. Default: all."
+    "Property to run (repeatable): codec-roundtrip, verifier-soundness, \
+     aex-identity, epc-pressure, mc-determinism, guard-elide, \
+     jit-equivalence, cluster-orderliness, or all. Default: all."
   in
   Arg.(value & opt_all string [] & info [ "property"; "p" ] ~docv:"PROP" ~doc)
 

@@ -26,7 +26,7 @@ let parse_epc_size s =
       (bytes + Occlum_sgx.Epc.page_size - 1) / Occlum_sgx.Epc.page_size
   | _ -> fail ()
 
-let run binaries args mode_name fs_image save_fs epc_size no_paging cores jit =
+let run binaries args mode_name fs_image save_fs epc_size no_paging cores =
   let mode =
     match mode_name with
     | "sip" | "occlum" -> Occlum_libos.Os.Sip
@@ -44,7 +44,7 @@ let run binaries args mode_name fs_image save_fs epc_size no_paging cores jit =
     prerr_endline "--cores must be >= 1";
     exit 2
   end;
-  let config = { Occlum_libos.Os.default_config with mode; cores; jit } in
+  let config = { Occlum_libos.Os.default_config with mode; cores } in
   let host_fs =
     match fs_image with
     | Some path when Sys.file_exists path ->
@@ -157,26 +157,10 @@ let cores_arg =
                OCaml domains, over per-core run queues with work \
                stealing. Bit-reproducible for a fixed N.")
 
-let jit_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "jit" ]
-              ~doc:
-                "Promote hot basic blocks to pre-compiled closure chains \
-                 (default). Architecturally bit-identical to the \
-                 interpreter tiers." );
-          ( false,
-            info [ "no-jit" ]
-              ~doc:"Disable the block-JIT tier (decode cache only)." );
-        ])
-
 let cmd =
   Cmd.v
     (Cmd.info "occlum_run" ~doc:"Run OELF binaries on the Occlum LibOS")
     Term.(const run $ binaries_arg $ args_arg $ mode_arg $ fs_arg $ save_fs_arg
-          $ epc_size_arg $ no_paging_arg $ cores_arg $ jit_arg)
+          $ epc_size_arg $ no_paging_arg $ cores_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -135,9 +135,10 @@ let step_trace input limit args watch_regs =
     (Cpu.get cpu Reg.sp) d_base (d_base + d_size);
   let stop = ref None in
   let steps = ref 0 in
-  (* single-step through the decoded-block cache (fuel 1 executes exactly
-     one instruction) so the trace also reports cache behaviour *)
-  let cache = Decode_cache.create () in
+  (* single-step through the tiered loop (fuel 1 executes exactly one
+     instruction) so the trace also reports decode-cache and JIT
+     behaviour *)
+  let jit = Jit.create () in
   while !stop = None && !steps < limit do
     incr steps;
     let pc = cpu.Cpu.pc in
@@ -153,7 +154,7 @@ let step_trace input limit args watch_regs =
            watched)
     in
     Printf.printf "%6d  %-22s %-40s %s\n" !steps (sym_at (pc - code_base)) text regs;
-    match Interp.run ~cache mem cpu ~fuel:1 with
+    match Interp.run ~jit mem cpu ~fuel:1 with
     | Interp.Stop_quantum -> ()
     | Interp.Stop_syscall ->
         let nr = Int64.to_int (Cpu.get cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr)) in
@@ -170,7 +171,11 @@ let step_trace input limit args watch_regs =
     !steps cpu.Cpu.cycles cpu.Cpu.bound_checks;
   Printf.printf
     "--- decode cache: %d hits, %d misses, %d invalidations (per-insn stepping)\n"
-    cpu.Cpu.dcache_hits cpu.Cpu.dcache_misses cpu.Cpu.dcache_invalidations
+    cpu.Cpu.dcache_hits cpu.Cpu.dcache_misses cpu.Cpu.dcache_invalidations;
+  Printf.printf
+    "--- jit: %d compiles, %d hits, %d invalidations, %d deopts\n"
+    cpu.Cpu.jit_compiles cpu.Cpu.jit_hits cpu.Cpu.jit_invalidations
+    cpu.Cpu.jit_deopts
 
 let trace input limit args watch_regs events chrome_out capacity system repeats
     lines =

@@ -37,7 +37,7 @@ let guard = Occlum_oelf.Oelf.guard_size
 let code_base = 0x10000
 
 let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
-    ?(jit = false) ?jit_threshold ?(obs = Occlum_obs.Obs.disabled)
+    ?jit_threshold ?(obs = Occlum_obs.Obs.disabled)
     (oelf : Occlum_oelf.Oelf.t) =
   let code_size = Occlum_util.Bytes_util.round_up (Bytes.length oelf.code) 4096 in
   let data_base = code_base + code_size + guard in
@@ -84,15 +84,13 @@ let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
   let brk = ref oelf.heap_start in
   let finished = ref None in
   let remaining () = fuel - cpu.Cpu.insns in
-  let cache = if decode_cache then Some (Decode_cache.create ()) else None in
   let jit =
-    if jit && decode_cache then Some (Jit.create ?threshold:jit_threshold ())
-    else None
+    if decode_cache then Some (Jit.create ?threshold:jit_threshold ()) else None
   in
   let wall = ref 0. in
   while !finished = None && remaining () > 0 do
     let t0 = Unix.gettimeofday () in
-    let stop = Interp.run ?cache ?jit ~obs mem cpu ~fuel:(remaining ()) in
+    let stop = Interp.run ?jit ~obs mem cpu ~fuel:(remaining ()) in
     wall := !wall +. (Unix.gettimeofday () -. t0);
     match stop with
     | Stop_quantum -> ()

@@ -27,18 +27,16 @@ val run :
   ?args:string list ->
   ?nx:bool ->
   ?decode_cache:bool ->
-  ?jit:bool ->
   ?jit_threshold:int ->
   ?obs:Occlum_obs.Obs.t ->
   Occlum_oelf.Oelf.t ->
   result
 (** Load and run to exit. [nx:false] maps the data region RWX — the
-    classic unprotected process the RIPE baseline assumes.
-    [decode_cache:false] (default [true]) forces uncached
-    fetch/decode/execute — the differential tests and the micro bench
-    compare the two paths. [jit] (default [false]) additionally promotes
-    hot blocks through the block-JIT tier; [jit_threshold] overrides the
-    promotion hotness (0 compiles every block at first build). [obs] routes
-    decode-cache events to an observability instance; the run is
-    bit-identical with or without it.
+    classic unprotected process the RIPE baseline assumes. The run uses
+    {!Occlum_machine.Interp.run}'s tiered loop (decode cache plus block
+    JIT); [decode_cache:false] runs the reference loop instead — the
+    differential tests compare the two. [jit_threshold] overrides the
+    promotion hotness (0 compiles every block at first build). [obs]
+    routes decode-cache and JIT events to an observability instance;
+    the run is bit-identical with or without it.
     @raise Runtime_fault on any machine fault. *)

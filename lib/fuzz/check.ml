@@ -16,7 +16,6 @@ module Cluster = Occlum_cluster.Cluster
 
 type property =
   | Codec_roundtrip
-  | Cache_equivalence
   | Verifier_soundness
   | Aex_identity
   | Epc_pressure
@@ -27,14 +26,12 @@ type property =
 
 let all_properties =
   [
-    Codec_roundtrip; Cache_equivalence; Verifier_soundness; Aex_identity;
-    Epc_pressure; Mc_determinism; Guard_elide; Jit_equivalence;
-    Cluster_orderliness;
+    Codec_roundtrip; Verifier_soundness; Aex_identity; Epc_pressure;
+    Mc_determinism; Guard_elide; Jit_equivalence; Cluster_orderliness;
   ]
 
 let property_name = function
   | Codec_roundtrip -> "codec-roundtrip"
-  | Cache_equivalence -> "cache-equivalence"
   | Verifier_soundness -> "verifier-soundness"
   | Aex_identity -> "aex-identity"
   | Epc_pressure -> "epc-pressure"
@@ -45,7 +42,6 @@ let property_name = function
 
 let property_of_name = function
   | "codec-roundtrip" -> Some Codec_roundtrip
-  | "cache-equivalence" -> Some Cache_equivalence
   | "verifier-soundness" -> Some Verifier_soundness
   | "aex-identity" -> Some Aex_identity
   | "epc-pressure" -> Some Epc_pressure
@@ -55,9 +51,10 @@ let property_of_name = function
   | "cluster-orderliness" -> Some Cluster_orderliness
   | _ -> None
 
+(* Index 1 belonged to the retired cache-equivalence property; the
+   others keep theirs, and with them their per-property seeds. *)
 let property_index = function
   | Codec_roundtrip -> 0
-  | Cache_equivalence -> 1
   | Verifier_soundness -> 2
   | Aex_identity -> 3
   | Epc_pressure -> 4
@@ -899,25 +896,25 @@ let mc_case _inj _shrink rng case =
           (Printf.sprintf "cores=1 vs cores=%d diverged: %s vs %s" cores d1 dc)
       else None
 
-(* --- property: 3-way JIT equivalence -------------------------------------- *)
+(* --- property: JIT equivalence ------------------------------------------- *)
 
-(* The block JIT must be a pure accelerator: running the same binary
-   under (a) JIT over the decode cache, (b) the decode cache alone and
-   (c) the uncached loop must produce bit-identical architectural state,
-   counters and memory at every synchronization point. Three hostile
-   regimes stress the tier-transition seams:
+(* The tiered loop must be a pure accelerator: running the same binary
+   under (a) the JIT over its decode cache and (b) the reference loop
+   must produce bit-identical architectural state, counters and memory
+   at every synchronization point. Three hostile regimes stress the
+   tier-transition seams:
 
    - [J_plain]: a counter-based interrupt storm on the JIT machine with
-     silent twins on identical schedules. Consult parity is itself under
+     a silent twin on an identical schedule. Consult parity is itself under
      test — a fused superinstruction that skipped an interrupt
      consultation at an original-instruction boundary would shift the
      storm to different architectural points and diverge immediately.
    - [J_smc]: the engine additionally flips a code byte — the same byte,
-     the same flip — in all three envs at stop boundaries, exercising
+     the same flip — in both envs at stop boundaries, exercising
      page-generation invalidation, JIT deopt and rebuild. With RWX code
      the blocks are fragile (single-instruction units, revalidated
      between instructions); with RX code the fused fast paths run.
-   - [J_epc]: all three envs are demand-paged against one oversized pool
+   - [J_epc]: both envs are demand-paged against one oversized pool
      and the engine evicts the same page from each at stop boundaries.
      Reloads are transparent ELDUs driven off [Epc_miss], mirroring the
      LibOS pager. A faulted-and-retried data access double-charges the
@@ -943,10 +940,10 @@ let intr_at_insns inj (cpu : Cpu.t) ~period =
     end
     else false
 
-(* JIT, decode cache and uncached loop in lockstep; only the JIT
-   machine's interrupts count into [inj] (the others count into a
+(* The tiered and the reference loop in lockstep; only the tiered
+   machine's interrupts count into [inj] (the reference counts into a
    throwaway plan), so the plan counts each boundary once. *)
-let triple ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
+let pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
   let pool =
     match mode with
     | J_epc ->
@@ -957,7 +954,6 @@ let triple ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
   in
   let a = Exec.make ?epc:pool ~code_perm oelf in
   let b = Exec.make ?epc:pool ~code_perm oelf in
-  let c = Exec.make ?epc:pool ~code_perm oelf in
   let prng = Rng.of_seed perturb_seed in
   let perturb =
     match (mode, pool) with
@@ -987,24 +983,9 @@ let triple ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
   let jit = Jit.create ~threshold:2 () in
   Exec.lockstep ~differ:Identical ~fuel ?perturb
     [
-      machine a (Exec.Jitted (Decode_cache.create (), jit)) inj;
-      machine b (Exec.Cached (Decode_cache.create ())) (Inject.make ());
-      machine c Exec.Reference (Inject.make ());
+      machine a (Exec.Tiered jit) inj;
+      machine b Exec.Reference (Inject.make ());
     ]
-
-(* The cached-vs-uncached property, run through the 3-way lockstep: the
-   JIT tier is checked alongside the decode cache under the same
-   interrupt schedule. [period >= 2] so a preempted boundary still makes
-   progress on re-entry. *)
-let cache_equivalence_case inj shrink rng case =
-  let items = Gen.program rng in
-  let period = 2 + Rng.int rng 40 in
-  let fuel = 1500 + Rng.int rng 1500 in
-  lockstep_failure Cache_equivalence shrink case items
-    (fun inj its ->
-      triple ~mode:J_plain ~perturb_seed:0L ~code_perm:Mem.perm_rwx ~period
-        ~fuel inj (Gen.link its))
-    inj
 
 let jit_case inj shrink rng case =
   let period = 2 + Rng.int rng 6 in
@@ -1018,7 +999,7 @@ let jit_case inj shrink rng case =
   let code_perm = if Rng.bool rng then Mem.perm_rx else Mem.perm_rwx in
   lockstep_failure Jit_equivalence shrink case (Gen.program rng)
     (fun inj its ->
-      triple ~mode ~perturb_seed ~code_perm ~period ~fuel inj (Gen.link its))
+      pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj (Gen.link its))
     inj
 
 (* --- property: cluster orderliness --------------------------------------- *)
@@ -1496,7 +1477,6 @@ let run_case prop inj shrink rng case =
       Option.map
         (fun d -> { prop; case; detail = d; minimized = None })
         (codec_case rng)
-  | Cache_equivalence -> cache_equivalence_case inj shrink rng case
   | Verifier_soundness -> soundness_case inj shrink rng case
   | Aex_identity -> aex_case inj shrink rng case
   | Epc_pressure -> epc_case inj shrink rng case
@@ -1662,9 +1642,9 @@ let replay_items items =
                     ("corpus program broke the elision pass: "
                     ^ Elide.error_to_string e)
               | Ok _ -> (
-                  (* and the three execution tiers must agree on it *)
+                  (* and the two execution loops must agree on it *)
                   match
-                    triple ~mode:J_plain ~perturb_seed:0L ~code_perm:Mem.perm_rx
+                    pair ~mode:J_plain ~perturb_seed:0L ~code_perm:Mem.perm_rx
                       ~period:3 ~fuel:6000 (Inject.make ()) oelf
                   with
                   | Ok _ -> Ok ()
@@ -1704,7 +1684,7 @@ let features : (string * (Asm.item list -> bool)) list =
      verified (fun oelf _ ->
          let env = Exec.make ~code_perm:Mem.perm_rx oelf in
          let jit = Jit.create ~threshold:2 () in
-         let tier = Exec.Jitted (Decode_cache.create (), jit) in
+         let tier = Exec.Tiered jit in
          ignore
            (Exec.lockstep ~differ:Identical ~fuel:6000
               [ { (Exec.machine env) with tier } ]);

@@ -8,11 +8,6 @@
     - {b codec-roundtrip}: encode/decode/encode is a fixpoint over random
       instructions; decoding arbitrary byte soup is total, and whatever
       it decodes re-encodes to something that decodes back identically.
-    - {b cache-equivalence}: the uncached loop, the decode-cache tier
-      and the block-JIT tier produce bit-identical architectural state,
-      counters and memory at every stop, under identical injected
-      interrupt storms (the jit-equivalence lockstep with no
-      perturbation, over RWX code).
     - {b verifier-soundness}: generator-well-formed programs are
       accepted; accepted programs (including hostile mutants and
       byte-flipped binaries that slip through) never violate pc/memory
@@ -42,12 +37,13 @@
       programs the verifier rejects must still be rejected ([the pass
       reports [Input_rejected]]), and accepted mutants are never
       re-signed without re-verification.
-    - {b jit-equivalence}: the block-JIT tier, the decode-cache tier and
-      the uncached loop produce bit-identical architectural state,
-      counters and memory at every stop, under interrupt storms
-      (counter-based schedules, so a fused superinstruction that skipped
-      a boundary consultation diverges immediately), under
-      self-modifying-code byte flips applied identically to all three
+    - {b jit-equivalence}: the tiered loop (the block JIT over its
+      decode cache) and the reference loop produce bit-identical
+      architectural state, counters and memory at every stop, under
+      interrupt storms (counter-based schedules, so a fused
+      superinstruction that skipped a boundary consultation diverges
+      immediately), on RX and on RWX (fragile) code, under
+      self-modifying-code byte flips applied identically to both
       machines (generation invalidation, deopt, rebuild), and under EPC
       pressure with driver-forced evictions reloaded transparently
       through ELDU.
@@ -67,7 +63,6 @@ open Occlum_toolchain
 
 type property =
   | Codec_roundtrip
-  | Cache_equivalence
   | Verifier_soundness
   | Aex_identity
   | Epc_pressure
@@ -82,7 +77,7 @@ type property =
           storm; rejected hostile mutants come back [Input_rejected],
           and accepted ones are never re-signed unverified *)
   | Jit_equivalence
-      (** the JIT, decode-cache and uncached tiers are bit-equivalent at
+      (** the tiered and reference loops are bit-equivalent at
           every stop under interrupt storms, identical self-modifying
           byte flips, and EPC pressure with transparent reloads *)
   | Cluster_orderliness
@@ -136,7 +131,7 @@ val summary : report -> string
 val replay_items : Asm.item list -> (unit, string) result
 (** Corpus replay: link against {!Gen.layout}, require verifier
     acceptance, containment under an interrupt storm, survival of the
-    guard-elision pass, and 3-way JIT/cached/uncached tier agreement. *)
+    guard-elision pass, and tiered-vs-reference loop agreement. *)
 
 val emit_corpus : dir:string -> seed:int64 -> (string * int) list
 (** Generate one minimized program per generator feature (guarded SIB

@@ -110,10 +110,7 @@ let audit env =
 
 (* --- the lockstep engine ----------------------------------------------- *)
 
-type tier =
-  | Reference
-  | Cached of Decode_cache.t
-  | Jitted of Decode_cache.t * Jit.t
+type tier = Reference | Tiered of Jit.t
 
 type interrupt = { fires : unit -> bool; round_trip : (env -> unit) option }
 
@@ -277,14 +274,9 @@ let rec advance ~fuel r =
   else begin
     let { env; tier; pager; _ } = r.m in
     let cpu = env.cpu in
-    let cache, jit =
-      match tier with
-      | Reference -> (None, None)
-      | Cached c -> (Some c, None)
-      | Jitted (c, j) -> (Some c, Some j)
-    in
+    let jit = match tier with Reference -> None | Tiered j -> Some j in
     match
-      Interp.run ?cache ?jit ?interrupt:(hook r.m) env.mem cpu ~fuel:rem
+      Interp.run ?jit ?interrupt:(hook r.m) env.mem cpu ~fuel:rem
     with
     | Interp.Stop_fault (Fault.Epc_miss { addr; access }) when pager <> None ->
         let p = Option.get pager in

@@ -55,12 +55,10 @@ val audit : env -> violation option
     N machines run side by side from sync point to sync point; at each,
     one comparator checks every machine against the first. *)
 
-(** All tiers run through {!Interp.run}; [Reference] is its uncached
-    loop, [Jitted] the decode cache plus the block JIT. *)
-type tier =
-  | Reference
-  | Cached of Decode_cache.t
-  | Jitted of Decode_cache.t * Jit.t
+(** Both tiers run through {!Interp.run}: [Reference] is its reference
+    loop, [Tiered] its tiered loop (the JIT's decode cache plus the block
+    JIT). *)
+type tier = Reference | Tiered of Jit.t
 
 (** An interrupt schedule, consulted once per boundary. On a firing,
     [round_trip = None] preempts ([Stop_quantum], a sync point);

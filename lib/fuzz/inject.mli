@@ -22,7 +22,7 @@ val interrupt_every : t -> period:int -> unit -> bool
     boundary ([period = 1] is the interrupt storm: an AEX at {e every}
     boundary). Schedules are pure counters, so two instances with the
     same period fire at identical boundaries — the contract the
-    cached-vs-uncached equivalence property depends on. A differential
+    tiered-vs-reference equivalence property depends on. A differential
     twin counts into a throwaway plan, so a plan counts each boundary
     once. *)
 

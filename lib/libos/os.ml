@@ -55,9 +55,8 @@ type config = {
   domains : Domain_mgr.config;
   quantum : int;
   cores : int; (* simulated vCPUs: cores of the epoch scheduler *)
-  decode_cache : bool; (* replay decoded basic blocks in Interp.run *)
-  jit : bool; (* promote hot blocks to compiled closure chains (needs
-                 the decode cache; one code cache per core) *)
+  decode_cache : bool; (* the tiered loop in Interp.run: decode cache +
+                          block JIT, one per core; off = reference loop *)
   fs_key : string;
   (* EIP model knobs *)
   eip_runtime_image_bytes : int; (* measured on every enclave creation *)
@@ -73,7 +72,6 @@ let default_config =
     quantum = 100_000;
     cores = 1;
     decode_cache = true;
-    jit = true;
     fs_key = "occlum-fs-master-key";
     eip_runtime_image_bytes = 8 * 1024 * 1024;
     eip_ocall_ns = 6_000L;
@@ -187,7 +185,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       obs;
       sched =
         Sched.create ~ncores:config.cores ~decode_cache:config.decode_cache
-          ~jit:config.jit ~obs ();
+          ~obs ();
       cur_core = 0;
       last_run_pid = 0;
       paging_cycles_seen = 0;
@@ -270,25 +268,25 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
 let clock t = t.clock_ns
 let console_output t = Buffer.contents t.console
 
-(* Sum a per-core cache's (x, y, z) stats over the cores; None when the
-   config gives the cores no such cache. *)
-let sum_over_cores t cache stats =
+(* Sum a per-core JIT's (x, y, z) stats over the cores; None under the
+   reference loop, where the cores have no JIT. *)
+let sum_over_cores t stats =
   Array.fold_left
     (fun acc core ->
-      match cache core with
+      match core.Sched.jit with
       | None -> acc
-      | Some c ->
-          let x, y, z = stats c in
+      | Some j ->
+          let x, y, z = stats j in
           let a, b, d = Option.value acc ~default:(0, 0, 0) in
           Some (a + x, b + y, d + z))
     None t.sched.Sched.cores
 
-(* (hits, misses, invalidations) of the decoded-block caches *)
+(* (hits, misses, invalidations) of the JITs' decoded-block caches *)
 let decode_cache_stats t =
-  sum_over_cores t (fun c -> c.Sched.dcache) Decode_cache.stats
+  sum_over_cores t (fun j -> Decode_cache.stats (Jit.decode_cache j))
 
 (* (compiles, hits, invalidations) of the block JITs *)
-let jit_stats t = sum_over_cores t (fun c -> c.Sched.jit) Jit.stats
+let jit_stats t = sum_over_cores t Jit.stats
 
 let proc_output t pid =
   match Hashtbl.find_opt t.proc_out pid with
@@ -1818,8 +1816,8 @@ let epoch ?pool t =
     let run_job i (cid, p, _, _) =
       let core = s.Sched.cores.(cid) in
       stops.(i) <-
-        Interp.run ?cache:core.Sched.dcache ?jit:core.Sched.jit
-          ~obs:core.Sched.obs t.mem p.cpu ~fuel:t.cfg.quantum
+        Interp.run ?jit:core.Sched.jit ~obs:core.Sched.obs t.mem p.cpu
+          ~fuel:t.cfg.quantum
     in
     (match pool with
     | Some pool when n > 1 ->

@@ -55,10 +55,9 @@ type config = {
           than one core an epoch's quanta execute in parallel on OCaml
           domains. Runs are bit-reproducible for a fixed core count. *)
   decode_cache : bool;
-      (** replay decoded basic blocks in [Interp.run] (default on) *)
-  jit : bool;
-      (** promote hot blocks to compiled closure chains (default on;
-          requires [decode_cache]; one code cache per core) *)
+      (** run SIPs on [Interp.run]'s tiered loop — the decode cache plus
+          the block JIT, one per core (default on); off runs the
+          reference loop *)
   fs_key : string;
   eip_runtime_image_bytes : int;
       (** the Graphene runtime pages measured on every EIP creation *)
@@ -134,12 +133,12 @@ val clock : t -> int64
 val console_output : t -> string
 
 val decode_cache_stats : t -> (int * int * int) option
-(** [(hits, misses, invalidations)] summed over the per-core caches;
-    [None] when the cache is disabled. *)
+(** [(hits, misses, invalidations)] summed over the per-core JITs'
+    decode caches; [None] under the reference loop. *)
 
 val jit_stats : t -> (int * int * int) option
 (** [(compiles, hits, invalidations)] summed over the per-core JITs;
-    [None] when the JIT is disabled. *)
+    [None] under the reference loop. *)
 
 val proc_output : t -> int -> string
 val find_proc : t -> int -> proc option

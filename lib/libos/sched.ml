@@ -6,7 +6,6 @@
 type core = {
   cid : int;
   mutable rq : int list;
-  dcache : Occlum_machine.Decode_cache.t option;
   jit : Occlum_machine.Jit.t option;
       (* per-core code cache: compiled closures are mutable-state-free
          but the cache tables are not, so cores never share a [Jit.t] *)
@@ -31,7 +30,7 @@ type t = {
 
 let max_backoff = 16
 
-let create ~ncores ~decode_cache ~jit ~obs () =
+let create ~ncores ~decode_cache ~obs () =
   if ncores < 1 then invalid_arg "Sched.create: ncores < 1";
   {
     ncores;
@@ -40,11 +39,8 @@ let create ~ncores ~decode_cache ~jit ~obs () =
           {
             cid;
             rq = [];
-            dcache =
-              (if decode_cache then Some (Occlum_machine.Decode_cache.create ())
-               else None);
             jit =
-              (if jit && decode_cache then Some (Occlum_machine.Jit.create ())
+              (if decode_cache then Some (Occlum_machine.Jit.create ())
                else None);
             (* core 0's quanta always run on the calling domain
                ([Pool.run_all]), so only it may touch [obs]'s trace *)

@@ -4,7 +4,7 @@
 
     One [core] models one simulated vCPU. Each core owns a run queue
     (FIFO: the owner claims from the front, thieves steal from the
-    back) and a private decode cache and JIT. Core 0's quanta report
+    back) and a private JIT with its decode cache. Core 0's quanta report
     their interpreter events to the LibOS's {!Occlum_obs.Obs}; the other
     cores' run untraced, since they may execute on worker domains.
 
@@ -25,11 +25,10 @@
 type core = {
   cid : int;
   mutable rq : int list;  (** pids; front = next to claim *)
-  dcache : Occlum_machine.Decode_cache.t option;
-      (** this vCPU's private decoded-block cache *)
   jit : Occlum_machine.Jit.t option;
-      (** this vCPU's private block-JIT code cache — compiled closures
-          are never shared across domains *)
+      (** this vCPU's private block JIT and its decode cache — compiled
+          closures are never shared across domains; [None] runs the
+          reference loop *)
   obs : Occlum_obs.Obs.t;
       (** where this vCPU's quanta report: the scheduler's [obs] for
           core 0, {!Occlum_obs.Obs.disabled} for the rest *)
@@ -55,15 +54,10 @@ type t = {
 val max_backoff : int
 (** Cap on the exponential steal backoff, in epochs. *)
 
-val create :
-  ncores:int ->
-  decode_cache:bool ->
-  jit:bool ->
-  obs:Occlum_obs.Obs.t ->
-  unit ->
-  t
-(** [jit] gives every core a block JIT; it takes effect only when
-    [decode_cache] is also on. Core 0 reports to [obs]. *)
+val create : ncores:int -> decode_cache:bool -> obs:Occlum_obs.Obs.t -> unit -> t
+(** [decode_cache] gives every core a block JIT (the tiered loop);
+    without it every core runs the reference loop. Core 0 reports to
+    [obs]. *)
 
 val enqueue : t -> int -> unit
 (** Queue a new pid on its home core ([pid mod ncores]), clearing that

@@ -6,10 +6,10 @@
    Two run loops share one executor ([exec_decoded]):
    - [run_step], the reference, fetches and decodes at pc on every
      instruction through [step];
-   - [run_tiered] replays decoded basic blocks from a [Decode_cache] and,
-     given a [Jit], compiled closure chains, falling back to [step]
-     whenever a block cannot be built. It must be observably identical
-     to the reference: same cycle charges (both go through
+   - [run_tiered] replays decoded basic blocks from the [Jit]'s decode
+     cache, and hot ones as compiled closure chains, falling back to
+     [step] whenever a block cannot be built. It must be observably
+     identical to the reference: same cycle charges (both go through
      [Cost.of_insn]), same counters, same fault addresses, and the same
      mid-block stop when fuel runs out. *)
 
@@ -304,7 +304,7 @@ let step mem cpu : stop option =
 let never () = false
 
 (* The reference loop: one [step] per instruction. Tests and fuzz
-   properties compare every other tier against it. With [hooked], the
+   properties compare the tiered loop against it. With [hooked], the
    interrupt hook is consulted exactly once per instruction boundary,
    after the fuel check and before the fetch; firing preempts the SIP
    exactly as quantum expiry would (an injected timer interrupt -> AEX). *)
@@ -319,17 +319,16 @@ let run_step ~hooked ~intr mem cpu ~fuel =
   in
   loop fuel
 
-(* The tiered loop. Dispatch per block boundary: compiled code (only
-   with [jit]) → decode cache, promoting blocks that have replayed
-   [Jit]'s threshold many times → build → [step] fallback. With
-   [jit = None] this is the decode-cache-only tier.
+(* The tiered loop. Dispatch per block boundary: compiled code → the
+   JIT's decode cache, promoting blocks that have replayed [Jit]'s
+   threshold many times → build → [step] fallback.
 
-   Every tier keeps the reference loop's observable behaviour. Each
-   instruction boundary is consulted in one order: fuel check, then
-   fragile revalidation, then the hook (when [hooked]), then fetch or
-   replay. So [Stop_quantum] and injected interrupts land on the same
-   boundary as in [run_step], and the hook is consulted exactly once
-   per executed boundary:
+   It keeps the reference loop's observable behaviour. Each instruction
+   boundary is consulted in one order: fuel check, then fragile
+   revalidation, then the hook (when [hooked]), then fetch or replay.
+   So [Stop_quantum] and injected interrupts land on the same boundary
+   as in [run_step], and the hook is consulted exactly once per executed
+   boundary:
    - Executable-span checks are elided for cached instructions: block
      validity (unchanged page generations) implies the span still
      decodes and is still executable, exactly as at build time.
@@ -352,7 +351,8 @@ let run_step ~hooked ~intr mem cpu ~fuel =
    clock by the cycles retired so far (the 3 cycles/ns conversion the
    LibOS clock uses), so they interleave correctly with the
    syscall/quantum events of the surrounding trace. *)
-let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
+let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
+  let cache = Jit.decode_cache jit in
   let c0 = cpu.Cpu.cycles in
   let base_ns = obs.Obs.now () in
   (* [mk] is a closed constructor: nothing is allocated while [on] is off *)
@@ -365,19 +365,16 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
     else
-      match jit with
-      | None -> decoded_tier fuel
-      | Some j -> (
-          match Jit.lookup j mem cpu.Cpu.pc with
-          | Jit.Hit c ->
-              cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-              trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
-              exec_compiled j c 0 fuel
-          | Jit.Stale ->
-              cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
-              trace obs.Obs.t_jit (fun pc -> Trace.Jit_invalidate { pc });
-              decoded_tier fuel
-          | Jit.Miss -> decoded_tier fuel)
+      match Jit.lookup jit mem cpu.Cpu.pc with
+      | Jit.Hit c ->
+          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+          trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
+          exec_compiled c 0 fuel
+      | Jit.Stale ->
+          cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
+          trace obs.Obs.t_jit (fun pc -> Trace.Jit_invalidate { pc });
+          decoded_tier fuel
+      | Jit.Miss -> decoded_tier fuel
   and decoded_tier fuel =
     match Decode_cache.lookup cache mem cpu.Cpu.pc with
     | Decode_cache.Hit b ->
@@ -404,13 +401,13 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
   (* promote-and-enter: a block hot enough for the JIT (with threshold 0,
      every block at build) runs compiled from this entry on *)
   and enter b fuel =
-    match jit with
-    | Some j when Jit.hot_enough j b ->
-        let c = Jit.promote j b in
-        cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-        trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
-        exec_compiled j c 0 fuel
-    | _ -> exec_block b 0 b.entry fuel
+    if Jit.hot_enough jit b then begin
+      let c = Jit.promote jit b in
+      cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
+      trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
+      exec_compiled c 0 fuel
+    end
+    else exec_block b 0 b.entry fuel
   (* The two replay loops belong to this recursive group rather than
      being local closures, so entering a block allocates nothing. *)
   and exec_block (b : Decode_cache.block) i pc fuel =
@@ -425,7 +422,7 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
       match exec_decoded mem cpu insn ~pc ~len with
       | Some stop -> stop
       | None -> exec_block b (i + 1) (pc + len) (fuel - 1)
-  and exec_compiled j (c : Jit.compiled) u fuel =
+  and exec_compiled (c : Jit.compiled) u fuel =
     if fuel <= 0 then Stop_quantum
     else if u >= Array.length c.Jit.units_fast then
       (* a block that branches back to its own entry (the hot-loop
@@ -436,9 +433,9 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
         && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
       then begin
         cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-        Jit.note_hit j;
+        Jit.note_hit jit;
         trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
-        exec_compiled j c 0 fuel
+        exec_compiled c 0 fuel
       end
       else loop fuel
     else if
@@ -456,7 +453,7 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
         if (not hooked) && fuel >= k then c.Jit.units_fast.(u) mem cpu
         else c.Jit.units_safe.(u) mem cpu fuel intr
       with
-      | Jit.U_fall -> exec_compiled j c (u + 1) (fuel - k)
+      | Jit.U_fall -> exec_compiled c (u + 1) (fuel - k)
       | Jit.U_stop s -> s
       | exception Fault.Fault f ->
           cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
@@ -465,11 +462,10 @@ let run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel =
   in
   loop fuel
 
-let run ?cache ?jit ?(obs = Obs.disabled) ?interrupt mem cpu ~fuel =
+let run ?jit ?(obs = Obs.disabled) ?interrupt mem cpu ~fuel =
   let hooked, intr =
     match interrupt with Some i -> (true, i) | None -> (false, never)
   in
-  match (cache, jit) with
-  | Some cache, _ -> run_tiered jit cache obs ~hooked ~intr mem cpu ~fuel
-  | None, None -> run_step ~hooked ~intr mem cpu ~fuel
-  | None, Some _ -> invalid_arg "Interp.run: ?jit requires ?cache"
+  match jit with
+  | Some jit -> run_tiered jit obs ~hooked ~intr mem cpu ~fuel
+  | None -> run_step ~hooked ~intr mem cpu ~fuel

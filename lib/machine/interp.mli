@@ -13,7 +13,6 @@ val step : Mem.t -> Cpu.t -> stop option
     interpreter. *)
 
 val run :
-  ?cache:Decode_cache.t ->
   ?jit:Jit.t ->
   ?obs:Occlum_obs.Obs.t ->
   ?interrupt:(unit -> bool) ->
@@ -23,29 +22,27 @@ val run :
   stop
 (** Run until a stop condition or [fuel] executed instructions.
 
-    Two loops implement this. Without [?cache], the reference loop runs
-    {!step} once per instruction; tests and fuzz properties compare
-    every other tier against it. With [?cache], the tiered loop runs:
+    Two loops implement this. Without [?jit], the reference loop runs
+    {!step} once per instruction; tests and fuzz properties compare the
+    tiered loop against it. With [?jit], the tiered loop runs:
     straight-line runs of instructions are decoded once into basic
-    blocks and replayed from the cache on later visits. Given [?jit]
-    too (it requires [?cache]; [Invalid_argument] otherwise), blocks the
-    decode cache has replayed {!Jit.create}'s threshold many times are
-    promoted to pre-compiled closure chains and dispatched first: JIT
-    hit → compiled replay, stale → invalidate and fall back, miss → the
-    decode cache (which promotes on a hot hit). Without [?jit] the
-    tiered loop is the decode-cache-only tier.
+    blocks by the JIT's {!Jit.decode_cache} and replayed from it on
+    later visits; blocks replayed {!Jit.create}'s threshold many times
+    are promoted to pre-compiled closure chains and dispatched first:
+    JIT hit → compiled replay, stale → invalidate and fall back, miss →
+    the decode cache (which promotes on a hot hit).
 
-    Every tier is architecturally bit-identical to the reference: the
-    same per-instruction cycle charges and counters, the same fault
-    points and payloads, and the same stop boundaries — fuzz properties
-    #2 (cache-equivalence) and #8 (jit-equivalence) check this. Every
-    instruction boundary is consulted in one order: fuel check, then
-    revalidation of a block on writable+executable pages, then the
-    interrupt hook, then fetch or replay. A fault inside compiled code
-    deopts to the interpreter's fault path, and writes to a cached or
-    JIT'd page invalidate its blocks through per-page generations. Cache
-    and JIT hit/miss/invalidation totals accumulate into the {!Cpu.t}
-    stats fields.
+    The tiered loop is architecturally bit-identical to the reference:
+    the same per-instruction cycle charges and counters, the same fault
+    points and payloads, and the same stop boundaries — fuzz property
+    #8 (jit-equivalence) checks this. Every instruction boundary is
+    consulted in one order: fuel check, then revalidation of a block on
+    writable+executable pages, then the interrupt hook, then fetch or
+    replay. A fault inside compiled code deopts to the interpreter's
+    fault path, and writes to a cached or JIT'd page invalidate its
+    blocks through per-page generations. Cache and JIT
+    hit/miss/invalidation totals accumulate into the {!Cpu.t} stats
+    fields.
 
     With [?obs] (default {!Occlum_obs.Obs.disabled}), decode-cache and
     JIT trace events are emitted per block lookup when the [Dcache] /
@@ -53,9 +50,9 @@ val run :
     state, counters or cycle charges.
 
     With [?interrupt], the hook is consulted exactly once per executed
-    instruction boundary, in the order above, in both loops and every
-    tier, so a deterministic counter-based schedule fires at identical
-    boundaries either way. Returning [true] preempts the run with
+    instruction boundary, in the order above, in both loops, so a
+    deterministic counter-based schedule fires at identical boundaries
+    either way. Returning [true] preempts the run with
     [Stop_quantum] and the pc parked on the boundary, modelling a
     hardware interrupt (the AEX cause); the fault-injection harness uses
     this to force AEX storms. Without [?interrupt] no hook is called,

@@ -1,7 +1,7 @@
 (* Block-JIT execution tier: compile hot decoded basic blocks into
    pre-built OCaml closure chains.
 
-   The decode cache (tier 2) removed per-execution decoding but still
+   The JIT's own decode cache removes per-execution decoding but still
    dispatches a full-ISA [match] per instruction. This tier removes the
    dispatch too: each instruction of a hot block is translated once into
    a specialized closure with its operands pre-resolved (register
@@ -64,6 +64,7 @@ type compiled = {
 }
 
 type t = {
+  cache : Decode_cache.t; (* the block builder and sub-threshold tier *)
   tbl : (int, compiled) Hashtbl.t;
   threshold : int;
   max_blocks : int;
@@ -74,6 +75,7 @@ type t = {
 
 let create ?(threshold = 16) ?(max_blocks = 4096) () =
   {
+    cache = Decode_cache.create ();
     tbl = Hashtbl.create 256;
     threshold;
     max_blocks;
@@ -82,7 +84,7 @@ let create ?(threshold = 16) ?(max_blocks = 4096) () =
     invalidations = 0;
   }
 
-let clear t = Hashtbl.reset t.tbl
+let decode_cache t = t.cache
 
 (* ---- translation helpers (must mirror Interp exactly) ----
 
@@ -966,7 +968,7 @@ let note_hit t = t.hits <- t.hits + 1
 let hot_enough t (b : Decode_cache.block) = b.Decode_cache.hot >= t.threshold
 
 let promote t (b : Decode_cache.block) =
-  if Hashtbl.length t.tbl >= t.max_blocks then clear t;
+  if Hashtbl.length t.tbl >= t.max_blocks then Hashtbl.reset t.tbl;
   let c = compile b in
   t.compiles <- t.compiles + 1;
   Hashtbl.replace t.tbl b.entry c;

@@ -5,6 +5,10 @@
     computation, straight-line runs chained up to four instructions per
     unit — and replayed by {!Interp.run} when [?jit] is passed.
 
+    A JIT owns its {!Decode_cache.t}: the cache builds the blocks it
+    compiles and replays every block still below the promotion
+    threshold.
+
     Every unit exists in two variants: [fast] (no internal checks; used
     only when the remaining fuel covers the whole unit and no interrupt
     hook is armed) and [safe] (re-checks fuel and consults the interrupt
@@ -47,13 +51,14 @@ type compiled = {
 type t
 
 val create : ?threshold:int -> ?max_blocks:int -> unit -> t
-(** [threshold] (default 16) is the decode-cache replay count at which a
-    block is promoted; [0] promotes every block at build, so all code
-    runs compiled from its first execution. [max_blocks] (default 4096)
-    flushes the code cache wholesale when full. *)
+(** A fresh JIT over a fresh {!Decode_cache.t}. [threshold] (default 16)
+    is the decode-cache replay count at which a block is promoted; [0]
+    promotes every block at build, so all code runs compiled from its
+    first execution. [max_blocks] (default 4096) flushes the code cache
+    wholesale when full. *)
 
-val clear : t -> unit
-(** Drop all compiled code. *)
+val decode_cache : t -> Decode_cache.t
+(** The decode cache this JIT builds from and falls back to. *)
 
 val compile : Decode_cache.block -> compiled
 (** Translate a block (total: every opcode compiles, privileged ones to

@@ -144,19 +144,6 @@ cmp _build/cores1-console.txt _build/cores4-console.txt || {
   exit 1
 }
 
-# JIT tier smoke: the block-JIT is a pure accelerator — --jit and
-# --no-jit runs of the same binary must print bit-identical console
-# output (the full 3-way differential, fuzz property #8 and the bench
-# speedup gate run below and in `dune runtest`).
-dune exec bin/occlum_run.exe -- _build/hello.oelf --jit \
-  | sed -n '/^---$/,/^---$/p' > _build/jit-console.txt
-dune exec bin/occlum_run.exe -- _build/hello.oelf --no-jit \
-  | sed -n '/^---$/,/^---$/p' > _build/nojit-console.txt
-cmp _build/jit-console.txt _build/nojit-console.txt || {
-  echo "FAIL: --jit and --no-jit console output differ" >&2
-  exit 1
-}
-
 # Cluster smoke: a seeded 3-node attested KV run is bit-reproducible
 # (virtual clocks + seed-threaded traffic), and the same run under
 # injected host-frame corruption must recover via re-attestation

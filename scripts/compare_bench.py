@@ -7,9 +7,10 @@ threshold.
 
 Direction is inferred from the metric name: `...-ns-per-op` is
 lower-is-better; `...-insns-per-sec` and `...-speedup` (including the
-cached-vs-uncached interpreter ratio) are higher-is-better. Metrics
-present on only one side are reported but never fail the gate, so the
-baseline does not have to be regenerated when benchmarks are added.
+tiered-over-reference interpreter ratio `jit/over-uncached-speedup`)
+are higher-is-better. Metrics present on only one side are reported but
+never fail the gate, so the baseline does not have to be regenerated
+when benchmarks are added or removed.
 The nested "metrics" section (virtual-clock observability counters) is
 compared informationally only.
 

@@ -1,8 +1,11 @@
-(* Decoded-block cache tests: the fast path must be observationally
-   identical to the uncached fetch/decode/execute loop — same registers,
-   flags, counters and cycle charges, same fault addresses, and the same
-   quantum-expiry boundaries — and faults must be atomic: an instruction
-   that faults leaves every register (SP included) and the pc untouched. *)
+(* Decoded-block cache tests, run through the tiered loop at the JIT's
+   default promotion threshold, so short-lived blocks replay from the
+   decode cache and hot ones run compiled. It must be observationally
+   identical to the reference fetch/decode/execute loop — same
+   registers, flags, counters and cycle charges, same fault addresses,
+   and the same quantum-expiry boundaries — and faults must be atomic:
+   an instruction that faults leaves every register (SP included) and
+   the pc untouched. *)
 
 open Occlum_machine
 open Occlum_isa
@@ -24,19 +27,19 @@ let state_str stop cpu =
        (List.init Occlum_isa.Reg.count (fun i ->
             Int64.to_string (Cpu.get cpu (Occlum_isa.Reg.of_int i)))))
 
-(* Run the same program with and without the cache and insist the
-   observable outcome is identical; returns the cached run. *)
+(* Run the same program through the reference and the tiered loop and
+   insist the observable outcome is identical; returns the tiered run. *)
 let run_both ?(fuel = 1000) ?(code_perm = Mem.perm_rwx) ?(prep = fun _ _ -> ())
     label insns =
-  let go cache =
+  let go jit =
     let mem, cpu = setup ~code_perm insns in
     prep mem cpu;
-    let stop = Interp.run ?cache mem cpu ~fuel in
+    let stop = Interp.run ?jit mem cpu ~fuel in
     (stop, cpu)
   in
   let su, cu = go None in
-  let sc, cc = go (Some (Decode_cache.create ())) in
-  Alcotest.(check string) (label ^ ": cached = uncached") (state_str su cu)
+  let sc, cc = go (Some (Jit.create ())) in
+  Alcotest.(check string) (label ^ ": tiered = reference") (state_str su cu)
     (state_str sc cc);
   (sc, cc)
 
@@ -74,14 +77,14 @@ let expect_write_fault label stop ~addr =
 
 let test_push_fault_atomic () =
   List.iter
-    (fun cached ->
-      let label = if cached then "cached" else "uncached" in
+    (fun tiered ->
+      let label = if tiered then "tiered" else "reference" in
       let mem, cpu = setup [ Insn.Push Reg.r1 ] in
       (* sp at the bottom of the data region: the push's store lands in
          the unmapped page below *)
       Cpu.set cpu Reg.sp (Int64.of_int data);
-      let cache = if cached then Some (Decode_cache.create ()) else None in
-      let stop = Interp.run ?cache mem cpu ~fuel:10 in
+      let jit = if tiered then Some (Jit.create ()) else None in
+      let stop = Interp.run ?jit mem cpu ~fuel:10 in
       expect_write_fault label stop ~addr:(data - 8);
       Alcotest.(check int64) (label ^ ": sp unchanged") (Int64.of_int data)
         (Cpu.get cpu Reg.sp);
@@ -90,12 +93,12 @@ let test_push_fault_atomic () =
 
 let test_call_fault_atomic () =
   List.iter
-    (fun cached ->
-      let label = if cached then "cached" else "uncached" in
+    (fun tiered ->
+      let label = if tiered then "tiered" else "reference" in
       let mem, cpu = setup [ Insn.Call 16 ] in
       Cpu.set cpu Reg.sp (Int64.of_int data);
-      let cache = if cached then Some (Decode_cache.create ()) else None in
-      let stop = Interp.run ?cache mem cpu ~fuel:10 in
+      let jit = if tiered then Some (Jit.create ()) else None in
+      let stop = Interp.run ?jit mem cpu ~fuel:10 in
       expect_write_fault label stop ~addr:(data - 8);
       Alcotest.(check int64) (label ^ ": sp unchanged") (Int64.of_int data)
         (Cpu.get cpu Reg.sp);
@@ -106,17 +109,18 @@ let test_ret_fault_atomic () =
   List.iter
     (fun (name, insn) ->
       List.iter
-        (fun cached ->
+        (fun tiered ->
           let label =
-            Printf.sprintf "%s %s" name (if cached then "cached" else "uncached")
+            Printf.sprintf "%s %s" name
+              (if tiered then "tiered" else "reference")
           in
           let mem, cpu = setup [ insn ] in
           (* sp in the guard page above the data region: the return
              address load faults *)
           let guard = 12 * 4096 in
           Cpu.set cpu Reg.sp (Int64.of_int guard);
-          let cache = if cached then Some (Decode_cache.create ()) else None in
-          (match Interp.run ?cache mem cpu ~fuel:10 with
+          let jit = if tiered then Some (Jit.create ()) else None in
+          (match Interp.run ?jit mem cpu ~fuel:10 with
           | Interp.Stop_fault
               (Fault.Page_fault { addr; access = Fault.Read })
             when addr = guard ->
@@ -228,8 +232,8 @@ let test_differential_quantum () =
 
 let test_priv_write_invalidates () =
   let mem, cpu = setup [ Insn.Mov_imm (Reg.r1, 1L); Insn.Syscall_gate ] in
-  let cache = Decode_cache.create () in
-  (match Interp.run ~cache mem cpu ~fuel:100 with
+  let jit = Jit.create () in
+  (match Interp.run ~jit mem cpu ~fuel:100 with
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("first run: " ^ Interp.stop_to_string s));
   Alcotest.(check int64) "first immediate" 1L (Cpu.get cpu Reg.r1);
@@ -239,17 +243,17 @@ let test_priv_write_invalidates () =
   in
   Mem.write_bytes_priv mem ~addr:4096 patched;
   cpu.Cpu.pc <- 4096;
-  (match Interp.run ~cache mem cpu ~fuel:100 with
+  (match Interp.run ~jit mem cpu ~fuel:100 with
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("second run: " ^ Interp.stop_to_string s));
   Alcotest.(check int64) "patched immediate observed" 2L (Cpu.get cpu Reg.r1);
-  let _, _, invalidations = Decode_cache.stats cache in
+  let _, _, invalidations = Decode_cache.stats (Jit.decode_cache jit) in
   Alcotest.(check bool) "stale block dropped" true (invalidations >= 1)
 
 let test_self_modifying_differential () =
   (* a store into the block's own page, ahead of the pc: the overwritten
      instruction (a nop turned into a syscall gate) must take effect at
-     its fetch, cached or not *)
+     its fetch in both loops *)
   let gate = Codec.encode Insn.Syscall_gate in
   Alcotest.(check int) "gate is a 1-byte opcode" 1 (String.length gate);
   let rec fix target =
@@ -293,6 +297,10 @@ let test_spec_differential () =
       Alcotest.(check bool) (name ^ ": cache engaged") true (c.dcache_hits > 0))
     (Occlum_workloads.Spec.all ~scale:1)
 
+(* A verified SPEC kernel booted through [Os.spawn_initial]: the
+   reference loop ([decode_cache] off) and the tiered loop (on) give the
+   same clock and console, and the decode-cache stats are absent under
+   the reference loop and engaged under the tiered one. *)
 let test_libos_cache () =
   let module Os = Occlum_libos.Os in
   let _, prog = List.hd (Occlum_workloads.Spec.all ~scale:1) in
@@ -309,21 +317,20 @@ let test_libos_cache () =
     let config = { Os.default_config with decode_cache = dc } in
     let os = Os.boot ~config () in
     ignore (Os.spawn_initial os oelf ~args:[]);
-    let status = Os.run ~max_steps:500_000 os in
-    (match status with
+    (match Os.run ~max_steps:500_000 os with
     | Os.All_exited -> ()
     | _ -> Alcotest.fail "SPEC kernel did not exit under the LibOS");
     (os, Printf.sprintf "clock=%Ld out=%S" (Os.clock os) (Os.console_output os))
   in
-  let os_u, su = run false in
-  let os_c, sc = run true in
-  Alcotest.(check string) "LibOS run identical" su sc;
-  Alcotest.(check bool) "stats absent when disabled" true
-    (Os.decode_cache_stats os_u = None);
-  match Os.decode_cache_stats os_c with
+  let os_r, sr = run false in
+  let os_t, st = run true in
+  Alcotest.(check string) "LibOS run identical" sr st;
+  Alcotest.(check bool) "stats absent under the reference loop" true
+    (Os.decode_cache_stats os_r = None);
+  match Os.decode_cache_stats os_t with
   | Some (hits, _, _) ->
       Alcotest.(check bool) "cache engaged under the LibOS" true (hits > 0)
-  | None -> Alcotest.fail "stats missing with the cache enabled"
+  | None -> Alcotest.fail "stats missing under the tiered loop"
 
 let suite =
   [

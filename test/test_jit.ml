@@ -1,12 +1,11 @@
-(* Block-JIT tier tests: the compiled tier must be observationally
-   identical to both the decode-cache tier and the uncached loop — same
-   registers, flags, counters, fault payloads and stop boundaries — and
-   its extras must hold: per-page invalidation after writes to JIT'd
-   pages, mid-block fault deopt with bit-identical CPU state, one
-   interrupt consultation per original-instruction boundary in every
-   tier even inside fused superinstructions, faithful execution of the
-   statically elided, re-verified binary, and multi-core LibOS
-   determinism with the JIT on. *)
+(* Block-JIT tests: the tiered loop must be observationally identical
+   to the reference loop — same registers, flags, counters, fault
+   payloads and stop boundaries — and its extras must hold: per-page
+   invalidation after writes to JIT'd pages, mid-block fault deopt with
+   bit-identical CPU state, one interrupt consultation per
+   original-instruction boundary even inside fused superinstructions,
+   faithful execution of the statically elided, re-verified binary, and
+   LibOS determinism (reference vs tiered, one core vs four). *)
 
 open Occlum_machine
 open Occlum_isa
@@ -24,8 +23,8 @@ let enc_len insns =
   List.fold_left (fun a i -> a + String.length (Codec.encode i)) 0 insns
 
 (* Everything observable about a stopped machine (jit counters excluded:
-   the whole point is that runs with different tiers enabled agree on
-   the architectural part). *)
+   the whole point is that the two loops agree on the architectural
+   part). *)
 let state_str stop cpu =
   Printf.sprintf
     "stop=%s pc=%d eq=%b lt=%b cycles=%d insns=%d loads=%d stores=%d bnd=%d regs=%s"
@@ -55,26 +54,24 @@ let loop_prog iters =
    :: Insn.Mov_imm (Reg.r2, 0L) :: body)
   @ [ fix (-body_len); Insn.Syscall_gate ]
 
-(* --- 3-way differential over the SPEC kernels ----------------------------- *)
+(* --- reference vs tiered over the SPEC kernels ------------------------------ *)
 
 let native_summary (r : Native_run.result) =
   Printf.sprintf "exit=%Ld cycles=%d insns=%d loads=%d stores=%d bnd=%d out=%S"
     r.exit_code r.cycles r.insns r.loads r.stores r.bound_checks r.stdout
 
-let test_spec_differential_3way () =
+(* threshold 2, so most blocks run compiled (the decode-cache tests run
+   the same kernels at the default threshold) *)
+let test_spec_differential () =
   let engaged = ref false in
   List.iter
     (fun (name, prog) ->
       let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
       let u = Native_run.run ~decode_cache:false oelf in
-      let c = Native_run.run oelf in
-      let j = Native_run.run ~jit:true ~jit_threshold:2 oelf in
+      let j = Native_run.run ~jit_threshold:2 oelf in
       Alcotest.(check string)
-        (name ^ ": jit = uncached")
+        (name ^ ": tiered = reference")
         (native_summary u) (native_summary j);
-      Alcotest.(check string)
-        (name ^ ": jit = cached")
-        (native_summary c) (native_summary j);
       if j.jit_compiles > 0 && j.jit_hits > 0 then engaged := true)
     (Occlum_workloads.Spec.all ~scale:1);
   Alcotest.(check bool) "JIT compiled and replayed on some kernel" true
@@ -101,16 +98,16 @@ let guard_heavy_src () =
 
 (* Elision has one path: run the binary [Elide.run] rewrote and the
    unmodified verifier re-accepted. The JIT itself omits nothing, so on
-   either binary it must agree with the interpreter (threshold 0 = every
-   block compiled from first entry). *)
+   either binary it must agree with the reference loop (threshold 0 =
+   every block compiled from first entry). *)
 let test_guard_heavy_elide_parity () =
   let naive =
     Compile.compile_exn ~config:Codegen.sfi_naive
       (Parser.parse (guard_heavy_src ()))
   in
-  let base = Native_run.run naive in
-  let jit_naive = Native_run.run ~jit:true ~jit_threshold:0 naive in
-  Alcotest.(check string) "naive build: jit = interpreter"
+  let base = Native_run.run ~decode_cache:false naive in
+  let jit_naive = Native_run.run ~jit_threshold:0 naive in
+  Alcotest.(check string) "naive build: jit = reference"
     (native_summary base) (native_summary jit_naive);
   let elided =
     match Elide.run naive with
@@ -118,8 +115,8 @@ let test_guard_heavy_elide_parity () =
     | Error e -> Alcotest.fail (Elide.error_to_string e)
   in
   let eu = Native_run.run ~decode_cache:false elided in
-  let ej = Native_run.run ~jit:true ~jit_threshold:0 elided in
-  Alcotest.(check string) "elided build: jit = uncached" (native_summary eu)
+  let ej = Native_run.run ~jit_threshold:0 elided in
+  Alcotest.(check string) "elided build: jit = reference" (native_summary eu)
     (native_summary ej);
   Alcotest.(check string) "expected output" "sum 231\n" ej.stdout;
   Alcotest.(check bool) "fewer checks than the naive build" true
@@ -130,7 +127,7 @@ let test_guard_heavy_elide_parity () =
 let test_smc_user_store_invalidates () =
   (* a store rewrites a nop ahead of the pc into a syscall gate, inside
      the block's own page: the JIT must observe the new byte at its
-     fetch, exactly like the uncached loop *)
+     fetch, exactly like the reference loop *)
   let gate = Codec.encode Insn.Syscall_gate in
   Alcotest.(check int) "gate is a 1-byte opcode" 1 (String.length gate);
   let rec fix target =
@@ -152,8 +149,8 @@ let test_smc_user_store_invalidates () =
   let su = Interp.run mem cpu ~fuel:200 in
   let mem_j, cpu_j = setup prog in
   let j = Jit.create ~threshold:0 () in
-  let sj = Interp.run ~cache:(Decode_cache.create ()) ~jit:j mem_j cpu_j ~fuel:200 in
-  Alcotest.(check string) "self-modifying: jit = uncached" (state_str su cpu)
+  let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:200 in
+  Alcotest.(check string) "self-modifying: jit = reference" (state_str su cpu)
     (state_str sj cpu_j);
   Alcotest.(check int64) "stopped before mov r1" 0L (Cpu.get cpu_j Reg.r1);
   Alcotest.(check bool) "block was compiled" true (cpu_j.Cpu.jit_compiles > 0);
@@ -165,9 +162,8 @@ let test_priv_write_invalidates () =
   (* the loader path: privileged rewrite of a compiled page (domain-slot
      reuse) must drop the compiled block *)
   let mem, cpu = setup [ Insn.Mov_imm (Reg.r1, 1L); Insn.Syscall_gate ] in
-  let cache = Decode_cache.create () in
   let j = Jit.create ~threshold:0 () in
-  (match Interp.run ~cache ~jit:j mem cpu ~fuel:100 with
+  (match Interp.run ~jit:j mem cpu ~fuel:100 with
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("first run: " ^ Interp.stop_to_string s));
   Alcotest.(check int64) "first immediate" 1L (Cpu.get cpu Reg.r1);
@@ -178,7 +174,7 @@ let test_priv_write_invalidates () =
   in
   Mem.write_bytes_priv mem ~addr:4096 patched;
   cpu.Cpu.pc <- 4096;
-  (match Interp.run ~cache ~jit:j mem cpu ~fuel:100 with
+  (match Interp.run ~jit:j mem cpu ~fuel:100 with
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("second run: " ^ Interp.stop_to_string s));
   Alcotest.(check int64) "patched immediate observed" 2L (Cpu.get cpu Reg.r1);
@@ -190,7 +186,7 @@ let test_priv_write_invalidates () =
 let test_midblock_fault_identity () =
   (* r-x code compiles to fused multi-instruction units; a store that
      faults mid-unit must deopt with the CPU bit-identical to the
-     uncached loop at the fault (partial charges included) *)
+     reference loop at the fault (partial charges included) *)
   let prog =
     [
       Insn.Mov_imm (Reg.r1, Int64.of_int (13 * 4096));
@@ -210,8 +206,8 @@ let test_midblock_fault_identity () =
   | s -> Alcotest.fail ("expected write fault, got " ^ Interp.stop_to_string s));
   let mem_j, cpu_j = setup ~code_perm:Mem.perm_rx prog in
   let j = Jit.create ~threshold:0 () in
-  let sj = Interp.run ~cache:(Decode_cache.create ()) ~jit:j mem_j cpu_j ~fuel:100 in
-  Alcotest.(check string) "mid-block fault: jit = uncached"
+  let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:100 in
+  Alcotest.(check string) "mid-block fault: jit = reference"
     (state_str su cpu) (state_str sj cpu_j);
   Alcotest.(check bool) "fault deopted out of compiled code" true
     (cpu_j.Cpu.jit_deopts >= 1)
@@ -220,51 +216,38 @@ let test_midblock_fault_identity () =
 
 (* [?interrupt] is specified to be consulted exactly once per executed
    instruction boundary. The fused superinstructions and the tiered
-   loop's block replay are where that can silently break, so, for the
-   decode-cache-only and the JIT tier: (a) the total consult count must
-   match the uncached loop's, and (b) an interrupt armed at EVERY
-   boundary index in turn must stop the run bit-identically, and both
-   runs must resume to the same completion. *)
-type tier = Uncached | Cached | Jitted
-
+   loop's block replay are where that can silently break, so: (a) the
+   tiered loop's total consult count must match the reference loop's,
+   and (b) an interrupt armed at EVERY boundary index in turn must stop
+   the run bit-identically, and both runs must resume to the same
+   completion. *)
 let test_interrupt_every_boundary () =
   let prog = loop_prog 20 in
-  let run_tier tier fire_at =
+  let run_tier tiered fire_at =
     let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
-    let cache =
-      if tier = Uncached then None else Some (Decode_cache.create ())
-    in
-    let j = if tier = Jitted then Some (Jit.create ~threshold:0 ()) else None in
+    let j = if tiered then Some (Jit.create ~threshold:0 ()) else None in
     let n = ref 0 in
     let hook () =
       let k = !n in
       incr n;
       match fire_at with Some i -> k = i | None -> false
     in
-    let s1 = Interp.run ?cache ?jit:j ~interrupt:hook mem cpu ~fuel:100_000 in
+    let s1 = Interp.run ?jit:j ~interrupt:hook mem cpu ~fuel:100_000 in
     let mid = state_str s1 cpu in
     let s2 =
       if s1 = Interp.Stop_syscall then s1
-      else Interp.run ?cache ?jit:j ~interrupt:hook mem cpu ~fuel:100_000
+      else Interp.run ?jit:j ~interrupt:hook mem cpu ~fuel:100_000
     in
     (mid, state_str s2 cpu, !n)
   in
-  (* every tier against the uncached run; returns its consult count *)
+  (* the tiered run against the reference run; returns the reference's
+     consult count *)
   let agree label fire_at =
-    let mu, fu, nu = run_tier Uncached fire_at in
-    List.iter
-      (fun (name, tier) ->
-        let m, f, n = run_tier tier fire_at in
-        Alcotest.(check string)
-          (Printf.sprintf "%s, %s: identical stop" name label)
-          mu m;
-        Alcotest.(check string)
-          (Printf.sprintf "%s, %s: identical completion" name label)
-          fu f;
-        Alcotest.(check int)
-          (Printf.sprintf "%s, %s: one consult per boundary" name label)
-          nu n)
-      [ ("cached", Cached); ("jit", Jitted) ];
+    let mu, fu, nu = run_tier false fire_at in
+    let m, f, n = run_tier true fire_at in
+    Alcotest.(check string) (label ^ ": identical stop") mu m;
+    Alcotest.(check string) (label ^ ": identical completion") fu f;
+    Alcotest.(check int) (label ^ ": one consult per boundary") nu n;
     nu
   in
   let nu = agree "unfired" None in
@@ -361,8 +344,7 @@ let test_page_check_agrees () =
                           match jit with
                           | None -> Interp.run mem cpu ~fuel:10
                           | Some j ->
-                              Interp.run ~cache:(Decode_cache.create ()) ~jit:j
-                                mem cpu ~fuel:10
+                              Interp.run ~jit:j mem cpu ~fuel:10
                         in
                         (observe stop mem cpu, stop, gen0, mem)
                       in
@@ -445,9 +427,9 @@ let test_hot_path_allocation_free () =
       Cpu.lower = Int64.of_int Test_machine.data;
       upper = Int64.of_int (Test_machine.data + 4095);
     };
-  let cache = Decode_cache.create () and jit = Jit.create ~threshold:0 () in
+  let jit = Jit.create ~threshold:0 () in
   let w0 = Gc.minor_words () in
-  let stop = Interp.run ~cache ~jit mem cpu ~fuel:max_int in
+  let stop = Interp.run ~jit mem cpu ~fuel:max_int in
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check string) "loop ran to the gate" "syscall"
     (Interp.stop_to_string stop);
@@ -458,11 +440,13 @@ let test_hot_path_allocation_free () =
     (Printf.sprintf "%.3f minor words per instruction < 0.1" per_insn)
     true (per_insn < 0.1)
 
-(* --- LibOS: multi-core determinism and stats -------------------------------- *)
+(* --- LibOS: reference vs tiered, one core vs four -------------------------- *)
 
+(* The one LibOS differential between the two loops: [decode_cache]
+   selects the reference loop (off) or the tiered loop (on). *)
 let test_libos_jit_on_off_identical () =
-  let run jit =
-    let config = { Os.default_config with Os.jit } in
+  let run decode_cache =
+    let config = { Os.default_config with decode_cache } in
     let os = Os.boot ~config () in
     Os.install_binary os "/bin/compute"
       (Harness.build_for Harness.Occlum Harness.compute_prog);
@@ -470,19 +454,25 @@ let test_libos_jit_on_off_identical () =
     (match Os.run ~max_steps:5_000_000 os with
     | Os.All_exited -> ()
     | _ -> Alcotest.fail "compute SIP did not exit");
-    os
+    ( os,
+      Printf.sprintf "digest=%s clock=%Ld out=%S" (Os.state_digest os)
+        (Os.clock os) (Os.console_output os) )
   in
-  let os_j = run true in
-  let os_i = run false in
-  Alcotest.(check string) "digest identical with the JIT on/off"
-    (Os.state_digest os_i) (Os.state_digest os_j);
-  (match Os.jit_stats os_j with
+  let os_t, st = run true in
+  let os_r, sr = run false in
+  Alcotest.(check string) "digest, clock and console identical" sr st;
+  Alcotest.(check bool) "stats absent under the reference loop" true
+    (Os.decode_cache_stats os_r = None && Os.jit_stats os_r = None);
+  (match Os.decode_cache_stats os_t with
+  | Some (hits, _, _) ->
+      Alcotest.(check bool) "decode cache engaged under the LibOS" true
+        (hits > 0)
+  | None -> Alcotest.fail "decode-cache stats missing under the tiered loop");
+  match Os.jit_stats os_t with
   | Some (c, h, _) ->
       Alcotest.(check bool) "compiled and replayed under the LibOS" true
         (c > 0 && h > 0)
-  | None -> Alcotest.fail "jit stats missing with the JIT enabled");
-  Alcotest.(check bool) "stats absent when disabled" true
-    (Os.jit_stats os_i = None)
+  | None -> Alcotest.fail "jit stats missing under the tiered loop"
 
 let test_multicore_digest_with_jit () =
   (* default config: decode cache + JIT on, per-core code caches *)
@@ -501,8 +491,8 @@ let test_multicore_digest_with_jit () =
 
 let suite =
   [
-    Alcotest.test_case "differential: SPEC kernels, 3 tiers" `Quick
-      test_spec_differential_3way;
+    Alcotest.test_case "differential: SPEC kernels, 2 tiers" `Quick
+      test_spec_differential;
     Alcotest.test_case "guard_heavy: elision parity" `Quick
       test_guard_heavy_elide_parity;
     Alcotest.test_case "self-modifying store invalidates" `Quick

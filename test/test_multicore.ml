@@ -9,8 +9,7 @@ module Harness = Occlum_workloads.Harness
 module Check = Occlum_fuzzing.Check
 
 let mk ncores =
-  Sched.create ~ncores ~decode_cache:false ~jit:false
-    ~obs:Occlum_obs.Obs.disabled ()
+  Sched.create ~ncores ~decode_cache:false ~obs:Occlum_obs.Obs.disabled ()
 
 let always _ = true
 let claim_all s = Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> -1)
@@ -231,7 +230,8 @@ let test_clock_covers_events () =
   Alcotest.(check int) "no event stamped after the step's final clock" 0 !late
 
 let test_decode_cache_stats () =
-  (* at cores=4 the reported stats are the sum over the per-core caches *)
+  (* at cores=4 the reported stats are the sum over the per-core JITs'
+     decode caches *)
   let os = Harness.boot ~cores:4 Harness.Occlum in
   Harness.install os Harness.Occlum [ ("/bin/compute", Harness.compute_prog) ];
   for _ = 1 to 4 do
@@ -241,9 +241,11 @@ let test_decode_cache_stats () =
   let sum =
     Array.fold_left
       (fun (a, b, c) core ->
-        match core.Sched.dcache with
-        | Some d ->
-            let x, y, z = Occlum_machine.Decode_cache.stats d in
+        match core.Sched.jit with
+        | Some j ->
+            let x, y, z =
+              Occlum_machine.(Decode_cache.stats (Jit.decode_cache j))
+            in
             (a + x, b + y, c + z)
         | None -> (a, b, c))
       (0, 0, 0) os.Os.sched.Sched.cores
