@@ -666,6 +666,15 @@ let micro () =
   | Ok _ -> ()
   | Error _ -> ());
   Occlum_libos.Sefs.flush sefs;
+  (* a volume that already holds 4,096 written blocks (256 files of 16),
+     flushed and evicted: each op dirties 16 more and flushes *)
+  let grown = Occlum_libos.Sefs.create ~key:"bench" () in
+  let file64k = String.make 65536 'g' in
+  for k = 0 to 255 do
+    ignore (Occlum_libos.Sefs.write_path grown (Printf.sprintf "/g%d" k) file64k)
+  done;
+  Occlum_libos.Sefs.flush grown;
+  Hashtbl.reset grown.Occlum_libos.Sefs.cache;
   let small_binary = H.build_for H.Occlum (H.sized_program ~code_kb:14) in
   (* one serve response through a socket ring: written whole, drained a
      page at a time *)
@@ -686,6 +695,10 @@ let micro () =
                match Occlum_libos.Sefs.read_path sefs "/f" with
                | Ok _ -> ()
                | Error _ -> ()));
+        Test.make ~name:"sefs-flush-grown"
+          (Staged.stage (fun () ->
+               ignore (Occlum_libos.Sefs.write_path grown "/g0" file64k);
+               Occlum_libos.Sefs.flush grown));
         Test.make ~name:"ring-10k-write-drain"
           (Staged.stage (fun () ->
                ignore (Occlum_libos.Ring.write ring response 0 10280);

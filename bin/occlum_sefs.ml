@@ -16,7 +16,12 @@ module Sefs = Occlum_libos.Sefs
 let default_key = "occlum-fs-master-key"
 
 let mount_image image key =
-  if Sys.file_exists image then Sefs.mount ~key (Sefs.Host_store.load image)
+  if Sys.file_exists image then
+    match Sefs.Host_store.load image with
+    | host -> Sefs.mount ~key host
+    | exception Sefs.Host_store.Bad_image why ->
+        Printf.eprintf "error: %s: %s\n" image why;
+        exit 1
   else Sefs.create ~key ()
 
 let save fs image =

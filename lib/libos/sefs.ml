@@ -8,9 +8,19 @@
    "shared file systems: writable" only for SIPs.
 
    Confidentiality: each 4 KiB block is encrypted with a per-(block,
-   generation) nonce. Integrity: each block carries an HMAC over its
-   identity, generation and ciphertext; any host tampering surfaces as
-   [Corrupt] on the next read. *)
+   generation) nonce, derived from an injective encoding of the pair
+   (["<volume>:blk:<id>"] at index [gen]) that is disjoint from the
+   metadata's [-gen] index, so no two sealings under one key share a
+   nonce. Integrity: each block carries an HMAC over its identity,
+   generation and ciphertext; any host tampering surfaces as [Corrupt] on
+   the next read.
+
+   Every metadata operation is O(1) in the size of the volume: inodes
+   live in a table keyed by ino, block generations in an array indexed
+   by block id (ids come densely from [next_block] and are never
+   reused), and a [(dir ino, name) -> ino] index mirrors every
+   directory's [entries] list, which keeps readdir order. [mount]
+   rebuilds the index from the sealed metadata. *)
 
 let block_size = 4096
 
@@ -38,6 +48,11 @@ module Host_store = struct
     t.reads <- t.reads + 1;
     Hashtbl.find_opt t.blocks idx
 
+  (* Version 2: block nonces became injective. A version-1 image's MACs
+     would still verify, but its blocks would decrypt to garbage, so it
+     is refused outright. *)
+  let image_magic = "SEFSIMG2"
+
   (* The on-disk form of the untrusted volume: what the host actually
      stores, and what the occlum_sefs host utility (the paper's
      FUSE-based image tool, §8) reads and writes. Everything in it is
@@ -49,7 +64,7 @@ module Host_store = struct
       add "%d\n" (String.length s);
       Buffer.add_string b s
     in
-    add "SEFSIMG1\n";
+    add "%s\n" image_magic;
     (match t.meta with
     | None -> add "0\n"
     | Some (gen, e) ->
@@ -84,7 +99,11 @@ module Host_store = struct
       pos := !pos + n;
       r
     in
-    if line () <> "SEFSIMG1" then raise (Bad_image "bad magic");
+    (match line () with
+    | m when m = image_magic -> ()
+    | "SEFSIMG1" ->
+        raise (Bad_image "image version 1 (old block nonces): re-create it")
+    | _ -> raise (Bad_image "bad magic"));
     let t = create () in
     (match String.split_on_char ' ' (line ()) with
     | [ "0" ] -> ()
@@ -139,10 +158,13 @@ type inode = {
 }
 
 type meta = {
-  mutable inodes : (int * inode) list;
+  inodes : (int, inode) Hashtbl.t;
+  dirents : (int * string, int) Hashtbl.t;
+      (* (dir ino, name) -> ino: the index of every directory's [entries] *)
   mutable next_ino : int;
   mutable next_block : int;
-  mutable gens : (int * int) list; (* block id -> write generation *)
+  mutable gens : int array;
+      (* block id -> write generation, 0 = never written; grows on demand *)
 }
 
 type t = {
@@ -191,63 +213,65 @@ let derive_keys master =
   ( Occlum_util.Sha256.digest ("sefs-data:" ^ master),
     Occlum_util.Sha256.digest ("sefs-mac:" ^ master) )
 
-let fresh_root () =
-  { ino = root_ino; kind = Dir; size = 0; blocks = [||]; entries = []; nlink = 1 }
+let empty_meta () =
+  { inodes = Hashtbl.create 64; dirents = Hashtbl.create 64; next_ino = 2;
+    next_block = 0; gens = [||] }
 
-let create ?(volume = "vol0") ?(encrypted = true) ~key () =
-  let data_key, mac_key = derive_keys key in
-  {
-    host = Host_store.create ();
-    data_key;
-    mac_key;
-    volume;
-    encrypted;
-    m =
-      { inodes = [ (root_ino, fresh_root ()) ]; next_ino = 2; next_block = 0;
-        gens = [] };
-    cache = Hashtbl.create 256;
-    cache_hits = 0;
-    cache_misses = 0;
-    retries = 0;
-    backoff_ns = 0L;
-    obs = Occlum_obs.Obs.disabled;
-  }
+let fresh_meta () =
+  let m = empty_meta () in
+  Hashtbl.replace m.inodes root_ino
+    { ino = root_ino; kind = Dir; size = 0; blocks = [||]; entries = []; nlink = 1 };
+  m
 
-let inode t ino = List.assoc_opt ino t.m.inodes
+let inode t ino = Hashtbl.find_opt t.m.inodes ino
 
-let gen_of t idx = Option.value (List.assoc_opt idx t.m.gens) ~default:0
+let gen_of t idx = if idx < Array.length t.m.gens then t.m.gens.(idx) else 0
 
 let bump_gen t idx =
-  let g = gen_of t idx + 1 in
-  t.m.gens <- (idx, g) :: List.remove_assoc idx t.m.gens;
+  let m = t.m in
+  if idx >= Array.length m.gens then begin
+    let bigger = Array.make (max (idx + 1) (2 * Array.length m.gens)) 0 in
+    Array.blit m.gens 0 bigger 0 (Array.length m.gens);
+    m.gens <- bigger
+  end;
+  let g = m.gens.(idx) + 1 in
+  m.gens.(idx) <- g;
   g
 
 (* --- block crypto -------------------------------------------------------- *)
 
-let seal t ~label ~nonce_tag plain =
+(* Block [idx] at generation [gen] is sealed under the nonce of
+   ["<volume>:blk:<idx>"] at index [gen]; the metadata's is [<volume>] at
+   index [-gen]. Both encodings are injective and never meet. *)
+let block_nonce t idx gen =
+  Occlum_util.Cipher.derive_nonce (t.volume ^ ":blk:" ^ string_of_int idx) gen
+
+let meta_nonce t gen = Occlum_util.Cipher.derive_nonce t.volume (-gen)
+
+(* A plaintext volume never forces [nonce]. *)
+let seal t ~label ~nonce plain =
   if not t.encrypted then { Host_store.cipher = plain; mac = "" }
   else
-    let nonce = Occlum_util.Cipher.derive_nonce t.volume nonce_tag in
+    let nonce = Lazy.force nonce in
     let cipher = Occlum_util.Cipher.encrypt ~key:t.data_key ~nonce plain in
     let mac = Occlum_util.Hmac.mac ~key:t.mac_key (label ^ cipher) in
     { Host_store.cipher; mac }
 
-let unseal t ~label ~nonce_tag (e : Host_store.entry) =
+let unseal t ~label ~nonce (e : Host_store.entry) =
   if not t.encrypted then e.cipher
   else begin
     if not (Occlum_util.Hmac.verify ~key:t.mac_key ~tag:e.mac (label ^ e.cipher))
     then raise (Corrupt ("integrity check failed: " ^ label));
-    let nonce = Occlum_util.Cipher.derive_nonce t.volume nonce_tag in
-    Occlum_util.Cipher.encrypt ~key:t.data_key ~nonce e.cipher
+    Occlum_util.Cipher.encrypt ~key:t.data_key ~nonce:(Lazy.force nonce) e.cipher
   end
 
-let nonce_tag_of idx gen = Hashtbl.hash (idx, gen)
+let block_label idx gen = "blk:" ^ string_of_int idx ^ ":" ^ string_of_int gen
 
 let writeback_block t idx (line : cache_line) =
   let gen = bump_gen t idx in
-  let label = Printf.sprintf "blk:%d:%d" idx gen in
   Host_store.put t.host idx
-    (seal t ~label ~nonce_tag:(nonce_tag_of idx gen) (Bytes.to_string line.data));
+    (seal t ~label:(block_label idx gen) ~nonce:(lazy (block_nonce t idx gen))
+       (Bytes.to_string line.data));
   line.dirty <- false
 
 let read_block t idx =
@@ -262,8 +286,9 @@ let read_block t idx =
         | None -> Bytes.make block_size '\x00' (* never written: a hole *)
         | Some e ->
             let gen = gen_of t idx in
-            let label = Printf.sprintf "blk:%d:%d" idx gen in
-            Bytes.of_string (unseal t ~label ~nonce_tag:(nonce_tag_of idx gen) e)
+            Bytes.of_string
+              (unseal t ~label:(block_label idx gen)
+                 ~nonce:(lazy (block_nonce t idx gen)) e)
       in
       let line = { data; dirty = false } in
       Hashtbl.replace t.cache idx line;
@@ -277,23 +302,49 @@ let alloc_block t =
 
 (* --- persistence ---------------------------------------------------------- *)
 
+(* [n] in decimal, without the allocation [string_of_int] makes. *)
+let rec add_int b n =
+  if n < 0 then
+    if n = min_int then Buffer.add_string b (string_of_int n)
+    else begin
+      Buffer.add_char b '-';
+      add_int b (-n)
+    end
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* Generations in block-id order (unwritten blocks omitted), then inodes
+   in ino order, each with its block list and its entries in readdir
+   order. *)
 let meta_to_string (m : meta) =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "META1\n%d %d\n" m.next_ino m.next_block;
-  add "%d\n" (List.length m.gens);
-  List.iter (fun (i, g) -> add "%d %d\n" i g) m.gens;
-  add "%d\n" (List.length m.inodes);
-  List.iter
-    (fun (_, (n : inode)) ->
-      add "%d %c %d %d\n" n.ino (match n.kind with File -> 'F' | Dir -> 'D')
-        n.size n.nlink;
-      add "%d" (Array.length n.blocks);
-      Array.iter (fun blk -> add " %d" blk) n.blocks;
-      add "\n%d\n" (List.length n.entries);
-      List.iter (fun (name, ino) -> add "%d %s %d\n" (String.length name) name ino)
+  let b = Buffer.create 4096 in
+  let int n = add_int b n in
+  let sp () = Buffer.add_char b ' ' and nl () = Buffer.add_char b '\n' in
+  Buffer.add_string b "META1\n";
+  int m.next_ino; sp (); int m.next_block; nl ();
+  int (Array.fold_left (fun k g -> if g > 0 then k + 1 else k) 0 m.gens); nl ();
+  Array.iteri (fun i g -> if g > 0 then begin int i; sp (); int g; nl () end) m.gens;
+  let inos = Array.of_seq (Hashtbl.to_seq_keys m.inodes) in
+  Array.sort Int.compare inos;
+  int (Array.length inos); nl ();
+  Array.iter
+    (fun ino ->
+      let n = Hashtbl.find m.inodes ino in
+      int n.ino; sp ();
+      Buffer.add_char b (match n.kind with File -> 'F' | Dir -> 'D'); sp ();
+      int n.size; sp (); int n.nlink; nl ();
+      int (Array.length n.blocks);
+      Array.iter (fun blk -> sp (); int blk) n.blocks;
+      nl ();
+      int (List.length n.entries); nl ();
+      List.iter
+        (fun (name, child) ->
+          int (String.length name); sp (); Buffer.add_string b name; sp ();
+          int child; nl ())
         n.entries)
-    m.inodes;
+    inos;
   Buffer.contents b
 
 let meta_of_string s =
@@ -308,118 +359,127 @@ let meta_of_string s =
   in
   let ints l = List.map int_of_string (String.split_on_char ' ' l) in
   if line () <> "META1" then raise (Corrupt "bad metadata magic");
-  let next_ino, next_block =
+  let m = empty_meta () in
+  (match ints (line ()) with
+  | [ a; b ] when b >= 0 ->
+      m.next_ino <- a;
+      m.next_block <- b
+  | _ -> raise (Corrupt "bad metadata header"));
+  m.gens <- Array.make m.next_block 0;
+  for _ = 1 to int_of_string (line ()) do
     match ints (line ()) with
-    | [ a; b ] -> (a, b)
-    | _ -> raise (Corrupt "bad metadata header")
-  in
-  let ngens = int_of_string (line ()) in
-  let gens =
-    List.init ngens (fun _ ->
-        match ints (line ()) with
-        | [ i; g ] -> (i, g)
-        | _ -> raise (Corrupt "bad gen entry"))
-  in
-  let ninodes = int_of_string (line ()) in
-  let inodes =
-    List.init ninodes (fun _ ->
-        let ino, kind, size, nlink =
-          match String.split_on_char ' ' (line ()) with
-          | [ a; k; sz; nl ] ->
-              ( int_of_string a,
-                (if k = "F" then File else Dir),
-                int_of_string sz, int_of_string nl )
-          | _ -> raise (Corrupt "bad inode line")
-        in
-        let blocks =
-          match ints (line ()) with
-          | cnt :: rest ->
-              if List.length rest <> cnt then raise (Corrupt "bad block list");
-              Array.of_list rest
-          | [] -> raise (Corrupt "bad block list")
-        in
-        let nentries = int_of_string (line ()) in
-        let entries =
-          List.init nentries (fun _ ->
-              let l = line () in
-              match String.index_opt l ' ' with
-              | None -> raise (Corrupt "bad dirent")
-              | Some sp ->
-                  let nlen = int_of_string (String.sub l 0 sp) in
-                  let name = String.sub l (sp + 1) nlen in
-                  let ino =
-                    int_of_string
-                      (String.sub l (sp + 2 + nlen)
-                         (String.length l - sp - 2 - nlen))
-                  in
-                  (name, ino))
-        in
-        (ino, { ino; kind; size; blocks; entries; nlink }))
-  in
-  { inodes; next_ino; next_block; gens }
+    | [ i; g ] when i >= 0 && i < m.next_block -> m.gens.(i) <- g
+    | [ _; _ ] -> raise (Corrupt "gen entry beyond next_block")
+    | _ -> raise (Corrupt "bad gen entry")
+  done;
+  for _ = 1 to int_of_string (line ()) do
+    let ino, kind, size, nlink =
+      match String.split_on_char ' ' (line ()) with
+      | [ a; k; sz; nl ] ->
+          ( int_of_string a,
+            (if k = "F" then File else Dir),
+            int_of_string sz, int_of_string nl )
+      | _ -> raise (Corrupt "bad inode line")
+    in
+    let blocks =
+      match ints (line ()) with
+      | cnt :: rest ->
+          if List.length rest <> cnt then raise (Corrupt "bad block list");
+          Array.of_list rest
+      | [] -> raise (Corrupt "bad block list")
+    in
+    let entries =
+      List.init (int_of_string (line ())) (fun _ ->
+          let l = line () in
+          match String.index_opt l ' ' with
+          | None -> raise (Corrupt "bad dirent")
+          | Some sp ->
+              let nlen = int_of_string (String.sub l 0 sp) in
+              let name = String.sub l (sp + 1) nlen in
+              let child =
+                int_of_string
+                  (String.sub l (sp + 2 + nlen) (String.length l - sp - 2 - nlen))
+              in
+              Hashtbl.replace m.dirents (ino, name) child;
+              (name, child))
+    in
+    Hashtbl.replace m.inodes ino { ino; kind; size; blocks; entries; nlink }
+  done;
+  m
 
 let flush t =
   Hashtbl.iter (fun idx line -> if line.dirty then writeback_block t idx line)
     t.cache;
   let gen = (match t.host.meta with Some (g, _) -> g | None -> 0) + 1 in
   let label = Printf.sprintf "meta:%d" gen in
-  t.host.meta <- Some (gen, seal t ~label ~nonce_tag:(-gen) (meta_to_string t.m))
+  t.host.meta <-
+    Some (gen, seal t ~label ~nonce:(lazy (meta_nonce t gen)) (meta_to_string t.m))
 
 (* Re-mount an existing host store (e.g. a fresh LibOS boot over the same
-   host files): decrypt and reload the metadata. *)
+   host files): decrypt and reload the metadata, rebuilding its indexes. *)
 let mount ?(volume = "vol0") ?(encrypted = true) ~key host =
   let data_key, mac_key = derive_keys key in
   let t =
-    { host; data_key; mac_key; volume; encrypted;
-      m = { inodes = []; next_ino = 2; next_block = 0; gens = [] };
+    { host; data_key; mac_key; volume; encrypted; m = empty_meta ();
       cache = Hashtbl.create 256; cache_hits = 0; cache_misses = 0;
       retries = 0; backoff_ns = 0L; obs = Occlum_obs.Obs.disabled }
   in
   (match host.Host_store.meta with
-  | None -> t.m <- { inodes = [ (root_ino, fresh_root ()) ]; next_ino = 2;
-                     next_block = 0; gens = [] }
+  | None -> t.m <- fresh_meta ()
   | Some (gen, e) ->
       let label = Printf.sprintf "meta:%d" gen in
-      t.m <- meta_of_string (unseal t ~label ~nonce_tag:(-gen) e));
+      t.m <- meta_of_string (unseal t ~label ~nonce:(lazy (meta_nonce t gen)) e));
   t
+
+let create ?volume ?encrypted ~key () =
+  mount ?volume ?encrypted ~key (Host_store.create ())
 
 (* --- namespace ------------------------------------------------------------ *)
 
 let split_path path =
   String.split_on_char '/' path |> List.filter (fun s -> s <> "")
 
-let lookup t path =
-  let rec walk node = function
-    | [] -> Some node
-    | seg :: rest -> (
-        match node.kind with
-        | File -> None
-        | Dir -> (
-            match List.assoc_opt seg node.entries with
-            | None -> None
-            | Some ino -> (
-                match inode t ino with
-                | None -> None
-                | Some child -> walk child rest)))
-  in
-  match inode t root_ino with
-  | None -> None
-  | Some root -> walk root (split_path path)
+(* The ino [name] names in directory [dir], through the index. *)
+let child_ino t (dir : inode) name = Hashtbl.find_opt t.m.dirents (dir.ino, name)
+
+let rec walk t (node : inode) = function
+  | [] -> Some node
+  | seg :: rest -> (
+      match node.kind with
+      | File -> None
+      | Dir -> (
+          match Option.bind (child_ino t node seg) (inode t) with
+          | None -> None
+          | Some child -> walk t child rest))
+
+let lookup_segs t segs =
+  match inode t root_ino with None -> None | Some root -> walk t root segs
+
+let lookup t path = lookup_segs t (split_path path)
 
 let lookup_parent t path =
   match List.rev (split_path path) with
   | [] -> None
   | name :: rev_dir -> (
-      let dir_path = String.concat "/" (List.rev rev_dir) in
-      match lookup t dir_path with
+      match lookup_segs t (List.rev rev_dir) with
       | Some ({ kind = Dir; _ } as d) -> Some (d, name)
       | Some _ | None -> None)
+
+(* [entries] keeps readdir order; [dirents] indexes it. A new name goes
+   last. *)
+let add_entry t (dir : inode) name ino =
+  dir.entries <- dir.entries @ [ (name, ino) ];
+  Hashtbl.replace t.m.dirents (dir.ino, name) ino
+
+let remove_entry t (dir : inode) name =
+  dir.entries <- List.remove_assoc name dir.entries;
+  Hashtbl.remove t.m.dirents (dir.ino, name)
 
 let add_inode t kind =
   let ino = t.m.next_ino in
   t.m.next_ino <- ino + 1;
   let n = { ino; kind; size = 0; blocks = [||]; entries = []; nlink = 1 } in
-  t.m.inodes <- (ino, n) :: t.m.inodes;
+  Hashtbl.replace t.m.inodes ino n;
   n
 
 let create_file t path =
@@ -431,7 +491,7 @@ let create_file t path =
       | None -> Error Occlum_abi.Abi.Errno.enoent
       | Some (dir, name) ->
           let n = add_inode t File in
-          dir.entries <- dir.entries @ [ (name, n.ino) ];
+          add_entry t dir name n.ino;
           Ok n)
 
 let mkdir t path =
@@ -442,34 +502,58 @@ let mkdir t path =
       | None -> Error Occlum_abi.Abi.Errno.enoent
       | Some (dir, name) ->
           let n = add_inode t Dir in
-          dir.entries <- dir.entries @ [ (name, n.ino) ];
+          add_entry t dir name n.ino;
           Ok n)
 
 let unlink t path =
   match lookup_parent t path with
   | None -> Error Occlum_abi.Abi.Errno.enoent
   | Some (dir, name) -> (
-      match List.assoc_opt name dir.entries with
+      match child_ino t dir name with
       | None -> Error Occlum_abi.Abi.Errno.enoent
       | Some ino -> (
           match inode t ino with
           | Some { kind = Dir; entries = _ :: _; _ } ->
               Error Occlum_abi.Abi.Errno.enotempty
           | _ ->
-              dir.entries <- List.remove_assoc name dir.entries;
-              t.m.inodes <- List.remove_assoc ino t.m.inodes;
+              remove_entry t dir name;
+              Hashtbl.remove t.m.inodes ino;
               Ok ()))
 
+(* [prefix] is a proper prefix of [segs]. *)
+let rec proper_prefix prefix segs =
+  match (prefix, segs) with
+  | [], _ :: _ -> true
+  | p :: ps, s :: ss -> String.equal p s && proper_prefix ps ss
+  | _ -> false
+
+(* POSIX rename without hard links: renaming a name onto itself changes
+   nothing, a directory cannot move into its own subtree, and a replaced
+   target leaves the inode table with its name. The moved name goes
+   first in the target directory's listing. *)
 let rename t src dst =
+  let module E = Occlum_abi.Abi.Errno in
   match (lookup_parent t src, lookup_parent t dst) with
   | Some (sdir, sname), Some (ddir, dname) -> (
-      match List.assoc_opt sname sdir.entries with
-      | None -> Error Occlum_abi.Abi.Errno.enoent
-      | Some ino ->
-          sdir.entries <- List.remove_assoc sname sdir.entries;
-          ddir.entries <- (dname, ino) :: List.remove_assoc dname ddir.entries;
-          Ok ())
-  | _ -> Error Occlum_abi.Abi.Errno.enoent
+      match Option.bind (child_ino t sdir sname) (inode t) with
+      | None -> Error E.enoent
+      | Some moved -> (
+          if proper_prefix (split_path src) (split_path dst) then Error E.einval
+          else
+            match Option.bind (child_ino t ddir dname) (inode t) with
+            | Some old when old.ino = moved.ino -> Ok ()
+            | Some { kind = Dir; entries = _ :: _; _ } -> Error E.enotempty
+            | Some { kind = Dir; _ } when moved.kind = File -> Error E.eisdir
+            | Some { kind = File; _ } when moved.kind = Dir -> Error E.enotdir
+            | replaced ->
+                Option.iter
+                  (fun (old : inode) -> Hashtbl.remove t.m.inodes old.ino)
+                  replaced;
+                remove_entry t sdir sname;
+                ddir.entries <- (dname, moved.ino) :: List.remove_assoc dname ddir.entries;
+                Hashtbl.replace t.m.dirents (ddir.ino, dname) moved.ino;
+                Ok ()))
+  | _ -> Error E.enoent
 
 let readdir t path =
   match lookup t path with

@@ -5,16 +5,24 @@
     This is the capability Table 1 reserves to SIPs: Graphene-SGX's
     per-process enclaves cannot maintain one consistent writable view.
 
-    Confidentiality: per-(block, generation) nonces. Integrity: an HMAC
-    per block over identity, generation and ciphertext; host tampering
-    surfaces as {!Corrupt} on the next cold read. *)
+    Confidentiality: per-(block, generation) nonces from an injective
+    encoding of the pair, disjoint from the metadata's nonces
+    ({!block_nonce}, {!meta_nonce}). Integrity: an HMAC per block over
+    identity, generation and ciphertext; host tampering surfaces as
+    {!Corrupt} on the next cold read.
+
+    Metadata operations are O(1) in the size of the volume: inodes are
+    indexed by ino, block generations by block id, and every directory's
+    entries by [(dir ino, name)]. Directory listings keep creation order
+    (a renamed name goes first). *)
 
 val block_size : int
 
 exception Corrupt of string
 
 (** The untrusted host side: ciphertext blocks plus a sealed metadata
-    blob. Serializable to the occlum_sefs image format without keys. *)
+    blob. Serializable to the occlum_sefs image format (version 2,
+    magic [SEFSIMG2]) without keys. *)
 module Host_store : sig
   type entry = { cipher : string; mac : string }
 
@@ -31,7 +39,11 @@ module Host_store : sig
 
   val to_string : t -> string
   exception Bad_image of string
+
   val of_string : string -> t
+  (** @raise Bad_image on a malformed image, and on a version-1 image,
+      whose blocks were sealed under the old, non-injective nonces. *)
+
   val save : t -> string -> unit
   val load : string -> t
 
@@ -50,12 +62,9 @@ type inode = {
   mutable nlink : int;
 }
 
-type meta = {
-  mutable inodes : (int * inode) list;
-  mutable next_ino : int;
-  mutable next_block : int;
-  mutable gens : (int * int) list;
-}
+type meta
+(** The trusted metadata: the inode table, the directory-entry index,
+    the allocation counters and every block's write generation. *)
 
 type t = {
   host : Host_store.t;
@@ -89,6 +98,14 @@ val mount : ?volume:string -> ?encrypted:bool -> key:string -> Host_store.t -> t
 val flush : t -> unit
 (** Write back dirty cache lines and seal the metadata. *)
 
+val block_nonce : t -> int -> int -> string
+(** [block_nonce t idx gen]: the nonce block [idx] is sealed under at
+    write generation [gen]. Injective in [(idx, gen)]. *)
+
+val meta_nonce : t -> int -> string
+(** [meta_nonce t gen]: the nonce the metadata is sealed under at
+    metadata generation [gen]; never equal to a {!block_nonce}. *)
+
 val inode : t -> int -> inode option
 
 (** {1 Namespace} *)
@@ -99,6 +116,11 @@ val create_file : t -> string -> (inode, int) result
 val mkdir : t -> string -> (inode, int) result
 val unlink : t -> string -> (unit, int) result
 val rename : t -> string -> string -> (unit, int) result
+(** POSIX rename. A replaced target's inode is freed; a directory moved
+    into its own subtree is [EINVAL] and changes nothing; replacing a
+    non-empty directory is [ENOTEMPTY], a directory by a file [EISDIR],
+    a file by a directory [ENOTDIR]. *)
+
 val readdir : t -> string -> (string list, int) result
 val ensure_parents : t -> string -> unit
 (** mkdir -p for the directories leading to the path's parent. *)

@@ -223,6 +223,292 @@ let test_image_roundtrip () =
   | exception Sefs.Host_store.Bad_image _ -> ()
   | _ -> Alcotest.fail "truncated image accepted"
 
+(* Block nonces once came from [Hashtbl.hash (idx, gen)], which squeezes
+   the pair through 30 bits. Find two (block, generation) pairs that
+   collide under it and check that their nonces still differ, and that no
+   block nonce meets a metadata nonce. *)
+let test_block_nonces_unique () =
+  let t = fresh () in
+  let seen = Hashtbl.create 65536 in
+  let rec search idx gen =
+    let h = Hashtbl.hash (idx, gen) in
+    match Hashtbl.find_opt seen h with
+    | Some p -> (p, (idx, gen))
+    | None ->
+        Hashtbl.add seen h (idx, gen);
+        if gen < 4 then search idx (gen + 1) else search (idx + 1) 1
+  in
+  let (i1, g1), (i2, g2) = search 0 1 in
+  Alcotest.(check bool) "distinct pairs" true ((i1, g1) <> (i2, g2));
+  Alcotest.(check bool)
+    (Printf.sprintf "nonces of (%d,%d) and (%d,%d) differ" i1 g1 i2 g2)
+    false
+    (String.equal (Sefs.block_nonce t i1 g1) (Sefs.block_nonce t i2 g2));
+  Alcotest.(check int) "(9602,2) and (10457,3) collide under the old tag"
+    (Hashtbl.hash (9602, 2)) (Hashtbl.hash (10457, 3));
+  Alcotest.(check bool) "(9602,2) and (10457,3) differ" false
+    (String.equal (Sefs.block_nonce t 9602 2) (Sefs.block_nonce t 10457 3));
+  let metas = List.init 64 (fun g -> Sefs.meta_nonce t (g + 1)) in
+  for idx = 0 to 63 do
+    for gen = 1 to 4 do
+      if List.mem (Sefs.block_nonce t idx gen) metas then
+        Alcotest.failf "block (%d,%d) shares a metadata nonce" idx gen
+    done
+  done
+
+let live_inodes t =
+  List.length (List.filter (fun k -> Sefs.inode t k <> None) (List.init 1000 Fun.id))
+
+let test_rename_replaces () =
+  (* renaming over an existing file frees the replaced inode *)
+  let t = fresh () in
+  wr t "/a" "A";
+  wr t "/b" "B";
+  let old = match Sefs.lookup t "/b" with Some n -> n.Sefs.ino | None -> -1 in
+  (match Sefs.rename t "/a" "/b" with Ok () -> () | _ -> Alcotest.fail "rename");
+  Alcotest.(check string) "target has the source's data" "A" (rd t "/b");
+  Alcotest.(check bool) "replaced inode freed" true (Sefs.inode t old = None);
+  Alcotest.(check int) "root and /b only" 2 (live_inodes t);
+  Sefs.flush t;
+  let t2 = Sefs.mount ~key:"test-key" t.Sefs.host in
+  Alcotest.(check int) "still two after remount" 2 (live_inodes t2);
+  Alcotest.(check string) "remounted" "A" (rd t2 "/b")
+
+let test_rename_into_own_subtree () =
+  (* a directory cannot move below itself: EINVAL, and nothing changes *)
+  let t = fresh () in
+  Sefs.ensure_parents t "/d/sub/x";
+  wr t "/d/f" "F";
+  (match Sefs.rename t "/d" "/d/sub/x" with
+  | Error e when e = Occlum_abi.Abi.Errno.einval -> ()
+  | _ -> Alcotest.fail "rename into own subtree must be EINVAL");
+  (match Sefs.rename t "/d" "/d/x" with
+  | Error e when e = Occlum_abi.Abi.Errno.einval -> ()
+  | _ -> Alcotest.fail "rename into itself must be EINVAL");
+  Alcotest.(check string) "/d/f intact" "F" (rd t "/d/f");
+  Alcotest.(check (result (list string) int)) "root" (Ok [ "d" ]) (Sefs.readdir t "/");
+  Alcotest.(check (result (list string) int)) "/d" (Ok [ "sub"; "f" ])
+    (Sefs.readdir t "/d");
+  Alcotest.(check (result (list string) int)) "/d/sub" (Ok []) (Sefs.readdir t "/d/sub");
+  Alcotest.(check int) "root, d, sub, f" 4 (live_inodes t)
+
+let test_image_v1_rejected () =
+  let t = fresh () in
+  wr t "/f" "x";
+  Sefs.flush t;
+  let img = Sefs.Host_store.to_string t.Sefs.host in
+  Alcotest.(check string) "image version 2" "SEFSIMG2\n" (String.sub img 0 9);
+  let v1 = "SEFSIMG1" ^ String.sub img 8 (String.length img - 8) in
+  match Sefs.Host_store.of_string v1 with
+  | exception Sefs.Host_store.Bad_image _ -> ()
+  | _ -> Alcotest.fail "a version-1 image must be refused"
+
+(* --- model-based property -------------------------------------------------- *)
+
+(* The model: a pure tree whose directories list their entries in readdir
+   order (a new name goes last, a renamed one first). *)
+type mnode = MFile of string | MDir of (string * mnode) list
+
+type op =
+  | Create of string list
+  | Mkdir of string list
+  | Write of string list * string
+  | Unlink of string list
+  | Rename of string list * string list
+  | Remount
+
+let path segs = "/" ^ String.concat "/" segs
+
+let show_op = function
+  | Create p -> "create " ^ path p
+  | Mkdir p -> "mkdir " ^ path p
+  | Write (p, c) -> Printf.sprintf "write %s (%d bytes)" (path p) (String.length c)
+  | Unlink p -> "unlink " ^ path p
+  | Rename (s, d) -> Printf.sprintf "rename %s %s" (path s) (path d)
+  | Remount -> "flush+mount"
+
+let rec m_find node segs =
+  match (segs, node) with
+  | [], n -> Some n
+  | s :: rest, MDir es -> Option.bind (List.assoc_opt s es) (fun c -> m_find c rest)
+  | _ :: _, MFile _ -> None
+
+(* Apply [f] to the entries of the directory at [segs] (which exists). *)
+let rec m_edit node segs f =
+  match (segs, node) with
+  | [], MDir es -> MDir (f es)
+  | s :: rest, MDir es ->
+      MDir (List.map (fun (n, c) -> if n = s then (n, m_edit c rest f) else (n, c)) es)
+  | _ -> invalid_arg "m_edit"
+
+let split segs =
+  match List.rev segs with
+  | name :: rev_dir -> (List.rev rev_dir, name)
+  | [] -> invalid_arg "split"
+
+let is_dir root segs = match m_find root segs with Some (MDir _) -> true | _ -> false
+
+let rec proper_prefix a b =
+  match (a, b) with
+  | [], _ :: _ -> true
+  | x :: xs, y :: ys -> x = y && proper_prefix xs ys
+  | _ -> false
+
+let m_put root segs node =
+  let dir, name = split segs in
+  m_edit root dir (fun es ->
+      if List.mem_assoc name es then
+        List.map (fun (n, c) -> if n = name then (n, node) else (n, c)) es
+      else es @ [ (name, node) ])
+
+(* One step of the model: the new tree and the errno SEFS must return. *)
+let m_step root op =
+  let module E = Occlum_abi.Abi.Errno in
+  let create segs =
+    match m_find root segs with
+    | Some (MFile _) -> (root, Ok ())
+    | Some (MDir _) -> (root, Error E.eisdir)
+    | None ->
+        if is_dir root (fst (split segs)) then (m_put root segs (MFile ""), Ok ())
+        else (root, Error E.enoent)
+  in
+  match op with
+  | Create p -> create p
+  | Write (p, c) -> (
+      match create p with
+      | root', Ok () -> (m_put root' p (MFile c), Ok ())
+      | r -> r)
+  | Mkdir p -> (
+      match m_find root p with
+      | Some _ -> (root, Error E.eexist)
+      | None ->
+          if is_dir root (fst (split p)) then (m_put root p (MDir []), Ok ())
+          else (root, Error E.enoent))
+  | Unlink p -> (
+      let dir, name = split p in
+      match m_find root p with
+      | _ when not (is_dir root dir) -> (root, Error E.enoent)
+      | None -> (root, Error E.enoent)
+      | Some (MDir (_ :: _)) -> (root, Error E.enotempty)
+      | Some _ -> (m_edit root dir (List.remove_assoc name), Ok ()))
+  | Rename (s, d) -> (
+      let sdir, sname = split s and ddir, dname = split d in
+      if not (is_dir root sdir && is_dir root ddir) then (root, Error E.enoent)
+      else
+        match m_find root s with
+        | None -> (root, Error E.enoent)
+        | Some moved -> (
+            if proper_prefix s d then (root, Error E.einval)
+            else
+              match (m_find root d, moved) with
+              | Some _, _ when s = d -> (root, Ok ())
+              | Some (MDir (_ :: _)), _ -> (root, Error E.enotempty)
+              | Some (MDir _), MFile _ -> (root, Error E.eisdir)
+              | Some (MFile _), MDir _ -> (root, Error E.enotdir)
+              | _ ->
+                  let root = m_edit root sdir (List.remove_assoc sname) in
+                  ( m_edit root ddir (fun es ->
+                        (dname, moved) :: List.remove_assoc dname es),
+                    Ok () )))
+  | Remount -> (root, Ok ())
+
+let rec m_count = function
+  | MFile _ -> 1
+  | MDir es -> List.fold_left (fun k (_, c) -> k + m_count c) 1 es
+
+let names = [ "a"; "b"; "c" ]
+
+(* every path of depth 0..3 over [names] *)
+let universe =
+  let ext ps = List.concat_map (fun p -> List.map (fun n -> p @ [ n ]) names) ps in
+  let d1 = ext [ [] ] in
+  let d2 = ext d1 in
+  [] :: (d1 @ d2 @ ext d2)
+
+(* SEFS and the model agree on every path: lookup, readdir (with its
+   order), read_path, and the number of live inodes. *)
+let agrees t root =
+  let module E = Occlum_abi.Abi.Errno in
+  List.for_all
+    (fun segs ->
+      let p = path segs in
+      let m = m_find root segs in
+      let lookup_ok =
+        match (Sefs.lookup t p, m) with
+        | None, None -> true
+        | Some { Sefs.kind = Sefs.Dir; _ }, Some (MDir _) -> true
+        | Some ({ Sefs.kind = Sefs.File; _ } as n), Some (MFile c) ->
+            n.Sefs.size = String.length c
+        | _ -> false
+      in
+      let readdir_ok =
+        Sefs.readdir t p
+        = (match m with
+          | Some (MDir es) -> Ok (List.map fst es)
+          | Some (MFile _) -> Error E.enotdir
+          | None -> Error E.enoent)
+      in
+      let read_ok =
+        Sefs.read_path t p
+        = (match m with
+          | Some (MFile c) -> Ok c
+          | Some (MDir _) -> Error E.eisdir
+          | None -> Error E.enoent)
+      in
+      lookup_ok && readdir_ok && read_ok)
+    universe
+  && live_inodes t = m_count root
+
+let gen_ops =
+  let open QCheck.Gen in
+  let seg = oneofl names in
+  let segs = list_size (int_range 1 3) seg in
+  let content =
+    oneof
+      [ string_size ~gen:printable (int_range 0 40);
+        map2 (fun n c -> String.make n c) (int_range 0 9000) printable ]
+  in
+  list_size (int_range 1 40)
+    (frequency
+       [ (2, map (fun p -> Create p) segs);
+         (3, map (fun p -> Mkdir p) segs);
+         (3, map2 (fun p c -> Write (p, c)) segs content);
+         (2, map (fun p -> Unlink p) segs);
+         (3, map2 (fun s d -> Rename (s, d)) segs segs);
+         (1, return Remount) ])
+
+let prop_sefs_model =
+  QCheck.Test.make ~name:"SEFS agrees with a path model across flush+mount"
+    ~count:150
+    (QCheck.make gen_ops ~print:(fun ops -> String.concat "; " (List.map show_op ops)))
+    (fun ops ->
+      let t = ref (fresh ()) in
+      let unit_of r = Result.map ignore r in
+      let step root op =
+        let root', want = m_step root op in
+        let got =
+          match op with
+          | Create p -> unit_of (Sefs.create_file !t (path p))
+          | Mkdir p -> unit_of (Sefs.mkdir !t (path p))
+          | Write (p, c) -> unit_of (Sefs.write_path !t (path p) c)
+          | Unlink p -> Sefs.unlink !t (path p)
+          | Rename (s, d) -> Sefs.rename !t (path s) (path d)
+          | Remount ->
+              Sefs.flush !t;
+              t := Sefs.mount ~key:"test-key" !t.Sefs.host;
+              Ok ()
+        in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: SEFS %s, model %s" (show_op op)
+            (match got with Ok () -> "ok" | Error e -> string_of_int e)
+            (match want with Ok () -> "ok" | Error e -> string_of_int e);
+        if not (agrees !t root') then
+          QCheck.Test.fail_reportf "after %s: SEFS and the model disagree" (show_op op);
+        root'
+      in
+      ignore (List.fold_left step (MDir []) (ops @ [ Remount ]));
+      true)
+
 let suite =
   [
     Alcotest.test_case "basic files" `Quick test_basic_files;
@@ -238,4 +524,9 @@ let suite =
     Alcotest.test_case "shared page cache" `Quick test_page_cache;
     Alcotest.test_case "plaintext (ext4 model) mode" `Quick test_plaintext_mode;
     Alcotest.test_case "truncate" `Quick test_truncate;
+    Alcotest.test_case "block nonces unique" `Quick test_block_nonces_unique;
+    Alcotest.test_case "rename over a file frees it" `Quick test_rename_replaces;
+    Alcotest.test_case "rename into own subtree" `Quick test_rename_into_own_subtree;
+    Alcotest.test_case "version-1 image refused" `Quick test_image_v1_rejected;
+    QCheck_alcotest.to_alcotest prop_sefs_model;
   ]

@@ -68,8 +68,23 @@ let test_chacha_vector () =
   let padded = Bytes.of_string (String.make 64 '\x00' ^ plain) in
   Cipher.encrypt_bytes ~key ~nonce padded;
   let c = Bytes.sub_string padded 64 (String.length plain) in
-  check "rfc8439 head" "6e2e359a2568f980"
-    (Bytes_util.hex_of_string (String.sub c 0 8))
+  check "rfc8439 2.4.2 ciphertext"
+    "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
+     f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
+     07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
+     5af90bbf74a35be6b40b8eedf2785e42874d"
+    (Bytes_util.hex_of_string c)
+
+let test_chacha_block_vector () =
+  (* RFC 8439 §2.3.2: the keystream block at counter 1 is bytes 64..127
+     of the keystream, which is what encrypting zeros yields *)
+  let key = String.init 32 Char.chr in
+  let nonce = "\x00\x00\x00\x09\x00\x00\x00\x4a\x00\x00\x00\x00" in
+  let ks = Cipher.encrypt ~key ~nonce (String.make 128 '\x00') in
+  check "rfc8439 2.3.2 block"
+    "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
+     d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+    (Bytes_util.hex_of_string (String.sub ks 64 64))
 
 let test_cipher_roundtrip () =
   let key = Sha256.digest "k" and nonce = Cipher.derive_nonce "t" 7 in
@@ -131,16 +146,42 @@ let prop_cipher_involution =
       let nonce = Cipher.derive_nonce "prop" 1 in
       Cipher.encrypt ~key ~nonce (Cipher.encrypt ~key ~nonce data) = data)
 
+(* [encrypt_sub] on a span at an odd offset equals [encrypt] of that
+   substring (keystream from block 0 whatever the offset), leaves the
+   bytes around the span alone, and undoes itself. *)
+let prop_cipher_sub_equals_encrypt =
+  QCheck.Test.make ~name:"encrypt_sub at odd offsets = encrypt of the span"
+    ~count:200
+    QCheck.(triple (int_range 0 300) (int_range 0 9) small_nat)
+    (fun (len, pad, seed) ->
+      let off = (2 * pad) + 1 in
+      let buf =
+        Bytes.init (off + len + 3) (fun k -> Char.chr ((k * 7 + seed) land 0xFF))
+      in
+      let orig = Bytes.to_string buf in
+      let key = Sha256.digest (string_of_int seed) in
+      let nonce = Cipher.derive_nonce "sub" seed in
+      Cipher.encrypt_sub ~key ~nonce buf off len;
+      let want = Cipher.encrypt ~key ~nonce (String.sub orig off len) in
+      let once = Bytes.to_string buf in
+      Cipher.encrypt_sub ~key ~nonce buf off len;
+      String.sub once off len = want
+      && String.sub once 0 off = String.sub orig 0 off
+      && String.sub once (off + len) 3 = String.sub orig (off + len) 3
+      && Bytes.to_string buf = orig)
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming_equals_oneshot;
     Alcotest.test_case "hmac" `Quick test_hmac;
     Alcotest.test_case "chacha vector" `Quick test_chacha_vector;
+    Alcotest.test_case "chacha block vector" `Quick test_chacha_block_vector;
     Alcotest.test_case "cipher roundtrip" `Quick test_cipher_roundtrip;
     Alcotest.test_case "cipher arg checks" `Quick test_cipher_sizes;
     Alcotest.test_case "prng" `Quick test_prng;
     Alcotest.test_case "bytes_util" `Quick test_bytes_util;
     QCheck_alcotest.to_alcotest prop_find_all_correct;
     QCheck_alcotest.to_alcotest prop_cipher_involution;
+    QCheck_alcotest.to_alcotest prop_cipher_sub_equals_encrypt;
   ]
