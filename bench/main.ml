@@ -758,8 +758,9 @@ let hot_loop_code iters =
   String.concat "" (List.map Codec.encode prog)
 
 (* One timed run of the hot loop through the reference loop or, with
-   [tiered], the tiered loop. The code page is mapped r-x (the LibOS's W^X
-   shape) so blocks are not fragile. *)
+   [tiered], the tiered loop. The code page is mapped r-x (W^X), so
+   blocks are not fragile; the LibOS maps SIP code RWX, which
+   [jit/rwx-mem-insns-per-sec] measures. *)
 let hot_loop_run code ~tiered =
   let open Occlum_machine in
   let mem = Mem.create ~size:(16 * 4096) in
@@ -822,13 +823,14 @@ let guarded_loop_code iters =
   in
   (String.concat "" (List.map Codec.encode prog), data)
 
-(* One timed JIT run of the guarded kernel: code r-x, one rw data page
+(* One timed JIT run of the guarded kernel: code mapped [code_perm]
+   (r-x, or RWX as the LibOS loader maps SIP code), one rw data page
    that bnd0 covers exactly. Returns the CPU, the host seconds and the
    minor-heap words allocated. *)
-let guarded_loop_run (code, data) =
+let guarded_loop_run ~code_perm (code, data) =
   let open Occlum_machine in
   let mem = Mem.create ~size:(16 * 4096) in
-  Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
+  Mem.map mem ~addr:4096 ~len:4096 ~perm:code_perm;
   Mem.map mem ~addr:data ~len:4096 ~perm:Mem.perm_rw;
   Mem.write_bytes_priv mem ~addr:4096 (Bytes.of_string code);
   let cpu = Cpu.create () in
@@ -934,14 +936,20 @@ let micro_jit () =
       failwith "SMC kernel never deopted the promoted block";
     cpu.Cpu.jit_deopts
   in
-  (* real-code shape: guarded loads and stores through the page check *)
+  (* real-code shape: guarded loads and stores through the page check,
+     on r-x code and on the loader's RWX mapping (fragile blocks) *)
   let guarded = guarded_loop_code iters in
-  ignore (guarded_loop_run guarded);
-  let cpu_m, t_m, words_m = guarded_loop_run guarded in
-  let m = ips cpu_m t_m in
+  let guarded_run code_perm =
+    ignore (guarded_loop_run ~code_perm guarded);
+    let cpu, t, words = guarded_loop_run ~code_perm guarded in
+    (cpu, ips cpu t, words)
+  in
+  let cpu_m, m, words_m = guarded_run Mem.perm_rx in
+  let cpu_w, w, words_w = guarded_run Mem.perm_rwx in
   record "micro/interp-uncached-insns-per-sec" u;
   record "jit/insns-per-sec" j;
   record "jit/mem-insns-per-sec" m;
+  record "jit/rwx-mem-insns-per-sec" w;
   record "jit/over-uncached-speedup" (j /. u);
   record "jit/compile-ns-per-block" compile_ns;
   record "jit/smc-deopts" (float smc_deopts);
@@ -951,6 +959,9 @@ let micro_jit () =
   Printf.printf "%-34s %14.2f M insns/s   (%.2f minor words/insn)\n"
     "occlum/interp-jit-guarded-mem" (m /. 1e6)
     (words_m /. float cpu_m.Cpu.insns);
+  Printf.printf "%-34s %14.2f M insns/s   (%.2f minor words/insn)\n"
+    "occlum/interp-jit-guarded-mem-rwx" (w /. 1e6)
+    (words_w /. float cpu_w.Cpu.insns);
   Printf.printf "%-34s %14.0f ns/block\n" "occlum/jit-compile" compile_ns;
   Printf.printf "%-34s %14d deopts (self-modifying kernel)\n" "occlum/jit-smc"
     smc_deopts

@@ -912,8 +912,8 @@ let mc_case _inj _shrink rng case =
    - [J_smc]: the engine additionally flips a code byte — the same byte,
      the same flip — in both envs at stop boundaries, exercising
      page-generation invalidation, JIT deopt and rebuild. With RWX code
-     the blocks are fragile (single-instruction units, revalidated
-     between instructions); with RX code the fused fast paths run.
+     the blocks are fragile (fused units that end at each memory write,
+     revalidated after it); with RX code nothing revalidates mid-block.
    - [J_epc]: both envs are demand-paged against one oversized pool
      and the engine evicts the same page from each at stop boundaries.
      Reloads are transparent ELDUs driven off [Epc_miss], mirroring the
@@ -994,8 +994,8 @@ let jit_case inj shrink rng case =
     match case mod 4 with 0 -> J_smc | 1 -> J_epc | _ -> J_plain
   in
   let perturb_seed = Rng.next rng in
-  (* RX is the loader's mapping (fused fast paths); RWX keeps every
-     block fragile (single-instruction units + revalidation) *)
+  (* RWX is the LibOS loader's mapping (SGX1 code pages): every block is
+     fragile and revalidates after each write; RX code never does *)
   let code_perm = if Rng.bool rng then Mem.perm_rx else Mem.perm_rwx in
   lockstep_failure Jit_equivalence shrink case (Gen.program rng)
     (fun inj its ->

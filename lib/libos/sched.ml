@@ -7,8 +7,9 @@ type core = {
   cid : int;
   mutable rq : int list;
   jit : Occlum_machine.Jit.t option;
-      (* per-core code cache: compiled closures are mutable-state-free
-         but the cache tables are not, so cores never share a [Jit.t] *)
+      (* per-core code cache: the cache tables and each compiled
+         block's successor link are mutable, so cores never share a
+         [Jit.t] *)
   obs : Occlum_obs.Obs.t;
   mutable backoff : int;
   mutable fail_streak : int;

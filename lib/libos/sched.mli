@@ -27,8 +27,8 @@ type core = {
   mutable rq : int list;  (** pids; front = next to claim *)
   jit : Occlum_machine.Jit.t option;
       (** this vCPU's private block JIT and its decode cache — compiled
-          closures are never shared across domains; [None] runs the
-          reference loop *)
+          blocks (and their mutable successor links) are never shared
+          across domains; [None] runs the reference loop *)
   obs : Occlum_obs.Obs.t;
       (** where this vCPU's quanta report: the scheduler's [obs] for
           core 0, {!Occlum_obs.Obs.disabled} for the rest *)

@@ -14,13 +14,16 @@
    and by every write — privileged or not — landing in an executable
    page. A block snapshots the generations of the pages it spans when
    built; a lookup whose snapshot no longer matches is an invalidation
-   and the block is dropped. Under the LibOS, SIP pages are W^X, so only
-   the trusted loader's privileged writes ever bump a code page; the
-   unprivileged-write hook exists for the RWX harnesses (bare runner,
-   RIPE) where self-modifying stores are legal. Blocks that span a
-   writable-and-executable page are additionally marked [fragile] so the
-   interpreter revalidates them between instructions, keeping even
-   self-modifying code exactly faithful to the uncached semantics. *)
+   and the block is dropped. Under the LibOS, SIP code pages are RWX
+   (SGX1 cannot change page permissions after EINIT, and the loader
+   writes binaries at runtime), so a store into code is legal in the
+   machine and only the verifier's MMDSFI checks keep verified SIPs from
+   making one; the unprivileged-write hook makes such a store bump the
+   generation all the same. Blocks that span a writable-and-executable
+   page are additionally marked [fragile] so the interpreter revalidates
+   them after each memory-writing instruction (the only thing inside a
+   block that can move a generation), keeping even self-modifying code
+   exactly faithful to the uncached semantics. *)
 
 open Occlum_isa
 

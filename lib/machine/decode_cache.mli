@@ -4,9 +4,10 @@
     the first control transfer, syscall gate or privileged opcode, and
     are invalidated through {!Mem.page_gen} generation counters (bumped
     on map/unmap and on any write into an executable page). Blocks that
-    span a writable-and-executable page are [fragile]: the interpreter
-    revalidates them between instructions so self-modifying code behaves
-    exactly as it does uncached. *)
+    span a writable-and-executable page (all LibOS SIP code) are
+    [fragile]: the interpreter revalidates them after each
+    memory-writing instruction so self-modifying code behaves exactly as
+    it does uncached. *)
 
 type block = {
   entry : int;  (** pc of the first instruction *)

@@ -332,10 +332,15 @@ let run_step ~hooked ~intr mem cpu ~fuel =
    - Executable-span checks are elided for cached instructions: block
      validity (unchanged page generations) implies the span still
      decodes and is still executable, exactly as at build time.
-   - Fragile blocks (on writable+executable pages) are revalidated
-     between instructions, so a self-modifying store takes effect on the
-     very next fetch. A refetch is not a new boundary: the hook is
-     consulted once the instruction is actually about to execute.
+   - Fragile blocks (on writable+executable pages: all LibOS SIP code)
+     are revalidated at the boundary after each memory-writing
+     instruction — within a block, the only thing that can move a page
+     generation — so a self-modifying store takes effect on the very
+     next fetch. A refetch is not a new boundary: the hook is consulted
+     once the instruction is actually about to execute.
+   - A compiled block's exit follows its link to the successor a lookup
+     found last time, when the link is still exactly what the lookup
+     would return; the JIT counters and trace events are the same.
    - A compiled unit runs its check-free [fast] variant only when no hook
      is armed and the remaining fuel covers the whole unit; otherwise its
      [safe] variant checks fuel and the hook at every internal boundary,
@@ -364,17 +369,20 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
   in
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
-    else
-      match Jit.lookup jit mem cpu.Cpu.pc with
-      | Jit.Hit c ->
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
-          exec_compiled c 0 fuel
-      | Jit.Stale ->
-          cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
-          trace obs.Obs.t_jit (fun pc -> Trace.Jit_invalidate { pc });
-          decoded_tier fuel
-      | Jit.Miss -> decoded_tier fuel
+    else dispatch (Jit.lookup jit mem cpu.Cpu.pc) fuel
+  and dispatch r fuel =
+    match r with
+    | Jit.Hit c -> hit c fuel
+    | Jit.Stale ->
+        cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
+        trace obs.Obs.t_jit (fun pc -> Trace.Jit_invalidate { pc });
+        decoded_tier fuel
+    | Jit.Miss -> decoded_tier fuel
+  (* a JIT hit found in the table or through a link *)
+  and hit c fuel =
+    cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+    trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
+    exec_compiled c 0 fuel
   and decoded_tier fuel =
     match Decode_cache.lookup cache mem cpu.Cpu.pc with
     | Decode_cache.Hit b ->
@@ -413,7 +421,11 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
   and exec_block (b : Decode_cache.block) i pc fuel =
     if fuel <= 0 then Stop_quantum
     else if i >= Array.length b.insns then loop fuel
-    else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
+    else if
+      b.fragile && i > 0
+      && Jit.insn_writes (fst b.insns.(i - 1))
+      && not (Decode_cache.block_valid mem b)
+    then
       (* a store inside this block rewrote its own code page: refetch *)
       loop fuel
     else if hooked && intr () then Stop_quantum
@@ -427,7 +439,9 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
     else if u >= Array.length c.Jit.units_fast then
       (* a block that branches back to its own entry (the hot-loop
          shape) re-enters without the table lookup; validity is
-         re-checked so a store from the block still invalidates it *)
+         re-checked so a store from the block still invalidates it.
+         Any other exit follows the block's link when it is still what
+         the lookup would find, else looks up and relinks. *)
       if
         cpu.Cpu.pc = c.Jit.entry
         && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
@@ -437,9 +451,10 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
         trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
         exec_compiled c 0 fuel
       end
-      else loop fuel
+      else if Jit.follow jit mem c cpu.Cpu.pc then hit c.Jit.link fuel
+      else dispatch (Jit.lookup_from jit mem c cpu.Cpu.pc) fuel
     else if
-      c.Jit.fragile && u > 0 && not (Decode_cache.block_valid mem c.Jit.src)
+      c.Jit.revalidate.(u) && not (Decode_cache.block_valid mem c.Jit.src)
     then begin
       (* self-modifying code: deopt back to the decoded tier *)
       cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;

@@ -30,17 +30,20 @@ val run :
     later visits; blocks replayed {!Jit.create}'s threshold many times
     are promoted to pre-compiled closure chains and dispatched first:
     JIT hit → compiled replay, stale → invalidate and fall back, miss →
-    the decode cache (which promotes on a hot hit).
+    the decode cache (which promotes on a hot hit). A compiled block's
+    exit first tries its link ({!Jit.follow}), which hits exactly when
+    the lookup would.
 
     The tiered loop is architecturally bit-identical to the reference:
     the same per-instruction cycle charges and counters, the same fault
     points and payloads, and the same stop boundaries — fuzz property
     #8 (jit-equivalence) checks this. Every instruction boundary is
     consulted in one order: fuel check, then revalidation of a block on
-    writable+executable pages, then the interrupt hook, then fetch or
-    replay. A fault inside compiled code deopts to the interpreter's
-    fault path, and writes to a cached or JIT'd page invalidate its
-    blocks through per-page generations. Cache and JIT
+    writable+executable pages (only at the boundary after a memory
+    write), then the interrupt hook, then fetch or replay. A fault
+    inside compiled code deopts to the interpreter's fault path, and
+    writes to a cached or JIT'd page invalidate its blocks through
+    per-page generations. Cache and JIT
     hit/miss/invalidation totals accumulate into the {!Cpu.t} stats
     fields.
 

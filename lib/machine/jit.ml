@@ -24,9 +24,17 @@
    Invalidation mirrors the decode cache: a compiled block keeps its
    source block's page-generation snapshot and is dropped when a lookup
    finds the generations moved. Blocks spanning a writable+executable
-   page compile without fusion (single-instruction units) so the
-   interpreter can revalidate them between instructions; self-modifying
-   code thereby deopts back to the decoded-block tier mid-block.
+   page ("fragile": every LibOS SIP block, since SGX1 code pages are
+   RWX) get the same fusion, but each unit ends at its first
+   memory-writing instruction: within a block only such an instruction
+   can move a page generation, so the interpreter revalidates a fragile
+   block only at the boundary after a writing unit, and self-modifying
+   code deopts back to the decoded-block tier on the very next fetch.
+
+   Block linking: each compiled block remembers the last successor a
+   lookup found at its exit. Following that link is exactly a lookup hit
+   — the target must still be the table's entry for the pc ([live]) and
+   still valid — so the JIT counters do not depend on it.
 
    Translation never drops a bound check: every bndcl/bndcu in the
    block compiles to a checking body. The only way to run with fewer
@@ -56,11 +64,17 @@ type compiled = {
   units_fast : body array;
   units_safe : unit_fn array;
   unit_insns : int array; (* original instructions per unit *)
-  fragile : bool;
+  revalidate : bool array;
+      (* per unit: the block is fragile and the previous unit wrote
+         memory, so the block may have rewritten its own code *)
   writes : bool;
       (* some instruction writes memory, so the block could invalidate
          itself (a store into its own executable page) — the self-loop
          re-entry must revalidate *)
+  mutable live : bool; (* the table's current entry for [entry] *)
+  mutable link : compiled;
+      (* the successor the last lookup at this block's exit found;
+         the block itself until then *)
 }
 
 type t = {
@@ -794,6 +808,15 @@ let pure_unit ~(cores : (Cpu.t -> unit) list) ~(bodies : body array) ~k
 
 (* ---- block compilation ---- *)
 
+(* The instructions that write memory: within a block, the only way a
+   page generation can move. Both tiers revalidate a fragile block only
+   after one of these. *)
+let insn_writes = function
+  | Insn.Store _ | Insn.Push _ | Insn.Call _ | Insn.Call_reg _
+  | Insn.Call_mem _ | Insn.Vscatter _ ->
+      true
+  | _ -> false
+
 let fusable_mem = function
   | Insn.Sib _ | Insn.Abs _ -> true
   | Insn.Rip_rel _ -> false
@@ -811,7 +834,7 @@ let compile (b : Decode_cache.block) : compiled =
   done;
   (* does a guard+memory superinstruction start at i? *)
   let pair_at i =
-    (not b.fragile) && i + 1 < n
+    i + 1 < n
     &&
     match guard_of (fst b.insns.(i)) with
     | Some (_, _, m) when fusable_mem m -> (
@@ -854,12 +877,6 @@ let compile (b : Decode_cache.block) : compiled =
            ~cost2:(Cost.of_insn (fst b.insns.(!i + 1))))
         2;
       i := !i + 2
-    end
-    else if b.fragile then begin
-      (* single-instruction units so the interpreter can revalidate the
-         block between instructions (self-modifying code) *)
-      emit (single (body !i)) 1;
-      i := !i + 1
     end
     else begin
       (* maximal pure-register run starting at i, with an optional
@@ -904,13 +921,15 @@ let compile (b : Decode_cache.block) : compiled =
       end
       else begin
         (* chain up to four straight-line bodies, cutting before the
-           next guard+memory superinstruction or pure run *)
+           next guard+memory superinstruction or pure run, and in a
+           fragile block after the first memory write *)
         let k = ref 1 in
         while
           !k < 4
           && !i + !k < n
           && (not (pair_at (!i + !k)))
           && core_of (fst b.insns.(!i + !k)) = None
+          && not (b.fragile && insn_writes (fst b.insns.(!i + !k - 1)))
         do
           incr k
         done;
@@ -927,21 +946,32 @@ let compile (b : Decode_cache.block) : compiled =
     end
   done;
   let us = List.rev !units in
-  let insn_writes = function
-    | Insn.Store _ | Insn.Push _ | Insn.Call _ | Insn.Call_reg _
-    | Insn.Call_mem _ | Insn.Vscatter _ ->
-        true
-    | _ -> false
+  let unit_insns = Array.of_list (List.map snd us) in
+  (* a unit ends at its first write, so unit u-1 wrote iff its last
+     instruction did *)
+  let revalidate = Array.make (Array.length unit_insns) false in
+  if b.fragile then begin
+    let last = ref (-1) in
+    Array.iteri
+      (fun u k ->
+        if u > 0 then revalidate.(u) <- insn_writes (fst b.insns.(!last));
+        last := !last + k)
+      unit_insns
+  end;
+  let rec c =
+    {
+      entry = b.entry;
+      src = b;
+      units_fast = Array.of_list (List.map (fun ((f, _), _) -> f) us);
+      units_safe = Array.of_list (List.map (fun ((_, s), _) -> s) us);
+      unit_insns;
+      revalidate;
+      writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
+      live = false;
+      link = c;
+    }
   in
-  {
-    entry = b.entry;
-    src = b;
-    units_fast = Array.of_list (List.map (fun ((f, _), _) -> f) us);
-    units_safe = Array.of_list (List.map (fun ((_, s), _) -> s) us);
-    unit_insns = Array.of_list (List.map snd us);
-    fragile = b.fragile;
-    writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
-  }
+  c
 
 (* ---- the code cache ---- *)
 
@@ -958,18 +988,45 @@ let lookup t mem pc =
       end
       else begin
         Hashtbl.remove t.tbl pc;
+        c.live <- false;
         t.invalidations <- t.invalidations + 1;
         Stale
       end
+
+(* [lookup] at [from]'s exit, linking [from] to what it finds *)
+let lookup_from t mem from pc =
+  match lookup t mem pc with
+  | Hit c as h ->
+      from.link <- c;
+      h
+  | r -> r
+
+(* A live link names the table's entry for its pc, so following a valid
+   one is exactly the hit [lookup] would return, and counts as one. *)
+let follow t mem from pc =
+  let l = from.link in
+  if l.entry = pc && l.live && Decode_cache.block_valid mem l.src then begin
+    t.hits <- t.hits + 1;
+    true
+  end
+  else false
 
 let note_hit t = t.hits <- t.hits + 1
 (* a hit that bypassed [lookup] (the interpreter's self-loop re-entry) *)
 
 let hot_enough t (b : Decode_cache.block) = b.Decode_cache.hot >= t.threshold
 
+(* Entries leave the table only at a stale [lookup] and at this flush,
+   and both clear [live], so no link survives its target's eviction.
+   [promote] follows a lookup that missed at [b.entry], so [replace]
+   never drops a live entry. *)
 let promote t (b : Decode_cache.block) =
-  if Hashtbl.length t.tbl >= t.max_blocks then Hashtbl.reset t.tbl;
+  if Hashtbl.length t.tbl >= t.max_blocks then begin
+    Hashtbl.iter (fun _ c -> c.live <- false) t.tbl;
+    Hashtbl.reset t.tbl
+  end;
   let c = compile b in
+  c.live <- true;
   t.compiles <- t.compiles + 1;
   Hashtbl.replace t.tbl b.entry c;
   c

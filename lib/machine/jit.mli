@@ -13,9 +13,12 @@
     only when the remaining fuel covers the whole unit and no interrupt
     hook is armed) and [safe] (re-checks fuel and consults the interrupt
     hook at every internal instruction boundary). Compiled blocks reuse
-    the source block's page-generation snapshot for invalidation, and
-    blocks on writable+executable pages compile to single-instruction
-    units so the interpreter can revalidate between instructions.
+    the source block's page-generation snapshot for invalidation. Blocks
+    on writable+executable pages (every LibOS SIP block: SGX1 code pages
+    are RWX) get the same fusion, but each unit ends at its first
+    memory-writing instruction, so the interpreter can revalidate right
+    after every write. Each compiled block links to the successor the
+    last lookup at its exit found ({!follow}).
 
     Every bound check in a block compiles to a checking body; the JIT
     never omits a check the verifier did not accept. *)
@@ -42,10 +45,16 @@ type compiled = {
   units_fast : body array;
   units_safe : unit_fn array;
   unit_insns : int array;  (** original instructions per unit *)
-  fragile : bool;  (** revalidate [src] between units when replaying *)
+  revalidate : bool array;
+      (** per unit: revalidate [src] before it — the block is fragile and
+          the previous unit ends in a memory write *)
   writes : bool;
       (** some instruction writes memory; the interpreter's self-loop
           re-entry revalidates only such blocks *)
+  mutable live : bool;  (** the code cache's current entry for [entry] *)
+  mutable link : compiled;
+      (** the successor found by the last {!lookup_from} at this block's
+          exit; the block itself until then *)
 }
 
 type t
@@ -60,6 +69,11 @@ val create : ?threshold:int -> ?max_blocks:int -> unit -> t
 val decode_cache : t -> Decode_cache.t
 (** The decode cache this JIT builds from and falls back to. *)
 
+val insn_writes : Occlum_isa.Insn.t -> bool
+(** The instruction writes memory ([Store], [Push], the calls,
+    [Vscatter]). Within a block only these can move a page generation,
+    so both tiers revalidate a fragile block only after one. *)
+
 val compile : Decode_cache.block -> compiled
 (** Translate a block (total: every opcode compiles, privileged ones to
     charge-then-fault stubs). Exposed for tests; use {!promote} to also
@@ -72,6 +86,15 @@ val lookup : t -> Mem.t -> int -> lookup
     moved) is dropped and reported so the interpreter can count the
     invalidation. *)
 
+val lookup_from : t -> Mem.t -> compiled -> int -> lookup
+(** [lookup_from t mem c pc] is [lookup t mem pc] at [c]'s exit; a hit
+    becomes [c]'s link. *)
+
+val follow : t -> Mem.t -> compiled -> int -> bool
+(** [follow t mem c pc]: [c]'s link is the code cache's valid entry for
+    [pc], i.e. exactly what {!lookup} would hit, and the hit is counted.
+    A wholesale flush or a stale lookup unlinks every block it drops. *)
+
 val note_hit : t -> unit
 (** Count a hit that bypassed {!lookup} — the interpreter's self-loop
     re-entry when a block branches back to its own entry. *)
@@ -79,7 +102,8 @@ val note_hit : t -> unit
 val hot_enough : t -> Decode_cache.block -> bool
 
 val promote : t -> Decode_cache.block -> compiled
-(** Compile and intern the block, flushing the cache first if full. *)
+(** Compile and intern the block, flushing the cache first if full.
+    Call it only after a lookup missed at the block's entry. *)
 
 val stats : t -> int * int * int
 (** Lifetime [(compiles, hits, invalidations)]. *)

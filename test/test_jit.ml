@@ -1,11 +1,13 @@
 (* Block-JIT tests: the tiered loop must be observationally identical
    to the reference loop — same registers, flags, counters, fault
    payloads and stop boundaries — and its extras must hold: per-page
-   invalidation after writes to JIT'd pages, mid-block fault deopt with
-   bit-identical CPU state, one interrupt consultation per
-   original-instruction boundary even inside fused superinstructions,
-   faithful execution of the statically elided, re-verified binary, and
-   LibOS determinism (reference vs tiered, one core vs four). *)
+   invalidation after writes to JIT'd pages, fused units on RWX code
+   that end at every memory write, block links that hit exactly when the
+   table would, mid-block fault deopt with bit-identical CPU state, one
+   interrupt consultation per original-instruction boundary even inside
+   fused superinstructions, faithful execution of the statically elided,
+   re-verified binary, and LibOS determinism (reference vs tiered, one
+   core vs four). *)
 
 open Occlum_machine
 open Occlum_isa
@@ -35,24 +37,48 @@ let state_str stop cpu =
        (List.init Occlum_isa.Reg.count (fun i ->
             Int64.to_string (Cpu.get cpu (Occlum_isa.Reg.of_int i)))))
 
-(* A counted loop ending in a syscall gate (fixed-point displacement as
-   in the decode-cache tests) — hot enough to promote. *)
-let loop_prog iters =
-  let body =
-    [
-      Insn.Alu (Add, Reg.r2, O_imm 3L);
-      Insn.Alu (Sub, Reg.r1, O_imm 1L);
-      Insn.Cmp (Reg.r1, O_imm 0L);
-    ]
-  in
+(* [prelude], then [body] closed into a loop by a [jne] back to its
+   start (fixed-point displacement as in the decode-cache tests), then a
+   syscall gate *)
+let looped prelude body =
   let body_len = enc_len body in
   let rec fix d =
     let len = String.length (Codec.encode (Insn.Jcc (Ne, d))) in
     if -(body_len + len) = d then Insn.Jcc (Ne, d) else fix (-(body_len + len))
   in
-  (Insn.Mov_imm (Reg.r1, Int64.of_int iters)
-   :: Insn.Mov_imm (Reg.r2, 0L) :: body)
-  @ [ fix (-body_len); Insn.Syscall_gate ]
+  prelude @ body @ [ fix (-body_len); Insn.Syscall_gate ]
+
+(* A counted loop, hot enough to promote. *)
+let loop_prog iters =
+  looped
+    [ Insn.Mov_imm (Reg.r1, Int64.of_int iters); Insn.Mov_imm (Reg.r2, 0L) ]
+    [
+      Insn.Alu (Add, Reg.r2, O_imm 3L);
+      Insn.Alu (Sub, Reg.r1, O_imm 1L);
+      Insn.Cmp (Reg.r1, O_imm 0L);
+    ]
+
+(* A counted loop whose block writes: a guard+store pair, a push/pop
+   chain and a pure run, so on RWX code the tiered loop revalidates
+   mid-block. bnd0 must cover the data page. *)
+let store_loop_prog iters =
+  let m = Insn.Sib { base = Reg.r4; index = None; scale = 1; disp = 0 } in
+  looped
+    [
+      Insn.Mov_imm (Reg.r1, Int64.of_int iters);
+      Insn.Mov_imm (Reg.r2, 1L);
+      Insn.Mov_imm (Reg.r4, Int64.of_int (Test_machine.data + 64));
+    ]
+    [
+      Insn.Bndcu (Reg.bnd0, Ea_mem m);
+      Insn.Store { dst = m; src = Reg.r2; size = 8 };
+      Insn.Load { dst = Reg.r5; src = m; size = 8 };
+      Insn.Push Reg.r5;
+      Insn.Pop Reg.r6;
+      Insn.Alu (Add, Reg.r2, O_reg Reg.r6);
+      Insn.Alu (Sub, Reg.r1, O_imm 1L);
+      Insn.Cmp (Reg.r1, O_imm 0L);
+    ]
 
 (* --- reference vs tiered over the SPEC kernels ------------------------------ *)
 
@@ -181,36 +207,217 @@ let test_priv_write_invalidates () =
   let _, _, inv = Jit.stats j in
   Alcotest.(check bool) "stale compiled block dropped" true (inv >= 1)
 
+(* --- fragile blocks: write-terminated units ------------------------------ *)
+
+(* An RWX block gets the fused units (guard+store pairs, pure runs,
+   chains), but every unit ends at its first memory write, and exactly
+   the units after a write revalidate. *)
+(* The block at the start of [prog]'s code page, and its translation. *)
+let compiled_block prog =
+  match Decode_cache.build (Decode_cache.create ()) (fst (setup prog)) 4096 with
+  | Some b -> (b, Jit.compile b)
+  | None -> Alcotest.fail "block failed to build"
+
+let test_rwx_units_end_at_writes () =
+  let b, c = compiled_block (store_loop_prog 3) in
+  Alcotest.(check bool) "block on an RWX page is fragile" true
+    b.Decode_cache.fragile;
+  let n = Array.length b.insns and units = Array.length c.Jit.unit_insns in
+  Alcotest.(check int) "units cover the block" n
+    (Array.fold_left ( + ) 0 c.Jit.unit_insns);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d units < %d instructions" units n)
+    true (units < n);
+  let first = ref 0 in
+  Array.iteri
+    (fun u k ->
+      for j = !first to !first + k - 1 do
+        if Jit.insn_writes (fst b.insns.(j)) then
+          Alcotest.(check int)
+            (Printf.sprintf "write %d ends unit %d" j u)
+            (!first + k - 1) j
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "unit %d revalidates iff unit %d wrote" u (u - 1))
+        (u > 0 && Jit.insn_writes (fst b.insns.(!first - 1)))
+        c.Jit.revalidate.(u);
+      first := !first + k)
+    c.Jit.unit_insns;
+  Alcotest.(check bool) "some write, so some unit revalidates" true
+    (Array.exists Fun.id c.Jit.revalidate)
+
+(* A fused bndcu+store pair on RWX code rewrites the next instruction of
+   its own block (a nop becomes a syscall gate): the tiered loop must
+   deopt right after the pair and fetch the new byte, as the reference
+   loop does. *)
+let test_smc_fused_store () =
+  let gate = Codec.encode Insn.Syscall_gate in
+  let m = Insn.Sib { base = Reg.r3; index = None; scale = 1; disp = 0 } in
+  let rec fix target =
+    let pre =
+      [
+        Insn.Mov_imm (Reg.r3, Int64.of_int target);
+        Insn.Mov_imm (Reg.r4, Int64.of_int (Char.code gate.[0]));
+        Insn.Bndcu (Reg.bnd0, Ea_mem m);
+        Insn.Store { dst = m; src = Reg.r4; size = 1 };
+      ]
+    in
+    if 4096 + enc_len pre = target then pre else fix (4096 + enc_len pre)
+  in
+  let pre = fix 4200 in
+  let prog =
+    pre @ [ Insn.Nop; Insn.Mov_imm (Reg.r1, 99L); Insn.Syscall_gate ]
+  in
+  let run jit =
+    let mem, cpu = setup prog in
+    Cpu.set_bnd cpu Reg.bnd0 { Cpu.lower = 0L; upper = 8191L };
+    let stop = Interp.run ?jit mem cpu ~fuel:200 in
+    (state_str stop cpu, cpu, mem)
+  in
+  let su, _, mem = run None in
+  let j = Jit.create ~threshold:0 () in
+  let sj, cpu_j, _ = run (Some j) in
+  Alcotest.(check string) "fused SMC store: jit = reference" su sj;
+  Alcotest.(check int64) "stopped before mov r1" 0L (Cpu.get cpu_j Reg.r1);
+  (* the pair really is one unit, and the unit after it revalidates *)
+  let _, c = compiled_block prog in
+  let pair_unit = ref (-1) and first = ref 0 in
+  Array.iteri
+    (fun u k ->
+      if !first = List.length pre - 2 && k = 2 then pair_unit := u;
+      first := !first + k)
+    c.Jit.unit_insns;
+  Alcotest.(check bool) "bndcu+store compiled as one unit" true
+    (!pair_unit >= 0);
+  Alcotest.(check bool) "the unit after the pair revalidates" true
+    c.Jit.revalidate.(!pair_unit + 1);
+  Alcotest.(check bool) "compiled, then deopted mid-block" true
+    (cpu_j.Cpu.jit_compiles > 0 && cpu_j.Cpu.jit_deopts >= 1);
+  Alcotest.(check bool) "the reference saw the gate byte" true
+    (Bytes.get (Mem.raw mem) (4096 + enc_len pre) = gate.[0])
+
+(* --- direct block links ------------------------------------------------ *)
+
+(* Block A (page 1) jumps to block B (page 2). Once A's exit has found B
+   through the table, A links to B and later exits follow the link —
+   counted as the same hits. A privileged rewrite of B's page must still
+   be observed, and counted as one invalidation, and a wholesale flush
+   must unlink everything it drops. *)
+let test_block_links () =
+  let b_at = 8192 in
+  let a_prog = [ Insn.Mov_imm (Reg.r2, 5L); Insn.Jmp 0 ] in
+  let a_len = enc_len a_prog in
+  let a_prog =
+    [ Insn.Mov_imm (Reg.r2, 5L); Insn.Jmp (b_at - (4096 + a_len)) ]
+  in
+  Alcotest.(check int) "jmp encoding length is stable" a_len (enc_len a_prog);
+  let b_prog v = [ Insn.Mov_imm (Reg.r1, v); Insn.Syscall_gate ] in
+  let mem = Mem.create ~size:(64 * 4096) in
+  Mem.map mem ~addr:4096 ~len:8192 ~perm:Mem.perm_rwx;
+  let write at prog =
+    Mem.write_bytes_priv mem ~addr:at (fst (Codec.encode_program prog))
+  in
+  write 4096 a_prog;
+  write b_at (b_prog 1L);
+  let cpu = Cpu.create () in
+  let j = Jit.create ~threshold:0 () in
+  let run () =
+    cpu.Cpu.pc <- 4096;
+    match Interp.run ~jit:j mem cpu ~fuel:100 with
+    | Interp.Stop_syscall -> Cpu.get cpu Reg.r1
+    | s -> Alcotest.fail ("run: " ^ Interp.stop_to_string s)
+  in
+  (* 1st run compiles A and B; the 2nd finds B through the table and
+     links A to it; the 3rd follows the link *)
+  for _ = 1 to 3 do
+    Alcotest.(check int64) "B's immediate" 1L (run ())
+  done;
+  let compiles, hits, inv = Jit.stats j in
+  Alcotest.(check (list int))
+    "two compiles, A and B hit twice each, no invalidation"
+    [ 2; 4; 0 ] [ compiles; hits; inv ];
+  Alcotest.(check int) "cpu hit count agrees" hits cpu.Cpu.jit_hits;
+  let a =
+    match Jit.lookup j mem 4096 with
+    | Jit.Hit c -> c
+    | _ -> Alcotest.fail "A not in the code cache"
+  in
+  Alcotest.(check int) "A links to B" b_at a.Jit.link.Jit.entry;
+  Alcotest.(check bool) "following the link is a hit" true
+    (Jit.follow j mem a b_at);
+  (* privileged rewrite of B's page: the link must not hide it *)
+  write b_at (b_prog 2L);
+  Alcotest.(check bool) "a stale link is not followed" false
+    (Jit.follow j mem a b_at);
+  Alcotest.(check int64) "patched immediate observed" 2L (run ());
+  let _, _, inv = Jit.stats j in
+  Alcotest.(check int) "stale B counted once" 1 inv;
+  Alcotest.(check int) "cpu invalidation count agrees" 1
+    cpu.Cpu.jit_invalidations;
+  (* a flush unlinks: a small cache over three blocks must flush *)
+  let j = Jit.create ~threshold:0 ~max_blocks:2 () in
+  let run_at pc =
+    cpu.Cpu.pc <- pc;
+    ignore (Interp.run ~jit:j mem cpu ~fuel:100)
+  in
+  run_at 4096;
+  run_at 4096;
+  let a =
+    match Jit.lookup j mem 4096 with
+    | Jit.Hit c -> c
+    | _ -> Alcotest.fail "A not in the small code cache"
+  in
+  Alcotest.(check bool) "A linked before the flush" true
+    (a.Jit.link.Jit.entry = b_at && Jit.follow j mem a b_at);
+  (* the gate alone, entered mid-block, is a third block: the flush *)
+  run_at (b_at + enc_len [ Insn.Mov_imm (Reg.r1, 2L) ]);
+  Alcotest.(check bool) "no link survives the flush" false
+    (Jit.follow j mem a b_at || a.Jit.live)
+
 (* --- mid-block fault deopt -------------------------------------------------- *)
 
+(* Both code mappings: r-x (W^X) and RWX (the LibOS loader's mapping,
+   where every block is fragile). *)
+let code_perms = [ ("r-x", Mem.perm_rx); ("rwx", Mem.perm_rwx) ]
+
 let test_midblock_fault_identity () =
-  (* r-x code compiles to fused multi-instruction units; a store that
-     faults mid-unit must deopt with the CPU bit-identical to the
-     reference loop at the fault (partial charges included) *)
+  (* code compiles to fused multi-instruction units; a store that faults
+     mid-unit must deopt with the CPU bit-identical to the reference
+     loop at the fault (partial charges included) *)
   let prog =
     [
       Insn.Mov_imm (Reg.r1, Int64.of_int (13 * 4096));
       Insn.Alu (Add, Reg.r2, O_imm 7L);
+      Insn.Lea
+        (Reg.r3, Sib { base = Reg.r1; index = None; scale = 1; disp = 8 });
       Insn.Store
         { dst = Sib { base = Reg.r1; index = None; scale = 1; disp = 0 };
           src = Reg.r2; size = 8 };
       Insn.Syscall_gate;
     ]
   in
-  let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
-  let su = Interp.run mem cpu ~fuel:100 in
-  (match su with
-  | Interp.Stop_fault (Fault.Page_fault { addr; access = Fault.Write })
-    when addr = 13 * 4096 ->
-      ()
-  | s -> Alcotest.fail ("expected write fault, got " ^ Interp.stop_to_string s));
-  let mem_j, cpu_j = setup ~code_perm:Mem.perm_rx prog in
-  let j = Jit.create ~threshold:0 () in
-  let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:100 in
-  Alcotest.(check string) "mid-block fault: jit = reference"
-    (state_str su cpu) (state_str sj cpu_j);
-  Alcotest.(check bool) "fault deopted out of compiled code" true
-    (cpu_j.Cpu.jit_deopts >= 1)
+  List.iter
+    (fun (pname, code_perm) ->
+      let mem, cpu = setup ~code_perm prog in
+      let su = Interp.run mem cpu ~fuel:100 in
+      (match su with
+      | Interp.Stop_fault (Fault.Page_fault { addr; access = Fault.Write })
+        when addr = 13 * 4096 ->
+          ()
+      | s ->
+          Alcotest.fail
+            ("expected write fault, got " ^ Interp.stop_to_string s));
+      let mem_j, cpu_j = setup ~code_perm prog in
+      let j = Jit.create ~threshold:0 () in
+      let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:100 in
+      Alcotest.(check string)
+        (pname ^ ": mid-block fault: jit = reference")
+        (state_str su cpu) (state_str sj cpu_j);
+      Alcotest.(check bool)
+        (pname ^ ": fault deopted out of compiled code")
+        true
+        (cpu_j.Cpu.jit_deopts >= 1))
+    code_perms
 
 (* --- interrupt consultation parity ----------------------------------------- *)
 
@@ -221,10 +428,12 @@ let test_midblock_fault_identity () =
    and (b) an interrupt armed at EVERY boundary index in turn must stop
    the run bit-identically, and both runs must resume to the same
    completion. *)
-let test_interrupt_every_boundary () =
-  let prog = loop_prog 20 in
+
+let interrupt_every_boundary name code_perm prog =
   let run_tier tiered fire_at =
-    let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
+    let mem, cpu = setup ~code_perm prog in
+    Cpu.set_bnd cpu Reg.bnd0
+      { Cpu.lower = 0L; upper = Int64.of_int (Test_machine.data + 4095) };
     let j = if tiered then Some (Jit.create ~threshold:0 ()) else None in
     let n = ref 0 in
     let hook () =
@@ -243,6 +452,7 @@ let test_interrupt_every_boundary () =
   (* the tiered run against the reference run; returns the reference's
      consult count *)
   let agree label fire_at =
+    let label = name ^ ": " ^ label in
     let mu, fu, nu = run_tier false fire_at in
     let m, f, n = run_tier true fire_at in
     Alcotest.(check string) (label ^ ": identical stop") mu m;
@@ -254,6 +464,15 @@ let test_interrupt_every_boundary () =
   for i = 0 to nu - 1 do
     ignore (agree (Printf.sprintf "interrupt at boundary %d" i) (Some i))
   done
+
+let test_interrupt_every_boundary () =
+  List.iter
+    (fun (pname, code_perm) ->
+      interrupt_every_boundary (pname ^ ", register loop") code_perm
+        (loop_prog 20);
+      interrupt_every_boundary (pname ^ ", store loop") code_perm
+        (store_loop_prog 8))
+    code_perms
 
 (* --- the page check agrees with Mem --------------------------------------- *)
 
@@ -384,61 +603,66 @@ let test_page_check_agrees () =
 (* --- the compiled hot path allocates nothing ------------------------------ *)
 
 (* A compiled self-loop in the MMDSFI shape of real SIP code: guarded
-   loads and stores, add, shifts and cmp/jcc. Its per-instruction cost
-   must not include the minor heap: [Gc.minor_words] is exact for a given
-   build, and every body keeps register values unboxed. *)
+   loads and stores, add, shifts and cmp/jcc, on r-x code and on RWX
+   code (the loader's mapping, where the block revalidates after its
+   store). Its per-instruction cost must not include the minor heap:
+   [Gc.minor_words] is exact for a given build, and every body keeps
+   register values unboxed. *)
 let test_hot_path_allocation_free () =
   let at disp = Insn.Sib { base = Reg.r4; index = None; scale = 1; disp } in
   let guarded m =
     [ Insn.Bndcl (Reg.bnd0, Ea_mem m); Insn.Bndcu (Reg.bnd0, Ea_mem m) ]
   in
-  let body =
-    guarded (at 0)
-    @ [
-        Insn.Load { dst = Reg.r5; src = at 0; size = 8 };
-        Insn.Alu (Add, Reg.r5, O_reg Reg.r1);
-        Insn.Alu (Shl, Reg.r5, O_imm 1L);
-      ]
-    @ guarded (at 8)
-    @ [
-        Insn.Store { dst = at 8; src = Reg.r5; size = 8 };
-        Insn.Load { dst = Reg.r6; src = at 9; size = 1 };
-        Insn.Alu (Shr, Reg.r5, O_reg Reg.r6);
-        Insn.Alu (Xor, Reg.r2, O_reg Reg.r5);
-        Insn.Alu (Sub, Reg.r1, O_imm 1L);
-        Insn.Cmp (Reg.r1, O_imm 0L);
-      ]
-  in
-  let body_len = enc_len body in
-  let rec fix d =
-    let len = String.length (Codec.encode (Insn.Jcc (Ne, d))) in
-    if -(body_len + len) = d then Insn.Jcc (Ne, d) else fix (-(body_len + len))
-  in
   let iters = 20_000 in
   let prog =
-    (Insn.Mov_imm (Reg.r1, Int64.of_int iters)
-     :: Insn.Mov_imm (Reg.r4, Int64.of_int (Test_machine.data + 64))
-     :: body)
-    @ [ fix (-body_len); Insn.Syscall_gate ]
+    looped
+      [
+        Insn.Mov_imm (Reg.r1, Int64.of_int iters);
+        Insn.Mov_imm (Reg.r4, Int64.of_int (Test_machine.data + 64));
+      ]
+      (guarded (at 0)
+      @ [
+          Insn.Load { dst = Reg.r5; src = at 0; size = 8 };
+          Insn.Alu (Add, Reg.r5, O_reg Reg.r1);
+          Insn.Alu (Shl, Reg.r5, O_imm 1L);
+        ]
+      @ guarded (at 8)
+      @ [
+          Insn.Store { dst = at 8; src = Reg.r5; size = 8 };
+          Insn.Load { dst = Reg.r6; src = at 9; size = 1 };
+          Insn.Alu (Shr, Reg.r5, O_reg Reg.r6);
+          Insn.Alu (Xor, Reg.r2, O_reg Reg.r5);
+          Insn.Alu (Sub, Reg.r1, O_imm 1L);
+          Insn.Cmp (Reg.r1, O_imm 0L);
+        ])
   in
-  let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
-  Cpu.set_bnd cpu Reg.bnd0
-    {
-      Cpu.lower = Int64.of_int Test_machine.data;
-      upper = Int64.of_int (Test_machine.data + 4095);
-    };
-  let jit = Jit.create ~threshold:0 () in
-  let w0 = Gc.minor_words () in
-  let stop = Interp.run ~jit mem cpu ~fuel:max_int in
-  let words = Gc.minor_words () -. w0 in
-  Alcotest.(check string) "loop ran to the gate" "syscall"
-    (Interp.stop_to_string stop);
-  (* the first two iterations run in the entry block and the compile *)
-  Alcotest.(check bool) "loop ran compiled" true (cpu.Cpu.jit_hits >= iters - 2);
-  let per_insn = words /. float cpu.Cpu.insns in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.3f minor words per instruction < 0.1" per_insn)
-    true (per_insn < 0.1)
+  List.iter
+    (fun (pname, code_perm) ->
+      let mem, cpu = setup ~code_perm prog in
+      Cpu.set_bnd cpu Reg.bnd0
+        {
+          Cpu.lower = Int64.of_int Test_machine.data;
+          upper = Int64.of_int (Test_machine.data + 4095);
+        };
+      let jit = Jit.create ~threshold:0 () in
+      let w0 = Gc.minor_words () in
+      let stop = Interp.run ~jit mem cpu ~fuel:max_int in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check string)
+        (pname ^ ": loop ran to the gate")
+        "syscall"
+        (Interp.stop_to_string stop);
+      (* the first two iterations run in the entry block and the compile *)
+      Alcotest.(check bool)
+        (pname ^ ": loop ran compiled")
+        true
+        (cpu.Cpu.jit_hits >= iters - 2);
+      let per_insn = words /. float cpu.Cpu.insns in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per instruction < 0.1" pname
+           per_insn)
+        true (per_insn < 0.1))
+    code_perms
 
 (* --- LibOS: reference vs tiered, one core vs four -------------------------- *)
 
@@ -499,6 +723,12 @@ let suite =
       test_smc_user_store_invalidates;
     Alcotest.test_case "privileged write invalidates" `Quick
       test_priv_write_invalidates;
+    Alcotest.test_case "RWX units end at their writes" `Quick
+      test_rwx_units_end_at_writes;
+    Alcotest.test_case "fused SMC store on RWX code" `Quick
+      test_smc_fused_store;
+    Alcotest.test_case "block links: hits, rewrites, flushes" `Quick
+      test_block_links;
     Alcotest.test_case "mid-block fault deopts bit-identically" `Quick
       test_midblock_fault_identity;
     Alcotest.test_case "interrupt at every boundary" `Quick
