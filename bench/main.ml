@@ -726,7 +726,7 @@ let micro () =
       | _ -> Printf.printf "%-34s (no estimate)\n" name)
     results
 
-(* The hot-loop kernel shared by the decode-cache and JIT micro
+(* The hot-loop kernel of the reference-loop and JIT micro
    benchmarks: [iters] iterations of four ALU/CMP instructions plus a
    backward jcc, ending in a syscall gate. *)
 let hot_loop_code iters =
@@ -876,7 +876,7 @@ let micro_jit () =
     let mem = Mem.create ~size:(16 * 4096) in
     Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
     Mem.write_bytes_priv mem ~addr:4096 (Bytes.of_string code);
-    match Decode_cache.build (Decode_cache.create ()) mem 4096 with
+    match Decode_cache.build mem 4096 with
     | None -> failwith "hot-loop block failed to decode"
     | Some b ->
         let rounds = 10_000 in
@@ -886,13 +886,14 @@ let micro_jit () =
         done;
         (Unix.gettimeofday () -. t0) /. float rounds *. 1e9
   in
-  (* self-modifying kernel: a store loop walks down a data page and, two
-     iterations before the end, crosses into the padding of its own rwx
-     code page — the promoted (fragile) block must deopt mid-block when
-     its page generation moves under it *)
+  (* self-modifying kernel: a store loop walks down a data page and, in
+     its last three iterations, crosses into the padding of its own rwx
+     code page — the compiled (fragile) block must deopt mid-block each
+     time its page generation moves under it, one deopt per store *)
   let smc_deopts =
     let r1 = Reg.of_int 1 and r3 = Reg.of_int 3 and r4 = Reg.of_int 4 in
-    (* 512 stores cover the data page; two more land in code-page padding *)
+    (* 512 stores cover the data page; three more land in code-page
+       padding *)
     let smc_iters = 515 in
     let body =
       [
@@ -933,7 +934,7 @@ let micro_jit () =
     | s ->
         failwith ("SMC kernel stopped unexpectedly: " ^ Interp.stop_to_string s));
     if cpu.Cpu.jit_deopts < 1 then
-      failwith "SMC kernel never deopted the promoted block";
+      failwith "SMC kernel never deopted the compiled block";
     cpu.Cpu.jit_deopts
   in
   (* real-code shape: guarded loads and stores through the page check,

@@ -136,8 +136,7 @@ let step_trace input limit args watch_regs =
   let stop = ref None in
   let steps = ref 0 in
   (* single-step through the tiered loop (fuel 1 executes exactly one
-     instruction) so the trace also reports decode-cache and JIT
-     behaviour *)
+     instruction) so the trace also reports JIT behaviour *)
   let jit = Jit.create () in
   while !stop = None && !steps < limit do
     incr steps;
@@ -169,9 +168,6 @@ let step_trace input limit args watch_regs =
   Printf.printf "--- %s after %d instructions (%d cycles, %d bound checks)\n"
     (match !stop with Some s -> s | None -> "trace limit reached")
     !steps cpu.Cpu.cycles cpu.Cpu.bound_checks;
-  Printf.printf
-    "--- decode cache: %d hits, %d misses, %d invalidations (per-insn stepping)\n"
-    cpu.Cpu.dcache_hits cpu.Cpu.dcache_misses cpu.Cpu.dcache_invalidations;
   Printf.printf
     "--- jit: %d compiles, %d hits, %d invalidations, %d deopts\n"
     cpu.Cpu.jit_compiles cpu.Cpu.jit_hits cpu.Cpu.jit_invalidations
@@ -206,8 +202,8 @@ let cmd =
              & info [ "events" ]
                  ~doc:
                    "Event classes to record (comma-separated: quantum, \
-                    syscall, sched, lifecycle, aex, page, dcache, sefs, net; \
-                    or all).")
+                    syscall, sched, lifecycle, aex, page, jit, sefs, net, \
+                    cluster; or all).")
       $ Arg.(value & opt (some string) None
              & info [ "chrome-out" ] ~docv:"FILE"
                  ~doc:

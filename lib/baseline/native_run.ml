@@ -20,8 +20,6 @@ type result = {
   loads : int;
   stores : int;
   bound_checks : int;
-  dcache_hits : int;
-  dcache_misses : int;
   jit_compiles : int;
   jit_hits : int;
   jit_deopts : int;
@@ -36,8 +34,8 @@ let guard = Occlum_oelf.Oelf.guard_size
    region, one guard page. *)
 let code_base = 0x10000
 
-let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
-    ?jit_threshold ?(obs = Occlum_obs.Obs.disabled)
+let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(jit = true)
+    ?(obs = Occlum_obs.Obs.disabled)
     (oelf : Occlum_oelf.Oelf.t) =
   let code_size = Occlum_util.Bytes_util.round_up (Bytes.length oelf.code) 4096 in
   let data_base = code_base + code_size + guard in
@@ -84,9 +82,7 @@ let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
   let brk = ref oelf.heap_start in
   let finished = ref None in
   let remaining () = fuel - cpu.Cpu.insns in
-  let jit =
-    if decode_cache then Some (Jit.create ?threshold:jit_threshold ()) else None
-  in
+  let jit = if jit then Some (Jit.create ()) else None in
   let wall = ref 0. in
   while !finished = None && remaining () > 0 do
     let t0 = Unix.gettimeofday () in
@@ -135,8 +131,6 @@ let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(decode_cache = true)
     loads = cpu.Cpu.loads;
     stores = cpu.Cpu.stores;
     bound_checks = cpu.Cpu.bound_checks;
-    dcache_hits = cpu.Cpu.dcache_hits;
-    dcache_misses = cpu.Cpu.dcache_misses;
     jit_compiles = cpu.Cpu.jit_compiles;
     jit_hits = cpu.Cpu.jit_hits;
     jit_deopts = cpu.Cpu.jit_deopts;

@@ -899,7 +899,7 @@ let mc_case _inj _shrink rng case =
 (* --- property: JIT equivalence ------------------------------------------- *)
 
 (* The tiered loop must be a pure accelerator: running the same binary
-   under (a) the JIT over its decode cache and (b) the reference loop
+   under (a) the block JIT and (b) the reference loop
    must produce bit-identical architectural state, counters and memory
    at every synchronization point. Three hostile regimes stress the
    tier-transition seams:
@@ -979,8 +979,7 @@ let pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
           pool;
     }
   in
-  (* threshold 2: generated loops are short, promotion must still happen *)
-  let jit = Jit.create ~threshold:2 () in
+  let jit = Jit.create () in
   Exec.lockstep ~differ:Identical ~fuel ?perturb
     [
       machine a (Exec.Tiered jit) inj;
@@ -1679,11 +1678,11 @@ let features : (string * (Asm.item list -> bool)) list =
      (* programs where the elision pass actually removes guards *)
      verified (fun oelf d -> (Elide.analyze oelf d).Elide.elided > 0));
     ("jit-equivalence",
-     (* programs hot enough that a block is actually promoted into the
-        JIT and then replayed from compiled code *)
+     (* programs where a compiled block is entered again and replayed
+        from the code cache, not only compiled *)
      verified (fun oelf _ ->
          let env = Exec.make ~code_perm:Mem.perm_rx oelf in
-         let jit = Jit.create ~threshold:2 () in
+         let jit = Jit.create () in
          let tier = Exec.Tiered jit in
          ignore
            (Exec.lockstep ~differ:Identical ~fuel:6000

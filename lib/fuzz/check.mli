@@ -37,8 +37,8 @@
       programs the verifier rejects must still be rejected ([the pass
       reports [Input_rejected]]), and accepted mutants are never
       re-signed without re-verification.
-    - {b jit-equivalence}: the tiered loop (the block JIT over its
-      decode cache) and the reference loop produce bit-identical
+    - {b jit-equivalence}: the tiered loop (every block compiled by
+      the block JIT) and the reference loop produce bit-identical
       architectural state, counters and memory at every stop, under
       interrupt storms (counter-based schedules, so a fused
       superinstruction that skipped a boundary consultation diverges

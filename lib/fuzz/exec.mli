@@ -56,8 +56,8 @@ val audit : env -> violation option
     one comparator checks every machine against the first. *)
 
 (** Both tiers run through {!Interp.run}: [Reference] is its reference
-    loop, [Tiered] its tiered loop (the JIT's decode cache plus the block
-    JIT). *)
+    loop, [Tiered] its tiered loop (every block compiled by the block
+    JIT at its first execution). *)
 type tier = Reference | Tiered of Jit.t
 
 (** An interrupt schedule, consulted once per boundary. On a firing,

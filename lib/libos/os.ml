@@ -55,8 +55,8 @@ type config = {
   domains : Domain_mgr.config;
   quantum : int;
   cores : int; (* simulated vCPUs: cores of the epoch scheduler *)
-  decode_cache : bool; (* the tiered loop in Interp.run: decode cache +
-                          block JIT, one per core; off = reference loop *)
+  jit : bool; (* the tiered loop in Interp.run: a block JIT per core;
+                 off = reference loop *)
   fs_key : string;
   (* EIP model knobs *)
   eip_runtime_image_bytes : int; (* measured on every enclave creation *)
@@ -71,7 +71,7 @@ let default_config =
     domains = Domain_mgr.default_config;
     quantum = 100_000;
     cores = 1;
-    decode_cache = true;
+    jit = true;
     fs_key = "occlum-fs-master-key";
     eip_runtime_image_bytes = 8 * 1024 * 1024;
     eip_ocall_ns = 6_000L;
@@ -102,8 +102,8 @@ type t = {
   eip_runtime_image : Bytes.t; (* stand-in for the Graphene runtime pages *)
   obs : Occlum_obs.Obs.t;
   sched : Sched.t;
-  (* per-core run queues, decode caches and JITs; a core's caches key
-     blocks by absolute pc in the shared address space, and the loader's
+  (* per-core run queues and JITs; a core's code cache keys blocks by
+     absolute pc in the shared address space, and the loader's
      privileged code writes bump the page generations that invalidate
      them when a domain slot is reused *)
   mutable cur_core : int; (* core whose claim is being post-processed;
@@ -184,8 +184,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       eip_runtime_image = Bytes.make config.eip_runtime_image_bytes '\x5a';
       obs;
       sched =
-        Sched.create ~ncores:config.cores ~decode_cache:config.decode_cache
-          ~obs ();
+        Sched.create ~ncores:config.cores ~jit:config.jit ~obs ();
       cur_core = 0;
       last_run_pid = 0;
       paging_cycles_seen = 0;
@@ -268,25 +267,22 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
 let clock t = t.clock_ns
 let console_output t = Buffer.contents t.console
 
-(* Sum a per-core JIT's (x, y, z) stats over the cores; None under the
-   reference loop, where the cores have no JIT. *)
-let sum_over_cores t stats =
+(* (compiles, hits, invalidations) summed over the per-core JITs; None
+   under the reference loop, where the cores have no JIT *)
+let jit_stats t =
   Array.fold_left
     (fun acc core ->
       match core.Sched.jit with
       | None -> acc
       | Some j ->
-          let x, y, z = stats j in
+          let x, y, z = Jit.stats j in
           let a, b, d = Option.value acc ~default:(0, 0, 0) in
           Some (a + x, b + y, d + z))
     None t.sched.Sched.cores
 
-(* (hits, misses, invalidations) of the JITs' decoded-block caches *)
+(* the same code caches' (hits, builds, invalidations) *)
 let decode_cache_stats t =
-  sum_over_cores t (fun j -> Decode_cache.stats (Jit.decode_cache j))
-
-(* (compiles, hits, invalidations) of the block JITs *)
-let jit_stats t = sum_over_cores t Jit.stats
+  Option.map (fun (compiles, hits, inv) -> (hits, compiles, inv)) (jit_stats t)
 
 let proc_output t pid =
   match Hashtbl.find_opt t.proc_out pid with

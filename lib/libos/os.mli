@@ -54,10 +54,10 @@ type config = {
           epoch scheduler over per-core run queues ({!Sched}); with more
           than one core an epoch's quanta execute in parallel on OCaml
           domains. Runs are bit-reproducible for a fixed core count. *)
-  decode_cache : bool;
-      (** run SIPs on [Interp.run]'s tiered loop — the decode cache plus
-          the block JIT, one per core (default on); off runs the
-          reference loop *)
+  jit : bool;
+      (** run SIPs on [Interp.run]'s tiered loop — a block JIT per core,
+          every block compiled at its first execution (default on); off
+          runs the reference loop *)
   fs_key : string;
   eip_runtime_image_bytes : int;
       (** the Graphene runtime pages measured on every EIP creation *)
@@ -95,7 +95,7 @@ type t = {
           to; {!Occlum_obs.Obs.disabled} unless one was passed to
           {!boot} *)
   sched : Sched.t;
-      (** the scheduler: per-core run queues, decode caches and JITs *)
+      (** the scheduler: per-core run queues and JITs *)
   mutable cur_core : int;
       (** core whose claim is being post-processed; attributes futex
           wakes to their waker core *)
@@ -133,8 +133,13 @@ val clock : t -> int64
 val console_output : t -> string
 
 val decode_cache_stats : t -> (int * int * int) option
-(** [(hits, misses, invalidations)] summed over the per-core JITs'
-    decode caches; [None] under the reference loop. *)
+(** The code cache's block-level [(hits, builds, invalidations)] summed
+    over the per-core JITs: lookups (and link follows) that found a
+    valid compiled block, blocks built and compiled, and compiled
+    blocks dropped as stale. The same three numbers as {!jit_stats}, in
+    hit-first order, so [hits / (hits + builds)] is the fraction of
+    block entries that reused a translation. [None] under the
+    reference loop. *)
 
 val jit_stats : t -> (int * int * int) option
 (** [(compiles, hits, invalidations)] summed over the per-core JITs;

@@ -31,7 +31,7 @@ type t = {
 
 let max_backoff = 16
 
-let create ~ncores ~decode_cache ~obs () =
+let create ~ncores ~jit ~obs () =
   if ncores < 1 then invalid_arg "Sched.create: ncores < 1";
   {
     ncores;
@@ -40,9 +40,7 @@ let create ~ncores ~decode_cache ~obs () =
           {
             cid;
             rq = [];
-            jit =
-              (if decode_cache then Some (Occlum_machine.Jit.create ())
-               else None);
+            jit = (if jit then Some (Occlum_machine.Jit.create ()) else None);
             (* core 0's quanta always run on the calling domain
                ([Pool.run_all]), so only it may touch [obs]'s trace *)
             obs = (if cid = 0 then obs else Occlum_obs.Obs.disabled);

@@ -4,8 +4,8 @@
 
     One [core] models one simulated vCPU. Each core owns a run queue
     (FIFO: the owner claims from the front, thieves steal from the
-    back) and a private JIT with its decode cache. Core 0's quanta report
-    their interpreter events to the LibOS's {!Occlum_obs.Obs}; the other
+    back) and a private block JIT. Core 0's quanta report their
+    interpreter events to the LibOS's {!Occlum_obs.Obs}; the other
     cores' run untraced, since they may execute on worker domains.
 
     Scheduling runs in {e epochs}. An epoch's claim phase walks the
@@ -26,9 +26,9 @@ type core = {
   cid : int;
   mutable rq : int list;  (** pids; front = next to claim *)
   jit : Occlum_machine.Jit.t option;
-      (** this vCPU's private block JIT and its decode cache — compiled
-          blocks (and their mutable successor links) are never shared
-          across domains; [None] runs the reference loop *)
+      (** this vCPU's private block JIT — compiled blocks (and their
+          mutable successor links) are never shared across domains;
+          [None] runs the reference loop *)
   obs : Occlum_obs.Obs.t;
       (** where this vCPU's quanta report: the scheduler's [obs] for
           core 0, {!Occlum_obs.Obs.disabled} for the rest *)
@@ -54,8 +54,8 @@ type t = {
 val max_backoff : int
 (** Cap on the exponential steal backoff, in epochs. *)
 
-val create : ncores:int -> decode_cache:bool -> obs:Occlum_obs.Obs.t -> unit -> t
-(** [decode_cache] gives every core a block JIT (the tiered loop);
+val create : ncores:int -> jit:bool -> obs:Occlum_obs.Obs.t -> unit -> t
+(** [jit] gives every core a block JIT (the tiered loop);
     without it every core runs the reference loop. Core 0 reports to
     [obs]. *)
 

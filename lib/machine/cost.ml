@@ -29,10 +29,10 @@ let div = 20
 let ewb = 12_000
 let eldu = 14_000
 
-(* The cycle charge of one instruction. Both interpreter paths — the
-   plain decode-every-time loop and the decoded-block cache — charge
-   through this single function, so caching can never perturb the cycle
-   accounting the Fig. 5/7 results are built on. Privileged instructions
+(* The cycle charge of one instruction. Both interpreter loops — the
+   decode-every-time reference loop and the JIT's compiled blocks —
+   charge through this single function, so compilation can never
+   perturb the cycle accounting the Fig. 5/7 results are built on. Privileged instructions
    stop execution before being charged, so they map to 0 here. *)
 (* Instructions whose cycle count depends on operand *values* on real
    hardware (division latency varies with dividend magnitude). The

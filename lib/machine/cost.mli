@@ -34,6 +34,6 @@ val variable_latency : Occlum_isa.Insn.t -> bool
 
 val of_insn : Occlum_isa.Insn.t -> int
 (** The cycle charge for one instruction — the single table both the
-    uncached interpreter and the decoded-block fast path charge from, so
-    the two agree cycle-for-cycle. Privileged/LibOS-only opcodes cost 0
+    reference loop and the JIT's compiled blocks charge from, so the two
+    agree cycle-for-cycle. Privileged/LibOS-only opcodes cost 0
     (they still count as retired instructions). *)

@@ -18,12 +18,8 @@ type t = {
   mutable loads : int;
   mutable stores : int;
   mutable bound_checks : int;
-  (* decoded-block cache statistics; purely observational, never part of
-     the architectural state captured by [save]/[restore] *)
-  mutable dcache_hits : int;
-  mutable dcache_misses : int;
-  mutable dcache_invalidations : int;
-  (* block-JIT tier statistics; observational like the dcache_* fields *)
+  (* block-JIT statistics; purely observational, never part of the
+     architectural state captured by [save]/[restore] *)
   mutable jit_compiles : int;
   mutable jit_hits : int;
   mutable jit_invalidations : int;
@@ -42,9 +38,6 @@ let create () =
     loads = 0;
     stores = 0;
     bound_checks = 0;
-    dcache_hits = 0;
-    dcache_misses = 0;
-    dcache_invalidations = 0;
     jit_compiles = 0;
     jit_hits = 0;
     jit_invalidations = 0;

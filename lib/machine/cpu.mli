@@ -18,12 +18,8 @@ type t = {
   mutable loads : int;
   mutable stores : int;
   mutable bound_checks : int;
-  (* decoded-block cache observability; not architectural state, so not
-     part of {!save}/{!restore} snapshots *)
-  mutable dcache_hits : int;
-  mutable dcache_misses : int;
-  mutable dcache_invalidations : int;
-  (* block-JIT tier observability; not architectural state either *)
+  (* block-JIT observability; not architectural state, so not part of
+     {!save}/{!restore} snapshots *)
   mutable jit_compiles : int;
   mutable jit_hits : int;
   mutable jit_invalidations : int;

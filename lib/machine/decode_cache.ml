@@ -1,29 +1,28 @@
-(* Decoded basic-block cache for the interpreter hot path.
+(* Basic-block formation for the JIT.
 
-   Every simulated instruction used to pay a full variable-length
-   [Codec.decode] on each execution, so hot loops re-decoded the same
-   bytes millions of times. This module caches *decoded* instructions in
-   basic blocks keyed by their entry pc: a block starts at the entry,
-   extends over straight-line instructions, and is terminated by the
-   first control transfer, syscall gate or privileged opcode (all of
-   which either change pc non-sequentially or stop the interpreter).
+   A block starts at an entry pc, extends over straight-line
+   instructions, and is terminated by the first control transfer,
+   syscall gate or privileged opcode (all of which either change pc
+   non-sequentially or stop the interpreter). [Jit] translates each
+   block the first time it runs; the block keeps what the translation
+   was made from.
 
    Soundness: a block is a pure function of the code bytes it spans, so
-   it may be replayed only while those bytes are unchanged. [Mem] keeps a
-   per-page generation counter that is bumped by [Mem.map]/[Mem.unmap]
-   and by every write — privileged or not — landing in an executable
-   page. A block snapshots the generations of the pages it spans when
-   built; a lookup whose snapshot no longer matches is an invalidation
-   and the block is dropped. Under the LibOS, SIP code pages are RWX
-   (SGX1 cannot change page permissions after EINIT, and the loader
-   writes binaries at runtime), so a store into code is legal in the
-   machine and only the verifier's MMDSFI checks keep verified SIPs from
-   making one; the unprivileged-write hook makes such a store bump the
-   generation all the same. Blocks that span a writable-and-executable
-   page are additionally marked [fragile] so the interpreter revalidates
-   them after each memory-writing instruction (the only thing inside a
-   block that can move a generation), keeping even self-modifying code
-   exactly faithful to the uncached semantics. *)
+   its translation may run only while those bytes are unchanged. [Mem]
+   keeps a per-page generation counter that is bumped by
+   [Mem.map]/[Mem.unmap] and by every write — privileged or not —
+   landing in an executable page. A block snapshots the generations of
+   the pages it spans when built; [block_valid] compares the snapshot.
+   Under the LibOS, SIP code pages are RWX (SGX1 cannot change page
+   permissions after EINIT, and the loader writes binaries at runtime),
+   so a store into code is legal in the machine and only the verifier's
+   MMDSFI checks keep verified SIPs from making one; the
+   unprivileged-write hook makes such a store bump the generation all
+   the same. Blocks that span a writable-and-executable page are marked
+   [fragile] so the interpreter revalidates them after each
+   memory-writing instruction (the only thing inside a block that can
+   move a generation), keeping even self-modifying code exactly
+   faithful to the reference semantics. *)
 
 open Occlum_isa
 
@@ -33,30 +32,9 @@ type block = {
   pages : int array; (* pages spanned by [entry, entry + byte_len) *)
   gens : int array;  (* generation snapshot of [pages] at build time *)
   fragile : bool;    (* some spanned page is both writable and executable *)
-  mutable hot : int; (* replay count since build — the JIT's promotion cue *)
 }
 
-type t = {
-  tbl : (int, block) Hashtbl.t;
-  max_block_insns : int;
-  max_blocks : int;
-  (* lifetime statistics (also mirrored per-Cpu by the interpreter) *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
-}
-
-let create ?(max_block_insns = 64) ?(max_blocks = 16384) () =
-  {
-    tbl = Hashtbl.create 1024;
-    max_block_insns;
-    max_blocks;
-    hits = 0;
-    misses = 0;
-    invalidations = 0;
-  }
-
-let clear t = Hashtbl.reset t.tbl
+let max_block_insns = 64
 
 (* A block must end at (and include) any instruction after which pc does
    not simply advance to the next instruction — or which stops the
@@ -73,16 +51,16 @@ let block_valid mem (b : block) =
   done;
   !ok
 
-(* Build (and intern) a block starting at [pc]. Returns [None] when even
-   the first instruction cannot be fetched or decoded — the caller then
-   falls back to the uncached single-step so the fault is raised with
-   exactly the uncached semantics. *)
-let build t mem pc =
+(* Build the block starting at [pc]. Returns [None] when even the first
+   instruction cannot be fetched or decoded — the caller then falls back
+   to the reference single-step so the fault is raised with exactly the
+   reference semantics. *)
+let build mem pc =
   let acc = ref [] in
   let cur = ref pc in
   let n = ref 0 in
   let stop = ref false in
-  while not !stop && !n < t.max_block_insns do
+  while not !stop && !n < max_block_insns do
     (match
        Mem.check_access mem !cur 1 Fault.Exec;
        Codec.decode (Mem.raw mem) ~pos:!cur ~limit:(Mem.size mem)
@@ -116,31 +94,4 @@ let build t mem pc =
             | _ -> false)
           pages
       in
-      if Hashtbl.length t.tbl >= t.max_blocks then clear t;
-      let b = { entry = pc; insns; pages; gens; fragile; hot = 0 } in
-      Hashtbl.replace t.tbl pc b;
-      Some b
-
-type lookup = Hit of block | Stale | Miss
-
-(* Pure lookup: reports staleness (and drops the stale block) but does
-   not rebuild; the interpreter decides how to account and recover. *)
-let lookup t mem pc =
-  match Hashtbl.find_opt t.tbl pc with
-  | None ->
-      t.misses <- t.misses + 1;
-      Miss
-  | Some b ->
-      if block_valid mem b then begin
-        t.hits <- t.hits + 1;
-        b.hot <- b.hot + 1;
-        Hit b
-      end
-      else begin
-        Hashtbl.remove t.tbl pc;
-        t.invalidations <- t.invalidations + 1;
-        t.misses <- t.misses + 1;
-        Stale
-      end
-
-let stats t = (t.hits, t.misses, t.invalidations)
+      Some { entry = pc; insns; pages; gens; fragile }

@@ -3,15 +3,15 @@
    [Mem]. Execution stops on a syscall gate, a fault (→ AEX, captured by
    the LibOS) or quantum expiry (→ preemption).
 
-   Two run loops share one executor ([exec_decoded]):
+   Two run loops:
    - [run_step], the reference, fetches and decodes at pc on every
-     instruction through [step];
-   - [run_tiered] replays decoded basic blocks from the [Jit]'s decode
-     cache, and hot ones as compiled closure chains, falling back to
-     [step] whenever a block cannot be built. It must be observably
-     identical to the reference: same cycle charges (both go through
-     [Cost.of_insn]), same counters, same fault addresses, and the same
-     mid-block stop when fuel runs out. *)
+     instruction through [step] and [exec_decoded];
+   - [run_tiered] runs every basic block as [Jit]-compiled closure
+     chains, translating a block the first time it is entered, and
+     falls back to [step] only where no block can be built. It must be
+     observably identical to the reference: same cycle charges (both go
+     through [Cost.of_insn]), same counters, same fault addresses, and
+     the same mid-block stop when fuel runs out. *)
 
 open Occlum_isa
 module Obs = Occlum_obs.Obs
@@ -127,9 +127,8 @@ let[@inline] pop_u64 mem cpu =
 
 (* Execute one already-decoded instruction whose encoding spans
    [pc, pc+len) (the span is known executable). Returns [Some stop] when
-   control leaves the interpreter. Both the decoding [step] and the
-   decoded-block replay call this, so the architectural effects and the
-   cycle/counter accounting cannot diverge between them. *)
+   control leaves the interpreter. This is the reference semantics that
+   every [Jit] body mirrors. *)
 let exec_decoded mem cpu insn ~pc ~len : stop option =
   let end_pc = pc + len in
   match
@@ -319,9 +318,9 @@ let run_step ~hooked ~intr mem cpu ~fuel =
   in
   loop fuel
 
-(* The tiered loop. Dispatch per block boundary: compiled code → the
-   JIT's decode cache, promoting blocks that have replayed [Jit]'s
-   threshold many times → build → [step] fallback.
+(* The tiered loop. Dispatch per block boundary: compiled code from the
+   [Jit]'s code cache → on a miss or a stale hit, translate the block
+   now → [step] fallback where no block can be built.
 
    It keeps the reference loop's observable behaviour. Each instruction
    boundary is consulted in one order: fuel check, then fragile
@@ -329,15 +328,15 @@ let run_step ~hooked ~intr mem cpu ~fuel =
    So [Stop_quantum] and injected interrupts land on the same boundary
    as in [run_step], and the hook is consulted exactly once per executed
    boundary:
-   - Executable-span checks are elided for cached instructions: block
+   - Executable-span checks are elided for compiled instructions: block
      validity (unchanged page generations) implies the span still
      decodes and is still executable, exactly as at build time.
    - Fragile blocks (on writable+executable pages: all LibOS SIP code)
-     are revalidated at the boundary after each memory-writing
-     instruction — within a block, the only thing that can move a page
-     generation — so a self-modifying store takes effect on the very
-     next fetch. A refetch is not a new boundary: the hook is consulted
-     once the instruction is actually about to execute.
+     are revalidated at the boundary after each writing unit — within a
+     block, only a memory write can move a page generation — so a
+     self-modifying store deopts and takes effect on the very next
+     fetch. A refetch is not a new boundary: the hook is consulted once
+     the instruction is actually about to execute.
    - A compiled block's exit follows its link to the successor a lookup
      found last time, when the link is still exactly what the lookup
      would return; the JIT counters and trace events are the same.
@@ -350,14 +349,13 @@ let run_step ~hooked ~intr mem cpu ~fuel =
      [exec_decoded] would have at the faulting instruction, so the AEX
      capture is bit-identical.
 
-   Observability: tier events are emitted per block lookup when the
-   [Dcache]/[Jit] trace classes are on; with tracing disabled the cost
-   is one flag test. Event timestamps extend the LibOS's quantum-start
-   clock by the cycles retired so far (the 3 cycles/ns conversion the
-   LibOS clock uses), so they interleave correctly with the
-   syscall/quantum events of the surrounding trace. *)
+   Observability: JIT events are emitted per block lookup when the [Jit]
+   trace class is on; with tracing disabled the cost is one flag test.
+   Event timestamps extend the LibOS's quantum-start clock by the cycles
+   retired so far (the 3 cycles/ns conversion the LibOS clock uses), so
+   they interleave correctly with the syscall/quantum events of the
+   surrounding trace. *)
 let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
-  let cache = Jit.decode_cache jit in
   let c0 = cpu.Cpu.cycles in
   let base_ns = obs.Obs.now () in
   (* [mk] is a closed constructor: nothing is allocated while [on] is off *)
@@ -376,64 +374,29 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
     | Jit.Stale ->
         cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
         trace obs.Obs.t_jit (fun pc -> Trace.Jit_invalidate { pc });
-        decoded_tier fuel
-    | Jit.Miss -> decoded_tier fuel
+        miss fuel
+    | Jit.Miss -> miss fuel
   (* a JIT hit found in the table or through a link *)
   and hit c fuel =
     cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
     trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
     exec_compiled c 0 fuel
-  and decoded_tier fuel =
-    match Decode_cache.lookup cache mem cpu.Cpu.pc with
-    | Decode_cache.Hit b ->
-        cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
-        trace obs.Obs.t_dcache (fun pc -> Trace.Dcache_hit { pc });
-        enter b fuel
-    | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
-        if r = Decode_cache.Stale then begin
-          cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
-          trace obs.Obs.t_dcache (fun pc -> Trace.Dcache_invalidate { pc })
-        end;
-        cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
-        trace obs.Obs.t_dcache (fun pc -> Trace.Dcache_miss { pc });
-        match Decode_cache.build cache mem cpu.Cpu.pc with
-        | Some b -> enter b fuel
-        | None -> (
-            (* nothing decodable/executable at pc: the reference step
-               raises the fault with identical address and reason *)
-            if hooked && intr () then Stop_quantum
-            else
-              match step mem cpu with
-              | Some stop -> stop
-              | None -> loop (fuel - 1)))
-  (* promote-and-enter: a block hot enough for the JIT (with threshold 0,
-     every block at build) runs compiled from this entry on *)
-  and enter b fuel =
-    if Jit.hot_enough jit b then begin
-      let c = Jit.promote jit b in
-      cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-      trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
-      exec_compiled c 0 fuel
-    end
-    else exec_block b 0 b.entry fuel
-  (* The two replay loops belong to this recursive group rather than
-     being local closures, so entering a block allocates nothing. *)
-  and exec_block (b : Decode_cache.block) i pc fuel =
-    if fuel <= 0 then Stop_quantum
-    else if i >= Array.length b.insns then loop fuel
-    else if
-      b.fragile && i > 0
-      && Jit.insn_writes (fst b.insns.(i - 1))
-      && not (Decode_cache.block_valid mem b)
-    then
-      (* a store inside this block rewrote its own code page: refetch *)
-      loop fuel
-    else if hooked && intr () then Stop_quantum
-    else
-      let insn, len = b.insns.(i) in
-      match exec_decoded mem cpu insn ~pc ~len with
-      | Some stop -> stop
-      | None -> exec_block b (i + 1) (pc + len) (fuel - 1)
+  and miss fuel =
+    match Jit.translate jit mem cpu.Cpu.pc with
+    | Some c ->
+        cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
+        trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
+        exec_compiled c 0 fuel
+    | None -> (
+        (* nothing decodable/executable at pc: the reference step
+           raises the fault with identical address and reason *)
+        if hooked && intr () then Stop_quantum
+        else
+          match step mem cpu with
+          | Some stop -> stop
+          | None -> loop (fuel - 1))
+  (* a member of this recursive group rather than a local closure, so
+     entering a block allocates nothing *)
   and exec_compiled (c : Jit.compiled) u fuel =
     if fuel <= 0 then Stop_quantum
     else if u >= Array.length c.Jit.units_fast then
@@ -456,7 +419,8 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
     else if
       c.Jit.revalidate.(u) && not (Decode_cache.block_valid mem c.Jit.src)
     then begin
-      (* self-modifying code: deopt back to the decoded tier *)
+      (* self-modifying code: deopt; the lookup finds the block stale
+         and translates the rewritten bytes *)
       cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
       trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
       loop fuel

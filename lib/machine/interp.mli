@@ -24,15 +24,14 @@ val run :
 
     Two loops implement this. Without [?jit], the reference loop runs
     {!step} once per instruction; tests and fuzz properties compare the
-    tiered loop against it. With [?jit], the tiered loop runs:
-    straight-line runs of instructions are decoded once into basic
-    blocks by the JIT's {!Jit.decode_cache} and replayed from it on
-    later visits; blocks replayed {!Jit.create}'s threshold many times
-    are promoted to pre-compiled closure chains and dispatched first:
-    JIT hit → compiled replay, stale → invalidate and fall back, miss →
-    the decode cache (which promotes on a hot hit). A compiled block's
-    exit first tries its link ({!Jit.follow}), which hits exactly when
-    the lookup would.
+    tiered loop against it. With [?jit], the tiered loop runs every
+    basic block as compiled closure chains from the JIT's code cache:
+    hit → compiled replay; stale → invalidate, then translate again;
+    miss → build and compile the block now ({!Jit.translate}) and run
+    it; no block buildable at pc (the fetch faults or does not decode)
+    → one {!step}, which raises the fault exactly as the reference
+    does. A compiled block's exit first tries its link ({!Jit.follow}),
+    which hits exactly when the lookup would.
 
     The tiered loop is architecturally bit-identical to the reference:
     the same per-instruction cycle charges and counters, the same fault
@@ -42,15 +41,14 @@ val run :
     writable+executable pages (only at the boundary after a memory
     write), then the interrupt hook, then fetch or replay. A fault
     inside compiled code deopts to the interpreter's fault path, and
-    writes to a cached or JIT'd page invalidate its blocks through
-    per-page generations. Cache and JIT
-    hit/miss/invalidation totals accumulate into the {!Cpu.t} stats
-    fields.
+    writes to a JIT'd page invalidate its blocks through per-page
+    generations. JIT compile/hit/invalidation/deopt totals accumulate
+    into the {!Cpu.t} stats fields.
 
-    With [?obs] (default {!Occlum_obs.Obs.disabled}), decode-cache and
-    JIT trace events are emitted per block lookup when the [Dcache] /
-    [Jit] classes are enabled. Observability never alters architectural
-    state, counters or cycle charges.
+    With [?obs] (default {!Occlum_obs.Obs.disabled}), JIT trace events
+    are emitted per block lookup when the [Jit] class is enabled.
+    Observability never alters architectural state, counters or cycle
+    charges.
 
     With [?interrupt], the hook is consulted exactly once per executed
     instruction boundary, in the order above, in both loops, so a

@@ -1,15 +1,16 @@
-(* Block-JIT execution tier: compile hot decoded basic blocks into
-   pre-built OCaml closure chains.
+(* Block JIT: translate every decoded basic block into a pre-built
+   OCaml closure chain the first time it runs.
 
-   The JIT's own decode cache removes per-execution decoding but still
-   dispatches a full-ISA [match] per instruction. This tier removes the
-   dispatch too: each instruction of a hot block is translated once into
-   a specialized closure with its operands pre-resolved (register
-   indices, immediates, cycle cost, target pcs), and consecutive
-   instructions are fused into superinstruction units — guard+load /
-   guard+store / guard+guard pairs share one effective-address
-   computation, and straight-line runs are chained so the per-
-   instruction loop overhead is amortized over up to four instructions.
+   In [Interp.run]'s tiered loop, a lookup miss (or a stale hit) at a
+   block boundary forms the block ([Decode_cache.build]) and compiles
+   it here at once, as a DBT code cache copies each block before its
+   first run. Each instruction is translated into a specialized closure
+   with its operands pre-resolved (register indices, immediates, cycle
+   cost, target pcs), and consecutive instructions are fused into
+   superinstruction units — guard+load / guard+store / guard+guard
+   pairs share one effective-address computation, and straight-line
+   runs are chained so the per-instruction loop overhead is amortized
+   over up to four instructions.
 
    Equivalence contract (checked by fuzz property #8 and test_jit):
    every closure replicates [Interp.exec_decoded]'s architectural
@@ -21,15 +22,15 @@
    at every internal instruction boundary, preserving the interpreter's
    exactly-once-per-boundary AEX contract).
 
-   Invalidation mirrors the decode cache: a compiled block keeps its
-   source block's page-generation snapshot and is dropped when a lookup
-   finds the generations moved. Blocks spanning a writable+executable
-   page ("fragile": every LibOS SIP block, since SGX1 code pages are
-   RWX) get the same fusion, but each unit ends at its first
-   memory-writing instruction: within a block only such an instruction
-   can move a page generation, so the interpreter revalidates a fragile
-   block only at the boundary after a writing unit, and self-modifying
-   code deopts back to the decoded-block tier on the very next fetch.
+   Invalidation: a compiled block keeps its source block's
+   page-generation snapshot and is dropped when a lookup finds the
+   generations moved. Blocks spanning a writable+executable page
+   ("fragile": every LibOS SIP block, since SGX1 code pages are RWX) get
+   the same fusion, but each unit ends at its first memory-writing
+   instruction: within a block only such an instruction can move a page
+   generation, so the interpreter revalidates a fragile block only at
+   the boundary after a writing unit, and self-modifying code deopts to
+   a fresh translation on the very next fetch.
 
    Block linking: each compiled block remembers the last successor a
    lookup found at its exit. Following that link is exactly a lookup hit
@@ -78,27 +79,21 @@ type compiled = {
 }
 
 type t = {
-  cache : Decode_cache.t; (* the block builder and sub-threshold tier *)
   tbl : (int, compiled) Hashtbl.t;
-  threshold : int;
   max_blocks : int;
   mutable compiles : int;
   mutable hits : int;
   mutable invalidations : int;
 }
 
-let create ?(threshold = 16) ?(max_blocks = 4096) () =
+let create ?(max_blocks = 4096) () =
   {
-    cache = Decode_cache.create ();
     tbl = Hashtbl.create 256;
-    threshold;
     max_blocks;
     compiles = 0;
     hits = 0;
     invalidations = 0;
   }
-
-let decode_cache t = t.cache
 
 (* ---- translation helpers (must mirror Interp exactly) ----
 
@@ -1014,21 +1009,22 @@ let follow t mem from pc =
 let note_hit t = t.hits <- t.hits + 1
 (* a hit that bypassed [lookup] (the interpreter's self-loop re-entry) *)
 
-let hot_enough t (b : Decode_cache.block) = b.Decode_cache.hot >= t.threshold
-
 (* Entries leave the table only at a stale [lookup] and at this flush,
    and both clear [live], so no link survives its target's eviction.
-   [promote] follows a lookup that missed at [b.entry], so [replace]
-   never drops a live entry. *)
-let promote t (b : Decode_cache.block) =
-  if Hashtbl.length t.tbl >= t.max_blocks then begin
-    Hashtbl.iter (fun _ c -> c.live <- false) t.tbl;
-    Hashtbl.reset t.tbl
-  end;
-  let c = compile b in
-  c.live <- true;
-  t.compiles <- t.compiles + 1;
-  Hashtbl.replace t.tbl b.entry c;
-  c
+   [translate] follows a lookup that missed at [pc] (or found it stale
+   and removed it), so [replace] never drops a live entry. *)
+let translate t mem pc =
+  match Decode_cache.build mem pc with
+  | None -> None
+  | Some b ->
+      if Hashtbl.length t.tbl >= t.max_blocks then begin
+        Hashtbl.iter (fun _ c -> c.live <- false) t.tbl;
+        Hashtbl.reset t.tbl
+      end;
+      let c = compile b in
+      c.live <- true;
+      t.compiles <- t.compiles + 1;
+      Hashtbl.replace t.tbl pc c;
+      Some c
 
 let stats t = (t.compiles, t.hits, t.invalidations)

@@ -1,18 +1,15 @@
-(** Block-JIT execution tier: hot decoded basic blocks (per
-    {!Decode_cache.block.hot}) are translated once into chains of
-    specialized OCaml closures — operands pre-resolved, guard+load /
-    guard+store / guard+guard pairs fused over one effective-address
-    computation, straight-line runs chained up to four instructions per
-    unit — and replayed by {!Interp.run} when [?jit] is passed.
-
-    A JIT owns its {!Decode_cache.t}: the cache builds the blocks it
-    compiles and replays every block still below the promotion
-    threshold.
+(** Block JIT, the tiered loop's only fast tier: every basic block
+    ({!Decode_cache.build}) is translated the first time it runs into a
+    chain of specialized OCaml closures — operands pre-resolved,
+    guard+load / guard+store / guard+guard pairs fused over one
+    effective-address computation, straight-line runs chained up to four
+    instructions per unit — and replayed by {!Interp.run} when [?jit] is
+    passed.
 
     Every unit exists in two variants: [fast] (no internal checks; used
     only when the remaining fuel covers the whole unit and no interrupt
     hook is armed) and [safe] (re-checks fuel and consults the interrupt
-    hook at every internal instruction boundary). Compiled blocks reuse
+    hook at every internal instruction boundary). Compiled blocks keep
     the source block's page-generation snapshot for invalidation. Blocks
     on writable+executable pages (every LibOS SIP block: SGX1 code pages
     are RWX) get the same fusion, but each unit ends at its first
@@ -59,25 +56,19 @@ type compiled = {
 
 type t
 
-val create : ?threshold:int -> ?max_blocks:int -> unit -> t
-(** A fresh JIT over a fresh {!Decode_cache.t}. [threshold] (default 16)
-    is the decode-cache replay count at which a block is promoted; [0]
-    promotes every block at build, so all code runs compiled from its
-    first execution. [max_blocks] (default 4096) flushes the code cache
+val create : ?max_blocks:int -> unit -> t
+(** An empty code cache. [max_blocks] (default 4096) flushes it
     wholesale when full. *)
-
-val decode_cache : t -> Decode_cache.t
-(** The decode cache this JIT builds from and falls back to. *)
 
 val insn_writes : Occlum_isa.Insn.t -> bool
 (** The instruction writes memory ([Store], [Push], the calls,
     [Vscatter]). Within a block only these can move a page generation,
-    so both tiers revalidate a fragile block only after one. *)
+    so the interpreter revalidates a fragile block only after one. *)
 
 val compile : Decode_cache.block -> compiled
 (** Translate a block (total: every opcode compiles, privileged ones to
-    charge-then-fault stubs). Exposed for tests; use {!promote} to also
-    intern the result. *)
+    charge-then-fault stubs). Exposed for tests and the compile-cost
+    micro; {!translate} also builds the block and interns the result. *)
 
 type lookup = Hit of compiled | Stale | Miss
 
@@ -99,11 +90,11 @@ val note_hit : t -> unit
 (** Count a hit that bypassed {!lookup} — the interpreter's self-loop
     re-entry when a block branches back to its own entry. *)
 
-val hot_enough : t -> Decode_cache.block -> bool
-
-val promote : t -> Decode_cache.block -> compiled
-(** Compile and intern the block, flushing the cache first if full.
-    Call it only after a lookup missed at the block's entry. *)
+val translate : t -> Mem.t -> int -> compiled option
+(** Build the block at pc, compile it and intern it, flushing the cache
+    first if full. [None] when no block can be built there (the first
+    instruction does not fetch or decode). Call it only after a lookup
+    at pc missed or was stale. *)
 
 val stats : t -> int * int * int
 (** Lifetime [(compiles, hits, invalidations)]. *)

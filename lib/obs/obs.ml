@@ -9,15 +9,13 @@ type cls =
   | Lifecycle
   | Aex
   | Page
-  | Dcache
   | Jit
   | Sefs
   | Net
   | Cluster
 
 let all_classes =
-  [ Quantum; Syscall; Sched; Lifecycle; Aex; Page; Dcache; Jit; Sefs; Net;
-    Cluster ]
+  [ Quantum; Syscall; Sched; Lifecycle; Aex; Page; Jit; Sefs; Net; Cluster ]
 
 let cls_name = function
   | Quantum -> "quantum"
@@ -26,7 +24,6 @@ let cls_name = function
   | Lifecycle -> "lifecycle"
   | Aex -> "aex"
   | Page -> "page"
-  | Dcache -> "dcache"
   | Jit -> "jit"
   | Sefs -> "sefs"
   | Net -> "net"
@@ -39,7 +36,6 @@ let cls_of_string = function
   | "lifecycle" -> Some Lifecycle
   | "aex" -> Some Aex
   | "page" -> Some Page
-  | "dcache" -> Some Dcache
   | "jit" -> Some Jit
   | "sefs" -> Some Sefs
   | "net" -> Some Net
@@ -74,7 +70,6 @@ type t = {
   t_life : bool;
   t_aex : bool;
   t_page : bool;
-  t_dcache : bool;
   t_jit : bool;
   t_sefs : bool;
   t_net : bool;
@@ -93,7 +88,6 @@ let disabled =
     t_life = false;
     t_aex = false;
     t_page = false;
-    t_dcache = false;
     t_jit = false;
     t_sefs = false;
     t_net = false;
@@ -113,7 +107,6 @@ let create ?(capacity = 65536) ?(events = all_classes) () =
     t_life = on Lifecycle;
     t_aex = on Aex;
     t_page = on Page;
-    t_dcache = on Dcache;
     t_jit = on Jit;
     t_sefs = on Sefs;
     t_net = on Net;

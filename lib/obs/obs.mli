@@ -1,6 +1,6 @@
 (** The observability switchboard. One [Obs.t] per enclave bundles a
     metrics registry, an event tracer and per-class enable flags; the
-    LibOS, the SGX model, the interpreter's cached loop and the I/O
+    LibOS, the SGX model, the interpreter's tiered loop and the I/O
     stacks all hold one and test a single boolean before doing any
     observability work — the disabled path costs one branch and the
     simulation (registers, memory, cycle counts, virtual clock) is
@@ -14,7 +14,6 @@ type cls =
   | Lifecycle  (** spawn/exit, enclave create/init/destroy *)
   | Aex  (** asynchronous enclave exits and resumes *)
   | Page  (** page map/unmap (EADD/EAUG/EREMOVE) *)
-  | Dcache  (** decode-cache hit/miss/invalidate *)
   | Jit  (** block-JIT compile/hit/invalidate/deopt *)
   | Sefs  (** encrypted-FS reads/writes with byte counts *)
   | Net  (** network send/recv with byte counts *)
@@ -38,7 +37,6 @@ type t = {
   t_life : bool;
   t_aex : bool;
   t_page : bool;
-  t_dcache : bool;
   t_jit : bool;
   t_sefs : bool;
   t_net : bool;

@@ -22,9 +22,6 @@ type kind =
   | Enclave_create of { enclave : int; size : int }
   | Enclave_init of { enclave : int }
   | Enclave_destroy of { enclave : int }
-  | Dcache_hit of { pc : int }
-  | Dcache_miss of { pc : int }
-  | Dcache_invalidate of { pc : int }
   | Jit_compile of { pc : int }
   | Jit_hit of { pc : int }
   | Jit_invalidate of { pc : int }
@@ -59,9 +56,6 @@ let kind_name = function
   | Enclave_create _ -> "enclave_create"
   | Enclave_init _ -> "enclave_init"
   | Enclave_destroy _ -> "enclave_destroy"
-  | Dcache_hit _ -> "dcache_hit"
-  | Dcache_miss _ -> "dcache_miss"
-  | Dcache_invalidate _ -> "dcache_invalidate"
   | Jit_compile _ -> "jit_compile"
   | Jit_hit _ -> "jit_hit"
   | Jit_invalidate _ -> "jit_invalidate"
@@ -230,15 +224,6 @@ let to_chrome_json t =
       | Enclave_destroy { enclave } ->
           put ~name:"enclave_destroy" ~cat:"sgx" ~ph:"i" ~ts ~tid:0
             ~args:[ ("enclave", string_of_int enclave) ]
-      | Dcache_hit { pc } ->
-          put ~name:"dcache_hit" ~cat:"dcache" ~ph:"i" ~ts ~tid:0
-            ~args:[ ("pc", string_of_int pc) ]
-      | Dcache_miss { pc } ->
-          put ~name:"dcache_miss" ~cat:"dcache" ~ph:"i" ~ts ~tid:0
-            ~args:[ ("pc", string_of_int pc) ]
-      | Dcache_invalidate { pc } ->
-          put ~name:"dcache_invalidate" ~cat:"dcache" ~ph:"i" ~ts ~tid:0
-            ~args:[ ("pc", string_of_int pc) ]
       | Jit_compile { pc } ->
           put ~name:"jit_compile" ~cat:"jit" ~ph:"i" ~ts ~tid:0
             ~args:[ ("pc", string_of_int pc) ]

@@ -25,9 +25,6 @@ type kind =
   | Enclave_create of { enclave : int; size : int }
   | Enclave_init of { enclave : int }
   | Enclave_destroy of { enclave : int }
-  | Dcache_hit of { pc : int }
-  | Dcache_miss of { pc : int }
-  | Dcache_invalidate of { pc : int }
   | Jit_compile of { pc : int }
   | Jit_hit of { pc : int }
   | Jit_invalidate of { pc : int }

@@ -191,6 +191,16 @@ grep -q "epoch 2" _build/cluster-fault.txt || {
 dune exec bin/occlum_fuzz.exe -- --seed 42 --cases 200 --shrink \
   --json _build/fuzz-report.json
 
+# Seed-corpus reproducibility: the checked-in minimized corpus is
+# exactly what the generator emits for seed 42, byte for byte.
+rm -rf _build/corpus
+mkdir -p _build/corpus
+dune exec bin/occlum_fuzz.exe -- --seed 42 --emit-corpus _build/corpus
+diff -r _build/corpus test/corpus || {
+  echo "FAIL: occlum_fuzz --seed 42 --emit-corpus differs from test/corpus" >&2
+  exit 1
+}
+
 dune exec bench/main.exe -- --only=micro,paging,serving,multicore,guards,jit,cluster \
   --json _build/bench-micro.json
 python3 scripts/compare_bench.py bench/baseline-micro.json \

@@ -1,11 +1,11 @@
-(* Decoded-block cache tests, run through the tiered loop at the JIT's
-   default promotion threshold, so short-lived blocks replay from the
-   decode cache and hot ones run compiled. It must be observationally
-   identical to the reference fetch/decode/execute loop — same
-   registers, flags, counters and cycle charges, same fault addresses,
-   and the same quantum-expiry boundaries — and faults must be atomic:
-   an instruction that faults leaves every register (SP included) and
-   the pc untouched. *)
+(* Block formation and the tiered loop over it: every block the tiered
+   loop enters is built ([Decode_cache.build]) and compiled at once, so
+   even code that runs a single time runs compiled. It must be
+   observationally identical to the reference fetch/decode/execute loop
+   — same registers, flags, counters and cycle charges, same fault
+   addresses, and the same quantum-expiry boundaries — and faults must
+   be atomic: an instruction that faults leaves every register (SP
+   included) and the pc untouched. *)
 
 open Occlum_machine
 open Occlum_isa
@@ -247,7 +247,7 @@ let test_priv_write_invalidates () =
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("second run: " ^ Interp.stop_to_string s));
   Alcotest.(check int64) "patched immediate observed" 2L (Cpu.get cpu Reg.r1);
-  let _, _, invalidations = Decode_cache.stats (Jit.decode_cache jit) in
+  let _, _, invalidations = Jit.stats jit in
   Alcotest.(check bool) "stale block dropped" true (invalidations >= 1)
 
 let test_self_modifying_differential () =
@@ -290,17 +290,18 @@ let test_spec_differential () =
         Occlum_toolchain.Compile.compile_exn
           ~config:Occlum_toolchain.Codegen.sfi prog
       in
-      let u = Occlum_baseline.Native_run.run ~decode_cache:false oelf in
+      let u = Occlum_baseline.Native_run.run ~jit:false oelf in
       let c = Occlum_baseline.Native_run.run oelf in
       Alcotest.(check string) (name ^ ": identical run") (native_summary u)
         (native_summary c);
-      Alcotest.(check bool) (name ^ ": cache engaged") true (c.dcache_hits > 0))
+      Alcotest.(check bool) (name ^ ": JIT engaged") true
+        (c.jit_compiles > 0 && c.jit_hits > 0))
     (Occlum_workloads.Spec.all ~scale:1)
 
 (* A verified SPEC kernel booted through [Os.spawn_initial]: the
-   reference loop ([decode_cache] off) and the tiered loop (on) give the
-   same clock and console, and the decode-cache stats are absent under
-   the reference loop and engaged under the tiered one. *)
+   reference loop ([jit] off) and the tiered loop (on) give the same
+   clock and console, and the code-cache stats are absent under the
+   reference loop and engaged under the tiered one. *)
 let test_libos_cache () =
   let module Os = Occlum_libos.Os in
   let _, prog = List.hd (Occlum_workloads.Spec.all ~scale:1) in
@@ -313,8 +314,8 @@ let test_libos_cache () =
     | Ok signed -> signed
     | Error _ -> Alcotest.fail "SPEC kernel failed verification"
   in
-  let run dc =
-    let config = { Os.default_config with decode_cache = dc } in
+  let run jit =
+    let config = { Os.default_config with jit } in
     let os = Os.boot ~config () in
     ignore (Os.spawn_initial os oelf ~args:[]);
     (match Os.run ~max_steps:500_000 os with
@@ -328,8 +329,9 @@ let test_libos_cache () =
   Alcotest.(check bool) "stats absent under the reference loop" true
     (Os.decode_cache_stats os_r = None);
   match Os.decode_cache_stats os_t with
-  | Some (hits, _, _) ->
-      Alcotest.(check bool) "cache engaged under the LibOS" true (hits > 0)
+  | Some (hits, builds, _) ->
+      Alcotest.(check bool) "JIT compiled and replayed under the LibOS" true
+        (builds > 0 && hits > 0)
   | None -> Alcotest.fail "stats missing under the tiered loop"
 
 let suite =

@@ -1,7 +1,7 @@
 (* Golden transcripts of the one-core scheduler. Each case runs a
-   workload at the default configuration (cores = 1, decode cache and
-   JIT on) and pins what it observably produced: a hash of the console
-   bytes, [Os.state_digest], the virtual clock, and the syscall and
+   workload at the default configuration (cores = 1, JIT on) and pins
+   what it observably produced: a hash of the console bytes,
+   [Os.state_digest], the virtual clock, and the syscall and
    gate-crossing counts. The values were captured from the original
    sequential scheduler, so they hold the epoch scheduler to
    bit-identical one-core behaviour: any change to queue order, clock

@@ -18,6 +18,8 @@ module Harness = Occlum_workloads.Harness
 module Compile = Occlum_toolchain.Compile
 module Codegen = Occlum_toolchain.Codegen
 module Parser = Occlum_toolchain.Parser
+module Obs = Occlum_obs.Obs
+module Trace = Occlum_obs.Trace
 
 let setup = Test_machine.setup
 
@@ -38,7 +40,7 @@ let state_str stop cpu =
             Int64.to_string (Cpu.get cpu (Occlum_isa.Reg.of_int i)))))
 
 (* [prelude], then [body] closed into a loop by a [jne] back to its
-   start (fixed-point displacement as in the decode-cache tests), then a
+   start (fixed-point displacement as in test_decode_cache), then a
    syscall gate *)
 let looped prelude body =
   let body_len = enc_len body in
@@ -48,7 +50,7 @@ let looped prelude body =
   in
   prelude @ body @ [ fix (-body_len); Insn.Syscall_gate ]
 
-(* A counted loop, hot enough to promote. *)
+(* A counted loop: its body block is compiled once and replayed. *)
 let loop_prog iters =
   looped
     [ Insn.Mov_imm (Reg.r1, Int64.of_int iters); Insn.Mov_imm (Reg.r2, 0L) ]
@@ -86,15 +88,15 @@ let native_summary (r : Native_run.result) =
   Printf.sprintf "exit=%Ld cycles=%d insns=%d loads=%d stores=%d bnd=%d out=%S"
     r.exit_code r.cycles r.insns r.loads r.stores r.bound_checks r.stdout
 
-(* threshold 2, so most blocks run compiled (the decode-cache tests run
-   the same kernels at the default threshold) *)
+(* every block runs compiled; the JIT must also replay some block from
+   the code cache *)
 let test_spec_differential () =
   let engaged = ref false in
   List.iter
     (fun (name, prog) ->
       let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
-      let u = Native_run.run ~decode_cache:false oelf in
-      let j = Native_run.run ~jit_threshold:2 oelf in
+      let u = Native_run.run ~jit:false oelf in
+      let j = Native_run.run oelf in
       Alcotest.(check string)
         (name ^ ": tiered = reference")
         (native_summary u) (native_summary j);
@@ -124,15 +126,14 @@ let guard_heavy_src () =
 
 (* Elision has one path: run the binary [Elide.run] rewrote and the
    unmodified verifier re-accepted. The JIT itself omits nothing, so on
-   either binary it must agree with the reference loop (threshold 0 =
-   every block compiled from first entry). *)
+   either binary it must agree with the reference loop. *)
 let test_guard_heavy_elide_parity () =
   let naive =
     Compile.compile_exn ~config:Codegen.sfi_naive
       (Parser.parse (guard_heavy_src ()))
   in
-  let base = Native_run.run ~decode_cache:false naive in
-  let jit_naive = Native_run.run ~jit_threshold:0 naive in
+  let base = Native_run.run ~jit:false naive in
+  let jit_naive = Native_run.run naive in
   Alcotest.(check string) "naive build: jit = reference"
     (native_summary base) (native_summary jit_naive);
   let elided =
@@ -140,13 +141,68 @@ let test_guard_heavy_elide_parity () =
     | Ok (o, _) -> o
     | Error e -> Alcotest.fail (Elide.error_to_string e)
   in
-  let eu = Native_run.run ~decode_cache:false elided in
-  let ej = Native_run.run ~jit_threshold:0 elided in
+  let eu = Native_run.run ~jit:false elided in
+  let ej = Native_run.run elided in
   Alcotest.(check string) "elided build: jit = reference" (native_summary eu)
     (native_summary ej);
   Alcotest.(check string) "expected output" "sum 231\n" ej.stdout;
   Alcotest.(check bool) "fewer checks than the naive build" true
     (ej.bound_checks < base.bound_checks)
+
+(* --- one tier: every block compiled at its first execution ------------------ *)
+
+(* Loop-free code entered once: each of its four blocks is built and
+   compiled on entry (a [jit_compile] event at its entry pc and nothing
+   else), and the instructions retired are exactly the compiled blocks'
+   instructions, so none ran outside compiled code. *)
+let test_loop_free_runs_compiled () =
+  let blocks =
+    [
+      [ Insn.Mov_imm (Reg.r1, 1L); Insn.Jmp 0 ];
+      [ Insn.Mov_imm (Reg.r2, 2L); Insn.Alu (Add, Reg.r1, O_reg Reg.r2);
+        Insn.Jmp 0 ];
+      [ Insn.Cmp (Reg.r1, O_imm 3L); Insn.Jcc (Eq, 0) ];
+      [ Insn.Syscall_gate ];
+    ]
+  in
+  let prog = List.concat blocks in
+  let entries =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (pc, acc) b -> (pc + enc_len b, pc :: acc))
+            (4096, []) blocks))
+  in
+  let mem, cpu = setup prog in
+  let su = Interp.run mem cpu ~fuel:100 in
+  let mem_j, cpu_j = setup prog in
+  let j = Jit.create () in
+  let obs = Obs.create ~events:[ Obs.Jit ] () in
+  let sj = Interp.run ~jit:j ~obs mem_j cpu_j ~fuel:100 in
+  Alcotest.(check string) "loop-free: jit = reference" (state_str su cpu)
+    (state_str sj cpu_j);
+  Alcotest.(check (list int)) "compiles, hits, invalidations, deopts"
+    [ List.length blocks; 0; 0; 0 ]
+    [ cpu_j.Cpu.jit_compiles; cpu_j.Cpu.jit_hits; cpu_j.Cpu.jit_invalidations;
+      cpu_j.Cpu.jit_deopts ];
+  Alcotest.(check (list string)) "one jit_compile per block entry, nothing else"
+    (List.map (Printf.sprintf "jit_compile@%d") entries)
+    (List.map
+       (fun (e : Trace.event) ->
+         match e.kind with
+         | Trace.Jit_compile { pc } -> Printf.sprintf "jit_compile@%d" pc
+         | k -> Trace.kind_name k)
+       (Trace.events obs.Obs.trace));
+  let compiled_insns =
+    List.fold_left
+      (fun acc pc ->
+        match Jit.lookup j mem_j pc with
+        | Jit.Hit c -> acc + Array.fold_left ( + ) 0 c.Jit.unit_insns
+        | _ -> Alcotest.fail (Printf.sprintf "no compiled block at %d" pc))
+      0 entries
+  in
+  Alcotest.(check int) "every retired instruction ran compiled" compiled_insns
+    cpu_j.Cpu.insns
 
 (* --- per-page invalidation -------------------------------------------------- *)
 
@@ -174,7 +230,7 @@ let test_smc_user_store_invalidates () =
   let mem, cpu = setup prog in
   let su = Interp.run mem cpu ~fuel:200 in
   let mem_j, cpu_j = setup prog in
-  let j = Jit.create ~threshold:0 () in
+  let j = Jit.create () in
   let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:200 in
   Alcotest.(check string) "self-modifying: jit = reference" (state_str su cpu)
     (state_str sj cpu_j);
@@ -188,7 +244,7 @@ let test_priv_write_invalidates () =
   (* the loader path: privileged rewrite of a compiled page (domain-slot
      reuse) must drop the compiled block *)
   let mem, cpu = setup [ Insn.Mov_imm (Reg.r1, 1L); Insn.Syscall_gate ] in
-  let j = Jit.create ~threshold:0 () in
+  let j = Jit.create () in
   (match Interp.run ~jit:j mem cpu ~fuel:100 with
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("first run: " ^ Interp.stop_to_string s));
@@ -214,7 +270,7 @@ let test_priv_write_invalidates () =
    the units after a write revalidate. *)
 (* The block at the start of [prog]'s code page, and its translation. *)
 let compiled_block prog =
-  match Decode_cache.build (Decode_cache.create ()) (fst (setup prog)) 4096 with
+  match Decode_cache.build (fst (setup prog)) 4096 with
   | Some b -> (b, Jit.compile b)
   | None -> Alcotest.fail "block failed to build"
 
@@ -275,7 +331,7 @@ let test_smc_fused_store () =
     (state_str stop cpu, cpu, mem)
   in
   let su, _, mem = run None in
-  let j = Jit.create ~threshold:0 () in
+  let j = Jit.create () in
   let sj, cpu_j, _ = run (Some j) in
   Alcotest.(check string) "fused SMC store: jit = reference" su sj;
   Alcotest.(check int64) "stopped before mov r1" 0L (Cpu.get cpu_j Reg.r1);
@@ -295,6 +351,50 @@ let test_smc_fused_store () =
     (cpu_j.Cpu.jit_compiles > 0 && cpu_j.Cpu.jit_deopts >= 1);
   Alcotest.(check bool) "the reference saw the gate byte" true
     (Bytes.get (Mem.raw mem) (4096 + enc_len pre) = gate.[0])
+
+(* The self-modifying kernel of the bench's [jit/smc-deopts]: a store
+   loop walks down a data page and, in its last [code_stores]
+   iterations, on into the padding of its own RWX code page just below.
+   Each of those stores runs in compiled code and moves the block's page
+   generation, so each deopts once: the deopt re-enters through the code
+   cache, which finds the block stale and translates it again. *)
+let test_smc_kernel_deopts () =
+  let r1 = Reg.r1 and r3 = Reg.r3 and r4 = Reg.r4 in
+  let code_at = 8192 and data_at = 12288 in
+  let run ~code_stores jit =
+    let prog =
+      looped
+        [
+          Insn.Mov_imm (r1, Int64.of_int (512 + code_stores));
+          Insn.Mov_imm (r4, Int64.of_int (data_at + 4096 - 8));
+        ]
+        [
+          Insn.Store
+            { dst = Sib { base = r4; index = None; scale = 1; disp = 0 };
+              src = r3; size = 8 };
+          Insn.Alu (Sub, r4, O_imm 8L);
+          Insn.Alu (Sub, r1, O_imm 1L);
+          Insn.Cmp (r1, O_imm 0L);
+        ]
+    in
+    let mem = Mem.create ~size:(16 * 4096) in
+    Mem.map mem ~addr:code_at ~len:4096 ~perm:Mem.perm_rwx;
+    Mem.map mem ~addr:data_at ~len:4096 ~perm:Mem.perm_rw;
+    Mem.write_bytes_priv mem ~addr:code_at (fst (Codec.encode_program prog));
+    let cpu = Cpu.create () in
+    cpu.Cpu.pc <- code_at;
+    let stop = Interp.run ?jit mem cpu ~fuel:100_000 in
+    (state_str stop cpu, cpu)
+  in
+  List.iter
+    (fun code_stores ->
+      let label = Printf.sprintf "%d code-page stores" code_stores in
+      let su, _ = run ~code_stores None in
+      let sj, cpu = run ~code_stores (Some (Jit.create ())) in
+      Alcotest.(check string) (label ^ ": jit = reference") su sj;
+      Alcotest.(check int) (label ^ ": one deopt per store") code_stores
+        cpu.Cpu.jit_deopts)
+    [ 0; 1; 2; 3 ]
 
 (* --- direct block links ------------------------------------------------ *)
 
@@ -320,7 +420,7 @@ let test_block_links () =
   write 4096 a_prog;
   write b_at (b_prog 1L);
   let cpu = Cpu.create () in
-  let j = Jit.create ~threshold:0 () in
+  let j = Jit.create () in
   let run () =
     cpu.Cpu.pc <- 4096;
     match Interp.run ~jit:j mem cpu ~fuel:100 with
@@ -355,7 +455,7 @@ let test_block_links () =
   Alcotest.(check int) "cpu invalidation count agrees" 1
     cpu.Cpu.jit_invalidations;
   (* a flush unlinks: a small cache over three blocks must flush *)
-  let j = Jit.create ~threshold:0 ~max_blocks:2 () in
+  let j = Jit.create ~max_blocks:2 () in
   let run_at pc =
     cpu.Cpu.pc <- pc;
     ignore (Interp.run ~jit:j mem cpu ~fuel:100)
@@ -408,7 +508,7 @@ let test_midblock_fault_identity () =
           Alcotest.fail
             ("expected write fault, got " ^ Interp.stop_to_string s));
       let mem_j, cpu_j = setup ~code_perm prog in
-      let j = Jit.create ~threshold:0 () in
+      let j = Jit.create () in
       let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:100 in
       Alcotest.(check string)
         (pname ^ ": mid-block fault: jit = reference")
@@ -434,7 +534,7 @@ let interrupt_every_boundary name code_perm prog =
     let mem, cpu = setup ~code_perm prog in
     Cpu.set_bnd cpu Reg.bnd0
       { Cpu.lower = 0L; upper = Int64.of_int (Test_machine.data + 4095) };
-    let j = if tiered then Some (Jit.create ~threshold:0 ()) else None in
+    let j = if tiered then Some (Jit.create ()) else None in
     let n = ref 0 in
     let hook () =
       let k = !n in
@@ -572,7 +672,7 @@ let test_page_check_agrees () =
                           oname fname
                       in
                       let ref_obs, _, _, _ = run None in
-                      let j = Jit.create ~threshold:0 () in
+                      let j = Jit.create () in
                       let jit_obs, stop, gen0, mem = run (Some j) in
                       let c, _, _ = Jit.stats j in
                       compiled := !compiled + c;
@@ -644,7 +744,7 @@ let test_hot_path_allocation_free () =
           Cpu.lower = Int64.of_int Test_machine.data;
           upper = Int64.of_int (Test_machine.data + 4095);
         };
-      let jit = Jit.create ~threshold:0 () in
+      let jit = Jit.create () in
       let w0 = Gc.minor_words () in
       let stop = Interp.run ~jit mem cpu ~fuel:max_int in
       let words = Gc.minor_words () -. w0 in
@@ -666,11 +766,11 @@ let test_hot_path_allocation_free () =
 
 (* --- LibOS: reference vs tiered, one core vs four -------------------------- *)
 
-(* The one LibOS differential between the two loops: [decode_cache]
-   selects the reference loop (off) or the tiered loop (on). *)
+(* The one LibOS differential between the two loops: [jit] selects the
+   reference loop (off) or the tiered loop (on). *)
 let test_libos_jit_on_off_identical () =
-  let run decode_cache =
-    let config = { Os.default_config with decode_cache } in
+  let run jit =
+    let config = { Os.default_config with jit } in
     let os = Os.boot ~config () in
     Os.install_binary os "/bin/compute"
       (Harness.build_for Harness.Occlum Harness.compute_prog);
@@ -687,19 +787,17 @@ let test_libos_jit_on_off_identical () =
   Alcotest.(check string) "digest, clock and console identical" sr st;
   Alcotest.(check bool) "stats absent under the reference loop" true
     (Os.decode_cache_stats os_r = None && Os.jit_stats os_r = None);
-  (match Os.decode_cache_stats os_t with
-  | Some (hits, _, _) ->
-      Alcotest.(check bool) "decode cache engaged under the LibOS" true
-        (hits > 0)
-  | None -> Alcotest.fail "decode-cache stats missing under the tiered loop");
-  match Os.jit_stats os_t with
-  | Some (c, h, _) ->
+  match (Os.jit_stats os_t, Os.decode_cache_stats os_t) with
+  | Some (c, h, i), Some code_cache ->
       Alcotest.(check bool) "compiled and replayed under the LibOS" true
-        (c > 0 && h > 0)
-  | None -> Alcotest.fail "jit stats missing under the tiered loop"
+        (c > 0 && h > 0);
+      Alcotest.(check (triple int int int))
+        "code-cache stats are the JIT's (hits, builds, invalidations)"
+        (h, c, i) code_cache
+  | _ -> Alcotest.fail "JIT stats missing under the tiered loop"
 
 let test_multicore_digest_with_jit () =
-  (* default config: decode cache + JIT on, per-core code caches *)
+  (* default config: JIT on, per-core code caches *)
   let digest cores =
     let r =
       Harness.run_compute_scaling ~sips:6 ~iters:12_000 ~cores Harness.Occlum
@@ -719,6 +817,8 @@ let suite =
       test_spec_differential;
     Alcotest.test_case "guard_heavy: elision parity" `Quick
       test_guard_heavy_elide_parity;
+    Alcotest.test_case "loop-free code runs compiled" `Quick
+      test_loop_free_runs_compiled;
     Alcotest.test_case "self-modifying store invalidates" `Quick
       test_smc_user_store_invalidates;
     Alcotest.test_case "privileged write invalidates" `Quick
@@ -727,6 +827,8 @@ let suite =
       test_rwx_units_end_at_writes;
     Alcotest.test_case "fused SMC store on RWX code" `Quick
       test_smc_fused_store;
+    Alcotest.test_case "SMC kernel: one deopt per code-page store" `Quick
+      test_smc_kernel_deopts;
     Alcotest.test_case "block links: hits, rewrites, flushes" `Quick
       test_block_links;
     Alcotest.test_case "mid-block fault deopts bit-identically" `Quick

@@ -297,7 +297,7 @@ let test_span_priv_stops_early () =
   | exception Invalid_argument _ -> ()
 
 (* A write through the span walk bumps the generation of an executable
-   page it reaches, so decode caches see the new code; data pages and
+   page it reaches, so compiled blocks see the new code; data pages and
    reads stay generation-silent. *)
 let test_span_priv_bumps_code_gen () =
   let mem = Mem.create ~size:(4 * 4096) in

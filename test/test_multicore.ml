@@ -9,7 +9,7 @@ module Harness = Occlum_workloads.Harness
 module Check = Occlum_fuzzing.Check
 
 let mk ncores =
-  Sched.create ~ncores ~decode_cache:false ~obs:Occlum_obs.Obs.disabled ()
+  Sched.create ~ncores ~jit:false ~obs:Occlum_obs.Obs.disabled ()
 
 let always _ = true
 let claim_all s = Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> -1)
@@ -230,8 +230,9 @@ let test_clock_covers_events () =
   Alcotest.(check int) "no event stamped after the step's final clock" 0 !late
 
 let test_decode_cache_stats () =
-  (* at cores=4 the reported stats are the sum over the per-core JITs'
-     decode caches *)
+  (* at cores=4 the reported code-cache stats, (hits, builds,
+     invalidations), are the sum over the per-core JITs, and every core
+     that ran code compiled and replayed it *)
   let os = Harness.boot ~cores:4 Harness.Occlum in
   Harness.install os Harness.Occlum [ ("/bin/compute", Harness.compute_prog) ];
   for _ = 1 to 4 do
@@ -243,18 +244,17 @@ let test_decode_cache_stats () =
       (fun (a, b, c) core ->
         match core.Sched.jit with
         | Some j ->
-            let x, y, z =
-              Occlum_machine.(Decode_cache.stats (Jit.decode_cache j))
-            in
-            (a + x, b + y, c + z)
+            let compiles, hits, inv = Occlum_machine.Jit.stats j in
+            (a + hits, b + compiles, c + inv)
         | None -> (a, b, c))
       (0, 0, 0) os.Os.sched.Sched.cores
   in
   match Os.decode_cache_stats os with
-  | Some ((hits, _, _) as stats) ->
-      Alcotest.(check bool) "hits recorded" true (hits > 0);
+  | Some ((hits, builds, _) as stats) ->
+      Alcotest.(check bool) "JIT compiled and replayed" true
+        (builds > 0 && hits > 0);
       Alcotest.(check (triple int int int)) "equals the per-core sum" sum stats
-  | None -> Alcotest.fail "stats missing with the cache enabled"
+  | None -> Alcotest.fail "stats missing with the JIT enabled"
 
 let suite =
   [

@@ -71,7 +71,7 @@ let test_ring_wraparound () =
   Alcotest.(check int) "zero-capacity counts drops" 1 (Trace.dropped z)
 
 let test_class_parsing () =
-  (match Obs.classes_of_string "syscall, net,dcache" with
+  (match Obs.classes_of_string "syscall, net,jit" with
   | Ok cls ->
       Alcotest.(check int) "three classes" 3 (List.length cls);
       Alcotest.(check bool) "syscall present" true (List.mem Obs.Syscall cls)
@@ -217,10 +217,10 @@ let test_chrome_export () =
 
 let cpu_state_str (cpu : Cpu.t) mem =
   Printf.sprintf
-    "pc=%d eq=%b lt=%b cycles=%d insns=%d loads=%d stores=%d bnd=%d hit=%d miss=%d inv=%d regs=%s memhash=%d"
+    "pc=%d eq=%b lt=%b cycles=%d insns=%d loads=%d stores=%d bnd=%d compiles=%d hit=%d inv=%d deopts=%d regs=%s memhash=%d"
     cpu.Cpu.pc cpu.Cpu.flag_eq cpu.Cpu.flag_lt cpu.Cpu.cycles cpu.Cpu.insns
-    cpu.Cpu.loads cpu.Cpu.stores cpu.Cpu.bound_checks cpu.Cpu.dcache_hits
-    cpu.Cpu.dcache_misses cpu.Cpu.dcache_invalidations
+    cpu.Cpu.loads cpu.Cpu.stores cpu.Cpu.bound_checks cpu.Cpu.jit_compiles
+    cpu.Cpu.jit_hits cpu.Cpu.jit_invalidations cpu.Cpu.jit_deopts
     (String.concat ","
        (List.init Occlum_isa.Reg.count (fun i ->
             Int64.to_string (Cpu.get cpu (Occlum_isa.Reg.of_int i)))))
@@ -325,12 +325,8 @@ let test_differential_libos () =
       Alcotest.(check bool) ("cores=1 trace has " ^ k) true (List.mem k kinds);
       Alcotest.(check bool) ("cores=4 trace has " ^ k) true (List.mem k kinds4))
     [ "sched_switch"; "quantum_start"; "quantum_end" ];
-  Alcotest.(check bool) "cores=1 trace has a dcache_* or jit_* event" true
-    (List.exists
-       (fun k ->
-         String.starts_with ~prefix:"dcache_" k
-         || String.starts_with ~prefix:"jit_" k)
-       kinds)
+  Alcotest.(check bool) "cores=1 trace has a jit_* event" true
+    (List.exists (fun k -> String.starts_with ~prefix:"jit_" k) kinds)
 
 let test_disabled_is_inert () =
   (* the shared disabled instance must never accumulate anything, from
