@@ -706,6 +706,11 @@ let micro () =
         Test.make ~name:"verifier-14kb-binary"
           (Staged.stage (fun () ->
                ignore (Occlum_verifier.Verify.verify small_binary)));
+        (* the signature check a cold spawn pays; spawn-occlum-sip
+           re-spawns one binary, so it reuses its memoized check *)
+        Test.make ~name:"signer-check-14kb"
+          (Staged.stage (fun () ->
+               ignore (Occlum_verifier.Signer.check small_binary)));
         spawn_test H.Occlum "spawn-occlum-sip";
         spawn_test H.Linux "spawn-linux";
       ]

@@ -20,7 +20,6 @@ type slot = {
   code_size : int;
   data_size : int;
   mutable in_use : bool;
-  mutable scrub_needed : bool; (* a previous SIP ran here *)
   mutable mapped : (int * int) list; (* SGX2: dynamically committed ranges *)
 }
 
@@ -64,8 +63,7 @@ let build cfg (enclave : Occlum_sgx.Enclave.t) =
             ~len:cfg.domain_data_size ~perm:Mem.perm_rw
         end;
         { id = i + 1; base; code_size = cfg.domain_code_size;
-          data_size = cfg.domain_data_size; in_use = false;
-          scrub_needed = false; mapped = [] })
+          data_size = cfg.domain_data_size; in_use = false; mapped = [] })
   in
   { cfg; slots }
 
@@ -76,9 +74,7 @@ let acquire t =
       s.in_use <- true;
       Some s
 
-let release s =
-  s.in_use <- false;
-  s.scrub_needed <- true
+let release s = s.in_use <- false
 
 let in_use_count t =
   Array.fold_left (fun acc s -> if s.in_use then acc + 1 else acc) 0 t.slots

@@ -9,7 +9,6 @@ type slot = {
   code_size : int;
   data_size : int;
   mutable in_use : bool;
-  mutable scrub_needed : bool;  (** a previous SIP ran here *)
   mutable mapped : (int * int) list;  (** SGX2: dynamically committed ranges *)
 }
 

@@ -39,28 +39,44 @@ let cfi_label_value domain_id =
   let b = Bytes.of_string (Codec.encode (Insn.Cfi_label (Int32.of_int domain_id))) in
   Bytes.get_int64_le b 0
 
-(* Patch every cfi_label's id field. In a verified binary the magic
-   occurs exactly at label starts (codec invariant + Stage 1). *)
+(* The label starts of a code image: every occurrence of the magic
+   with a whole label after it. In a verified binary the magic occurs
+   exactly at label starts (codec invariant + Stage 1). *)
+let label_offsets code =
+  List.filter
+    (fun off -> off + 8 <= Bytes.length code)
+    (Occlum_util.Bytes_util.find_all ~needle:Codec.cfi_magic code)
+
+let patch_at code domain_id off =
+  Bytes.set code (off + 4) (Char.chr (domain_id land 0xFF));
+  Bytes.set code (off + 5) (Char.chr ((domain_id lsr 8) land 0xFF));
+  Bytes.set code (off + 6) '\x00';
+  Bytes.set code (off + 7) '\x00'
+
+(* Patch every cfi_label's id field. *)
 let patch_labels code domain_id =
-  let hits = Occlum_util.Bytes_util.find_all ~needle:Codec.cfi_magic code in
-  List.iter
-    (fun off ->
-      if off + 8 <= Bytes.length code then begin
-        Bytes.set code (off + 4) (Char.chr (domain_id land 0xFF));
-        Bytes.set code (off + 5) (Char.chr ((domain_id lsr 8) land 0xFF));
-        Bytes.set code (off + 6) '\x00';
-        Bytes.set code (off + 7) '\x00'
-      end)
-    hits
+  List.iter (patch_at code domain_id) (label_offsets code)
+
+(* A binary that passed admission: parsed, its signature checked (unless
+   the caller waived it, as Linux mode does) and its labels found. The
+   type is abstract outside this module, so [load] never sees bytes that
+   [admit] did not check. *)
+type checked = { c_oelf : Occlum_oelf.Oelf.t; labels : int array }
+
+let admit ~require_signature binary =
+  let oelf = Occlum_oelf.Oelf.of_string binary in
+  if require_signature && not (Occlum_verifier.Signer.check oelf) then
+    fail "binary is not signed by the Occlum verifier";
+  { c_oelf = oelf; labels = Array.of_list (label_offsets oelf.code) }
+
+let checked_oelf c = c.c_oelf
 
 (* [dynamic] carries the SGX2 enclave when pages are committed lazily
    (EDMM): the loader EAUGs exactly the pages this binary needs, so no
    scrubbing is required (fresh pages arrive zeroed) and the SIP's reach
    ends at its own last mapped page. *)
-let load ?(require_signature = true) ?dynamic mem (slot : Domain_mgr.slot)
-    (oelf : Occlum_oelf.Oelf.t) ~args =
-  if require_signature && not (Occlum_verifier.Signer.check oelf) then
-    fail "binary is not signed by the Occlum verifier";
+let load ?dynamic mem (slot : Domain_mgr.slot) (checked : checked) ~args =
+  let oelf = checked.c_oelf in
   if Bytes.length oelf.code > slot.code_size then
     fail "code too large for the domain (%d > %d)" (Bytes.length oelf.code)
       slot.code_size;
@@ -95,15 +111,15 @@ let load ?(require_signature = true) ?dynamic mem (slot : Domain_mgr.slot)
         data_len
   in
   (* scrub: a previous SIP may have run in this slot (SGX1 only — EAUG
-     pages arrive zeroed) *)
-  if dynamic = None && slot.scrub_needed then begin
-    Mem.fill_priv mem ~addr:c_base ~len:slot.code_size '\x00';
-    Mem.fill_priv mem ~addr:d_base ~len:slot.data_size '\x00';
-    slot.scrub_needed <- false
+     pages arrive zeroed); only the pages it, or this slot's last load,
+     wrote hold anything *)
+  if dynamic = None then begin
+    Mem.scrub mem ~addr:c_base ~len:slot.code_size;
+    Mem.scrub mem ~addr:d_base ~len:slot.data_size
   end;
   (* code image, with domain ids patched into the labels *)
   let code = Bytes.copy oelf.code in
-  patch_labels code domain_id;
+  Array.iter (patch_at code domain_id) checked.labels;
   Mem.write_bytes_priv mem ~addr:c_base code;
   (* the trampoline overwrites the loader-reserved head *)
   Mem.fill_priv mem ~addr:c_base ~len:Occlum_oelf.Oelf.trampoline_reserved '\x00';

@@ -28,18 +28,31 @@ val cfi_label_value : int -> int64
 val patch_labels : Bytes.t -> int -> unit
 (** Rewrite the id field of every cfi_label in a code image. *)
 
+type checked
+(** A binary admitted for loading: parsed, signature-checked and with its
+    cfi_label offsets found. Only {!admit} makes one, so nothing reaches
+    {!load} unchecked. A [checked] holds no slot state and can be loaded
+    any number of times. *)
+
+val admit : require_signature:bool -> string -> checked
+(** Parse a binary, check the verifier's signature over it (skipped when
+    [require_signature] is false, as in Linux mode) and find its labels.
+    @raise Occlum_oelf.Oelf.Malformed on a binary that does not parse.
+    @raise Load_error on a missing or bad signature. *)
+
+val checked_oelf : checked -> Occlum_oelf.Oelf.t
+
 val load :
-  ?require_signature:bool ->
   ?dynamic:Occlum_sgx.Enclave.t ->
   Occlum_machine.Mem.t ->
   Domain_mgr.slot ->
-  Occlum_oelf.Oelf.t ->
+  checked ->
   args:string list ->
   image
-(** Scrub the slot if needed (SGX1), or EAUG exactly the pages the
-    binary needs ([dynamic] = the SGX2 enclave), place code (with
-    trampoline) and data (with argv), and describe the initial machine
-    state. @raise Load_error on bad signature or an oversized binary. *)
+(** Zero the pages a previous occupant dirtied (SGX1), or EAUG exactly
+    the pages the binary needs ([dynamic] = the SGX2 enclave), place
+    code (with trampoline) and data (with argv), and describe the
+    initial machine state. @raise Load_error on an oversized binary. *)
 
 val init_cpu : image -> Occlum_machine.Cpu.t -> unit
 (** Set pc/sp/base registers/bounds for the SIP's first thread. *)

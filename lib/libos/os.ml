@@ -113,6 +113,9 @@ type t = {
   (* EWB/ELDU cycle charges already folded into [clock_ns] *)
   mutable io_backoff_seen : int64;
   (* Sefs/Net retry backoff already folded into [clock_ns] *)
+  images : (string, string * Loader.checked) Hashtbl.t;
+  (* path -> the exact bytes last admitted from it and their admission;
+     reused only for byte-identical binaries (see [admit_binary]) *)
 }
 
 let cycles_to_ns c = Int64.of_int (c / 3)
@@ -189,6 +192,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       last_run_pid = 0;
       paging_cycles_seen = 0;
       io_backoff_seen = 0L;
+      images = Hashtbl.create 8;
     }
   in
   if obs.Occlum_obs.Obs.enabled then begin
@@ -478,6 +482,32 @@ let make_proc t ~parent ~img ~fds ~is_thread ~slot_refs ~path ~eip_enclave =
   end;
   p
 
+let note_image_cache t name =
+  let o = t.obs in
+  if o.Occlum_obs.Obs.enabled then
+    Occlum_obs.Metrics.inc
+      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics name)
+
+(* Admit the binary just read from [path]. The previous admission of
+   [path] is reused only when [binary] equals, byte for byte, the bytes
+   it was computed on, so no verdict is ever applied to bytes it did not
+   cover; any other binary is admitted afresh and replaces the entry
+   (docs/analysis.md, "The checked-image memo"). *)
+let admit_binary t ~path binary =
+  match Hashtbl.find_opt t.images path with
+  | Some (bytes, checked) when String.equal bytes binary ->
+      note_image_cache t "os.image_cache_hits";
+      checked
+  | _ -> (
+      note_image_cache t "os.image_cache_misses";
+      Hashtbl.remove t.images path;
+      match Loader.admit ~require_signature:(t.cfg.mode <> Linux) binary with
+      | checked ->
+          Hashtbl.replace t.images path (binary, checked);
+          checked
+      | exception Occlum_oelf.Oelf.Malformed _ -> raise (Spawn_error Errno.einval)
+      | exception Loader.Load_error _ -> raise (Spawn_error Errno.eaccess))
+
 (* Spawn a new SIP from a signed binary stored on the encrypted FS. *)
 let spawn t ~parent_pid ~path ~args =
   t.spawns <- t.spawns + 1;
@@ -486,11 +516,8 @@ let spawn t ~parent_pid ~path ~args =
     | Ok s -> s
     | Error e -> raise (Spawn_error e)
   in
-  let oelf =
-    match Occlum_oelf.Oelf.of_string binary with
-    | o -> o
-    | exception Occlum_oelf.Oelf.Malformed _ -> raise (Spawn_error Errno.einval)
-  in
+  let checked = admit_binary t ~path binary in
+  let oelf = Loader.checked_oelf checked in
   let slot =
     match Domain_mgr.acquire t.domains with
     | Some s -> s
@@ -515,9 +542,8 @@ let spawn t ~parent_pid ~path ~args =
   let img =
     match
       Loader.load
-        ~require_signature:(t.cfg.mode <> Linux)
         ?dynamic:(if t.cfg.sgx2 then Some t.enclave else None)
-        t.mem slot oelf ~args
+        t.mem slot checked ~args
     with
     | img -> img
     | exception Loader.Load_error _ ->

@@ -104,6 +104,10 @@ type t = {
       (** EWB/ELDU cycle charges already folded into [clock_ns] *)
   mutable io_backoff_seen : int64;
       (** Sefs/Net retry backoff already folded into [clock_ns] *)
+  images : (string, string * Loader.checked) Hashtbl.t;
+      (** The checked-image memo: path -> the exact bytes last admitted
+          from it and their admission. A spawn reuses an entry only for
+          a byte-identical binary. Per instance, never shared. *)
 }
 
 val cycles_to_ns : int -> int64
@@ -157,8 +161,13 @@ exception Spawn_error of int  (** errno *)
 val spawn : t -> parent_pid:int -> path:string -> args:string list -> int
 (** The spawn system call's implementation: load a signed binary from
     the FS into a free domain slot as a new SIP (in EIP mode, also build
-    and attest its enclave). Returns the pid.
-    @raise Spawn_error with an errno. *)
+    and attest its enclave). Returns the pid. The binary is read from
+    the FS on every call; its signature check and label scan are reused
+    from [images] only when the bytes read equal those last admitted
+    from [path].
+    @raise Spawn_error with an errno: [EINVAL] for a malformed binary,
+    [EACCES] for a bad signature or an oversized one, [EAGAIN] when no
+    slot is free. *)
 
 val spawn_initial : t -> Occlum_oelf.Oelf.t -> args:string list -> int
 (** Install a binary as /bin/init and spawn it (pid 1). *)

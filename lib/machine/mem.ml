@@ -19,15 +19,22 @@ let perm_to_string p =
 type t = {
   data : Bytes.t;
   direct : Bytes.t;
-  (* One byte per page, written only by [map], [unmap] and
-     [enable_paging]. [direct_read] is set exactly when a read of the
-     page can neither fault nor have a side effect; [direct_write]
-     exactly when a write can neither fault nor bump a generation
-     (writable and not executable, so [touch_code] would do nothing).
-     Both are clear whenever paging is on, so the residency and
-     accessed-bit logic of [check_access] always runs there. A compiled
-     load or store within one page whose bit is set may use [data]
-     directly; any other access goes through the checked accessors. *)
+  (* One byte per page, recomputed by [map], [unmap], [enable_paging],
+     [scrub] and a page's first write since it was last clean.
+     [direct_read] is set exactly when a read of the page can neither
+     fault nor have a side effect; [direct_write] exactly when a write
+     can neither fault, nor bump a generation (writable and not
+     executable), nor need to mark the page (already dirty), so
+     [note_write] would do nothing. Both are clear whenever paging is
+     on, so the residency and accessed-bit logic of [check_access]
+     always runs there. A compiled load or store within one page whose
+     bit is set may use [data] directly; any other access goes through
+     the checked accessors. *)
+  dirty : Bytes.t;
+  (* One byte per page, '\001' once any write (checked or privileged)
+     has touched it since the last [scrub]. A clean page holds zeros,
+     so [scrub] skips it. Direct stores need no mark: [direct_write]
+     is only granted once the page is dirty. *)
   pages : perm option array; (* None = unmapped *)
   gens : int array; (* per-page code generation, see [page_gen] *)
   size : int;
@@ -50,6 +57,7 @@ let create ~size =
   {
     data = Bytes.make size '\x00';
     direct = Bytes.make (size / page_size) '\x00';
+    dirty = Bytes.make (size / page_size) '\x00';
     pages = Array.make (size / page_size) None;
     gens = Array.make (size / page_size) 0;
     size;
@@ -62,11 +70,17 @@ let create ~size =
 let direct_read = 1
 let direct_write = 2
 
-let direct_bits t (perm : perm) =
-  if t.paged then 0
-  else
-    (if perm.r then direct_read else 0)
-    lor if perm.w && not perm.x then direct_write else 0
+let direct_bits t p =
+  match t.pages.(p) with
+  | Some perm when not t.paged ->
+      (if perm.r then direct_read else 0)
+      lor
+      if perm.w && (not perm.x) && Bytes.get t.dirty p <> '\x00' then
+        direct_write
+      else 0
+  | _ -> 0
+
+let refresh_direct t p = Bytes.set t.direct p (Char.chr (direct_bits t p))
 
 let enable_paging t ~pager =
   t.paged <- true;
@@ -100,14 +114,20 @@ let bump_gen t ~addr ~len =
     t.gens.(p) <- t.gens.(p) + 1
   done
 
-(* Bump generations only where the span touches executable pages; writes
-   to plain data pages can stay generation-silent. *)
-let touch_code t ~addr ~len =
+(* Every write's bookkeeping: bump generations only where the span
+   touches executable pages (writes to plain data pages stay
+   generation-silent), and mark each page dirty, granting [direct_write]
+   on its first write. *)
+let note_write t ~addr ~len =
   if len > 0 then
     for p = addr / page_size to (addr + len - 1) / page_size do
-      match t.pages.(p) with
+      (match t.pages.(p) with
       | Some { x = true; _ } -> t.gens.(p) <- t.gens.(p) + 1
-      | _ -> ()
+      | _ -> ());
+      if Bytes.unsafe_get t.dirty p = '\x00' then begin
+        Bytes.unsafe_set t.dirty p '\x01';
+        refresh_direct t p
+      end
     done
 
 let check_range t addr len =
@@ -127,7 +147,7 @@ let map t ~addr ~len ~perm =
       Bytes.set t.accessed p '\x00'
     end;
     t.pages.(p) <- Some perm;
-    Bytes.set t.direct p (Char.chr (direct_bits t perm))
+    refresh_direct t p
   done;
   if len > 0 then bump_gen t ~addr ~len
 
@@ -201,7 +221,7 @@ let read_u8 t addr =
 
 let write_u8 t addr v =
   check_access t addr 1 Write;
-  touch_code t ~addr ~len:1;
+  note_write t ~addr ~len:1;
   Bytes.set t.data addr (Char.chr (v land 0xFF))
 
 let read_u64 t addr =
@@ -210,7 +230,7 @@ let read_u64 t addr =
 
 let write_u64 t addr v =
   check_access t addr 8 Write;
-  touch_code t ~addr ~len:8;
+  note_write t ~addr ~len:8;
   Bytes.set_int64_le t.data addr v
 
 (* Privileged accessors for the LibOS / loader: no permission checks,
@@ -221,7 +241,8 @@ let write_u64 t addr v =
    before the whole span. [f data a k] moves up to [k] bytes at
    [data.[a]] and returns how many it took; the walk stops at the first
    chunk not taken whole, so no page past the consumer's need is paged
-   in. Writes bump the generation of the executable pages they reach. *)
+   in. Writes bump the generation of the executable pages they reach
+   and mark every page they reach dirty. *)
 let span_priv t ~addr ~len ~write f =
   check_range t addr len;
   let rec go pos =
@@ -232,7 +253,7 @@ let span_priv t ~addr ~len ~write f =
       ensure_resident t ~addr:a ~len:chunk;
       let k = f t.data a chunk in
       if k < 0 || k > chunk then invalid_arg "Mem.span_priv: count outside the chunk";
-      if write then touch_code t ~addr:a ~len:k;
+      if write then note_write t ~addr:a ~len:k;
       if k < chunk then pos + k else go (pos + k)
     end
   in
@@ -261,7 +282,7 @@ let read_u64_priv t addr =
 let write_u64_priv t addr v =
   check_range t addr 8;
   ensure_resident t ~addr ~len:8;
-  touch_code t ~addr ~len:8;
+  note_write t ~addr ~len:8;
   Bytes.set_int64_le t.data addr v
 
 let fill_priv t ~addr ~len c =
@@ -269,5 +290,23 @@ let fill_priv t ~addr ~len c =
     (span_priv t ~addr ~len ~write:true (fun d a k ->
          Bytes.fill d a k c;
          k))
+
+let page_dirty t page = Bytes.get t.dirty page <> '\x00'
+
+(* Zero the dirty pages of a page-aligned range through the privileged
+   page walk (paged in first, executable pages' generations bumped);
+   clean pages already hold zeros and are skipped. Each page zeroed ends
+   clean, so its [direct_write] is withdrawn until its next write. *)
+let scrub t ~addr ~len =
+  check_range t addr len;
+  if addr mod page_size <> 0 || len mod page_size <> 0 then
+    invalid_arg "Mem.scrub: unaligned";
+  for p = addr / page_size to ((addr + len) / page_size) - 1 do
+    if Bytes.get t.dirty p <> '\x00' then begin
+      fill_priv t ~addr:(p * page_size) ~len:page_size '\x00';
+      Bytes.set t.dirty p '\x00';
+      refresh_direct t p
+    end
+  done
 
 let raw t = t.data

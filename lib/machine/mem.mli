@@ -18,14 +18,17 @@ type t = private {
   data : Bytes.t;  (** the backing store, little-endian *)
   direct : Bytes.t;
       (** The page check: one byte per page, written only by {!map},
-          {!unmap} and {!enable_paging}. Bit {!direct_read} is set
-          exactly when a read of the page can neither fault nor have a
-          side effect. Bit {!direct_write} is set exactly when the page
-          is writable and not executable, so a write can neither fault
-          nor bump {!page_gen}. Both bits are clear whenever paging is
-          on. An access within one page whose bit is set may use [data]
-          directly; every other access must use the checked accessors,
-          which raise the fault. *)
+          {!unmap}, {!enable_paging}, {!scrub} and a clean page's first
+          write. Bit {!direct_read} is set exactly when a read of the
+          page can neither fault nor have a side effect. Bit
+          {!direct_write} is set exactly when the page is writable, not
+          executable and dirty ({!page_dirty}), so a write can neither
+          fault, nor bump {!page_gen}, nor need to mark the page. Both
+          bits are clear whenever paging is on. An access within one
+          page whose bit is set may use [data] directly; every other
+          access must use the checked accessors, which raise the fault
+          and mark the page dirty. *)
+  dirty : Bytes.t;
   pages : perm option array;
   gens : int array;
   size : int;
@@ -121,8 +124,9 @@ val span_priv :
     took. The walk stops at the first chunk [f] does not take whole, so
     a consumer that fills up early pages in nothing past its need. With
     [write], the executable pages actually written get their
-    {!page_gen} bumped. Every other privileged span accessor is built
-    on this walk, paged or not.
+    {!page_gen} bumped, and every page actually written is marked
+    dirty. Every other privileged span accessor is built on this walk,
+    paged or not.
     @raise Invalid_argument if the span is outside the address space or
     [f] returns a count outside [0, k]. *)
 
@@ -131,6 +135,23 @@ val write_bytes_priv : t -> addr:int -> Bytes.t -> unit
 val read_u64_priv : t -> int -> int64
 val write_u64_priv : t -> int -> int64 -> unit
 val fill_priv : t -> addr:int -> len:int -> char -> unit
+
+(** {1 Dirty pages}
+
+    A page is dirty once any write has touched it — checked, privileged
+    or (on a page already dirty) a direct store — since it was mapped
+    zeroed or last scrubbed. A clean page holds only zeros. *)
+
+val page_dirty : t -> int -> bool
+
+val scrub : t -> addr:int -> len:int -> unit
+(** [scrub t ~addr ~len] zeroes every dirty page of the page-aligned
+    range, paging each in first under demand paging and bumping the
+    generation of executable ones, and leaves it clean, with
+    {!direct_write} clear. Clean pages are not touched. After it the
+    whole range reads as zeros.
+    @raise Invalid_argument if the range is unaligned or outside the
+    address space. *)
 
 val raw : t -> Bytes.t
 (** The backing store (used by the decoder for zero-copy fetch). *)

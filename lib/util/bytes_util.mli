@@ -6,7 +6,8 @@ val is_aligned : int -> int -> bool
 
 val find_all : needle:string -> Bytes.t -> int list
 (** All (possibly overlapping) occurrence offsets of [needle], ascending.
-    The verifier's byte-by-byte [cfi_label] scan. *)
+    The verifier's [cfi_label] root scan and the loader's label
+    patching. *)
 
 val contains : needle:string -> Bytes.t -> bool
 val take_prefix : int -> string -> string

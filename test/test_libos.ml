@@ -658,6 +658,85 @@ let test_loader_rejects_unsigned () =
   | exception Os.Spawn_error e when e = Errno.eaccess -> ()
   | _ -> Alcotest.fail "unsigned binary must not load"
 
+(* The checked-image memo reuses an admission only for a byte-identical
+   binary. A one-byte in-place rewrite of a spawned binary fails the
+   next spawn with EACCES whether it is still in the page cache or has
+   been flushed to the host; the original bytes written back spawn
+   again. A second LibOS booted over the same host image starts with
+   its own, empty memo. *)
+let test_image_memo () =
+  let signed =
+    match
+      Occlum_verifier.Verify.verify_and_sign
+        (Occlum_toolchain.Compile.compile_exn
+           ~config:Occlum_toolchain.Codegen.sfi
+           (rt [ func "main" [] [ Return (i 7) ] ]))
+    with
+    | Ok s -> s
+    | Error _ -> failwith "verify"
+  in
+  let binary = Occlum_oelf.Oelf.to_string signed in
+  let host = Occlum_libos.Sefs.Host_store.create () in
+  let obs = Occlum_obs.Obs.create ~events:[] () in
+  let os = Os.boot ~obs ~host_fs:host () in
+  Os.install_binary os "/bin/app" signed;
+  let count name =
+    Option.value ~default:0.
+      (List.assoc_opt name
+         (Occlum_obs.Metrics.to_json_items obs.Occlum_obs.Obs.metrics))
+  in
+  let spawn_ok os what =
+    let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+    ignore (Os.wait_pid_exit ~max_steps:200_000 os pid);
+    match Os.find_proc os pid with
+    | Some p -> Alcotest.(check int) (what ^ ": exit code") 7 p.Os.exit_code
+    | None -> Alcotest.fail (what ^ ": child vanished")
+  in
+  let spawn_denied what =
+    match Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] with
+    | exception Os.Spawn_error e -> Alcotest.(check int) what Errno.eaccess e
+    | _ -> Alcotest.fail (what ^ ": a rewritten binary was loaded")
+  in
+  (* a byte inside the code image: the file still parses, so only the
+     signature can refuse it *)
+  let pos = String.length Occlum_oelf.Oelf.magic + 20 + 100 in
+  let write_byte c =
+    match Occlum_libos.Sefs.lookup os.Os.sefs "/bin/app" with
+    | None -> Alcotest.fail "binary missing"
+    | Some ino -> (
+        match
+          Occlum_libos.Sefs.write_file os.Os.sefs ino ~pos (Bytes.make 1 c)
+        with
+        | Ok 1 -> ()
+        | _ -> Alcotest.fail "in-place write failed")
+  in
+  let flipped = Char.chr (Char.code binary.[pos] lxor 0x01) in
+  spawn_ok os "first spawn";
+  spawn_ok os "memoized spawn";
+  write_byte flipped;
+  spawn_denied "unflushed one-byte rewrite";
+  Os.flush_fs os;
+  spawn_denied "flushed one-byte rewrite";
+  write_byte binary.[pos];
+  spawn_ok os "original bytes restored";
+  write_byte flipped;
+  Os.flush_fs os;
+  spawn_denied "rewritten again after a hit";
+  write_byte binary.[pos];
+  Os.flush_fs os;
+  spawn_ok os "restored and flushed";
+  Alcotest.(check (pair (float 0.) (float 0.)))
+    "memo hits and misses: only the unchanged respawns hit" (1., 6.)
+    (count "os.image_cache_hits", count "os.image_cache_misses");
+  Alcotest.(check bool) "this LibOS memoized the binary" true
+    (Hashtbl.mem os.Os.images "/bin/app");
+  let os2 = Os.boot ~host_fs:host () in
+  Alcotest.(check int) "a second LibOS starts with an empty memo" 0
+    (Hashtbl.length os2.Os.images);
+  spawn_ok os2 "second LibOS spawns from the shared image";
+  Alcotest.(check bool) "the memos are separate tables" true
+    (os.Os.images != os2.Os.images)
+
 let test_eip_mode_runs () =
   let _, status, code =
     run_system ~mode:Os.Eip
@@ -1024,13 +1103,34 @@ let test_epc_paging_differential () =
   (* The paper's graceful-degradation claim, end to end: SIPs whose
      aggregate working set exceeds a shrunken EPC must run to completion
      under demand paging, with exit codes and console output
-     bit-identical to the same workload on an uncapped pool. *)
+     bit-identical to the same workload on an uncapped pool. Each child
+     writes one word to each of 40 heap pages and prints their sum read
+     back, so its own working set exceeds the 24-frame pool. *)
+  let pages = 40 in
   let child n code =
     rt
       [
         func "main" []
           [
             Expr (Call ("print_cstr", [ Str (Printf.sprintf "child %d\n" n) ]));
+            Let ("h", Call ("malloc", [ i ((pages + 1) * 4096) ]));
+            Let ("k", i 0);
+            While
+              ( v "k" <: i pages,
+                [
+                  Store (v "h" +: (v "k" *: i 4096), v "k" +: i n);
+                  Assign ("k", v "k" +: i 1);
+                ] );
+            Let ("sum", i 0);
+            Assign ("k", i 0);
+            While
+              ( v "k" <: i pages,
+                [
+                  Assign ("sum", v "sum" +: Load (v "h" +: (v "k" *: i 4096)));
+                  Assign ("k", v "k" +: i 1);
+                ] );
+            Expr (Call ("print_int", [ v "sum" ]));
+            Expr (Call ("puts", [ Str "\n"; i 1 ]));
             Return (i code);
           ];
       ]
@@ -1282,6 +1382,7 @@ let suite =
     Alcotest.test_case "domain slot exhaustion" `Quick test_slot_exhaustion;
     Alcotest.test_case "slot reuse is scrubbed" `Quick test_slot_scrub;
     Alcotest.test_case "loader rejects unsigned" `Quick test_loader_rejects_unsigned;
+    Alcotest.test_case "image memo needs identical bytes" `Quick test_image_memo;
     Alcotest.test_case "EIP (Graphene) mode" `Quick test_eip_mode_runs;
     Alcotest.test_case "Linux mode" `Quick test_linux_mode_runs;
     Alcotest.test_case "SGX2 (EDMM) mode" `Quick test_sgx2_mode;

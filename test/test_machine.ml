@@ -313,6 +313,73 @@ let test_span_priv_bumps_code_gen () =
   ignore (Mem.span_priv mem ~addr:100 ~len:10 ~write:true (fun _ _ _ -> 0));
   Alcotest.(check int) "nothing written, no bump" (g0 + 1) (Mem.page_gen mem 0)
 
+(* The dirty-page invariant behind the loader's scrub and the JIT's
+   direct stores: [direct_write] is set exactly on writable, non-code,
+   dirty pages; a checked or privileged write marks its pages dirty;
+   [scrub] zeroes exactly the dirty pages (bumping code generations) and
+   leaves them clean, with [direct_write] withdrawn. *)
+let test_dirty_pages () =
+  let ps = Mem.page_size in
+  let mem = Mem.create ~size:(8 * ps) in
+  Mem.map mem ~addr:0 ~len:(4 * ps) ~perm:Mem.perm_rw;
+  Mem.map mem ~addr:(4 * ps) ~len:(2 * ps) ~perm:Mem.perm_rwx;
+  Mem.map mem ~addr:(6 * ps) ~len:ps ~perm:Mem.perm_rx;
+  let wr p = Char.code (Bytes.get mem.Mem.direct p) land Mem.direct_write <> 0 in
+  let rd p = Char.code (Bytes.get mem.Mem.direct p) land Mem.direct_read <> 0 in
+  let state p = (Mem.page_dirty mem p, wr p) in
+  let check_state what p want =
+    Alcotest.(check (pair bool bool)) (Printf.sprintf "%s (page %d)" what p)
+      want (state p)
+  in
+  for p = 0 to 7 do check_state "fresh: clean, no direct write" p (false, false) done;
+  Alcotest.(check bool) "fresh rw page is direct-readable" true (rd 0);
+  Mem.write_u8 mem (ps + 5) 0xAB;
+  check_state "checked write" 1 (true, true);
+  Mem.write_bytes_priv mem ~addr:((3 * ps) - 2) (Bytes.of_string "wxyz");
+  check_state "privileged write, first page" 2 (true, true);
+  check_state "privileged write, second page" 3 (true, true);
+  Mem.write_u64_priv mem (4 * ps) 7L;
+  Mem.write_u64 mem ((5 * ps) + 8) 9L;
+  check_state "privileged write to a code page: dirty, never direct" 4 (true, false);
+  check_state "checked write to a code page: dirty, never direct" 5 (true, false);
+  Mem.write_u64_priv mem (6 * ps) 1L;
+  check_state "read-only code page: dirty, never direct" 6 (true, false);
+  check_state "untouched page" 0 (false, false);
+  (* remapping keeps the mark: the bytes are still there *)
+  Mem.map mem ~addr:(3 * ps) ~len:ps ~perm:Mem.perm_rw;
+  check_state "remapped dirty page" 3 (true, true);
+  let gens = Array.init 8 (Mem.page_gen mem) in
+  Mem.scrub mem ~addr:0 ~len:(8 * ps);
+  for p = 0 to 7 do check_state "scrubbed" p (false, false) done;
+  Alcotest.(check bool) "scrubbed range reads zero" true
+    (Bytes.for_all (fun c -> c = '\x00') (Mem.read_bytes_priv mem ~addr:0 ~len:(8 * ps)));
+  Alcotest.(check (list int)) "code generations bumped only where dirty"
+    [ 0; 0; 0; 0; 1; 1; 1; 0 ]
+    (List.init 8 (fun p -> Mem.page_gen mem p - gens.(p)));
+  (* a direct store is the only write that does not mark: it needs
+     [direct_write], so the page is dirty already *)
+  Mem.write_u8 mem 10 1;
+  check_state "rewritten after scrub" 0 (true, true);
+  Alcotest.check_raises "unaligned scrub" (Invalid_argument "Mem.scrub: unaligned")
+    (fun () -> Mem.scrub mem ~addr:1 ~len:ps);
+  (* under paging a dirty evicted page is paged in before it is zeroed;
+     a clean one is left alone *)
+  let pmem = Mem.create ~size:(4 * ps) in
+  let paged_in = ref [] in
+  Mem.map pmem ~addr:0 ~len:(4 * ps) ~perm:Mem.perm_rw;
+  Mem.enable_paging pmem ~pager:(fun p ->
+      paged_in := p :: !paged_in;
+      Mem.set_resident pmem p true);
+  Mem.write_u64_priv pmem ps 3L;
+  Mem.set_resident pmem 1 false;
+  Mem.set_resident pmem 2 false;
+  paged_in := [];
+  Mem.scrub pmem ~addr:0 ~len:(4 * ps);
+  Alcotest.(check (list int)) "only the dirty evicted page paged in" [ 1 ]
+    !paged_in;
+  Alcotest.(check bool) "paged: no direct write" false
+    (Char.code (Bytes.get pmem.Mem.direct 1) land Mem.direct_write <> 0)
+
 let suite =
   [
     Alcotest.test_case "memory permissions" `Quick test_mem_permissions;
@@ -334,4 +401,5 @@ let suite =
     Alcotest.test_case "span walk stops early" `Quick test_span_priv_stops_early;
     Alcotest.test_case "span write bumps code gen" `Quick
       test_span_priv_bumps_code_gen;
+    Alcotest.test_case "dirty pages and scrub" `Quick test_dirty_pages;
   ]

@@ -309,6 +309,20 @@ let test_differential_libos () =
     Alcotest.(check string)
       (Printf.sprintf "traced LibOS run = untraced (cores=%d)" cores)
       off on;
+    (* every spawn reads its binary and either reuses or redoes the
+       admission; fish respawns the same binaries, so some reuse it *)
+    let count name =
+      Option.value ~default:0. (List.assoc_opt name (Metrics.to_json_items obs.Obs.metrics))
+    in
+    let hits = count "os.image_cache_hits"
+    and misses = count "os.image_cache_misses" in
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "image memo hits + misses = spawns (cores=%d)" cores)
+      (count "os.spawns") (hits +. misses);
+    Alcotest.(check bool)
+      (Printf.sprintf "image memo hits (cores=%d)" cores)
+      true
+      (hits > 0. && misses > 0.);
     List.sort_uniq compare
       (List.map
          (fun (e : Trace.event) -> Trace.kind_name e.kind)

@@ -138,6 +138,29 @@ let prop_find_all_correct =
                   off + nl <= String.length hay && String.sub hay off nl = needle)
                 (List.init (max 0 (String.length hay)) Fun.id)))
 
+(* The scan that [find_all] replaced: compare the needle at every
+   position. [find_all] must return exactly its list. *)
+let naive_find_all ~needle hay =
+  let nl = String.length needle in
+  List.filter
+    (fun i -> Bytes.sub_string hay i nl = needle)
+    (List.init (max 0 (Bytes.length hay - nl + 1)) Fun.id)
+
+(* Differential against the naive scan over a three-letter alphabet (so
+   first-byte hits, partial matches and overlaps are common), needles up
+   to the cfi_label magic's length and longer than the haystack. *)
+let prop_find_all_differential =
+  let alpha = QCheck.Gen.oneofl [ 'a'; 'b'; '\x00' ] in
+  QCheck.Test.make ~name:"find_all = naive scan (randomized differential)"
+    ~count:1000
+    QCheck.(
+      pair
+        (string_gen_of_size (Gen.int_range 1 5) alpha)
+        (string_gen_of_size (Gen.int_range 0 200) alpha))
+    (fun (needle, hay) ->
+      let hay = Bytes.of_string hay in
+      Bytes_util.find_all ~needle hay = naive_find_all ~needle hay)
+
 let prop_cipher_involution =
   QCheck.Test.make ~name:"cipher is an involution" ~count:100
     QCheck.(string_of_size (Gen.int_range 0 300))
@@ -182,6 +205,7 @@ let suite =
     Alcotest.test_case "prng" `Quick test_prng;
     Alcotest.test_case "bytes_util" `Quick test_bytes_util;
     QCheck_alcotest.to_alcotest prop_find_all_correct;
+    QCheck_alcotest.to_alcotest prop_find_all_differential;
     QCheck_alcotest.to_alcotest prop_cipher_involution;
     QCheck_alcotest.to_alcotest prop_cipher_sub_equals_encrypt;
   ]
