@@ -1,9 +1,9 @@
 (* occlum_trace: two tracers in one binary.
 
-   Single-step mode (a positional BINARY.oelf): execute on a bare domain
-   and print a per-instruction trace — disassembly, registers of
-   interest, bound checks and faults. The debugging companion to
-   occlum_run.
+   Single-step mode (a positional BINARY.oelf): place the LibOS loader's
+   image of the binary in a bare domain and print a per-instruction
+   trace — disassembly, registers of interest, bound checks and faults.
+   The debugging companion to occlum_run.
 
      occlum_trace app.oelf --limit 200 --arg 42
 
@@ -18,6 +18,7 @@ open Cmdliner
 open Occlum_isa
 open Occlum_machine
 module R = Occlum_toolchain.Codegen_regs
+module Loader = Occlum_libos.Loader
 
 let guard = Occlum_oelf.Oelf.guard_size
 let code_base = 0x10000
@@ -74,40 +75,19 @@ let step_trace input limit args watch_regs =
     close_in ic;
     Occlum_oelf.Oelf.of_string s
   in
-  let code_region = Occlum_oelf.Oelf.code_region_size oelf in
-  let d_base = code_base + code_region + guard in
-  let d_size = Occlum_util.Bytes_util.round_up oelf.data_region_size 4096 in
+  let slot = Loader.fitted_slot ~id:1 ~base:code_base oelf in
+  let d_base = Occlum_libos.Domain_mgr.d_base slot in
+  let d_size = slot.data_size in
   let mem =
     Mem.create ~size:(Occlum_util.Bytes_util.round_up (d_base + d_size + guard) 4096)
   in
-  Mem.map mem ~addr:code_base ~len:code_region ~perm:Mem.perm_rwx;
+  Mem.map mem ~addr:code_base ~len:slot.code_size ~perm:Mem.perm_rwx;
   Mem.map mem ~addr:d_base ~len:d_size ~perm:Mem.perm_rw;
-  let domain_id = 1 in
-  let code = Bytes.copy oelf.code in
-  Occlum_libos.Loader.patch_labels code domain_id;
-  Mem.write_bytes_priv mem ~addr:code_base code;
-  Mem.fill_priv mem ~addr:code_base ~len:Occlum_oelf.Oelf.trampoline_reserved '\x00';
-  let tramp =
-    String.concat ""
-      (List.map Codec.encode
-         [ Insn.Cfi_label (Int32.of_int domain_id); Insn.Syscall_gate;
-           Insn.Pop R.ret_scratch; Insn.Jmp_reg R.ret_scratch ])
+  let img =
+    Loader.load mem slot (Loader.admit ~require_signature:false oelf) ~args
   in
-  Mem.write_bytes_priv mem ~addr:code_base (Bytes.of_string tramp);
-  Mem.write_bytes_priv mem ~addr:d_base oelf.data;
-  let page = Mem.read_bytes_priv mem ~addr:d_base ~len:guard in
-  Occlum_toolchain.Layout.write_args page ~data_base:d_base args;
-  Mem.write_bytes_priv mem ~addr:d_base page;
   let cpu = Cpu.create () in
-  cpu.Cpu.pc <- code_base + oelf.entry;
-  Cpu.set cpu Reg.sp (Int64.of_int (d_base + oelf.data_region_size - 16));
-  Cpu.set cpu R.code_base (Int64.of_int code_base);
-  Cpu.set cpu R.data_base (Int64.of_int d_base);
-  Cpu.set cpu R.ret_scratch (Int64.of_int code_base);
-  Cpu.set_bnd cpu Reg.bnd0
-    { lower = Int64.of_int d_base; upper = Int64.of_int (d_base + d_size - 1) };
-  let lv = Occlum_libos.Loader.cfi_label_value domain_id in
-  Cpu.set_bnd cpu Reg.bnd1 { lower = lv; upper = lv };
+  Loader.init_cpu img cpu;
   (* a reverse symbol map for nice location labels *)
   let sym_at =
     let sorted =

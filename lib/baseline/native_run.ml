@@ -4,13 +4,17 @@
    SPECint-style CPU benchmarks of Fig. 7 (where only the instrumentation
    differs between runs).
 
-   Syscalls arrive as inline [Syscall_gate] stops (bare-built binaries)
-   or via the trampoline slot, which this runner also honours so that
-   fully instrumented binaries can be measured on the same harness. *)
+   The image — code with the trampoline, data with argv, initial
+   registers and bounds — is the LibOS loader's, for domain 0; only bnd0
+   is widened to the whole address space. Syscalls arrive as inline
+   [Syscall_gate] stops (bare-built binaries) or via the trampoline,
+   which this runner also honours so that fully instrumented binaries
+   can be measured on the same harness. *)
 
 open Occlum_machine
 open Occlum_isa
 module R = Occlum_toolchain.Codegen_regs
+module Loader = Occlum_libos.Loader
 
 type result = {
   exit_code : int64;
@@ -37,47 +41,22 @@ let code_base = 0x10000
 let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(jit = true)
     ?(obs = Occlum_obs.Obs.disabled)
     (oelf : Occlum_oelf.Oelf.t) =
-  let code_size = Occlum_util.Bytes_util.round_up (Bytes.length oelf.code) 4096 in
-  let data_base = code_base + code_size + guard in
+  (* the loader's image for domain 0 (bare code checks no label id) *)
+  let slot = Loader.fitted_slot ~id:0 ~base:code_base oelf in
+  let data_base = Occlum_libos.Domain_mgr.d_base slot in
   let top = data_base + oelf.data_region_size + guard in
   let mem = Mem.create ~size:(Occlum_util.Bytes_util.round_up top 4096) in
-  Mem.map mem ~addr:code_base ~len:code_size ~perm:Mem.perm_rwx;
+  Mem.map mem ~addr:code_base ~len:slot.code_size ~perm:Mem.perm_rwx;
   (* nx=false models the classic RWX-data process RIPE assumes *)
   Mem.map mem ~addr:data_base ~len:oelf.data_region_size
     ~perm:(if nx then Mem.perm_rw else Mem.perm_rwx);
-  Mem.write_bytes_priv mem ~addr:code_base oelf.code;
-  Mem.write_bytes_priv mem ~addr:data_base oelf.data;
-  (* the trampoline: a cfi_label (any id; bare code does not check) and a
-     gate, then return to the caller *)
-  let tramp_addr = code_base in
-  let tramp =
-    List.map Codec.encode
-      [
-        Insn.Cfi_label 0l;
-        Insn.Syscall_gate;
-        Insn.Pop R.ret_scratch;
-        Insn.Jmp_reg R.ret_scratch;
-      ]
-    |> String.concat ""
+  let img =
+    Loader.load mem slot (Loader.admit ~require_signature:false oelf) ~args
   in
-  Mem.write_bytes_priv mem ~addr:tramp_addr (Bytes.of_string tramp);
-  (* argc/argv into the data region's argument area *)
-  let arg_page = Mem.read_bytes_priv mem ~addr:data_base ~len:guard in
-  Occlum_toolchain.Layout.write_args arg_page ~data_base args;
-  Mem.write_bytes_priv mem ~addr:data_base arg_page;
   let cpu = Cpu.create () in
-  cpu.Cpu.pc <- code_base + oelf.entry;
-  Cpu.set cpu Reg.sp (Int64.of_int (data_base + oelf.data_region_size - 16));
-  Cpu.set cpu R.code_base (Int64.of_int code_base);
-  Cpu.set cpu R.data_base (Int64.of_int data_base);
-  Cpu.set cpu R.ret_scratch (Int64.of_int tramp_addr);
+  Loader.init_cpu img cpu;
   (* bounds wide open: the bare runner models an unprotected process *)
   Cpu.set_bnd cpu Reg.bnd0 { lower = 0L; upper = Int64.of_int (Mem.size mem - 1) };
-  let label_value =
-    let b = Bytes.of_string (Codec.encode (Insn.Cfi_label 0l)) in
-    Bytes.get_int64_le b 0
-  in
-  Cpu.set_bnd cpu Reg.bnd1 { lower = label_value; upper = label_value };
   let out = Buffer.create 256 in
   let brk = ref oelf.heap_start in
   let finished = ref None in

@@ -3,6 +3,7 @@ open Occlum_machine
 module R = Occlum_toolchain.Codegen_regs
 module Enclave = Occlum_sgx.Enclave
 module Epc = Occlum_sgx.Epc
+module Loader = Occlum_libos.Loader
 
 let guard = Occlum_oelf.Oelf.guard_size
 let code_base = 0x10000
@@ -38,9 +39,9 @@ let make ?epc ?(code_perm = Mem.perm_rwx) (oelf : Occlum_oelf.Oelf.t) =
   let epc =
     match epc with Some e -> e | None -> Occlum_sgx.Epc.create ()
   in
-  let code_region = Occlum_oelf.Oelf.code_region_size oelf in
-  let d_base = code_base + code_region + guard in
-  let d_size = Occlum_util.Bytes_util.round_up oelf.data_region_size 4096 in
+  let slot = Loader.fitted_slot ~id:domain_id ~base:code_base oelf in
+  let code_region = slot.code_size and d_size = slot.data_size in
+  let d_base = Occlum_libos.Domain_mgr.d_base slot in
   let victim_base = d_base + d_size + guard in
   let victim_size = 4 * 4096 in
   let size =
@@ -48,43 +49,18 @@ let make ?epc ?(code_perm = Mem.perm_rwx) (oelf : Occlum_oelf.Oelf.t) =
   in
   let enclave = Enclave.create ~epc ~size () in
   let mem = Enclave.mem enclave in
-  (* code image, prepared before EADD (SGX1 forbids writes after EINIT
-     only through the mapping API; the image is measured as loaded):
-     ids patched, loader-reserved head zeroed, trampoline installed *)
-  let img = Bytes.make code_region '\x00' in
-  Bytes.blit oelf.code 0 img 0 (Bytes.length oelf.code);
-  Occlum_libos.Loader.patch_labels img domain_id;
-  Bytes.fill img 0 Occlum_oelf.Oelf.trampoline_reserved '\x00';
-  let tramp =
-    String.concat ""
-      (List.map Codec.encode
-         [
-           Insn.Cfi_label (Int32.of_int domain_id);
-           Insn.Syscall_gate;
-           Insn.Pop R.ret_scratch;
-           Insn.Jmp_reg R.ret_scratch;
-         ])
-  in
-  Bytes.blit_string tramp 0 img 0 (String.length tramp);
-  Enclave.add_pages enclave ~addr:code_base ~data:img ~perm:code_perm;
+  (* the loader's image, EADDed before EINIT so it is measured as loaded *)
+  let b = Loader.build slot (Loader.admit ~require_signature:false oelf) ~args:[] in
+  Enclave.add_pages enclave ~addr:code_base ~data:b.code ~perm:code_perm;
   let dimg = Bytes.make d_size '\x00' in
-  Bytes.blit oelf.data 0 dimg 0 (Bytes.length oelf.data);
+  Bytes.blit b.data 0 dimg 0 (Bytes.length b.data);
   Enclave.add_pages enclave ~addr:d_base ~data:dimg ~perm:Mem.perm_rw;
   Enclave.add_zero_pages enclave ~addr:victim_base ~len:victim_size
     ~perm:Mem.perm_rw;
   Enclave.init enclave;
   Mem.fill_priv mem ~addr:victim_base ~len:victim_size sentinel;
   let cpu = Cpu.create () in
-  cpu.Cpu.pc <- code_base + oelf.entry;
-  Cpu.set cpu Reg.sp (Int64.of_int (d_base + oelf.data_region_size - 16));
-  Cpu.set cpu R.code_base (Int64.of_int code_base);
-  Cpu.set cpu R.data_base (Int64.of_int d_base);
-  (* the loader passes the trampoline address in r10 at entry *)
-  Cpu.set cpu R.ret_scratch (Int64.of_int code_base);
-  Cpu.set_bnd cpu Reg.bnd0
-    { lower = Int64.of_int d_base; upper = Int64.of_int (d_base + d_size - 1) };
-  let lv = Occlum_libos.Loader.cfi_label_value domain_id in
-  Cpu.set_bnd cpu Reg.bnd1 { lower = lv; upper = lv };
+  Loader.init_cpu b.img cpu;
   let code_snapshot = Mem.read_bytes_priv mem ~addr:code_base ~len:code_region in
   {
     enclave; mem; cpu; code_base; code_region; d_base; d_size;

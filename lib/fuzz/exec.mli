@@ -9,9 +9,10 @@
       (audited periodically and at the end).
 
     The environment is a real {!Occlum_sgx.Enclave.t} (ECREATE/EADD/
-    EINIT against its own EPC pool), so {!Occlum_sgx.Enclave.aex}/
-    [resume] work against it. Every run, containment and every
-    differential property in {!Check}, goes through {!lockstep}. *)
+    EINIT against its own EPC pool) holding the LibOS loader's image of
+    the binary, so {!Occlum_sgx.Enclave.aex}/[resume] work against it.
+    Every run, containment and every differential property in {!Check},
+    goes through {!lockstep}. *)
 
 open Occlum_machine
 
@@ -38,14 +39,14 @@ type env = {
 }
 
 val make : ?epc:Occlum_sgx.Epc.t -> ?code_perm:Mem.perm -> Occlum_oelf.Oelf.t -> env
-(** Build and EINIT an enclave around the binary: loader-equivalent code
-    patching and trampoline install, data image, a sentinel-filled victim
-    region one guard page past D, and a CPU initialized exactly as the
-    LibOS would (pc, sp, base registers, bnd0 = D's range, bnd1 = the
-    domain's cfi-label value). A fresh EPC pool is created unless [epc]
-    is given. [code_perm] (default RWX, the historical fuzz mapping) is
-    the code region's page permission; RX matches the LibOS loader and
-    lets the block JIT compile non-fragile blocks. *)
+(** Build and EINIT an enclave around the binary: the code and data
+    images {!Occlum_libos.Loader.build} makes for domain 1 (EADDed, so
+    measured as loaded), a sentinel-filled victim region one guard page
+    past D, and a CPU set by {!Occlum_libos.Loader.init_cpu}. A fresh
+    EPC pool is created unless [epc] is given. [code_perm] (default RWX,
+    the historical fuzz mapping) is the code region's page permission;
+    RX matches the LibOS loader and lets the block JIT compile
+    non-fragile blocks. *)
 
 val audit : env -> violation option
 (** The end-of-run memory policy check (victim + code integrity). *)

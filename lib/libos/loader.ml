@@ -1,11 +1,15 @@
-(* The Occlum ELF loader (§6). Beyond a classic loader's jobs it:
+(* The Occlum ELF loader (§6), the one module that knows the SIP image
+   format. Beyond a classic loader's jobs it:
    1. admits only binaries verified AND signed by the Occlum verifier;
    2. rewrites the last four bytes of every cfi_label to the new SIP's
       domain id;
    3. injects the trampoline — the only way out of the MMDSFI sandbox —
       into the loader-reserved head of the code region and passes its
       address to the program (register r10, stored by _start);
-   4. initializes the MPX bound registers for the domain's layout. *)
+   4. initializes the MPX bound registers for the domain's layout.
+   [build] makes the image without touching memory, so the fuzz
+   environment, the bare-machine runner and occlum_trace run SIP code on
+   exactly the image [load] places for the LibOS. *)
 
 open Occlum_machine
 open Occlum_isa
@@ -53,29 +57,36 @@ let patch_at code domain_id off =
   Bytes.set code (off + 6) '\x00';
   Bytes.set code (off + 7) '\x00'
 
-(* Patch every cfi_label's id field. *)
-let patch_labels code domain_id =
-  List.iter (patch_at code domain_id) (label_offsets code)
-
-(* A binary that passed admission: parsed, its signature checked (unless
-   the caller waived it, as Linux mode does) and its labels found. The
-   type is abstract outside this module, so [load] never sees bytes that
-   [admit] did not check. *)
+(* A binary that passed admission: its signature checked (unless the
+   caller waived it, as Linux mode does) and its labels found. The type
+   is abstract outside this module, so [build] and [load] never see a
+   binary that [admit] did not check. *)
 type checked = { c_oelf : Occlum_oelf.Oelf.t; labels : int array }
 
-let admit ~require_signature binary =
-  let oelf = Occlum_oelf.Oelf.of_string binary in
+let admit ~require_signature oelf =
   if require_signature && not (Occlum_verifier.Signer.check oelf) then
     fail "binary is not signed by the Occlum verifier";
   { c_oelf = oelf; labels = Array.of_list (label_offsets oelf.code) }
 
 let checked_oelf c = c.c_oelf
 
-(* [dynamic] carries the SGX2 enclave when pages are committed lazily
-   (EDMM): the loader EAUGs exactly the pages this binary needs, so no
-   scrubbing is required (fresh pages arrive zeroed) and the SIP's reach
-   ends at its own last mapped page. *)
-let load ?dynamic mem (slot : Domain_mgr.slot) (checked : checked) ~args =
+let fitted_slot ~id ~base (oelf : Occlum_oelf.Oelf.t) =
+  {
+    Domain_mgr.id;
+    base;
+    code_size = Occlum_oelf.Oelf.code_region_size oelf;
+    data_size = Occlum_util.Bytes_util.round_up oelf.data_region_size 4096;
+    in_use = true;
+    mapped = [];
+  }
+
+type built = { img : image; code : Bytes.t; data : Bytes.t }
+
+(* The SIP image, built without touching memory. Code: the binary with
+   every cfi_label carrying the domain id and the loader-reserved head
+   replaced by the three gates (the trampoline). Data: the data image
+   with argc/argv in its first page. *)
+let build ?data_len (slot : Domain_mgr.slot) checked ~args =
   let oelf = checked.c_oelf in
   if Bytes.length oelf.code > slot.code_size then
     fail "code too large for the domain (%d > %d)" (Bytes.length oelf.code)
@@ -85,80 +96,79 @@ let load ?dynamic mem (slot : Domain_mgr.slot) (checked : checked) ~args =
       slot.data_size;
   let c_base = Domain_mgr.c_base slot and d_base = Domain_mgr.d_base slot in
   let domain_id = slot.id in
-  let mapped_data_size =
-    match dynamic with
-    | None -> slot.data_size
-    | Some enclave ->
-        let code_len =
-          Occlum_util.Bytes_util.round_up (max 4096 (Bytes.length oelf.code)) 4096
-        in
-        let data_len =
-          Occlum_util.Bytes_util.round_up oelf.data_region_size 4096
-        in
-        Occlum_sgx.Enclave.eaug enclave ~addr:c_base ~len:code_len
-          ~perm:Mem.perm_rwx;
-        (try
-           Occlum_sgx.Enclave.eaug enclave ~addr:d_base ~len:data_len
-             ~perm:Mem.perm_rw
-         with e ->
-           (* all-or-nothing: without this, running out of EPC between
-              the two EAUGs would strand the code range's pages until
-              enclave teardown *)
-           Occlum_sgx.Enclave.eremove_pages enclave ~addr:c_base
-             ~len:code_len;
-           raise e);
-        slot.mapped <- [ (c_base, code_len); (d_base, data_len) ];
-        data_len
-  in
-  (* scrub: a previous SIP may have run in this slot (SGX1 only — EAUG
-     pages arrive zeroed); only the pages it, or this slot's last load,
-     wrote hold anything *)
-  if dynamic = None then begin
-    Mem.scrub mem ~addr:c_base ~len:slot.code_size;
-    Mem.scrub mem ~addr:d_base ~len:slot.data_size
-  end;
-  (* code image, with domain ids patched into the labels *)
-  let code = Bytes.copy oelf.code in
+  let reserved = Occlum_oelf.Oelf.trampoline_reserved in
+  let code = Bytes.make (max reserved (Bytes.length oelf.code)) '\x00' in
+  Bytes.blit oelf.code 0 code 0 (Bytes.length oelf.code);
   Array.iter (patch_at code domain_id) checked.labels;
-  Mem.write_bytes_priv mem ~addr:c_base code;
-  (* the trampoline overwrites the loader-reserved head *)
-  Mem.fill_priv mem ~addr:c_base ~len:Occlum_oelf.Oelf.trampoline_reserved '\x00';
-  let main_gate_seq =
-    encode_seq
-      [
-        Insn.Cfi_label (Int32.of_int domain_id);
-        Insn.Syscall_gate;
-        Insn.Pop R.ret_scratch;
-        Insn.Jmp_reg R.ret_scratch;
-      ]
+  Bytes.fill code 0 reserved '\x00';
+  let label = Insn.Cfi_label (Int32.of_int domain_id) in
+  let install off insns =
+    let seq = encode_seq insns in
+    Bytes.blit seq 0 code off (Bytes.length seq)
   in
-  let sigreturn_seq =
-    encode_seq [ Insn.Cfi_label (Int32.of_int domain_id); Insn.Syscall_gate ]
+  install main_gate_off
+    [ label; Insn.Syscall_gate; Insn.Pop R.ret_scratch; Insn.Jmp_reg R.ret_scratch ];
+  install sigreturn_gate_off [ label; Insn.Syscall_gate ];
+  install thread_exit_gate_off [ label; Insn.Syscall_gate ];
+  let guard = Occlum_oelf.Oelf.guard_size in
+  let data = Bytes.make (max guard (Bytes.length oelf.data)) '\x00' in
+  Bytes.blit oelf.data 0 data 0 (Bytes.length oelf.data);
+  Occlum_toolchain.Layout.write_args data ~data_base:d_base args;
+  let data_len = Option.value data_len ~default:slot.data_size in
+  let label_size = 8 and label_value = cfi_label_value domain_id in
+  let img =
+    {
+      slot;
+      oelf;
+      entry_pc = c_base + oelf.entry;
+      init_sp = d_base + oelf.data_region_size - 16;
+      bnd0 = { Cpu.lower = Int64.of_int d_base;
+               upper = Int64.of_int (d_base + data_len - 1) };
+      bnd1 = { Cpu.lower = label_value; upper = label_value };
+      main_gate = c_base + main_gate_off + label_size;
+      sigreturn_gate = c_base + sigreturn_gate_off + label_size;
+      thread_exit_gate = c_base + thread_exit_gate_off + label_size;
+      label_value;
+    }
   in
-  Mem.write_bytes_priv mem ~addr:(c_base + main_gate_off) main_gate_seq;
-  Mem.write_bytes_priv mem ~addr:(c_base + sigreturn_gate_off) sigreturn_seq;
-  Mem.write_bytes_priv mem ~addr:(c_base + thread_exit_gate_off) sigreturn_seq;
-  (* data image + argv *)
-  Mem.write_bytes_priv mem ~addr:d_base oelf.data;
-  let arg_page =
-    Mem.read_bytes_priv mem ~addr:d_base ~len:Occlum_oelf.Oelf.guard_size
+  { img; code; data }
+
+(* [dynamic] carries the SGX2 enclave when pages are committed lazily
+   (EDMM): the loader EAUGs exactly the pages this binary needs, so no
+   scrubbing is required (fresh pages arrive zeroed) and the SIP's reach
+   ends at its own last mapped page. *)
+let load ?dynamic mem (slot : Domain_mgr.slot) (checked : checked) ~args =
+  let oelf = checked.c_oelf in
+  let c_base = Domain_mgr.c_base slot and d_base = Domain_mgr.d_base slot in
+  let round_page n = Occlum_util.Bytes_util.round_up n 4096 in
+  let data_len = round_page oelf.data_region_size in
+  let b =
+    build ?data_len:(Option.map (fun _ -> data_len) dynamic) slot checked ~args
   in
-  Occlum_toolchain.Layout.write_args arg_page ~data_base:d_base args;
-  Mem.write_bytes_priv mem ~addr:d_base arg_page;
-  let label_size = 8 in
-  {
-    slot;
-    oelf;
-    entry_pc = c_base + oelf.entry;
-    init_sp = d_base + oelf.data_region_size - 16;
-    bnd0 = { Cpu.lower = Int64.of_int d_base;
-             upper = Int64.of_int (d_base + mapped_data_size - 1) };
-    bnd1 = (let v = cfi_label_value domain_id in { Cpu.lower = v; upper = v });
-    main_gate = c_base + main_gate_off + label_size;
-    sigreturn_gate = c_base + sigreturn_gate_off + label_size;
-    thread_exit_gate = c_base + thread_exit_gate_off + label_size;
-    label_value = cfi_label_value domain_id;
-  }
+  (match dynamic with
+  | Some enclave ->
+      let code_len = round_page (max 4096 (Bytes.length oelf.code)) in
+      Occlum_sgx.Enclave.eaug enclave ~addr:c_base ~len:code_len
+        ~perm:Mem.perm_rwx;
+      (try
+         Occlum_sgx.Enclave.eaug enclave ~addr:d_base ~len:data_len
+           ~perm:Mem.perm_rw
+       with e ->
+         (* all-or-nothing: without this, running out of EPC between
+            the two EAUGs would strand the code range's pages until
+            enclave teardown *)
+         Occlum_sgx.Enclave.eremove_pages enclave ~addr:c_base ~len:code_len;
+         raise e);
+      slot.mapped <- [ (c_base, code_len); (d_base, data_len) ]
+  | None ->
+      (* scrub: a previous SIP may have run in this slot (SGX1 only —
+         EAUG pages arrive zeroed); only the pages it, or this slot's
+         last load, wrote hold anything *)
+      Mem.scrub mem ~addr:c_base ~len:slot.code_size;
+      Mem.scrub mem ~addr:d_base ~len:slot.data_size);
+  Mem.write_bytes_priv mem ~addr:c_base b.code;
+  Mem.write_bytes_priv mem ~addr:d_base b.data;
+  b.img
 
 (* Apply the image to a CPU about to run the SIP's initial thread. *)
 let init_cpu (img : image) (cpu : Cpu.t) =

@@ -1,14 +1,14 @@
-(** The Occlum ELF loader (§6). Beyond a classic loader it: (1) admits
-    only verifier-signed binaries; (2) rewrites every cfi_label's id to
-    the SIP's domain id; (3) injects the syscall trampoline — the only
-    way out of the MMDSFI sandbox — and hands its address to [_start];
-    (4) computes the MPX bound-register values for the domain. *)
+(** The Occlum ELF loader (§6), and the one place the SIP image format is
+    written down. Beyond a classic loader it: (1) admits only
+    verifier-signed binaries; (2) rewrites every cfi_label's id to the
+    SIP's domain id; (3) injects the syscall trampoline — the only way
+    out of the MMDSFI sandbox — and hands its address to [_start];
+    (4) computes the MPX bound-register values for the domain. The LibOS
+    places images with {!load}; the fuzz environment, the bare-machine
+    runner and occlum_trace take the same bytes and CPU state from
+    {!build}. *)
 
 exception Load_error of string
-
-val main_gate_off : int
-val sigreturn_gate_off : int
-val thread_exit_gate_off : int
 
 type image = {
   slot : Domain_mgr.slot;
@@ -23,24 +23,39 @@ type image = {
   label_value : int64;    (** this domain's 8-byte cfi_label encoding *)
 }
 
-val cfi_label_value : int -> int64
-
-val patch_labels : Bytes.t -> int -> unit
-(** Rewrite the id field of every cfi_label in a code image. *)
-
 type checked
-(** A binary admitted for loading: parsed, signature-checked and with its
+(** A binary admitted for loading: signature-checked and with its
     cfi_label offsets found. Only {!admit} makes one, so nothing reaches
-    {!load} unchecked. A [checked] holds no slot state and can be loaded
+    {!build} or {!load} unchecked. A [checked] holds no slot state and can be loaded
     any number of times. *)
 
-val admit : require_signature:bool -> string -> checked
-(** Parse a binary, check the verifier's signature over it (skipped when
-    [require_signature] is false, as in Linux mode) and find its labels.
-    @raise Occlum_oelf.Oelf.Malformed on a binary that does not parse.
+val admit : require_signature:bool -> Occlum_oelf.Oelf.t -> checked
+(** Check the verifier's signature over a binary (skipped when
+    [require_signature] is false, as in Linux mode and for the bare
+    runners) and find its labels.
     @raise Load_error on a missing or bad signature. *)
 
 val checked_oelf : checked -> Occlum_oelf.Oelf.t
+
+val fitted_slot : id:int -> base:int -> Occlum_oelf.Oelf.t -> Domain_mgr.slot
+(** A standalone domain [id] at [base] sized to one binary: C is its
+    page-rounded code, D its page-rounded data region, with the usual
+    guard page between them. *)
+
+type built = {
+  img : image;
+  code : Bytes.t;
+      (** for C's base: the code with every label patched and the
+          reserved head replaced by the gates *)
+  data : Bytes.t;  (** for D's base: the data image with argc/argv *)
+}
+
+val build :
+  ?data_len:int -> Domain_mgr.slot -> checked -> args:string list -> built
+(** The image for the slot, built without touching memory: what {!load}
+    writes, and the initial machine state. [bnd0] covers the first
+    [data_len] bytes of D (default: all of it).
+    @raise Load_error on a binary too large for the slot. *)
 
 val load :
   ?dynamic:Occlum_sgx.Enclave.t ->
@@ -50,9 +65,9 @@ val load :
   args:string list ->
   image
 (** Zero the pages a previous occupant dirtied (SGX1), or EAUG exactly
-    the pages the binary needs ([dynamic] = the SGX2 enclave), place
-    code (with trampoline) and data (with argv), and describe the
-    initial machine state. @raise Load_error on an oversized binary. *)
+    the pages the binary needs ([dynamic] = the SGX2 enclave), and write
+    {!build}'s code and data into the slot.
+    @raise Load_error on an oversized binary. *)
 
 val init_cpu : image -> Occlum_machine.Cpu.t -> unit
 (** Set pc/sp/base registers/bounds for the SIP's first thread. *)

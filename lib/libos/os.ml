@@ -53,15 +53,12 @@ type config = {
   sgx2 : bool; (* EDMM: commit domain pages per binary instead of
                   preallocating (§6's "can be avoided on SGX 2.0") *)
   domains : Domain_mgr.config;
-  quantum : int;
   cores : int; (* simulated vCPUs: cores of the epoch scheduler *)
   jit : bool; (* the tiered loop in Interp.run: a block JIT per core;
                  off = reference loop *)
   fs_key : string;
   (* EIP model knobs *)
   eip_runtime_image_bytes : int; (* measured on every enclave creation *)
-  eip_ocall_ns : int64;
-  sip_syscall_ns : int64;
 }
 
 let default_config =
@@ -69,14 +66,19 @@ let default_config =
     mode = Sip;
     sgx2 = false;
     domains = Domain_mgr.default_config;
-    quantum = 100_000;
     cores = 1;
     jit = true;
     fs_key = "occlum-fs-master-key";
     eip_runtime_image_bytes = 8 * 1024 * 1024;
-    eip_ocall_ns = 6_000L;
-    sip_syscall_ns = 100L;
   }
+
+(* instructions per scheduling slice *)
+let quantum = 100_000
+
+(* the virtual cost of one syscall: a SIP's trampoline call into the
+   LibOS, an EIP's OCALL out of its enclave and back *)
+let sip_syscall_ns = 100L
+let eip_ocall_ns = 6_000L
 
 type t = {
   cfg : config;
@@ -379,9 +381,9 @@ let charge_syscall t (p : proc) =
   t.syscalls <- t.syscalls + 1;
   match t.cfg.mode with
   | Linux -> t.clock_ns <- Int64.add t.clock_ns 150L
-  | Sip -> t.clock_ns <- Int64.add t.clock_ns t.cfg.sip_syscall_ns
+  | Sip -> t.clock_ns <- Int64.add t.clock_ns sip_syscall_ns
   | Eip ->
-      t.clock_ns <- Int64.add t.clock_ns t.cfg.eip_ocall_ns;
+      t.clock_ns <- Int64.add t.clock_ns eip_ocall_ns;
       (* marshalling through untrusted memory *)
       let nonce = Occlum_util.Cipher.derive_nonce "ocall" p.pid in
       Occlum_util.Cipher.encrypt_bytes ~key:(String.make 32 'k') ~nonce
@@ -393,8 +395,8 @@ let charge_syscall t (p : proc) =
 let batched_call_ns t =
   match t.cfg.mode with
   | Linux -> 40L
-  | Sip -> Int64.div t.cfg.sip_syscall_ns 4L
-  | Eip -> Int64.div t.cfg.eip_ocall_ns 4L
+  | Sip -> Int64.div sip_syscall_ns 4L
+  | Eip -> Int64.div eip_ocall_ns 4L
 
 (* EIP pipes cross enclave boundaries as ciphertext: encrypt on the way
    out, decrypt on the way in — two passes over each chunk the pipe
@@ -501,7 +503,10 @@ let admit_binary t ~path binary =
   | _ -> (
       note_image_cache t "os.image_cache_misses";
       Hashtbl.remove t.images path;
-      match Loader.admit ~require_signature:(t.cfg.mode <> Linux) binary with
+      match
+        Loader.admit ~require_signature:(t.cfg.mode <> Linux)
+          (Occlum_oelf.Oelf.of_string binary)
+      with
       | checked ->
           Hashtbl.replace t.images path (binary, checked);
           checked
@@ -1254,13 +1259,35 @@ let sys_readdir t p =
           then err Errno.efault
           else ok n)
 
+(* How poll and epoll_wait end once [ready] entries were found: any
+   ready entry returns at once; otherwise a zero timeout returns 0, a
+   positive one arms an absolute virtual-time deadline at the first
+   attempt and returns 0 when the clock reaches it, and a negative one
+   blocks until an entry is ready. *)
+let wait_result t p ~ready ~timeout =
+  if ready > 0 then begin
+    p.wake_time <- None;
+    ok ready
+  end
+  else if Int64.equal timeout 0L then ok 0
+  else begin
+    (match (p.wake_time, Int64.compare timeout 0L > 0) with
+    | None, true -> p.wake_time <- Some (Int64.add t.clock_ns timeout)
+    | _ -> ());
+    match p.wake_time with
+    | Some d when Int64.compare t.clock_ns d >= 0 ->
+        p.wake_time <- None;
+        ok 0
+    | _ -> Block
+  end
+
 (* poll: pure readiness checks over an array of
    {fd; events; revents} entries. POLLHUP is reported regardless of the
    requested events, as on Linux. *)
 let sys_poll t p =
   let module P = Occlum_abi.Abi.Poll in
   let entries = iarg p 0 and nfds = iarg p 1 in
-  let deadline = arg p 2 in
+  let timeout = arg p 2 in
   if nfds < 0 || nfds > 64 || not (user_ok p entries (nfds * P.entry_size)) then
     err Errno.efault
   else begin
@@ -1277,22 +1304,7 @@ let sys_poll t p =
       Mem.write_u64_priv t.mem (base + 16) (Int64.of_int revents);
       if revents <> 0 then incr ready
     done;
-    if !ready > 0 then begin
-      p.wake_time <- None;
-      ok !ready
-    end
-    else if Int64.equal deadline 0L then ok 0
-    else begin
-      (* block with an absolute virtual-time deadline (negative = forever) *)
-      (match (p.wake_time, Int64.compare deadline 0L > 0) with
-      | None, true -> p.wake_time <- Some (Int64.add t.clock_ns deadline)
-      | _ -> ());
-      match p.wake_time with
-      | Some d when Int64.compare t.clock_ns d >= 0 ->
-          p.wake_time <- None;
-          ok 0
-      | _ -> Block
-    end
+    wait_result t p ~ready:!ready ~timeout
   end
 
 let sys_fcntl p =
@@ -1360,7 +1372,7 @@ let sys_epoll_wait t p =
   let module E = Occlum_abi.Abi.Epoll in
   let module P = Occlum_abi.Abi.Poll in
   let epfd = iarg p 0 and buf = iarg p 1 and maxevents = iarg p 2 in
-  let deadline = arg p 3 in
+  let timeout = arg p 3 in
   match Fd.find p.fds epfd with
   | None -> err Errno.ebadf
   | Some { kind = Fd.Epoll e; _ } ->
@@ -1394,21 +1406,7 @@ let sys_epoll_wait t p =
                       incr count
                     end))
           candidates;
-        if !count > 0 then begin
-          p.wake_time <- None;
-          ok !count
-        end
-        else if Int64.equal deadline 0L then ok 0
-        else begin
-          (match (p.wake_time, Int64.compare deadline 0L > 0) with
-          | None, true -> p.wake_time <- Some (Int64.add t.clock_ns deadline)
-          | _ -> ());
-          match p.wake_time with
-          | Some d when Int64.compare t.clock_ns d >= 0 ->
-              p.wake_time <- None;
-              ok 0
-          | _ -> Block
-        end
+        wait_result t p ~ready:!count ~timeout
       end
   | Some _ -> err Errno.einval
 
@@ -1839,7 +1837,7 @@ let epoch ?pool t =
       let core = s.Sched.cores.(cid) in
       stops.(i) <-
         Interp.run ?jit:core.Sched.jit ~obs:core.Sched.obs t.mem p.cpu
-          ~fuel:t.cfg.quantum
+          ~fuel:quantum
     in
     (match pool with
     | Some pool when n > 1 ->
@@ -1886,6 +1884,19 @@ let merge_core_metrics t = Sched.merge_metrics t.sched t.obs
    drivers that poke the system between steps keep working. *)
 let step t = epoch t
 
+(* A step found nothing runnable: advance the clock to the earliest
+   sleeper's wake time, or else retry every blocked call once more.
+   [Some (Deadlock _)] when that leaves nothing runnable either. *)
+let idle t =
+  match List.filter_map (fun p -> p.wake_time) (live_procs t) with
+  | w :: ws ->
+      t.clock_ns <- List.fold_left min w ws;
+      None
+  | [] ->
+      retry_blocked t;
+      if List.exists (fun p -> p.state = `Runnable) (live_procs t) then None
+      else Some (Deadlock (List.map (fun p -> p.pid) (live_procs t)))
+
 let run ?(max_steps = 1_000_000) t =
   (* the worker pool exists only for the duration of this call; quanta
      of one epoch run on up to cores-1 workers plus the calling domain *)
@@ -1904,21 +1915,8 @@ let run ?(max_steps = 1_000_000) t =
     if n = 0 then finish Quota_exhausted
     else if live_procs t = [] then finish All_exited
     else if epoch ?pool t then go (n - 1)
-    else begin
-      (* nothing runnable: either sleepers (advance the clock) or deadlock *)
-      let sleepers =
-        List.filter_map (fun p -> p.wake_time) (live_procs t)
-      in
-      match sleepers with
-      | [] ->
-          retry_blocked t;
-          if List.exists (fun p -> p.state = `Runnable) (live_procs t) then
-            go (n - 1)
-          else finish (Deadlock (List.map (fun p -> p.pid) (live_procs t)))
-      | ws ->
-          t.clock_ns <- List.fold_left min (List.hd ws) ws;
-          go (n - 1)
-    end
+    else
+      match idle t with None -> go (n - 1) | Some status -> finish status
   in
   Fun.protect
     ~finally:(fun () ->
@@ -1936,14 +1934,7 @@ let wait_pid_exit ?(max_steps = 1_000_000) t pid =
       | Some { state = `Zombie; _ } -> All_exited
       | Some _ ->
           if step t then go (n - 1)
-          else begin
-            let sleepers = List.filter_map (fun p -> p.wake_time) (live_procs t) in
-            match sleepers with
-            | [] -> Deadlock (List.map (fun p -> p.pid) (live_procs t))
-            | ws ->
-                t.clock_ns <- List.fold_left min (List.hd ws) ws;
-                go (n - 1)
-          end
+          else (match idle t with None -> go (n - 1) | Some status -> status)
   in
   go max_steps
 

@@ -48,7 +48,6 @@ type config = {
       (** EDMM: commit domain pages per binary instead of preallocating
           (§6's "can be avoided on SGX 2.0") *)
   domains : Domain_mgr.config;
-  quantum : int;  (** instructions per scheduling slice *)
   cores : int;
       (** simulated vCPUs (default 1). Every core count runs the same
           epoch scheduler over per-core run queues ({!Sched}); with more
@@ -61,8 +60,6 @@ type config = {
   fs_key : string;
   eip_runtime_image_bytes : int;
       (** the Graphene runtime pages measured on every EIP creation *)
-  eip_ocall_ns : int64;
-  sip_syscall_ns : int64;
 }
 
 val default_config : config
@@ -192,7 +189,9 @@ val run : ?max_steps:int -> t -> run_status
     run completes. *)
 
 val wait_pid_exit : ?max_steps:int -> t -> int -> run_status
-(** Run until a specific process has exited (or was reaped). *)
+(** Run until a specific process has exited (or was reaped). Idle steps
+    are handled as in {!run}: sleep gaps advance the clock, and blocked
+    calls are retried once more before a [Deadlock]. *)
 
 val merge_core_metrics : t -> unit
 (** Fold the scheduler counters into [t.obs] now (normally done by

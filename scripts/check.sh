@@ -124,6 +124,16 @@ cmp _build/paging-console.txt _build/nopaging-console.txt || {
   exit 1
 }
 
+# Single-step tracer smoke: occlum_trace places the loader's image of
+# hello in a bare domain and steps it one instruction at a time; the
+# program must reach its exit(0) within the step limit.
+dune exec bin/occlum_trace.exe -- _build/hello.oelf --limit 100000 \
+  > _build/trace-hello.txt
+grep -q "exit(0)" _build/trace-hello.txt || {
+  echo "FAIL: occlum_trace single-step of hello did not reach exit(0)" >&2
+  exit 1
+}
+
 # SEFS image smoke: create an encrypted image with the occlum_sefs host
 # tool, encrypt a host file into it and decrypt it back. The round trip
 # must be byte-identical, and the image must carry the current format

@@ -349,6 +349,47 @@ let tiny_signed =
      | Ok s -> s
      | Error _ -> Alcotest.fail "tiny binary rejected")
 
+(* --- the fuzz image is the loader's image ---------------------------------- *)
+
+(* Every property runs SIP code on [Exec.make]'s image, so it must be the
+   one the LibOS loader places for the same domain: the same code bytes
+   (labels, reserved head, all three gates), the same data bytes and the
+   same initial CPU. *)
+let test_fuzz_image_is_loader_image () =
+  let module Loader = Occlum_libos.Loader in
+  let oelf = Lazy.force tiny_signed in
+  let env = Exec.make oelf in
+  (* the fuzz environment's domain: id 1 at its code base *)
+  let slot = Loader.fitted_slot ~id:1 ~base:env.Exec.code_base oelf in
+  let d_base = Occlum_libos.Domain_mgr.d_base slot in
+  let mem = Mem.create ~size:(d_base + slot.data_size) in
+  Mem.map mem ~addr:slot.base ~len:slot.code_size ~perm:Mem.perm_rx;
+  Mem.map mem ~addr:d_base ~len:slot.data_size ~perm:Mem.perm_rw;
+  let img =
+    Loader.load mem slot (Loader.admit ~require_signature:true oelf) ~args:[]
+  in
+  Alcotest.(check int) "data base" d_base env.Exec.d_base;
+  let region name base len =
+    let a = Mem.read_bytes_priv env.Exec.mem ~addr:base ~len in
+    let b = Mem.read_bytes_priv mem ~addr:base ~len in
+    match Seq.find (fun i -> Bytes.get a i <> Bytes.get b i) (Seq.init len Fun.id) with
+    | Some off -> Alcotest.failf "%s bytes differ at offset %d" name off
+    | None -> ()
+  in
+  region "code" slot.base slot.code_size;
+  region "data" d_base slot.data_size;
+  let cpu = Cpu.create () and fuzz = env.Exec.cpu in
+  Loader.init_cpu img cpu;
+  Alcotest.(check int) "pc" cpu.Cpu.pc fuzz.Cpu.pc;
+  List.iter
+    (fun r -> Alcotest.(check int64) (Reg.name r) (Cpu.get cpu r) (Cpu.get fuzz r))
+    [ Reg.sp; R.code_base; R.data_base; R.ret_scratch ];
+  List.iter
+    (fun (name, b) ->
+      let i = Reg.bnd_to_int b in
+      Alcotest.(check bool) name true (cpu.Cpu.bnds.(i) = fuzz.Cpu.bnds.(i)))
+    [ ("bnd0", Reg.bnd0); ("bnd1", Reg.bnd1) ]
+
 let test_spawn_epc_pressure () =
   let config = { Os.default_config with Os.sgx2 = true } in
   let os = Os.boot ~config () in
@@ -445,4 +486,6 @@ let suite =
       test_engine_elided_store_changed;
     Alcotest.test_case "engine: stuck pager fails typed" `Quick
       test_engine_pager_no_progress;
+    Alcotest.test_case "fuzz image is the loader's image" `Quick
+      test_fuzz_image_is_loader_image;
   ]
