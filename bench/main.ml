@@ -661,6 +661,8 @@ let micro () =
            ignore (Os.wait_pid_exit ~max_steps:200_000 os pid)))
   in
   let page = Bytes.make 4096 'x' in
+  let page_string = Bytes.to_string page in
+  let hmac_key = Occlum_util.Hmac.key (String.make 32 'm') in
   let sefs = Occlum_libos.Sefs.create ~key:"bench" () in
   (match Occlum_libos.Sefs.write_path sefs "/f" (String.make 65536 'y') with
   | Ok _ -> ()
@@ -685,6 +687,11 @@ let micro () =
       [
         Test.make ~name:"sha256-eadd-page"
           (Staged.stage (fun () -> Occlum_util.Sha256.digest_bytes page 0 4096));
+        (* the tag a SEFS block seal or unseal computes: its label, then
+           4 KiB of ciphertext, under a prepared key *)
+        Test.make ~name:"hmac-sefs-block"
+          (Staged.stage (fun () ->
+               Occlum_util.Hmac.mac hmac_key [ "blk:7:1"; page_string ]));
         Test.make ~name:"cipher-sefs-block"
           (Staged.stage (fun () ->
                Occlum_util.Cipher.encrypt ~key:(String.make 32 'k')

@@ -69,6 +69,7 @@ type t = {
   a : int;
   b : int;
   key : string;
+  mac_key : Occlum_util.Hmac.key;  (** [key], prepared for MACs *)
   epoch : int;
   transport : Transport.t;
   ab : dir_state;  (** a -> b *)
@@ -94,6 +95,7 @@ let establish ~a ~b ~key ~epoch ~transport ~now ~obs =
       a;
       b;
       key;
+      mac_key = Occlum_util.Hmac.key key;
       epoch;
       transport;
       ab = fresh_dir ();
@@ -144,8 +146,9 @@ let read_be32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let mac_context t ~src ~epoch ~seq cipher =
-  Printf.sprintf "chan|%d->%d|e%d|s%d|%s" src (dst_of t ~src) epoch seq cipher
+(* A frame's tag covers this header, then its ciphertext. *)
+let mac_header t ~src ~epoch ~seq =
+  Printf.sprintf "chan|%d->%d|e%d|s%d|" src (dst_of t ~src) epoch seq
 
 let seal t ~src ~seq payload =
   let nonce =
@@ -155,7 +158,8 @@ let seal t ~src ~seq payload =
   in
   let cipher = Occlum_util.Cipher.encrypt ~key:t.key ~nonce payload in
   let mac =
-    Occlum_util.Hmac.mac ~key:t.key (mac_context t ~src ~epoch:t.epoch ~seq cipher)
+    Occlum_util.Hmac.mac t.mac_key
+      [ mac_header t ~src ~epoch:t.epoch ~seq; cipher ]
   in
   be32 t.epoch ^ be32 seq ^ mac ^ cipher
 
@@ -175,8 +179,8 @@ let unseal t ~src frame =
     let cipher = String.sub frame 40 (String.length frame - 40) in
     if
       not
-        (Occlum_util.Hmac.verify ~key:t.key ~tag:mac
-           (mac_context t ~src ~epoch ~seq cipher))
+        (Occlum_util.Hmac.verify t.mac_key ~tag:mac
+           [ mac_header t ~src ~epoch ~seq; cipher ])
     then None
     else
       let nonce =

@@ -170,7 +170,7 @@ type meta = {
 type t = {
   host : Host_store.t;
   data_key : string;
-  mac_key : string;
+  mac_key : Occlum_util.Hmac.key;
   volume : string;
   encrypted : bool; (* false models a plain ext4-style host FS *)
   mutable m : meta;
@@ -211,7 +211,7 @@ let root_ino = 1
 
 let derive_keys master =
   ( Occlum_util.Sha256.digest ("sefs-data:" ^ master),
-    Occlum_util.Sha256.digest ("sefs-mac:" ^ master) )
+    Occlum_util.Hmac.key (Occlum_util.Sha256.digest ("sefs-mac:" ^ master)) )
 
 let empty_meta () =
   { inodes = Hashtbl.create 64; dirents = Hashtbl.create 64; next_ino = 2;
@@ -248,22 +248,28 @@ let block_nonce t idx gen =
 
 let meta_nonce t gen = Occlum_util.Cipher.derive_nonce t.volume (-gen)
 
-(* A plaintext volume never forces [nonce]. *)
+(* The tag covers [label] then the ciphertext. A plaintext volume never
+   forces [nonce]. Both directions copy the payload once: [seal] encrypts
+   a copy of [plain] in place, and [unseal] decrypts into the fresh
+   [Bytes.t] it returns, which the caller owns. *)
 let seal t ~label ~nonce plain =
-  if not t.encrypted then { Host_store.cipher = plain; mac = "" }
-  else
-    let nonce = Lazy.force nonce in
-    let cipher = Occlum_util.Cipher.encrypt ~key:t.data_key ~nonce plain in
-    let mac = Occlum_util.Hmac.mac ~key:t.mac_key (label ^ cipher) in
-    { Host_store.cipher; mac }
+  let buf = Bytes.copy plain in
+  if t.encrypted then
+    Occlum_util.Cipher.encrypt_bytes ~key:t.data_key ~nonce:(Lazy.force nonce) buf;
+  let cipher = Bytes.unsafe_to_string buf in
+  let mac =
+    if t.encrypted then Occlum_util.Hmac.mac t.mac_key [ label; cipher ] else ""
+  in
+  { Host_store.cipher; mac }
 
 let unseal t ~label ~nonce (e : Host_store.entry) =
-  if not t.encrypted then e.cipher
-  else begin
-    if not (Occlum_util.Hmac.verify ~key:t.mac_key ~tag:e.mac (label ^ e.cipher))
+  let buf = Bytes.of_string e.cipher in
+  if t.encrypted then begin
+    if not (Occlum_util.Hmac.verify t.mac_key ~tag:e.mac [ label; e.cipher ])
     then raise (Corrupt ("integrity check failed: " ^ label));
-    Occlum_util.Cipher.encrypt ~key:t.data_key ~nonce:(Lazy.force nonce) e.cipher
-  end
+    Occlum_util.Cipher.encrypt_bytes ~key:t.data_key ~nonce:(Lazy.force nonce) buf
+  end;
+  buf
 
 let block_label idx gen = "blk:" ^ string_of_int idx ^ ":" ^ string_of_int gen
 
@@ -271,7 +277,7 @@ let writeback_block t idx (line : cache_line) =
   let gen = bump_gen t idx in
   Host_store.put t.host idx
     (seal t ~label:(block_label idx gen) ~nonce:(lazy (block_nonce t idx gen))
-       (Bytes.to_string line.data));
+       line.data);
   line.dirty <- false
 
 let read_block t idx =
@@ -286,9 +292,8 @@ let read_block t idx =
         | None -> Bytes.make block_size '\x00' (* never written: a hole *)
         | Some e ->
             let gen = gen_of t idx in
-            Bytes.of_string
-              (unseal t ~label:(block_label idx gen)
-                 ~nonce:(lazy (block_nonce t idx gen)) e)
+            unseal t ~label:(block_label idx gen)
+              ~nonce:(lazy (block_nonce t idx gen)) e
       in
       let line = { data; dirty = false } in
       Hashtbl.replace t.cache idx line;
@@ -413,7 +418,10 @@ let flush t =
   let gen = (match t.host.meta with Some (g, _) -> g | None -> 0) + 1 in
   let label = Printf.sprintf "meta:%d" gen in
   t.host.meta <-
-    Some (gen, seal t ~label ~nonce:(lazy (meta_nonce t gen)) (meta_to_string t.m))
+    Some
+      ( gen,
+        seal t ~label ~nonce:(lazy (meta_nonce t gen))
+          (Bytes.unsafe_of_string (meta_to_string t.m)) )
 
 (* Re-mount an existing host store (e.g. a fresh LibOS boot over the same
    host files): decrypt and reload the metadata, rebuilding its indexes. *)
@@ -428,7 +436,10 @@ let mount ?(volume = "vol0") ?(encrypted = true) ~key host =
   | None -> t.m <- fresh_meta ()
   | Some (gen, e) ->
       let label = Printf.sprintf "meta:%d" gen in
-      t.m <- meta_of_string (unseal t ~label ~nonce:(lazy (meta_nonce t gen)) e));
+      t.m <-
+        meta_of_string
+          (Bytes.unsafe_to_string
+             (unseal t ~label ~nonce:(lazy (meta_nonce t gen)) e)));
   t
 
 let create ?volume ?encrypted ~key () =

@@ -69,7 +69,7 @@ type meta
 type t = {
   host : Host_store.t;
   data_key : string;
-  mac_key : string;
+  mac_key : Occlum_util.Hmac.key;
   volume : string;
   encrypted : bool;  (** false models a plain ext4-style host FS *)
   mutable m : meta;

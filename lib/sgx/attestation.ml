@@ -9,7 +9,8 @@
 
 (* The platform key never leaves the CPU on real hardware; here it is a
    module-private constant standing in for the fused key. *)
-let platform_key = Occlum_util.Sha256.digest "occlum-sim-platform-fuse-key"
+let platform_key =
+  Occlum_util.Hmac.key (Occlum_util.Sha256.digest "occlum-sim-platform-fuse-key")
 
 type report = { body : string; tag : string }
 
@@ -21,9 +22,9 @@ let report ~enclave ~user_data =
       (Occlum_util.Sha256.to_hex (Enclave.measurement enclave))
       user_data
   in
-  { body; tag = Occlum_util.Hmac.mac ~key:platform_key body }
+  { body; tag = Occlum_util.Hmac.mac platform_key [ body ] }
 
-let verify r = Occlum_util.Hmac.verify ~key:platform_key ~tag:r.tag r.body
+let verify r = Occlum_util.Hmac.verify platform_key ~tag:r.tag [ r.body ]
 
 (* --- remote attestation: quotes ------------------------------------------ *)
 
@@ -31,7 +32,9 @@ let verify r = Occlum_util.Hmac.verify ~key:platform_key ~tag:r.tag r.body
    a remote verifier pins; the signing key is module-private, standing
    in for the QE's attestation key (EPID/ECDSA on real hardware). *)
 let qe_identity = "occlum-sim-quoting-enclave-v1"
-let qe_key = Occlum_util.Sha256.digest ("occlum-sim-qe-key|" ^ qe_identity)
+let qe_key =
+  Occlum_util.Hmac.key
+    (Occlum_util.Sha256.digest ("occlum-sim-qe-key|" ^ qe_identity))
 
 type quote = { q_body : string; q_qe : string; q_sig : string }
 
@@ -44,13 +47,13 @@ let quote ~enclave ~user_data =
   let r = report ~enclave ~user_data in
   if not (verify r) then raise Bad_report;
   let q_body = Printf.sprintf "qe=%s;%s" qe_identity r.body in
-  { q_body; q_qe = qe_identity; q_sig = Occlum_util.Hmac.mac ~key:qe_key q_body }
+  { q_body; q_qe = qe_identity; q_sig = Occlum_util.Hmac.mac qe_key [ q_body ] }
 
 (* What the remote verifier checks: the QE identity is the one it pins,
    and the signature verifies under that identity's key. *)
 let verify_quote q =
   String.equal q.q_qe qe_identity
-  && Occlum_util.Hmac.verify ~key:qe_key ~tag:q.q_sig q.q_body
+  && Occlum_util.Hmac.verify qe_key ~tag:q.q_sig [ q.q_body ]
 
 let quote_measurement q =
   (* "qe=<id>;measurement=<hex>;user=..." *)

@@ -36,7 +36,7 @@ type client = { cid : int; mem : Mem.t; mutable resident : int }
 
 type pager = {
   data_key : string;
-  mac_key : string;
+  mac_key : Occlum_util.Hmac.key;
   backing : (int * int, backing_entry) Hashtbl.t; (* keyed (cid, page) *)
   versions : (int * int, int) Hashtbl.t; (* trusted VA counters *)
   backing_limit : int;
@@ -90,7 +90,8 @@ let enable_paging ?backing_pages ?(key = "epc-backing") t =
     Some
       {
         data_key = Occlum_util.Sha256.digest ("epc-ewb-data:" ^ key);
-        mac_key = Occlum_util.Sha256.digest ("epc-ewb-mac:" ^ key);
+        mac_key =
+          Occlum_util.Hmac.key (Occlum_util.Sha256.digest ("epc-ewb-mac:" ^ key));
         backing = Hashtbl.create 256;
         versions = Hashtbl.create 256;
         backing_limit;
@@ -160,7 +161,7 @@ let do_evict t pg c page =
       plain
   in
   let mac =
-    Occlum_util.Hmac.mac ~key:pg.mac_key (entry_label c.cid page version ^ cipher)
+    Occlum_util.Hmac.mac pg.mac_key [ entry_label c.cid page version; cipher ]
   in
   Hashtbl.replace pg.backing (c.cid, page) { cipher; mac; version };
   (* Scrub through the privileged writer so executable pages bump their
@@ -266,8 +267,8 @@ let eldu t ~cid ~page =
               in
               let authentic =
                 entry.version = trusted
-                && Occlum_util.Hmac.verify ~key:pg.mac_key ~tag:entry.mac
-                     (entry_label cid page entry.version ^ entry.cipher)
+                && Occlum_util.Hmac.verify pg.mac_key ~tag:entry.mac
+                     [ entry_label cid page entry.version; entry.cipher ]
               in
               if not authentic then begin
                 t.free_pages <- t.free_pages + 1 (* undo the alloc *);

@@ -1,24 +1,39 @@
 (* HMAC-SHA-256 (RFC 2104). The Occlum verifier signs accepted binaries
-   with an HMAC; the LibOS loader recomputes it before loading. SEFS uses
-   it as the per-block integrity tag. *)
+   with an HMAC; the LibOS loader recomputes it before loading. SEFS,
+   cluster channels and the EPC pager use it as their integrity tag.
+
+   Every caller MACs under a fixed key, so [key] absorbs the padded key
+   XOR ipad and XOR opad once and keeps the two midstates. A tag then
+   costs two context copies plus the message and one outer block; the
+   message arrives as a list of parts fed in order, so a caller never
+   concatenates a label onto a ciphertext to MAC them. *)
 
 let block_size = 64
 
-let normalize_key key =
-  let key = if String.length key > block_size then Sha256.digest key else key in
-  let padded = Bytes.make block_size '\x00' in
-  Bytes.blit_string key 0 padded 0 (String.length key);
-  padded
+type key = { inner : Sha256.ctx; outer : Sha256.ctx }
 
-let mac ~key msg =
-  let key = normalize_key key in
-  let ipad = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x36)) key in
-  let opad = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5c)) key in
-  let inner = Sha256.digest (Bytes.to_string ipad ^ msg) in
-  Sha256.digest (Bytes.to_string opad ^ inner)
+let key k =
+  let k = if String.length k > block_size then Sha256.digest k else k in
+  let pad x =
+    let b = Bytes.make block_size (Char.chr x) in
+    String.iteri
+      (fun i c -> Bytes.set b i (Char.chr (Char.code c lxor x)))
+      k;
+    let ctx = Sha256.init () in
+    Sha256.feed_bytes ctx b 0 block_size;
+    ctx
+  in
+  { inner = pad 0x36; outer = pad 0x5c }
 
-let verify ~key ~tag msg =
-  let expected = mac ~key msg in
+let mac key parts =
+  let inner = Sha256.copy key.inner in
+  List.iter (Sha256.feed inner) parts;
+  let outer = Sha256.copy key.outer in
+  Sha256.feed outer (Sha256.finalize inner);
+  Sha256.finalize outer
+
+let verify key ~tag parts =
+  let expected = mac key parts in
   (* constant-time comparison: accumulate the xor of all byte pairs *)
   String.length tag = String.length expected
   &&

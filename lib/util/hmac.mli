@@ -1,7 +1,21 @@
-(** HMAC-SHA-256 (RFC 2104): binary signing and SEFS block integrity. *)
+(** HMAC-SHA-256 (RFC 2104): binary signing, and the integrity tag of
+    SEFS blocks, channel frames and EPC pages.
 
-val mac : key:string -> string -> string
-(** [mac ~key msg] is the 32-byte authentication tag of [msg]. *)
+    A {!key} holds the ipad and opad midstates of one secret, computed
+    once. A message is a list of parts, MAC'd as their concatenation
+    without building it: [mac k parts = mac k [String.concat "" parts]]. *)
 
-val verify : key:string -> tag:string -> string -> bool
-(** [verify ~key ~tag msg] checks [tag] in constant time. *)
+type key
+(** A prepared HMAC key. Immutable: one key may serve any number of
+    tags, from any domain. *)
+
+val key : string -> key
+(** [key secret] prepares [secret]; a secret longer than 64 bytes is
+    hashed first, as RFC 2104 specifies. *)
+
+val mac : key -> string list -> string
+(** [mac k parts] is the 32-byte tag of the concatenation of [parts]. *)
+
+val verify : key -> tag:string -> string list -> bool
+(** [verify k ~tag parts] checks [tag] against [mac k parts] in
+    constant time. *)

@@ -1,19 +1,36 @@
 (* SHA-256 implemented from FIPS 180-4. Used for enclave measurement
    (EEXTEND hashes every enclave page) and as the compression function of
-   HMAC signatures on verified binaries.
+   every HMAC: binary signatures, SEFS blocks, channel frames and EPC
+   pages.
 
-   The arithmetic uses native ints masked to 32 bits: OCaml Int32 values
-   are boxed and an Int32-based implementation is an order of magnitude
-   slower, which would distort every enclave-creation benchmark. *)
+   The arithmetic uses native ints holding 32-bit values: OCaml Int32
+   values are boxed and an Int32-based implementation is an order of
+   magnitude slower, which would distort every enclave-creation
+   benchmark. [compress] is written for word speed:
+   - each big-endian message word is one 32-bit load plus a byte swap;
+   - a rotation reads the doubled word [x lor (x lsl 32)]: for
+     0 < n < 32 its bits n..n+31 are [rotr x n], and all of them sit
+     below bit 63, so one shift per rotation suffices;
+   - addition mod 2^32 reads only low bits, so intermediate sums carry
+     garbage above bit 31 and are masked only where a value is stored;
+   - the 64 rounds are unrolled by 8 with rotating variable roles, so a
+     round updates two working variables instead of moving eight.
+
+   No state is shared between contexts: the message schedule lives in
+   [ctx], so contexts on different domains hash concurrently. *)
 
 let mask = 0xFFFFFFFF
 
 type ctx = {
   h : int array; (* 8 words of chaining state, 32-bit values in ints *)
+  w : int array; (* the 64-word message schedule of the block in flight *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* total message length in bytes *)
+  mutable total : int; (* total message length in bytes *)
 }
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
 
 let k =
   [|
@@ -37,51 +54,100 @@ let init () =
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
         0x1f83d9ab; 0x5be0cd19;
       |];
+    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
+    total = 0;
   }
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let copy ctx =
+  {
+    h = Array.copy ctx.h;
+    w = Array.make 64 0;
+    buf = Bytes.copy ctx.buf;
+    buf_len = ctx.buf_len;
+    total = ctx.total;
+  }
 
-let w = Array.make 64 0
+(* The big-endian word at [b.[p .. p+3]]; the caller guarantees the span
+   is in bounds. *)
+let[@inline] be32 b p =
+  let x = get32u b p in
+  Int32.to_int (if Sys.big_endian then x else swap32 x) land mask
+
+(* The functions below take 32-bit values and return sums whose bits above
+   31 are garbage; only their low 32 bits are meaningful. *)
+let[@inline] dbl x = x lor (x lsl 32)
+
+let[@inline] sigma0 x =
+  let d = dbl x in
+  (d lsr 7) lxor (d lsr 18) lxor (x lsr 3)
+
+let[@inline] sigma1 x =
+  let d = dbl x in
+  (d lsr 17) lxor (d lsr 19) lxor (x lsr 10)
+
+let[@inline] big_sigma0 x =
+  let d = dbl x in
+  (d lsr 2) lxor (d lsr 13) lxor (d lsr 22)
+
+let[@inline] big_sigma1 x =
+  let d = dbl x in
+  (d lsr 6) lxor (d lsr 11) lxor (d lsr 25)
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
+
+(* [t1] of round [i] on working variables [e f g h]. [e] arrives last in
+   a round, so its terms are added last, [big_sigma1] the longest. *)
+let[@inline] t1 w i e f g h =
+  h + Array.unsafe_get k i + Array.unsafe_get w i + ch e f g + big_sigma1 e
 
 let compress ctx block off =
-  for idx = 0 to 15 do
-    w.(idx) <-
-      (Char.code (Bytes.unsafe_get block (off + (idx * 4))) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (off + (idx * 4) + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (off + (idx * 4) + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (off + (idx * 4) + 3))
+  let w = ctx.w in
+  for i = 0 to 15 do
+    Array.unsafe_set w i (be32 block (off + (i * 4)))
   done;
-  for idx = 16 to 63 do
-    let x15 = Array.unsafe_get w (idx - 15) and x2 = Array.unsafe_get w (idx - 2) in
-    let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
-    let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
-    Array.unsafe_set w idx
-      ((Array.unsafe_get w (idx - 16) + s0 + Array.unsafe_get w (idx - 7) + s1)
+  (* [w.(i - 2)] is the newest input, so its term is added last *)
+  for i = 16 to 63 do
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16)
+        + sigma0 (Array.unsafe_get w (i - 15))
+        + Array.unsafe_get w (i - 7)
+        + sigma1 (Array.unsafe_get w (i - 2)))
        land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for idx = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land mask land !g) in
-    let temp1 =
-      (!hh + s1 + ch + Array.unsafe_get k idx + Array.unsafe_get w idx) land mask
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + temp1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (temp1 + temp2) land mask
+  (* Round [i] on roles (a b c d e f g h) adds t1 into d and makes h the
+     new a; round [i+1] then runs on (h a b c d e f g). *)
+  for j = 0 to 7 do
+    let i = j * 8 in
+    let t = t1 w i !e !f !g !hh in
+    d := (!d + t) land mask;
+    hh := (t + big_sigma0 !a + maj !a !b !c) land mask;
+    let t = t1 w (i + 1) !d !e !f !g in
+    c := (!c + t) land mask;
+    g := (t + big_sigma0 !hh + maj !hh !a !b) land mask;
+    let t = t1 w (i + 2) !c !d !e !f in
+    b := (!b + t) land mask;
+    f := (t + big_sigma0 !g + maj !g !hh !a) land mask;
+    let t = t1 w (i + 3) !b !c !d !e in
+    a := (!a + t) land mask;
+    e := (t + big_sigma0 !f + maj !f !g !hh) land mask;
+    let t = t1 w (i + 4) !a !b !c !d in
+    hh := (!hh + t) land mask;
+    d := (t + big_sigma0 !e + maj !e !f !g) land mask;
+    let t = t1 w (i + 5) !hh !a !b !c in
+    g := (!g + t) land mask;
+    c := (t + big_sigma0 !d + maj !d !e !f) land mask;
+    let t = t1 w (i + 6) !g !hh !a !b in
+    f := (!f + t) land mask;
+    b := (t + big_sigma0 !c + maj !c !d !e) land mask;
+    let t = t1 w (i + 7) !f !g !hh !a in
+    e := (!e + t) land mask;
+    a := (t + big_sigma0 !b + maj !b !c !d) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -93,7 +159,9 @@ let compress ctx block off =
   h.(7) <- (h.(7) + !hh) land mask
 
 let feed_bytes ctx data off len =
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  if off < 0 || len < 0 || off > Bytes.length data - len then
+    invalid_arg "Sha256.feed_bytes";
+  ctx.total <- ctx.total + len;
   let off = ref off and len = ref len in
   if ctx.buf_len > 0 then begin
     let need = min (64 - ctx.buf_len) !len in
@@ -118,16 +186,21 @@ let feed_bytes ctx data off len =
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* Pad in place: 0x80, zeros, then the 64-bit big-endian bit length in
+   the last 8 bytes of the final block (a second block when fewer than 9
+   bytes are left). *)
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  let pad_len =
-    let r = (ctx.buf_len + 1 + 8) mod 64 in
-    if r = 0 then 1 + 8 else 1 + 8 + (64 - r)
-  in
-  let pad = Bytes.make pad_len '\x00' in
-  Bytes.set pad 0 '\x80';
-  Bytes.set_int64_be pad (pad_len - 8) bit_len;
-  feed_bytes ctx pad 0 pad_len;
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n + 1 > 56 then begin
+    Bytes.fill buf (n + 1) (64 - n - 1) '\x00';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf (n + 1) (56 - n - 1) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.shift_left (Int64.of_int ctx.total) 3);
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for idx = 0 to 7 do
     Bytes.set_int32_be out (idx * 4) (Int32.of_int ctx.h.(idx))

@@ -1,5 +1,8 @@
-(** SHA-256 (FIPS 180-4). Used for enclave page measurement and as the
-    hash underlying {!Hmac} signatures on verified binaries. *)
+(** SHA-256 (FIPS 180-4): enclave page measurement and the hash under
+    every {!Hmac} tag. The compression function loads message words
+    whole, rotates through a doubled word and keeps its message schedule
+    in the context, so distinct contexts may be used from different
+    domains at once. *)
 
 type ctx
 (** Streaming hash state. *)
@@ -7,8 +10,13 @@ type ctx
 val init : unit -> ctx
 (** [init ()] is a fresh hash state. *)
 
+val copy : ctx -> ctx
+(** [copy ctx] is an independent state that has absorbed what [ctx]
+    has; feeding either leaves the other unchanged. *)
+
 val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
-(** [feed_bytes ctx b off len] absorbs [len] bytes of [b] at [off]. *)
+(** [feed_bytes ctx b off len] absorbs [len] bytes of [b] at [off].
+    @raise Invalid_argument on a span outside [b]. *)
 
 val feed : ctx -> string -> unit
 (** [feed ctx s] absorbs all of [s]. *)

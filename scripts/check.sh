@@ -136,8 +136,10 @@ grep -q "exit(0)" _build/trace-hello.txt || {
 
 # SEFS image smoke: create an encrypted image with the occlum_sefs host
 # tool, encrypt a host file into it and decrypt it back. The round trip
-# must be byte-identical, and the image must carry the current format
-# version (SEFSIMG2, injective block nonces).
+# must be byte-identical, the image must carry the current format
+# version (SEFSIMG2, injective block nonces), and its bytes must equal
+# the pinned image: any change to a MAC, a nonce or the cipher moves
+# its SHA-256.
 rm -f _build/smoke.sefs
 dune exec bin/occlum_sefs.exe -- create -i _build/smoke.sefs
 dune exec bin/occlum_sefs.exe -- add -i _build/smoke.sefs \
@@ -150,6 +152,11 @@ cmp examples/hello.ol _build/smoke-cat.txt || {
 }
 [ "$(head -n 1 _build/smoke.sefs)" = "SEFSIMG2" ] || {
   echo "FAIL: occlum_sefs image is not format version 2" >&2
+  exit 1
+}
+smoke_sefs_sha=6bf0195057263dbc0ab3de2abaa2b9d8ab46e04bb8e358babb76eb07be21fd41
+[ "$(sha256sum _build/smoke.sefs | cut -d' ' -f1)" = "$smoke_sefs_sha" ] || {
+  echo "FAIL: occlum_sefs smoke image bytes changed (sha256 is not $smoke_sefs_sha)" >&2
   exit 1
 }
 

@@ -41,21 +41,86 @@ let test_sha256_streaming_equals_oneshot () =
   check "streamed" (Sha256.to_hex (Sha256.digest data))
     (Sha256.to_hex (Sha256.finalize ctx))
 
+(* A digest of digests over every message of length 0 .. 1,100 cut from
+   one byte pattern, which crosses the 55/56/64-byte padding edges and
+   multi-block tails. Pinned from Python's hashlib:
+     pat = bytes((i * 7 + 13) & 0xff for i in range(1101))
+     sha256(b"".join(sha256(pat[:n]).digest() for n in range(1101))) *)
+let test_sha256_digest_of_digests () =
+  let pat = String.init 1101 (fun i -> Char.chr ((i * 7 + 13) land 0xff)) in
+  let all = Sha256.init () in
+  for n = 0 to 1100 do
+    Sha256.feed all (Sha256.digest (String.sub pat 0 n))
+  done;
+  check "digest of digests"
+    "ef8cbabcb5df3a6ba3237ede5afbdb9fc650bd1edfd4a09f0b09c39dbf0dba16"
+    (Sha256.to_hex (Sha256.finalize all))
+
+(* Contexts share no state: two domains hashing different inputs at once
+   get the digests a sequential run gets. *)
+let test_sha256_reentrant () =
+  let input k = String.init (300 + k) (fun i -> Char.chr ((i * k) land 0xff)) in
+  let run k () =
+    let msg = input k and want = Sha256.digest (input k) in
+    let ok = ref true in
+    for _ = 1 to 1000 do
+      if not (String.equal (Sha256.digest msg) want) then ok := false
+    done;
+    !ok
+  in
+  let d1 = Domain.spawn (run 3) and d2 = Domain.spawn (run 5) in
+  let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
+  Alcotest.(check bool) "domain 1 digests" true ok1;
+  Alcotest.(check bool) "domain 2 digests" true ok2
+
+let hmac_hex key msg = Sha256.to_hex (Hmac.mac (Hmac.key key) [ msg ])
+
 let test_hmac () =
   check "rfc-ish"
     "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
-    (Sha256.to_hex
-       (Hmac.mac ~key:"key" "The quick brown fox jumps over the lazy dog"));
-  let tag = Hmac.mac ~key:"k1" "hello" in
-  Alcotest.(check bool) "verify ok" true (Hmac.verify ~key:"k1" ~tag "hello");
-  Alcotest.(check bool) "bad key" false (Hmac.verify ~key:"k2" ~tag "hello");
-  Alcotest.(check bool) "bad msg" false (Hmac.verify ~key:"k1" ~tag "hellO");
+    (hmac_hex "key" "The quick brown fox jumps over the lazy dog");
+  let k1 = Hmac.key "k1" in
+  let tag = Hmac.mac k1 [ "hello" ] in
+  Alcotest.(check bool) "verify ok" true (Hmac.verify k1 ~tag [ "hello" ]);
+  Alcotest.(check bool) "bad key" false (Hmac.verify (Hmac.key "k2") ~tag [ "hello" ]);
+  Alcotest.(check bool) "bad msg" false (Hmac.verify k1 ~tag [ "hellO" ]);
   Alcotest.(check bool) "bad tag" false
-    (Hmac.verify ~key:"k1" ~tag:(String.make 32 'x') "hello");
+    (Hmac.verify k1 ~tag:(String.make 32 'x') [ "hello" ]);
   (* long keys are hashed down *)
-  let tag2 = Hmac.mac ~key:(String.make 200 'K') "m" in
-  Alcotest.(check bool) "long key" true
-    (Hmac.verify ~key:(String.make 200 'K') ~tag:tag2 "m")
+  let long = Hmac.key (String.make 200 'K') in
+  let tag2 = Hmac.mac long [ "m" ] in
+  Alcotest.(check bool) "long key" true (Hmac.verify long ~tag:tag2 [ "m" ])
+
+(* RFC 4231 test cases 1-7; the tags were recomputed with Python's
+   hmac/hashlib (case 5 is the full tag, whose first 16 bytes are the
+   RFC's truncated value). Cases 6 and 7 use a 131-byte key. *)
+let test_hmac_rfc4231 () =
+  let cases =
+    [
+      ( String.make 20 '\x0b', "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( "Jefe", "what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+      ( String.make 20 '\xaa', String.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( String.make 20 '\x0c', "Test With Truncation",
+        "a3b6167473100ee06e0c796c2955552bfa6f7c0a6a8aef8b93f860aab0cd20c5" );
+      ( String.make 131 '\xaa',
+        "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( String.make 131 '\xaa',
+        "This is a test using a larger than block-size key and a larger than \
+         block-size data. The key needs to be hashed before being used by the \
+         HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+    ]
+  in
+  List.iteri
+    (fun i (key, msg, want) ->
+      check (Printf.sprintf "rfc4231 case %d" (i + 1)) want (hmac_hex key msg))
+    cases
 
 let test_chacha_vector () =
   (* RFC 8439 §2.4.2, adjusted for our counter starting at 0 *)
@@ -193,6 +258,17 @@ let prop_cipher_sub_equals_encrypt =
       && String.sub once (off + len) 3 = String.sub orig (off + len) 3
       && Bytes.to_string buf = orig)
 
+(* Parts are MAC'd as their concatenation, whatever the split. *)
+let prop_hmac_parts =
+  QCheck.Test.make ~name:"hmac of parts = hmac of their concatenation"
+    ~count:300
+    QCheck.(
+      pair (string_of_size (Gen.int_range 0 100))
+        (small_list (string_of_size (Gen.int_range 0 150))))
+    (fun (secret, parts) ->
+      let key = Hmac.key secret in
+      String.equal (Hmac.mac key parts) (Hmac.mac key [ String.concat "" parts ]))
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
@@ -208,4 +284,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_find_all_differential;
     QCheck_alcotest.to_alcotest prop_cipher_involution;
     QCheck_alcotest.to_alcotest prop_cipher_sub_equals_encrypt;
+    Alcotest.test_case "sha256 digest of digests" `Quick test_sha256_digest_of_digests;
+    Alcotest.test_case "sha256 reentrant across domains" `Quick test_sha256_reentrant;
+    Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
+    QCheck_alcotest.to_alcotest prop_hmac_parts;
   ]
