@@ -244,12 +244,12 @@ let aex_repro ~period ~scramble_seed inj items =
   let interrupt =
     {
       Exec.fires = Inject.interrupt_every inj ~period;
-      round_trip = Some (Exec.round_trip ~scramble);
+      round_trip = Exec.round_trip ~scramble;
     }
   in
   Exec.lockstep ~differ:Identical ~fuel:1200
     [
-      { (Exec.machine (Exec.make oelf)) with interrupt = Some interrupt };
+      { (Exec.machine (Exec.make oelf)) with tier = Reference (Some interrupt) };
       Exec.machine (Exec.make oelf);
     ]
 
@@ -273,10 +273,10 @@ let aex_case inj shrink rng case =
    exactly what elision changes, so they are not compared. *)
 let elide_repro ~period ~fuel inj items =
   let machine fires oelf =
-    let round_trip = Some (Exec.round_trip ~scramble:None) in
+    let round_trip = Exec.round_trip ~scramble:None in
     {
       (Exec.machine (Exec.make oelf)) with
-      interrupt = Some { Exec.fires; round_trip };
+      tier = Reference (Some { Exec.fires; round_trip });
     }
   in
   match Gen.link items with
@@ -901,14 +901,16 @@ let mc_case _inj _shrink rng case =
 (* The tiered loop must be a pure accelerator: running the same binary
    under (a) the block JIT and (b) the reference loop
    must produce bit-identical architectural state, counters and memory
-   at every synchronization point. Three hostile regimes stress the
+   at every synchronization point. Both machines run in fuel quanta of
+   [period] instructions, which is how [Os.epoch] preempts the tiered
+   loop in production: a quantum that ends inside a fused unit
+   exercises the decoded tail, and every other unit runs the fused
+   code the LibOS runs. Three hostile regimes stress the
    tier-transition seams:
 
-   - [J_plain]: a counter-based interrupt storm on the JIT machine with
-     a silent twin on an identical schedule. Consult parity is itself under
-     test — a fused superinstruction that skipped an interrupt
-     consultation at an original-instruction boundary would shift the
-     storm to different architectural points and diverge immediately.
+   - [J_plain]: quanta alone. A fused unit that charged, parked or
+     stopped differently from its instructions shows at the next
+     quantum end.
    - [J_smc]: the engine additionally flips a code byte — the same byte,
      the same flip — in both envs at stop boundaries, exercising
      page-generation invalidation, JIT deopt and rebuild. With RWX code
@@ -919,30 +921,15 @@ let mc_case _inj _shrink rng case =
      Reloads are transparent ELDUs driven off [Epc_miss], mirroring the
      LibOS pager. A faulted-and-retried data access double-charges the
      counters, but identically in every tier (data accesses are
-     architectural); code-fetch misses charge nothing. The interrupt
-     schedule is anchored to the instruction counter, not the consult
-     count, because retried boundaries legitimately re-consult — and
-     how often a tier refetches code is exactly what differs between
-     tiers. *)
+     architectural); code-fetch misses charge nothing. The retried
+     attempt spends fuel, so quantum ends, anchored to the spent
+     instructions, stay on the same boundary in both tiers. *)
 
 type jit_mode = J_plain | J_smc | J_epc
 
-(* Fires exactly once per boundary whose architectural instruction count
-   is a multiple of [period], no matter how many times that boundary is
-   consulted (quantum re-entry, post-reload retry). *)
-let intr_at_insns inj (cpu : Cpu.t) ~period =
-  let last = ref (-1) in
-  fun () ->
-    if cpu.Cpu.insns mod period = 0 && !last <> cpu.Cpu.insns then begin
-      last := cpu.Cpu.insns;
-      inj.Inject.aex <- inj.Inject.aex + 1;
-      true
-    end
-    else false
-
-(* The tiered and the reference loop in lockstep; only the tiered
-   machine's interrupts count into [inj] (the reference counts into a
-   throwaway plan), so the plan counts each boundary once. *)
+(* The tiered and the reference loop in lockstep. Each quantum end of
+   the tiered machine models a timer interrupt and counts into [inj];
+   the reference's are not counted, so the plan counts each once. *)
 let pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
   let pool =
     match mode with
@@ -962,16 +949,11 @@ let pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
         Some (Exec.evict prng pool ~pages:(Mem.size a.Exec.mem / Mem.page_size))
     | _ -> None
   in
-  let machine env tier inj =
-    let fires =
-      match mode with
-      | J_epc -> intr_at_insns inj env.Exec.cpu ~period
-      | J_plain | J_smc -> Inject.interrupt_every inj ~period
-    in
+  let machine env tier expired =
     {
       Exec.env;
       tier;
-      interrupt = Some { Exec.fires; round_trip = None };
+      quantum = Some { Exec.every = period; expired };
       pager =
         Option.map
           (fun pool ->
@@ -982,12 +964,14 @@ let pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
   let jit = Jit.create () in
   Exec.lockstep ~differ:Identical ~fuel ?perturb
     [
-      machine a (Exec.Tiered jit) inj;
-      machine b Exec.Reference (Inject.make ());
+      machine a (Exec.Tiered jit) (fun () -> inj.Inject.aex <- inj.Inject.aex + 1);
+      machine b (Exec.Reference None) ignore;
     ]
 
 let jit_case inj shrink rng case =
-  let period = 2 + Rng.int rng 6 in
+  (* up to a whole block ([Decode_cache.max_block_insns]), so units of
+     every length run fused *)
+  let period = 2 + Rng.int rng 63 in
   let fuel = 2000 + Rng.int rng 2000 in
   let mode =
     match case mod 4 with 0 -> J_smc | 1 -> J_epc | _ -> J_plain
@@ -1632,7 +1616,9 @@ let replay_items items =
           match contained (Inject.make ()) oelf ~period:1 ~fuel:20_000 with
           | Error v ->
               Error ("corpus program escaped: " ^ Exec.violation_to_string v)
-          | Ok _ -> (
+          | Ok Exec.Killed ->
+              Error "corpus program was killed at the gate's return check"
+          | Ok (Exec.Exited | Exec.Faulted _ | Exec.Out_of_fuel) -> (
               (* the elision pass must also handle every corpus entry:
                  classify, rewrite, and get re-accepted by the verifier *)
               match Elide.run ~sign:false oelf with
@@ -1691,9 +1677,13 @@ let features : (string * (Asm.item list -> bool)) list =
          compiles > 0 && env.Exec.cpu.Cpu.jit_hits > 0));
   ]
 
+(* contained, and never killed at the gate: a corpus program's syscalls
+   return where they came from *)
 let passes =
   verified (fun oelf _ ->
-      Result.is_ok (Exec.run_contained ~fuel:20_000 (Exec.make oelf)))
+      match Exec.run_contained ~fuel:20_000 (Exec.make oelf) with
+      | Ok (Exec.Exited | Exec.Faulted _ | Exec.Out_of_fuel) -> true
+      | Ok Exec.Killed | Error _ -> false)
 
 let emit_corpus ~dir ~seed =
   let master = Rng.of_seed seed in

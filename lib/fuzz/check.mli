@@ -39,14 +39,15 @@
       re-signed without re-verification.
     - {b jit-equivalence}: the tiered loop (every block compiled by
       the block JIT) and the reference loop produce bit-identical
-      architectural state, counters and memory at every stop, under
-      interrupt storms (counter-based schedules, so a fused
-      superinstruction that skipped a boundary consultation diverges
-      immediately), on RX and on RWX (fragile) code, under
-      self-modifying-code byte flips applied identically to both
-      machines (generation invalidation, deopt, rebuild), and under EPC
-      pressure with driver-forced evictions reloaded transparently
-      through ELDU.
+      architectural state, counters and memory at every stop. Both run
+      in fuel quanta of 2-64 instructions, the way the LibOS preempts,
+      so whole units run the fused code the LibOS runs and a quantum
+      ending mid-unit runs the decoded tail; each tiered quantum end
+      counts as one injected AEX. This holds on RX and on RWX (fragile)
+      code, under self-modifying-code byte flips applied identically to
+      both machines (generation invalidation, deopt, rebuild), and
+      under EPC pressure with driver-forced evictions reloaded
+      transparently through ELDU.
     - {b cluster-orderliness}: the {!Occlum_cluster.Lifecycle}
       orderliness checker bisimulates an independently-stated shadow
       model of the cluster protocol — random legal interleavings are
@@ -78,8 +79,9 @@ type property =
           and accepted ones are never re-signed unverified *)
   | Jit_equivalence
       (** the tiered and reference loops are bit-equivalent at
-          every stop under interrupt storms, identical self-modifying
-          byte flips, and EPC pressure with transparent reloads *)
+          every stop, run in fuel quanta, under identical
+          self-modifying byte flips, and under EPC pressure with
+          transparent reloads *)
   | Cluster_orderliness
       (** the cluster lifecycle checker accepts every legal
           interleaving and rejects every hostile mutation (zero false

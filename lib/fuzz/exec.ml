@@ -26,6 +26,7 @@ type env = {
   enclave : Enclave.t;
   mem : Mem.t;
   cpu : Cpu.t;
+  img : Loader.image;
   code_base : int;
   code_region : int;
   d_base : int;
@@ -63,7 +64,7 @@ let make ?epc ?(code_perm = Mem.perm_rwx) (oelf : Occlum_oelf.Oelf.t) =
   Loader.init_cpu b.img cpu;
   let code_snapshot = Mem.read_bytes_priv mem ~addr:code_base ~len:code_region in
   {
-    enclave; mem; cpu; code_base; code_region; d_base; d_size;
+    enclave; mem; cpu; img = b.img; code_base; code_region; d_base; d_size;
     victim_base; victim_size; code_snapshot;
   }
 
@@ -86,9 +87,11 @@ let audit env =
 
 (* --- the lockstep engine ----------------------------------------------- *)
 
-type tier = Reference | Tiered of Jit.t
+type interrupt = { fires : unit -> bool; round_trip : env -> unit }
 
-type interrupt = { fires : unit -> bool; round_trip : (env -> unit) option }
+type tier = Reference of interrupt option | Tiered of Jit.t
+
+type quantum = { every : int; expired : unit -> unit }
 
 type pager = {
   reload : env -> page:int -> unit;
@@ -99,17 +102,18 @@ type pager = {
 type machine = {
   env : env;
   tier : tier;
-  interrupt : interrupt option;
+  quantum : quantum option;
   pager : pager option;
 }
 
-let machine env = { env; tier = Reference; interrupt = None; pager = None }
+let machine env = { env; tier = Reference None; quantum = None; pager = None }
 
 type difference = Identical | Paging | Layout
 
 type sync =
   | S_syscall of int
   | S_exit
+  | S_kill
   | S_fault of Fault.t
   | S_preempt
   | S_fuel
@@ -117,6 +121,7 @@ type sync =
 let sync_to_string = function
   | S_syscall n -> Printf.sprintf "syscall %d" n
   | S_exit -> "exit"
+  | S_kill -> "kill"
   | S_fault f -> "fault " ^ Fault.to_string f
   | S_preempt -> "preemption"
   | S_fuel -> "out of fuel"
@@ -230,17 +235,7 @@ let spent r =
   | Some { retry_spends_fuel = true; _ } -> r.m.env.cpu.Cpu.insns - r.insns0
   | _ -> retired r
 
-let hook m =
-  Option.map
-    (fun i () ->
-      i.fires ()
-      &&
-      match i.round_trip with
-      | None -> true
-      | Some rt ->
-          checked rt m.env;
-          false)
-    m.interrupt
+let hook env i () = if i.fires () then checked i.round_trip env
 
 (* Run one machine to its next sync point. An [Epc_miss] is a pager
    event, not a sync point: reload and re-enter at the same boundary. *)
@@ -248,11 +243,19 @@ let rec advance ~fuel r =
   let rem = fuel - spent r in
   if rem <= 0 then S_fuel
   else begin
-    let { env; tier; pager; _ } = r.m in
+    let { env; tier; quantum; pager } = r.m in
     let cpu = env.cpu in
-    let jit = match tier with Reference -> None | Tiered j -> Some j in
+    let rem =
+      match quantum with
+      | Some q -> min rem (q.every - (spent r mod q.every))
+      | None -> rem
+    in
     match
-      Interp.run ?jit ?interrupt:(hook r.m) env.mem cpu ~fuel:rem
+      match tier with
+      | Tiered jit -> Interp.run ~jit env.mem cpu ~fuel:rem
+      | Reference i ->
+          Interp.run_reference ?interrupt:(Option.map (hook env) i) env.mem cpu
+            ~fuel:rem
     with
     | Interp.Stop_fault (Fault.Epc_miss { addr; access }) when pager <> None ->
         let p = Option.get pager in
@@ -273,9 +276,19 @@ let rec advance ~fuel r =
         let nr =
           Int64.to_int (Cpu.get cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr))
         in
-        if nr = Occlum_abi.Abi.Sys.exit then S_exit else S_syscall nr
+        if nr = Occlum_abi.Abi.Sys.exit then S_exit
+        else if
+          cpu.Cpu.pc - 1 = env.img.Loader.main_gate
+          && not (Loader.return_target_ok env.mem env.img cpu)
+        then S_kill
+        else S_syscall nr
     | Interp.Stop_fault f -> S_fault f
-    | Interp.Stop_quantum -> if spent r >= fuel then S_fuel else S_preempt
+    | Interp.Stop_quantum ->
+        if spent r >= fuel then S_fuel
+        else begin
+          Option.iter (fun q -> q.expired ()) quantum;
+          S_preempt
+        end
   end
 
 (* The comparator. Machines on different code layouts stop at different
@@ -287,10 +300,10 @@ let rec advance ~fuel r =
    at the final stop. *)
 let compare_at ~differ sync r0 r =
   let layout_free =
-    match sync with S_syscall _ | S_exit -> true | _ -> false
+    match sync with S_syscall _ | S_exit | S_kill -> true | _ -> false
   in
   let final =
-    match sync with S_exit | S_fault _ | S_fuel -> true | _ -> false
+    match sync with S_exit | S_kill | S_fault _ | S_fuel -> true | _ -> false
   in
   if differ <> Layout && spent r0 <> spent r then
     diverged "%d vs %d instructions" (spent r0) (spent r);
@@ -326,7 +339,7 @@ let lockstep ~differ ~fuel ?perturb machines =
             diverged "at %s, machine 0 vs %d: %s" (sync_to_string s0) (i + 1) d)
         (List.tl (List.combine runs syncs));
       match s0 with
-      | S_exit | S_fault _ | S_fuel -> s0
+      | S_exit | S_kill | S_fault _ | S_fuel -> s0
       | S_syscall _ | S_preempt ->
           if s0 <> S_preempt then
             List.iter (fun r -> Cpu.set r.m.env.cpu R.result 0L) runs;
@@ -342,7 +355,7 @@ let lockstep ~differ ~fuel ?perturb machines =
 
 (* --- containment ------------------------------------------------------- *)
 
-type outcome = Exited | Faulted of Fault.t | Out_of_fuel
+type outcome = Exited | Killed | Faulted of Fault.t | Out_of_fuel
 
 exception Violation of violation
 
@@ -364,14 +377,13 @@ let run_contained ?(fuel = 20_000) ?interrupt
     incr steps;
     match interrupt with Some i -> i () | None -> false
   in
-  let interrupt = Some { fires; round_trip = Some on_interrupt } in
+  let tier = Reference (Some { fires; round_trip = on_interrupt }) in
   try
     let outcome =
-      match
-        lockstep ~differ:Identical ~fuel [ { (machine env) with interrupt } ]
-      with
+      match lockstep ~differ:Identical ~fuel [ { (machine env) with tier } ] with
       | Error d -> raise (Violation (Resume_diverged d))
       | Ok S_exit -> Exited
+      | Ok S_kill -> Killed
       | Ok (S_fault f) -> Faulted f
       | Ok _ ->
           check ();

@@ -29,6 +29,7 @@ type env = {
   enclave : Occlum_sgx.Enclave.t;
   mem : Mem.t;
   cpu : Cpu.t;
+  img : Occlum_libos.Loader.image;  (** the loader's gates, bounds and label *)
   code_base : int;
   code_region : int;
   d_base : int;
@@ -56,16 +57,23 @@ val audit : env -> violation option
     N machines run side by side from sync point to sync point; at each,
     one comparator checks every machine against the first. *)
 
-(** Both tiers run through {!Interp.run}: [Reference] is its reference
-    loop, [Tiered] its tiered loop (every block compiled by the block
-    JIT at its first execution). *)
-type tier = Reference | Tiered of Jit.t
-
 (** An interrupt schedule, consulted once per boundary. On a firing,
-    [round_trip = None] preempts ([Stop_quantum], a sync point);
-    [Some rt] runs [rt] (an AEX round trip) before the instruction, and
-    it must restore the architectural state bit-identically. *)
-type interrupt = { fires : unit -> bool; round_trip : (env -> unit) option }
+    [round_trip] (an AEX round trip) runs before the instruction, and it
+    must restore the architectural state bit-identically. An interrupt
+    never preempts; quanta do. *)
+type interrupt = { fires : unit -> bool; round_trip : env -> unit }
+
+(** [Reference] runs the reference loop, under an interrupt schedule if
+    one is given ({!Interp.run_reference}); [Tiered] runs the tiered
+    loop (every block compiled by the block JIT at its first
+    execution), which, as under the LibOS, only fuel preempts. *)
+type tier = Reference of interrupt option | Tiered of Jit.t
+
+(** Fuel quanta, as [Os.epoch] preempts: the machine stops
+    ([S_preempt], then [expired ()]) each time its spent instructions
+    reach a multiple of [every], so a retried EPC access does not move
+    the boundary. *)
+type quantum = { every : int; expired : unit -> unit }
 
 (** What a machine does on [Epc_miss] (not a sync point): the checked
     round trip [aex], then [reload] the page, then retry. The retried
@@ -82,12 +90,12 @@ type pager = {
 type machine = {
   env : env;
   tier : tier;
-  interrupt : interrupt option;
+  quantum : quantum option;
   pager : pager option;
 }
 
 val machine : env -> machine
-(** Reference tier, no interrupt schedule, no pager. *)
+(** Reference tier, no interrupt schedule, no quantum, no pager. *)
 
 (** What the machines legitimately differ in, which configures the
     comparator. [Identical]: every sync point compares pc, flags,
@@ -103,6 +111,7 @@ type difference = Identical | Paging | Layout
 type sync =
   | S_syscall of int  (** a non-exit syscall, then answered with 0 *)
   | S_exit
+  | S_kill  (** a main-gate syscall failed the LibOS's return-target check *)
   | S_fault of Fault.t
   | S_preempt
   | S_fuel
@@ -135,6 +144,7 @@ val evict : Rng.t -> Occlum_sgx.Epc.t -> pages:int -> unit -> env -> unit
 
 type outcome =
   | Exited          (** the program issued an exit syscall *)
+  | Killed  (** killed at the gate's return-target check, as by [Os] *)
   | Faulted of Fault.t  (** a contained stop: the policy held *)
   | Out_of_fuel
 
@@ -147,7 +157,8 @@ val run_contained :
 (** Run one reference-tier machine on the engine, asserting pc
     containment after every instruction, auditing the victim
     periodically and {!audit}ing at the end; non-exit syscalls return 0
-    through the trampoline. [interrupt] is consulted once per boundary;
+    through the trampoline, once their return target passes the LibOS's
+    check. [interrupt] is consulted once per boundary;
     when it fires, [on_interrupt] (default: an
     {!Occlum_sgx.Enclave.aex}/[resume] round trip) runs before the
     instruction executes and must leave the CPU as it found it

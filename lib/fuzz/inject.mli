@@ -1,5 +1,6 @@
 (** Deterministic fault-injection plans, threaded into the production
-    seams: interrupt hooks in {!Occlum_machine.Interp.run} (forced AEX),
+    seams: interrupt hooks in {!Occlum_machine.Interp.run_reference}
+    (forced AEX),
     the {!Occlum_sgx.Epc} allocation hook (EPC exhaustion at the k-th
     allocation), the {!Occlum_libos.Sefs}/{!Occlum_libos.Net} I/O
     hooks (transient errors, short transfers), and the
@@ -22,9 +23,9 @@ val interrupt_every : t -> period:int -> unit -> bool
     boundary ([period = 1] is the interrupt storm: an AEX at {e every}
     boundary). Schedules are pure counters, so two instances with the
     same period fire at identical boundaries — the contract the
-    tiered-vs-reference equivalence property depends on. A differential
-    twin counts into a throwaway plan, so a plan counts each boundary
-    once. *)
+    twinned runs of the guard-elision property depend on. A
+    differential twin counts into a throwaway plan, so a plan counts
+    each boundary once. *)
 
 val arm_epc : t -> at:int -> unit
 (** Make the [at]-th EPC allocation (1-based, platform-wide) raise

@@ -170,6 +170,23 @@ let load ?dynamic mem (slot : Domain_mgr.slot) (checked : checked) ~args =
   Mem.write_bytes_priv mem ~addr:d_base b.data;
   b.img
 
+(* Paper §6: before the main gate returns to the SIP, the LibOS checks
+   that the return address on the SIP's stack lies in its data region
+   and names a cfi_label of the SIP's own domain. The gate pops that
+   address and jumps to it with no cfi_guard of its own, so this check
+   is what keeps a verified binary from reaching an arbitrary address
+   through the gate. *)
+let return_target_ok mem (img : image) (cpu : Cpu.t) =
+  let sp = Int64.to_int (Cpu.get cpu Reg.sp) in
+  sp >= Int64.to_int img.bnd0.lower
+  && sp + 7 <= Int64.to_int img.bnd0.upper
+  &&
+  let ret = Int64.to_int (Mem.read_u64_priv mem sp) in
+  let c0 = Domain_mgr.c_base img.slot in
+  ret >= c0
+  && ret + 8 <= c0 + img.slot.code_size
+  && Int64.equal (Mem.read_u64_priv mem ret) img.label_value
+
 (* Apply the image to a CPU about to run the SIP's initial thread. *)
 let init_cpu (img : image) (cpu : Cpu.t) =
   Bytes.fill cpu.regs 0 (Bytes.length cpu.regs) '\x00';

@@ -69,5 +69,13 @@ val load :
     {!build}'s code and data into the slot.
     @raise Load_error on an oversized binary. *)
 
+val return_target_ok :
+  Occlum_machine.Mem.t -> image -> Occlum_machine.Cpu.t -> bool
+(** The check the LibOS makes before the main gate returns to the SIP
+    (paper §6): the return address at the SIP's stack pointer lies in
+    its data region and names one of this domain's cfi_labels. The gate
+    itself pops and jumps unguarded, so a failed check must kill the
+    SIP; the LibOS and the fuzz harness both do. *)
+
 val init_cpu : image -> Occlum_machine.Cpu.t -> unit
 (** Set pc/sp/base registers/bounds for the SIP's first thread. *)

@@ -1644,15 +1644,7 @@ let dispatch_traced ?(charge = true) t (p : proc) : sysret =
 
 (* Paper §6: before returning to the SIP, the LibOS ensures the return
    target is a cfi_label of the SIP's own domain. *)
-let return_target_ok t p =
-  let sp = Int64.to_int (Cpu.get p.cpu Reg.sp) in
-  if not (user_ok p sp 8) then false
-  else
-    let ret = Int64.to_int (Mem.read_u64_priv t.mem sp) in
-    let c0 = Domain_mgr.c_base p.img.slot in
-    ret >= c0
-    && ret + 8 <= c0 + p.img.slot.code_size
-    && Int64.equal (Mem.read_u64_priv t.mem ret) p.img.label_value
+let return_target_ok t p = Loader.return_target_ok t.mem p.img p.cpu
 
 (* --- the scheduler ----------------------------------------------------------- *)
 

@@ -4,8 +4,8 @@
    the LibOS) or quantum expiry (→ preemption).
 
    Two run loops:
-   - [run_step], the reference, fetches and decodes at pc on every
-     instruction through [step] and [exec_decoded];
+   - [run_reference] fetches and decodes at pc on every instruction
+     through [step] and [exec_decoded];
    - [run_tiered] runs every basic block as [Jit]-compiled closure
      chains, translating a block the first time it is entered, and
      falls back to [step] only where no block can be built. It must be
@@ -300,21 +300,22 @@ let step mem cpu : stop option =
       | exception Fault.Fault f -> Some (Stop_fault f)
       | () -> exec_decoded mem cpu insn ~pc ~len)
 
-let never () = false
-
 (* The reference loop: one [step] per instruction. Tests and fuzz
-   properties compare the tiered loop against it. With [hooked], the
-   interrupt hook is consulted exactly once per instruction boundary,
-   after the fuel check and before the fetch; firing preempts the SIP
-   exactly as quantum expiry would (an injected timer interrupt -> AEX). *)
-let run_step ~hooked ~intr mem cpu ~fuel =
+   properties compare the tiered loop against it. With [interrupt], the
+   hook runs exactly once per instruction boundary, after the fuel check
+   and before the fetch (an injected interrupt taken there). *)
+let run_reference ?interrupt mem cpu ~fuel =
+  let hooked, intr =
+    match interrupt with Some i -> (true, i) | None -> (false, ignore)
+  in
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
-    else if hooked && intr () then Stop_quantum
-    else
+    else begin
+      if hooked then intr ();
       match step mem cpu with
       | Some stop -> stop
       | None -> loop (fuel - 1)
+    end
   in
   loop fuel
 
@@ -322,32 +323,20 @@ let run_step ~hooked ~intr mem cpu ~fuel =
    [Jit]'s code cache → on a miss or a stale hit, translate the block
    now → [step] fallback where no block can be built.
 
-   It keeps the reference loop's observable behaviour. Each instruction
-   boundary is consulted in one order: fuel check, then fragile
-   revalidation, then the hook (when [hooked]), then fetch or replay.
-   So [Stop_quantum] and injected interrupts land on the same boundary
-   as in [run_step], and the hook is consulted exactly once per executed
-   boundary:
+   It keeps the reference loop's observable behaviour (interp.mli
+   states the contract):
    - Executable-span checks are elided for compiled instructions: block
      validity (unchanged page generations) implies the span still
      decodes and is still executable, exactly as at build time.
    - Fragile blocks (on writable+executable pages: all LibOS SIP code)
      are revalidated at the boundary after each writing unit — within a
-     block, only a memory write can move a page generation — so a
-     self-modifying store deopts and takes effect on the very next
-     fetch. A refetch is not a new boundary: the hook is consulted once
-     the instruction is actually about to execute.
-   - A compiled block's exit follows its link to the successor a lookup
-     found last time, when the link is still exactly what the lookup
-     would return; the JIT counters and trace events are the same.
-   - A compiled unit runs its check-free [fast] variant only when no hook
-     is armed and the remaining fuel covers the whole unit; otherwise its
-     [safe] variant checks fuel and the hook at every internal boundary,
-     so superinstruction fusion never skips one.
-   - A fault inside a compiled unit deopts to the interpreter's fault
-     path: the closure charged and parked state exactly as
-     [exec_decoded] would have at the faulting instruction, so the AEX
-     capture is bit-identical.
+     block, only a memory write can move a page generation.
+   - A compiled unit runs only when the remaining fuel covers all of it;
+     otherwise [tail] replays its decoded instructions up to the
+     boundary where the fuel ends.
+   - A fault inside a compiled unit or its tail deopts: the closure
+     charged and parked state exactly as [exec_decoded] would have at
+     the faulting instruction, so the AEX capture is bit-identical.
 
    Observability: JIT events are emitted per block lookup when the [Jit]
    trace class is on; with tracing disabled the cost is one flag test.
@@ -355,7 +344,7 @@ let run_step ~hooked ~intr mem cpu ~fuel =
    retired so far (the 3 cycles/ns conversion the LibOS clock uses), so
    they interleave correctly with the syscall/quantum events of the
    surrounding trace. *)
-let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
+let run_tiered jit obs mem cpu ~fuel =
   let c0 = cpu.Cpu.cycles in
   let base_ns = obs.Obs.now () in
   (* [mk] is a closed constructor: nothing is allocated while [on] is off *)
@@ -364,6 +353,10 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
       Obs.emit_at obs
         ~ts:(Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)))
         (mk cpu.Cpu.pc)
+  in
+  let deopt () =
+    cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
+    trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc })
   in
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
@@ -390,16 +383,14 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
     | None -> (
         (* nothing decodable/executable at pc: the reference step
            raises the fault with identical address and reason *)
-        if hooked && intr () then Stop_quantum
-        else
-          match step mem cpu with
-          | Some stop -> stop
-          | None -> loop (fuel - 1))
+        match step mem cpu with
+        | Some stop -> stop
+        | None -> loop (fuel - 1))
   (* a member of this recursive group rather than a local closure, so
      entering a block allocates nothing *)
   and exec_compiled (c : Jit.compiled) u fuel =
     if fuel <= 0 then Stop_quantum
-    else if u >= Array.length c.Jit.units_fast then
+    else if u >= Array.length c.Jit.units then
       (* a block that branches back to its own entry (the hot-loop
          shape) re-enters without the table lookup; validity is
          re-checked so a store from the block still invalidates it.
@@ -421,30 +412,46 @@ let run_tiered jit obs ~hooked ~intr mem cpu ~fuel =
     then begin
       (* self-modifying code: deopt; the lookup finds the block stale
          and translates the rewritten bytes *)
-      cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-      trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
+      deopt ();
       loop fuel
     end
-    else if hooked && intr () then Stop_quantum
     else
       let k = c.Jit.unit_insns.(u) in
-      match
-        if (not hooked) && fuel >= k then c.Jit.units_fast.(u) mem cpu
-        else c.Jit.units_safe.(u) mem cpu fuel intr
-      with
-      | Jit.U_fall -> exec_compiled c (u + 1) (fuel - k)
-      | Jit.U_stop s -> s
-      | exception Fault.Fault f ->
-          cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-          trace obs.Obs.t_jit (fun pc -> Trace.Jit_deopt { pc });
-          Stop_fault f
+      if fuel < k then tail c u fuel
+      else
+        match c.Jit.units.(u) mem cpu with
+        | Jit.U_fall -> exec_compiled c (u + 1) (fuel - k)
+        | Jit.U_stop s -> s
+        | exception Fault.Fault f ->
+            deopt ();
+            Stop_fault f
+  (* The fuel ends inside unit [u]: replay its decoded instructions, one
+     fuel check per boundary. The tail stops short of the unit's last
+     instruction, the only one of a fragile unit that may write, so it
+     needs no revalidation. *)
+  and tail (c : Jit.compiled) u fuel =
+    let i = ref 0 in
+    for v = 0 to u - 1 do
+      i := !i + c.Jit.unit_insns.(v)
+    done;
+    let rec go i fuel =
+      if fuel <= 0 then Stop_quantum
+      else
+        let insn, len = c.Jit.src.Decode_cache.insns.(i) in
+        match exec_decoded mem cpu insn ~pc:cpu.Cpu.pc ~len with
+        | None -> go (i + 1) (fuel - 1)
+        (* a privileged stub stops without leaving compiled code *)
+        | Some (Stop_fault (Fault.Privileged _) as s) -> s
+        | Some (Stop_fault _ as s) ->
+            deopt ();
+            s
+        | Some s -> s
+    in
+    go !i fuel
   in
   loop fuel
 
-let run ?jit ?(obs = Obs.disabled) ?interrupt mem cpu ~fuel =
-  let hooked, intr =
-    match interrupt with Some i -> (true, i) | None -> (false, never)
-  in
+let run ?jit ?(obs = Obs.disabled) mem cpu ~fuel =
   match jit with
-  | Some jit -> run_tiered jit obs ~hooked ~intr mem cpu ~fuel
-  | None -> run_step ~hooked ~intr mem cpu ~fuel
+  | Some jit -> run_tiered jit obs mem cpu ~fuel
+  | None -> run_reference mem cpu ~fuel

@@ -13,13 +13,7 @@ val step : Mem.t -> Cpu.t -> stop option
     interpreter. *)
 
 val run :
-  ?jit:Jit.t ->
-  ?obs:Occlum_obs.Obs.t ->
-  ?interrupt:(unit -> bool) ->
-  Mem.t ->
-  Cpu.t ->
-  fuel:int ->
-  stop
+  ?jit:Jit.t -> ?obs:Occlum_obs.Obs.t -> Mem.t -> Cpu.t -> fuel:int -> stop
 (** Run until a stop condition or [fuel] executed instructions.
 
     Two loops implement this. Without [?jit], the reference loop runs
@@ -39,23 +33,28 @@ val run :
     #8 (jit-equivalence) checks this. Every instruction boundary is
     consulted in one order: fuel check, then revalidation of a block on
     writable+executable pages (only at the boundary after a memory
-    write), then the interrupt hook, then fetch or replay. A fault
-    inside compiled code deopts to the interpreter's fault path, and
-    writes to a JIT'd page invalidate its blocks through per-page
-    generations. JIT compile/hit/invalidation/deopt totals accumulate
-    into the {!Cpu.t} stats fields.
+    write), then fetch or replay. A compiled unit runs only when the
+    remaining fuel covers all of it; when the fuel ends inside a unit,
+    the loop replays that unit's decoded instructions through the
+    reference semantics up to the last boundary the fuel reaches. Fuel
+    is therefore the only way to preempt the tiered loop, and it stops
+    on the same boundary as the reference. A fault inside compiled code
+    deopts to the interpreter's fault path, and writes to a JIT'd page
+    invalidate its blocks through per-page generations. JIT
+    compile/hit/invalidation/deopt totals accumulate into the {!Cpu.t}
+    stats fields.
 
     With [?obs] (default {!Occlum_obs.Obs.disabled}), JIT trace events
     are emitted per block lookup when the [Jit] class is enabled.
     Observability never alters architectural state, counters or cycle
-    charges.
+    charges. *)
 
-    With [?interrupt], the hook is consulted exactly once per executed
-    instruction boundary, in the order above, in both loops, so a
-    deterministic counter-based schedule fires at identical boundaries
-    either way. Returning [true] preempts the run with
-    [Stop_quantum] and the pc parked on the boundary, modelling a
-    hardware interrupt (the AEX cause); the fault-injection harness uses
-    this to force AEX storms. Without [?interrupt] no hook is called,
-    and compiled units run their check-free fast variant whenever the
-    remaining fuel covers them. *)
+val run_reference :
+  ?interrupt:(unit -> unit) -> Mem.t -> Cpu.t -> fuel:int -> stop
+(** The reference loop ([run] without [?jit]). With [?interrupt], the
+    hook runs exactly once per executed instruction boundary, after the
+    fuel check and before the fetch, modelling a hardware interrupt
+    taken there; the fault-injection harness makes it an AEX round trip
+    to force AEX storms. Only the reference loop takes a hook, and no
+    hook preempts: in both loops, fuel is the only way to stop a run
+    early. *)

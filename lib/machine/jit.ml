@@ -15,12 +15,12 @@
    Equivalence contract (checked by fuzz property #8 and test_jit):
    every closure replicates [Interp.exec_decoded]'s architectural
    effects exactly — the same counter charges in the same order, the
-   same fault payloads and fault-atomicity, the same pc parking. Two
-   closure variants exist per unit: [fast] (no internal checks; run only
-   when the remaining fuel covers the whole unit and no interrupt hook
-   is armed) and [safe] (re-checks fuel and consults the interrupt hook
-   at every internal instruction boundary, preserving the interpreter's
-   exactly-once-per-boundary AEX contract).
+   same fault payloads and fault-atomicity, the same pc parking. Each
+   unit has one compiled form, with no internal fuel check: the
+   interpreter runs it only when the remaining fuel covers the whole
+   unit, and otherwise replays the unit's decoded instructions (the
+   block's [src.insns]) through [Interp.exec_decoded], so a quantum
+   ends on the same boundary as in the reference loop.
 
    Invalidation: a compiled block keeps its source block's
    page-generation snapshot and is dropped when a lookup finds the
@@ -52,18 +52,13 @@ type stop =
 type ustat = U_fall | U_stop of stop
 
 type body = Mem.t -> Cpu.t -> ustat
-(* one translated instruction: charge, execute, park pc; faults raise *)
-
-type unit_fn = Mem.t -> Cpu.t -> int -> (unit -> bool) -> ustat
-(* a unit with internal boundary checks: fuel remaining before the
-   unit's first instruction, and the interrupt hook to consult at each
-   internal boundary *)
+(* one translated instruction or a whole unit: charge, execute, park
+   pc; faults raise *)
 
 type compiled = {
   entry : int;
   src : Decode_cache.block; (* carries the generation snapshot *)
-  units_fast : body array;
-  units_safe : unit_fn array;
+  units : body array;
   unit_insns : int array; (* original instructions per unit *)
   revalidate : bool array;
       (* per unit: the block is fragile and the previous unit wrote
@@ -553,82 +548,32 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
 
 (* ---- superinstructions ---- *)
 
-(* Straight-line chains: the fast variant runs the bodies back to back;
-   the safe variant re-checks fuel and consults the interrupt hook at
-   each internal boundary, exactly where the cached interpreter would.
-   Before body j (0-based) the remaining fuel is [fuel - j]. *)
+(* Straight-line chains: the bodies back to back, stopping at the
+   first that stops. Each returns a closure built once its bodies are
+   known, so running a unit is one two-argument call, not a partial
+   application. *)
+let chain2 b0 b1 : body =
+  let f mem cpu = match b0 mem cpu with U_fall -> b1 mem cpu | s -> s in
+  f
 
-let single (b0 : body) : body * unit_fn =
-  (b0, fun mem cpu _ _ -> b0 mem cpu)
-
-let chain2 b0 b1 : body * unit_fn =
-  let fast mem cpu =
-    match b0 mem cpu with U_fall -> b1 mem cpu | s -> s
-  in
-  let safe mem cpu fuel intr =
+let chain3 b0 b1 b2 : body =
+  let f mem cpu =
     match b0 mem cpu with
-    | U_fall ->
-        if fuel <= 1 then U_stop Stop_quantum
-        else if intr () then U_stop Stop_quantum
-        else b1 mem cpu
+    | U_fall -> ( match b1 mem cpu with U_fall -> b2 mem cpu | s -> s)
     | s -> s
   in
-  (fast, safe)
+  f
 
-let chain3 b0 b1 b2 : body * unit_fn =
-  let fast mem cpu =
-    match b0 mem cpu with
-    | U_fall -> (
-        match b1 mem cpu with U_fall -> b2 mem cpu | s -> s)
-    | s -> s
-  in
-  let safe mem cpu fuel intr =
-    match b0 mem cpu with
-    | U_fall ->
-        if fuel <= 1 then U_stop Stop_quantum
-        else if intr () then U_stop Stop_quantum
-        else (
-          match b1 mem cpu with
-          | U_fall ->
-              if fuel <= 2 then U_stop Stop_quantum
-              else if intr () then U_stop Stop_quantum
-              else b2 mem cpu
-          | s -> s)
-    | s -> s
-  in
-  (fast, safe)
-
-let chain4 b0 b1 b2 b3 : body * unit_fn =
-  let fast mem cpu =
+let chain4 b0 b1 b2 b3 : body =
+  let f mem cpu =
     match b0 mem cpu with
     | U_fall -> (
         match b1 mem cpu with
-        | U_fall -> (
-            match b2 mem cpu with U_fall -> b3 mem cpu | s -> s)
+        | U_fall -> ( match b2 mem cpu with U_fall -> b3 mem cpu | s -> s)
         | s -> s)
     | s -> s
   in
-  let safe mem cpu fuel intr =
-    match b0 mem cpu with
-    | U_fall ->
-        if fuel <= 1 then U_stop Stop_quantum
-        else if intr () then U_stop Stop_quantum
-        else (
-          match b1 mem cpu with
-          | U_fall ->
-              if fuel <= 2 then U_stop Stop_quantum
-              else if intr () then U_stop Stop_quantum
-              else (
-                match b2 mem cpu with
-                | U_fall ->
-                    if fuel <= 3 then U_stop Stop_quantum
-                    else if intr () then U_stop Stop_quantum
-                    else b3 mem cpu
-                | s -> s)
-          | s -> s)
-    | s -> s
-  in
-  (fast, safe)
+  f
 
 (* guard+memory superinstruction: a bndcl/bndcu over a Sib/Abs operand
    followed by a load/store/guard with the structurally identical
@@ -641,7 +586,7 @@ type second =
   | S_guard of bool * Reg.bnd (* lower?, register *)
 
 let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
-    ~cost2 : body * unit_fn =
+    ~cost2 : body =
   let pc2 = pc1 + len1 in
   let end2 = pc2 + len2 in
   let bi1 = Reg.bnd_to_int b1 in
@@ -692,26 +637,16 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
           cpu.Cpu.pc <- end2;
           U_fall
   in
-  let fast mem cpu =
+  fun mem cpu ->
     let a = part1 cpu in
     part2 mem cpu a
-  in
-  let safe mem cpu fuel intr =
-    let a = part1 cpu in
-    if fuel <= 1 then U_stop Stop_quantum
-    else if intr () then U_stop Stop_quantum
-    else part2 mem cpu a
-  in
-  (fast, safe)
 
 (* ---- pure-register superinstructions ---- *)
 
-(* A maximal run of cores compiles into one fast unit that charges
+(* A maximal run of cores compiles into one unit that charges
    [insns]/[cycles] in bulk and executes the cores back to back — legal
-   because the fast variant only runs when the remaining fuel covers the
-   whole unit and no interrupt hook is armed, so there is no observation
-   point inside the run. The safe variant is built from the ordinary
-   per-instruction bodies. *)
+   because a unit only runs when the remaining fuel covers all of it, so
+   there is no observation point inside the run. *)
 
 (* A direct branch as the run's tail: it only sets pc, so fusing it
    (cmp+branch is the classic pair) costs nothing extra. *)
@@ -775,31 +710,13 @@ let rec seq_cores = function
         f cpu;
         g cpu
 
-(* Generic safe chain over per-instruction bodies: before body j (j >= 1)
-   the remaining fuel is [fuel - j]; check order matches chainN. *)
-let safe_of_bodies (bs : body array) : unit_fn =
-  let n = Array.length bs in
-  fun mem cpu fuel intr ->
-    let rec go j =
-      if j > 0 && fuel <= j then U_stop Stop_quantum
-      else if j > 0 && intr () then U_stop Stop_quantum
-      else
-        match bs.(j) mem cpu with
-        | U_fall -> if j + 1 < n then go (j + 1) else U_fall
-        | s -> s
-    in
-    go 0
-
-let pure_unit ~(cores : (Cpu.t -> unit) list) ~(bodies : body array) ~k
-    ~total_cost : body * unit_fn =
+let pure_unit ~(cores : (Cpu.t -> unit) list) ~k ~total_cost : body =
   let ops = seq_cores cores in
-  let fast _ cpu =
+  fun _ cpu ->
     cpu.Cpu.insns <- cpu.Cpu.insns + k;
     cpu.Cpu.cycles <- cpu.Cpu.cycles + total_cost;
     ops cpu;
     U_fall
-  in
-  (fast, safe_of_bodies bodies)
 
 (* ---- block compilation ---- *)
 
@@ -841,8 +758,8 @@ let compile (b : Decode_cache.block) : compiled =
     | _ -> false
   in
   let units = ref [] in
-  (* (fast, safe, insns) in reverse order *)
-  let emit fs k = units := (fs, k) :: !units in
+  (* (unit, insns) in reverse order *)
+  let emit u k = units := (u, k) :: !units in
   let body i =
     let insn, len = b.insns.(i) in
     compile_body insn ~pc:pcs.(i) ~len
@@ -910,8 +827,7 @@ let compile (b : Decode_cache.block) : compiled =
         for j = !i to !i + kk - 1 do
           total_cost := !total_cost + Cost.of_insn (fst b.insns.(j))
         done;
-        let bodies = Array.init kk (fun j -> body (!i + j)) in
-        emit (pure_unit ~cores ~bodies ~k:kk ~total_cost:!total_cost) kk;
+        emit (pure_unit ~cores ~k:kk ~total_cost:!total_cost) kk;
         i := !i + kk
       end
       else begin
@@ -929,7 +845,7 @@ let compile (b : Decode_cache.block) : compiled =
           incr k
         done;
         (match !k with
-        | 1 -> emit (single (body !i)) 1
+        | 1 -> emit (body !i) 1
         | 2 -> emit (chain2 (body !i) (body (!i + 1))) 2
         | 3 -> emit (chain3 (body !i) (body (!i + 1)) (body (!i + 2))) 3
         | _ ->
@@ -957,8 +873,7 @@ let compile (b : Decode_cache.block) : compiled =
     {
       entry = b.entry;
       src = b;
-      units_fast = Array.of_list (List.map (fun ((f, _), _) -> f) us);
-      units_safe = Array.of_list (List.map (fun ((_, s), _) -> s) us);
+      units = Array.of_list (List.map fst us);
       unit_insns;
       revalidate;
       writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;

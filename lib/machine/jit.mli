@@ -6,10 +6,10 @@
     instructions per unit — and replayed by {!Interp.run} when [?jit] is
     passed.
 
-    Every unit exists in two variants: [fast] (no internal checks; used
-    only when the remaining fuel covers the whole unit and no interrupt
-    hook is armed) and [safe] (re-checks fuel and consults the interrupt
-    hook at every internal instruction boundary). Compiled blocks keep
+    Every unit has one compiled form with no internal checks. The
+    interpreter runs it only when the remaining fuel covers the whole
+    unit; otherwise it replays the unit's decoded instructions from
+    [src] up to the boundary where the fuel ends. Compiled blocks keep
     the source block's page-generation snapshot for invalidation. Blocks
     on writable+executable pages (every LibOS SIP block: SGX1 code pages
     are RWX) get the same fusion, but each unit ends at its first
@@ -28,19 +28,15 @@ type stop =
 type ustat = U_fall | U_stop of stop
 
 type body = Mem.t -> Cpu.t -> ustat
-(** One translated instruction (or a fast whole unit): charges counters,
+(** One translated instruction or a whole unit: charges counters,
     executes, parks pc. Faults raise {!Fault.Fault}. *)
-
-type unit_fn = Mem.t -> Cpu.t -> int -> (unit -> bool) -> ustat
-(** Safe unit: [f mem cpu fuel intr] with [fuel] the remaining fuel
-    before the unit's first instruction and [intr] the interrupt hook
-    consulted at each internal boundary. *)
 
 type compiled = {
   entry : int;
-  src : Decode_cache.block;  (** carries the generation snapshot *)
-  units_fast : body array;
-  units_safe : unit_fn array;
+  src : Decode_cache.block;
+      (** carries the generation snapshot, and the decoded instructions
+          a unit's tail is replayed from *)
+  units : body array;
   unit_insns : int array;  (** original instructions per unit *)
   revalidate : bool array;
       (** per unit: revalidate [src] before it — the block is fragile and

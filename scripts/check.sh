@@ -201,12 +201,20 @@ grep -q "epoch 2" _build/cluster-fault.txt || {
 }
 
 # Bounded fuzz smoke: 200 cases of every property under the injected
-# interrupt storm, with a fixed seed so the JSON report (a CI artifact)
-# is bit-reproducible — a failing run prints the shrunk reproducer.
+# interrupt storms and quanta, with a fixed seed so the JSON report (a
+# CI artifact) is bit-reproducible — a failing run prints the shrunk
+# reproducer.
 # This covers cluster-orderliness (property #9): hostile lifecycle
 # sequences against the orderliness monitor, zero false accepts.
 dune exec bin/occlum_fuzz.exe -- --seed 42 --cases 200 --shrink \
   --json _build/fuzz-report.json
+
+# The reference and tiered loops at volume. Both run in fuel quanta of
+# 2-64 instructions, as the LibOS preempts, so this sweep covers the
+# fused units the LibOS runs and the decoded tail a quantum ending
+# inside a unit replays.
+dune exec bin/occlum_fuzz.exe -- -p jit-equivalence --seed 7 --cases 1000 \
+  --shrink
 
 # Seed-corpus reproducibility: the checked-in minimized corpus is
 # exactly what the generator emits for seed 42, byte for byte.

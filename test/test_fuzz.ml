@@ -36,9 +36,9 @@ let test_distinct_seeds () =
   Alcotest.(check bool) "seeds diverge" true (aex 1L <> aex 2L)
 
 (* The fuzzer's schedules, pinned: per-property injection totals at
-   seed 7, 40 cases. They change only if a property's interrupt, EPC or
-   I/O plan changes, so a refactor of the fuzzer must leave them
-   alone. *)
+   seed 7, 40 cases. They change only if a property's interrupt or
+   quantum, EPC or I/O plan changes, so a refactor of the fuzzer must
+   leave them alone. *)
 let test_schedule_pins () =
   List.iter
     (fun (prop, want) ->
@@ -53,10 +53,10 @@ let test_schedule_pins () =
       (Check.Aex_identity, (14619, 0, 0));
       (Check.Epc_pressure, (12, 17, 50));
       (Check.Guard_elide, (65324, 0, 0));
-      (Check.Jit_equivalence, (30501, 0, 0));
+      (Check.Jit_equivalence, (5983, 0, 0));
     ];
   let inj = (Check.run ~seed:7L ~cases:40 ()).Check.injected in
-  Alcotest.(check (list int)) "whole-run aex/epc/io/chan" [ 146757; 17; 50; 32 ]
+  Alcotest.(check (list int)) "whole-run aex/epc/io/chan" [ 122239; 17; 50; 32 ]
     [ inj.Inject.aex; inj.Inject.epc; inj.Inject.io; inj.Inject.chan ]
 
 (* --- the eight properties at acceptance volume ----------------------------- *)
@@ -225,8 +225,8 @@ let gen_oelf seed = Gen.link (Gen.program (Rng.of_seed seed))
 (* a schedule counting into a throwaway plan *)
 let every period = Inject.interrupt_every (Inject.make ()) ~period
 
-let preempting fires env =
-  { (Exec.machine env) with interrupt = Some { Exec.fires; round_trip = None } }
+let in_quanta every env =
+  { (Exec.machine env) with quantum = Some { Exec.every; expired = ignore } }
 
 let test_engine_bad_resume () =
   let flip env =
@@ -234,27 +234,20 @@ let test_engine_bad_resume () =
     let cpu = env.Exec.cpu in
     Cpu.set cpu Reg.r3 (Int64.logxor (Cpu.get cpu Reg.r3) 1L)
   in
-  let interrupt = Some { Exec.fires = every 1; round_trip = Some flip } in
+  let tier =
+    Exec.Reference (Some { Exec.fires = every 1; round_trip = flip })
+  in
   let env = Exec.make (gen_oelf 3L) in
   expect_error ~wanted:"aex/resume not bit-identical: r3" "a resume flipping r3"
     (Exec.lockstep ~differ:Identical ~fuel:500
-       [ { (Exec.machine env) with interrupt } ])
+       [ { (Exec.machine env) with tier } ])
 
 let test_engine_schedule_off_by_one () =
   let oelf = gen_oelf 3L in
-  let early =
-    let n = ref 1 in
-    fun () ->
-      incr n;
-      !n mod 5 = 0
-  in
   expect_error ~wanted:"at preemption, machine 0 vs 1: 4 vs 3 instructions"
-    "a twin schedule one boundary early"
+    "a twin quantum one boundary short"
     (Exec.lockstep ~differ:Identical ~fuel:500
-       [
-         preempting (every 5) (Exec.make oelf);
-         preempting early (Exec.make oelf);
-       ])
+       [ in_quanta 4 (Exec.make oelf); in_quanta 3 (Exec.make oelf) ])
 
 (* A pool far smaller than the enclave: EADD already evicts, so the run
    misses. *)
@@ -296,10 +289,7 @@ let test_engine_one_sided_smc () =
   in
   expect_error ~wanted:"code region bytes" "an SMC flip on one machine only"
     (Exec.lockstep ~differ:Identical ~fuel:500 ~perturb
-       [
-         preempting (every 3) (Exec.make oelf);
-         preempting (every 3) (Exec.make oelf);
-       ])
+       [ in_quanta 3 (Exec.make oelf); in_quanta 3 (Exec.make oelf) ])
 
 let test_engine_elided_store_changed () =
   let g = Layout.header_size in

@@ -3,8 +3,8 @@
    payloads and stop boundaries — and its extras must hold: per-page
    invalidation after writes to JIT'd pages, fused units on RWX code
    that end at every memory write, block links that hit exactly when the
-   table would, mid-block fault deopt with bit-identical CPU state, one
-   interrupt consultation per original-instruction boundary even inside
+   table would, mid-block fault deopt with bit-identical CPU state, a
+   stop on every instruction boundary the fuel ends at, even inside
    fused superinstructions, faithful execution of the statically elided,
    re-verified binary, and LibOS determinism (reference vs tiered, one
    core vs four). *)
@@ -519,58 +519,48 @@ let test_midblock_fault_identity () =
         (cpu_j.Cpu.jit_deopts >= 1))
     code_perms
 
-(* --- interrupt consultation parity ----------------------------------------- *)
+(* --- fuel at every boundary ------------------------------------------------ *)
 
-(* [?interrupt] is specified to be consulted exactly once per executed
-   instruction boundary. The fused superinstructions and the tiered
-   loop's block replay are where that can silently break, so: (a) the
-   tiered loop's total consult count must match the reference loop's,
-   and (b) an interrupt armed at EVERY boundary index in turn must stop
-   the run bit-identically, and both runs must resume to the same
-   completion. *)
+(* Fuel is the only way to preempt the tiered loop, and a quantum can
+   end inside a fused superinstruction: the loop then replays the
+   unit's decoded tail up to the boundary where the fuel ends. So for
+   EVERY boundary index i, a tiered run with fuel i must stop
+   bit-identically to a reference run with fuel i, and both runs must
+   resume to the same completion. *)
 
-let interrupt_every_boundary name code_perm prog =
-  let run_tier tiered fire_at =
+let fuel_every_boundary name code_perm prog =
+  let run_tier tiered fuel =
     let mem, cpu = setup ~code_perm prog in
     Cpu.set_bnd cpu Reg.bnd0
       { Cpu.lower = 0L; upper = Int64.of_int (Test_machine.data + 4095) };
-    let j = if tiered then Some (Jit.create ()) else None in
-    let n = ref 0 in
-    let hook () =
-      let k = !n in
-      incr n;
-      match fire_at with Some i -> k = i | None -> false
-    in
-    let s1 = Interp.run ?jit:j ~interrupt:hook mem cpu ~fuel:100_000 in
+    let jit = if tiered then Some (Jit.create ()) else None in
+    let s1 = Interp.run ?jit mem cpu ~fuel in
     let mid = state_str s1 cpu in
     let s2 =
-      if s1 = Interp.Stop_syscall then s1
-      else Interp.run ?jit:j ~interrupt:hook mem cpu ~fuel:100_000
+      if s1 = Interp.Stop_quantum then Interp.run ?jit mem cpu ~fuel:100_000
+      else s1
     in
-    (mid, state_str s2 cpu, !n)
+    (mid, state_str s2 cpu, cpu.Cpu.insns)
   in
-  (* the tiered run against the reference run; returns the reference's
-     consult count *)
-  let agree label fire_at =
-    let label = name ^ ": " ^ label in
-    let mu, fu, nu = run_tier false fire_at in
-    let m, f, n = run_tier true fire_at in
+  let agree fuel =
+    let label = Printf.sprintf "%s: fuel %d" name fuel in
+    let mu, fu, n = run_tier false fuel in
+    let m, f, _ = run_tier true fuel in
     Alcotest.(check string) (label ^ ": identical stop") mu m;
     Alcotest.(check string) (label ^ ": identical completion") fu f;
-    Alcotest.(check int) (label ^ ": one consult per boundary") nu n;
-    nu
+    n
   in
-  let nu = agree "unfired" None in
-  for i = 0 to nu - 1 do
-    ignore (agree (Printf.sprintf "interrupt at boundary %d" i) (Some i))
+  (* the whole run's length: every boundary, and the stop after the last *)
+  let n = agree 100_000 in
+  for i = 0 to n do
+    ignore (agree i)
   done
 
-let test_interrupt_every_boundary () =
+let test_fuel_every_boundary () =
   List.iter
     (fun (pname, code_perm) ->
-      interrupt_every_boundary (pname ^ ", register loop") code_perm
-        (loop_prog 20);
-      interrupt_every_boundary (pname ^ ", store loop") code_perm
+      fuel_every_boundary (pname ^ ", register loop") code_perm (loop_prog 20);
+      fuel_every_boundary (pname ^ ", store loop") code_perm
         (store_loop_prog 8))
     code_perms
 
@@ -833,8 +823,8 @@ let suite =
       test_block_links;
     Alcotest.test_case "mid-block fault deopts bit-identically" `Quick
       test_midblock_fault_identity;
-    Alcotest.test_case "interrupt at every boundary" `Quick
-      test_interrupt_every_boundary;
+    Alcotest.test_case "fuel at every boundary" `Quick
+      test_fuel_every_boundary;
     Alcotest.test_case "page check agrees with Mem" `Quick
       test_page_check_agrees;
     Alcotest.test_case "compiled hot path allocation-free" `Quick
