@@ -185,7 +185,8 @@ let fig6a () =
   List.iter
     (fun (name, kb) ->
       (* domain slots sized to the binary, as a deployment would configure
-         them; slot scrubbing on reuse is then proportional too *)
+         them; the loader's pass over a reused slot is then proportional
+         too *)
       let domains =
         { Occlum_libos.Domain_mgr.max_domains = 4;
           domain_code_size =

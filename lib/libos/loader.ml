@@ -159,15 +159,16 @@ let load ?dynamic mem (slot : Domain_mgr.slot) (checked : checked) ~args =
             enclave teardown *)
          Occlum_sgx.Enclave.eremove_pages enclave ~addr:c_base ~len:code_len;
          raise e);
-      slot.mapped <- [ (c_base, code_len); (d_base, data_len) ]
+      slot.mapped <- [ (c_base, code_len); (d_base, data_len) ];
+      Mem.write_bytes_priv mem ~addr:c_base b.code;
+      Mem.write_bytes_priv mem ~addr:d_base b.data
   | None ->
-      (* scrub: a previous SIP may have run in this slot (SGX1 only —
-         EAUG pages arrive zeroed); only the pages it, or this slot's
-         last load, wrote hold anything *)
-      Mem.scrub mem ~addr:c_base ~len:slot.code_size;
-      Mem.scrub mem ~addr:d_base ~len:slot.data_size);
-  Mem.write_bytes_priv mem ~addr:c_base b.code;
-  Mem.write_bytes_priv mem ~addr:d_base b.data;
+      (* a previous SIP may have run in this slot (SGX1 only — EAUG
+         pages arrive zeroed): every byte past the image must read zero,
+         and a page already holding its image bytes (the same binary
+         respawned here) is left alone, keeping its JIT translations *)
+      Mem.install mem ~addr:c_base ~len:slot.code_size b.code;
+      Mem.install mem ~addr:d_base ~len:slot.data_size b.data);
   b.img
 
 (* Paper §6: before the main gate returns to the SIP, the LibOS checks

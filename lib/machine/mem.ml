@@ -20,7 +20,7 @@ type t = {
   data : Bytes.t;
   direct : Bytes.t;
   (* One byte per page, recomputed by [map], [unmap], [enable_paging],
-     [scrub] and a page's first write since it was last clean.
+     [install] and a page's first write since it was last clean.
      [direct_read] is set exactly when a read of the page can neither
      fault nor have a side effect; [direct_write] exactly when a write
      can neither fault, nor bump a generation (writable and not
@@ -32,9 +32,9 @@ type t = {
      the checked accessors. *)
   dirty : Bytes.t;
   (* One byte per page, '\001' once any write (checked or privileged)
-     has touched it since the last [scrub]. A clean page holds zeros,
-     so [scrub] skips it. Direct stores need no mark: [direct_write]
-     is only granted once the page is dirty. *)
+     has touched it since an [install] last left it clean. A clean page
+     holds zeros, so [install] need not read it. Direct stores need no
+     mark: [direct_write] is only granted once the page is dirty. *)
   pages : perm option array; (* None = unmapped *)
   gens : int array; (* per-page code generation, see [page_gen] *)
   size : int;
@@ -293,20 +293,69 @@ let fill_priv t ~addr ~len c =
 
 let page_dirty t page = Bytes.get t.dirty page <> '\x00'
 
-(* Zero the dirty pages of a page-aligned range through the privileged
-   page walk (paged in first, executable pages' generations bumped);
-   clean pages already hold zeros and are skipped. Each page zeroed ends
-   clean, so its [direct_write] is withdrawn until its next write. *)
-let scrub t ~addr ~len =
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let zeros = Bytes.make page_size '\x00'
+
+(* [a.[ai .. ai+n-1]] = [b.[bi .. bi+n-1]], a word at a time; the caller
+   guarantees both spans are in bounds. *)
+let equal_sub a ai b bi n =
+  let rec words i =
+    i + 8 > n || (get64u a (ai + i) = get64u b (bi + i) && words (i + 8))
+  in
+  let rec tail i =
+    i >= n
+    || (Bytes.unsafe_get a (ai + i) = Bytes.unsafe_get b (bi + i) && tail (i + 1))
+  in
+  words 0 && tail (n land lnot 7)
+
+(* Make page [p] of an [install] hold its target: [k] bytes of [src] at
+   [si], then zeros. A clean page holds zeros; a dirty one is compared
+   word-wide. Only a page whose bytes differ is written, through the
+   privileged walk, so an unchanged page keeps its generation, dirty
+   mark and direct bits. A page whose target is all zeros ends clean. *)
+let settle t p src si k =
+  let a = p * page_size in
+  let zero_target = equal_sub src si zeros 0 k in
+  ensure_resident t ~addr:a ~len:page_size;
+  let same =
+    if Bytes.get t.dirty p = '\x00' then zero_target
+    else
+      equal_sub t.data a src si k
+      && equal_sub t.data (a + k) zeros 0 (page_size - k)
+  in
+  if not same then
+    ignore
+      (span_priv t ~addr:a ~len:page_size ~write:true (fun d a _ ->
+           Bytes.blit src si d a k;
+           Bytes.fill d (a + k) (page_size - k) '\x00';
+           page_size));
+  if zero_target && Bytes.get t.dirty p <> '\x00' then begin
+    Bytes.set t.dirty p '\x00';
+    refresh_direct t p
+  end
+
+let install t ~addr ~len bytes =
   check_range t addr len;
   if addr mod page_size <> 0 || len mod page_size <> 0 then
-    invalid_arg "Mem.scrub: unaligned";
-  for p = addr / page_size to ((addr + len) / page_size) - 1 do
-    if Bytes.get t.dirty p <> '\x00' then begin
-      fill_priv t ~addr:(p * page_size) ~len:page_size '\x00';
-      Bytes.set t.dirty p '\x00';
-      refresh_direct t p
-    end
+    invalid_arg "Mem.install: unaligned";
+  let n = Bytes.length bytes in
+  if n > len then invalid_arg "Mem.install: image longer than the range";
+  let first = addr / page_size and last = ((addr + len) / page_size) - 1 in
+  let image_last = first + ((n + page_size - 1) / page_size) - 1 in
+  (* Pages are paged in in the order that zeroing every dirty page and
+     then writing the image would page them in, so under a tight EPC
+     pool the residency and reloads match that model: first every dirty
+     page (settling those past the image, whose target is zeros), then
+     every page of the image. *)
+  for p = first to last do
+    if Bytes.get t.dirty p <> '\x00' then
+      if p > image_last then settle t p bytes 0 0
+      else ensure_resident t ~addr:(p * page_size) ~len:page_size
+  done;
+  for p = first to image_last do
+    let si = (p - first) * page_size in
+    settle t p bytes si (min page_size (n - si))
   done
 
 let raw t = t.data

@@ -18,7 +18,7 @@ type t = private {
   data : Bytes.t;  (** the backing store, little-endian *)
   direct : Bytes.t;
       (** The page check: one byte per page, written only by {!map},
-          {!unmap}, {!enable_paging}, {!scrub} and a clean page's first
+          {!unmap}, {!enable_paging}, {!install} and a clean page's first
           write. Bit {!direct_read} is set exactly when a read of the
           page can neither fault nor have a side effect. Bit
           {!direct_write} is set exactly when the page is writable, not
@@ -140,18 +140,24 @@ val fill_priv : t -> addr:int -> len:int -> char -> unit
 
     A page is dirty once any write has touched it — checked, privileged
     or (on a page already dirty) a direct store — since it was mapped
-    zeroed or last scrubbed. A clean page holds only zeros. *)
+    zeroed or last {!install}ed with an all-zero target. A clean page
+    holds only zeros. *)
 
 val page_dirty : t -> int -> bool
 
-val scrub : t -> addr:int -> len:int -> unit
-(** [scrub t ~addr ~len] zeroes every dirty page of the page-aligned
-    range, paging each in first under demand paging and bumping the
-    generation of executable ones, and leaves it clean, with
-    {!direct_write} clear. Clean pages are not touched. After it the
-    whole range reads as zeros.
-    @raise Invalid_argument if the range is unaligned or outside the
-    address space. *)
+val install : t -> addr:int -> len:int -> Bytes.t -> unit
+(** [install t ~addr ~len bytes] makes the page-aligned range hold
+    [bytes] followed by zeros. A page that already holds exactly its
+    target bytes is not written: its {!page_gen}, dirty mark and direct
+    bits stay as they are, so decodings cached for it stay valid. A
+    page that differs is rewritten whole through the privileged walk
+    ({!span_priv}), bumping the generation of an executable one. A page
+    whose target is all zeros ends clean, with {!direct_write} clear.
+    Under demand paging the pages are paged in in the order a zeroing of
+    every dirty page followed by a write of [bytes] would page them in:
+    every dirty page first, then every page [bytes] reaches.
+    @raise Invalid_argument if the range is unaligned, outside the
+    address space or shorter than [bytes]. *)
 
 val raw : t -> Bytes.t
 (** The backing store (used by the decoder for zero-copy fetch). *)

@@ -226,6 +226,19 @@ diff -r _build/corpus test/corpus || {
   exit 1
 }
 
+# Respawn keeps translations: fish's tools respawn into the slots they
+# last ran in, where the loader leaves every byte-identical code page
+# (and its generation) alone, so a traced shell run drops no compiled
+# block.
+dune exec bench/e2e/main.exe -- --workload shell --quick --trace 1 \
+  --trace-dir _build/e2e-trace > _build/e2e-shell-trace.txt
+inval=$(awk '$1 == "machine.jit_invalidations_per_op" { print $2 }' \
+  _build/e2e-shell-trace.txt)
+[ "$inval" = "0" ] || {
+  echo "FAIL: traced shell run invalidates ${inval:-?} JIT blocks per op, expected 0" >&2
+  exit 1
+}
+
 dune exec bench/main.exe -- --only=micro,paging,serving,multicore,guards,jit,cluster \
   --json _build/bench-micro.json
 python3 scripts/compare_bench.py bench/baseline-micro.json \

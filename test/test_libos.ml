@@ -524,6 +524,25 @@ let test_slot_exhaustion () =
   | Some p -> Alcotest.(check int) "hit EAGAIN" 1 p.exit_code
   | None -> Alcotest.fail "spawner vanished")
 
+let sign prog =
+  match
+    Occlum_verifier.Verify.verify_and_sign
+      (Occlum_toolchain.Compile.compile_exn
+         ~config:Occlum_toolchain.Codegen.sfi prog)
+  with
+  | Ok s -> s
+  | Error _ -> failwith "verify"
+
+(* A program's own zones depend only on its globals and literals, so
+   build once to learn them and again with them as constants. *)
+let with_zones prog =
+  let o = sign (prog (0, 0, 0)) in
+  let lo, hi = Occlum_oelf.Oelf.heap_zone o in
+  let o' = sign (prog (lo, hi, o.Occlum_oelf.Oelf.data_region_size)) in
+  Alcotest.(check bool) "zones stable" true
+    (Occlum_oelf.Oelf.heap_zone o' = (lo, hi));
+  o'
+
 (* Confidentiality across slot reuse rests on the loader's scrub: SIP
    memory is read and written directly by the compiled tier, with no
    per-page ownership check. A first SIP fills its heap and everything
@@ -536,25 +555,6 @@ let test_slot_exhaustion () =
 let test_slot_scrub () =
   let data_size = Occlum_libos.Domain_mgr.default_config.domain_data_size in
   let half = data_size / 2 in
-  let sign prog =
-    match
-      Occlum_verifier.Verify.verify_and_sign
-        (Occlum_toolchain.Compile.compile_exn
-           ~config:Occlum_toolchain.Codegen.sfi prog)
-    with
-    | Ok s -> s
-    | Error _ -> failwith "verify"
-  in
-  (* a program's own zones depend only on its globals and literals, so
-     build once to learn them and again with them as constants *)
-  let with_zones prog =
-    let o = sign (prog (0, 0, 0)) in
-    let lo, hi = Occlum_oelf.Oelf.heap_zone o in
-    let o' = sign (prog (lo, hi, o.Occlum_oelf.Oelf.data_region_size)) in
-    Alcotest.(check bool) "zones stable" true
-      (Occlum_oelf.Oelf.heap_zone o' = (lo, hi));
-    o'
-  in
   let fill p stop value =
     While (p <: stop, [ Store (p, value); Assign ("p", p +: i 8) ])
   in
@@ -646,6 +646,132 @@ let test_slot_scrub () =
   in
   Alcotest.(check bool) "code region past the image is zero" true
     (Bytes.for_all (fun c -> c = '\x00') tail)
+
+(* An unchanged code image never excuses a dirty data page: a program
+   that checks its heap, the unused part of its stack and everything past
+   its stack read zero, then fills them with a pattern, runs twice in the
+   same slot, and the second run must read zeros again. *)
+let test_slot_reuse_same_binary () =
+  let data_size = Occlum_libos.Domain_mgr.default_config.domain_data_size in
+  let region lo hi body =
+    [ Assign ("p", lo); While (v "p" <: hi, body @ [ Assign ("p", v "p" +: i 8) ]) ]
+  in
+  let prog (lo, hi, top) =
+    let zones =
+      [ (Data_addr lo, Data_addr hi);
+        (* the stack below main's frame, with a page of margin for the
+           runtime's own calls *)
+        (Data_addr hi, v "stack");
+        (Data_addr top, Data_addr data_size) ]
+    in
+    rt
+      [
+        func "main" []
+          ([ Let ("bad", i 0); Let ("p", i 0);
+             Let ("stack", Frame_addr "bad" -: i 4096) ]
+          @ List.concat_map
+              (fun (lo, hi) ->
+                region lo hi [ Assign ("bad", v "bad" |: Load (v "p")) ])
+              zones
+          @ List.concat_map
+              (fun (lo, hi) ->
+                region lo hi [ Store (v "p", Int 0x5A5A_A5A5_5A5A_A5A5L) ])
+              zones
+          @ [ Return (Unop (Lnot, Unop (Lnot, v "bad"))) ]);
+      ]
+  in
+  let config =
+    { Os.default_config with
+      domains = { Occlum_libos.Domain_mgr.default_config with max_domains = 1 } }
+  in
+  let os = Os.boot ~config () in
+  Os.install_binary os "/bin/app" (with_zones prog);
+  let run what =
+    let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+    ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid);
+    match Os.find_proc os pid with
+    | Some p ->
+        Alcotest.(check int) (what ^ ": read only zeros") 0 p.Os.exit_code;
+        p.Os.img.Occlum_libos.Loader.slot
+    | None -> Alcotest.fail (what ^ ": vanished")
+  in
+  let first = run "first run" in
+  let d_base = Occlum_libos.Domain_mgr.d_base first in
+  let sample =
+    Occlum_machine.Mem.read_bytes_priv os.Os.mem ~addr:(d_base + data_size - 4096)
+      ~len:4096
+  in
+  Alcotest.(check bool) "first run left its pattern" true
+    (Bytes.exists (fun c -> c <> '\x00') sample);
+  let second = run "second run" in
+  Alcotest.(check int) "same slot" first.id second.id
+
+(* A respawn into the slot its binary last ran in finds every code page
+   already holding its image, so the loader writes none of them and the
+   JIT's translations stay valid: a second run of the same binary
+   compiles nothing and drops nothing. A different binary in that slot
+   changes the code pages, so its run drops the stale translations and
+   compiles its own, and so does the first binary's next run. *)
+let test_respawn_keeps_translations () =
+  let counter name limit =
+    rt
+      [
+        func "main" []
+          [
+            Let ("k", i 0);
+            Let ("sum", i 0);
+            While
+              ( v "k" <: i limit,
+                [ Assign ("sum", v "sum" +: v "k"); Assign ("k", v "k" +: i 1) ] );
+            Expr (Call ("print_cstr", [ Str (name ^ "\n") ]));
+            Return (v "sum" &: i 0xFF);
+          ];
+      ]
+  in
+  let config =
+    { Os.default_config with
+      cores = 1;
+      domains = { Occlum_libos.Domain_mgr.default_config with max_domains = 1 } }
+  in
+  let os = Os.boot ~config () in
+  Os.install_binary os "/bin/a" (sign (counter "a" 100));
+  Os.install_binary os "/bin/b" (sign (counter "b-other" 50));
+  let jit () =
+    match Os.jit_stats os with
+    | Some (compiles, _, invalidations) -> (compiles, invalidations)
+    | None -> Alcotest.fail "jit stats missing"
+  in
+  let slot = ref None in
+  let run path ~code ~out =
+    let compiles0, invalidations0 = jit () in
+    let console0 = String.length (Os.console_output os) in
+    let pid = Os.spawn os ~parent_pid:0 ~path ~args:[] in
+    ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid);
+    (match Os.find_proc os pid with
+    | Some p ->
+        Alcotest.(check int) (path ^ " exit code") code p.Os.exit_code;
+        let id = p.Os.img.Occlum_libos.Loader.slot.id in
+        if !slot = None then slot := Some id;
+        Alcotest.(check (option int)) (path ^ " slot") !slot (Some id)
+    | None -> Alcotest.fail (path ^ " vanished"));
+    let console = Os.console_output os in
+    Alcotest.(check string) (path ^ " output") out
+      (String.sub console console0 (String.length console - console0));
+    let compiles, invalidations = jit () in
+    (compiles - compiles0, invalidations - invalidations0)
+  in
+  let a_code = 4950 land 0xFF and b_code = 1225 land 0xFF in
+  let compiles, _ = run "/bin/a" ~code:a_code ~out:"a\n" in
+  Alcotest.(check bool) "first run compiles" true (compiles > 0);
+  Alcotest.(check (pair int int)) "respawn: nothing compiled or dropped" (0, 0)
+    (run "/bin/a" ~code:a_code ~out:"a\n");
+  let compiles, invalidations = run "/bin/b" ~code:b_code ~out:"b-other\n" in
+  Alcotest.(check bool) "other binary drops stale blocks" true (invalidations > 0);
+  Alcotest.(check bool) "other binary compiles" true (compiles > 0);
+  let compiles, invalidations = run "/bin/a" ~code:a_code ~out:"a\n" in
+  Alcotest.(check bool) "first binary again drops stale blocks" true
+    (invalidations > 0);
+  Alcotest.(check bool) "first binary again recompiles" true (compiles > 0)
 
 let test_loader_rejects_unsigned () =
   let os = Os.boot () in
@@ -1381,6 +1507,10 @@ let suite =
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "domain slot exhaustion" `Quick test_slot_exhaustion;
     Alcotest.test_case "slot reuse is scrubbed" `Quick test_slot_scrub;
+    Alcotest.test_case "same-binary slot reuse is scrubbed" `Quick
+      test_slot_reuse_same_binary;
+    Alcotest.test_case "respawn keeps JIT translations" `Quick
+      test_respawn_keeps_translations;
     Alcotest.test_case "loader rejects unsigned" `Quick test_loader_rejects_unsigned;
     Alcotest.test_case "image memo needs identical bytes" `Quick test_image_memo;
     Alcotest.test_case "EIP (Graphene) mode" `Quick test_eip_mode_runs;

@@ -313,11 +313,12 @@ let test_span_priv_bumps_code_gen () =
   ignore (Mem.span_priv mem ~addr:100 ~len:10 ~write:true (fun _ _ _ -> 0));
   Alcotest.(check int) "nothing written, no bump" (g0 + 1) (Mem.page_gen mem 0)
 
-(* The dirty-page invariant behind the loader's scrub and the JIT's
+(* The dirty-page invariant behind the loader's install and the JIT's
    direct stores: [direct_write] is set exactly on writable, non-code,
-   dirty pages; a checked or privileged write marks its pages dirty;
-   [scrub] zeroes exactly the dirty pages (bumping code generations) and
-   leaves them clean, with [direct_write] withdrawn. *)
+   dirty pages; a checked or privileged write marks its pages dirty; an
+   [install] of no bytes scrubs: it zeroes exactly the dirty pages
+   (bumping code generations) and leaves them clean, with
+   [direct_write] withdrawn. *)
 let test_dirty_pages () =
   let ps = Mem.page_size in
   let mem = Mem.create ~size:(8 * ps) in
@@ -349,7 +350,7 @@ let test_dirty_pages () =
   Mem.map mem ~addr:(3 * ps) ~len:ps ~perm:Mem.perm_rw;
   check_state "remapped dirty page" 3 (true, true);
   let gens = Array.init 8 (Mem.page_gen mem) in
-  Mem.scrub mem ~addr:0 ~len:(8 * ps);
+  Mem.install mem ~addr:0 ~len:(8 * ps) Bytes.empty;
   for p = 0 to 7 do check_state "scrubbed" p (false, false) done;
   Alcotest.(check bool) "scrubbed range reads zero" true
     (Bytes.for_all (fun c -> c = '\x00') (Mem.read_bytes_priv mem ~addr:0 ~len:(8 * ps)));
@@ -360,8 +361,8 @@ let test_dirty_pages () =
      [direct_write], so the page is dirty already *)
   Mem.write_u8 mem 10 1;
   check_state "rewritten after scrub" 0 (true, true);
-  Alcotest.check_raises "unaligned scrub" (Invalid_argument "Mem.scrub: unaligned")
-    (fun () -> Mem.scrub mem ~addr:1 ~len:ps);
+  Alcotest.check_raises "unaligned scrub" (Invalid_argument "Mem.install: unaligned")
+    (fun () -> Mem.install mem ~addr:1 ~len:ps Bytes.empty);
   (* under paging a dirty evicted page is paged in before it is zeroed;
      a clean one is left alone *)
   let pmem = Mem.create ~size:(4 * ps) in
@@ -374,11 +375,174 @@ let test_dirty_pages () =
   Mem.set_resident pmem 1 false;
   Mem.set_resident pmem 2 false;
   paged_in := [];
-  Mem.scrub pmem ~addr:0 ~len:(4 * ps);
+  Mem.install pmem ~addr:0 ~len:(4 * ps) Bytes.empty;
   Alcotest.(check (list int)) "only the dirty evicted page paged in" [ 1 ]
     !paged_in;
   Alcotest.(check bool) "paged: no direct write" false
     (Char.code (Bytes.get pmem.Mem.direct 1) land Mem.direct_write <> 0)
+
+(* [Mem.install] against the model it replaces: zero every dirty page of
+   the range, then write the image. From random prior contents and
+   dirty states, with paging off and under a pool smaller than the
+   range, both must leave the same bytes, the same residency and the
+   same EWB/ELDU counts. On the install side, a page's generation moves
+   only if its bytes changed (or the pager itself rewrote the frame), an
+   executable page whose bytes changed has a new generation, every
+   clean page holds zeros, a page whose target is zero ends clean
+   unless the pager wrote its frame afterwards (EWB and ELDU mark the
+   pages they write), and the direct bits match the page check's
+   definition. *)
+let prop_install_matches_scrub_then_write =
+  let ps = Mem.page_size in
+  let pages = 12 and first = 1 and range = 10 in
+  let model mem ~addr ~len bytes =
+    for p = addr / ps to ((addr + len) / ps) - 1 do
+      if Mem.page_dirty mem p then Mem.fill_priv mem ~addr:(p * ps) ~len:ps '\x00'
+    done;
+    Mem.write_bytes_priv mem ~addr bytes
+  in
+  let random_bytes st n = Bytes.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+  let target_of st =
+    let n =
+      match Random.State.int st 3 with
+      | 0 -> Random.State.int st (range + 1) * ps
+      | _ -> Random.State.int st ((range * ps) + 1)
+    in
+    let b = Bytes.make n '\x00' in
+    for p = 0 to ((n + ps - 1) / ps) - 1 do
+      let lo = p * ps and k = min ps (n - (p * ps)) in
+      match Random.State.int st 3 with
+      | 0 -> ()
+      | 1 -> Bytes.blit (random_bytes st k) 0 b lo k
+      | _ -> Bytes.set b (lo + Random.State.int st k) '\x01'
+    done;
+    b
+  in
+  (* one address space in a state drawn from [seed]; the same seed
+     builds the same state, pool and all *)
+  let prepare seed ~frames target =
+    let st = Random.State.make [| seed |] in
+    let mem = Mem.create ~size:(pages * ps) in
+    let epc =
+      Option.map
+        (fun frames ->
+          let epc = Occlum_sgx.Epc.create ~size:(frames * ps) () in
+          Occlum_sgx.Epc.enable_paging epc;
+          Occlum_sgx.Epc.register_client epc ~cid:1 ~mem;
+          epc)
+        frames
+    in
+    for p = 0 to pages - 1 do
+      let perm = if Random.State.bool st then Mem.perm_rwx else Mem.perm_rw in
+      Mem.map mem ~addr:(p * ps) ~len:ps ~perm
+    done;
+    if Random.State.bool st then
+      Mem.install mem ~addr:(first * ps) ~len:(range * ps)
+        (if Random.State.bool st then target else target_of st);
+    for p = 0 to pages - 1 do
+      let a = p * ps in
+      let off = Random.State.int st ps in
+      let k = 1 + Random.State.int st (ps - off) in
+      match Random.State.int st 5 with
+      | 0 | 1 -> ()
+      | 2 -> Mem.write_bytes_priv mem ~addr:(a + off) (random_bytes st k)
+      | 3 -> Mem.fill_priv mem ~addr:(a + off) ~len:k '\x00'
+      | _ ->
+          let page = Bytes.make ps '\x00' in
+          let t = a - (first * ps) in
+          if t >= 0 && t < Bytes.length target then
+            Bytes.blit target t page 0 (min ps (Bytes.length target - t));
+          Mem.write_bytes_priv mem ~addr:a page
+    done;
+    (match epc with
+    | Some epc ->
+        for p = 0 to pages - 1 do
+          if Random.State.int st 3 = 0 then
+            ignore (Occlum_sgx.Epc.evict_page epc ~cid:1 ~page:p)
+        done
+    | None -> ());
+    (mem, epc)
+  in
+  let residency mem = List.init pages (Mem.page_resident mem) in
+  let counts = function
+    | None -> (0, 0)
+    | Some epc -> (
+        match Occlum_sgx.Epc.paging_stats epc with
+        | Some s -> (s.Occlum_sgx.Epc.ewb, s.Occlum_sgx.Epc.eldu)
+        | None -> (0, 0))
+  in
+  let contents mem = Mem.read_bytes_priv mem ~addr:0 ~len:(pages * ps) in
+  let page_of b p = Bytes.sub b (p * ps) ps in
+  QCheck.Test.make ~name:"install matches scrub-then-write" ~count:300
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed; 1 |] in
+      let target = target_of st in
+      let frames =
+        match Random.State.int st 3 with 0 -> None | 1 -> Some 6 | _ -> Some 64
+      in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let ref_mem, ref_epc = prepare seed ~frames target in
+      let mem, epc = prepare seed ~frames target in
+      let before_mem, _ = prepare seed ~frames target in
+      let before = contents before_mem in
+      let resident_before = residency mem in
+      let gens_before = Array.init pages (Mem.page_gen mem) in
+      let touched = Array.make pages false in
+      Option.iter
+        (fun epc ->
+          Occlum_sgx.Epc.set_event_hook epc
+            (Some (fun ~cid:_ ~page _ -> touched.(page) <- true)))
+        epc;
+      model ref_mem ~addr:(first * ps) ~len:(range * ps) target;
+      Mem.install mem ~addr:(first * ps) ~len:(range * ps) target;
+      let resident_after = residency mem in
+      List.iteri
+        (fun p r -> if (not (List.nth resident_before p)) && r then touched.(p) <- true)
+        resident_after;
+      if residency ref_mem <> resident_after then fail "residency differs"
+      else if counts ref_epc <> counts epc then
+        let (rw, rl), (w, l) = (counts ref_epc, counts epc) in
+        fail "ewb/eldu %d/%d, model %d/%d" w l rw rl
+      else begin
+        let dirty = Array.init pages (Mem.page_dirty mem) in
+        let direct = Array.init pages (fun p -> Char.code (Bytes.get mem.Mem.direct p)) in
+        let gens = Array.init pages (Mem.page_gen mem) in
+        let after = contents mem in
+        let want = Bytes.copy before in
+        Bytes.fill want (first * ps) (range * ps) '\x00';
+        Bytes.blit target 0 want (first * ps) (Bytes.length target);
+        let zero b = Bytes.for_all (fun c -> c = '\x00') b in
+        let problem =
+          List.find_map
+            (fun p ->
+              let exec = (Option.get (Mem.perm_at mem (p * ps))).Mem.x in
+              let changed = not (Bytes.equal (page_of before p) (page_of after p)) in
+              let moved = gens.(p) <> gens_before.(p) in
+              let in_range = p >= first && p < first + range in
+              let want_direct =
+                if epc <> None then 0
+                else Mem.direct_read lor if (not exec) && dirty.(p) then Mem.direct_write else 0
+              in
+              (if not (Bytes.equal (page_of after p) (page_of want p)) then Some "bytes"
+              else if moved && not (changed || touched.(p)) then Some "generation moved"
+              else if exec && changed && not moved then Some "generation stale"
+              else if (not dirty.(p)) && not (zero (page_of after p)) then
+                Some "clean page not zero"
+              else if in_range && zero (page_of want p) && dirty.(p) && not touched.(p)
+              then
+                Some "zero target left dirty"
+              else if direct.(p) <> want_direct then Some "direct bits"
+              else None)
+              |> Option.map (Printf.sprintf "page %d: %s" p))
+            (List.init pages Fun.id)
+        in
+        match problem with
+        | Some m -> fail "%s" m
+        | None ->
+            Bytes.equal (contents ref_mem) after
+            || fail "model bytes differ"
+      end)
 
 let suite =
   [
@@ -402,4 +566,5 @@ let suite =
     Alcotest.test_case "span write bumps code gen" `Quick
       test_span_priv_bumps_code_gen;
     Alcotest.test_case "dirty pages and scrub" `Quick test_dirty_pages;
+    QCheck_alcotest.to_alcotest prop_install_matches_scrub_then_write;
   ]
