@@ -1002,11 +1002,7 @@ let cluster_bench () =
   let module Ht = Occlum_libos.Host_transport in
   Occlum_sgx.Attestation.reset_nonce_cache ();
   let cl = Cluster.create ~nodes:3 () in
-  Fun.protect
-    ~finally:(fun () ->
-      Inject.disarm ();
-      Cluster.destroy cl)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Cluster.destroy cl) @@ fun () ->
   (* handshake: tear the 0<->1 pair down and re-attest k times; the
      clock delta on the initiator divided by k is the per-handshake
      virtual cost (attestation + key exchange + channel establish) *)
@@ -1059,11 +1055,11 @@ let cluster_bench () =
   let c0 = Cluster.node_clock cl 0 in
   List.iter
     (fun k ->
-      Inject.arm_channel inj ~at:1 ~times:1 ~fault:Ht.Drop ();
-      if not (Cluster.kv_put cl ~via:0 k value) then
-        failwith "cluster bench: single-drop kv_put failed")
+      Inject.arm_channel inj (Cluster.transport cl) ~at:1 ~times:1
+        ~fault:Ht.Drop (fun () ->
+          if not (Cluster.kv_put cl ~via:0 k value) then
+            failwith "cluster bench: single-drop kv_put failed"))
     keys;
-  Inject.disarm ();
   let faulted_ns =
     Int64.to_float (Int64.sub (Cluster.node_clock cl 0) c0) /. float n_ops
   in

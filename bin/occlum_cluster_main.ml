@@ -57,24 +57,26 @@ let run nodes ops seed fault fault_at fault_times kill digest =
   Occlum_sgx.Attestation.reset_nonce_cache ();
   let cl = Cluster.create ~nodes () in
   let inj = Inject.make () in
-  Fun.protect
-    ~finally:(fun () ->
-      Inject.disarm ();
-      Cluster.destroy cl)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Cluster.destroy cl) @@ fun () ->
   Printf.printf "cluster: %d node%s attested and meshed (%d handshakes)\n"
     nodes
     (if nodes = 1 then "" else "s")
     (Cluster.handshakes cl);
-  (match fault with
-  | None -> ()
-  | Some f ->
-      Inject.arm_channel inj ~times:fault_times ~at:fault_at ~fault:f ();
-      Printf.printf
-        "host fault armed: frame %d onward (%d frame%s) while the \
-         channels absorb or fail closed\n"
-        fault_at fault_times
-        (if fault_times = 1 then "" else "s"));
+  (* the rest of the run happens under the armed fault, if any *)
+  let armed body =
+    match fault with
+    | None -> body ()
+    | Some f ->
+        Inject.arm_channel inj (Cluster.transport cl) ~times:fault_times
+          ~at:fault_at ~fault:f (fun () ->
+            Printf.printf
+              "host fault armed: frame %d onward (%d frame%s) while the \
+               channels absorb or fail closed\n"
+              fault_at fault_times
+              (if fault_times = 1 then "" else "s");
+            body ())
+  in
+  armed @@ fun () ->
   let rng = Rng.of_seed seed in
   let puts = ref 0 and gets = ref 0 and misses = ref 0 and failed = ref 0 in
   for i = 0 to ops - 1 do

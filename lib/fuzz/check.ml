@@ -396,8 +396,7 @@ let epc_enclave_injected inj rng =
   let pool = Epc.create ~size:(256 * 4096) () in
   let free0 = Epc.free_pages pool in
   (* alloc call 1 is ECREATE's zero-page reservation; 2..5 are the adds *)
-  Inject.arm_epc inj ~at:(2 + Rng.int rng 4);
-  Fun.protect ~finally:Inject.disarm (fun () ->
+  Inject.arm_epc inj pool ~at:(2 + Rng.int rng 4) (fun () ->
       let enc = Enclave.create ~version:Enclave.Sgx2 ~epc:pool ~size:(64 * 4096) () in
       let raised = ref false in
       (try
@@ -458,9 +457,9 @@ let epc_real_exhaustion _rng =
 let epc_libos os_lazy ~allocs_per_spawn inj rng =
   let os = Lazy.force os_lazy in
   let free0 = Epc.free_pages os.Os.epc in
-  Inject.arm_epc inj ~at:(1 + Rng.int rng allocs_per_spawn);
   let spawn_result =
-    Fun.protect ~finally:Inject.disarm (fun () ->
+    Inject.arm_epc inj os.Os.epc ~at:(1 + Rng.int rng allocs_per_spawn)
+      (fun () ->
         match Os.spawn os ~parent_pid:0 ~path:"/bin/fuzz" ~args:[] with
         | _pid -> Some "spawn under EPC pressure unexpectedly succeeded"
         | exception Os.Spawn_error e when e = Errno.enomem -> None
@@ -516,26 +515,28 @@ let io_faults inj _rng =
   let read () = Sefs.read_file sefs node ~pos:0 ~len:100 in
   let retries0 = sefs.Sefs.retries in
   (* a single transient error is absorbed by the retry wrapper *)
-  Inject.arm_sefs inj ~at:1 ~fault:(Sefs.Io_error Errno.eagain) ();
-  let r1 = Fun.protect ~finally:Inject.disarm read in
+  let store = sefs.Sefs.host in
+  let r1 =
+    Inject.arm_sefs inj store ~at:1 ~fault:(Sefs.Io_error Errno.eagain) read
+  in
   if r1 <> Ok (Bytes.of_string content) then
     Some "transient SEFS error was not absorbed by the retry wrapper"
   else if sefs.Sefs.retries <> retries0 + 1 then
     Some "absorbed SEFS fault did not count a retry"
   else begin
     (* a fault outlasting every attempt surfaces its errno... *)
-    Inject.arm_sefs inj ~at:1 ~times:Sefs.max_io_attempts
-      ~fault:(Sefs.Io_error Errno.eagain) ();
-    let rp = Fun.protect ~finally:Inject.disarm read in
+    let rp =
+      Inject.arm_sefs inj store ~at:1 ~times:Sefs.max_io_attempts
+        ~fault:(Sefs.Io_error Errno.eagain) read
+    in
     if rp <> Error Errno.eagain then
       Some "persistent SEFS error did not surface as its errno"
     else if read () <> Ok (Bytes.of_string content) then
-      (* ...and is still transient once the hook clears *)
+      (* ...and is still transient once the scope ends *)
       Some "SEFS fault was not transient"
     else begin
     (* short transfers made progress and are never retried *)
-    Inject.arm_sefs inj ~at:1 ~fault:(Sefs.Short 4) ();
-    let r2 = Fun.protect ~finally:Inject.disarm read in
+    let r2 = Inject.arm_sefs inj store ~at:1 ~fault:(Sefs.Short 4) read in
     match r2 with
     | Ok b
       when Bytes.length b = 4
@@ -555,24 +556,23 @@ let io_faults inj _rng =
                     let send () =
                       Net.send net client payload 0 (Bytes.length payload)
                     in
-                    Inject.arm_net inj ~at:1
-                      ~fault:(Sefs.Io_error Errno.eagain) ();
-                    let s1 = Fun.protect ~finally:Inject.disarm send in
+                    let s1 =
+                      Inject.arm_net inj net ~at:1
+                        ~fault:(Sefs.Io_error Errno.eagain) send
+                    in
                     if s1 <> Ok (Bytes.length payload) then
                       Some
                         "transient net error was not absorbed by the retry \
                          wrapper"
                     else if
-                      (let p =
-                         Inject.arm_net inj ~at:1 ~times:Sefs.max_io_attempts
-                           ~fault:(Sefs.Io_error Errno.eagain) ();
-                         Fun.protect ~finally:Inject.disarm send
-                       in
-                       p <> Error Errno.eagain)
+                      Inject.arm_net inj net ~at:1 ~times:Sefs.max_io_attempts
+                        ~fault:(Sefs.Io_error Errno.eagain) send
+                      <> Error Errno.eagain
                     then Some "persistent net error did not surface as its errno"
                     else begin
-                      Inject.arm_net inj ~at:1 ~fault:(Sefs.Short 3) ();
-                      let s2 = Fun.protect ~finally:Inject.disarm send in
+                      let s2 =
+                        Inject.arm_net inj net ~at:1 ~fault:(Sefs.Short 3) send
+                      in
                       match s2 with
                       | Ok 3 -> (
                           match send () with
@@ -1223,8 +1223,8 @@ let pick_via cl v =
 (* Channel fault storms must be absorbed deterministically: the same
    op sequence under the same armed fault plan yields bit-identical KV
    digests, RPC/failover counts and per-channel retry totals across
-   two full runs. Faults land via the production Host_transport hook,
-   so drops/duplicates/reorders/corruption exercise the real
+   two full runs. Faults land via the cluster's own Host_transport
+   schedule, so drops/duplicates/reorders/corruption exercise the real
    retransmission, replay-rejection and failover paths. *)
 let cluster_fault_storm inj rng =
   let nodes = 2 + Rng.int rng 2 in
@@ -1249,18 +1249,16 @@ let cluster_fault_storm inj rng =
     Attestation.reset_nonce_cache ();
     let cl = Cluster.create ~nodes () in
     Fun.protect
-      ~finally:(fun () ->
-        Inject.disarm ();
-        Cluster.destroy cl)
+      ~finally:(fun () -> Cluster.destroy cl)
       (fun () ->
-        Inject.arm_channel inj ~times ~at ~fault ();
-        List.iter
-          (fun (put, key, v, via) ->
-            let via = pick_via cl via in
-            if put then ignore (Cluster.kv_put cl ~via key v)
-            else ignore (Cluster.kv_get cl ~via key))
-          ops;
-        Inject.disarm ();
+        Inject.arm_channel inj (Cluster.transport cl) ~times ~at ~fault
+          (fun () ->
+            List.iter
+              (fun (put, key, v, via) ->
+                let via = pick_via cl via in
+                if put then ignore (Cluster.kv_put cl ~via key v)
+                else ignore (Cluster.kv_get cl ~via key))
+              ops);
         ( Cluster.kv_digest cl,
           Cluster.rpcs cl,
           Cluster.rpc_failures cl,
@@ -1328,11 +1326,7 @@ let cluster_twin rng =
 
 let cluster_case inj _shrink rng case =
   let detail =
-    Fun.protect
-      ~finally:(fun () ->
-        Inject.disarm ();
-        Attestation.reset_nonce_cache ())
-      (fun () ->
+    Fun.protect ~finally:Attestation.reset_nonce_cache (fun () ->
         match case mod 6 with
         | 0 | 2 -> lw_accept_case rng
         | 1 | 3 -> lw_reject_case rng

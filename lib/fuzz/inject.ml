@@ -18,62 +18,53 @@ let interrupt_every t ~period =
     end
     else false
 
-let arm_epc t ~at =
-  if at < 1 then invalid_arg "Inject.arm_epc";
+(* The one schedule behind every seam: fire on consults [at] through
+   [at + times - 1] (1-based), counting each firing with [count]. *)
+let countdown name ~at ~times count fault =
+  if at < 1 || times < 1 then invalid_arg name;
   let n = ref 0 in
-  Occlum_sgx.Epc.set_alloc_hook
-    (Some
-       (fun ~pages:_ ->
-         incr n;
-         if !n = at then begin
-           t.epc <- t.epc + 1;
-           raise Occlum_sgx.Epc.Out_of_epc
-         end))
+  fun () ->
+    incr n;
+    if !n >= at && !n < at + times then begin
+      count ();
+      Some fault
+    end
+    else None
 
-let arm_sefs t ?(times = 1) ~at ~fault () =
-  if at < 1 || times < 1 then invalid_arg "Inject.arm_sefs";
-  let n = ref 0 in
-  Occlum_libos.Sefs.set_io_hook
-    (Some
-       (fun ~write:_ ~len:_ ->
-         incr n;
-         if !n >= at && !n < at + times then begin
-           t.io <- t.io + 1;
-           Some fault
-         end
-         else None))
+(* Install [schedule] through [set] while [body] runs, and clear it on
+   every exit, exceptions included. *)
+let scoped set schedule body =
+  set (Some schedule);
+  Fun.protect ~finally:(fun () -> set None) body
 
-let arm_net t ?(times = 1) ~at ~fault () =
-  if at < 1 || times < 1 then invalid_arg "Inject.arm_net";
-  let n = ref 0 in
-  Occlum_libos.Net.set_io_hook
-    (Some
-       (fun ~send:_ ~len:_ ->
-         incr n;
-         if !n >= at && !n < at + times then begin
-           t.io <- t.io + 1;
-           Some fault
-         end
-         else None))
+let arm_epc t pool ~at body =
+  let fires =
+    countdown "Inject.arm_epc" ~at ~times:1 (fun () -> t.epc <- t.epc + 1) ()
+  in
+  scoped (Occlum_sgx.Epc.set_fault pool)
+    (fun () -> Option.is_some (fires ()))
+    body
 
-let arm_channel t ?(times = 1) ~at ~fault () =
-  if at < 1 || times < 1 then invalid_arg "Inject.arm_channel";
-  let n = ref 0 in
-  Occlum_libos.Host_transport.set_fault_hook
-    (Some
-       (fun ~src:_ ~dst:_ ~len:_ ->
-         incr n;
-         if !n >= at && !n < at + times then begin
-           t.chan <- t.chan + 1;
-           Some fault
-         end
-         else None))
+let arm_sefs t (store : Occlum_libos.Sefs.Host_store.t) ?(times = 1) ~at
+    ~fault body =
+  scoped
+    (fun f -> store.fault <- f)
+    (countdown "Inject.arm_sefs" ~at ~times (fun () -> t.io <- t.io + 1) fault)
+    body
 
-let disarm () =
-  Occlum_sgx.Epc.set_alloc_hook None;
-  Occlum_libos.Sefs.set_io_hook None;
-  Occlum_libos.Net.set_io_hook None;
-  Occlum_libos.Host_transport.set_fault_hook None
+let arm_net t (net : Occlum_libos.Net.t) ?(times = 1) ~at ~fault body =
+  scoped
+    (fun f -> net.fault <- f)
+    (countdown "Inject.arm_net" ~at ~times (fun () -> t.io <- t.io + 1) fault)
+    body
+
+let arm_channel t transport ?(times = 1) ~at ~fault body =
+  scoped
+    (Occlum_libos.Host_transport.set_fault transport)
+    (countdown "Inject.arm_channel" ~at ~times
+       (fun () -> t.chan <- t.chan + 1)
+       fault)
+    body
 
 let export t reg =
   let module M = Occlum_obs.Metrics in

@@ -1,10 +1,10 @@
 (* The untrusted inter-instance transport: how frames move between two
    Occlum LibOS instances that do NOT share an enclave. Everything here
    is host-side — the host can drop, duplicate, reorder or corrupt any
-   frame (the fault hook below is exactly that adversary, driven by
-   Inject.arm_channel) — so confidentiality, integrity, ordering and
-   replay protection must all come from the secure channel layered on
-   top (lib/cluster), never from this module.
+   frame (the per-transport fault schedule below is exactly that
+   adversary, driven by Inject.arm_channel) — so confidentiality,
+   integrity, ordering and replay protection must all come from the
+   secure channel layered on top (lib/cluster), never from this module.
 
    Frames between an ordered (src, dst) pair form a FIFO; [send]
    appends, [recv] pops. Queues are tiny in practice (the channel layer
@@ -26,6 +26,9 @@ type t = {
   mutable duplicated : int;
   mutable reordered : int;
   mutable corrupted : int;
+  (* fault-injection seam, consulted once per [send]; production never
+     sets it *)
+  mutable fault : (unit -> fault option) option;
 }
 
 let create () =
@@ -37,15 +40,10 @@ let create () =
     duplicated = 0;
     reordered = 0;
     corrupted = 0;
+    fault = None;
   }
 
-(* Fault-injection seam, same shape as [Sefs.set_io_hook] /
-   [Net.set_io_hook]: a module-global hook consulted once per [send].
-   Production code never sets it. *)
-let fault_hook : (src:int -> dst:int -> len:int -> fault option) option ref =
-  ref None
-
-let set_fault_hook h = fault_hook := h
+let set_fault t f = t.fault <- f
 
 let dir_of t ~src ~dst =
   match Hashtbl.find_opt t.dirs (src, dst) with
@@ -68,11 +66,7 @@ let flip_bit frame bit =
 
 let send t ~src ~dst frame =
   t.sends <- t.sends + 1;
-  let fault =
-    match !fault_hook with
-    | None -> None
-    | Some h -> h ~src ~dst ~len:(String.length frame)
-  in
+  let fault = match t.fault with None -> None | Some f -> f () in
   let d = dir_of t ~src ~dst in
   match fault with
   | Some Drop -> t.dropped <- t.dropped + 1
@@ -89,7 +83,7 @@ let send t ~src ~dst frame =
 
 (* The host can also inject frames it manufactured (or captured earlier)
    wholesale — the replay-attack surface the channel layer must reject.
-   Counts as a send but never consults the fault hook. *)
+   Counts as a send but never consults the fault schedule. *)
 let inject t ~src ~dst frame =
   t.sends <- t.sends + 1;
   let d = dir_of t ~src ~dst in

@@ -1,9 +1,9 @@
 (** The untrusted host transport between Occlum instances: per ordered
     [(src, dst)] pair, a FIFO of opaque frames carried by the host.
-    Nothing here is trusted — the fault hook models a hostile host that
-    drops, duplicates, reorders or corrupts frames, and {!inject} lets
-    it replay captured ones — so all security properties belong to the
-    secure channel built on top (lib/cluster). *)
+    Nothing here is trusted — each transport's fault schedule models a
+    hostile host that drops, duplicates, reorders or corrupts frames,
+    and {!inject} lets it replay captured ones — so all security
+    properties belong to the secure channel built on top (lib/cluster). *)
 
 type fault =
   | Drop  (** the frame never arrives *)
@@ -15,19 +15,19 @@ type t
 
 val create : unit -> t
 
-val set_fault_hook :
-  (src:int -> dst:int -> len:int -> fault option) option -> unit
-(** Fault-injection seam ({!Inject.arm_channel}): consulted once per
-    {!send}; the returned fault is applied to that frame. Module-global,
-    like the SEFS/Net hooks; production code never sets it. *)
+val set_fault : t -> (unit -> fault option) option -> unit
+(** Fault-injection seam of this transport alone
+    ({!Inject.arm_channel}): consulted once per {!send}; the returned
+    fault is applied to that frame. [None] (the default) restores
+    normal operation; production code never sets it. *)
 
 val send : t -> src:int -> dst:int -> string -> unit
 (** Append a frame to the [(src, dst)] FIFO, after consulting the fault
-    hook. *)
+    schedule. *)
 
 val inject : t -> src:int -> dst:int -> string -> unit
 (** Host-side frame insertion (replayed or manufactured frames); never
-    consults the fault hook. *)
+    consults the fault schedule. *)
 
 val recv : t -> src:int -> dst:int -> string option
 (** Pop the oldest pending frame, if any. *)

@@ -54,11 +54,15 @@ and t = {
   mutable backoff_ns : int64; (* simulated wait accrued by retries *)
   mutable obs : Occlum_obs.Obs.t; (* I/O events/metrics; the LibOS
                                      attaches its own at boot *)
+  mutable fault : (unit -> Sefs.io_fault option) option;
+      (* fault-injection seam: the transport is the untrusted host, so a
+         harness can fail or truncate any transfer of this network;
+         production never sets it *)
 }
 
 let create () =
   { listeners = Hashtbl.create 8; sock_ring_bytes = 65536; ocall_bytes = 0;
-    retries = 0; backoff_ns = 0L; obs = Occlum_obs.Obs.disabled }
+    retries = 0; backoff_ns = 0L; obs = Occlum_obs.Obs.disabled; fault = None }
 
 (* Observability for one transfer: event with the byte count plus byte
    counters. One branch when disabled. *)
@@ -117,49 +121,22 @@ let close_listener (l : listener) =
   Queue.clear l.pending;
   wake_all l.wake
 
-(* Fault-injection seam: since the transport is the untrusted host, a
-   harness can make any transfer fail with a transient errno or get
-   truncated. Production code never sets it. *)
-let io_hook : (send:bool -> len:int -> Sefs.io_fault option) option ref =
-  ref None
-
-let set_io_hook h = io_hook := h
-
-(* Same bounded-retry contract as [Sefs.consult_io]: transient
-   [Io_error]s are retried up to [Sefs.max_io_attempts] attempts with
-   deterministic exponential backoff; [Short] transfers are not. *)
-let note_retry t =
-  let o = t.obs in
-  if o.Occlum_obs.Obs.enabled then
-    Occlum_obs.Metrics.inc
-      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics "io.retries")
-
-let consult_io t ~send ~len =
-  match !io_hook with
-  | None -> None
-  | Some h ->
-      let rec attempt k =
-        match h ~send ~len with
-        | Some (Sefs.Io_error _) when k < Sefs.max_io_attempts ->
-            t.retries <- t.retries + 1;
-            t.backoff_ns <-
-              Int64.add t.backoff_ns (Sefs.backoff_ns_of_attempt k);
-            note_retry t;
-            attempt (k + 1)
-        | r -> r
-      in
-      attempt 1
+(* Same bounded retry as SEFS: one loop, [Sefs.retry_io]. *)
+let consult_io t ~len =
+  match t.fault with
+  | None -> Ok len
+  | Some f ->
+      Sefs.retry_io f ~obs:t.obs ~len ~retried:(fun ns ->
+          t.retries <- t.retries + 1;
+          t.backoff_ns <- Int64.add t.backoff_ns ns)
 
 (* [send_with]/[recv_with] leave the byte movement to [xfer ring len],
    which moves at most [len] bytes into or out of [ring] and returns the
    count: the LibOS copies straight between SIP memory and the ring. *)
 let send_with t (e : endpoint) len xfer =
-  match consult_io t ~send:true ~len with
-  | Some (Sefs.Io_error errno) -> Error errno
-  | (Some (Sefs.Short _) | None) as f ->
-  let len =
-    match f with Some (Sefs.Short n) -> max 0 (min n len) | _ -> len
-  in
+  match consult_io t ~len with
+  | Error errno -> Error errno
+  | Ok len ->
   match e.peer with
   | None -> Error Occlum_abi.Abi.Errno.epipe
   | Some p ->
@@ -176,12 +153,9 @@ let send_with t (e : endpoint) len xfer =
       end
 
 let recv_with t (e : endpoint) len xfer =
-  match consult_io t ~send:false ~len with
-  | Some (Sefs.Io_error errno) -> Error errno
-  | (Some (Sefs.Short _) | None) as f ->
-  let len =
-    match f with Some (Sefs.Short n) -> max 0 (min n len) | _ -> len
-  in
+  match consult_io t ~len with
+  | Error errno -> Error errno
+  | Ok len ->
   let n = xfer e.inbox len in
   if n > 0 then begin
     t.ocall_bytes <- t.ocall_bytes + n;

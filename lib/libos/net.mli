@@ -33,6 +33,12 @@ and t = {
   mutable obs : Occlum_obs.Obs.t;
       (** I/O events and byte counters; {!Occlum_obs.Obs.disabled} until
           the LibOS attaches its own instance at boot *)
+  mutable fault : (unit -> Sefs.io_fault option) option;
+      (** fault-injection seam of this network, consulted once per
+          transfer through {!Sefs.retry_io}: the untrusted host
+          transport may fail it with a transient errno or truncate it.
+          [None] (the default, and always in production) is a
+          well-behaved host *)
 }
 
 val create : unit -> t
@@ -47,14 +53,15 @@ val send_with :
   t -> endpoint -> int -> (Ring.t -> int -> int) -> (int, int) result
 (** [send_with t e len xfer] is {!send} with the copy left to
     [xfer ring len], which moves at most [len] bytes into the peer's
-    inbox and returns the count. The I/O hook is consulted exactly once,
-    before [xfer], and a [Short] fault shrinks the [len] it is given. *)
+    inbox and returns the count. The fault schedule is consulted exactly
+    once, before [xfer], and a [Short] fault shrinks the [len] it is
+    given. *)
 
 val recv_with :
   t -> endpoint -> int -> (Ring.t -> int -> int) -> (int, int) result
 (** [recv_with t e len xfer] is {!recv} with the copy left to
     [xfer ring len], which moves at most [len] bytes out of [e]'s inbox
-    and returns the count. Same hook contract as {!send_with}. *)
+    and returns the count. Same fault contract as {!send_with}. *)
 
 val close_endpoint : endpoint -> unit
 
@@ -64,13 +71,6 @@ val close_listener : listener -> unit
     by the last close of a Listener fd. *)
 
 val has_listener : t -> port:int -> bool
-
-val set_io_hook : (send:bool -> len:int -> Sefs.io_fault option) option -> unit
-(** Fault-injection seam: when set, the hook is consulted at the top of
-    every {!send}/{!recv} and may fail the transfer with a transient
-    errno ({!Sefs.Io_error}) or truncate it ({!Sefs.Short}), modelling
-    the untrusted host transport. [None] (the default) restores normal
-    operation; production code never sets it. *)
 
 (** {1 External (harness-side) API} *)
 

@@ -28,6 +28,36 @@ exception Corrupt of string
 
 (* --- the untrusted host side ------------------------------------------- *)
 
+(* A flaky untrusted host can turn any transfer into a transient error
+   or a short one. [Net] shares this fault type and the retry loop. *)
+type io_fault = Io_error of int | Short of int
+
+(* Bounded retry with deterministic exponential backoff around one
+   transfer with the host: a transient [Io_error] is retried up to
+   [max_io_attempts] attempts in total, and [retried ns] accounts each
+   retry with its simulated wait, 1 us then 2 us (for the LibOS to put
+   on the virtual clock). A fault that persists through every attempt
+   surfaces its errno; a [Short] transfer made partial progress and is
+   never retried. The result is the byte count to move. *)
+let max_io_attempts = 3
+
+let backoff_ns_of_attempt k = Int64.of_int (1_000 * (1 lsl (k - 1)))
+
+let retry_io fault ~obs ~len ~retried =
+  let rec attempt k =
+    match fault () with
+    | Some (Io_error _) when k < max_io_attempts ->
+        retried (backoff_ns_of_attempt k);
+        if obs.Occlum_obs.Obs.enabled then
+          Occlum_obs.Metrics.inc
+            (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics "io.retries");
+        attempt (k + 1)
+    | Some (Io_error e) -> Error e
+    | Some (Short n) -> Ok (max 0 (min n len))
+    | None -> Ok len
+  in
+  attempt 1
+
 module Host_store = struct
   type entry = { cipher : string; mac : string }
 
@@ -36,9 +66,13 @@ module Host_store = struct
     mutable meta : (int * entry) option; (* generation (public) + blob *)
     mutable reads : int;
     mutable writes : int;
+    (* fault-injection seam of this store; production never sets it *)
+    mutable fault : (unit -> io_fault option) option;
   }
 
-  let create () = { blocks = Hashtbl.create 256; meta = None; reads = 0; writes = 0 }
+  let create () =
+    { blocks = Hashtbl.create 256; meta = None; reads = 0; writes = 0;
+      fault = None }
 
   let put t idx e =
     t.writes <- t.writes + 1;
@@ -583,56 +617,20 @@ let ensure_block t (n : inode) bi =
   if n.blocks.(bi) = -1 then n.blocks.(bi) <- alloc_block t;
   n.blocks.(bi)
 
-(* Fault-injection seam: a harness can turn any read/write into a
-   transient error or a short transfer, modelling a flaky untrusted
-   host backing store. Production code never sets it. *)
-type io_fault = Io_error of int | Short of int
-
-let io_hook : (write:bool -> len:int -> io_fault option) option ref = ref None
-let set_io_hook h = io_hook := h
-
-(* Bounded retry with deterministic exponential backoff around the
-   injectable host I/O: a transient [Io_error] is retried up to
-   [max_io_attempts] attempts in total, waiting 1 us then 2 us of
-   simulated time between attempts (accrued in [backoff_ns] for the
-   LibOS to put on the virtual clock). A fault that persists through
-   every attempt surfaces its errno; [Short] transfers made partial
-   progress and are never retried. *)
-let max_io_attempts = 3
-
-let backoff_ns_of_attempt k = Int64.of_int (1_000 * (1 lsl (k - 1)))
-
-let note_retry t =
-  let o = t.obs in
-  if o.Occlum_obs.Obs.enabled then
-    Occlum_obs.Metrics.inc
-      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics "io.retries")
-
-let consult_io t ~write ~len =
-  match !io_hook with
-  | None -> None
-  | Some h ->
-      let rec attempt k =
-        match h ~write ~len with
-        | Some (Io_error _) when k < max_io_attempts ->
-            t.retries <- t.retries + 1;
-            t.backoff_ns <- Int64.add t.backoff_ns (backoff_ns_of_attempt k);
-            note_retry t;
-            attempt (k + 1)
-        | r -> r
-      in
-      attempt 1
+let consult_io t ~len =
+  match t.host.Host_store.fault with
+  | None -> Ok len
+  | Some f ->
+      retry_io f ~obs:t.obs ~len ~retried:(fun ns ->
+          t.retries <- t.retries + 1;
+          t.backoff_ns <- Int64.add t.backoff_ns ns)
 
 let read_file t (n : inode) ~pos ~len =
   if n.kind <> File then Error Occlum_abi.Abi.Errno.eisdir
   else begin
-    let len = max 0 (min len (n.size - pos)) in
-    match consult_io t ~write:false ~len with
-    | Some (Io_error e) -> Error e
-    | (Some (Short _) | None) as f ->
-    let len =
-      match f with Some (Short n) -> max 0 (min n len) | _ -> len
-    in
+    match consult_io t ~len:(max 0 (min len (n.size - pos))) with
+    | Error e -> Error e
+    | Ok len ->
     let out = Bytes.create len in
     let done_ = ref 0 in
     while !done_ < len do
@@ -652,13 +650,9 @@ let read_file t (n : inode) ~pos ~len =
 let write_file t (n : inode) ~pos src =
   if n.kind <> File then Error Occlum_abi.Abi.Errno.eisdir
   else begin
-    let full = Bytes.length src in
-    match consult_io t ~write:true ~len:full with
-    | Some (Io_error e) -> Error e
-    | (Some (Short _) | None) as f ->
-    let len =
-      match f with Some (Short n) -> max 0 (min n full) | _ -> full
-    in
+    match consult_io t ~len:(Bytes.length src) with
+    | Error e -> Error e
+    | Ok len ->
     let done_ = ref 0 in
     while !done_ < len do
       let abs = pos + !done_ in

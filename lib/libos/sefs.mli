@@ -20,6 +20,32 @@ val block_size : int
 
 exception Corrupt of string
 
+type io_fault =
+  | Io_error of int  (** fail the whole transfer with this errno *)
+  | Short of int  (** transfer at most this many bytes *)
+
+val max_io_attempts : int
+(** Transient [Io_error] faults are retried up to this many attempts
+    before the errno surfaces. [Short] transfers are never retried:
+    they made partial progress the caller must consume. *)
+
+val backoff_ns_of_attempt : int -> int64
+(** Deterministic simulated backoff before retry [k] (1-based):
+    exponential from 1 µs. Shared with the cluster channels. *)
+
+val retry_io :
+  (unit -> io_fault option) ->
+  obs:Occlum_obs.Obs.t ->
+  len:int ->
+  retried:(int64 -> unit) ->
+  (int, int) result
+(** [retry_io fault ~obs ~len ~retried] runs the fault schedule of one
+    [len]-byte transfer with an untrusted host through the bounded
+    retry loop shared by SEFS and {!Net}: [Ok n] is the byte count to
+    move ([len], or fewer after a [Short]), [Error errno] a fault that
+    outlasted {!max_io_attempts}. [retried ns] accounts each retry with
+    its simulated backoff, and each retry bumps [io.retries] in [obs]. *)
+
 (** The untrusted host side: ciphertext blocks plus a sealed metadata
     blob. Serializable to the occlum_sefs image format (version 2,
     magic [SEFSIMG2]) without keys. *)
@@ -31,6 +57,11 @@ module Host_store : sig
     mutable meta : (int * entry) option;  (** public generation + blob *)
     mutable reads : int;
     mutable writes : int;
+    mutable fault : (unit -> io_fault option) option;
+        (** fault-injection seam of this store, consulted once per
+            {!read_file}/{!write_file} of every volume mounted over it;
+            [None] (the default, and always in production) is a
+            well-behaved host *)
   }
 
   val create : unit -> t
@@ -130,26 +161,6 @@ val ensure_parents : t -> string -> unit
 val read_file : t -> inode -> pos:int -> len:int -> (Bytes.t, int) result
 val write_file : t -> inode -> pos:int -> Bytes.t -> (int, int) result
 val truncate : t -> inode -> int -> (unit, int) result
-
-type io_fault =
-  | Io_error of int  (** fail the whole transfer with this errno *)
-  | Short of int  (** transfer at most this many bytes *)
-
-val set_io_hook : (write:bool -> len:int -> io_fault option) option -> unit
-(** Fault-injection seam: when set, the hook is consulted at the top of
-    every {!read_file}/{!write_file} and may turn the transfer into a
-    transient error or a short read/write, modelling a flaky untrusted
-    host backing store. [None] (the default) restores normal operation;
-    production code never sets it. *)
-
-val max_io_attempts : int
-(** Transient [Io_error] faults are retried up to this many attempts
-    before the errno surfaces. [Short] transfers are never retried:
-    they made partial progress the caller must consume. *)
-
-val backoff_ns_of_attempt : int -> int64
-(** Deterministic simulated backoff before retry [k] (1-based):
-    exponential from 1 µs. Shared with {!Net}. *)
 
 val write_path : t -> string -> string -> (inode, int) result
 (** Create/replace a whole file (images and tests). *)

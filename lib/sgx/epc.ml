@@ -59,24 +59,23 @@ type t = {
   total_pages : int;
   mutable free_pages : int;
   mutable pager : pager option;
+  (* Fault-injection seam: consulted on every [alloc] before the
+     capacity check, so a harness can model transient platform pressure
+     (another tenant grabbing pages) without shrinking the pool. A
+     [true] raises [Out_of_epc] and deliberately bypasses the reclaimer:
+     injected pressure must surface to the caller, not be absorbed by
+     eviction. *)
+  mutable fault : (unit -> bool) option;
 }
 
 let create ?(size = default_size) () =
   if size <= 0 || size mod page_size <> 0 then
     invalid_arg "Epc.create: size must be a positive multiple of the page size";
   let pages = size / page_size in
-  { total_pages = pages; free_pages = pages; pager = None }
+  { total_pages = pages; free_pages = pages; pager = None; fault = None }
 
 exception Out_of_epc
 exception Integrity_violation of { cid : int; page : int }
-
-(* Fault-injection seam: consulted on every [alloc] before the capacity
-   check, so a harness can model transient platform pressure (another
-   tenant grabbing pages) without shrinking the pool. A hook-raised
-   [Out_of_epc] deliberately bypasses the reclaimer: injected pressure
-   must surface to the caller, not be absorbed by eviction. *)
-let alloc_hook : (pages:int -> unit) option ref = ref None
-let set_alloc_hook h = alloc_hook := h
 
 let enable_paging ?backing_pages ?(key = "epc-backing") t =
   if t.pager <> None then invalid_arg "Epc.enable_paging: already enabled";
@@ -113,6 +112,8 @@ let set_victim_policy t p =
   match t.pager with
   | None -> invalid_arg "Epc.set_victim_policy: paging disabled"
   | Some pg -> pg.victim_policy <- p
+
+let set_fault t f = t.fault <- f
 
 let set_event_hook t h =
   match t.pager with
@@ -229,7 +230,7 @@ let reclaim t pg ~need =
 
 let alloc t ~pages =
   if pages < 0 then invalid_arg "Epc.alloc";
-  (match !alloc_hook with Some h -> h ~pages | None -> ());
+  (match t.fault with Some f when f () -> raise Out_of_epc | _ -> ());
   if t.free_pages < pages then begin
     (match t.pager with
     | None -> raise Out_of_epc

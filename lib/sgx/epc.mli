@@ -31,12 +31,12 @@ val alloc : t -> pages:int -> unit
     store is at capacity) does it raise.
     @raise Out_of_epc when the pool is exhausted. *)
 
-val set_alloc_hook : (pages:int -> unit) option -> unit
-(** Fault-injection seam: when set, the hook runs on every {!alloc}
-    before the capacity check and may raise {!Out_of_epc} to model
-    transient platform pressure. A hook-raised exception propagates
-    without consulting the reclaimer. [None] (the default) restores
-    normal operation; production code never sets it. *)
+val set_fault : t -> (unit -> bool) option -> unit
+(** Fault-injection seam of this pool alone: when set, the schedule is
+    consulted on every {!alloc} before the capacity check, and [true]
+    raises {!Out_of_epc} to model transient platform pressure, without
+    consulting the reclaimer. [None] (the default) restores normal
+    operation; production code never sets it. *)
 
 val release : t -> pages:int -> unit
 val free_pages : t -> int

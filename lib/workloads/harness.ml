@@ -196,11 +196,12 @@ let response_bytes = String.length Httpd.response_header + Httpd.page_size
    [Httpd.port + 0 .. servers-1] with clients sharded round-robin —
    pair it with [cores] to load a multi-core enclave. *)
 let run_serving ?(connections = 5000) ?(rounds = 2) ?(batch = false)
-    ?(servers = 1) ?(cores = 1) ?obs system =
+    ?(servers = 1) ?(cores = 1) ?obs ?(around = fun _ run -> run ()) system =
   let domains =
     { Occlum_libos.Domain_mgr.default_config with max_domains = servers + 1 }
   in
   let os = boot ~domains ~cores ?obs system in
+  around os @@ fun () ->
   (* fit thousands of per-connection rings in memory; one response
      (10280 B) still fits in a 16 KiB ring *)
   os.Os.net.Occlum_libos.Net.sock_ring_bytes <- 16384;

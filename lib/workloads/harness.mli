@@ -82,6 +82,7 @@ val run_serving :
   ?servers:int ->
   ?cores:int ->
   ?obs:Occlum_obs.Obs.t ->
+  ?around:(Os.t -> (unit -> serving_result) -> serving_result) ->
   system ->
   serving_result
 (** The C10K load harness: [connections] concurrent keep-alive external
@@ -91,7 +92,9 @@ val run_serving :
     [servers] (default 1) spawns that many server SIPs on consecutive
     ports with clients sharded round-robin, and [cores] (default 1)
     selects the vCPU count — set both to N for the multi-core serving
-    benchmark. Latencies are virtual-clock, hence deterministic. *)
+    benchmark. [around os run] wraps the whole run after boot, e.g. to
+    arm a fault on that instance's network. Latencies are
+    virtual-clock, hence deterministic. *)
 
 val sized_program : code_kb:int -> Occlum_toolchain.Ast.program
 (** A program padded to roughly [code_kb] KiB of code (Fig 6a). *)

@@ -42,6 +42,19 @@ case "${1:-}" in
 esac
 
 dune build @all
+
+# Host-fault guard: every untrusted host side keeps its fault schedule
+# on the instance that owns it. No module-global hook setter (only the
+# per-pool Epc.set_event_hook matches the pattern) and no module-level
+# `option ref` hook may come back into the SGX or LibOS layers.
+hooks=$(grep -rn "set_.*_hook" lib | grep -v "set_event_hook" || true)
+refs=$(grep -rnE "option ref" lib/sgx lib/libos || true)
+if [ -n "$hooks$refs" ]; then
+  echo "FAIL: process-wide host-fault hook found; arm per instance:" >&2
+  printf '%s\n%s\n' "$hooks" "$refs" >&2
+  exit 1
+fi
+
 dune runtest
 
 # Constant-time gate: the CT checker must stay precise on the example

@@ -34,11 +34,7 @@ let build_enclave ?(content = "hello enclave") () =
 let with_cluster ?(connect = true) ~nodes f =
   Attestation.reset_nonce_cache ();
   let cl = Cluster.create ~connect ~nodes () in
-  Fun.protect
-    ~finally:(fun () ->
-      Inject.disarm ();
-      Cluster.destroy cl)
-    (fun () -> f cl)
+  Fun.protect ~finally:(fun () -> Cluster.destroy cl) (fun () -> f cl)
 
 (* --- remote attestation ----------------------------------------------------- *)
 
@@ -93,15 +89,15 @@ let mk_channel ?(now = 0L) () =
 
 let test_retry_budget_exhaustion () =
   let inj = Inject.make () in
-  let _, ch = mk_channel () in
+  let tr, ch = mk_channel () in
   (* every send (first try and all retransmissions) is dropped: the
      exchange must come back with a clean typed error, never hang *)
-  Inject.arm_channel inj ~times:100 ~at:1 ~fault:Host_transport.Drop ();
-  (match Channel.deliver ch ~src:0 "ping" ~now:0L with
-  | Error Channel.Budget_exhausted -> ()
-  | Error k -> Alcotest.failf "wrong fault: %s" (Channel.fault_name k)
-  | Ok _ -> Alcotest.fail "delivered through a black hole");
-  Inject.disarm ();
+  Inject.arm_channel inj tr ~times:100 ~at:1 ~fault:Host_transport.Drop
+    (fun () ->
+      match Channel.deliver ch ~src:0 "ping" ~now:0L with
+      | Error Channel.Budget_exhausted -> ()
+      | Error k -> Alcotest.failf "wrong fault: %s" (Channel.fault_name k)
+      | Ok _ -> Alcotest.fail "delivered through a black hole");
   Alcotest.(check int) "all attempts used" (Channel.max_attempts - 1)
     (Channel.retries ch);
   (match Channel.state ch with
@@ -180,11 +176,13 @@ let test_rollback_on_withheld_frame () =
 let test_arm_channel_determinism () =
   let run () =
     let inj = Inject.make () in
-    let _, ch = mk_channel () in
-    Inject.arm_channel inj ~times:2 ~at:2 ~fault:(Host_transport.Corrupt 13) ();
-    let r1 = Channel.deliver ch ~src:0 "ping" ~now:0L in
-    let r2 = Channel.deliver ch ~src:1 "pong" ~now:0L in
-    Inject.disarm ();
+    let tr, ch = mk_channel () in
+    let r1, r2 =
+      Inject.arm_channel inj tr ~times:2 ~at:2
+        ~fault:(Host_transport.Corrupt 13) (fun () ->
+          let r1 = Channel.deliver ch ~src:0 "ping" ~now:0L in
+          (r1, Channel.deliver ch ~src:1 "pong" ~now:0L))
+    in
     ( r1, r2, Channel.retries ch, Channel.mac_failures ch, Channel.sent ch,
       Channel.received ch, inj.Inject.chan )
   in
@@ -308,10 +306,10 @@ let test_hostile_host_degrades_gracefully () =
         in
         find 0
       in
-      Inject.arm_channel inj ~times:1_000 ~at:1 ~fault:Host_transport.Drop ();
-      Alcotest.(check bool) "op completes despite a black-hole host" true
-        (Cluster.kv_put cl ~via:0 key "v");
-      Inject.disarm ();
+      Inject.arm_channel inj (Cluster.transport cl) ~times:1_000 ~at:1
+        ~fault:Host_transport.Drop (fun () ->
+          Alcotest.(check bool) "op completes despite a black-hole host" true
+            (Cluster.kv_put cl ~via:0 key "v"));
       Alcotest.(check int) "peer declared down" 1 (Cluster.failovers cl);
       Alcotest.(check bool) "failed exchanges recorded" true
         (Cluster.rpc_failures cl >= 2);

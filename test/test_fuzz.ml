@@ -386,8 +386,7 @@ let test_spawn_epc_pressure () =
   Os.install_binary os "/bin/t" (Lazy.force tiny_signed);
   let free0 = Epc.free_pages os.Os.epc in
   let inj = Inject.make () in
-  Inject.arm_epc inj ~at:1;
-  Fun.protect ~finally:Inject.disarm (fun () ->
+  Inject.arm_epc inj os.Os.epc ~at:1 (fun () ->
       match Os.spawn os ~parent_pid:0 ~path:"/bin/t" ~args:[] with
       | _ -> Alcotest.fail "spawn under EPC exhaustion must fail"
       | exception Os.Spawn_error e ->

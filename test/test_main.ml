@@ -21,6 +21,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("cluster", Test_cluster.suite);
       ("fuzz", Test_fuzz.suite);
+      ("host-faults", Test_host_faults.suite);
       ("serving", Test_serving.suite);
       ("multicore", Test_multicore.suite);
       ("golden", Test_golden.suite);

@@ -75,11 +75,10 @@ let test_io_fault_seam () =
   (* transient Io_errors injected into the host transport mid-run are
      absorbed by the bounded retry wrapper; the quota still completes *)
   let inj = Inject.make () in
-  Inject.arm_net inj ~at:500 ~times:2
-    ~fault:(Sefs.Io_error Occlum_abi.Abi.Errno.eagain) ();
   let r =
-    Fun.protect ~finally:Inject.disarm (fun () ->
-        H.run_serving ~connections:50 ~rounds:2 H.Occlum)
+    H.run_serving ~connections:50 ~rounds:2 H.Occlum ~around:(fun os run ->
+        Inject.arm_net inj os.Os.net ~at:500 ~times:2
+          ~fault:(Sefs.Io_error Occlum_abi.Abi.Errno.eagain) run)
   in
   Alcotest.(check int) "faults injected" 2 inj.Inject.io;
   Alcotest.(check int) "quota completed despite faults" 100 r.H.s_completed

@@ -134,18 +134,9 @@ let test_epc_failure_mid_build () =
      construction must leave the pool balanced and the partial enclave
      queryable; destroy must give back exactly what was charged *)
   let epc = Epc.create ~size:(64 * page) () in
-  let calls = ref 0 in
-  Epc.set_alloc_hook
-    (Some
-       (fun ~pages:_ ->
-         incr calls;
-         if !calls = 3 then begin
-           Epc.set_alloc_hook None;
-           raise Epc.Out_of_epc
-         end));
-  Fun.protect
-    ~finally:(fun () -> Epc.set_alloc_hook None)
-    (fun () ->
+  (* the third allocation from this pool fails, once *)
+  let inj = Occlum_fuzzing.Inject.make () in
+  Occlum_fuzzing.Inject.arm_epc inj epc ~at:3 (fun () ->
       let e = Enclave.create ~version:Enclave.Sgx2 ~epc ~size:(16 * page) () in
       Enclave.add_pages e ~addr:0 ~data:(Bytes.make page 'c')
         ~perm:Mem.perm_rx;
@@ -161,7 +152,8 @@ let test_epc_failure_mid_build () =
         (Enclave.initialized e);
       Enclave.destroy e;
       Alcotest.(check int) "destroy restores the pool exactly" 64
-        (Epc.free_pages epc))
+        (Epc.free_pages epc));
+  Alcotest.(check int) "one failure injected" 1 inj.Occlum_fuzzing.Inject.epc
 
 let test_attestation () =
   let _, parent = build_enclave () in
