@@ -17,35 +17,16 @@
    Absolute numbers differ from the paper (the substrate is a simulator,
    not an SGX testbed); the comparisons within each table are the
    reproduction target. `--full` enlarges workloads; `--only=a,b` runs a
-   subset. *)
+   subset; `--json PATH` also writes every recorded scalar as JSON;
+   `--help` lists the sections. Any other argument, or an unknown section
+   name, exits 2 with the usage line. *)
 
 module H = Occlum_workloads.Harness
 module Os = Occlum_libos.Os
 
+(* read here because the sections use it; [parse_args] at the bottom
+   checks every argument before any section runs *)
 let full = Array.exists (( = ) "--full") Sys.argv
-
-let only =
-  Array.to_list Sys.argv
-  |> List.filter_map (fun a ->
-         if String.length a > 7 && String.sub a 0 7 = "--only=" then
-           Some (String.split_on_char ',' (String.sub a 7 (String.length a - 7)))
-         else None)
-  |> List.concat
-
-let selected name = only = [] || List.mem name only
-
-(* --json <path> (or --json=<path>): dump every recorded scalar as a flat
-   JSON object, so CI can diff runs without scraping the tables. *)
-let json_path =
-  let rec go = function
-    | "--json" :: p :: _ -> Some p
-    | a :: tl ->
-        if String.length a > 7 && String.sub a 0 7 = "--json=" then
-          Some (String.sub a 7 (String.length a - 7))
-        else go tl
-    | [] -> None
-  in
-  go (Array.to_list Sys.argv)
 
 let json_results : (string * float) list ref = ref []
 let record name v = json_results := (name, v) :: !json_results
@@ -84,12 +65,6 @@ let write_json path =
   close_out oc;
   Printf.printf "\nwrote %d results (+%d metrics) to %s\n" (List.length items)
     (List.length metrics) path
-
-let section name title f =
-  if selected name then begin
-    Printf.printf "\n=== %s: %s ===\n%!" name title;
-    f ()
-  end
 
 let systems = [ H.Linux; H.Occlum; H.Graphene ]
 
@@ -1083,31 +1058,91 @@ let cluster_bench () =
        (fun acc (s : Cluster.chan_stats) -> acc + s.Cluster.cs_retries)
        0 (Cluster.chan_stats cl))
 
+let sections =
+  [
+    ("table1", "SIPs vs EIPs", table1);
+    ("fig5a", "fish shell benchmark", fig5a);
+    ("fig5b", "GCC compile pipeline", fig5b);
+    ("fig5c", "lighttpd throughput vs concurrent clients", fig5c);
+    ("fig6a", "process creation time vs binary size", fig6a);
+    ("fig6b", "pipe throughput vs buffer size", fig6b);
+    ("fig6c", "sequential file reads (SEFS vs ext4)", fig6_file ~write:false);
+    ("fig6d", "sequential file writes (SEFS vs ext4)", fig6_file ~write:true);
+    ("fig7a", "MMDSFI overhead on SPECint-style kernels", fig7a);
+    ("fig7b", "MMDSFI overhead breakdown (naive vs optimized)", fig7b);
+    ("guards", "verified guard elision on the naive SPEC builds", guards);
+    ("sgx2", "ablation: SGX1 preallocation vs SGX2 EDMM", sgx2_ablation);
+    ("paging", "EPC demand-paging overhead vs pool size", paging);
+    ("serving", "C10K event-loop serving tier (epoll + Sys.batch)", serving);
+    ("multicore", "SIP throughput scaling across simulated vCPUs", multicore);
+    ( "cluster",
+      "attested cross-enclave RPC (handshake, vs IPC, faults)",
+      cluster_bench );
+    ("ripe", "RIPE attack corpus", ripe);
+    ( "micro",
+      "Bechamel micro-benchmarks",
+      fun () ->
+        micro ();
+        micro_eip () );
+    ("jit", "block-JIT tiered loop vs the reference loop", micro_jit);
+  ]
+
+(* Command line: [--full], [--only=a,b] (repeatable), [--json PATH] or
+   [--json=PATH] (dump every recorded scalar as a flat JSON object, so CI
+   can diff runs without scraping the tables), [--help]. Returns the
+   selected sections (empty = all) and the JSON path. *)
+let parse_args () =
+  let names = List.map (fun (name, _, _) -> name) sections in
+  let usage =
+    Printf.sprintf
+      "usage: main.exe [--full] [--only=SECTION[,SECTION...]] [--json PATH]\n\
+       sections: %s"
+      (String.concat "," names)
+  in
+  let fail msg =
+    Printf.eprintf "main.exe: %s\n%s\n" msg usage;
+    exit 2
+  in
+  let value ~prefix a =
+    if String.starts_with ~prefix a then
+      let n = String.length prefix in
+      Some (String.sub a n (String.length a - n))
+    else None
+  in
+  let rec go only json = function
+    | [] -> (only, json)
+    | "--help" :: _ ->
+        print_endline usage;
+        exit 0
+    | "--full" :: tl -> go only json tl
+    | [ "--json" ] -> fail "--json needs a path"
+    | "--json" :: path :: tl -> go only (Some path) tl
+    | a :: tl -> (
+        match (value ~prefix:"--only=" a, value ~prefix:"--json=" a) with
+        | Some list, _ ->
+            let picked = String.split_on_char ',' list in
+            List.iter
+              (fun name ->
+                if not (List.mem name names) then
+                  fail (Printf.sprintf "unknown section %S" name))
+              picked;
+            go (only @ picked) json tl
+        | None, Some path -> go only (Some path) tl
+        | None, None -> fail (Printf.sprintf "unknown argument %S" a))
+  in
+  go [] None (List.tl (Array.to_list Sys.argv))
+
 let () =
+  let only, json_path = parse_args () in
   Printf.printf "Occlum reproduction benchmark harness%s\n"
     (if full then " (--full)" else " (quick mode; pass --full for paper-sized runs)");
-  section "table1" "SIPs vs EIPs" table1;
-  section "fig5a" "fish shell benchmark" fig5a;
-  section "fig5b" "GCC compile pipeline" fig5b;
-  section "fig5c" "lighttpd throughput vs concurrent clients" fig5c;
-  section "fig6a" "process creation time vs binary size" fig6a;
-  section "fig6b" "pipe throughput vs buffer size" fig6b;
-  section "fig6c" "sequential file reads (SEFS vs ext4)" (fig6_file ~write:false);
-  section "fig6d" "sequential file writes (SEFS vs ext4)" (fig6_file ~write:true);
-  section "fig7a" "MMDSFI overhead on SPECint-style kernels" fig7a;
-  section "fig7b" "MMDSFI overhead breakdown (naive vs optimized)" fig7b;
-  section "guards" "verified guard elision on the naive SPEC builds" guards;
-  section "sgx2" "ablation: SGX1 preallocation vs SGX2 EDMM" sgx2_ablation;
-  section "paging" "EPC demand-paging overhead vs pool size" paging;
-  section "serving" "C10K event-loop serving tier (epoll + Sys.batch)" serving;
-  section "multicore" "SIP throughput scaling across simulated vCPUs" multicore;
-  section "cluster" "attested cross-enclave RPC (handshake, vs IPC, faults)"
-    cluster_bench;
-  section "ripe" "RIPE attack corpus" ripe;
-  section "micro" "Bechamel micro-benchmarks" (fun () ->
-      micro ();
-      micro_eip ());
-  section "jit" "block-JIT tiered loop vs the reference loop" micro_jit;
+  List.iter
+    (fun (name, title, f) ->
+      if only = [] || List.mem name only then begin
+        Printf.printf "\n=== %s: %s ===\n%!" name title;
+        f ()
+      end)
+    sections;
   match json_path with
   | None -> ()
   | Some path ->

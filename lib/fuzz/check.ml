@@ -748,7 +748,7 @@ let epc_case inj _shrink rng case =
    the same c must as well. Os.state_digest already excludes what
    legitimately varies with scheduling granularity (clock, retry
    counts, global-console interleaving), so any difference is a real
-   parallelism bug. Workloads are deliberately clock-free. *)
+   scheduling bug. Workloads are deliberately clock-free. *)
 
 let mc_sign prog =
   let oelf = Compile.compile_exn ~config:Codegen.sfi prog in

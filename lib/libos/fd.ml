@@ -3,12 +3,12 @@
    sharing the very same entry objects — possible only because all SIPs
    live inside one LibOS instance.
 
-   Multi-core ownership audit (cfg.cores > 1): everything in this module
-   is mutated only from syscall handlers, and those run exclusively in
-   the sequential phases of an epoch (Os.handle_stop, claim/post) on the
-   LibOS domain. The parallel phase executes pure interpreter quanta
-   that never enter the FD layer, so rings, pipes, epoll sets and
-   refcounts need no locking — the epoch barrier IS the lock. *)
+   Multi-core ownership (cfg.cores > 1): everything in this module is
+   mutated only from syscall handlers, which run in an epoch's post
+   phase (Os.handle_stop), one claimed SIP at a time in core order. The
+   simulated cores are virtual: every phase of every epoch runs on the
+   one thread that drives the LibOS, so rings, pipes, epoll sets and
+   refcounts have a single writer and need no locking. *)
 
 type pipe = {
   ring : Ring.t;

@@ -6,11 +6,11 @@
    harness (playing the remote ApacheBench client) can drive directly
    from OCaml.
 
-   Multi-core ownership audit (cfg.cores > 1): endpoints, rings, the
-   port registry and wake-hook lists are touched only from syscall
-   handlers and from the harness between scheduler steps — never from
-   the parallel phase of an epoch, whose worker domains run pure
-   interpreter quanta. Single-writer discipline holds without locks. *)
+   Multi-core ownership (cfg.cores > 1): endpoints, rings, the port
+   registry and wake-hook lists are touched only from syscall handlers
+   and from the harness between scheduler steps, never from an
+   interpreter quantum. Every simulated core runs on the one thread
+   that drives the LibOS, so each has a single writer and no lock. *)
 
 type endpoint = {
   inbox : Ring.t;   (* bytes this endpoint can read *)

@@ -54,8 +54,8 @@ type config = {
                   preallocating (§6's "can be avoided on SGX 2.0") *)
   domains : Domain_mgr.config;
   cores : int; (* simulated vCPUs: cores of the epoch scheduler *)
-  jit : bool; (* the tiered loop in Interp.run: a block JIT per core;
-                 off = reference loop *)
+  jit : bool; (* the tiered loop in Interp.run, one block JIT for every
+                 core; off = reference loop *)
   fs_key : string;
   (* EIP model knobs *)
   eip_runtime_image_bytes : int; (* measured on every enclave creation *)
@@ -103,9 +103,10 @@ type t = {
   prng : Occlum_util.Prng.t;
   eip_runtime_image : Bytes.t; (* stand-in for the Graphene runtime pages *)
   obs : Occlum_obs.Obs.t;
-  sched : Sched.t;
-  (* per-core run queues and JITs; a core's code cache keys blocks by
-     absolute pc in the shared address space, and the loader's
+  sched : Sched.t; (* per-core run queues *)
+  jit : Jit.t option;
+  (* the one code cache every core's quanta run through; it keys blocks
+     by absolute pc in the shared address space, and the loader's
      privileged code writes bump the page generations that invalidate
      them when a domain slot is reused *)
   mutable cur_core : int; (* core whose claim is being post-processed;
@@ -188,8 +189,8 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       prng = Occlum_util.Prng.create 0x0cc1;
       eip_runtime_image = Bytes.make config.eip_runtime_image_bytes '\x5a';
       obs;
-      sched =
-        Sched.create ~ncores:config.cores ~jit:config.jit ~obs ();
+      sched = Sched.create ~ncores:config.cores;
+      jit = (if config.jit then Some (Jit.create ()) else None);
       cur_core = 0;
       last_run_pid = 0;
       paging_cycles_seen = 0;
@@ -273,20 +274,10 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
 let clock t = t.clock_ns
 let console_output t = Buffer.contents t.console
 
-(* (compiles, hits, invalidations) summed over the per-core JITs; None
-   under the reference loop, where the cores have no JIT *)
-let jit_stats t =
-  Array.fold_left
-    (fun acc core ->
-      match core.Sched.jit with
-      | None -> acc
-      | Some j ->
-          let x, y, z = Jit.stats j in
-          let a, b, d = Option.value acc ~default:(0, 0, 0) in
-          Some (a + x, b + y, d + z))
-    None t.sched.Sched.cores
+(* (compiles, hits, invalidations); None under the reference loop *)
+let jit_stats t = Option.map Jit.stats t.jit
 
-(* the same code caches' (hits, builds, invalidations) *)
+(* the same code cache's (hits, builds, invalidations) *)
 let decode_cache_stats t =
   Option.map (fun (compiles, hits, inv) -> (hits, compiles, inv)) (jit_stats t)
 
@@ -1751,17 +1742,16 @@ let handle_stop t (p : proc) (stop : Interp.stop) =
 
 (* --- the epoch scheduler ------------------------------------------------------
 
-   Epoch model: a sequential claim phase picks at most one runnable SIP
-   per core (Sched.claim — deterministic round-robin, never two SIPs of
-   one domain slot, the claimed pid requeued at claim time), the
-   execution phase runs one interpreter quantum per claimed SIP —
-   parallelizable across OCaml domains because a SIP's quantum only
-   touches its own domain slot's pages, its own Cpu, and its core's
-   private caches and Obs (core 0's quantum, which reports to [t.obs],
-   always runs on the calling domain) — and a sequential post phase, in
-   core order, handles gates and faults.
+   Epoch model: a claim phase picks at most one runnable SIP per core
+   (Sched.claim — deterministic round-robin, never two SIPs of one
+   domain slot, the claimed pid requeued at claim time), the execute
+   phase runs one interpreter quantum per claimed SIP, in core order,
+   through the one JIT and reporting to [t.obs], and a post phase, in
+   core order, handles gates and faults. Every phase runs on the
+   calling thread; the cores are a virtual-time model, not host
+   parallelism.
 
-   The cores ran concurrently, so they overlap in virtual time: before
+   The cores model concurrent vCPUs, so they overlap in virtual time: before
    job i's stop is handled the clock reads [base + cycles_i], and the
    epoch ends at the largest clock any job's handling reached. Syscall
    handling is charged to the calling SIP's core — the paper's point is
@@ -1770,8 +1760,7 @@ let handle_stop t (p : proc) (stop : Interp.stop) =
    paging, host-I/O retry backoff) stays serial via
    [sync_pressure_charges]. With one core an epoch is one round-robin
    quantum followed by its handler. Nothing observable depends on host
-   timing, so a run at a fixed core count is bit-reproducible with or
-   without the worker pool. *)
+   timing, so a run at a fixed core count is bit-reproducible. *)
 
 let runnable t pid =
   match find_proc t pid with Some p -> p.state = `Runnable | None -> false
@@ -1784,13 +1773,13 @@ let slot t pid =
   | Some p -> p.img.slot.Domain_mgr.id
   | None -> -1
 
-let epoch ?pool t =
-  let s = t.sched in
+(* One scheduler step is one epoch. *)
+let step t =
   let o = t.obs in
   retry_blocked t;
   t.cur_core <- 0;
   let claims =
-    Sched.claim s ~runnable:(runnable t) ~live:(live t) ~slot_of:(slot t)
+    Sched.claim t.sched ~runnable:(runnable t) ~live:(live t) ~slot_of:(slot t)
   in
   (* sequential prologue: signal delivery (a SIP killed or blocked by a
      signal hands its core's slice back), then the switch/start events *)
@@ -1819,33 +1808,23 @@ let epoch ?pool t =
       claims
     |> Array.of_list
   in
-  let n = Array.length jobs in
   (* nothing claimed, or signals took every claimed slice: no quantum
      ran and no time passed (pressure charges fold in next epoch) *)
-  if n = 0 then claims <> []
+  if jobs = [||] then claims <> []
   else begin
-    let stops = Array.make n Interp.Stop_quantum in
-    let run_job i (cid, p, _, _) =
-      let core = s.Sched.cores.(cid) in
-      stops.(i) <-
-        Interp.run ?jit:core.Sched.jit ~obs:core.Sched.obs t.mem p.cpu
-          ~fuel:quantum
+    let stops =
+      Array.map
+        (fun (_, p, _, _) ->
+          Interp.run ?jit:t.jit ~obs:o t.mem p.cpu ~fuel:quantum)
+        jobs
     in
-    (match pool with
-    | Some pool when n > 1 ->
-        Sched.Pool.run_all pool (Array.mapi (fun i job () -> run_job i job) jobs)
-    | _ -> Array.iteri run_job jobs);
-    (* sequential post phase, in core order *)
+    (* post phase, in core order *)
     let base = t.clock_ns in
     let epoch_end = ref base in
     Array.iteri
       (fun i (cid, p, cycles0, insns0) ->
-        let core = s.Sched.cores.(cid) in
         let cycles = p.cpu.cycles - cycles0 and insns = p.cpu.insns - insns0 in
         t.cur_core <- cid;
-        core.Sched.quanta <- core.Sched.quanta + 1;
-        core.Sched.insns <- core.Sched.insns + insns;
-        core.Sched.cycles <- core.Sched.cycles + cycles;
         t.clock_ns <- Int64.add base (cycles_to_ns cycles);
         if o.Occlum_obs.Obs.enabled then begin
           if o.Occlum_obs.Obs.t_quantum then
@@ -1872,10 +1851,6 @@ let epoch ?pool t =
 
 let merge_core_metrics t = Sched.merge_metrics t.sched t.obs
 
-(* One scheduler step: one epoch, executed on the calling domain —
-   drivers that poke the system between steps keep working. *)
-let step t = epoch t
-
 (* A step found nothing runnable: advance the clock to the earliest
    sleeper's wake time, or else retry every blocked call once more.
    [Some (Deadlock _)] when that leaves nothing runnable either. *)
@@ -1889,46 +1864,29 @@ let idle t =
       if List.exists (fun p -> p.state = `Runnable) (live_procs t) then None
       else Some (Deadlock (List.map (fun p -> p.pid) (live_procs t)))
 
-let run ?(max_steps = 1_000_000) t =
-  (* the worker pool exists only for the duration of this call; quanta
-     of one epoch run on up to cores-1 workers plus the calling domain *)
-  let nworkers =
-    min (t.sched.Sched.ncores - 1)
-      (max 0 (Domain.recommended_domain_count () - 1))
-  in
-  let pool =
-    if nworkers > 0 then Some (Sched.Pool.create nworkers) else None
-  in
-  let finish status =
-    merge_core_metrics t;
-    status
-  in
-  let rec go n =
-    if n = 0 then finish Quota_exhausted
-    else if live_procs t = [] then finish All_exited
-    else if epoch ?pool t then go (n - 1)
-    else
-      match idle t with None -> go (n - 1) | Some status -> finish status
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      match pool with Some p -> Sched.Pool.shutdown p | None -> ())
-    (fun () -> go max_steps)
-
-(* Convenience: run until a specific process has exited (it may already
-   be reaped by its parent; absence counts as exited). *)
-let wait_pid_exit ?(max_steps = 1_000_000) t pid =
+(* The drive loop behind [run] and [wait_pid_exit]: step, and idle when
+   nothing ran, until [finished] holds, deadlock or the step quota. *)
+let drive ~max_steps ~finished t =
   let rec go n =
     if n = 0 then Quota_exhausted
-    else
-      match find_proc t pid with
-      | None -> All_exited
-      | Some { state = `Zombie; _ } -> All_exited
-      | Some _ ->
-          if step t then go (n - 1)
-          else (match idle t with None -> go (n - 1) | Some status -> status)
+    else if finished () then All_exited
+    else if step t then go (n - 1)
+    else match idle t with None -> go (n - 1) | Some status -> status
   in
   go max_steps
+
+let run ?(max_steps = 1_000_000) t =
+  let status = drive ~max_steps ~finished:(fun () -> live_procs t = []) t in
+  merge_core_metrics t;
+  status
+
+(* Run until a specific process has exited (it may already be reaped by
+   its parent; absence counts as exited). *)
+let wait_pid_exit ?(max_steps = 1_000_000) t pid =
+  drive ~max_steps t ~finished:(fun () ->
+      match find_proc t pid with
+      | None | Some { state = `Zombie; _ } -> true
+      | Some _ -> false)
 
 let flush_fs t = Sefs.flush t.sefs
 

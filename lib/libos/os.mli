@@ -51,12 +51,13 @@ type config = {
   cores : int;
       (** simulated vCPUs (default 1). Every core count runs the same
           epoch scheduler over per-core run queues ({!Sched}); with more
-          than one core an epoch's quanta execute in parallel on OCaml
-          domains. Runs are bit-reproducible for a fixed core count. *)
+          than one core an epoch's quanta overlap in virtual time. Every
+          quantum runs on the calling thread, and runs are
+          bit-reproducible for a fixed core count. *)
   jit : bool;
-      (** run SIPs on [Interp.run]'s tiered loop — a block JIT per core,
-          every block compiled at its first execution (default on); off
-          runs the reference loop *)
+      (** run SIPs on [Interp.run]'s tiered loop — one block JIT that
+          every core's quanta share, every block compiled at its first
+          execution (default on); off runs the reference loop *)
   fs_key : string;
   eip_runtime_image_bytes : int;
       (** the Graphene runtime pages measured on every EIP creation *)
@@ -91,8 +92,10 @@ type t = {
       (** the observability instance every layer of this LibOS reports
           to; {!Occlum_obs.Obs.disabled} unless one was passed to
           {!boot} *)
-  sched : Sched.t;
-      (** the scheduler: per-core run queues and JITs *)
+  sched : Sched.t;  (** the scheduler: per-core run queues *)
+  jit : Occlum_machine.Jit.t option;
+      (** the block JIT every core's quanta run through; [None] under
+          the reference loop *)
   mutable cur_core : int;
       (** core whose claim is being post-processed; attributes futex
           wakes to their waker core *)
@@ -134,8 +137,7 @@ val clock : t -> int64
 val console_output : t -> string
 
 val decode_cache_stats : t -> (int * int * int) option
-(** The code cache's block-level [(hits, builds, invalidations)] summed
-    over the per-core JITs: lookups (and link follows) that found a
+(** The code cache's block-level [(hits, builds, invalidations)]: lookups (and link follows) that found a
     valid compiled block, blocks built and compiled, and compiled
     blocks dropped as stale. The same three numbers as {!jit_stats}, in
     hit-first order, so [hits / (hits + builds)] is the fraction of
@@ -143,7 +145,7 @@ val decode_cache_stats : t -> (int * int * int) option
     reference loop. *)
 
 val jit_stats : t -> (int * int * int) option
-(** [(compiles, hits, invalidations)] summed over the per-core JITs;
+(** [(compiles, hits, invalidations)] of the one block JIT ([Jit.stats]);
     [None] under the reference loop. *)
 
 val proc_output : t -> int -> string
@@ -175,18 +177,17 @@ type run_status = All_exited | Deadlock of int list | Quota_exhausted
 
 val step : t -> bool
 (** Retry blocked SIPs, then run one epoch: claim at most one runnable
-    SIP per core, run one quantum of each (sequentially on the calling
-    domain — only {!run} spins up the worker pool), then handle their
-    stops in core order. Before a SIP's stop is handled the clock reads
+    SIP per core, run one quantum of each in core order, then handle
+    their stops in core order. Before a SIP's stop is handled the clock reads
     the epoch's start plus that quantum's cycles; the epoch ends at the
     latest clock any handler reached. [false] if nothing was runnable. *)
 
 val run : ?max_steps:int -> t -> run_status
 (** Run until every process has exited (advancing the clock over sleep
-    gaps), deadlock, or the step quota. With [cores > 1] this owns the
-    worker-domain pool (created on entry, joined before returning, even
-    on exceptions). Folds the scheduler counters into [t.obs] when the
-    run completes. *)
+    gaps), deadlock, or the step quota: {!step} until nothing is live,
+    and on a step where nothing ran, advance to the earliest sleeper's
+    wake time or retry every blocked call once more. Folds the
+    scheduler counters into [t.obs] when the run completes. *)
 
 val wait_pid_exit : ?max_steps:int -> t -> int -> run_status
 (** Run until a specific process has exited (or was reaped). Idle steps

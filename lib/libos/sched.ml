@@ -1,22 +1,13 @@
 (* Per-vCPU run queues with deterministic work stealing. See sched.mli
    for the model; the invariant that matters is that every function here
-   is called from the LibOS's own domain in a deterministic order — the
-   worker domains of [Pool] only ever execute interpreter closures. *)
+   is called by the LibOS in a deterministic order. *)
 
 type core = {
   cid : int;
   mutable rq : int list;
-  jit : Occlum_machine.Jit.t option;
-      (* per-core code cache: the cache tables and each compiled
-         block's successor link are mutable, so cores never share a
-         [Jit.t] *)
-  obs : Occlum_obs.Obs.t;
   mutable backoff : int;
   mutable fail_streak : int;
   mutable steals : int;
-  mutable quanta : int;
-  mutable insns : int;
-  mutable cycles : int;
 }
 
 type t = {
@@ -31,7 +22,7 @@ type t = {
 
 let max_backoff = 16
 
-let create ~ncores ~jit ~obs () =
+let create ~ncores =
   if ncores < 1 then invalid_arg "Sched.create: ncores < 1";
   {
     ncores;
@@ -40,16 +31,9 @@ let create ~ncores ~jit ~obs () =
           {
             cid;
             rq = [];
-            jit = (if jit then Some (Occlum_machine.Jit.create ()) else None);
-            (* core 0's quanta always run on the calling domain
-               ([Pool.run_all]), so only it may touch [obs]'s trace *)
-            obs = (if cid = 0 then obs else Occlum_obs.Obs.disabled);
             backoff = 0;
             fail_streak = 0;
             steals = 0;
-            quanta = 0;
-            insns = 0;
-            cycles = 0;
           });
     epochs = 0;
     cross_wakes = 0;
@@ -182,114 +166,3 @@ let merge_metrics t (obs : Occlum_obs.Obs.t) =
     t.merged_steals <- steals;
     t.merged_wakes <- t.cross_wakes
   end
-
-(* --- the vCPU worker pool ------------------------------------------------- *)
-
-module Pool = struct
-  type worker = {
-    m : Mutex.t;
-    cv : Condition.t;
-    mutable job : (unit -> unit) option;
-    mutable idle : bool;
-    mutable stop : bool;
-    mutable err : exn option;
-    mutable dom : unit Domain.t option;
-  }
-
-  type pool = { workers : worker array }
-
-  let worker_loop w =
-    let running = ref true in
-    while !running do
-      Mutex.lock w.m;
-      while w.job = None && not w.stop do
-        Condition.wait w.cv w.m
-      done;
-      match w.job with
-      | None ->
-          (* stop requested with no pending job *)
-          running := false;
-          Mutex.unlock w.m
-      | Some f ->
-          Mutex.unlock w.m;
-          (try f () with e -> w.err <- Some e);
-          Mutex.lock w.m;
-          w.job <- None;
-          w.idle <- true;
-          Condition.broadcast w.cv;
-          Mutex.unlock w.m
-    done
-
-  let create n =
-    let workers =
-      Array.init (max 0 n) (fun _ ->
-          {
-            m = Mutex.create ();
-            cv = Condition.create ();
-            job = None;
-            idle = true;
-            stop = false;
-            err = None;
-            dom = None;
-          })
-    in
-    Array.iter (fun w -> w.dom <- Some (Domain.spawn (fun () -> worker_loop w))) workers;
-    { workers }
-
-  let submit w f =
-    Mutex.lock w.m;
-    w.job <- Some f;
-    w.idle <- false;
-    Condition.broadcast w.cv;
-    Mutex.unlock w.m
-
-  let await w =
-    Mutex.lock w.m;
-    while not w.idle do
-      Condition.wait w.cv w.m
-    done;
-    Mutex.unlock w.m
-
-  let run_all pool jobs =
-    let n = Array.length jobs in
-    if n > 0 then begin
-      let nw = Array.length pool.workers in
-      let offloaded = min (n - 1) nw in
-      for k = 1 to offloaded do
-        submit pool.workers.(k - 1) jobs.(k)
-      done;
-      (* the calling domain is vCPU 0, plus any overflow past the pool *)
-      jobs.(0) ();
-      for k = offloaded + 1 to n - 1 do
-        jobs.(k) ()
-      done;
-      for k = 1 to offloaded do
-        await pool.workers.(k - 1)
-      done;
-      Array.iter
-        (fun w ->
-          match w.err with
-          | Some e ->
-              w.err <- None;
-              raise e
-          | None -> ())
-        pool.workers
-    end
-
-  let shutdown pool =
-    Array.iter
-      (fun w ->
-        Mutex.lock w.m;
-        w.stop <- true;
-        Condition.broadcast w.cv;
-        Mutex.unlock w.m)
-      pool.workers;
-    Array.iter
-      (fun w ->
-        match w.dom with
-        | Some d ->
-            Domain.join d;
-            w.dom <- None
-        | None -> ())
-      pool.workers
-end

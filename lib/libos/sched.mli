@@ -2,11 +2,12 @@
     stealing. The LibOS builds one at every core count; [cores = 1] is
     simply a one-core instance.
 
-    One [core] models one simulated vCPU. Each core owns a run queue
-    (FIFO: the owner claims from the front, thieves steal from the
-    back) and a private block JIT. Core 0's quanta report their
-    interpreter events to the LibOS's {!Occlum_obs.Obs}; the other
-    cores' run untraced, since they may execute on worker domains.
+    One [core] models one simulated vCPU: a run queue (FIFO: the owner
+    claims from the front, thieves steal from the back) and its steal
+    backoff. The cores are virtual. Every core's quanta run on the one
+    host thread that drives the LibOS, share the LibOS's one block JIT
+    and report to its one {!Occlum_obs.Obs}; what a core adds is a run
+    queue and an overlapping share of virtual time.
 
     Scheduling runs in {e epochs}. An epoch's claim phase walks the
     cores in index order; each core claims at most one runnable SIP —
@@ -14,30 +15,17 @@
     stealing from victims in the deterministic order [(self+1) mod n,
     ...]. A claimed SIP is requeued at the tail of the claiming core's
     queue at claim time. Claims exclude two SIPs that share a domain
-    slot (threads) from running in the same epoch, so a SIP's quantum is
-    the only writer of its slot memory during the parallel phase.
-    Everything here is plain sequential data-structure manipulation
-    driven by the LibOS from one domain — the OCaml [Domain]s of {!Pool}
-    only execute interpreter quanta, never touch these queues, and
-    therefore cannot perturb the schedule: a run is bit-reproducible for
-    a fixed core count regardless of host timing. *)
+    slot (threads) from running in the same epoch, so a slot runs at
+    most one quantum per epoch. Everything here is plain sequential
+    data-structure manipulation driven by the LibOS, so a run is
+    bit-reproducible for a fixed core count. *)
 
 type core = {
   cid : int;
   mutable rq : int list;  (** pids; front = next to claim *)
-  jit : Occlum_machine.Jit.t option;
-      (** this vCPU's private block JIT — compiled blocks (and their
-          mutable successor links) are never shared across domains;
-          [None] runs the reference loop *)
-  obs : Occlum_obs.Obs.t;
-      (** where this vCPU's quanta report: the scheduler's [obs] for
-          core 0, {!Occlum_obs.Obs.disabled} for the rest *)
   mutable backoff : int;  (** epochs left before stealing again *)
   mutable fail_streak : int;  (** consecutive failed steal rounds *)
   mutable steals : int;  (** SIPs this core stole *)
-  mutable quanta : int;  (** quanta this core executed *)
-  mutable insns : int;
-  mutable cycles : int;
 }
 
 type t = {
@@ -54,10 +42,8 @@ type t = {
 val max_backoff : int
 (** Cap on the exponential steal backoff, in epochs. *)
 
-val create : ncores:int -> jit:bool -> obs:Occlum_obs.Obs.t -> unit -> t
-(** [jit] gives every core a block JIT (the tiered loop);
-    without it every core runs the reference loop. Core 0 reports to
-    [obs]. *)
+val create : ncores:int -> t
+(** [ncores] empty run queues. *)
 
 val enqueue : t -> int -> unit
 (** Queue a new pid on its home core ([pid mod ncores]), clearing that
@@ -93,23 +79,3 @@ val merge_metrics : t -> Occlum_obs.Obs.t -> unit
     [sched.cross_wakes]) into [obs]. Idempotent across repeated calls
     (merges only the deltas since the last call). No-op on a disabled
     [obs]. *)
-
-(** A pool of worker [Domain]s executing one epoch's interpreter quanta
-    in parallel. The pool is an accelerator only: workers run closures
-    handed to {!run_all} and never touch LibOS state, so results are
-    identical with or without it. *)
-module Pool : sig
-  type pool
-
-  val create : int -> pool
-  (** Spawn [n] worker domains (0 is legal: {!run_all} then runs
-      everything on the caller). *)
-
-  val run_all : pool -> (unit -> unit) array -> unit
-  (** Run all thunks to completion: thunk 0 on the calling domain, the
-      rest on workers (overflow beyond the pool size runs on the
-      caller). Re-raises the first worker exception. *)
-
-  val shutdown : pool -> unit
-  (** Join every worker domain. Idempotent. *)
-end

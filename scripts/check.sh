@@ -55,6 +55,17 @@ if [ -n "$hooks$refs" ]; then
   exit 1
 fi
 
+# One host thread: the LibOS runs every simulated core's quanta on the
+# thread that drives it, so no library code spawns a domain or takes a
+# lock. Tests are exempt (test/test_util.ml spawns domains to check that
+# SHA-256 keeps no shared state).
+threads=$(grep -rnE "Domain\.spawn|Mutex\.|Condition\." lib || true)
+if [ -n "$threads" ]; then
+  echo "FAIL: domain or lock use under lib/; the simulator is single-threaded:" >&2
+  printf '%s\n' "$threads" >&2
+  exit 1
+fi
+
 dune runtest
 
 # Constant-time gate: the CT checker must stay precise on the example
@@ -174,8 +185,8 @@ smoke_sefs_sha=6bf0195057263dbc0ab3de2abaa2b9d8ab46e04bb8e358babb76eb07be21fd41
 }
 
 # Multi-core determinism smoke: the same binary under --cores=1 (twice)
-# and --cores=4 must print bit-identical output — parallel SIP quanta on
-# OCaml domains are a pure wall-clock accelerator. The full differential
+# and --cores=4 must print bit-identical output — the simulated cores
+# change virtual time, never what a workload observes. The full differential
 # (Os.state_digest over FS + exit codes, plus the mc-determinism fuzz
 # property) runs in `dune runtest` above and in the CI `cores` job.
 dune exec bin/occlum_run.exe -- _build/hello.oelf --cores 1 \

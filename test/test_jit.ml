@@ -787,7 +787,7 @@ let test_libos_jit_on_off_identical () =
   | _ -> Alcotest.fail "JIT stats missing under the tiered loop"
 
 let test_multicore_digest_with_jit () =
-  (* default config: JIT on, per-core code caches *)
+  (* default config: JIT on, one code cache shared by every core *)
   let digest cores =
     let r =
       Harness.run_compute_scaling ~sips:6 ~iters:12_000 ~cores Harness.Occlum

@@ -8,8 +8,7 @@ module Sched = Occlum_libos.Sched
 module Harness = Occlum_workloads.Harness
 module Check = Occlum_fuzzing.Check
 
-let mk ncores =
-  Sched.create ~ncores ~jit:false ~obs:Occlum_obs.Obs.disabled ()
+let mk ncores = Sched.create ~ncores
 
 let always _ = true
 let claim_all s = Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> -1)
@@ -229,31 +228,35 @@ let test_clock_covers_events () =
   Alcotest.(check bool) "all writers exited" true (Os.live_procs os = []);
   Alcotest.(check int) "no event stamped after the step's final clock" 0 !late
 
-let test_decode_cache_stats () =
-  (* at cores=4 the reported code-cache stats, (hits, builds,
-     invalidations), are the sum over the per-core JITs, and every core
-     that ran code compiled and replayed it *)
-  let os = Harness.boot ~cores:4 Harness.Occlum in
+let test_jit_events_traced () =
+  (* at cores=4 every core's quanta run through the one JIT and report
+     to the LibOS's trace: each compile the JIT counts is one
+     Jit_compile event, from whichever core ran the block *)
+  let module Trace = Occlum_obs.Trace in
+  let obs =
+    Occlum_obs.Obs.create ~capacity:(1 lsl 18) ~events:[ Occlum_obs.Obs.Jit ]
+      ()
+  in
+  let os = Harness.boot ~cores:4 ~obs Harness.Occlum in
   Harness.install os Harness.Occlum [ ("/bin/compute", Harness.compute_prog) ];
   for _ = 1 to 4 do
     ignore (Os.spawn os ~parent_pid:0 ~path:"/bin/compute" ~args:[ "2000" ])
   done;
   ignore (Os.run os);
-  let sum =
-    Array.fold_left
-      (fun (a, b, c) core ->
-        match core.Sched.jit with
-        | Some j ->
-            let compiles, hits, inv = Occlum_machine.Jit.stats j in
-            (a + hits, b + compiles, c + inv)
-        | None -> (a, b, c))
-      (0, 0, 0) os.Os.sched.Sched.cores
+  let trace = obs.Occlum_obs.Obs.trace in
+  Alcotest.(check int) "no event dropped" 0 (Trace.dropped trace);
+  let traced =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+           match e.kind with Trace.Jit_compile _ -> true | _ -> false)
+         (Trace.events trace))
   in
-  match Os.decode_cache_stats os with
-  | Some ((hits, builds, _) as stats) ->
+  match Os.jit_stats os with
+  | Some (compiles, hits, _) ->
       Alcotest.(check bool) "JIT compiled and replayed" true
-        (builds > 0 && hits > 0);
-      Alcotest.(check (triple int int int)) "equals the per-core sum" sum stats
+        (compiles > 0 && hits > 0);
+      Alcotest.(check int) "one Jit_compile event per compile" compiles traced
   | None -> Alcotest.fail "stats missing with the JIT enabled"
 
 let suite =
@@ -278,6 +281,6 @@ let suite =
       test_metrics_merge;
     Alcotest.test_case "epoch clock covers every event's timestamp" `Quick
       test_clock_covers_events;
-    Alcotest.test_case "decode-cache stats sum the per-core caches" `Quick
-      test_decode_cache_stats;
+    Alcotest.test_case "every core's JIT events reach the trace" `Quick
+      test_jit_events_traced;
   ]
