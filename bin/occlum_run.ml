@@ -153,9 +153,9 @@ let no_paging_arg =
 let cores_arg =
   Arg.(value & opt int 1 & info [ "cores" ]
          ~doc:"Simulated vCPUs (default 1) of the epoch scheduler: \
-               each epoch runs one SIP quantum per core, overlapping in \
-               virtual time, over per-core run queues with work \
-               stealing. Bit-reproducible for a fixed N.")
+               each epoch claims up to N SIPs from one run queue and \
+               runs one quantum of each, overlapping in virtual time. \
+               Bit-reproducible for a fixed N.")
 
 let cmd =
   Cmd.v

@@ -89,20 +89,6 @@ let record registry (r : report) =
   M.add (M.counter registry "guard_audit.guards_total") r.guards_total;
   M.add (M.counter registry "guard_audit.redundant_total") r.redundant_total
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json (r : report) =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -113,7 +99,7 @@ let to_json (r : report) =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "{\"name\":\"%s\",\"guards\":%d,\"redundant\":%d}"
-           (json_escape f.name) f.guards f.redundant))
+           (Occlum_util.Json.escape f.name) f.guards f.redundant))
     r.funcs;
   Buffer.add_string b "],\"findings\":[";
   List.iteri

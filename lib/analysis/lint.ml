@@ -125,27 +125,15 @@ let dead_flag_updates (cfg : Cfg.t) =
 
 (* --- emitters ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let finding_json f =
   Printf.sprintf
     "{\"rule\":\"%s\",\"name\":\"%s\",\"severity\":\"%s\",\"addr\":%d,\
      \"insn\":\"%s\",\"message\":\"%s\"}"
     f.rule (rule_name f.rule)
     (severity_to_string f.severity)
-    f.addr (json_escape f.insn) (json_escape f.message)
+    f.addr
+    (Occlum_util.Json.escape f.insn)
+    (Occlum_util.Json.escape f.message)
 
 let to_json findings =
   let b = Buffer.create 512 in
@@ -175,7 +163,7 @@ let to_sarif ~uri findings =
         (Printf.sprintf
            "{\"id\":\"%s\",\"name\":\"%s\",\"shortDescription\":\
             {\"text\":\"%s\"}}"
-           id name (json_escape desc)))
+           id name (Occlum_util.Json.escape desc)))
     rules;
   Buffer.add_string b "]}},\"results\":[";
   List.iteri
@@ -194,8 +182,8 @@ let to_sarif ~uri findings =
             {\"artifactLocation\":{\"uri\":\"%s\"},\"region\":\
             {\"byteOffset\":%d}}}]}"
            f.rule level
-           (json_escape f.message)
-           (json_escape f.insn) (json_escape uri) f.addr))
+           (Occlum_util.Json.escape f.message)
+           (Occlum_util.Json.escape f.insn) (Occlum_util.Json.escape uri) f.addr))
     findings;
   Buffer.add_string b "]}]}";
   Buffer.contents b

@@ -1497,21 +1497,6 @@ let ok report = List.for_all (fun r -> r.failures = []) report.results
 
 (* --- reporting ----------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_to_json r =
   let b = Buffer.create 1024 in
   Buffer.add_string b
@@ -1533,7 +1518,7 @@ let report_to_json r =
           if j > 0 then Buffer.add_char b ',';
           Buffer.add_string b
             (Printf.sprintf "{\"case\":%d,\"detail\":\"%s\"" f.case
-               (json_escape f.detail));
+               (Occlum_util.Json.escape f.detail));
           (match f.minimized with
           | None -> ()
           | Some items ->
@@ -1544,7 +1529,8 @@ let report_to_json r =
                 (fun k it ->
                   if k > 0 then Buffer.add_char b ',';
                   Buffer.add_char b '"';
-                  Buffer.add_string b (json_escape (Asm.item_to_string it));
+                  Buffer.add_string b
+                    (Occlum_util.Json.escape (Asm.item_to_string it));
                   Buffer.add_char b '"')
                 items;
               Buffer.add_char b ']');

@@ -49,7 +49,6 @@ type listener = {
 and t = {
   listeners : (int, listener) Hashtbl.t;
   mutable sock_ring_bytes : int; (* per-direction buffer of new connections *)
-  mutable ocall_bytes : int; (* traffic that crossed the enclave boundary *)
   mutable retries : int; (* transient faults absorbed by bounded retry *)
   mutable backoff_ns : int64; (* simulated wait accrued by retries *)
   mutable obs : Occlum_obs.Obs.t; (* I/O events/metrics; the LibOS
@@ -61,7 +60,7 @@ and t = {
 }
 
 let create () =
-  { listeners = Hashtbl.create 8; sock_ring_bytes = 65536; ocall_bytes = 0;
+  { listeners = Hashtbl.create 8; sock_ring_bytes = 65536;
     retries = 0; backoff_ns = 0L; obs = Occlum_obs.Obs.disabled; fault = None }
 
 (* Observability for one transfer: event with the byte count plus byte
@@ -143,7 +142,6 @@ let send_with t (e : endpoint) len xfer =
       if p.closed then Error Occlum_abi.Abi.Errno.epipe
       else begin
         let n = xfer p.inbox len in
-        t.ocall_bytes <- t.ocall_bytes + n;
         if n = 0 then Error Occlum_abi.Abi.Errno.eagain
         else begin
           note_io t ~send:true n;
@@ -158,7 +156,6 @@ let recv_with t (e : endpoint) len xfer =
   | Ok len ->
   let n = xfer e.inbox len in
   if n > 0 then begin
-    t.ocall_bytes <- t.ocall_bytes + n;
     note_io t ~send:false n;
     (* draining our inbox makes the peer writable again *)
     (match e.peer with Some p -> wake_ep p | None -> ());

@@ -25,7 +25,6 @@ and t = {
   mutable sock_ring_bytes : int;
       (** per-direction buffer size for new connections (default 64 KiB;
           load harnesses shrink it to fit thousands of connections) *)
-  mutable ocall_bytes : int;  (** traffic that crossed the enclave edge *)
   mutable retries : int;
       (** transient I/O faults absorbed by the bounded-retry wrapper *)
   mutable backoff_ns : int64;

@@ -31,7 +31,6 @@ type proc = {
   cpu : Cpu.t;
   fds : Fd.table;
   slot_refs : int ref; (* threads share the slot; last one out frees it *)
-  is_thread : bool;
   mutable state : [ `Runnable | `Blocked | `Zombie ];
   mutable exit_code : int;
   mutable brk : int; (* absolute *)
@@ -43,7 +42,6 @@ type proc = {
   mutable saved_ctx : Cpu.snapshot option;
   mutable futex_woken : bool;
   mutable wake_time : int64 option;
-  mutable last_cycles : int;
   mutable eip_enclave : Occlum_sgx.Enclave.t option;
   path : string;
 }
@@ -100,17 +98,14 @@ type t = {
      crossing, so this diverges from [syscalls] under Sys.batch *)
   mutable spawns : int;
   mutable faults : (int * Fault.t) list;
-  prng : Occlum_util.Prng.t;
   eip_runtime_image : Bytes.t; (* stand-in for the Graphene runtime pages *)
   obs : Occlum_obs.Obs.t;
-  sched : Sched.t; (* per-core run queues *)
+  sched : Sched.t; (* the one run queue every core claims from *)
   jit : Jit.t option;
   (* the one code cache every core's quanta run through; it keys blocks
      by absolute pc in the shared address space, and the loader's
      privileged code writes bump the page generations that invalidate
      them when a domain slot is reused *)
-  mutable cur_core : int; (* core whose claim is being post-processed;
-                             attributes futex wakes to their waker core *)
   mutable last_run_pid : int; (* previously scheduled pid, for Sched_switch *)
   mutable paging_cycles_seen : int;
   (* EWB/ELDU cycle charges already folded into [clock_ns] *)
@@ -186,12 +181,10 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     gate_crossings = 0;
     spawns = 0;
     faults = [];
-      prng = Occlum_util.Prng.create 0x0cc1;
       eip_runtime_image = Bytes.make config.eip_runtime_image_bytes '\x5a';
       obs;
       sched = Sched.create ~ncores:config.cores;
       jit = (if config.jit then Some (Jit.create ()) else None);
-      cur_core = 0;
       last_run_pid = 0;
       paging_cycles_seen = 0;
       io_backoff_seen = 0L;
@@ -296,9 +289,11 @@ let live_procs t =
 let d_bounds (p : proc) =
   (Int64.to_int p.img.bnd0.lower, Int64.to_int p.img.bnd0.upper)
 
+(* [hi + 1 - addr] cannot overflow: [hi] is a domain bound and
+   [addr >= lo >= 0]; [addr + len] could, for an untrusted [len]. *)
 let user_ok p addr len =
   let lo, hi = d_bounds p in
-  len >= 0 && addr >= lo && addr + len - 1 <= hi
+  len >= 0 && addr >= lo && len <= hi + 1 - addr
 
 let read_user t p addr len =
   if user_ok p addr len then Some (Mem.read_bytes_priv t.mem ~addr ~len) else None
@@ -433,7 +428,7 @@ let console_fds () =
   Fd.install_at tbl 2 (Fd.make (Fd.Console { err = true }));
   tbl
 
-let make_proc t ~parent ~img ~fds ~is_thread ~slot_refs ~path ~eip_enclave =
+let make_proc t ~parent ~img ~fds ~slot_refs ~path ~eip_enclave =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   let cpu = Cpu.create () in
@@ -447,7 +442,6 @@ let make_proc t ~parent ~img ~fds ~is_thread ~slot_refs ~path ~eip_enclave =
       cpu;
       fds;
       slot_refs;
-      is_thread;
       state = `Runnable;
       exit_code = 0;
       brk = Domain_mgr.d_base img.slot + heap_lo;
@@ -459,7 +453,6 @@ let make_proc t ~parent ~img ~fds ~is_thread ~slot_refs ~path ~eip_enclave =
       saved_ctx = None;
       futex_woken = false;
       wake_time = None;
-      last_cycles = 0;
       eip_enclave;
       path;
     }
@@ -563,8 +556,8 @@ let spawn t ~parent_pid ~path ~args =
     | None -> console_fds ()
   in
   let p =
-    make_proc t ~parent:parent_pid ~img ~fds ~is_thread:false
-      ~slot_refs:(ref 1) ~path ~eip_enclave
+    make_proc t ~parent:parent_pid ~img ~fds ~slot_refs:(ref 1) ~path
+      ~eip_enclave
   in
   (match parent with Some pp -> pp.children <- p.pid :: pp.children | None -> ());
   (* a load into a tight pool pages older SIPs out rather than failing;
@@ -913,19 +906,19 @@ let sys_lseek p =
   let fd = iarg p 0 and off = iarg p 1 and whence = iarg p 2 in
   match Fd.find p.fds fd with
   | None -> err Errno.ebadf
-  | Some { kind = Fd.File f; _ } ->
+  | Some { kind = Fd.File f; _ } -> (
       let module W = Occlum_abi.Abi.Whence in
       let base =
-        if whence = W.set then 0
-        else if whence = W.cur then f.pos
-        else f.node.size
+        if whence = W.set then Some 0
+        else if whence = W.cur then Some f.pos
+        else if whence = W.end_ then Some f.node.size
+        else None
       in
-      let np = base + off in
-      if np < 0 then err Errno.einval
-      else begin
-        f.pos <- np;
-        ok np
-      end
+      match base with
+      | Some base when base + off >= 0 ->
+          f.pos <- base + off;
+          ok f.pos
+      | _ -> err Errno.einval)
   | Some { kind = Fd.Proc_file f; _ } ->
       if whence = Occlum_abi.Abi.Whence.set && off >= 0 then begin
         f.pos <- off;
@@ -1031,7 +1024,7 @@ let sys_brk () p =
 
 let sys_mmap t p =
   let _hint = iarg p 0 and len = iarg p 1 and fd = iarg p 2 and off = iarg p 3 in
-  if len <= 0 then err Errno.einval
+  if len <= 0 || off < 0 then err Errno.einval
   else begin
     let len = Occlum_util.Bytes_util.round_up len 16 in
     let newtop = p.mmap_top - len in
@@ -1103,11 +1096,7 @@ let sys_futex_wake t p =
       List.iter
         (fun pid ->
           match find_proc t pid with
-          | Some wp when wp.state = `Blocked ->
-              wp.futex_woken <- true;
-              (* a wake must cancel the sleeping SIP's core's steal
-                 backoff, or the wakeup waits it out *)
-              Sched.notify_wake t.sched ~waker:t.cur_core wp.pid
+          | Some wp when wp.state = `Blocked -> wp.futex_woken <- true
           | _ -> ())
         to_wake;
       ok (List.length to_wake)
@@ -1367,8 +1356,10 @@ let sys_epoll_wait t p =
   match Fd.find p.fds epfd with
   | None -> err Errno.ebadf
   | Some { kind = Fd.Epoll e; _ } ->
-      if maxevents <= 0 || not (user_ok p buf (maxevents * E.event_size)) then
-        err Errno.efault
+      (* bounded before the multiply, which could wrap past [user_ok] *)
+      if maxevents > max_int / E.event_size then err Errno.einval
+      else if maxevents <= 0 || not (user_ok p buf (maxevents * E.event_size))
+      then err Errno.efault
       else begin
         let candidates =
           List.sort compare (Hashtbl.fold (fun fd () acc -> fd :: acc) e.Fd.ready [])
@@ -1412,8 +1403,8 @@ let sys_clone t p =
   else begin
     incr p.slot_refs;
     let child =
-      make_proc t ~parent:p.pid ~img:p.img ~fds:p.fds ~is_thread:true
-        ~slot_refs:p.slot_refs ~path:p.path ~eip_enclave:None
+      make_proc t ~parent:p.pid ~img:p.img ~fds:p.fds ~slot_refs:p.slot_refs
+        ~path:p.path ~eip_enclave:None
     in
     (* share the fd table object: make_proc got it directly *)
     Mem.write_u64_priv t.mem (stack_top - 8) tharg;
@@ -1742,14 +1733,14 @@ let handle_stop t (p : proc) (stop : Interp.stop) =
 
 (* --- the epoch scheduler ------------------------------------------------------
 
-   Epoch model: a claim phase picks at most one runnable SIP per core
-   (Sched.claim — deterministic round-robin, never two SIPs of one
-   domain slot, the claimed pid requeued at claim time), the execute
-   phase runs one interpreter quantum per claimed SIP, in core order,
-   through the one JIT and reporting to [t.obs], and a post phase, in
-   core order, handles gates and faults. Every phase runs on the
-   calling thread; the cores are a virtual-time model, not host
-   parallelism.
+   Epoch model: a claim phase makes one pass over the one run queue and
+   claims up to [cores] runnable SIPs (Sched.claim — deterministic
+   round-robin, never two SIPs of one domain slot, a claimed pid
+   requeued at claim time); the i-th claim is core i. The execute phase
+   runs one interpreter quantum per claimed SIP, in core order, through
+   the one JIT and reporting to [t.obs], and a post phase, in core
+   order, handles gates and faults. Every phase runs on the calling
+   thread; the cores are a virtual-time model, not host parallelism.
 
    The cores model concurrent vCPUs, so they overlap in virtual time: before
    job i's stop is handled the clock reads [base + cycles_i], and the
@@ -1777,7 +1768,9 @@ let slot t pid =
 let step t =
   let o = t.obs in
   retry_blocked t;
-  t.cur_core <- 0;
+  if o.Occlum_obs.Obs.enabled then
+    Occlum_obs.Metrics.inc
+      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics "sched.epochs");
   let claims =
     Sched.claim t.sched ~runnable:(runnable t) ~live:(live t) ~slot_of:(slot t)
   in
@@ -1789,7 +1782,6 @@ let step t =
         match find_proc t pid with
         | None -> None
         | Some p ->
-            t.cur_core <- cid;
             deliver_signals t p;
             if p.state <> `Runnable then None
             else begin
@@ -1824,7 +1816,6 @@ let step t =
     Array.iteri
       (fun i (cid, p, cycles0, insns0) ->
         let cycles = p.cpu.cycles - cycles0 and insns = p.cpu.insns - insns0 in
-        t.cur_core <- cid;
         t.clock_ns <- Int64.add base (cycles_to_ns cycles);
         if o.Occlum_obs.Obs.enabled then begin
           if o.Occlum_obs.Obs.t_quantum then
@@ -1848,8 +1839,6 @@ let step t =
     sync_pressure_charges t;
     true
   end
-
-let merge_core_metrics t = Sched.merge_metrics t.sched t.obs
 
 (* A step found nothing runnable: advance the clock to the earliest
    sleeper's wake time, or else retry every blocked call once more.
@@ -1876,9 +1865,7 @@ let drive ~max_steps ~finished t =
   go max_steps
 
 let run ?(max_steps = 1_000_000) t =
-  let status = drive ~max_steps ~finished:(fun () -> live_procs t = []) t in
-  merge_core_metrics t;
-  status
+  drive ~max_steps ~finished:(fun () -> live_procs t = []) t
 
 (* Run until a specific process has exited (it may already be reaped by
    its parent; absence counts as exited). *)

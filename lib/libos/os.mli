@@ -25,7 +25,6 @@ type proc = {
   cpu : Cpu.t;
   fds : Fd.table;
   slot_refs : int ref;
-  is_thread : bool;
   mutable state : [ `Runnable | `Blocked | `Zombie ];
   mutable exit_code : int;
   mutable brk : int;
@@ -37,7 +36,6 @@ type proc = {
   mutable saved_ctx : Cpu.snapshot option;
   mutable futex_woken : bool;
   mutable wake_time : int64 option;
-  mutable last_cycles : int;
   mutable eip_enclave : Occlum_sgx.Enclave.t option;
   path : string;
 }
@@ -50,7 +48,7 @@ type config = {
   domains : Domain_mgr.config;
   cores : int;
       (** simulated vCPUs (default 1). Every core count runs the same
-          epoch scheduler over per-core run queues ({!Sched}); with more
+          epoch scheduler over one run queue ({!Sched}); with more
           than one core an epoch's quanta overlap in virtual time. Every
           quantum runs on the calling thread, and runs are
           bit-reproducible for a fixed core count. *)
@@ -86,19 +84,15 @@ type t = {
           [Abi.Sys.batch] *)
   mutable spawns : int;
   mutable faults : (int * Fault.t) list;
-  prng : Occlum_util.Prng.t;
   eip_runtime_image : Bytes.t;
   obs : Occlum_obs.Obs.t;
       (** the observability instance every layer of this LibOS reports
           to; {!Occlum_obs.Obs.disabled} unless one was passed to
           {!boot} *)
-  sched : Sched.t;  (** the scheduler: per-core run queues *)
+  sched : Sched.t;  (** the scheduler: the one run queue *)
   jit : Occlum_machine.Jit.t option;
       (** the block JIT every core's quanta run through; [None] under
           the reference loop *)
-  mutable cur_core : int;
-      (** core whose claim is being post-processed; attributes futex
-          wakes to their waker core *)
   mutable last_run_pid : int;
   mutable paging_cycles_seen : int;
       (** EWB/ELDU cycle charges already folded into [clock_ns] *)
@@ -176,27 +170,25 @@ val spawn_initial : t -> Occlum_oelf.Oelf.t -> args:string list -> int
 type run_status = All_exited | Deadlock of int list | Quota_exhausted
 
 val step : t -> bool
-(** Retry blocked SIPs, then run one epoch: claim at most one runnable
-    SIP per core, run one quantum of each in core order, then handle
-    their stops in core order. Before a SIP's stop is handled the clock reads
-    the epoch's start plus that quantum's cycles; the epoch ends at the
-    latest clock any handler reached. [false] if nothing was runnable. *)
+(** Retry blocked SIPs, then run one epoch: claim up to [cores]
+    runnable SIPs in one pass over the run queue ({!Sched.claim}), run
+    one quantum of each in claim order, then handle their stops in claim
+    order. Before a SIP's stop is handled the clock reads the epoch's
+    start plus that quantum's cycles; the epoch ends at the latest clock
+    any handler reached. Counts [sched.epochs] in [t.obs], and the i-th
+    claim's quantum in [sched.core<i>.quanta]. [false] if nothing was
+    runnable. *)
 
 val run : ?max_steps:int -> t -> run_status
 (** Run until every process has exited (advancing the clock over sleep
     gaps), deadlock, or the step quota: {!step} until nothing is live,
     and on a step where nothing ran, advance to the earliest sleeper's
-    wake time or retry every blocked call once more. Folds the
-    scheduler counters into [t.obs] when the run completes. *)
+    wake time or retry every blocked call once more. *)
 
 val wait_pid_exit : ?max_steps:int -> t -> int -> run_status
 (** Run until a specific process has exited (or was reaped). Idle steps
     are handled as in {!run}: sleep gaps advance the clock, and blocked
     calls are retried once more before a [Deadlock]. *)
-
-val merge_core_metrics : t -> unit
-(** Fold the scheduler counters into [t.obs] now (normally done by
-    {!run}). Idempotent. *)
 
 val state_digest : t -> string
 (** Hex SHA-256 over the workload-observable final state: processes

@@ -627,6 +627,7 @@ let consult_io t ~len =
 
 let read_file t (n : inode) ~pos ~len =
   if n.kind <> File then Error Occlum_abi.Abi.Errno.eisdir
+  else if pos < 0 then Error Occlum_abi.Abi.Errno.einval
   else begin
     match consult_io t ~len:(max 0 (min len (n.size - pos))) with
     | Error e -> Error e

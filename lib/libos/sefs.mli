@@ -159,6 +159,9 @@ val ensure_parents : t -> string -> unit
 (** {1 File data} *)
 
 val read_file : t -> inode -> pos:int -> len:int -> (Bytes.t, int) result
+(** Up to [len] bytes from [pos]; short at end of file. [EINVAL] for a
+    negative [pos], [EISDIR] for a directory. *)
+
 val write_file : t -> inode -> pos:int -> Bytes.t -> (int, int) result
 val truncate : t -> inode -> int -> (unit, int) result
 

@@ -119,21 +119,6 @@ let events t =
 
 (* --- Chrome trace_event export ------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One trace_event record. [ph] "B"/"E" bracket durations on a track
    ([tid]); "i" is an instant. Timestamps are microseconds (float). *)
 let chrome_record buf ~first ~name ~cat ~ph ~ts ~tid ~args =
@@ -141,7 +126,7 @@ let chrome_record buf ~first ~name ~cat ~ph ~ts ~tid ~args =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
-       (json_escape name) cat ph
+       (Occlum_util.Json.escape name) cat ph
        (Int64.to_float ts /. 1e3)
        tid);
   (match ph with
@@ -154,12 +139,13 @@ let chrome_record buf ~first ~name ~cat ~ph ~ts ~tid ~args =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape k) v))
+          Buffer.add_string buf
+            (Printf.sprintf "\"%s\":%s" (Occlum_util.Json.escape k) v))
         args;
       Buffer.add_char buf '}');
   Buffer.add_char buf '}'
 
-let str s = "\"" ^ json_escape s ^ "\""
+let str s = "\"" ^ Occlum_util.Json.escape s ^ "\""
 
 let to_chrome_json t =
   let buf = Buffer.create 4096 in

@@ -66,6 +66,16 @@ if [ -n "$threads" ]; then
   exit 1
 fi
 
+# One run queue: every virtual core claims from the scheduler's single
+# queue in one pass per epoch, so per-core queues, work stealing, steal
+# backoff and futex-wake retargeting must not come back.
+sched=$(grep -nE "steal|backoff|notify_wake" lib/libos/sched.ml || true)
+if [ -n "$sched" ]; then
+  echo "FAIL: per-core scheduling machinery in lib/libos/sched.ml:" >&2
+  printf '%s\n' "$sched" >&2
+  exit 1
+fi
+
 dune runtest
 
 # Constant-time gate: the CT checker must stay precise on the example

@@ -1225,6 +1225,160 @@ let test_bad_user_pointer () =
               ];
           ]))
 
+(* A SIP whose syscall names a buffer ending past its data domain must
+   get an error, and the LibOS must write nothing past the domain. The
+   program sees its domain's top as [Data_addr data_size]. Returns the
+   exit code and whether the 16 bytes past the domain kept their
+   content. *)
+let data_size = Occlum_libos.Domain_mgr.default_config.domain_data_size
+
+let run_past_domain prog =
+  let os = Os.boot () in
+  Os.install_binary os "/bin/app" (sign prog);
+  let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+  let p =
+    match Os.find_proc os pid with
+    | Some p -> p
+    | None -> Alcotest.fail "spawn failed"
+  in
+  let img = p.Os.img in
+  let top = Int64.to_int img.Occlum_libos.Loader.bnd0.upper + 1 in
+  Alcotest.(check int) "the domain ends at Data_addr data_size"
+    (Occlum_libos.Domain_mgr.d_base img.Occlum_libos.Loader.slot + data_size)
+    top;
+  let past () =
+    Occlum_machine.Mem.read_bytes_priv os.Os.mem ~addr:top ~len:16
+  in
+  let before = past () in
+  ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid);
+  (p.Os.exit_code, Bytes.equal before (past ()))
+
+let test_read_len_overflow () =
+  (* read(pipe, top - 10, max_int): [addr + len - 1] wraps negative, so
+     a bounds check in that form passes and the pipe's 26 bytes land
+     16 bytes past the domain *)
+  let code, intact =
+    run_past_domain
+      (rt
+         [
+           func "main" []
+             [
+               Let ("fds", Global_addr "_rt_misc_buf");
+               Expr (Syscall (Sys.pipe, [ v "fds" ]));
+               Expr
+                 (Syscall
+                    ( Sys.write,
+                      [ Load (v "fds" +: i 8); Str "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+                        i 26 ] ));
+               Return
+                 (Unop
+                    ( Neg,
+                      Syscall
+                        ( Sys.read,
+                          [ Load (v "fds"); Data_addr (data_size - 10);
+                            i max_int ] ) ));
+             ];
+         ])
+  in
+  Alcotest.(check int) "read gets EFAULT" (-Errno.efault) code;
+  Alcotest.(check bool) "nothing written past the domain" true intact
+
+let test_epoll_maxevents_wrap () =
+  (* (2^59 + 1) * event_size wraps to 16, which would let two ready
+     events through a buffer 16 bytes below the domain's top *)
+  let module P = Occlum_abi.Abi.Poll in
+  let module E = Occlum_abi.Abi.Epoll in
+  let code, intact =
+    run_past_domain
+      (rt
+         [
+           func "main" []
+             [
+               Let ("a", Call ("malloc", [ i 32 ]));
+               Expr (Syscall (Sys.pipe, [ v "a" ]));
+               Expr (Syscall (Sys.pipe, [ v "a" +: i 16 ]));
+               Let ("ep", Syscall (Sys.epoll_create, []));
+               Expr
+                 (Syscall
+                    (Sys.epoll_ctl, [ v "ep"; i E.ctl_add; Load (v "a"); i P.pollin ]));
+               Expr
+                 (Syscall
+                    ( Sys.epoll_ctl,
+                      [ v "ep"; i E.ctl_add; Load (v "a" +: i 16); i P.pollin ] ));
+               Expr (Syscall (Sys.write, [ Load (v "a" +: i 8); v "a"; i 1 ]));
+               Expr (Syscall (Sys.write, [ Load (v "a" +: i 24); v "a"; i 1 ]));
+               Return
+                 (Unop
+                    ( Neg,
+                      Syscall
+                        ( Sys.epoll_wait,
+                          [ v "ep"; Data_addr (data_size - 16);
+                            i ((1 lsl 59) + 1); i 0 ] ) ));
+             ];
+         ])
+  in
+  Alcotest.(check int) "epoll_wait gets EINVAL" (-Errno.einval) code;
+  Alcotest.(check bool) "nothing written past the domain" true intact
+
+let test_mmap_negative_offset () =
+  (* a negative file offset must not reach SEFS, where it raised out of
+     Os.run and stopped every SIP *)
+  let os =
+    check_run ~exit_code:0 ~output:""
+      (rt
+         [
+           func "main" []
+             [
+               Let ("w", Call ("open", [ Str "/f"; i 2; i (F.creat lor F.wronly) ]));
+               Expr (Call ("write", [ v "w"; Str "hello world"; i 11 ]));
+               Expr (Call ("close", [ v "w" ]));
+               Let ("fd", Call ("open", [ Str "/f"; i 2; i F.rdonly ]));
+               If
+                 ( Syscall (Sys.mmap, [ i 0; i 8192; v "fd"; i (-1) ])
+                   <>: i Errno.einval,
+                   [ Return (i 1) ],
+                   [] );
+               If
+                 ( Syscall (Sys.mmap, [ i 0; i 8192; v "fd"; i 0 ]) <: i 0,
+                   [ Return (i 2) ],
+                   [] );
+               Return (i 0);
+             ];
+         ])
+  in
+  match Occlum_libos.Sefs.lookup os.Os.sefs "/f" with
+  | None -> Alcotest.fail "/f missing"
+  | Some ino ->
+      Alcotest.(check bool) "Sefs.read_file rejects a negative pos" true
+        (Occlum_libos.Sefs.read_file os.Os.sefs ino ~pos:(-1) ~len:8
+        = Error Errno.einval)
+
+let test_lseek_whence () =
+  (* an unknown whence is EINVAL, not SEEK_END *)
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              [
+                Let ("fd", Call ("open", [ Str "/f"; i 2; i (F.creat lor F.rdwr) ]));
+                Expr (Call ("write", [ v "fd"; Str "hello"; i 5 ]));
+                If
+                  ( Syscall (Sys.lseek, [ v "fd"; i 0; i 3 ]) <>: i Errno.einval,
+                    [ Return (i 1) ],
+                    [] );
+                If
+                  ( Syscall (Sys.lseek, [ v "fd"; i (-1); i 2 ]) <>: i 4,
+                    [ Return (i 2) ],
+                    [] );
+                If
+                  ( Syscall (Sys.lseek, [ v "fd"; i 1; i 1 ]) <>: i 5,
+                    [ Return (i 3) ],
+                    [] );
+                Return (i 0);
+              ];
+          ]))
+
 let test_epc_paging_differential () =
   (* The paper's graceful-degradation claim, end to end: SIPs whose
      aggregate working set exceeds a shrunken EPC must run to completion
@@ -1526,6 +1680,14 @@ let suite =
     Alcotest.test_case "batched syscalls" `Quick test_batch_syscall;
     Alcotest.test_case "system facade" `Quick test_facade;
     Alcotest.test_case "user pointer validation" `Quick test_bad_user_pointer;
+    Alcotest.test_case "read with a huge len is EFAULT" `Quick
+      test_read_len_overflow;
+    Alcotest.test_case "epoll_wait maxevents cannot wrap" `Quick
+      test_epoll_maxevents_wrap;
+    Alcotest.test_case "mmap negative offset is EINVAL" `Quick
+      test_mmap_negative_offset;
+    Alcotest.test_case "lseek unknown whence is EINVAL" `Quick
+      test_lseek_whence;
     Alcotest.test_case "untrusted len sizes no allocation" `Quick
       test_untrusted_len_no_alloc;
     Alcotest.test_case "pipe/socket direct path under paging" `Quick

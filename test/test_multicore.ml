@@ -1,7 +1,6 @@
-(* The multi-core scheduler: run-queue/steal mechanics of
-   Occlum_libos.Sched, the determinism-vs-parallelism differential over
-   Os.state_digest, the scaling win in virtual time, and the multi-core
-   serving path. *)
+(* The multi-core scheduler: the claim pass of Occlum_libos.Sched, the
+   determinism-vs-parallelism differential over Os.state_digest, the
+   scaling win in virtual time, and the multi-core serving path. *)
 
 module Os = Occlum_libos.Os
 module Sched = Occlum_libos.Sched
@@ -13,32 +12,13 @@ let mk ncores = Sched.create ~ncores
 let always _ = true
 let claim_all s = Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> -1)
 
-(* --- run queues and stealing --------------------------------------------- *)
-
-let test_steal_order () =
-  (* all work homed on core 0; thieves take from the BACK of the victim
-     queue, in deterministic victim order (self+1) mod n *)
-  let s = mk 3 in
-  List.iter (Sched.enqueue s) [ 0; 3; 6 ];
-  Alcotest.(check (list (pair int int)))
-    "core0 claims its front; cores 1,2 steal from core0's back"
-    [ (0, 0); (1, 6); (2, 3) ]
-    (claim_all s);
-  Alcotest.(check int) "two steals counted" 2 (Sched.steals_total s);
-  (* a stolen SIP moves to the thief's queue at claim time: locality
-     follows the work *)
-  Alcotest.(check (option int)) "6 now lives on core 1" (Some 1)
-    (Sched.core_of s 6);
-  Alcotest.(check (option int)) "claimed 0 is requeued on its owner" (Some 0)
-    (Sched.core_of s 0)
+(* --- the run queue --------------------------------------------------------- *)
 
 let test_slot_exclusion () =
   (* two runnable SIPs sharing a domain slot never co-run in one epoch *)
   let s = mk 2 in
   Sched.enqueue s 2;
-  (* home core 0 *)
   Sched.enqueue s 4;
-  (* also home core 0; same slot below *)
   let claims =
     Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> 7)
   in
@@ -51,51 +31,106 @@ let test_slot_exclusion () =
   Alcotest.(check (list (pair int int))) "the other runs next epoch"
     [ (0, 4) ] claims2
 
-let test_empty_queue_backoff () =
-  (* an idle core's failed steal rounds back off exponentially up to
-     max_backoff, and fresh work cancels the backoff *)
+let test_idle_core_claims () =
+  (* epochs with nothing runnable leave no core ignoring work that
+     arrives afterwards: both queued SIPs run in the next epoch *)
   let s = mk 2 in
-  let failed_rounds = ref 0 in
-  let peak = ref 0 in
-  let expected () = min Sched.max_backoff (1 lsl min 8 (!failed_rounds - 1)) in
-  for _ = 1 to 60 do
-    ignore (claim_all s);
-    let c = s.Sched.cores.(0) in
-    if c.Sched.backoff > !peak then peak := c.Sched.backoff;
-    if c.Sched.backoff > 0 && c.Sched.fail_streak > !failed_rounds then begin
-      incr failed_rounds;
-      Alcotest.(check int)
-        (Printf.sprintf "backoff after %d failed rounds" !failed_rounds)
-        (expected ()) c.Sched.backoff
-    end
+  Sched.enqueue s 1;
+  for _ = 1 to 3 do
+    ignore
+      (Sched.claim s ~runnable:(fun _ -> false) ~live:always
+         ~slot_of:(fun _ -> -1))
   done;
-  Alcotest.(check bool) "several failed rounds observed" true
-    (!failed_rounds >= 4);
-  Alcotest.(check int) "backoff peaks at the cap" Sched.max_backoff !peak;
-  Sched.enqueue s 0;
-  Alcotest.(check int) "enqueue clears the home core's backoff" 0
-    s.Sched.cores.(0).Sched.backoff;
-  Alcotest.(check bool) "the other core still backs off" true
-    (s.Sched.cores.(1).Sched.backoff > 0)
+  Sched.enqueue s 3;
+  Alcotest.(check (list (pair int int)))
+    "both cores claim" [ (0, 1); (1, 3) ] (claim_all s)
 
-let test_futex_wake_targeting () =
-  (* a futex wake clears the backoff of the core holding the woken pid,
-     and only cross-core wakes are counted as such *)
-  let s = mk 2 in
-  Sched.enqueue s 5 (* home = 5 mod 2 = core 1 *);
-  s.Sched.cores.(1).Sched.backoff <- 4;
-  Sched.notify_wake s ~waker:0 5;
-  Alcotest.(check int) "holder's backoff cleared" 0
-    s.Sched.cores.(1).Sched.backoff;
-  Alcotest.(check int) "wake from core 0 to core 1 is cross-core" 1
-    s.Sched.cross_wakes;
-  s.Sched.cores.(1).Sched.backoff <- 4;
-  Sched.notify_wake s ~waker:1 5;
-  Alcotest.(check int) "backoff cleared again" 0
-    s.Sched.cores.(1).Sched.backoff;
-  Alcotest.(check int) "same-core wake is not cross-core" 1 s.Sched.cross_wakes;
-  Sched.notify_wake s ~waker:0 99;
-  Alcotest.(check int) "waking an unqueued pid is a no-op" 1 s.Sched.cross_wakes
+(* The one-core round-robin pick, as a list model: pop the front; a dead
+   pid is dropped, a live one goes behind the tail, the claimed one
+   too; [len + 1] pops at most. Returns the claim and the queue after. *)
+let model_pick rq ~live ~ok =
+  let rec go rq tries =
+    match rq with
+    | pid :: rest when tries > 0 ->
+        if not (live pid) then go rest (tries - 1)
+        else
+          let rq = rest @ [ pid ] in
+          if ok pid then (Some pid, rq) else go rq (tries - 1)
+    | _ -> (None, rq)
+  in
+  go rq (List.length rq + 1)
+
+(* One epoch of the random schedule: pids enqueued before it, then its
+   live, runnable and slot maps over pids 0..max_pid-1. *)
+let max_pid = 24
+
+let gen_epoch =
+  QCheck.Gen.(
+    quad (int_range 0 3)
+      (array_repeat max_pid (int_range 0 5))
+      (array_repeat max_pid bool)
+      (array_repeat max_pid (int_range (-1) 3)))
+
+let prop_claim_pass =
+  QCheck.Test.make ~name:"one claim pass over random queues" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (cores, epochs) ->
+          (* per epoch: +fresh, then life/runnable/slot of each pid *)
+          Printf.sprintf "cores=%d %s" cores
+            (String.concat " | "
+               (List.map
+                  (fun (fresh, life, run, slots) ->
+                    Printf.sprintf "+%d %s" fresh
+                      (String.concat " "
+                         (List.init max_pid (fun p ->
+                              Printf.sprintf "%d%c%d" life.(p)
+                                (if run.(p) then 'r' else '-')
+                                slots.(p)))))
+                  epochs)))
+        Gen.(pair (int_range 1 4) (list_size (int_range 1 8) gen_epoch)))
+    (fun (cores, epochs) ->
+      let s = mk cores in
+      let next = ref 0 in
+      List.for_all
+        (fun (fresh, life, run, slots) ->
+          for _ = 1 to fresh do
+            if !next < max_pid then begin
+              Sched.enqueue s !next;
+              incr next
+            end
+          done;
+          (* 0 = dead; 1 = live, blocked; above = runnable *)
+          let live pid = life.(pid) > 0 in
+          let runnable pid = life.(pid) > 1 && run.(pid) in
+          let slot_of pid = slots.(pid) in
+          let before = Sched.queued s in
+          let claims = Sched.claim s ~runnable ~live ~slot_of in
+          let after = Sched.queued s in
+          let pids = List.map snd claims in
+          let claimed_slots =
+            List.filter (fun x -> x >= 0) (List.map slot_of pids)
+          in
+          let distinct l = List.length (List.sort_uniq compare l) = List.length l in
+          let sorted l = List.sort compare l in
+          List.length claims <= cores
+          && List.mapi (fun i _ -> i) claims = List.map fst claims
+          && distinct pids && distinct claimed_slots
+          && List.for_all (fun p -> runnable p && List.mem p before) pids
+          && (List.length claims = cores
+             || List.for_all
+                  (fun p ->
+                    List.mem p pids
+                    || (not (runnable p))
+                    || List.mem (slot_of p) claimed_slots)
+                  before)
+          && sorted (List.filter live after) = sorted (List.filter live before)
+          && List.for_all (fun p -> List.mem p before) after
+          && (cores > 1
+             ||
+             let pick, rq = model_pick before ~live ~ok:runnable in
+             Option.to_list pick = pids && rq = after))
+        epochs)
 
 (* --- determinism differential -------------------------------------------- *)
 
@@ -148,7 +183,6 @@ let test_step_matches_run () =
   while Os.step b && !guard < 1_000_000 do
     incr guard
   done;
-  Os.merge_core_metrics b;
   Alcotest.(check string) "step-driven == run-driven" (Os.state_digest a)
     (Os.state_digest b)
 
@@ -170,7 +204,7 @@ let test_fuzz_property_replay () =
   Alcotest.(check bool) "25 mc-determinism cases pass" true (Check.ok report)
 
 let test_metrics_merge () =
-  (* scheduler counters fold into the main registry exactly once *)
+  (* every step is one epoch, and each is counted once *)
   let obs = Occlum_obs.Obs.create ~capacity:16 () in
   let os =
     Os.boot ~config:{ Os.default_config with cores = 2 } ~obs ()
@@ -180,18 +214,19 @@ let test_metrics_merge () =
   for _ = 1 to 4 do
     ignore (Os.spawn os ~parent_pid:0 ~path:"/bin/compute" ~args:[ "1000" ])
   done;
-  ignore (Os.run ~max_steps:100_000 os);
+  let steps = ref 1 in
+  while Os.step os && !steps < 100_000 do
+    incr steps
+  done;
+  Alcotest.(check bool) "all SIPs exited" true (Os.live_procs os = []);
   let value name =
     Occlum_obs.Metrics.value
       (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics name)
   in
-  let q1 = value "os.quanta" and e1 = value "sched.epochs" in
-  Alcotest.(check bool) "quanta recorded" true (q1 > 0);
-  Alcotest.(check int) "every epoch merged" os.Os.sched.Sched.epochs e1;
-  Os.merge_core_metrics os;
-  Os.merge_core_metrics os;
-  Alcotest.(check int) "re-merging adds nothing" e1 (value "sched.epochs");
-  Alcotest.(check int) "quanta unchanged by merging" q1 (value "os.quanta")
+  Alcotest.(check bool) "quanta recorded" true (value "os.quanta" > 0);
+  Alcotest.(check int) "sched.epochs = steps" !steps (value "sched.epochs");
+  Alcotest.(check int) "claims beyond the second never happen" 0
+    (value "sched.core2.quanta")
 
 let test_clock_covers_events () =
   (* four SIPs doing large file writes on 4 cores: their handlers run one
@@ -261,12 +296,10 @@ let test_jit_events_traced () =
 
 let suite =
   [
-    Alcotest.test_case "steal order is deterministic" `Quick test_steal_order;
     Alcotest.test_case "slot sharers never co-run" `Quick test_slot_exclusion;
-    Alcotest.test_case "empty-queue steal backoff" `Quick
-      test_empty_queue_backoff;
-    Alcotest.test_case "futex wake targets the holding core" `Quick
-      test_futex_wake_targeting;
+    Alcotest.test_case "an idle core claims queued work" `Quick
+      test_idle_core_claims;
+    QCheck_alcotest.to_alcotest prop_claim_pass;
     Alcotest.test_case "cores=1 vs cores=4 differential" `Quick
       test_determinism_differential;
     Alcotest.test_case "4-core virtual-time speedup >= 2x" `Quick
