@@ -60,6 +60,7 @@ module Errno = struct
   let eisdir = -21
   let einval = -22
   let emfile = -24
+  let efbig = -27
   let espipe = -29
   let epipe = -32
   let enosys = -38

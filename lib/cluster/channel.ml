@@ -3,11 +3,12 @@
    transport can drop, duplicate, reorder, corrupt and replay frames at
    will, so every security property lives here:
 
-   - confidentiality: payloads are enciphered under the attested
-     session key with a per-(direction, epoch, seq) nonce;
-   - integrity: an HMAC over (channel identity, direction, epoch, seq,
-     ciphertext) — a corrupted frame fails the MAC and is treated as
-     transport loss, absorbed by bounded retransmission;
+   - confidentiality and integrity: each frame goes through
+     {!Occlum_util.Seal} under two subkeys of the attested session key
+     (domain ["chan"]), with a per-(direction, epoch, seq) nonce and a
+     tag over (channel identity, direction, epoch, seq, ciphertext). A
+     corrupted frame fails the tag and is treated as transport loss,
+     absorbed by bounded retransmission;
    - ordering + replay/rollback protection: frames carry a strictly
      sequential counter per direction. The immediately preceding seq is
      a benign retransmit duplicate (counted, discarded); anything older
@@ -68,8 +69,7 @@ type dir_state = {
 type t = {
   a : int;
   b : int;
-  key : string;
-  mac_key : Occlum_util.Hmac.key;  (** [key], prepared for MACs *)
+  keys : Occlum_util.Seal.keys;  (** domain ["chan"] of the session key *)
   epoch : int;
   transport : Transport.t;
   ab : dir_state;  (** a -> b *)
@@ -94,8 +94,7 @@ let establish ~a ~b ~key ~epoch ~transport ~now ~obs =
     {
       a;
       b;
-      key;
-      mac_key = Occlum_util.Hmac.key key;
+      keys = Occlum_util.Seal.keys ~domain:"chan" key;
       epoch;
       transport;
       ab = fresh_dir ();
@@ -132,63 +131,47 @@ let dst_of t ~src = if src = t.a then t.b else t.a
 
 (* --- sealing -------------------------------------------------------------- *)
 
-let be32 n =
-  let b = Bytes.create 4 in
-  Bytes.set_uint8 b 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 b 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 b 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 b 3 (n land 0xff);
-  Bytes.to_string b
-
-let read_be32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
 (* A frame's tag covers this header, then its ciphertext. *)
 let mac_header t ~src ~epoch ~seq =
   Printf.sprintf "chan|%d->%d|e%d|s%d|" src (dst_of t ~src) epoch seq
 
+let frame_nonce t ~src ~epoch ~seq =
+  Occlum_util.Cipher.derive_nonce
+    (Printf.sprintf "chan|%d->%d|e%d" src (dst_of t ~src) epoch)
+    seq
+
+(* A frame is epoch and seq (big-endian 32-bit), tag, ciphertext. *)
 let seal t ~src ~seq payload =
-  let nonce =
-    Occlum_util.Cipher.derive_nonce
-      (Printf.sprintf "chan|%d->%d|e%d" src (dst_of t ~src) t.epoch)
-      seq
+  let epoch = t.epoch in
+  let cipher, mac =
+    Occlum_util.Seal.seal t.keys
+      ~label:(mac_header t ~src ~epoch ~seq)
+      ~nonce:(frame_nonce t ~src ~epoch ~seq)
+      (Bytes.unsafe_of_string payload)
   in
-  let cipher = Occlum_util.Cipher.encrypt ~key:t.key ~nonce payload in
-  let mac =
-    Occlum_util.Hmac.mac t.mac_key
-      [ mac_header t ~src ~epoch:t.epoch ~seq; cipher ]
-  in
-  be32 t.epoch ^ be32 seq ^ mac ^ cipher
+  let hdr = Bytes.create 8 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int epoch);
+  Bytes.set_int32_be hdr 4 (Int32.of_int seq);
+  String.concat "" [ Bytes.unsafe_to_string hdr; mac; cipher ]
 
 (* [None] = not an authentic current frame (malformed, bad MAC, or a
    stale-epoch forgery candidate is still checked against the current
    epoch's MAC context and fails). [Some (epoch, seq, payload)] only
-   for frames MAC'd under this channel's key; the caller then judges
+   for frames MAC'd under this channel's keys; the caller then judges
    the epoch and seq. A valid-MAC frame carries the epoch it was
    MAC'd under, so an old-epoch frame surfaces as [Some] with a stale
    epoch — the rollback signal. *)
 let unseal t ~src frame =
   if String.length frame < 4 + 4 + 32 then None
   else
-    let epoch = read_be32 frame 0 in
-    let seq = read_be32 frame 4 in
-    let mac = String.sub frame 8 32 in
-    let cipher = String.sub frame 40 (String.length frame - 40) in
-    if
-      not
-        (Occlum_util.Hmac.verify t.mac_key ~tag:mac
-           [ mac_header t ~src ~epoch ~seq; cipher ])
-    then None
-    else
-      let nonce =
-        Occlum_util.Cipher.derive_nonce
-          (Printf.sprintf "chan|%d->%d|e%d" src (dst_of t ~src) epoch)
-          seq
-      in
-      Some (epoch, seq, Occlum_util.Cipher.encrypt ~key:t.key ~nonce cipher)
+    let u32 off = Int32.to_int (String.get_int32_be frame off) land 0xffff_ffff in
+    let epoch = u32 0 and seq = u32 4 in
+    Occlum_util.Seal.open_ t.keys
+      ~label:(mac_header t ~src ~epoch ~seq)
+      ~nonce:(frame_nonce t ~src ~epoch ~seq)
+      ~tag:(String.sub frame 8 32)
+      (String.sub frame 40 (String.length frame - 40))
+    |> Option.map (fun plain -> (epoch, seq, Bytes.unsafe_to_string plain))
 
 (* --- failure -------------------------------------------------------------- *)
 

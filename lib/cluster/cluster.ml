@@ -66,8 +66,6 @@ type t = {
   checker : Lifecycle.t;
   channels : (int * int, Channel.t) Hashtbl.t;
   epochs : (int * int, int) Hashtbl.t;  (** per-pair handshake epoch *)
-  config : Os.config;
-  prog : (string * Occlum_oelf.Oelf.t) option;
   obs : Obs.t;
   mutable reference_measurement : string option;
   mutable handshakes : int;
@@ -114,7 +112,7 @@ let transport t = t.transport
 let boot_node t i =
   let nd = node t i in
   if nd.os <> None then invalid_arg "Cluster.boot_node: already up";
-  let os = Os.boot ~config:t.config () in
+  let os = Os.boot () in
   nd.os <- Some os;
   nd.quote <- None;
   (* Os.boot performed ECREATE, the EADD/EEXTEND sweep and EINIT
@@ -157,10 +155,7 @@ let attest_node t i =
   expect t (Lifecycle.Quote_verify i)
 
 let enter_node t i =
-  let os = node_os t i in
-  (match t.prog with
-  | None -> ()
-  | Some (_, oelf) -> ignore (Os.spawn_initial os oelf ~args:[]));
+  ignore (node_os t i) (* EENTER needs a live node; raises otherwise *);
   expect t (Lifecycle.Eenter i)
 
 (* --- attested key exchange + channel establishment ------------------------ *)
@@ -427,18 +422,6 @@ let tick t =
         ignore (Channel.check_idle ch ~now:(max (node_clock t a) (node_clock t b))))
     t.channels
 
-(* One scheduler step on every alive node that has runnable SIPs; the
-   serving demo pumps its event-loop httpds with this. *)
-let step_all t =
-  let progressed = ref false in
-  Array.iter
-    (fun nd ->
-      match nd.os with
-      | Some os -> if Os.step os then progressed := true
-      | None -> ())
-    t.nodes;
-  !progressed
-
 (* --- digest ---------------------------------------------------------------- *)
 
 (* SHA-256 over the sorted union of every alive node's /kv tree: the
@@ -517,8 +500,7 @@ let alive_count t = Array.fold_left (fun acc nd -> if nd.os <> None then acc + 1
 
 (* --- construction ---------------------------------------------------------- *)
 
-let create ?(config = Os.default_config) ?(obs = Obs.disabled) ?prog
-    ?(connect = true) ~nodes () =
+let create ?(obs = Obs.disabled) ?(connect = true) ~nodes () =
   if nodes < 1 || nodes > 16 then invalid_arg "Cluster.create";
   let t =
     {
@@ -528,8 +510,6 @@ let create ?(config = Os.default_config) ?(obs = Obs.disabled) ?prog
       checker = Lifecycle.create ~nodes;
       channels = Hashtbl.create 8;
       epochs = Hashtbl.create 8;
-      config;
-      prog;
       obs;
       reference_measurement = None;
       handshakes = 0;

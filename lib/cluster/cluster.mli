@@ -22,16 +22,13 @@ val shard_count : int
 type t
 
 val create :
-  ?config:Occlum_libos.Os.config ->
   ?obs:Occlum_obs.Obs.t ->
-  ?prog:string * Occlum_oelf.Oelf.t ->
   ?connect:bool ->
   nodes:int ->
   unit ->
   t
 (** Boot [nodes] instances (each ECREATE→EADD→EINIT→quote→verify→
-    EENTER, installing and spawning [prog] as each node's init SIP if
-    given) and, when [connect] (default), establish the full mesh of
+    EENTER) and, when [connect] (default), establish the full mesh of
     attested channels. *)
 
 val destroy : t -> unit
@@ -103,9 +100,6 @@ val kv_digest : t -> string
 
 val tick : t -> unit
 (** Idle sweep: fail channels whose virtual idle deadline passed. *)
-
-val step_all : t -> bool
-(** One scheduler step on every alive node with runnable SIPs. *)
 
 (** {1 Stats} *)
 

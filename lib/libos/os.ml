@@ -891,7 +891,8 @@ let sys_open t p =
         | Ok node ->
             if node.kind = Sefs.Dir then err Errno.eisdir
             else begin
-              if flags land F.trunc <> 0 then node.size <- 0;
+              if flags land F.trunc <> 0 then
+                ignore (Sefs.truncate t.sefs node 0);
               let writable = flags land (F.wronly lor F.rdwr) <> 0
                              || flags land F.creat <> 0
                              || flags land F.append <> 0 in
@@ -1357,9 +1358,10 @@ let sys_epoll_wait t p =
   | None -> err Errno.ebadf
   | Some { kind = Fd.Epoll e; _ } ->
       (* bounded before the multiply, which could wrap past [user_ok] *)
-      if maxevents > max_int / E.event_size then err Errno.einval
-      else if maxevents <= 0 || not (user_ok p buf (maxevents * E.event_size))
-      then err Errno.efault
+      if maxevents <= 0 || maxevents > max_int / E.event_size then
+        err Errno.einval
+      else if not (user_ok p buf (maxevents * E.event_size)) then
+        err Errno.efault
       else begin
         let candidates =
           List.sort compare (Hashtbl.fold (fun fd () acc -> fd :: acc) e.Fd.ready [])
@@ -1511,7 +1513,7 @@ let rec dispatch t (p : proc) : sysret =
   else if nr = Sys.ftruncate then begin
     match Fd.find p.fds (iarg p 0) with
     | Some { kind = Fd.File f; _ } -> (
-        match Sefs.truncate t.sefs f.node (max 0 (iarg p 1)) with
+        match Sefs.truncate t.sefs f.node (iarg p 1) with
         | Ok () -> ok 0
         | Error e -> err e)
     | Some _ -> err Errno.einval

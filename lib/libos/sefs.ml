@@ -203,8 +203,7 @@ type meta = {
 
 type t = {
   host : Host_store.t;
-  data_key : string;
-  mac_key : Occlum_util.Hmac.key;
+  keys : Occlum_util.Seal.keys;
   volume : string;
   encrypted : bool; (* false models a plain ext4-style host FS *)
   mutable m : meta;
@@ -243,10 +242,6 @@ let note_io t ~write n =
 
 let root_ino = 1
 
-let derive_keys master =
-  ( Occlum_util.Sha256.digest ("sefs-data:" ^ master),
-    Occlum_util.Hmac.key (Occlum_util.Sha256.digest ("sefs-mac:" ^ master)) )
-
 let empty_meta () =
   { inodes = Hashtbl.create 64; dirents = Hashtbl.create 64; next_ino = 2;
     next_block = 0; gens = [||] }
@@ -282,28 +277,26 @@ let block_nonce t idx gen =
 
 let meta_nonce t gen = Occlum_util.Cipher.derive_nonce t.volume (-gen)
 
-(* The tag covers [label] then the ciphertext. A plaintext volume never
-   forces [nonce]. Both directions copy the payload once: [seal] encrypts
-   a copy of [plain] in place, and [unseal] decrypts into the fresh
-   [Bytes.t] it returns, which the caller owns. *)
+(* An encrypted volume seals through {!Occlum_util.Seal} under its
+   keys; a plaintext one stores [plain] as is, untagged, and never
+   forces [nonce]. Both directions copy the payload once. *)
 let seal t ~label ~nonce plain =
-  let buf = Bytes.copy plain in
-  if t.encrypted then
-    Occlum_util.Cipher.encrypt_bytes ~key:t.data_key ~nonce:(Lazy.force nonce) buf;
-  let cipher = Bytes.unsafe_to_string buf in
-  let mac =
-    if t.encrypted then Occlum_util.Hmac.mac t.mac_key [ label; cipher ] else ""
-  in
-  { Host_store.cipher; mac }
+  if not t.encrypted then { Host_store.cipher = Bytes.to_string plain; mac = "" }
+  else
+    let cipher, mac =
+      Occlum_util.Seal.seal t.keys ~label ~nonce:(Lazy.force nonce) plain
+    in
+    { Host_store.cipher; mac }
 
 let unseal t ~label ~nonce (e : Host_store.entry) =
-  let buf = Bytes.of_string e.cipher in
-  if t.encrypted then begin
-    if not (Occlum_util.Hmac.verify t.mac_key ~tag:e.mac [ label; e.cipher ])
-    then raise (Corrupt ("integrity check failed: " ^ label));
-    Occlum_util.Cipher.encrypt_bytes ~key:t.data_key ~nonce:(Lazy.force nonce) buf
-  end;
-  buf
+  if not t.encrypted then Bytes.of_string e.cipher
+  else
+    match
+      Occlum_util.Seal.open_ t.keys ~label ~nonce:(Lazy.force nonce) ~tag:e.mac
+        e.cipher
+    with
+    | Some plain -> plain
+    | None -> raise (Corrupt ("integrity check failed: " ^ label))
 
 let block_label idx gen = "blk:" ^ string_of_int idx ^ ":" ^ string_of_int gen
 
@@ -460,9 +453,9 @@ let flush t =
 (* Re-mount an existing host store (e.g. a fresh LibOS boot over the same
    host files): decrypt and reload the metadata, rebuilding its indexes. *)
 let mount ?(volume = "vol0") ?(encrypted = true) ~key host =
-  let data_key, mac_key = derive_keys key in
   let t =
-    { host; data_key; mac_key; volume; encrypted; m = empty_meta ();
+    { host; keys = Occlum_util.Seal.keys ~domain:"sefs" key; volume; encrypted;
+      m = empty_meta ();
       cache = Hashtbl.create 256; cache_hits = 0; cache_misses = 0;
       retries = 0; backoff_ns = 0L; obs = Occlum_obs.Obs.disabled }
   in
@@ -608,6 +601,10 @@ let readdir t path =
 
 (* --- file data ------------------------------------------------------------- *)
 
+(* The largest file SEFS holds. A write or truncate past it is [EFBIG],
+   refused before any block or buffer is allocated. *)
+let max_file_size = 1 lsl 30
+
 let ensure_block t (n : inode) bi =
   if bi >= Array.length n.blocks then begin
     let bigger = Array.make (bi + 1) (-1) in
@@ -616,6 +613,21 @@ let ensure_block t (n : inode) bi =
   end;
   if n.blocks.(bi) = -1 then n.blocks.(bi) <- alloc_block t;
   n.blocks.(bi)
+
+(* Zero [n]'s bytes in [from, upto). A file that shrank keeps its block
+   ids, so bytes past its end may still hold what was written before;
+   growing it again must show zeros there. Holes already read as zeros. *)
+let zero_gap t (n : inode) ~from ~upto =
+  let last = min (Array.length n.blocks) ((upto + block_size - 1) / block_size) in
+  for bi = from / block_size to last - 1 do
+    if n.blocks.(bi) >= 0 then begin
+      let lo = max from (bi * block_size) in
+      let hi = min upto ((bi + 1) * block_size) in
+      let line = read_block t n.blocks.(bi) in
+      Bytes.fill line.data (lo mod block_size) (hi - lo) '\x00';
+      line.dirty <- true
+    end
+  done
 
 let consult_io t ~len =
   match t.host.Host_store.fault with
@@ -650,10 +662,14 @@ let read_file t (n : inode) ~pos ~len =
 
 let write_file t (n : inode) ~pos src =
   if n.kind <> File then Error Occlum_abi.Abi.Errno.eisdir
+  else if pos < 0 then Error Occlum_abi.Abi.Errno.einval
+  else if Bytes.length src > max_file_size - pos then
+    Error Occlum_abi.Abi.Errno.efbig
   else begin
     match consult_io t ~len:(Bytes.length src) with
     | Error e -> Error e
     | Ok len ->
+    if len > 0 && pos > n.size then zero_gap t n ~from:n.size ~upto:pos;
     let done_ = ref 0 in
     while !done_ < len do
       let abs = pos + !done_ in
@@ -671,9 +687,11 @@ let write_file t (n : inode) ~pos src =
   end
 
 let truncate t (n : inode) size =
-  ignore t;
   if n.kind <> File then Error Occlum_abi.Abi.Errno.eisdir
+  else if size < 0 then Error Occlum_abi.Abi.Errno.einval
+  else if size > max_file_size then Error Occlum_abi.Abi.Errno.efbig
   else begin
+    if size > n.size then zero_gap t n ~from:n.size ~upto:size;
     n.size <- size;
     Ok ()
   end
@@ -699,10 +717,8 @@ let write_path t path content =
   match create_file t path with
   | Error e -> Error e
   | Ok n ->
-      n.size <- 0;
-      let r = write_file t n ~pos:0 (Bytes.of_string content) in
-      (match r with Ok _ -> n.size <- String.length content | Error _ -> ());
-      Result.map (fun _ -> n) r
+      ignore (truncate t n 0);
+      Result.map (fun _ -> n) (write_file t n ~pos:0 (Bytes.of_string content))
 
 let read_path t path =
   match lookup t path with

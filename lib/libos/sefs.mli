@@ -84,7 +84,7 @@ end
 
 type kind = File | Dir
 
-type inode = {
+type inode = private {
   ino : int;
   mutable kind : kind;
   mutable size : int;
@@ -99,8 +99,7 @@ type meta
 
 type t = {
   host : Host_store.t;
-  data_key : string;
-  mac_key : Occlum_util.Hmac.key;
+  keys : Occlum_util.Seal.keys;  (** domain ["sefs"] of the volume key *)
   volume : string;
   encrypted : bool;  (** false models a plain ext4-style host FS *)
   mutable m : meta;
@@ -162,8 +161,20 @@ val read_file : t -> inode -> pos:int -> len:int -> (Bytes.t, int) result
 (** Up to [len] bytes from [pos]; short at end of file. [EINVAL] for a
     negative [pos], [EISDIR] for a directory. *)
 
+val max_file_size : int
+(** 1 GiB: no file grows past it. *)
+
 val write_file : t -> inode -> pos:int -> Bytes.t -> (int, int) result
+(** Write at [pos], zeroing any gap between the old end of file and
+    [pos] first, so bytes from before a shrink never reappear. [EINVAL]
+    for a negative [pos], [EFBIG] when the write would end past
+    {!max_file_size}, [EISDIR] for a directory. *)
+
 val truncate : t -> inode -> int -> (unit, int) result
+(** Set the file's size, the one way a size shrinks. Growing zeroes the
+    bytes between the old and the new end; the inode keeps its blocks.
+    [EINVAL] for a negative size, [EFBIG] past {!max_file_size},
+    [EISDIR] for a directory. *)
 
 val write_path : t -> string -> string -> (inode, int) result
 (** Create/replace a whole file (images and tests). *)

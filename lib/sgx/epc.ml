@@ -35,8 +35,7 @@ type page_event = Evict | Reload
 type client = { cid : int; mem : Mem.t; mutable resident : int }
 
 type pager = {
-  data_key : string;
-  mac_key : Occlum_util.Hmac.key;
+  keys : Occlum_util.Seal.keys;
   backing : (int * int, backing_entry) Hashtbl.t; (* keyed (cid, page) *)
   versions : (int * int, int) Hashtbl.t; (* trusted VA counters *)
   backing_limit : int;
@@ -88,9 +87,7 @@ let enable_paging ?backing_pages ?(key = "epc-backing") t =
   t.pager <-
     Some
       {
-        data_key = Occlum_util.Sha256.digest ("epc-ewb-data:" ^ key);
-        mac_key =
-          Occlum_util.Hmac.key (Occlum_util.Sha256.digest ("epc-ewb-mac:" ^ key));
+        keys = Occlum_util.Seal.keys ~domain:"epc-ewb" key;
         backing = Hashtbl.create 256;
         versions = Hashtbl.create 256;
         backing_limit;
@@ -155,14 +152,11 @@ let do_evict t pg c page =
     1 + (try Hashtbl.find pg.versions (c.cid, page) with Not_found -> 0)
   in
   Hashtbl.replace pg.versions (c.cid, page) version;
-  let plain = Bytes.sub_string (Mem.raw c.mem) addr page_size in
-  let cipher =
-    Occlum_util.Cipher.encrypt ~key:pg.data_key
+  let cipher, mac =
+    Occlum_util.Seal.seal pg.keys
+      ~label:(entry_label c.cid page version)
       ~nonce:(entry_nonce c.cid page version)
-      plain
-  in
-  let mac =
-    Occlum_util.Hmac.mac pg.mac_key [ entry_label c.cid page version; cipher ]
+      ~pos:addr ~len:page_size (Mem.raw c.mem)
   in
   Hashtbl.replace pg.backing (c.cid, page) { cipher; mac; version };
   (* Scrub through the privileged writer so executable pages bump their
@@ -262,29 +256,28 @@ let eldu t ~cid ~page =
         let addr = page * page_size in
         let restored =
           match Hashtbl.find_opt pg.backing (cid, page) with
-          | Some entry ->
+          | Some entry -> (
               let trusted =
                 try Hashtbl.find pg.versions (cid, page) with Not_found -> 0
               in
-              let authentic =
-                entry.version = trusted
-                && Occlum_util.Hmac.verify pg.mac_key ~tag:entry.mac
-                     [ entry_label cid page entry.version; entry.cipher ]
-              in
-              if not authentic then begin
-                t.free_pages <- t.free_pages + 1 (* undo the alloc *);
-                pg.n_integrity <- pg.n_integrity + 1;
-                raise (Integrity_violation { cid; page })
-              end;
               let plain =
-                Occlum_util.Cipher.encrypt ~key:pg.data_key
-                  ~nonce:(entry_nonce cid page entry.version)
-                  entry.cipher
+                if entry.version <> trusted then None
+                else
+                  Occlum_util.Seal.open_ pg.keys
+                    ~label:(entry_label cid page entry.version)
+                    ~nonce:(entry_nonce cid page entry.version)
+                    ~tag:entry.mac entry.cipher
               in
-              Mem.set_resident c.mem page true;
-              Mem.write_bytes_priv c.mem ~addr (Bytes.of_string plain);
-              Hashtbl.remove pg.backing (cid, page);
-              true
+              match plain with
+              | None ->
+                  t.free_pages <- t.free_pages + 1 (* undo the alloc *);
+                  pg.n_integrity <- pg.n_integrity + 1;
+                  raise (Integrity_violation { cid; page })
+              | Some plain ->
+                  Mem.set_resident c.mem page true;
+                  Mem.write_bytes_priv c.mem ~addr plain;
+                  Hashtbl.remove pg.backing (cid, page);
+                  true)
           | None ->
               Mem.set_resident c.mem page true;
               Mem.fill_priv c.mem ~addr ~len:page_size '\x00';

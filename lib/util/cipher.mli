@@ -1,5 +1,6 @@
-(** ChaCha20-style stream cipher: SEFS block encryption and EIP
-    inter-enclave message encryption. XOR keystream, so encryption and
+(** ChaCha20-style stream cipher: the cipher of {!Seal}, which SEFS, the
+    cluster channels and the EPC pager seal through, and the EIP model's
+    state-transfer and inter-enclave message encryption. XOR keystream, so encryption and
     decryption are the same operation. *)
 
 val key_size : int

@@ -1,6 +1,6 @@
 (* HMAC-SHA-256 (RFC 2104). The Occlum verifier signs accepted binaries
-   with an HMAC; the LibOS loader recomputes it before loading. SEFS,
-   cluster channels and the EPC pager use it as their integrity tag.
+   with an HMAC; the LibOS loader recomputes it before loading. It is
+   the tag of {!Seal}, which SEFS, channels and the EPC pager use.
 
    Every caller MACs under a fixed key, so [key] absorbs the padded key
    XOR ipad and XOR opad once and keeps the two midstates. A tag then

@@ -1,5 +1,6 @@
-(** HMAC-SHA-256 (RFC 2104): binary signing, and the integrity tag of
-    SEFS blocks, channel frames and EPC pages.
+(** HMAC-SHA-256 (RFC 2104): binary signing, attestation reports, and
+    the tag of {!Seal}, which SEFS, the cluster channels and the EPC
+    pager seal through.
 
     A {!key} holds the ipad and opad midstates of one secret, computed
     once. A message is a list of parts, MAC'd as their concatenation

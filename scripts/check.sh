@@ -76,6 +76,17 @@ if [ -n "$sched" ]; then
   exit 1
 fi
 
+# One sealing construction: SEFS, the EPC pager and the cluster
+# channels seal and open through Occlum_util.Seal, so none of them may
+# call the cipher or the MAC itself.
+seal=$(grep -nE "Hmac\.(mac|verify)|Cipher\.encrypt" lib/libos/sefs.ml \
+  lib/sgx/epc.ml lib/cluster/channel.ml || true)
+if [ -n "$seal" ]; then
+  echo "FAIL: hand-written sealing outside lib/util/seal.ml:" >&2
+  printf '%s\n' "$seal" >&2
+  exit 1
+fi
+
 dune runtest
 
 # Constant-time gate: the CT checker must stay precise on the example

@@ -1042,6 +1042,11 @@ let test_epoll () =
                 (* empty pipe: no events (timeout 0) *)
                 If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i 4; i 0 ])
                     <>: i 0, [ Return (i 8) ], []);
+                (* maxevents must be positive, as on Linux *)
+                If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i 0; i 0 ])
+                    <>: i Errno.einval, [ Return (i 18) ], []);
+                If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i (-1); i 0 ])
+                    <>: i Errno.einval, [ Return (i 19) ], []);
                 (* data arrives: one event, right fd, POLLIN *)
                 Expr (Call ("write", [ v "w"; v "evb"; i 1 ]));
                 If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i 4; i 0 ])
@@ -1379,6 +1384,85 @@ let test_lseek_whence () =
               ];
           ]))
 
+let sefs_file os path =
+  match Occlum_libos.Sefs.read_path os.Os.sefs path with
+  | Ok s -> s
+  | Error e -> Alcotest.fail (Printf.sprintf "read %s: errno %d" path e)
+
+let test_resize_zeroes_stale_bytes () =
+  (* regression: a file that shrank keeps its blocks, so growing it
+     again (ftruncate, or a write past the end) must show zeros where
+     the old bytes were *)
+  let os =
+    check_run ~exit_code:0 ~output:""
+      (rt
+         [
+           func "main" []
+             [
+               Let ("fd", Call ("open", [ Str "/s"; i 2; i (F.creat lor F.rdwr) ]));
+               Expr (Call ("write", [ v "fd"; Str "SECRET"; i 6 ]));
+               If (Syscall (Sys.ftruncate, [ v "fd"; i 0 ]) <>: i 0,
+                   [ Return (i 1) ], []);
+               If (Syscall (Sys.ftruncate, [ v "fd"; i 6 ]) <>: i 0,
+                   [ Return (i 2) ], []);
+               If (Syscall (Sys.ftruncate, [ v "fd"; i (-1) ]) <>: i Errno.einval,
+                   [ Return (i 3) ], []);
+               Expr (Call ("close", [ v "fd" ]));
+               Let ("ft", Call ("open", [ Str "/t"; i 2; i (F.creat lor F.wronly) ]));
+               Expr (Call ("write", [ v "ft"; Str "SECRETS!"; i 8 ]));
+               Expr (Call ("close", [ v "ft" ]));
+               Let ("fu", Call ("open", [ Str "/t"; i 2; i (F.wronly lor F.trunc) ]));
+               Expr (Call ("write", [ v "fu"; Str "ab"; i 2 ]));
+               Expr (Syscall (Sys.lseek, [ v "fu"; i 6; i 0 ]));
+               Expr (Call ("write", [ v "fu"; Str "z"; i 1 ]));
+               Expr (Call ("close", [ v "fu" ]));
+               Return (i 0);
+             ];
+         ])
+  in
+  Alcotest.(check string) "ftruncate 0 then 6" (String.make 6 '\000')
+    (sefs_file os "/s");
+  Alcotest.(check string) "O_TRUNC, then a write past the end" "ab\000\000\000\000z"
+    (sefs_file os "/t")
+
+let test_file_size_cap () =
+  (* a size past Sefs.max_file_size is EFBIG, refused before anything is
+     allocated; the SIP and the LibOS carry on *)
+  let cap = Occlum_libos.Sefs.max_file_size in
+  let os =
+    check_run ~exit_code:0 ~output:"alive"
+      (rt
+         [
+           func "main" []
+             [
+               Let ("fd", Call ("open", [ Str "/big"; i 4; i (F.creat lor F.rdwr) ]));
+               If (Syscall (Sys.ftruncate, [ v "fd"; i (1 lsl 40) ]) <>: i Errno.efbig,
+                   [ Return (i 1) ], []);
+               If (Syscall (Sys.ftruncate, [ v "fd"; i (cap + 1) ]) <>: i Errno.efbig,
+                   [ Return (i 2) ], []);
+               If (Syscall (Sys.lseek, [ v "fd"; i (max_int - 100); i 0 ])
+                   <>: i (max_int - 100), [ Return (i 3) ], []);
+               If (Call ("write", [ v "fd"; Str "x"; i 1 ]) <>: i Errno.efbig,
+                   [ Return (i 4) ], []);
+               Expr (Syscall (Sys.lseek, [ v "fd"; i (cap - 1); i 0 ]));
+               If (Call ("write", [ v "fd"; Str "xy"; i 2 ]) <>: i Errno.efbig,
+                   [ Return (i 5) ], []);
+               Expr (Syscall (Sys.lseek, [ v "fd"; i 0; i 0 ]));
+               If (Call ("write", [ v "fd"; Str "ok"; i 2 ]) <>: i 2,
+                   [ Return (i 6) ], []);
+               Expr (Call ("close", [ v "fd" ]));
+               Expr (Call ("print_cstr", [ Str "alive" ]));
+               Return (i 0);
+             ];
+         ])
+  in
+  Alcotest.(check string) "nothing grew" "ok" (sefs_file os "/big");
+  (match Occlum_libos.Sefs.lookup os.Os.sefs "/big" with
+  | Some n ->
+      Alcotest.(check int) "one block" 1 (Array.length n.Occlum_libos.Sefs.blocks)
+  | None -> Alcotest.fail "/big missing");
+  ignore (Os.state_digest os)
+
 let test_epc_paging_differential () =
   (* The paper's graceful-degradation claim, end to end: SIPs whose
      aggregate working set exceeds a shrunken EPC must run to completion
@@ -1650,6 +1734,9 @@ let suite =
     Alcotest.test_case "pipe EOF and EPIPE" `Quick test_pipe_eof_and_epipe;
     Alcotest.test_case "fs syscalls" `Quick test_fs_syscalls;
     Alcotest.test_case "append and trunc" `Quick test_append_and_trunc;
+    Alcotest.test_case "resize zeroes stale bytes" `Quick
+      test_resize_zeroes_stale_bytes;
+    Alcotest.test_case "file size cap (EFBIG)" `Quick test_file_size_cap;
     Alcotest.test_case "devfs and procfs" `Quick test_devfs_procfs;
     Alcotest.test_case "mmap and brk" `Quick test_mmap_brk;
     Alcotest.test_case "signal handlers + sigreturn" `Quick test_signals;

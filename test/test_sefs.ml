@@ -17,6 +17,11 @@ let rd t path =
   | Ok s -> s
   | Error e -> Alcotest.fail (Printf.sprintf "read %s: errno %d" path e)
 
+let node t path =
+  match Sefs.lookup t path with
+  | Some n -> n
+  | None -> Alcotest.fail ("lookup " ^ path)
+
 let test_basic_files () =
   let t = fresh () in
   wr t "/a.txt" "hello";
@@ -199,7 +204,19 @@ let test_truncate () =
       match Sefs.truncate t node 4 with
       | Ok () -> Alcotest.(check string) "truncated" "0123" (rd t "/f")
       | Error _ -> Alcotest.fail "truncate")
-  | None -> Alcotest.fail "lookup")
+  | None -> Alcotest.fail "lookup");
+  (* growing back shows zeros, not the bytes from before the shrink,
+     also once the block went to the host and came back; the inode
+     keeps its blocks *)
+  let n = node t "/f" in
+  let blocks = n.Sefs.blocks in
+  Sefs.flush t;
+  Hashtbl.reset t.Sefs.cache;
+  Alcotest.(check bool) "regrow" true (Sefs.truncate t n 6 = Ok ());
+  Alcotest.(check string) "regrown" "0123\000\000" (rd t "/f");
+  Alcotest.(check bool) "same blocks" true (n.Sefs.blocks == blocks);
+  Alcotest.(check bool) "negative size" true
+    (Sefs.truncate t n (-1) = Error Occlum_abi.Abi.Errno.einval)
 
 let test_image_roundtrip () =
   (* the host-side image format: serialize the untrusted store, reload
@@ -509,6 +526,69 @@ let prop_sefs_model =
       ignore (List.fold_left step (MDir []) (ops @ [ Remount ]));
       true)
 
+(* --- file data against a byte model ---------------------------------------- *)
+
+type dop = Dwrite of int * string | Dtruncate of int | Dremount
+
+let show_dop = function
+  | Dwrite (pos, d) -> Printf.sprintf "write %d bytes at %d" (String.length d) pos
+  | Dtruncate n -> Printf.sprintf "truncate %d" n
+  | Dremount -> "flush+mount"
+
+(* Offsets reach past three blocks, so writes and resizes cross block
+   boundaries and leave whole blocks behind a shrink. *)
+let gen_dop =
+  let open QCheck.Gen in
+  let off = int_range 0 ((3 * Sefs.block_size) + 50) in
+  frequency
+    [
+      ( 4,
+        map2
+          (fun pos d -> Dwrite (pos, d))
+          off
+          (string_size ~gen:(char_range 'a' 'z') (int_range 1 600)) );
+      (3, map (fun n -> Dtruncate n) off);
+      (1, return Dremount);
+    ]
+
+let m_apply m = function
+  | Dwrite (pos, d) ->
+      let b = Bytes.make (max (String.length m) (pos + String.length d)) '\000' in
+      Bytes.blit_string m 0 b 0 (String.length m);
+      Bytes.blit_string d 0 b pos (String.length d);
+      Bytes.to_string b
+  | Dtruncate n ->
+      if n <= String.length m then String.sub m 0 n
+      else m ^ String.make (n - String.length m) '\000'
+  | Dremount -> m
+
+(* Every write, shrink and regrowth of one file reads back as the byte
+   model says: no byte from before a shrink shows through a later
+   growth, in the cache or after a remount. *)
+let prop_file_data_model =
+  QCheck.Test.make ~name:"file data = byte model across resizes" ~count:150
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_dop ops))
+       QCheck.Gen.(list_size (int_range 1 20) gen_dop))
+    (fun ops ->
+      let t = ref (fresh ()) in
+      wr !t "/f" "";
+      List.fold_left
+        (fun m op ->
+          let f = node !t "/f" in
+          (match op with
+          | Dwrite (pos, d) -> ignore (Sefs.write_file !t f ~pos (Bytes.of_string d))
+          | Dtruncate n -> ignore (Sefs.truncate !t f n)
+          | Dremount ->
+              Sefs.flush !t;
+              t := Sefs.mount ~key:"test-key" !t.Sefs.host);
+          let m = m_apply m op in
+          if rd !t "/f" <> m then
+            QCheck.Test.fail_reportf "after %s: file and model differ" (show_dop op);
+          m)
+        "" ops
+      |> ignore;
+      true)
+
 let suite =
   [
     Alcotest.test_case "basic files" `Quick test_basic_files;
@@ -529,4 +609,5 @@ let suite =
     Alcotest.test_case "rename into own subtree" `Quick test_rename_into_own_subtree;
     Alcotest.test_case "version-1 image refused" `Quick test_image_v1_rejected;
     QCheck_alcotest.to_alcotest prop_sefs_model;
+    QCheck_alcotest.to_alcotest prop_file_data_model;
   ]

@@ -269,6 +269,77 @@ let prop_hmac_parts =
       let key = Hmac.key secret in
       String.equal (Hmac.mac key parts) (Hmac.mac key [ String.concat "" parts ]))
 
+(* --- the sealing construction ----------------------------------------- *)
+
+let flip_bit s bit =
+  let b = Bytes.of_string s in
+  let i = bit / 8 mod Bytes.length b in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+  Bytes.to_string b
+
+let arb_sealing =
+  QCheck.(
+    quad (string_of_size (Gen.int_range 0 40))
+      (string_of_size (Gen.int_range 1 30))
+      (string_of_size (Gen.int_range 1 300))
+      (int_range 0 100_000))
+
+let prop_seal_roundtrip =
+  QCheck.Test.make ~name:"seal: open_ (seal x) = Some x" ~count:300 arb_sealing
+    (fun (secret, label, x, n) ->
+      let k = Seal.keys ~domain:"test" secret in
+      let nonce = Cipher.derive_nonce label n in
+      let b = Bytes.of_string ("<" ^ x ^ ">") in
+      let cipher, tag = Seal.seal k ~label ~nonce ~pos:1 ~len:(String.length x) b in
+      Bytes.to_string b = "<" ^ x ^ ">"
+      && Seal.open_ k ~label ~nonce ~tag cipher = Some (Bytes.of_string x))
+
+let prop_seal_tamper =
+  QCheck.Test.make
+    ~name:"seal: a flipped bit or another domain's keys opens to None"
+    ~count:300 arb_sealing (fun (secret, label, x, bit) ->
+      let k = Seal.keys ~domain:"test" secret in
+      let nonce = Cipher.derive_nonce label 0 in
+      let cipher, tag = Seal.seal k ~label ~nonce (Bytes.of_string x) in
+      let opens ?(k = k) ?(label = label) ?(tag = tag) cipher =
+        Seal.open_ k ~label ~nonce ~tag cipher <> None
+      in
+      opens cipher
+      && (not (opens (flip_bit cipher bit)))
+      && (not (opens ~tag:(flip_bit tag bit) cipher))
+      && (not (opens ~label:(flip_bit label bit) cipher))
+      && not (opens ~k:(Seal.keys ~domain:"other" secret) cipher))
+
+(* Channels once used their session key for both the cipher and the
+   MAC; every domain now gets two unrelated subkeys. *)
+let prop_seal_key_split =
+  QCheck.Test.make ~name:"seal: a channel's cipher key is not its MAC secret"
+    ~count:200 QCheck.(string_of_size (Gen.return 32)) (fun session ->
+      let k = Seal.keys ~domain:"chan" session in
+      let cipher_key = Sha256.digest ("chan-data:" ^ session) in
+      let mac_secret = Sha256.digest ("chan-mac:" ^ session) in
+      let nonce = String.make 12 'n' in
+      let cipher, tag = Seal.seal k ~label:"l" ~nonce (Bytes.of_string "payload") in
+      let tag_under secret = Hmac.mac (Hmac.key secret) [ "l"; cipher ] in
+      cipher = Cipher.encrypt ~key:cipher_key ~nonce "payload"
+      && cipher <> Cipher.encrypt ~key:session ~nonce "payload"
+      && cipher_key <> mac_secret
+      && tag = tag_under mac_secret
+      && tag <> tag_under cipher_key
+      && tag <> tag_under session)
+
+(* SEFS images and sealed EPC pages stay byte-identical only while the
+   derivation does. *)
+let test_seal_derivation () =
+  let k = Seal.keys ~domain:"sefs" "vol-key" in
+  let nonce = Cipher.derive_nonce "vol0:blk:3" 1 in
+  let cipher, tag = Seal.seal k ~label:"blk:3:1" ~nonce (Bytes.of_string "data") in
+  check "ciphertext"
+    (Cipher.encrypt ~key:(Sha256.digest "sefs-data:vol-key") ~nonce "data") cipher;
+  check "tag"
+    (Hmac.mac (Hmac.key (Sha256.digest "sefs-mac:vol-key")) [ "blk:3:1"; cipher ])
+    tag
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
@@ -288,4 +359,8 @@ let suite =
     Alcotest.test_case "sha256 reentrant across domains" `Quick test_sha256_reentrant;
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
     QCheck_alcotest.to_alcotest prop_hmac_parts;
+    Alcotest.test_case "seal key derivation" `Quick test_seal_derivation;
+    QCheck_alcotest.to_alcotest prop_seal_roundtrip;
+    QCheck_alcotest.to_alcotest prop_seal_tamper;
+    QCheck_alcotest.to_alcotest prop_seal_key_split;
   ]
