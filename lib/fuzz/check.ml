@@ -903,9 +903,9 @@ let mc_case _inj _shrink rng case =
    must produce bit-identical architectural state, counters and memory
    at every synchronization point. Both machines run in fuel quanta of
    [period] instructions, which is how [Os.epoch] preempts the tiered
-   loop in production: a quantum that ends inside a fused unit
-   exercises the decoded tail, and every other unit runs the fused
-   code the LibOS runs. Three hostile regimes stress the
+   loop in production: a quantum that ends inside a block exercises
+   the decoded replay, and every block the fuel covers runs the
+   compiled body the LibOS runs. Three hostile regimes stress the
    tier-transition seams:
 
    - [J_plain]: quanta alone. A fused unit that charged, parked or
@@ -914,8 +914,9 @@ let mc_case _inj _shrink rng case =
    - [J_smc]: the engine additionally flips a code byte — the same byte,
      the same flip — in both envs at stop boundaries, exercising
      page-generation invalidation, JIT deopt and rebuild. With RWX code
-     the blocks are fragile (fused units that end at each memory write,
-     revalidated after it); with RX code nothing revalidates mid-block.
+     the blocks are fragile (each write ends its unit, and the body
+     checks the code epoch after it); with RX code the body checks
+     nothing mid-block.
    - [J_epc]: both envs are demand-paged against one oversized pool
      and the engine evicts the same page from each at stop boundaries.
      Reloads are transparent ELDUs driven off [Epc_miss], mirroring the
@@ -969,8 +970,8 @@ let pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
     ]
 
 let jit_case inj shrink rng case =
-  (* up to a whole block ([Decode_cache.max_block_insns]), so units of
-     every length run fused *)
+  (* up to a whole block ([Decode_cache.max_block_insns]), so quanta
+     end inside blocks of every length and cover them whole *)
   let period = 2 + Rng.int rng 63 in
   let fuel = 2000 + Rng.int rng 2000 in
   let mode =
@@ -978,7 +979,8 @@ let jit_case inj shrink rng case =
   in
   let perturb_seed = Rng.next rng in
   (* RWX is the LibOS loader's mapping (SGX1 code pages): every block is
-     fragile and revalidates after each write; RX code never does *)
+     fragile and checks the code epoch after each write; RX code never
+     does *)
   let code_perm = if Rng.bool rng then Mem.perm_rx else Mem.perm_rwx in
   lockstep_failure Jit_equivalence shrink case (Gen.program rng)
     (fun inj its ->

@@ -78,6 +78,42 @@ let quantum = 100_000
 let sip_syscall_ns = 100L
 let eip_ocall_ns = 6_000L
 
+(* The metrics a traced run updates on every syscall, gate crossing and
+   quantum, resolved against [obs]'s registry when the [t] is created.
+   Each is looked up at its first update, just as a by-name lookup there
+   would, so the registry exports the same items in the same order. *)
+type meters = {
+  m_syscalls : Occlum_obs.Metrics.counter Lazy.t;
+  m_blocked : Occlum_obs.Metrics.counter Lazy.t;
+  m_latency : Occlum_obs.Metrics.histogram Lazy.t;
+  m_gate : Occlum_obs.Metrics.counter Lazy.t;
+  m_epochs : Occlum_obs.Metrics.counter Lazy.t;
+  m_quanta : Occlum_obs.Metrics.counter Lazy.t;
+  m_quantum_insns : Occlum_obs.Metrics.histogram Lazy.t;
+  m_core_quanta : Occlum_obs.Metrics.counter Lazy.t array; (* by core *)
+}
+
+let meters (obs : Occlum_obs.Obs.t) ~cores =
+  let module M = Occlum_obs.Metrics in
+  let reg = obs.Occlum_obs.Obs.metrics in
+  let counter name = lazy (M.counter reg name) in
+  {
+    m_syscalls = counter "os.syscalls";
+    m_blocked = counter "os.syscalls.blocked";
+    m_latency =
+      lazy (M.histogram reg "os.syscall.latency_ns" ~bounds:M.latency_buckets_ns);
+    m_gate = counter "os.gate.crossings";
+    m_epochs = counter "sched.epochs";
+    m_quanta = counter "os.quanta";
+    m_quantum_insns =
+      lazy
+        (M.histogram reg "os.quantum.insns"
+           ~bounds:[| 100; 1_000; 10_000; 25_000; 50_000; 75_000; 100_000 |]);
+    m_core_quanta =
+      Array.init cores (fun cid ->
+          counter (Printf.sprintf "sched.core%d.quanta" cid));
+  }
+
 type t = {
   cfg : config;
   epc : Occlum_sgx.Epc.t;
@@ -100,6 +136,7 @@ type t = {
   mutable faults : (int * Fault.t) list;
   eip_runtime_image : Bytes.t; (* stand-in for the Graphene runtime pages *)
   obs : Occlum_obs.Obs.t;
+  meters : meters;
   sched : Sched.t; (* the one run queue every core claims from *)
   jit : Jit.t option;
   (* the one code cache every core's quanta run through; it keys blocks
@@ -183,6 +220,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     faults = [];
       eip_runtime_image = Bytes.make config.eip_runtime_image_bytes '\x5a';
       obs;
+      meters = meters obs ~cores:config.cores;
       sched = Sched.create ~ncores:config.cores;
       jit = (if config.jit then Some (Jit.create ()) else None);
       last_run_pid = 0;
@@ -782,7 +820,7 @@ let sys_write t p =
         let data () = Option.get (read_user t p buf len) in
         match entry.kind with
         | Fd.File f ->
-            if not f.writable then err Errno.eaccess
+            if not f.writable then err Errno.ebadf
             else begin
               if f.append then f.pos <- f.node.size;
               match Sefs.write_file t.sefs f.node ~pos:f.pos (data ()) with
@@ -1512,6 +1550,7 @@ let rec dispatch t (p : proc) : sysret =
   end
   else if nr = Sys.ftruncate then begin
     match Fd.find p.fds (iarg p 0) with
+    | Some { kind = Fd.File f; _ } when not f.writable -> err Errno.einval
     | Some { kind = Fd.File f; _ } -> (
         match Sefs.truncate t.sefs f.node (iarg p 1) with
         | Ok () -> ok 0
@@ -1612,16 +1651,11 @@ let dispatch_traced ?(charge = true) t (p : proc) : sysret =
       Occlum_obs.Obs.emit o
         (Occlum_obs.Trace.Syscall_exit
            { pid = p.pid; nr; ret; latency_ns; blocked });
-    Occlum_obs.Metrics.inc
-      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics "os.syscalls");
-    if blocked then
-      Occlum_obs.Metrics.inc
-        (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics
-           "os.syscalls.blocked")
+    Occlum_obs.Metrics.inc (Lazy.force t.meters.m_syscalls);
+    if blocked then Occlum_obs.Metrics.inc (Lazy.force t.meters.m_blocked)
     else
       Occlum_obs.Metrics.observe
-        (Occlum_obs.Metrics.histogram o.Occlum_obs.Obs.metrics
-           "os.syscall.latency_ns" ~bounds:Occlum_obs.Metrics.latency_buckets_ns)
+        (Lazy.force t.meters.m_latency)
         (Int64.to_int latency_ns);
     r
   end
@@ -1639,9 +1673,7 @@ let handle_gate t (p : proc) : unit =
      amortises many syscalls over one of these *)
   t.gate_crossings <- t.gate_crossings + 1;
   if t.obs.Occlum_obs.Obs.enabled then
-    Occlum_obs.Metrics.inc
-      (Occlum_obs.Metrics.counter t.obs.Occlum_obs.Obs.metrics
-         "os.gate.crossings");
+    Occlum_obs.Metrics.inc (Lazy.force t.meters.m_gate);
   (* pc has advanced past the Syscall_gate; classify which gate fired *)
   let gate_pc = p.cpu.pc - 1 in
   if t.cfg.mode = Linux && gate_pc <> p.img.sigreturn_gate
@@ -1771,8 +1803,7 @@ let step t =
   let o = t.obs in
   retry_blocked t;
   if o.Occlum_obs.Obs.enabled then
-    Occlum_obs.Metrics.inc
-      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics "sched.epochs");
+    Occlum_obs.Metrics.inc (Lazy.force t.meters.m_epochs);
   let claims =
     Sched.claim t.sched ~runnable:(runnable t) ~live:(live t) ~slot_of:(slot t)
   in
@@ -1823,16 +1854,9 @@ let step t =
           if o.Occlum_obs.Obs.t_quantum then
             Occlum_obs.Obs.emit o
               (Occlum_obs.Trace.Quantum_end { pid = p.pid; insns; cycles });
-          let m = o.Occlum_obs.Obs.metrics in
-          Occlum_obs.Metrics.inc (Occlum_obs.Metrics.counter m "os.quanta");
-          Occlum_obs.Metrics.observe
-            (Occlum_obs.Metrics.histogram m "os.quantum.insns"
-               ~bounds:
-                 [| 100; 1_000; 10_000; 25_000; 50_000; 75_000; 100_000 |])
-            insns;
-          Occlum_obs.Metrics.inc
-            (Occlum_obs.Metrics.counter m
-               (Printf.sprintf "sched.core%d.quanta" cid))
+          Occlum_obs.Metrics.inc (Lazy.force t.meters.m_quanta);
+          Occlum_obs.Metrics.observe (Lazy.force t.meters.m_quantum_insns) insns;
+          Occlum_obs.Metrics.inc (Lazy.force t.meters.m_core_quanta.(cid))
         end;
         handle_stop t p stops.(i);
         if Int64.compare t.clock_ns !epoch_end > 0 then epoch_end := t.clock_ns)

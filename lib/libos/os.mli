@@ -63,6 +63,12 @@ type config = {
 
 val default_config : config
 
+type meters
+(** The metrics a traced run updates per syscall, gate crossing and
+    quantum, resolved against the [obs] registry at {!boot}; each
+    registers at its first update, so exports are as if looked up by
+    name. *)
+
 type t = {
   cfg : config;
   epc : Occlum_sgx.Epc.t;
@@ -89,6 +95,7 @@ type t = {
       (** the observability instance every layer of this LibOS reports
           to; {!Occlum_obs.Obs.disabled} unless one was passed to
           {!boot} *)
+  meters : meters;
   sched : Sched.t;  (** the scheduler: the one run queue *)
   jit : Occlum_machine.Jit.t option;
       (** the block JIT every core's quanta run through; [None] under

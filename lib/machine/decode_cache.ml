@@ -19,10 +19,11 @@
    MMDSFI checks keep verified SIPs from making one; the
    unprivileged-write hook makes such a store bump the generation all
    the same. Blocks that span a writable-and-executable page are marked
-   [fragile] so the interpreter revalidates them after each
+   [fragile]: their compiled body checks [Mem.code_epoch] after each
    memory-writing instruction (the only thing inside a block that can
-   move a generation), keeping even self-modifying code exactly
-   faithful to the reference semantics. *)
+   move a generation) and the interpreter re-checks the snapshot when
+   it moved, keeping even self-modifying code exactly faithful to the
+   reference semantics. *)
 
 open Occlum_isa
 

@@ -6,9 +6,10 @@
     generations of the pages it spans (bumped on map/unmap and on any
     write into an executable page), so a translation made from it can
     be checked against memory with {!block_valid}. Blocks that span a
-    writable-and-executable page (all LibOS SIP code) are [fragile]: the
-    interpreter revalidates them after each memory-writing instruction
-    so self-modifying code behaves exactly as it does under the
+    writable-and-executable page (all LibOS SIP code) are [fragile]: a
+    compiled body checks {!Mem.code_epoch} after each memory-writing
+    instruction, and the interpreter re-checks the snapshot when it
+    moved, so self-modifying code behaves exactly as it does under the
     reference loop. *)
 
 type block = {

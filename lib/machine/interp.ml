@@ -328,15 +328,19 @@ let run_reference ?interrupt mem cpu ~fuel =
    - Executable-span checks are elided for compiled instructions: block
      validity (unchanged page generations) implies the span still
      decodes and is still executable, exactly as at build time.
-   - Fragile blocks (on writable+executable pages: all LibOS SIP code)
-     are revalidated at the boundary after each writing unit — within a
-     block, only a memory write can move a page generation.
-   - A compiled unit runs only when the remaining fuel covers all of it;
-     otherwise [tail] replays its decoded instructions up to the
-     boundary where the fuel ends.
-   - A fault inside a compiled unit or its tail deopts: the closure
-     charged and parked state exactly as [exec_decoded] would have at
-     the faulting instruction, so the AEX capture is bit-identical.
+   - A block's body runs whole only when the remaining fuel covers the
+     block; otherwise [replay] runs its decoded instructions from the
+     entry up to the boundary where the fuel ends.
+   - Within a block only a memory write can move a page generation, and
+     every move also moves [Mem.code_epoch]. A fragile block's body (on
+     writable+executable pages: all LibOS SIP code) compares the epoch
+     across each write, [replay] at every boundary, and a moved epoch
+     revalidates the block: one that wrote some other executable page
+     runs on, and one that rewrote its own code parks at the boundary
+     after the write and deopts to a fresh lookup with the fuel left.
+   - A fault inside the body or a replay deopts: the closure charged and
+     parked state exactly as [exec_decoded] would have at the faulting
+     instruction, so the AEX capture is bit-identical.
 
    Observability: JIT events are emitted per block lookup when the [Jit]
    trace class is on; with tracing disabled the cost is one flag test.
@@ -373,13 +377,13 @@ let run_tiered jit obs mem cpu ~fuel =
   and hit c fuel =
     cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
     trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
-    exec_compiled c 0 fuel
+    exec_compiled c fuel
   and miss fuel =
     match Jit.translate jit mem cpu.Cpu.pc with
     | Some c ->
         cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
         trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
-        exec_compiled c 0 fuel
+        exec_compiled c fuel
     | None -> (
         (* nothing decodable/executable at pc: the reference step
            raises the fault with identical address and reason *)
@@ -387,67 +391,68 @@ let run_tiered jit obs mem cpu ~fuel =
         | Some stop -> stop
         | None -> loop (fuel - 1))
   (* a member of this recursive group rather than a local closure, so
-     entering a block allocates nothing *)
-  and exec_compiled (c : Jit.compiled) u fuel =
-    if fuel <= 0 then Stop_quantum
-    else if u >= Array.length c.Jit.units then
-      (* a block that branches back to its own entry (the hot-loop
-         shape) re-enters without the table lookup; validity is
-         re-checked so a store from the block still invalidates it.
-         Any other exit follows the block's link when it is still what
-         the lookup would find, else looks up and relinks. *)
-      if
-        cpu.Cpu.pc = c.Jit.entry
-        && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
-      then begin
-        cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-        Jit.note_hit jit;
-        trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
-        exec_compiled c 0 fuel
-      end
-      else if Jit.follow jit mem c cpu.Cpu.pc then hit c.Jit.link fuel
-      else dispatch (Jit.lookup_from jit mem c cpu.Cpu.pc) fuel
-    else if
-      c.Jit.revalidate.(u) && not (Decode_cache.block_valid mem c.Jit.src)
-    then begin
-      (* self-modifying code: deopt; the lookup finds the block stale
-         and translates the rewritten bytes *)
-      deopt ();
-      loop fuel
-    end
+     entering a block allocates nothing; [fuel] > 0 *)
+  and exec_compiled (c : Jit.compiled) fuel =
+    if fuel < c.Jit.insns then replay c 0 mem.Mem.code_epoch fuel
     else
-      let k = c.Jit.unit_insns.(u) in
-      if fuel < k then tail c u fuel
-      else
-        match c.Jit.units.(u) mem cpu with
-        | Jit.U_fall -> exec_compiled c (u + 1) (fuel - k)
-        | Jit.U_stop s -> s
-        | exception Fault.Fault f ->
-            deopt ();
-            Stop_fault f
-  (* The fuel ends inside unit [u]: replay its decoded instructions, one
-     fuel check per boundary. The tail stops short of the unit's last
-     instruction, the only one of a fragile unit that may write, so it
-     needs no revalidation. *)
-  and tail (c : Jit.compiled) u fuel =
-    let i = ref 0 in
-    for v = 0 to u - 1 do
-      i := !i + c.Jit.unit_insns.(v)
-    done;
-    let rec go i fuel =
-      if fuel <= 0 then Stop_quantum
-      else
-        let insn, len = c.Jit.src.Decode_cache.insns.(i) in
-        match exec_decoded mem cpu insn ~pc:cpu.Cpu.pc ~len with
-        | None -> go (i + 1) (fuel - 1)
-        (* a privileged stub stops without leaving compiled code *)
-        | Some (Stop_fault (Fault.Privileged _) as s) -> s
-        | Some (Stop_fault _ as s) ->
-            deopt ();
-            s
-        | Some s -> s
-    in
-    go !i fuel
+      let i0 = cpu.Cpu.insns in
+      match c.Jit.body mem cpu with
+      | Jit.U_fall -> leave c (fuel - c.Jit.insns)
+      | Jit.U_stop s -> s
+      | Jit.U_stale ->
+          (* self-modifying code: deopt; the lookup finds the block
+             stale and translates the rewritten bytes. Every instruction
+             charges one to [insns], so the body retired the count it
+             moved. *)
+          deopt ();
+          loop (fuel - (cpu.Cpu.insns - i0))
+      | exception Fault.Fault f ->
+          deopt ();
+          Stop_fault f
+  (* A block that branches back to its own entry (the hot-loop shape)
+     re-enters without the table lookup; validity is re-checked so a
+     store from the block still invalidates it. Any other exit follows
+     the block's link when it is still what the lookup would find, else
+     looks up and relinks. *)
+  and leave (c : Jit.compiled) fuel =
+    if fuel <= 0 then Stop_quantum
+    else if
+      cpu.Cpu.pc = c.Jit.entry
+      && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
+    then begin
+      cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+      Jit.note_hit jit;
+      trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
+      exec_compiled c fuel
+    end
+    else if Jit.follow jit mem c cpu.Cpu.pc then hit c.Jit.link fuel
+    else dispatch (Jit.lookup_from jit mem c cpu.Cpu.pc) fuel
+  (* Run [c]'s decoded instructions from index [i] through the reference
+     semantics, one fuel check per boundary. [e] is the code epoch [c]
+     is known valid at; a boundary that finds the epoch moved revalidates
+     [c] before going on, as the body does after a write. *)
+  and replay (c : Jit.compiled) i e fuel =
+    if fuel <= 0 then Stop_quantum
+    else if i >= c.Jit.insns then leave c fuel
+    else if mem.Mem.code_epoch <> e then
+      if Decode_cache.block_valid mem c.Jit.src then
+        replay c i mem.Mem.code_epoch fuel
+      else begin
+        (* self-modifying code: deopt; the lookup finds the block stale
+           and translates the rewritten bytes *)
+        deopt ();
+        loop fuel
+      end
+    else
+      let insn, len = c.Jit.src.Decode_cache.insns.(i) in
+      match exec_decoded mem cpu insn ~pc:cpu.Cpu.pc ~len with
+      | None -> replay c (i + 1) e (fuel - 1)
+      (* a privileged stub stops without leaving compiled code *)
+      | Some (Stop_fault (Fault.Privileged _) as s) -> s
+      | Some (Stop_fault _ as s) ->
+          deopt ();
+          s
+      | Some s -> s
   in
   loop fuel
 

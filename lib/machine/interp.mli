@@ -19,8 +19,8 @@ val run :
     Two loops implement this. Without [?jit], the reference loop runs
     {!step} once per instruction; tests and fuzz properties compare the
     tiered loop against it. With [?jit], the tiered loop runs every
-    basic block as compiled closure chains from the JIT's code cache:
-    hit → compiled replay; stale → invalidate, then translate again;
+    basic block as one compiled closure from the JIT's code cache:
+    hit → run the block's body; stale → invalidate, then translate again;
     miss → build and compile the block now ({!Jit.translate}) and run
     it; no block buildable at pc (the fetch faults or does not decode)
     → one {!step}, which raises the fault exactly as the reference
@@ -33,12 +33,13 @@ val run :
     #8 (jit-equivalence) checks this. Every instruction boundary is
     consulted in one order: fuel check, then revalidation of a block on
     writable+executable pages (only at the boundary after a memory
-    write), then fetch or replay. A compiled unit runs only when the
-    remaining fuel covers all of it; when the fuel ends inside a unit,
-    the loop replays that unit's decoded instructions through the
-    reference semantics up to the last boundary the fuel reaches. Fuel
-    is therefore the only way to preempt the tiered loop, and it stops
-    on the same boundary as the reference. A fault inside compiled code
+    write that moved {!Mem.code_epoch}), then fetch or execute. A
+    block's body runs only when the remaining fuel covers the whole
+    block; when the fuel ends inside it, the loop replays the block's
+    decoded instructions from its entry through the reference semantics
+    up to the last boundary the fuel reaches. Fuel is therefore the
+    only way to preempt the tiered loop, and it stops on the same
+    boundary as the reference. A fault inside compiled code
     deopts to the interpreter's fault path, and writes to a JIT'd page
     invalidate its blocks through per-page generations. JIT
     compile/hit/invalidation/deopt totals accumulate into the {!Cpu.t}

@@ -1,26 +1,27 @@
-(* Block JIT: translate every decoded basic block into a pre-built
-   OCaml closure chain the first time it runs.
+(* Block JIT: translate every decoded basic block into one pre-built
+   OCaml closure the first time it runs.
 
    In [Interp.run]'s tiered loop, a lookup miss (or a stale hit) at a
    block boundary forms the block ([Decode_cache.build]) and compiles
    it here at once, as a DBT code cache copies each block before its
    first run. Each instruction is translated into a specialized closure
    with its operands pre-resolved (register indices, immediates, cycle
-   cost, target pcs), and consecutive instructions are fused into
-   superinstruction units — guard+load / guard+store / guard+guard
-   pairs share one effective-address computation, and straight-line
-   runs are chained so the per-instruction loop overhead is amortized
-   over up to four instructions.
+   cost, target pcs) that ends by tail-calling the next one, and
+   consecutive instructions are fused into superinstruction units —
+   guard+load / guard+store / guard+guard pairs share one
+   effective-address computation, and pure-register runs are charged in
+   bulk. The block's [body] is the first unit: calling it runs the
+   whole block.
 
    Equivalence contract (checked by fuzz property #8 and test_jit):
    every closure replicates [Interp.exec_decoded]'s architectural
    effects exactly — the same counter charges in the same order, the
-   same fault payloads and fault-atomicity, the same pc parking. Each
-   unit has one compiled form, with no internal fuel check: the
-   interpreter runs it only when the remaining fuel covers the whole
-   unit, and otherwise replays the unit's decoded instructions (the
-   block's [src.insns]) through [Interp.exec_decoded], so a quantum
-   ends on the same boundary as in the reference loop.
+   same fault payloads and fault-atomicity, the same pc parking. The
+   body has no internal fuel check: the interpreter runs it only when
+   the remaining fuel covers the whole block, and otherwise replays the
+   block's decoded instructions ([src.insns]) through
+   [Interp.exec_decoded], so a quantum ends on the same boundary as in
+   the reference loop.
 
    Invalidation: a compiled block keeps its source block's
    page-generation snapshot and is dropped when a lookup finds the
@@ -28,9 +29,12 @@
    ("fragile": every LibOS SIP block, since SGX1 code pages are RWX) get
    the same fusion, but each unit ends at its first memory-writing
    instruction: within a block only such an instruction can move a page
-   generation, so the interpreter revalidates a fragile block only at
-   the boundary after a writing unit, and self-modifying code deopts to
-   a fresh translation on the very next fetch.
+   generation, and every move also moves [Mem.code_epoch]. So the body
+   compares the epoch across each writing unit and, if it moved,
+   re-checks the block's generations: a write to some other executable
+   page runs on, and one that made the block stale stops at the
+   boundary after it, where self-modifying code deopts to a fresh
+   translation on the very next fetch.
 
    Block linking: each compiled block remembers the last successor a
    lookup found at its exit. Following that link is exactly a lookup hit
@@ -49,24 +53,30 @@ type stop =
   | Stop_fault of Fault.t
   | Stop_quantum
 
-type ustat = U_fall | U_stop of stop
+(* how a block's body returned: it ran to the block's end, it stopped,
+   or a write made the block stale and it parked at the boundary after
+   that write *)
+type ustat = U_fall | U_stop of stop | U_stale
 
 type body = Mem.t -> Cpu.t -> ustat
-(* one translated instruction or a whole unit: charge, execute, park
-   pc; faults raise *)
+(* one translated instruction, unit or the whole block: charge, execute,
+   park pc, run on; faults raise *)
 
 type compiled = {
   entry : int;
-  src : Decode_cache.block; (* carries the generation snapshot *)
-  units : body array;
-  unit_insns : int array; (* original instructions per unit *)
-  revalidate : bool array;
-      (* per unit: the block is fragile and the previous unit wrote
-         memory, so the block may have rewritten its own code *)
+  src : Decode_cache.block;
+      (* the generation snapshot, and the decoded instructions a replay
+         runs *)
+  insns : int; (* instructions in the block *)
+  body : body;
+  unit_starts : int array;
+      (* the first instruction index of each unit, in order; a fragile
+         block's body checks the code epoch at each unit boundary after
+         a write *)
   writes : bool;
       (* some instruction writes memory, so the block could invalidate
          itself (a store into its own executable page) — the self-loop
-         re-entry must revalidate *)
+         re-entry must check its generations *)
   mutable live : bool; (* the table's current entry for [entry] *)
   mutable link : compiled;
       (* the successor the last lookup at this block's exit found;
@@ -284,7 +294,7 @@ let core_of (insn : Insn.t) : (Cpu.t -> unit) option =
 (* Translate one instruction spanning [pc, pc+len). Total: every opcode
    compiles (privileged ones to a charge-then-fault stub, exactly as the
    interpreter charges before classifying them). *)
-let compile_body (insn : Insn.t) ~pc ~len : body =
+let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
   let end_pc = pc + len in
   let cost = Cost.of_insn insn in
   let priv name =
@@ -297,39 +307,39 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
     match ea with
     | Ea_reg r ->
         let ro = off r in
-        fun _ (cpu : Cpu.t) ->
+        fun mem (cpu : Cpu.t) ->
           charge cpu cost;
           bound_check cpu bi lower (get cpu ro);
           cpu.Cpu.pc <- end_pc;
-          U_fall
+          k mem cpu
     | Ea_mem m ->
         let ea_f = compile_ea m ~end_pc in
-        fun _ (cpu : Cpu.t) ->
+        fun mem (cpu : Cpu.t) ->
           charge cpu cost;
           bound_check cpu bi lower (Int64.of_int (ea_f cpu));
           cpu.Cpu.pc <- end_pc;
-          U_fall
+          k mem cpu
   in
   match insn with
   | Nop | Cfi_label _ ->
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Mov_imm (r, v) ->
       let ro = off r in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         set cpu ro v;
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Mov_reg (d, s) ->
       let dO = off d and so = off s in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         set cpu dO (get cpu so);
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Load { dst; src; size } ->
       let dO = off dst in
       let ea_f = compile_ea src ~end_pc in
@@ -338,13 +348,13 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         set cpu dO (Int64.of_int (load8 mem (ea_f cpu)));
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
       else fun mem cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         load64_to cpu dO mem (ea_f cpu);
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Store { dst; src; size } ->
       let so = off src in
       let ea_f = compile_ea dst ~end_pc in
@@ -353,13 +363,13 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         store8 mem (ea_f cpu) (Int64.to_int (get cpu so));
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
       else fun mem cpu ->
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         store64 mem (ea_f cpu) (get cpu so);
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Push r ->
       let ro = off r in
       fun mem cpu ->
@@ -370,7 +380,7 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         store64 mem (masked sp) (get cpu ro);
         set cpu sp_o sp;
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Pop r ->
       let ro = off r in
       fun mem cpu ->
@@ -381,42 +391,42 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         (* [pop sp] keeps the loaded value, as in the interpreter *)
         if ro <> sp_o then set cpu sp_o (Int64.add sp 8L);
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Lea (r, m) ->
       let ro = off r in
       let ea_f = compile_ea m ~end_pc in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         set cpu ro (Int64.of_int (ea_f cpu));
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Alu (Add, d, O_imm v) ->
       let dO = off d in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         set cpu dO (Int64.add (get cpu dO) v);
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Alu (Add, d, O_reg r) ->
       let dO = off d and ro = off r in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         set cpu dO (Int64.add (get cpu dO) (get cpu ro));
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Alu (Sub, d, O_imm v) ->
       let dO = off d in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         set cpu dO (Int64.sub (get cpu dO) v);
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Alu (((Divu | Remu) as op), d, o) ->
       let dO = off d and rem = op = Remu in
       (* [so] < 0: the divisor is the immediate *)
       let so = match o with O_reg r -> off r | O_imm _ -> -1 in
       let imm = match o with O_imm v -> v | O_reg _ -> 0L in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         let b = if so < 0 then imm else get cpu so in
         if Int64.equal b 0L then raise (Fault.Fault (Div_by_zero { addr = pc }));
@@ -424,30 +434,30 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         set cpu dO
           (if rem then Int64.unsigned_rem a b else Int64.unsigned_div a b);
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
   | Alu _ | Cmp _ -> (
       match core_of insn with
       | Some core ->
-          fun _ cpu ->
+          fun mem cpu ->
             charge cpu cost;
             core cpu;
             cpu.Cpu.pc <- end_pc;
-            U_fall
+            k mem cpu
       | None -> assert false)
   | Jmp rel ->
       let tgt = end_pc + rel in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         cpu.Cpu.pc <- tgt;
-        U_fall
+        k mem cpu
   | Jcc (c, rel) ->
       let tgt = end_pc + rel in
       let decide = compile_cond c in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         cpu.Cpu.pc <-
           (if decide cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc);
-        U_fall
+        k mem cpu
   | Call rel ->
       let tgt = end_pc + rel in
       let ret = Int64.of_int end_pc in
@@ -458,13 +468,13 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         store64 mem (masked sp) ret;
         set cpu sp_o sp;
         cpu.Cpu.pc <- tgt;
-        U_fall
+        k mem cpu
   | Jmp_reg r ->
       let ro = off r in
-      fun _ cpu ->
+      fun mem cpu ->
         charge cpu cost;
         cpu.Cpu.pc <- masked (get cpu ro);
-        U_fall
+        k mem cpu
   | Call_reg r ->
       let ro = off r in
       let ret = Int64.of_int end_pc in
@@ -475,14 +485,14 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         store64 mem (masked sp) ret;
         set cpu sp_o sp;
         cpu.Cpu.pc <- masked (get cpu ro);
-        U_fall
+        k mem cpu
   | Jmp_mem m ->
       let ea_f = compile_ea m ~end_pc in
       fun mem cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         cpu.Cpu.pc <- load_addr mem (ea_f cpu);
-        U_fall
+        k mem cpu
   | Call_mem m ->
       let ea_f = compile_ea m ~end_pc in
       let ret = Int64.of_int end_pc in
@@ -495,7 +505,7 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         store64 mem (masked sp) ret;
         set cpu sp_o sp;
         cpu.Cpu.pc <- target;
-        U_fall
+        k mem cpu
   | Ret ->
       fun mem cpu ->
         charge cpu cost;
@@ -504,7 +514,7 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         let target = load_addr mem (masked sp) in
         set cpu sp_o (Int64.add sp 8L);
         cpu.Cpu.pc <- target;
-        U_fall
+        k mem cpu
   | Ret_imm n ->
       let adj = Int64.of_int n in
       fun mem cpu ->
@@ -515,7 +525,7 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
         let target = load_addr mem (masked sp) in
         set cpu sp_o (Int64.add (Int64.add sp 8L) adj);
         cpu.Cpu.pc <- target;
-        U_fall
+        k mem cpu
   | Bndcl (b, ea) -> guard true b ea
   | Bndcu (b, ea) -> guard false b ea
   | Syscall_gate ->
@@ -544,36 +554,9 @@ let compile_body (insn : Insn.t) ~pc ~len : body =
           store64 mem (masked a) (get cpu so)
         done;
         cpu.Cpu.pc <- end_pc;
-        U_fall
+        k mem cpu
 
 (* ---- superinstructions ---- *)
-
-(* Straight-line chains: the bodies back to back, stopping at the
-   first that stops. Each returns a closure built once its bodies are
-   known, so running a unit is one two-argument call, not a partial
-   application. *)
-let chain2 b0 b1 : body =
-  let f mem cpu = match b0 mem cpu with U_fall -> b1 mem cpu | s -> s in
-  f
-
-let chain3 b0 b1 b2 : body =
-  let f mem cpu =
-    match b0 mem cpu with
-    | U_fall -> ( match b1 mem cpu with U_fall -> b2 mem cpu | s -> s)
-    | s -> s
-  in
-  f
-
-let chain4 b0 b1 b2 b3 : body =
-  let f mem cpu =
-    match b0 mem cpu with
-    | U_fall -> (
-        match b1 mem cpu with
-        | U_fall -> ( match b2 mem cpu with U_fall -> b3 mem cpu | s -> s)
-        | s -> s)
-    | s -> s
-  in
-  f
 
 (* guard+memory superinstruction: a bndcl/bndcu over a Sib/Abs operand
    followed by a load/store/guard with the structurally identical
@@ -586,7 +569,7 @@ type second =
   | S_guard of bool * Reg.bnd (* lower?, register *)
 
 let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
-    ~cost2 : body =
+    ~cost2 ~(k : body) : body =
   let pc2 = pc1 + len1 in
   let end2 = pc2 + len2 in
   let bi1 = Reg.bnd_to_int b1 in
@@ -608,13 +591,13 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
           set cpu dO (Int64.of_int (load8 mem a));
           cpu.Cpu.pc <- end2;
-          U_fall
+          k mem cpu
         else fun mem cpu a ->
           charge cpu cost2;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
           load64_to cpu dO mem a;
           cpu.Cpu.pc <- end2;
-          U_fall
+          k mem cpu
     | S_store (src, size) ->
         let so = off src in
         if size = 1 then fun mem cpu a ->
@@ -622,20 +605,20 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
           store8 mem a (Int64.to_int (get cpu so));
           cpu.Cpu.pc <- end2;
-          U_fall
+          k mem cpu
         else fun mem cpu a ->
           charge cpu cost2;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
           store64 mem a (get cpu so);
           cpu.Cpu.pc <- end2;
-          U_fall
+          k mem cpu
     | S_guard (lower2, b2) ->
         let bi2 = Reg.bnd_to_int b2 in
-        fun _ cpu a ->
+        fun mem cpu a ->
           charge cpu cost2;
           bound_check cpu bi2 lower2 (Int64.of_int a);
           cpu.Cpu.pc <- end2;
-          U_fall
+          k mem cpu
   in
   fun mem cpu ->
     let a = part1 cpu in
@@ -645,8 +628,9 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
 
 (* A maximal run of cores compiles into one unit that charges
    [insns]/[cycles] in bulk and executes the cores back to back — legal
-   because a unit only runs when the remaining fuel covers all of it, so
-   there is no observation point inside the run. *)
+   because a body only runs when the remaining fuel covers the whole
+   block, and a pure run cannot fault or write, so there is no
+   observation point inside the run. *)
 
 (* A direct branch as the run's tail: it only sets pc, so fusing it
    (cmp+branch is the classic pair) costs nothing extra. *)
@@ -710,19 +694,20 @@ let rec seq_cores = function
         f cpu;
         g cpu
 
-let pure_unit ~(cores : (Cpu.t -> unit) list) ~k ~total_cost : body =
+let pure_unit ~(cores : (Cpu.t -> unit) list) ~n ~total_cost ~(k : body) : body
+    =
   let ops = seq_cores cores in
-  fun _ cpu ->
-    cpu.Cpu.insns <- cpu.Cpu.insns + k;
+  fun mem cpu ->
+    cpu.Cpu.insns <- cpu.Cpu.insns + n;
     cpu.Cpu.cycles <- cpu.Cpu.cycles + total_cost;
     ops cpu;
-    U_fall
+    k mem cpu
 
 (* ---- block compilation ---- *)
 
 (* The instructions that write memory: within a block, the only way a
-   page generation can move. Both tiers revalidate a fragile block only
-   after one of these. *)
+   page generation can move. A fragile block's body checks the code
+   epoch only after one of these. *)
 let insn_writes = function
   | Insn.Store _ | Insn.Push _ | Insn.Call _ | Insn.Call_reg _
   | Insn.Call_mem _ | Insn.Vscatter _ ->
@@ -738,80 +723,85 @@ let guard_of = function
   | Insn.Bndcu (b, Insn.Ea_mem m) -> Some (false, b, m)
   | _ -> None
 
+(* The end of a block, and of a write the epoch is checked after *)
+let ret : body = fun _ _ -> U_fall
+
+(* A write of block [b], fragile, compiled to return to [checked] rather
+   than to run on. An unmoved epoch proves no page generation moved; a
+   moved one re-checks [b]'s generations. Either way a still-valid block
+   goes on to [k]; a stale one stops at the boundary after the write. *)
+let checked (b : Decode_cache.block) (w : body) (k : body) : body =
+ fun mem cpu ->
+  let e = mem.Mem.code_epoch in
+  match w mem cpu with
+  | U_fall ->
+      if mem.Mem.code_epoch = e || Decode_cache.block_valid mem b then
+        k mem cpu
+      else U_stale
+  | s -> s
+
 let compile (b : Decode_cache.block) : compiled =
   let n = Array.length b.insns in
+  let insn i = fst b.insns.(i) and len i = snd b.insns.(i) in
   let pcs = Array.make (n + 1) b.entry in
   for i = 0 to n - 1 do
-    pcs.(i + 1) <- pcs.(i) + snd b.insns.(i)
+    pcs.(i + 1) <- pcs.(i) + len i
   done;
   (* does a guard+memory superinstruction start at i? *)
   let pair_at i =
     i + 1 < n
     &&
-    match guard_of (fst b.insns.(i)) with
+    match guard_of (insn i) with
     | Some (_, _, m) when fusable_mem m -> (
-        match fst b.insns.(i + 1) with
+        match insn (i + 1) with
         | Load { src; _ } -> src = m
         | Store { dst; _ } -> dst = m
         | Bndcl (_, Ea_mem m2) | Bndcu (_, Ea_mem m2) -> m2 = m
         | _ -> false)
     | _ -> false
   in
+  (* the units, last first: (first instruction, instructions, the unit
+     given its continuation) *)
   let units = ref [] in
-  (* (unit, insns) in reverse order *)
-  let emit u k = units := (u, k) :: !units in
-  let body i =
-    let insn, len = b.insns.(i) in
-    compile_body insn ~pc:pcs.(i) ~len
-  in
+  let emit i k f = units := (i, k, f) :: !units in
   let i = ref 0 in
   while !i < n do
     if pair_at !i then begin
       let lower1, b1, m =
-        match guard_of (fst b.insns.(!i)) with
-        | Some g -> g
-        | None -> assert false
+        match guard_of (insn !i) with Some g -> g | None -> assert false
       in
       let second =
-        match fst b.insns.(!i + 1) with
+        match insn (!i + 1) with
         | Load { dst; size; _ } -> S_load (dst, size)
         | Store { src; size; _ } -> S_store (src, size)
         | Bndcl (b2, _) -> S_guard (true, b2)
         | Bndcu (b2, _) -> S_guard (false, b2)
         | _ -> assert false
       in
-      emit
-        (fuse_guard_mem ~lower1 ~b1 ~m ~pc1:pcs.(!i)
-           ~len1:(snd b.insns.(!i))
-           ~cost1:(Cost.of_insn (fst b.insns.(!i)))
+      emit !i 2
+        (fuse_guard_mem ~lower1 ~b1 ~m ~pc1:pcs.(!i) ~len1:(len !i)
+           ~cost1:(Cost.of_insn (insn !i))
            ~second
-           ~len2:(snd b.insns.(!i + 1))
-           ~cost2:(Cost.of_insn (fst b.insns.(!i + 1))))
-        2;
+           ~len2:(len (!i + 1))
+           ~cost2:(Cost.of_insn (insn (!i + 1))));
       i := !i + 2
     end
     else begin
       (* maximal pure-register run starting at i, with an optional
          direct-branch tail (cmp+branch fusion falls out of this) *)
       let run = ref 0 in
-      while
-        !i + !run < n
-        && core_of (fst b.insns.(!i + !run)) <> None
-      do
+      while !i + !run < n && core_of (insn (!i + !run)) <> None do
         incr run
       done;
       let tail =
-        if !i + !run = n - 1 then
-          term_core_of (fst b.insns.(n - 1)) ~end_pc:pcs.(n)
+        if !i + !run = n - 1 then term_core_of (insn (n - 1)) ~end_pc:pcs.(n)
         else None
       in
-      let kk = !run + (match tail with Some _ -> 1 | None -> 0) in
+      let kk = !run + match tail with Some _ -> 1 | None -> 0 in
       if kk >= 2 then begin
         (* one bulk-charged unit over the whole run *)
         let core j =
-          match core_of (fst b.insns.(j)) with
-          | Some f -> f
-          | None -> assert false
+          match core_of (insn j) with Some f -> f | None -> assert false
         in
         let park =
           match tail with
@@ -820,62 +810,37 @@ let compile (b : Decode_cache.block) : compiled =
               let end_pc = pcs.(!i + !run) in
               fun cpu -> cpu.Cpu.pc <- end_pc
         in
-        let cores =
-          List.init !run (fun j -> core (!i + j)) @ [ park ]
-        in
+        let cores = List.init !run (fun j -> core (!i + j)) @ [ park ] in
         let total_cost = ref 0 in
         for j = !i to !i + kk - 1 do
-          total_cost := !total_cost + Cost.of_insn (fst b.insns.(j))
+          total_cost := !total_cost + Cost.of_insn (insn j)
         done;
-        emit (pure_unit ~cores ~k:kk ~total_cost:!total_cost) kk;
+        emit !i kk (pure_unit ~cores ~n:kk ~total_cost:!total_cost);
         i := !i + kk
       end
       else begin
-        (* chain up to four straight-line bodies, cutting before the
-           next guard+memory superinstruction or pure run, and in a
-           fragile block after the first memory write *)
-        let k = ref 1 in
-        while
-          !k < 4
-          && !i + !k < n
-          && (not (pair_at (!i + !k)))
-          && core_of (fst b.insns.(!i + !k)) = None
-          && not (b.fragile && insn_writes (fst b.insns.(!i + !k - 1)))
-        do
-          incr k
-        done;
-        (match !k with
-        | 1 -> emit (body !i) 1
-        | 2 -> emit (chain2 (body !i) (body (!i + 1))) 2
-        | 3 -> emit (chain3 (body !i) (body (!i + 1)) (body (!i + 2))) 3
-        | _ ->
-            emit
-              (chain4 (body !i) (body (!i + 1)) (body (!i + 2)) (body (!i + 3)))
-              4);
-        i := !i + !k
+        emit !i 1 (compile_body (insn !i) ~pc:pcs.(!i) ~len:(len !i));
+        incr i
       end
     end
   done;
-  let us = List.rev !units in
-  let unit_insns = Array.of_list (List.map snd us) in
-  (* a unit ends at its first write, so unit u-1 wrote iff its last
-     instruction did *)
-  let revalidate = Array.make (Array.length unit_insns) false in
-  if b.fragile then begin
-    let last = ref (-1) in
-    Array.iteri
-      (fun u k ->
-        if u > 0 then revalidate.(u) <- insn_writes (fst b.insns.(!last));
-        last := !last + k)
-      unit_insns
-  end;
+  (* in a fragile block every write ends its unit, and the epoch is
+     checked after each one but the block's last instruction, whose
+     write the block exit's validity check covers *)
+  let check_after j = b.fragile && j < n - 1 && insn_writes (insn j) in
+  let body =
+    List.fold_left
+      (fun k (j, kk, f) ->
+        if check_after (j + kk - 1) then checked b (f ~k:ret) k else f ~k)
+      ret !units
+  in
   let rec c =
     {
       entry = b.entry;
       src = b;
-      units = Array.of_list (List.map fst us);
-      unit_insns;
-      revalidate;
+      insns = n;
+      body;
+      unit_starts = Array.of_list (List.rev_map (fun (j, _, _) -> j) !units);
       writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
       live = false;
       link = c;

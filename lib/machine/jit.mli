@@ -1,21 +1,23 @@
 (** Block JIT, the tiered loop's only fast tier: every basic block
-    ({!Decode_cache.build}) is translated the first time it runs into a
-    chain of specialized OCaml closures — operands pre-resolved,
-    guard+load / guard+store / guard+guard pairs fused over one
-    effective-address computation, straight-line runs chained up to four
-    instructions per unit — and replayed by {!Interp.run} when [?jit] is
-    passed.
+    ({!Decode_cache.build}) is translated the first time it runs into
+    one OCaml closure, its [body], and run whole by {!Interp.run} when
+    [?jit] is passed. Operands are pre-resolved, guard+load /
+    guard+store / guard+guard pairs are fused over one effective-address
+    computation, pure-register runs are charged in bulk, and each
+    instruction or unit tail-calls the next.
 
-    Every unit has one compiled form with no internal checks. The
-    interpreter runs it only when the remaining fuel covers the whole
-    unit; otherwise it replays the unit's decoded instructions from
-    [src] up to the boundary where the fuel ends. Compiled blocks keep
-    the source block's page-generation snapshot for invalidation. Blocks
-    on writable+executable pages (every LibOS SIP block: SGX1 code pages
-    are RWX) get the same fusion, but each unit ends at its first
-    memory-writing instruction, so the interpreter can revalidate right
-    after every write. Each compiled block links to the successor the
-    last lookup at its exit found ({!follow}).
+    The body has no internal fuel check. The interpreter runs it only
+    when the remaining fuel covers the whole block; otherwise it replays
+    the block's decoded instructions from [src] up to the boundary where
+    the fuel ends. Compiled blocks keep the source block's
+    page-generation snapshot for invalidation. Blocks on
+    writable+executable pages (every LibOS SIP block: SGX1 code pages
+    are RWX) get the same fusion, but the body compares
+    {!Mem.code_epoch} across each memory write (but a write that is the
+    block's last instruction); when it moved, the body re-checks the
+    block's generations and stops at the boundary after a write that
+    made the block stale. Each compiled block links to the successor the last
+    lookup at its exit found ({!follow}).
 
     Every bound check in a block compiles to a checking body; the JIT
     never omits a check the verifier did not accept. *)
@@ -25,22 +27,29 @@ type stop =
   | Stop_fault of Fault.t
   | Stop_quantum  (** fuel exhausted; SIP is preempted *)
 
-type ustat = U_fall | U_stop of stop
+type ustat =
+  | U_fall  (** ran to the block's end *)
+  | U_stop of stop
+  | U_stale
+      (** a write made the block stale (self-modifying code); pc and
+          every counter are parked at the boundary after that write *)
 
 type body = Mem.t -> Cpu.t -> ustat
-(** One translated instruction or a whole unit: charges counters,
-    executes, parks pc. Faults raise {!Fault.Fault}. *)
+(** A whole translated block: charges counters, executes, parks pc.
+    Faults raise {!Fault.Fault}. *)
 
 type compiled = {
   entry : int;
   src : Decode_cache.block;
       (** carries the generation snapshot, and the decoded instructions
-          a unit's tail is replayed from *)
-  units : body array;
-  unit_insns : int array;  (** original instructions per unit *)
-  revalidate : bool array;
-      (** per unit: revalidate [src] before it — the block is fragile and
-          the previous unit ends in a memory write *)
+          a replay runs *)
+  insns : int;  (** instructions in the block *)
+  body : body;
+  unit_starts : int array;
+      (** the index of each fused unit's first instruction, in order. A
+          fragile block's units end at every memory write, and its body
+          compares {!Mem.code_epoch} at each unit boundary that follows
+          a write. *)
   writes : bool;
       (** some instruction writes memory; the interpreter's self-loop
           re-entry revalidates only such blocks *)
@@ -59,7 +68,7 @@ val create : ?max_blocks:int -> unit -> t
 val insn_writes : Occlum_isa.Insn.t -> bool
 (** The instruction writes memory ([Store], [Push], the calls,
     [Vscatter]). Within a block only these can move a page generation,
-    so the interpreter revalidates a fragile block only after one. *)
+    so a fragile block's body checks the code epoch only after one. *)
 
 val compile : Decode_cache.block -> compiled
 (** Translate a block (total: every opcode compiles, privileged ones to

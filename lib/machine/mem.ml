@@ -37,6 +37,11 @@ type t = {
      mark: [direct_write] is only granted once the page is dirty. *)
   pages : perm option array; (* None = unmapped *)
   gens : int array; (* per-page code generation, see [page_gen] *)
+  mutable code_epoch : int;
+  (* Moves whenever any page generation moves. A compiled block reads it
+     after each of its writes: an unmoved epoch proves no generation
+     moved, so the block is still valid. A direct store never moves it:
+     [direct_write] is only granted on writable, non-executable pages. *)
   size : int;
   (* EPC demand paging. When [paged] is false (the default) none of the
      fields below are consulted and every mapped page is its own frame,
@@ -60,6 +65,7 @@ let create ~size =
     dirty = Bytes.make (size / page_size) '\x00';
     pages = Array.make (size / page_size) None;
     gens = Array.make (size / page_size) 0;
+    code_epoch = 0;
     size;
     paged = false;
     resident = Bytes.make (size / page_size) '\x01';
@@ -110,6 +116,7 @@ let page_count t = Array.length t.pages
 let page_gen t page = t.gens.(page)
 
 let bump_gen t ~addr ~len =
+  t.code_epoch <- t.code_epoch + 1;
   for p = addr / page_size to (addr + len - 1) / page_size do
     t.gens.(p) <- t.gens.(p) + 1
   done
@@ -122,7 +129,9 @@ let note_write t ~addr ~len =
   if len > 0 then
     for p = addr / page_size to (addr + len - 1) / page_size do
       (match t.pages.(p) with
-      | Some { x = true; _ } -> t.gens.(p) <- t.gens.(p) + 1
+      | Some { x = true; _ } ->
+          t.gens.(p) <- t.gens.(p) + 1;
+          t.code_epoch <- t.code_epoch + 1
       | _ -> ());
       if Bytes.unsafe_get t.dirty p = '\x00' then begin
         Bytes.unsafe_set t.dirty p '\x01';

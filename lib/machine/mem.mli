@@ -31,14 +31,21 @@ type t = private {
   dirty : Bytes.t;
   pages : perm option array;
   gens : int array;
+  mutable code_epoch : int;
+      (** Moves whenever any {!page_gen} moves: on {!map}, {!unmap} and
+          every write that touches an executable page. A compiled block
+          compares it across each of its writes instead of re-checking
+          its pages' generations. A write the page check lets through
+          ({!direct_write}) never moves it. *)
   size : int;
   mutable paged : bool;
   resident : Bytes.t;
   accessed : Bytes.t;
   mutable pager : (int -> unit) option;
 }
-(** Private so that the execution tiers can read [data] and [direct]
-    without a cross-module call; every other field is internal. *)
+(** Private so that the execution tiers can read [data], [direct] and
+    [code_epoch] without a cross-module call; every other field is
+    internal. *)
 
 val direct_read : int
 val direct_write : int

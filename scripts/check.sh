@@ -256,10 +256,18 @@ dune exec bin/occlum_fuzz.exe -- --seed 42 --cases 200 --shrink \
 
 # The reference and tiered loops at volume. Both run in fuel quanta of
 # 2-64 instructions, as the LibOS preempts, so this sweep covers the
-# fused units the LibOS runs and the decoded tail a quantum ending
-# inside a unit replays.
+# whole-block bodies the LibOS runs (the fuel covers the block) and the
+# decoded replay of a quantum that ends inside a block.
 dune exec bin/occlum_fuzz.exe -- -p jit-equivalence --seed 7 --cases 1000 \
   --shrink
+
+# A compiled block runs as one body and checks the code epoch after a
+# write; the per-unit dispatch and its revalidation flags must not come
+# back.
+if grep -nwE 'revalidate|unit_insns' lib/machine/jit.ml lib/machine/interp.ml; then
+  echo "FAIL: per-unit revalidation reappeared in lib/machine (see docs/jit.md, Translation)" >&2
+  exit 1
+fi
 
 # Seed-corpus reproducibility: the checked-in minimized corpus is
 # exactly what the generator emits for seed 42, byte for byte.

@@ -1,8 +1,8 @@
 (* Block-JIT tests: the tiered loop must be observationally identical
    to the reference loop — same registers, flags, counters, fault
    payloads and stop boundaries — and its extras must hold: per-page
-   invalidation after writes to JIT'd pages, fused units on RWX code
-   that end at every memory write, block links that hit exactly when the
+   invalidation after writes to JIT'd pages, a code-epoch check after
+   every memory write of an RWX block, block links that hit exactly when the
    table would, mid-block fault deopt with bit-identical CPU state, a
    stop on every instruction boundary the fuel ends at, even inside
    fused superinstructions, faithful execution of the statically elided,
@@ -61,7 +61,7 @@ let loop_prog iters =
     ]
 
 (* A counted loop whose block writes: a guard+store pair, a push/pop
-   chain and a pure run, so on RWX code the tiered loop revalidates
+   pair and a pure run, so on RWX code the body checks the code epoch
    mid-block. bnd0 must cover the data page. *)
 let store_loop_prog iters =
   let m = Insn.Sib { base = Reg.r4; index = None; scale = 1; disp = 0 } in
@@ -197,7 +197,7 @@ let test_loop_free_runs_compiled () =
     List.fold_left
       (fun acc pc ->
         match Jit.lookup j mem_j pc with
-        | Jit.Hit c -> acc + Array.fold_left ( + ) 0 c.Jit.unit_insns
+        | Jit.Hit c -> acc + c.Jit.insns
         | _ -> Alcotest.fail (Printf.sprintf "no compiled block at %d" pc))
       0 entries
   in
@@ -263,44 +263,64 @@ let test_priv_write_invalidates () =
   let _, _, inv = Jit.stats j in
   Alcotest.(check bool) "stale compiled block dropped" true (inv >= 1)
 
-(* --- fragile blocks: write-terminated units ------------------------------ *)
+(* --- fragile blocks: the epoch is checked after each write ------------- *)
 
-(* An RWX block gets the fused units (guard+store pairs, pure runs,
-   chains), but every unit ends at its first memory write, and exactly
-   the units after a write revalidate. *)
 (* The block at the start of [prog]'s code page, and its translation. *)
-let compiled_block prog =
-  match Decode_cache.build (fst (setup prog)) 4096 with
+let compiled_block ?code_perm prog =
+  match Decode_cache.build (fst (setup ?code_perm prog)) 4096 with
   | Some b -> (b, Jit.compile b)
   | None -> Alcotest.fail "block failed to build"
 
+(* An RWX block gets the fused units (guard+store pairs, pure runs,
+   the same layout as on r-x code), and every write ends its unit: the
+   body compares the code epoch at each unit boundary after a write;
+   a write that ends the block is covered by the block exit's
+   revalidation. Run whole, the body retires every instruction of the
+   block, exactly as the reference loop does. *)
 let test_rwx_units_end_at_writes () =
-  let b, c = compiled_block (store_loop_prog 3) in
+  let prog = store_loop_prog 3 in
+  let b, c = compiled_block prog in
   Alcotest.(check bool) "block on an RWX page is fragile" true
     b.Decode_cache.fragile;
-  let n = Array.length b.insns and units = Array.length c.Jit.unit_insns in
-  Alcotest.(check int) "units cover the block" n
-    (Array.fold_left ( + ) 0 c.Jit.unit_insns);
+  let n = Array.length b.insns in
+  let starts = Array.to_list c.Jit.unit_starts in
+  let units = List.length starts in
+  Alcotest.(check int) "the compiled block counts every instruction" n
+    c.Jit.insns;
+  Alcotest.(check bool) "units start at 0 and ascend within the block" true
+    (List.hd starts = 0
+    && List.sort_uniq compare starts = starts
+    && List.for_all (fun j -> j < n) starts);
   Alcotest.(check bool)
     (Printf.sprintf "%d units < %d instructions" units n)
     true (units < n);
-  let first = ref 0 in
-  Array.iteri
-    (fun u k ->
-      for j = !first to !first + k - 1 do
-        if Jit.insn_writes (fst b.insns.(j)) then
-          Alcotest.(check int)
-            (Printf.sprintf "write %d ends unit %d" j u)
-            (!first + k - 1) j
-      done;
+  for j = 0 to n - 2 do
+    if Jit.insn_writes (fst b.insns.(j)) then
       Alcotest.(check bool)
-        (Printf.sprintf "unit %d revalidates iff unit %d wrote" u (u - 1))
-        (u > 0 && Jit.insn_writes (fst b.insns.(!first - 1)))
-        c.Jit.revalidate.(u);
-      first := !first + k)
-    c.Jit.unit_insns;
-  Alcotest.(check bool) "some write, so some unit revalidates" true
-    (Array.exists Fun.id c.Jit.revalidate)
+        (Printf.sprintf "write %d ends its unit" j)
+        true
+        (List.mem (j + 1) starts)
+  done;
+  Alcotest.(check bool) "some write, so the body checks the epoch" true
+    (List.exists
+       (fun j -> j > 0 && Jit.insn_writes (fst b.insns.(j - 1)))
+       starts);
+  let _, c_rx = compiled_block ~code_perm:Mem.perm_rx prog in
+  Alcotest.(check (list int)) "the same fusion on r-x code" starts
+    (Array.to_list c_rx.Jit.unit_starts);
+  let run body =
+    let mem, cpu = setup prog in
+    Cpu.set_bnd cpu Reg.bnd0
+      { Cpu.lower = 0L; upper = Int64.of_int (Test_machine.data + 4095) };
+    body mem cpu;
+    state_str Interp.Stop_quantum cpu
+  in
+  let whole = ref Jit.U_stale in
+  Alcotest.(check string) "the body covers the block: body = reference"
+    (run (fun mem cpu -> ignore (Interp.run mem cpu ~fuel:n)))
+    (run (fun mem cpu -> whole := c.Jit.body mem cpu));
+  Alcotest.(check bool) "the body ran to the block's end" true
+    (!whole = Jit.U_fall)
 
 (* A fused bndcu+store pair on RWX code rewrites the next instruction of
    its own block (a nop becomes a syscall gate): the tiered loop must
@@ -335,18 +355,14 @@ let test_smc_fused_store () =
   let sj, cpu_j, _ = run (Some j) in
   Alcotest.(check string) "fused SMC store: jit = reference" su sj;
   Alcotest.(check int64) "stopped before mov r1" 0L (Cpu.get cpu_j Reg.r1);
-  (* the pair really is one unit, and the unit after it revalidates *)
+  (* the pair really is one unit, and a unit boundary follows its store:
+     the one where the body checks the epoch *)
   let _, c = compiled_block prog in
-  let pair_unit = ref (-1) and first = ref 0 in
-  Array.iteri
-    (fun u k ->
-      if !first = List.length pre - 2 && k = 2 then pair_unit := u;
-      first := !first + k)
-    c.Jit.unit_insns;
+  let starts = Array.to_list c.Jit.unit_starts and p = List.length pre - 2 in
   Alcotest.(check bool) "bndcu+store compiled as one unit" true
-    (!pair_unit >= 0);
-  Alcotest.(check bool) "the unit after the pair revalidates" true
-    c.Jit.revalidate.(!pair_unit + 1);
+    (List.mem p starts
+    && (not (List.mem (p + 1) starts))
+    && List.mem (p + 2) starts);
   Alcotest.(check bool) "compiled, then deopted mid-block" true
     (cpu_j.Cpu.jit_compiles > 0 && cpu_j.Cpu.jit_deopts >= 1);
   Alcotest.(check bool) "the reference saw the gate byte" true
@@ -522,15 +538,17 @@ let test_midblock_fault_identity () =
 (* --- fuel at every boundary ------------------------------------------------ *)
 
 (* Fuel is the only way to preempt the tiered loop, and a quantum can
-   end inside a fused superinstruction: the loop then replays the
-   unit's decoded tail up to the boundary where the fuel ends. So for
+   end inside a block, even inside a fused superinstruction: the loop
+   then replays the block's decoded instructions from its entry up to
+   the boundary where the fuel ends. So for
    EVERY boundary index i, a tiered run with fuel i must stop
    bit-identically to a reference run with fuel i, and both runs must
    resume to the same completion. *)
 
-let fuel_every_boundary name code_perm prog =
+let fuel_every_boundary ?(prep = ignore) name code_perm prog =
   let run_tier tiered fuel =
     let mem, cpu = setup ~code_perm prog in
+    prep mem;
     Cpu.set_bnd cpu Reg.bnd0
       { Cpu.lower = 0L; upper = Int64.of_int (Test_machine.data + 4095) };
     let jit = if tiered then Some (Jit.create ()) else None in
@@ -563,6 +581,104 @@ let test_fuel_every_boundary () =
       fuel_every_boundary (pname ^ ", store loop") code_perm
         (store_loop_prog 8))
     code_perms
+
+(* A long RWX block that stores into a second executable page moves the
+   code epoch on every store, but never its own pages' generations: the
+   body (or a replay) revalidates, finds the block valid and runs on,
+   with no deopt and no invalidation, at any fuel. *)
+let test_store_to_other_code_page () =
+  let other = 2 * 4096 in
+  let prep mem = Mem.map mem ~addr:other ~len:4096 ~perm:Mem.perm_rwx in
+  let at disp = Insn.Sib { base = Reg.r4; index = None; scale = 1; disp } in
+  let prog =
+    looped
+      [
+        Insn.Mov_imm (Reg.r1, 6L);
+        Insn.Mov_imm (Reg.r2, 1L);
+        Insn.Mov_imm (Reg.r4, Int64.of_int (other + 64));
+      ]
+      [
+        Insn.Store { dst = at 0; src = Reg.r2; size = 8 };
+        Insn.Alu (Add, Reg.r2, O_imm 5L);
+        Insn.Alu (Shl, Reg.r2, O_imm 1L);
+        Insn.Load { dst = Reg.r5; src = at 0; size = 8 };
+        Insn.Store { dst = at 8; src = Reg.r5; size = 1 };
+        Insn.Alu (Xor, Reg.r2, O_reg Reg.r5);
+        Insn.Push Reg.r2;
+        Insn.Pop Reg.r6;
+        Insn.Alu (Add, Reg.r4, O_imm 16L);
+        Insn.Alu (Sub, Reg.r1, O_imm 1L);
+        Insn.Cmp (Reg.r1, O_imm 0L);
+      ]
+  in
+  let run jit =
+    let mem, cpu = setup prog in
+    prep mem;
+    let e0 = mem.Mem.code_epoch in
+    let stop = Interp.run ?jit mem cpu ~fuel:10_000 in
+    ( state_str stop cpu ^ Printf.sprintf " page=%d"
+        (Hashtbl.hash (Mem.read_bytes_priv mem ~addr:other ~len:4096)),
+      cpu,
+      mem.Mem.code_epoch - e0 )
+  in
+  let su, _, _ = run None in
+  let sj, cpu, moved = run (Some (Jit.create ())) in
+  Alcotest.(check string) "jit = reference" su sj;
+  Alcotest.(check bool) "the stores moved the code epoch" true (moved > 0);
+  Alcotest.(check (list int)) "compiled and replayed, no deopt or invalidation"
+    [ 0; 0 ] [ cpu.Cpu.jit_deopts; cpu.Cpu.jit_invalidations ];
+  Alcotest.(check bool) "the block was re-entered from the code cache" true
+    (cpu.Cpu.jit_hits > 0);
+  let _, c = compiled_block prog in
+  let mem, cpu = setup prog in
+  prep mem;
+  let e0 = mem.Mem.code_epoch in
+  let whole = c.Jit.body mem cpu in
+  Alcotest.(check bool) "the body runs on past its stores to the block's end"
+    true
+    (whole = Jit.U_fall && mem.Mem.code_epoch > e0);
+  fuel_every_boundary ~prep "store to another code page" Mem.perm_rwx prog
+
+(* The fuel ends inside a block, after a store that rewrote a later
+   instruction of the same block: the loop replays the block's decoded
+   instructions, sees the epoch move at the boundary after the store,
+   finds the block stale and deopts — exactly once — before the quantum
+   ends on the reference's boundary. Resumed, it runs the rewritten
+   code. *)
+let test_quantum_ends_after_smc_store () =
+  let gate = Codec.encode Insn.Syscall_gate in
+  let rec fix target =
+    let pre =
+      [
+        Insn.Mov_imm (Reg.r3, Int64.of_int target);
+        Insn.Mov_imm (Reg.r4, Int64.of_int (Char.code gate.[0]));
+        Insn.Store
+          { dst = Sib { base = Reg.r3; index = None; scale = 1; disp = 0 };
+            src = Reg.r4; size = 1 };
+        Insn.Nop;
+      ]
+    in
+    if 4096 + enc_len pre = target then pre else fix (4096 + enc_len pre)
+  in
+  let pre = fix 4200 in
+  let prog =
+    pre @ [ Insn.Nop; Insn.Mov_imm (Reg.r1, 99L); Insn.Syscall_gate ]
+  in
+  let n = List.length prog and fuel = List.length pre in
+  Alcotest.(check bool) "the quantum ends inside the block" true (fuel < n);
+  let run jit =
+    let mem, cpu = setup prog in
+    let s1 = Interp.run ?jit mem cpu ~fuel in
+    let mid = state_str s1 cpu in
+    let s2 = Interp.run ?jit mem cpu ~fuel:100 in
+    (mid, state_str s2 cpu, cpu)
+  in
+  let mu, fu, _ = run None in
+  let mj, fj, cpu = run (Some (Jit.create ())) in
+  Alcotest.(check string) "quantum end: jit = reference" mu mj;
+  Alcotest.(check string) "resumed: jit = reference" fu fj;
+  Alcotest.(check int64) "stopped at the rewritten gate" 0L (Cpu.get cpu Reg.r1);
+  Alcotest.(check int) "one deopt" 1 cpu.Cpu.jit_deopts
 
 (* --- the page check agrees with Mem --------------------------------------- *)
 
@@ -694,8 +810,8 @@ let test_page_check_agrees () =
 
 (* A compiled self-loop in the MMDSFI shape of real SIP code: guarded
    loads and stores, add, shifts and cmp/jcc, on r-x code and on RWX
-   code (the loader's mapping, where the block revalidates after its
-   store). Its per-instruction cost must not include the minor heap:
+   code (the loader's mapping, where the body checks the code epoch
+   after its store). Its per-instruction cost must not include the minor heap:
    [Gc.minor_words] is exact for a given build, and every body keeps
    register values unboxed. *)
 let test_hot_path_allocation_free () =
@@ -819,6 +935,10 @@ let suite =
       test_smc_fused_store;
     Alcotest.test_case "SMC kernel: one deopt per code-page store" `Quick
       test_smc_kernel_deopts;
+    Alcotest.test_case "store to another code page: no deopt" `Quick
+      test_store_to_other_code_page;
+    Alcotest.test_case "quantum ends after a self-rewriting store" `Quick
+      test_quantum_ends_after_smc_store;
     Alcotest.test_case "block links: hits, rewrites, flushes" `Quick
       test_block_links;
     Alcotest.test_case "mid-block fault deopts bit-identically" `Quick

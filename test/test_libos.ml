@@ -1425,6 +1425,31 @@ let test_resize_zeroes_stale_bytes () =
   Alcotest.(check string) "O_TRUNC, then a write past the end" "ab\000\000\000\000z"
     (sefs_file os "/t")
 
+let test_readonly_fd_keeps_file () =
+  (* regression: ftruncate on an fd not open for writing is EINVAL and
+     write on one is EBADF, as on Linux; neither touches the file *)
+  let os =
+    check_run ~exit_code:0 ~output:""
+      (rt
+         [
+           func "main" []
+             [
+               Let ("w", Call ("open", [ Str "/ro"; i 3; i (F.creat lor F.wronly) ]));
+               Expr (Call ("write", [ v "w"; Str "intact"; i 6 ]));
+               Expr (Call ("close", [ v "w" ]));
+               Let ("fd", Call ("open", [ Str "/ro"; i 3; i F.rdonly ]));
+               If (Syscall (Sys.ftruncate, [ v "fd"; i 0 ]) <>: i Errno.einval,
+                   [ Return (i 1) ], []);
+               If (Call ("write", [ v "fd"; Str "XX"; i 2 ]) <>: i Errno.ebadf,
+                   [ Return (i 2) ], []);
+               Expr (Call ("close", [ v "fd" ]));
+               Return (i 0);
+             ];
+         ])
+  in
+  Alcotest.(check string) "the bytes are still there" "intact"
+    (sefs_file os "/ro")
+
 let test_file_size_cap () =
   (* a size past Sefs.max_file_size is EFBIG, refused before anything is
      allocated; the SIP and the LibOS carry on *)
@@ -1737,6 +1762,8 @@ let suite =
     Alcotest.test_case "resize zeroes stale bytes" `Quick
       test_resize_zeroes_stale_bytes;
     Alcotest.test_case "file size cap (EFBIG)" `Quick test_file_size_cap;
+    Alcotest.test_case "read-only fd: ftruncate EINVAL, write EBADF" `Quick
+      test_readonly_fd_keeps_file;
     Alcotest.test_case "devfs and procfs" `Quick test_devfs_procfs;
     Alcotest.test_case "mmap and brk" `Quick test_mmap_brk;
     Alcotest.test_case "signal handlers + sigreturn" `Quick test_signals;
