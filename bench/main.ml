@@ -756,7 +756,7 @@ let hot_loop_run code ~tiered =
   Mem.write_bytes_priv mem ~addr:4096 (Bytes.of_string code);
   let cpu = Cpu.create () in
   cpu.Cpu.pc <- 4096;
-  let jit = if tiered then Some (Jit.create ()) else None in
+  let jit = if tiered then Some (Jit.create mem) else None in
   let t0 = Unix.gettimeofday () in
   let stop = Interp.run ?jit mem cpu ~fuel:max_int in
   let dt = Unix.gettimeofday () -. t0 in
@@ -825,7 +825,7 @@ let guarded_loop_run ~code_perm (code, data) =
   cpu.Cpu.pc <- 4096;
   Cpu.set_bnd cpu Occlum_isa.Reg.bnd0
     { Cpu.lower = Int64.of_int data; upper = Int64.of_int (data + 4095) };
-  let jit = Jit.create () in
+  let jit = Jit.create mem in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let stop = Interp.run ~jit mem cpu ~fuel:max_int in
@@ -867,10 +867,11 @@ let micro_jit () =
     match Decode_cache.build mem 4096 with
     | None -> failwith "hot-loop block failed to decode"
     | Some b ->
+        let jit = Jit.create mem in
         let rounds = 10_000 in
         let t0 = Unix.gettimeofday () in
         for _ = 1 to rounds do
-          ignore (Jit.compile b)
+          ignore (Jit.compile jit b)
         done;
         (Unix.gettimeofday () -. t0) /. float rounds *. 1e9
   in
@@ -917,7 +918,7 @@ let micro_jit () =
     Mem.write_bytes_priv mem ~addr:8192 (Bytes.of_string smc);
     let cpu = Cpu.create () in
     cpu.Cpu.pc <- 8192;
-    (match Interp.run ~jit:(Jit.create ()) mem cpu ~fuel:max_int with
+    (match Interp.run ~jit:(Jit.create mem) mem cpu ~fuel:max_int with
     | Interp.Stop_syscall -> ()
     | s ->
         failwith ("SMC kernel stopped unexpectedly: " ^ Interp.stop_to_string s));

@@ -117,7 +117,7 @@ let step_trace input limit args watch_regs =
   let steps = ref 0 in
   (* single-step through the tiered loop (fuel 1 executes exactly one
      instruction) so the trace also reports JIT behaviour *)
-  let jit = Jit.create () in
+  let jit = Jit.create mem in
   while !stop = None && !steps < limit do
     incr steps;
     let pc = cpu.Cpu.pc in

@@ -61,7 +61,7 @@ let run ?(fuel = 200_000_000) ?(args = []) ?(nx = true) ?(jit = true)
   let brk = ref oelf.heap_start in
   let finished = ref None in
   let remaining () = fuel - cpu.Cpu.insns in
-  let jit = if jit then Some (Jit.create ()) else None in
+  let jit = if jit then Some (Jit.create mem) else None in
   let wall = ref 0. in
   while !finished = None && remaining () > 0 do
     let t0 = Unix.gettimeofday () in

@@ -962,7 +962,7 @@ let pair ~mode ~perturb_seed ~code_perm ~period ~fuel inj oelf =
           pool;
     }
   in
-  let jit = Jit.create () in
+  let jit = Jit.create a.Exec.mem in
   Exec.lockstep ~differ:Identical ~fuel ?perturb
     [
       machine a (Exec.Tiered jit) (fun () -> inj.Inject.aex <- inj.Inject.aex + 1);
@@ -1650,7 +1650,7 @@ let features : (string * (Asm.item list -> bool)) list =
         from the code cache, not only compiled *)
      verified (fun oelf _ ->
          let env = Exec.make ~code_perm:Mem.perm_rx oelf in
-         let jit = Jit.create () in
+         let jit = Jit.create env.Exec.mem in
          let tier = Exec.Tiered jit in
          ignore
            (Exec.lockstep ~differ:Identical ~fuel:6000

@@ -20,7 +20,13 @@ type epoll = {
 }
 
 type kind =
-  | File of { node : Sefs.inode; mutable pos : int; append : bool; writable : bool }
+  | File of {
+      node : Sefs.inode;
+      mutable pos : int;
+      append : bool;
+      readable : bool;
+      writable : bool;
+    }
   | Pipe_r of pipe
   | Pipe_w of pipe
   | Sock of { mutable ep : Net.endpoint option; mutable port : int }

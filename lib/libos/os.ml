@@ -199,12 +199,13 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     | Some host -> Sefs.mount ~encrypted ~key:config.fs_key host
     | None -> Sefs.create ~encrypted ~key:config.fs_key ()
   in
+  let mem = Occlum_sgx.Enclave.mem enclave in
   let t =
     {
     cfg = config;
     epc;
     enclave;
-    mem = Occlum_sgx.Enclave.mem enclave;
+    mem;
     domains;
     procs = Hashtbl.create 32;
     next_pid = 1;
@@ -222,7 +223,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       obs;
       meters = meters obs ~cores:config.cores;
       sched = Sched.create ~ncores:config.cores;
-      jit = (if config.jit then Some (Jit.create ()) else None);
+      jit = (if config.jit then Some (Jit.create mem) else None);
       last_run_pid = 0;
       paging_cycles_seen = 0;
       io_backoff_seen = 0L;
@@ -757,6 +758,7 @@ let sys_read t p =
     | None -> err Errno.ebadf
     | Some entry -> (
         match entry.kind with
+        | Fd.File f when not f.readable -> err Errno.ebadf
         | Fd.File f -> (
             match Sefs.read_file t.sefs f.node ~pos:f.pos ~len with
             | Error e -> err e
@@ -934,11 +936,13 @@ let sys_open t p =
               let writable = flags land (F.wronly lor F.rdwr) <> 0
                              || flags land F.creat <> 0
                              || flags land F.append <> 0 in
+              (* the access mode: O_WRONLY alone denies read(2) *)
+              let readable = flags land (F.wronly lor F.rdwr) <> F.wronly in
               ok (Fd.install p.fds
                     (Fd.make
                        (Fd.File { node; pos = 0;
                                   append = flags land F.append <> 0;
-                                  writable })))
+                                  readable; writable })))
             end
 
 let sys_lseek p =
@@ -1307,8 +1311,11 @@ let sys_poll t p =
   let module P = Occlum_abi.Abi.Poll in
   let entries = iarg p 0 and nfds = iarg p 1 in
   let timeout = arg p 2 in
-  if nfds < 0 || nfds > 64 || not (user_ok p entries (nfds * P.entry_size)) then
-    err Errno.efault
+  (* poll takes at most 64 entries: a count outside [0, 64] is EINVAL,
+     as Linux answers a count past RLIMIT_NOFILE; EFAULT is only for an
+     entry array outside the SIP *)
+  if nfds < 0 || nfds > 64 then err Errno.einval
+  else if not (user_ok p entries (nfds * P.entry_size)) then err Errno.efault
   else begin
     let ready = ref 0 in
     for k = 0 to nfds - 1 do

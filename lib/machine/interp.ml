@@ -364,7 +364,7 @@ let run_tiered jit obs mem cpu ~fuel =
   in
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
-    else dispatch (Jit.lookup jit mem cpu.Cpu.pc) fuel
+    else dispatch (Jit.lookup jit cpu.Cpu.pc) fuel
   and dispatch r fuel =
     match r with
     | Jit.Hit c -> hit c fuel
@@ -379,7 +379,7 @@ let run_tiered jit obs mem cpu ~fuel =
     trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
     exec_compiled c fuel
   and miss fuel =
-    match Jit.translate jit mem cpu.Cpu.pc with
+    match Jit.translate jit cpu.Cpu.pc with
     | Some c ->
         cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
         trace obs.Obs.t_jit (fun pc -> Trace.Jit_compile { pc });
@@ -396,7 +396,7 @@ let run_tiered jit obs mem cpu ~fuel =
     if fuel < c.Jit.insns then replay c 0 mem.Mem.code_epoch fuel
     else
       let i0 = cpu.Cpu.insns in
-      match c.Jit.body mem cpu with
+      match c.Jit.body cpu with
       | Jit.U_fall -> leave c (fuel - c.Jit.insns)
       | Jit.U_stop s -> s
       | Jit.U_stale ->
@@ -411,22 +411,25 @@ let run_tiered jit obs mem cpu ~fuel =
           Stop_fault f
   (* A block that branches back to its own entry (the hot-loop shape)
      re-enters without the table lookup; validity is re-checked so a
-     store from the block still invalidates it. Any other exit follows
-     the block's link when it is still what the lookup would find, else
-     looks up and relinks. *)
+     store from the block still invalidates it. The epoch compare is
+     written out here so an unmoved epoch costs no cross-module call;
+     [Jit.valid] compares the snapshot only when it moved. Any other exit follows the block's link when it is
+     still what the lookup would find, else looks up and relinks. *)
   and leave (c : Jit.compiled) fuel =
     if fuel <= 0 then Stop_quantum
     else if
       cpu.Cpu.pc = c.Jit.entry
-      && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
+      && ((not c.Jit.writes)
+         || c.Jit.valid_at = mem.Mem.code_epoch
+         || Jit.valid jit c)
     then begin
       cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
       Jit.note_hit jit;
       trace obs.Obs.t_jit (fun pc -> Trace.Jit_hit { pc });
       exec_compiled c fuel
     end
-    else if Jit.follow jit mem c cpu.Cpu.pc then hit c.Jit.link fuel
-    else dispatch (Jit.lookup_from jit mem c cpu.Cpu.pc) fuel
+    else if Jit.follow jit c cpu.Cpu.pc then hit c.Jit.link fuel
+    else dispatch (Jit.lookup_from jit c cpu.Cpu.pc) fuel
   (* Run [c]'s decoded instructions from index [i] through the reference
      semantics, one fuel check per boundary. [e] is the code epoch [c]
      is known valid at; a boundary that finds the epoch moved revalidates
@@ -435,7 +438,7 @@ let run_tiered jit obs mem cpu ~fuel =
     if fuel <= 0 then Stop_quantum
     else if i >= c.Jit.insns then leave c fuel
     else if mem.Mem.code_epoch <> e then
-      if Decode_cache.block_valid mem c.Jit.src then
+      if Jit.valid jit c then
         replay c i mem.Mem.code_epoch fuel
       else begin
         (* self-modifying code: deopt; the lookup finds the block stale
@@ -458,5 +461,8 @@ let run_tiered jit obs mem cpu ~fuel =
 
 let run ?jit ?(obs = Obs.disabled) mem cpu ~fuel =
   match jit with
-  | Some jit -> run_tiered jit obs mem cpu ~fuel
+  | Some jit ->
+      if Jit.mem jit != mem then
+        invalid_arg "Interp.run: the Jit is bound to another Mem";
+      run_tiered jit obs mem cpu ~fuel
   | None -> run_reference mem cpu ~fuel

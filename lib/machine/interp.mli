@@ -14,7 +14,9 @@ val step : Mem.t -> Cpu.t -> stop option
 
 val run :
   ?jit:Jit.t -> ?obs:Occlum_obs.Obs.t -> Mem.t -> Cpu.t -> fuel:int -> stop
-(** Run until a stop condition or [fuel] executed instructions.
+(** Run until a stop condition or [fuel] executed instructions. A [?jit]
+    runs only against the memory it was created over ({!Jit.create});
+    any other raises [Invalid_argument] before an instruction retires.
 
     Two loops implement this. Without [?jit], the reference loop runs
     {!step} once per instruction; tests and fuzz properties compare the
@@ -25,7 +27,11 @@ val run :
     it; no block buildable at pc (the fetch faults or does not decode)
     → one {!step}, which raises the fault exactly as the reference
     does. A compiled block's exit first tries its link ({!Jit.follow}),
-    which hits exactly when the lookup would.
+    which hits exactly when the lookup would. Every block entry checks
+    validity against {!Mem.code_epoch} first ({!Jit.valid}): the
+    generation snapshot is compared only when the epoch moved since the
+    block was last found valid, so each validity outcome, and each JIT
+    counter, is the one the snapshot alone gives.
 
     The tiered loop is architecturally bit-identical to the reference:
     the same per-instruction cycle charges and counters, the same fault

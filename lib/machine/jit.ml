@@ -36,6 +36,14 @@
    boundary after it, where self-modifying code deopts to a fresh
    translation on the very next fetch.
 
+   Binding: a [t] serves one memory, captured by every closure at
+   translation, so a body and each continuation take the CPU alone — a
+   unit's tail call is a one-argument call, never [caml_applyN]. Each
+   compiled block records a code epoch at which it was found valid;
+   while the epoch still reads it no page generation moved, so a lookup,
+   a followed link or a self-loop re-entry compares one int and compares
+   the generation snapshot only after the epoch moved ([valid]).
+
    Block linking: each compiled block remembers the last successor a
    lookup found at its exit. Following that link is exactly a lookup hit
    — the target must still be the table's entry for the pc ([live]) and
@@ -58,9 +66,10 @@ type stop =
    that write *)
 type ustat = U_fall | U_stop of stop | U_stale
 
-type body = Mem.t -> Cpu.t -> ustat
+type body = Cpu.t -> ustat
 (* one translated instruction, unit or the whole block: charge, execute,
-   park pc, run on; faults raise *)
+   park pc, run on; faults raise. The memory is the JIT's, bound at
+   translation, so every continuation is a one-argument call. *)
 
 type compiled = {
   entry : int;
@@ -77,23 +86,36 @@ type compiled = {
       (* some instruction writes memory, so the block could invalidate
          itself (a store into its own executable page) — the self-loop
          re-entry must check its generations *)
+  mutable valid_at : int;
+      (* a [Mem.code_epoch] at which the block was found valid: while
+         the epoch still reads it, no page generation has moved *)
   mutable live : bool; (* the table's current entry for [entry] *)
   mutable link : compiled;
       (* the successor the last lookup at this block's exit found;
          the block itself until then *)
 }
 
+(* keyed by entry pc: a lookup hashes and compares without a C call *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (pc : int) = pc
+end)
+
 type t = {
-  tbl : (int, compiled) Hashtbl.t;
+  mem : Mem.t; (* the memory every body reads, writes and validates *)
+  tbl : compiled Tbl.t;
   max_blocks : int;
   mutable compiles : int;
   mutable hits : int;
   mutable invalidations : int;
 }
 
-let create ?(max_blocks = 4096) () =
+let create ?(max_blocks = 4096) mem =
   {
-    tbl = Hashtbl.create 256;
+    mem;
+    tbl = Tbl.create 256;
     max_blocks;
     compiles = 0;
     hits = 0;
@@ -294,11 +316,11 @@ let core_of (insn : Insn.t) : (Cpu.t -> unit) option =
 (* Translate one instruction spanning [pc, pc+len). Total: every opcode
    compiles (privileged ones to a charge-then-fault stub, exactly as the
    interpreter charges before classifying them). *)
-let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
+let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
   let end_pc = pc + len in
   let cost = Cost.of_insn insn in
   let priv name =
-    fun _ (cpu : Cpu.t) ->
+    fun (cpu : Cpu.t) ->
       charge cpu cost;
       U_stop (Stop_fault (Privileged { addr = pc; insn = name }))
   in
@@ -307,72 +329,72 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
     match ea with
     | Ea_reg r ->
         let ro = off r in
-        fun mem (cpu : Cpu.t) ->
+        fun (cpu : Cpu.t) ->
           charge cpu cost;
           bound_check cpu bi lower (get cpu ro);
           cpu.Cpu.pc <- end_pc;
-          k mem cpu
+          k cpu
     | Ea_mem m ->
         let ea_f = compile_ea m ~end_pc in
-        fun mem (cpu : Cpu.t) ->
+        fun (cpu : Cpu.t) ->
           charge cpu cost;
           bound_check cpu bi lower (Int64.of_int (ea_f cpu));
           cpu.Cpu.pc <- end_pc;
-          k mem cpu
+          k cpu
   in
   match insn with
   | Nop | Cfi_label _ ->
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Mov_imm (r, v) ->
       let ro = off r in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         set cpu ro v;
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Mov_reg (d, s) ->
       let dO = off d and so = off s in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         set cpu dO (get cpu so);
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Load { dst; src; size } ->
       let dO = off dst in
       let ea_f = compile_ea src ~end_pc in
-      if size = 1 then fun mem cpu ->
+      if size = 1 then fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         set cpu dO (Int64.of_int (load8 mem (ea_f cpu)));
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
-      else fun mem cpu ->
+        k cpu
+      else fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         load64_to cpu dO mem (ea_f cpu);
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Store { dst; src; size } ->
       let so = off src in
       let ea_f = compile_ea dst ~end_pc in
-      if size = 1 then fun mem cpu ->
+      if size = 1 then fun cpu ->
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         store8 mem (ea_f cpu) (Int64.to_int (get cpu so));
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
-      else fun mem cpu ->
+        k cpu
+      else fun cpu ->
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         store64 mem (ea_f cpu) (get cpu so);
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Push r ->
       let ro = off r in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         (* store before the sp update: fault atomicity *)
@@ -380,10 +402,10 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
         store64 mem (masked sp) (get cpu ro);
         set cpu sp_o sp;
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Pop r ->
       let ro = off r in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let sp = get cpu sp_o in
@@ -391,42 +413,42 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
         (* [pop sp] keeps the loaded value, as in the interpreter *)
         if ro <> sp_o then set cpu sp_o (Int64.add sp 8L);
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Lea (r, m) ->
       let ro = off r in
       let ea_f = compile_ea m ~end_pc in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         set cpu ro (Int64.of_int (ea_f cpu));
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Alu (Add, d, O_imm v) ->
       let dO = off d in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         set cpu dO (Int64.add (get cpu dO) v);
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Alu (Add, d, O_reg r) ->
       let dO = off d and ro = off r in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         set cpu dO (Int64.add (get cpu dO) (get cpu ro));
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Alu (Sub, d, O_imm v) ->
       let dO = off d in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         set cpu dO (Int64.sub (get cpu dO) v);
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Alu (((Divu | Remu) as op), d, o) ->
       let dO = off d and rem = op = Remu in
       (* [so] < 0: the divisor is the immediate *)
       let so = match o with O_reg r -> off r | O_imm _ -> -1 in
       let imm = match o with O_imm v -> v | O_reg _ -> 0L in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         let b = if so < 0 then imm else get cpu so in
         if Int64.equal b 0L then raise (Fault.Fault (Div_by_zero { addr = pc }));
@@ -434,69 +456,69 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
         set cpu dO
           (if rem then Int64.unsigned_rem a b else Int64.unsigned_div a b);
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
   | Alu _ | Cmp _ -> (
       match core_of insn with
       | Some core ->
-          fun mem cpu ->
+          fun cpu ->
             charge cpu cost;
             core cpu;
             cpu.Cpu.pc <- end_pc;
-            k mem cpu
+            k cpu
       | None -> assert false)
   | Jmp rel ->
       let tgt = end_pc + rel in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.pc <- tgt;
-        k mem cpu
+        k cpu
   | Jcc (c, rel) ->
       let tgt = end_pc + rel in
       let decide = compile_cond c in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.pc <-
           (if decide cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc);
-        k mem cpu
+        k cpu
   | Call rel ->
       let tgt = end_pc + rel in
       let ret = Int64.of_int end_pc in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         let sp = Int64.sub (get cpu sp_o) 8L in
         store64 mem (masked sp) ret;
         set cpu sp_o sp;
         cpu.Cpu.pc <- tgt;
-        k mem cpu
+        k cpu
   | Jmp_reg r ->
       let ro = off r in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.pc <- masked (get cpu ro);
-        k mem cpu
+        k cpu
   | Call_reg r ->
       let ro = off r in
       let ret = Int64.of_int end_pc in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         let sp = Int64.sub (get cpu sp_o) 8L in
         store64 mem (masked sp) ret;
         set cpu sp_o sp;
         cpu.Cpu.pc <- masked (get cpu ro);
-        k mem cpu
+        k cpu
   | Jmp_mem m ->
       let ea_f = compile_ea m ~end_pc in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         cpu.Cpu.pc <- load_addr mem (ea_f cpu);
-        k mem cpu
+        k cpu
   | Call_mem m ->
       let ea_f = compile_ea m ~end_pc in
       let ret = Int64.of_int end_pc in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let target = load_addr mem (ea_f cpu) in
@@ -505,19 +527,19 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
         store64 mem (masked sp) ret;
         set cpu sp_o sp;
         cpu.Cpu.pc <- target;
-        k mem cpu
+        k cpu
   | Ret ->
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let sp = get cpu sp_o in
         let target = load_addr mem (masked sp) in
         set cpu sp_o (Int64.add sp 8L);
         cpu.Cpu.pc <- target;
-        k mem cpu
+        k cpu
   | Ret_imm n ->
       let adj = Int64.of_int n in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         (* the pop may fault; sp commits only afterwards *)
@@ -525,11 +547,11 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
         let target = load_addr mem (masked sp) in
         set cpu sp_o (Int64.add (Int64.add sp 8L) adj);
         cpu.Cpu.pc <- target;
-        k mem cpu
+        k cpu
   | Bndcl (b, ea) -> guard true b ea
   | Bndcu (b, ea) -> guard false b ea
   | Syscall_gate ->
-      fun _ cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.pc <- end_pc;
         U_stop Stop_syscall
@@ -545,7 +567,7 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
   | Vscatter { base; index; scale; src } ->
       let bo = off base and io = off index and so = off src in
       let s = Int64.of_int scale in
-      fun mem cpu ->
+      fun cpu ->
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 4;
         let b = get cpu bo and i = get cpu io in
@@ -554,7 +576,7 @@ let compile_body (insn : Insn.t) ~pc ~len ~(k : body) : body =
           store64 mem (masked a) (get cpu so)
         done;
         cpu.Cpu.pc <- end_pc;
-        k mem cpu
+        k cpu
 
 (* ---- superinstructions ---- *)
 
@@ -568,61 +590,63 @@ type second =
   | S_store of Reg.t * int
   | S_guard of bool * Reg.bnd (* lower?, register *)
 
-let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
-    ~cost2 ~(k : body) : body =
+(* The pair's guard half: charge, check, park; returns the shared
+   effective address. Closed and [@inline], so each fused body below
+   runs it without a call. *)
+let[@inline] guard_half (cpu : Cpu.t) ea_f ~cost1 ~bi1 ~lower1 ~pc2 =
+  charge cpu cost1;
+  let a = ea_f cpu in
+  bound_check cpu bi1 lower1 (Int64.of_int a);
+  cpu.Cpu.pc <- pc2;
+  a
+
+let fuse_guard_mem (mem : Mem.t) ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1
+    ~(second : second) ~len2 ~cost2 ~(k : body) : body =
   let pc2 = pc1 + len1 in
   let end2 = pc2 + len2 in
   let bi1 = Reg.bnd_to_int b1 in
   let ea_f = compile_ea m ~end_pc:pc2 in
-  (* guard, returning the shared effective address *)
-  let part1 (cpu : Cpu.t) =
-    charge cpu cost1;
-    let a = ea_f cpu in
-    bound_check cpu bi1 lower1 (Int64.of_int a);
-    cpu.Cpu.pc <- pc2;
-    a
-  in
-  let part2 : Mem.t -> Cpu.t -> int -> ustat =
-    match second with
-    | S_load (dst, size) ->
-        let dO = off dst in
-        if size = 1 then fun mem cpu a ->
-          charge cpu cost2;
-          cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          set cpu dO (Int64.of_int (load8 mem a));
-          cpu.Cpu.pc <- end2;
-          k mem cpu
-        else fun mem cpu a ->
-          charge cpu cost2;
-          cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          load64_to cpu dO mem a;
-          cpu.Cpu.pc <- end2;
-          k mem cpu
-    | S_store (src, size) ->
-        let so = off src in
-        if size = 1 then fun mem cpu a ->
-          charge cpu cost2;
-          cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          store8 mem a (Int64.to_int (get cpu so));
-          cpu.Cpu.pc <- end2;
-          k mem cpu
-        else fun mem cpu a ->
-          charge cpu cost2;
-          cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          store64 mem a (get cpu so);
-          cpu.Cpu.pc <- end2;
-          k mem cpu
-    | S_guard (lower2, b2) ->
-        let bi2 = Reg.bnd_to_int b2 in
-        fun mem cpu a ->
-          charge cpu cost2;
-          bound_check cpu bi2 lower2 (Int64.of_int a);
-          cpu.Cpu.pc <- end2;
-          k mem cpu
-  in
-  fun mem cpu ->
-    let a = part1 cpu in
-    part2 mem cpu a
+  match second with
+  | S_load (dst, size) ->
+      let dO = off dst in
+      if size = 1 then fun cpu ->
+        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+        charge cpu cost2;
+        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
+        set cpu dO (Int64.of_int (load8 mem a));
+        cpu.Cpu.pc <- end2;
+        k cpu
+      else fun cpu ->
+        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+        charge cpu cost2;
+        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
+        load64_to cpu dO mem a;
+        cpu.Cpu.pc <- end2;
+        k cpu
+  | S_store (src, size) ->
+      let so = off src in
+      if size = 1 then fun cpu ->
+        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+        charge cpu cost2;
+        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
+        store8 mem a (Int64.to_int (get cpu so));
+        cpu.Cpu.pc <- end2;
+        k cpu
+      else fun cpu ->
+        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+        charge cpu cost2;
+        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
+        store64 mem a (get cpu so);
+        cpu.Cpu.pc <- end2;
+        k cpu
+  | S_guard (lower2, b2) ->
+      let bi2 = Reg.bnd_to_int b2 in
+      fun cpu ->
+        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+        charge cpu cost2;
+        bound_check cpu bi2 lower2 (Int64.of_int a);
+        cpu.Cpu.pc <- end2;
+        k cpu
 
 (* ---- pure-register superinstructions ---- *)
 
@@ -697,11 +721,11 @@ let rec seq_cores = function
 let pure_unit ~(cores : (Cpu.t -> unit) list) ~n ~total_cost ~(k : body) : body
     =
   let ops = seq_cores cores in
-  fun mem cpu ->
+  fun cpu ->
     cpu.Cpu.insns <- cpu.Cpu.insns + n;
     cpu.Cpu.cycles <- cpu.Cpu.cycles + total_cost;
     ops cpu;
-    k mem cpu
+    k cpu
 
 (* ---- block compilation ---- *)
 
@@ -724,23 +748,25 @@ let guard_of = function
   | _ -> None
 
 (* The end of a block, and of a write the epoch is checked after *)
-let ret : body = fun _ _ -> U_fall
+let ret : body = fun _ -> U_fall
 
 (* A write of block [b], fragile, compiled to return to [checked] rather
    than to run on. An unmoved epoch proves no page generation moved; a
    moved one re-checks [b]'s generations. Either way a still-valid block
    goes on to [k]; a stale one stops at the boundary after the write. *)
-let checked (b : Decode_cache.block) (w : body) (k : body) : body =
- fun mem cpu ->
+let checked (mem : Mem.t) (b : Decode_cache.block) (w : body) (k : body) :
+    body =
+ fun cpu ->
   let e = mem.Mem.code_epoch in
-  match w mem cpu with
+  match w cpu with
   | U_fall ->
       if mem.Mem.code_epoch = e || Decode_cache.block_valid mem b then
-        k mem cpu
+        k cpu
       else U_stale
   | s -> s
 
-let compile (b : Decode_cache.block) : compiled =
+let compile t (b : Decode_cache.block) : compiled =
+  let mem = t.mem in
   let n = Array.length b.insns in
   let insn i = fst b.insns.(i) and len i = snd b.insns.(i) in
   let pcs = Array.make (n + 1) b.entry in
@@ -779,7 +805,7 @@ let compile (b : Decode_cache.block) : compiled =
         | _ -> assert false
       in
       emit !i 2
-        (fuse_guard_mem ~lower1 ~b1 ~m ~pc1:pcs.(!i) ~len1:(len !i)
+        (fuse_guard_mem mem ~lower1 ~b1 ~m ~pc1:pcs.(!i) ~len1:(len !i)
            ~cost1:(Cost.of_insn (insn !i))
            ~second
            ~len2:(len (!i + 1))
@@ -819,7 +845,7 @@ let compile (b : Decode_cache.block) : compiled =
         i := !i + kk
       end
       else begin
-        emit !i 1 (compile_body (insn !i) ~pc:pcs.(!i) ~len:(len !i));
+        emit !i 1 (compile_body mem (insn !i) ~pc:pcs.(!i) ~len:(len !i));
         incr i
       end
     end
@@ -831,7 +857,7 @@ let compile (b : Decode_cache.block) : compiled =
   let body =
     List.fold_left
       (fun k (j, kk, f) ->
-        if check_after (j + kk - 1) then checked b (f ~k:ret) k else f ~k)
+        if check_after (j + kk - 1) then checked mem b (f ~k:ret) k else f ~k)
       ret !units
   in
   let rec c =
@@ -842,6 +868,7 @@ let compile (b : Decode_cache.block) : compiled =
       body;
       unit_starts = Array.of_list (List.rev_map (fun (j, _, _) -> j) !units);
       writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
+      valid_at = mem.Mem.code_epoch;
       live = false;
       link = c;
     }
@@ -852,25 +879,40 @@ let compile (b : Decode_cache.block) : compiled =
 
 type lookup = Hit of compiled | Stale | Miss
 
-(* [Hashtbl.find], not [find_opt]: a hit allocates no option *)
-let lookup t mem pc =
-  match Hashtbl.find t.tbl pc with
+let mem t = t.mem
+
+(* [c]'s generation snapshot still matches memory. The code epoch moves
+   whenever some page generation does, so while it reads [c.valid_at]
+   no snapshot compare is needed; a compare that finds [c] valid at a
+   newer epoch records that epoch. *)
+let valid t c =
+  let e = t.mem.Mem.code_epoch in
+  if c.valid_at = e then true
+  else if Decode_cache.block_valid t.mem c.src then begin
+    c.valid_at <- e;
+    true
+  end
+  else false
+
+(* [Tbl.find], not [find_opt]: a hit allocates no option *)
+let lookup t pc =
+  match Tbl.find t.tbl pc with
   | exception Not_found -> Miss
   | c ->
-      if Decode_cache.block_valid mem c.src then begin
+      if valid t c then begin
         t.hits <- t.hits + 1;
         Hit c
       end
       else begin
-        Hashtbl.remove t.tbl pc;
+        Tbl.remove t.tbl pc;
         c.live <- false;
         t.invalidations <- t.invalidations + 1;
         Stale
       end
 
 (* [lookup] at [from]'s exit, linking [from] to what it finds *)
-let lookup_from t mem from pc =
-  match lookup t mem pc with
+let lookup_from t from pc =
+  match lookup t pc with
   | Hit c as h ->
       from.link <- c;
       h
@@ -878,9 +920,9 @@ let lookup_from t mem from pc =
 
 (* A live link names the table's entry for its pc, so following a valid
    one is exactly the hit [lookup] would return, and counts as one. *)
-let follow t mem from pc =
+let follow t from pc =
   let l = from.link in
-  if l.entry = pc && l.live && Decode_cache.block_valid mem l.src then begin
+  if l.entry = pc && l.live && valid t l then begin
     t.hits <- t.hits + 1;
     true
   end
@@ -893,18 +935,18 @@ let note_hit t = t.hits <- t.hits + 1
    and both clear [live], so no link survives its target's eviction.
    [translate] follows a lookup that missed at [pc] (or found it stale
    and removed it), so [replace] never drops a live entry. *)
-let translate t mem pc =
-  match Decode_cache.build mem pc with
+let translate t pc =
+  match Decode_cache.build t.mem pc with
   | None -> None
   | Some b ->
-      if Hashtbl.length t.tbl >= t.max_blocks then begin
-        Hashtbl.iter (fun _ c -> c.live <- false) t.tbl;
-        Hashtbl.reset t.tbl
+      if Tbl.length t.tbl >= t.max_blocks then begin
+        Tbl.iter (fun _ c -> c.live <- false) t.tbl;
+        Tbl.reset t.tbl
       end;
-      let c = compile b in
+      let c = compile t b in
       c.live <- true;
       t.compiles <- t.compiles + 1;
-      Hashtbl.replace t.tbl pc c;
+      Tbl.replace t.tbl pc c;
       Some c
 
 let stats t = (t.compiles, t.hits, t.invalidations)

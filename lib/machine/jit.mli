@@ -19,6 +19,13 @@
     made the block stale. Each compiled block links to the successor the last
     lookup at its exit found ({!follow}).
 
+    A code cache is bound to one {!Mem.t} ({!create}): bodies capture it
+    at translation, so a body and each unit's continuation take the CPU
+    alone. Block entries (a lookup, a followed link, the interpreter's
+    self-loop re-entry) compare the block's [valid_at] with
+    {!Mem.code_epoch} and compare the generation snapshot only when the
+    epoch moved ({!valid}).
+
     Every bound check in a block compiles to a checking body; the JIT
     never omits a check the verifier did not accept. *)
 
@@ -34,9 +41,10 @@ type ustat =
       (** a write made the block stale (self-modifying code); pc and
           every counter are parked at the boundary after that write *)
 
-type body = Mem.t -> Cpu.t -> ustat
+type body = Cpu.t -> ustat
 (** A whole translated block: charges counters, executes, parks pc.
-    Faults raise {!Fault.Fault}. *)
+    Faults raise {!Fault.Fault}. It runs against the memory of the
+    {!t} that compiled it. *)
 
 type compiled = {
   entry : int;
@@ -53,6 +61,11 @@ type compiled = {
   writes : bool;
       (** some instruction writes memory; the interpreter's self-loop
           re-entry revalidates only such blocks *)
+  mutable valid_at : int;
+      (** a {!Mem.code_epoch} at which the block was found valid. The
+          epoch moves whenever a page generation does, so while it still
+          reads [valid_at] the block is valid without a snapshot compare
+          ({!valid}). *)
   mutable live : bool;  (** the code cache's current entry for [entry] *)
   mutable link : compiled;
       (** the successor found by the last {!lookup_from} at this block's
@@ -61,33 +74,45 @@ type compiled = {
 
 type t
 
-val create : ?max_blocks:int -> unit -> t
-(** An empty code cache. [max_blocks] (default 4096) flushes it
-    wholesale when full. *)
+val create : ?max_blocks:int -> Mem.t -> t
+(** An empty code cache over one memory: every block it compiles reads,
+    writes and validates that memory, and {!Interp.run} refuses to run
+    it against another. [max_blocks] (default 4096) flushes it wholesale
+    when full. *)
+
+val mem : t -> Mem.t
+(** The memory the code cache is bound to. *)
 
 val insn_writes : Occlum_isa.Insn.t -> bool
 (** The instruction writes memory ([Store], [Push], the calls,
     [Vscatter]). Within a block only these can move a page generation,
     so a fragile block's body checks the code epoch only after one. *)
 
-val compile : Decode_cache.block -> compiled
-(** Translate a block (total: every opcode compiles, privileged ones to
-    charge-then-fault stubs). Exposed for tests and the compile-cost
-    micro; {!translate} also builds the block and interns the result. *)
+val compile : t -> Decode_cache.block -> compiled
+(** Translate a block built from [t]'s memory, without interning it
+    (total: every opcode compiles, privileged ones to charge-then-fault
+    stubs). Exposed for tests and the compile-cost micro; {!translate}
+    also builds the block and interns the result. *)
+
+val valid : t -> compiled -> bool
+(** The block's generation snapshot still matches [t]'s memory: exactly
+    {!Decode_cache.block_valid}, but the snapshot is compared only when
+    {!Mem.code_epoch} moved since [valid_at], and a match moves
+    [valid_at] up to the current epoch. *)
 
 type lookup = Hit of compiled | Stale | Miss
 
-val lookup : t -> Mem.t -> int -> lookup
+val lookup : t -> int -> lookup
 (** Find valid compiled code at pc. A stale block (page generations
     moved) is dropped and reported so the interpreter can count the
     invalidation. *)
 
-val lookup_from : t -> Mem.t -> compiled -> int -> lookup
-(** [lookup_from t mem c pc] is [lookup t mem pc] at [c]'s exit; a hit
-    becomes [c]'s link. *)
+val lookup_from : t -> compiled -> int -> lookup
+(** [lookup_from t c pc] is [lookup t pc] at [c]'s exit; a hit becomes
+    [c]'s link. *)
 
-val follow : t -> Mem.t -> compiled -> int -> bool
-(** [follow t mem c pc]: [c]'s link is the code cache's valid entry for
+val follow : t -> compiled -> int -> bool
+(** [follow t c pc]: [c]'s link is the code cache's valid entry for
     [pc], i.e. exactly what {!lookup} would hit, and the hit is counted.
     A wholesale flush or a stale lookup unlinks every block it drops. *)
 
@@ -95,7 +120,7 @@ val note_hit : t -> unit
 (** Count a hit that bypassed {!lookup} — the interpreter's self-loop
     re-entry when a block branches back to its own entry. *)
 
-val translate : t -> Mem.t -> int -> compiled option
+val translate : t -> int -> compiled option
 (** Build the block at pc, compile it and intern it, flushing the cache
     first if full. [None] when no block can be built there (the first
     instruction does not fetch or decode). Call it only after a lookup

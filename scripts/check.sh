@@ -269,6 +269,14 @@ if grep -nwE 'revalidate|unit_insns' lib/machine/jit.ml lib/machine/interp.ml; t
   exit 1
 fi
 
+# A Jit is bound to one memory: every body and continuation takes the
+# CPU alone, so a unit's tail call is a one-argument call. A body type
+# or a tail call that passes the memory again must not come back.
+if grep -nE 'Mem\.t -> Cpu\.t -> ustat|k mem cpu' lib/machine/jit.ml; then
+  echo "FAIL: a JIT body takes the memory again in lib/machine/jit.ml (see docs/jit.md, Host cost)" >&2
+  exit 1
+fi
+
 # Seed-corpus reproducibility: the checked-in minimized corpus is
 # exactly what the generator emits for seed 42, byte for byte.
 rm -rf _build/corpus

@@ -31,14 +31,15 @@ let state_str stop cpu =
    insist the observable outcome is identical; returns the tiered run. *)
 let run_both ?(fuel = 1000) ?(code_perm = Mem.perm_rwx) ?(prep = fun _ _ -> ())
     label insns =
-  let go jit =
+  let go tiered =
     let mem, cpu = setup ~code_perm insns in
     prep mem cpu;
+    let jit = if tiered then Some (Jit.create mem) else None in
     let stop = Interp.run ?jit mem cpu ~fuel in
     (stop, cpu)
   in
-  let su, cu = go None in
-  let sc, cc = go (Some (Jit.create ())) in
+  let su, cu = go false in
+  let sc, cc = go true in
   Alcotest.(check string) (label ^ ": tiered = reference") (state_str su cu)
     (state_str sc cc);
   (sc, cc)
@@ -83,7 +84,7 @@ let test_push_fault_atomic () =
       (* sp at the bottom of the data region: the push's store lands in
          the unmapped page below *)
       Cpu.set cpu Reg.sp (Int64.of_int data);
-      let jit = if tiered then Some (Jit.create ()) else None in
+      let jit = if tiered then Some (Jit.create mem) else None in
       let stop = Interp.run ?jit mem cpu ~fuel:10 in
       expect_write_fault label stop ~addr:(data - 8);
       Alcotest.(check int64) (label ^ ": sp unchanged") (Int64.of_int data)
@@ -97,7 +98,7 @@ let test_call_fault_atomic () =
       let label = if tiered then "tiered" else "reference" in
       let mem, cpu = setup [ Insn.Call 16 ] in
       Cpu.set cpu Reg.sp (Int64.of_int data);
-      let jit = if tiered then Some (Jit.create ()) else None in
+      let jit = if tiered then Some (Jit.create mem) else None in
       let stop = Interp.run ?jit mem cpu ~fuel:10 in
       expect_write_fault label stop ~addr:(data - 8);
       Alcotest.(check int64) (label ^ ": sp unchanged") (Int64.of_int data)
@@ -119,7 +120,7 @@ let test_ret_fault_atomic () =
              address load faults *)
           let guard = 12 * 4096 in
           Cpu.set cpu Reg.sp (Int64.of_int guard);
-          let jit = if tiered then Some (Jit.create ()) else None in
+          let jit = if tiered then Some (Jit.create mem) else None in
           (match Interp.run ?jit mem cpu ~fuel:10 with
           | Interp.Stop_fault
               (Fault.Page_fault { addr; access = Fault.Read })
@@ -232,7 +233,7 @@ let test_differential_quantum () =
 
 let test_priv_write_invalidates () =
   let mem, cpu = setup [ Insn.Mov_imm (Reg.r1, 1L); Insn.Syscall_gate ] in
-  let jit = Jit.create () in
+  let jit = Jit.create mem in
   (match Interp.run ~jit mem cpu ~fuel:100 with
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("first run: " ^ Interp.stop_to_string s));

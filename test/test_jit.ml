@@ -176,7 +176,7 @@ let test_loop_free_runs_compiled () =
   let mem, cpu = setup prog in
   let su = Interp.run mem cpu ~fuel:100 in
   let mem_j, cpu_j = setup prog in
-  let j = Jit.create () in
+  let j = Jit.create mem_j in
   let obs = Obs.create ~events:[ Obs.Jit ] () in
   let sj = Interp.run ~jit:j ~obs mem_j cpu_j ~fuel:100 in
   Alcotest.(check string) "loop-free: jit = reference" (state_str su cpu)
@@ -196,7 +196,7 @@ let test_loop_free_runs_compiled () =
   let compiled_insns =
     List.fold_left
       (fun acc pc ->
-        match Jit.lookup j mem_j pc with
+        match Jit.lookup j pc with
         | Jit.Hit c -> acc + c.Jit.insns
         | _ -> Alcotest.fail (Printf.sprintf "no compiled block at %d" pc))
       0 entries
@@ -230,7 +230,7 @@ let test_smc_user_store_invalidates () =
   let mem, cpu = setup prog in
   let su = Interp.run mem cpu ~fuel:200 in
   let mem_j, cpu_j = setup prog in
-  let j = Jit.create () in
+  let j = Jit.create mem_j in
   let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:200 in
   Alcotest.(check string) "self-modifying: jit = reference" (state_str su cpu)
     (state_str sj cpu_j);
@@ -244,7 +244,7 @@ let test_priv_write_invalidates () =
   (* the loader path: privileged rewrite of a compiled page (domain-slot
      reuse) must drop the compiled block *)
   let mem, cpu = setup [ Insn.Mov_imm (Reg.r1, 1L); Insn.Syscall_gate ] in
-  let j = Jit.create () in
+  let j = Jit.create mem in
   (match Interp.run ~jit:j mem cpu ~fuel:100 with
   | Interp.Stop_syscall -> ()
   | s -> Alcotest.fail ("first run: " ^ Interp.stop_to_string s));
@@ -265,10 +265,11 @@ let test_priv_write_invalidates () =
 
 (* --- fragile blocks: the epoch is checked after each write ------------- *)
 
-(* The block at the start of [prog]'s code page, and its translation. *)
-let compiled_block ?code_perm prog =
-  match Decode_cache.build (fst (setup ?code_perm prog)) 4096 with
-  | Some b -> (b, Jit.compile b)
+(* The block at the start of [mem]'s code page, and its translation
+   against [mem]: a body runs on the memory it was compiled for. *)
+let compiled_block mem =
+  match Decode_cache.build mem 4096 with
+  | Some b -> (b, Jit.compile (Jit.create mem) b)
   | None -> Alcotest.fail "block failed to build"
 
 (* An RWX block gets the fused units (guard+store pairs, pure runs,
@@ -279,7 +280,7 @@ let compiled_block ?code_perm prog =
    block, exactly as the reference loop does. *)
 let test_rwx_units_end_at_writes () =
   let prog = store_loop_prog 3 in
-  let b, c = compiled_block prog in
+  let b, c = compiled_block (fst (setup prog)) in
   Alcotest.(check bool) "block on an RWX page is fragile" true
     b.Decode_cache.fragile;
   let n = Array.length b.insns in
@@ -305,7 +306,7 @@ let test_rwx_units_end_at_writes () =
     (List.exists
        (fun j -> j > 0 && Jit.insn_writes (fst b.insns.(j - 1)))
        starts);
-  let _, c_rx = compiled_block ~code_perm:Mem.perm_rx prog in
+  let _, c_rx = compiled_block (fst (setup ~code_perm:Mem.perm_rx prog)) in
   Alcotest.(check (list int)) "the same fusion on r-x code" starts
     (Array.to_list c_rx.Jit.unit_starts);
   let run body =
@@ -318,7 +319,7 @@ let test_rwx_units_end_at_writes () =
   let whole = ref Jit.U_stale in
   Alcotest.(check string) "the body covers the block: body = reference"
     (run (fun mem cpu -> ignore (Interp.run mem cpu ~fuel:n)))
-    (run (fun mem cpu -> whole := c.Jit.body mem cpu));
+    (run (fun mem cpu -> whole := (snd (compiled_block mem)).Jit.body cpu));
   Alcotest.(check bool) "the body ran to the block's end" true
     (!whole = Jit.U_fall)
 
@@ -344,20 +345,20 @@ let test_smc_fused_store () =
   let prog =
     pre @ [ Insn.Nop; Insn.Mov_imm (Reg.r1, 99L); Insn.Syscall_gate ]
   in
-  let run jit =
+  let run tiered =
     let mem, cpu = setup prog in
     Cpu.set_bnd cpu Reg.bnd0 { Cpu.lower = 0L; upper = 8191L };
+    let jit = if tiered then Some (Jit.create mem) else None in
     let stop = Interp.run ?jit mem cpu ~fuel:200 in
     (state_str stop cpu, cpu, mem)
   in
-  let su, _, mem = run None in
-  let j = Jit.create () in
-  let sj, cpu_j, _ = run (Some j) in
+  let su, _, mem = run false in
+  let sj, cpu_j, _ = run true in
   Alcotest.(check string) "fused SMC store: jit = reference" su sj;
   Alcotest.(check int64) "stopped before mov r1" 0L (Cpu.get cpu_j Reg.r1);
   (* the pair really is one unit, and a unit boundary follows its store:
      the one where the body checks the epoch *)
-  let _, c = compiled_block prog in
+  let _, c = compiled_block (fst (setup prog)) in
   let starts = Array.to_list c.Jit.unit_starts and p = List.length pre - 2 in
   Alcotest.(check bool) "bndcu+store compiled as one unit" true
     (List.mem p starts
@@ -377,7 +378,7 @@ let test_smc_fused_store () =
 let test_smc_kernel_deopts () =
   let r1 = Reg.r1 and r3 = Reg.r3 and r4 = Reg.r4 in
   let code_at = 8192 and data_at = 12288 in
-  let run ~code_stores jit =
+  let run ~code_stores tiered =
     let prog =
       looped
         [
@@ -399,14 +400,15 @@ let test_smc_kernel_deopts () =
     Mem.write_bytes_priv mem ~addr:code_at (fst (Codec.encode_program prog));
     let cpu = Cpu.create () in
     cpu.Cpu.pc <- code_at;
+    let jit = if tiered then Some (Jit.create mem) else None in
     let stop = Interp.run ?jit mem cpu ~fuel:100_000 in
     (state_str stop cpu, cpu)
   in
   List.iter
     (fun code_stores ->
       let label = Printf.sprintf "%d code-page stores" code_stores in
-      let su, _ = run ~code_stores None in
-      let sj, cpu = run ~code_stores (Some (Jit.create ())) in
+      let su, _ = run ~code_stores false in
+      let sj, cpu = run ~code_stores true in
       Alcotest.(check string) (label ^ ": jit = reference") su sj;
       Alcotest.(check int) (label ^ ": one deopt per store") code_stores
         cpu.Cpu.jit_deopts)
@@ -436,7 +438,7 @@ let test_block_links () =
   write 4096 a_prog;
   write b_at (b_prog 1L);
   let cpu = Cpu.create () in
-  let j = Jit.create () in
+  let j = Jit.create mem in
   let run () =
     cpu.Cpu.pc <- 4096;
     match Interp.run ~jit:j mem cpu ~fuel:100 with
@@ -454,24 +456,24 @@ let test_block_links () =
     [ 2; 4; 0 ] [ compiles; hits; inv ];
   Alcotest.(check int) "cpu hit count agrees" hits cpu.Cpu.jit_hits;
   let a =
-    match Jit.lookup j mem 4096 with
+    match Jit.lookup j 4096 with
     | Jit.Hit c -> c
     | _ -> Alcotest.fail "A not in the code cache"
   in
   Alcotest.(check int) "A links to B" b_at a.Jit.link.Jit.entry;
   Alcotest.(check bool) "following the link is a hit" true
-    (Jit.follow j mem a b_at);
+    (Jit.follow j a b_at);
   (* privileged rewrite of B's page: the link must not hide it *)
   write b_at (b_prog 2L);
   Alcotest.(check bool) "a stale link is not followed" false
-    (Jit.follow j mem a b_at);
+    (Jit.follow j a b_at);
   Alcotest.(check int64) "patched immediate observed" 2L (run ());
   let _, _, inv = Jit.stats j in
   Alcotest.(check int) "stale B counted once" 1 inv;
   Alcotest.(check int) "cpu invalidation count agrees" 1
     cpu.Cpu.jit_invalidations;
   (* a flush unlinks: a small cache over three blocks must flush *)
-  let j = Jit.create ~max_blocks:2 () in
+  let j = Jit.create ~max_blocks:2 mem in
   let run_at pc =
     cpu.Cpu.pc <- pc;
     ignore (Interp.run ~jit:j mem cpu ~fuel:100)
@@ -479,16 +481,98 @@ let test_block_links () =
   run_at 4096;
   run_at 4096;
   let a =
-    match Jit.lookup j mem 4096 with
+    match Jit.lookup j 4096 with
     | Jit.Hit c -> c
     | _ -> Alcotest.fail "A not in the small code cache"
   in
   Alcotest.(check bool) "A linked before the flush" true
-    (a.Jit.link.Jit.entry = b_at && Jit.follow j mem a b_at);
+    (a.Jit.link.Jit.entry = b_at && Jit.follow j a b_at);
   (* the gate alone, entered mid-block, is a third block: the flush *)
   run_at (b_at + enc_len [ Insn.Mov_imm (Reg.r1, 2L) ]);
   Alcotest.(check bool) "no link survives the flush" false
-    (Jit.follow j mem a b_at || a.Jit.live)
+    (Jit.follow j a b_at || a.Jit.live)
+
+(* --- epoch-validated entries ---------------------------------------------- *)
+
+(* A compiled block skips its snapshot compare while the code epoch has
+   not moved since the block was last found valid. That is only a
+   shortcut: over random map, unmap, checked and privileged writes, fill
+   and install, [Jit.valid] gives [Decode_cache.block_valid]'s answer
+   for every block the code cache compiled (in particular it never calls
+   a stale block valid), asked after a random number of ops. Code pages
+   1-3 hold nop runs ended by a gate, so blocks cross page boundaries;
+   each round also looks up and retranslates a random entry. *)
+let prop_epoch_valid_matches_snapshot =
+  let pages = 8 and ps = Mem.page_size in
+  let code =
+    let run = List.init 40 (fun _ -> Insn.Nop) @ [ Insn.Syscall_gate ] in
+    let run = String.concat "" (List.map Codec.encode run) in
+    Bytes.of_string
+      (String.sub (String.concat "" (List.init 400 (fun _ -> run))) 0 (3 * ps))
+  in
+  QCheck.Test.make ~name:"epoch-validated check = generation snapshot"
+    ~count:200
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed; 3 |] in
+      let int n = Random.State.int st n in
+      let mem = Mem.create ~size:(pages * ps) in
+      Mem.map mem ~addr:ps ~len:(3 * ps)
+        ~perm:(if int 2 = 0 then Mem.perm_rx else Mem.perm_rwx);
+      Mem.write_bytes_priv mem ~addr:ps code;
+      let j = Jit.create mem in
+      let blocks = ref [] in
+      let enter () =
+        let pc = ps + int (3 * ps) in
+        match Jit.lookup j pc with
+        | Jit.Hit _ -> ()
+        | Jit.Miss | Jit.Stale -> (
+            match Jit.translate j pc with
+            | Some c -> blocks := c :: !blocks
+            | None -> ())
+      in
+      for _ = 1 to 8 do
+        enter ()
+      done;
+      let ops = Test_machine.random_mem_ops st mem ~pages in
+      let rec go k =
+        k = 0
+        ||
+        let name, op = ops.(int (Array.length ops)) in
+        op ();
+        if int 3 = 0 then enter ();
+        let wrong =
+          if int 2 = 0 then
+            List.find_opt
+              (fun c -> Jit.valid j c <> Decode_cache.block_valid mem c.Jit.src)
+              !blocks
+          else None
+        in
+        match wrong with
+        | Some c ->
+            QCheck.Test.fail_reportf
+              "after %s: block at %d: epoch check %b, snapshot %b" name
+              c.Jit.entry (Jit.valid j c)
+              (Decode_cache.block_valid mem c.Jit.src)
+        | None -> go (k - 1)
+      in
+      go 40)
+
+(* A code cache serves the memory it was created over: running it
+   against another raises before any instruction retires. *)
+let test_jit_bound_to_its_mem () =
+  let prog = [ Insn.Mov_imm (Reg.r1, 1L); Insn.Syscall_gate ] in
+  let mem, cpu = setup prog in
+  let other, _ = setup prog in
+  let j = Jit.create other in
+  Alcotest.check_raises "another Mem"
+    (Invalid_argument "Interp.run: the Jit is bound to another Mem")
+    (fun () -> ignore (Interp.run ~jit:j mem cpu ~fuel:10));
+  Alcotest.(check (pair int int)) "nothing retired, nothing compiled" (0, 0)
+    (cpu.Cpu.insns, cpu.Cpu.jit_compiles);
+  Alcotest.(check string) "its own Mem runs" "syscall"
+    (Interp.stop_to_string
+       (Interp.run ~jit:(Jit.create mem) mem cpu ~fuel:10))
 
 (* --- mid-block fault deopt -------------------------------------------------- *)
 
@@ -524,7 +608,7 @@ let test_midblock_fault_identity () =
           Alcotest.fail
             ("expected write fault, got " ^ Interp.stop_to_string s));
       let mem_j, cpu_j = setup ~code_perm prog in
-      let j = Jit.create () in
+      let j = Jit.create mem_j in
       let sj = Interp.run ~jit:j mem_j cpu_j ~fuel:100 in
       Alcotest.(check string)
         (pname ^ ": mid-block fault: jit = reference")
@@ -551,7 +635,7 @@ let fuel_every_boundary ?(prep = ignore) name code_perm prog =
     prep mem;
     Cpu.set_bnd cpu Reg.bnd0
       { Cpu.lower = 0L; upper = Int64.of_int (Test_machine.data + 4095) };
-    let jit = if tiered then Some (Jit.create ()) else None in
+    let jit = if tiered then Some (Jit.create mem) else None in
     let s1 = Interp.run ?jit mem cpu ~fuel in
     let mid = state_str s1 cpu in
     let s2 =
@@ -611,9 +695,10 @@ let test_store_to_other_code_page () =
         Insn.Cmp (Reg.r1, O_imm 0L);
       ]
   in
-  let run jit =
+  let run tiered =
     let mem, cpu = setup prog in
     prep mem;
+    let jit = if tiered then Some (Jit.create mem) else None in
     let e0 = mem.Mem.code_epoch in
     let stop = Interp.run ?jit mem cpu ~fuel:10_000 in
     ( state_str stop cpu ^ Printf.sprintf " page=%d"
@@ -621,19 +706,19 @@ let test_store_to_other_code_page () =
       cpu,
       mem.Mem.code_epoch - e0 )
   in
-  let su, _, _ = run None in
-  let sj, cpu, moved = run (Some (Jit.create ())) in
+  let su, _, _ = run false in
+  let sj, cpu, moved = run true in
   Alcotest.(check string) "jit = reference" su sj;
   Alcotest.(check bool) "the stores moved the code epoch" true (moved > 0);
   Alcotest.(check (list int)) "compiled and replayed, no deopt or invalidation"
     [ 0; 0 ] [ cpu.Cpu.jit_deopts; cpu.Cpu.jit_invalidations ];
   Alcotest.(check bool) "the block was re-entered from the code cache" true
     (cpu.Cpu.jit_hits > 0);
-  let _, c = compiled_block prog in
   let mem, cpu = setup prog in
   prep mem;
+  let _, c = compiled_block mem in
   let e0 = mem.Mem.code_epoch in
-  let whole = c.Jit.body mem cpu in
+  let whole = c.Jit.body cpu in
   Alcotest.(check bool) "the body runs on past its stores to the block's end"
     true
     (whole = Jit.U_fall && mem.Mem.code_epoch > e0);
@@ -666,15 +751,16 @@ let test_quantum_ends_after_smc_store () =
   in
   let n = List.length prog and fuel = List.length pre in
   Alcotest.(check bool) "the quantum ends inside the block" true (fuel < n);
-  let run jit =
+  let run tiered =
     let mem, cpu = setup prog in
+    let jit = if tiered then Some (Jit.create mem) else None in
     let s1 = Interp.run ?jit mem cpu ~fuel in
     let mid = state_str s1 cpu in
     let s2 = Interp.run ?jit mem cpu ~fuel:100 in
     (mid, state_str s2 cpu, cpu)
   in
-  let mu, fu, _ = run None in
-  let mj, fj, cpu = run (Some (Jit.create ())) in
+  let mu, fu, _ = run false in
+  let mj, fj, cpu = run true in
   Alcotest.(check string) "quantum end: jit = reference" mu mj;
   Alcotest.(check string) "resumed: jit = reference" fu fj;
   Alcotest.(check int64) "stopped at the rewritten gate" 0L (Cpu.get cpu Reg.r1);
@@ -760,27 +846,25 @@ let test_page_check_agrees () =
                 (fun (oname, is_store, op) ->
                   List.iter
                     (fun (fname, prog) ->
-                      let run jit =
+                      let run tiered =
                         let mem, cpu = setup perm paging prog in
                         Cpu.set cpu Reg.r2 (Int64.of_int addr);
                         Cpu.set cpu Reg.r3 0x1122334455667788L;
                         let gen0 = Mem.page_gen mem tgt in
+                        let j = Jit.create mem in
                         let stop =
-                          match jit with
-                          | None -> Interp.run mem cpu ~fuel:10
-                          | Some j ->
-                              Interp.run ~jit:j mem cpu ~fuel:10
+                          if tiered then Interp.run ~jit:j mem cpu ~fuel:10
+                          else Interp.run mem cpu ~fuel:10
                         in
-                        (observe stop mem cpu, stop, gen0, mem)
+                        let c, _, _ = Jit.stats j in
+                        (observe stop mem cpu, stop, gen0, mem, c)
                       in
                       let label =
                         Printf.sprintf "%s, size %d, %s, %s%s" sname size aname
                           oname fname
                       in
-                      let ref_obs, _, _, _ = run None in
-                      let j = Jit.create () in
-                      let jit_obs, stop, gen0, mem = run (Some j) in
-                      let c, _, _ = Jit.stats j in
+                      let ref_obs, _, _, _, _ = run false in
+                      let jit_obs, stop, gen0, mem, c = run true in
                       compiled := !compiled + c;
                       Alcotest.(check string) label ref_obs jit_obs;
                       if
@@ -850,7 +934,7 @@ let test_hot_path_allocation_free () =
           Cpu.lower = Int64.of_int Test_machine.data;
           upper = Int64.of_int (Test_machine.data + 4095);
         };
-      let jit = Jit.create () in
+      let jit = Jit.create mem in
       let w0 = Gc.minor_words () in
       let stop = Interp.run ~jit mem cpu ~fuel:max_int in
       let words = Gc.minor_words () -. w0 in
@@ -941,6 +1025,9 @@ let suite =
       test_quantum_ends_after_smc_store;
     Alcotest.test_case "block links: hits, rewrites, flushes" `Quick
       test_block_links;
+    QCheck_alcotest.to_alcotest prop_epoch_valid_matches_snapshot;
+    Alcotest.test_case "a Jit runs only on its own Mem" `Quick
+      test_jit_bound_to_its_mem;
     Alcotest.test_case "mid-block fault deopts bit-identically" `Quick
       test_midblock_fault_identity;
     Alcotest.test_case "fuel at every boundary" `Quick

@@ -1450,6 +1450,59 @@ let test_readonly_fd_keeps_file () =
   Alcotest.(check string) "the bytes are still there" "intact"
     (sefs_file os "/ro")
 
+let test_writeonly_fd_denies_read () =
+  (* regression: read on an fd opened O_WRONLY is EBADF, as on Linux,
+     even with the position back at bytes the file holds; O_RDWR and
+     O_RDONLY fds read them *)
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              [
+                Let ("buf", Call ("malloc", [ i 8 ]));
+                Let ("w", Call ("open", [ Str "/wo"; i 3; i (F.creat lor F.wronly) ]));
+                Expr (Call ("write", [ v "w"; Str "secret"; i 6 ]));
+                If (Syscall (Sys.lseek, [ v "w"; i 0; i 0 ]) <>: i 0,
+                    [ Return (i 1) ], []);
+                If (Call ("read", [ v "w"; v "buf"; i 6 ]) <>: i Errno.ebadf,
+                    [ Return (i 2) ], []);
+                Expr (Call ("close", [ v "w" ]));
+                Let ("rw", Call ("open", [ Str "/wo"; i 3; i F.rdwr ]));
+                If (Call ("read", [ v "rw"; v "buf"; i 6 ]) <>: i 6,
+                    [ Return (i 3) ], []);
+                Expr (Call ("close", [ v "rw" ]));
+                Let ("r", Call ("open", [ Str "/wo"; i 3; i F.rdonly ]));
+                If (Call ("read", [ v "r"; v "buf"; i 6 ]) <>: i 6,
+                    [ Return (i 4) ], []);
+                Expr (Call ("close", [ v "r" ]));
+                Return (i 0);
+              ];
+          ]))
+
+let test_poll_nfds_range () =
+  (* regression: an entry count outside [0, 64] is EINVAL, as Linux
+     answers a count past RLIMIT_NOFILE; EFAULT stays for an entry array
+     outside the SIP *)
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              [
+                Let ("pe", Call ("malloc", [ i (65 * 24) ]));
+                If (Syscall (Sys.poll, [ v "pe"; i 65; i 0 ]) <>: i Errno.einval,
+                    [ Return (i 1) ], []);
+                If (Syscall (Sys.poll, [ v "pe"; i (-1); i 0 ]) <>: i Errno.einval,
+                    [ Return (i 2) ], []);
+                If (Syscall (Sys.poll, [ i 16; i 1; i 0 ]) <>: i Errno.efault,
+                    [ Return (i 3) ], []);
+                If (Syscall (Sys.poll, [ v "pe"; i 0; i 0 ]) <>: i 0,
+                    [ Return (i 4) ], []);
+                Return (i 0);
+              ];
+          ]))
+
 let test_file_size_cap () =
   (* a size past Sefs.max_file_size is EFBIG, refused before anything is
      allocated; the SIP and the LibOS carry on *)
@@ -1764,6 +1817,8 @@ let suite =
     Alcotest.test_case "file size cap (EFBIG)" `Quick test_file_size_cap;
     Alcotest.test_case "read-only fd: ftruncate EINVAL, write EBADF" `Quick
       test_readonly_fd_keeps_file;
+    Alcotest.test_case "write-only fd: read EBADF" `Quick
+      test_writeonly_fd_denies_read;
     Alcotest.test_case "devfs and procfs" `Quick test_devfs_procfs;
     Alcotest.test_case "mmap and brk" `Quick test_mmap_brk;
     Alcotest.test_case "signal handlers + sigreturn" `Quick test_signals;
@@ -1785,6 +1840,8 @@ let suite =
     Alcotest.test_case "Linux mode" `Quick test_linux_mode_runs;
     Alcotest.test_case "SGX2 (EDMM) mode" `Quick test_sgx2_mode;
     Alcotest.test_case "poll" `Quick test_poll;
+    Alcotest.test_case "poll nfds out of range is EINVAL" `Quick
+      test_poll_nfds_range;
     Alcotest.test_case "fcntl O_NONBLOCK -> EAGAIN" `Quick test_nonblock_eagain;
     Alcotest.test_case "epoll ctl/wait semantics" `Quick test_epoll;
     Alcotest.test_case "poll unconnected/hup socket" `Quick

@@ -544,66 +544,71 @@ let prop_install_matches_scrub_then_write =
             || fail "model bytes differ"
       end)
 
+(* Random ops over [mem], a fresh [pages]-page memory, drawing from
+   [st]: map, unmap, checked and privileged writes, fill and install —
+   every way a page generation can move. Each is (name, thunk). *)
+let random_mem_ops st mem ~pages =
+  let ps = Mem.page_size in
+  let perms = [| Mem.perm_ro; Mem.perm_rw; Mem.perm_rx; Mem.perm_rwx |] in
+  let int n = Random.State.int st n in
+  let addr () = int ((pages * ps) - 8) in
+  let span () =
+    let first = int pages in
+    (first * ps, (1 + int (pages - first)) * ps)
+  in
+  [|
+    ( "map",
+      fun () ->
+        let a, len = span () in
+        Mem.map mem ~addr:a ~len ~perm:perms.(int 4) );
+    ( "unmap",
+      fun () ->
+        let a, len = span () in
+        Mem.unmap mem ~addr:a ~len );
+    ( "write_u8",
+      fun () -> try Mem.write_u8 mem (addr ()) (int 256) with Fault.Fault _ -> () );
+    ( "write_u64",
+      fun () ->
+        try Mem.write_u64 mem (addr ()) (Random.State.int64 st Int64.max_int)
+        with Fault.Fault _ -> () );
+    ( "write_u64_priv",
+      fun () -> Mem.write_u64_priv mem (addr ()) 0x0102030405060708L );
+    ( "write_bytes_priv",
+      fun () ->
+        let a = addr () in
+        Mem.write_bytes_priv mem ~addr:a
+          (Bytes.make (int (min 6000 ((pages * ps) - a))) 'x') );
+    ( "fill_priv",
+      fun () ->
+        let a = addr () in
+        Mem.fill_priv mem ~addr:a ~len:(int ((pages * ps) - a)) '\x00' );
+    ( "install",
+      fun () ->
+        let a, len = span () in
+        Mem.install mem ~addr:a ~len
+          (Bytes.init (int (len + 1)) (fun _ ->
+               if int 3 = 0 then 'y' else '\x00')) );
+  |]
+
 (* Mem.code_epoch is what a compiled block checks instead of its pages'
    generations, so it must move on every op that moves any of them:
    over random sequences of map, unmap, checked and privileged writes
    and install, the epoch moves exactly when some page generation does. *)
 let prop_code_epoch_tracks_gens =
-  let ps = Mem.page_size and pages = 8 in
-  let perms = [| Mem.perm_ro; Mem.perm_rw; Mem.perm_rx; Mem.perm_rwx |] in
+  let pages = 8 in
   QCheck.Test.make ~name:"code epoch moves with every page generation"
     ~count:300
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
     (fun seed ->
       let st = Random.State.make [| seed; 2 |] in
-      let int n = Random.State.int st n in
-      let mem = Mem.create ~size:(pages * ps) in
-      let addr () = int ((pages * ps) - 8) in
-      let span () =
-        let first = int pages in
-        (first * ps, (1 + int (pages - first)) * ps)
-      in
-      let ops =
-        [|
-          ( "map",
-            fun () ->
-              let a, len = span () in
-              Mem.map mem ~addr:a ~len ~perm:perms.(int 4) );
-          ( "unmap",
-            fun () ->
-              let a, len = span () in
-              Mem.unmap mem ~addr:a ~len );
-          ( "write_u8",
-            fun () -> try Mem.write_u8 mem (addr ()) (int 256) with Fault.Fault _ -> () );
-          ( "write_u64",
-            fun () ->
-              try Mem.write_u64 mem (addr ()) (Random.State.int64 st Int64.max_int)
-              with Fault.Fault _ -> () );
-          ( "write_u64_priv",
-            fun () -> Mem.write_u64_priv mem (addr ()) 0x0102030405060708L );
-          ( "write_bytes_priv",
-            fun () ->
-              let a = addr () in
-              Mem.write_bytes_priv mem ~addr:a
-                (Bytes.make (int (min 6000 ((pages * ps) - a))) 'x') );
-          ( "fill_priv",
-            fun () ->
-              let a = addr () in
-              Mem.fill_priv mem ~addr:a ~len:(int ((pages * ps) - a)) '\x00' );
-          ( "install",
-            fun () ->
-              let a, len = span () in
-              Mem.install mem ~addr:a ~len
-                (Bytes.init (int (len + 1)) (fun _ ->
-                     if int 3 = 0 then 'y' else '\x00')) );
-        |]
-      in
+      let mem = Mem.create ~size:(pages * Mem.page_size) in
+      let ops = random_mem_ops st mem ~pages in
       let rec go k =
         k = 0
         ||
         let gens = Array.init pages (Mem.page_gen mem) in
         let e = mem.Mem.code_epoch in
-        let name, op = ops.(int (Array.length ops)) in
+        let name, op = ops.(Random.State.int st (Array.length ops)) in
         op ();
         let gen_moved = Array.init pages (Mem.page_gen mem) <> gens in
         let epoch_moved = mem.Mem.code_epoch <> e in

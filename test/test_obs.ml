@@ -259,7 +259,7 @@ let test_differential_interp () =
   in
   let go obs =
     let mem, cpu = Test_machine.setup insns in
-    let stop = Interp.run ~jit:(Jit.create ()) ~obs mem cpu ~fuel:5000 in
+    let stop = Interp.run ~jit:(Jit.create mem) ~obs mem cpu ~fuel:5000 in
     (Interp.stop_to_string stop ^ " " ^ cpu_state_str cpu mem)
   in
   let off = go Obs.disabled in
