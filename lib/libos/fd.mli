@@ -50,14 +50,7 @@ val make : kind -> entry
 val pipe_wake : pipe -> unit
 (** Fire the pipe's readiness hooks (data written, space freed, EOF). *)
 
-val release : entry -> unit
-(** Drop one reference; the last one updates pipe reader/writer counts,
-    closes socket endpoints, tears down listeners (freeing the port and
-    EOF-ing queued connections) and detaches epoll watches. *)
-
 type table
-
-val max_fds : int
 
 val create : unit -> table
 val find : table -> int -> entry option

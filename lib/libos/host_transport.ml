@@ -20,28 +20,12 @@ type dir = { mutable frames : string list }
 
 type t = {
   dirs : (int * int, dir) Hashtbl.t;
-  mutable sends : int;  (** frames submitted by the trusted side *)
-  mutable delivered : int;  (** frames handed to [recv] callers *)
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable reordered : int;
-  mutable corrupted : int;
   (* fault-injection seam, consulted once per [send]; production never
      sets it *)
   mutable fault : (unit -> fault option) option;
 }
 
-let create () =
-  {
-    dirs = Hashtbl.create 16;
-    sends = 0;
-    delivered = 0;
-    dropped = 0;
-    duplicated = 0;
-    reordered = 0;
-    corrupted = 0;
-    fault = None;
-  }
+let create () = { dirs = Hashtbl.create 16; fault = None }
 
 let set_fault t f = t.fault <- f
 
@@ -65,27 +49,19 @@ let flip_bit frame bit =
   end
 
 let send t ~src ~dst frame =
-  t.sends <- t.sends + 1;
   let fault = match t.fault with None -> None | Some f -> f () in
   let d = dir_of t ~src ~dst in
   match fault with
-  | Some Drop -> t.dropped <- t.dropped + 1
-  | Some Duplicate ->
-      t.duplicated <- t.duplicated + 1;
-      d.frames <- d.frames @ [ frame; frame ]
-  | Some Reorder ->
-      t.reordered <- t.reordered + 1;
-      d.frames <- frame :: d.frames
-  | Some (Corrupt bit) ->
-      t.corrupted <- t.corrupted + 1;
-      d.frames <- d.frames @ [ flip_bit frame bit ]
+  | Some Drop -> ()
+  | Some Duplicate -> d.frames <- d.frames @ [ frame; frame ]
+  | Some Reorder -> d.frames <- frame :: d.frames
+  | Some (Corrupt bit) -> d.frames <- d.frames @ [ flip_bit frame bit ]
   | None -> d.frames <- d.frames @ [ frame ]
 
 (* The host can also inject frames it manufactured (or captured earlier)
    wholesale — the replay-attack surface the channel layer must reject.
-   Counts as a send but never consults the fault schedule. *)
+   It never consults the fault schedule. *)
 let inject t ~src ~dst frame =
-  t.sends <- t.sends + 1;
   let d = dir_of t ~src ~dst in
   d.frames <- d.frames @ [ frame ]
 
@@ -95,7 +71,6 @@ let recv t ~src ~dst =
   | [] -> None
   | f :: rest ->
       d.frames <- rest;
-      t.delivered <- t.delivered + 1;
       Some f
 
 let pending t ~src ~dst = List.length (dir_of t ~src ~dst).frames
@@ -105,22 +80,3 @@ let drop_pending t ~src ~dst =
   let n = List.length d.frames in
   d.frames <- [];
   n
-
-type stats = {
-  s_sends : int;
-  s_delivered : int;
-  s_dropped : int;
-  s_duplicated : int;
-  s_reordered : int;
-  s_corrupted : int;
-}
-
-let stats t =
-  {
-    s_sends = t.sends;
-    s_delivered = t.delivered;
-    s_dropped = t.dropped;
-    s_duplicated = t.duplicated;
-    s_reordered = t.reordered;
-    s_corrupted = t.corrupted;
-  }

@@ -37,14 +37,3 @@ val pending : t -> src:int -> dst:int -> int
 val drop_pending : t -> src:int -> dst:int -> int
 (** Discard everything queued in the direction (peer teardown); returns
     the number of frames dropped. *)
-
-type stats = {
-  s_sends : int;
-  s_delivered : int;
-  s_dropped : int;
-  s_duplicated : int;
-  s_reordered : int;
-  s_corrupted : int;
-}
-
-val stats : t -> stats

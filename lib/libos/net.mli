@@ -41,7 +41,6 @@ and t = {
 }
 
 val create : unit -> t
-val pair : ?ring_bytes:int -> unit -> endpoint * endpoint
 val listen : t -> port:int -> backlog:int -> (listener, int) result
 val connect : t -> port:int -> (endpoint, int) result
 val accept : listener -> endpoint option

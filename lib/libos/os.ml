@@ -85,6 +85,7 @@ let eip_ocall_ns = 6_000L
 type meters = {
   m_syscalls : Occlum_obs.Metrics.counter Lazy.t;
   m_blocked : Occlum_obs.Metrics.counter Lazy.t;
+  m_batched : Occlum_obs.Metrics.counter Lazy.t;
   m_latency : Occlum_obs.Metrics.histogram Lazy.t;
   m_gate : Occlum_obs.Metrics.counter Lazy.t;
   m_epochs : Occlum_obs.Metrics.counter Lazy.t;
@@ -100,6 +101,7 @@ let meters (obs : Occlum_obs.Obs.t) ~cores =
   {
     m_syscalls = counter "os.syscalls";
     m_blocked = counter "os.syscalls.blocked";
+    m_batched = counter "os.syscalls.batched";
     m_latency =
       lazy (M.histogram reg "os.syscall.latency_ns" ~bounds:M.latency_buckets_ns);
     m_gate = counter "os.gate.crossings";
@@ -709,7 +711,12 @@ let deliver_signals t (p : proc) =
             end
       end)
 
-(* --- system calls ----------------------------------------------------------- *)
+(* --- system calls -----------------------------------------------------------
+
+   Every handler has the type [t -> proc -> sysret] and is reached
+   through one lookup in [table] (below), indexed by number. An entry's
+   [batch] field is the one place that says which calls a batch entry
+   may not carry; [complete] delivers every outcome to the SIP. *)
 
 type sysret = Done of int64 | Block | Exited
 
@@ -945,7 +952,7 @@ let sys_open t p =
                                   readable; writable })))
             end
 
-let sys_lseek p =
+let sys_lseek _ p =
   let fd = iarg p 0 and off = iarg p 1 and whence = iarg p 2 in
   match Fd.find p.fds fd with
   | None -> err Errno.ebadf
@@ -988,7 +995,6 @@ let sys_fstat t p =
         Bytes.set_int64_le b 0 (Int64.of_int size);
         Bytes.set_int64_le b 8 (Int64.of_int kind_code);
         ignore (write_user t p buf b);
-        ignore t;
         ok 0
 
 let sys_pipe t p =
@@ -1054,7 +1060,7 @@ let sys_wait t p =
           Mem.write_u64_priv t.mem status_ptr (Int64.of_int c.exit_code);
         ok c.pid
 
-let sys_brk () p =
+let sys_brk _ p =
   let req = iarg p 0 in
   let d = Domain_mgr.d_base p.img.slot in
   let lo, hi = Occlum_oelf.Oelf.heap_zone p.img.oelf in
@@ -1066,28 +1072,30 @@ let sys_brk () p =
   else err Errno.enomem
 
 let sys_mmap t p =
-  let _hint = iarg p 0 and len = iarg p 1 and fd = iarg p 2 and off = iarg p 3 in
-  if len <= 0 || off < 0 then err Errno.einval
-  else begin
-    let len = Occlum_util.Bytes_util.round_up len 16 in
-    let newtop = p.mmap_top - len in
-    if newtop < p.brk then err Errno.enomem
-    else begin
-      p.mmap_top <- newtop;
-      p.mmaps <- (newtop, len) :: p.mmaps;
-      (* anonymous mappings are zeroed manually by the LibOS (§6) *)
-      Mem.fill_priv t.mem ~addr:newtop ~len '\x00';
-      (if fd >= 0 then
-         (* file-backed: SGX1 cannot map pages, so the content is copied *)
-         match Fd.find p.fds fd with
-         | Some { kind = Fd.File f; _ } -> (
-             match Sefs.read_file t.sefs f.node ~pos:off ~len with
-             | Ok bytes -> Mem.write_bytes_priv t.mem ~addr:newtop bytes
-             | Error _ -> ())
-         | _ -> ());
-      ok newtop
-    end
-  end
+  let len = iarg p 1 and fd = iarg p 2 and off = iarg p 3 in
+  (* file-backed when [fd] names a file: SGX1 cannot map pages, so the
+     content is copied, and only from a file open for reading *)
+  let entry = Fd.find p.fds fd in
+  match entry with
+  | _ when len <= 0 || off < 0 -> err Errno.einval
+  | Some { kind = Fd.File f; _ } when not f.readable -> err Errno.eaccess
+  | _ ->
+      let len = Occlum_util.Bytes_util.round_up len 16 in
+      let newtop = p.mmap_top - len in
+      if newtop < p.brk then err Errno.enomem
+      else begin
+        p.mmap_top <- newtop;
+        p.mmaps <- (newtop, len) :: p.mmaps;
+        (* anonymous mappings are zeroed manually by the LibOS (§6) *)
+        Mem.fill_priv t.mem ~addr:newtop ~len '\x00';
+        (match entry with
+        | Some { kind = Fd.File f; _ } -> (
+            match Sefs.read_file t.sefs f.node ~pos:off ~len with
+            | Ok bytes -> Mem.write_bytes_priv t.mem ~addr:newtop bytes
+            | Error _ -> ())
+        | _ -> ());
+        ok newtop
+      end
 
 let sys_munmap t p =
   let addr = iarg p 0 and len = iarg p 1 in
@@ -1206,10 +1214,10 @@ let epoll_watch (e : Fd.epoll) fd (entry : Fd.entry) events =
   (* level-triggered: seed the candidate set if already ready *)
   if fd_ready entry land (events lor P.pollhup) <> 0 then mark ()
 
-let sys_socket p =
+let sys_socket _ p =
   ok (Fd.install p.fds (Fd.make (Fd.Sock { ep = None; port = 0 })))
 
-let sys_bind p =
+let sys_bind _ p =
   let fd = iarg p 0 and port = iarg p 1 in
   match Fd.find p.fds fd with
   | Some { kind = Fd.Sock s; _ } ->
@@ -1231,7 +1239,7 @@ let sys_listen t p =
   | Some _ -> err Errno.einval
   | None -> err Errno.ebadf
 
-let sys_accept p =
+let sys_accept _ p =
   let fd = iarg p 0 in
   match Fd.find p.fds fd with
   | Some ({ kind = Fd.Listener l; _ } as entry) -> (
@@ -1333,7 +1341,7 @@ let sys_poll t p =
     wait_result t p ~ready:!ready ~timeout
   end
 
-let sys_fcntl p =
+let sys_fcntl _ p =
   let module F = Occlum_abi.Abi.Fcntl in
   let fd = iarg p 0 and cmd = iarg p 1 and argv = iarg p 2 in
   match Fd.find p.fds fd with
@@ -1347,13 +1355,13 @@ let sys_fcntl p =
       end
       else err Errno.einval
 
-let sys_epoll_create p =
+let sys_epoll_create _ p =
   ok
     (Fd.install p.fds
        (Fd.make
           (Fd.Epoll { Fd.interest = Hashtbl.create 16; ready = Hashtbl.create 16 })))
 
-let sys_epoll_ctl p =
+let sys_epoll_ctl _ p =
   let module E = Occlum_abi.Abi.Epoll in
   let epfd = iarg p 0 and op = iarg p 1 and fd = iarg p 2 and events = iarg p 3 in
   match Fd.find p.fds epfd with
@@ -1463,126 +1471,108 @@ let sys_clone t p =
     ok child.pid
   end
 
-let rec dispatch t (p : proc) : sysret =
-  let nr = Int64.to_int (Cpu.get p.cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr)) in
-  if nr = Sys.exit then begin
-    do_exit t p (iarg p 0);
-    Exited
+let sys_exit t p =
+  do_exit t p (iarg p 0);
+  Exited
+
+let sys_close _ p =
+  match Fd.close p.fds (iarg p 0) with Ok () -> ok 0 | Error e -> err e
+
+let sys_dup2 _ p =
+  match Fd.dup2 p.fds ~src:(iarg p 0) ~dst:(iarg p 1) with
+  | Ok fd -> ok fd
+  | Error e -> err e
+
+let sys_nanosleep t p =
+  let deadline =
+    match p.wake_time with
+    | Some d -> d
+    | None ->
+        let d = Int64.add t.clock_ns (arg p 0) in
+        p.wake_time <- Some d;
+        d
+  in
+  if Int64.compare t.clock_ns deadline >= 0 then begin
+    p.wake_time <- None;
+    ok 0
   end
-  else if nr = Sys.read then sys_read t p
-  else if nr = Sys.write then sys_write t p
-  else if nr = Sys.open_ then sys_open t p
-  else if nr = Sys.close then
-    match Fd.close p.fds (iarg p 0) with Ok () -> ok 0 | Error e -> err e
-  else if nr = Sys.lseek then sys_lseek p
-  else if nr = Sys.fstat then sys_fstat t p
-  else if nr = Sys.pipe then sys_pipe t p
-  else if nr = Sys.dup2 then begin
-    match Fd.dup2 p.fds ~src:(iarg p 0) ~dst:(iarg p 1) with
-    | Ok fd -> ok fd
-    | Error e -> err e
+  else Block
+
+let sys_kill t p =
+  let pid = iarg p 0 and signo = iarg p 1 in
+  match find_proc t pid with
+  | Some target when target.state <> `Zombie ->
+      if signo >= 1 && signo <= Sig.max_signo then begin
+        post_signal target signo;
+        ok 0
+      end
+      else err Errno.einval
+  | _ -> err Errno.esrch
+
+let sys_sigaction _ p =
+  let signo = iarg p 0 and handler = arg p 1 in
+  if signo < 1 || signo > Sig.max_signo || signo = Sig.sigkill then
+    err Errno.einval
+  else begin
+    p.sig_handlers <- (signo, handler) :: List.remove_assoc signo p.sig_handlers;
+    ok 0
   end
-  else if nr = Sys.spawn then sys_spawn t p
-  else if nr = Sys.wait then sys_wait t p
-  else if nr = Sys.getpid then ok p.pid
-  else if nr = Sys.yield then ok 0
-  else if nr = Sys.gettime then Done t.clock_ns
-  else if nr = Sys.nanosleep then begin
-    let deadline =
-      match p.wake_time with
-      | Some d -> d
-      | None ->
-          let d = Int64.add t.clock_ns (arg p 0) in
-          p.wake_time <- Some d;
-          d
-    in
-    if Int64.compare t.clock_ns deadline >= 0 then begin
-      p.wake_time <- None;
-      ok 0
-    end
-    else Block
-  end
-  else if nr = Sys.brk then sys_brk () p
-  else if nr = Sys.mmap then sys_mmap t p
-  else if nr = Sys.munmap then sys_munmap t p
-  else if nr = Sys.futex_wait then sys_futex_wait t p
-  else if nr = Sys.futex_wake then sys_futex_wake t p
-  else if nr = Sys.kill then begin
-    let pid = iarg p 0 and signo = iarg p 1 in
-    match find_proc t pid with
-    | Some target when target.state <> `Zombie ->
-        if signo >= 1 && signo <= Sig.max_signo then begin
-          post_signal target signo;
-          ok 0
-        end
-        else err Errno.einval
-    | _ -> err Errno.esrch
-  end
-  else if nr = Sys.sigaction then begin
-    let signo = iarg p 0 and handler = arg p 1 in
-    if signo < 1 || signo > Sig.max_signo || signo = Sig.sigkill then
-      err Errno.einval
-    else begin
-      p.sig_handlers <- (signo, handler) :: List.remove_assoc signo p.sig_handlers;
-      ok 0
-    end
-  end
-  else if nr = Sys.socket then sys_socket p
-  else if nr = Sys.bind then sys_bind p
-  else if nr = Sys.listen then sys_listen t p
-  else if nr = Sys.accept then sys_accept p
-  else if nr = Sys.connect then sys_connect t p
-  else if nr = Sys.send then sys_write t p
-  else if nr = Sys.recv then sys_read t p
-  else if nr = Sys.mkdir then begin
-    match read_user_string t p (iarg p 0) (iarg p 1) with
-    | None -> err Errno.efault
-    | Some path -> (
-        match Sefs.mkdir t.sefs path with Ok _ -> ok 0 | Error e -> err e)
-  end
-  else if nr = Sys.unlink then begin
-    match read_user_string t p (iarg p 0) (iarg p 1) with
-    | None -> err Errno.efault
-    | Some path -> (
-        match Sefs.unlink t.sefs path with Ok () -> ok 0 | Error e -> err e)
-  end
-  else if nr = Sys.rename then begin
-    match
-      ( read_user_string t p (iarg p 0) (iarg p 1),
-        read_user_string t p (iarg p 2) (iarg p 3) )
-    with
-    | Some src, Some dst -> (
-        match Sefs.rename t.sefs src dst with Ok () -> ok 0 | Error e -> err e)
-    | _ -> err Errno.efault
-  end
-  else if nr = Sys.ftruncate then begin
-    match Fd.find p.fds (iarg p 0) with
-    | Some { kind = Fd.File f; _ } when not f.writable -> err Errno.einval
-    | Some { kind = Fd.File f; _ } -> (
-        match Sefs.truncate t.sefs f.node (iarg p 1) with
-        | Ok () -> ok 0
-        | Error e -> err e)
-    | Some _ -> err Errno.einval
-    | None -> err Errno.ebadf
-  end
-  else if nr = Sys.readdir then sys_readdir t p
-  else if nr = Sys.clone then sys_clone t p
-  else if nr = Sys.poll then sys_poll t p
-  else if nr = Sys.fcntl then sys_fcntl p
-  else if nr = Sys.epoll_create then sys_epoll_create p
-  else if nr = Sys.epoll_ctl then sys_epoll_ctl p
-  else if nr = Sys.epoll_wait then sys_epoll_wait t p
-  else if nr = Sys.batch then sys_batch t p
-  else err Errno.enosys
+
+(* mkdir and unlink: one path argument, one SEFS call *)
+let path_call f t p =
+  match read_user_string t p (iarg p 0) (iarg p 1) with
+  | None -> err Errno.efault
+  | Some path -> ( match f t.sefs path with Ok () -> ok 0 | Error e -> err e)
+
+let sys_mkdir = path_call (fun fs path -> Result.map ignore (Sefs.mkdir fs path))
+let sys_unlink = path_call Sefs.unlink
+
+let sys_rename t p =
+  match
+    ( read_user_string t p (iarg p 0) (iarg p 1),
+      read_user_string t p (iarg p 2) (iarg p 3) )
+  with
+  | Some src, Some dst -> (
+      match Sefs.rename t.sefs src dst with Ok () -> ok 0 | Error e -> err e)
+  | _ -> err Errno.efault
+
+let sys_ftruncate t p =
+  match Fd.find p.fds (iarg p 0) with
+  | Some { kind = Fd.File f; _ } when not f.writable -> err Errno.einval
+  | Some { kind = Fd.File f; _ } -> (
+      match Sefs.truncate t.sefs f.node (iarg p 1) with
+      | Ok () -> ok 0
+      | Error e -> err e)
+  | Some _ -> err Errno.einval
+  | None -> err Errno.ebadf
+
+(* --- the syscall table ----------------------------------------------------- *)
+
+(* What the LibOS knows about a syscall number: its handler, and whether
+   a batch entry may carry it. *)
+type syscall = { handler : t -> proc -> sysret; batch : bool }
+
+let enosys = { handler = (fun _ _ -> err Errno.enosys); batch = true }
+
+(* Indexed by number; filled once below, after [sys_batch], which reads
+   it. Unimplemented numbers hold [enosys], which a batch entry may
+   carry: it is charged and answers ENOSYS, as a direct call does. *)
+let table = ref [||]
+
+(* [nr] comes from a SIP's register or batch entry: any number outside
+   the table is ENOSYS too, never an exception. *)
+let lookup nr =
+  let tbl = !table in
+  if nr >= 0 && nr < Array.length tbl then tbl.(nr) else enosys
 
 (* Batched syscalls: one gate crossing submits N calls described by an
    array of fixed-size entries in user memory and collects N results.
-   Each sub-call is dispatched with the real handler by temporarily
-   poking the syscall registers; calls that would block are converted to
+   Each sub-call runs its table handler on the entry's arguments, poked
+   into the argument registers; calls that would block are converted to
    EAGAIN (the batch never suspends the SIP mid-way — callers pair it
-   with nonblocking fds and epoll). Scheduling-class calls (exit, clone,
-   spawn, nested batch) are rejected per-entry with EINVAL. *)
-and sys_batch t (p : proc) : sysret =
+   with nonblocking fds and epoll). A call whose entry has [batch =
+   false] is rejected per-entry with EINVAL, uncharged. *)
+let sys_batch t (p : proc) : sysret =
   let module B = Occlum_abi.Abi.Batch in
   let entries = iarg p 0 and n = iarg p 1 in
   if n < 0 || n > B.max_entries || not (user_ok p entries (n * B.entry_size))
@@ -1591,14 +1581,10 @@ and sys_batch t (p : proc) : sysret =
     let saved = Array.init 7 (fun i -> Cpu.get p.cpu (Reg.of_int i)) in
     for k = 0 to n - 1 do
       let base = entries + (k * B.entry_size) in
-      let nr = Int64.to_int (Mem.read_u64_priv t.mem base) in
+      let call = lookup (Int64.to_int (Mem.read_u64_priv t.mem base)) in
       let ret =
-        if nr = Sys.exit || nr = Sys.batch || nr = Sys.clone || nr = Sys.spawn
-        then Int64.of_int Errno.einval
+        if not call.batch then Int64.of_int Errno.einval
         else begin
-          Cpu.set p.cpu
-            (Reg.of_int Occlum_abi.Abi.Regs.sys_nr)
-            (Int64.of_int nr);
           for a = 0 to Occlum_abi.Abi.Regs.max_args - 1 do
             Cpu.set p.cpu
               (Reg.of_int (Occlum_abi.Abi.Regs.sys_arg0 + a))
@@ -1606,12 +1592,9 @@ and sys_batch t (p : proc) : sysret =
           done;
           t.syscalls <- t.syscalls + 1;
           t.clock_ns <- Int64.add t.clock_ns (batched_call_ns t);
-          let o = t.obs in
-          if o.Occlum_obs.Obs.enabled then
-            Occlum_obs.Metrics.inc
-              (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics
-                 "os.syscalls.batched");
-          match dispatch t p with
+          if t.obs.Occlum_obs.Obs.enabled then
+            Occlum_obs.Metrics.inc (Lazy.force t.meters.m_batched);
+          match call.handler t p with
           | Done v -> v
           | Block ->
               (* sub-calls never suspend: report would-block *)
@@ -1626,27 +1609,56 @@ and sys_batch t (p : proc) : sysret =
     ok n
   end
 
+(* The scheduling-class calls, which would end, fork or re-enter the
+   caller mid-batch, are the only entries a batch may not carry. *)
+let () =
+  let entries batch = List.map (fun (nr, handler) -> (nr, { handler; batch })) in
+  let calls =
+    entries true
+      [ (Sys.read, sys_read); (Sys.write, sys_write); (Sys.open_, sys_open);
+        (Sys.close, sys_close); (Sys.lseek, sys_lseek); (Sys.fstat, sys_fstat);
+        (Sys.pipe, sys_pipe); (Sys.dup2, sys_dup2); (Sys.wait, sys_wait);
+        (Sys.getpid, fun _ p -> ok p.pid); (Sys.yield, fun _ _ -> ok 0);
+        (Sys.gettime, fun t _ -> Done t.clock_ns);
+        (Sys.nanosleep, sys_nanosleep); (Sys.brk, sys_brk); (Sys.mmap, sys_mmap);
+        (Sys.munmap, sys_munmap); (Sys.futex_wait, sys_futex_wait);
+        (Sys.futex_wake, sys_futex_wake); (Sys.kill, sys_kill);
+        (Sys.sigaction, sys_sigaction); (Sys.socket, sys_socket);
+        (Sys.bind, sys_bind); (Sys.listen, sys_listen); (Sys.accept, sys_accept);
+        (Sys.connect, sys_connect); (Sys.send, sys_write); (Sys.recv, sys_read);
+        (Sys.mkdir, sys_mkdir); (Sys.unlink, sys_unlink); (Sys.rename, sys_rename);
+        (Sys.ftruncate, sys_ftruncate); (Sys.readdir, sys_readdir);
+        (Sys.poll, sys_poll); (Sys.fcntl, sys_fcntl);
+        (Sys.epoll_create, sys_epoll_create); (Sys.epoll_ctl, sys_epoll_ctl);
+        (Sys.epoll_wait, sys_epoll_wait) ]
+    @ entries false
+        [ (Sys.exit, sys_exit); (Sys.clone, sys_clone); (Sys.spawn, sys_spawn);
+          (Sys.batch, sys_batch) ]
+  in
+  let tbl = Array.make (1 + List.fold_left (fun m (nr, _) -> max m nr) 0 calls) enosys in
+  List.iter (fun (nr, call) -> tbl.(nr) <- call) calls;
+  table := tbl
+
 (* All syscall entry points dispatch through here so observability sees
    every call exactly once. [charge] is false on blocked-call retries,
    which the clock model does not re-charge. Latency is the virtual-clock
    delta across the dispatch, so it includes the boundary charge itself
    (the SIP/EIP cost the paper's Figure 5 measures). *)
 let dispatch_traced ?(charge = true) t (p : proc) : sysret =
+  let nr = Int64.to_int (Cpu.get p.cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr)) in
+  let handler = (lookup nr).handler in
   let o = t.obs in
   if not o.Occlum_obs.Obs.enabled then begin
     if charge then charge_syscall t p;
-    dispatch t p
+    handler t p
   end
   else begin
-    let nr =
-      Int64.to_int (Cpu.get p.cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr))
-    in
     let t0 = t.clock_ns in
     if o.Occlum_obs.Obs.t_syscall then
       Occlum_obs.Obs.emit o
         (Occlum_obs.Trace.Syscall_enter { pid = p.pid; nr });
     if charge then charge_syscall t p;
-    let r = dispatch t p in
+    let r = handler t p in
     let latency_ns = Int64.sub t.clock_ns t0 in
     let ret, blocked =
       match r with
@@ -1667,9 +1679,17 @@ let dispatch_traced ?(charge = true) t (p : proc) : sysret =
     r
   end
 
-(* Paper §6: before returning to the SIP, the LibOS ensures the return
-   target is a cfi_label of the SIP's own domain. *)
-let return_target_ok t p = Loader.return_target_ok t.mem p.img p.cpu
+(* Deliver a syscall's outcome to its SIP. Paper §6: before returning to
+   the SIP, the LibOS ensures the return target is a cfi_label of the
+   SIP's own domain; the native model has no such check. *)
+let complete t p = function
+  | Done v ->
+      Cpu.set p.cpu R.result v;
+      if t.cfg.mode <> Linux && not (Loader.return_target_ok t.mem p.img p.cpu)
+      then kill_proc t p ~fatal_signal:Sig.sigkill
+      else p.state <- `Runnable
+  | Block -> p.state <- `Blocked
+  | Exited -> ()
 
 (* --- the scheduler ----------------------------------------------------------- *)
 
@@ -1683,34 +1703,18 @@ let handle_gate t (p : proc) : unit =
     Occlum_obs.Metrics.inc (Lazy.force t.meters.m_gate);
   (* pc has advanced past the Syscall_gate; classify which gate fired *)
   let gate_pc = p.cpu.pc - 1 in
-  if t.cfg.mode = Linux && gate_pc <> p.img.sigreturn_gate
-     && gate_pc <> p.img.thread_exit_gate then begin
-    (* native model: any inline syscall instruction is legitimate, and
-       there is no return-target CFI check *)
-    match dispatch_traced t p with
-    | Done v -> Cpu.set p.cpu R.result v
-    | Block -> p.state <- `Blocked
-    | Exited -> ()
-  end
-  else if gate_pc = p.img.sigreturn_gate then begin
+  if gate_pc = p.img.sigreturn_gate then begin
     match p.saved_ctx with
     | Some ctx ->
         Cpu.restore p.cpu ctx;
         p.saved_ctx <- None
     | None -> kill_proc t p ~fatal_signal:Sig.sigkill
   end
-  else if gate_pc = p.img.thread_exit_gate then begin
+  else if gate_pc = p.img.thread_exit_gate then
     do_exit t p (Int64.to_int (Cpu.get p.cpu R.result))
-  end
-  else if gate_pc = p.img.main_gate then begin
-    match dispatch_traced t p with
-    | Done v ->
-        Cpu.set p.cpu R.result v;
-        if not (return_target_ok t p) then
-          kill_proc t p ~fatal_signal:Sig.sigkill
-    | Block -> p.state <- `Blocked
-    | Exited -> ()
-  end
+  else if t.cfg.mode = Linux || gate_pc = p.img.main_gate then
+    (* the native model takes any inline syscall instruction *)
+    complete t p (dispatch_traced t p)
   else
     (* a gate at an unexpected pc: not possible for verified binaries *)
     kill_proc t p ~fatal_signal:Sig.sigkill
@@ -1718,16 +1722,7 @@ let handle_gate t (p : proc) : unit =
 let retry_blocked t =
   Hashtbl.iter
     (fun _ p ->
-      if p.state = `Blocked then begin
-        match dispatch_traced ~charge:false t p with
-        | Done v ->
-            Cpu.set p.cpu R.result v;
-            if t.cfg.mode = Linux || return_target_ok t p then
-              p.state <- `Runnable
-            else kill_proc t p ~fatal_signal:Sig.sigkill
-        | Block -> ()
-        | Exited -> ()
-      end)
+      if p.state = `Blocked then complete t p (dispatch_traced ~charge:false t p))
     t.procs
 
 (* What the LibOS does when a quantum stops: dispatch the gate, or field

@@ -4,7 +4,9 @@
     space, scheduled round-robin with a fixed instruction quantum.
     Blocking system calls use a retry model: a blocked SIP's registers
     are left untouched and its call is re-dispatched when it might make
-    progress.
+    progress. Every call, direct or in a batch entry, is found by one
+    lookup in a table indexed by number; any number the table does not
+    implement, negative or huge included, returns [ENOSYS].
 
     The same engine runs the evaluation's three execution models: [Sip]
     (Occlum), [Eip] (the Graphene-SGX baseline: a fresh measured enclave
@@ -110,15 +112,6 @@ type t = {
           from it and their admission. A spawn reuses an entry only for
           a byte-identical binary. Per instance, never shared. *)
 }
-
-val cycles_to_ns : int -> int64
-(** The clock calibration: simulated cycles to virtual nanoseconds. *)
-
-val sync_pressure_charges : t -> unit
-(** Fold freshly accrued EPC paging cycles and I/O retry backoff into
-    the virtual clock. Called automatically by [boot], [spawn] and every
-    scheduler [step]; exposed for drivers that run the interpreter
-    directly. *)
 
 val boot :
   ?config:config ->

@@ -117,8 +117,6 @@ type t = {
 
 and cache_line = { mutable data : Bytes.t; mutable dirty : bool }
 
-val root_ino : int
-
 val create : ?volume:string -> ?encrypted:bool -> key:string -> unit -> t
 
 val mount : ?volume:string -> ?encrypted:bool -> key:string -> Host_store.t -> t

@@ -277,6 +277,15 @@ if grep -nE 'Mem\.t -> Cpu\.t -> ustat|k mem cpu' lib/machine/jit.ml; then
   exit 1
 fi
 
+# One syscall table: every syscall is reached through one lookup by
+# number in Os, and a table entry's batch field is the one list of calls
+# a batch may not carry. A chain of number comparisons must not come
+# back.
+if grep -nE 'nr = Sys\.' lib/libos/os.ml; then
+  echo "FAIL: a syscall-number comparison reappeared in lib/libos/os.ml (dispatch through the syscall table)" >&2
+  exit 1
+fi
+
 # Seed-corpus reproducibility: the checked-in minimized corpus is
 # exactly what the generator emits for seed 42, byte for byte.
 rm -rf _build/corpus

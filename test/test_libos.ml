@@ -1157,12 +1157,12 @@ let test_batch_syscall () =
      entry; scheduling-class calls are rejected per-entry *)
   let module B = Occlum_abi.Abi.Batch in
   ignore
-    (check_run ~exit_code:0 ~output:"hi"
+    (check_run ~exit_code:0 ~output:"hi!"
        (rt
           [
             func "main" []
               [
-                Let ("bb", Call ("malloc", [ i (4 * B.entry_size) ]));
+                Let ("bb", Call ("malloc", [ i (7 * B.entry_size) ]));
                 (* entry 0: write(1, "hi", 2) *)
                 Store (v "bb", i Sys.write);
                 Store (v "bb" +: i 16, i 1);
@@ -1178,9 +1178,18 @@ let test_batch_syscall () =
                 Store (v "bb" +: i (2 * B.entry_size) +: i 24,
                        v "bb" +: i (3 * B.entry_size));
                 Store (v "bb" +: i (2 * B.entry_size) +: i 32, i 8);
-                (* entry 3: spawn is not batchable *)
+                (* entries 3-6: spawn, exit, clone and a nested batch are
+                   not batchable *)
                 Store (v "bb" +: i (3 * B.entry_size), i Sys.spawn);
-                If (Syscall (Sys.batch, [ v "bb"; i 4 ]) <>: i 4,
+                Store (v "bb" +: i (4 * B.entry_size), i Sys.exit);
+                (* a clone entry that would start a thread if it ran *)
+                Store (v "bb" +: i (5 * B.entry_size), i Sys.clone);
+                Store (v "bb" +: i (5 * B.entry_size) +: i 16,
+                       Func_addr "idle");
+                Store (v "bb" +: i (5 * B.entry_size) +: i 24,
+                       Call ("malloc", [ i 4096 ]) +: i 4096);
+                Store (v "bb" +: i (6 * B.entry_size), i Sys.batch);
+                If (Syscall (Sys.batch, [ v "bb"; i 7 ]) <>: i 7,
                     [ Return (i 1) ], []);
                 If (Load (v "bb" +: i 8) <>: i 2, [ Return (i 2) ], []);
                 If (Load (v "bb" +: i B.entry_size +: i 8) <>:
@@ -1192,6 +1201,18 @@ let test_batch_syscall () =
                 If (Load (v "bb" +: i (3 * B.entry_size) +: i 8)
                     <>: i Errno.einval,
                     [ Return (i 5) ], []);
+                If (Load (v "bb" +: i (4 * B.entry_size) +: i 8)
+                    <>: i Errno.einval,
+                    [ Return (i 8) ], []);
+                If (Load (v "bb" +: i (5 * B.entry_size) +: i 8)
+                    <>: i Errno.einval,
+                    [ Return (i 9) ], []);
+                If (Load (v "bb" +: i (6 * B.entry_size) +: i 8)
+                    <>: i Errno.einval,
+                    [ Return (i 10) ], []);
+                (* the exit entry ran nothing: stdout is still open *)
+                If (Syscall (Sys.write, [ i 1; Str "!"; i 1 ]) <>: i 1,
+                    [ Return (i 11) ], []);
                 (* malformed batches are rejected whole *)
                 If (Syscall (Sys.batch, [ v "bb"; i (-1) ]) <>: i Errno.efault,
                     [ Return (i 6) ], []);
@@ -1200,6 +1221,38 @@ let test_batch_syscall () =
                     [ Return (i 7) ], []);
                 Return (i 0);
               ];
+            func "idle" [ "x" ] [ Return (v "x") ];
+          ]))
+
+let test_hostile_syscall_numbers () =
+  (* a number the LibOS does not implement is ENOSYS, from the gate and
+     in its own batch slot alike, and nothing raises out of Os.run *)
+  let module B = Occlum_abi.Abi.Batch in
+  let nrs = [ -1; 150; 405; max_int ] in
+  let n = List.length nrs in
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              (List.mapi
+                 (fun k nr ->
+                   If (Syscall (nr, []) <>: i Errno.enosys,
+                       [ Return (i (1 + k)) ], []))
+                 nrs
+              @ [ Let ("bb", Call ("malloc", [ i (n * B.entry_size) ])) ]
+              @ List.mapi
+                  (fun k nr -> Store (v "bb" +: i (k * B.entry_size), i nr))
+                  nrs
+              @ [ If (Syscall (Sys.batch, [ v "bb"; i n ]) <>: i n,
+                      [ Return (i 10) ], []) ]
+              @ List.mapi
+                  (fun k _ ->
+                    If (Load (v "bb" +: i (k * B.entry_size) +: i 8)
+                        <>: i Errno.enosys,
+                        [ Return (i (11 + k)) ], []))
+                  nrs
+              @ [ Return (i 0) ]);
           ]))
 
 let test_facade () =
@@ -1357,6 +1410,39 @@ let test_mmap_negative_offset () =
       Alcotest.(check bool) "Sefs.read_file rejects a negative pos" true
         (Occlum_libos.Sefs.read_file os.Os.sefs ino ~pos:(-1) ~len:8
         = Error Errno.einval)
+
+let test_mmap_write_only_fd () =
+  (* a file mapping copies the file into the SIP, so an fd not open for
+     reading is EACCES, as on Linux, and the refusal maps nothing *)
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              [
+                Let ("w", Call ("open", [ Str "/f"; i 2; i (F.creat lor F.wronly) ]));
+                Expr (Call ("write", [ v "w"; Str "secret"; i 6 ]));
+                Let ("a", Syscall (Sys.mmap, [ i 0; i 8192; i (-1); i 0 ]));
+                If (v "a" <: i 0, [ Return (i 1) ], []);
+                If
+                  ( Syscall (Sys.mmap, [ i 0; i 8192; v "w"; i 0 ])
+                    <>: i Errno.eaccess,
+                    [ Return (i 2) ],
+                    [] );
+                (* the next anonymous mapping lands where it would have *)
+                If
+                  ( Syscall (Sys.mmap, [ i 0; i 8192; i (-1); i 0 ])
+                    <>: v "a" -: i 8192,
+                    [ Return (i 3) ],
+                    [] );
+                (* an O_RDWR fd on the same file still maps its bytes *)
+                Let ("r", Call ("open", [ Str "/f"; i 2; i F.rdwr ]));
+                Let ("m", Syscall (Sys.mmap, [ i 0; i 16; v "r"; i 0 ]));
+                If (v "m" <: i 0, [ Return (i 4) ], []);
+                If (Load (v "m") =: i 0, [ Return (i 5) ], []);
+                Return (i 0);
+              ];
+          ]))
 
 let test_lseek_whence () =
   (* an unknown whence is EINVAL, not SEEK_END *)
@@ -1849,6 +1935,8 @@ let suite =
     Alcotest.test_case "listener close releases port" `Quick
       test_listener_close_releases_port;
     Alcotest.test_case "batched syscalls" `Quick test_batch_syscall;
+    Alcotest.test_case "unknown syscall numbers are ENOSYS" `Quick
+      test_hostile_syscall_numbers;
     Alcotest.test_case "system facade" `Quick test_facade;
     Alcotest.test_case "user pointer validation" `Quick test_bad_user_pointer;
     Alcotest.test_case "read with a huge len is EFAULT" `Quick
@@ -1857,6 +1945,8 @@ let suite =
       test_epoll_maxevents_wrap;
     Alcotest.test_case "mmap negative offset is EINVAL" `Quick
       test_mmap_negative_offset;
+    Alcotest.test_case "mmap of a write-only fd is EACCES" `Quick
+      test_mmap_write_only_fd;
     Alcotest.test_case "lseek unknown whence is EINVAL" `Quick
       test_lseek_whence;
     Alcotest.test_case "untrusted len sizes no allocation" `Quick
