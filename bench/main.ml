@@ -658,6 +658,14 @@ let micro () =
      page at a time *)
   let ring = Occlum_libos.Ring.create 65536 in
   let response = Bytes.make 10280 'r' and drain = Bytes.create 4096 in
+  (* one kv value across an attested channel: sealed, handed to the
+     host, opened on the far side *)
+  let chan =
+    Occlum_cluster.Channel.establish ~a:0 ~b:1 ~key:(String.make 32 'k')
+      ~epoch:1 ~transport:(Occlum_libos.Host_transport.create ()) ~now:0L
+      ~obs:Occlum_obs.Obs.disabled
+  in
+  let value_1k = String.make 1024 'v' in
   let tests =
     Test.make_grouped ~name:"occlum"
       [
@@ -672,6 +680,12 @@ let micro () =
           (Staged.stage (fun () ->
                Occlum_util.Cipher.encrypt ~key:(String.make 32 'k')
                  ~nonce:(String.make 12 'n') (Bytes.to_string page)));
+        Test.make ~name:"chan-frame-1k"
+          (Staged.stage (fun () ->
+               ignore (Occlum_cluster.Channel.send chan ~src:0 value_1k);
+               match Occlum_cluster.Channel.try_recv chan ~dst:1 ~now:0L with
+               | Ok (Some _) -> ()
+               | Ok None | Error _ -> failwith "chan-frame-1k: frame lost"));
         Test.make ~name:"sefs-read-64k"
           (Staged.stage (fun () ->
                Hashtbl.reset sefs.Occlum_libos.Sefs.cache;

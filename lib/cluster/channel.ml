@@ -131,23 +131,23 @@ let dst_of t ~src = if src = t.a then t.b else t.a
 
 (* --- sealing -------------------------------------------------------------- *)
 
-(* A frame's tag covers this header, then its ciphertext. *)
-let mac_header t ~src ~epoch ~seq =
-  Printf.sprintf "chan|%d->%d|e%d|s%d|" src (dst_of t ~src) epoch seq
-
-let frame_nonce t ~src ~epoch ~seq =
-  Occlum_util.Cipher.derive_nonce
-    (Printf.sprintf "chan|%d->%d|e%d" src (dst_of t ~src) epoch)
-    seq
+(* A frame's tag covers its label, then its ciphertext; its nonce derives
+   from the label's direction-and-epoch prefix and its seq. *)
+let label_and_nonce t ~src ~epoch ~seq =
+  let dir =
+    String.concat ""
+      [ "chan|"; string_of_int src; "->"; string_of_int (dst_of t ~src); "|e";
+        string_of_int epoch ]
+  in
+  ( String.concat "" [ dir; "|s"; string_of_int seq; "|" ],
+    Occlum_util.Cipher.derive_nonce dir seq )
 
 (* A frame is epoch and seq (big-endian 32-bit), tag, ciphertext. *)
 let seal t ~src ~seq payload =
   let epoch = t.epoch in
+  let label, nonce = label_and_nonce t ~src ~epoch ~seq in
   let cipher, mac =
-    Occlum_util.Seal.seal t.keys
-      ~label:(mac_header t ~src ~epoch ~seq)
-      ~nonce:(frame_nonce t ~src ~epoch ~seq)
-      (Bytes.unsafe_of_string payload)
+    Occlum_util.Seal.seal t.keys ~label ~nonce (Bytes.unsafe_of_string payload)
   in
   let hdr = Bytes.create 8 in
   Bytes.set_int32_be hdr 0 (Int32.of_int epoch);
@@ -166,11 +166,9 @@ let unseal t ~src frame =
   else
     let u32 off = Int32.to_int (String.get_int32_be frame off) land 0xffff_ffff in
     let epoch = u32 0 and seq = u32 4 in
-    Occlum_util.Seal.open_ t.keys
-      ~label:(mac_header t ~src ~epoch ~seq)
-      ~nonce:(frame_nonce t ~src ~epoch ~seq)
-      ~tag:(String.sub frame 8 32)
-      (String.sub frame 40 (String.length frame - 40))
+    let label, nonce = label_and_nonce t ~src ~epoch ~seq in
+    Occlum_util.Seal.open_ t.keys ~label ~nonce ~tag:(String.sub frame 8 32)
+      ~pos:40 frame
     |> Option.map (fun plain -> (epoch, seq, Bytes.unsafe_to_string plain))
 
 (* --- failure -------------------------------------------------------------- *)

@@ -221,7 +221,10 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     gate_crossings = 0;
     spawns = 0;
     faults = [];
-      eip_runtime_image = Bytes.make config.eip_runtime_image_bytes '\x5a';
+      eip_runtime_image =
+        Bytes.make
+          (if config.mode = Eip then config.eip_runtime_image_bytes else 0)
+          '\x5a';
       obs;
       meters = meters obs ~cores:config.cores;
       sched = Sched.create ~ncores:config.cores;
@@ -1559,11 +1562,15 @@ let enosys = { handler = (fun _ _ -> err Errno.enosys); batch = true }
    carry: it is charged and answers ENOSYS, as a direct call does. *)
 let table = ref [||]
 
-(* [nr] comes from a SIP's register or batch entry: any number outside
-   the table is ENOSYS too, never an exception. *)
+(* [nr] comes from a SIP's register or batch entry: any 64-bit value
+   outside the table is ENOSYS too, never an exception. The bounds check
+   sees all 64 bits, so a number with bit 63 set is not folded onto a
+   small one. *)
 let lookup nr =
   let tbl = !table in
-  if nr >= 0 && nr < Array.length tbl then tbl.(nr) else enosys
+  if Int64.unsigned_compare nr (Int64.of_int (Array.length tbl)) < 0 then
+    tbl.(Int64.to_int nr)
+  else enosys
 
 (* Batched syscalls: one gate crossing submits N calls described by an
    array of fixed-size entries in user memory and collects N results.
@@ -1581,7 +1588,7 @@ let sys_batch t (p : proc) : sysret =
     let saved = Array.init 7 (fun i -> Cpu.get p.cpu (Reg.of_int i)) in
     for k = 0 to n - 1 do
       let base = entries + (k * B.entry_size) in
-      let call = lookup (Int64.to_int (Mem.read_u64_priv t.mem base)) in
+      let call = lookup (Mem.read_u64_priv t.mem base) in
       let ret =
         if not call.batch then Int64.of_int Errno.einval
         else begin
@@ -1645,8 +1652,9 @@ let () =
    delta across the dispatch, so it includes the boundary charge itself
    (the SIP/EIP cost the paper's Figure 5 measures). *)
 let dispatch_traced ?(charge = true) t (p : proc) : sysret =
-  let nr = Int64.to_int (Cpu.get p.cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr)) in
-  let handler = (lookup nr).handler in
+  let nr64 = Cpu.get p.cpu (Reg.of_int Occlum_abi.Abi.Regs.sys_nr) in
+  let handler = (lookup nr64).handler in
+  let nr = Int64.to_int nr64 in
   let o = t.obs in
   if not o.Occlum_obs.Obs.enabled then begin
     if charge then charge_syscall t p;

@@ -5,8 +5,8 @@
     Blocking system calls use a retry model: a blocked SIP's registers
     are left untouched and its call is re-dispatched when it might make
     progress. Every call, direct or in a batch entry, is found by one
-    lookup in a table indexed by number; any number the table does not
-    implement, negative or huge included, returns [ENOSYS].
+    lookup in a table indexed by number; any 64-bit number the table
+    does not implement, negative or huge included, returns [ENOSYS].
 
     The same engine runs the evaluation's three execution models: [Sip]
     (Occlum), [Eip] (the Graphene-SGX baseline: a fresh measured enclave
@@ -93,6 +93,7 @@ type t = {
   mutable spawns : int;
   mutable faults : (int * Fault.t) list;
   eip_runtime_image : Bytes.t;
+      (** the Graphene runtime pages; empty unless [mode = Eip] *)
   obs : Occlum_obs.Obs.t;
       (** the observability instance every layer of this LibOS reports
           to; {!Occlum_obs.Obs.disabled} unless one was passed to

@@ -25,16 +25,20 @@ let key k =
   in
   { inner = pad 0x36; outer = pad 0x5c }
 
-let mac key parts =
+let inner_of key parts =
   let inner = Sha256.copy key.inner in
   List.iter (Sha256.feed inner) parts;
+  inner
+
+let finish key inner =
   let outer = Sha256.copy key.outer in
   Sha256.feed outer (Sha256.finalize inner);
   Sha256.finalize outer
 
-let verify key ~tag parts =
-  let expected = mac key parts in
-  (* constant-time comparison: accumulate the xor of all byte pairs *)
+let mac key parts = finish key (inner_of key parts)
+
+(* constant-time comparison: accumulate the xor of all byte pairs *)
+let equal_ct tag expected =
   String.length tag = String.length expected
   &&
   let acc = ref 0 in
@@ -42,3 +46,10 @@ let verify key ~tag parts =
     (fun i c -> acc := !acc lor (Char.code c lxor Char.code expected.[i]))
     tag;
   !acc = 0
+
+let verify key ~tag parts = equal_ct tag (mac key parts)
+
+let verify_sub key ~tag parts s pos len =
+  let inner = inner_of key parts in
+  Sha256.feed_bytes inner (Bytes.unsafe_of_string s) pos len;
+  equal_ct tag (finish key inner)

@@ -20,3 +20,9 @@ val mac : key -> string list -> string
 val verify : key -> tag:string -> string list -> bool
 (** [verify k ~tag parts] checks [tag] against [mac k parts] in
     constant time. *)
+
+val verify_sub :
+  key -> tag:string -> string list -> string -> int -> int -> bool
+(** [verify_sub k ~tag parts s pos len] is
+    [verify k ~tag (parts @ [String.sub s pos len])] without the copy.
+    @raise Invalid_argument on a bad span. *)

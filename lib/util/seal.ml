@@ -14,10 +14,12 @@ let seal k ~label ~nonce ?(pos = 0) ?len b =
   let cipher = Bytes.unsafe_to_string buf in
   (cipher, Hmac.mac k.mac [ label; cipher ])
 
-let open_ k ~label ~nonce ~tag cipher =
-  if not (Hmac.verify k.mac ~tag [ label; cipher ]) then None
+let open_ k ~label ~nonce ~tag ?(pos = 0) ?len cipher =
+  let len = match len with Some n -> n | None -> String.length cipher - pos in
+  if not (Hmac.verify_sub k.mac ~tag [ label ] cipher pos len) then None
   else begin
-    let buf = Bytes.of_string cipher in
+    let buf = Bytes.create len in
+    Bytes.blit_string cipher pos buf 0 len;
     Cipher.encrypt_bytes ~key:k.data ~nonce buf;
     Some buf
   end

@@ -30,7 +30,11 @@ val seal :
     @raise Invalid_argument on a bad nonce or span. *)
 
 val open_ :
-  keys -> label:string -> nonce:string -> tag:string -> string -> Bytes.t option
-(** [open_ k ~label ~nonce ~tag cipher] is the plaintext, in a fresh
-    buffer the caller owns, when [tag] authenticates [label] and
-    [cipher] under [k]; [None] otherwise. *)
+  keys -> label:string -> nonce:string -> tag:string -> ?pos:int -> ?len:int ->
+  string -> Bytes.t option
+(** [open_ k ~label ~nonce ~tag ?pos ?len cipher] is the plaintext of
+    the [len] bytes of [cipher] at [pos] (default: all of [cipher]), in a
+    fresh buffer the caller owns, when [tag] authenticates [label] and
+    that ciphertext under [k]; [None] otherwise. The plaintext buffer is
+    the one copy made.
+    @raise Invalid_argument on a bad span. *)

@@ -1255,6 +1255,71 @@ let test_hostile_syscall_numbers () =
               @ [ Return (i 0) ]);
           ]))
 
+(* A syscall number is all 64 bits of its register or batch entry: with
+   bit 63 set it is ENOSYS, never the call its low 63 bits name. Here
+   those bits name write(1, "x", 1), so a folded number would print. *)
+let nr_bit63 = Int64.logor Int64.min_int (Int64.of_int Sys.write)
+
+(* Run [main], after rewriting each syscall-number load of [marker] to
+   [nr_bit63]: a gate-path number that cannot be an Occlang literal. *)
+let run_with_bit63_gate ~marker main =
+  let module Asm = Occlum_toolchain.Asm in
+  let layout, items, _ = Occlum_toolchain.Compile.to_items (rt [ main ]) in
+  let nr_reg = Occlum_isa.Reg.of_int Occlum_abi.Abi.Regs.sys_nr in
+  let items =
+    List.map
+      (function
+        | Asm.Ins (Mov_imm (r, n)) when r = nr_reg && n = Int64.of_int marker ->
+            Asm.Ins (Mov_imm (r, nr_bit63))
+        | item -> item)
+      items
+  in
+  let os = Os.boot () in
+  (match
+     Occlum_verifier.Verify.verify_and_sign
+       (Occlum_toolchain.Linker.link layout items)
+   with
+  | Ok signed -> Os.install_binary os "/bin/app" signed
+  | Error _ -> Alcotest.fail "verify");
+  let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+  (match Os.run ~max_steps:2_000_000 os with
+  | Os.All_exited -> ()
+  | _ -> Alcotest.fail "did not exit");
+  Alcotest.(check int) "exit code" 0
+    (match Os.find_proc os pid with Some p -> p.exit_code | None -> -1);
+  Alcotest.(check string) "nothing written" "" (Os.console_output os)
+
+let test_syscall_bit63_gate () =
+  let marker = 0x7e57 in
+  run_with_bit63_gate ~marker
+    (func "main" []
+       [
+         If (Syscall (marker, [ i 1; Str "x"; i 1 ]) <>: i Errno.enosys,
+             [ Return (i 1) ], []);
+         Return (i 0);
+       ])
+
+let test_syscall_bit63_batch () =
+  let module B = Occlum_abi.Abi.Batch in
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              [
+                Let ("bb", Call ("malloc", [ i B.entry_size ]));
+                Store (v "bb", Int nr_bit63);
+                Store (v "bb" +: i 16, i 1);
+                Store (v "bb" +: i 24, Str "x");
+                Store (v "bb" +: i 32, i 1);
+                If (Syscall (Sys.batch, [ v "bb"; i 1 ]) <>: i 1,
+                    [ Return (i 1) ], []);
+                If (Load (v "bb" +: i 8) <>: i Errno.enosys,
+                    [ Return (i 2) ], []);
+                Return (i 0);
+              ];
+          ]))
+
 let test_facade () =
   (* the Occlum_system facade: build -> boot -> install -> exec *)
   let prog =
@@ -1937,6 +2002,10 @@ let suite =
     Alcotest.test_case "batched syscalls" `Quick test_batch_syscall;
     Alcotest.test_case "unknown syscall numbers are ENOSYS" `Quick
       test_hostile_syscall_numbers;
+    Alcotest.test_case "bit-63 syscall number at the gate is ENOSYS" `Quick
+      test_syscall_bit63_gate;
+    Alcotest.test_case "bit-63 syscall number in a batch is ENOSYS" `Quick
+      test_syscall_bit63_batch;
     Alcotest.test_case "system facade" `Quick test_facade;
     Alcotest.test_case "user pointer validation" `Quick test_bad_user_pointer;
     Alcotest.test_case "read with a huge len is EFAULT" `Quick

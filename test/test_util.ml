@@ -258,6 +258,184 @@ let prop_cipher_sub_equals_encrypt =
       && String.sub once (off + len) 3 = String.sub orig (off + len) 3
       && Bytes.to_string buf = orig)
 
+(* --- an independent oracle for the cipher kernel ----------------------- *)
+
+(* The previous [Cipher.encrypt_sub], kept verbatim as a reference: the
+   state in native ints masked to 32 bits, the keystream XORed a 32-bit
+   word at a time. The current kernel must match it byte for byte. *)
+module Ref_chacha = struct
+  let mask = 0xFFFFFFFF
+
+  let sigma0 = 0x61707865
+  let sigma1 = 0x3320646e
+  let sigma2 = 0x79622d32
+  let sigma3 = 0x6b206574
+
+  external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+  external swap32 : int32 -> int32 = "%bswap_int32"
+
+  let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+
+  (* [b.[p .. p+3]] ^= the little-endian bytes of the 32-bit word [w];
+     the caller guarantees the span is in bounds. *)
+  let[@inline] xor_word b p w =
+    let w = Int32.of_int w in
+    let w = if Sys.big_endian then swap32 w else w in
+    set32u b p (Int32.logxor (get32u b p) w)
+
+  let le32 s off =
+    Char.code s.[off]
+    lor (Char.code s.[off + 1] lsl 8)
+    lor (Char.code s.[off + 2] lsl 16)
+    lor (Char.code s.[off + 3] lsl 24)
+
+  let key_size = 32
+  let nonce_size = 12
+
+  let check_sizes key nonce =
+    if String.length key <> key_size then invalid_arg "Cipher: key must be 32 bytes";
+    if String.length nonce <> nonce_size then invalid_arg "Cipher: nonce must be 12 bytes"
+
+  let encrypt_sub ~key ~nonce data off len =
+    check_sizes key nonce;
+    if off < 0 || len < 0 || off > Bytes.length data - len then
+      invalid_arg "Cipher.encrypt_sub";
+    let k0 = le32 key 0 and k1 = le32 key 4 and k2 = le32 key 8 in
+    let k3 = le32 key 12 and k4 = le32 key 16 and k5 = le32 key 20 in
+    let k6 = le32 key 24 and k7 = le32 key 28 in
+    let n0 = le32 nonce 0 and n1 = le32 nonce 4 and n2 = le32 nonce 8 in
+    (* a partial tail block's keystream lands here, then is XORed bytewise *)
+    let ks = Bytes.create (if len land 63 = 0 then 0 else 64) in
+    let counter = ref 0 in
+    let pos = ref 0 in
+    while !pos < len do
+      let ctr = !counter land mask in
+      let x0 = ref sigma0 and x1 = ref sigma1 and x2 = ref sigma2 in
+      let x3 = ref sigma3 and x4 = ref k0 and x5 = ref k1 and x6 = ref k2 in
+      let x7 = ref k3 and x8 = ref k4 and x9 = ref k5 and x10 = ref k6 in
+      let x11 = ref k7 and x12 = ref ctr and x13 = ref n0 and x14 = ref n1 in
+      let x15 = ref n2 in
+      for _double_round = 1 to 10 do
+        (* columns *)
+        x0 := (!x0 + !x4) land mask; x12 := rotl (!x12 lxor !x0) 16;
+        x8 := (!x8 + !x12) land mask; x4 := rotl (!x4 lxor !x8) 12;
+        x0 := (!x0 + !x4) land mask; x12 := rotl (!x12 lxor !x0) 8;
+        x8 := (!x8 + !x12) land mask; x4 := rotl (!x4 lxor !x8) 7;
+        x1 := (!x1 + !x5) land mask; x13 := rotl (!x13 lxor !x1) 16;
+        x9 := (!x9 + !x13) land mask; x5 := rotl (!x5 lxor !x9) 12;
+        x1 := (!x1 + !x5) land mask; x13 := rotl (!x13 lxor !x1) 8;
+        x9 := (!x9 + !x13) land mask; x5 := rotl (!x5 lxor !x9) 7;
+        x2 := (!x2 + !x6) land mask; x14 := rotl (!x14 lxor !x2) 16;
+        x10 := (!x10 + !x14) land mask; x6 := rotl (!x6 lxor !x10) 12;
+        x2 := (!x2 + !x6) land mask; x14 := rotl (!x14 lxor !x2) 8;
+        x10 := (!x10 + !x14) land mask; x6 := rotl (!x6 lxor !x10) 7;
+        x3 := (!x3 + !x7) land mask; x15 := rotl (!x15 lxor !x3) 16;
+        x11 := (!x11 + !x15) land mask; x7 := rotl (!x7 lxor !x11) 12;
+        x3 := (!x3 + !x7) land mask; x15 := rotl (!x15 lxor !x3) 8;
+        x11 := (!x11 + !x15) land mask; x7 := rotl (!x7 lxor !x11) 7;
+        (* diagonals *)
+        x0 := (!x0 + !x5) land mask; x15 := rotl (!x15 lxor !x0) 16;
+        x10 := (!x10 + !x15) land mask; x5 := rotl (!x5 lxor !x10) 12;
+        x0 := (!x0 + !x5) land mask; x15 := rotl (!x15 lxor !x0) 8;
+        x10 := (!x10 + !x15) land mask; x5 := rotl (!x5 lxor !x10) 7;
+        x1 := (!x1 + !x6) land mask; x12 := rotl (!x12 lxor !x1) 16;
+        x11 := (!x11 + !x12) land mask; x6 := rotl (!x6 lxor !x11) 12;
+        x1 := (!x1 + !x6) land mask; x12 := rotl (!x12 lxor !x1) 8;
+        x11 := (!x11 + !x12) land mask; x6 := rotl (!x6 lxor !x11) 7;
+        x2 := (!x2 + !x7) land mask; x13 := rotl (!x13 lxor !x2) 16;
+        x8 := (!x8 + !x13) land mask; x7 := rotl (!x7 lxor !x8) 12;
+        x2 := (!x2 + !x7) land mask; x13 := rotl (!x13 lxor !x2) 8;
+        x8 := (!x8 + !x13) land mask; x7 := rotl (!x7 lxor !x8) 7;
+        x3 := (!x3 + !x4) land mask; x14 := rotl (!x14 lxor !x3) 16;
+        x9 := (!x9 + !x14) land mask; x4 := rotl (!x4 lxor !x9) 12;
+        x3 := (!x3 + !x4) land mask; x14 := rotl (!x14 lxor !x3) 8;
+        x9 := (!x9 + !x14) land mask; x4 := rotl (!x4 lxor !x9) 7
+      done;
+      let n = min 64 (len - !pos) in
+      (* a full block is XORed in place; a tail block goes through [ks] *)
+      let dst = if n = 64 then data else ks in
+      let p = if n = 64 then off + !pos else 0 in
+      if n < 64 then Bytes.fill ks 0 64 '\000';
+      xor_word dst p (!x0 + sigma0);
+      xor_word dst (p + 4) (!x1 + sigma1);
+      xor_word dst (p + 8) (!x2 + sigma2);
+      xor_word dst (p + 12) (!x3 + sigma3);
+      xor_word dst (p + 16) (!x4 + k0);
+      xor_word dst (p + 20) (!x5 + k1);
+      xor_word dst (p + 24) (!x6 + k2);
+      xor_word dst (p + 28) (!x7 + k3);
+      xor_word dst (p + 32) (!x8 + k4);
+      xor_word dst (p + 36) (!x9 + k5);
+      xor_word dst (p + 40) (!x10 + k6);
+      xor_word dst (p + 44) (!x11 + k7);
+      xor_word dst (p + 48) (!x12 + ctr);
+      xor_word dst (p + 52) (!x13 + n0);
+      xor_word dst (p + 56) (!x14 + n1);
+      xor_word dst (p + 60) (!x15 + n2);
+      if n < 64 then begin
+        let base = off + !pos in
+        for idx = 0 to n - 1 do
+          Bytes.unsafe_set data (base + idx)
+            (Char.unsafe_chr
+               (Char.code (Bytes.unsafe_get data (base + idx))
+                lxor Char.code (Bytes.unsafe_get ks idx)))
+        done
+      end;
+      incr counter;
+      pos := !pos + n
+    done
+end
+
+(* Random keys, nonces, offsets and data; lengths 0-300 (every tail
+   length) and several multi-block ones, tail or none. *)
+let arb_kernel_case =
+  let open QCheck.Gen in
+  let len =
+    frequency
+      [ (6, int_range 0 300);
+        (1, oneofl [ 511; 512; 513; 1024; 4095; 4096; 4097; 9000 ]) ]
+  in
+  QCheck.make
+    ~print:(fun (key, nonce, off, len, seed) ->
+      Printf.sprintf "key=%s nonce=%s off=%d len=%d seed=%d"
+        (Bytes_util.hex_of_string key) (Bytes_util.hex_of_string nonce) off len
+        seed)
+    (map
+       (fun ((key, nonce), (off, len, seed)) -> (key, nonce, off, len, seed))
+       (pair
+          (pair (string_size (return 32)) (string_size (return 12)))
+          (triple (int_range 0 9) len nat)))
+
+let prop_cipher_matches_reference =
+  QCheck.Test.make ~name:"encrypt_sub = the 32-bit reference kernel"
+    ~count:300 arb_kernel_case (fun (key, nonce, off, len, seed) ->
+      let st = Random.State.make [| seed |] in
+      let buf =
+        Bytes.init (off + len + 3) (fun _ -> Char.chr (Random.State.bits st land 0xff))
+      in
+      let want = Bytes.copy buf in
+      Cipher.encrypt_sub ~key ~nonce buf off len;
+      Ref_chacha.encrypt_sub ~key ~nonce want off len;
+      Bytes.equal buf want)
+
+(* A block keeps its 16 state words in unboxed [int64] refs. Should an
+   edit let one escape, ocamlopt boxes it and every round allocates: the
+   64 blocks of a 4 KiB call would then cost thousands of words. *)
+let test_cipher_allocation () =
+  let key = Sha256.digest "alloc" and nonce = Cipher.derive_nonce "alloc" 0 in
+  let page = Bytes.make 4096 'a' in
+  Cipher.encrypt_sub ~key ~nonce page 0 4096;
+  let before = Gc.minor_words () in
+  Cipher.encrypt_sub ~key ~nonce page 0 4096;
+  let words = Gc.minor_words () -. before in
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check bool)
+        (Printf.sprintf "4 KiB allocated %.0f words, at most 4" words)
+        true (words <= 4.)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* Parts are MAC'd as their concatenation, whatever the split. *)
 let prop_hmac_parts =
   QCheck.Test.make ~name:"hmac of parts = hmac of their concatenation"
@@ -293,6 +471,23 @@ let prop_seal_roundtrip =
       let cipher, tag = Seal.seal k ~label ~nonce ~pos:1 ~len:(String.length x) b in
       Bytes.to_string b = "<" ^ x ^ ">"
       && Seal.open_ k ~label ~nonce ~tag cipher = Some (Bytes.of_string x))
+
+(* [open_] at a span of a larger string (a channel frame's ciphertext
+   after its header) = [open_] of that span copied out. *)
+let prop_seal_open_span =
+  QCheck.Test.make ~name:"seal: open_ ~pos ~len = open_ of the span"
+    ~count:300 arb_sealing (fun (secret, label, x, n) ->
+      let k = Seal.keys ~domain:"test" secret in
+      let nonce = Cipher.derive_nonce label n in
+      let cipher, tag = Seal.seal k ~label ~nonce (Bytes.of_string x) in
+      let pre = String.make (n mod 50) 'h' and post = String.make (n mod 7) 't' in
+      let framed = pre ^ cipher ^ post in
+      let pos = String.length pre and len = String.length cipher in
+      let at_span ?(tag = tag) () = Seal.open_ k ~label ~nonce ~tag ~pos ~len framed in
+      at_span () = Some (Bytes.of_string x)
+      && at_span () = Seal.open_ k ~label ~nonce ~tag cipher
+      && at_span ~tag:(flip_bit tag n) () = None
+      && (post = "" || Seal.open_ k ~label ~nonce ~tag ~pos framed = None))
 
 let prop_seal_tamper =
   QCheck.Test.make
@@ -363,4 +558,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_seal_roundtrip;
     QCheck_alcotest.to_alcotest prop_seal_tamper;
     QCheck_alcotest.to_alcotest prop_seal_key_split;
+    QCheck_alcotest.to_alcotest prop_seal_open_span;
+    QCheck_alcotest.to_alcotest prop_cipher_matches_reference;
+    Alcotest.test_case "cipher allocates nothing per block" `Quick
+      test_cipher_allocation;
   ]
