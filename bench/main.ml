@@ -639,6 +639,7 @@ let micro () =
   let page = Bytes.make 4096 'x' in
   let page_string = Bytes.to_string page in
   let hmac_key = Occlum_util.Hmac.key (String.make 32 'm') in
+  let mac_key = Occlum_util.Blake2s.key (String.make 32 'm') in
   let sefs = Occlum_libos.Sefs.create ~key:"bench" () in
   (match Occlum_libos.Sefs.write_path sefs "/f" (String.make 65536 'y') with
   | Ok _ -> ()
@@ -671,11 +672,17 @@ let micro () =
       [
         Test.make ~name:"sha256-eadd-page"
           (Staged.stage (fun () -> Occlum_util.Sha256.digest_bytes page 0 4096));
-        (* the tag a SEFS block seal or unseal computes: its label, then
-           4 KiB of ciphertext, under a prepared key *)
+        (* HMAC-SHA-256, the signer's and attestation's MAC, of a label
+           and 4 KiB under a prepared key *)
         Test.make ~name:"hmac-sefs-block"
           (Staged.stage (fun () ->
                Occlum_util.Hmac.mac hmac_key [ "blk:7:1"; page_string ]));
+        (* the tag a SEFS block seal or unseal computes: the label's
+           length, the label, then 4 KiB of ciphertext *)
+        Test.make ~name:"mac-sefs-block"
+          (Staged.stage (fun () ->
+               Occlum_util.Blake2s.mac mac_key
+                 [ "\007\000\000\000\000\000\000\000"; "blk:7:1"; page_string ]));
         Test.make ~name:"cipher-sefs-block"
           (Staged.stage (fun () ->
                Occlum_util.Cipher.encrypt ~key:(String.make 32 'k')

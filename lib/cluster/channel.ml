@@ -5,8 +5,8 @@
 
    - confidentiality and integrity: each frame goes through
      {!Occlum_util.Seal} under two subkeys of the attested session key
-     (domain ["chan"]), with a per-(direction, epoch, seq) nonce and a
-     tag over (channel identity, direction, epoch, seq, ciphertext). A
+     (domain ["chan"]), with a nonce of (src, epoch, seq) and a tag
+     over (channel identity, direction, epoch, seq, ciphertext). A
      corrupted frame fails the tag and is treated as transport loss,
      absorbed by bounded retransmission;
    - ordering + replay/rollback protection: frames carry a strictly
@@ -85,11 +85,17 @@ type t = {
   obs : Obs.t;
 }
 
+(* The header carries epoch and seq as 32-bit words, and the nonce
+   holds src, epoch and seq as one each. *)
+let check_u32 what v =
+  if v < 0 || v > 0xffff_ffff then invalid_arg ("Channel: " ^ what ^ " out of 32 bits")
+
 let fresh_dir () =
   { send_seq = 0; recv_seq = 0; last_payload = ""; last_seq = -1 }
 
 let establish ~a ~b ~key ~epoch ~transport ~now ~obs =
   if String.length key <> 32 then invalid_arg "Channel.establish: key size";
+  check_u32 "epoch" epoch;
   let t =
     {
       a;
@@ -131,23 +137,33 @@ let dst_of t ~src = if src = t.a then t.b else t.a
 
 (* --- sealing -------------------------------------------------------------- *)
 
-(* A frame's tag covers its label, then its ciphertext; its nonce derives
-   from the label's direction-and-epoch prefix and its seq. *)
-let label_and_nonce t ~src ~epoch ~seq =
-  let dir =
-    String.concat ""
-      [ "chan|"; string_of_int src; "->"; string_of_int (dst_of t ~src); "|e";
-        string_of_int epoch ]
-  in
-  ( String.concat "" [ dir; "|s"; string_of_int seq; "|" ],
-    Occlum_util.Cipher.derive_nonce dir seq )
+(* The session key is unique per (pair, epoch), so src, epoch and seq
+   name one frame under it; a resend reuses its seq and payload, so it
+   seals to the same bytes. *)
+let frame_nonce ~src ~epoch ~seq =
+  check_u32 "src" src;
+  check_u32 "epoch" epoch;
+  check_u32 "seq" seq;
+  let n = Bytes.create Occlum_util.Cipher.nonce_size in
+  Bytes.set_int32_le n 0 (Int32.of_int src);
+  Bytes.set_int32_le n 4 (Int32.of_int epoch);
+  Bytes.set_int32_le n 8 (Int32.of_int seq);
+  Bytes.unsafe_to_string n
+
+(* A frame's tag covers its label (channel direction, epoch and seq),
+   then its ciphertext. *)
+let label t ~src ~epoch ~seq =
+  String.concat ""
+    [ "chan|"; string_of_int src; "->"; string_of_int (dst_of t ~src); "|e";
+      string_of_int epoch; "|s"; string_of_int seq; "|" ]
 
 (* A frame is epoch and seq (big-endian 32-bit), tag, ciphertext. *)
 let seal t ~src ~seq payload =
   let epoch = t.epoch in
-  let label, nonce = label_and_nonce t ~src ~epoch ~seq in
+  let nonce = frame_nonce ~src ~epoch ~seq in
   let cipher, mac =
-    Occlum_util.Seal.seal t.keys ~label ~nonce (Bytes.unsafe_of_string payload)
+    Occlum_util.Seal.seal t.keys ~label:(label t ~src ~epoch ~seq) ~nonce
+      (Bytes.unsafe_of_string payload)
   in
   let hdr = Bytes.create 8 in
   Bytes.set_int32_be hdr 0 (Int32.of_int epoch);
@@ -166,8 +182,8 @@ let unseal t ~src frame =
   else
     let u32 off = Int32.to_int (String.get_int32_be frame off) land 0xffff_ffff in
     let epoch = u32 0 and seq = u32 4 in
-    let label, nonce = label_and_nonce t ~src ~epoch ~seq in
-    Occlum_util.Seal.open_ t.keys ~label ~nonce ~tag:(String.sub frame 8 32)
+    Occlum_util.Seal.open_ t.keys ~label:(label t ~src ~epoch ~seq)
+      ~nonce:(frame_nonce ~src ~epoch ~seq) ~tag:(String.sub frame 8 32)
       ~pos:40 frame
     |> Option.map (fun plain -> (epoch, seq, Bytes.unsafe_to_string plain))
 
@@ -217,10 +233,10 @@ let send t ~src payload =
   | Ok () ->
       let d = dir_of t ~src in
       let seq = d.send_seq in
+      let frame = seal t ~src ~seq payload in
       d.send_seq <- seq + 1;
       d.last_payload <- payload;
       d.last_seq <- seq;
-      let frame = seal t ~src ~seq payload in
       Transport.send t.transport ~src ~dst:(dst_of t ~src) frame;
       t.sent <- t.sent + 1;
       if t.obs.Obs.enabled && t.obs.Obs.t_cluster then

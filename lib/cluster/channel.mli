@@ -1,6 +1,6 @@
 (** Attested enclave-to-enclave channels over the untrusted
     {!Occlum_libos.Host_transport}: payloads enciphered under the
-    attested session key, HMAC'd over (channel identity, direction,
+    attested session key, MAC'd over (channel identity, direction,
     epoch, seq, ciphertext), and strictly sequenced per direction.
     Corruption and loss are absorbed by bounded retransmission with the
     SEFS/Net backoff curve; replay, rollback (including stale-epoch
@@ -37,6 +37,13 @@ val frame_cost_ns : int -> int64
 (** Virtual cost of moving one frame of [len] payload bytes between
     enclaves: two boundary crossings plus seal/unseal work. *)
 
+val frame_nonce : src:int -> epoch:int -> seq:int -> string
+(** [frame_nonce ~src ~epoch ~seq] is a frame's 12-byte cipher nonce:
+    [src], [epoch] and [seq], each a little-endian 32-bit word. The
+    session key is unique per (pair, epoch), so the nonce is unique per
+    frame under it.
+    @raise Invalid_argument if any of the three is outside [0, 2^32). *)
+
 type t
 
 val establish :
@@ -50,7 +57,9 @@ val establish :
   t
 (** A fresh channel in state [Open] with zeroed sequence counters; the
     caller (the cluster) has already completed the attested key
-    exchange yielding [key] and [epoch]. *)
+    exchange yielding [key] and [epoch].
+    @raise Invalid_argument on a key that is not 32 bytes or an epoch
+    outside [0, 2^32). *)
 
 val state : t -> state
 val retries : t -> int
@@ -64,7 +73,9 @@ val drain_backoff : t -> int64
     the initiating node's virtual clock). *)
 
 val send : t -> src:int -> string -> (int, fault_kind) result
-(** Seal and hand one payload to the transport; returns its seq. *)
+(** Seal and hand one payload to the transport; returns its seq.
+    @raise Invalid_argument, and sends nothing, once the direction's
+    seq would reach 2^32. *)
 
 val resend : t -> src:int -> attempt:int -> (int, fault_kind) result
 (** Retransmit the direction's last frame under its original seq;

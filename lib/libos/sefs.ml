@@ -11,9 +11,9 @@
    generation) nonce, derived from an injective encoding of the pair
    (["<volume>:blk:<id>"] at index [gen]) that is disjoint from the
    metadata's [-gen] index, so no two sealings under one key share a
-   nonce. Integrity: each block carries an HMAC over its identity,
-   generation and ciphertext; any host tampering surfaces as [Corrupt] on
-   the next read.
+   nonce. Integrity: each block carries a keyed BLAKE2s tag over its
+   length-prefixed identity-and-generation label and its ciphertext; any
+   host tampering surfaces as [Corrupt] on the next read.
 
    Every metadata operation is O(1) in the size of the volume: inodes
    live in a table keyed by ino, block generations in an array indexed
@@ -82,10 +82,11 @@ module Host_store = struct
     t.reads <- t.reads + 1;
     Hashtbl.find_opt t.blocks idx
 
-  (* Version 2: block nonces became injective. A version-1 image's MACs
-     would still verify, but its blocks would decrypt to garbage, so it
-     is refused outright. *)
-  let image_magic = "SEFSIMG2"
+  (* Version 3: tags became keyed BLAKE2s over a length-prefixed label,
+     so no version-2 MAC verifies. Version 2 made block nonces
+     injective: a version-1 image's MACs would still verify, but its
+     blocks would decrypt to garbage. Both are refused outright. *)
+  let image_magic = "SEFSIMG3"
 
   (* The on-disk form of the untrusted volume: what the host actually
      stores, and what the occlum_sefs host utility (the paper's
@@ -135,6 +136,8 @@ module Host_store = struct
     in
     (match line () with
     | m when m = image_magic -> ()
+    | "SEFSIMG2" ->
+        raise (Bad_image "image version 2 (HMAC tags): re-create it")
     | "SEFSIMG1" ->
         raise (Bad_image "image version 1 (old block nonces): re-create it")
     | _ -> raise (Bad_image "bad magic"));

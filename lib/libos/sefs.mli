@@ -7,9 +7,10 @@
 
     Confidentiality: per-(block, generation) nonces from an injective
     encoding of the pair, disjoint from the metadata's nonces
-    ({!block_nonce}, {!meta_nonce}). Integrity: an HMAC per block over
-    identity, generation and ciphertext; host tampering surfaces as
-    {!Corrupt} on the next cold read.
+    ({!block_nonce}, {!meta_nonce}). Integrity: a keyed BLAKE2s tag per
+    block over its length-prefixed identity-and-generation label and its
+    ciphertext; host tampering surfaces as {!Corrupt} on the next cold
+    read.
 
     Metadata operations are O(1) in the size of the volume: inodes are
     indexed by ino, block generations by block id, and every directory's
@@ -47,8 +48,9 @@ val retry_io :
     its simulated backoff, and each retry bumps [io.retries] in [obs]. *)
 
 (** The untrusted host side: ciphertext blocks plus a sealed metadata
-    blob. Serializable to the occlum_sefs image format (version 2,
-    magic [SEFSIMG2]) without keys. *)
+    blob. Serializable to the occlum_sefs image format (version 3,
+    magic [SEFSIMG3]) without keys; {!Host_store.of_string} refuses a
+    version-1 or version-2 image with its own [Bad_image] message. *)
 module Host_store : sig
   type entry = { cipher : string; mac : string }
 
@@ -72,8 +74,9 @@ module Host_store : sig
   exception Bad_image of string
 
   val of_string : string -> t
-  (** @raise Bad_image on a malformed image, and on a version-1 image,
-      whose blocks were sealed under the old, non-injective nonces. *)
+  (** @raise Bad_image on a malformed image, on a version-2 image,
+      whose blocks carry HMAC tags, and on a version-1 image, whose
+      blocks were sealed under the old, non-injective nonces. *)
 
   val save : t -> string -> unit
   val load : string -> t

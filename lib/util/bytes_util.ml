@@ -38,3 +38,11 @@ let find_all ~needle hay =
 let contains ~needle hay = find_all ~needle hay <> []
 
 let take_prefix n s = String.sub s 0 (min n (String.length s))
+
+(* constant-time comparison: accumulate the xor of all byte pairs *)
+let equal_ct a b =
+  String.length a = String.length b
+  &&
+  let acc = ref 0 in
+  String.iteri (fun i c -> acc := !acc lor (Char.code c lxor Char.code b.[i])) a;
+  !acc = 0

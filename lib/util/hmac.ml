@@ -1,12 +1,12 @@
 (* HMAC-SHA-256 (RFC 2104). The Occlum verifier signs accepted binaries
-   with an HMAC; the LibOS loader recomputes it before loading. It is
-   the tag of {!Seal}, which SEFS, channels and the EPC pager use.
+   with an HMAC; the LibOS loader recomputes it before loading, and the
+   simulated attestation reports and quotes carry one.
 
    Every caller MACs under a fixed key, so [key] absorbs the padded key
    XOR ipad and XOR opad once and keeps the two midstates. A tag then
    costs two context copies plus the message and one outer block; the
    message arrives as a list of parts fed in order, so a caller never
-   concatenates a label onto a ciphertext to MAC them. *)
+   concatenates them to MAC them. *)
 
 let block_size = 64
 
@@ -25,31 +25,11 @@ let key k =
   in
   { inner = pad 0x36; outer = pad 0x5c }
 
-let inner_of key parts =
+let mac key parts =
   let inner = Sha256.copy key.inner in
   List.iter (Sha256.feed inner) parts;
-  inner
-
-let finish key inner =
   let outer = Sha256.copy key.outer in
   Sha256.feed outer (Sha256.finalize inner);
   Sha256.finalize outer
 
-let mac key parts = finish key (inner_of key parts)
-
-(* constant-time comparison: accumulate the xor of all byte pairs *)
-let equal_ct tag expected =
-  String.length tag = String.length expected
-  &&
-  let acc = ref 0 in
-  String.iteri
-    (fun i c -> acc := !acc lor (Char.code c lxor Char.code expected.[i]))
-    tag;
-  !acc = 0
-
-let verify key ~tag parts = equal_ct tag (mac key parts)
-
-let verify_sub key ~tag parts s pos len =
-  let inner = inner_of key parts in
-  Sha256.feed_bytes inner (Bytes.unsafe_of_string s) pos len;
-  equal_ct tag (finish key inner)
+let verify key ~tag parts = Bytes_util.equal_ct tag (mac key parts)

@@ -1,6 +1,5 @@
-(** HMAC-SHA-256 (RFC 2104): binary signing, attestation reports, and
-    the tag of {!Seal}, which SEFS, the cluster channels and the EPC
-    pager seal through.
+(** HMAC-SHA-256 (RFC 2104): binary signing and attestation reports.
+    {!Seal} tags with a keyed {!Blake2s} instead.
 
     A {!key} holds the ipad and opad midstates of one secret, computed
     once. A message is a list of parts, MAC'd as their concatenation
@@ -20,9 +19,3 @@ val mac : key -> string list -> string
 val verify : key -> tag:string -> string list -> bool
 (** [verify k ~tag parts] checks [tag] against [mac k parts] in
     constant time. *)
-
-val verify_sub :
-  key -> tag:string -> string list -> string -> int -> int -> bool
-(** [verify_sub k ~tag parts s pos len] is
-    [verify k ~tag (parts @ [String.sub s pos len])] without the copy.
-    @raise Invalid_argument on a bad span. *)

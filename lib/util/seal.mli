@@ -3,14 +3,15 @@
     EWB, and cluster channel frames.
 
     Encrypt-then-MAC. The payload is enciphered with {!Cipher} under the
-    domain's cipher key and a caller-chosen nonce, then an {!Hmac} tag
-    covers [label] followed by the ciphertext. The label binds the
-    sealed object's identity (block and generation, page and version,
-    channel direction and sequence number), so a sealed object cannot be
-    moved to another identity as long as no label is a proper prefix of
-    another: the tag covers the bare concatenation. {!open_} checks the
-    tag in constant time before it deciphers a byte. The caller keeps
-    nonces unique per key. *)
+    domain's cipher key and a caller-chosen nonce, then a keyed
+    {!Blake2s} tag covers the label's length as a little-endian 64-bit
+    word, the label, and the ciphertext. The label binds the sealed
+    object's identity (block and generation, page and version, channel
+    direction and sequence number), so a sealed object cannot be moved
+    to another identity; the length prefix keeps two (label,
+    ciphertext) pairs with the same concatenation apart. {!open_} checks
+    the tag in constant time before it deciphers a byte. The caller
+    keeps nonces unique per key. *)
 
 type keys
 (** The cipher key and the prepared MAC key of one secret in one
@@ -19,7 +20,7 @@ type keys
 val keys : domain:string -> string -> keys
 (** [keys ~domain secret] derives two unrelated subkeys: the cipher key
     [Sha256.digest (domain ^ "-data:" ^ secret)] and the MAC key
-    [Hmac.key (Sha256.digest (domain ^ "-mac:" ^ secret))]. *)
+    [Blake2s.key (Sha256.digest (domain ^ "-mac:" ^ secret))]. *)
 
 val seal :
   keys -> label:string -> nonce:string -> ?pos:int -> ?len:int -> Bytes.t ->

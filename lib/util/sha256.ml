@@ -1,7 +1,7 @@
 (* SHA-256 implemented from FIPS 180-4. Used for enclave measurement
-   (EEXTEND hashes every enclave page) and as the compression function of
-   every HMAC: binary signatures, SEFS blocks, channel frames and EPC
-   pages.
+   (EEXTEND hashes every enclave page), for key and nonce derivation, and
+   as the compression function of every HMAC: binary signatures and
+   attestation reports.
 
    The arithmetic uses native ints holding 32-bit values: OCaml Int32
    values are boxed and an Int32-based implementation is an order of

@@ -87,6 +87,56 @@ let mk_channel ?(now = 0L) () =
   in
   (tr, ch)
 
+(* A frame's nonce is src, epoch and seq as little-endian 32-bit words:
+   no hash, and nothing the 32-bit header cannot carry. *)
+let test_frame_nonce () =
+  Alcotest.(check string) "little-endian src, epoch, seq"
+    "\x01\x00\x00\x00\x02\x00\x00\x00\x04\x03\x02\x01"
+    (Channel.frame_nonce ~src:1 ~epoch:2 ~seq:0x01020304);
+  Alcotest.(check string) "the largest seq"
+    "\x00\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\xff"
+    (Channel.frame_nonce ~src:0 ~epoch:1 ~seq:0xffff_ffff);
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must be refused" what
+  in
+  refused "seq 2^32" (fun () -> Channel.frame_nonce ~src:0 ~epoch:1 ~seq:(1 lsl 32));
+  refused "epoch 2^32" (fun () -> Channel.frame_nonce ~src:0 ~epoch:(1 lsl 32) ~seq:0);
+  refused "negative seq" (fun () -> Channel.frame_nonce ~src:0 ~epoch:1 ~seq:(-1));
+  refused "src 2^32" (fun () -> Channel.frame_nonce ~src:(1 lsl 32) ~epoch:1 ~seq:0);
+  refused "establish at epoch 2^32" (fun () ->
+      Channel.establish ~a:0 ~b:1 ~key:(String.make 32 'k') ~epoch:(1 lsl 32)
+        ~transport:(Host_transport.create ()) ~now:0L ~obs:Obs.disabled);
+  (* a resend reuses its seq and payload, so it seals to the same bytes *)
+  let tr, ch = mk_channel () in
+  ignore (Channel.send ch ~src:0 "again");
+  ignore (Channel.resend ch ~src:0 ~attempt:2);
+  match
+    (Host_transport.recv tr ~src:0 ~dst:1, Host_transport.recv tr ~src:0 ~dst:1)
+  with
+  | Some first, Some resent -> Alcotest.(check string) "resend" first resent
+  | _ -> Alcotest.fail "frames lost"
+
+(* Distinct (src, epoch, seq) triples, small or near 2^32, get distinct
+   nonces. *)
+let prop_frame_nonce_injective =
+  let word =
+    QCheck.Gen.(
+      oneof [ int_range 0 3; map (fun d -> 0xffff_ffff - d) (int_range 0 3) ])
+  in
+  let triple = QCheck.Gen.triple word word word in
+  QCheck.Test.make ~name:"channel: frame nonces are injective" ~count:500
+    (QCheck.make
+       ~print:(fun ((a, b, c), (d, e, f)) ->
+         Printf.sprintf "(%d, %d, %d) (%d, %d, %d)" a b c d e f)
+       (QCheck.Gen.pair triple triple))
+    (fun (((s1, e1, q1) as x), ((s2, e2, q2) as y)) ->
+      x = y
+      = String.equal
+          (Channel.frame_nonce ~src:s1 ~epoch:e1 ~seq:q1)
+          (Channel.frame_nonce ~src:s2 ~epoch:e2 ~seq:q2))
+
 let test_retry_budget_exhaustion () =
   let inj = Inject.make () in
   let tr, ch = mk_channel () in
@@ -396,4 +446,7 @@ let suite =
       `Quick test_orderliness_500;
     Alcotest.test_case "orderliness corpus replays" `Quick
       test_orderliness_corpus_replay;
+    Alcotest.test_case "frame nonce encoding and refusals" `Quick
+      test_frame_nonce;
+    QCheck_alcotest.to_alcotest prop_frame_nonce_injective
   ]

@@ -309,16 +309,27 @@ let test_rename_into_own_subtree () =
   Alcotest.(check (result (list string) int)) "/d/sub" (Ok []) (Sefs.readdir t "/d/sub");
   Alcotest.(check int) "root, d, sub, f" 4 (live_inodes t)
 
-let test_image_v1_rejected () =
+(* An image of an older format version is refused with a message that
+   names its version, never mounted. *)
+let image_with_magic magic =
   let t = fresh () in
   wr t "/f" "x";
   Sefs.flush t;
   let img = Sefs.Host_store.to_string t.Sefs.host in
-  Alcotest.(check string) "image version 2" "SEFSIMG2\n" (String.sub img 0 9);
-  let v1 = "SEFSIMG1" ^ String.sub img 8 (String.length img - 8) in
-  match Sefs.Host_store.of_string v1 with
-  | exception Sefs.Host_store.Bad_image _ -> ()
-  | _ -> Alcotest.fail "a version-1 image must be refused"
+  Alcotest.(check string) "image version 3" "SEFSIMG3\n" (String.sub img 0 9);
+  magic ^ String.sub img 8 (String.length img - 8)
+
+let test_image_v1_rejected () =
+  Alcotest.check_raises "version 1"
+    (Sefs.Host_store.Bad_image "image version 1 (old block nonces): re-create it")
+    (fun () -> ignore (Sefs.Host_store.of_string (image_with_magic "SEFSIMG1")))
+
+(* Version 2 tagged with HMAC-SHA-256 over the bare label ‖ ciphertext;
+   none of its tags verifies under keyed BLAKE2s. *)
+let test_image_v2_rejected () =
+  Alcotest.check_raises "version 2"
+    (Sefs.Host_store.Bad_image "image version 2 (HMAC tags): re-create it")
+    (fun () -> ignore (Sefs.Host_store.of_string (image_with_magic "SEFSIMG2")))
 
 (* --- model-based property -------------------------------------------------- *)
 
@@ -608,6 +619,7 @@ let suite =
     Alcotest.test_case "rename over a file frees it" `Quick test_rename_replaces;
     Alcotest.test_case "rename into own subtree" `Quick test_rename_into_own_subtree;
     Alcotest.test_case "version-1 image refused" `Quick test_image_v1_rejected;
+    Alcotest.test_case "version-2 image refused" `Quick test_image_v2_rejected;
     QCheck_alcotest.to_alcotest prop_sefs_model;
     QCheck_alcotest.to_alcotest prop_file_data_model;
   ]

@@ -447,6 +447,120 @@ let prop_hmac_parts =
       let key = Hmac.key secret in
       String.equal (Hmac.mac key parts) (Hmac.mac key [ String.concat "" parts ]))
 
+(* --- BLAKE2s --------------------------------------------------------------- *)
+
+(* RFC 7693 Appendix B: BLAKE2s-256("abc"). *)
+let test_blake2s_rfc7693 () =
+  check "abc" "508c5e8c327c14e2e1a72ba34eeb452f37458b209ed63a294d999b4c86675982"
+    (Sha256.to_hex (Blake2s.digest "abc"))
+
+(* Unkeyed (key length 0) and keyed digests around the block edges,
+   pinned from Python's hashlib:
+     pat = bytes((i * 7 + 13) & 0xff for i in range(n))
+     key = bytes(i + 1 for i in range(k))
+     hashlib.blake2s(pat, key=key).hexdigest() *)
+let blake2s_pat n = String.init n (fun i -> Char.chr ((i * 7 + 13) land 0xff))
+let blake2s_key k = String.init k (fun i -> Char.chr (i + 1))
+
+let test_blake2s_vectors () =
+  let cases =
+    [
+      (0, 0, "69217a3079908094e11121d042354a7c1f55b6482ca1a51e1b250dfd1ed0eef9");
+      (0, 1, "4871d87f0fdef63885b468c640f1263d6443d09d731093a2db4d039f380de584");
+      (0, 63, "878de647aaad97e9abef26e4aa8d6872d2ce10a43c87e6012f3f8aa8eb47848b");
+      (0, 64, "cea4a13df2cf79b47448eb6ea27804eda516b1473a01d6ea4f60383d69019e2d");
+      (0, 65, "c70285c862ffcc65990c511b8c7a7bd16e64b467650793c7e7c4fb036774816f");
+      (0, 128, "99c7e08058fa5d736c1d7422c0f4e4f61e812fae7bcf8d38952334fb23d44ae4");
+      (0, 129, "6826b8db3f6db1cd9b333a854b90e1074cc4923cdbd34168ae5491b12922a57a");
+      (0, 4096, "85b75bcacfc11489e92ded52f1f1cc232c257bc17d20e1d4b5e52d1a9cb39f50");
+      (1, 0, "29f9691fe445d12f36b171eb231c99a00f62c0ba9c618b5ab67535c24eab67fe");
+      (1, 1, "2be8d9c6f76fd2529f36e75b67fe3c054c5ee377773712e76bd1d7f58987deb2");
+      (1, 63, "99f06dc4d70473db2377a15ae11224bc09460c800d091b6b07e5b14af361c7f7");
+      (1, 64, "a8aecc7fac02f546ab3bdc993b84f320ab493eac19121c0450520d3c27496037");
+      (1, 65, "edb52f0ff81a29c60d04064327c757b34ffce9ef2744d93c338cbc2c4a75417f");
+      (1, 128, "d7db2a27c8ed90bb31f00c81f2bd856abc1e7ae9e445efb57b2c4630dfaadd75");
+      (1, 129, "d3a97cdf08aa3e6d4b6222a41f6bf353fafdd557afbce3eb5a1b749612910587");
+      (1, 4096, "ca4a88bc800abf07a7c52bb49ba4025586bcdfc74549c45b82587d758ed2046b");
+      (32, 0, "f4825375fde3a8fca14cb1d1ec3fb9da1ec59b065bbc8bc600f6f9e27b6dfc0c");
+      (32, 1, "3865a2db7da6d0549e5b458a13e9a6f38c051119c9811345a99ad72aea9a053b");
+      (32, 63, "f4ddd466b8c8d42507de2a11778315083745b13773ed3b9a95db8e16b969950e");
+      (32, 64, "7fe56b816e5dd335ff76b00d18f3f505cf247e0333e94757db1b324535cc8e93");
+      (32, 65, "d618e8f49e836bae5c72efe4c74cb8eaea8d4ab49ab14628e7e91873812581fe");
+      (32, 128, "60c72b3b988aa921a029103cbfeeabc61cc93ee5b160f946272609d868fca60b");
+      (32, 129, "6e7a763cb18342ef9de6853f74af734ceb51ed4859e73c190660540d51114228");
+      (32, 4096, "f8a696ab586b9f57d7147988fdcee9992d8b02230631371db1066f29fa03641a");
+    ]
+  in
+  List.iter
+    (fun (k, n, want) ->
+      let got =
+        if k = 0 then Blake2s.digest (blake2s_pat n)
+        else Blake2s.mac (Blake2s.key (blake2s_key k)) [ blake2s_pat n ]
+      in
+      check (Printf.sprintf "key %d, length %d" k n) want (Sha256.to_hex got))
+    cases
+
+(* A keyed empty message is the one whose last block is the key block;
+   every spelling of it gives the pinned tag, and a prepared key stays
+   usable after it. *)
+let test_blake2s_keyed_empty () =
+  let k = Blake2s.key (blake2s_key 32) in
+  let want = "f4825375fde3a8fca14cb1d1ec3fb9da1ec59b065bbc8bc600f6f9e27b6dfc0c" in
+  check "no parts" want (Sha256.to_hex (Blake2s.mac k []));
+  check "empty parts" want (Sha256.to_hex (Blake2s.mac k [ ""; "" ]));
+  let c = Blake2s.start k in
+  Blake2s.feed_bytes c (Bytes.of_string "xyz") 1 0;
+  check "empty span" want (Sha256.to_hex (Blake2s.finalize c));
+  check "key reused" "3865a2db7da6d0549e5b458a13e9a6f38c051119c9811345a99ad72aea9a053b"
+    (Sha256.to_hex (Blake2s.mac k [ blake2s_pat 1 ]));
+  Alcotest.check_raises "empty key" (Invalid_argument "Blake2s.key: 1 to 32 bytes")
+    (fun () -> ignore (Blake2s.key ""));
+  Alcotest.check_raises "33-byte key" (Invalid_argument "Blake2s.key: 1 to 32 bytes")
+    (fun () -> ignore (Blake2s.key (String.make 33 'k')))
+
+(* Feeding a message in random pieces, as strings or as spans of a
+   larger buffer, gives the one-shot tag. *)
+let prop_blake2s_splits =
+  QCheck.Test.make ~name:"blake2s: any split of the input = one shot"
+    ~count:300
+    QCheck.(
+      triple (int_range 1 32)
+        (string_of_size (Gen.int_range 0 700))
+        (small_list small_nat))
+    (fun (kl, msg, cuts) ->
+      let k = Blake2s.key (blake2s_key kl) in
+      let c = Blake2s.start k in
+      let framed = Bytes.of_string ("<<" ^ msg ^ ">") in
+      let pos = ref 0 in
+      List.iter
+        (fun cut ->
+          let n = min cut (String.length msg - !pos) in
+          if n mod 2 = 0 then Blake2s.feed c (String.sub msg !pos n)
+          else Blake2s.feed_bytes c framed (2 + !pos) n;
+          pos := !pos + n)
+        cuts;
+      Blake2s.feed c (String.sub msg !pos (String.length msg - !pos));
+      String.equal (Blake2s.finalize c) (Blake2s.mac k [ msg ]))
+
+(* A block keeps its working words in unboxed [int64] refs and its
+   message words in unboxed locals. Should an edit let one escape,
+   ocamlopt boxes it: the 64 blocks of a 4 KiB tag would then cost
+   thousands of words, against the few dozen of one context and its
+   tag. *)
+let test_blake2s_allocation () =
+  let k = Blake2s.key (String.make 32 'k') in
+  let page = String.make 4096 'p' and label = "blk:7:1" in
+  ignore (Blake2s.mac k [ label; page ]);
+  let before = Gc.minor_words () in
+  ignore (Blake2s.mac k [ label; page ]);
+  let words = Gc.minor_words () -. before in
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check bool)
+        (Printf.sprintf "4 KiB tag allocated %.0f words, at most 64" words)
+        true (words <= 64.)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* --- the sealing construction ----------------------------------------- *)
 
 let flip_bit s bit =
@@ -505,6 +619,13 @@ let prop_seal_tamper =
       && (not (opens ~label:(flip_bit label bit) cipher))
       && not (opens ~k:(Seal.keys ~domain:"other" secret) cipher))
 
+(* The tag's input: the label's length as a little-endian 64-bit word,
+   the label, then the ciphertext. *)
+let tag_input label cipher =
+  let n = Bytes.create 8 in
+  Bytes.set_int64_le n 0 (Int64.of_int (String.length label));
+  [ Bytes.to_string n; label; cipher ]
+
 (* Channels once used their session key for both the cipher and the
    MAC; every domain now gets two unrelated subkeys. *)
 let prop_seal_key_split =
@@ -515,7 +636,7 @@ let prop_seal_key_split =
       let mac_secret = Sha256.digest ("chan-mac:" ^ session) in
       let nonce = String.make 12 'n' in
       let cipher, tag = Seal.seal k ~label:"l" ~nonce (Bytes.of_string "payload") in
-      let tag_under secret = Hmac.mac (Hmac.key secret) [ "l"; cipher ] in
+      let tag_under secret = Blake2s.mac (Blake2s.key secret) (tag_input "l" cipher) in
       cipher = Cipher.encrypt ~key:cipher_key ~nonce "payload"
       && cipher <> Cipher.encrypt ~key:session ~nonce "payload"
       && cipher_key <> mac_secret
@@ -523,8 +644,34 @@ let prop_seal_key_split =
       && tag <> tag_under cipher_key
       && tag <> tag_under session)
 
+(* The tag binds the label's length, so moving the boundary between
+   label and ciphertext breaks it: the tag of (blk:3:12, C) does not
+   open (blk:3:1, 2 ^ C). *)
+let prop_seal_prefix_free =
+  QCheck.Test.make
+    ~name:"seal: (label, cipher) pairs with one concatenation differ"
+    ~count:300
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 30))
+        (string_of_size (Gen.int_range 0 100))
+        small_nat)
+    (fun (label, x, cut) ->
+      let k = Seal.keys ~domain:"test" "secret" in
+      let nonce = String.make 12 'n' in
+      let cipher, tag = Seal.seal k ~label ~nonce (Bytes.of_string x) in
+      let joined = label ^ cipher in
+      let cut = cut mod (String.length joined + 1) in
+      QCheck.assume (cut <> String.length label);
+      let label' = String.sub joined 0 cut in
+      let cipher' = String.sub joined cut (String.length joined - cut) in
+      Seal.open_ k ~label:label' ~nonce ~tag cipher' = None
+      && snd (Seal.seal k ~label:label' ~nonce (Bytes.of_string x)) <> tag)
+
 (* SEFS images and sealed EPC pages stay byte-identical only while the
-   derivation does. *)
+   derivation does. The ciphertext and tag were recomputed in Python,
+   with an RFC 8439 ChaCha20 under sha256(b"sefs-data:vol-key") and
+     hashlib.blake2s(len(label).to_bytes(8, "little") + label + cipher,
+                     key=hashlib.sha256(b"sefs-mac:vol-key").digest()) *)
 let test_seal_derivation () =
   let k = Seal.keys ~domain:"sefs" "vol-key" in
   let nonce = Cipher.derive_nonce "vol0:blk:3" 1 in
@@ -532,8 +679,12 @@ let test_seal_derivation () =
   check "ciphertext"
     (Cipher.encrypt ~key:(Sha256.digest "sefs-data:vol-key") ~nonce "data") cipher;
   check "tag"
-    (Hmac.mac (Hmac.key (Sha256.digest "sefs-mac:vol-key")) [ "blk:3:1"; cipher ])
-    tag
+    (Blake2s.mac (Blake2s.key (Sha256.digest "sefs-mac:vol-key"))
+       (tag_input "blk:3:1" cipher))
+    tag;
+  check "pinned ciphertext" "7a566501" (Sha256.to_hex cipher);
+  check "pinned tag" "0f894a89dda9d58638107e79b93669455f61bf2b55b56af125a14340a8081a07"
+    (Sha256.to_hex tag)
 
 let suite =
   [
@@ -562,4 +713,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cipher_matches_reference;
     Alcotest.test_case "cipher allocates nothing per block" `Quick
       test_cipher_allocation;
+    Alcotest.test_case "blake2s rfc7693" `Quick test_blake2s_rfc7693;
+    Alcotest.test_case "blake2s vectors" `Quick test_blake2s_vectors;
+    Alcotest.test_case "blake2s keyed empty message" `Quick
+      test_blake2s_keyed_empty;
+    QCheck_alcotest.to_alcotest prop_blake2s_splits;
+    Alcotest.test_case "blake2s allocates nothing per block" `Quick
+      test_blake2s_allocation;
+    QCheck_alcotest.to_alcotest prop_seal_prefix_free;
   ]
