@@ -483,9 +483,10 @@ let paging () =
 
 (* --- the C10K serving tier ----------------------------------------------------------- *)
 
-(* obs from the unbatched serving run, appended (prefixed) to the JSON
-   metrics section *)
-let serving_obs : Occlum_obs.Obs.t option ref = ref None
+(* the unbatched serving run's metrics, appended (prefixed) to the JSON
+   metrics section; only the items are kept, so that run's trace ring is
+   garbage once [serving] returns *)
+let serving_metrics : (string * float) list ref = ref []
 
 (* The event-driven tier: 5000 concurrent keep-alive connections against
    the single-SIP epoll server, once with direct syscalls and once with
@@ -526,7 +527,8 @@ let serving () =
   record "serving/gate-crossings-batched" (float b.H.s_gate_crossings);
   record "serving/batch-crossing-speedup"
     (float u.H.s_gate_crossings /. float (max 1 b.H.s_gate_crossings));
-  serving_obs := Some obs_u;
+  serving_metrics :=
+    Occlum_obs.Metrics.to_json_items obs_u.Occlum_obs.Obs.metrics;
   (* RPS vs connection count: the C10K claim as a curve, not a point.
      Virtual-clock ns/request at each load level is pinned in the
      baseline (lower-better by the perf gate's default). *)
@@ -1194,12 +1196,7 @@ let () =
         Occlum_obs.Metrics.to_json_items obs.Occlum_obs.Obs.metrics;
       (* the serving run's counters/histograms, prefixed to keep the flat
          metrics dict collision-free *)
-      (match !serving_obs with
-      | Some so ->
-          json_metrics :=
-            !json_metrics
-            @ List.map
-                (fun (k, v) -> ("serving." ^ k, v))
-                (Occlum_obs.Metrics.to_json_items so.Occlum_obs.Obs.metrics)
-      | None -> ());
+      json_metrics :=
+        !json_metrics
+        @ List.map (fun (k, v) -> ("serving." ^ k, v)) !serving_metrics;
       write_json path

@@ -47,11 +47,6 @@ let rule_name rule =
   | Some (_, name, _) -> name
   | None -> rule
 
-let rule_description rule =
-  match List.find_opt (fun (id, _, _) -> id = rule) rules with
-  | Some (_, _, d) -> d
-  | None -> ""
-
 let compare_findings a b =
   compare (a.addr, a.rule, a.message) (b.addr, b.rule, b.message)
 

@@ -11,8 +11,6 @@
 
 type severity = Error | Warning | Note
 
-val severity_to_string : severity -> string
-
 type finding = {
   rule : string;     (** stable id, e.g. "OL003" *)
   addr : int;        (** code offset of the offending unit *)
@@ -24,8 +22,6 @@ type finding = {
 val rules : (string * string * string) list
 (** [(id, name, short description)], the stable rule registry. *)
 
-val rule_name : string -> string
-val rule_description : string -> string
 val compare_findings : finding -> finding -> int
 val finding_to_string : finding -> string
 

@@ -97,11 +97,8 @@ let node_os t i =
   | Some os -> os
   | None -> invalid_arg (Printf.sprintf "Cluster: node %d is down" i)
 
-let node_clock t i = (node_os t i).Os.clock_ns
-
-let advance_node_clock t i ns =
-  let os = node_os t i in
-  os.Os.clock_ns <- Int64.add os.Os.clock_ns ns
+let node_clock t i = Os.clock (node_os t i)
+let advance_node_clock t i ns = Os.advance_clock (node_os t i) ns
 
 let channel t a b = Hashtbl.find_opt t.channels (ckey a b)
 let checker t = t.checker

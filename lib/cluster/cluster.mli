@@ -12,13 +12,6 @@ exception Violation of string
 exception Cluster_down
 (** No alive node can own a shard. *)
 
-val handshake_ns : int64
-(** Virtual cost of one pairwise attested handshake, charged to both
-    endpoints. *)
-
-val shard_count : int
-(** Virtual shards; keys hash onto shards, shards map onto nodes. *)
-
 type t
 
 val create :
@@ -51,13 +44,8 @@ val transport : t -> Occlum_libos.Host_transport.t
 (** {1 Lifecycle steps} (exposed for tests and drivers; {!create},
     {!revive} and the KV layer compose them) *)
 
-val boot_node : t -> int -> unit
-val attest_node : t -> int -> unit
-val enter_node : t -> int -> unit
 val begin_handshake : t -> int -> int -> unit
-val complete_handshake : t -> int -> int -> unit
 val connect : t -> int -> int -> unit
-val connect_all : t -> unit
 
 val kill_node : t -> int -> unit
 (** Peer crash/teardown: fail + close its channels, drop queued frames,
@@ -74,9 +62,6 @@ val reconnect : t -> int -> int -> unit
 (** {1 Sharded KV} *)
 
 val shard_of_key : string -> int
-val owner_of_shard : t -> int -> int
-(** The shard's home node when alive, else the next alive node.
-    @raise Cluster_down when nothing is alive. *)
 
 val owner_of_key : t -> string -> int
 

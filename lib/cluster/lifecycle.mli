@@ -25,8 +25,6 @@ type node_phase =
   | Serving  (** EENTER: live in the mesh *)
   | Down  (** torn down or crashed *)
 
-val phase_name : node_phase -> string
-
 type chan_phase = Closed | Handshaking | Open
 
 type transition =

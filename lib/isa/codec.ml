@@ -16,8 +16,6 @@
       disassembly (Algorithm 1) must and does handle. *)
 
 let cfi_magic = "\xF4\x1A\xBE\x11"
-let cfi_label_size = 8
-let forbidden_byte = '\xF4'
 
 type error = Truncated | Bad_opcode of int | Bad_operand of string
 

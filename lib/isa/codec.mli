@@ -14,12 +14,6 @@
 val cfi_magic : string
 (** The 4-byte prefix of every cfi_label encoding. *)
 
-val cfi_label_size : int
-(** 8 bytes: magic + 32-bit domain id. *)
-
-val forbidden_byte : char
-(** [0xF4] — never emitted outside a cfi_label. *)
-
 type error = Truncated | Bad_opcode of int | Bad_operand of string
 
 val error_to_string : error -> string

@@ -96,10 +96,7 @@ val mem_access_of : t -> mem_access
 
 (** {1 Printing} *)
 
-val alu_name : alu_op -> string
 val cond_name : cond -> string
 val mem_to_string : mem -> string
-val operand_to_string : operand -> string
-val ea_to_string : ea -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

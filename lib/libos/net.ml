@@ -51,17 +51,16 @@ and t = {
   mutable sock_ring_bytes : int; (* per-direction buffer of new connections *)
   mutable retries : int; (* transient faults absorbed by bounded retry *)
   mutable backoff_ns : int64; (* simulated wait accrued by retries *)
-  mutable obs : Occlum_obs.Obs.t; (* I/O events/metrics; the LibOS
-                                     attaches its own at boot *)
+  obs : Occlum_obs.Obs.t; (* I/O events/metrics *)
   mutable fault : (unit -> Sefs.io_fault option) option;
       (* fault-injection seam: the transport is the untrusted host, so a
          harness can fail or truncate any transfer of this network;
          production never sets it *)
 }
 
-let create () =
+let create ?(obs = Occlum_obs.Obs.disabled) () =
   { listeners = Hashtbl.create 8; sock_ring_bytes = 65536;
-    retries = 0; backoff_ns = 0L; obs = Occlum_obs.Obs.disabled; fault = None }
+    retries = 0; backoff_ns = 0L; obs; fault = None }
 
 (* Observability for one transfer: event with the byte count plus byte
    counters. One branch when disabled. *)

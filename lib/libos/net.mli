@@ -29,9 +29,7 @@ and t = {
       (** transient I/O faults absorbed by the bounded-retry wrapper *)
   mutable backoff_ns : int64;
       (** simulated backoff accrued by retries, drained by the LibOS *)
-  mutable obs : Occlum_obs.Obs.t;
-      (** I/O events and byte counters; {!Occlum_obs.Obs.disabled} until
-          the LibOS attaches its own instance at boot *)
+  obs : Occlum_obs.Obs.t;  (** I/O events and byte counters *)
   mutable fault : (unit -> Sefs.io_fault option) option;
       (** fault-injection seam of this network, consulted once per
           transfer through {!Sefs.retry_io}: the untrusted host
@@ -40,7 +38,10 @@ and t = {
           well-behaved host *)
 }
 
-val create : unit -> t
+val create : ?obs:Occlum_obs.Obs.t -> unit -> t
+(** A network with no listeners. Its I/O events and byte counters go to
+    [obs] (default {!Occlum_obs.Obs.disabled}). *)
+
 val listen : t -> port:int -> backlog:int -> (listener, int) result
 val connect : t -> port:int -> (endpoint, int) result
 val accept : listener -> endpoint option

@@ -78,10 +78,10 @@ let quantum = 100_000
 let sip_syscall_ns = 100L
 let eip_ocall_ns = 6_000L
 
-(* The metrics a traced run updates on every syscall, gate crossing and
-   quantum, resolved against [obs]'s registry when the [t] is created.
-   Each is looked up at its first update, just as a by-name lookup there
-   would, so the registry exports the same items in the same order. *)
+(* Every metric this module updates, resolved against [obs]'s registry
+   when the [t] is created. Each is looked up at its first update, just
+   as a by-name lookup there would, so the registry exports the same
+   items in the same order. *)
 type meters = {
   m_syscalls : Occlum_obs.Metrics.counter Lazy.t;
   m_blocked : Occlum_obs.Metrics.counter Lazy.t;
@@ -92,6 +92,12 @@ type meters = {
   m_quanta : Occlum_obs.Metrics.counter Lazy.t;
   m_quantum_insns : Occlum_obs.Metrics.histogram Lazy.t;
   m_core_quanta : Occlum_obs.Metrics.counter Lazy.t array; (* by core *)
+  m_spawns : Occlum_obs.Metrics.counter Lazy.t;
+  m_image_hits : Occlum_obs.Metrics.counter Lazy.t;
+  m_image_misses : Occlum_obs.Metrics.counter Lazy.t;
+  m_epc_faults : Occlum_obs.Metrics.counter Lazy.t;
+  m_ewb : Occlum_obs.Metrics.counter Lazy.t;
+  m_eldu : Occlum_obs.Metrics.counter Lazy.t;
 }
 
 let meters (obs : Occlum_obs.Obs.t) ~cores =
@@ -114,6 +120,12 @@ let meters (obs : Occlum_obs.Obs.t) ~cores =
     m_core_quanta =
       Array.init cores (fun cid ->
           counter (Printf.sprintf "sched.core%d.quanta" cid));
+    m_spawns = counter "os.spawns";
+    m_image_hits = counter "os.image_cache_hits";
+    m_image_misses = counter "os.image_cache_misses";
+    m_epc_faults = counter "epc.faults";
+    m_ewb = counter "epc.ewb";
+    m_eldu = counter "epc.eldu";
   }
 
 type t = {
@@ -184,12 +196,10 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
   let enclave =
     Occlum_sgx.Enclave.create
       ~version:(if config.sgx2 then Occlum_sgx.Enclave.Sgx2 else Occlum_sgx.Enclave.Sgx1)
-      ~epc
+      ~obs ~epc
       ~size:(Domain_mgr.enclave_size config.domains)
       ()
   in
-  (* attach before the domain build so EADD page events are captured *)
-  Occlum_sgx.Enclave.attach_obs enclave obs;
   let domains = Domain_mgr.build config.domains enclave in
   Occlum_sgx.Enclave.init enclave;
   (* only Occlum gets the writable *encrypted* FS; Graphene-SGX's
@@ -198,8 +208,8 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
   let encrypted = config.mode = Sip in
   let sefs =
     match host_fs with
-    | Some host -> Sefs.mount ~encrypted ~key:config.fs_key host
-    | None -> Sefs.create ~encrypted ~key:config.fs_key ()
+    | Some host -> Sefs.mount ~encrypted ~obs ~key:config.fs_key host
+    | None -> Sefs.create ~encrypted ~obs ~key:config.fs_key ()
   in
   let mem = Occlum_sgx.Enclave.mem enclave in
   let t =
@@ -212,7 +222,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     procs = Hashtbl.create 32;
     next_pid = 1;
     sefs;
-    net = Net.create ();
+    net = Net.create ~obs ();
     clock_ns = 0L;
     console = Buffer.create 1024;
     proc_out = Hashtbl.create 8;
@@ -235,25 +245,20 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       images = Hashtbl.create 8;
     }
   in
-  if obs.Occlum_obs.Obs.enabled then begin
+  if obs.Occlum_obs.Obs.enabled then
     (* events are stamped with the LibOS virtual clock from here on *)
     obs.Occlum_obs.Obs.now <- (fun () -> t.clock_ns);
-    t.sefs.Sefs.obs <- obs;
-    t.net.Net.obs <- obs
-  end;
   if Occlum_sgx.Epc.paging_enabled epc then begin
     (* paging counters/events flow through obs like every other layer *)
     if obs.Occlum_obs.Obs.enabled then
       Occlum_sgx.Epc.set_event_hook epc
         (Some
            (fun ~cid ~page ev ->
-             let name =
-               match ev with
-               | Occlum_sgx.Epc.Evict -> "epc.ewb"
-               | Occlum_sgx.Epc.Reload -> "epc.eldu"
-             in
              Occlum_obs.Metrics.inc
-               (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics name);
+               (Lazy.force
+                  (match ev with
+                  | Occlum_sgx.Epc.Evict -> t.meters.m_ewb
+                  | Occlum_sgx.Epc.Reload -> t.meters.m_eldu));
              if obs.Occlum_obs.Obs.t_page then
                Occlum_obs.Obs.emit obs
                  (match ev with
@@ -309,6 +314,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
   t
 
 let clock t = t.clock_ns
+let advance_clock t ns = t.clock_ns <- Int64.add t.clock_ns ns
 let console_output t = Buffer.contents t.console
 
 (* (compiles, hits, invalidations); None under the reference loop *)
@@ -371,9 +377,8 @@ let eip_create_process_enclave t ~parent_enclave (oelf : Occlum_oelf.Oelf.t) =
     Bytes.length oelf.code + Bytes.length oelf.data + Bytes.length t.eip_runtime_image
   in
   let size = Occlum_util.Bytes_util.round_up (image_bytes + (1 lsl 20)) 4096 in
-  let enclave = Occlum_sgx.Enclave.create ~epc:t.epc ~size () in
+  let enclave = Occlum_sgx.Enclave.create ~obs:t.obs ~epc:t.epc ~size () in
   (try
-     Occlum_sgx.Enclave.attach_obs enclave t.obs;
      Occlum_sgx.Enclave.add_pages enclave ~addr:0 ~data:t.eip_runtime_image
        ~perm:Mem.perm_rx;
      let code_at =
@@ -507,16 +512,9 @@ let make_proc t ~parent ~img ~fds ~slot_refs ~path ~eip_enclave =
   if o.Occlum_obs.Obs.enabled then begin
     if o.Occlum_obs.Obs.t_life then
       Occlum_obs.Obs.emit o (Occlum_obs.Trace.Spawn { pid; parent; path });
-    Occlum_obs.Metrics.inc
-      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics "os.spawns")
+    Occlum_obs.Metrics.inc (Lazy.force t.meters.m_spawns)
   end;
   p
-
-let note_image_cache t name =
-  let o = t.obs in
-  if o.Occlum_obs.Obs.enabled then
-    Occlum_obs.Metrics.inc
-      (Occlum_obs.Metrics.counter o.Occlum_obs.Obs.metrics name)
 
 (* Admit the binary just read from [path]. The previous admission of
    [path] is reused only when [binary] equals, byte for byte, the bytes
@@ -526,10 +524,12 @@ let note_image_cache t name =
 let admit_binary t ~path binary =
   match Hashtbl.find_opt t.images path with
   | Some (bytes, checked) when String.equal bytes binary ->
-      note_image_cache t "os.image_cache_hits";
+      if t.obs.Occlum_obs.Obs.enabled then
+        Occlum_obs.Metrics.inc (Lazy.force t.meters.m_image_hits);
       checked
   | _ -> (
-      note_image_cache t "os.image_cache_misses";
+      if t.obs.Occlum_obs.Obs.enabled then
+        Occlum_obs.Metrics.inc (Lazy.force t.meters.m_image_misses);
       Hashtbl.remove t.images path;
       match
         Loader.admit ~require_signature:(t.cfg.mode <> Linux)
@@ -1754,9 +1754,7 @@ let handle_stop t (p : proc) (stop : Interp.stop) =
       | () ->
           Occlum_sgx.Enclave.resume t.enclave p.cpu;
           if t.obs.Occlum_obs.Obs.enabled then
-            Occlum_obs.Metrics.inc
-              (Occlum_obs.Metrics.counter t.obs.Occlum_obs.Obs.metrics
-                 "epc.faults")
+            Occlum_obs.Metrics.inc (Lazy.force t.meters.m_epc_faults)
       | exception Occlum_sgx.Epc.Integrity_violation _ ->
           (* tampered or rolled-back backing page: hard fault, the
              content is never exposed to the SIP *)

@@ -19,8 +19,9 @@ open Occlum_machine
 type mode = Sip | Eip | Linux
 
 (** One SIP (or LibOS thread: threads share their process's slot and
-    file table). *)
-type proc = {
+    file table). Read-only outside the LibOS: only {!Os} changes a
+    process. *)
+type proc = private {
   pid : int;
   mutable parent : int;
   img : Loader.image;
@@ -66,12 +67,14 @@ type config = {
 val default_config : config
 
 type meters
-(** The metrics a traced run updates per syscall, gate crossing and
-    quantum, resolved against the [obs] registry at {!boot}; each
-    registers at its first update, so exports are as if looked up by
-    name. *)
+(** Every metric the LibOS updates, resolved against the [obs] registry
+    at {!boot}; each registers at its first update, so exports are as if
+    looked up by name. *)
 
-type t = {
+(** One LibOS instance: the state every SIP shares. Callers read its
+    fields and match on them; only this module assigns one, and
+    {!advance_clock} is the one way to move the clock from outside. *)
+type t = private {
   cfg : config;
   epc : Occlum_sgx.Epc.t;
   enclave : Occlum_sgx.Enclave.t;
@@ -129,6 +132,12 @@ val boot :
     itself is bit-identical with or without it. *)
 
 val clock : t -> int64
+
+val advance_clock : t -> int64 -> unit
+(** [advance_clock t ns] moves the virtual clock forward by [ns]: the
+    time an enclave spends outside its SIPs, such as a cluster node's
+    network and attestation work. *)
+
 val console_output : t -> string
 
 val decode_cache_stats : t -> (int * int * int) option

@@ -218,8 +218,7 @@ type t = {
   mutable backoff_ns : int64; (* simulated wait accrued by those
                                  retries; the LibOS drains it onto the
                                  virtual clock *)
-  mutable obs : Occlum_obs.Obs.t; (* I/O events/metrics; the LibOS
-                                     attaches its own at boot *)
+  obs : Occlum_obs.Obs.t; (* I/O events/metrics *)
 }
 
 and cache_line = { mutable data : Bytes.t; mutable dirty : bool }
@@ -455,12 +454,13 @@ let flush t =
 
 (* Re-mount an existing host store (e.g. a fresh LibOS boot over the same
    host files): decrypt and reload the metadata, rebuilding its indexes. *)
-let mount ?(volume = "vol0") ?(encrypted = true) ~key host =
+let mount ?(volume = "vol0") ?(encrypted = true) ?(obs = Occlum_obs.Obs.disabled)
+    ~key host =
   let t =
     { host; keys = Occlum_util.Seal.keys ~domain:"sefs" key; volume; encrypted;
       m = empty_meta ();
       cache = Hashtbl.create 256; cache_hits = 0; cache_misses = 0;
-      retries = 0; backoff_ns = 0L; obs = Occlum_obs.Obs.disabled }
+      retries = 0; backoff_ns = 0L; obs }
   in
   (match host.Host_store.meta with
   | None -> t.m <- fresh_meta ()
@@ -472,8 +472,8 @@ let mount ?(volume = "vol0") ?(encrypted = true) ~key host =
              (unseal t ~label ~nonce:(lazy (meta_nonce t gen)) e)));
   t
 
-let create ?volume ?encrypted ~key () =
-  mount ?volume ?encrypted ~key (Host_store.create ())
+let create ?volume ?encrypted ?obs ~key () =
+  mount ?volume ?encrypted ?obs ~key (Host_store.create ())
 
 (* --- namespace ------------------------------------------------------------ *)
 

@@ -113,17 +113,30 @@ type t = {
       (** transient I/O faults absorbed by the bounded-retry wrapper *)
   mutable backoff_ns : int64;
       (** simulated backoff accrued by retries, drained by the LibOS *)
-  mutable obs : Occlum_obs.Obs.t;
-      (** I/O events and byte counters; {!Occlum_obs.Obs.disabled} until
-          the LibOS attaches its own instance at boot *)
+  obs : Occlum_obs.Obs.t;  (** I/O events and byte counters *)
 }
 
 and cache_line = { mutable data : Bytes.t; mutable dirty : bool }
 
-val create : ?volume:string -> ?encrypted:bool -> key:string -> unit -> t
+val create :
+  ?volume:string ->
+  ?encrypted:bool ->
+  ?obs:Occlum_obs.Obs.t ->
+  key:string ->
+  unit ->
+  t
+(** A fresh volume over an empty host store. Its I/O events and byte
+    counters go to [obs] (default {!Occlum_obs.Obs.disabled}). *)
 
-val mount : ?volume:string -> ?encrypted:bool -> key:string -> Host_store.t -> t
-(** Reload a volume (e.g. a fresh LibOS boot over the same host files).
+val mount :
+  ?volume:string ->
+  ?encrypted:bool ->
+  ?obs:Occlum_obs.Obs.t ->
+  key:string ->
+  Host_store.t ->
+  t
+(** Reload a volume (e.g. a fresh LibOS boot over the same host files),
+    reporting to [obs] as {!create} does.
     @raise Corrupt on tampered or wrong-key metadata. *)
 
 val flush : t -> unit

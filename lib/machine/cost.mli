@@ -12,7 +12,6 @@ val push : int
 val pop : int
 val lea : int
 val branch : int
-val branch_indirect : int
 val call : int
 val ret : int
 val bound_check : int

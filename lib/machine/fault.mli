@@ -17,7 +17,6 @@ type t =
       (** mapped page whose EPC frame has been evicted; [addr] is the
           base address of the faulting page (not the access start) *)
 
-val access_to_string : access -> string
 val to_string : t -> string
 
 exception Fault of t

@@ -20,7 +20,6 @@ type cls =
   | Cluster  (** quotes, attested channels, RPC retries, failover *)
 
 val all_classes : cls list
-val cls_name : cls -> string
 
 val classes_of_string : string -> (cls list, string) result
 (** Parse a comma-separated class list; ["all"] selects everything. *)

@@ -14,8 +14,6 @@
 let magic = "OELF1\n"
 let trampoline_reserved = 64
 let guard_size = 4096
-let arg_area_off = 8
-let arg_area_size = 4096 - 8
 
 type t = {
   code : Bytes.t; (* code image; [0, trampoline_reserved) is loader-owned *)

@@ -16,9 +16,6 @@ val trampoline_reserved : int
 val guard_size : int
 (** 4096. *)
 
-val arg_area_off : int
-val arg_area_size : int
-
 type t = {
   code : Bytes.t;
   data : Bytes.t;           (** initialized data image *)

@@ -19,9 +19,6 @@ end
 
 type graph = { nodes : int; succs : int list array }
 
-val invert : graph -> graph
-(** The reversed graph (successors become predecessors). *)
-
 module Make (L : LATTICE) : sig
   val fixpoint :
     ?direction:[ `Forward | `Backward ] ->

@@ -17,9 +17,6 @@ val slack : int
 val shift_limit : int
 (** Constant add/sub larger than this kills a fact instead of shifting. *)
 
-val clamp_bound : int
-(** Intervals are clamped to ±this; keeps the lattice finite. *)
-
 type state = {
   facts : (int * (int * int)) list;  (** reg -> interval [lo, hi] *)
   aliases : (int * int * int) list;  (** (d, s, k): d = s + k *)

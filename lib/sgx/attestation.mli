@@ -15,9 +15,6 @@ val verify : report -> bool
 
 (** {1 Remote attestation} *)
 
-val qe_identity : string
-(** The quoting enclave's public identity; remote verifiers pin this. *)
-
 type quote = { q_body : string; q_qe : string; q_sig : string }
 
 exception Bad_report

@@ -32,8 +32,7 @@ type t = {
   mutable measurement : string; (* valid once initialized *)
   mutable epc_pages : int;
   mutable ssa : Cpu.snapshot option; (* state save area for AEX *)
-  mutable obs : Occlum_obs.Obs.t; (* lifecycle/AEX/page events; disabled
-                                     unless the LibOS attaches its own *)
+  obs : Occlum_obs.Obs.t; (* lifecycle/AEX/page events *)
 }
 
 let next_id = ref 0
@@ -44,7 +43,7 @@ let next_id = ref 0
    zero-fill-on-demand, charged at first touch and reclaimable after —
    [epc_pages] then mirrors the pool's per-client resident count rather
    than a lifetime commitment. *)
-let create ?(version = Sgx1) ~epc ~size () =
+let create ?(version = Sgx1) ?(obs = Occlum_obs.Obs.disabled) ~epc ~size () =
   let paged = Epc.paging_enabled epc in
   let pages =
     match version with Sgx1 when not paged -> size / Epc.page_size | _ -> 0
@@ -62,22 +61,16 @@ let create ?(version = Sgx1) ~epc ~size () =
       measurement = "";
       epc_pages = pages;
       ssa = None;
-      obs = Occlum_obs.Obs.disabled;
+      obs;
     }
   in
   if paged then Epc.register_client epc ~cid:t.id ~mem:t.mem;
+  if obs.Occlum_obs.Obs.t_life then
+    Occlum_obs.Obs.emit obs
+      (Occlum_obs.Trace.Enclave_create { enclave = t.id; size = Mem.size t.mem });
   t
 
 let version t = t.version
-
-(* Attach an observability instance. Events emitted before the attach
-   (none in practice: the LibOS attaches right after ECREATE) are lost,
-   not buffered. *)
-let attach_obs t obs =
-  t.obs <- obs;
-  if obs.Occlum_obs.Obs.t_life then
-    Occlum_obs.Obs.emit obs
-      (Occlum_obs.Trace.Enclave_create { enclave = t.id; size = Mem.size t.mem })
 
 let charge_pages t len =
   if t.version = Sgx2 && not (Epc.paging_enabled t.epc) then begin

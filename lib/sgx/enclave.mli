@@ -13,16 +13,15 @@ type version =
 
 type t
 
-val create : ?version:version -> epc:Epc.t -> size:int -> unit -> t
+val create :
+  ?version:version -> ?obs:Occlum_obs.Obs.t -> epc:Epc.t -> size:int -> unit -> t
 (** Reserve the address range; SGX1 also commits all EPC pages now.
+    Lifecycle, AEX and page events and counters go to [obs] (default
+    {!Occlum_obs.Obs.disabled}), starting with this enclave's
+    [Enclave_create] event.
     @raise Epc.Out_of_epc if the platform pool is exhausted. *)
 
 val version : t -> version
-
-val attach_obs : t -> Occlum_obs.Obs.t -> unit
-(** Route this enclave's lifecycle/AEX/page events and counters to the
-    given observability instance (emits the [Enclave_create] event).
-    Default: {!Occlum_obs.Obs.disabled}. *)
 
 val id : t -> int
 val mem : t -> Occlum_machine.Mem.t

@@ -306,12 +306,6 @@ let register_client t ~cid ~mem =
       pg.clients <- pg.clients @ [ { cid; mem; resident = 0 } ];
       Mem.enable_paging mem ~pager:(fun page -> eldu t ~cid ~page)
 
-let client_resident t ~cid =
-  match t.pager with
-  | None -> 0
-  | Some pg -> (
-      match find_client_opt pg cid with Some c -> c.resident | None -> 0)
-
 (* EREMOVE support: retire one page of a client, releasing its frame if
    resident and dropping any sealed copy and version counter. Must be
    called while the page is still mapped (the residency bit is only

@@ -66,9 +66,6 @@ val eldu : t -> cid:int -> page:int -> unit
     @raise Integrity_violation on a tampered or rolled-back sealed page.
     @raise Out_of_epc when no frame can be reclaimed. *)
 
-val client_resident : t -> cid:int -> int
-(** The client's resident-set size, in pages. *)
-
 val discard_page : t -> cid:int -> page:int -> unit
 (** EREMOVE one page: release its frame if resident, drop its sealed
     copy and version counter. Call while the page is still mapped. *)

@@ -66,8 +66,6 @@ type program = {
           constant-time taint analysis of [lib/analysis] *)
 }
 
-val max_reg_vars : int
-
 (** {1 Convenience constructors} *)
 
 val i : int -> expr

@@ -25,9 +25,6 @@ val bare : config
 
 exception Codegen_error of string
 
-val func_label : string -> string
-(** The link-time symbol of a function ("f_" ^ name). *)
-
 val gen_program : config -> Ast.program -> Layout.t * Asm.item list
 (** Generate the entry stub and every function. The result is
     unoptimized; see {!Optimize.run}.

@@ -5,9 +5,6 @@
 
 exception Interp_fault of string
 
-val func_id_base : int64
-(** Function "addresses" live in a distinct id space. *)
-
 val run :
   ?fuel:int ->
   ?args:string list ->

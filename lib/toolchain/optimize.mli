@@ -10,8 +10,5 @@ val run : Asm.item list -> Asm.item list
 
 val count_guards : Asm.item list -> int
 
-val insert_hoists : Asm.item list -> Asm.item list
-(** The hoisting pass alone (exposed for tests/ablation). *)
-
 val delete_redundant : Asm.item list -> Asm.item list
 (** The elimination pass alone. *)

@@ -10,8 +10,6 @@ let round_up n align =
   if align <= 0 then invalid_arg "round_up: align must be positive";
   (n + align - 1) / align * align
 
-let is_aligned n align = n mod align = 0
-
 (* Find all occurrences of [needle] in [hay], including overlapping ones.
    Used by the verifier's byte-by-byte cfi_label scan (Algorithm 1, line 2)
    and the loader's label patching. [Bytes.index_from] jumps straight to

@@ -3,7 +3,6 @@
 
 val hex_of_string : string -> string
 val round_up : int -> int -> int
-val is_aligned : int -> int -> bool
 
 val find_all : needle:string -> Bytes.t -> int list
 (** All (possibly overlapping) occurrence offsets of [needle], ascending.

@@ -15,10 +15,6 @@ type rejection = {
   insn : string option;  (** decoded text of the offending unit *)
 }
 
-val stage_name : int -> string
-(** "disassembly" / "instruction set" / "control transfer" /
-    "memory access". *)
-
 val rejection_to_string : rejection -> string
 (** e.g. ["stage 3 (control transfer) @0x40: ... [ret]"]. *)
 

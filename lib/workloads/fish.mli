@@ -3,20 +3,7 @@
     gen | tr | filter | wc — repeatedly. Process creation and pipe IPC
     dominate: the regime where SIPs beat EIPs by orders of magnitude. *)
 
-val gen_prog : Occlum_toolchain.Ast.program
-(** Writes argv[0] 33-byte lines to stdout, first byte cycling a-z. *)
-
-val tr_prog : Occlum_toolchain.Ast.program
-(** Uppercases a-z from stdin to stdout. *)
-
-val filter_prog : Occlum_toolchain.Ast.program
-(** Keeps lines whose first byte matches argv[0]. *)
-
-val wc_prog : Occlum_toolchain.Ast.program
-(** Counts stdin bytes and prints the total. *)
-
-val shell_prog : Occlum_toolchain.Ast.program
-(** The shell: argv = repeats, lines-per-round. Wires children's stdio
-    with dup2 before each spawn (posix_spawn file-actions style). *)
-
 val binaries : (string * Occlum_toolchain.Ast.program) list
+(** Install path and program of each tool: [/bin/gen], [/bin/tr],
+    [/bin/filter], [/bin/wc] and the shell [/bin/fish] (argv = repeats,
+    lines per round). *)

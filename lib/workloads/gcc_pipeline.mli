@@ -3,15 +3,10 @@
     temporary files on the (encrypted) file system, with cc1 burning CPU
     proportional to input size. *)
 
-val cpp_prog : Occlum_toolchain.Ast.program
-val cc1_prog : Occlum_toolchain.Ast.program
-val as_prog : Occlum_toolchain.Ast.program
-val ld_prog : Occlum_toolchain.Ast.program
-
-val cc_prog : Occlum_toolchain.Ast.program
-(** The driver: argv[0] = source path; output lands at /tmp/a.out. *)
-
 val binaries : (string * Occlum_toolchain.Ast.program) list
+(** Install path and program of each phase: [/bin/cpp], [/bin/cc1],
+    [/bin/as], [/bin/ld] and the driver [/bin/cc] (argv[0] = source
+    path; output lands at /tmp/a.out). *)
 
 val source_file : lines:int -> string
 (** A synthetic "C" source of the given line count. *)

@@ -11,7 +11,6 @@ type system =
   | Linux     (** native mode: uninstrumented binaries, plaintext FS *)
 
 val system_name : system -> string
-val mode_of : system -> Os.mode
 val codegen_config : system -> Occlum_toolchain.Codegen.config
 
 val build_for : system -> Occlum_toolchain.Ast.program -> Occlum_oelf.Oelf.t
@@ -101,8 +100,6 @@ val sized_program : code_kb:int -> Occlum_toolchain.Ast.program
 
 val spawn_latency : ?tries:int -> Os.t -> string -> float
 (** Median wall seconds to spawn + run-to-exit one instance. *)
-
-val pipe_binaries : (string * Occlum_toolchain.Ast.program) list
 
 val run_pipe :
   ?total:int -> bufsz:int -> system -> float * float * run_result

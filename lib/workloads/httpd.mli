@@ -12,9 +12,6 @@ val response_header : string
     expected per-response byte count as
     [String.length response_header + page_size]. *)
 
-val worker_prog : Occlum_toolchain.Ast.program
-(** Serves argv[0] requests from the inherited listener (fd 3). *)
-
 val master_prog : Occlum_toolchain.Ast.program
 (** argv: workers, requests-per-worker. *)
 

@@ -20,19 +20,12 @@ type attack = { technique : technique; target : target; name : string }
 val corpus : attack list
 (** All 8 technique x target combinations. *)
 
-val shellcode_exit_code : int
-val gadget_exit_code : int
-val libc_exit_code : int
-
 val shellcode : labeled:bool -> domain_id:int -> string
 (** exit(1337) as raw OASM bytes, optionally label-prefixed. *)
 
 val attack_program : attack -> Occlum_toolchain.Ast.program
 (** The vulnerable program (it passes the verifier: the threat model is
     a compromised-but-verified SIP). *)
-
-val gadget_delta : Occlum_oelf.Oelf.t -> int
-(** Offset of the pop-reg; exit gadget inside [gadget_exit]. *)
 
 type outcome = Attack_succeeded | Prevented of string
 

@@ -87,6 +87,11 @@ if [ -n "$seal" ]; then
   exit 1
 fi
 
+# No export that nothing names: every `val` in a lib/ interface must be
+# named by some other source file (tests count), except in the user
+# facade lib/core/occlum.mli.
+python3 scripts/unused_exports.py
+
 dune runtest
 
 # Constant-time gate: the CT checker must stay precise on the example

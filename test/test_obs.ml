@@ -358,6 +358,85 @@ let test_disabled_is_inert () =
     "no metrics registered" []
     (Metrics.to_json_items Obs.disabled.Obs.metrics)
 
+let test_obs_at_creation () =
+  (* every layer holds the boot's instance from its creation: one
+     Enclave_create per enclave (the LibOS's, plus one per EIP process)
+     ahead of that enclave's first page event, and the SEFS and network
+     byte counters move on the first file write and socket exchange *)
+  let open Occlum_toolchain.Ast in
+  let module Sys = Occlum_abi.Abi.Sys in
+  let module F = Occlum_abi.Abi.Open_flags in
+  let prog =
+    Occlum_toolchain.Runtime.program
+      [
+        func "main" []
+          [
+            Let ("fd", Call ("open", [ Str "/f"; i 2; i (F.creat lor F.wronly) ]));
+            If (Call ("write", [ v "fd"; Str "data"; i 4 ]) <>: i 4,
+                [ Return (i 1) ], []);
+            Let ("ls", Syscall (Sys.socket, []));
+            Expr (Syscall (Sys.bind, [ v "ls"; i 9000 ]));
+            If (Syscall (Sys.listen, [ v "ls"; i 4 ]) <>: i 0, [ Return (i 2) ], []);
+            Let ("cl", Syscall (Sys.socket, []));
+            If (Syscall (Sys.connect, [ v "cl"; i 9000 ]) <>: i 0,
+                [ Return (i 3) ], []);
+            Let ("srv", Syscall (Sys.accept, [ v "ls" ]));
+            Expr (Syscall (Sys.send, [ v "cl"; Str "ping"; i 4 ]));
+            Let ("buf", Call ("malloc", [ i 16 ]));
+            If (Syscall (Sys.recv, [ v "srv"; v "buf"; i 16 ]) <>: i 4,
+                [ Return (i 4) ], []);
+            Return (i 0);
+          ];
+      ]
+  in
+  List.iter
+    (fun (system, enclaves) ->
+      let name = H.system_name system in
+      let obs = Obs.create ~events:[ Obs.Lifecycle; Obs.Page ] () in
+      let os = H.boot ~obs system in
+      H.install os system [ ("/bin/app", prog) ];
+      let r = H.timed_run os "/bin/app" in
+      Alcotest.(check bool) (name ^ ": app exited") true (r.H.status = Os.All_exited);
+      Alcotest.(check int) (name ^ ": no events dropped") 0
+        (Trace.dropped obs.Obs.trace);
+      let events = Trace.events obs.Obs.trace in
+      let created =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            match e.kind with
+            | Trace.Enclave_create { enclave; _ } -> Some enclave
+            | _ -> None)
+          events
+      in
+      Alcotest.(check int) (name ^ ": one Enclave_create per enclave") enclaves
+        (List.length (List.sort_uniq compare created));
+      Alcotest.(check int) (name ^ ": no enclave created twice") enclaves
+        (List.length created);
+      Alcotest.(check bool) (name ^ ": the LibOS enclave is created") true
+        (List.mem (Occlum_sgx.Enclave.id os.Os.enclave) created);
+      ignore
+        (List.fold_left
+           (fun seen (e : Trace.event) ->
+             match e.kind with
+             | Trace.Enclave_create { enclave; _ } -> enclave :: seen
+             | Trace.Page_map { enclave; _ }
+             | Trace.Page_unmap { enclave; _ }
+             | Trace.Page_evict { enclave; _ }
+             | Trace.Page_reload { enclave; _ } ->
+                 if not (List.mem enclave seen) then
+                   Alcotest.failf "%s: page event of enclave %d before its creation"
+                     name enclave;
+                 seen
+             | _ -> seen)
+           [] events);
+      let items = Metrics.to_json_items obs.Obs.metrics in
+      List.iter
+        (fun counter ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s > 0" name counter) true
+            (Option.value ~default:0. (List.assoc_opt counter items) > 0.))
+        [ "sefs.write.bytes"; "net.send.bytes"; "net.recv.bytes" ])
+    [ (H.Occlum, 1); (H.Graphene, 2) ]
+
 let suite =
   [
     Alcotest.test_case "counters" `Quick test_counter;
@@ -369,4 +448,6 @@ let suite =
     Alcotest.test_case "differential: SPEC kernels" `Quick test_differential_spec;
     Alcotest.test_case "differential: LibOS run" `Quick test_differential_libos;
     Alcotest.test_case "disabled instance is inert" `Quick test_disabled_is_inert;
+    Alcotest.test_case "each layer observed from its creation" `Quick
+      test_obs_at_creation;
   ]
