@@ -1,9 +1,8 @@
 (* Verified guard elision: a trust-free MPX-check optimizer.
 
-   The pass runs the verifier's own Stage-4 machinery — the shared
-   worklist engine over {!Occlum_range.Range_lattice}, seeded exactly
-   like {!Occlum_verifier.Range.analyze} — to classify every mem_guard
-   of an already-verified binary:
+   The pass runs the verifier's own Stage-4 range fixpoint
+   ({!Occlum_verifier.Range.analyze}) to classify every mem_guard of an
+   already-verified binary:
 
    - {b required}: some path needs the guard (its fact, or its Stage-4
      adjacency for an indexed access or an unproven stack access);
@@ -26,10 +25,12 @@
    through the unmodified 4-stage verifier before it is signed; a
    rejection is a bug in this pass, surfaced as [Output_rejected],
    never a security event. Soundness of the classification itself is
-   additionally validated before rewriting: the fixpoint is re-run with
-   every candidate guard made transparent (identity transfer), and
-   every Stage-4 obligation is re-checked against the weakened facts;
-   candidates that any obligation still needs are reinstated. *)
+   additionally validated before rewriting, by the verifier's own
+   obligation check: {!Occlum_verifier.Verify.stage4_failures} with the
+   candidates as [removed] re-runs the fixpoint with them skipped and
+   re-checks every Figure-4 obligation without their adjacency;
+   candidates that any failing obligation still needs are reinstated,
+   and the check repeats until nothing fails. *)
 
 open Occlum_isa
 module U = Occlum_verifier.Unit_kind
@@ -79,84 +80,7 @@ let error_to_string = function
         (match rs with r :: _ -> V.rejection_to_string r | [] -> "")
   | Rewrite_error m -> "rewrite failed: " ^ m
 
-(* --- the candidate-transparent validation fixpoint ----------------------- *)
-
-(* {!Occlum_verifier.Range.analyze} with the transfer of every removed
-   guard replaced by the identity — the facts the rewritten binary will
-   actually prove, on the original unit graph (removal changes no edges:
-   a removed guard had a single fall-through successor). *)
-let transparent_fixpoint (oelf : Occlum_oelf.Oelf.t) (d : D.t) removed =
-  let graph, index_of, is_top_edge = R.unit_graph d in
-  let seeds = ref [] in
-  Array.iteri
-    (fun i (u : U.unit_at) ->
-      match u.kind with
-      | U.U_cfi_label _ -> seeds := (i, R.top) :: !seeds
-      | _ -> ())
-    d.sorted;
-  (match Hashtbl.find_opt index_of oelf.entry with
-  | Some i -> seeds := (i, R.top) :: !seeds
-  | None -> ());
-  R.Engine.fixpoint graph ~seeds:!seeds
-    ~edge:(fun ~src ~dst v -> if is_top_edge ~src ~dst then R.top else v)
-    ~transfer:(fun i s ->
-      if removed.(i) then s else R.transfer d.sorted.(i) s)
-
-let sp_mem disp : Insn.mem = Sib { base = Reg.sp; index = None; scale = 1; disp }
-
-(* Re-check every Stage-4 obligation that involves guards or range facts
-   against the weakened fixpoint. Returns [(unit index, base)] per
-   failing obligation, where [base] names the register whose fact went
-   missing (for targeted reinstatement). Obligations elision cannot
-   affect (rip-relative windows, rejected operand shapes) are skipped:
-   they passed on the original binary and are byte-identical after the
-   rewrite. *)
-let residual_failures oelf (d : D.t) removed =
-  let in_state = transparent_fixpoint oelf d removed in
-  let failures = ref [] in
-  let guarded_by i (operand : Insn.mem) =
-    i > 0
-    && (not removed.(i - 1))
-    &&
-    let p = d.sorted.(i - 1) and u = d.sorted.(i) in
-    p.addr + p.len = u.addr
-    && match p.kind with U.U_mem_guard m -> m = operand | _ -> false
-  in
-  Array.iteri
-    (fun i (u : U.unit_at) ->
-      match in_state.(i) with
-      | None -> () (* unreachable: impossible, the input verified *)
-      | Some s -> (
-          let fail base = failures := (i, base) :: !failures in
-          let check_sp ~push_like disp =
-            let lo, hi = if push_like then (-8, -1) else (0, 7) in
-            if R.covers s R.sp lo hi || guarded_by i (sp_mem disp) then ()
-            else fail R.sp
-          in
-          match u.kind with
-          | U.U_mem_guard _ | U.U_cfi_guard _ | U.U_cfi_label _ -> ()
-          | U.U_insn insn -> (
-              (match insn with
-              | Call _ | Call_reg _ -> check_sp ~push_like:true (-8)
-              | _ -> ());
-              match Insn.mem_access_of insn with
-              | Ma_implicit { push } ->
-                  check_sp ~push_like:push (if push then -8 else 0)
-              | Ma_sib { base; index; scale; disp; size; is_store = _ } -> (
-                  let operand : Insn.mem = Sib { base; index; scale; disp } in
-                  if guarded_by i operand then ()
-                  else
-                    match index with
-                    | None ->
-                        if
-                          R.covers s (Reg.to_int base) disp (disp + size - 1)
-                        then ()
-                        else fail (Reg.to_int base)
-                    | Some _ -> fail (Reg.to_int base))
-              | Ma_none | Ma_rip_rel _ | Ma_direct_offset | Ma_vector_sib ->
-                  ())))
-    d.sorted;
-  List.rev !failures
+(* --- validation against the verifier's own Stage 4 --------------------- *)
 
 (* Shrink the removal set until every obligation holds: reinstate the
    guard directly before a failing unit when it was removed, otherwise
@@ -170,11 +94,11 @@ let validate oelf d cand =
   let fixed = ref false in
   while not !fixed do
     incr rounds;
-    match residual_failures oelf d removed with
+    match V.stage4_failures ~removed oelf d with
     | [] -> fixed := true
     | fails ->
         List.iter
-          (fun (i, base) ->
+          (fun (i, base, _) ->
             if i > 0 && removed.(i - 1) then removed.(i - 1) <- false
             else begin
               let hit = ref false in
@@ -184,7 +108,7 @@ let validate oelf d cand =
                     match d.D.sorted.(j).U.kind with
                     | U.U_mem_guard m -> (
                         match R.simple_sib m with
-                        | Some (b, _) when b = base ->
+                        | Some (b, _) when Some b = base ->
                             removed.(j) <- false;
                             hit := true
                         | _ -> ())
@@ -220,34 +144,10 @@ module Avail = Occlum_range.Dataflow.Make (struct
     go a b
 end)
 
-let written_regs (i : Insn.t) =
-  match i with
-  | Load { dst; _ } -> [ Reg.to_int dst ]
-  | Pop r -> [ Reg.to_int r; R.sp ]
-  | Push _ | Call _ | Call_reg _ | Call_mem _ | Ret | Ret_imm _ -> [ R.sp ]
-  | Mov_reg (d, _) -> [ Reg.to_int d ]
-  | Mov_imm (r, _) -> [ Reg.to_int r ]
-  | Alu (_, r, _) -> [ Reg.to_int r ] (* even +const: the key's disp shifts *)
-  | Lea (r, _) -> [ Reg.to_int r ]
-  | Wrfsbase r | Wrgsbase r -> [ Reg.to_int r ]
-  | Nop | Store _ | Cmp _ | Jmp _ | Jcc _ | Jmp_reg _ | Jmp_mem _
-  | Syscall_gate | Hlt | Bndcl _ | Bndcu _ | Bndmk _ | Bndmov _
-  | Cfi_label _ | Eexit | Emodpe | Eaccept | Xrstor | Vscatter _ ->
-      []
-
 let avail_guards oelf (d : D.t) =
-  let graph, index_of, is_top_edge = R.unit_graph d in
-  let seeds = ref [] in
-  Array.iteri
-    (fun i (u : U.unit_at) ->
-      match u.kind with
-      | U.U_cfi_label _ -> seeds := (i, []) :: !seeds
-      | _ -> ())
-    d.sorted;
-  (match Hashtbl.find_opt index_of oelf.Occlum_oelf.Oelf.entry with
-  | Some i -> seeds := (i, []) :: !seeds
-  | None -> ());
-  Avail.fixpoint graph ~seeds:!seeds
+  let graph, seeds, is_top_edge = R.unit_graph oelf d in
+  Avail.fixpoint graph
+    ~seeds:(List.map (fun i -> (i, [])) seeds)
     ~edge:(fun ~src ~dst v -> if is_top_edge ~src ~dst then [] else v)
     ~transfer:(fun i s ->
       let u = d.sorted.(i) in
@@ -261,7 +161,7 @@ let avail_guards oelf (d : D.t) =
           let scratch = Reg.to_int Reg.scratch in
           List.filter (fun (b, _) -> b <> scratch) s
       | U.U_insn insn -> (
-          match written_regs insn with
+          match R.written_regs insn with
           | [] -> s
           | w -> List.filter (fun (b, _) -> not (List.mem b w)) s))
 
@@ -360,8 +260,7 @@ let analyze_internal oelf (d : D.t) =
             let note s = Hashtbl.replace why i s in
             match (R.simple_sib m, in_state.(i)) with
             | None, _ -> note "indexed or rip-relative guard operand"
-            | Some (base, disp), Some s when R.covers s base disp (disp + 7)
-              ->
+            | Some _, Some s when R.guard_redundant s m ->
                 (* a guard feeding an adjacent indexed access is
                    structurally required by Stage 4 *)
                 let feeds_indexed =

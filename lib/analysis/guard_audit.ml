@@ -3,12 +3,13 @@
    residue the optimizer left behind (guards it could not see across
    basic blocks, or binaries built with --naive-sfi).
 
-   The redundancy criterion is byte-for-byte the optimizer's
-   (delete_redundant): a guard on [base + disp] is redundant iff the
-   in-state proves base+d in bounds for the whole 8-byte window
-   [disp, disp+7]. Running it on the verifier's own fixpoint means the
-   audit measures exactly what a smarter toolchain could still remove
-   without changing the verifier. *)
+   The redundancy criterion is the optimizer's own
+   {!Occlum_range.Range_lattice.guard_redundant}: a guard on
+   [base + disp] is redundant iff the in-state proves base+d in bounds
+   for the whole 8-byte window [disp, disp+7]. Running it on the
+   verifier's own fixpoint means the audit measures exactly what a
+   smarter toolchain could still remove without changing the
+   verifier. *)
 
 module U = Occlum_verifier.Unit_kind
 module R = Occlum_verifier.Range
@@ -54,9 +55,9 @@ let audit (oelf : Occlum_oelf.Oelf.t) (d : Occlum_verifier.Disasm.t) =
           incr total;
           let func = Option.value (func_of u.addr) ~default:"<unknown>" in
           let redundant =
-            match (R.simple_sib m, in_state.(i)) with
-            | Some (base, disp), Some s -> R.covers s base disp (disp + 7)
-            | _ -> false
+            match in_state.(i) with
+            | Some s -> R.guard_redundant s m
+            | None -> false
           in
           if redundant then begin
             incr red;

@@ -19,9 +19,6 @@ type finding = {
   severity : severity;
 }
 
-val rules : (string * string * string) list
-(** [(id, name, short description)], the stable rule registry. *)
-
 val compare_findings : finding -> finding -> int
 val finding_to_string : finding -> string
 

@@ -10,14 +10,9 @@ val load : int
 val store : int
 val push : int
 val pop : int
-val lea : int
-val branch : int
 val call : int
 val ret : int
 val bound_check : int
-val cfi_label : int
-val nop : int
-val syscall_gate : int
 val div : int
 
 val ewb : int

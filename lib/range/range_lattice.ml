@@ -133,6 +133,26 @@ let simple_sib (m : Insn.mem) =
 
 let sp = Reg.to_int Reg.sp
 
+(* A mem_guard on [m] is redundant under [s] when [s] already proves its
+   whole 8-byte window. *)
+let guard_redundant s m =
+  match simple_sib m with
+  | Some (base, disp) -> covers s base disp (disp + 7)
+  | None -> false
+
+let written_regs (i : Insn.t) =
+  match i with
+  | Mov_imm (r, _) | Mov_reg (r, _) | Lea (r, _) | Alu (_, r, _)
+  | Wrfsbase r | Wrgsbase r ->
+      [ Reg.to_int r ]
+  | Load { dst; _ } -> [ Reg.to_int dst ]
+  | Pop r -> [ Reg.to_int r; sp ]
+  | Push _ | Ret | Ret_imm _ | Call _ | Call_reg _ | Call_mem _ -> [ sp ]
+  | Cmp _ | Store _ | Jmp _ | Jcc _ | Jmp_reg _ | Jmp_mem _ | Nop
+  | Syscall_gate | Hlt | Bndcl _ | Bndcu _ | Bndmk _ | Bndmov _
+  | Cfi_label _ | Eexit | Emodpe | Eaccept | Xrstor | Vscatter _ ->
+      []
+
 (* Model one access: if provable, refresh the anchor; unprovable
    accesses leave the state unchanged (in the optimizer they are still
    guard-protected; in the verifier they are rejected separately). *)

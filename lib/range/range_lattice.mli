@@ -11,9 +11,6 @@
 
 open Occlum_isa
 
-val slack : int
-(** [guard_size - 1]: how far around a proven address D∪G extends. *)
-
 val shift_limit : int
 (** Constant add/sub larger than this kills a fact instead of shifting. *)
 
@@ -50,6 +47,14 @@ val simple_sib : Insn.mem -> (int * int) option
 
 val sp : int
 (** The stack pointer's register number. *)
+
+val guard_redundant : state -> Insn.mem -> bool
+(** A mem_guard on this operand is redundant: its operand is index-free
+    and the state proves its whole 8-byte window. *)
+
+val written_regs : Insn.t -> int list
+(** The registers an instruction writes (a stack op writes {!sp}; an
+    add of a constant counts as a write). *)
 
 val access : state -> Insn.mem -> size:int -> state
 (** Model one memory access of [size] bytes: refresh if provable. *)

@@ -22,25 +22,10 @@
 open Occlum_isa
 include Occlum_range.Range_lattice
 
-(* Which registers does an instruction write? Used by hoist trace-back. *)
-let insn_writes (i : Insn.t) =
-  match i with
-  | Mov_imm (r, _) | Mov_reg (r, _) | Lea (r, _) | Alu (_, r, _)
-  | Wrfsbase r | Wrgsbase r ->
-      [ Reg.to_int r ]
-  | Load { dst; _ } -> [ Reg.to_int dst ]
-  | Pop r -> [ Reg.to_int r; sp ]
-  | Push _ -> [ sp ]
-  | Ret | Ret_imm _ -> [ sp ]
-  | Call _ | Call_reg _ | Call_mem _ -> [ sp ]
-  | Cmp _ | Store _ | Jmp _ | Jcc _ | Jmp_reg _ | Jmp_mem _ | Nop
-  | Syscall_gate | Hlt | Bndcl _ | Bndcu _ | Bndmk _ | Bndmov _
-  | Cfi_label _ | Eexit | Emodpe | Eaccept | Xrstor | Vscatter _ ->
-      []
-
+(* Which registers does an item write? Used by hoist trace-back. *)
 let item_writes (item : Asm.item) =
   match item with
-  | Ins i -> insn_writes i
+  | Ins i -> written_regs i
   | Lea_code (r, _) -> [ Reg.to_int r ]
   | Cfi_guard _ -> [ Reg.to_int Reg.scratch ]
   | Call_l _ -> [ sp ]
@@ -258,9 +243,9 @@ let delete_redundant items =
     (fun i item ->
       match item with
       | Asm.Mem_guard m -> (
-          match (simple_sib m, states.(i)) with
-          | Some (base, disp), Some s -> not (covers s base disp (disp + 7))
-          | _ -> true)
+          match states.(i) with
+          | Some s -> not (guard_redundant s m)
+          | None -> true)
       | _ -> true)
     items
 

@@ -9,6 +9,3 @@ val run : Asm.item list -> Asm.item list
 (** Hoist loop guards into preheaders, then delete redundant guards. *)
 
 val count_guards : Asm.item list -> int
-
-val delete_redundant : Asm.item list -> Asm.item list
-(** The elimination pass alone. *)

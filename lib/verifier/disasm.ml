@@ -117,13 +117,6 @@ let run (code : Bytes.t) =
 
 let find t addr = Hashtbl.find_opt t.units addr
 
-(* The unit that ends exactly where [addr] begins — the "immediately
-   preceding instruction" used by the Stage-3 adjacency check. *)
-let preceding t (u : Unit_kind.unit_at) =
-  Array.find_opt
-    (fun (p : Unit_kind.unit_at) -> p.addr + p.len = u.addr)
-    t.sorted
-
 let listing t =
   Array.to_list t.sorted
   |> List.map (fun (u : Unit_kind.unit_at) ->

@@ -26,8 +26,5 @@ val is_walk_end : Unit_kind.t -> bool
 (** Units the Stage-1 walk does not fall through (jmp, indirect jmp,
     ret, hlt, eexit). Guards are never walk-ends. *)
 
-val preceding : t -> Unit_kind.unit_at -> Unit_kind.unit_at option
-(** The unit that ends where the given one begins (Stage-3 adjacency). *)
-
 val listing : t -> string
 (** A human-readable disassembly. *)

@@ -6,7 +6,8 @@
    shared with the optimizer so the two cannot drift apart. This module
    adds the verifier's view of it: the per-unit transfer function and
    successor relation over {!Unit_kind.unit_at} values, which Stage 4
-   and the guard-audit client of [lib/analysis] both run unchanged.
+   and its clients in [lib/analysis] (elision, the guard audit) all run
+   unchanged.
 
    cfi_labels reset the state to top because any indirect transfer may
    land on them. Calls reset the state of their return site (the callee
@@ -63,17 +64,21 @@ let transfer (u : U.unit_at) s =
       | Emodpe | Eaccept | Xrstor ->
           s)
 
-(* The unit graph Stage 4 and the guard audit iterate over: nodes are
-   indices into [d.sorted]; [Next_top] edges are returned separately so
-   the dataflow edge hook can deliver top along them. *)
-let unit_graph (d : Disasm.t) =
+(* The unit graph Stage 4, elision and the guard audit iterate over:
+   nodes are indices into [d.sorted]. The seeds are every cfi_label
+   (indirect transfers may land there) and the program entry. [Next_top]
+   edges are returned separately so the dataflow edge hook can deliver
+   top along them. *)
+let unit_graph (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
   let n = Array.length d.sorted in
   let index_of = Hashtbl.create (2 * n) in
   Array.iteri (fun i (u : U.unit_at) -> Hashtbl.replace index_of u.addr i) d.sorted;
   let succs = Array.make n [] in
   let top_edges = Hashtbl.create 16 in
+  let seeds = ref [] in
   Array.iteri
     (fun i (u : U.unit_at) ->
+      (match u.kind with U.U_cfi_label _ -> seeds := i :: !seeds | _ -> ());
       let next () =
         if i + 1 < n && d.sorted.(i + 1).addr = u.addr + u.len then [ i + 1 ]
         else []
@@ -94,8 +99,11 @@ let unit_graph (d : Disasm.t) =
       in
       succs.(i) <- List.sort_uniq compare out)
     d.sorted;
+  (match Hashtbl.find_opt index_of oelf.entry with
+  | Some i -> seeds := i :: !seeds
+  | None -> ());
   let graph = { Occlum_range.Dataflow.nodes = n; succs } in
-  (graph, index_of, fun ~src ~dst -> Hashtbl.mem top_edges (src, dst))
+  (graph, !seeds, fun ~src ~dst -> Hashtbl.mem top_edges (src, dst))
 
 module Engine = Occlum_range.Dataflow.Make (struct
   type t = state
@@ -104,19 +112,17 @@ module Engine = Occlum_range.Dataflow.Make (struct
   let join = meet
 end)
 
-(* The whole-binary Stage-4 fixpoint: in-state of every disassembled
-   unit, seeded with top at every cfi_label (indirect transfers may land
-   there) and at the program entry. [None] = unreachable from any seed. *)
-let analyze (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
-  let graph, index_of, is_top_edge = unit_graph d in
-  let seeds = ref [] in
-  Array.iteri
-    (fun i (u : U.unit_at) ->
-      match u.kind with U.U_cfi_label _ -> seeds := (i, top) :: !seeds | _ -> ())
-    d.sorted;
-  (match Hashtbl.find_opt index_of oelf.entry with
-  | Some i -> seeds := (i, top) :: !seeds
-  | None -> ());
-  Engine.fixpoint graph ~seeds:!seeds
+(* The whole-binary Stage-4 fixpoint: the in-state of every disassembled
+   unit, with top at every seed. A unit with [skip.(i)] passes its state
+   through unchanged: elision asks what the facts are once those guards
+   are gone (removal changes no edge, a guard has one fall-through
+   successor). [None] = unreachable from any seed. *)
+let analyze ?skip (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
+  let graph, seeds, is_top_edge = unit_graph oelf d in
+  Engine.fixpoint graph
+    ~seeds:(List.map (fun i -> (i, top)) seeds)
     ~edge:(fun ~src ~dst v -> if is_top_edge ~src ~dst then top else v)
-    ~transfer:(fun i s -> transfer d.sorted.(i) s)
+    ~transfer:
+      (match skip with
+      | None -> fun i s -> transfer d.sorted.(i) s
+      | Some skip -> fun i s -> if skip.(i) then s else transfer d.sorted.(i) s)

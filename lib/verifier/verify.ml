@@ -123,23 +123,24 @@ let stage3 (d : Disasm.t) =
 
 (* --- Stage 4 ------------------------------------------------------------ *)
 
-(* The range-analysis fixpoint itself lives in {!Range.analyze} (built
-   on the shared {!Occlum_range.Dataflow} engine); this stage checks
-   every access against it (Figure 4). *)
-let stage4 (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
-  let in_state = Range.analyze oelf d in
+(* Every failing Figure-4 obligation against {!Range.analyze}, in unit
+   order: (unit index, the register whose fact is missing, if any, and
+   the reason). The reason is formatted only when forced. [removed]
+   marks guards to treat as deleted: they neither set facts nor satisfy
+   the adjacency of the unit after them, which is how elision asks
+   whether a removal set still verifies. *)
+let stage4_failures ?removed (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
+  let in_state = Range.analyze ?skip:removed oelf d in
+  let is_removed j = match removed with Some r -> r.(j) | None -> false in
   let bad = ref [] in
-  let reject (u : U.unit_at) reason =
-    bad :=
-      { stage = 4; addr = u.addr; reason; insn = Some (U.to_string u.kind) }
-      :: !bad
-  in
+  let reject i reg reason = bad := (i, reg, reason) :: !bad in
   let d_begin = Occlum_oelf.Oelf.d_begin_rel oelf in
   let d_end = d_begin + oelf.data_region_size in
   let guarded_by i (operand : Insn.mem) =
     (* adjacency: the immediately preceding unit is a mem_guard with an
        identical operand *)
     i > 0
+    && (not (is_removed (i - 1)))
     &&
     let p = d.sorted.(i - 1) and u = d.sorted.(i) in
     p.addr + p.len = u.addr
@@ -154,7 +155,8 @@ let stage4 (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
       | None ->
           (* in R but never reached by the CFG seeds: contradicts the
              reachability argument of Stage 1; reject conservatively *)
-          reject u "disassembled unit unreachable in the verified CFG"
+          reject i None
+            (lazy "disassembled unit unreachable in the verified CFG")
       | Some s -> (
           let check_sp_access ~push_like operand_disp =
             let lo, hi = if push_like then (-8, -1) else (0, 7) in
@@ -163,9 +165,9 @@ let stage4 (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
               || guarded_by i (sp_mem operand_disp)
             then ()
             else
-              reject u
-                (if push_like then "implicit stack store not provably in D"
-                 else "implicit stack load not provably in D")
+              reject i (Some Range.sp)
+                (if push_like then lazy "implicit stack store not provably in D"
+                 else lazy "implicit stack load not provably in D")
           in
           match u.kind with
           | U.U_mem_guard _ | U.U_cfi_guard _ | U.U_cfi_label _ -> ()
@@ -190,28 +192,42 @@ let stage4 (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
                             (disp + size - 1)
                         then ()
                         else
-                          reject u
-                            (Printf.sprintf
-                               "memory access %s not provably within D"
-                               (Insn.mem_to_string operand))
+                          reject i (Some (Reg.to_int base))
+                            (lazy
+                              (Printf.sprintf
+                                 "memory access %s not provably within D"
+                                 (Insn.mem_to_string operand)))
                     | Some _ ->
-                        reject u
-                          "indexed access without an adjacent mem_guard"
-                  )
+                        reject i (Some (Reg.to_int base))
+                          (lazy "indexed access without an adjacent mem_guard"))
               | Ma_rip_rel { disp; size; is_store = _ } ->
                   let t = u.addr + u.len + disp in
                   if t >= d_begin && t + size <= d_end then ()
                   else
-                    reject u
-                      (Printf.sprintf
-                         "rip-relative access to 0x%x outside D [0x%x,0x%x)"
-                         t d_begin d_end)
+                    reject i None
+                      (lazy
+                        (Printf.sprintf
+                           "rip-relative access to 0x%x outside D [0x%x,0x%x)"
+                           t d_begin d_end))
               | Ma_direct_offset ->
-                  reject u "direct memory offset (Figure 4: reject)"
+                  reject i None (lazy "direct memory offset (Figure 4: reject)")
               | Ma_vector_sib ->
-                  reject u "vector SIB (Figure 4: reject)")))
+                  reject i None (lazy "vector SIB (Figure 4: reject)"))))
     d.sorted;
-  if !bad <> [] then raise (Rejected (List.rev !bad))
+  List.rev !bad
+
+let stage4 (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
+  match stage4_failures oelf d with
+  | [] -> ()
+  | fails ->
+      raise
+        (Rejected
+           (List.map
+              (fun (i, _, reason) ->
+                let u = d.sorted.(i) in
+                { stage = 4; addr = u.addr; reason = Lazy.force reason;
+                  insn = Some (U.to_string u.kind) })
+              fails))
 
 (* --- top level ----------------------------------------------------------- *)
 

@@ -21,6 +21,19 @@ val rejection_to_string : rejection -> string
 val verify : Occlum_oelf.Oelf.t -> (Disasm.t, rejection list) result
 (** Run all four stages; on success returns the complete disassembly. *)
 
+val stage4_failures :
+  ?removed:bool array ->
+  Occlum_oelf.Oelf.t ->
+  Disasm.t ->
+  (int * int option * string Lazy.t) list
+(** Stage 4's obligation check (Figure 4 against the range fixpoint),
+    without raising: every failing obligation in unit order, as (index
+    into the disassembly's sorted units, the register whose fact is
+    missing if there is one, the reason). With [removed], the marked
+    mem_guards count as deleted: they set no facts and satisfy no
+    adjacency. Stage 4 rejects a binary exactly when this is non-empty
+    without [removed]. *)
+
 val verify_and_sign :
   Occlum_oelf.Oelf.t -> (Occlum_oelf.Oelf.t, rejection list) result
 (** {!verify}, then {!Signer.sign}: the artifact the LibOS loader

@@ -20,9 +20,6 @@ type attack = { technique : technique; target : target; name : string }
 val corpus : attack list
 (** All 8 technique x target combinations. *)
 
-val shellcode : labeled:bool -> domain_id:int -> string
-(** exit(1337) as raw OASM bytes, optionally label-prefixed. *)
-
 val attack_program : attack -> Occlum_toolchain.Ast.program
 (** The vulnerable program (it passes the verifier: the threat model is
     a compromised-but-verified SIP). *)

@@ -87,6 +87,19 @@ if [ -n "$seal" ]; then
   exit 1
 fi
 
+# One Stage 4: elision and the guard audit call the verifier's range
+# fixpoint (Range.analyze) and its obligation check
+# (Verify.stage4_failures). No other module may drive the engine that
+# fixpoint runs on, and lib/analysis may not keep its own copy of the
+# Figure-4 walk.
+stage4=$(grep -rnE '\b(Range|R)\.Engine\b' lib | grep -v '^lib/verifier/range\.ml:' || true)
+walk=$(grep -rnE '\b(let|and)( rec)? +(guarded_by|sp_mem)\b' lib/analysis || true)
+if [ -n "$stage4$walk" ]; then
+  echo "FAIL: a copy of Stage 4 outside lib/verifier (call Range.analyze / Verify.stage4_failures):" >&2
+  printf '%s\n%s\n' "$stage4" "$walk" >&2
+  exit 1
+fi
+
 # No export that nothing names: every `val` in a lib/ interface must be
 # named by some other source file (tests count), except in the user
 # facade lib/core/occlum.mli.

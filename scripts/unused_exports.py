@@ -6,9 +6,12 @@
 Every `val` declared in an `.mli` under `lib/` must be named by at least
 one other OCaml source file (`.ml` or `.mli`) under `lib/`, `bin/`,
 `bench/`, `test/` or `examples/`; tests count as users. A name counts
-wherever it appears as a whole identifier in another file, qualified or
-not (comments included), so the check can miss an unused export whose
-name some other file happens to use. An export used only through a
+wherever it appears as a whole identifier in the code of another file,
+qualified or not. Comments (nested `(* *)`), string literals (`"..."`
+with escapes, `{|...|}` and `{id|...|id}`) and char literals are
+skipped, so a name mentioned only in prose or in a message does not
+count; the check can still miss an unused export whose name some other
+file happens to use as code. An export used only through a
 signature, by a functor argument or an `include`, would be flagged even
 though it is in use; no module does that today. The module's own
 `.ml` and `.mli` do not count: an export that only its implementation
@@ -30,6 +33,64 @@ ALLOWLIST = {os.path.join("lib", "core", "occlum.mli")}
 
 VAL_RE = re.compile(r"^\s*val\s+(?:\(\s*([^)\s]+)\s*\)|([a-z_][A-Za-z0-9_']*))")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+CHAR_RE = re.compile(
+    r"'(?:[^\\'\n]|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3}"
+    r"|u\{[0-9a-fA-F]+\}))'")
+QUOTED_RE = re.compile(r"\{([a-z_]*)\|")
+IDENT_CHAR = re.compile(r"[A-Za-z0-9_']")
+
+
+def code_only(s):
+    """`s` with every comment, string and char literal blanked to spaces
+    (newlines kept, so line numbers still hold)."""
+    out = list(s)
+    n = len(s)
+
+    def blank(a, b):
+        for k in range(a, b):
+            if out[k] != "\n":
+                out[k] = " "
+
+    def skip_literal(i):
+        """End of the literal starting at i, or None if none starts there."""
+        c = s[i]
+        if c == '"':
+            j = i + 1
+            while j < n and s[j] != '"':
+                j += 2 if s[j] == "\\" else 1
+            return min(j + 1, n)
+        if c == "{":
+            m = QUOTED_RE.match(s, i)
+            if m:
+                close = s.find("|%s}" % m.group(1), m.end())
+                return n if close < 0 else close + len(m.group(1)) + 2
+        if c == "'" and (i == 0 or not IDENT_CHAR.match(s[i - 1])):
+            m = CHAR_RE.match(s, i)
+            if m:
+                return m.end()
+        return None
+
+    i = 0
+    while i < n:
+        if s.startswith("(*", i):
+            start, depth, i = i, 1, i + 2
+            while i < n and depth:
+                if s.startswith("(*", i):
+                    depth, i = depth + 1, i + 2
+                elif s.startswith("*)", i):
+                    depth, i = depth - 1, i + 2
+                else:
+                    end = skip_literal(i)
+                    i = end if end is not None else i + 1
+            blank(start, i)
+            continue
+        end = skip_literal(i)
+        if end is not None:
+            blank(i, end)
+            i = end
+        else:
+            i += 1
+    return "".join(out)
 
 
 def sources(root):
@@ -49,7 +110,7 @@ def main(argv):
     text = {}
     for f in sources(root):
         with open(os.path.join(root, f), encoding="utf-8") as h:
-            text[f] = h.read()
+            text[f] = code_only(h.read())
     idents = {f: set(IDENT_RE.findall(s)) for f, s in text.items()}
     unused = []
     for f in text:

@@ -617,9 +617,77 @@ let test_guard_audit_findings () =
      in
      find 0)
 
+(* Validation reinstates a guard whose window is already covered but
+   whose anchor widens the fact a later access needs: [r1+4000] lies
+   inside the first guard's slack of 4095, so it is a candidate, yet
+   only its anchor reaches [r1+8000]. The pass must find that through
+   the verifier's own obligation check, which also drops the adjacency
+   of a removed guard in front of an indexed access. *)
+let test_elide_reinstates_needed_guard () =
+  let load src =
+    Asm.Ins (Load { dst = Reg.r0; src; size = 8 })
+  in
+  let sib disp : Insn.mem =
+    Sib { base = Reg.r1; index = None; scale = 1; disp }
+  in
+  let indexed : Insn.mem =
+    Sib { base = Reg.r1; index = Some Reg.r2; scale = 8; disp = 0 }
+  in
+  let oelf =
+    link_raw
+      [
+        Asm.Label "_start";
+        Asm.Cfi_label_here;
+        g1 0;
+        g1 4000;
+        load (sib 8000);
+        Asm.Mem_guard indexed;
+        load indexed;
+        Asm.Label "spin";
+        Asm.Jmp_l "spin";
+      ]
+  in
+  let d = disasm_exn oelf in
+  let report = Elide.analyze oelf d in
+  let widening, index_guard =
+    match report.Elide.guards with
+    | [ _; w; x ] -> (w, x)
+    | _ -> Alcotest.fail "expected three guards"
+  in
+  Alcotest.(check int) "nothing elided" 0 report.Elide.elided;
+  Alcotest.(check int) "one reinstating round, one clean round" 2
+    report.Elide.rounds;
+  Alcotest.(check bool) "the widening guard stays required" true
+    (widening.cls = Elide.Required);
+  Alcotest.(check string) "and says it was reinstated"
+    "reinstated: a residual obligation needs this guard" widening.why;
+  let failures removed =
+    Occlum_verifier.Verify.stage4_failures ~removed oelf d
+    |> List.map (fun (i, reg, _) -> (i, reg))
+  in
+  let without j =
+    Array.init (Array.length d.sorted) (fun i -> i = j)
+  in
+  let r1 = Some (Reg.to_int Reg.r1) in
+  Alcotest.(check (list (pair int (option int))))
+    "no failure with every guard in place" []
+    (failures (without (-1)));
+  Alcotest.(check (list (pair int (option int))))
+    "removing the widening guard fails the load on r1"
+    [ (widening.index + 1, r1) ]
+    (failures (without widening.index));
+  Alcotest.(check (list (pair int (option int))))
+    "a removed guard is no adjacent guard for the indexed load"
+    [ (index_guard.index + 1, r1) ]
+    (failures (without index_guard.index));
+  let oelf', _ = elide_ok oelf in
+  match Occlum_verifier.Verify.verify oelf' with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "unmodified verifier must re-accept the output"
+
 (* --- the shared dataflow engine ------------------------------------------ *)
 
-module Int_max = Occlum_analysis.Dataflow.Make (struct
+module Int_max = Occlum_range.Dataflow.Make (struct
   type t = int
 
   let equal = Int.equal
@@ -629,7 +697,7 @@ end)
 let test_dataflow_engine_forward_backward () =
   (* diamond: 0 -> 1,2 -> 3; forward max propagates the larger seed *)
   let g =
-    { Occlum_analysis.Dataflow.nodes = 4;
+    { Occlum_range.Dataflow.nodes = 4;
       succs = [| [ 1; 2 ]; [ 3 ]; [ 3 ]; [] |] }
   in
   let out =
@@ -685,4 +753,6 @@ let suite =
       test_lint_dead_flag_update;
     Alcotest.test_case "guard audit: findings" `Quick
       test_guard_audit_findings;
+    Alcotest.test_case "elide: reinstates a guard a later access needs"
+      `Quick test_elide_reinstates_needed_guard;
   ]
