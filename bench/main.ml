@@ -641,7 +641,7 @@ let micro () =
   let page = Bytes.make 4096 'x' in
   let page_string = Bytes.to_string page in
   let hmac_key = Occlum_util.Hmac.key (String.make 32 'm') in
-  let mac_key = Occlum_util.Blake2s.key (String.make 32 'm') in
+  let mac_key = Occlum_util.Blake2b.key (String.make 32 'm') in
   let sefs = Occlum_libos.Sefs.create ~key:"bench" () in
   (match Occlum_libos.Sefs.write_path sefs "/f" (String.make 65536 'y') with
   | Ok _ -> ()
@@ -683,7 +683,7 @@ let micro () =
            length, the label, then 4 KiB of ciphertext *)
         Test.make ~name:"mac-sefs-block"
           (Staged.stage (fun () ->
-               Occlum_util.Blake2s.mac mac_key
+               Occlum_util.Blake2b.mac mac_key
                  [ "\007\000\000\000\000\000\000\000"; "blk:7:1"; page_string ]));
         Test.make ~name:"cipher-sefs-block"
           (Staged.stage (fun () ->

@@ -1,7 +1,7 @@
 (* occlum_sefs: the host-side utility for preparing and inspecting
    Occlum encrypted file-system images (the paper's FUSE-based tool,
-   §8). The image file (format version 3, magic SEFSIMG3) holds only
-   ciphertext and keyed BLAKE2s tags; every operation that touches
+   §8). The image file (format version 4, magic SEFSIMG4) holds only
+   ciphertext and keyed BLAKE2b tags; every operation that touches
    plaintext needs the volume key, and an image of an older version is
    refused with a message that names it.
 

@@ -36,6 +36,7 @@ open Occlum_isa
 module U = Occlum_verifier.Unit_kind
 module D = Occlum_verifier.Disasm
 module R = Occlum_verifier.Range
+module L = Occlum_range.Range_lattice
 module V = Occlum_verifier.Verify
 
 type classification = Required | Dominated_redundant | Range_proven
@@ -107,7 +108,7 @@ let validate oelf d cand =
                   if r then
                     match d.D.sorted.(j).U.kind with
                     | U.U_mem_guard m -> (
-                        match R.simple_sib m with
+                        match L.simple_sib m with
                         | Some (b, _) when Some b = base ->
                             removed.(j) <- false;
                             hit := true
@@ -154,14 +155,14 @@ let avail_guards oelf (d : D.t) =
       match u.kind with
       | U.U_cfi_label _ -> []
       | U.U_mem_guard m -> (
-          match R.simple_sib m with
+          match L.simple_sib m with
           | Some key -> List.sort_uniq compare (key :: s)
           | None -> s)
       | U.U_cfi_guard _ ->
           let scratch = Reg.to_int Reg.scratch in
           List.filter (fun (b, _) -> b <> scratch) s
       | U.U_insn insn -> (
-          match R.written_regs insn with
+          match L.written_regs insn with
           | [] -> s
           | w -> List.filter (fun (b, _) -> not (List.mem b w)) s))
 
@@ -183,7 +184,7 @@ let analyze_internal oelf (d : D.t) =
         (fun i (u : U.unit_at) ->
           match u.kind with
           | U.U_mem_guard m -> (
-              match R.simple_sib m with
+              match L.simple_sib m with
               | Some key ->
                   Hashtbl.replace tbl key
                     (i :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
@@ -205,7 +206,7 @@ let analyze_internal oelf (d : D.t) =
                 { index = i; addr = u.addr; text; cls = Required;
                   why = why_required i }
               else
-                let key = Option.get (R.simple_sib m) in
+                let key = Option.get (L.simple_sib m) in
                 let bi = cfg.Cfg.block_of_unit.(i) in
                 let dominated =
                   List.mem key
@@ -258,9 +259,9 @@ let analyze_internal oelf (d : D.t) =
         match u.kind with
         | U.U_mem_guard m -> (
             let note s = Hashtbl.replace why i s in
-            match (R.simple_sib m, in_state.(i)) with
+            match (L.simple_sib m, in_state.(i)) with
             | None, _ -> note "indexed or rip-relative guard operand"
-            | Some _, Some s when R.guard_redundant s m ->
+            | Some _, Some s when L.guard_redundant s m ->
                 (* a guard feeding an adjacent indexed access is
                    structurally required by Stage 4 *)
                 let feeds_indexed =

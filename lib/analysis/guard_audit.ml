@@ -13,6 +13,7 @@
 
 module U = Occlum_verifier.Unit_kind
 module R = Occlum_verifier.Range
+module L = Occlum_range.Range_lattice
 
 type func_report = {
   name : string;
@@ -56,7 +57,7 @@ let audit (oelf : Occlum_oelf.Oelf.t) (d : Occlum_verifier.Disasm.t) =
           let func = Option.value (func_of u.addr) ~default:"<unknown>" in
           let redundant =
             match in_state.(i) with
-            | Some s -> R.guard_redundant s m
+            | Some s -> L.guard_redundant s m
             | None -> false
           in
           if redundant then begin

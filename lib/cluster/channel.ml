@@ -60,6 +60,7 @@ let crossing_ns = 6_000L
 let frame_cost_ns len = Int64.add crossing_ns (Int64.of_int (2 * len))
 
 type dir_state = {
+  prefix : string;  (** the frame label up to its seq, at the channel's epoch *)
   mutable send_seq : int;  (** next seq to assign *)
   mutable recv_seq : int;  (** next seq the receiver accepts *)
   mutable last_payload : string;  (** for retransmission *)
@@ -90,8 +91,17 @@ type t = {
 let check_u32 what v =
   if v < 0 || v > 0xffff_ffff then invalid_arg ("Channel: " ^ what ^ " out of 32 bits")
 
-let fresh_dir () =
-  { send_seq = 0; recv_seq = 0; last_payload = ""; last_seq = -1 }
+(* A frame's tag covers its label (channel direction, epoch and seq),
+   then its ciphertext. The label is [chan|<src>-><dst>|e<epoch>|s<seq>|];
+   this is all of it but the seq and the closing bar. *)
+let label_prefix ~src ~dst ~epoch =
+  String.concat ""
+    [ "chan|"; string_of_int src; "->"; string_of_int dst; "|e";
+      string_of_int epoch; "|s" ]
+
+let fresh_dir ~src ~dst ~epoch =
+  { prefix = label_prefix ~src ~dst ~epoch; send_seq = 0; recv_seq = 0;
+    last_payload = ""; last_seq = -1 }
 
 let establish ~a ~b ~key ~epoch ~transport ~now ~obs =
   if String.length key <> 32 then invalid_arg "Channel.establish: key size";
@@ -103,8 +113,8 @@ let establish ~a ~b ~key ~epoch ~transport ~now ~obs =
       keys = Occlum_util.Seal.keys ~domain:"chan" key;
       epoch;
       transport;
-      ab = fresh_dir ();
-      ba = fresh_dir ();
+      ab = fresh_dir ~src:a ~dst:b ~epoch;
+      ba = fresh_dir ~src:b ~dst:a ~epoch;
       state = Open;
       last_activity = now;
       retries = 0;
@@ -150,12 +160,25 @@ let frame_nonce ~src ~epoch ~seq =
   Bytes.set_int32_le n 8 (Int32.of_int seq);
   Bytes.unsafe_to_string n
 
-(* A frame's tag covers its label (channel direction, epoch and seq),
-   then its ciphertext. *)
+(* The label of frame [seq] in [src]'s direction: the direction's
+   prefix, built once, unless a stale epoch needs its own, then the
+   decimal [seq] (a checked 32-bit word) and a bar, in one string. *)
 let label t ~src ~epoch ~seq =
-  String.concat ""
-    [ "chan|"; string_of_int src; "->"; string_of_int (dst_of t ~src); "|e";
-      string_of_int epoch; "|s"; string_of_int seq; "|" ]
+  let prefix =
+    if epoch = t.epoch then (dir_of t ~src).prefix
+    else label_prefix ~src ~dst:(dst_of t ~src) ~epoch
+  in
+  let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+  let p = String.length prefix and d = digits seq in
+  let b = Bytes.create (p + d + 1) in
+  Bytes.blit_string prefix 0 b 0 p;
+  let n = ref seq in
+  for i = p + d - 1 downto p do
+    Bytes.set b i (Char.chr (48 + (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.set b (p + d) '|';
+  Bytes.unsafe_to_string b
 
 (* A frame is epoch and seq (big-endian 32-bit), tag, ciphertext. *)
 let seal t ~src ~seq payload =

@@ -8,12 +8,12 @@
    "shared file systems: writable" only for SIPs.
 
    Confidentiality: each 4 KiB block is encrypted with a per-(block,
-   generation) nonce, derived from an injective encoding of the pair
-   (["<volume>:blk:<id>"] at index [gen]) that is disjoint from the
-   metadata's [-gen] index, so no two sealings under one key share a
-   nonce. Integrity: each block carries a keyed BLAKE2s tag over its
-   length-prefixed identity-and-generation label and its ciphertext; any
-   host tampering surfaces as [Corrupt] on the next read.
+   generation) nonce, a fixed-width encoding of the pair that is
+   disjoint from the metadata's, under keys of the volume's own domain,
+   so no two sealings under one key share a nonce. Integrity: each block
+   carries a keyed BLAKE2b tag over its length-prefixed
+   identity-and-generation label and its ciphertext; any host tampering
+   surfaces as [Corrupt] on the next read.
 
    Every metadata operation is O(1) in the size of the volume: inodes
    live in a table keyed by ino, block generations in an array indexed
@@ -82,11 +82,14 @@ module Host_store = struct
     t.reads <- t.reads + 1;
     Hashtbl.find_opt t.blocks idx
 
-  (* Version 3: tags became keyed BLAKE2s over a length-prefixed label,
-     so no version-2 MAC verifies. Version 2 made block nonces
-     injective: a version-1 image's MACs would still verify, but its
-     blocks would decrypt to garbage. Both are refused outright. *)
-  let image_magic = "SEFSIMG3"
+  (* Version 4: tags became keyed BLAKE2b, nonces a fixed-width
+     encoding and the volume name part of the key domain, so no
+     version-3 MAC verifies. Version 3 tagged with keyed BLAKE2s over a
+     length-prefixed label, so no version-2 MAC verifies. Version 2 made
+     block nonces injective: a version-1 image's MACs would still
+     verify, but its blocks would decrypt to garbage. All are refused
+     outright. *)
+  let image_magic = "SEFSIMG4"
 
   (* The on-disk form of the untrusted volume: what the host actually
      stores, and what the occlum_sefs host utility (the paper's
@@ -136,6 +139,8 @@ module Host_store = struct
     in
     (match line () with
     | m when m = image_magic -> ()
+    | "SEFSIMG3" ->
+        raise (Bad_image "image version 3 (BLAKE2s tags): re-create it")
     | "SEFSIMG2" ->
         raise (Bad_image "image version 2 (HMAC tags): re-create it")
     | "SEFSIMG1" ->
@@ -271,42 +276,51 @@ let bump_gen t idx =
 
 (* --- block crypto -------------------------------------------------------- *)
 
-(* Block [idx] at generation [gen] is sealed under the nonce of
-   ["<volume>:blk:<idx>"] at index [gen]; the metadata's is [<volume>] at
-   index [-gen]. Both encodings are injective and never meet. *)
-let block_nonce t idx gen =
-  Occlum_util.Cipher.derive_nonce (t.volume ^ ":blk:" ^ string_of_int idx) gen
+let max_block_id = 0xffff_ffff
+let max_gen = (1 lsl 56) - 1
 
-let meta_nonce t gen = Occlum_util.Cipher.derive_nonce t.volume (-gen)
+(* A nonce is [u32le id ‖ u56le gen ‖ kind]: block [idx] at generation
+   [gen] is [(idx, gen, 0)], the metadata at generation [gen] is
+   [(0, gen, 1)]. Fixed-width fields make the encoding injective, and
+   the kind byte keeps the two sets apart. The volume name is in the
+   key domain instead ({!mount}), so two volumes under one key never
+   share a (key, nonce) pair. *)
+let nonce ~id ~gen kind =
+  if id < 0 || id > max_block_id then invalid_arg "Sefs: block id out of 32 bits";
+  if gen < 0 || gen > max_gen then invalid_arg "Sefs: generation out of 56 bits";
+  let n = Bytes.create Occlum_util.Cipher.nonce_size in
+  Bytes.set_int32_le n 0 (Int32.of_int id);
+  Bytes.set_int64_le n 4 (Int64.of_int (gen lor (kind lsl 56)));
+  Bytes.unsafe_to_string n
+
+let block_nonce idx gen = nonce ~id:idx ~gen 0
+let meta_nonce gen = nonce ~id:0 ~gen 1
 
 (* An encrypted volume seals through {!Occlum_util.Seal} under its
-   keys; a plaintext one stores [plain] as is, untagged, and never
-   forces [nonce]. Both directions copy the payload once. *)
+   keys; a plaintext one stores [plain] as is, untagged. Both directions
+   copy the payload once. *)
 let seal t ~label ~nonce plain =
   if not t.encrypted then { Host_store.cipher = Bytes.to_string plain; mac = "" }
   else
-    let cipher, mac =
-      Occlum_util.Seal.seal t.keys ~label ~nonce:(Lazy.force nonce) plain
-    in
+    let cipher, mac = Occlum_util.Seal.seal t.keys ~label ~nonce plain in
     { Host_store.cipher; mac }
 
 let unseal t ~label ~nonce (e : Host_store.entry) =
   if not t.encrypted then Bytes.of_string e.cipher
   else
-    match
-      Occlum_util.Seal.open_ t.keys ~label ~nonce:(Lazy.force nonce) ~tag:e.mac
-        e.cipher
-    with
+    match Occlum_util.Seal.open_ t.keys ~label ~nonce ~tag:e.mac e.cipher with
     | Some plain -> plain
     | None -> raise (Corrupt ("integrity check failed: " ^ label))
 
 let block_label idx gen = "blk:" ^ string_of_int idx ^ ":" ^ string_of_int gen
 
+(* The nonce is made, and an id or generation out of its range refused,
+   before the generation moves. *)
 let writeback_block t idx (line : cache_line) =
+  let nonce = block_nonce idx (gen_of t idx + 1) in
   let gen = bump_gen t idx in
   Host_store.put t.host idx
-    (seal t ~label:(block_label idx gen) ~nonce:(lazy (block_nonce t idx gen))
-       line.data);
+    (seal t ~label:(block_label idx gen) ~nonce line.data);
   line.dirty <- false
 
 let read_block t idx =
@@ -321,8 +335,7 @@ let read_block t idx =
         | None -> Bytes.make block_size '\x00' (* never written: a hole *)
         | Some e ->
             let gen = gen_of t idx in
-            unseal t ~label:(block_label idx gen)
-              ~nonce:(lazy (block_nonce t idx gen)) e
+            unseal t ~label:(block_label idx gen) ~nonce:(block_nonce idx gen) e
       in
       let line = { data; dirty = false } in
       Hashtbl.replace t.cache idx line;
@@ -441,23 +454,24 @@ let meta_of_string s =
   done;
   m
 
+(* The metadata's nonce is made first, so a generation out of its range
+   is refused before any block is written back. *)
 let flush t =
+  let gen = (match t.host.meta with Some (g, _) -> g | None -> 0) + 1 in
+  let nonce = meta_nonce gen in
   Hashtbl.iter (fun idx line -> if line.dirty then writeback_block t idx line)
     t.cache;
-  let gen = (match t.host.meta with Some (g, _) -> g | None -> 0) + 1 in
   let label = Printf.sprintf "meta:%d" gen in
   t.host.meta <-
-    Some
-      ( gen,
-        seal t ~label ~nonce:(lazy (meta_nonce t gen))
-          (Bytes.unsafe_of_string (meta_to_string t.m)) )
+    Some (gen, seal t ~label ~nonce (Bytes.unsafe_of_string (meta_to_string t.m)))
 
 (* Re-mount an existing host store (e.g. a fresh LibOS boot over the same
    host files): decrypt and reload the metadata, rebuilding its indexes. *)
 let mount ?(volume = "vol0") ?(encrypted = true) ?(obs = Occlum_obs.Obs.disabled)
     ~key host =
   let t =
-    { host; keys = Occlum_util.Seal.keys ~domain:"sefs" key; volume; encrypted;
+    { host; keys = Occlum_util.Seal.keys ~domain:("sefs:" ^ volume) key; volume;
+      encrypted;
       m = empty_meta ();
       cache = Hashtbl.create 256; cache_hits = 0; cache_misses = 0;
       retries = 0; backoff_ns = 0L; obs }
@@ -465,11 +479,12 @@ let mount ?(volume = "vol0") ?(encrypted = true) ?(obs = Occlum_obs.Obs.disabled
   (match host.Host_store.meta with
   | None -> t.m <- fresh_meta ()
   | Some (gen, e) ->
+      (* the generation is the host's: one out of range is tampering *)
+      if gen < 0 || gen > max_gen then raise (Corrupt "bad metadata generation");
       let label = Printf.sprintf "meta:%d" gen in
       t.m <-
         meta_of_string
-          (Bytes.unsafe_to_string
-             (unseal t ~label ~nonce:(lazy (meta_nonce t gen)) e)));
+          (Bytes.unsafe_to_string (unseal t ~label ~nonce:(meta_nonce gen) e)));
   t
 
 let create ?volume ?encrypted ?obs ~key () =

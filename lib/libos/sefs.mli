@@ -5,9 +5,10 @@
     This is the capability Table 1 reserves to SIPs: Graphene-SGX's
     per-process enclaves cannot maintain one consistent writable view.
 
-    Confidentiality: per-(block, generation) nonces from an injective
+    Confidentiality: per-(block, generation) nonces from a fixed-width
     encoding of the pair, disjoint from the metadata's nonces
-    ({!block_nonce}, {!meta_nonce}). Integrity: a keyed BLAKE2s tag per
+    ({!block_nonce}, {!meta_nonce}), under keys of the volume's own
+    domain. Integrity: a keyed BLAKE2b tag per
     block over its length-prefixed identity-and-generation label and its
     ciphertext; host tampering surfaces as {!Corrupt} on the next cold
     read.
@@ -48,9 +49,9 @@ val retry_io :
     its simulated backoff, and each retry bumps [io.retries] in [obs]. *)
 
 (** The untrusted host side: ciphertext blocks plus a sealed metadata
-    blob. Serializable to the occlum_sefs image format (version 3,
-    magic [SEFSIMG3]) without keys; {!Host_store.of_string} refuses a
-    version-1 or version-2 image with its own [Bad_image] message. *)
+    blob. Serializable to the occlum_sefs image format (version 4,
+    magic [SEFSIMG4]) without keys; {!Host_store.of_string} refuses a
+    version-1, -2 or -3 image with its own [Bad_image] message. *)
 module Host_store : sig
   type entry = { cipher : string; mac : string }
 
@@ -74,9 +75,10 @@ module Host_store : sig
   exception Bad_image of string
 
   val of_string : string -> t
-  (** @raise Bad_image on a malformed image, on a version-2 image,
-      whose blocks carry HMAC tags, and on a version-1 image, whose
-      blocks were sealed under the old, non-injective nonces. *)
+  (** @raise Bad_image on a malformed image, on a version-3 image,
+      whose blocks carry BLAKE2s tags, on a version-2 image, whose
+      blocks carry HMAC tags, and on a version-1 image, whose blocks
+      were sealed under the old, non-injective nonces. *)
 
   val save : t -> string -> unit
   val load : string -> t
@@ -102,7 +104,8 @@ type meta
 
 type t = {
   host : Host_store.t;
-  keys : Occlum_util.Seal.keys;  (** domain ["sefs"] of the volume key *)
+  keys : Occlum_util.Seal.keys;
+      (** domain ["sefs:<volume>"] of the volume key *)
   volume : string;
   encrypted : bool;  (** false models a plain ext4-style host FS *)
   mutable m : meta;
@@ -140,15 +143,24 @@ val mount :
     @raise Corrupt on tampered or wrong-key metadata. *)
 
 val flush : t -> unit
-(** Write back dirty cache lines and seal the metadata. *)
+(** Write back dirty cache lines and seal the metadata.
+    @raise Invalid_argument, and writes nothing, when the metadata's
+    next generation is outside {!meta_nonce}'s range; a block outside
+    {!block_nonce}'s is refused the same way before its generation
+    moves. *)
 
-val block_nonce : t -> int -> int -> string
-(** [block_nonce t idx gen]: the nonce block [idx] is sealed under at
-    write generation [gen]. Injective in [(idx, gen)]. *)
+val block_nonce : int -> int -> string
+(** [block_nonce idx gen]: the nonce block [idx] is sealed under at
+    write generation [gen], [u32le idx ‖ u56le gen ‖ 0x00]. Injective
+    in [(idx, gen)].
+    @raise Invalid_argument unless [0 <= idx < 2^32] and
+    [0 <= gen < 2^56]. *)
 
-val meta_nonce : t -> int -> string
-(** [meta_nonce t gen]: the nonce the metadata is sealed under at
-    metadata generation [gen]; never equal to a {!block_nonce}. *)
+val meta_nonce : int -> string
+(** [meta_nonce gen]: the nonce the metadata is sealed under at
+    metadata generation [gen], [u32le 0 ‖ u56le gen ‖ 0x01]; never
+    equal to a {!block_nonce}.
+    @raise Invalid_argument unless [0 <= gen < 2^56]. *)
 
 val inode : t -> int -> inode option
 

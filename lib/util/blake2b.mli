@@ -1,12 +1,10 @@
-(** BLAKE2s-256 (RFC 7693): the tag of {!Seal}, which SEFS, the cluster
-    channels and the EPC pager seal through. A keyed BLAKE2s is a MAC on
-    its own; no HMAC wrapper is needed.
+(** BLAKE2b-256 (RFC 7693 BLAKE2b with a 32-byte digest-length
+    parameter): the tag of {!Seal}, which SEFS, the cluster channels and
+    the EPC pager seal through. A keyed BLAKE2b is a MAC on its own; no
+    HMAC wrapper is needed.
 
     A {!key} holds the chaining value after its key block, computed once.
     Contexts share no state, and a block allocates nothing. *)
-
-val digest : string -> string
-(** [digest s] is the 32-byte unkeyed BLAKE2s-256 of [s]. *)
 
 type key
 (** A prepared MAC key. Immutable: one key may serve any number of
@@ -14,10 +12,10 @@ type key
 
 val key : string -> key
 (** [key k] prepares the key [k].
-    @raise Invalid_argument unless [k] has 1 to 32 bytes. *)
+    @raise Invalid_argument unless [k] has 1 to 64 bytes. *)
 
 val mac : key -> string list -> string
-(** [mac k parts] is the 32-byte keyed BLAKE2s-256 of the concatenation
+(** [mac k parts] is the 32-byte keyed BLAKE2b-256 of the concatenation
     of [parts]. *)
 
 type ctx
@@ -35,3 +33,8 @@ val feed : ctx -> string -> unit
 
 val finalize : ctx -> string
 (** [finalize c] is the 32-byte tag. The context must not be reused. *)
+
+val digest512 : string -> string
+(** [digest512 s] is the 64-byte unkeyed BLAKE2b-512 of [s], the
+    function of RFC 7693's test vector; it checks the compression
+    function, and no seal uses it. *)

@@ -1,5 +1,5 @@
 (** HMAC-SHA-256 (RFC 2104): binary signing and attestation reports.
-    {!Seal} tags with a keyed {!Blake2s} instead.
+    {!Seal} tags with a keyed {!Blake2b} instead.
 
     A {!key} holds the ipad and opad midstates of one secret, computed
     once. A message is a list of parts, MAC'd as their concatenation

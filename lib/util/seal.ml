@@ -1,23 +1,23 @@
 (* Encrypt-then-MAC under two subkeys of one secret. The domain string
    keeps the keys of different users of one secret apart. *)
 
-type keys = { data : string; mac : Blake2s.key }
+type keys = { data : string; mac : Blake2b.key }
 
 let keys ~domain secret =
   { data = Sha256.digest (domain ^ "-data:" ^ secret);
-    mac = Blake2s.key (Sha256.digest (domain ^ "-mac:" ^ secret)) }
+    mac = Blake2b.key (Sha256.digest (domain ^ "-mac:" ^ secret)) }
 
 (* The tag of [label] and the [len] bytes of [s] at [pos]. The label's
    length goes first, so no two (label, ciphertext) pairs share an
    encoding. *)
 let mac k ~label s pos len =
-  let c = Blake2s.start k.mac in
+  let c = Blake2b.start k.mac in
   let n = Bytes.create 8 in
   Bytes.set_int64_le n 0 (Int64.of_int (String.length label));
-  Blake2s.feed_bytes c n 0 8;
-  Blake2s.feed c label;
-  Blake2s.feed_bytes c (Bytes.unsafe_of_string s) pos len;
-  Blake2s.finalize c
+  Blake2b.feed_bytes c n 0 8;
+  Blake2b.feed c label;
+  Blake2b.feed_bytes c (Bytes.unsafe_of_string s) pos len;
+  Blake2b.finalize c
 
 let seal k ~label ~nonce ?(pos = 0) ?len b =
   let len = match len with Some n -> n | None -> Bytes.length b - pos in

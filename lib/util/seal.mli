@@ -4,7 +4,7 @@
 
     Encrypt-then-MAC. The payload is enciphered with {!Cipher} under the
     domain's cipher key and a caller-chosen nonce, then a keyed
-    {!Blake2s} tag covers the label's length as a little-endian 64-bit
+    {!Blake2b} tag covers the label's length as a little-endian 64-bit
     word, the label, and the ciphertext. The label binds the sealed
     object's identity (block and generation, page and version, channel
     direction and sequence number), so a sealed object cannot be moved
@@ -20,7 +20,7 @@ type keys
 val keys : domain:string -> string -> keys
 (** [keys ~domain secret] derives two unrelated subkeys: the cipher key
     [Sha256.digest (domain ^ "-data:" ^ secret)] and the MAC key
-    [Blake2s.key (Sha256.digest (domain ^ "-mac:" ^ secret))]. *)
+    [Blake2b.key (Sha256.digest (domain ^ "-mac:" ^ secret))]. *)
 
 val seal :
   keys -> label:string -> nonce:string -> ?pos:int -> ?len:int -> Bytes.t ->

@@ -14,7 +14,7 @@
    may clobber anything) — expressed as the [Next_top] successor. *)
 
 open Occlum_isa
-include Occlum_range.Range_lattice
+open Occlum_range.Range_lattice
 module U = Unit_kind
 
 type succ = Next | Next_top | Target of int

@@ -13,6 +13,7 @@
 
 open Occlum_isa
 module U = Unit_kind
+module L = Occlum_range.Range_lattice
 
 type rejection = {
   stage : int;
@@ -161,11 +162,11 @@ let stage4_failures ?removed (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
           let check_sp_access ~push_like operand_disp =
             let lo, hi = if push_like then (-8, -1) else (0, 7) in
             if
-              Range.covers s Range.sp lo hi
+              L.covers s L.sp lo hi
               || guarded_by i (sp_mem operand_disp)
             then ()
             else
-              reject i (Some Range.sp)
+              reject i (Some L.sp)
                 (if push_like then lazy "implicit stack store not provably in D"
                  else lazy "implicit stack load not provably in D")
           in
@@ -188,7 +189,7 @@ let stage4_failures ?removed (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
                     match index with
                     | None ->
                         if
-                          Range.covers s (Reg.to_int base) disp
+                          L.covers s (Reg.to_int base) disp
                             (disp + size - 1)
                         then ()
                         else

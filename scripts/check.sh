@@ -78,8 +78,8 @@ fi
 
 # One sealing construction: SEFS, the EPC pager and the cluster
 # channels seal and open through Occlum_util.Seal, so none of them may
-# call the cipher or a MAC (HMAC or keyed BLAKE2s) itself.
-seal=$(grep -nE "Hmac\.(mac|verify)|Cipher\.encrypt|Blake2s\." lib/libos/sefs.ml \
+# call the cipher or a MAC (HMAC or keyed BLAKE2b) itself.
+seal=$(grep -nE "Hmac\.(mac|verify)|Cipher\.encrypt|Blake2b\." lib/libos/sefs.ml \
   lib/sgx/epc.ml lib/cluster/channel.ml || true)
 if [ -n "$seal" ]; then
   echo "FAIL: hand-written sealing outside lib/util/seal.ml:" >&2
@@ -200,7 +200,7 @@ grep -q "exit(0)" _build/trace-hello.txt || {
 # SEFS image smoke: create an encrypted image with the occlum_sefs host
 # tool, encrypt a host file into it and decrypt it back. The round trip
 # must be byte-identical, the image must carry the current format
-# version (SEFSIMG3, keyed BLAKE2s tags over length-prefixed labels),
+# version (SEFSIMG4, keyed BLAKE2b tags over length-prefixed labels),
 # and its bytes must equal the pinned image: any change to a MAC, a
 # nonce or the cipher moves its SHA-256.
 rm -f _build/smoke.sefs
@@ -213,11 +213,11 @@ cmp examples/hello.ol _build/smoke-cat.txt || {
   echo "FAIL: occlum_sefs add/cat round trip changed the file" >&2
   exit 1
 }
-[ "$(head -n 1 _build/smoke.sefs)" = "SEFSIMG3" ] || {
-  echo "FAIL: occlum_sefs image is not format version 3" >&2
+[ "$(head -n 1 _build/smoke.sefs)" = "SEFSIMG4" ] || {
+  echo "FAIL: occlum_sefs image is not format version 4" >&2
   exit 1
 }
-smoke_sefs_sha=a1cba90e93386a812d90d4e82b91085bf47741ab8158d323ebc68d6ccb7f011e
+smoke_sefs_sha=0e29ebe032e29a6d968671672b988e5c5a8151839c424c11be59246fffa03d87
 [ "$(sha256sum _build/smoke.sefs | cut -d' ' -f1)" = "$smoke_sefs_sha" ] || {
   echo "FAIL: occlum_sefs smoke image bytes changed (sha256 is not $smoke_sefs_sha)" >&2
   exit 1

@@ -118,6 +118,34 @@ let test_frame_nonce () =
   | Some first, Some resent -> Alcotest.(check string) "resend" first resent
   | _ -> Alcotest.fail "frames lost"
 
+(* A frame is big-endian epoch and seq, the tag, then the ciphertext;
+   the tag covers the label [chan|<src>-><dst>|e<epoch>|s<seq>|]. Both
+   frames were recomputed in Python, with an RFC 8439 ChaCha20 under
+   sha256(b"chan-data:" + key) and a keyed BLAKE2b-256 under
+   sha256(b"chan-mac:" + key) over the label's length as a
+   little-endian 64-bit word, the label and the ciphertext. *)
+let test_frame_bytes () =
+  let tr, ch = mk_channel () in
+  let frame ~src =
+    match Host_transport.recv tr ~src ~dst:(1 - src) with
+    | Some f -> Occlum_util.Sha256.to_hex f
+    | None -> Alcotest.fail "frame lost"
+  in
+  ignore (Channel.send ch ~src:0 "hello");
+  Alcotest.(check string) "0->1, seq 0"
+    ("0000000100000000e145e4cdf5752275f7cf7ae1ad8ecffcb4794ce1222ba264"
+   ^ "abc17f4a85fb62952248b68a70")
+    (frame ~src:0);
+  for _ = 1 to 12 do
+    ignore (Channel.send ch ~src:1 "x");
+    ignore (frame ~src:1)
+  done;
+  ignore (Channel.send ch ~src:1 "hello");
+  Alcotest.(check string) "1->0, seq 12"
+    ("000000010000000c46425537483965866e8eba9b818baec4333788bb70ab5dd0"
+   ^ "de528d82ec5599cd09b7242689")
+    (frame ~src:1)
+
 (* Distinct (src, epoch, seq) triples, small or near 2^32, get distinct
    nonces. *)
 let prop_frame_nonce_injective =
@@ -222,6 +250,21 @@ let test_rollback_on_withheld_frame () =
   match Channel.try_recv ch ~dst:1 ~now:0L with
   | Error Channel.Rollback -> ()
   | _ -> Alcotest.fail "withheld-frame rollback not rejected"
+
+(* An authentic frame of an earlier epoch under the same key (the
+   label the receiver rebuilds for that epoch verifies) fails the
+   channel as a rollback. *)
+let test_rollback_on_stale_epoch () =
+  let tr, old = mk_channel () in
+  let cur =
+    Channel.establish ~a:0 ~b:1 ~key:(String.make 32 'k') ~epoch:2
+      ~transport:tr ~now:0L ~obs:Obs.disabled
+  in
+  (match Channel.send old ~src:0 "old" with Ok _ -> () | _ -> Alcotest.fail "send");
+  (match Channel.try_recv cur ~dst:1 ~now:0L with
+  | Error Channel.Rollback -> ()
+  | _ -> Alcotest.fail "stale-epoch frame not rejected");
+  Alcotest.(check int) "not a MAC failure" 0 (Channel.mac_failures cur)
 
 let test_arm_channel_determinism () =
   let run () =
@@ -448,5 +491,8 @@ let suite =
       test_orderliness_corpus_replay;
     Alcotest.test_case "frame nonce encoding and refusals" `Quick
       test_frame_nonce;
+    Alcotest.test_case "frame bytes pinned" `Quick test_frame_bytes;
+    Alcotest.test_case "stale-epoch frame is a rollback" `Quick
+      test_rollback_on_stale_epoch;
     QCheck_alcotest.to_alcotest prop_frame_nonce_injective
   ]

@@ -245,7 +245,6 @@ let test_image_roundtrip () =
    collide under it and check that their nonces still differ, and that no
    block nonce meets a metadata nonce. *)
 let test_block_nonces_unique () =
-  let t = fresh () in
   let seen = Hashtbl.create 65536 in
   let rec search idx gen =
     let h = Hashtbl.hash (idx, gen) in
@@ -260,15 +259,15 @@ let test_block_nonces_unique () =
   Alcotest.(check bool)
     (Printf.sprintf "nonces of (%d,%d) and (%d,%d) differ" i1 g1 i2 g2)
     false
-    (String.equal (Sefs.block_nonce t i1 g1) (Sefs.block_nonce t i2 g2));
+    (String.equal (Sefs.block_nonce i1 g1) (Sefs.block_nonce i2 g2));
   Alcotest.(check int) "(9602,2) and (10457,3) collide under the old tag"
     (Hashtbl.hash (9602, 2)) (Hashtbl.hash (10457, 3));
   Alcotest.(check bool) "(9602,2) and (10457,3) differ" false
-    (String.equal (Sefs.block_nonce t 9602 2) (Sefs.block_nonce t 10457 3));
-  let metas = List.init 64 (fun g -> Sefs.meta_nonce t (g + 1)) in
+    (String.equal (Sefs.block_nonce 9602 2) (Sefs.block_nonce 10457 3));
+  let metas = List.init 64 (fun g -> Sefs.meta_nonce (g + 1)) in
   for idx = 0 to 63 do
     for gen = 1 to 4 do
-      if List.mem (Sefs.block_nonce t idx gen) metas then
+      if List.mem (Sefs.block_nonce idx gen) metas then
         Alcotest.failf "block (%d,%d) shares a metadata nonce" idx gen
     done
   done
@@ -316,7 +315,7 @@ let image_with_magic magic =
   wr t "/f" "x";
   Sefs.flush t;
   let img = Sefs.Host_store.to_string t.Sefs.host in
-  Alcotest.(check string) "image version 3" "SEFSIMG3\n" (String.sub img 0 9);
+  Alcotest.(check string) "image version 4" "SEFSIMG4\n" (String.sub img 0 9);
   magic ^ String.sub img 8 (String.length img - 8)
 
 let test_image_v1_rejected () =
@@ -325,11 +324,62 @@ let test_image_v1_rejected () =
     (fun () -> ignore (Sefs.Host_store.of_string (image_with_magic "SEFSIMG1")))
 
 (* Version 2 tagged with HMAC-SHA-256 over the bare label ‖ ciphertext;
-   none of its tags verifies under keyed BLAKE2s. *)
+   none of its tags verifies under keyed BLAKE2b. *)
 let test_image_v2_rejected () =
   Alcotest.check_raises "version 2"
     (Sefs.Host_store.Bad_image "image version 2 (HMAC tags): re-create it")
     (fun () -> ignore (Sefs.Host_store.of_string (image_with_magic "SEFSIMG2")))
+
+(* Version 3 tagged with keyed BLAKE2s under SHA-256-derived nonces and
+   one key domain for every volume. *)
+let test_image_v3_rejected () =
+  Alcotest.check_raises "version 3"
+    (Sefs.Host_store.Bad_image "image version 3 (BLAKE2s tags): re-create it")
+    (fun () -> ignore (Sefs.Host_store.of_string (image_with_magic "SEFSIMG3")))
+
+(* A nonce is [u32le id ‖ u56le gen ‖ kind]. The last encodable block id
+   and generation still seal; one past either is refused, and a flush
+   whose metadata generation would leave the range writes nothing. *)
+let test_nonce_bounds () =
+  Alcotest.(check string) "block nonce layout"
+    "\x04\x03\x02\x01\x07\x06\x05\x00\x00\x00\x00\x00"
+    (Sefs.block_nonce 0x01020304 0x050607);
+  Alcotest.(check string) "meta nonce layout"
+    "\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x01"
+    (Sefs.meta_nonce 1);
+  Alcotest.(check string) "largest block id and generation"
+    "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00"
+    (Sefs.block_nonce 0xffff_ffff ((1 lsl 56) - 1));
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must be refused" what
+  in
+  refused "block id 2^32" (fun () -> Sefs.block_nonce (1 lsl 32) 1);
+  refused "negative block id" (fun () -> Sefs.block_nonce (-1) 1);
+  refused "block generation 2^56" (fun () -> Sefs.block_nonce 0 (1 lsl 56));
+  refused "meta generation 2^56" (fun () -> Sefs.meta_nonce (1 lsl 56));
+  refused "negative meta generation" (fun () -> Sefs.meta_nonce (-1));
+  let t = fresh () in
+  wr t "/f" "before";
+  Sefs.flush t;
+  let host = t.Sefs.host in
+  let meta = Option.map snd host.Sefs.Host_store.meta in
+  host.meta <- Option.map (fun e -> ((1 lsl 56) - 1, e)) meta;
+  wr t "/f" "after";
+  let writes = host.writes and blocks = Hashtbl.copy host.blocks in
+  refused "flush at metadata generation 2^56" (fun () -> Sefs.flush t);
+  Alcotest.(check int) "no block written back" writes host.writes;
+  Alcotest.(check bool) "host blocks unchanged" true
+    (Hashtbl.fold (fun k e ok -> ok && Hashtbl.find_opt host.blocks k = Some e)
+       blocks (Hashtbl.length blocks = Hashtbl.length host.blocks));
+  Alcotest.(check bool) "metadata unchanged" true
+    (Option.map snd host.meta = meta);
+  Alcotest.(check string) "the write is still cached" "after" (rd t "/f");
+  host.meta <- Option.map (fun e -> (1 lsl 56, e)) meta;
+  Alcotest.check_raises "a host's generation past the range"
+    (Sefs.Corrupt "bad metadata generation") (fun () ->
+      ignore (Sefs.mount ~key:"test-key" host))
 
 (* --- model-based property -------------------------------------------------- *)
 
@@ -620,6 +670,8 @@ let suite =
     Alcotest.test_case "rename into own subtree" `Quick test_rename_into_own_subtree;
     Alcotest.test_case "version-1 image refused" `Quick test_image_v1_rejected;
     Alcotest.test_case "version-2 image refused" `Quick test_image_v2_rejected;
+    Alcotest.test_case "version-3 image refused" `Quick test_image_v3_rejected;
+    Alcotest.test_case "nonce range refused" `Quick test_nonce_bounds;
     QCheck_alcotest.to_alcotest prop_sefs_model;
     QCheck_alcotest.to_alcotest prop_file_data_model;
   ]

@@ -447,112 +447,110 @@ let prop_hmac_parts =
       let key = Hmac.key secret in
       String.equal (Hmac.mac key parts) (Hmac.mac key [ String.concat "" parts ]))
 
-(* --- BLAKE2s --------------------------------------------------------------- *)
+(* --- BLAKE2b --------------------------------------------------------------- *)
 
-(* RFC 7693 Appendix B: BLAKE2s-256("abc"). *)
-let test_blake2s_rfc7693 () =
-  check "abc" "508c5e8c327c14e2e1a72ba34eeb452f37458b209ed63a294d999b4c86675982"
-    (Sha256.to_hex (Blake2s.digest "abc"))
+(* RFC 7693 Appendix A: BLAKE2b-512("abc"). The last row of SIGMA
+   drives only round 9 of the 12, and a wrong row still gets most output
+   words right, so the whole digest is compared. *)
+let test_blake2b_rfc7693 () =
+  check "abc"
+    ("ba80a53f981c4d0d6a2797b69f12f6e94c212f14685ac4b74b12bb6fdbffa2d1"
+   ^ "7d87c5392aab792dc252d5de4533cc9518d38aa8dbf1925ab92386edd4009923")
+    (Sha256.to_hex (Blake2b.digest512 "abc"))
 
-(* Unkeyed (key length 0) and keyed digests around the block edges,
-   pinned from Python's hashlib:
+(* Keyed BLAKE2b-256 (digest length 32, not a truncated BLAKE2b-512)
+   around the block edges, pinned from Python's hashlib:
      pat = bytes((i * 7 + 13) & 0xff for i in range(n))
      key = bytes(i + 1 for i in range(k))
-     hashlib.blake2s(pat, key=key).hexdigest() *)
-let blake2s_pat n = String.init n (fun i -> Char.chr ((i * 7 + 13) land 0xff))
-let blake2s_key k = String.init k (fun i -> Char.chr (i + 1))
+     hashlib.blake2b(pat, key=key, digest_size=32).hexdigest() *)
+let blake2b_pat n = String.init n (fun i -> Char.chr ((i * 7 + 13) land 0xff))
+let blake2b_key k = String.init k (fun i -> Char.chr (i + 1))
 
-let test_blake2s_vectors () =
+let test_blake2b_vectors () =
   let cases =
     [
-      (0, 0, "69217a3079908094e11121d042354a7c1f55b6482ca1a51e1b250dfd1ed0eef9");
-      (0, 1, "4871d87f0fdef63885b468c640f1263d6443d09d731093a2db4d039f380de584");
-      (0, 63, "878de647aaad97e9abef26e4aa8d6872d2ce10a43c87e6012f3f8aa8eb47848b");
-      (0, 64, "cea4a13df2cf79b47448eb6ea27804eda516b1473a01d6ea4f60383d69019e2d");
-      (0, 65, "c70285c862ffcc65990c511b8c7a7bd16e64b467650793c7e7c4fb036774816f");
-      (0, 128, "99c7e08058fa5d736c1d7422c0f4e4f61e812fae7bcf8d38952334fb23d44ae4");
-      (0, 129, "6826b8db3f6db1cd9b333a854b90e1074cc4923cdbd34168ae5491b12922a57a");
-      (0, 4096, "85b75bcacfc11489e92ded52f1f1cc232c257bc17d20e1d4b5e52d1a9cb39f50");
-      (1, 0, "29f9691fe445d12f36b171eb231c99a00f62c0ba9c618b5ab67535c24eab67fe");
-      (1, 1, "2be8d9c6f76fd2529f36e75b67fe3c054c5ee377773712e76bd1d7f58987deb2");
-      (1, 63, "99f06dc4d70473db2377a15ae11224bc09460c800d091b6b07e5b14af361c7f7");
-      (1, 64, "a8aecc7fac02f546ab3bdc993b84f320ab493eac19121c0450520d3c27496037");
-      (1, 65, "edb52f0ff81a29c60d04064327c757b34ffce9ef2744d93c338cbc2c4a75417f");
-      (1, 128, "d7db2a27c8ed90bb31f00c81f2bd856abc1e7ae9e445efb57b2c4630dfaadd75");
-      (1, 129, "d3a97cdf08aa3e6d4b6222a41f6bf353fafdd557afbce3eb5a1b749612910587");
-      (1, 4096, "ca4a88bc800abf07a7c52bb49ba4025586bcdfc74549c45b82587d758ed2046b");
-      (32, 0, "f4825375fde3a8fca14cb1d1ec3fb9da1ec59b065bbc8bc600f6f9e27b6dfc0c");
-      (32, 1, "3865a2db7da6d0549e5b458a13e9a6f38c051119c9811345a99ad72aea9a053b");
-      (32, 63, "f4ddd466b8c8d42507de2a11778315083745b13773ed3b9a95db8e16b969950e");
-      (32, 64, "7fe56b816e5dd335ff76b00d18f3f505cf247e0333e94757db1b324535cc8e93");
-      (32, 65, "d618e8f49e836bae5c72efe4c74cb8eaea8d4ab49ab14628e7e91873812581fe");
-      (32, 128, "60c72b3b988aa921a029103cbfeeabc61cc93ee5b160f946272609d868fca60b");
-      (32, 129, "6e7a763cb18342ef9de6853f74af734ceb51ed4859e73c190660540d51114228");
-      (32, 4096, "f8a696ab586b9f57d7147988fdcee9992d8b02230631371db1066f29fa03641a");
+      (1, 0, "39baa6ec1392eb910204adfac63cbd8561c2a78c0834d9a2fe5e549bbc80bd5f");
+      (1, 1, "34ba9b0c62285edfe96c0bc241e8f6f445773e6ac4bf878dec76cc43da004ac3");
+      (1, 127, "b90ead6b2e51957522257b513e8596a62cd50f9cab75a27a31b1fabf97e5eaac");
+      (1, 128, "2537814b740ddfcec6d1ecb4c76964d17a47d185949b23c892f1fa3def5ce5a5");
+      (1, 129, "b9ea80a227cfc33c9065732ed7b7b937d1856d3549594165c6bfb4cfebf4dfb0");
+      (1, 256, "4aea17ce69efca75cbd779ec1cd4b82e8b3d4a48cae5d2bf65f81225d4ce8588");
+      (1, 4096, "d5624e0a0e3cb0023709ee01b6fc4ed3125dcf7d1dd74732deca3b0a0129a044");
+      (32, 0, "6689399b55d2c998473a55fa741f5c0bd91c49e7d15cc211482a37d75a9d95a0");
+      (32, 1, "2a54dbdf3945511ee6a34ce1a7a4324fae1bab7bc04843a2220ba13ce505baee");
+      (32, 127, "335e8c6369cc89fbdb2ba24da848fc61af8b2a648f31027293fa83c54a2db77c");
+      (32, 128, "f5f2e1ac82f43a7d075a7748ea6ef878bd69f3d912e5bc9a4d5138a750ac87d8");
+      (32, 129, "1e43afef36bf932132482a038359c0d2bfa5af9a1ef3c93da5d67535d7106ea9");
+      (32, 256, "494ca6a85dc2cf5092543cfdde69a827dbd55c5784aa11ea3bc8b861df633226");
+      (32, 4096, "91bd247e0e3bd66dfe4d86714bc83d025d3a68e42fec1a420e435769b1c61fc3");
+      (64, 0, "dc16561bf530a35b294666542bec29bc08d7b0845172e5e4742e182d5808211f");
+      (64, 1, "2352b3653827bcb6596c4a22de844eab7718a3dead9bba10e4a52befb9adbc29");
+      (64, 127, "01ee027334dbbebe09f1f16d0460b751148cac69a6bb0ada5f530755adc6aa14");
+      (64, 128, "a1fbcc836b0cd4328e8e7c3ab5595201bffb1a6b3b2e927c3a84beacecd495b6");
+      (64, 129, "2f131c6f0686d9a44249960ec8ea8a43540a5945adc9a5387136dc49ce1f113e");
+      (64, 256, "792ca225783d99af438b17ff6b191134ecaa1f8d7be32709478643d8c89dc1d8");
+      (64, 4096, "acb41089355e45b90100a874d25c8bef6bb899ac675b55ce50eaeb4dad79c0c0");
     ]
   in
   List.iter
     (fun (k, n, want) ->
-      let got =
-        if k = 0 then Blake2s.digest (blake2s_pat n)
-        else Blake2s.mac (Blake2s.key (blake2s_key k)) [ blake2s_pat n ]
-      in
-      check (Printf.sprintf "key %d, length %d" k n) want (Sha256.to_hex got))
+      check (Printf.sprintf "key %d, length %d" k n) want
+        (Sha256.to_hex (Blake2b.mac (Blake2b.key (blake2b_key k)) [ blake2b_pat n ])))
     cases
 
 (* A keyed empty message is the one whose last block is the key block;
    every spelling of it gives the pinned tag, and a prepared key stays
    usable after it. *)
-let test_blake2s_keyed_empty () =
-  let k = Blake2s.key (blake2s_key 32) in
-  let want = "f4825375fde3a8fca14cb1d1ec3fb9da1ec59b065bbc8bc600f6f9e27b6dfc0c" in
-  check "no parts" want (Sha256.to_hex (Blake2s.mac k []));
-  check "empty parts" want (Sha256.to_hex (Blake2s.mac k [ ""; "" ]));
-  let c = Blake2s.start k in
-  Blake2s.feed_bytes c (Bytes.of_string "xyz") 1 0;
-  check "empty span" want (Sha256.to_hex (Blake2s.finalize c));
-  check "key reused" "3865a2db7da6d0549e5b458a13e9a6f38c051119c9811345a99ad72aea9a053b"
-    (Sha256.to_hex (Blake2s.mac k [ blake2s_pat 1 ]));
-  Alcotest.check_raises "empty key" (Invalid_argument "Blake2s.key: 1 to 32 bytes")
-    (fun () -> ignore (Blake2s.key ""));
-  Alcotest.check_raises "33-byte key" (Invalid_argument "Blake2s.key: 1 to 32 bytes")
-    (fun () -> ignore (Blake2s.key (String.make 33 'k')))
+let test_blake2b_keyed_empty () =
+  let k = Blake2b.key (blake2b_key 32) in
+  let want = "6689399b55d2c998473a55fa741f5c0bd91c49e7d15cc211482a37d75a9d95a0" in
+  check "no parts" want (Sha256.to_hex (Blake2b.mac k []));
+  check "empty parts" want (Sha256.to_hex (Blake2b.mac k [ ""; "" ]));
+  let c = Blake2b.start k in
+  Blake2b.feed_bytes c (Bytes.of_string "xyz") 1 0;
+  check "empty span" want (Sha256.to_hex (Blake2b.finalize c));
+  check "key reused" "2a54dbdf3945511ee6a34ce1a7a4324fae1bab7bc04843a2220ba13ce505baee"
+    (Sha256.to_hex (Blake2b.mac k [ blake2b_pat 1 ]));
+  Alcotest.check_raises "empty key" (Invalid_argument "Blake2b.key: 1 to 64 bytes")
+    (fun () -> ignore (Blake2b.key ""));
+  Alcotest.check_raises "65-byte key" (Invalid_argument "Blake2b.key: 1 to 64 bytes")
+    (fun () -> ignore (Blake2b.key (String.make 65 'k')))
 
 (* Feeding a message in random pieces, as strings or as spans of a
    larger buffer, gives the one-shot tag. *)
-let prop_blake2s_splits =
-  QCheck.Test.make ~name:"blake2s: any split of the input = one shot"
+let prop_blake2b_splits =
+  QCheck.Test.make ~name:"blake2b: any split of the input = one shot"
     ~count:300
     QCheck.(
-      triple (int_range 1 32)
+      triple (int_range 1 64)
         (string_of_size (Gen.int_range 0 700))
         (small_list small_nat))
     (fun (kl, msg, cuts) ->
-      let k = Blake2s.key (blake2s_key kl) in
-      let c = Blake2s.start k in
+      let k = Blake2b.key (blake2b_key kl) in
+      let c = Blake2b.start k in
       let framed = Bytes.of_string ("<<" ^ msg ^ ">") in
       let pos = ref 0 in
       List.iter
         (fun cut ->
           let n = min cut (String.length msg - !pos) in
-          if n mod 2 = 0 then Blake2s.feed c (String.sub msg !pos n)
-          else Blake2s.feed_bytes c framed (2 + !pos) n;
+          if n mod 2 = 0 then Blake2b.feed c (String.sub msg !pos n)
+          else Blake2b.feed_bytes c framed (2 + !pos) n;
           pos := !pos + n)
         cuts;
-      Blake2s.feed c (String.sub msg !pos (String.length msg - !pos));
-      String.equal (Blake2s.finalize c) (Blake2s.mac k [ msg ]))
+      Blake2b.feed c (String.sub msg !pos (String.length msg - !pos));
+      String.equal (Blake2b.finalize c) (Blake2b.mac k [ msg ]))
 
 (* A block keeps its working words in unboxed [int64] refs and its
    message words in unboxed locals. Should an edit let one escape,
-   ocamlopt boxes it: the 64 blocks of a 4 KiB tag would then cost
+   ocamlopt boxes it: the 32 blocks of a 4 KiB tag would then cost
    thousands of words, against the few dozen of one context and its
    tag. *)
-let test_blake2s_allocation () =
-  let k = Blake2s.key (String.make 32 'k') in
+let test_blake2b_allocation () =
+  let k = Blake2b.key (String.make 32 'k') in
   let page = String.make 4096 'p' and label = "blk:7:1" in
-  ignore (Blake2s.mac k [ label; page ]);
+  ignore (Blake2b.mac k [ label; page ]);
   let before = Gc.minor_words () in
-  ignore (Blake2s.mac k [ label; page ]);
+  ignore (Blake2b.mac k [ label; page ]);
   let words = Gc.minor_words () -. before in
   match Sys.backend_type with
   | Sys.Native ->
@@ -636,7 +634,7 @@ let prop_seal_key_split =
       let mac_secret = Sha256.digest ("chan-mac:" ^ session) in
       let nonce = String.make 12 'n' in
       let cipher, tag = Seal.seal k ~label:"l" ~nonce (Bytes.of_string "payload") in
-      let tag_under secret = Blake2s.mac (Blake2s.key secret) (tag_input "l" cipher) in
+      let tag_under secret = Blake2b.mac (Blake2b.key secret) (tag_input "l" cipher) in
       cipher = Cipher.encrypt ~key:cipher_key ~nonce "payload"
       && cipher <> Cipher.encrypt ~key:session ~nonce "payload"
       && cipher_key <> mac_secret
@@ -667,11 +665,13 @@ let prop_seal_prefix_free =
       Seal.open_ k ~label:label' ~nonce ~tag cipher' = None
       && snd (Seal.seal k ~label:label' ~nonce (Bytes.of_string x)) <> tag)
 
-(* SEFS images and sealed EPC pages stay byte-identical only while the
-   derivation does. The ciphertext and tag were recomputed in Python,
-   with an RFC 8439 ChaCha20 under sha256(b"sefs-data:vol-key") and
-     hashlib.blake2s(len(label).to_bytes(8, "little") + label + cipher,
-                     key=hashlib.sha256(b"sefs-mac:vol-key").digest()) *)
+(* SEFS images, sealed EPC pages and channel frames stay byte-identical
+   only while the derivation does. The ciphertexts and tags were
+   recomputed in Python, with an RFC 8439 ChaCha20 (counter 0) under
+   sha256(b"<domain>-data:<secret>") and
+     hashlib.blake2b(len(label).to_bytes(8, "little") + label + cipher,
+                     key=hashlib.sha256(b"<domain>-mac:<secret>").digest(),
+                     digest_size=32) *)
 let test_seal_derivation () =
   let k = Seal.keys ~domain:"sefs" "vol-key" in
   let nonce = Cipher.derive_nonce "vol0:blk:3" 1 in
@@ -679,11 +679,20 @@ let test_seal_derivation () =
   check "ciphertext"
     (Cipher.encrypt ~key:(Sha256.digest "sefs-data:vol-key") ~nonce "data") cipher;
   check "tag"
-    (Blake2s.mac (Blake2s.key (Sha256.digest "sefs-mac:vol-key"))
+    (Blake2b.mac (Blake2b.key (Sha256.digest "sefs-mac:vol-key"))
        (tag_input "blk:3:1" cipher))
     tag;
   check "pinned ciphertext" "7a566501" (Sha256.to_hex cipher);
-  check "pinned tag" "0f894a89dda9d58638107e79b93669455f61bf2b55b56af125a14340a8081a07"
+  check "pinned tag" "c0c485ea83d285797b6e6e9ffa1ad841bc0025cc007569c2feea6739de41fb97"
+    (Sha256.to_hex tag);
+  (* the channel domain, under a session of 32 's' bytes *)
+  let k = Seal.keys ~domain:"chan" (String.make 32 's') in
+  let cipher, tag =
+    Seal.seal k ~label:"l" ~nonce:(String.make 12 'n') (Bytes.of_string "payload")
+  in
+  check "pinned channel ciphertext" "c37f5e2534c7f7" (Sha256.to_hex cipher);
+  check "pinned channel tag"
+    "003fcd7f106285b28464c480cb1e14e3c4c4f923d5ffe5e779678e5d26e6cee4"
     (Sha256.to_hex tag)
 
 let suite =
@@ -713,12 +722,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cipher_matches_reference;
     Alcotest.test_case "cipher allocates nothing per block" `Quick
       test_cipher_allocation;
-    Alcotest.test_case "blake2s rfc7693" `Quick test_blake2s_rfc7693;
-    Alcotest.test_case "blake2s vectors" `Quick test_blake2s_vectors;
-    Alcotest.test_case "blake2s keyed empty message" `Quick
-      test_blake2s_keyed_empty;
-    QCheck_alcotest.to_alcotest prop_blake2s_splits;
-    Alcotest.test_case "blake2s allocates nothing per block" `Quick
-      test_blake2s_allocation;
+    Alcotest.test_case "blake2b rfc7693" `Quick test_blake2b_rfc7693;
+    Alcotest.test_case "blake2b vectors" `Quick test_blake2b_vectors;
+    Alcotest.test_case "blake2b keyed empty message" `Quick
+      test_blake2b_keyed_empty;
+    QCheck_alcotest.to_alcotest prop_blake2b_splits;
+    Alcotest.test_case "blake2b allocates nothing per block" `Quick
+      test_blake2b_allocation;
     QCheck_alcotest.to_alcotest prop_seal_prefix_free;
   ]
