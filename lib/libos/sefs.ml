@@ -395,60 +395,90 @@ let meta_to_string (m : meta) =
   Buffer.contents b
 
 let meta_of_string s =
-  let pos = ref 0 in
+  (* the current line is s.[!pos, !eol); its fields are read in place *)
+  let pos = ref 0 and eol = ref (-1) in
   let line () =
+    pos := !eol + 1;
     match String.index_from_opt s !pos '\n' with
     | None -> raise (Corrupt "metadata truncated")
-    | Some e ->
-        let l = String.sub s !pos (e - !pos) in
-        pos := e + 1;
-        l
+    | Some e -> eol := e
   in
-  let ints l = List.map int_of_string (String.split_on_char ' ' l) in
-  if line () <> "META1" then raise (Corrupt "bad metadata magic");
+  (* the fields left on the line *)
+  let fields () =
+    let n = ref 1 in
+    for i = !pos to !eol - 1 do
+      if s.[i] = ' ' then incr n
+    done;
+    if !pos > !eol then 0 else !n
+  in
+  (* the next field, as [int_of_string] reads the decimals the writer
+     makes *)
+  let int () =
+    let a = !pos in
+    let b = ref a in
+    while !b < !eol && s.[!b] <> ' ' do incr b done;
+    pos := !b + 1;
+    let neg = !b - a > 1 && s.[a] = '-' in
+    let n = ref 0 in
+    for i = if neg then a + 1 else a to !b - 1 do
+      match s.[i] with
+      | '0' .. '9' as c -> n := (10 * !n) + Char.code c - 48
+      | _ -> failwith "int_of_string"
+    done;
+    if !b = a then failwith "int_of_string";
+    if neg then - !n else !n
+  in
+  (* a line of two ints, or [bad] *)
+  let two bad =
+    line ();
+    if fields () <> 2 then raise (Corrupt bad);
+    let a = int () in
+    (a, int ())
+  in
+  line ();
+  if String.sub s !pos (!eol - !pos) <> "META1" then
+    raise (Corrupt "bad metadata magic");
   let m = empty_meta () in
-  (match ints (line ()) with
-  | [ a; b ] when b >= 0 ->
+  (match two "bad metadata header" with
+  | a, b when b >= 0 ->
       m.next_ino <- a;
       m.next_block <- b
   | _ -> raise (Corrupt "bad metadata header"));
   m.gens <- Array.make m.next_block 0;
-  for _ = 1 to int_of_string (line ()) do
-    match ints (line ()) with
-    | [ i; g ] when i >= 0 && i < m.next_block -> m.gens.(i) <- g
-    | [ _; _ ] -> raise (Corrupt "gen entry beyond next_block")
-    | _ -> raise (Corrupt "bad gen entry")
+  line ();
+  for _ = 1 to int () do
+    match two "bad gen entry" with
+    | i, g when i >= 0 && i < m.next_block -> m.gens.(i) <- g
+    | _ -> raise (Corrupt "gen entry beyond next_block")
   done;
-  for _ = 1 to int_of_string (line ()) do
-    let ino, kind, size, nlink =
-      match String.split_on_char ' ' (line ()) with
-      | [ a; k; sz; nl ] ->
-          ( int_of_string a,
-            (if k = "F" then File else Dir),
-            int_of_string sz, int_of_string nl )
-      | _ -> raise (Corrupt "bad inode line")
-    in
-    let blocks =
-      match ints (line ()) with
-      | cnt :: rest ->
-          if List.length rest <> cnt then raise (Corrupt "bad block list");
-          Array.of_list rest
-      | [] -> raise (Corrupt "bad block list")
-    in
+  line ();
+  for _ = 1 to int () do
+    line ();
+    if fields () <> 4 then raise (Corrupt "bad inode line");
+    let ino = int () in
+    let kind = if s.[!pos] = 'F' && s.[!pos + 1] = ' ' then File else Dir in
+    pos := String.index_from s !pos ' ' + 1;
+    let size = int () in
+    let nlink = int () in
+    line ();
+    let cnt = int () in
+    if fields () <> cnt then raise (Corrupt "bad block list");
+    let blocks = Array.init cnt (fun _ -> int ()) in
+    line ();
     let entries =
-      List.init (int_of_string (line ())) (fun _ ->
-          let l = line () in
-          match String.index_opt l ' ' with
-          | None -> raise (Corrupt "bad dirent")
-          | Some sp ->
-              let nlen = int_of_string (String.sub l 0 sp) in
-              let name = String.sub l (sp + 1) nlen in
-              let child =
-                int_of_string
-                  (String.sub l (sp + 2 + nlen) (String.length l - sp - 2 - nlen))
-              in
+      List.init (int ()) (fun _ ->
+          line ();
+          match String.index_from_opt s !pos ' ' with
+          | Some sp when sp < !eol ->
+              let nlen = int () in
+              if nlen < 0 || sp + 2 + nlen > !eol then
+                raise (Corrupt "bad dirent");
+              let name = String.sub s (sp + 1) nlen in
+              pos := sp + 2 + nlen;
+              let child = int () in
               Hashtbl.replace m.dirents (ino, name) child;
-              (name, child))
+              (name, child)
+          | _ -> raise (Corrupt "bad dirent"))
     in
     Hashtbl.replace m.inodes ino { ino; kind; size; blocks; entries; nlink }
   done;

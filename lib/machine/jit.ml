@@ -9,9 +9,13 @@
    cost, target pcs) that ends by tail-calling the next one, and
    consecutive instructions are fused into superinstruction units —
    guard+load / guard+store / guard+guard pairs share one
-   effective-address computation, and pure-register runs are charged in
-   bulk. The block's [body] is the first unit: calling it runs the
-   whole block.
+   effective-address computation, pure-register runs are charged in
+   bulk, a pure run and the load or store after it are one unit, and so
+   is each idiom the code generator emits around a load (a binop's
+   [mov_imm rA ; load rB ; op rB,rA ; mov rA,rB], a loop test's
+   [mov_imm rA ; load rB ; cmp rB,rA ; jcc]), which keeps the loaded and
+   computed values in locals. The block's [body] is the first unit:
+   calling it runs the whole block.
 
    Equivalence contract (checked by fuzz property #8 and test_jit):
    every closure replicates [Interp.exec_decoded]'s architectural
@@ -142,9 +146,11 @@ let[@inline] get (cpu : Cpu.t) o = Cpu.get64 cpu.Cpu.regs o
 let[@inline] set (cpu : Cpu.t) o v = Cpu.set64 cpu.Cpu.regs o v
 let sp_o = off Reg.sp
 
-let[@inline] charge (cpu : Cpu.t) cost =
-  cpu.Cpu.insns <- cpu.Cpu.insns + 1;
+let[@inline] charge_n (cpu : Cpu.t) n cost =
+  cpu.Cpu.insns <- cpu.Cpu.insns + n;
   cpu.Cpu.cycles <- cpu.Cpu.cycles + cost
+
+let[@inline] charge cpu cost = charge_n cpu 1 cost
 
 let[@inline] clamp v =
   if Int64.compare (Int64.logand v addr_mask) v <> 0 then Int64.to_int addr_mask
@@ -179,57 +185,98 @@ let[@inline] direct (mem : Mem.t) a size bit =
   && Char.code (Bytes.unsafe_get mem.Mem.direct (a lsr page_shift)) land bit
      <> 0
 
-let[@inline] load8 mem a =
-  if direct mem a 1 rd then Char.code (Bytes.unsafe_get mem.Mem.data a)
-  else Mem.read_u8 mem a
+(* The access of a load or store at [pc]. Only the checked accessor can
+   fault, so it runs with pc parked at the accessing instruction: a unit
+   that fuses instructions before the access faults with the reference's
+   pc. A unit charges all its instructions before its access; an idiom's
+   [load_v] also commits [v] to the register at byte offset [ao] there,
+   if [ao] >= 0 (the deferred [mov_imm]), and holds back the [after]
+   instructions ([after_cost] cycles) that follow the load until the
+   checked read returns, so a fault leaves the reference's counters. A
+   value returned here is let-bound by an inlined caller, so it stays
+   unboxed. *)
+let[@inline] load_v mem (cpu : Cpu.t) a ~size ~pc ~ao ~v ~after ~after_cost =
+  if direct mem a size rd then
+    if size = 1 then Int64.of_int (Char.code (Bytes.unsafe_get mem.Mem.data a))
+    else Bytes.get_int64_le mem.Mem.data a
+  else begin
+    cpu.Cpu.pc <- pc;
+    if ao >= 0 then set cpu ao v;
+    charge_n cpu (-after) (-after_cost);
+    let x =
+      if size = 1 then Int64.of_int (Mem.read_u8 mem a) else Mem.read_u64 mem a
+    in
+    charge_n cpu after after_cost;
+    x
+  end
 
-(* A 64-bit load lands in its register (or, masked, in pc) inside each
-   branch: a helper returning the [int64] from a branch that calls [Mem]
-   would box it. *)
-let[@inline] load64_to cpu o mem a =
-  if direct mem a 8 rd then set cpu o (Bytes.get_int64_le mem.Mem.data a)
-  else set cpu o (Mem.read_u64 mem a)
+let[@inline] load mem cpu a ~size ~pc =
+  load_v mem cpu a ~size ~pc ~ao:(-1) ~v:0L ~after:0 ~after_cost:0
 
-let[@inline] load_addr mem a =
-  if direct mem a 8 rd then masked (Bytes.get_int64_le mem.Mem.data a)
-  else masked (Mem.read_u64 mem a)
+let[@inline] store mem (cpu : Cpu.t) a v ~size ~pc =
+  if size = 1 then
+    if direct mem a 1 wr then
+      Bytes.unsafe_set mem.Mem.data a
+        (Char.unsafe_chr (Int64.to_int v land 0xFF))
+    else begin
+      cpu.Cpu.pc <- pc;
+      Mem.write_u8 mem a (Int64.to_int v)
+    end
+  else if direct mem a 8 wr then Bytes.set_int64_le mem.Mem.data a v
+  else begin
+    cpu.Cpu.pc <- pc;
+    Mem.write_u64 mem a v
+  end
 
-let[@inline] store8 mem a v =
-  if direct mem a 1 wr then
-    Bytes.unsafe_set mem.Mem.data a (Char.unsafe_chr (v land 0xFF))
-  else Mem.write_u8 mem a v
+(* A memory operand, pre-resolved so that a body computes its effective
+   address inline, with no call: [bo] and [io] are the base's and the
+   index's byte offsets in [regs] ([io] < 0: no index), and [bo] < 0
+   means the address folds to the constant [disp] (Rip_rel, Abs).
+   Mirrors [Interp.effective_address]. *)
+type ea = { bo : int; io : int; scale : int; disp : int }
 
-let[@inline] store64 mem a v =
-  if direct mem a 8 wr then Bytes.set_int64_le mem.Mem.data a v
-  else Mem.write_u64 mem a v
-
-(* Effective address, pre-resolved. Sib/Abs do not depend on end_pc;
-   Rip_rel folds to a constant. Mirrors [Interp.effective_address]. *)
-let compile_ea (m : Insn.mem) ~end_pc : Cpu.t -> int =
+let resolve (m : Insn.mem) ~end_pc =
   match m with
-  | Sib { base; index = None; scale = _; disp } ->
-      let bo = off base and d = Int64.of_int disp in
-      fun cpu -> clamp (Int64.add (get cpu bo) d)
-  | Sib { base; index = Some r; scale; disp } ->
-      let bo = off base and io = off r in
-      let s = Int64.of_int scale and d = Int64.of_int disp in
-      fun cpu ->
-        clamp (Int64.add (Int64.add (get cpu bo) (Int64.mul (get cpu io) s)) d)
+  | Sib { base; index; scale; disp } ->
+      let io = match index with Some r -> off r | None -> -1 in
+      { bo = off base; io; scale; disp }
   | Rip_rel disp ->
       let a = clamp (Int64.of_int (end_pc + disp)) in
-      fun _ -> a
-  | Abs v ->
-      let a = clamp v in
-      fun _ -> a
+      { bo = -1; io = -1; scale = 0; disp = a }
+  | Abs v -> { bo = -1; io = -1; scale = 0; disp = clamp v }
 
-let compile_cond (c : Insn.cond) : bool -> bool -> bool =
+let[@inline] addr cpu e =
+  if e.io < 0 then
+    if e.bo < 0 then e.disp
+    else clamp (Int64.add (get cpu e.bo) (Int64.of_int e.disp))
+  else
+    clamp
+      (Int64.add
+         (Int64.add (get cpu e.bo)
+            (Int64.mul (get cpu e.io) (Int64.of_int e.scale)))
+         (Int64.of_int e.disp))
+
+let[@inline] holds (c : Insn.cond) eq lt =
   match c with
-  | Eq -> fun eq _ -> eq
-  | Ne -> fun eq _ -> not eq
-  | Lt -> fun _ lt -> lt
-  | Le -> fun eq lt -> lt || eq
-  | Gt -> fun eq lt -> not (lt || eq)
-  | Ge -> fun _ lt -> not lt
+  | Eq -> eq
+  | Ne -> not eq
+  | Lt -> lt
+  | Le -> lt || eq
+  | Gt -> not (lt || eq)
+  | Ge -> not lt
+
+(* an idiom's operation: never [Divu]/[Remu], which can fault *)
+let[@inline] alu (op : Insn.alu_op) x y =
+  match op with
+  | Add -> Int64.add x y
+  | Sub -> Int64.sub x y
+  | Mul -> Int64.mul x y
+  | And -> Int64.logand x y
+  | Or -> Int64.logor x y
+  | Xor -> Int64.logxor x y
+  | Shl -> Int64.shift_left x (Int64.to_int y land 63)
+  | Shr -> Int64.shift_right_logical x (Int64.to_int y land 63)
+  | Divu | Remu -> assert false
 
 (* ---- pure-register cores ---- *)
 
@@ -313,6 +360,134 @@ let core_of (insn : Insn.t) : (Cpu.t -> unit) option =
           cpu.Cpu.flag_lt <- Int64.compare x y < 0)
   | _ -> None
 
+(* Flatten a core list into one closure, unrolled for the common short
+   runs so the per-iteration call count stays minimal. *)
+let rec seq_cores = function
+  | [] -> fun _ -> ()
+  | [ f ] -> f
+  | [ a; b ] ->
+      fun cpu ->
+        a cpu;
+        b cpu
+  | [ a; b; c ] ->
+      fun cpu ->
+        a cpu;
+        b cpu;
+        c cpu
+  | [ a; b; c; d ] ->
+      fun cpu ->
+        a cpu;
+        b cpu;
+        c cpu;
+        d cpu
+  | [ a; b; c; d; e ] ->
+      fun cpu ->
+        a cpu;
+        b cpu;
+        c cpu;
+        d cpu;
+        e cpu
+  | [ a; b; c; d; e; f ] ->
+      fun cpu ->
+        a cpu;
+        b cpu;
+        c cpu;
+        d cpu;
+        e cpu;
+        f cpu
+  | a :: b :: c :: d :: e :: f :: rest ->
+      let g = seq_cores rest in
+      fun cpu ->
+        a cpu;
+        b cpu;
+        c cpu;
+        d cpu;
+        e cpu;
+        f cpu;
+        g cpu
+
+(* ---- memory units ---- *)
+
+(* The access a memory unit is built around: a load into, or a store
+   from, a register, of 1 or 8 bytes *)
+type access = Ld of Reg.t * int | St of Reg.t * int
+
+(* The rest of a codegen idiom after its load into rB: the operand rA,
+   held as the local [v] when a [mov_imm rA,v] came before the load,
+   then [alu rB,rA ; mov rA,rB] or the block-ending [cmp rB,rA ; jcc]
+   (condition, taken target); [cost2] is the cycles of those two *)
+type idiom = { a : Reg.t; v : int64 option; op : idiom_op; cost2 : int }
+and idiom_op = I_alu of Insn.alu_op | I_jcc of Insn.cond * int
+
+(* One unit around one load or store at [pc]. Its [n] instructions up to
+   and including the access cost [cost] cycles; an idiom's two after the
+   load cost [cost2]. The unit charges them all at its start, and the
+   checked path, the only one that can fault, holds back the idiom's two
+   until the read returns. So a fault leaves the reference's counters,
+   pc and registers. The unit starts with the pure run [cores], or, in
+   an idiom, with the [mov_imm rA,v] that only the checked path commits
+   before the access: each register is written once, at the end. *)
+let mem_unit mem ~n ~cost ~cores ~(access : access) ~e ~pc ~end_pc
+    ~(idiom : idiom option) ~(k : body) : body =
+  let ops = seq_cores cores in
+  let run = match cores with [] -> false | _ :: _ -> true in
+  match (access, idiom) with
+  | St (s, size), _ ->
+      let so = off s in
+      fun cpu ->
+        charge_n cpu n cost;
+        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
+        if run then ops cpu;
+        store mem cpu (addr cpu e) (get cpu so) ~size ~pc;
+        cpu.Cpu.pc <- end_pc;
+        k cpu
+  | Ld (b, size), None ->
+      let bo = off b in
+      fun cpu ->
+        charge_n cpu n cost;
+        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
+        if run then ops cpu;
+        let x = load mem cpu (addr cpu e) ~size ~pc in
+        set cpu bo x;
+        cpu.Cpu.pc <- end_pc;
+        k cpu
+  | Ld (b, size), Some { a; v; op; cost2 } -> (
+      let bo = off b and ao = off a in
+      let has_v = Option.is_some v and v = Option.value v ~default:0L in
+      let park = if has_v then ao else -1 in
+      let n = n + 2 and total = cost + cost2 in
+      match op with
+      | I_alu op ->
+          fun cpu ->
+            charge_n cpu n total;
+            cpu.Cpu.loads <- cpu.Cpu.loads + 1;
+            let x =
+              load_v mem cpu (addr cpu e) ~size ~pc ~ao:park ~v ~after:2
+                ~after_cost:cost2
+            in
+            let y = if has_v then v else get cpu ao in
+            let r = alu op x y in
+            set cpu bo r;
+            set cpu ao r;
+            cpu.Cpu.pc <- end_pc;
+            k cpu
+      | I_jcc (c, tgt) ->
+          fun cpu ->
+            charge_n cpu n total;
+            cpu.Cpu.loads <- cpu.Cpu.loads + 1;
+            let x =
+              load_v mem cpu (addr cpu e) ~size ~pc ~ao:park ~v ~after:2
+                ~after_cost:cost2
+            in
+            let y = if has_v then v else get cpu ao in
+            set cpu bo x;
+            set cpu ao y;
+            let eq = Int64.equal x y and lt = Int64.compare x y < 0 in
+            cpu.Cpu.flag_eq <- eq;
+            cpu.Cpu.flag_lt <- lt;
+            cpu.Cpu.pc <- (if holds c eq lt then tgt else end_pc);
+            k cpu)
+
 (* Translate one instruction spanning [pc, pc+len). Total: every opcode
    compiles (privileged ones to a charge-then-fault stub, exactly as the
    interpreter charges before classifying them). *)
@@ -335,10 +510,10 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
           cpu.Cpu.pc <- end_pc;
           k cpu
     | Ea_mem m ->
-        let ea_f = compile_ea m ~end_pc in
+        let e = resolve m ~end_pc in
         fun (cpu : Cpu.t) ->
           charge cpu cost;
-          bound_check cpu bi lower (Int64.of_int (ea_f cpu));
+          bound_check cpu bi lower (Int64.of_int (addr cpu e));
           cpu.Cpu.pc <- end_pc;
           k cpu
   in
@@ -363,35 +538,11 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         cpu.Cpu.pc <- end_pc;
         k cpu
   | Load { dst; src; size } ->
-      let dO = off dst in
-      let ea_f = compile_ea src ~end_pc in
-      if size = 1 then fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        set cpu dO (Int64.of_int (load8 mem (ea_f cpu)));
-        cpu.Cpu.pc <- end_pc;
-        k cpu
-      else fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        load64_to cpu dO mem (ea_f cpu);
-        cpu.Cpu.pc <- end_pc;
-        k cpu
+      mem_unit mem ~n:1 ~cost ~cores:[] ~access:(Ld (dst, size))
+        ~e:(resolve src ~end_pc) ~pc ~end_pc ~idiom:None ~k
   | Store { dst; src; size } ->
-      let so = off src in
-      let ea_f = compile_ea dst ~end_pc in
-      if size = 1 then fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        store8 mem (ea_f cpu) (Int64.to_int (get cpu so));
-        cpu.Cpu.pc <- end_pc;
-        k cpu
-      else fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        store64 mem (ea_f cpu) (get cpu so);
-        cpu.Cpu.pc <- end_pc;
-        k cpu
+      mem_unit mem ~n:1 ~cost ~cores:[] ~access:(St (src, size))
+        ~e:(resolve dst ~end_pc) ~pc ~end_pc ~idiom:None ~k
   | Push r ->
       let ro = off r in
       fun cpu ->
@@ -399,7 +550,7 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         (* store before the sp update: fault atomicity *)
         let sp = Int64.sub (get cpu sp_o) 8L in
-        store64 mem (masked sp) (get cpu ro);
+        store mem cpu (masked sp) (get cpu ro) ~size:8 ~pc;
         set cpu sp_o sp;
         cpu.Cpu.pc <- end_pc;
         k cpu
@@ -409,17 +560,18 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let sp = get cpu sp_o in
-        load64_to cpu ro mem (masked sp);
+        let x = load mem cpu (masked sp) ~size:8 ~pc in
+        set cpu ro x;
         (* [pop sp] keeps the loaded value, as in the interpreter *)
         if ro <> sp_o then set cpu sp_o (Int64.add sp 8L);
         cpu.Cpu.pc <- end_pc;
         k cpu
   | Lea (r, m) ->
       let ro = off r in
-      let ea_f = compile_ea m ~end_pc in
+      let e = resolve m ~end_pc in
       fun cpu ->
         charge cpu cost;
-        set cpu ro (Int64.of_int (ea_f cpu));
+        set cpu ro (Int64.of_int (addr cpu e));
         cpu.Cpu.pc <- end_pc;
         k cpu
   | Alu (Add, d, O_imm v) ->
@@ -474,11 +626,10 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         k cpu
   | Jcc (c, rel) ->
       let tgt = end_pc + rel in
-      let decide = compile_cond c in
       fun cpu ->
         charge cpu cost;
         cpu.Cpu.pc <-
-          (if decide cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc);
+          (if holds c cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc);
         k cpu
   | Call rel ->
       let tgt = end_pc + rel in
@@ -487,7 +638,7 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         let sp = Int64.sub (get cpu sp_o) 8L in
-        store64 mem (masked sp) ret;
+        store mem cpu (masked sp) ret ~size:8 ~pc;
         set cpu sp_o sp;
         cpu.Cpu.pc <- tgt;
         k cpu
@@ -504,38 +655,39 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         charge cpu cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         let sp = Int64.sub (get cpu sp_o) 8L in
-        store64 mem (masked sp) ret;
+        store mem cpu (masked sp) ret ~size:8 ~pc;
         set cpu sp_o sp;
         cpu.Cpu.pc <- masked (get cpu ro);
         k cpu
   | Jmp_mem m ->
-      let ea_f = compile_ea m ~end_pc in
+      let e = resolve m ~end_pc in
       fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        cpu.Cpu.pc <- load_addr mem (ea_f cpu);
+        let target = load mem cpu (addr cpu e) ~size:8 ~pc in
+        cpu.Cpu.pc <- masked target;
         k cpu
   | Call_mem m ->
-      let ea_f = compile_ea m ~end_pc in
+      let e = resolve m ~end_pc in
       let ret = Int64.of_int end_pc in
       fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let target = load_addr mem (ea_f cpu) in
+        let target = load mem cpu (addr cpu e) ~size:8 ~pc in
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         let sp = Int64.sub (get cpu sp_o) 8L in
-        store64 mem (masked sp) ret;
+        store mem cpu (masked sp) ret ~size:8 ~pc;
         set cpu sp_o sp;
-        cpu.Cpu.pc <- target;
+        cpu.Cpu.pc <- masked target;
         k cpu
   | Ret ->
       fun cpu ->
         charge cpu cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let sp = get cpu sp_o in
-        let target = load_addr mem (masked sp) in
+        let target = load mem cpu (masked sp) ~size:8 ~pc in
         set cpu sp_o (Int64.add sp 8L);
-        cpu.Cpu.pc <- target;
+        cpu.Cpu.pc <- masked target;
         k cpu
   | Ret_imm n ->
       let adj = Int64.of_int n in
@@ -544,9 +696,9 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         (* the pop may fault; sp commits only afterwards *)
         let sp = get cpu sp_o in
-        let target = load_addr mem (masked sp) in
+        let target = load mem cpu (masked sp) ~size:8 ~pc in
         set cpu sp_o (Int64.add (Int64.add sp 8L) adj);
-        cpu.Cpu.pc <- target;
+        cpu.Cpu.pc <- masked target;
         k cpu
   | Bndcl (b, ea) -> guard true b ea
   | Bndcu (b, ea) -> guard false b ea
@@ -573,7 +725,7 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
         let b = get cpu bo and i = get cpu io in
         for lane = 0 to 3 do
           let a = Int64.add b (Int64.mul (Int64.add i (Int64.of_int lane)) s) in
-          store64 mem (masked a) (get cpu so)
+          store mem cpu (masked a) (get cpu so) ~size:8 ~pc
         done;
         cpu.Cpu.pc <- end_pc;
         k cpu
@@ -593,9 +745,9 @@ type second =
 (* The pair's guard half: charge, check, park; returns the shared
    effective address. Closed and [@inline], so each fused body below
    runs it without a call. *)
-let[@inline] guard_half (cpu : Cpu.t) ea_f ~cost1 ~bi1 ~lower1 ~pc2 =
+let[@inline] guard_half (cpu : Cpu.t) e ~cost1 ~bi1 ~lower1 ~pc2 =
   charge cpu cost1;
-  let a = ea_f cpu in
+  let a = addr cpu e in
   bound_check cpu bi1 lower1 (Int64.of_int a);
   cpu.Cpu.pc <- pc2;
   a
@@ -605,44 +757,31 @@ let fuse_guard_mem (mem : Mem.t) ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1
   let pc2 = pc1 + len1 in
   let end2 = pc2 + len2 in
   let bi1 = Reg.bnd_to_int b1 in
-  let ea_f = compile_ea m ~end_pc:pc2 in
+  let e = resolve m ~end_pc:pc2 in
   match second with
   | S_load (dst, size) ->
       let dO = off dst in
-      if size = 1 then fun cpu ->
-        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+      fun cpu ->
+        let a = guard_half cpu e ~cost1 ~bi1 ~lower1 ~pc2 in
         charge cpu cost2;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        set cpu dO (Int64.of_int (load8 mem a));
-        cpu.Cpu.pc <- end2;
-        k cpu
-      else fun cpu ->
-        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
-        charge cpu cost2;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        load64_to cpu dO mem a;
+        let x = load mem cpu a ~size ~pc:pc2 in
+        set cpu dO x;
         cpu.Cpu.pc <- end2;
         k cpu
   | S_store (src, size) ->
       let so = off src in
-      if size = 1 then fun cpu ->
-        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+      fun cpu ->
+        let a = guard_half cpu e ~cost1 ~bi1 ~lower1 ~pc2 in
         charge cpu cost2;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        store8 mem a (Int64.to_int (get cpu so));
-        cpu.Cpu.pc <- end2;
-        k cpu
-      else fun cpu ->
-        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
-        charge cpu cost2;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        store64 mem a (get cpu so);
+        store mem cpu a (get cpu so) ~size ~pc:pc2;
         cpu.Cpu.pc <- end2;
         k cpu
   | S_guard (lower2, b2) ->
       let bi2 = Reg.bnd_to_int b2 in
       fun cpu ->
-        let a = guard_half cpu ea_f ~cost1 ~bi1 ~lower1 ~pc2 in
+        let a = guard_half cpu e ~cost1 ~bi1 ~lower1 ~pc2 in
         charge cpu cost2;
         bound_check cpu bi2 lower2 (Int64.of_int a);
         cpu.Cpu.pc <- end2;
@@ -665,65 +804,17 @@ let term_core_of (insn : Insn.t) ~end_pc : (Cpu.t -> unit) option =
       Some (fun cpu -> cpu.Cpu.pc <- tgt)
   | Jcc (c, rel) ->
       let tgt = end_pc + rel in
-      let decide = compile_cond c in
       Some
         (fun cpu ->
           cpu.Cpu.pc <-
-            (if decide cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc))
+            (if holds c cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc))
   | _ -> None
-
-(* Flatten a core list into one closure, unrolled for the common short
-   runs so the per-iteration call count stays minimal. *)
-let rec seq_cores = function
-  | [] -> fun _ -> ()
-  | [ f ] -> f
-  | [ a; b ] ->
-      fun cpu ->
-        a cpu;
-        b cpu
-  | [ a; b; c ] ->
-      fun cpu ->
-        a cpu;
-        b cpu;
-        c cpu
-  | [ a; b; c; d ] ->
-      fun cpu ->
-        a cpu;
-        b cpu;
-        c cpu;
-        d cpu
-  | [ a; b; c; d; e ] ->
-      fun cpu ->
-        a cpu;
-        b cpu;
-        c cpu;
-        d cpu;
-        e cpu
-  | [ a; b; c; d; e; f ] ->
-      fun cpu ->
-        a cpu;
-        b cpu;
-        c cpu;
-        d cpu;
-        e cpu;
-        f cpu
-  | a :: b :: c :: d :: e :: f :: rest ->
-      let g = seq_cores rest in
-      fun cpu ->
-        a cpu;
-        b cpu;
-        c cpu;
-        d cpu;
-        e cpu;
-        f cpu;
-        g cpu
 
 let pure_unit ~(cores : (Cpu.t -> unit) list) ~n ~total_cost ~(k : body) : body
     =
   let ops = seq_cores cores in
   fun cpu ->
-    cpu.Cpu.insns <- cpu.Cpu.insns + n;
-    cpu.Cpu.cycles <- cpu.Cpu.cycles + total_cost;
+    charge_n cpu n total_cost;
     ops cpu;
     k cpu
 
@@ -741,6 +832,12 @@ let insn_writes = function
 let fusable_mem = function
   | Insn.Sib _ | Insn.Abs _ -> true
   | Insn.Rip_rel _ -> false
+
+(* a load whose address reads register [r] *)
+let reads (insn : Insn.t) r =
+  match insn with
+  | Load { src = Sib { base; index; _ }; _ } -> base = r || index = Some r
+  | _ -> false
 
 let guard_of = function
   | Insn.Bndcl (b, Insn.Ea_mem m) -> Some (true, b, m)
@@ -786,11 +883,67 @@ let compile t (b : Decode_cache.block) : compiled =
         | _ -> false)
     | _ -> false
   in
+  let cost_of i j =
+    (* the cycles of instructions [i, j) *)
+    let c = ref 0 in
+    for x = i to j - 1 do
+      c := !c + Cost.of_insn (insn x)
+    done;
+    !c
+  in
+  let cores = Array.init n (fun j -> core_of (insn j)) in
+  let core j = match cores.(j) with Some f -> f | None -> assert false in
+  (* the last three instructions of a codegen idiom at j:
+     [load rB,[m] ; alu rB,rA ; mov rA,rB] (no divu/remu, which can
+     fault) or the block-ending [load rB,[m] ; cmp rB,rA ; jcc] *)
+  let idiom_body j =
+    match if j + 2 < n then insn j else Nop with
+    | Load { dst = rb; _ } -> (
+        match (insn (j + 1), insn (j + 2)) with
+        | Alu (op, rb', O_reg ra), Mov_reg (ra', rb'')
+          when rb' = rb && ra' = ra && rb'' = rb && ra <> rb && op <> Divu
+               && op <> Remu ->
+            Some (ra, I_alu op)
+        | Cmp (rb', O_reg ra), Jcc (c, rel) when rb' = rb && ra <> rb ->
+            Some (ra, I_jcc (c, pcs.(j + 3) + rel))
+        | _ -> None)
+    | _ -> None
+  in
+  (* the idiom starting at i: (the [mov_imm rA,v] before its load, rA,
+     op). The mov_imm joins only if [m] does not read rA, since the
+     inline address reads the register file, which the idiom writes
+     last. *)
+  let idiom_at i =
+    match insn i with
+    | Mov_imm (ra, v) -> (
+        match idiom_body (i + 1) with
+        | Some (ra', op) when ra' = ra && not (reads (insn (i + 1)) ra) ->
+            Some (Some v, ra, op)
+        | _ -> None)
+    | Load _ -> Option.map (fun (ra, op) -> (None, ra, op)) (idiom_body i)
+    | _ -> None
+  in
   (* the units, last first: (first instruction, instructions, the unit
      given its continuation) *)
   let units = ref [] in
   let emit i k f = units := (i, k, f) :: !units in
   let i = ref 0 in
+  (* the memory unit of instructions [i, j], the access at j, and an
+     idiom's last two *)
+  let emit_mem j ~cores ~idiom =
+    let access, m =
+      match insn j with
+      | Load { dst; src; size } -> (Ld (dst, size), src)
+      | Store { dst; src; size } -> (St (src, size), dst)
+      | _ -> assert false
+    in
+    let kk = j - !i + if Option.is_none idiom then 1 else 3 in
+    emit !i kk
+      (mem_unit mem ~n:(j - !i + 1) ~cost:(cost_of !i (j + 1)) ~cores ~access
+         ~e:(resolve m ~end_pc:pcs.(j + 1))
+         ~pc:pcs.(j) ~end_pc:pcs.(!i + kk) ~idiom);
+    i := !i + kk
+  in
   while !i < n do
     if pair_at !i then begin
       let lower1, b1, m =
@@ -812,43 +965,61 @@ let compile t (b : Decode_cache.block) : compiled =
            ~cost2:(Cost.of_insn (insn (!i + 1))));
       i := !i + 2
     end
-    else begin
-      (* maximal pure-register run starting at i, with an optional
-         direct-branch tail (cmp+branch fusion falls out of this) *)
-      let run = ref 0 in
-      while !i + !run < n && core_of (insn (!i + !run)) <> None do
-        incr run
-      done;
-      let tail =
-        if !i + !run = n - 1 then term_core_of (insn (n - 1)) ~end_pc:pcs.(n)
-        else None
-      in
-      let kk = !run + match tail with Some _ -> 1 | None -> 0 in
-      if kk >= 2 then begin
-        (* one bulk-charged unit over the whole run *)
-        let core j =
-          match core_of (insn j) with Some f -> f | None -> assert false
-        in
-        let park =
-          match tail with
-          | Some f -> f
-          | None ->
-              let end_pc = pcs.(!i + !run) in
-              fun cpu -> cpu.Cpu.pc <- end_pc
-        in
-        let cores = List.init !run (fun j -> core (!i + j)) @ [ park ] in
-        let total_cost = ref 0 in
-        for j = !i to !i + kk - 1 do
-          total_cost := !total_cost + Cost.of_insn (insn j)
-        done;
-        emit !i kk (pure_unit ~cores ~n:kk ~total_cost:!total_cost);
-        i := !i + kk
-      end
-      else begin
-        emit !i 1 (compile_body mem (insn !i) ~pc:pcs.(!i) ~len:(len !i));
-        incr i
-      end
-    end
+    else
+      match idiom_at !i with
+      | Some (v, a, op) ->
+          let j = if Option.is_none v then !i else !i + 1 in
+          emit_mem j ~cores:[]
+            ~idiom:(Some { a; v; op; cost2 = cost_of (j + 1) (j + 3) })
+      | None ->
+          (* maximal pure-register run starting at i, up to the next
+             idiom; inside a run only a mov_imm can start one *)
+          let run = ref 0 in
+          while
+            !i + !run < n
+            && Option.is_some cores.(!i + !run)
+            && (!run = 0
+               ||
+               match insn (!i + !run) with
+               | Mov_imm _ -> Option.is_none (idiom_at (!i + !run))
+               | _ -> true)
+          do
+            incr run
+          done;
+          let r = !i + !run in
+          let cores = List.init !run (fun j -> core (!i + j)) in
+          (* the run and the load or store after it *)
+          if
+            !run > 0 && r < n
+            && (match insn r with Load _ | Store _ -> true | _ -> false)
+            && Option.is_none (idiom_at r)
+          then emit_mem r ~cores ~idiom:None
+          else
+            (* an optional direct-branch tail: cmp+branch fusion falls
+               out of this *)
+            let tail =
+              if r = n - 1 then term_core_of (insn (n - 1)) ~end_pc:pcs.(n)
+              else None
+            in
+            let kk = !run + match tail with Some _ -> 1 | None -> 0 in
+            if kk >= 2 then begin
+              (* one bulk-charged unit over the whole run *)
+              let park =
+                match tail with
+                | Some f -> f
+                | None ->
+                    let end_pc = pcs.(r) in
+                    fun cpu -> cpu.Cpu.pc <- end_pc
+              in
+              emit !i kk
+                (pure_unit ~cores:(cores @ [ park ]) ~n:kk
+                   ~total_cost:(cost_of !i (!i + kk)));
+              i := !i + kk
+            end
+            else begin
+              emit !i 1 (compile_body mem (insn !i) ~pc:pcs.(!i) ~len:(len !i));
+              incr i
+            end
   done;
   (* in a fragile block every write ends its unit, and the epoch is
      checked after each one but the block's last instruction, whose

@@ -1,10 +1,13 @@
 (** Block JIT, the tiered loop's only fast tier: every basic block
     ({!Decode_cache.build}) is translated the first time it runs into
     one OCaml closure, its [body], and run whole by {!Interp.run} when
-    [?jit] is passed. Operands are pre-resolved, guard+load /
-    guard+store / guard+guard pairs are fused over one effective-address
-    computation, pure-register runs are charged in bulk, and each
-    instruction or unit tail-calls the next.
+    [?jit] is passed. Operands are pre-resolved and addresses computed
+    inline, guard+load / guard+store / guard+guard pairs are fused over
+    one effective-address computation, pure-register runs are charged in
+    bulk, a pure run and the load or store after it are one unit, so is
+    each code-generator idiom around a load ([mov_imm ; load ; op ; mov],
+    [mov_imm ; load ; cmp ; jcc]), and each instruction or unit
+    tail-calls the next.
 
     The body has no internal fuel check. The interpreter runs it only
     when the remaining fuel covers the whole block; otherwise it replays

@@ -138,11 +138,21 @@ let unpin_client pg cid =
    back to an earlier version without failing the MAC/version check. *)
 let entry_label cid page version = Printf.sprintf "ewb:%d:%d:%d" cid page version
 
-(* Each eviction seals under a fresh ChaCha nonce: the label is an
-   injective encoding of (cid, page, version), and the version grows on
-   every EWB of a page. *)
+(* Each eviction seals under a fresh ChaCha nonce [u32le cid ‖ u32le page
+   ‖ u32le version]: fixed-width fields make the encoding injective, and
+   the version grows on every EWB of a page. A field out of 32 bits is
+   refused. *)
 let entry_nonce cid page version =
-  Occlum_util.Cipher.derive_nonce (entry_label cid page version) 0
+  let n = Bytes.create Occlum_util.Cipher.nonce_size in
+  let u32 at what v =
+    if v < 0 || v > 0xffff_ffff then
+      invalid_arg ("Epc: " ^ what ^ " out of 32 bits");
+    Bytes.set_int32_le n at (Int32.of_int v)
+  in
+  u32 0 "cid" cid;
+  u32 4 "page" page;
+  u32 8 "version" version;
+  Bytes.unsafe_to_string n
 
 (* EWB: seal a resident frame out to the backing store, scrub the frame
    and drop the residency bit so the next touch faults. *)
@@ -151,12 +161,13 @@ let do_evict t pg c page =
   let version =
     1 + (try Hashtbl.find pg.versions (c.cid, page) with Not_found -> 0)
   in
+  (* the nonce first: a version out of 32 bits changes nothing *)
+  let nonce = entry_nonce c.cid page version in
   Hashtbl.replace pg.versions (c.cid, page) version;
   let cipher, mac =
     Occlum_util.Seal.seal pg.keys
       ~label:(entry_label c.cid page version)
-      ~nonce:(entry_nonce c.cid page version)
-      ~pos:addr ~len:page_size (Mem.raw c.mem)
+      ~nonce ~pos:addr ~len:page_size (Mem.raw c.mem)
   in
   Hashtbl.replace pg.backing (c.cid, page) { cipher; mac; version };
   (* Scrub through the privileged writer so executable pages bump their
@@ -409,6 +420,15 @@ let backing_snapshot t ~cid ~page =
   match t.pager with
   | None -> None
   | Some pg -> Hashtbl.find_opt pg.backing (cid, page)
+
+let set_version t ~cid ~page version =
+  match t.pager with
+  | None -> 0
+  | Some pg ->
+      let key = (cid, page) in
+      let old = Option.value (Hashtbl.find_opt pg.versions key) ~default:0 in
+      Hashtbl.replace pg.versions key version;
+      old
 
 let backing_restore t ~cid ~page copy =
   match t.pager with

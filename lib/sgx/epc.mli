@@ -101,7 +101,15 @@ val backing_used : t -> int
 
 val entry_nonce : int -> int -> int -> string
 (** [entry_nonce cid page version] is the ChaCha nonce that seals that
-    EWB. Distinct triples get distinct nonces. *)
+    EWB: [u32le cid ‖ u32le page ‖ u32le version], so distinct triples
+    get distinct nonces.
+    @raise Invalid_argument if a field is out of 32 bits; an EWB whose
+    version would reach 2{^32} raises it before changing any state. *)
+
+val set_version : t -> cid:int -> page:int -> int -> int
+(** Set a page's trusted version counter, as after that many EWBs, and
+    return the one it replaces (0 for a page never evicted, or with
+    paging off). *)
 
 val evict_page : t -> cid:int -> page:int -> bool
 (** Force one EWB; false if the page is not an evictable resident frame. *)

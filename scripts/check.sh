@@ -295,6 +295,15 @@ if grep -nE 'Mem\.t -> Cpu\.t -> ustat|k mem cpu' lib/machine/jit.ml; then
   exit 1
 fi
 
+# A memory operand is resolved into register offsets and a displacement
+# when its block compiles, and each body computes the address inline. A
+# per-operand address closure, an indirect call on every load and store,
+# must not come back.
+if grep -nE 'compile_ea|Cpu\.t -> int\b' lib/machine/jit.ml; then
+  echo "FAIL: a per-operand address closure reappeared in lib/machine/jit.ml (see docs/jit.md, Host cost)" >&2
+  exit 1
+fi
+
 # One syscall table: every syscall is reached through one lookup by
 # number in Os, and a table entry's batch field is the one list of calls
 # a batch may not carry. A chain of number comparisons must not come

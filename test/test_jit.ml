@@ -1001,6 +1001,230 @@ let test_multicore_digest_with_jit () =
   Alcotest.(check string) "cores=4 == cores=1 with the JIT on" (digest 1)
     (digest 4)
 
+(* --- codegen idioms as single units ------------------------------------ *)
+
+module Exec = Occlum_fuzzing.Exec
+
+(* The hot block of a binop loop from the real toolchain: the rotated
+   loop's body, which its bottom test re-enters through a backward jcc.
+   Each [mov_imm rA ; load rB ; op rB,rA ; mov rA,rB] the code generator
+   emits for a binop is one unit, and so is the [load ; op ; mov] of a
+   binop whose other operand is already in rA, a pure run with the store
+   after it, and the loop test [mov_imm ; load ; cmp ; jcc]. *)
+let test_idiom_units () =
+  let src =
+    {|fn main() {
+  let x = 7;
+  let i = 0;
+  while (i < 12) {
+    x = x ^ (x << 13);
+    x = x * 31 + 17;
+    i = i + 1;
+  }
+  return x;
+}|}
+  in
+  let prog = Parser.parse src in
+  let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
+  let env = Exec.make ~code_perm:Mem.perm_rx oelf in
+  let mem = env.Exec.mem in
+  (* walk main block by block to its first backward jcc: the loop head *)
+  let rec head pc =
+    match Decode_cache.build mem pc with
+    | None -> Alcotest.fail "main has no backward jcc"
+    | Some b -> (
+        let end_pc = Array.fold_left (fun a (_, l) -> a + l) pc b.insns in
+        match fst b.insns.(Array.length b.insns - 1) with
+        | Insn.Jcc (_, rel) when rel < 0 -> end_pc + rel
+        | _ -> head end_pc)
+  in
+  let main =
+    env.Exec.code_base + List.assoc "f_main" oelf.Occlum_oelf.Oelf.symbols
+  in
+  let b = Option.get (Decode_cache.build mem (head main)) in
+  let c = Jit.compile (Jit.create mem) b in
+  Alcotest.(check int) "the loop body's 24 instructions" 24
+    (Array.length b.insns);
+  (* x ^ (x << 13): idiom of 4, then of 3, then the store; x * 31: 4;
+     + 17: a pure run and the store; i + 1: 4, then the store; the
+     test: 4 *)
+  Alcotest.(check (list int)) "one unit per idiom"
+    [ 0; 4; 7; 8; 12; 15; 19; 20 ]
+    (Array.to_list c.Jit.unit_starts);
+  let summary jit = native_summary (Native_run.run ~jit oelf) in
+  Alcotest.(check string) "tiered = reference" (summary false) (summary true)
+
+(* Codegen idioms against the reference loop, through the lockstep
+   engine. Each case is a loop whose block holds one idiom-shaped run:
+   an optional pure prefix, an optional [mov_imm rA,v], [load rB,[m]]
+   of 1 or 8 bytes, then [alu rB,rA ; mov rA,rB] (every op an idiom
+   takes) followed by a pure run and a store, or the block-ending
+   [cmp rB,rA ; jcc] (every condition). [m] reads the data region, the
+   stack, rA, rB, an index register or an unmapped page, so some loads
+   fault inside the unit, on the first entry or once rA or rB holds a
+   computed value; on a paged pool the data and stack pages are evicted
+   at every preemption, so loads miss the EPC and retry. Code is r-x or
+   RWX, and quanta of every length up to two blocks end the fuel at
+   every boundary. The engine compares pc, flags, registers, bounds and
+   every counter at each stop, and the fault. *)
+let prop_idioms_match_reference =
+  let module R = Occlum_toolchain.Codegen_regs in
+  let module Asm = Occlum_toolchain.Asm in
+  let module Fgen = Occlum_fuzzing.Gen in
+  let module Epc = Occlum_sgx.Epc in
+  let ops = [| Insn.Add; Sub; Mul; And; Or; Xor; Shl; Shr |] in
+  let conds = [| Insn.Eq; Ne; Lt; Le; Gt; Ge |] in
+  let g_off = Occlum_toolchain.Layout.global_offset Fgen.layout "g" in
+  let ra = Reg.r1 and rb = Reg.r2 and rd = Reg.r4 and ri = Reg.r5 in
+  QCheck.Test.make ~name:"codegen idioms = reference (lockstep)" ~count:80
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed; 39 |] in
+      let int n = Random.State.int st n in
+      let pick a = a.(int (Array.length a)) in
+      let i64 () = Random.State.int64 st Int64.max_int in
+      let imm () =
+        if int 2 = 0 then Int64.of_int (int 70) else Int64.sub (i64 ()) (i64 ())
+      in
+      let ins i = Asm.Ins i in
+      let disp = pick [| 0; 8; 13 |] in
+      let sib base index = Insn.Sib { base; index; scale = 8; disp } in
+      let m, setup =
+        match int 6 with
+        | 0 -> (sib rd None, [])
+        | 1 -> (sib Reg.sp None, [])
+        | 2 -> (sib ra None, [ ins (Mov_reg (ra, rd)) ])
+        | 3 -> (sib rb None, [ ins (Mov_reg (rb, rd)) ])
+        | 4 -> (sib rd (Some ri), [])
+        | _ -> (sib rd None, [ ins (Mov_imm (rd, 0xFF_0000_0000L)) ])
+      in
+      let size = if int 2 = 0 then 1 else 8 in
+      let pre =
+        List.init (int 3) (fun _ ->
+            ins
+              (if int 2 = 0 then Mov_reg (Reg.r3, pick [| ra; rb; Reg.r6 |])
+               else Alu (pick ops, Reg.r6, O_reg Reg.r3)))
+      in
+      let mov_v = if int 3 = 0 then [] else [ ins (Mov_imm (ra, imm ())) ] in
+      let load = ins (Load { dst = rb; src = m; size }) in
+      let tail =
+        if int 3 = 0 then
+          [ ins (Cmp (rb, O_reg ra)); Asm.Jcc_l (pick conds, "loop") ]
+        else
+          [
+            ins (Alu (pick ops, rb, O_reg ra));
+            ins (Mov_reg (ra, rb));
+            ins (Mov_reg (Reg.r3, rb));
+            ins (Alu (Add, Reg.r3, O_imm 1L));
+            ins
+              (Store
+                 { dst = sib rd None; src = Reg.r3; size = pick [| 1; 8 |] });
+            ins (Alu (Sub, Reg.r8, O_imm 1L));
+            ins (Cmp (Reg.r8, O_imm 0L));
+            Asm.Jcc_l (Ne, "loop");
+          ]
+      in
+      let seed_slot base disp =
+        ins
+          (Store
+             {
+               dst = Sib { base; index = None; scale = 1; disp };
+               src = Reg.r3;
+               size = 8;
+             })
+      in
+      let items =
+        [
+          Asm.Label "_start";
+          Asm.Cfi_label_here;
+          ins (Mov_reg (rd, R.data_base));
+          ins (Alu (Add, rd, O_imm (Int64.of_int g_off)));
+          ins (Alu (Sub, Reg.sp, O_imm 64L));
+        ]
+        @ List.concat_map
+            (fun d ->
+              [
+                ins (Mov_imm (Reg.r3, i64 ()));
+                seed_slot rd d;
+                seed_slot Reg.sp d;
+              ])
+            [ 0; 8; 16; 24 ]
+        @ [
+            ins (Mov_imm (ri, 1L));
+            ins (Mov_imm (ra, imm ()));
+            ins (Mov_imm (rb, imm ()));
+            ins (Mov_imm (Reg.r8, Int64.of_int (2 + int 5)));
+          ]
+        @ setup
+        @ [ Asm.Label "loop" ] @ pre @ mov_v @ (load :: tail)
+        @ [ Asm.Label "spin"; Asm.Jmp_l "spin" ]
+      in
+      let oelf = Fgen.link items in
+      let code_perm = if int 2 = 0 then Mem.perm_rx else Mem.perm_rwx in
+      let paged = int 3 = 0 in
+      let block = List.length pre + List.length mov_v + 1 + List.length tail in
+      let check every =
+        let pool =
+          if paged then begin
+            let p = Epc.create ~size:(512 * Epc.page_size) () in
+            Epc.enable_paging p;
+            Some p
+          end
+          else None
+        in
+        let env () = Exec.make ?epc:pool ~code_perm oelf in
+        let a = env () and b = env () in
+        (* the pages of g and of the stack slots *)
+        let perturb =
+          Option.map
+            (fun pool () (env : Exec.env) ->
+              let d = env.Exec.d_base + g_off in
+              let sp = Int64.to_int (Cpu.get env.Exec.cpu Reg.sp) in
+              List.iter
+                (fun a ->
+                  ignore
+                    (Epc.evict_page pool
+                       ~cid:(Occlum_sgx.Enclave.id env.Exec.enclave)
+                       ~page:(a / Mem.page_size)))
+                [ d; sp ])
+            pool
+        in
+        let machine env tier =
+          {
+            Exec.env;
+            tier;
+            quantum = Some { Exec.every; expired = ignore };
+            pager =
+              Option.map
+                (fun pool ->
+                  {
+                    Exec.reload = Exec.eldu pool;
+                    aex = None;
+                    retry_spends_fuel = true;
+                  })
+                pool;
+          }
+        in
+        match
+          Exec.lockstep ~differ:Identical ~fuel:400 ?perturb
+            [
+              machine a (Exec.Tiered (Jit.create a.Exec.mem));
+              machine b (Exec.Reference None);
+            ]
+        with
+        | Ok _ -> ()
+        | Error d ->
+            QCheck.Test.fail_reportf "quantum %d, %s%s: %s\n%s" every
+              (if code_perm = Mem.perm_rx then "r-x" else "rwx")
+              (if paged then ", paged" else "")
+              d
+              (String.concat "\n" (List.map Asm.item_to_string items))
+      in
+      for every = 1 to 2 * (block + 1) do
+        check every
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "differential: SPEC kernels, 2 tiers" `Quick
@@ -1040,4 +1264,7 @@ let suite =
       test_libos_jit_on_off_identical;
     Alcotest.test_case "multi-core digest with jit" `Quick
       test_multicore_digest_with_jit;
+    Alcotest.test_case "codegen idioms compile to one unit each" `Quick
+      test_idiom_units;
+    QCheck_alcotest.to_alcotest prop_idioms_match_reference;
   ]

@@ -650,6 +650,73 @@ let prop_file_data_model =
       |> ignore;
       true)
 
+(* --- metadata round trip ------------------------------------------------ *)
+
+(* Random metadata (files and directories whose names hold spaces, digits
+   and minus signs, sparse and multi-block data, unlinks that free inodes
+   and blocks) survives flush+mount field for field: every inode (kind,
+   size, block ids, entries in order, link count), every block's
+   generation (each file reads back), and both allocation counters (the
+   next file and block get the same numbers on either side). *)
+let prop_meta_roundtrip =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b c"; "7"; "-1"; "x  y"; "long name 42" ] in
+  let op =
+    frequency
+      [
+        (3, map2 (fun d n -> `Mkdir (d, n)) (int_range 0 3) name);
+        ( 5,
+          map3
+            (fun d n (pos, len) -> `Write (d, n, pos, len))
+            (int_range 0 3) name
+            (pair (int_range 0 (3 * Sefs.block_size)) (int_range 1 5000)) );
+        (2, map2 (fun d n -> `Unlink (d, n)) (int_range 0 3) name);
+      ]
+  in
+  QCheck.Test.make ~name:"metadata round-trips through flush+mount" ~count:100
+    (QCheck.make ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+       (list_size (int_range 1 30) op))
+    (fun ops ->
+      let t = fresh () in
+      let dirs = [| "/"; "/d1/"; "/d1/d2/"; "/e/" |] in
+      Array.iter (fun d -> if d <> "/" then ignore (Sefs.mkdir t d)) dirs;
+      List.iter
+        (function
+          | `Mkdir (d, n) -> ignore (Sefs.mkdir t (dirs.(d) ^ n))
+          | `Write (d, n, pos, len) -> (
+              let p = dirs.(d) ^ n in
+              ignore (Sefs.create_file t p);
+              match Sefs.lookup t p with
+              | Some ({ Sefs.kind = Sefs.File; _ } as f) ->
+                  ignore (Sefs.write_file t f ~pos (Bytes.make len 'q'))
+              | _ -> ())
+          | `Unlink (d, n) -> ignore (Sefs.unlink t (dirs.(d) ^ n)))
+        ops;
+      Sefs.flush t;
+      let t2 = Sefs.mount ~key:"test-key" t.Sefs.host in
+      for ino = 0 to 300 do
+        match (Sefs.inode t ino, Sefs.inode t2 ino) with
+        | None, None -> ()
+        | Some a, Some b when a = b -> (
+            match a.Sefs.kind with
+            | Sefs.File ->
+                if Sefs.read_file t a ~pos:0 ~len:a.Sefs.size
+                   <> Sefs.read_file t2 b ~pos:0 ~len:b.Sefs.size
+                then
+                  QCheck.Test.fail_reportf "inode %d reads back differently"
+                    ino
+            | Sefs.Dir -> ())
+        | _ -> QCheck.Test.fail_reportf "inode %d differs after mount" ino
+      done;
+      let next t =
+        match Sefs.write_path t "/next" "z" with
+        | Ok n -> (n.Sefs.ino, n.Sefs.blocks)
+        | Error e -> QCheck.Test.fail_reportf "write /next: errno %d" e
+      in
+      if next t <> next t2 then
+        QCheck.Test.fail_reportf "allocation counters differ after mount";
+      true)
+
 let suite =
   [
     Alcotest.test_case "basic files" `Quick test_basic_files;
@@ -674,4 +741,5 @@ let suite =
     Alcotest.test_case "nonce range refused" `Quick test_nonce_bounds;
     QCheck_alcotest.to_alcotest prop_sefs_model;
     QCheck_alcotest.to_alcotest prop_file_data_model;
+    QCheck_alcotest.to_alcotest prop_meta_roundtrip;
   ]

@@ -323,6 +323,67 @@ let test_ewb_nonce_unique () =
     false
     (String.equal (Epc.entry_nonce c1 p1 v1) (Epc.entry_nonce c2 p2 v2))
 
+(* EWB nonces are [u32le cid ‖ u32le page ‖ u32le version]: each field
+   reads back from its own four bytes, so triples that differ only in
+   how their digits split between fields (the old decimal label's
+   weakness) still get distinct nonces, and a field of 2^32 or more is
+   refused. An EWB whose version would reach 2^32 is refused before it
+   changes anything: the page stays resident, unsealed and at its old
+   version, and a lower version evicts normally afterwards. *)
+let test_ewb_nonce_layout_and_refusal () =
+  let fields n =
+    List.map
+      (fun at -> Int32.to_int (String.get_int32_le n at) land 0xffff_ffff)
+      [ 0; 4; 8 ]
+  in
+  let triples =
+    [
+      (1, 12, 3); (11, 2, 3); (1, 1, 23); (0xffff_ffff, 0, 1);
+      (0, 0xffff_ffff, 1); (1, 0, 0xffff_ffff); (2, 1, 1);
+    ]
+  in
+  List.iter
+    (fun (c, p, v) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "(%d,%d,%d) reads back" c p v)
+        [ c; p; v ]
+        (fields (Epc.entry_nonce c p v)))
+    triples;
+  let nonces = List.map (fun (c, p, v) -> Epc.entry_nonce c p v) triples in
+  Alcotest.(check int) "injective" (List.length triples)
+    (List.length (List.sort_uniq compare nonces));
+  List.iter
+    (fun (what, c, p, v) ->
+      match Epc.entry_nonce c p v with
+      | _ -> Alcotest.failf "%s out of 32 bits accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("cid", 1 lsl 32, 0, 1);
+      ("page", 0, 1 lsl 32, 1);
+      ("version", 0, 0, 1 lsl 32);
+      ("negative version", 0, 0, -1);
+    ];
+  let epc, e, pat = paged_enclave ~pool_pages:8 ~data_pages:6 in
+  let cid = Enclave.id e in
+  let used = Epc.used_pages epc in
+  Alcotest.(check int) "a page never evicted is at version 0" 0
+    (Epc.set_version epc ~cid ~page:3 0xffff_ffff);
+  (match Epc.evict_page epc ~cid ~page:3 with
+  | _ -> Alcotest.fail "an EWB to version 2^32 went through"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "still resident" true
+    (Mem.page_resident (Enclave.mem e) 3);
+  Alcotest.(check int) "no frame freed" used (Epc.used_pages epc);
+  Alcotest.(check int) "nothing sealed" 0 (Epc.backing_used epc);
+  Alcotest.(check int) "the version did not move" 0xffff_ffff
+    (Epc.set_version epc ~cid ~page:3 0xffff_fffe);
+  Alcotest.(check bool) "the last 32-bit version evicts" true
+    (Epc.evict_page epc ~cid ~page:3);
+  Epc.eldu epc ~cid ~page:3;
+  Alcotest.(check bytes) "and reloads intact" (pat 3)
+    (Mem.read_bytes_priv (Enclave.mem e) ~addr:(3 * page) ~len:page);
+  Enclave.destroy e
+
 let suite =
   [
     Alcotest.test_case "epc accounting" `Quick test_epc_accounting;
@@ -344,4 +405,6 @@ let suite =
     Alcotest.test_case "epc failure mid-build" `Quick test_epc_failure_mid_build;
     Alcotest.test_case "local attestation" `Quick test_attestation;
     Alcotest.test_case "ewb nonces unique" `Quick test_ewb_nonce_unique;
+    Alcotest.test_case "ewb nonce layout and version refusal" `Quick
+      test_ewb_nonce_layout_and_refusal;
   ]
