@@ -122,7 +122,13 @@ let step_trace input limit args watch_regs =
     incr steps;
     let pc = cpu.Cpu.pc in
     let text =
-      match Codec.decode (Mem.raw mem) ~pos:pc ~limit:(Mem.size mem) with
+      (* 16 bytes cover the longest encoding *)
+      let len = max 0 (min 16 (Mem.size mem - pc)) in
+      match
+        match Mem.read_bytes_priv mem ~addr:pc ~len with
+        | exception Invalid_argument _ -> Error Codec.Truncated
+        | b -> Codec.decode b ~pos:0 ~limit:len
+      with
       | Ok (insn, _) -> Insn.to_string insn
       | Error e -> "<" ^ Codec.error_to_string e ^ ">"
     in

@@ -59,7 +59,6 @@ module Errno = struct
   let enotdir = -20
   let eisdir = -21
   let einval = -22
-  let emfile = -24
   let efbig = -27
   let espipe = -29
   let epipe = -32
@@ -67,7 +66,6 @@ module Errno = struct
   let enotempty = -39
   let echild = -10
   let esrch = -3
-  let eintr = -4
   let econnrefused = -111
 end
 
@@ -91,8 +89,6 @@ end
 
 module Signal = struct
   let sigkill = 9
-  let sigterm = 15
-  let sigusr1 = 10
   let sigchld = 17
   let max_signo = 31
 end
@@ -103,7 +99,6 @@ end
 module Regs = struct
   let sys_nr = 1
   let sys_arg0 = 2
-  let sys_ret = 0
   let max_args = 5
 end
 

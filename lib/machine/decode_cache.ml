@@ -64,7 +64,8 @@ let build mem pc =
   while not !stop && !n < max_block_insns do
     (match
        Mem.check_access mem !cur 1 Fault.Exec;
-       Codec.decode (Mem.raw mem) ~pos:!cur ~limit:(Mem.size mem)
+       let raw = Mem.raw mem in
+       Codec.decode raw ~pos:!cur ~limit:(Bytes.length raw)
      with
     | exception Fault.Fault _ -> stop := true
     | Error _ -> stop := true

@@ -280,7 +280,8 @@ let step mem cpu : stop option =
   match
     (* the fetch itself must be executable *)
     Mem.check_access mem pc 1 Exec;
-    Codec.decode (Mem.raw mem) ~pos:pc ~limit:(Mem.size mem)
+    let raw = Mem.raw mem in
+    Codec.decode raw ~pos:pc ~limit:(Bytes.length raw)
   with
   | exception Fault.Fault f -> Some (Stop_fault f)
   | Error e -> (

@@ -17,7 +17,11 @@ let perm_to_string p =
     (if p.x then 'x' else '-')
 
 type t = {
-  data : Bytes.t;
+  mutable data : Bytes.t;
+  (* The storage of [0, extent), where extent = [Bytes.length data] is a
+     page multiple no larger than [size]. Every page at or beyond it is
+     clean and reads as zeros; [grow] extends it, with one blit, when a
+     checked or privileged access first reaches such a page. *)
   direct : Bytes.t;
   (* One byte per page, recomputed by [map], [unmap], [enable_paging],
      [install] and a page's first write since it was last clean.
@@ -27,9 +31,9 @@ type t = {
      executable), nor need to mark the page (already dirty), so
      [note_write] would do nothing. Both are clear whenever paging is
      on, so the residency and accessed-bit logic of [check_access]
-     always runs there. A compiled load or store within one page whose
-     bit is set may use [data] directly; any other access goes through
-     the checked accessors. *)
+     always runs there, and clear at or beyond the extent. A compiled
+     load or store within one page whose bit is set may use [data]
+     directly; any other access goes through the checked accessors. *)
   dirty : Bytes.t;
   (* One byte per page, '\001' once any write (checked or privileged)
      has touched it since an [install] last left it clean. A clean page
@@ -60,7 +64,7 @@ let create ~size =
   if size <= 0 || size mod page_size <> 0 then
     invalid_arg "Mem.create: size must be a positive multiple of the page size";
   {
-    data = Bytes.make size '\x00';
+    data = Bytes.empty;
     direct = Bytes.make (size / page_size) '\x00';
     dirty = Bytes.make (size / page_size) '\x00';
     pages = Array.make (size / page_size) None;
@@ -78,7 +82,7 @@ let direct_write = 2
 
 let direct_bits t p =
   match t.pages.(p) with
-  | Some perm when not t.paged ->
+  | Some perm when (not t.paged) && p * page_size < Bytes.length t.data ->
       (if perm.r then direct_read else 0)
       lor
       if perm.w && (not perm.x) && Bytes.get t.dirty p <> '\x00' then
@@ -87,6 +91,22 @@ let direct_bits t p =
   | _ -> 0
 
 let refresh_direct t p = Bytes.set t.direct p (Char.chr (direct_bits t p))
+
+(* Cover [0, hi) ([hi] <= [size]), at least doubling the extent so that
+   growth page by page copies each byte a bounded number of times. *)
+let grow t hi =
+  let old = Bytes.length t.data in
+  if hi > old then begin
+    let need = (hi + page_size - 1) / page_size * page_size in
+    let ext = min t.size (max need (2 * old)) in
+    let d = Bytes.create ext in
+    Bytes.blit t.data 0 d 0 old;
+    Bytes.fill d old (ext - old) '\x00';
+    t.data <- d;
+    for p = old / page_size to (ext / page_size) - 1 do
+      refresh_direct t p
+    done
+  end
 
 let enable_paging t ~pager =
   t.paged <- true;
@@ -139,8 +159,10 @@ let note_write t ~addr ~len =
       end
     done
 
+(* [len > size - addr], not [addr + len > size]: the sum wraps for a
+   huge [len]. *)
 let check_range t addr len =
-  if addr < 0 || len < 0 || addr + len > t.size then
+  if addr < 0 || len < 0 || len > t.size - addr then
     invalid_arg (Printf.sprintf "Mem: range [0x%x, +%d) outside address space" addr len)
 
 let map t ~addr ~len ~perm =
@@ -176,9 +198,14 @@ let perm_at t addr =
 (* Fault-checking access used by the interpreter. The whole byte span
    must be readable/writable; an access that starts in a mapped page and
    spills into a guard page faults, which is what makes base-address-only
-   mem_guards sound. *)
+   mem_guards sound. A fetch leaves [fetch_window] bytes past [addr]
+   (or up to [size]) materialized, more than the longest encoding, so a
+   decode bounded by [Bytes.length data] reads what it would read
+   bounded by [size]. *)
+let fetch_window = 16
+
 let check_access t addr len (access : Fault.access) =
-  if addr < 0 || addr + len > t.size then
+  if addr < 0 || len > t.size - addr then
     raise (Fault.Fault (Page_fault { addr; access }));
   for p = addr / page_size to (addr + len - 1) / page_size do
     match t.pages.(p) with
@@ -196,7 +223,16 @@ let check_access t addr len (access : Fault.access) =
             raise (Fault.Fault (Epc_miss { addr = p * page_size; access }));
           Bytes.set t.accessed p '\x01'
         end
-  done
+  done;
+  (* int comparisons only: this runs on every fetch *)
+  let hi =
+    match access with
+    | Exec ->
+        let w = addr + if len > fetch_window then len else fetch_window in
+        if w > t.size then t.size else w
+    | Read | Write -> addr + len
+  in
+  if hi > Bytes.length t.data then grow t hi
 
 (* Residency probe for the fetch path: a decode error over bytes that
    include a mapped-but-evicted page must surface as an EPC miss (the
@@ -260,6 +296,7 @@ let span_priv t ~addr ~len ~write f =
       let a = addr + pos in
       let chunk = min (len - pos) (page_size - (a mod page_size)) in
       ensure_resident t ~addr:a ~len:chunk;
+      grow t (a + chunk);
       let k = f t.data a chunk in
       if k < 0 || k > chunk then invalid_arg "Mem.span_priv: count outside the chunk";
       if write then note_write t ~addr:a ~len:k;
@@ -286,11 +323,13 @@ let write_bytes_priv t ~addr bytes =
 let read_u64_priv t addr =
   check_range t addr 8;
   ensure_resident t ~addr ~len:8;
+  grow t (addr + 8);
   Bytes.get_int64_le t.data addr
 
 let write_u64_priv t addr v =
   check_range t addr 8;
   ensure_resident t ~addr ~len:8;
+  grow t (addr + 8);
   note_write t ~addr ~len:8;
   Bytes.set_int64_le t.data addr v
 
@@ -350,6 +389,9 @@ let install t ~addr ~len bytes =
     invalid_arg "Mem.install: unaligned";
   let n = Bytes.length bytes in
   if n > len then invalid_arg "Mem.install: image longer than the range";
+  (* The whole range at once: a SIP's later accesses to the slot it was
+     installed in then never grow the store mid-run. *)
+  grow t (addr + len);
   let first = addr / page_size and last = ((addr + len) / page_size) - 1 in
   let image_last = first + ((n + page_size - 1) / page_size) - 1 in
   (* Pages are paged in in the order that zeroing every dirty page and

@@ -15,12 +15,19 @@ val perm_ro : perm
 val perm_to_string : perm -> string
 
 type t = private {
-  data : Bytes.t;  (** the backing store, little-endian *)
+  mutable data : Bytes.t;
+      (** The backing store of [\[0, extent)], little-endian. The extent,
+          [Bytes.length data], is a page multiple no larger than
+          {!size}; every page at or beyond it is clean and reads as
+          zeros. A checked or privileged access that first reaches such
+          a page replaces [data] with a longer copy, so a reader must
+          not keep it across an access. *)
   direct : Bytes.t;
       (** The page check: one byte per page, written only by {!map},
-          {!unmap}, {!enable_paging}, {!install} and a clean page's first
-          write. Bit {!direct_read} is set exactly when a read of the
-          page can neither fault nor have a side effect. Bit
+          {!unmap}, {!enable_paging}, {!install}, a clean page's first
+          write and growth of the extent. Bit {!direct_read} is set
+          exactly when the page lies below the extent and a read of it
+          can neither fault nor have a side effect. Bit
           {!direct_write} is set exactly when the page is writable, not
           executable and dirty ({!page_dirty}), so a write can neither
           fault, nor bump {!page_gen}, nor need to mark the page. Both
@@ -51,8 +58,9 @@ val direct_read : int
 val direct_write : int
 
 val create : size:int -> t
-(** [create ~size] is a zeroed address space of [size] bytes (a positive
-    page multiple), with every page unmapped. *)
+(** [create ~size] is an address space of [size] bytes (a positive page
+    multiple), zero-filled on demand, with every page unmapped. It holds
+    no storage until an access reaches a page. *)
 
 val size : t -> int
 val page_count : t -> int
@@ -73,7 +81,9 @@ val page_gen : t -> int -> int
 
 val check_access : t -> int -> int -> Fault.access -> unit
 (** Fault-checking span test used by the interpreter: the whole byte span
-    must be mapped with the needed permission.
+    must be mapped with the needed permission. On success the span is
+    below the extent, and an [Exec] check leaves 16 bytes past the
+    address (or up to {!size}) there, more than the longest encoding.
     @raise Fault.Fault with [Page_fault] otherwise, or with [Epc_miss]
     when paging is enabled and a page in the span has been evicted. *)
 
@@ -167,4 +177,6 @@ val install : t -> addr:int -> len:int -> Bytes.t -> unit
     address space or shorter than [bytes]. *)
 
 val raw : t -> Bytes.t
-(** The backing store (used by the decoder for zero-copy fetch). *)
+(** [data]: the backing store of [\[0, extent)], used by the decoder for
+    zero-copy fetch after an [Exec] {!check_access}. Bytes past it read
+    as zeros. *)

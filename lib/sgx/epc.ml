@@ -155,7 +155,9 @@ let entry_nonce cid page version =
   Bytes.unsafe_to_string n
 
 (* EWB: seal a resident frame out to the backing store, scrub the frame
-   and drop the residency bit so the next touch faults. *)
+   and drop the residency bit so the next touch faults. The frame is read
+   through the privileged reader, which materializes a page the address
+   space has not stored yet as the zeros it holds. *)
 let do_evict t pg c page =
   let addr = page * page_size in
   let version =
@@ -167,7 +169,8 @@ let do_evict t pg c page =
   let cipher, mac =
     Occlum_util.Seal.seal pg.keys
       ~label:(entry_label c.cid page version)
-      ~nonce ~pos:addr ~len:page_size (Mem.raw c.mem)
+      ~nonce ~pos:0 ~len:page_size
+      (Mem.read_bytes_priv c.mem ~addr ~len:page_size)
   in
   Hashtbl.replace pg.backing (c.cid, page) { cipher; mac; version };
   (* Scrub through the privileged writer so executable pages bump their

@@ -100,6 +100,20 @@ if [ -n "$stage4$walk" ]; then
   exit 1
 fi
 
+# Enclave memory is stored on first touch: Mem.data (Mem.raw) covers
+# only [0, extent), so an index past it is out of bounds. Only the fetch
+# path (after its Exec check), the JIT's page-checked fast path and the
+# tests that read the store as zeros past its end may reach it; every
+# other caller goes through Mem's accessors, which grow the store.
+raw=$(grep -rnE 'Mem\.(raw|data)\b' lib bin bench test \
+  | grep -vE '^(lib/machine/(interp|decode_cache|jit)|test/test_(machine|jit|obs|libos))\.ml:' \
+  || true)
+if [ -n "$raw" ]; then
+  echo "FAIL: Mem.raw or Mem.data read outside the fetch path, the JIT and their tests:" >&2
+  printf '%s\n' "$raw" >&2
+  exit 1
+fi
+
 # No export that nothing names: every `val` in a lib/ interface must be
 # named by some other source file (tests count), except in the user
 # facade lib/core/occlum.mli.

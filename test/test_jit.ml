@@ -816,7 +816,12 @@ let test_page_check_agrees () =
     Printf.sprintf "%s gen=%d,%d accessed=%b page=%d" (state_str stop cpu)
       (Mem.page_gen mem tgt) (Mem.page_gen mem (tgt + 1))
       (Mem.page_accessed mem tgt)
-      (Hashtbl.hash (Bytes.sub (Mem.raw mem) base 4096))
+      (Hashtbl.hash
+         (let raw = Mem.raw mem in
+          (* the store past its extent reads as zeros *)
+          Bytes.init 4096 (fun k ->
+              if base + k < Bytes.length raw then Bytes.get raw (base + k)
+              else '\x00')))
   in
   let m = Insn.Sib { base = Reg.r2; index = None; scale = 1; disp = 0 } in
   let ops size =
@@ -1225,6 +1230,91 @@ let prop_idioms_match_reference =
       done;
       true)
 
+(* A store inside a fragile block that first grows the store, through
+   the lockstep engine. [Exec.make]'s environment is rebuilt in a larger
+   enclave with [spare] writable pages from twice its size on, never
+   touched; an extent at least doubles as it grows, so [Mem.data] ends
+   below them. The block, in an RWX code
+   page, stores to one spare page per iteration and loads the word
+   back: its first store takes the checked path, which replaces
+   [Mem.data], and the loads after it read the new buffer directly.
+   Tiered and reference machines must agree at every stop, and then on
+   the bytes of every spare page. *)
+let test_store_grows_mid_block () =
+  let module Asm = Occlum_toolchain.Asm in
+  let module Fgen = Occlum_fuzzing.Gen in
+  let module Enclave = Occlum_sgx.Enclave in
+  let ps = Mem.page_size and spare = 24 in
+  let ins i = Asm.Ins i in
+  let m = Insn.Sib { base = Reg.r4; index = None; scale = 1; disp = 8 } in
+  let items base =
+    [
+      Asm.Label "_start";
+      Asm.Cfi_label_here;
+      ins (Mov_imm (Reg.r4, Int64.of_int base));
+      ins (Mov_imm (Reg.r8, Int64.of_int spare));
+      ins (Mov_imm (Reg.r3, 0x0102_0304_0506_0708L));
+      Asm.Label "loop";
+      ins (Store { dst = m; src = Reg.r3; size = 8 });
+      ins (Load { dst = Reg.r2; src = m; size = 8 });
+      ins (Alu (Add, Reg.r3, O_reg Reg.r2));
+      ins (Alu (Add, Reg.r4, O_imm (Int64.of_int ps)));
+      ins (Alu (Sub, Reg.r8, O_imm 1L));
+      ins (Cmp (Reg.r8, O_imm 0L));
+      Asm.Jcc_l (Ne, "loop");
+      Asm.Label "spin";
+      Asm.Jmp_l "spin";
+    ]
+  in
+  (* encodings are fixed-size, so the base does not move the layout *)
+  let top = Mem.size (Exec.make (Fgen.link (items 0))).Exec.mem in
+  let base = 2 * top in
+  let oelf = Fgen.link (items base) in
+  let env () =
+    let e = Exec.make ~code_perm:Mem.perm_rwx oelf in
+    Alcotest.(check int) "same layout" top (Mem.size e.Exec.mem);
+    let enclave =
+      Enclave.create ~epc:(Occlum_sgx.Epc.create ()) ~size:(base + (spare * ps)) ()
+    in
+    let copy addr len perm =
+      Enclave.add_pages enclave ~addr
+        ~data:(Mem.read_bytes_priv e.Exec.mem ~addr ~len)
+        ~perm
+    in
+    copy e.Exec.code_base e.Exec.code_region Mem.perm_rwx;
+    copy e.Exec.d_base e.Exec.d_size Mem.perm_rw;
+    copy e.Exec.victim_base e.Exec.victim_size Mem.perm_rw;
+    Enclave.add_zero_pages enclave ~addr:base ~len:(spare * ps) ~perm:Mem.perm_rw;
+    Enclave.init enclave;
+    let cpu = Cpu.create () in
+    Cpu.restore cpu (Cpu.save e.Exec.cpu);
+    { e with Exec.enclave; mem = Enclave.mem enclave; cpu }
+  in
+  let a = env () and b = env () in
+  let stored_a = Bytes.length (Mem.raw a.Exec.mem) in
+  Alcotest.(check bool) "spare pages not stored" true (stored_a <= base);
+  let j = Jit.create a.Exec.mem in
+  (match
+     Exec.lockstep ~differ:Identical ~fuel:400
+       [ { (Exec.machine a) with tier = Exec.Tiered j }; Exec.machine b ]
+   with
+  | Ok Exec.S_fuel -> ()
+  | Ok _ -> Alcotest.fail "stopped before its fuel ran out"
+  | Error d -> Alcotest.fail d);
+  Alcotest.(check bool) "a compiled store grew the store" true
+    (Bytes.length (Mem.raw a.Exec.mem) > base);
+  let compiles, _, _ = Jit.stats j in
+  Alcotest.(check bool) "the block ran compiled" true (compiles > 0);
+  let spare_bytes (e : Exec.env) =
+    Mem.read_bytes_priv e.Exec.mem ~addr:base ~len:(spare * ps)
+  in
+  Alcotest.(check bool) "spare pages agree" true
+    (Bytes.equal (spare_bytes a) (spare_bytes b));
+  Alcotest.(check bool) "every spare page written" true
+    (List.for_all
+       (fun k -> Mem.page_dirty a.Exec.mem ((base / ps) + k))
+       (List.init spare Fun.id))
+
 let suite =
   [
     Alcotest.test_case "differential: SPEC kernels, 2 tiers" `Quick
@@ -1267,4 +1357,6 @@ let suite =
     Alcotest.test_case "codegen idioms compile to one unit each" `Quick
       test_idiom_units;
     QCheck_alcotest.to_alcotest prop_idioms_match_reference;
+    Alcotest.test_case "a compiled store grows the store mid-block" `Quick
+      test_store_grows_mid_block;
   ]

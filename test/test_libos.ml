@@ -1951,6 +1951,39 @@ let test_direct_path_paged () =
   | Some s -> Alcotest.(check bool) "paging happened" true (s.Occlum_sgx.Epc.ewb > 0)
   | None -> Alcotest.fail "paging stats missing"
 
+(* Enclave memory is stored on first touch. A default boot maps every
+   slot of its 20 MiB enclave but stores under 1 MiB of it, and
+   installing a binary into SEFS stores nothing more. A spawn stores the
+   slot it loads, and the SIP's run then grows the store no further. *)
+let test_boot_stores_on_demand () =
+  let module Mem = Occlum_machine.Mem in
+  let os = Os.boot () in
+  let stored () = Bytes.length (Mem.raw os.Os.mem) in
+  Alcotest.(check bool) "a 20 MiB enclave" true (Mem.size os.Os.mem > 20 lsl 20);
+  Alcotest.(check bool) "booted: under 1 MiB stored" true (stored () < 1 lsl 20);
+  let oelf =
+    match
+      Occlum_verifier.Verify.verify_and_sign
+        (Occlum_toolchain.Compile.compile_exn ~config:Occlum_toolchain.Codegen.sfi
+           (rt
+              [
+                func "main" []
+                  [ Expr (Call ("print_cstr", [ Str "hi\n" ])); Return (i 3) ];
+              ]))
+    with
+    | Ok s -> s
+    | Error rs -> failwith (Occlum_verifier.Verify.rejection_to_string (List.hd rs))
+  in
+  Os.install_binary os "/bin/app" oelf;
+  Alcotest.(check bool) "installed: under 1 MiB stored" true (stored () < 1 lsl 20);
+  let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+  let spawned = stored () in
+  Alcotest.(check bool) "spawned: the slot is stored" true (spawned >= 1 lsl 20);
+  Alcotest.(check bool) "finished" true (Os.run ~max_steps:2_000_000 os = Os.All_exited);
+  Alcotest.(check int) "exit code" 3
+    (match Os.find_proc os pid with Some p -> p.exit_code | None -> -1);
+  Alcotest.(check int) "the run stored nothing more" spawned (stored ())
+
 let suite =
   [
     Alcotest.test_case "hello world" `Quick test_hello;
@@ -2022,4 +2055,6 @@ let suite =
       test_untrusted_len_no_alloc;
     Alcotest.test_case "pipe/socket direct path under paging" `Quick
       test_direct_path_paged;
+    Alcotest.test_case "boot stores enclave memory on demand" `Quick
+      test_boot_stores_on_demand;
   ]

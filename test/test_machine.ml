@@ -333,7 +333,10 @@ let test_dirty_pages () =
       want (state p)
   in
   for p = 0 to 7 do check_state "fresh: clean, no direct write" p (false, false) done;
-  Alcotest.(check bool) "fresh rw page is direct-readable" true (rd 0);
+  Alcotest.(check bool) "fresh page past the extent is not direct-readable"
+    false (rd 0);
+  ignore (Mem.read_u8 mem 0);
+  Alcotest.(check bool) "fresh rw page is direct-readable once stored" true (rd 0);
   Mem.write_u8 mem (ps + 5) 0xAB;
   check_state "checked write" 1 (true, true);
   Mem.write_bytes_priv mem ~addr:((3 * ps) - 2) (Bytes.of_string "wxyz");
@@ -507,6 +510,7 @@ let prop_install_matches_scrub_then_write =
       else begin
         let dirty = Array.init pages (Mem.page_dirty mem) in
         let direct = Array.init pages (fun p -> Char.code (Bytes.get mem.Mem.direct p)) in
+        let extent = Bytes.length (Mem.raw mem) in
         let gens = Array.init pages (Mem.page_gen mem) in
         let after = contents mem in
         let want = Bytes.copy before in
@@ -521,7 +525,7 @@ let prop_install_matches_scrub_then_write =
               let moved = gens.(p) <> gens_before.(p) in
               let in_range = p >= first && p < first + range in
               let want_direct =
-                if epc <> None then 0
+                if epc <> None || (p + 1) * ps > extent then 0
                 else Mem.direct_read lor if (not exec) && dirty.(p) then Mem.direct_write else 0
               in
               (if not (Bytes.equal (page_of after p) (page_of want p)) then Some "bytes"
@@ -619,6 +623,228 @@ let prop_code_epoch_tracks_gens =
       in
       go 40)
 
+(* A range test written as [addr + len > size] wraps for a huge [len]:
+   [fill_priv ~len:max_int] then zeroed and dirtied every page from
+   [addr] on before the stdlib refused the fill. Every entry point must
+   refuse such a span up front, with no page changed. *)
+let test_range_does_not_wrap () =
+  let ps = Mem.page_size in
+  let mem = Mem.create ~size:(4 * ps) in
+  Mem.map mem ~addr:0 ~len:(4 * ps) ~perm:Mem.perm_rwx;
+  Mem.write_u8 mem 5 1;
+  let state () =
+    ( List.init 4 (fun p -> (Mem.page_dirty mem p, Mem.page_gen mem p)),
+      mem.Mem.code_epoch,
+      Bytes.length (Mem.raw mem) )
+  in
+  let before = state () in
+  let range_error addr len =
+    Invalid_argument
+      (Printf.sprintf "Mem: range [0x%x, +%d) outside address space" addr len)
+  in
+  Alcotest.check_raises "fill_priv" (range_error ps max_int) (fun () ->
+      Mem.fill_priv mem ~addr:ps ~len:max_int 'z');
+  Alcotest.check_raises "read_bytes_priv" (range_error ps max_int) (fun () ->
+      ignore (Mem.read_bytes_priv mem ~addr:ps ~len:max_int));
+  Alcotest.check_raises "install" (range_error 0 (max_int - 4095)) (fun () ->
+      Mem.install mem ~addr:0 ~len:(max_int - 4095) Bytes.empty);
+  Alcotest.check_raises "check_access"
+    (Fault.Fault (Page_fault { addr = ps; access = Write }))
+    (fun () -> Mem.check_access mem ps max_int Write);
+  Alcotest.(check bool) "no page changed" true (state () = before)
+
+(* Lazy storage against eager storage. Three address spaces take the
+   same random ops: [lz] fresh, [eager] stored whole at creation by a
+   privileged read of its last byte, which has no other effect, and a
+   shadow [Bytes] zeroed up front and written by every op that returns.
+   The ops are map, unmap, checked and privileged reads and writes, an
+   instruction fetch's check, install, fill (some with a wrapping
+   length), enabling paging and evicting a page. After each op both
+   address spaces returned or raised alike; the bytes of each, the lazy
+   one read as zeros past its extent, equal the shadow; dirty marks,
+   generations, residency, accessed bits and the code epoch agree;
+   every page at or past the extent is clean; and the lazy direct bits
+   are the eager ones below the extent and clear from it on. *)
+let prop_lazy_mem_matches_eager =
+  let ps = Mem.page_size and pages = 16 in
+  let size = pages * ps in
+  let perms = [| Mem.perm_ro; Mem.perm_rw; Mem.perm_rx; Mem.perm_rwx |] in
+  QCheck.Test.make ~name:"lazy storage = eagerly zeroed storage" ~count:200
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed; 41 |] in
+      let int n = Random.State.int st n in
+      let lz = Mem.create ~size and eager = Mem.create ~size in
+      ignore (Mem.read_bytes_priv eager ~addr:(size - 1) ~len:1);
+      let shadow = Bytes.make size '\x00' in
+      let addr () = if int 8 = 0 then int (size + 32) - 16 else int size in
+      let span () =
+        let first = int pages in
+        (first * ps, int (pages - first + 1) * ps)
+      in
+      let page_bytes len =
+        Bytes.init (int (len + 1)) (fun _ ->
+            if int 3 = 0 then Char.chr (1 + int 255) else '\x00')
+      in
+      let u64 () = Random.State.int64 st Int64.max_int in
+      (* (name, the op, its effect on the shadow when it returns) *)
+      let draw () =
+        match int 16 with
+        | 0 ->
+            let a, len = span () and perm = perms.(int 4) in
+            ("map", (fun m -> Mem.map m ~addr:a ~len ~perm; ""), ignore)
+        | 1 ->
+            let a, len = span () in
+            ("unmap", (fun m -> Mem.unmap m ~addr:a ~len; ""), ignore)
+        | 2 ->
+            let a = addr () in
+            ("read_u8", (fun m -> string_of_int (Mem.read_u8 m a)), ignore)
+        | 3 ->
+            let a = addr () in
+            ("read_u64", (fun m -> Int64.to_string (Mem.read_u64 m a)), ignore)
+        | 4 ->
+            let a = addr () and v = int 256 in
+            ( "write_u8",
+              (fun m -> Mem.write_u8 m a v; ""),
+              fun () -> Bytes.set shadow a (Char.chr v) )
+        | 5 ->
+            let a = addr () and v = u64 () in
+            ( "write_u64",
+              (fun m -> Mem.write_u64 m a v; ""),
+              fun () -> Bytes.set_int64_le shadow a v )
+        | 6 ->
+            let a = addr () in
+            ( "read_u64_priv",
+              (fun m -> Int64.to_string (Mem.read_u64_priv m a)),
+              ignore )
+        | 7 ->
+            let a = addr () and v = u64 () in
+            ( "write_u64_priv",
+              (fun m -> Mem.write_u64_priv m a v; ""),
+              fun () -> Bytes.set_int64_le shadow a v )
+        | 8 ->
+            let a = addr () and len = int (3 * ps) in
+            ( "read_bytes_priv",
+              (fun m -> Bytes.to_string (Mem.read_bytes_priv m ~addr:a ~len)),
+              ignore )
+        | 9 ->
+            let a = addr () in
+            let b = page_bytes (min (3 * ps) (max 0 (size - a))) in
+            ( "write_bytes_priv",
+              (fun m -> Mem.write_bytes_priv m ~addr:a b; ""),
+              fun () -> Bytes.blit b 0 shadow a (Bytes.length b) )
+        | 10 ->
+            let a = addr () and c = if int 2 = 0 then '\x00' else 'f' in
+            let len = if int 6 = 0 then max_int else int (max 1 (size - a)) in
+            ( "fill_priv",
+              (fun m -> Mem.fill_priv m ~addr:a ~len c; ""),
+              fun () -> Bytes.fill shadow a len c )
+        | 11 ->
+            let a, len = span () in
+            let b = page_bytes len in
+            ( "install",
+              (fun m -> Mem.install m ~addr:a ~len b; ""),
+              fun () ->
+                Bytes.fill shadow a len '\x00';
+                Bytes.blit b 0 shadow a (Bytes.length b) )
+        | 12 | 13 ->
+            let a = if int 2 = 0 then ((1 + int pages) * ps) - 1 - int 16 else addr () in
+            (* a decode bounded by the extent must see 16 bytes *)
+            ( "fetch check",
+              (fun m ->
+                Mem.check_access m a 1 Exec;
+                string_of_bool (min size (a + 16) <= Bytes.length (Mem.raw m))),
+              ignore )
+        | _ ->
+            let p = int pages in
+            if Mem.paging_enabled lz then
+              ("evict", (fun m -> Mem.set_resident m p false; ""), ignore)
+            else
+              ( "enable_paging",
+                (fun m ->
+                  Mem.enable_paging m ~pager:(fun p -> Mem.set_resident m p true);
+                  ""),
+                ignore )
+      in
+      let outcome f m =
+        match f m with
+        | s -> Ok s
+        | exception Fault.Fault f -> Error (Fault.to_string f)
+        | exception Invalid_argument s -> Error s
+      in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let rec go k =
+        k = 0
+        ||
+        let name, op, effect = draw () in
+        let r = outcome op lz in
+        if r <> outcome op eager then fail "%s: outcomes differ" name
+        else begin
+          if Result.is_ok r then effect ();
+          let raw = Mem.raw lz in
+          let ext = Bytes.length raw in
+          let direct m p = Char.code (Bytes.get m.Mem.direct p) in
+          let agree f = List.for_all (fun p -> f lz p = f eager p) (List.init pages Fun.id) in
+          if ext mod ps <> 0 || ext > size then fail "%s: extent %d" name ext
+          else if not (Bytes.equal raw (Bytes.sub shadow 0 ext)) then
+            fail "%s: stored bytes differ" name
+          else if
+            not (Bytes.for_all (fun c -> c = '\x00') (Bytes.sub shadow ext (size - ext)))
+          then fail "%s: bytes past the extent are not zeros" name
+          else if not (Bytes.equal (Mem.raw eager) shadow) then
+            fail "%s: eager bytes differ" name
+          else if not (agree Mem.page_dirty) then fail "%s: dirty marks differ" name
+          else if not (agree Mem.page_gen) then fail "%s: generations differ" name
+          else if not (agree Mem.page_resident && agree Mem.page_accessed) then
+            fail "%s: residency differs" name
+          else if lz.Mem.code_epoch <> eager.Mem.code_epoch then
+            fail "%s: code epochs differ" name
+          else
+            match
+              List.find_opt
+                (fun p ->
+                  let past = p * ps >= ext in
+                  (past && Mem.page_dirty lz p)
+                  || direct lz p <> if past then 0 else direct eager p)
+                (List.init pages Fun.id)
+            with
+            | Some p -> fail "%s: page %d (extent %d): dirty or direct bits" name p ext
+            | None -> go (k - 1)
+        end
+      in
+      go 40)
+
+(* An instruction whose tail lies in pages not stored yet decodes as it
+   would over stored zeros: the fetch check stores 16 bytes past the pc
+   before the decode, which the store bounds. [mov_imm r1, 0] is its
+   opcode and register, then ten zero bytes, here on the next page;
+   both the reference step and the tiered loop must execute it. *)
+let test_fetch_past_extent () =
+  let ps = Mem.page_size in
+  let enc = Codec.encode (Insn.Mov_imm (Reg.r1, 0L)) in
+  let head = 2 in
+  Alcotest.(check bool) "a zero tail" true
+    (String.for_all (fun c -> c = '\x00') (String.sub enc head (String.length enc - head)));
+  List.iter
+    (fun jit ->
+      let mem = Mem.create ~size:(8 * ps) in
+      Mem.map mem ~addr:0 ~len:(2 * ps) ~perm:Mem.perm_rx;
+      Mem.write_bytes_priv mem ~addr:(ps - head) (Bytes.of_string (String.sub enc 0 head));
+      Alcotest.(check int) "one page stored" ps (Bytes.length (Mem.raw mem));
+      let cpu = Cpu.create () in
+      cpu.Cpu.pc <- ps - head;
+      Cpu.set cpu Reg.r1 7L;
+      let stop =
+        if jit then Some (Interp.run ~jit:(Jit.create mem) mem cpu ~fuel:1)
+        else Interp.step mem cpu
+      in
+      (match stop with
+      | None | Some Interp.Stop_quantum -> ()
+      | Some s -> Alcotest.fail (Interp.stop_to_string s));
+      Alcotest.(check int) "pc past it" (ps - head + String.length enc) cpu.Cpu.pc;
+      Alcotest.(check int64) "r1 loaded" 0L (Cpu.get cpu Reg.r1))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "memory permissions" `Quick test_mem_permissions;
@@ -643,4 +869,7 @@ let suite =
     Alcotest.test_case "dirty pages and scrub" `Quick test_dirty_pages;
     QCheck_alcotest.to_alcotest prop_install_matches_scrub_then_write;
     QCheck_alcotest.to_alcotest prop_code_epoch_tracks_gens;
+    Alcotest.test_case "range check does not wrap" `Quick test_range_does_not_wrap;
+    QCheck_alcotest.to_alcotest prop_lazy_mem_matches_eager;
+    Alcotest.test_case "fetch past the extent" `Quick test_fetch_past_extent;
   ]
