@@ -302,9 +302,15 @@ let guards () =
         Occlum_toolchain.Compile.compile_exn
           ~config:Occlum_toolchain.Codegen.sfi_naive prog
       in
-      match El.run ~sign:false naive with
+      let accepted =
+        match Occlum_verifier.Verify.verify naive with
+        | Ok a -> a
+        | Error _ -> failwith (name ^ ": naive build rejected")
+      in
+      match El.run accepted with
       | Error e -> failwith (name ^ ": " ^ El.error_to_string e)
       | Ok (elided, report) ->
+          let elided = Occlum_verifier.Verify.binary elided in
           let rn = Occlum_baseline.Native_run.run naive in
           let re = Occlum_baseline.Native_run.run elided in
           if
@@ -329,7 +335,7 @@ let guards () =
             ~config:Occlum_toolchain.Codegen.sfi prog
         in
         match Occlum_verifier.Verify.verify oelf with
-        | Ok d -> acc + (El.analyze oelf d).El.elided
+        | Ok a -> acc + (El.analyze a).El.elided
         | Error _ -> acc)
       0 kernels
   in
@@ -716,7 +722,7 @@ let micro () =
            re-spawns one binary, so it reuses its memoized check *)
         Test.make ~name:"signer-check-14kb"
           (Staged.stage (fun () ->
-               ignore (Occlum_verifier.Signer.check small_binary)));
+               ignore (Occlum_verifier.Verify.signature_ok small_binary)));
         spawn_test H.Occlum "spawn-occlum-sip";
         spawn_test H.Linux "spawn-linux";
       ]
@@ -1187,9 +1193,9 @@ let () =
               ~config:Occlum_toolchain.Codegen.sfi prog
           in
           match Occlum_verifier.Verify.verify oelf with
-          | Ok d ->
+          | Ok a ->
               Occlum_analysis.Guard_audit.record obs.Occlum_obs.Obs.metrics
-                (Occlum_analysis.Guard_audit.audit oelf d)
+                (Occlum_analysis.Guard_audit.audit a)
           | Error _ -> ())
       | [] -> ());
       json_metrics :=

@@ -1,15 +1,16 @@
 (* occlum_lint: the unified static-diagnostics driver over OELF
-   binaries. One verification pass feeds every analysis client:
+   binaries. One verification pass feeds every analysis client through
+   the [Verify.accepted] it returns:
 
    - OL001 unreachable-block and OL002 dead-flag-update (cheap CFG lints)
-   - OL003 redundant-guard, from the guard-elision classifier (the same
-     fixpoint the verifier's Stage 4 runs)
+   - OL003 redundant-guard, from the guard-elision classifier over the
+     fixpoint the verifier's Stage 4 computed
    - OL004/5/6, the constant-time taint findings (when the binary
      declares secret regions)
 
    --elide additionally rewrites the binary with the redundant guards
-   dropped, re-verifies it with the unmodified verifier, re-signs it and
-   writes it out.
+   dropped, re-verifies it with the unmodified verifier, signs that
+   acceptance and writes it out.
 
    Exit codes mirror occlum_verify: 0 clean; 1 rejected by a
    verification stage; 2 malformed input; 3 signature present but
@@ -19,7 +20,6 @@
 
 open Cmdliner
 module Verify = Occlum_verifier.Verify
-module Disasm = Occlum_verifier.Disasm
 module Taint = Occlum_analysis.Taint
 module Cfg = Occlum_analysis.Cfg
 module Lint = Occlum_analysis.Lint
@@ -38,9 +38,9 @@ let write_file path s =
   output_char oc '\n';
   close_out oc
 
-let collect_findings (oelf : Occlum_oelf.Oelf.t) d =
-  let cfg = Cfg.build ~entry:oelf.entry d in
-  let report = Elide.analyze oelf d in
+let collect_findings (oelf : Occlum_oelf.Oelf.t) accepted =
+  let cfg = Cfg.build ~entry:oelf.entry (Verify.disasm accepted) in
+  let report = Elide.analyze accepted in
   let ol003 =
     List.filter_map
       (fun (g : Elide.guard) ->
@@ -56,7 +56,7 @@ let collect_findings (oelf : Occlum_oelf.Oelf.t) d =
                 severity = Lint.Note })
       report.guards
   in
-  let taint = List.map Lint.of_taint (Taint.check oelf d) in
+  let taint = List.map Lint.of_taint (Taint.check accepted) in
   let findings =
     Lint.unreachable_blocks cfg @ Lint.dead_flag_updates cfg @ ol003 @ taint
   in
@@ -71,7 +71,7 @@ let lint input sarif_out elide_out =
       prerr_endline m;
       exit 2
   | oelf -> (
-      if oelf.signature <> None && not (Occlum_verifier.Signer.check oelf)
+      if oelf.signature <> None && not (Verify.signature_ok oelf)
       then begin
         Printf.printf "%s: SIGNATURE INVALID\n" input;
         exit 3
@@ -83,8 +83,8 @@ let lint input sarif_out elide_out =
             (fun r -> print_endline ("  " ^ Verify.rejection_to_string r))
             rs;
           exit 1
-      | Ok d ->
-          let findings, report = collect_findings oelf d in
+      | Ok accepted ->
+          let findings, report = collect_findings oelf accepted in
           Printf.printf
             "%s: %d finding(s); %d/%d mem_guard(s) elidable (%d dominated, \
              %d range-proven%s)\n"
@@ -99,10 +99,11 @@ let lint input sarif_out elide_out =
           (match elide_out with
           | None -> ()
           | Some out -> (
-              match Elide.run oelf with
-              | Ok (oelf', r) ->
+              match Elide.run accepted with
+              | Ok (elided, r) ->
                   let oc = open_out_bin out in
-                  output_string oc (Occlum_oelf.Oelf.to_string oelf');
+                  output_string oc
+                    (Occlum_oelf.Oelf.to_string (Verify.sign elided));
                   close_out oc;
                   Printf.printf
                     "elided binary written to %s (%d guard(s) dropped, \

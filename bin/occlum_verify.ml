@@ -56,7 +56,7 @@ let verify input output disasm ct guard_audit json =
       prerr_endline m;
       exit 2
   | oelf -> (
-      if oelf.signature <> None && not (Occlum_verifier.Signer.check oelf)
+      if oelf.signature <> None && not (Verify.signature_ok oelf)
       then begin
         Printf.printf "%s: SIGNATURE INVALID\n" input;
         exit 3
@@ -68,7 +68,8 @@ let verify input output disasm ct guard_audit json =
             (fun r -> print_endline ("  " ^ Verify.rejection_to_string r))
             rs;
           exit 1
-      | Ok d ->
+      | Ok accepted ->
+          let d = Verify.disasm accepted in
           Printf.printf "%s: VERIFIED (%d instructions, %d cfi_labels)\n" input
             (Array.length d.Disasm.sorted)
             (List.length d.Disasm.labels);
@@ -76,20 +77,20 @@ let verify input output disasm ct guard_audit json =
           (match output with
           | None -> ()
           | Some out ->
-              let signed = Occlum_verifier.Signer.sign oelf in
+              let signed = Verify.sign accepted in
               let oc = open_out_bin out in
               output_string oc (Occlum_oelf.Oelf.to_string signed);
               close_out oc;
               Printf.printf "signed binary written to %s\n" out);
           if guard_audit then begin
-            let report = Guard_audit.audit oelf d in
+            let report = Guard_audit.audit accepted in
             print_string (Guard_audit.to_text report);
             match json with
             | Some path -> write_json path (Guard_audit.to_json report)
             | None -> ()
           end;
           if ct then begin
-            let findings = Taint.check oelf d in
+            let findings = Taint.check accepted in
             (match json with
             | Some path when not guard_audit ->
                 write_json path (ct_json findings)

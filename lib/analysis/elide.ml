@@ -1,8 +1,8 @@
 (* Verified guard elision: a trust-free MPX-check optimizer.
 
-   The pass runs the verifier's own Stage-4 range fixpoint
-   ({!Occlum_verifier.Range.analyze}) to classify every mem_guard of an
-   already-verified binary:
+   The pass reads the verifier's own Stage-4 range fixpoint from the
+   [Verify.accepted] it is given to classify every mem_guard of the
+   verified binary:
 
    - {b required}: some path needs the guard (its fact, or its Stage-4
      adjacency for an indexed access or an unproven stack access);
@@ -19,10 +19,11 @@
    re-encoded (all operand encodings are fixed-length, so unit sizes
    never change), freed bytes become nop padding placed after a
    walk-end where possible (unreachable) or behind a short jmp
-   otherwise, and the result is re-verified and re-signed.
+   otherwise, and the result is re-verified from scratch.
 
    Trust argument: nothing here is trusted. The elided binary goes back
-   through the unmodified 4-stage verifier before it is signed; a
+   through the unmodified 4-stage verifier, and only the [accepted] that
+   returns can be signed ({!Occlum_verifier.Verify.sign}); a
    rejection is a bug in this pass, surfaced as [Output_rejected],
    never a security event. Soundness of the classification itself is
    additionally validated before rewriting, by the verifier's own
@@ -35,7 +36,6 @@
 open Occlum_isa
 module U = Occlum_verifier.Unit_kind
 module D = Occlum_verifier.Disasm
-module R = Occlum_verifier.Range
 module L = Occlum_range.Range_lattice
 module V = Occlum_verifier.Verify
 
@@ -65,15 +65,10 @@ type report = {
 }
 
 type error =
-  | Input_rejected of V.rejection list
   | Output_rejected of V.rejection list  (* a pass bug, by construction *)
   | Rewrite_error of string
 
 let error_to_string = function
-  | Input_rejected rs ->
-      Printf.sprintf "input rejected by the verifier (%d reason(s)): %s"
-        (List.length rs)
-        (match rs with r :: _ -> V.rejection_to_string r | [] -> "")
   | Output_rejected rs ->
       Printf.sprintf
         "PASS BUG: elided binary rejected by the verifier (%d reason(s)): %s"
@@ -89,13 +84,14 @@ let error_to_string = function
    Terminates because each round with failures reinstates at least one
    guard (an empty removal set is the original verified binary, which
    has no failures) and the set only shrinks. *)
-let validate oelf d cand =
+let validate a cand =
+  let d = V.disasm a in
   let removed = Array.copy cand in
   let rounds = ref 0 in
   let fixed = ref false in
   while not !fixed do
     incr rounds;
-    match V.stage4_failures ~removed oelf d with
+    match V.stage4_failures ~removed a with
     | [] -> fixed := true
     | fails ->
         List.iter
@@ -145,8 +141,9 @@ module Avail = Occlum_range.Dataflow.Make (struct
     go a b
 end)
 
-let avail_guards oelf (d : D.t) =
-  let graph, seeds, is_top_edge = R.unit_graph oelf d in
+let avail_guards a =
+  let d = V.disasm a in
+  let graph, seeds, is_top_edge = V.unit_graph a in
   Avail.fixpoint graph
     ~seeds:(List.map (fun i -> (i, [])) seeds)
     ~edge:(fun ~src ~dst v -> if is_top_edge ~src ~dst then [] else v)
@@ -170,13 +167,14 @@ let avail_guards oelf (d : D.t) =
 
 (* Internal: classify every guard and return the validated removal set
    alongside the report. *)
-let analyze_internal oelf (d : D.t) =
+let analyze_internal a =
+  let d = V.disasm a in
   let n = Array.length d.sorted in
-  let cfg = Cfg.build ~entry:oelf.Occlum_oelf.Oelf.entry d in
+  let cfg = Cfg.build ~entry:(V.binary a).entry d in
   let bailed = Cfg.irreducible cfg in
   let mk_report removed rounds why_required =
     let doms = Cfg.dominators cfg in
-    let avail = if bailed then [||] else avail_guards oelf d in
+    let avail = if bailed then [||] else avail_guards a in
     let guard_sites =
       (* (base, disp) -> unit indices of guards with that exact key *)
       let tbl = Hashtbl.create 32 in
@@ -250,7 +248,7 @@ let analyze_internal oelf (d : D.t) =
     mk_report (Array.make n false) 0 (fun _ ->
         "irreducible control flow: elision conservatively bailed")
   else begin
-    let in_state = R.analyze oelf d in
+    let in_state = V.in_states a in
     let reach = Cfg.reachable cfg in
     let cand = Array.make n false in
     let why = Hashtbl.create 16 in
@@ -284,7 +282,7 @@ let analyze_internal oelf (d : D.t) =
             | Some _, None -> note "unit unreachable in the fixpoint")
         | _ -> ())
       d.sorted;
-    let removed, rounds = validate oelf d cand in
+    let removed, rounds = validate a cand in
     let why_required i =
       match Hashtbl.find_opt why i with
       | Some s -> s
@@ -295,7 +293,7 @@ let analyze_internal oelf (d : D.t) =
     mk_report removed rounds why_required
   end
 
-let analyze oelf d = fst (analyze_internal oelf d)
+let analyze a = fst (analyze_internal a)
 
 (* --- the rewriter -------------------------------------------------------- *)
 
@@ -575,19 +573,13 @@ let rewrite (oelf : Occlum_oelf.Oelf.t) (d : D.t) removed =
 
 (* --- driver -------------------------------------------------------------- *)
 
-let run ?(sign = true) (oelf : Occlum_oelf.Oelf.t) =
-  match V.verify oelf with
-  | Error rs -> Error (Input_rejected rs)
-  | Ok d -> (
-      let report, removed = analyze_internal oelf d in
-      let finish out =
-        Ok ((if sign then Occlum_verifier.Signer.sign out else out), report)
-      in
-      if report.elided = 0 then finish oelf
-      else
-        match rewrite oelf d removed with
-        | exception Rewrite m -> Error (Rewrite_error m)
-        | oelf' -> (
-            match V.verify oelf' with
-            | Error rs -> Error (Output_rejected rs)
-            | Ok _ -> finish oelf'))
+let run a =
+  let report, removed = analyze_internal a in
+  if report.elided = 0 then Ok (a, report)
+  else
+    match rewrite (V.binary a) (V.disasm a) removed with
+    | exception Rewrite m -> Error (Rewrite_error m)
+    | oelf' -> (
+        match V.verify oelf' with
+        | Error rs -> Error (Output_rejected rs)
+        | Ok a' -> Ok (a', report))

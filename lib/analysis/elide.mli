@@ -1,15 +1,16 @@
 (** Verified guard elision: a trust-free MPX-check optimizer.
 
-    Runs the verifier's own Stage-4 range fixpoint (the shared worklist
-    engine over the interval lattice) to classify every [mem_guard] of
-    an already-verified binary as {e required}, {e dominated-redundant}
-    or {e range-proven}, then rewrites the binary to drop the redundant
+    Reads the verifier's own Stage-4 range fixpoint from a
+    {!Occlum_verifier.Verify.accepted} to classify every [mem_guard] of
+    the verified binary as {e required}, {e dominated-redundant} or
+    {e range-proven}, then rewrites the binary to drop the redundant
     ones — sliding units between pinned addresses, re-encoding direct
     and rip-relative offsets, nop/jmp padding the freed bytes — and
-    feeds the result back through the {b unmodified} 4-stage verifier
-    before re-signing. A rejection of the output is a bug in this pass
-    ([Output_rejected]), never a security event: the pass is outside
-    the trusted computing base. *)
+    feeds the result back through the {b unmodified} 4-stage verifier.
+    Only the [accepted] that re-verification returns can be signed. A
+    rejection of the output is a bug in this pass ([Output_rejected]),
+    never a security event: the pass is outside the trusted computing
+    base. *)
 
 type classification = Required | Dominated_redundant | Range_proven
 
@@ -34,21 +35,18 @@ type report = {
 }
 
 type error =
-  | Input_rejected of Occlum_verifier.Verify.rejection list
   | Output_rejected of Occlum_verifier.Verify.rejection list
       (** the elided binary failed re-verification — a pass bug *)
   | Rewrite_error of string
 
 val error_to_string : error -> string
 
-val analyze : Occlum_oelf.Oelf.t -> Occlum_verifier.Disasm.t -> report
-(** Classification only — no rewrite. The input must already verify
-    (callers hold the [Disasm.t] the verifier produced). *)
+val analyze : Occlum_verifier.Verify.accepted -> report
+(** Classification only — no rewrite. *)
 
 val run :
-  ?sign:bool ->
-  Occlum_oelf.Oelf.t ->
-  (Occlum_oelf.Oelf.t * report, error) result
-(** Verify, classify, rewrite, re-verify, and (unless [sign:false])
-    re-sign. When nothing can be elided the input comes back unchanged
-    (modulo signing). *)
+  Occlum_verifier.Verify.accepted ->
+  (Occlum_verifier.Verify.accepted * report, error) result
+(** Classify, rewrite and re-verify: the result is the verifier's
+    acceptance of the elided binary. When nothing can be elided the
+    input comes back unchanged. *)

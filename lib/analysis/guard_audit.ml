@@ -1,7 +1,7 @@
-(* Guard audit: re-run the verifier's range analysis over a finished
-   binary and count how many mem_guards it could prove redundant — the
-   residue the optimizer left behind (guards it could not see across
-   basic blocks, or binaries built with --naive-sfi).
+(* Guard audit: read the verifier's range fixpoint of a finished binary
+   from its [Verify.accepted] and count how many mem_guards it proves
+   redundant — the residue the optimizer left behind (guards it could
+   not see across basic blocks, or binaries built with --naive-sfi).
 
    The redundancy criterion is the optimizer's own
    {!Occlum_range.Range_lattice.guard_redundant}: a guard on
@@ -12,7 +12,6 @@
    verifier. *)
 
 module U = Occlum_verifier.Unit_kind
-module R = Occlum_verifier.Range
 module L = Occlum_range.Range_lattice
 
 type func_report = {
@@ -29,11 +28,12 @@ type report = {
       (* one OL003 per redundant guard: exact address + decoded text *)
 }
 
-let audit (oelf : Occlum_oelf.Oelf.t) (d : Occlum_verifier.Disasm.t) =
-  let in_state = R.analyze oelf d in
+let audit accepted =
+  let module V = Occlum_verifier.Verify in
+  let d = V.disasm accepted and in_state = V.in_states accepted in
   (* function extents from the symbol table: a symbol owns [offset, next) *)
   let syms =
-    List.sort (fun (_, a) (_, b) -> compare a b) oelf.symbols
+    List.sort (fun (_, a) (_, b) -> compare a b) (V.binary accepted).symbols
   in
   let func_of addr =
     let rec go last = function

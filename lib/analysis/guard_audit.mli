@@ -1,7 +1,7 @@
-(** Residual-guard audit: re-run the verifier's range analysis over a
-    binary and count the mem_guards whose in-state already proves the
-    access in bounds — i.e. guards a smarter optimizer could delete
-    without changing the verifier. Uses the optimizer's exact
+(** Residual-guard audit: read the verifier's range fixpoint from an
+    accepted binary and count the mem_guards whose in-state already
+    proves the access in bounds — i.e. guards a smarter optimizer could
+    delete without changing the verifier. Uses the optimizer's exact
     redundancy criterion on the verifier's own fixpoint. *)
 
 type func_report = {
@@ -19,7 +19,7 @@ type report = {
           code offset and decoded unit text *)
 }
 
-val audit : Occlum_oelf.Oelf.t -> Occlum_verifier.Disasm.t -> report
+val audit : Occlum_verifier.Verify.accepted -> report
 
 val record : Occlum_obs.Metrics.registry -> report -> unit
 (** Export the totals as [guard_audit.guards_total] /

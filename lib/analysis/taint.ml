@@ -455,9 +455,11 @@ end)
 
 (* --- findings ------------------------------------------------------------ *)
 
-let check (oelf : Occlum_oelf.Oelf.t) (d : D.t) =
+let check a =
+  let oelf = Occlum_verifier.Verify.binary a in
   if oelf.secret_ranges = [] then []
   else begin
+    let d = Occlum_verifier.Verify.disasm a in
     let ctx =
       { secret_ranges = oelf.secret_ranges;
         d_begin = Occlum_oelf.Oelf.d_begin_rel oelf }

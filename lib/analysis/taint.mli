@@ -30,6 +30,6 @@ type finding = {
 
 val finding_to_string : finding -> string
 
-val check : Occlum_oelf.Oelf.t -> Occlum_verifier.Disasm.t -> finding list
+val check : Occlum_verifier.Verify.accepted -> finding list
 (** All findings, sorted by address then kind, deduplicated. Returns
     [[]] immediately when the binary declares no secret ranges. *)

@@ -284,14 +284,13 @@ let elide_repro ~period ~fuel inj items =
   | oelf -> (
       match Verify.verify oelf with
       | Error _ -> Ok () (* rejection of Gen output is soundness's problem *)
-      | Ok _ -> (
-          match Elide.run oelf with
+      | Ok accepted -> (
+          match Elide.run accepted with
           | Error e ->
               Error ("elision failed on a verified program: "
                      ^ Elide.error_to_string e)
-          | Ok (oelf', _) when not (Occlum_verifier.Signer.check oelf') ->
-              Error "elided binary's signature does not check"
-          | Ok (oelf', _) -> (
+          | Ok (elided, _) -> (
+              let oelf' = Verify.binary elided in
               let a = machine (Inject.interrupt_every inj ~period) oelf in
               let b =
                 machine (Inject.interrupt_every (Inject.make ()) ~period) oelf'
@@ -315,36 +314,23 @@ let elide_case inj shrink rng case =
   let fuel = 6000 in
   let fail detail minimized = Some { prop = Guard_elide; case; detail; minimized } in
   if case mod 3 = 0 then
-    (* hostile mutants: a rejected input must come back [Input_rejected]
-       (the pass gives an attacker no second chance at the verifier), and
-       an accepted one must re-verify after elision or be refused
-       conservatively — never re-signed unverified. *)
+    (* hostile mutants: the pass takes only the verifier's acceptance, so
+       a rejected input never reaches it; an accepted one must re-verify
+       after elision or be refused conservatively. *)
     let items = Gen.hostile rng in
     match Gen.link items with
     | exception _ -> None
     | oelf -> (
         match Verify.verify oelf with
-        | Error _ -> (
-            match Elide.run oelf with
-            | Error (Elide.Input_rejected _) -> None
-            | Ok _ ->
-                fail "rejected hostile mutant came out of the elision pass \
-                      signed" None
-            | Error e ->
-                fail ("elision pass misreported a rejected input: "
-                      ^ Elide.error_to_string e) None)
-        | Ok _ -> (
-            match Elide.run oelf with
-            | Ok (oelf', _) ->
-                if Occlum_verifier.Signer.check oelf' then None
-                else fail "elided hostile mutant's signature does not check" None
+        | Error _ -> None (* rejected: nothing to elide *)
+        | Ok accepted -> (
+            match Elide.run accepted with
+            | Ok _ -> None
             | Error (Elide.Rewrite_error _) -> None (* conservative refusal *)
             | Error (Elide.Output_rejected _ as e) ->
-                fail (Elide.error_to_string e) None
-            | Error (Elide.Input_rejected _) ->
-                fail "verifier and elision pass disagree on acceptance" None))
+                fail (Elide.error_to_string e) None))
   else
-    (* well-formed: elision must succeed, re-sign, and preserve every
+    (* well-formed: elision must succeed, re-verify, and preserve every
        sync-point observation under an interrupt storm *)
     lockstep_failure Guard_elide shrink case (Gen.program rng)
       (elide_repro ~period ~fuel)
@@ -355,18 +341,16 @@ let elide_case inj shrink rng case =
 let small_domains =
   { Os.default_config.Os.domains with Occlum_libos.Domain_mgr.max_domains = 4 }
 
+(* An sfi build of [prog], verified and signed, for the LibOS cases. *)
+let signed_sfi prog =
+  match Verify.verify_and_sign (Compile.compile_exn ~config:Codegen.sfi prog) with
+  | Ok s -> s
+  | Error rs ->
+      failwith ("fuzz binary rejected: " ^ Verify.rejection_to_string (List.hd rs))
+
 let tiny_binary =
   lazy
-    (let prog =
-       Runtime.program [ Ast.func "main" [] [ Ast.Return (Ast.i 0) ] ]
-     in
-     let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
-     match Verify.verify_and_sign oelf with
-     | Ok s -> s
-     | Error rs ->
-         failwith
-           ("fuzz tiny binary rejected: "
-           ^ Verify.rejection_to_string (List.hd rs)))
+    (signed_sfi (Runtime.program [ Ast.func "main" [] [ Ast.Return (Ast.i 0) ] ]))
 
 let sgx2_os =
   lazy
@@ -750,20 +734,12 @@ let epc_case inj _shrink rng case =
    counts, global-console interleaving), so any difference is a real
    scheduling bug. Workloads are deliberately clock-free. *)
 
-let mc_sign prog =
-  let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
-  match Verify.verify_and_sign oelf with
-  | Ok s -> s
-  | Error rs ->
-      failwith
-        ("fuzz mc binary rejected: " ^ Verify.rejection_to_string (List.hd rs))
-
 (* Pure CPU spin: argv0 iterations of integer arithmetic, prints the
    accumulator. *)
 let mc_compute_binary =
   lazy
     (let open Ast in
-     mc_sign
+     signed_sfi
        (Runtime.program
           [
             func ~reg_vars:[ "acc"; "k" ] "main" []
@@ -792,7 +768,7 @@ let mc_pingpong_binary =
   lazy
     (let open Ast in
      let module S = Occlum_abi.Abi.Sys in
-     mc_sign
+     signed_sfi
        (Runtime.program
           ~globals:[ ("turn", 8); ("counter", 8) ]
           [
@@ -1594,7 +1570,7 @@ let replay_items items =
       | Error (r :: _) ->
           Error ("corpus program rejected: " ^ Verify.rejection_to_string r)
       | Error [] -> Error "corpus program rejected"
-      | Ok _ -> (
+      | Ok accepted -> (
           match contained (Inject.make ()) oelf ~period:1 ~fuel:20_000 with
           | Error v ->
               Error ("corpus program escaped: " ^ Exec.violation_to_string v)
@@ -1603,7 +1579,7 @@ let replay_items items =
           | Ok (Exec.Exited | Exec.Faulted _ | Exec.Out_of_fuel) -> (
               (* the elision pass must also handle every corpus entry:
                  classify, rewrite, and get re-accepted by the verifier *)
-              match Elide.run ~sign:false oelf with
+              match Elide.run accepted with
               | Error e ->
                   Error
                     ("corpus program broke the elision pass: "
@@ -1625,7 +1601,7 @@ let verified p items =
   match Gen.link items with
   | exception _ -> false
   | oelf -> (
-      match Verify.verify oelf with Error _ -> false | Ok d -> p oelf d)
+      match Verify.verify oelf with Error _ -> false | Ok a -> p oelf a)
 
 let features : (string * (Asm.item list -> bool)) list =
   [
@@ -1644,7 +1620,7 @@ let features : (string * (Asm.item list -> bool)) list =
     ("alu-div", has_insn (function Insn.Alu ((Insn.Divu | Insn.Remu), _, _) -> true | _ -> false));
     ("guard-elide",
      (* programs where the elision pass actually removes guards *)
-     verified (fun oelf d -> (Elide.analyze oelf d).Elide.elided > 0));
+     verified (fun _ a -> (Elide.analyze a).Elide.elided > 0));
     ("jit-equivalence",
      (* programs where a compiled block is entered again and replayed
         from the code cache, not only compiled *)

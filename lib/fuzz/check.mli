@@ -33,10 +33,10 @@
       security and the semantics of its input — well-formed programs
       elide to binaries the unmodified verifier re-accepts, with
       bit-identical registers, flags and data/victim memory at every
-      syscall/fault/exit sync point under an interrupt storm; hostile
-      programs the verifier rejects must still be rejected ([the pass
-      reports [Input_rejected]]), and accepted mutants are never
-      re-signed without re-verification.
+      syscall/fault/exit sync point under an interrupt storm; the pass
+      takes only the verifier's acceptance, so a hostile program the
+      verifier rejects never reaches it (by type), and an accepted
+      mutant either re-verifies after elision or is refused.
     - {b jit-equivalence}: the tiered loop (every block compiled by
       the block JIT) and the reference loop produce bit-identical
       architectural state, counters and memory at every stop. Both run
@@ -72,11 +72,11 @@ type property =
           random cores=c, and across repeated runs at the same c *)
   | Guard_elide
       (** well-formed programs survive the guard-elision pass: the
-          elided binary re-verifies, re-signs, and is observationally
+          elided binary re-verifies and is observationally
           identical at every sync point (syscall, fault, exit — full
           register file and data/victim memory) under an interrupt
-          storm; rejected hostile mutants come back [Input_rejected],
-          and accepted ones are never re-signed unverified *)
+          storm; accepted hostile mutants re-verify after elision or
+          are refused *)
   | Jit_equivalence
       (** the tiered and reference loops are bit-equivalent at
           every stop, run in fuel quanta, under identical

@@ -64,7 +64,7 @@ let patch_at code domain_id off =
 type checked = { c_oelf : Occlum_oelf.Oelf.t; labels : int array }
 
 let admit ~require_signature oelf =
-  if require_signature && not (Occlum_verifier.Signer.check oelf) then
+  if require_signature && not (Occlum_verifier.Verify.signature_ok oelf) then
     fail "binary is not signed by the Occlum verifier";
   { c_oelf = oelf; labels = Array.of_list (label_offsets oelf.code) }
 

@@ -31,9 +31,9 @@ let wrap cap i = if i >= cap then i - cap else i
 let write t src off len =
   check_span "Ring.write" src off len;
   let cap = capacity t in
-  let n = min len (cap - t.len) in
+  let n = Int.min len (cap - t.len) in
   let wpos = wrap cap (t.rpos + t.len) in
-  let first = min n (cap - wpos) in
+  let first = Int.min n (cap - wpos) in
   Bytes.blit src off t.buf wpos first;
   Bytes.blit src (off + first) t.buf 0 (n - first);
   t.len <- t.len + n;
@@ -43,8 +43,8 @@ let write t src off len =
 let read t dst off len =
   check_span "Ring.read" dst off len;
   let cap = capacity t in
-  let n = min len t.len in
-  let first = min n (cap - t.rpos) in
+  let n = Int.min len t.len in
+  let first = Int.min n (cap - t.rpos) in
   Bytes.blit t.buf t.rpos dst off first;
   Bytes.blit t.buf 0 dst (off + first) (n - first);
   t.rpos <- wrap cap (t.rpos + n);

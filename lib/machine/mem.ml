@@ -98,7 +98,7 @@ let grow t hi =
   let old = Bytes.length t.data in
   if hi > old then begin
     let need = (hi + page_size - 1) / page_size * page_size in
-    let ext = min t.size (max need (2 * old)) in
+    let ext = Int.min t.size (Int.max need (2 * old)) in
     let d = Bytes.create ext in
     Bytes.blit t.data 0 d 0 old;
     Bytes.fill d old (ext - old) '\x00';
@@ -241,7 +241,7 @@ let check_access t addr len (access : Fault.access) =
    legitimately decode-fault. *)
 let probe_resident t ~addr ~len =
   if t.paged && len > 0 && addr >= 0 && addr < t.size then
-    let last = min (addr + len) t.size - 1 in
+    let last = Int.min (addr + len) t.size - 1 in
     for p = addr / page_size to last / page_size do
       if t.pages.(p) <> None && Bytes.get t.resident p = '\x00' then
         raise (Fault.Fault (Epc_miss { addr = p * page_size; access = Exec }))
@@ -294,7 +294,7 @@ let span_priv t ~addr ~len ~write f =
     if pos >= len then pos
     else begin
       let a = addr + pos in
-      let chunk = min (len - pos) (page_size - (a mod page_size)) in
+      let chunk = Int.min (len - pos) (page_size - (a mod page_size)) in
       ensure_resident t ~addr:a ~len:chunk;
       grow t (a + chunk);
       let k = f t.data a chunk in
@@ -406,7 +406,7 @@ let install t ~addr ~len bytes =
   done;
   for p = first to image_last do
     let si = (p - first) * page_size in
-    settle t p bytes si (min page_size (n - si))
+    settle t p bytes si (Int.min page_size (n - si))
   done
 
 let raw t = t.data

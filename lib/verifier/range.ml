@@ -5,9 +5,9 @@
    The abstract domain itself lives in {!Occlum_range.Range_lattice},
    shared with the optimizer so the two cannot drift apart. This module
    adds the verifier's view of it: the per-unit transfer function and
-   successor relation over {!Unit_kind.unit_at} values, which Stage 4
-   and its clients in [lib/analysis] (elision, the guard audit) all run
-   unchanged.
+   successor relation over {!Unit_kind.unit_at} values. Only
+   {!Verify} runs them; its clients in [lib/analysis] (elision, the
+   guard audit) read the graph and the states from [Verify.accepted].
 
    cfi_labels reset the state to top because any indirect transfer may
    land on them. Calls reset the state of their return site (the callee
@@ -16,6 +16,9 @@
 open Occlum_isa
 open Occlum_range.Range_lattice
 module U = Unit_kind
+
+type graph =
+  Occlum_range.Dataflow.graph * int list * (src:int -> dst:int -> bool)
 
 type succ = Next | Next_top | Target of int
 
@@ -64,7 +67,7 @@ let transfer (u : U.unit_at) s =
       | Emodpe | Eaccept | Xrstor ->
           s)
 
-(* The unit graph Stage 4, elision and the guard audit iterate over:
+(* The unit graph Stage 4 and elision iterate over:
    nodes are indices into [d.sorted]. The seeds are every cfi_label
    (indirect transfers may land there) and the program entry. [Next_top]
    edges are returned separately so the dataflow edge hook can deliver
@@ -112,13 +115,12 @@ module Engine = Occlum_range.Dataflow.Make (struct
   let join = meet
 end)
 
-(* The whole-binary Stage-4 fixpoint: the in-state of every disassembled
-   unit, with top at every seed. A unit with [skip.(i)] passes its state
+(* The whole-binary Stage-4 fixpoint over [unit_graph]: the in-state of
+   every disassembled unit, with top at every seed. A unit with [skip.(i)] passes its state
    through unchanged: elision asks what the facts are once those guards
    are gone (removal changes no edge, a guard has one fall-through
    successor). [None] = unreachable from any seed. *)
-let analyze ?skip (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
-  let graph, seeds, is_top_edge = unit_graph oelf d in
+let analyze ?skip (graph, seeds, is_top_edge) (d : Disasm.t) =
   Engine.fixpoint graph
     ~seeds:(List.map (fun i -> (i, top)) seeds)
     ~edge:(fun ~src ~dst v -> if is_top_edge ~src ~dst then top else v)

@@ -8,8 +8,9 @@
    Stage 3  control-transfer verification (Figure 3)
    Stage 4  memory-access verification   (Figure 4 + range analysis)
 
-   Only a binary passing all four stages is signed ({!Signer}) and will
-   be accepted by the LibOS loader. *)
+   [verify] runs them on its own copy of the binary and returns what
+   they proved as an [accepted], the only thing [sign] takes; the LibOS
+   loader (the verifier is not runtime TCB) checks the signature. *)
 
 open Occlum_isa
 module U = Unit_kind
@@ -124,14 +125,26 @@ let stage3 (d : Disasm.t) =
 
 (* --- Stage 4 ------------------------------------------------------------ *)
 
-(* Every failing Figure-4 obligation against {!Range.analyze}, in unit
+type accepted = {
+  bin : Occlum_oelf.Oelf.t; (* the verifier's own copy of what it verified *)
+  d : Disasm.t;
+  graph : Range.graph;
+  states : L.state option array; (* Stage 4's in-states over [graph] *)
+}
+
+(* Every failing Figure-4 obligation against the range fixpoint, in unit
    order: (unit index, the register whose fact is missing, if any, and
    the reason). The reason is formatted only when forced. [removed]
    marks guards to treat as deleted: they neither set facts nor satisfy
-   the adjacency of the unit after them, which is how elision asks
-   whether a removal set still verifies. *)
-let stage4_failures ?removed (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
-  let in_state = Range.analyze ?skip:removed oelf d in
+   the adjacency of the unit after them, and the fixpoint is re-run
+   with them skipped, which is how elision asks whether a removal set
+   still verifies. *)
+let stage4_failures ?removed { bin = oelf; d; graph; states } =
+  let in_state =
+    match removed with
+    | None -> states
+    | Some skip -> Range.analyze ~skip graph d
+  in
   let is_removed j = match removed with Some r -> r.(j) | None -> false in
   let bad = ref [] in
   let reject i reg reason = bad := (i, reg, reason) :: !bad in
@@ -217,41 +230,67 @@ let stage4_failures ?removed (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
     d.sorted;
   List.rev !bad
 
-let stage4 (oelf : Occlum_oelf.Oelf.t) (d : Disasm.t) =
-  match stage4_failures oelf d with
+let stage4 a =
+  match stage4_failures a with
   | [] -> ()
   | fails ->
       raise
         (Rejected
            (List.map
               (fun (i, _, reason) ->
-                let u = d.sorted.(i) in
+                let u = a.d.sorted.(i) in
                 { stage = 4; addr = u.addr; reason = Lazy.force reason;
                   insn = Some (U.to_string u.kind) })
               fails))
 
 (* --- top level ----------------------------------------------------------- *)
 
+let copy (oelf : Occlum_oelf.Oelf.t) =
+  { oelf with code = Bytes.copy oelf.code; data = Bytes.copy oelf.data }
+
 let verify (oelf : Occlum_oelf.Oelf.t) =
+  (* every stage reads the copy, so a caller that mutates its binary
+     afterwards cannot change what [sign] signs *)
+  let bin = copy oelf in
   try
-    let d = stage1 oelf in
+    let d = stage1 bin in
     (* the entry point must itself be a cfi_label: the LibOS starts
        execution only at labels *)
-    (match Disasm.find d oelf.entry with
+    (match Disasm.find d bin.entry with
     | Some { kind = U.U_cfi_label _; _ } -> ()
     | _ ->
         raise
           (Rejected
-             [ { stage = 1; addr = oelf.entry;
+             [ { stage = 1; addr = bin.entry;
                  reason = "entry point is not a cfi_label"; insn = None } ]));
     stage2 d;
     stage3 d;
-    stage4 oelf d;
-    Ok d
+    let graph = Range.unit_graph bin d in
+    let a = { bin; d; graph; states = Range.analyze graph d } in
+    stage4 a;
+    Ok a
   with Rejected rs -> Error rs
 
-(* Verify and, on success, sign: the artifact the LibOS loader accepts. *)
-let verify_and_sign oelf =
-  match verify oelf with
-  | Ok _ -> Ok (Signer.sign oelf)
-  | Error rs -> Error rs
+let binary a = copy a.bin
+let disasm a = a.d
+let unit_graph a = a.graph
+let in_states a = a.states
+
+(* --- signing ------------------------------------------------------------- *)
+
+(* stands in for a provisioning secret shared by verifier and enclave *)
+let key =
+  Occlum_util.Hmac.key (Occlum_util.Sha256.digest "occlum-sim-verifier-signing-key")
+
+let sign a =
+  let oelf = copy a.bin in
+  let payload = Occlum_oelf.Oelf.signing_payload oelf in
+  { oelf with signature = Some (Occlum_util.Hmac.mac key [ payload ]) }
+
+let signature_ok (oelf : Occlum_oelf.Oelf.t) =
+  match oelf.signature with
+  | None -> false
+  | Some tag ->
+      Occlum_util.Hmac.verify key ~tag [ Occlum_oelf.Oelf.signing_payload oelf ]
+
+let verify_and_sign oelf = Result.map sign (verify oelf)

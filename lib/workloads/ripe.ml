@@ -214,17 +214,7 @@ let payload_hex (a : attack) ~domain_id =
 
 (* Run one attack as a SIP under the Occlum LibOS. *)
 let run_on_occlum (a : attack) : outcome =
-  let prog = attack_program a in
-  let oelf = Occlum_toolchain.Compile.compile_exn
-               ~config:Occlum_toolchain.Codegen.sfi prog in
-  let signed =
-    match Occlum_verifier.Verify.verify_and_sign oelf with
-    | Ok s -> s
-    | Error rs ->
-        invalid_arg
-          ("ripe: attack binary unexpectedly rejected: "
-          ^ Occlum_verifier.Verify.rejection_to_string (List.hd rs))
-  in
+  let signed = Harness.build_for Harness.Occlum (attack_program a) in
   let os = Occlum_libos.Os.boot () in
   let delta = string_of_int (gadget_delta signed) in
   let pid =

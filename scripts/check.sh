@@ -87,16 +87,40 @@ if [ -n "$seal" ]; then
   exit 1
 fi
 
-# One Stage 4: elision and the guard audit call the verifier's range
-# fixpoint (Range.analyze) and its obligation check
+# One Stage 4: elision and the guard audit read the verifier's range
+# fixpoint from Verify.accepted and call its obligation check
 # (Verify.stage4_failures). No other module may drive the engine that
 # fixpoint runs on, and lib/analysis may not keep its own copy of the
 # Figure-4 walk.
 stage4=$(grep -rnE '\b(Range|R)\.Engine\b' lib | grep -v '^lib/verifier/range\.ml:' || true)
 walk=$(grep -rnE '\b(let|and)( rec)? +(guarded_by|sp_mem)\b' lib/analysis || true)
 if [ -n "$stage4$walk" ]; then
-  echo "FAIL: a copy of Stage 4 outside lib/verifier (call Range.analyze / Verify.stage4_failures):" >&2
+  echo "FAIL: a copy of Stage 4 outside lib/verifier (read Verify.accepted / call Verify.stage4_failures):" >&2
   printf '%s\n%s\n' "$stage4" "$walk" >&2
+  exit 1
+fi
+
+# One verification result: only lib/verifier builds the unit graph and
+# runs the range fixpoint; every client reads both from the
+# Verify.accepted that Verify.verify returns.
+range=$(grep -rnE '\bRange\.(analyze|unit_graph)\b|Occlum_verifier\.Range\b' \
+  lib bin bench test | grep -v '^lib/verifier/' || true)
+if [ -n "$range" ]; then
+  echo "FAIL: the range fixpoint recomputed outside lib/verifier (read Verify.accepted):" >&2
+  printf '%s\n' "$range" >&2
+  exit 1
+fi
+
+# Only an acceptance is signed: Verify.sign takes a Verify.accepted, so
+# no other file in lib/ or bin/ may set a signature or name the signing
+# key, and no Signer module that signs any binary may come back.
+signing=$(grep -rnE 'signature *= *Some|verifier-signing-key' lib bin \
+  | grep -v '^lib/verifier/verify\.ml:' || true)
+signer=$( (find lib bin bench test -iname 'signer.ml*'; \
+  grep -rnwE 'Signer' lib bin bench test --include='*.ml' --include='*.mli') || true)
+if [ -n "$signing$signer" ]; then
+  echo "FAIL: a signature minted outside Verify.sign:" >&2
+  printf '%s\n%s\n' "$signing" "$signer" >&2
   exit 1
 fi
 

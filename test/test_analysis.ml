@@ -13,13 +13,17 @@ module Guard_audit = Occlum_analysis.Guard_audit
 let empty_layout = Layout.of_program { globals = []; funcs = []; secrets = [] }
 let link_raw items = Linker.link empty_layout items
 
-let disasm_exn oelf =
-  match Occlum_verifier.Verify.verify oelf with
-  | Ok d -> d
+module V = Occlum_verifier.Verify
+
+let accepted_exn oelf =
+  match V.verify oelf with
+  | Ok a -> a
   | Error rs ->
       Alcotest.fail
         ("unexpected rejection: "
-        ^ Occlum_verifier.Verify.rejection_to_string (List.hd rs))
+        ^ V.rejection_to_string (List.hd rs))
+
+let disasm_exn oelf = V.disasm (accepted_exn oelf)
 
 (* --- CFG ----------------------------------------------------------------- *)
 
@@ -193,7 +197,7 @@ let compile_src ?(config = Codegen.sfi) src =
 
 let ct_findings ?config src =
   let oelf = compile_src ?config src in
-  Taint.check oelf (disasm_exn oelf)
+  Taint.check (accepted_exn oelf)
 
 let func_extent (oelf : Occlum_oelf.Oelf.t) name =
   let off =
@@ -210,7 +214,7 @@ let func_extent (oelf : Occlum_oelf.Oelf.t) name =
 
 let test_ct_leaky_flagged () =
   let oelf = compile_src leaky_src in
-  let fs = Taint.check oelf (disasm_exn oelf) in
+  let fs = Taint.check (accepted_exn oelf) in
   Alcotest.(check int) "exactly three findings" 3 (List.length fs);
   (* address order mirrors source order: branch, table lookup, modulo *)
   Alcotest.(check (list string)) "kinds in order"
@@ -258,7 +262,7 @@ let test_ct_no_secrets_trivially_clean () =
   let prog = Runtime.program [ Ast.func "main" [] [ Ast.Return (Ast.i 0) ] ] in
   let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
   Alcotest.(check (list pass)) "no secrets, no findings" []
-    (Taint.check oelf (disasm_exn oelf))
+    (Taint.check (accepted_exn oelf))
 
 let test_ct_workloads_clean () =
   (* SPEC kernels and the fish workload declare no secrets: the checker
@@ -266,7 +270,7 @@ let test_ct_workloads_clean () =
   List.iter
     (fun (name, prog) ->
       let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
-      let fs = Taint.check oelf (disasm_exn oelf) in
+      let fs = Taint.check (accepted_exn oelf) in
       Alcotest.(check int) (name ^ " clean") 0 (List.length fs))
     (Occlum_workloads.Spec.all ~scale:1 @ Occlum_workloads.Fish.binaries)
 
@@ -303,18 +307,18 @@ let test_secret_undeclared_rejected () =
 
 let test_secret_survives_signing () =
   let oelf = compile_src leaky_src in
-  let signed = Occlum_verifier.Signer.sign oelf in
-  Alcotest.(check bool) "signed ok" true (Occlum_verifier.Signer.check signed);
+  let signed = V.sign (accepted_exn oelf) in
+  Alcotest.(check bool) "signed ok" true (V.signature_ok signed);
   let stripped = { signed with Occlum_oelf.Oelf.secret_ranges = [] } in
   Alcotest.(check bool) "stripping the annotation breaks the signature"
     false
-    (Occlum_verifier.Signer.check stripped)
+    (V.signature_ok stripped)
 
 (* --- guard audit --------------------------------------------------------- *)
 
 let audit_of ?config src =
   let oelf = compile_src ?config src in
-  Guard_audit.audit oelf (disasm_exn oelf)
+  Guard_audit.audit (accepted_exn oelf)
 
 let test_guard_audit_naive_has_redundancy () =
   let naive = audit_of ~config:Codegen.sfi_naive leaky_src in
@@ -362,8 +366,8 @@ let g1 disp =
   Asm.Mem_guard (Sib { base = Reg.r1; index = None; scale = 1; disp })
 
 let elide_ok oelf =
-  match Elide.run oelf with
-  | Ok (oelf', report) -> (oelf', report)
+  match Elide.run (accepted_exn oelf) with
+  | Ok (a, report) -> (V.sign a, report)
   | Error e -> Alcotest.fail (Elide.error_to_string e)
 
 let classes (r : Elide.report) =
@@ -384,7 +388,7 @@ let test_elide_straightline_dominated () =
         Asm.Jmp_l "spin";
       ]
   in
-  let report = Elide.analyze oelf (disasm_exn oelf) in
+  let report = Elide.analyze (accepted_exn oelf) in
   Alcotest.(check int) "two guards" 2 report.Elide.total;
   Alcotest.(check int) "one elided" 1 report.Elide.elided;
   Alcotest.(check int) "by dominance" 1 report.Elide.dominated;
@@ -394,8 +398,8 @@ let test_elide_straightline_dominated () =
   | _ -> Alcotest.fail "expected [required; dominated-redundant]");
   let oelf', _ = elide_ok oelf in
   Alcotest.(check bool) "elided binary is signed" true
-    (Occlum_verifier.Signer.check oelf');
-  match Occlum_verifier.Verify.verify oelf' with
+    (V.signature_ok oelf');
+  match V.verify oelf' with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unmodified verifier must re-accept the output"
 
@@ -420,19 +424,20 @@ let test_elide_loop_hoisted () =
         Asm.Jmp_l "spin";
       ]
   in
-  let d = disasm_exn oelf in
+  let a = accepted_exn oelf in
+  let d = V.disasm a in
   let cfg = Cfg.build ~entry:oelf.entry d in
   Alcotest.(check bool) "the loop is a self-loop" true
     (List.exists (fun (h, body) -> body = [ h ]) (Cfg.natural_loops cfg));
   Alcotest.(check bool) "reducible" false (Cfg.irreducible cfg);
-  let report = Elide.analyze oelf d in
+  let report = Elide.analyze a in
   Alcotest.(check int) "two guards" 2 report.Elide.total;
   Alcotest.(check int) "in-loop guard elided" 1 report.Elide.elided;
   (match classes report with
   | [ Elide.Required; Elide.Dominated_redundant ] -> ()
   | _ -> Alcotest.fail "preheader stays, loop copy goes");
   let oelf', _ = elide_ok oelf in
-  match Occlum_verifier.Verify.verify oelf' with
+  match V.verify oelf' with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unmodified verifier must re-accept the output"
 
@@ -459,10 +464,11 @@ let test_elide_irreducible_bails () =
         Asm.Jmp_l "spin";
       ]
   in
-  let d = disasm_exn oelf in
+  let a = accepted_exn oelf in
+  let d = V.disasm a in
   Alcotest.(check bool) "irreducible" true
     (Cfg.irreducible (Cfg.build ~entry:oelf.entry d));
-  let report = Elide.analyze oelf d in
+  let report = Elide.analyze a in
   Alcotest.(check bool) "bailed" true report.Elide.bailed;
   Alcotest.(check int) "nothing elided" 0 report.Elide.elided;
   List.iter
@@ -498,7 +504,7 @@ let test_guard_heavy_exact_count () =
     s
   in
   let naive = compile_src ~config:Codegen.sfi_naive src in
-  let report = Elide.analyze naive (disasm_exn naive) in
+  let report = Elide.analyze (accepted_exn naive) in
   Alcotest.(check int) "total guards" 341 report.Elide.total;
   Alcotest.(check int) "exact elision count" 248 report.Elide.elided;
   Alcotest.(check int) "dominated" 72 report.Elide.dominated;
@@ -506,7 +512,7 @@ let test_guard_heavy_exact_count () =
   Alcotest.(check bool) "no bail" false report.Elide.bailed;
   (* the optimized config leaves nothing on the table *)
   let opt = compile_src src in
-  let opt_report = Elide.analyze opt (disasm_exn opt) in
+  let opt_report = Elide.analyze (accepted_exn opt) in
   Alcotest.(check int) "sfi build has no elidable guards" 0
     opt_report.Elide.elided;
   (* elided binary: same behavior, strictly fewer dynamic checks *)
@@ -647,8 +653,9 @@ let test_elide_reinstates_needed_guard () =
         Asm.Jmp_l "spin";
       ]
   in
-  let d = disasm_exn oelf in
-  let report = Elide.analyze oelf d in
+  let a = accepted_exn oelf in
+  let d = V.disasm a in
+  let report = Elide.analyze a in
   let widening, index_guard =
     match report.Elide.guards with
     | [ _; w; x ] -> (w, x)
@@ -662,7 +669,7 @@ let test_elide_reinstates_needed_guard () =
   Alcotest.(check string) "and says it was reinstated"
     "reinstated: a residual obligation needs this guard" widening.why;
   let failures removed =
-    Occlum_verifier.Verify.stage4_failures ~removed oelf d
+    V.stage4_failures ~removed a
     |> List.map (fun (i, reg, _) -> (i, reg))
   in
   let without j =
@@ -681,7 +688,7 @@ let test_elide_reinstates_needed_guard () =
     [ (index_guard.index + 1, r1) ]
     (failures (without index_guard.index));
   let oelf', _ = elide_ok oelf in
-  match Occlum_verifier.Verify.verify oelf' with
+  match V.verify oelf' with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unmodified verifier must re-accept the output"
 

@@ -137,9 +137,12 @@ let test_guard_heavy_elide_parity () =
   Alcotest.(check string) "naive build: jit = reference"
     (native_summary base) (native_summary jit_naive);
   let elided =
-    match Elide.run naive with
-    | Ok (o, _) -> o
-    | Error e -> Alcotest.fail (Elide.error_to_string e)
+    match Occlum_verifier.Verify.verify naive with
+    | Error _ -> Alcotest.fail "naive build rejected"
+    | Ok a -> (
+        match Elide.run a with
+        | Ok (elided, _) -> Occlum_verifier.Verify.binary elided
+        | Error e -> Alcotest.fail (Elide.error_to_string e))
   in
   let eu = Native_run.run ~jit:false elided in
   let ej = Native_run.run elided in

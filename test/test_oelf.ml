@@ -1,5 +1,6 @@
 (* OELF binary format: serialization roundtrips, malformed input
-   rejection, and signing-payload sensitivity. *)
+   rejection, signing-payload sensitivity, and signing of verified
+   binaries. *)
 
 open Occlum_oelf
 
@@ -69,15 +70,48 @@ let test_layout_helpers () =
   Alcotest.(check (option int)) "symbol" (Some 80) (Oelf.find_symbol o "f_main");
   Alcotest.(check (option int)) "missing symbol" None (Oelf.find_symbol o "nope")
 
+(* A small binary that passes the verifier: only an acceptance can be
+   signed. *)
+let verified () =
+  let open Occlum_toolchain in
+  let prog = Runtime.program [ Ast.func "main" [] [ Ast.Return (Ast.i 0) ] ] in
+  let o = Compile.compile_exn ~config:Codegen.sfi prog in
+  match Occlum_verifier.Verify.verify o with
+  | Ok a -> (o, a)
+  | Error _ -> Alcotest.fail "the sample program must verify"
+
 let test_signer () =
-  let o = sample () in
-  Alcotest.(check bool) "unsigned rejected" false (Occlum_verifier.Signer.check o);
-  let signed = Occlum_verifier.Signer.sign o in
-  Alcotest.(check bool) "signed ok" true (Occlum_verifier.Signer.check signed);
+  let o, accepted = verified () in
+  Alcotest.(check bool) "unsigned rejected" false
+    (Occlum_verifier.Verify.signature_ok o);
+  let signed = Occlum_verifier.Verify.sign accepted in
+  Alcotest.(check bool) "signed ok" true
+    (Occlum_verifier.Verify.signature_ok signed);
   (* flip a code byte: the signature must break *)
   let tampered = { signed with Oelf.code = Bytes.copy signed.Oelf.code } in
   Bytes.set tampered.Oelf.code 0 'X';
-  Alcotest.(check bool) "tamper detected" false (Occlum_verifier.Signer.check tampered)
+  Alcotest.(check bool) "tamper detected" false
+    (Occlum_verifier.Verify.signature_ok tampered)
+
+(* The verifier keeps its own copy of what it verified: flipping a byte
+   of the caller's binary after [verify] changes nothing [sign] signs. *)
+let test_sign_covers_verified_bytes () =
+  let o, accepted = verified () in
+  let original = Bytes.copy o.Oelf.code in
+  let pos = Oelf.trampoline_reserved in
+  Bytes.set o.Oelf.code pos
+    (Char.chr (Char.code (Bytes.get o.Oelf.code pos) lxor 0xff));
+  let signed = Occlum_verifier.Verify.sign accepted in
+  Alcotest.(check bool) "signed the verified bytes" true
+    (Bytes.equal signed.Oelf.code original);
+  Alcotest.(check bool) "signature checks" true
+    (Occlum_verifier.Verify.signature_ok signed);
+  Alcotest.(check bool) "signed output re-verifies" true
+    (Result.is_ok (Occlum_verifier.Verify.verify signed));
+  Alcotest.(check bool) "the caller's flipped bytes carry no signature"
+    false
+    (Occlum_verifier.Verify.signature_ok
+       { o with signature = signed.signature })
 
 let suite =
   [
@@ -87,4 +121,6 @@ let suite =
       test_signing_payload_sensitivity;
     Alcotest.test_case "layout helpers" `Quick test_layout_helpers;
     Alcotest.test_case "signer" `Quick test_signer;
+    Alcotest.test_case "sign covers the verified bytes" `Quick
+      test_sign_covers_verified_bytes;
   ]
