@@ -38,9 +38,10 @@ let write_file path s =
   output_char oc '\n';
   close_out oc
 
-let collect_findings (oelf : Occlum_oelf.Oelf.t) accepted =
+(* [report] is elision's classification of [accepted] *)
+let collect_findings (oelf : Occlum_oelf.Oelf.t) accepted
+    (report : Elide.report) =
   let cfg = Cfg.build ~entry:oelf.entry (Verify.disasm accepted) in
-  let report = Elide.analyze accepted in
   let ol003 =
     List.filter_map
       (fun (g : Elide.guard) ->
@@ -60,7 +61,7 @@ let collect_findings (oelf : Occlum_oelf.Oelf.t) accepted =
   let findings =
     Lint.unreachable_blocks cfg @ Lint.dead_flag_updates cfg @ ol003 @ taint
   in
-  (List.sort Lint.compare_findings findings, report)
+  List.sort Lint.compare_findings findings
 
 let lint input sarif_out elide_out =
   match read_oelf input with
@@ -84,7 +85,18 @@ let lint input sarif_out elide_out =
             rs;
           exit 1
       | Ok accepted ->
-          let findings, report = collect_findings oelf accepted in
+          (* [Elide.run] classifies as [Elide.analyze] does and returns
+             that report, so the input is classified once; only a failed
+             elision classifies again for the findings *)
+          let elided =
+            Option.map (fun out -> (out, Elide.run accepted)) elide_out
+          in
+          let report =
+            match elided with
+            | Some (_, Ok (_, r)) -> r
+            | None | Some (_, Error _) -> Elide.analyze accepted
+          in
+          let findings = collect_findings oelf accepted report in
           Printf.printf
             "%s: %d finding(s); %d/%d mem_guard(s) elidable (%d dominated, \
              %d range-proven%s)\n"
@@ -96,22 +108,19 @@ let lint input sarif_out elide_out =
           (match sarif_out with
           | Some path -> write_file path (Lint.to_sarif ~uri:input findings)
           | None -> ());
-          (match elide_out with
+          (match elided with
           | None -> ()
-          | Some out -> (
-              match Elide.run accepted with
-              | Ok (elided, r) ->
-                  let oc = open_out_bin out in
-                  output_string oc
-                    (Occlum_oelf.Oelf.to_string (Verify.sign elided));
-                  close_out oc;
-                  Printf.printf
-                    "elided binary written to %s (%d guard(s) dropped, \
-                     re-verified, signed)\n"
-                    out r.elided
-              | Error e ->
-                  prerr_endline (Elide.error_to_string e);
-                  exit 5));
+          | Some (out, Ok (elided, r)) ->
+              let oc = open_out_bin out in
+              output_string oc (Occlum_oelf.Oelf.to_string (Verify.sign elided));
+              close_out oc;
+              Printf.printf
+                "elided binary written to %s (%d guard(s) dropped, \
+                 re-verified, signed)\n"
+                out r.elided
+          | Some (_, Error e) ->
+              prerr_endline (Elide.error_to_string e);
+              exit 5);
           if findings <> [] then exit 4)
 
 let input_arg =

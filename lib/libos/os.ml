@@ -1843,7 +1843,7 @@ let step t =
   in
   (* nothing claimed, or signals took every claimed slice: no quantum
      ran and no time passed (pressure charges fold in next epoch) *)
-  if jobs = [||] then claims <> []
+  if Array.length jobs = 0 then (match claims with [] -> false | _ :: _ -> true)
   else begin
     let stops =
       Array.map

@@ -23,7 +23,7 @@ let claim t ~runnable ~live ~slot_of =
     && (not (List.exists (fun (_, q) -> q = pid) !claims))
     &&
     let s = slot_of pid in
-    s < 0 || not (List.mem s !slots)
+    s < 0 || not (List.exists (fun x -> x = s) !slots)
   in
   let tries = ref (Queue.length t.rq + 1) in
   while !n < t.ncores && !tries > 0 && not (Queue.is_empty t.rq) do

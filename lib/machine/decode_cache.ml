@@ -20,10 +20,10 @@
    unprivileged-write hook makes such a store bump the generation all
    the same. Blocks that span a writable-and-executable page are marked
    [fragile]: their compiled body checks [Mem.code_epoch] after each
-   memory-writing instruction (the only thing inside a block that can
-   move a generation) and the interpreter re-checks the snapshot when
-   it moved, keeping even self-modifying code exactly faithful to the
-   reference semantics. *)
+   memory write that takes the checked path (only a write can move a
+   generation inside a block, and a direct store never does) and the
+   interpreter re-checks the snapshot when it moved, keeping even
+   self-modifying code exactly faithful to the reference semantics. *)
 
 open Occlum_isa
 

@@ -7,10 +7,10 @@
     write into an executable page), so a translation made from it can
     be checked against memory with {!block_valid}. Blocks that span a
     writable-and-executable page (all LibOS SIP code) are [fragile]: a
-    compiled body checks {!Mem.code_epoch} after each memory-writing
-    instruction, and the interpreter re-checks the snapshot when it
-    moved, so self-modifying code behaves exactly as it does under the
-    reference loop. *)
+    compiled body checks {!Mem.code_epoch} after each memory write that
+    takes the checked path, and the interpreter re-checks the snapshot
+    when it moved, so self-modifying code behaves exactly as it does
+    under the reference loop. *)
 
 type block = {
   entry : int;  (** pc of the first instruction *)
@@ -20,6 +20,10 @@ type block = {
   gens : int array;  (** generation snapshot of [pages] at build time *)
   fragile : bool;  (** some spanned page is both writable and executable *)
 }
+
+val terminates : Occlum_isa.Insn.t -> bool
+(** The instruction ends its block: a control transfer, the syscall
+    gate or a privileged opcode. *)
 
 val block_valid : Mem.t -> block -> bool
 (** The block's generation snapshot still matches memory. *)

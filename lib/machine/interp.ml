@@ -339,9 +339,10 @@ let run_reference ?interrupt mem cpu ~fuel =
      revalidates the block: one that wrote some other executable page
      runs on, and one that rewrote its own code parks at the boundary
      after the write and deopts to a fresh lookup with the fuel left.
-   - A fault inside the body or a replay deopts: the closure charged and
-     parked state exactly as [exec_decoded] would have at the faulting
-     instruction, so the AEX capture is bit-identical.
+   - A fault inside the body or a replay deopts: the body charged the
+     whole block at [Jit.enter], and the cold path that raised rewound
+     the counters and parked pc exactly as [exec_decoded] would have at
+     the faulting instruction, so the AEX capture is bit-identical.
 
    Observability: JIT events are emitted per block lookup when the [Jit]
    trace class is on; with tracing disabled the cost is one flag test.
@@ -397,14 +398,13 @@ let run_tiered jit obs mem cpu ~fuel =
     if fuel < c.Jit.insns then replay c 0 mem.Mem.code_epoch fuel
     else
       let i0 = cpu.Cpu.insns in
-      match c.Jit.body cpu with
+      match Jit.enter c cpu with
       | Jit.U_fall -> leave c (fuel - c.Jit.insns)
       | Jit.U_stop s -> s
       | Jit.U_stale ->
           (* self-modifying code: deopt; the lookup finds the block
-             stale and translates the rewritten bytes. Every instruction
-             charges one to [insns], so the body retired the count it
-             moved. *)
+             stale and translates the rewritten bytes. The stale exit
+             rewound [insns] to the instructions the body retired. *)
           deopt ();
           loop (fuel - (cpu.Cpu.insns - i0))
       | exception Fault.Fault f ->

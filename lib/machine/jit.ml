@@ -5,25 +5,28 @@
    block boundary forms the block ([Decode_cache.build]) and compiles
    it here at once, as a DBT code cache copies each block before its
    first run. Each instruction is translated into a specialized closure
-   with its operands pre-resolved (register indices, immediates, cycle
-   cost, target pcs) that ends by tail-calling the next one, and
-   consecutive instructions are fused into superinstruction units —
-   guard+load / guard+store / guard+guard pairs share one
-   effective-address computation, pure-register runs are charged in
-   bulk, a pure run and the load or store after it are one unit, and so
-   is each idiom the code generator emits around a load (a binop's
+   with its operands pre-resolved (register indices, immediates, target
+   pcs) that ends by tail-calling the next one, and consecutive
+   instructions are fused into superinstruction units — guard+load /
+   guard+store / guard+guard pairs share one effective-address
+   computation, pure-register runs execute back to back, a pure run and
+   the load or store after it are one unit, and so is each idiom the
+   code generator emits around a load (a binop's
    [mov_imm rA ; load rB ; op rB,rA ; mov rA,rB], a loop test's
    [mov_imm rA ; load rB ; cmp rB,rA ; jcc]), which keeps the loaded and
    computed values in locals. The block's [body] is the first unit:
-   calling it runs the whole block.
+   [enter] charges the block's counters and calls it, which runs the
+   whole block.
 
    Equivalence contract (checked by fuzz property #8 and test_jit):
-   every closure replicates [Interp.exec_decoded]'s architectural
-   effects exactly — the same counter charges in the same order, the
-   same fault payloads and fault-atomicity, the same pc parking. The
-   body has no internal fuel check: the interpreter runs it only when
-   the remaining fuel covers the whole block, and otherwise replays the
-   block's decoded instructions ([src.insns]) through
+   wherever a block can be observed, its state is [Interp.exec_decoded]'s
+   exactly — counters, fault payloads, fault-atomicity, pc. [enter]
+   charges the block's counter totals before the body runs and only the
+   block's end sets pc; each place a block can stop mid-block is a cold
+   path that first rebuilds the reference's counters and pc ([rewind]).
+   The body has no internal fuel check: the interpreter runs it only
+   when the remaining fuel covers the whole block, and otherwise replays
+   the block's decoded instructions ([src.insns]) through
    [Interp.exec_decoded], so a quantum ends on the same boundary as in
    the reference loop.
 
@@ -31,14 +34,14 @@
    page-generation snapshot and is dropped when a lookup finds the
    generations moved. Blocks spanning a writable+executable page
    ("fragile": every LibOS SIP block, since SGX1 code pages are RWX) get
-   the same fusion, but each unit ends at its first memory-writing
-   instruction: within a block only such an instruction can move a page
-   generation, and every move also moves [Mem.code_epoch]. So the body
-   compares the epoch across each writing unit and, if it moved,
-   re-checks the block's generations: a write to some other executable
-   page runs on, and one that made the block stale stops at the
-   boundary after it, where self-modifying code deopts to a fresh
-   translation on the very next fetch.
+   the same fusion. Within a block only a memory write can move a page
+   generation, every move also moves [Mem.code_epoch], and a direct
+   store never moves it. So a fragile block compares the epoch across
+   each write that takes the checked path and, if it moved, re-checks
+   the block's generations: a write to some other executable page runs
+   on, and one that made the block stale stops at the boundary after
+   it, where self-modifying code deopts to a fresh translation on the
+   very next fetch.
 
    Binding: a [t] serves one memory, captured by every closure at
    translation, so a body and each continuation take the CPU alone — a
@@ -71,21 +74,24 @@ type stop =
 type ustat = U_fall | U_stop of stop | U_stale
 
 type body = Cpu.t -> ustat
-(* one translated instruction, unit or the whole block: charge, execute,
-   park pc, run on; faults raise. The memory is the JIT's, bound at
-   translation, so every continuation is a one-argument call. *)
+(* one translated instruction, unit or the whole block: execute, run on;
+   faults raise. The memory is the JIT's, bound at translation, so every
+   continuation is a one-argument call. *)
 
 type compiled = {
   entry : int;
   src : Decode_cache.block;
       (* the generation snapshot, and the decoded instructions a replay
-         runs *)
+         runs and a cold path rewinds over *)
   insns : int; (* instructions in the block *)
+  cycles : int;
+  loads : int;
+  stores : int;
+  bound_checks : int;
+      (* what the block's instructions charge, [enter] charges at once *)
   body : body;
   unit_starts : int array;
-      (* the first instruction index of each unit, in order; a fragile
-         block's body checks the code epoch at each unit boundary after
-         a write *)
+      (* the first instruction index of each unit, in order *)
   writes : bool;
       (* some instruction writes memory, so the block could invalidate
          itself (a store into its own executable page) — the self-loop
@@ -126,6 +132,101 @@ let create ?(max_blocks = 4096) mem =
     invalidations = 0;
   }
 
+(* ---- the reference state on a cold path ----
+
+   A cold path inside instruction [j] of block [b] takes back what the
+   instructions after [j] charge and parks pc where the reference has
+   it, both derived from [b.insns] and [j]: no unit carries a record. *)
+
+(* the [loads], [stores] and [bound_checks] one instruction counts in
+   [Interp.exec_decoded] *)
+let bumps (insn : Insn.t) =
+  match insn with
+  | Load _ | Pop _ | Jmp_mem _ | Ret | Ret_imm _ -> (1, 0, 0)
+  | Store _ | Push _ | Call _ | Call_reg _ -> (0, 1, 0)
+  | Call_mem _ -> (1, 1, 0)
+  | Vscatter _ -> (0, 4, 0)
+  | Bndcl _ | Bndcu _ -> (0, 0, 1)
+  | _ -> (0, 0, 0)
+
+(* charge ([sign] = 1) or take back ([sign] = -1) the counters of [b]'s
+   instructions from index [from] on *)
+let shift (cpu : Cpu.t) (b : Decode_cache.block) ~from sign =
+  for x = from to Array.length b.insns - 1 do
+    let insn = fst b.insns.(x) in
+    let l, s, c = bumps insn in
+    cpu.Cpu.insns <- cpu.Cpu.insns + sign;
+    cpu.Cpu.cycles <- cpu.Cpu.cycles + (sign * Cost.of_insn insn);
+    cpu.Cpu.loads <- cpu.Cpu.loads + (sign * l);
+    cpu.Cpu.stores <- cpu.Cpu.stores + (sign * s);
+    cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + (sign * c)
+  done
+
+(* the pc of [b]'s instruction [j] *)
+let pc_at (b : Decode_cache.block) j =
+  let pc = ref b.entry in
+  for x = 0 to j - 1 do
+    pc := !pc + snd b.insns.(x)
+  done;
+  !pc
+
+(* The reference's state inside instruction [j]: it has charged and
+   counted everything it counts before its access or check, nothing
+   after it has, and pc is on it. *)
+let[@inline never] rewind (cpu : Cpu.t) b j =
+  shift cpu b ~from:(j + 1) (-1);
+  cpu.Cpu.pc <- pc_at b j
+
+let[@inline never] bound_fault cpu b j bi v =
+  rewind cpu b j;
+  raise (Fault.Fault (Bound_fault { bnd = bi; value = v }))
+
+let[@inline never] div_fault (cpu : Cpu.t) b j =
+  rewind cpu b j;
+  raise (Fault.Fault (Div_by_zero { addr = cpu.Cpu.pc }))
+
+(* The checked accessors, the only ones that can fault, run in the
+   reference's state at the access and re-advance after it. [held] is
+   the store a [call_mem] counts only after its load. *)
+let[@inline never] read_checked mem cpu b j a ~size ~held =
+  rewind cpu b j;
+  cpu.Cpu.stores <- cpu.Cpu.stores - held;
+  let x =
+    if size = 1 then Int64.of_int (Mem.read_u8 mem a) else Mem.read_u64 mem a
+  in
+  cpu.Cpu.stores <- cpu.Cpu.stores + held;
+  shift cpu b ~from:(j + 1) 1;
+  x
+
+(* returns the code epoch before the write, for [settle] *)
+let[@inline never] write_checked (mem : Mem.t) cpu b j a v ~size =
+  rewind cpu b j;
+  let e = mem.Mem.code_epoch in
+  if size = 1 then Mem.write_u8 mem a (Int64.to_int v)
+  else Mem.write_u64 mem a v;
+  shift cpu b ~from:(j + 1) 1;
+  e
+
+(* After the checked writes of instruction [j] of a fragile block, the
+   epoch [e] before them: an unmoved epoch proves no page generation
+   moved, and a moved one re-checks [b]'s generations. Either way a
+   still-valid block runs on to [k]; a stale one stops at the boundary
+   after the write. The block's last instruction is not checked: the
+   block exit's validity check covers its write. *)
+let[@inline never] settle (mem : Mem.t) (cpu : Cpu.t) (b : Decode_cache.block)
+    j e (k : Cpu.t -> ustat) =
+  if
+    (not b.fragile)
+    || j = Array.length b.insns - 1
+    || mem.Mem.code_epoch = e
+    || Decode_cache.block_valid mem b
+  then k cpu
+  else begin
+    shift cpu b ~from:(j + 1) (-1);
+    cpu.Cpu.pc <- pc_at b (j + 1);
+    U_stale
+  end
+
 (* ---- translation helpers (must mirror Interp exactly) ----
 
    Host-cost rule for everything a body runs per instruction: the
@@ -146,12 +247,6 @@ let[@inline] get (cpu : Cpu.t) o = Cpu.get64 cpu.Cpu.regs o
 let[@inline] set (cpu : Cpu.t) o v = Cpu.set64 cpu.Cpu.regs o v
 let sp_o = off Reg.sp
 
-let[@inline] charge_n (cpu : Cpu.t) n cost =
-  cpu.Cpu.insns <- cpu.Cpu.insns + n;
-  cpu.Cpu.cycles <- cpu.Cpu.cycles + cost
-
-let[@inline] charge cpu cost = charge_n cpu 1 cost
-
 let[@inline] clamp v =
   if Int64.compare (Int64.logand v addr_mask) v <> 0 then Int64.to_int addr_mask
   else Int64.to_int v
@@ -160,12 +255,12 @@ let[@inline] clamp v =
    indirect branch targets (no clamp, as in the interpreter) *)
 let[@inline] masked v = Int64.to_int (Int64.logand v addr_mask)
 
-(* bndcl/bndcu: count the check, raise the reference's fault *)
-let[@inline] bound_check (cpu : Cpu.t) bi lower v =
-  cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
+(* bndcl/bndcu of instruction [j]: the block charged the check, a
+   failing one raises the reference's fault *)
+let[@inline] bound_check (cpu : Cpu.t) bi lower v ~b ~j =
   let bd = cpu.Cpu.bnds.(bi) in
   if if lower then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
-  then raise (Fault.Fault (Bound_fault { bnd = bi; value = v }))
+  then bound_fault cpu b j bi v
 
 (* The page check. An access [a, a+size) within one page whose
    [Mem.direct] byte has [bit] set behaves exactly like the checked
@@ -185,48 +280,51 @@ let[@inline] direct (mem : Mem.t) a size bit =
   && Char.code (Bytes.unsafe_get mem.Mem.direct (a lsr page_shift)) land bit
      <> 0
 
-(* The access of a load or store at [pc]. Only the checked accessor can
-   fault, so it runs with pc parked at the accessing instruction: a unit
-   that fuses instructions before the access faults with the reference's
-   pc. A unit charges all its instructions before its access; an idiom's
-   [load_v] also commits [v] to the register at byte offset [ao] there,
-   if [ao] >= 0 (the deferred [mov_imm]), and holds back the [after]
-   instructions ([after_cost] cycles) that follow the load until the
-   checked read returns, so a fault leaves the reference's counters. A
-   value returned here is let-bound by an inlined caller, so it stays
-   unboxed. *)
-let[@inline] load_v mem (cpu : Cpu.t) a ~size ~pc ~ao ~v ~after ~after_cost =
+(* The load of instruction [j]. An idiom's [load_v] also commits [v] to
+   the register at byte offset [ao] on the checked path, if [ao] >= 0
+   (the deferred [mov_imm]), so a fault leaves the reference's
+   registers. A value returned here is let-bound by an inlined caller,
+   so it stays unboxed. *)
+let[@inline] load_v mem (cpu : Cpu.t) a ~size ~b ~j ~ao ~v ~held =
   if direct mem a size rd then
     if size = 1 then Int64.of_int (Char.code (Bytes.unsafe_get mem.Mem.data a))
     else Bytes.get_int64_le mem.Mem.data a
   else begin
-    cpu.Cpu.pc <- pc;
     if ao >= 0 then set cpu ao v;
-    charge_n cpu (-after) (-after_cost);
-    let x =
-      if size = 1 then Int64.of_int (Mem.read_u8 mem a) else Mem.read_u64 mem a
-    in
-    charge_n cpu after after_cost;
-    x
+    read_checked mem cpu b j a ~size ~held
   end
 
-let[@inline] load mem cpu a ~size ~pc =
-  load_v mem cpu a ~size ~pc ~ao:(-1) ~v:0L ~after:0 ~after_cost:0
+let[@inline] load mem cpu a ~size ~b ~j =
+  load_v mem cpu a ~size ~b ~j ~ao:(-1) ~v:0L ~held:0
 
-let[@inline] store mem (cpu : Cpu.t) a v ~size ~pc =
+(* a direct store; false when it must take [write_checked] *)
+let[@inline] store_direct mem a v ~size =
   if size = 1 then
-    if direct mem a 1 wr then
-      Bytes.unsafe_set mem.Mem.data a
-        (Char.unsafe_chr (Int64.to_int v land 0xFF))
-    else begin
-      cpu.Cpu.pc <- pc;
-      Mem.write_u8 mem a (Int64.to_int v)
-    end
-  else if direct mem a 8 wr then Bytes.set_int64_le mem.Mem.data a v
-  else begin
-    cpu.Cpu.pc <- pc;
-    Mem.write_u64 mem a v
-  end
+    direct mem a 1 wr
+    && begin
+         Bytes.unsafe_set mem.Mem.data a
+           (Char.unsafe_chr (Int64.to_int v land 0xFF));
+         true
+       end
+  else
+    direct mem a 8 wr
+    && begin
+         Bytes.set_int64_le mem.Mem.data a v;
+         true
+       end
+
+(* The push of [v] by instruction [j]: the store runs before the sp
+   update, so a fault leaves sp alone. Returns the code epoch before a
+   checked write, for [settle], and -1 after a direct one. *)
+let[@inline] push mem cpu b j v =
+  let sp = Int64.sub (get cpu sp_o) 8L in
+  let a = masked sp in
+  let e =
+    if store_direct mem a v ~size:8 then -1
+    else write_checked mem cpu b j a v ~size:8
+  in
+  set cpu sp_o sp;
+  e
 
 (* A memory operand, pre-resolved so that a body computes its effective
    address inline, with no call: [bo] and [io] are the base's and the
@@ -281,9 +379,8 @@ let[@inline] alu (op : Insn.alu_op) x y =
 (* ---- pure-register cores ---- *)
 
 (* A "core" is the architectural effect of a register-only instruction
-   that can neither fault nor touch memory: no counter charges, no pc
-   parking. [compile_body] wraps one in a charge and a park; a pure run
-   chains several under one bulk charge (see [pure_unit]). *)
+   that can neither fault nor touch memory. [compile_body] runs one
+   alone; a pure run chains several (see [pure_unit]). *)
 let core_of (insn : Insn.t) : (Cpu.t -> unit) option =
   match insn with
   | Nop -> Some (fun _ -> ())
@@ -415,19 +512,15 @@ type access = Ld of Reg.t * int | St of Reg.t * int
 (* The rest of a codegen idiom after its load into rB: the operand rA,
    held as the local [v] when a [mov_imm rA,v] came before the load,
    then [alu rB,rA ; mov rA,rB] or the block-ending [cmp rB,rA ; jcc]
-   (condition, taken target); [cost2] is the cycles of those two *)
-type idiom = { a : Reg.t; v : int64 option; op : idiom_op; cost2 : int }
+   (condition, taken target) *)
+type idiom = { a : Reg.t; v : int64 option; op : idiom_op }
 and idiom_op = I_alu of Insn.alu_op | I_jcc of Insn.cond * int
 
-(* One unit around one load or store at [pc]. Its [n] instructions up to
-   and including the access cost [cost] cycles; an idiom's two after the
-   load cost [cost2]. The unit charges them all at its start, and the
-   checked path, the only one that can fault, holds back the idiom's two
-   until the read returns. So a fault leaves the reference's counters,
-   pc and registers. The unit starts with the pure run [cores], or, in
+(* One unit around the load or store of block [b]'s instruction [j],
+   ending at [end_pc]. The unit starts with the pure run [cores], or, in
    an idiom, with the [mov_imm rA,v] that only the checked path commits
    before the access: each register is written once, at the end. *)
-let mem_unit mem ~n ~cost ~cores ~(access : access) ~e ~pc ~end_pc
+let mem_unit mem ~b ~j ~cores ~(access : access) ~e ~end_pc
     ~(idiom : idiom option) ~(k : body) : body =
   let ops = seq_cores cores in
   let run = match cores with [] -> false | _ :: _ -> true in
@@ -435,49 +528,36 @@ let mem_unit mem ~n ~cost ~cores ~(access : access) ~e ~pc ~end_pc
   | St (s, size), _ ->
       let so = off s in
       fun cpu ->
-        charge_n cpu n cost;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         if run then ops cpu;
-        store mem cpu (addr cpu e) (get cpu so) ~size ~pc;
-        cpu.Cpu.pc <- end_pc;
-        k cpu
-  | Ld (b, size), None ->
-      let bo = off b in
+        let a = addr cpu e and v = get cpu so in
+        if store_direct mem a v ~size then k cpu
+        else settle mem cpu b j (write_checked mem cpu b j a v ~size) k
+  | Ld (r, size), None ->
+      let ro = off r in
       fun cpu ->
-        charge_n cpu n cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         if run then ops cpu;
-        let x = load mem cpu (addr cpu e) ~size ~pc in
-        set cpu bo x;
-        cpu.Cpu.pc <- end_pc;
+        let x = load mem cpu (addr cpu e) ~size ~b ~j in
+        set cpu ro x;
         k cpu
-  | Ld (b, size), Some { a; v; op; cost2 } -> (
-      let bo = off b and ao = off a in
+  | Ld (r, size), Some { a; v; op } -> (
+      let bo = off r and ao = off a in
       let has_v = Option.is_some v and v = Option.value v ~default:0L in
       let park = if has_v then ao else -1 in
-      let n = n + 2 and total = cost + cost2 in
       match op with
       | I_alu op ->
           fun cpu ->
-            charge_n cpu n total;
-            cpu.Cpu.loads <- cpu.Cpu.loads + 1;
             let x =
-              load_v mem cpu (addr cpu e) ~size ~pc ~ao:park ~v ~after:2
-                ~after_cost:cost2
+              load_v mem cpu (addr cpu e) ~size ~b ~j ~ao:park ~v ~held:0
             in
             let y = if has_v then v else get cpu ao in
             let r = alu op x y in
             set cpu bo r;
             set cpu ao r;
-            cpu.Cpu.pc <- end_pc;
             k cpu
       | I_jcc (c, tgt) ->
           fun cpu ->
-            charge_n cpu n total;
-            cpu.Cpu.loads <- cpu.Cpu.loads + 1;
             let x =
-              load_v mem cpu (addr cpu e) ~size ~pc ~ao:park ~v ~after:2
-                ~after_cost:cost2
+              load_v mem cpu (addr cpu e) ~size ~b ~j ~ao:park ~v ~held:0
             in
             let y = if has_v then v else get cpu ao in
             set cpu bo x;
@@ -488,112 +568,87 @@ let mem_unit mem ~n ~cost ~cores ~(access : access) ~e ~pc ~end_pc
             cpu.Cpu.pc <- (if holds c eq lt then tgt else end_pc);
             k cpu)
 
-(* Translate one instruction spanning [pc, pc+len). Total: every opcode
-   compiles (privileged ones to a charge-then-fault stub, exactly as the
-   interpreter charges before classifying them). *)
-let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
+(* Translate block [b]'s instruction [j], spanning [pc, pc+len). Total:
+   every opcode compiles (privileged ones to a stub that stops with the
+   reference's fault, which charges before it classifies them). *)
+let compile_body (mem : Mem.t) b j (insn : Insn.t) ~pc ~len ~(k : body) : body
+    =
   let end_pc = pc + len in
-  let cost = Cost.of_insn insn in
+  (* a privileged stub and the syscall gate end their block, so nothing
+     after them was charged: they only park pc where the reference has
+     it *)
   let priv name =
+    let s = Stop_fault (Privileged { addr = pc; insn = name }) in
     fun (cpu : Cpu.t) ->
-      charge cpu cost;
-      U_stop (Stop_fault (Privileged { addr = pc; insn = name }))
+      cpu.Cpu.pc <- pc;
+      U_stop s
   in
-  let guard lower b (ea : Insn.ea) =
-    let bi = Reg.bnd_to_int b in
+  let guard lower bnd (ea : Insn.ea) =
+    let bi = Reg.bnd_to_int bnd in
     match ea with
     | Ea_reg r ->
         let ro = off r in
         fun (cpu : Cpu.t) ->
-          charge cpu cost;
-          bound_check cpu bi lower (get cpu ro);
-          cpu.Cpu.pc <- end_pc;
+          bound_check cpu bi lower (get cpu ro) ~b ~j;
           k cpu
     | Ea_mem m ->
         let e = resolve m ~end_pc in
         fun (cpu : Cpu.t) ->
-          charge cpu cost;
-          bound_check cpu bi lower (Int64.of_int (addr cpu e));
-          cpu.Cpu.pc <- end_pc;
+          bound_check cpu bi lower (Int64.of_int (addr cpu e)) ~b ~j;
           k cpu
   in
   match insn with
-  | Nop | Cfi_label _ ->
-      fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.pc <- end_pc;
-        k cpu
+  | Nop | Cfi_label _ -> k
   | Mov_imm (r, v) ->
       let ro = off r in
       fun cpu ->
-        charge cpu cost;
         set cpu ro v;
-        cpu.Cpu.pc <- end_pc;
         k cpu
   | Mov_reg (d, s) ->
       let dO = off d and so = off s in
       fun cpu ->
-        charge cpu cost;
         set cpu dO (get cpu so);
-        cpu.Cpu.pc <- end_pc;
         k cpu
   | Load { dst; src; size } ->
-      mem_unit mem ~n:1 ~cost ~cores:[] ~access:(Ld (dst, size))
-        ~e:(resolve src ~end_pc) ~pc ~end_pc ~idiom:None ~k
+      mem_unit mem ~b ~j ~cores:[] ~access:(Ld (dst, size))
+        ~e:(resolve src ~end_pc) ~end_pc ~idiom:None ~k
   | Store { dst; src; size } ->
-      mem_unit mem ~n:1 ~cost ~cores:[] ~access:(St (src, size))
-        ~e:(resolve dst ~end_pc) ~pc ~end_pc ~idiom:None ~k
+      mem_unit mem ~b ~j ~cores:[] ~access:(St (src, size))
+        ~e:(resolve dst ~end_pc) ~end_pc ~idiom:None ~k
   | Push r ->
       let ro = off r in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        (* store before the sp update: fault atomicity *)
-        let sp = Int64.sub (get cpu sp_o) 8L in
-        store mem cpu (masked sp) (get cpu ro) ~size:8 ~pc;
-        set cpu sp_o sp;
-        cpu.Cpu.pc <- end_pc;
-        k cpu
+        let e = push mem cpu b j (get cpu ro) in
+        if e < 0 then k cpu else settle mem cpu b j e k
   | Pop r ->
       let ro = off r in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let sp = get cpu sp_o in
-        let x = load mem cpu (masked sp) ~size:8 ~pc in
+        let x = load mem cpu (masked sp) ~size:8 ~b ~j in
         set cpu ro x;
         (* [pop sp] keeps the loaded value, as in the interpreter *)
         if ro <> sp_o then set cpu sp_o (Int64.add sp 8L);
-        cpu.Cpu.pc <- end_pc;
         k cpu
   | Lea (r, m) ->
       let ro = off r in
       let e = resolve m ~end_pc in
       fun cpu ->
-        charge cpu cost;
         set cpu ro (Int64.of_int (addr cpu e));
-        cpu.Cpu.pc <- end_pc;
         k cpu
   | Alu (Add, d, O_imm v) ->
       let dO = off d in
       fun cpu ->
-        charge cpu cost;
         set cpu dO (Int64.add (get cpu dO) v);
-        cpu.Cpu.pc <- end_pc;
         k cpu
   | Alu (Add, d, O_reg r) ->
       let dO = off d and ro = off r in
       fun cpu ->
-        charge cpu cost;
         set cpu dO (Int64.add (get cpu dO) (get cpu ro));
-        cpu.Cpu.pc <- end_pc;
         k cpu
   | Alu (Sub, d, O_imm v) ->
       let dO = off d in
       fun cpu ->
-        charge cpu cost;
         set cpu dO (Int64.sub (get cpu dO) v);
-        cpu.Cpu.pc <- end_pc;
         k cpu
   | Alu (((Divu | Remu) as op), d, o) ->
       let dO = off d and rem = op = Remu in
@@ -601,110 +656,86 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
       let so = match o with O_reg r -> off r | O_imm _ -> -1 in
       let imm = match o with O_imm v -> v | O_reg _ -> 0L in
       fun cpu ->
-        charge cpu cost;
-        let b = if so < 0 then imm else get cpu so in
-        if Int64.equal b 0L then raise (Fault.Fault (Div_by_zero { addr = pc }));
-        let a = get cpu dO in
+        let y = if so < 0 then imm else get cpu so in
+        if Int64.equal y 0L then div_fault cpu b j;
+        let x = get cpu dO in
         set cpu dO
-          (if rem then Int64.unsigned_rem a b else Int64.unsigned_div a b);
-        cpu.Cpu.pc <- end_pc;
+          (if rem then Int64.unsigned_rem x y else Int64.unsigned_div x y);
         k cpu
   | Alu _ | Cmp _ -> (
       match core_of insn with
       | Some core ->
           fun cpu ->
-            charge cpu cost;
             core cpu;
-            cpu.Cpu.pc <- end_pc;
             k cpu
       | None -> assert false)
   | Jmp rel ->
       let tgt = end_pc + rel in
       fun cpu ->
-        charge cpu cost;
         cpu.Cpu.pc <- tgt;
         k cpu
   | Jcc (c, rel) ->
       let tgt = end_pc + rel in
       fun cpu ->
-        charge cpu cost;
         cpu.Cpu.pc <-
           (if holds c cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc);
         k cpu
+  (* a call ends its block, so its write needs no epoch check *)
   | Call rel ->
       let tgt = end_pc + rel in
       let ret = Int64.of_int end_pc in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub (get cpu sp_o) 8L in
-        store mem cpu (masked sp) ret ~size:8 ~pc;
-        set cpu sp_o sp;
+        ignore (push mem cpu b j ret);
         cpu.Cpu.pc <- tgt;
         k cpu
   | Jmp_reg r ->
       let ro = off r in
       fun cpu ->
-        charge cpu cost;
         cpu.Cpu.pc <- masked (get cpu ro);
         k cpu
   | Call_reg r ->
       let ro = off r in
       let ret = Int64.of_int end_pc in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub (get cpu sp_o) 8L in
-        store mem cpu (masked sp) ret ~size:8 ~pc;
-        set cpu sp_o sp;
+        ignore (push mem cpu b j ret);
         cpu.Cpu.pc <- masked (get cpu ro);
         k cpu
   | Jmp_mem m ->
       let e = resolve m ~end_pc in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let target = load mem cpu (addr cpu e) ~size:8 ~pc in
+        let target = load mem cpu (addr cpu e) ~size:8 ~b ~j in
         cpu.Cpu.pc <- masked target;
         k cpu
   | Call_mem m ->
       let e = resolve m ~end_pc in
       let ret = Int64.of_int end_pc in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let target = load mem cpu (addr cpu e) ~size:8 ~pc in
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub (get cpu sp_o) 8L in
-        store mem cpu (masked sp) ret ~size:8 ~pc;
-        set cpu sp_o sp;
+        let target =
+          load_v mem cpu (addr cpu e) ~size:8 ~b ~j ~ao:(-1) ~v:0L ~held:1
+        in
+        ignore (push mem cpu b j ret);
         cpu.Cpu.pc <- masked target;
         k cpu
   | Ret ->
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let sp = get cpu sp_o in
-        let target = load mem cpu (masked sp) ~size:8 ~pc in
+        let target = load mem cpu (masked sp) ~size:8 ~b ~j in
         set cpu sp_o (Int64.add sp 8L);
         cpu.Cpu.pc <- masked target;
         k cpu
   | Ret_imm n ->
       let adj = Int64.of_int n in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         (* the pop may fault; sp commits only afterwards *)
         let sp = get cpu sp_o in
-        let target = load mem cpu (masked sp) ~size:8 ~pc in
+        let target = load mem cpu (masked sp) ~size:8 ~b ~j in
         set cpu sp_o (Int64.add (Int64.add sp 8L) adj);
         cpu.Cpu.pc <- masked target;
         k cpu
-  | Bndcl (b, ea) -> guard true b ea
-  | Bndcu (b, ea) -> guard false b ea
+  | Bndcl (bnd, ea) -> guard true bnd ea
+  | Bndcu (bnd, ea) -> guard false bnd ea
   | Syscall_gate ->
       fun cpu ->
-        charge cpu cost;
         cpu.Cpu.pc <- end_pc;
         U_stop Stop_syscall
   | Hlt -> priv "hlt"
@@ -717,18 +748,20 @@ let compile_body (mem : Mem.t) (insn : Insn.t) ~pc ~len ~(k : body) : body =
   | Wrfsbase _ -> priv "wrfsbase"
   | Wrgsbase _ -> priv "wrgsbase"
   | Vscatter { base; index; scale; src } ->
+      (* never accepted by the verifier: the epoch is compared across
+         all four lanes *)
       let bo = off base and io = off index and so = off src in
       let s = Int64.of_int scale in
       fun cpu ->
-        charge cpu cost;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 4;
-        let b = get cpu bo and i = get cpu io in
+        let e = mem.Mem.code_epoch in
+        let x = get cpu bo and i = get cpu io in
         for lane = 0 to 3 do
-          let a = Int64.add b (Int64.mul (Int64.add i (Int64.of_int lane)) s) in
-          store mem cpu (masked a) (get cpu so) ~size:8 ~pc
+          let a = Int64.add x (Int64.mul (Int64.add i (Int64.of_int lane)) s) in
+          let a = masked a and v = get cpu so in
+          if not (store_direct mem a v ~size:8) then
+            ignore (write_checked mem cpu b j a v ~size:8)
         done;
-        cpu.Cpu.pc <- end_pc;
-        k cpu
+        settle mem cpu b j e k
 
 (* ---- superinstructions ---- *)
 
@@ -742,58 +775,47 @@ type second =
   | S_store of Reg.t * int
   | S_guard of bool * Reg.bnd (* lower?, register *)
 
-(* The pair's guard half: charge, check, park; returns the shared
+(* The pair's guard half, instruction [j]: check; returns the shared
    effective address. Closed and [@inline], so each fused body below
    runs it without a call. *)
-let[@inline] guard_half (cpu : Cpu.t) e ~cost1 ~bi1 ~lower1 ~pc2 =
-  charge cpu cost1;
+let[@inline] guard_half (cpu : Cpu.t) e ~bi1 ~lower1 ~b ~j =
   let a = addr cpu e in
-  bound_check cpu bi1 lower1 (Int64.of_int a);
-  cpu.Cpu.pc <- pc2;
+  bound_check cpu bi1 lower1 (Int64.of_int a) ~b ~j;
   a
 
-let fuse_guard_mem (mem : Mem.t) ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1
-    ~(second : second) ~len2 ~cost2 ~(k : body) : body =
-  let pc2 = pc1 + len1 in
-  let end2 = pc2 + len2 in
+let fuse_guard_mem (mem : Mem.t) ~b ~j ~lower1 ~b1 ~m ~pc2 ~(second : second)
+    ~(k : body) : body =
+  let j2 = j + 1 in
   let bi1 = Reg.bnd_to_int b1 in
   let e = resolve m ~end_pc:pc2 in
   match second with
   | S_load (dst, size) ->
       let dO = off dst in
       fun cpu ->
-        let a = guard_half cpu e ~cost1 ~bi1 ~lower1 ~pc2 in
-        charge cpu cost2;
-        cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let x = load mem cpu a ~size ~pc:pc2 in
+        let a = guard_half cpu e ~bi1 ~lower1 ~b ~j in
+        let x = load mem cpu a ~size ~b ~j:j2 in
         set cpu dO x;
-        cpu.Cpu.pc <- end2;
         k cpu
   | S_store (src, size) ->
       let so = off src in
       fun cpu ->
-        let a = guard_half cpu e ~cost1 ~bi1 ~lower1 ~pc2 in
-        charge cpu cost2;
-        cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        store mem cpu a (get cpu so) ~size ~pc:pc2;
-        cpu.Cpu.pc <- end2;
-        k cpu
+        let a = guard_half cpu e ~bi1 ~lower1 ~b ~j in
+        let v = get cpu so in
+        if store_direct mem a v ~size then k cpu
+        else settle mem cpu b j2 (write_checked mem cpu b j2 a v ~size) k
   | S_guard (lower2, b2) ->
       let bi2 = Reg.bnd_to_int b2 in
       fun cpu ->
-        let a = guard_half cpu e ~cost1 ~bi1 ~lower1 ~pc2 in
-        charge cpu cost2;
-        bound_check cpu bi2 lower2 (Int64.of_int a);
-        cpu.Cpu.pc <- end2;
+        let a = guard_half cpu e ~bi1 ~lower1 ~b ~j in
+        bound_check cpu bi2 lower2 (Int64.of_int a) ~b ~j:j2;
         k cpu
 
 (* ---- pure-register superinstructions ---- *)
 
-(* A maximal run of cores compiles into one unit that charges
-   [insns]/[cycles] in bulk and executes the cores back to back — legal
-   because a body only runs when the remaining fuel covers the whole
-   block, and a pure run cannot fault or write, so there is no
-   observation point inside the run. *)
+(* A maximal run of cores compiles into one unit that executes the cores
+   back to back — legal because a body only runs when the remaining fuel
+   covers the whole block, and a pure run cannot fault or write, so
+   there is no observation point inside the run. *)
 
 (* A direct branch as the run's tail: it only sets pc, so fusing it
    (cmp+branch is the classic pair) costs nothing extra. *)
@@ -810,19 +832,16 @@ let term_core_of (insn : Insn.t) ~end_pc : (Cpu.t -> unit) option =
             (if holds c cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc))
   | _ -> None
 
-let pure_unit ~(cores : (Cpu.t -> unit) list) ~n ~total_cost ~(k : body) : body
-    =
+let pure_unit ~(cores : (Cpu.t -> unit) list) ~(k : body) : body =
   let ops = seq_cores cores in
   fun cpu ->
-    charge_n cpu n total_cost;
     ops cpu;
     k cpu
 
 (* ---- block compilation ---- *)
 
 (* The instructions that write memory: within a block, the only way a
-   page generation can move. A fragile block's body checks the code
-   epoch only after one of these. *)
+   page generation can move. *)
 let insn_writes = function
   | Insn.Store _ | Insn.Push _ | Insn.Call _ | Insn.Call_reg _
   | Insn.Call_mem _ | Insn.Vscatter _ ->
@@ -844,23 +863,8 @@ let guard_of = function
   | Insn.Bndcu (b, Insn.Ea_mem m) -> Some (false, b, m)
   | _ -> None
 
-(* The end of a block, and of a write the epoch is checked after *)
+(* The end of a block whose last instruction set pc or stopped *)
 let ret : body = fun _ -> U_fall
-
-(* A write of block [b], fragile, compiled to return to [checked] rather
-   than to run on. An unmoved epoch proves no page generation moved; a
-   moved one re-checks [b]'s generations. Either way a still-valid block
-   goes on to [k]; a stale one stops at the boundary after the write. *)
-let checked (mem : Mem.t) (b : Decode_cache.block) (w : body) (k : body) :
-    body =
- fun cpu ->
-  let e = mem.Mem.code_epoch in
-  match w cpu with
-  | U_fall ->
-      if mem.Mem.code_epoch = e || Decode_cache.block_valid mem b then
-        k cpu
-      else U_stale
-  | s -> s
 
 let compile t (b : Decode_cache.block) : compiled =
   let mem = t.mem in
@@ -882,14 +886,6 @@ let compile t (b : Decode_cache.block) : compiled =
         | Bndcl (_, Ea_mem m2) | Bndcu (_, Ea_mem m2) -> m2 = m
         | _ -> false)
     | _ -> false
-  in
-  let cost_of i j =
-    (* the cycles of instructions [i, j) *)
-    let c = ref 0 in
-    for x = i to j - 1 do
-      c := !c + Cost.of_insn (insn x)
-    done;
-    !c
   in
   let cores = Array.init n (fun j -> core_of (insn j)) in
   let core j = match cores.(j) with Some f -> f | None -> assert false in
@@ -923,10 +919,10 @@ let compile t (b : Decode_cache.block) : compiled =
     | Load _ -> Option.map (fun (ra, op) -> (None, ra, op)) (idiom_body i)
     | _ -> None
   in
-  (* the units, last first: (first instruction, instructions, the unit
-     given its continuation) *)
+  (* the units, last first: (first instruction, the unit given its
+     continuation) *)
   let units = ref [] in
-  let emit i k f = units := (i, k, f) :: !units in
+  let emit i f = units := (i, f) :: !units in
   let i = ref 0 in
   (* the memory unit of instructions [i, j], the access at j, and an
      idiom's last two *)
@@ -937,12 +933,12 @@ let compile t (b : Decode_cache.block) : compiled =
       | Store { dst; src; size } -> (St (src, size), dst)
       | _ -> assert false
     in
-    let kk = j - !i + if Option.is_none idiom then 1 else 3 in
-    emit !i kk
-      (mem_unit mem ~n:(j - !i + 1) ~cost:(cost_of !i (j + 1)) ~cores ~access
+    let last = if Option.is_none idiom then j else j + 2 in
+    emit !i
+      (mem_unit mem ~b ~j ~cores ~access
          ~e:(resolve m ~end_pc:pcs.(j + 1))
-         ~pc:pcs.(j) ~end_pc:pcs.(!i + kk) ~idiom);
-    i := !i + kk
+         ~end_pc:pcs.(last + 1) ~idiom);
+    i := last + 1
   in
   while !i < n do
     if pair_at !i then begin
@@ -957,20 +953,15 @@ let compile t (b : Decode_cache.block) : compiled =
         | Bndcu (b2, _) -> S_guard (false, b2)
         | _ -> assert false
       in
-      emit !i 2
-        (fuse_guard_mem mem ~lower1 ~b1 ~m ~pc1:pcs.(!i) ~len1:(len !i)
-           ~cost1:(Cost.of_insn (insn !i))
-           ~second
-           ~len2:(len (!i + 1))
-           ~cost2:(Cost.of_insn (insn (!i + 1))));
+      emit !i
+        (fuse_guard_mem mem ~b ~j:!i ~lower1 ~b1 ~m ~pc2:pcs.(!i + 1) ~second);
       i := !i + 2
     end
     else
       match idiom_at !i with
       | Some (v, a, op) ->
           let j = if Option.is_none v then !i else !i + 1 in
-          emit_mem j ~cores:[]
-            ~idiom:(Some { a; v; op; cost2 = cost_of (j + 1) (j + 3) })
+          emit_mem j ~cores:[] ~idiom:(Some { a; v; op })
       | None ->
           (* maximal pure-register run starting at i, up to the next
              idiom; inside a run only a mov_imm can start one *)
@@ -1003,41 +994,39 @@ let compile t (b : Decode_cache.block) : compiled =
             in
             let kk = !run + match tail with Some _ -> 1 | None -> 0 in
             if kk >= 2 then begin
-              (* one bulk-charged unit over the whole run *)
-              let park =
-                match tail with
-                | Some f -> f
-                | None ->
-                    let end_pc = pcs.(r) in
-                    fun cpu -> cpu.Cpu.pc <- end_pc
-              in
-              emit !i kk
-                (pure_unit ~cores:(cores @ [ park ]) ~n:kk
-                   ~total_cost:(cost_of !i (!i + kk)));
+              (* one unit over the whole run *)
+              emit !i (pure_unit ~cores:(cores @ Option.to_list tail));
               i := !i + kk
             end
             else begin
-              emit !i 1 (compile_body mem (insn !i) ~pc:pcs.(!i) ~len:(len !i));
+              emit !i
+                (compile_body mem b !i (insn !i) ~pc:pcs.(!i) ~len:(len !i));
               incr i
             end
   done;
-  (* in a fragile block every write ends its unit, and the epoch is
-     checked after each one but the block's last instruction, whose
-     write the block exit's validity check covers *)
-  let check_after j = b.fragile && j < n - 1 && insn_writes (insn j) in
-  let body =
-    List.fold_left
-      (fun k (j, kk, f) ->
-        if check_after (j + kk - 1) then checked mem b (f ~k:ret) k else f ~k)
-      ret !units
+  (* a last instruction that falls through (the block hit its length
+     cap or unfetchable code) leaves pc after it here *)
+  let last =
+    if Decode_cache.terminates (insn (n - 1)) then ret
+    else
+      let end_pc = pcs.(n) in
+      fun (cpu : Cpu.t) ->
+        cpu.Cpu.pc <- end_pc;
+        U_fall
   in
+  let total = Cpu.create () in
+  shift total b ~from:0 1;
   let rec c =
     {
       entry = b.entry;
       src = b;
       insns = n;
-      body;
-      unit_starts = Array.of_list (List.rev_map (fun (j, _, _) -> j) !units);
+      cycles = total.Cpu.cycles;
+      loads = total.Cpu.loads;
+      stores = total.Cpu.stores;
+      bound_checks = total.Cpu.bound_checks;
+      body = List.fold_left (fun k (_, f) -> f ~k) last !units;
+      unit_starts = Array.of_list (List.rev_map fst !units);
       writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
       valid_at = mem.Mem.code_epoch;
       live = false;
@@ -1045,6 +1034,16 @@ let compile t (b : Decode_cache.block) : compiled =
     }
   in
   c
+
+(* The one way into a compiled block: charge everything it charges, then
+   run it. *)
+let enter c (cpu : Cpu.t) =
+  cpu.Cpu.insns <- cpu.Cpu.insns + c.insns;
+  cpu.Cpu.cycles <- cpu.Cpu.cycles + c.cycles;
+  cpu.Cpu.loads <- cpu.Cpu.loads + c.loads;
+  cpu.Cpu.stores <- cpu.Cpu.stores + c.stores;
+  cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + c.bound_checks;
+  c.body cpu
 
 (* ---- the code cache ---- *)
 

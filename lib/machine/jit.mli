@@ -9,17 +9,27 @@
     [mov_imm ; load ; cmp ; jcc]), and each instruction or unit
     tail-calls the next.
 
+    A compiled block's counters are charged once, at {!enter}: a unit's
+    fast path computes only registers and memory, and only the block's
+    end sets pc. The places a block can be observed mid-block are cold
+    paths — a checked {!Mem} access, a failing bound check, a division
+    by zero, a privileged stub, the syscall gate and a stale exit — and
+    each first takes back what the instructions after it charge and
+    parks pc where the reference loop has it, so every observed state is
+    {!Interp.step}'s exactly.
+
     The body has no internal fuel check. The interpreter runs it only
     when the remaining fuel covers the whole block; otherwise it replays
     the block's decoded instructions from [src] up to the boundary where
     the fuel ends. Compiled blocks keep the source block's
     page-generation snapshot for invalidation. Blocks on
     writable+executable pages (every LibOS SIP block: SGX1 code pages
-    are RWX) get the same fusion, but the body compares
-    {!Mem.code_epoch} across each memory write (but a write that is the
-    block's last instruction); when it moved, the body re-checks the
-    block's generations and stops at the boundary after a write that
-    made the block stale. Each compiled block links to the successor the last
+    are RWX) get the same fusion; a write that takes the checked path
+    there (a direct store never moves the epoch) compares
+    {!Mem.code_epoch} across itself, unless it is the block's last
+    instruction. When it moved, the body re-checks the block's
+    generations and stops at the boundary after a write that made the
+    block stale. Each compiled block links to the successor the last
     lookup at its exit found ({!follow}).
 
     A code cache is bound to one {!Mem.t} ({!create}): bodies capture it
@@ -45,9 +55,10 @@ type ustat =
           every counter are parked at the boundary after that write *)
 
 type body = Cpu.t -> ustat
-(** A whole translated block: charges counters, executes, parks pc.
-    Faults raise {!Fault.Fault}. It runs against the memory of the
-    {!t} that compiled it. *)
+(** A whole translated block, run by {!enter} once the block's counters
+    are charged: executes and sets pc at its end. Faults raise
+    {!Fault.Fault} with the reference's state. It runs against the
+    memory of the {!t} that compiled it. *)
 
 type compiled = {
   entry : int;
@@ -55,12 +66,17 @@ type compiled = {
       (** carries the generation snapshot, and the decoded instructions
           a replay runs *)
   insns : int;  (** instructions in the block *)
+  cycles : int;
+  loads : int;
+  stores : int;
+  bound_checks : int;
+      (** what the block's instructions charge ({!Cost.of_insn} and the
+          reference's counts), charged at once by {!enter} *)
   body : body;
   unit_starts : int array;
-      (** the index of each fused unit's first instruction, in order. A
-          fragile block's units end at every memory write, and its body
-          compares {!Mem.code_epoch} at each unit boundary that follows
-          a write. *)
+      (** the index of each fused unit's first instruction, in order:
+          the layout the body was built from. Every memory write ends
+          its unit. *)
   writes : bool;
       (** some instruction writes memory; the interpreter's self-loop
           re-entry revalidates only such blocks *)
@@ -93,9 +109,14 @@ val insn_writes : Occlum_isa.Insn.t -> bool
 
 val compile : t -> Decode_cache.block -> compiled
 (** Translate a block built from [t]'s memory, without interning it
-    (total: every opcode compiles, privileged ones to charge-then-fault
-    stubs). Exposed for tests and the compile-cost micro; {!translate}
-    also builds the block and interns the result. *)
+    (total: every opcode compiles, privileged ones to stubs that stop
+    with the reference's fault). Exposed for tests and the compile-cost
+    micro; {!translate} also builds the block and interns the result. *)
+
+val enter : compiled -> Cpu.t -> ustat
+(** Run a compiled block: charge its [insns], [cycles], [loads],
+    [stores] and [bound_checks], then run its [body]. The block must be
+    valid and the fuel must cover it. *)
 
 val valid : t -> compiled -> bool
 (** The block's generation snapshot still matches [t]'s memory: exactly

@@ -43,9 +43,10 @@ type t = {
   gens : int array; (* per-page code generation, see [page_gen] *)
   mutable code_epoch : int;
   (* Moves whenever any page generation moves. A compiled block reads it
-     after each of its writes: an unmoved epoch proves no generation
-     moved, so the block is still valid. A direct store never moves it:
-     [direct_write] is only granted on writable, non-executable pages. *)
+     around each of its writes that takes the checked path: an unmoved
+     epoch proves no generation moved, so the block is still valid. A
+     direct store never moves it: [direct_write] is only granted on
+     writable, non-executable pages. *)
   size : int;
   (* EPC demand paging. When [paged] is false (the default) none of the
      fields below are consulted and every mapped page is its own frame,

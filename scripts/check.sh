@@ -342,6 +342,16 @@ if grep -nE 'compile_ea|Cpu\.t -> int\b' lib/machine/jit.ml; then
   exit 1
 fi
 
+# A compiled block charges its counters once, at Jit.enter, and only its
+# cold paths rebuild the reference's counters and pc. A per-unit charge,
+# or the wrapper that compared the code epoch around every writing unit
+# (the write path compares it on its checked branch), must not come
+# back.
+if grep -nE 'charge_n|charge cpu|let checked|checked mem b' lib/machine/jit.ml; then
+  echo "FAIL: per-unit bookkeeping reappeared in lib/machine/jit.ml (see docs/jit.md, Translation)" >&2
+  exit 1
+fi
+
 # One syscall table: every syscall is reached through one lookup by
 # number in Os, and a table entry's batch field is the one list of calls
 # a batch may not carry. A chain of number comparisons must not come

@@ -322,7 +322,7 @@ let test_rwx_units_end_at_writes () =
   let whole = ref Jit.U_stale in
   Alcotest.(check string) "the body covers the block: body = reference"
     (run (fun mem cpu -> ignore (Interp.run mem cpu ~fuel:n)))
-    (run (fun mem cpu -> whole := (snd (compiled_block mem)).Jit.body cpu));
+    (run (fun mem cpu -> whole := Jit.enter (snd (compiled_block mem)) cpu));
   Alcotest.(check bool) "the body ran to the block's end" true
     (!whole = Jit.U_fall)
 
@@ -721,7 +721,7 @@ let test_store_to_other_code_page () =
   prep mem;
   let _, c = compiled_block mem in
   let e0 = mem.Mem.code_epoch in
-  let whole = c.Jit.body cpu in
+  let whole = Jit.enter c cpu in
   Alcotest.(check bool) "the body runs on past its stores to the block's end"
     true
     (whole = Jit.U_fall && mem.Mem.code_epoch > e0);
@@ -1233,6 +1233,213 @@ let prop_idioms_match_reference =
       done;
       true)
 
+(* A fault at every unit position, through the lockstep engine. A
+   compiled block charges its counters at entry; each place it can stop
+   mid-block rebuilds the reference's counters and pc. One block holds
+   every unit shape — a guard pair, a guard+load and a guard+store pair,
+   a binop idiom, a pure run and its store, push, pop and divu — and
+   ends in a loop-test idiom, a [call_mem] or a privileged [hlt] (which,
+   like every privileged opcode, ends its block). Each unit is made to
+   fault in turn, with every unit after it still charged by the block:
+   a bound fault on either half of a pair, an unmapped access (in the
+   bounds, in the guard gap past the data region) or, on a paged pool,
+   an [Epc_miss] on the unit's own evicted page (there every access
+   takes the checked path, so the ones before the fault also re-advance),
+   and a division by zero. Code is r-x or RWX. The engine compares pc,
+   flags, registers, bounds, all five counters and memory at the fault
+   with the reference loop. *)
+(* which unit faults: the bndcl or a bndcu of the guard pair starting
+   at an instruction index, the access to a data page, the division *)
+type fault_at =
+  | Benign
+  | Bound_low of int
+  | Bound_high of int
+  | Access of int
+  | Div
+
+let test_fault_at_every_unit () =
+  let module Asm = Occlum_toolchain.Asm in
+  let module Fgen = Occlum_fuzzing.Gen in
+  let module Epc = Occlum_sgx.Epc in
+  let ps = Mem.page_size in
+  let ins i = Asm.Ins i in
+  let at r disp = Insn.Sib { base = r; index = None; scale = 1; disp } in
+  let bnd = Reg.bnd2 in
+  let body =
+    [
+      ins (Bndcl (bnd, Ea_mem (at Reg.r1 0)));
+      ins (Bndcu (bnd, Ea_mem (at Reg.r1 0)));
+      ins (Bndcu (bnd, Ea_mem (at Reg.r2 8)));
+      ins (Load { dst = Reg.r13; src = at Reg.r2 8; size = 8 });
+      ins (Bndcu (bnd, Ea_mem (at Reg.r3 0)));
+      ins (Store { dst = at Reg.r3 0; src = Reg.r0; size = 8 });
+      ins (Mov_imm (Reg.r5, 9L));
+      ins (Load { dst = Reg.r6; src = at Reg.r4 0; size = 8 });
+      ins (Alu (Add, Reg.r6, O_reg Reg.r5));
+      ins (Mov_reg (Reg.r5, Reg.r6));
+      ins (Mov_reg (Reg.r8, Reg.r6));
+      ins (Alu (Add, Reg.r8, O_imm 1L));
+      ins (Store { dst = at Reg.r7 0; src = Reg.r8; size = 1 });
+      ins (Push Reg.r8);
+      ins (Mov_reg (Reg.sp, Reg.r9));
+      ins (Pop Reg.r10);
+      ins (Alu (Divu, Reg.r0, O_reg Reg.scratch));
+    ]
+  in
+  (* the units' first instructions: the guard pair, guard+load,
+     guard+store, the binop idiom, the pure run and its store, push, the
+     mov before pop, pop, divu *)
+  let starts = [ 0; 2; 4; 6; 10; 13; 14; 15; 16 ] in
+  let terminals =
+    [
+      ( "loop-test idiom",
+        [
+          ins (Mov_imm (Reg.r5, 3L));
+          ins (Load { dst = Reg.r6; src = at Reg.r12 0; size = 8 });
+          ins (Cmp (Reg.r6, O_reg Reg.r5));
+          Asm.Jcc_l (Ne, "end");
+        ] );
+      ("call_mem", [ ins (Call_mem (at Reg.r12 0)) ]);
+      ("hlt", [ ins Hlt ]);
+    ]
+  in
+  (* each base register of an access, with the data page it uses *)
+  let bases =
+    [ (Reg.r2, 1); (Reg.r3, 2); (Reg.r4, 3); (Reg.r7, 4); (Reg.sp, 5);
+      (Reg.r9, 6); (Reg.r12, 7) ]
+  in
+  let run (tname, term) fault code_perm paged =
+    (* the initial registers over [Exec.make]'s layout: data at [d],
+       [d_size] bytes, then an unmapped guard gap up to [victim] *)
+    let regs (d, d_size, victim) =
+      let gap = d + d_size + 64 and above = victim + 64 in
+      let base (r, page) =
+        ( r,
+          match fault with
+          | Access p when p = page && not paged -> gap
+          | Bound_high 2 when r = Reg.r2 -> above
+          | Bound_high 4 when r = Reg.r3 -> above
+          | _ -> d + (page * ps) + 512 )
+      in
+      ( Reg.r1,
+        match fault with
+        | Bound_low 0 -> d - 8
+        | Bound_high 0 -> above
+        | _ -> d + 64 )
+      :: (Reg.scratch, if fault = Div then 0 else 7)
+      :: (Reg.r0, 5) :: List.map base bases
+    in
+    let prog geom =
+      Fgen.link
+        ([ Asm.Label "_start"; Asm.Cfi_label_here ]
+        @ List.map (fun (r, v) -> ins (Mov_imm (r, Int64.of_int v))) (regs geom)
+        @ [ Asm.Jmp_l "block"; Asm.Label "block" ]
+        @ body @ term
+        @ [ Asm.Label "end"; ins Hlt ])
+    in
+    let geom (e : Exec.env) =
+      (e.Exec.d_base, e.Exec.d_size, e.Exec.victim_base)
+    in
+    (* encodings are fixed-size, so the register values do not move the
+       layout *)
+    let g = geom (Exec.make ~code_perm (prog (0, 0, 0))) in
+    let d, d_size, victim = g in
+    Alcotest.(check bool) "eight data pages" true (d_size >= 8 * ps);
+    let oelf = prog g in
+    let env () =
+      let pool =
+        if paged then begin
+          let p = Epc.create ~size:(512 * Epc.page_size) () in
+          Epc.enable_paging p;
+          Some p
+        end
+        else None
+      in
+      let e = Exec.make ?epc:pool ~code_perm oelf in
+      Alcotest.(check bool) "same layout" true (geom e = g);
+      Cpu.set_bnd e.Exec.cpu bnd
+        { Cpu.lower = Int64.of_int d; upper = Int64.of_int (victim - 1) };
+      (match (pool, fault) with
+      | Some pool, Access page ->
+          ignore
+            (Epc.evict_page pool
+               ~cid:(Occlum_sgx.Enclave.id e.Exec.enclave)
+               ~page:((d / ps) + page))
+      | _ -> ());
+      e
+    in
+    let a = env () and b = env () in
+    let label =
+      Printf.sprintf "%s, %s%s, %s" tname
+        (if code_perm = Mem.perm_rx then "r-x" else "rwx")
+        (if paged then ", paged" else "")
+        (match fault with
+        | Benign -> "no fault"
+        | Bound_low i -> Printf.sprintf "bndcl at %d" i
+        | Bound_high i -> Printf.sprintf "bndcu of the pair at %d" i
+        | Access p -> Printf.sprintf "access to data page %d" p
+        | Div -> "divu by zero")
+    in
+    (* the block after the prologue compiles to the units above *)
+    let block_at pc =
+      match Decode_cache.build a.Exec.mem pc with
+      | Some blk -> blk
+      | None -> Alcotest.fail (label ^ ": no block")
+    in
+    let pro = block_at a.Exec.cpu.Cpu.pc in
+    let blk =
+      block_at
+        (Array.fold_left (fun pc (_, len) -> pc + len) pro.entry pro.insns)
+    in
+    let c = Jit.compile (Jit.create a.Exec.mem) blk in
+    Alcotest.(check (list int))
+      (label ^ ": unit layout") starts
+      (List.filter
+         (fun i -> i < List.length body)
+         (Array.to_list c.Jit.unit_starts));
+    let j = Jit.create a.Exec.mem in
+    match
+      Exec.lockstep ~differ:Identical ~fuel:400
+        [ { (Exec.machine a) with tier = Exec.Tiered j }; Exec.machine b ]
+    with
+    | Error diff -> Alcotest.fail (label ^ ": " ^ diff)
+    | Ok (Exec.S_fault f) ->
+        let expected =
+          match (fault, f) with
+          | Benign, _ -> true
+          | (Bound_low _ | Bound_high _), Fault.Bound_fault _ -> true
+          | Access _, Fault.Epc_miss _ -> paged
+          | Access _, Fault.Page_fault _ -> not paged
+          | Div, Fault.Div_by_zero _ -> true
+          | _ -> false
+        in
+        if not expected then
+          Alcotest.fail (label ^ ": unexpected " ^ Fault.to_string f);
+        let compiles, _, _ = Jit.stats j in
+        Alcotest.(check bool) (label ^ ": the block ran compiled") true
+          (compiles >= 2)
+    | Ok _ -> Alcotest.fail (label ^ ": stopped without a fault")
+  in
+  let faults =
+    [ Benign; Bound_low 0; Bound_high 0; Bound_high 2; Bound_high 4; Div ]
+    @ List.map (fun (_, page) -> Access page) bases
+  in
+  List.iter
+    (fun ((tname, _) as term) ->
+      List.iter
+        (fun (_, code_perm) ->
+          List.iter
+            (fun paged ->
+              List.iter
+                (fun fault ->
+                  (* hlt reads no data page *)
+                  if not (tname = "hlt" && fault = Access 7) then
+                    run term fault code_perm paged)
+                faults)
+            [ false; true ])
+        code_perms)
+    terminals
+
 (* A store inside a fragile block that first grows the store, through
    the lockstep engine. [Exec.make]'s environment is rebuilt in a larger
    enclave with [spare] writable pages from twice its size on, never
@@ -1362,4 +1569,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_idioms_match_reference;
     Alcotest.test_case "a compiled store grows the store mid-block" `Quick
       test_store_grows_mid_block;
+    Alcotest.test_case "a fault at every unit position" `Quick
+      test_fault_at_every_unit;
   ]
