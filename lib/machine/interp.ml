@@ -340,7 +340,7 @@ let run_reference ?interrupt mem cpu ~fuel =
      runs on, and one that rewrote its own code parks at the boundary
      after the write and deopts to a fresh lookup with the fuel left.
    - A fault inside the body or a replay deopts: the body charged the
-     whole block at [Jit.enter], and the cold path that raised rewound
+     whole block on entry, and the cold path that raised rewound
      the counters and parked pc exactly as [exec_decoded] would have at
      the faulting instruction, so the AEX capture is bit-identical.
 
@@ -393,12 +393,19 @@ let run_tiered jit obs mem cpu ~fuel =
         | Some stop -> stop
         | None -> loop (fuel - 1))
   (* a member of this recursive group rather than a local closure, so
-     entering a block allocates nothing; [fuel] > 0 *)
+     entering a block allocates nothing; [fuel] > 0. The block's counter
+     totals are charged here, written out so that entering a block makes
+     no cross-module call before its body. *)
   and exec_compiled (c : Jit.compiled) fuel =
     if fuel < c.Jit.insns then replay c 0 mem.Mem.code_epoch fuel
     else
       let i0 = cpu.Cpu.insns in
-      match Jit.enter c cpu with
+      cpu.Cpu.insns <- i0 + c.Jit.insns;
+      cpu.Cpu.cycles <- cpu.Cpu.cycles + c.Jit.cycles;
+      cpu.Cpu.loads <- cpu.Cpu.loads + c.Jit.loads;
+      cpu.Cpu.stores <- cpu.Cpu.stores + c.Jit.stores;
+      cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + c.Jit.bound_checks;
+      match c.Jit.body cpu with
       | Jit.U_fall -> leave c (fuel - c.Jit.insns)
       | Jit.U_stop s -> s
       | Jit.U_stale ->

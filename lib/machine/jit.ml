@@ -15,13 +15,13 @@
    [mov_imm rA ; load rB ; op rB,rA ; mov rA,rB], a loop test's
    [mov_imm rA ; load rB ; cmp rB,rA ; jcc]), which keeps the loaded and
    computed values in locals. The block's [body] is the first unit:
-   [enter] charges the block's counters and calls it, which runs the
-   whole block.
+   the interpreter charges the block's counter totals and calls it,
+   which runs the whole block.
 
    Equivalence contract (checked by fuzz property #8 and test_jit):
    wherever a block can be observed, its state is [Interp.exec_decoded]'s
-   exactly — counters, fault payloads, fault-atomicity, pc. [enter]
-   charges the block's counter totals before the body runs and only the
+   exactly — counters, fault payloads, fault-atomicity, pc. The block's
+   counter totals are charged before the body runs and only the
    block's end sets pc; each place a block can stop mid-block is a cold
    path that first rebuilds the reference's counters and pc ([rewind]).
    The body has no internal fuel check: the interpreter runs it only
@@ -88,7 +88,8 @@ type compiled = {
   loads : int;
   stores : int;
   bound_checks : int;
-      (* what the block's instructions charge, [enter] charges at once *)
+      (* what the block's instructions charge, charged at once before
+         [body] runs *)
   body : body;
   unit_starts : int array;
       (* the first instruction index of each unit, in order *)
@@ -136,7 +137,9 @@ let create ?(max_blocks = 4096) mem =
 
    A cold path inside instruction [j] of block [b] takes back what the
    instructions after [j] charge and parks pc where the reference has
-   it, both derived from [b.insns] and [j]: no unit carries a record. *)
+   it, both derived from [b.insns] and [j]: no unit carries a record.
+   Only a fault, a privileged stop, the syscall gate or a stale exit
+   gets here, each far costlier than the walk over the block. *)
 
 (* the [loads], [stores] and [bound_checks] one instruction counts in
    [Interp.exec_decoded] *)
@@ -149,17 +152,16 @@ let bumps (insn : Insn.t) =
   | Bndcl _ | Bndcu _ -> (0, 0, 1)
   | _ -> (0, 0, 0)
 
-(* charge ([sign] = 1) or take back ([sign] = -1) the counters of [b]'s
-   instructions from index [from] on *)
-let shift (cpu : Cpu.t) (b : Decode_cache.block) ~from sign =
+(* take back the counters of [b]'s instructions from index [from] on *)
+let take_back (cpu : Cpu.t) (b : Decode_cache.block) ~from =
   for x = from to Array.length b.insns - 1 do
     let insn = fst b.insns.(x) in
     let l, s, c = bumps insn in
-    cpu.Cpu.insns <- cpu.Cpu.insns + sign;
-    cpu.Cpu.cycles <- cpu.Cpu.cycles + (sign * Cost.of_insn insn);
-    cpu.Cpu.loads <- cpu.Cpu.loads + (sign * l);
-    cpu.Cpu.stores <- cpu.Cpu.stores + (sign * s);
-    cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + (sign * c)
+    cpu.Cpu.insns <- cpu.Cpu.insns - 1;
+    cpu.Cpu.cycles <- cpu.Cpu.cycles - Cost.of_insn insn;
+    cpu.Cpu.loads <- cpu.Cpu.loads - l;
+    cpu.Cpu.stores <- cpu.Cpu.stores - s;
+    cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks - c
   done
 
 (* the pc of [b]'s instruction [j] *)
@@ -173,8 +175,8 @@ let pc_at (b : Decode_cache.block) j =
 (* The reference's state inside instruction [j]: it has charged and
    counted everything it counts before its access or check, nothing
    after it has, and pc is on it. *)
-let[@inline never] rewind (cpu : Cpu.t) b j =
-  shift cpu b ~from:(j + 1) (-1);
+let rewind (cpu : Cpu.t) b j =
+  take_back cpu b ~from:(j + 1);
   cpu.Cpu.pc <- pc_at b j
 
 let[@inline never] bound_fault cpu b j bi v =
@@ -185,26 +187,23 @@ let[@inline never] div_fault (cpu : Cpu.t) b j =
   rewind cpu b j;
   raise (Fault.Fault (Div_by_zero { addr = cpu.Cpu.pc }))
 
-(* The checked accessors, the only ones that can fault, run in the
-   reference's state at the access and re-advance after it. [held] is
-   the store a [call_mem] counts only after its load. *)
-let[@inline never] read_checked mem cpu b j a ~size ~held =
+(* A checked [Mem] access is the only one that can fault, and only its
+   fault can observe the block mid-access: the exception passes through
+   here, which rebuilds the reference's state at instruction [j] before
+   it goes on. A checked access that succeeds rebuilds nothing. [held]
+   is the store a [call_mem] counts only after its load. *)
+let[@inline never] faulted cpu b j ~held ex =
   rewind cpu b j;
   cpu.Cpu.stores <- cpu.Cpu.stores - held;
-  let x =
-    if size = 1 then Int64.of_int (Mem.read_u8 mem a) else Mem.read_u64 mem a
-  in
-  cpu.Cpu.stores <- cpu.Cpu.stores + held;
-  shift cpu b ~from:(j + 1) 1;
-  x
+  raise ex
 
 (* returns the code epoch before the write, for [settle] *)
-let[@inline never] write_checked (mem : Mem.t) cpu b j a v ~size =
-  rewind cpu b j;
+let[@inline] write_checked (mem : Mem.t) cpu b j a v ~size =
   let e = mem.Mem.code_epoch in
-  if size = 1 then Mem.write_u8 mem a (Int64.to_int v)
-  else Mem.write_u64 mem a v;
-  shift cpu b ~from:(j + 1) 1;
+  (try
+     if size = 1 then Mem.write_u8 mem a (Int64.to_int v)
+     else Mem.write_u64 mem a v
+   with ex -> faulted cpu b j ~held:0 ex);
   e
 
 (* After the checked writes of instruction [j] of a fragile block, the
@@ -222,7 +221,7 @@ let[@inline never] settle (mem : Mem.t) (cpu : Cpu.t) (b : Decode_cache.block)
     || Decode_cache.block_valid mem b
   then k cpu
   else begin
-    shift cpu b ~from:(j + 1) (-1);
+    take_back cpu b ~from:(j + 1);
     cpu.Cpu.pc <- pc_at b (j + 1);
     U_stale
   end
@@ -280,19 +279,21 @@ let[@inline] direct (mem : Mem.t) a size bit =
   && Char.code (Bytes.unsafe_get mem.Mem.direct (a lsr page_shift)) land bit
      <> 0
 
-(* The load of instruction [j]. An idiom's [load_v] also commits [v] to
-   the register at byte offset [ao] on the checked path, if [ao] >= 0
-   (the deferred [mov_imm]), so a fault leaves the reference's
-   registers. A value returned here is let-bound by an inlined caller,
-   so it stays unboxed. *)
+(* The load of instruction [j]. When a checked read faults, an idiom's
+   [load_v] also commits [v] to the register at byte offset [ao], if
+   [ao] >= 0 (the deferred [mov_imm]), so the fault leaves the
+   reference's registers. A value returned here is let-bound by an
+   inlined caller, so it stays unboxed. *)
 let[@inline] load_v mem (cpu : Cpu.t) a ~size ~b ~j ~ao ~v ~held =
   if direct mem a size rd then
     if size = 1 then Int64.of_int (Char.code (Bytes.unsafe_get mem.Mem.data a))
     else Bytes.get_int64_le mem.Mem.data a
-  else begin
-    if ao >= 0 then set cpu ao v;
-    read_checked mem cpu b j a ~size ~held
-  end
+  else
+    try
+      if size = 1 then Int64.of_int (Mem.read_u8 mem a) else Mem.read_u64 mem a
+    with ex ->
+      if ao >= 0 then set cpu ao v;
+      faulted cpu b j ~held ex
 
 let[@inline] load mem cpu a ~size ~b ~j =
   load_v mem cpu a ~size ~b ~j ~ao:(-1) ~v:0L ~held:0
@@ -871,8 +872,16 @@ let compile t (b : Decode_cache.block) : compiled =
   let n = Array.length b.insns in
   let insn i = fst b.insns.(i) and len i = snd b.insns.(i) in
   let pcs = Array.make (n + 1) b.entry in
+  (* and what the block's instructions charge, which the tiered loop
+     charges at once on entry *)
+  let cycles = ref 0 and loads = ref 0 and stores = ref 0 and checks = ref 0 in
   for i = 0 to n - 1 do
-    pcs.(i + 1) <- pcs.(i) + len i
+    pcs.(i + 1) <- pcs.(i) + len i;
+    let l, s, c = bumps (insn i) in
+    cycles := !cycles + Cost.of_insn (insn i);
+    loads := !loads + l;
+    stores := !stores + s;
+    checks := !checks + c
   done;
   (* does a guard+memory superinstruction start at i? *)
   let pair_at i =
@@ -1014,17 +1023,15 @@ let compile t (b : Decode_cache.block) : compiled =
         cpu.Cpu.pc <- end_pc;
         U_fall
   in
-  let total = Cpu.create () in
-  shift total b ~from:0 1;
   let rec c =
     {
       entry = b.entry;
       src = b;
       insns = n;
-      cycles = total.Cpu.cycles;
-      loads = total.Cpu.loads;
-      stores = total.Cpu.stores;
-      bound_checks = total.Cpu.bound_checks;
+      cycles = !cycles;
+      loads = !loads;
+      stores = !stores;
+      bound_checks = !checks;
       body = List.fold_left (fun k (_, f) -> f ~k) last !units;
       unit_starts = Array.of_list (List.rev_map fst !units);
       writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
@@ -1034,16 +1041,6 @@ let compile t (b : Decode_cache.block) : compiled =
     }
   in
   c
-
-(* The one way into a compiled block: charge everything it charges, then
-   run it. *)
-let enter c (cpu : Cpu.t) =
-  cpu.Cpu.insns <- cpu.Cpu.insns + c.insns;
-  cpu.Cpu.cycles <- cpu.Cpu.cycles + c.cycles;
-  cpu.Cpu.loads <- cpu.Cpu.loads + c.loads;
-  cpu.Cpu.stores <- cpu.Cpu.stores + c.stores;
-  cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + c.bound_checks;
-  c.body cpu
 
 (* ---- the code cache ---- *)
 

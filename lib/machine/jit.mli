@@ -9,10 +9,11 @@
     [mov_imm ; load ; cmp ; jcc]), and each instruction or unit
     tail-calls the next.
 
-    A compiled block's counters are charged once, at {!enter}: a unit's
-    fast path computes only registers and memory, and only the block's
-    end sets pc. The places a block can be observed mid-block are cold
-    paths — a checked {!Mem} access, a failing bound check, a division
+    A compiled block's counters are charged once, when {!Interp.run}
+    enters it (from the [compiled] totals below): a unit's fast path
+    computes only registers and memory, and only the block's end sets
+    pc. The places a block can be observed mid-block are cold paths — a
+    checked {!Mem} access that faults, a failing bound check, a division
     by zero, a privileged stub, the syscall gate and a stale exit — and
     each first takes back what the instructions after it charge and
     parks pc where the reference loop has it, so every observed state is
@@ -55,8 +56,9 @@ type ustat =
           every counter are parked at the boundary after that write *)
 
 type body = Cpu.t -> ustat
-(** A whole translated block, run by {!enter} once the block's counters
-    are charged: executes and sets pc at its end. Faults raise
+(** A whole translated block, run once its caller has charged the
+    block's [insns], [cycles], [loads], [stores] and [bound_checks]:
+    executes and sets pc at its end. Faults raise
     {!Fault.Fault} with the reference's state. It runs against the
     memory of the {!t} that compiled it. *)
 
@@ -71,7 +73,8 @@ type compiled = {
   stores : int;
   bound_checks : int;
       (** what the block's instructions charge ({!Cost.of_insn} and the
-          reference's counts), charged at once by {!enter} *)
+          reference's counts), which the caller charges before it runs
+          [body] *)
   body : body;
   unit_starts : int array;
       (** the index of each fused unit's first instruction, in order:
@@ -112,11 +115,6 @@ val compile : t -> Decode_cache.block -> compiled
     (total: every opcode compiles, privileged ones to stubs that stop
     with the reference's fault). Exposed for tests and the compile-cost
     micro; {!translate} also builds the block and interns the result. *)
-
-val enter : compiled -> Cpu.t -> ustat
-(** Run a compiled block: charge its [insns], [cycles], [loads],
-    [stores] and [bound_checks], then run its [body]. The block must be
-    valid and the fuel must cover it. *)
 
 val valid : t -> compiled -> bool
 (** The block's generation snapshot still matches [t]'s memory: exactly

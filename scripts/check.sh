@@ -342,7 +342,7 @@ if grep -nE 'compile_ea|Cpu\.t -> int\b' lib/machine/jit.ml; then
   exit 1
 fi
 
-# A compiled block charges its counters once, at Jit.enter, and only its
+# A compiled block charges its counters once, on entry, and only its
 # cold paths rebuild the reference's counters and pc. A per-unit charge,
 # or the wrapper that compared the code epoch around every writing unit
 # (the write path compares it on its checked branch), must not come

@@ -275,6 +275,16 @@ let compiled_block mem =
   | Some b -> (b, Jit.compile (Jit.create mem) b)
   | None -> Alcotest.fail "block failed to build"
 
+(* run a compiled block whole, as the tiered loop enters it: charge the
+   block's totals, then run its body *)
+let enter (c : Jit.compiled) (cpu : Cpu.t) =
+  cpu.Cpu.insns <- cpu.Cpu.insns + c.Jit.insns;
+  cpu.Cpu.cycles <- cpu.Cpu.cycles + c.Jit.cycles;
+  cpu.Cpu.loads <- cpu.Cpu.loads + c.Jit.loads;
+  cpu.Cpu.stores <- cpu.Cpu.stores + c.Jit.stores;
+  cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + c.Jit.bound_checks;
+  c.Jit.body cpu
+
 (* An RWX block gets the fused units (guard+store pairs, pure runs,
    the same layout as on r-x code), and every write ends its unit: the
    body compares the code epoch at each unit boundary after a write;
@@ -322,7 +332,7 @@ let test_rwx_units_end_at_writes () =
   let whole = ref Jit.U_stale in
   Alcotest.(check string) "the body covers the block: body = reference"
     (run (fun mem cpu -> ignore (Interp.run mem cpu ~fuel:n)))
-    (run (fun mem cpu -> whole := Jit.enter (snd (compiled_block mem)) cpu));
+    (run (fun mem cpu -> whole := enter (snd (compiled_block mem)) cpu));
   Alcotest.(check bool) "the body ran to the block's end" true
     (!whole = Jit.U_fall)
 
@@ -721,7 +731,7 @@ let test_store_to_other_code_page () =
   prep mem;
   let _, c = compiled_block mem in
   let e0 = mem.Mem.code_epoch in
-  let whole = Jit.enter c cpu in
+  let whole = enter c cpu in
   Alcotest.(check bool) "the body runs on past its stores to the block's end"
     true
     (whole = Jit.U_fall && mem.Mem.code_epoch > e0);
