@@ -665,7 +665,7 @@ let micro () =
   let small_binary = H.build_for H.Occlum (H.sized_program ~code_kb:14) in
   (* one serve response through a socket ring: written whole, drained a
      page at a time *)
-  let ring = Occlum_libos.Ring.create 65536 in
+  let ring = Occlum_libos.Ring.(create (pool ()) 65536) in
   let response = Bytes.make 10280 'r' and drain = Bytes.create 4096 in
   (* one kv value across an attested channel: sealed, handed to the
      host, opened on the far side *)

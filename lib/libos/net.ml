@@ -25,11 +25,13 @@ let wake_all ws = List.iter (fun f -> f ()) ws
 
 let wake_ep (e : endpoint) = wake_all e.wake
 
-let make_endpoint ?(ring_bytes = 65536) () =
-  { inbox = Ring.create ring_bytes; peer = None; closed = false; wake = [] }
+let make_endpoint rings ring_bytes =
+  { inbox = Ring.create rings ring_bytes; peer = None; closed = false;
+    wake = [] }
 
-let pair ?ring_bytes () =
-  let a = make_endpoint ?ring_bytes () and b = make_endpoint ?ring_bytes () in
+let pair rings ring_bytes =
+  let a = make_endpoint rings ring_bytes in
+  let b = make_endpoint rings ring_bytes in
   a.peer <- Some b;
   b.peer <- Some a;
   (a, b)
@@ -49,6 +51,7 @@ type listener = {
 and t = {
   listeners : (int, listener) Hashtbl.t;
   mutable sock_ring_bytes : int; (* per-direction buffer of new connections *)
+  rings : Ring.pool; (* storage of this LibOS's socket and pipe rings *)
   mutable retries : int; (* transient faults absorbed by bounded retry *)
   mutable backoff_ns : int64; (* simulated wait accrued by retries *)
   obs : Occlum_obs.Obs.t; (* I/O events/metrics *)
@@ -59,7 +62,7 @@ and t = {
 }
 
 let create ?(obs = Occlum_obs.Obs.disabled) () =
-  { listeners = Hashtbl.create 8; sock_ring_bytes = 65536;
+  { listeners = Hashtbl.create 8; sock_ring_bytes = 65536; rings = Ring.pool ();
     retries = 0; backoff_ns = 0L; obs; fault = None }
 
 (* Observability for one transfer: event with the byte count plus byte
@@ -93,7 +96,7 @@ let connect t ~port =
       if Queue.length l.pending >= l.backlog then
         Error Occlum_abi.Abi.Errno.eagain
       else begin
-        let client_side, server_side = pair ~ring_bytes:t.sock_ring_bytes () in
+        let client_side, server_side = pair t.rings t.sock_ring_bytes in
         Queue.push server_side l.pending;
         wake_all l.wake;
         Ok client_side
@@ -178,9 +181,11 @@ let recv t e dst off len =
    without going through any SIP. *)
 let external_connect t ~port = connect t ~port
 
+(* [send] only reads its source, so [s] is passed uncopied. *)
 let external_send t e (s : string) =
-  let b = Bytes.of_string s in
-  match send t e b 0 (Bytes.length b) with Ok n -> n | Error _ -> 0
+  match send t e (Bytes.unsafe_of_string s) 0 (String.length s) with
+  | Ok n -> n
+  | Error _ -> 0
 
 let external_recv_all t e =
   let buf = Buffer.create 256 in

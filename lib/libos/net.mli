@@ -25,6 +25,9 @@ and t = {
   mutable sock_ring_bytes : int;
       (** per-direction buffer size for new connections (default 64 KiB;
           load harnesses shrink it to fit thousands of connections) *)
+  rings : Ring.pool;
+      (** where every socket inbox and pipe ring of this LibOS takes its
+          storage while it holds bytes *)
   mutable retries : int;
       (** transient I/O faults absorbed by the bounded-retry wrapper *)
   mutable backoff_ns : int64;

@@ -151,7 +151,8 @@ type t = {
   eip_runtime_image : Bytes.t; (* stand-in for the Graphene runtime pages *)
   obs : Occlum_obs.Obs.t;
   meters : meters;
-  sched : Sched.t; (* the one run queue every core claims from *)
+  sched : proc Sched.t; (* the one run queue every core claims from *)
+  mutable blocked : int; (* how many procs are [`Blocked] *)
   jit : Jit.t option;
   (* the one code cache every core's quanta run through; it keys blocks
      by absolute pc in the shared address space, and the loader's
@@ -238,6 +239,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       obs;
       meters = meters obs ~cores:config.cores;
       sched = Sched.create ~ncores:config.cores;
+      blocked = 0;
       jit = (if config.jit then Some (Jit.create mem) else None);
       last_run_pid = 0;
       paging_cycles_seen = 0;
@@ -507,7 +509,7 @@ let make_proc t ~parent ~img ~fds ~slot_refs ~path ~eip_enclave =
     }
   in
   Hashtbl.replace t.procs pid p;
-  Sched.enqueue t.sched pid;
+  Sched.enqueue t.sched p;
   let o = t.obs in
   if o.Occlum_obs.Obs.enabled then begin
     if o.Occlum_obs.Obs.t_life then
@@ -621,6 +623,7 @@ let post_signal p signo =
 
 let rec do_exit t (p : proc) code =
   if p.state <> `Zombie then begin
+    if p.state = `Blocked then t.blocked <- t.blocked - 1;
     p.state <- `Zombie;
     p.exit_code <- code;
     if t.obs.Occlum_obs.Obs.t_life then
@@ -1005,7 +1008,8 @@ let sys_pipe t p =
   if not (user_ok p fds_ptr 16) then err Errno.efault
   else begin
     let pipe =
-      { Fd.ring = Ring.create 65536; readers = 1; writers = 1; wake = [] }
+      { Fd.ring = Ring.create t.net.Net.rings 65536; readers = 1; writers = 1;
+        wake = [] }
     in
     let rfd = Fd.install p.fds (Fd.make (Fd.Pipe_r pipe)) in
     let wfd = Fd.install p.fds (Fd.make (Fd.Pipe_w pipe)) in
@@ -1695,8 +1699,13 @@ let complete t p = function
       Cpu.set p.cpu R.result v;
       if t.cfg.mode <> Linux && not (Loader.return_target_ok t.mem p.img p.cpu)
       then kill_proc t p ~fatal_signal:Sig.sigkill
-      else p.state <- `Runnable
-  | Block -> p.state <- `Blocked
+      else begin
+        if p.state = `Blocked then t.blocked <- t.blocked - 1;
+        p.state <- `Runnable
+      end
+  | Block ->
+      if p.state <> `Blocked then t.blocked <- t.blocked + 1;
+      p.state <- `Blocked
   | Exited -> ()
 
 (* --- the scheduler ----------------------------------------------------------- *)
@@ -1727,11 +1736,15 @@ let handle_gate t (p : proc) : unit =
     (* a gate at an unexpected pc: not possible for verified binaries *)
     kill_proc t p ~fatal_signal:Sig.sigkill
 
+(* Re-dispatch every blocked call, in table order; [t.blocked], kept at
+   each write of a proc's state, skips the walk when there are none. *)
 let retry_blocked t =
-  Hashtbl.iter
-    (fun _ p ->
-      if p.state = `Blocked then complete t p (dispatch_traced ~charge:false t p))
-    t.procs
+  if t.blocked > 0 then
+    Hashtbl.iter
+      (fun _ p ->
+        if p.state = `Blocked then
+          complete t p (dispatch_traced ~charge:false t p))
+      t.procs
 
 (* What the LibOS does when a quantum stops: dispatch the gate, or field
    the fault (EPC miss -> AEX + ELDU + resume; anything else kills the
@@ -1777,7 +1790,7 @@ let handle_stop t (p : proc) (stop : Interp.stop) =
 
    Epoch model: a claim phase makes one pass over the one run queue and
    claims up to [cores] runnable SIPs (Sched.claim — deterministic
-   round-robin, never two SIPs of one domain slot, a claimed pid
+   round-robin, never two SIPs of one domain slot, a claimed SIP
    requeued at claim time); the i-th claim is core i. The execute phase
    runs one interpreter quantum per claimed SIP, in core order, through
    the one JIT and reporting to [t.obs], and a post phase, in core
@@ -1795,16 +1808,38 @@ let handle_stop t (p : proc) (stop : Interp.stop) =
    quantum followed by its handler. Nothing observable depends on host
    timing, so a run at a fixed core count is bit-reproducible. *)
 
-let runnable t pid =
-  match find_proc t pid with Some p -> p.state = `Runnable | None -> false
+(* The run queue holds the proc records themselves. A proc leaves
+   [t.procs] only as a Zombie, so a record's own state says whether it
+   is live, and a claim looks nothing up. *)
+let is_runnable p = p.state = `Runnable
+let is_live p = p.state <> `Zombie
+let slot_id p = p.img.slot.Domain_mgr.id
 
-let live t pid =
-  match find_proc t pid with Some p -> p.state <> `Zombie | None -> false
-
-let slot t pid =
-  match find_proc t pid with
-  | Some p -> p.img.slot.Domain_mgr.id
-  | None -> -1
+(* The epoch's sequential prologue over its claims, the i-th for core i:
+   signal delivery (a SIP killed or blocked by a signal hands its core's
+   slice back), then the switch/start events. Returns the jobs to run,
+   each with its core and the cycle and instruction counts before its
+   quantum. *)
+let rec start_jobs t cid = function
+  | [] -> []
+  | p :: rest ->
+      deliver_signals t p;
+      if p.state <> `Runnable then start_jobs t (cid + 1) rest
+      else begin
+        let o = t.obs in
+        if o.Occlum_obs.Obs.enabled then begin
+          if o.Occlum_obs.Obs.t_sched && t.last_run_pid <> p.pid then
+            Occlum_obs.Obs.emit o
+              (Occlum_obs.Trace.Sched_switch
+                 { from_pid = t.last_run_pid; to_pid = p.pid });
+          t.last_run_pid <- p.pid;
+          if o.Occlum_obs.Obs.t_quantum then
+            Occlum_obs.Obs.emit o
+              (Occlum_obs.Trace.Quantum_start { pid = p.pid })
+        end;
+        let job = (cid, p, p.cpu.cycles, p.cpu.insns) in
+        job :: start_jobs t (cid + 1) rest
+      end
 
 (* One scheduler step is one epoch. *)
 let step t =
@@ -1813,34 +1848,9 @@ let step t =
   if o.Occlum_obs.Obs.enabled then
     Occlum_obs.Metrics.inc (Lazy.force t.meters.m_epochs);
   let claims =
-    Sched.claim t.sched ~runnable:(runnable t) ~live:(live t) ~slot_of:(slot t)
+    Sched.claim t.sched ~runnable:is_runnable ~live:is_live ~slot_of:slot_id
   in
-  (* sequential prologue: signal delivery (a SIP killed or blocked by a
-     signal hands its core's slice back), then the switch/start events *)
-  let jobs =
-    List.filter_map
-      (fun (cid, pid) ->
-        match find_proc t pid with
-        | None -> None
-        | Some p ->
-            deliver_signals t p;
-            if p.state <> `Runnable then None
-            else begin
-              if o.Occlum_obs.Obs.enabled then begin
-                if o.Occlum_obs.Obs.t_sched && t.last_run_pid <> p.pid then
-                  Occlum_obs.Obs.emit o
-                    (Occlum_obs.Trace.Sched_switch
-                       { from_pid = t.last_run_pid; to_pid = p.pid });
-                t.last_run_pid <- p.pid;
-                if o.Occlum_obs.Obs.t_quantum then
-                  Occlum_obs.Obs.emit o
-                    (Occlum_obs.Trace.Quantum_start { pid = p.pid })
-              end;
-              Some (cid, p, p.cpu.cycles, p.cpu.insns)
-            end)
-      claims
-    |> Array.of_list
-  in
+  let jobs = Array.of_list (start_jobs t 0 claims) in
   (* nothing claimed, or signals took every claimed slice: no quantum
      ran and no time passed (pressure charges fold in next epoch) *)
   if Array.length jobs = 0 then (match claims with [] -> false | _ :: _ -> true)
@@ -1874,17 +1884,34 @@ let step t =
     true
   end
 
+(* Walks of the process table that build nothing: [found t check] is
+   whether [check] raised [Found] on some process. *)
+exception Found
+
+let live_found _ p = if p.state <> `Zombie then raise_notrace Found
+let runnable_found _ p = if p.state = `Runnable then raise_notrace Found
+
+let found t check =
+  match Hashtbl.iter check t.procs with () -> false | exception Found -> true
+
+(* The earliest wake time of a live sleeper, as a fold over the table. *)
+let earliest_wake _ p acc =
+  match (p.wake_time, acc) with
+  | Some w, Some a when Int64.compare w a >= 0 -> acc
+  | Some _, _ when p.state <> `Zombie -> p.wake_time
+  | _ -> acc
+
 (* A step found nothing runnable: advance the clock to the earliest
    sleeper's wake time, or else retry every blocked call once more.
    [Some (Deadlock _)] when that leaves nothing runnable either. *)
 let idle t =
-  match List.filter_map (fun p -> p.wake_time) (live_procs t) with
-  | w :: ws ->
-      t.clock_ns <- List.fold_left min w ws;
+  match Hashtbl.fold earliest_wake t.procs None with
+  | Some w ->
+      t.clock_ns <- w;
       None
-  | [] ->
+  | None ->
       retry_blocked t;
-      if List.exists (fun p -> p.state = `Runnable) (live_procs t) then None
+      if found t runnable_found then None
       else Some (Deadlock (List.map (fun p -> p.pid) (live_procs t)))
 
 (* The drive loop behind [run] and [wait_pid_exit]: step, and idle when
@@ -1899,7 +1926,7 @@ let drive ~max_steps ~finished t =
   go max_steps
 
 let run ?(max_steps = 1_000_000) t =
-  drive ~max_steps ~finished:(fun () -> live_procs t = []) t
+  drive ~max_steps ~finished:(fun () -> not (found t live_found)) t
 
 (* Run until a specific process has exited (it may already be reaped by
    its parent; absence counts as exited). *)

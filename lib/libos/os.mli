@@ -102,7 +102,12 @@ type t = private {
           to; {!Occlum_obs.Obs.disabled} unless one was passed to
           {!boot} *)
   meters : meters;
-  sched : Sched.t;  (** the scheduler: the one run queue *)
+  sched : proc Sched.t;
+      (** the scheduler: the one run queue, of proc records *)
+  mutable blocked : int;
+      (** how many processes are [`Blocked], kept at every write of a
+          process's state; {!step} walks the table to retry blocked
+          calls only when it is non-zero *)
   jit : Occlum_machine.Jit.t option;
       (** the block JIT every core's quanta run through; [None] under
           the reference loop *)

@@ -1,6 +1,8 @@
 (** The SIP scheduler: one round-robin run queue shared by every
     virtual core. The LibOS builds one at every core count; [cores = 1]
-    is simply a one-core instance.
+    is simply a one-core instance. The LibOS queues its process records
+    themselves, so a claim reads liveness, runnability and slot straight
+    from each record.
 
     The cores are virtual. Every quantum runs on the one host thread
     that drives the LibOS; what [ncores] adds is how many SIPs one
@@ -9,27 +11,27 @@
     driven by the LibOS, so a run is bit-reproducible for a fixed core
     count. *)
 
-type t
+type 'a t
 
-val create : ncores:int -> t
+val create : ncores:int -> 'a t
 (** An empty queue for [ncores] cores. *)
 
-val enqueue : t -> int -> unit
-(** Queue a new pid at the tail. *)
+val enqueue : 'a t -> 'a -> unit
+(** Queue a new entry at the tail. *)
 
-val queued : t -> int list
+val queued : 'a t -> 'a list
 (** The queue, front first. *)
 
 val claim :
-  t ->
-  runnable:(int -> bool) ->
-  live:(int -> bool) ->
-  slot_of:(int -> int) ->
-  (int * int) list
-(** One epoch's claim pass: returns [(i, pid)] for the i-th claim, at
-    most [ncores] of them, no two sharing a pid or a domain slot (a
-    negative slot shares with nothing). It pops the front up to
-    [length + 1] times, stopping early once [ncores] SIPs are claimed:
-    a dead pid is dropped, a live one moves behind the tail — the
-    claimed ones too, so a child one spawns queues after it — and a
+  'a t ->
+  runnable:('a -> bool) ->
+  live:('a -> bool) ->
+  slot_of:('a -> int) ->
+  'a list
+(** One epoch's claim pass: the claimed entries, the i-th for core i, at
+    most [ncores] of them, no two physically equal or sharing a domain
+    slot (a negative slot shares with nothing). It pops the front up to
+    [length + 1] times, stopping early once [ncores] entries are
+    claimed: a dead entry is dropped, a live one moves behind the tail —
+    the claimed ones too, so a child one spawns queues after it — and a
     queue with nothing claimable ends rotated by one. *)

@@ -55,6 +55,18 @@ if [ -n "$hooks$refs" ]; then
   exit 1
 fi
 
+# Ring storage is per instance: every pipe and socket ring of a LibOS
+# takes its buffers from the pool its Net holds, so no buffer passes
+# between two booted LibOSes. lib/libos/ring.ml may hold no module-level
+# mutable table, ref, stack, queue, record or pool.
+pools=$(grep -nE "^let +[a-z_][A-Za-z0-9_']* *(:[^=]*)?= *(Hashtbl\.create|ref\b|Stack\.create|Queue\.create|pool +\(\)|\{)" \
+  lib/libos/ring.ml || true)
+if [ -n "$pools" ]; then
+  echo "FAIL: module-level mutable state in lib/libos/ring.ml; keep ring pools per instance:" >&2
+  printf '%s\n' "$pools" >&2
+  exit 1
+fi
+
 # One host thread: the LibOS runs every simulated core's quanta on the
 # thread that drives it, so no library code spawns a domain or takes a
 # lock. Tests are exempt (test/test_util.ml spawns domains to check that

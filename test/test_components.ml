@@ -7,7 +7,7 @@ open Occlum_libos
 (* --- ring buffer --------------------------------------------------------- *)
 
 let test_ring_basics () =
-  let r = Ring.create 8 in
+  let r = Ring.create (Ring.pool ()) 8 in
   Alcotest.(check int) "capacity" 8 (Ring.capacity r);
   Alcotest.(check bool) "empty" true (Ring.is_empty r);
   let n = Ring.write r (Bytes.of_string "hello") 0 5 in
@@ -21,32 +21,51 @@ let test_ring_basics () =
   Alcotest.(check int) "drained" 8 m;
   Alcotest.(check string) "fifo order" "hellowor" (Bytes.sub_string dst 0 8)
 
-(* Ring against a reference model (a string holding the queued bytes):
-   capacities from 1 to 64 (mostly not powers of two), non-zero source
-   and destination offsets, and transfer sizes that straddle the wrap
-   point or exactly fill or empty the ring. [length] and [free_space]
-   are checked after every operation. *)
+(* Rings against a reference model (per ring, a string holding its
+   queued bytes): one to four rings share one pool, with capacities
+   from 1 to 64 (mostly not powers of two, and often equal, so rings of
+   one capacity pass buffers between them); operations on the rings
+   interleave at random. Sources and destinations have non-zero
+   offsets, and transfer sizes straddle the wrap point or exactly fill
+   or empty a ring. Every ring's [length] and [free_space] are checked
+   after every operation. *)
 let prop_ring_fifo =
-  (* (write?, size, offset); a size above 64 means "exactly fill" for a
-     write and "exactly empty" for a read *)
-  let op = QCheck.Gen.(triple bool (int_range 0 70) (int_range 0 7)) in
+  (* (ring, write?, size, offset); a size above 64 means "exactly fill"
+     for a write and "exactly empty" for a read *)
+  let op =
+    QCheck.Gen.(quad (int_range 0 3) bool (int_range 0 70) (int_range 0 7))
+  in
+  let cap = QCheck.Gen.(frequency [ (2, int_range 1 64); (3, oneofl [ 5; 8 ]) ]) in
   QCheck.Test.make ~name:"ring preserves byte order across wraps" ~count:300
     QCheck.(
       make
-        ~print:(fun (cap, ops) ->
-          Printf.sprintf "cap=%d ops=%s" cap
+        ~print:(fun (caps, ops) ->
+          Printf.sprintf "caps=%s ops=%s"
+            (String.concat "," (List.map string_of_int caps))
             (String.concat ";"
                (List.map
-                  (fun (w, n, o) -> Printf.sprintf "%c%d@%d" (if w then 'w' else 'r') n o)
+                  (fun (k, w, n, o) ->
+                    Printf.sprintf "%d%c%d@%d" k (if w then 'w' else 'r') n o)
                   ops)))
-        Gen.(pair (int_range 1 64) (list_size (int_range 1 60) op)))
-    (fun (cap, ops) ->
-      let r = Ring.create cap in
-      let model = ref "" in
+        Gen.(pair (list_size (int_range 1 4) cap) (list_size (int_range 1 80) op)))
+    (fun (caps, ops) ->
+      let pool = Ring.pool () in
+      let caps = Array.of_list caps in
+      let rings = Array.map (Ring.create pool) caps in
+      let models = Array.map (fun _ -> "") caps in
       let next = ref 0 in
+      let consistent k =
+        let q = String.length models.(k) in
+        Ring.capacity rings.(k) = caps.(k)
+        && Ring.length rings.(k) = q
+        && Ring.free_space rings.(k) = caps.(k) - q
+        && Ring.is_empty rings.(k) = (q = 0)
+      in
       List.for_all
-        (fun (is_write, size, off) ->
-          let queued = String.length !model in
+        (fun (k, is_write, size, off) ->
+          let k = k mod Array.length rings in
+          let r = rings.(k) and cap = caps.(k) and model = models.(k) in
+          let queued = String.length model in
           let ok =
             if is_write then begin
               let want = if size > 64 then cap - queued else size in
@@ -57,7 +76,7 @@ let prop_ring_fifo =
               in
               let n = Ring.write r src off want in
               let fits = min want (cap - queued) in
-              model := !model ^ Bytes.sub_string src off fits;
+              models.(k) <- model ^ Bytes.sub_string src off fits;
               n = fits
             end
             else begin
@@ -65,25 +84,51 @@ let prop_ring_fifo =
               let dst = Bytes.make (off + want) '?' in
               let n = Ring.read r dst off want in
               let avail = min want queued in
-              let expect = String.sub !model 0 avail in
-              model := String.sub !model avail (queued - avail);
+              let expect = String.sub model 0 avail in
+              models.(k) <- String.sub model avail (queued - avail);
               n = avail
               && Bytes.sub_string dst off n = expect
               && Bytes.sub_string dst 0 off = String.make off '?'
             end
           in
-          ok
-          && Ring.length r = String.length !model
-          && Ring.free_space r = cap - String.length !model
-          && Ring.is_empty r = (!model = ""))
+          ok && Array.for_all Fun.id (Array.mapi (fun k _ -> consistent k) rings))
         ops)
+
+(* Storage is held only while bytes are queued: creating a ring takes
+   none, and once one buffer of a capacity has been drained back into
+   the pool, filling that ring or another of the same capacity again
+   allocates nothing new. *)
+let test_ring_storage_on_demand () =
+  let cap = 65536 in
+  let pool = Ring.pool () in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    let v = f () in
+    (v, Gc.allocated_bytes () -. before)
+  in
+  let r, created = allocated (fun () -> Ring.create pool cap) in
+  Alcotest.(check bool) "create allocates no storage" true (created < 1024.);
+  let src = Bytes.make 10280 's' and dst = Bytes.create 4096 in
+  let fill_and_drain r =
+    ignore (Ring.write r src 0 (Bytes.length src));
+    while Ring.read r dst 0 4096 > 0 do () done
+  in
+  fill_and_drain r;
+  let (), refilled = allocated (fun () -> fill_and_drain r) in
+  Alcotest.(check bool) "refilling a drained ring allocates nothing new" true
+    (refilled < float cap);
+  let r2 = Ring.create pool cap in
+  let (), other = allocated (fun () -> fill_and_drain r2) in
+  Alcotest.(check bool) "a second ring reuses the drained buffer" true
+    (other < float cap);
+  Alcotest.(check bool) "both drained" true (Ring.is_empty r && Ring.is_empty r2)
 
 (* A bad span used to corrupt the ring: a negative read length moved
    the read position to -1, and a negative write length made [length]
    negative. Both, and any span past the buffer, now raise before any
    state changes. *)
 let test_ring_bad_span () =
-  let r = Ring.create 8 in
+  let r = Ring.create (Ring.pool ()) 8 in
   ignore (Ring.write r (Bytes.of_string "abc") 0 3);
   let buf = Bytes.create 4 in
   let rejects name f =
@@ -184,7 +229,9 @@ let test_fd_table () =
   | Error e -> Alcotest.(check int) "ebadf" Occlum_abi.Abi.Errno.ebadf e
   | Ok () -> Alcotest.fail "closed bad fd");
   (* sharing: inherit bumps refs; releasing a pipe end updates counters *)
-  let pipe = { Fd.ring = Ring.create 8; readers = 1; writers = 1; wake = [] } in
+  let pipe =
+    { Fd.ring = Ring.create (Ring.pool ()) 8; readers = 1; writers = 1; wake = [] }
+  in
   let w = Fd.install t (Fd.make (Fd.Pipe_w pipe)) in
   let child = Fd.inherit_from t in
   (match Fd.find child w with
@@ -317,6 +364,8 @@ let suite =
     Alcotest.test_case "ring basics" `Quick test_ring_basics;
     QCheck_alcotest.to_alcotest prop_ring_fifo;
     Alcotest.test_case "ring rejects bad spans" `Quick test_ring_bad_span;
+    Alcotest.test_case "ring storage only while bytes are queued" `Quick
+      test_ring_storage_on_demand;
     Alcotest.test_case "loopback network" `Quick test_net;
     Alcotest.test_case "listener close frees port" `Quick test_listener_close;
     Alcotest.test_case "fd table" `Quick test_fd_table;

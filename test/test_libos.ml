@@ -1984,6 +1984,48 @@ let test_boot_stores_on_demand () =
     (match Os.find_proc os pid with Some p -> p.exit_code | None -> -1);
   Alcotest.(check int) "the run stored nothing more" spawned (stored ())
 
+(* Socket rings hold storage only while bytes are queued: 1,000
+   connected pairs at the default 64 KiB per direction, each of which
+   has carried a request and a reply, add under 1 MiB of live heap
+   once drained. *)
+let test_idle_sockets_hold_no_storage () =
+  let module Net = Occlum_libos.Net in
+  let os = Os.boot () in
+  let net = os.Os.net in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Stdlib.Sys.word_size / 8)
+  in
+  let l =
+    match Net.listen net ~port:8080 ~backlog:1000 with
+    | Ok l -> l
+    | Error e -> Alcotest.failf "listen: errno %d" e
+  in
+  let before = live () in
+  let pairs =
+    List.init 1000 (fun _ ->
+        match Net.external_connect net ~port:8080 with
+        | Ok client -> (
+            match Net.accept l with
+            | Some server -> (client, server)
+            | None -> Alcotest.fail "accept")
+        | Error e -> Alcotest.failf "connect: errno %d" e)
+  in
+  let buf = Bytes.create 64 in
+  List.iter
+    (fun (client, server) ->
+      Alcotest.(check int) "request sent" 4 (Net.external_send net client "ping");
+      Alcotest.(check bool) "request read" true (Net.recv net server buf 0 64 = Ok 4);
+      Alcotest.(check bool) "reply sent" true
+        (Net.send net server (Bytes.of_string "pong") 0 4 = Ok 4);
+      Alcotest.(check int) "reply read" 4 (Net.external_recv_into net client buf))
+    pairs;
+  let added = live () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "1,000 idle pairs add under 1 MiB (%d bytes)" added)
+    true (added < 1 lsl 20);
+  Alcotest.(check int) "all pairs kept" 1000 (List.length pairs)
+
 let suite =
   [
     Alcotest.test_case "hello world" `Quick test_hello;
@@ -2057,4 +2099,6 @@ let suite =
       test_direct_path_paged;
     Alcotest.test_case "boot stores enclave memory on demand" `Quick
       test_boot_stores_on_demand;
+    Alcotest.test_case "idle sockets hold no ring storage" `Quick
+      test_idle_sockets_hold_no_storage;
   ]

@@ -22,14 +22,14 @@ let test_slot_exclusion () =
   let claims =
     Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> 7)
   in
-  Alcotest.(check (list (pair int int)))
+  Alcotest.(check (list int))
     "only one of the slot-sharing pair is claimed"
-    [ (0, 2) ] claims;
+    [ 2 ] claims;
   let claims2 =
     Sched.claim s ~runnable:always ~live:always ~slot_of:(fun _ -> 7)
   in
-  Alcotest.(check (list (pair int int))) "the other runs next epoch"
-    [ (0, 4) ] claims2
+  Alcotest.(check (list int)) "the other runs next epoch"
+    [ 4 ] claims2
 
 let test_idle_core_claims () =
   (* epochs with nothing runnable leave no core ignoring work that
@@ -42,8 +42,8 @@ let test_idle_core_claims () =
          ~slot_of:(fun _ -> -1))
   done;
   Sched.enqueue s 3;
-  Alcotest.(check (list (pair int int)))
-    "both cores claim" [ (0, 1); (1, 3) ] (claim_all s)
+  Alcotest.(check (list int))
+    "both cores claim" [ 1; 3 ] (claim_all s)
 
 (* The one-core round-robin pick, as a list model: pop the front; a dead
    pid is dropped, a live one goes behind the tail, the claimed one
@@ -105,19 +105,17 @@ let prop_claim_pass =
           let runnable pid = life.(pid) > 1 && run.(pid) in
           let slot_of pid = slots.(pid) in
           let before = Sched.queued s in
-          let claims = Sched.claim s ~runnable ~live ~slot_of in
+          let pids = Sched.claim s ~runnable ~live ~slot_of in
           let after = Sched.queued s in
-          let pids = List.map snd claims in
           let claimed_slots =
             List.filter (fun x -> x >= 0) (List.map slot_of pids)
           in
           let distinct l = List.length (List.sort_uniq compare l) = List.length l in
           let sorted l = List.sort compare l in
-          List.length claims <= cores
-          && List.mapi (fun i _ -> i) claims = List.map fst claims
+          List.length pids <= cores
           && distinct pids && distinct claimed_slots
           && List.for_all (fun p -> runnable p && List.mem p before) pids
-          && (List.length claims = cores
+          && (List.length pids = cores
              || List.for_all
                   (fun p ->
                     List.mem p pids
@@ -131,6 +129,165 @@ let prop_claim_pass =
              let pick, rq = model_pick before ~live ~ok:runnable in
              Option.to_list pick = pids && rq = after))
         epochs)
+
+(* --- the LibOS's queue of proc records ------------------------------------ *)
+
+let rt = Occlum_toolchain.Runtime.program
+
+let transcript os =
+  Printf.sprintf "console=%s digest=%s clock=%Ld syscalls=%d gates=%d"
+    (String.sub
+       (Occlum_util.Sha256.to_hex
+          (Occlum_util.Sha256.digest (Os.console_output os)))
+       0 16)
+    (String.sub (Os.state_digest os) 0 16)
+    (Os.clock os) os.Os.syscalls os.Os.gate_crossings
+
+let blocked_procs os =
+  Hashtbl.fold
+    (fun _ p n -> if p.Os.state = `Blocked then n + 1 else n)
+    os.Os.procs 0
+
+(* A parent reaps a zombie child with [wait] while a sibling still runs.
+   The reaped record leaves the process table but is still queued; the
+   claims that follow drop it without running it, and the run is the
+   same as when the queue held pids. *)
+let test_reap_while_sibling_runs () =
+  let open Occlum_toolchain.Ast in
+  let quick = rt [ func "main" [] [ Return (i 7) ] ] in
+  let slow =
+    rt
+      [
+        func "main" []
+          [
+            Let ("k", i 0);
+            While
+              ( v "k" <: i 3,
+                [
+                  Let ("j", i 0);
+                  While (v "j" <: i 20_000, [ Assign ("j", v "j" +: i 1) ]);
+                  Expr (Call ("puts", [ Str "s"; i 1 ]));
+                  Assign ("k", v "k" +: i 1);
+                ] );
+            Return (i 0);
+          ];
+      ]
+  in
+  let parent =
+    rt
+      [
+        func "main" []
+          [
+            Let ("slow", Call ("spawn0", [ Str "/bin/slow"; i 9 ]));
+            Let ("quick", Call ("spawn0", [ Str "/bin/quick"; i 10 ]));
+            Let ("st", Global_addr "_rt_misc_buf");
+            If
+              ( Call ("waitpid", [ v "quick"; v "st" ]) <>: v "quick",
+                [ Return (i 1) ],
+                [] );
+            Expr (Call ("print_int", [ Load (v "st") ]));
+            Expr (Call ("puts", [ Str "\n"; i 1 ]));
+            If
+              ( Call ("waitpid", [ v "slow"; v "st" ]) <>: v "slow",
+                [ Return (i 2) ],
+                [] );
+            Return (i 0);
+          ];
+      ]
+  in
+  let module Trace = Occlum_obs.Trace in
+  let obs = Occlum_obs.Obs.(create ~events:[ Quantum; Lifecycle ] ()) in
+  let trace = obs.Occlum_obs.Obs.trace in
+  let os = Harness.boot ~obs Harness.Occlum in
+  Harness.install os Harness.Occlum
+    [ ("/bin/app", parent); ("/bin/slow", slow); ("/bin/quick", quick) ];
+  let app = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+  Alcotest.(check bool) "ran to completion" true (Os.run os = Os.All_exited);
+  Alcotest.(check int) "parent exit code" 0
+    (match Os.find_proc os app with Some p -> p.Os.exit_code | None -> -1);
+  let slow_pid = app + 1 and quick_pid = app + 2 in
+  Alcotest.(check bool) "the quick child was reaped" true
+    (Os.find_proc os quick_pid = None);
+  Alcotest.(check bool) "its record left the queue" true
+    (List.for_all (fun p -> p.Os.pid <> quick_pid) (Sched.queued os.Os.sched));
+  let events = List.map (fun e -> e.Trace.kind) (Trace.events trace) in
+  Alcotest.(check int) "no event dropped" 0 (Trace.dropped trace);
+  let rec after_exit pid = function
+    | [] -> []
+    | Trace.Exit { pid = q; _ } :: rest when q = pid -> rest
+    | _ :: rest -> after_exit pid rest
+  in
+  let later = after_exit quick_pid events in
+  Alcotest.(check bool) "the reaped child never runs again" true
+    (List.for_all
+       (function Trace.Quantum_start { pid } -> pid <> quick_pid | _ -> true)
+       later);
+  Alcotest.(check bool) "its sibling ran on after it" true
+    (List.exists
+       (function Trace.Quantum_start { pid } -> pid = slow_pid | _ -> false)
+       later);
+  Alcotest.(check string) "transcript"
+    "console=cfbdd67a45d7f929 digest=2d561dbca3f13320 clock=341960 syscalls=12 gates=12"
+    (transcript os)
+
+(* [t.blocked] is the number of [`Blocked] procs after every step of the
+   fish golden run, at one core and at three. The one-core run is the
+   golden transcript. *)
+let test_blocked_count_fish () =
+  List.iter
+    (fun cores ->
+      let os = Harness.boot ~cores Harness.Occlum in
+      Harness.install os Harness.Occlum Occlum_workloads.Fish.binaries;
+      ignore (Os.spawn os ~parent_pid:0 ~path:"/bin/fish" ~args:[ "2"; "30" ]);
+      let peak = ref 0 in
+      let rec go () =
+        match Os.run ~max_steps:1 os with
+        | Os.Quota_exhausted ->
+            let n = blocked_procs os in
+            if os.Os.blocked <> n then
+              Alcotest.failf "cores=%d: count %d, %d procs blocked" cores
+                os.Os.blocked n;
+            peak := max !peak n;
+            go ()
+        | status -> status
+      in
+      Alcotest.(check bool) "fish ran to completion" true (go () = Os.All_exited);
+      Alcotest.(check int) "none blocked at the end" 0 os.Os.blocked;
+      Alcotest.(check bool) "some SIP blocked on the way" true (!peak > 0);
+      if cores = 1 then
+        Alcotest.(check string) "fish golden transcript"
+          "console=34a8e311cddcb4f2 digest=3a13905eb3815db2 clock=99955 syscalls=334 gates=334"
+          (transcript os))
+    [ 1; 3 ]
+
+(* A blocked SIP can go straight to Zombie: when its retried call
+   completes but the gate's return address fails the return check, the
+   LibOS kills it. The blocked count follows. *)
+let test_blocked_sip_killed () =
+  let open Occlum_toolchain.Ast in
+  let nap =
+    rt
+      [
+        func "main" []
+          [
+            Expr (Syscall (Occlum_abi.Abi.Sys.nanosleep, [ i 1_000_000 ]));
+            Return (i 0);
+          ];
+      ]
+  in
+  let os = Harness.boot Harness.Occlum in
+  Harness.install os Harness.Occlum [ ("/bin/nap", nap) ];
+  let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/nap" ~args:[] in
+  let p = Option.get (Os.find_proc os pid) in
+  while p.Os.state <> `Blocked && Os.step os do () done;
+  Alcotest.(check int) "one blocked" 1 os.Os.blocked;
+  let sp = Int64.to_int (Occlum_machine.Cpu.get p.Os.cpu Occlum_isa.Reg.sp) in
+  Occlum_machine.Mem.write_u64_priv os.Os.mem sp 0L;
+  (* the idle retry that kills it finds nothing runnable after it, so
+     this run ends as a deadlock with no live SIP *)
+  Alcotest.(check bool) "run ends" true (Os.run os = Os.Deadlock []);
+  Alcotest.(check int) "killed by SIGKILL" (128 + 9) p.Os.exit_code;
+  Alcotest.(check int) "none blocked" 0 os.Os.blocked
 
 (* --- determinism differential -------------------------------------------- *)
 
@@ -316,4 +473,10 @@ let suite =
       test_clock_covers_events;
     Alcotest.test_case "every core's JIT events reach the trace" `Quick
       test_jit_events_traced;
+    Alcotest.test_case "a reaped zombie is dropped, not run" `Quick
+      test_reap_while_sibling_runs;
+    Alcotest.test_case "blocked count over the fish run" `Quick
+      test_blocked_count_fish;
+    Alcotest.test_case "blocked SIP killed at its return check" `Quick
+      test_blocked_sip_killed;
   ]
