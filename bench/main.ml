@@ -1184,8 +1184,9 @@ let () =
       H.install os H.Occlum Occlum_workloads.Fish.binaries;
       ignore (H.timed_run os "/bin/fish" ~args:[ "2"; "40" ]);
       (* residual-guard audit over the optimized fish binary: how many
-         mem_guards the verifier's own range analysis still proves
-         redundant (what a smarter optimizer could remove) *)
+         mem_guards elision still classifies redundant over the
+         verifier's own range analysis (what a smarter optimizer could
+         remove) *)
       (match Occlum_workloads.Fish.binaries with
       | (_, prog) :: _ -> (
           let oelf =
@@ -1194,8 +1195,11 @@ let () =
           in
           match Occlum_verifier.Verify.verify oelf with
           | Ok a ->
-              Occlum_analysis.Guard_audit.record obs.Occlum_obs.Obs.metrics
-                (Occlum_analysis.Guard_audit.audit a)
+              let r = Occlum_analysis.Elide.analyze a in
+              let module M = Occlum_obs.Metrics in
+              let registry = obs.Occlum_obs.Obs.metrics in
+              M.add (M.counter registry "guard_audit.guards_total") r.total;
+              M.add (M.counter registry "guard_audit.redundant_total") r.elided
           | Error _ -> ())
       | [] -> ());
       json_metrics :=

@@ -4,7 +4,8 @@
 
    - OL001 unreachable-block and OL002 dead-flag-update (cheap CFG lints)
    - OL003 redundant-guard, from the guard-elision classifier over the
-     fixpoint the verifier's Stage 4 computed
+     fixpoint the verifier's Stage 4 computed ({!Lint.redundant_guards},
+     shared with occlum_verify --guard-audit)
    - OL004/5/6, the constant-time taint findings (when the binary
      declares secret regions)
 
@@ -42,24 +43,10 @@ let write_file path s =
 let collect_findings (oelf : Occlum_oelf.Oelf.t) accepted
     (report : Elide.report) =
   let cfg = Cfg.build ~entry:oelf.entry (Verify.disasm accepted) in
-  let ol003 =
-    List.filter_map
-      (fun (g : Elide.guard) ->
-        match g.cls with
-        | Elide.Required -> None
-        | cls ->
-            Some
-              { Lint.rule = "OL003"; addr = g.addr; insn = g.text;
-                message =
-                  Printf.sprintf "%s: %s"
-                    (Elide.classification_to_string cls)
-                    g.why;
-                severity = Lint.Note })
-      report.guards
-  in
   let taint = List.map Lint.of_taint (Taint.check accepted) in
   let findings =
-    Lint.unreachable_blocks cfg @ Lint.dead_flag_updates cfg @ ol003 @ taint
+    Lint.unreachable_blocks cfg @ Lint.dead_flag_updates cfg
+    @ Lint.redundant_guards report @ taint
   in
   List.sort Lint.compare_findings findings
 
@@ -98,11 +85,9 @@ let lint input sarif_out elide_out =
           in
           let findings = collect_findings oelf accepted report in
           Printf.printf
-            "%s: %d finding(s); %d/%d mem_guard(s) elidable (%d dominated, \
-             %d range-proven%s)\n"
+            "%s: %d finding(s); %d/%d mem_guard(s) elidable%s\n"
             input (List.length findings) report.elided report.total
-            report.dominated report.range_proven
-            (if report.bailed then "; irreducible CFG: elision bailed"
+            (if report.bailed then " (irreducible CFG: elision bailed)"
              else "");
           print_string (Lint.to_text findings);
           (match sarif_out with

@@ -3,7 +3,7 @@
    success emits the signed binary. Beyond plain verification it hosts
    the static-analysis clients: --ct runs the constant-time taint
    checker over the declared secret regions, --guard-audit reports the
-   residual redundant mem_guards.
+   mem_guards guard elision classifies redundant, per function.
 
    Exit codes: 0 verified (and clean, under --ct); 1 rejected by a
    verification stage; 2 malformed input; 3 signature present but
@@ -13,7 +13,8 @@ open Cmdliner
 module Verify = Occlum_verifier.Verify
 module Disasm = Occlum_verifier.Disasm
 module Taint = Occlum_analysis.Taint
-module Guard_audit = Occlum_analysis.Guard_audit
+module Elide = Occlum_analysis.Elide
+module Lint = Occlum_analysis.Lint
 
 let read_oelf path =
   let ic = open_in_bin path in
@@ -47,7 +48,58 @@ let ct_json findings =
   Buffer.add_string b (Printf.sprintf "],\"count\":%d}" (List.length findings));
   Buffer.contents b
 
-let verify input output disasm ct guard_audit json =
+(* The guard audit: elision's classification of [accepted], its guards
+   counted per owning function (a symbol owns [offset, next)), with one
+   OL003 finding per redundant guard. Text on stdout; the same report as
+   JSON to [json]. *)
+let guard_audit accepted json =
+  let report = Elide.analyze accepted in
+  let syms =
+    List.sort (fun (_, a) (_, b) -> compare a b) (Verify.binary accepted).symbols
+  in
+  let func_of addr =
+    List.fold_left
+      (fun owner (name, off) -> if off <= addr then name else owner)
+      "<unknown>" syms
+  in
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun (g : Elide.guard) ->
+      let name = func_of g.addr in
+      let n, r = Option.value (Hashtbl.find_opt counts name) ~default:(0, 0) in
+      Hashtbl.replace counts name
+        (n + 1, if g.cls = Elide.Redundant then r + 1 else r))
+    report.guards;
+  let funcs =
+    List.sort compare
+      (Hashtbl.fold (fun name (n, r) acc -> (name, n, r) :: acc) counts [])
+  in
+  let findings = Lint.redundant_guards report in
+  Printf.printf "guard audit: %d mem_guard(s), %d provably redundant\n"
+    report.total report.elided;
+  List.iter
+    (fun (name, n, r) ->
+      Printf.printf "  %-24s %4d guard(s), %4d redundant\n" name n r)
+    funcs;
+  print_string (Lint.to_text findings);
+  Option.iter
+    (fun path ->
+      write_json path
+        (Printf.sprintf
+           "{\"guards_total\":%d,\"redundant_total\":%d,\"funcs\":[%s],\
+            \"findings\":[%s]}"
+           report.total report.elided
+           (String.concat ","
+              (List.map
+                 (fun (name, n, r) ->
+                   Printf.sprintf
+                     "{\"name\":\"%s\",\"guards\":%d,\"redundant\":%d}"
+                     (Occlum_util.Json.escape name) n r)
+                 funcs))
+           (String.concat "," (List.map Lint.finding_json findings))))
+    json
+
+let verify input output disasm ct guard_audit_flag json =
   match read_oelf input with
   | exception Occlum_oelf.Oelf.Malformed m ->
       prerr_endline ("malformed OELF: " ^ m);
@@ -82,17 +134,11 @@ let verify input output disasm ct guard_audit json =
               output_string oc (Occlum_oelf.Oelf.to_string signed);
               close_out oc;
               Printf.printf "signed binary written to %s\n" out);
-          if guard_audit then begin
-            let report = Guard_audit.audit accepted in
-            print_string (Guard_audit.to_text report);
-            match json with
-            | Some path -> write_json path (Guard_audit.to_json report)
-            | None -> ()
-          end;
+          if guard_audit_flag then guard_audit accepted json;
           if ct then begin
             let findings = Taint.check accepted in
             (match json with
-            | Some path when not guard_audit ->
+            | Some path when not guard_audit_flag ->
                 write_json path (ct_json findings)
             | _ -> ());
             match findings with
@@ -131,7 +177,8 @@ let ct_arg =
 let guard_audit_arg =
   Arg.(value & flag
        & info [ "guard-audit" ]
-           ~doc:"Report mem_guards the range analysis proves redundant.")
+           ~doc:"Report, per function, the mem_guards guard elision \
+                 classifies redundant.")
 
 let json_arg =
   Arg.(value & opt (some string) None

@@ -40,10 +40,6 @@ val dominators : t -> int list option array
     unreachable from the entry. Runs on the shared dataflow engine with
     the intersection lattice. *)
 
-val dominates : int list option array -> int -> int -> bool
-(** [dominates doms a b]: does block [a] dominate block [b]? Unreachable
-    [b] is dominated by nothing. *)
-
 val natural_loops : t -> (int * int list) list
 (** [(head, body)] per natural loop (back edges sharing a head are
     merged), sorted by head block id; bodies sorted and head-inclusive. *)

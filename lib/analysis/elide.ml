@@ -6,10 +6,8 @@
 
    - {b required}: some path needs the guard (its fact, or its Stage-4
      adjacency for an indexed access or an unproven stack access);
-   - {b dominated-redundant}: an equal guard on the same (base, disp)
-     dominates it with no interleaving clobber of the base;
-   - {b range-proven}: the access window is in bounds on every path even
-     without a dominating twin (facts flowing from verified accesses,
+   - {b redundant}: the access window is in bounds on every path without
+     it (facts flowing from an earlier equal guard, verified accesses,
      loop-carried guards, or wider windows).
 
    Redundant guards are then dropped from the binary: units between
@@ -39,12 +37,7 @@ module D = Occlum_verifier.Disasm
 module L = Occlum_range.Range_lattice
 module V = Occlum_verifier.Verify
 
-type classification = Required | Dominated_redundant | Range_proven
-
-let classification_to_string = function
-  | Required -> "required"
-  | Dominated_redundant -> "dominated-redundant"
-  | Range_proven -> "range-proven"
+type classification = Required | Redundant
 
 type guard = {
   index : int;  (* index into the disassembly's sorted units *)
@@ -56,9 +49,7 @@ type guard = {
 
 type report = {
   total : int;          (* all mem_guards *)
-  elided : int;         (* dominated + range_proven *)
-  dominated : int;
-  range_proven : int;
+  elided : int;         (* the guards classified redundant *)
   bailed : bool;        (* irreducible CFG: conservative global bail *)
   rounds : int;         (* validation fixpoint rounds *)
   guards : guard list;  (* every mem_guard, ascending address *)
@@ -118,180 +109,88 @@ let validate a cand =
   done;
   (removed, !rounds)
 
-(* --- dominated vs range-proven (reporting) ------------------------------- *)
-
-(* A must-analysis of available guard keys (base, disp): which exact
-   guards are live on every path, killed by any write to the base.
-   Distinguishes "a dominating twin proves you" from "the range facts
-   alone prove you". *)
-module Avail = Occlum_range.Dataflow.Make (struct
-  type t = (int * int) list (* sorted (base, disp) *)
-
-  let equal = ( = )
-
-  let join a b =
-    let rec go a b =
-      match (a, b) with
-      | [], _ | _, [] -> []
-      | x :: a', y :: b' ->
-          if x = y then x :: go a' b'
-          else if x < y then go a' b
-          else go a b'
-    in
-    go a b
-end)
-
-let avail_guards a =
-  let d = V.disasm a in
-  let graph, seeds, is_top_edge = V.unit_graph a in
-  Avail.fixpoint graph
-    ~seeds:(List.map (fun i -> (i, [])) seeds)
-    ~edge:(fun ~src ~dst v -> if is_top_edge ~src ~dst then [] else v)
-    ~transfer:(fun i s ->
-      let u = d.sorted.(i) in
-      match u.kind with
-      | U.U_cfi_label _ -> []
-      | U.U_mem_guard m -> (
-          match L.simple_sib m with
-          | Some key -> List.sort_uniq compare (key :: s)
-          | None -> s)
-      | U.U_cfi_guard _ ->
-          let scratch = Reg.to_int Reg.scratch in
-          List.filter (fun (b, _) -> b <> scratch) s
-      | U.U_insn insn -> (
-          match L.written_regs insn with
-          | [] -> s
-          | w -> List.filter (fun (b, _) -> not (List.mem b w)) s))
-
 (* --- classification ------------------------------------------------------ *)
 
 (* Internal: classify every guard and return the validated removal set
-   alongside the report. *)
+   alongside the report. A candidate is a guard whose window Stage 4's
+   in-state already covers ({!Occlum_range.Range_lattice.guard_redundant},
+   the optimizer's own test), that feeds no indexed access and that the
+   entry reaches; validation then reinstates any a residual obligation
+   still needs. *)
 let analyze_internal a =
   let d = V.disasm a in
   let n = Array.length d.sorted in
   let cfg = Cfg.build ~entry:(V.binary a).entry d in
   let bailed = Cfg.irreducible cfg in
-  let mk_report removed rounds why_required =
-    let doms = Cfg.dominators cfg in
-    let avail = if bailed then [||] else avail_guards a in
-    let guard_sites =
-      (* (base, disp) -> unit indices of guards with that exact key *)
-      let tbl = Hashtbl.create 32 in
+  let cand = Array.make n false in
+  let why = Hashtbl.create 16 in
+  let removed, rounds =
+    if bailed then (cand, 0)
+    else begin
+      let in_state = V.in_states a in
+      let reach = Cfg.reachable cfg in
       Array.iteri
         (fun i (u : U.unit_at) ->
           match u.kind with
           | U.U_mem_guard m -> (
-              match L.simple_sib m with
-              | Some key ->
-                  Hashtbl.replace tbl key
-                    (i :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
-              | None -> ())
+              let note s = Hashtbl.replace why i s in
+              match (L.simple_sib m, in_state.(i)) with
+              | None, _ -> note "indexed or rip-relative guard operand"
+              | Some _, Some s when L.guard_redundant s m ->
+                  (* a guard feeding an adjacent indexed access is
+                     structurally required by Stage 4 *)
+                  let feeds_indexed =
+                    i + 1 < n
+                    && d.sorted.(i + 1).addr = u.addr + u.len
+                    && (match d.sorted.(i + 1).kind with
+                       | U.U_insn insn -> (
+                           match Insn.mem_access_of insn with
+                           | Ma_sib { index = Some _; _ } -> true
+                           | _ -> false)
+                       | _ -> false)
+                  in
+                  if feeds_indexed then
+                    note "adjacent indexed access requires the guard"
+                  else if not reach.(cfg.Cfg.block_of_unit.(i)) then
+                    note "block unreachable from the entry: kept conservatively"
+                  else cand.(i) <- true
+              | Some _, Some _ ->
+                  note "guarded window not covered by the range fixpoint"
+              | Some _, None -> note "unit unreachable in the fixpoint")
           | _ -> ())
         d.sorted;
-      tbl
-    in
-    let guards = ref [] in
-    let total = ref 0 and dom = ref 0 and rp = ref 0 in
-    Array.iteri
-      (fun i (u : U.unit_at) ->
-        match u.kind with
-        | U.U_mem_guard m ->
-            incr total;
-            let text = U.to_string u.kind in
-            let g =
-              if not removed.(i) then
-                { index = i; addr = u.addr; text; cls = Required;
-                  why = why_required i }
-              else
-                let key = Option.get (L.simple_sib m) in
-                let bi = cfg.Cfg.block_of_unit.(i) in
-                let dominated =
-                  List.mem key
-                    (match avail.(i) with Some a -> a | None -> [])
-                  && List.exists
-                       (fun j ->
-                         j <> i
-                         &&
-                         let bj = cfg.Cfg.block_of_unit.(j) in
-                         if bj = bi then j < i
-                         else Cfg.dominates doms bj bi)
-                       (Option.value
-                          (Hashtbl.find_opt guard_sites key)
-                          ~default:[])
-                in
-                if dominated then begin
-                  incr dom;
-                  { index = i; addr = u.addr; text;
-                    cls = Dominated_redundant;
-                    why =
-                      Printf.sprintf
-                        "an equal guard on (r%d%+d) dominates with no \
-                         interleaving clobber"
-                        (fst key) (snd key) }
-                end
-                else begin
-                  incr rp;
-                  { index = i; addr = u.addr; text; cls = Range_proven;
-                    why = "the range fixpoint covers the guarded window on \
-                           every path" }
-                end
-            in
-            guards := g :: !guards
-        | _ -> ())
-      d.sorted;
-    ( { total = !total; elided = !dom + !rp; dominated = !dom;
-        range_proven = !rp; bailed; rounds; guards = List.rev !guards },
-      removed )
+      validate a cand
+    end
   in
-  if bailed then
-    mk_report (Array.make n false) 0 (fun _ ->
-        "irreducible control flow: elision conservatively bailed")
-  else begin
-    let in_state = V.in_states a in
-    let reach = Cfg.reachable cfg in
-    let cand = Array.make n false in
-    let why = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (u : U.unit_at) ->
-        match u.kind with
-        | U.U_mem_guard m -> (
-            let note s = Hashtbl.replace why i s in
-            match (L.simple_sib m, in_state.(i)) with
-            | None, _ -> note "indexed or rip-relative guard operand"
-            | Some _, Some s when L.guard_redundant s m ->
-                (* a guard feeding an adjacent indexed access is
-                   structurally required by Stage 4 *)
-                let feeds_indexed =
-                  i + 1 < n
-                  && d.sorted.(i + 1).addr = u.addr + u.len
-                  && (match d.sorted.(i + 1).kind with
-                     | U.U_insn insn -> (
-                         match Insn.mem_access_of insn with
-                         | Ma_sib { index = Some _; _ } -> true
-                         | _ -> false)
-                     | _ -> false)
-                in
-                if feeds_indexed then
-                  note "adjacent indexed access requires the guard"
-                else if not reach.(cfg.Cfg.block_of_unit.(i)) then
-                  note "block unreachable from the entry: kept conservatively"
-                else cand.(i) <- true
-            | Some _, Some _ ->
-                note "guarded window not covered by the range fixpoint"
-            | Some _, None -> note "unit unreachable in the fixpoint")
-        | _ -> ())
-      d.sorted;
-    let removed, rounds = validate a cand in
-    let why_required i =
+  let why_required i =
+    if bailed then "irreducible control flow: elision conservatively bailed"
+    else
       match Hashtbl.find_opt why i with
       | Some s -> s
       | None ->
           if cand.(i) then "reinstated: a residual obligation needs this guard"
           else "required"
-    in
-    mk_report removed rounds why_required
-  end
+  in
+  let guards =
+    Array.to_list d.sorted
+    |> List.mapi (fun i u -> (i, u))
+    |> List.filter_map (fun (i, (u : U.unit_at)) ->
+           match u.kind with
+           | U.U_mem_guard _ ->
+               let cls, why =
+                 if removed.(i) then
+                   ( Redundant,
+                     "the range fixpoint covers the guarded window on every \
+                      path" )
+                 else (Required, why_required i)
+               in
+               Some
+                 { index = i; addr = u.addr; text = U.to_string u.kind; cls;
+                   why }
+           | _ -> None)
+  in
+  let elided = Array.fold_left (fun k r -> if r then k + 1 else k) 0 removed in
+  ( { total = List.length guards; elided; bailed; rounds; guards }, removed )
 
 let analyze a = fst (analyze_internal a)
 

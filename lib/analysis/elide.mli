@@ -2,19 +2,17 @@
 
     Reads the verifier's own Stage-4 range fixpoint from a
     {!Occlum_verifier.Verify.accepted} to classify every [mem_guard] of
-    the verified binary as {e required}, {e dominated-redundant} or
-    {e range-proven}, then rewrites the binary to drop the redundant
-    ones — sliding units between pinned addresses, re-encoding direct
-    and rip-relative offsets, nop/jmp padding the freed bytes — and
-    feeds the result back through the {b unmodified} 4-stage verifier.
+    the verified binary as {e required} or {e redundant}, then rewrites
+    the binary to drop the redundant ones — sliding units between
+    pinned addresses, re-encoding direct and rip-relative offsets,
+    nop/jmp padding the freed bytes — and feeds the result back through
+    the {b unmodified} 4-stage verifier.
     Only the [accepted] that re-verification returns can be signed. A
     rejection of the output is a bug in this pass ([Output_rejected]),
     never a security event: the pass is outside the trusted computing
     base. *)
 
-type classification = Required | Dominated_redundant | Range_proven
-
-val classification_to_string : classification -> string
+type classification = Required | Redundant
 
 type guard = {
   index : int;  (** index into the disassembly's sorted units *)
@@ -26,9 +24,7 @@ type guard = {
 
 type report = {
   total : int;          (** all mem_guards *)
-  elided : int;         (** dominated + range_proven *)
-  dominated : int;
-  range_proven : int;
+  elided : int;         (** the guards classified redundant *)
   bailed : bool;        (** irreducible CFG: conservative global bail *)
   rounds : int;         (** validation fixpoint rounds *)
   guards : guard list;  (** every mem_guard, ascending address *)

@@ -1,6 +1,6 @@
 (* The shared diagnostics vocabulary of the static-analysis clients:
-   every checker that reports a program point (guard audit, guard
-   elision, constant-time taint, the cheap CFG lints below) speaks in
+   every checker that reports a program point (guard elision,
+   constant-time taint, the cheap CFG lints below) speaks in
    [finding] records with stable OL rule ids, so `occlum_lint`,
    `occlum_verify` and CI artifacts all render the same shape.
 
@@ -64,6 +64,19 @@ let of_taint (t : Taint.finding) =
   in
   { rule; addr = t.addr; insn = t.insn;
     message = Taint.kind_to_string t.kind; severity = Error }
+
+(* OL003: one note per guard elision classifies redundant, so
+   `occlum_lint` and `occlum_verify --guard-audit` report the same set. *)
+let redundant_guards (r : Elide.report) =
+  List.filter_map
+    (fun (g : Elide.guard) ->
+      match g.cls with
+      | Elide.Required -> None
+      | Elide.Redundant ->
+          Some
+            { rule = "OL003"; addr = g.addr; insn = g.text; message = g.why;
+              severity = Note })
+    r.guards
 
 (* --- cheap CFG lints ----------------------------------------------------- *)
 
@@ -129,18 +142,6 @@ let finding_json f =
     f.addr
     (Occlum_util.Json.escape f.insn)
     (Occlum_util.Json.escape f.message)
-
-let to_json findings =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"findings\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (finding_json f))
-    findings;
-  Buffer.add_string b
-    (Printf.sprintf "],\"count\":%d}" (List.length findings));
-  Buffer.contents b
 
 (* SARIF 2.1.0, the interchange shape CI archives. Physical locations
    are code offsets into the binary (uri = the input path); SARIF levels

@@ -6,7 +6,7 @@
     Rule table:
     - OL001 unreachable-block — basic block unreachable from the entry
     - OL002 dead-flag-update — cmp flags overwritten before any branch
-    - OL003 redundant-guard — mem_guard the range fixpoint proves away
+    - OL003 redundant-guard — mem_guard elision classifies redundant
     - OL004/5/6 — the constant-time taint findings of {!Taint} *)
 
 type severity = Error | Warning | Note
@@ -25,6 +25,10 @@ val finding_to_string : finding -> string
 val of_taint : Taint.finding -> finding
 (** Map a constant-time finding onto OL004/OL005/OL006. *)
 
+val redundant_guards : Elide.report -> finding list
+(** OL003: one note per guard the report classifies redundant, in the
+    report's (ascending address) order. *)
+
 val unreachable_blocks : Cfg.t -> finding list
 (** OL001: one finding per block the recovered CFG cannot reach from
     the entry (the verifier still accepts such blocks — its seeds
@@ -36,6 +40,5 @@ val dead_flag_updates : Cfg.t -> finding list
 
 val to_text : finding list -> string
 val finding_json : finding -> string
-val to_json : finding list -> string
 val to_sarif : uri:string -> finding list -> string
 (** SARIF 2.1.0 document; [uri] names the analyzed artifact. *)

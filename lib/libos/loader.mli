@@ -69,6 +69,13 @@ val load :
     {!build}'s code and data into the slot.
     @raise Load_error on an oversized binary. *)
 
+val entry_ok : labelled:bool -> Occlum_machine.Mem.t -> image -> int -> bool
+(** [entry_ok ~labelled mem img addr]: the labelled-entry rule for a
+    transfer the LibOS makes into the SIP's code (a gate's return, a
+    signal handler, a thread entry) — [addr + 8] lies in the domain's
+    code and, when [labelled], [addr] opens with its cfi_label. Bare
+    builds carry no labels. Allocates nothing of its own. *)
+
 val return_target_ok :
   Occlum_machine.Mem.t -> image -> Occlum_machine.Cpu.t -> bool
 (** The check the LibOS makes before the main gate returns to the SIP

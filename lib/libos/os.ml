@@ -673,6 +673,12 @@ let rec do_exit t (p : proc) code =
 and kill_proc t p ~fatal_signal =
   do_exit t p (128 + fatal_signal)
 
+(* Bare builds, which the native model runs, carry no cfi_labels and
+   issue syscalls inline: the one place Linux mode is exempted from the
+   labelled-entry rule ({!Loader.entry_ok}) at a gate's return, a signal
+   handler and a thread entry. *)
+let labelled t = t.cfg.mode <> Linux
+
 (* Deliver one pending signal before the SIP resumes. Handlers run on the
    user stack; returning from one lands on the sigreturn gate, where the
    LibOS restores the saved context (the CFI-compatible version of
@@ -695,13 +701,8 @@ let deliver_signals t (p : proc) =
             else kill_proc t p ~fatal_signal:signo
         | Some handler ->
             let haddr = Int64.to_int handler in
-            let ok =
-              haddr >= Domain_mgr.c_base p.img.slot
-              && haddr + 8 <= Domain_mgr.c_base p.img.slot + p.img.slot.code_size
-              && (t.cfg.mode = Linux
-                 || Int64.equal (Mem.read_u64_priv t.mem haddr) p.img.label_value)
-            in
-            if not ok then kill_proc t p ~fatal_signal:signo
+            if not (Loader.entry_ok ~labelled:(labelled t) t.mem p.img haddr)
+            then kill_proc t p ~fatal_signal:signo
             else begin
               p.saved_ctx <- Some (Cpu.save p.cpu);
               let sp = Int64.to_int (Cpu.get p.cpu Reg.sp) - 16 in
@@ -1456,11 +1457,8 @@ let sys_epoll_wait t p =
 
 let sys_clone t p =
   let entry = iarg p 0 and stack_top = iarg p 1 and tharg = arg p 2 in
-  (* the entry must open with this domain's cfi_label *)
-  let c0 = Domain_mgr.c_base p.img.slot in
-  if entry < c0 || entry + 8 > c0 + p.img.slot.code_size
-     || not (Int64.equal (Mem.read_u64_priv t.mem entry) p.img.label_value)
-  then err Errno.einval
+  if not (Loader.entry_ok ~labelled:(labelled t) t.mem p.img entry) then
+    err Errno.einval
   else if not (user_ok p (stack_top - 16) 16) then err Errno.efault
   else begin
     incr p.slot_refs;
@@ -1697,7 +1695,7 @@ let dispatch_traced ?(charge = true) t (p : proc) : sysret =
 let complete t p = function
   | Done v ->
       Cpu.set p.cpu R.result v;
-      if t.cfg.mode <> Linux && not (Loader.return_target_ok t.mem p.img p.cpu)
+      if labelled t && not (Loader.return_target_ok t.mem p.img p.cpu)
       then kill_proc t p ~fatal_signal:Sig.sigkill
       else begin
         if p.state = `Blocked then t.blocked <- t.blocked - 1;
@@ -1903,7 +1901,9 @@ let earliest_wake _ p acc =
 
 (* A step found nothing runnable: advance the clock to the earliest
    sleeper's wake time, or else retry every blocked call once more.
-   [Some (Deadlock _)] when that leaves nothing runnable either. *)
+   When that leaves nothing runnable either: [Some All_exited] if the
+   retry killed the last live SIP (a failed return check), else
+   [Some (Deadlock _)]. *)
 let idle t =
   match Hashtbl.fold earliest_wake t.procs None with
   | Some w ->
@@ -1912,6 +1912,7 @@ let idle t =
   | None ->
       retry_blocked t;
       if found t runnable_found then None
+      else if not (found t live_found) then Some All_exited
       else Some (Deadlock (List.map (fun p -> p.pid) (live_procs t)))
 
 (* The drive loop behind [run] and [wait_pid_exit]: step, and idle when

@@ -1,7 +1,10 @@
 (* The range-analysis abstract domain of §4.3/§5 Stage 4, shared by the
    toolchain's guard optimizer and the verifier so the two cannot drift
    apart: a fact proved by the optimizer is re-provable by the verifier
-   because both run the exact same lattice operations.
+   because both run the exact same transfer — {!guard_effect} for a
+   mem_guard and {!insn_effect} for an instruction. The two clients only
+   differ in the graph they run it over (assembly items vs decoded
+   units) and in how they map their pseudo-instructions onto it.
 
    Facts: "base register + d is inside D∪G for all d in [lo, hi]".
    Created by mem_guard pseudo-instructions (which prove the checked
@@ -171,3 +174,33 @@ let pop_effect s dst =
   let s = if covers s sp 0 7 then set_anchor s sp 0 else s in
   let s = shift_reg s sp 8 in
   match dst with Some r -> kill_reg s (Reg.to_int r) | None -> s
+
+(* A mem_guard proves its checked address is in D. *)
+let guard_effect m s =
+  match simple_sib m with
+  | Some (base, disp) -> set_anchor s base disp
+  | None -> s
+
+(* The one per-instruction transfer of both analyses. A syscall gate
+   leaves the state alone: Stage 2 rejects a gate before Stage 4 runs,
+   and only bare builds, which the optimizer never sees, emit one. *)
+let insn_effect (i : Insn.t) s =
+  match i with
+  | Load { dst; src; size } ->
+      let s = access s src ~size in
+      kill_reg s (Reg.to_int dst)
+  | Store { dst; size; _ } -> access s dst ~size
+  | Push _ | Call _ | Call_reg _ | Call_mem _ -> push_effect s
+  | Pop r -> pop_effect s (Some r)
+  | Ret | Ret_imm _ -> pop_effect s None
+  | Mov_reg (d, src) -> copy_reg s (Reg.to_int d) (Reg.to_int src)
+  | Alu (Add, r, O_imm c) when Int64.abs c < Int64.of_int shift_limit ->
+      shift_reg s (Reg.to_int r) (Int64.to_int c)
+  | Alu (Sub, r, O_imm c) when Int64.abs c < Int64.of_int shift_limit ->
+      shift_reg s (Reg.to_int r) (- Int64.to_int c)
+  | Mov_imm (r, _) | Alu (_, r, _) | Lea (r, _) | Wrfsbase r | Wrgsbase r ->
+      kill_reg s (Reg.to_int r)
+  | Syscall_gate | Vscatter _ | Cmp _ | Nop | Jmp _ | Jcc _ | Jmp_reg _
+  | Jmp_mem _ | Hlt | Bndcl _ | Bndcu _ | Bndmk _ | Bndmov _ | Cfi_label _
+  | Eexit | Emodpe | Eaccept | Xrstor ->
+      s

@@ -1,6 +1,7 @@
-(** The range-analysis abstract domain of §4.3/§5 Stage 4, shared by
-    the toolchain's guard optimizer and the verifier so the two cannot
-    drift apart.
+(** The range-analysis abstract domain of §4.3/§5 Stage 4 and its
+    transfer, shared by the toolchain's guard optimizer and the verifier
+    so the two cannot drift apart: both step a state with
+    {!guard_effect} and {!insn_effect}.
 
     A fact [(r, (lo, hi))] means "for every d in [lo, hi], the address
     (r + d) lies in D or a guard page": accessing it either succeeds
@@ -20,23 +21,12 @@ type state = {
 }
 
 val top : state
-val normalize : state -> state
 val equal : state -> state -> bool
 
 val meet : state -> state -> state
 (** Path merge: keeps only facts true on both paths. *)
 
 val kill_reg : state -> int -> state
-
-val shift_reg : state -> int -> int -> state
-(** [shift_reg s r c]: r := r + c. *)
-
-val copy_reg : state -> int -> int -> state
-(** [copy_reg s d src]: d := src. *)
-
-val set_anchor : state -> int -> int -> state
-(** "base + anchor is proven in D" — from a guard or a verified access;
-    propagates through aliases; hulls with overlapping intervals. *)
 
 val covers : state -> int -> int -> int -> bool
 (** [covers s base lo hi]: the facts prove [base+d] safe for all
@@ -56,11 +46,12 @@ val written_regs : Insn.t -> int list
 (** The registers an instruction writes (a stack op writes {!sp}; an
     add of a constant counts as a write). *)
 
-val access : state -> Insn.mem -> size:int -> state
-(** Model one memory access of [size] bytes: refresh if provable. *)
+val guard_effect : Insn.mem -> state -> state
+(** A mem_guard on the operand: its checked address is in D. *)
 
-val push_effect : state -> state
-(** Store at [sp-8], then sp -= 8. *)
-
-val pop_effect : state -> Reg.t option -> state
-(** Load at [sp], sp += 8, then kill the destination (if any). *)
+val insn_effect : Insn.t -> state -> state
+(** The per-instruction transfer of both analyses: verified accesses
+    refresh facts, constant add/sub shift them, moves copy them, any
+    other register write kills them; a stack op models its access at
+    [sp] and shifts [sp]. A syscall gate leaves the state alone (Stage 2
+    rejects it before Stage 4 runs). *)

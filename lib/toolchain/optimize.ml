@@ -1,11 +1,12 @@
 (* The range-analysis guard optimizer of §4.3.
 
    The abstract domain (facts + aliases, created by mem_guards and
-   refreshed by verified accesses) lives in
-   {!Occlum_range.Range_lattice}, shared with the verifier's Stage-4
+   refreshed by verified accesses) and its per-instruction transfer live
+   in {!Occlum_range.Range_lattice}, shared with the verifier's Stage-4
    analysis so the two cannot drift apart: every fact the optimizer
    relies on to delete a guard is a fact the verifier re-derives over
-   the final bytes with the same lattice operations.
+   the final bytes with the same transfer. This module only maps the
+   assembler's items onto it and runs it over the item graph.
 
    Two rewrites, exactly the ones the paper names:
    1. redundant check elimination — delete a mem_guard whose operand is
@@ -50,42 +51,17 @@ let flow_of (item : Asm.item) =
       { next = true; next_top = true; targets = [] }
   | _ -> { next = true; next_top = false; targets = [] }
 
+(* Stage 4's transfer, with the assembler's pseudo-instructions mapped
+   onto the instructions they become. *)
 let transfer (item : Asm.item) s =
   match item with
-  | Label _ -> s
+  | Label _ | Jmp_l _ | Jcc_l _ -> s
   | Cfi_label_here -> top
-  | Mem_guard m -> (
-      match simple_sib m with
-      | Some (base, disp) -> set_anchor s base disp
-      | None -> s)
+  | Mem_guard m -> guard_effect m s
   | Cfi_guard _ -> kill_reg s (Reg.to_int Reg.scratch)
-  | Jmp_l _ | Jcc_l _ -> s
-  | Call_l _ -> push_effect s (* the return-address push *)
-  | Lea_code (r, _) -> kill_reg s (Reg.to_int r)
-  | Ins i -> (
-      match i with
-      | Load { dst; src; size } ->
-          let s = access s src ~size in
-          kill_reg s (Reg.to_int dst)
-      | Store { dst; size; _ } -> access s dst ~size
-      | Push _ -> push_effect s
-      | Pop r -> pop_effect s (Some r)
-      | Call _ | Call_reg _ | Call_mem _ -> push_effect s
-      | Ret | Ret_imm _ -> pop_effect s None
-      | Mov_reg (d, src) -> copy_reg s (Reg.to_int d) (Reg.to_int src)
-      | Mov_imm (r, _) -> kill_reg s (Reg.to_int r)
-      | Alu (Add, r, O_imm c) when Int64.abs c < Int64.of_int shift_limit ->
-          shift_reg s (Reg.to_int r) (Int64.to_int c)
-      | Alu (Sub, r, O_imm c) when Int64.abs c < Int64.of_int shift_limit ->
-          shift_reg s (Reg.to_int r) (- Int64.to_int c)
-      | Alu (_, r, _) -> kill_reg s (Reg.to_int r)
-      | Lea (r, _) -> kill_reg s (Reg.to_int r)
-      | Syscall_gate -> kill_reg s (Reg.to_int Codegen_regs.result)
-      | Wrfsbase r | Wrgsbase r -> kill_reg s (Reg.to_int r)
-      | Cmp _ | Nop | Jmp _ | Jcc _ | Jmp_reg _ | Jmp_mem _ | Hlt
-      | Bndcl _ | Bndcu _ | Bndmk _ | Bndmov _ | Cfi_label _ | Eexit
-      | Emodpe | Eaccept | Xrstor | Vscatter _ ->
-          s)
+  | Call_l _ -> insn_effect (Call 0) s
+  | Lea_code (r, _) -> insn_effect (Lea (r, Rip_rel 0)) s
+  | Ins i -> insn_effect i s
 
 let is_entry_label l =
   String.length l > 2 && (String.sub l 0 2 = "f_" || l = "_start")

@@ -2,10 +2,11 @@
    (§4.3, §5 Stage 4), independent from — and stronger than — the
    toolchain's optimizer, which this analysis must be able to re-prove.
 
-   The abstract domain itself lives in {!Occlum_range.Range_lattice},
-   shared with the optimizer so the two cannot drift apart. This module
-   adds the verifier's view of it: the per-unit transfer function and
-   successor relation over {!Unit_kind.unit_at} values. Only
+   The abstract domain and its per-instruction transfer live in
+   {!Occlum_range.Range_lattice}, shared with the optimizer so the two
+   cannot drift apart. This module adds the verifier's view of it: the
+   mapping of a decoded unit onto that transfer and the successor
+   relation over {!Unit_kind.unit_at} values. Only
    {!Verify} runs them; its clients in [lib/analysis] (elision, the
    guard audit) read the graph and the states from [Verify.accepted].
 
@@ -36,36 +37,9 @@ let succs_of (u : U.unit_at) =
 let transfer (u : U.unit_at) s =
   match u.kind with
   | U.U_cfi_label _ -> top
-  | U.U_mem_guard m -> (
-      match simple_sib m with
-      | Some (base, disp) -> set_anchor s base disp
-      | None -> s)
+  | U.U_mem_guard m -> guard_effect m s
   | U.U_cfi_guard _ -> kill_reg s (Reg.to_int Reg.scratch)
-  | U.U_insn i -> (
-      match i with
-      | Load { dst; src; size } ->
-          let s = access s src ~size in
-          kill_reg s (Reg.to_int dst)
-      | Store { dst; size; _ } -> access s dst ~size
-      | Push _ | Call _ | Call_reg _ | Call_mem _ -> push_effect s
-      | Pop r -> pop_effect s (Some r)
-      | Ret | Ret_imm _ ->
-          let s = shift_reg s sp 8 in
-          s
-      | Mov_reg (d, src) -> copy_reg s (Reg.to_int d) (Reg.to_int src)
-      | Mov_imm (r, _) -> kill_reg s (Reg.to_int r)
-      | Alu (Add, r, O_imm c) when Int64.abs c < Int64.of_int shift_limit ->
-          shift_reg s (Reg.to_int r) (Int64.to_int c)
-      | Alu (Sub, r, O_imm c) when Int64.abs c < Int64.of_int shift_limit ->
-          shift_reg s (Reg.to_int r) (- Int64.to_int c)
-      | Alu (_, r, _) -> kill_reg s (Reg.to_int r)
-      | Lea (r, _) -> kill_reg s (Reg.to_int r)
-      | Wrfsbase r | Wrgsbase r -> kill_reg s (Reg.to_int r)
-      | Vscatter _ | Syscall_gate -> s (* rejected elsewhere *)
-      | Cmp _ | Nop | Jmp _ | Jcc _ | Jmp_reg _ | Jmp_mem _ | Hlt
-      | Bndcl _ | Bndcu _ | Bndmk _ | Bndmov _ | Cfi_label _ | Eexit
-      | Emodpe | Eaccept | Xrstor ->
-          s)
+  | U.U_insn i -> insn_effect i s
 
 (* The unit graph Stage 4 and elision iterate over:
    nodes are indices into [d.sorted]. The seeds are every cfi_label

@@ -99,16 +99,23 @@ if [ -n "$seal" ]; then
   exit 1
 fi
 
-# One Stage 4: elision and the guard audit read the verifier's range
-# fixpoint from Verify.accepted and call its obligation check
-# (Verify.stage4_failures). No other module may drive the engine that
-# fixpoint runs on, and lib/analysis may not keep its own copy of the
-# Figure-4 walk.
+# One Stage 4: elision reads the verifier's range fixpoint from
+# Verify.accepted and calls its obligation check (Verify.stage4_failures);
+# the guard audit and OL003 report elision's classification. No other
+# module may drive the engine that fixpoint runs on, lib/analysis may not
+# keep its own copy of the Figure-4 walk, the optimizer and the verifier
+# step states only through Range_lattice.insn_effect (so the lattice's
+# stack and register helpers stay inside lib/range), and no separate
+# guard-audit module may come back.
 stage4=$(grep -rnE '\b(Range|R)\.Engine\b' lib | grep -v '^lib/verifier/range\.ml:' || true)
 walk=$(grep -rnE '\b(let|and)( rec)? +(guarded_by|sp_mem)\b' lib/analysis || true)
-if [ -n "$stage4$walk" ]; then
-  echo "FAIL: a copy of Stage 4 outside lib/verifier (read Verify.accepted / call Verify.stage4_failures):" >&2
-  printf '%s\n%s\n' "$stage4" "$walk" >&2
+effects=$(grep -rnwE 'push_effect|pop_effect|shift_reg|copy_reg' lib bin bench test \
+  --include='*.ml' --include='*.mli' | grep -v '^lib/range/' || true)
+arms=$(grep -nE '\b(Load|Store) *\{' lib/toolchain/optimize.ml lib/verifier/range.ml || true)
+audit=$(find lib bin bench test -name 'guard_audit.ml*')
+if [ -n "$stage4$walk$effects$arms$audit" ]; then
+  echo "FAIL: a copy of Stage 4 outside lib/verifier and lib/range (read Verify.accepted / call Verify.stage4_failures / step with Range_lattice.insn_effect):" >&2
+  printf '%s\n' "$stage4" "$walk" "$effects" "$arms" "$audit" >&2
   exit 1
 fi
 
@@ -171,10 +178,37 @@ if [ "$status" -ne 4 ]; then
 fi
 
 # Residual-guard audit over the naive build of the leaky example: the
-# JSON lands next to the bench results as a CI artifact.
+# JSON lands next to the bench results as a CI artifact. Its per-function
+# counts must sum to its totals, and its totals must equal the elidable
+# count occlum_lint reports for the same binary (both read elision's one
+# classification).
 dune exec bin/occlum_cc.exe -- examples/ct_leaky.ol -c naive -o _build/ct_naive.oelf
 dune exec bin/occlum_verify.exe -- --guard-audit --json _build/guard-audit.json \
   _build/ct_naive.oelf
+lint_out=$(dune exec bin/occlum_lint.exe -- _build/ct_naive.oelf) || true
+python3 - _build/guard-audit.json "$lint_out" <<'PY' || exit 1
+import json, re, sys
+report = json.load(open(sys.argv[1]))
+funcs = report["funcs"]
+guards = sum(f["guards"] for f in funcs)
+redundant = sum(f["redundant"] for f in funcs)
+m = re.search(r"(\d+)/(\d+) mem_guard\(s\) elidable", sys.argv[2])
+bad = []
+if (guards, redundant) != (report["guards_total"], report["redundant_total"]):
+    bad.append("per-function counts %d/%d do not sum to totals %d/%d"
+               % (redundant, guards, report["redundant_total"], report["guards_total"]))
+if len(report["findings"]) != report["redundant_total"]:
+    bad.append("%d findings for %d redundant guards"
+               % (len(report["findings"]), report["redundant_total"]))
+if m is None:
+    bad.append("no elidable count in occlum_lint's summary: %r" % sys.argv[2])
+elif (int(m.group(1)), int(m.group(2))) != (report["redundant_total"], report["guards_total"]):
+    bad.append("audit totals %d/%d differ from occlum_lint's %s/%s"
+               % (report["redundant_total"], report["guards_total"], m.group(1), m.group(2)))
+for b in bad:
+    print("FAIL: guard audit: " + b, file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
 
 # Lint gate: the unified occlum_lint driver over the example workloads,
 # SARIF artifacts in _build/lint/ (CI uploads them). The sfi builds may

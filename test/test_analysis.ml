@@ -8,7 +8,6 @@ open Occlum_isa
 open Occlum_toolchain
 module Cfg = Occlum_analysis.Cfg
 module Taint = Occlum_analysis.Taint
-module Guard_audit = Occlum_analysis.Guard_audit
 
 let empty_layout = Layout.of_program { globals = []; funcs = []; secrets = [] }
 let link_raw items = Linker.link empty_layout items
@@ -316,46 +315,20 @@ let test_secret_survives_signing () =
 
 (* --- guard audit --------------------------------------------------------- *)
 
-let audit_of ?config src =
-  let oelf = compile_src ?config src in
-  Guard_audit.audit (accepted_exn oelf)
-
+(* `occlum_verify --guard-audit` reports elision's classification: the
+   naive build leaves guards it proves redundant, the optimized one far
+   fewer. *)
 let test_guard_audit_naive_has_redundancy () =
-  let naive = audit_of ~config:Codegen.sfi_naive leaky_src in
-  let opt = audit_of ~config:Codegen.sfi leaky_src in
+  let analyze config =
+    Occlum_analysis.Elide.analyze (accepted_exn (compile_src ~config leaky_src))
+  in
+  let naive = analyze Codegen.sfi_naive and opt = analyze Codegen.sfi in
   Alcotest.(check bool) "naive leaves provably redundant guards" true
-    (naive.Guard_audit.redundant_total > 0);
+    (naive.elided > 0);
   Alcotest.(check bool) "optimized has fewer residual guards" true
-    (opt.Guard_audit.redundant_total < naive.Guard_audit.redundant_total);
+    (opt.elided < naive.elided);
   Alcotest.(check bool) "optimized carries fewer guards overall" true
-    (opt.Guard_audit.guards_total < naive.Guard_audit.guards_total);
-  (* per-function counts add up to the totals *)
-  let sum f l = List.fold_left (fun a x -> a + f x) 0 l in
-  Alcotest.(check int) "func guards sum" naive.Guard_audit.guards_total
-    (sum (fun (f : Guard_audit.func_report) -> f.guards)
-       naive.Guard_audit.funcs);
-  Alcotest.(check int) "func redundant sum" naive.Guard_audit.redundant_total
-    (sum (fun (f : Guard_audit.func_report) -> f.redundant)
-       naive.Guard_audit.funcs)
-
-let test_guard_audit_metrics_and_json () =
-  let r = audit_of ~config:Codegen.sfi_naive leaky_src in
-  let reg = Occlum_obs.Metrics.create () in
-  Guard_audit.record reg r;
-  let items = Occlum_obs.Metrics.to_json_items reg in
-  let get k = List.assoc k items in
-  Alcotest.(check (float 0.0)) "guards counter"
-    (float_of_int r.Guard_audit.guards_total)
-    (get "guard_audit.guards_total");
-  Alcotest.(check (float 0.0)) "redundant counter"
-    (float_of_int r.Guard_audit.redundant_total)
-    (get "guard_audit.redundant_total");
-  let js = Guard_audit.to_json r in
-  Alcotest.(check bool) "json mentions totals" true
-    (String.length js > 0 && js.[0] = '{');
-  let txt = Guard_audit.to_text r in
-  Alcotest.(check bool) "text report mentions mem_guard" true
-    (String.length txt > 0)
+    (opt.total < naive.total)
 
 (* --- guard elision ------------------------------------------------------- *)
 
@@ -373,9 +346,8 @@ let elide_ok oelf =
 let classes (r : Elide.report) =
   List.map (fun (g : Elide.guard) -> g.cls) r.guards
 
-(* Two identical adjacent guards: the verifier accepts both, the range
-   fixpoint proves the second from the first, and the dominance check
-   attributes it to its same-block twin. *)
+(* Two identical adjacent guards: the verifier accepts both, and the
+   range fixpoint proves the second from the first. *)
 let test_elide_straightline_dominated () =
   let oelf =
     link_raw
@@ -391,11 +363,10 @@ let test_elide_straightline_dominated () =
   let report = Elide.analyze (accepted_exn oelf) in
   Alcotest.(check int) "two guards" 2 report.Elide.total;
   Alcotest.(check int) "one elided" 1 report.Elide.elided;
-  Alcotest.(check int) "by dominance" 1 report.Elide.dominated;
   Alcotest.(check bool) "no bail" false report.Elide.bailed;
   (match classes report with
-  | [ Elide.Required; Elide.Dominated_redundant ] -> ()
-  | _ -> Alcotest.fail "expected [required; dominated-redundant]");
+  | [ Elide.Required; Elide.Redundant ] -> ()
+  | _ -> Alcotest.fail "expected [required; redundant]");
   let oelf', _ = elide_ok oelf in
   Alcotest.(check bool) "elided binary is signed" true
     (V.signature_ok oelf');
@@ -403,10 +374,8 @@ let test_elide_straightline_dominated () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unmodified verifier must re-accept the output"
 
-(* The §4.3 hoisting shape on a self-loop: a preheader guard dominates
-   the loop-carried copy; the in-loop guard goes, the preheader stays.
-   The loop block is its own back-edge target, so this also covers the
-   self-loop corner of the dominance test. *)
+(* The §4.3 hoisting shape on a self-loop: a preheader guard proves the
+   loop-carried copy; the in-loop guard goes, the preheader stays. *)
 let test_elide_loop_hoisted () =
   let oelf =
     link_raw
@@ -434,7 +403,7 @@ let test_elide_loop_hoisted () =
   Alcotest.(check int) "two guards" 2 report.Elide.total;
   Alcotest.(check int) "in-loop guard elided" 1 report.Elide.elided;
   (match classes report with
-  | [ Elide.Required; Elide.Dominated_redundant ] -> ()
+  | [ Elide.Required; Elide.Redundant ] -> ()
   | _ -> Alcotest.fail "preheader stays, loop copy goes");
   let oelf', _ = elide_ok oelf in
   match V.verify oelf' with
@@ -507,8 +476,9 @@ let test_guard_heavy_exact_count () =
   let report = Elide.analyze (accepted_exn naive) in
   Alcotest.(check int) "total guards" 341 report.Elide.total;
   Alcotest.(check int) "exact elision count" 248 report.Elide.elided;
-  Alcotest.(check int) "dominated" 72 report.Elide.dominated;
-  Alcotest.(check int) "range-proven" 176 report.Elide.range_proven;
+  Alcotest.(check int) "classified redundant" 248
+    (List.length
+       (List.filter (fun c -> c = Elide.Redundant) (classes report)));
   Alcotest.(check bool) "no bail" false report.Elide.bailed;
   (* the optimized config leaves nothing on the table *)
   let opt = compile_src src in
@@ -595,33 +565,29 @@ let test_lint_dead_flag_update () =
        (Lint.dead_flag_updates
           (Cfg.build ~entry:clean.entry (disasm_exn clean))))
 
+(* OL003, as both occlum_lint and occlum_verify --guard-audit report it:
+   one note per guard elision classifies redundant. *)
 let test_guard_audit_findings () =
-  let r = audit_of ~config:Codegen.sfi_naive leaky_src in
-  Alcotest.(check bool) "audit emits findings" true
-    (List.length r.Guard_audit.findings > 0);
-  Alcotest.(check int) "one finding per redundant guard"
-    r.Guard_audit.redundant_total
-    (List.length r.Guard_audit.findings);
+  let report =
+    Elide.analyze
+      (accepted_exn (compile_src ~config:Codegen.sfi_naive leaky_src))
+  in
+  let findings = Lint.redundant_guards report in
+  Alcotest.(check bool) "audit emits findings" true (findings <> []);
+  Alcotest.(check int) "one finding per redundant guard" report.Elide.elided
+    (List.length findings);
   List.iter
     (fun (f : Lint.finding) ->
       Alcotest.(check string) "rule" "OL003" f.rule;
       Alcotest.(check bool) "decoded guard text" true
         (String.length f.insn >= 9 && String.sub f.insn 0 9 = "mem_guard");
-      Alcotest.(check bool) "names the function" true
+      Alcotest.(check bool) "carries a message" true
         (String.length f.message > 0))
-    r.Guard_audit.findings;
+    findings;
   (* ascending, deduplicated addresses *)
-  let addrs = List.map (fun (f : Lint.finding) -> f.addr) r.Guard_audit.findings in
+  let addrs = List.map (fun (f : Lint.finding) -> f.addr) findings in
   Alcotest.(check bool) "addresses strictly increasing" true
-    (List.for_all2 ( < ) addrs (List.tl addrs @ [ max_int ]));
-  Alcotest.(check bool) "json carries the findings" true
-    (let js = Guard_audit.to_json r in
-     let needle = "\"findings\"" in
-     let rec find i =
-       i + String.length needle <= String.length js
-       && (String.sub js i (String.length needle) = needle || find (i + 1))
-     in
-     find 0)
+    (List.for_all2 ( < ) addrs (List.tl addrs @ [ max_int ]))
 
 (* Validation reinstates a guard whose window is already covered but
    whose anchor widens the fact a later access needs: [r1+4000] lies
@@ -742,8 +708,6 @@ let suite =
       test_secret_survives_signing;
     Alcotest.test_case "guard audit: naive vs optimized" `Quick
       test_guard_audit_naive_has_redundancy;
-    Alcotest.test_case "guard audit: metrics and json" `Quick
-      test_guard_audit_metrics_and_json;
     Alcotest.test_case "dataflow engine directions" `Quick
       test_dataflow_engine_forward_backward;
     Alcotest.test_case "elide: straightline dominated twin" `Quick

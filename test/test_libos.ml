@@ -362,34 +362,41 @@ let test_default_signal_kills () =
   let _, _, code = run_system ~binaries:[ ("/bin/victim", target) ] killer in
   Alcotest.(check int) "128+SIGTERM" (128 + 15) code
 
+(* clone a thread that increments a shared counter and futex-wakes *)
+let threads_futex_prog =
+  rt
+    ~globals:[ ("counter", 8); ("futex", 8) ]
+    [
+      func "worker" [ "arg" ]
+        [
+          Store (Global_addr "counter", v "arg" +: i 100);
+          Store (Global_addr "futex", i 1);
+          Expr (Syscall (Sys.futex_wake, [ Global_addr "futex"; i 1 ]));
+          Return (i 0);
+        ];
+      func "main" []
+        [
+          Let ("stack", Syscall (Sys.mmap, [ i 0; i 16384; i (-1); i 0 ]));
+          Let ("tid",
+               Syscall (Sys.clone, [ Func_addr "worker"; v "stack" +: i 16384; i 5 ]));
+          If (v "tid" <: i 0, [ Return (i 1) ], []);
+          (* futex-wait until the worker signals *)
+          While (Load (Global_addr "futex") =: i 0,
+                 [ Expr (Syscall (Sys.futex_wait, [ Global_addr "futex"; i 0 ])) ]);
+          Expr (Call ("waitpid", [ v "tid"; i 0 ]));
+          Return (Load (Global_addr "counter"));
+        ];
+    ]
+
 let test_threads_futex () =
-  (* clone a thread that increments a shared counter and futex-wakes *)
-  let prog =
-    rt
-      ~globals:[ ("counter", 8); ("futex", 8) ]
-      [
-        func "worker" [ "arg" ]
-          [
-            Store (Global_addr "counter", v "arg" +: i 100);
-            Store (Global_addr "futex", i 1);
-            Expr (Syscall (Sys.futex_wake, [ Global_addr "futex"; i 1 ]));
-            Return (i 0);
-          ];
-        func "main" []
-          [
-            Let ("stack", Syscall (Sys.mmap, [ i 0; i 16384; i (-1); i 0 ]));
-            Let ("tid",
-                 Syscall (Sys.clone, [ Func_addr "worker"; v "stack" +: i 16384; i 5 ]));
-            If (v "tid" <: i 0, [ Return (i 1) ], []);
-            (* futex-wait until the worker signals *)
-            While (Load (Global_addr "futex") =: i 0,
-                   [ Expr (Syscall (Sys.futex_wait, [ Global_addr "futex"; i 0 ])) ]);
-            Expr (Call ("waitpid", [ v "tid"; i 0 ]));
-            Return (Load (Global_addr "counter"));
-          ];
-      ]
-  in
-  let _, status, code = run_system prog in
+  let _, status, code = run_system threads_futex_prog in
+  Alcotest.(check bool) "finished" true (status = Os.All_exited);
+  Alcotest.(check int) "shared memory" 105 code
+
+(* A bare build carries no cfi_labels, so the native model must not ask
+   for one at the thread entry. *)
+let test_threads_futex_linux () =
+  let _, status, code = run_system ~mode:Os.Linux threads_futex_prog in
   Alcotest.(check bool) "finished" true (status = Os.All_exited);
   Alcotest.(check int) "shared memory" 105 code
 
@@ -2050,6 +2057,8 @@ let suite =
     Alcotest.test_case "signal handlers + sigreturn" `Quick test_signals;
     Alcotest.test_case "default signal kills" `Quick test_default_signal_kills;
     Alcotest.test_case "threads + futex" `Quick test_threads_futex;
+    Alcotest.test_case "threads + futex under Linux" `Quick
+      test_threads_futex_linux;
     Alcotest.test_case "sockets" `Quick test_sockets;
     Alcotest.test_case "dup2" `Quick test_dup2_inheritance;
     Alcotest.test_case "nanosleep/gettime" `Quick test_sleep_gettime;

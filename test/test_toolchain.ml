@@ -461,6 +461,68 @@ let test_parser_matches_combinators () =
   Alcotest.(check bool) "identical code" true
     (Bytes.equal b1.Occlum_oelf.Oelf.code b2.Occlum_oelf.Oelf.code)
 
+(* --- golden build digests ---------------------------------------------- *)
+
+(* The output bytes of the compiler and the §4.3 optimizer, pinned: the
+   first 16 hex digits of the SHA-256 of each OELF, (sfi, naive), for the
+   SPEC kernels at scale 1 and every fish, gcc and httpd binary. A
+   refactor of codegen, the optimizer or the range domain they share with
+   the verifier must leave these unchanged; a deliberate change to the
+   emitted code updates them. *)
+let golden_builds =
+  let spec =
+    List.map (fun (n, p) -> ("spec/" ^ n, p)) (Occlum_workloads.Spec.all ~scale:1)
+  in
+  let digests =
+    [
+      ("spec/perlbench", "ef59be525e020da9", "c59a3d06371a1981");
+      ("spec/bzip2", "3e700c07797efb0c", "20dec7b38acc8529");
+      ("spec/gcc", "4f4c7ea9919e191b", "51d90d94e1ba7e01");
+      ("spec/mcf", "38b53dd57abac561", "2f49eac10b2db82b");
+      ("spec/gobmk", "f2bc5e89c2ef01a8", "06368eecc64df775");
+      ("spec/hmmer", "d7d9f00395e6b186", "264ba084700adb15");
+      ("spec/sjeng", "d79de2ea8019b73e", "45b9fce3c069bd7e");
+      ("spec/libquantum", "5e72e3973b649e34", "9021c7dfa76d04ad");
+      ("spec/h264ref", "385b7978da0deae0", "874214ddfde149e1");
+      ("spec/omnetpp", "ccb3afb9d10512a0", "fcb55cfb07bfe33b");
+      ("spec/astar", "4df0c7ec0f80ce07", "8a8fa26ae5f9b74a");
+      ("spec/xalancbmk", "669645c85de33a52", "811ab9438914d8a5");
+      ("/bin/gen", "34e424b44c50f151", "cb25a4633032679b");
+      ("/bin/tr", "810d3e7744232862", "70c5b6b1e4b1c46c");
+      ("/bin/filter", "70ed00857b2040f7", "045f54b954a815ff");
+      ("/bin/wc", "4cb6ab944c4f32b0", "f007f29311d39f80");
+      ("/bin/fish", "e68c042e1f792b1e", "cc1e28d472ddb7ae");
+      ("/bin/cpp", "5cef91dcb7310887", "b08e6453c91a5836");
+      ("/bin/cc1", "c69b0ef3339ed8a1", "2a2b83acb113405a");
+      ("/bin/as", "bfd79aa0dd737594", "b0e2e93555b11a91");
+      ("/bin/ld", "08c3f4275fe2050b", "c5b8f1f19c2714df");
+      ("/bin/cc", "f2b2cf173edd27c1", "cf7d111ef6fe7e4a");
+      ("/bin/httpd_worker", "c235f1e1a32d3c3a", "bdd24a884bce63ba");
+      ("/bin/httpd", "88e6d05522f00d08", "c255ec22f50e92f8");
+      ("/bin/httpd_mt", "da1b9159f74e7132", "6d226c13bbae8961");
+      ("/bin/httpd_ev", "666dc635cb5b1da0", "fa5c5a41cee6d8fc");
+    ]
+  in
+  let progs =
+    spec @ Occlum_workloads.Fish.binaries @ Occlum_workloads.Gcc_pipeline.binaries
+    @ Occlum_workloads.Httpd.binaries
+  in
+  List.map (fun (name, sfi, naive) -> (name, List.assoc name progs, sfi, naive))
+    digests
+
+let test_golden_build_digests () =
+  let digest config prog =
+    let bytes = Occlum_oelf.Oelf.to_string (Compile.compile_exn ~config prog) in
+    String.sub (Occlum_util.Sha256.to_hex (Occlum_util.Sha256.digest bytes)) 0 16
+  in
+  Alcotest.(check int) "every build pinned" 26 (List.length golden_builds);
+  List.iter
+    (fun (name, prog, sfi, naive) ->
+      Alcotest.(check string) (name ^ " sfi") sfi (digest Codegen.sfi prog);
+      Alcotest.(check string) (name ^ " naive") naive
+        (digest Codegen.sfi_naive prog))
+    golden_builds
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_differential;
@@ -482,4 +544,5 @@ let suite =
     Alcotest.test_case "spec kernels: interp == machine" `Slow
       test_interp_matches_machine_on_workloads;
     Alcotest.test_case "assembly listing" `Quick test_listing;
+    Alcotest.test_case "golden build digests" `Quick test_golden_build_digests;
   ]
