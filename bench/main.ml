@@ -231,9 +231,9 @@ let fig6_file ~write () =
 
 let spec_cycles config prog =
   let oelf = Occlum_toolchain.Compile.compile_exn ~config prog in
-  let r = Occlum_baseline.Native_run.run oelf in
-  if r.Occlum_baseline.Native_run.exit_code <> 0L then failwith "spec kernel failed";
-  r.cycles
+  let r = H.run_bare oelf in
+  if r.exit_code <> 0 then failwith "spec kernel failed";
+  r.cpu.cycles
 
 let fig7a () =
   let scale = if full then 4 else 1 in
@@ -311,19 +311,17 @@ let guards () =
       | Error e -> failwith (name ^ ": " ^ El.error_to_string e)
       | Ok (elided, report) ->
           let elided = Occlum_verifier.Verify.binary elided in
-          let rn = Occlum_baseline.Native_run.run naive in
-          let re = Occlum_baseline.Native_run.run elided in
-          if
-            rn.Occlum_baseline.Native_run.exit_code <> re.exit_code
-            || rn.stdout <> re.stdout
-          then failwith (name ^ ": elided binary diverged from its input");
-          let speedup = float rn.cycles /. float re.cycles in
+          let rn = H.run_bare naive and re = H.run_bare elided in
+          if rn.exit_code <> re.exit_code || rn.stdout <> re.stdout then
+            failwith (name ^ ": elided binary diverged from its input");
+          let speedup = float rn.cpu.cycles /. float re.cpu.cycles in
           record (Printf.sprintf "guards/%s-elide-speedup" name) speedup;
           record
             (Printf.sprintf "guards/%s-elided-guards" name)
             (float report.El.elided);
           Printf.printf "%-14s %8d %8d %14d %14d %8.3fx\n%!" name
-            report.El.total report.El.elided rn.cycles re.cycles speedup)
+            report.El.total report.El.elided rn.cpu.cycles re.cpu.cycles
+            speedup)
     kernels;
   (* the optimized builds: whatever the toolchain's own optimizer left
      behind (0 today — recorded so any future residue shows up) *)

@@ -50,7 +50,7 @@ type t = { cfg : config; slots : slot array }
 (* Carve the slots out of a building enclave. On SGX1 every page is
    mapped now (pre-EINIT, §6 "Memory management"); on SGX2 the address
    space is only reserved and the loader EAUGs pages per binary. *)
-let build cfg (enclave : Occlum_sgx.Enclave.t) =
+let build cfg (enclave : Occlum_sgx.Enclave.t) ~data_perm =
   let dynamic = Occlum_sgx.Enclave.version enclave = Occlum_sgx.Enclave.Sgx2 in
   let slots =
     Array.init cfg.max_domains (fun i ->
@@ -60,7 +60,7 @@ let build cfg (enclave : Occlum_sgx.Enclave.t) =
             ~len:cfg.domain_code_size ~perm:Mem.perm_rwx;
           Occlum_sgx.Enclave.add_zero_pages enclave
             ~addr:(base + cfg.domain_code_size + guard)
-            ~len:cfg.domain_data_size ~perm:Mem.perm_rw
+            ~len:cfg.domain_data_size ~perm:data_perm
         end;
         { id = i + 1; base; code_size = cfg.domain_code_size;
           data_size = cfg.domain_data_size; in_use = false; mapped = [] })

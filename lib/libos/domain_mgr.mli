@@ -28,10 +28,11 @@ val enclave_size : config -> int
 
 type t = { cfg : config; slots : slot array }
 
-val build : config -> Occlum_sgx.Enclave.t -> t
+val build :
+  config -> Occlum_sgx.Enclave.t -> data_perm:Occlum_machine.Mem.perm -> t
 (** Carve the slots out of a building (pre-EINIT) enclave. On SGX1 every
-    page is mapped now; on SGX2 only the address space is reserved and
-    the loader commits pages per binary. *)
+    page is mapped now, D with [data_perm]; on SGX2 only the address
+    space is reserved and the loader commits pages per binary. *)
 
 val acquire : t -> slot option
 val release : slot -> unit

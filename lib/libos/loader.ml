@@ -8,8 +8,8 @@
       address to the program (register r10, stored by _start);
    4. initializes the MPX bound registers for the domain's layout.
    [build] makes the image without touching memory, so the fuzz
-   environment, the bare-machine runner and occlum_trace run SIP code on
-   exactly the image [load] places for the LibOS. *)
+   environment and occlum_trace run SIP code on exactly the image [load]
+   places for the LibOS. *)
 
 open Occlum_machine
 open Occlum_isa

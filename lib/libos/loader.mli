@@ -4,9 +4,9 @@
     SIP's domain id; (3) injects the syscall trampoline — the only way
     out of the MMDSFI sandbox — and hands its address to [_start];
     (4) computes the MPX bound-register values for the domain. The LibOS
-    places images with {!load}; the fuzz environment, the bare-machine
-    runner and occlum_trace take the same bytes and CPU state from
-    {!build}. *)
+    places images with {!load}, bare runs included (they are Linux-mode
+    processes); the fuzz environment and occlum_trace take the same
+    bytes and CPU state from {!build}. *)
 
 exception Load_error of string
 
@@ -31,8 +31,8 @@ type checked
 
 val admit : require_signature:bool -> Occlum_oelf.Oelf.t -> checked
 (** Check the verifier's signature over a binary (skipped when
-    [require_signature] is false, as in Linux mode and for the bare
-    runners) and find its labels.
+    [require_signature] is false, as in Linux mode and for the fuzz
+    environment and occlum_trace) and find its labels.
     @raise Load_error on a missing or bad signature. *)
 
 val checked_oelf : checked -> Occlum_oelf.Oelf.t

@@ -54,6 +54,7 @@ type config = {
   cores : int; (* simulated vCPUs: cores of the epoch scheduler *)
   jit : bool; (* the tiered loop in Interp.run, one block JIT for every
                  core; off = reference loop *)
+  exec_data : bool; (* Linux mode only: domain data regions RWX *)
   fs_key : string;
   (* EIP model knobs *)
   eip_runtime_image_bytes : int; (* measured on every enclave creation *)
@@ -66,6 +67,7 @@ let default_config =
     domains = Domain_mgr.default_config;
     cores = 1;
     jit = true;
+    exec_data = false;
     fs_key = "occlum-fs-master-key";
     eip_runtime_image_bytes = 8 * 1024 * 1024;
   }
@@ -191,6 +193,9 @@ let sync_pressure_charges t =
 
 let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
     ?host_fs () =
+  (* no enclave boot may weaken a SIP's or an EIP's non-executable data *)
+  if config.exec_data && (config.mode <> Linux || config.sgx2) then
+    invalid_arg "Os.boot: exec_data needs Linux mode on an SGX1 layout";
   let epc =
     match epc with Some e -> e | None -> Occlum_sgx.Epc.create ~size:(512 * 1024 * 1024) ()
   in
@@ -201,7 +206,10 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
       ~size:(Domain_mgr.enclave_size config.domains)
       ()
   in
-  let domains = Domain_mgr.build config.domains enclave in
+  let domains =
+    Domain_mgr.build config.domains enclave
+      ~data_perm:(if config.exec_data then Mem.perm_rwx else Mem.perm_rw)
+  in
   Occlum_sgx.Enclave.init enclave;
   (* only Occlum gets the writable *encrypted* FS; Graphene-SGX's
      writable files live on the plaintext host FS (its protected FS is

@@ -59,6 +59,10 @@ type config = {
       (** run SIPs on [Interp.run]'s tiered loop — one block JIT that
           every core's quanta share, every block compiled at its first
           execution (default on); off runs the reference loop *)
+  exec_data : bool;
+      (** map domain data RWX, as RIPE's unprotected baseline assumes
+          (default off); {!boot} raises [Invalid_argument] unless in
+          [Linux] mode on SGX1 *)
   fs_key : string;
   eip_runtime_image_bytes : int;
       (** the Graphene runtime pages measured on every EIP creation *)

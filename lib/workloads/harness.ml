@@ -3,7 +3,8 @@
 
      Occlum   — SIP mode: SFI-instrumented, verified binaries; one enclave
      Graphene — EIP mode: same binaries, one enclave per process
-     Linux    — native mode: uninstrumented binaries, plaintext FS
+     Linux    — native mode: uninstrumented binaries, plaintext FS; a
+                bare run (Fig. 7, RIPE's baseline) is one process in it
 
    Results carry both wall-clock time of the real simulation work and
    the simulated virtual clock; the paper's figures are about ratios, so
@@ -75,6 +76,30 @@ let timed_run ?(args = []) ?(max_steps = 20_000_000) os path =
     syscalls = os.Os.syscalls;
     faults = List.length os.Os.faults;
   }
+
+(* --- bare runs ------------------------------------------------------------ *)
+
+type bare_result = {
+  exit_code : int; stdout : string;
+  cpu : Occlum_machine.Cpu.t; fault : Occlum_machine.Fault.t option;
+}
+
+(* The binary alone in a Linux-mode LibOS whose one domain slot, at
+   [Domain_mgr.domains_base], is fitted to it; it keeps its own bounds. *)
+let run_bare ?(config = Os.default_config) ?obs ?(args = [])
+    (oelf : Occlum_oelf.Oelf.t) =
+  let domains =
+    { Occlum_libos.Domain_mgr.max_domains = 1;
+      domain_code_size = Occlum_oelf.Oelf.code_region_size oelf;
+      domain_data_size = Occlum_util.Bytes_util.round_up oelf.data_region_size 4096 }
+  in
+  let os = Os.boot ~config:{ config with mode = Os.Linux; domains } ?obs () in
+  let pid = Os.spawn_initial os oelf ~args in
+  ignore (Os.run os);
+  let p = Option.get (Os.find_proc os pid) in
+  { exit_code = (if p.state = `Zombie then p.exit_code else -1);
+    stdout = Os.proc_output os pid; cpu = p.cpu;
+    fault = (match os.faults with (_, f) :: _ -> Some f | [] -> None) }
 
 (* --- Fig 5a: fish ------------------------------------------------------- *)
 

@@ -38,6 +38,22 @@ type run_result = {
 
 val timed_run : ?args:string list -> ?max_steps:int -> Os.t -> string -> run_result
 
+(** {1 Bare runs} *)
+
+type bare_result = {
+  exit_code : int;  (** [-1] if the process never exited *)
+  stdout : string;
+  cpu : Occlum_machine.Cpu.t;  (** the process's counters *)
+  fault : Occlum_machine.Fault.t option;  (** the fault that killed it *)
+}
+
+val run_bare :
+  ?config:Os.config -> ?obs:Occlum_obs.Obs.t -> ?args:string list ->
+  Occlum_oelf.Oelf.t -> bare_result
+(** Run an unsigned binary to exit alone in a [Linux]-mode LibOS, in one
+    domain slot fitted to it: the "process on native Linux" of Fig. 7
+    and RIPE's baseline. [config]'s [mode] and [domains] are replaced. *)
+
 (** {1 Per-figure workload drivers} *)
 
 val run_fish : ?repeats:int -> ?lines:int -> system -> run_result

@@ -31,7 +31,6 @@
    1337 shellcode ran, 4242 gadget ran, 41 return-to-libc ran. *)
 
 open Occlum_toolchain.Ast
-module Native_run = Occlum_baseline.Native_run
 
 type technique = Ret_overwrite | Funcptr
 type target = Shellcode_labeled | Shellcode_unlabeled | Rop_gadget | Return_to_libc
@@ -58,7 +57,7 @@ let gadget_arg = gadget_exit_code
 
 (* Shellcode: exit(1337) as raw OASM bytes, optionally prefixed by a
    forged cfi_label for [domain_id]. The syscall uses an inline gate:
-   the bare runner services it; under Occlum a stray gate would be
+   Linux mode services it; under Occlum a stray gate would be
    killed — but under Occlum the shellcode never runs at all. *)
 let shellcode ~labeled ~domain_id =
   let open Occlum_isa in
@@ -240,12 +239,15 @@ let run_on_baseline (a : attack) : outcome =
   let oelf = Occlum_toolchain.Compile.compile_exn
                ~config:Occlum_toolchain.Codegen.bare prog in
   let delta = string_of_int (gadget_delta oelf) in
-  match
-    Native_run.run oelf ~nx:false
+  let r =
+    Harness.run_bare oelf
+      ~config:{ Occlum_libos.Os.default_config with exec_data = true }
       ~args:[ payload_hex a ~domain_id:0; delta ]
-  with
-  | r ->
-      let code = Int64.to_int r.Native_run.exit_code in
+  in
+  match r.fault with
+  | Some f -> Prevented (Occlum_machine.Fault.to_string f)
+  | None ->
+      let code = r.exit_code in
       if code = shellcode_exit_code || code = gadget_exit_code
          || code = libc_exit_code
          (* a mid-function gadget that runs to an exit at all is a
@@ -253,6 +255,4 @@ let run_on_baseline (a : attack) : outcome =
             was not on top of the stack (the funcptr variant) *)
          || (a.target = Rop_gadget && code <> 0)
       then Attack_succeeded
-      else Prevented (Printf.sprintf "exit %Ld" r.exit_code)
-  | exception Native_run.Runtime_fault f ->
-      Prevented (Occlum_machine.Fault.to_string f)
+      else Prevented (Printf.sprintf "exit %d" code)

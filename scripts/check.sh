@@ -157,6 +157,22 @@ if [ -n "$raw" ]; then
   exit 1
 fi
 
+# One process runner: a binary runs as a LibOS process (Os, whose Linux
+# mode is the bare "native process" of Fig. 7 and RIPE's baseline), so
+# every run reaches one syscall table; only the fuzz harness's lockstep
+# Exec also steps binaries. No other code under lib/ may call the
+# interpreter's run loop, and the bare-machine runner's library may not
+# come back.
+drivers=$(grep -rnE --include='*.ml' '\bInterp\.run\b' lib \
+  | grep -vE '^(lib/machine/|lib/libos/os\.ml:|lib/fuzz/exec\.ml:)' || true)
+baseline=$(grep -rnw --include=dune --exclude-dir=_build --exclude-dir=.bench_build \
+  occlum_baseline . || true)
+if [ -n "$drivers$baseline" ]; then
+  echo "FAIL: a third process runner (run binaries through Os or Exec):" >&2
+  printf '%s\n' "$drivers" "$baseline" >&2
+  exit 1
+fi
+
 # No export that nothing names: every `val` in a lib/ interface must be
 # named by some other source file (tests count), except in the user
 # facade lib/core/occlum.mli.

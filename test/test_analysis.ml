@@ -487,14 +487,14 @@ let test_guard_heavy_exact_count () =
     opt_report.Elide.elided;
   (* elided binary: same behavior, strictly fewer dynamic checks *)
   let elided, _ = elide_ok naive in
-  let rn = Occlum_baseline.Native_run.run naive in
-  let re = Occlum_baseline.Native_run.run elided in
-  Alcotest.(check int64) "same exit code" rn.exit_code re.exit_code;
+  let rn = Occlum_workloads.Harness.run_bare naive in
+  let re = Occlum_workloads.Harness.run_bare elided in
+  Alcotest.(check int) "same exit code" rn.exit_code re.exit_code;
   Alcotest.(check string) "same stdout" rn.stdout re.stdout;
   Alcotest.(check string) "expected output" "sum 231\n" re.stdout;
   Alcotest.(check bool) "fewer bound checks" true
-    (re.bound_checks < rn.bound_checks);
-  Alcotest.(check bool) "fewer cycles" true (re.cycles < rn.cycles)
+    (re.cpu.bound_checks < rn.cpu.bound_checks);
+  Alcotest.(check bool) "fewer cycles" true (re.cpu.cycles < rn.cpu.cycles)
 
 (* --- lints ---------------------------------------------------------------- *)
 

@@ -353,9 +353,9 @@ let prop_optimizer_never_increases_checks =
           ]
       in
       let run config =
-        (Occlum_baseline.Native_run.run
+        (Occlum_workloads.Harness.run_bare
            (Occlum_toolchain.Compile.compile_exn ~config prog))
-          .bound_checks
+          .cpu.bound_checks
       in
       run Occlum_toolchain.Codegen.sfi <= run Occlum_toolchain.Codegen.sfi_naive)
 

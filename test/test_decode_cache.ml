@@ -280,10 +280,6 @@ let test_self_modifying_differential () =
 
 (* --- end to end ----------------------------------------------------------- *)
 
-let native_summary (r : Occlum_baseline.Native_run.result) =
-  Printf.sprintf "exit=%Ld cycles=%d insns=%d loads=%d stores=%d bnd=%d out=%S"
-    r.exit_code r.cycles r.insns r.loads r.stores r.bound_checks r.stdout
-
 let test_spec_differential () =
   List.iter
     (fun (name, prog) ->
@@ -291,12 +287,12 @@ let test_spec_differential () =
         Occlum_toolchain.Compile.compile_exn
           ~config:Occlum_toolchain.Codegen.sfi prog
       in
-      let u = Occlum_baseline.Native_run.run ~jit:false oelf in
-      let c = Occlum_baseline.Native_run.run oelf in
-      Alcotest.(check string) (name ^ ": identical run") (native_summary u)
-        (native_summary c);
+      let u = Test_jit.run_bare ~jit:false oelf in
+      let c = Test_jit.run_bare oelf in
+      Alcotest.check Test_jit.bare_summary (name ^ ": identical run")
+        (Test_jit.bare_row u) (Test_jit.bare_row c);
       Alcotest.(check bool) (name ^ ": JIT engaged") true
-        (c.jit_compiles > 0 && c.jit_hits > 0))
+        (c.cpu.jit_compiles > 0 && c.cpu.jit_hits > 0))
     (Occlum_workloads.Spec.all ~scale:1)
 
 (* A verified SPEC kernel booted through [Os.spawn_initial]: the

@@ -11,7 +11,6 @@
 
 open Occlum_machine
 open Occlum_isa
-module Native_run = Occlum_baseline.Native_run
 module Elide = Occlum_analysis.Elide
 module Os = Occlum_libos.Os
 module Harness = Occlum_workloads.Harness
@@ -84,9 +83,22 @@ let store_loop_prog iters =
 
 (* --- reference vs tiered over the SPEC kernels ------------------------------ *)
 
-let native_summary (r : Native_run.result) =
-  Printf.sprintf "exit=%Ld cycles=%d insns=%d loads=%d stores=%d bnd=%d out=%S"
-    r.exit_code r.cycles r.insns r.loads r.stores r.bound_checks r.stdout
+(* The one summary of a bare run that the tests compare: its exit code,
+   every architectural counter and its output. *)
+let bare_row (r : Harness.bare_result) =
+  ( r.exit_code, r.cpu.cycles, r.cpu.insns, r.cpu.loads, r.cpu.stores,
+    r.cpu.bound_checks, r.stdout )
+
+let bare_summary =
+  Alcotest.testable
+    (fun ppf (e, c, i, l, s, b, o) ->
+      Format.fprintf ppf
+        "exit=%d cycles=%d insns=%d loads=%d stores=%d bnd=%d out=%S" e c i l
+        s b o)
+    ( = )
+
+let run_bare ?(jit = true) oelf =
+  Harness.run_bare ~config:{ Os.default_config with jit } oelf
 
 (* every block runs compiled; the JIT must also replay some block from
    the code cache *)
@@ -95,12 +107,12 @@ let test_spec_differential () =
   List.iter
     (fun (name, prog) ->
       let oelf = Compile.compile_exn ~config:Codegen.sfi prog in
-      let u = Native_run.run ~jit:false oelf in
-      let j = Native_run.run oelf in
-      Alcotest.(check string)
+      let u = run_bare ~jit:false oelf in
+      let j = run_bare oelf in
+      Alcotest.check bare_summary
         (name ^ ": tiered = reference")
-        (native_summary u) (native_summary j);
-      if j.jit_compiles > 0 && j.jit_hits > 0 then engaged := true)
+        (bare_row u) (bare_row j);
+      if j.cpu.jit_compiles > 0 && j.cpu.jit_hits > 0 then engaged := true)
     (Occlum_workloads.Spec.all ~scale:1);
   Alcotest.(check bool) "JIT compiled and replayed on some kernel" true
     !engaged
@@ -132,10 +144,10 @@ let test_guard_heavy_elide_parity () =
     Compile.compile_exn ~config:Codegen.sfi_naive
       (Parser.parse (guard_heavy_src ()))
   in
-  let base = Native_run.run ~jit:false naive in
-  let jit_naive = Native_run.run naive in
-  Alcotest.(check string) "naive build: jit = reference"
-    (native_summary base) (native_summary jit_naive);
+  let base = run_bare ~jit:false naive in
+  let jit_naive = run_bare naive in
+  Alcotest.check bare_summary "naive build: jit = reference" (bare_row base)
+    (bare_row jit_naive);
   let elided =
     match Occlum_verifier.Verify.verify naive with
     | Error _ -> Alcotest.fail "naive build rejected"
@@ -144,13 +156,13 @@ let test_guard_heavy_elide_parity () =
         | Ok (elided, _) -> Occlum_verifier.Verify.binary elided
         | Error e -> Alcotest.fail (Elide.error_to_string e))
   in
-  let eu = Native_run.run ~jit:false elided in
-  let ej = Native_run.run elided in
-  Alcotest.(check string) "elided build: jit = reference" (native_summary eu)
-    (native_summary ej);
+  let eu = run_bare ~jit:false elided in
+  let ej = run_bare elided in
+  Alcotest.check bare_summary "elided build: jit = reference" (bare_row eu)
+    (bare_row ej);
   Alcotest.(check string) "expected output" "sum 231\n" ej.stdout;
   Alcotest.(check bool) "fewer checks than the naive build" true
-    (ej.bound_checks < base.bound_checks)
+    (ej.cpu.bound_checks < base.cpu.bound_checks)
 
 (* --- one tier: every block compiled at its first execution ------------------ *)
 
@@ -1069,8 +1081,9 @@ let test_idiom_units () =
   Alcotest.(check (list int)) "one unit per idiom"
     [ 0; 4; 7; 8; 12; 15; 19; 20 ]
     (Array.to_list c.Jit.unit_starts);
-  let summary jit = native_summary (Native_run.run ~jit oelf) in
-  Alcotest.(check string) "tiered = reference" (summary false) (summary true)
+  let summary jit = bare_row (run_bare ~jit oelf) in
+  Alcotest.check bare_summary "tiered = reference" (summary false)
+    (summary true)
 
 (* Codegen idioms against the reference loop, through the lockstep
    engine. Each case is a loop whose block holds one idiom-shaped run:

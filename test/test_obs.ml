@@ -271,7 +271,7 @@ let test_differential_interp () =
     (Trace.total obs.Obs.trace > 0)
 
 let test_differential_spec () =
-  (* full SPEC-kernel binaries through the bare-metal runner, bit-compared
+  (* full SPEC-kernel binaries run bare, bit-compared
      across every architectural counter and the program output *)
   let kernels = Occlum_workloads.Spec.all ~scale:1 in
   List.iter
@@ -280,14 +280,11 @@ let test_differential_spec () =
         Occlum_toolchain.Compile.compile_exn
           ~config:Occlum_toolchain.Codegen.sfi prog
       in
-      let fingerprint (r : Occlum_baseline.Native_run.result) =
-        Printf.sprintf "exit=%Ld cycles=%d insns=%d loads=%d stores=%d bnd=%d out=%s"
-          r.exit_code r.cycles r.insns r.loads r.stores r.bound_checks r.stdout
-      in
-      let off = fingerprint (Occlum_baseline.Native_run.run oelf) in
+      let off = Test_jit.bare_row (H.run_bare oelf) in
       let obs = Obs.create ~capacity:1024 () in
-      let on = fingerprint (Occlum_baseline.Native_run.run ~obs oelf) in
-      Alcotest.(check string) (name ^ ": traced = untraced") off on)
+      let on = Test_jit.bare_row (H.run_bare ~obs oelf) in
+      Alcotest.check Test_jit.bare_summary (name ^ ": traced = untraced") off
+        on)
     (match kernels with a :: b :: c :: _ -> [ a; b; c ] | l -> l)
 
 let test_differential_libos () =

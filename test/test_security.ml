@@ -139,10 +139,10 @@ let test_bare_has_no_checks () =
       [ func "main" [] [ Store (Global_addr "buf", i 1); Return (i 0) ] ]
   in
   let r =
-    Occlum_baseline.Native_run.run
+    Occlum_workloads.Harness.run_bare
       (Occlum_toolchain.Compile.compile_exn ~config:Occlum_toolchain.Codegen.bare prog)
   in
-  Alcotest.(check int) "no dynamic checks" 0 r.bound_checks
+  Alcotest.(check int) "no dynamic checks" 0 r.cpu.bound_checks
 
 (* The verifier-level gate: the RIPE attack binaries themselves are
    legitimate programs and must pass verification (the threat model is a
@@ -161,6 +161,23 @@ let test_ripe_binaries_verify () =
             (a.name ^ ": " ^ Occlum_verifier.Verify.rejection_to_string (List.hd rs)))
     corpus
 
+(* Executable data is the native model's alone: an SGX boot (SIP or
+   EIP, or Linux mode on an SGX2 layout) refuses it, so the field cannot
+   weaken an enclave. The RIPE baseline matrix above is the test that
+   Linux mode honours it. *)
+let test_exec_data_linux_only () =
+  List.iter
+    (fun (name, mode, sgx2) ->
+      match
+        Os.boot
+          ~config:{ Os.default_config with mode; sgx2; exec_data = true }
+          ()
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (name ^ ": booted with executable data"))
+    [ ("sip", Os.Sip, false); ("eip", Os.Eip, false); ("sip sgx2", Os.Sip, true);
+      ("linux sgx2", Os.Linux, true) ]
+
 let suite =
   [
     Alcotest.test_case "RIPE matrix on Occlum" `Slow test_ripe_on_occlum;
@@ -174,4 +191,6 @@ let suite =
     Alcotest.test_case "bare build has no checks" `Quick test_bare_has_no_checks;
     Alcotest.test_case "attack binaries pass the verifier" `Quick
       test_ripe_binaries_verify;
+    Alcotest.test_case "executable data only in Linux mode" `Quick
+      test_exec_data_linux_only;
   ]

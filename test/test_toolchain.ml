@@ -122,13 +122,15 @@ module Progen = struct
       ]
 end
 
+let run_bare = Occlum_workloads.Harness.run_bare
+
 let run_all_backends prog =
   let iv, iout = Ir_interp.run_pure ~fuel:5_000_000 prog in
-  let bare = Occlum_baseline.Native_run.run (Compile.compile_exn ~config:Codegen.bare prog) in
+  let bare = run_bare (Compile.compile_exn ~config:Codegen.bare prog) in
   let opt_oelf = Compile.compile_exn ~config:Codegen.sfi prog in
-  let opt = Occlum_baseline.Native_run.run opt_oelf in
+  let opt = run_bare opt_oelf in
   let naive_oelf = Compile.compile_exn ~config:Codegen.sfi_naive prog in
-  let naive = Occlum_baseline.Native_run.run naive_oelf in
+  let naive = run_bare naive_oelf in
   (iv, iout, bare, opt, naive, opt_oelf, naive_oelf)
 
 let prop_differential =
@@ -138,10 +140,9 @@ let prop_differential =
     (fun seed ->
       let prog = Progen.generate seed in
       let iv, iout, bare, opt, naive, opt_oelf, naive_oelf = run_all_backends prog in
+      let iv = Int64.to_int iv in
       let code_ok =
-        Int64.equal iv bare.exit_code
-        && Int64.equal iv opt.exit_code
-        && Int64.equal iv naive.exit_code
+        iv = bare.exit_code && iv = opt.exit_code && iv = naive.exit_code
       in
       let out_ok =
         iout = bare.stdout && iout = opt.stdout && iout = naive.stdout
@@ -159,14 +160,14 @@ let prop_differential =
       in
       if not (code_ok && out_ok && verified) then
         QCheck.Test.fail_reportf
-          "seed %d: interp=(%Ld,%S) bare=(%Ld,%S) opt=(%Ld,%S) naive=(%Ld,%S) verified=%b"
+          "seed %d: interp=(%d,%S) bare=(%d,%S) opt=(%d,%S) naive=(%d,%S) verified=%b"
           seed iv iout bare.exit_code bare.stdout opt.exit_code opt.stdout
           naive.exit_code naive.stdout verified
       else true)
 
 (* --- unit tests -------------------------------------------------------------- *)
 
-let run_sfi prog = Occlum_baseline.Native_run.run (Compile.compile_exn ~config:Codegen.sfi prog)
+let run_sfi prog = run_bare (Compile.compile_exn ~config:Codegen.sfi prog)
 
 let test_runtime_strings () =
   let prog =
@@ -195,7 +196,7 @@ let test_runtime_strings () =
   in
   let r = run_sfi prog in
   Alcotest.(check string) "output" "5 0 255 31337" r.stdout;
-  Alcotest.(check int64) "exit" 0L r.exit_code
+  Alcotest.(check int) "exit" 0 r.exit_code
 
 let test_function_pointers () =
   let prog =
@@ -212,7 +213,7 @@ let test_function_pointers () =
           ];
       ]
   in
-  Alcotest.(check int64) "20+30" 50L (run_sfi prog).exit_code
+  Alcotest.(check int) "20+30" 50 (run_sfi prog).exit_code
 
 let test_recursion () =
   let prog =
@@ -226,7 +227,7 @@ let test_recursion () =
         func "main" [] [ Return (Call ("fib", [ i 15 ])) ];
       ]
   in
-  Alcotest.(check int64) "fib 15" 610L (run_sfi prog).exit_code
+  Alcotest.(check int) "fib 15" 610 (run_sfi prog).exit_code
 
 let test_division_semantics () =
   (* unsigned division; division by zero faults *)
@@ -234,10 +235,10 @@ let test_division_semantics () =
     Runtime.program
       [ func "main" [] [ Return (Binop (Div, i 100, i rhs)) ] ]
   in
-  Alcotest.(check int64) "100/7" 14L (run_sfi (prog 7)).exit_code;
-  (match Occlum_baseline.Native_run.run (Compile.compile_exn ~config:Codegen.sfi (prog 0)) with
-  | exception Occlum_baseline.Native_run.Runtime_fault (Occlum_machine.Fault.Div_by_zero _) -> ()
-  | _ -> Alcotest.fail "expected div-by-zero fault")
+  Alcotest.(check int) "100/7" 14 (run_sfi (prog 7)).exit_code;
+  match (run_sfi (prog 0)).fault with
+  | Some (Occlum_machine.Fault.Div_by_zero _) -> ()
+  | _ -> Alcotest.fail "expected div-by-zero fault"
 
 let test_main_with_params_rejected () =
   let prog = Runtime.program [ func "main" [ "argc" ] [ Return (i 0) ] ] in
@@ -284,12 +285,12 @@ let test_optimizer_removes_guards () =
   let _, _, stats = Compile.to_items ~config:Codegen.sfi prog in
   Alcotest.(check bool) "guards removed" true
     (stats.guards_after_opt < stats.guards_before_opt);
-  let naive = Occlum_baseline.Native_run.run (Compile.compile_exn ~config:Codegen.sfi_naive prog) in
-  let opt = Occlum_baseline.Native_run.run (Compile.compile_exn ~config:Codegen.sfi prog) in
-  Alcotest.(check int64) "same result" naive.exit_code opt.exit_code;
-  Alcotest.(check int64) "63*63" (Int64.of_int (63 * 63)) opt.exit_code;
+  let naive = run_bare (Compile.compile_exn ~config:Codegen.sfi_naive prog) in
+  let opt = run_sfi prog in
+  Alcotest.(check int) "same result" naive.exit_code opt.exit_code;
+  Alcotest.(check int) "63*63" (63 * 63) opt.exit_code;
   Alcotest.(check bool) "fewer dynamic checks" true
-    (opt.bound_checks < naive.bound_checks)
+    (opt.cpu.bound_checks < naive.cpu.bound_checks)
 
 let test_loop_hoisting () =
   (* the canonical §4.3 pattern: in-loop guard hoisted to the preheader
@@ -314,7 +315,7 @@ let test_loop_hoisting () =
       ]
   in
   let checks n =
-    (Occlum_baseline.Native_run.run (Compile.compile_exn ~config:Codegen.sfi (prog n))).bound_checks
+    (run_sfi (prog n)).cpu.bound_checks
   in
   let c100 = checks 100 and c1000 = checks 1000 in
   (* without hoisting this would grow by ~2 checks per iteration *)
@@ -337,7 +338,7 @@ let test_arg_passing () =
       ]
   in
   let r =
-    Occlum_baseline.Native_run.run ~args:[ "hello"; "42" ]
+    run_bare ~args:[ "hello"; "42" ]
       (Compile.compile_exn ~config:Codegen.sfi prog)
   in
   Alcotest.(check string) "argv" "2 hello 42" r.stdout
@@ -347,9 +348,9 @@ let test_interp_matches_machine_on_workloads () =
   List.iter
     (fun (name, prog) ->
       let iv, iout = Ir_interp.run_pure ~fuel:20_000_000 prog in
-      let bare = Occlum_baseline.Native_run.run (Compile.compile_exn ~config:Codegen.bare prog) in
+      let bare = run_bare (Compile.compile_exn ~config:Codegen.bare prog) in
       Alcotest.(check string) (name ^ " output") iout bare.stdout;
-      Alcotest.(check int64) (name ^ " code") iv bare.exit_code)
+      Alcotest.(check int) (name ^ " code") (Int64.to_int iv) bare.exit_code)
     (Occlum_workloads.Spec.all ~scale:1)
 
 let test_listing () =
@@ -386,7 +387,7 @@ let test_parser_end_to_end () =
   let prog = Parser.parse src in
   let r = run_sfi prog in
   Alcotest.(check string) "output" "yes65" r.stdout;
-  Alcotest.(check int64) "exit" 1L r.exit_code (* mix(0,1) = 1 *)
+  Alcotest.(check int) "exit" 1 r.exit_code (* mix(0,1) = 1 *)
 
 let test_parser_operators () =
   let src = {|

@@ -141,25 +141,108 @@ let test_sefs_vs_ext4_overhead () =
 let test_spec_overhead_positive () =
   List.iter
     (fun (name, prog) ->
-      let base =
-        (Occlum_baseline.Native_run.run
-           (Occlum_toolchain.Compile.compile_exn ~config:Occlum_toolchain.Codegen.bare prog))
+      let cycles config =
+        (H.run_bare (Occlum_toolchain.Compile.compile_exn ~config prog)).cpu
           .cycles
       in
-      let inst =
-        (Occlum_baseline.Native_run.run
-           (Occlum_toolchain.Compile.compile_exn ~config:Occlum_toolchain.Codegen.sfi prog))
-          .cycles
-      in
+      let base = cycles Occlum_toolchain.Codegen.bare in
+      let inst = cycles Occlum_toolchain.Codegen.sfi in
       Alcotest.(check bool) (name ^ " overhead >= 0") true (inst >= base);
-      let naive =
-        (Occlum_baseline.Native_run.run
-           (Occlum_toolchain.Compile.compile_exn
-              ~config:Occlum_toolchain.Codegen.sfi_naive prog))
-          .cycles
-      in
+      let naive = cycles Occlum_toolchain.Codegen.sfi_naive in
       Alcotest.(check bool) (name ^ " optimizer helps") true (inst <= naive))
     (Occlum_workloads.Spec.all ~scale:1)
+
+(* Fig. 7's counters, pinned: every SPEC kernel at scale 1 under the
+   builds of Fig. 7a and the guard-elision table, as (exit, cycles,
+   insns, loads, stores, bound checks, stdout). The values were recorded
+   with the dedicated bare-machine runner that bare runs replaced, so a
+   bare run as a Linux-mode process reproduces Fig. 7 exactly. *)
+let fig7_pins =
+  [
+    ("bare", "perlbench", (0, 1090866, 405935, 77920, 41031, 0, "482214\n"));
+    ("bare", "bzip2", (0, 2968132, 1625753, 330004, 121122, 0, "29265\n"));
+    ("bare", "gcc", (0, 5920554, 2617987, 508038, 221297, 0, "476346\n"));
+    ("bare", "mcf", (0, 4559558, 2426490, 546889, 273570, 0, "61786\n"));
+    ("bare", "gobmk", (0, 1053962, 556331, 109974, 34345, 0, "876361\n"));
+    ("bare", "hmmer", (0, 4459330, 2163112, 491378, 132710, 0, "12226\n"));
+    ("bare", "sjeng", (0, 1006327, 446892, 113444, 71114, 0, "100320\n"));
+    ("bare", "libquantum", (0, 1590722, 672237, 163948, 98395, 0, "2048\n"));
+    ("bare", "h264ref", (0, 2154483, 1027681, 278651, 83816, 0, "33736\n"));
+    ("bare", "omnetpp", (0, 3377242, 1822840, 380088, 135481, 0, "994741\n"));
+    ("bare", "astar", (0, 2945993, 1571066, 370368, 124071, 0, "438\n"));
+    ("bare", "xalancbmk", (0, 979590, 424043, 71702, 38945, 0, "898132\n"));
+    ("sfi", "perlbench", (0, 1091248, 406101, 77937, 41034, 104, "482214\n"));
+    ("sfi", "bzip2", (0, 3369761, 1826545, 330018, 121125, 200746, "29265\n"));
+    ("sfi", "gcc", (0, 6478213, 2896777, 508066, 221300, 278680, "476346\n"));
+    ("sfi", "mcf", (0, 5287729, 2790490, 546945, 273573, 363786, "61786\n"));
+    ("sfi", "gobmk", (0, 1170525, 614553, 110018, 34348, 58040, "876361\n"));
+    ("sfi", "hmmer", (0, 4851749, 2359302, 491390, 132713, 196152, "12226\n"));
+    ("sfi", "sjeng", (0, 1268658, 567117, 124377, 71117, 65582, "100320\n"));
+    ("sfi", "libquantum", (0, 1591165, 672431, 163968, 98398, 116, "2048\n"));
+    ("sfi", "h264ref", (0, 2324713, 1112519, 278920, 83819, 83516, "33736\n"));
+    ("sfi", "omnetpp", (0, 3933913, 2095556, 384900, 135484, 250278, "994741\n"));
+    ("sfi", "astar", (0, 3282096, 1739098, 370380, 124074, 167994, "438\n"));
+    ("sfi", "xalancbmk", (0, 1151801, 506033, 75810, 38948, 61472, "898132\n"));
+    ("sfi_naive", "perlbench", (0, 1566916, 643935, 77937, 41034, 237938, "482214\n"));
+    ("sfi_naive", "bzip2", (0, 4772833, 2528081, 330018, 121125, 902282, "29265\n"));
+    ("sfi_naive", "gcc", (0, 8838309, 4076825, 508066, 221300, 1458728, "476346\n"));
+    ("sfi_naive", "mcf", (0, 7842221, 4067736, 546945, 273573, 1641032, "61786\n"));
+    ("sfi_naive", "gobmk", (0, 1631901, 845241, 110018, 34348, 288728, "876361\n"));
+    ("sfi_naive", "hmmer", (0, 6955849, 3411352, 491390, 132713, 1248202, "12226\n"));
+    ("sfi_naive", "sjeng", (0, 1919462, 892519, 124377, 71117, 390984, "100320\n"));
+    ("sfi_naive", "libquantum", (0, 2640389, 1197043, 163968, 98398, 524728, "2048\n"));
+    ("sfi_naive", "h264ref", (0, 3608629, 1754477, 278920, 83819, 725474, "33736\n"));
+    ("sfi_naive", "omnetpp", (0, 5514885, 2886042, 384900, 135484, 1040764, "994741\n"));
+    ("sfi_naive", "astar", (0, 4923916, 2560008, 370380, 124074, 988904, "438\n"));
+    ("sfi_naive", "xalancbmk", (0, 1487881, 674073, 75810, 38948, 229512, "898132\n"));
+  ]
+
+let test_fig7_counters_pinned () =
+  let configs =
+    Occlum_toolchain.Codegen.
+      [ ("bare", bare); ("sfi", sfi); ("sfi_naive", sfi_naive) ]
+  in
+  let kernels = Occlum_workloads.Spec.all ~scale:1 in
+  Alcotest.(check int) "one pin per kernel and build"
+    (List.length configs * List.length kernels)
+    (List.length fig7_pins);
+  List.iter
+    (fun (cname, kname, pinned) ->
+      let r =
+        H.run_bare
+          (Occlum_toolchain.Compile.compile_exn
+             ~config:(List.assoc cname configs) (List.assoc kname kernels))
+      in
+      Alcotest.check Test_jit.bare_summary (cname ^ "/" ^ kname) pinned
+        (Test_jit.bare_row r))
+    fig7_pins
+
+(* A write whose end wraps past the top of the address space is EFAULT,
+   as for any SIP: [write(1, buf, 2^62 - 1)] returns -14, and the bare
+   process exits with it. *)
+let test_bare_write_huge_len_efault () =
+  let open Occlum_toolchain.Ast in
+  let prog =
+    Occlum_toolchain.Runtime.program
+      ~globals:[ ("buf", 64) ]
+      [
+        func "main" []
+          [
+            Return
+              (Syscall
+                 ( Occlum_abi.Abi.Sys.write,
+                   [ Int 1L; Global_addr "buf"; Int (Int64.of_int max_int) ] ));
+          ];
+      ]
+  in
+  let r =
+    H.run_bare
+      (Occlum_toolchain.Compile.compile_exn
+         ~config:Occlum_toolchain.Codegen.bare prog)
+  in
+  Alcotest.(check bool) "no fault" true (r.fault = None);
+  Alcotest.(check int) "EFAULT" Occlum_abi.Abi.Errno.efault r.exit_code;
+  Alcotest.(check string) "nothing written" "" r.stdout
 
 let suite =
   [
@@ -176,4 +259,8 @@ let suite =
     Alcotest.test_case "SEFS read overhead in band" `Quick test_sefs_vs_ext4_overhead;
     Alcotest.test_case "SPEC kernels: overhead sign and optimizer" `Slow
       test_spec_overhead_positive;
+    Alcotest.test_case "SPEC kernels: Fig 7 counters pinned" `Slow
+      test_fig7_counters_pinned;
+    Alcotest.test_case "bare write of a wrapping length is EFAULT" `Quick
+      test_bare_write_huge_len_efault;
   ]
