@@ -109,6 +109,23 @@ let control_transfer_of = function
   | Wrgsbase _ | Vscatter _ ->
       Ct_none
 
+(* --- Register writes ------------------------------------------------------ *)
+
+(* A stack op writes sp; [wrfsbase]/[wrgsbase] count as writing their
+   register, which errs on the safe side for every caller (they fault as
+   privileged before writing anything). *)
+let written_regs = function
+  | Mov_imm (r, _) | Mov_reg (r, _) | Lea (r, _) | Alu (_, r, _)
+  | Wrfsbase r | Wrgsbase r ->
+      [ r ]
+  | Load { dst; _ } -> [ dst ]
+  | Pop r -> [ r; Reg.sp ]
+  | Push _ | Ret | Ret_imm _ | Call _ | Call_reg _ | Call_mem _ -> [ Reg.sp ]
+  | Cmp _ | Store _ | Jmp _ | Jcc _ | Jmp_reg _ | Jmp_mem _ | Nop
+  | Syscall_gate | Hlt | Bndcl _ | Bndcu _ | Bndmk _ | Bndmov _
+  | Cfi_label _ | Eexit | Emodpe | Eaccept | Xrstor | Vscatter _ ->
+      []
+
 (* --- Stage-4 classification: memory accesses (Figure 4) --------------- *)
 
 type mem_access =

@@ -81,6 +81,13 @@ type control_transfer =
 
 val control_transfer_of : t -> control_transfer
 
+(** {1 Register writes} *)
+
+val written_regs : t -> Reg.t list
+(** The registers an instruction writes: a stack op writes {!Reg.sp},
+    an add of a constant counts as a write, and [wrfsbase]/[wrgsbase]
+    count as writing their operand. *)
+
 (** {1 Stage-4 classification (Figure 4)} *)
 
 type mem_access =

@@ -175,25 +175,26 @@ let load ?dynamic mem (slot : Domain_mgr.slot) (checked : checked) ~args =
    into a SIP's code on its behalf — a gate's return, a signal handler, a
    thread entry: [addr + 8] lies in the domain's code and, when
    [labelled], [addr] opens with its cfi_label. It builds no closure,
-   tuple or option, since the gate's return check runs on every syscall
-   completion. *)
+   tuple, option or boxed [int64], since the gate's return check runs on
+   every syscall completion: memory is read through [Mem]'s unboxed
+   privileged accessors. *)
 let entry_ok ~labelled mem (img : image) addr =
   let c0 = Domain_mgr.c_base img.slot in
   addr >= c0
   && addr + 8 <= c0 + img.slot.code_size
-  && ((not labelled) || Int64.equal (Mem.read_u64_priv mem addr) img.label_value)
+  && ((not labelled) || Mem.equal_u64_priv mem addr img.label_value)
 
 (* Paper §6: before the main gate returns to the SIP, the LibOS checks
    that the return address on the SIP's stack lies in its data region
    and names a cfi_label of the SIP's own domain. The gate pops that
    address and jumps to it with no cfi_guard of its own, so this check
    is what keeps a verified binary from reaching an arbitrary address
-   through the gate. *)
+   through the gate. Like [entry_ok] it allocates nothing. *)
 let return_target_ok mem (img : image) (cpu : Cpu.t) =
-  let sp = Int64.to_int (Cpu.get cpu Reg.sp) in
+  let sp = Cpu.get_int cpu Reg.sp in
   sp >= Int64.to_int img.bnd0.lower
   && sp + 7 <= Int64.to_int img.bnd0.upper
-  && entry_ok ~labelled:true mem img (Int64.to_int (Mem.read_u64_priv mem sp))
+  && entry_ok ~labelled:true mem img (Mem.read_int_priv mem sp)
 
 (* Apply the image to a CPU about to run the SIP's initial thread. *)
 let init_cpu (img : image) (cpu : Cpu.t) =

@@ -74,7 +74,7 @@ val entry_ok : labelled:bool -> Occlum_machine.Mem.t -> image -> int -> bool
     transfer the LibOS makes into the SIP's code (a gate's return, a
     signal handler, a thread entry) — [addr + 8] lies in the domain's
     code and, when [labelled], [addr] opens with its cfi_label. Bare
-    builds carry no labels. Allocates nothing of its own. *)
+    builds carry no labels. Allocates nothing. *)
 
 val return_target_ok :
   Occlum_machine.Mem.t -> image -> Occlum_machine.Cpu.t -> bool
@@ -82,7 +82,7 @@ val return_target_ok :
     (paper §6): the return address at the SIP's stack pointer lies in
     its data region and names one of this domain's cfi_labels. The gate
     itself pops and jumps unguarded, so a failed check must kill the
-    SIP; the LibOS and the fuzz harness both do. *)
+    SIP; the LibOS and the fuzz harness both do. Allocates nothing. *)
 
 val init_cpu : image -> Occlum_machine.Cpu.t -> unit
 (** Set pc/sp/base registers/bounds for the SIP's first thread. *)

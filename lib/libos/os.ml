@@ -1129,7 +1129,7 @@ let sys_futex_wait t p =
     ok 0
   end
   else if not (user_ok p uaddr 8) then err Errno.efault
-  else if not (Int64.equal (Mem.read_u64_priv t.mem uaddr) expected) then
+  else if not (Mem.equal_u64_priv t.mem uaddr expected) then
     err Errno.eagain
   else begin
     let q =
@@ -1344,8 +1344,8 @@ let sys_poll t p =
     let ready = ref 0 in
     for k = 0 to nfds - 1 do
       let base = entries + (k * P.entry_size) in
-      let fd = Int64.to_int (Mem.read_u64_priv t.mem base) in
-      let events = Int64.to_int (Mem.read_u64_priv t.mem (base + 8)) in
+      let fd = Mem.read_int_priv t.mem base in
+      let events = Mem.read_int_priv t.mem (base + 8) in
       let revents =
         match Fd.find p.fds fd with
         | None -> P.pollnval

@@ -48,6 +48,7 @@ external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let get t r = get64 t.regs (Occlum_isa.Reg.to_int r lsl 3)
+let get_int t r = Int64.to_int (get64 t.regs (Occlum_isa.Reg.to_int r lsl 3))
 let set t r v = set64 t.regs (Occlum_isa.Reg.to_int r lsl 3) v
 let get_bnd t b = t.bnds.(Occlum_isa.Reg.bnd_to_int b)
 let set_bnd t b range = t.bnds.(Occlum_isa.Reg.bnd_to_int b) <- range

@@ -36,6 +36,10 @@ external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
     be [8 * i] for a register [i]. *)
 
 val get : t -> Occlum_isa.Reg.t -> int64
+
+val get_int : t -> Occlum_isa.Reg.t -> int
+(** [Int64.to_int (get t r)], allocating nothing. *)
+
 val set : t -> Occlum_isa.Reg.t -> int64 -> unit
 val get_bnd : t -> Occlum_isa.Reg.bnd -> bound
 val set_bnd : t -> Occlum_isa.Reg.bnd -> bound -> unit

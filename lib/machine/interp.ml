@@ -37,6 +37,26 @@ let[@inline] get (cpu : Cpu.t) r =
 let[@inline] set (cpu : Cpu.t) r v =
   Cpu.set64 cpu.Cpu.regs (Reg.to_int r lsl 3) v
 
+(* The stack window's entry test (docs/jit.md, "Stack window"): the
+   bytes [sp+lo, sp+hi) lie in [0, addr_mask], so no access in them
+   clamps, within one page whose [Mem.direct] byte has every bit in
+   [need]. Nothing a block runs clears a direct bit or shrinks
+   [Mem.data], so it covers each of the block's stack-slot accesses.
+   Written out here so the test makes no cross-module call. *)
+let sp_off = Reg.to_int Reg.sp lsl 3
+
+let[@inline] window_open (mem : Mem.t) (cpu : Cpu.t) (w : Jit.window) =
+  let sp = Cpu.get64 cpu.Cpu.regs sp_off in
+  let lo = Int64.add sp (Int64.of_int w.Jit.lo)
+  and last = Int64.add sp (Int64.of_int (w.Jit.hi - 1)) in
+  Int64.equal (Int64.logand lo addr_mask) lo
+  && Int64.equal (Int64.logand last addr_mask) last
+  &&
+  let p = Int64.to_int lo lsr Mem.page_shift in
+  p = Int64.to_int last lsr Mem.page_shift
+  && p < Bytes.length mem.Mem.direct
+  && Char.code (Bytes.unsafe_get mem.Mem.direct p) land w.Jit.need = w.Jit.need
+
 let effective_address mem cpu (m : Insn.mem) ~end_pc =
   let open Int64 in
   let v =
@@ -395,7 +415,8 @@ let run_tiered jit obs mem cpu ~fuel =
   (* a member of this recursive group rather than a local closure, so
      entering a block allocates nothing; [fuel] > 0. The block's counter
      totals are charged here, written out so that entering a block makes
-     no cross-module call before its body. *)
+     no cross-module call before its body. A block with a stack window
+     runs its window body when the window's entry test passes. *)
   and exec_compiled (c : Jit.compiled) fuel =
     if fuel < c.Jit.insns then replay c 0 mem.Mem.code_epoch fuel
     else
@@ -405,7 +426,12 @@ let run_tiered jit obs mem cpu ~fuel =
       cpu.Cpu.loads <- cpu.Cpu.loads + c.Jit.loads;
       cpu.Cpu.stores <- cpu.Cpu.stores + c.Jit.stores;
       cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + c.Jit.bound_checks;
-      match c.Jit.body cpu with
+      match
+        (match c.Jit.window with
+        | Some w when window_open mem cpu w -> w.Jit.fast
+        | _ -> c.Jit.body)
+          cpu
+      with
       | Jit.U_fall -> leave c (fuel - c.Jit.insns)
       | Jit.U_stop s -> s
       | Jit.U_stale ->

@@ -30,6 +30,18 @@
    [Interp.exec_decoded], so a quantum ends on the same boundary as in
    the reference loop.
 
+   The page check is hoisted, never dropped. A block that writes no sp
+   has a second body ([window]) whose loads and stores of stack slots
+   ([sp+d]) use [Mem.data] with no page test; [Interp.exec_compiled]
+   runs it only when one test at entry shows every such access would
+   pass the check (the window lies in [0, addr_mask], within one page
+   whose direct byte has each bit the accesses need). One test stands
+   for all of them because nothing a block runs clears a direct bit or
+   shrinks [Mem.data]: checked writes and growth only grant bits, and
+   [Mem.map], [unmap], [enable_paging] and [install] run between quanta.
+   So which body runs never shows: counters, faults, pc, page
+   generations, the accessed bit and the JIT counters are the same.
+
    Invalidation: a compiled block keeps its source block's
    page-generation snapshot and is dropped when a lookup finds the
    generations moved. Blocks spanning a writable+executable page
@@ -78,6 +90,12 @@ type body = Cpu.t -> ustat
    faults raise. The memory is the JIT's, bound at translation, so every
    continuation is a one-argument call. *)
 
+(* A block's stack window: the bytes [sp+lo, sp+hi) that its loads and
+   stores of stack slots touch, the direct bits they need, and the body
+   that runs when the window's entry test passes (see "the stack window"
+   below) *)
+type window = { lo : int; hi : int; need : int; fast : body }
+
 type compiled = {
   entry : int;
   src : Decode_cache.block;
@@ -91,6 +109,9 @@ type compiled = {
       (* what the block's instructions charge, charged at once before
          [body] runs *)
   body : body;
+  window : window option;
+      (* [None] when some instruction writes sp, or no load or store
+         touches a stack slot, or they span more than a page *)
   unit_starts : int array;
       (* the first instruction index of each unit, in order *)
   writes : bool;
@@ -269,7 +290,7 @@ let[@inline] bound_check (cpu : Cpu.t) bi lower v ~b ~j =
    negative. The page size is a literal so this compiles to a shift and
    a mask. *)
 let page_shift = 12
-let () = assert (Mem.page_size = 1 lsl page_shift)
+let () = assert (Mem.page_shift = page_shift)
 let rd = Mem.direct_read
 let wr = Mem.direct_write
 
@@ -279,15 +300,36 @@ let[@inline] direct (mem : Mem.t) a size bit =
   && Char.code (Bytes.unsafe_get mem.Mem.direct (a lsr page_shift)) land bit
      <> 0
 
+(* The direct path: the only unchecked reads and writes of [Mem.data]
+   (scripts/check.sh keeps every other one out of this file). The caller
+   has proved that [a, a+size) lies in one page whose direct byte has
+   the bit the access needs, by [direct] or by the stack window's entry
+   test. That page lies below the extent, a page multiple, and [data]
+   only grows, so the access is inside [data] and needs no bounds check.
+   [data] is little-endian: a big-endian host swaps, as [Cipher] does. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+let[@inline] data_load (mem : Mem.t) a ~size =
+  if size = 1 then Int64.of_int (Char.code (Bytes.unsafe_get mem.Mem.data a))
+  else
+    let v = get64u mem.Mem.data a in
+    if big_endian () then swap64 v else v
+
+let[@inline] data_store (mem : Mem.t) a v ~size =
+  if size = 1 then
+    Bytes.unsafe_set mem.Mem.data a (Char.unsafe_chr (Int64.to_int v land 0xFF))
+  else set64u mem.Mem.data a (if big_endian () then swap64 v else v)
+
 (* The load of instruction [j]. When a checked read faults, an idiom's
    [load_v] also commits [v] to the register at byte offset [ao], if
    [ao] >= 0 (the deferred [mov_imm]), so the fault leaves the
    reference's registers. A value returned here is let-bound by an
    inlined caller, so it stays unboxed. *)
 let[@inline] load_v mem (cpu : Cpu.t) a ~size ~b ~j ~ao ~v ~held =
-  if direct mem a size rd then
-    if size = 1 then Int64.of_int (Char.code (Bytes.unsafe_get mem.Mem.data a))
-    else Bytes.get_int64_le mem.Mem.data a
+  if direct mem a size rd then data_load mem a ~size
   else
     try
       if size = 1 then Int64.of_int (Mem.read_u8 mem a) else Mem.read_u64 mem a
@@ -300,19 +342,11 @@ let[@inline] load mem cpu a ~size ~b ~j =
 
 (* a direct store; false when it must take [write_checked] *)
 let[@inline] store_direct mem a v ~size =
-  if size = 1 then
-    direct mem a 1 wr
-    && begin
-         Bytes.unsafe_set mem.Mem.data a
-           (Char.unsafe_chr (Int64.to_int v land 0xFF));
-         true
-       end
-  else
-    direct mem a 8 wr
-    && begin
-         Bytes.set_int64_le mem.Mem.data a v;
-         true
-       end
+  direct mem a size wr
+  && begin
+       data_store mem a v ~size;
+       true
+     end
 
 (* The push of [v] by instruction [j]: the store runs before the sp
    update, so a fault leaves sp alone. Returns the code epoch before a
@@ -354,6 +388,56 @@ let[@inline] addr cpu e =
          (Int64.add (get cpu e.bo)
             (Int64.mul (get cpu e.io) (Int64.of_int e.scale)))
          (Int64.of_int e.disp))
+
+(* ---- the stack window ----
+
+   A block in which no instruction writes sp gets a second body, built
+   from the same units, for when its stack slots' page is known direct.
+   Its window is the bytes [sp+lo, sp+hi) that its loads and stores of
+   stack slots ([sp+d], no index) touch; the tiered loop runs the second
+   body when one test at entry finds the window in [0, addr_mask] (so no
+   access clamps), within one page, and that page's direct byte holding
+   every bit the window needs ([Interp.exec_compiled]). Nothing a block
+   runs clears a direct bit or shrinks [Mem.data] (mem.ml, [direct]), so
+   that test covers each of those accesses, which then compute [sp+d]
+   and use the direct path with no page test of their own. *)
+
+let[@inline] on_stack e = e.bo = sp_o && e.io < 0
+
+(* the address of the stack slot [e] in a window body: the entry test
+   proved [sp+d] lies in [0, addr_mask] *)
+let[@inline] slot (cpu : Cpu.t) e = Int64.to_int (get cpu sp_o) + e.disp
+
+(* registers compare as ints: [Reg.t] is abstract, and [=] on it would
+   be a C call *)
+let is_sp r = Reg.to_int r = sp_o lsr 3
+
+(* [Some (lo, hi, need)]: the bytes [sp+lo, sp+hi) that a block's loads
+   and stores of stack slots touch and the direct bits they need; [None]
+   when the block writes sp, touches no stack slot, or spans more than a
+   page of them *)
+let stack_window (insns : (Insn.t * int) array) =
+  let lo = ref max_int and hi = ref min_int and need = ref 0 in
+  let sp_set = ref false in
+  for i = 0 to Array.length insns - 1 do
+    let insn = fst insns.(i) in
+    if List.exists is_sp (Insn.written_regs insn) then sp_set := true;
+    match insn with
+    | Load { src = Sib { base; index = None; disp; _ }; size; _ } when is_sp base
+      ->
+        lo := Int.min !lo disp;
+        hi := Int.max !hi (disp + size);
+        need := !need lor rd
+    | Store { dst = Sib { base; index = None; disp; _ }; size; _ }
+      when is_sp base ->
+        lo := Int.min !lo disp;
+        hi := Int.max !hi (disp + size);
+        need := !need lor wr
+    | _ -> ()
+  done;
+  if !need = 0 || !sp_set || !hi - !lo > Mem.page_size then None
+  else Some (!lo, !hi, !need)
+
 
 let[@inline] holds (c : Insn.cond) eq lt =
   match c with
@@ -517,25 +601,55 @@ type access = Ld of Reg.t * int | St of Reg.t * int
 type idiom = { a : Reg.t; v : int64 option; op : idiom_op }
 and idiom_op = I_alu of Insn.alu_op | I_jcc of Insn.cond * int
 
+(* An idiom's tail after its load of [x] into the register at [bo]:
+   [alu rB,rA ; mov rA,rB], or [cmp rB,rA ; jcc], with rA at [ao] read
+   from the register file unless [has_v] holds it as [v] *)
+let[@inline] idiom_alu (cpu : Cpu.t) op x ~bo ~ao ~has_v ~v =
+  let y = if has_v then v else get cpu ao in
+  let r = alu op x y in
+  set cpu bo r;
+  set cpu ao r
+
+let[@inline] idiom_jcc (cpu : Cpu.t) c x ~bo ~ao ~has_v ~v ~tgt ~end_pc =
+  let y = if has_v then v else get cpu ao in
+  set cpu bo x;
+  set cpu ao y;
+  let eq = Int64.equal x y and lt = Int64.compare x y < 0 in
+  cpu.Cpu.flag_eq <- eq;
+  cpu.Cpu.flag_lt <- lt;
+  cpu.Cpu.pc <- (if holds c eq lt then tgt else end_pc)
+
 (* One unit around the load or store of block [b]'s instruction [j],
    ending at [end_pc]. The unit starts with the pure run [cores], or, in
    an idiom, with the [mov_imm rA,v] that only the checked path commits
-   before the access: each register is written once, at the end. *)
+   before the access: each register is written once, at the end. In a
+   window body ([win]) a stack slot's access takes the direct path with
+   no page test. *)
 let mem_unit mem ~b ~j ~cores ~(access : access) ~e ~end_pc
-    ~(idiom : idiom option) ~(k : body) : body =
+    ~(idiom : idiom option) ~win ~(k : body) : body =
   let ops = seq_cores cores in
   let run = match cores with [] -> false | _ :: _ -> true in
+  let w = win && on_stack e in
   match (access, idiom) with
   | St (s, size), _ ->
       let so = off s in
-      fun cpu ->
+      if w then fun cpu ->
+        if run then ops cpu;
+        data_store mem (slot cpu e) (get cpu so) ~size;
+        k cpu
+      else fun cpu ->
         if run then ops cpu;
         let a = addr cpu e and v = get cpu so in
         if store_direct mem a v ~size then k cpu
         else settle mem cpu b j (write_checked mem cpu b j a v ~size) k
   | Ld (r, size), None ->
       let ro = off r in
-      fun cpu ->
+      if w then fun cpu ->
+        if run then ops cpu;
+        let x = data_load mem (slot cpu e) ~size in
+        set cpu ro x;
+        k cpu
+      else fun cpu ->
         if run then ops cpu;
         let x = load mem cpu (addr cpu e) ~size ~b ~j in
         set cpu ro x;
@@ -546,34 +660,33 @@ let mem_unit mem ~b ~j ~cores ~(access : access) ~e ~end_pc
       let park = if has_v then ao else -1 in
       match op with
       | I_alu op ->
-          fun cpu ->
+          if w then fun cpu ->
+            let x = data_load mem (slot cpu e) ~size in
+            idiom_alu cpu op x ~bo ~ao ~has_v ~v;
+            k cpu
+          else fun cpu ->
             let x =
               load_v mem cpu (addr cpu e) ~size ~b ~j ~ao:park ~v ~held:0
             in
-            let y = if has_v then v else get cpu ao in
-            let r = alu op x y in
-            set cpu bo r;
-            set cpu ao r;
+            idiom_alu cpu op x ~bo ~ao ~has_v ~v;
             k cpu
       | I_jcc (c, tgt) ->
-          fun cpu ->
+          if w then fun cpu ->
+            let x = data_load mem (slot cpu e) ~size in
+            idiom_jcc cpu c x ~bo ~ao ~has_v ~v ~tgt ~end_pc;
+            k cpu
+          else fun cpu ->
             let x =
               load_v mem cpu (addr cpu e) ~size ~b ~j ~ao:park ~v ~held:0
             in
-            let y = if has_v then v else get cpu ao in
-            set cpu bo x;
-            set cpu ao y;
-            let eq = Int64.equal x y and lt = Int64.compare x y < 0 in
-            cpu.Cpu.flag_eq <- eq;
-            cpu.Cpu.flag_lt <- lt;
-            cpu.Cpu.pc <- (if holds c eq lt then tgt else end_pc);
+            idiom_jcc cpu c x ~bo ~ao ~has_v ~v ~tgt ~end_pc;
             k cpu)
 
 (* Translate block [b]'s instruction [j], spanning [pc, pc+len). Total:
    every opcode compiles (privileged ones to a stub that stops with the
    reference's fault, which charges before it classifies them). *)
-let compile_body (mem : Mem.t) b j (insn : Insn.t) ~pc ~len ~(k : body) : body
-    =
+let compile_body (mem : Mem.t) b j (insn : Insn.t) ~pc ~len ~win ~(k : body)
+    : body =
   let end_pc = pc + len in
   (* a privileged stub and the syscall gate end their block, so nothing
      after them was charged: they only park pc where the reference has
@@ -612,10 +725,10 @@ let compile_body (mem : Mem.t) b j (insn : Insn.t) ~pc ~len ~(k : body) : body
         k cpu
   | Load { dst; src; size } ->
       mem_unit mem ~b ~j ~cores:[] ~access:(Ld (dst, size))
-        ~e:(resolve src ~end_pc) ~end_pc ~idiom:None ~k
+        ~e:(resolve src ~end_pc) ~end_pc ~idiom:None ~win ~k
   | Store { dst; src; size } ->
       mem_unit mem ~b ~j ~cores:[] ~access:(St (src, size))
-        ~e:(resolve dst ~end_pc) ~end_pc ~idiom:None ~k
+        ~e:(resolve dst ~end_pc) ~end_pc ~idiom:None ~win ~k
   | Push r ->
       let ro = off r in
       fun cpu ->
@@ -784,22 +897,35 @@ let[@inline] guard_half (cpu : Cpu.t) e ~bi1 ~lower1 ~b ~j =
   bound_check cpu bi1 lower1 (Int64.of_int a) ~b ~j;
   a
 
+(* In a window body ([win]) the access to a stack slot takes the direct
+   path at [sp+d], as every window access does; the window's entry test
+   proved it is the guarded address. *)
 let fuse_guard_mem (mem : Mem.t) ~b ~j ~lower1 ~b1 ~m ~pc2 ~(second : second)
-    ~(k : body) : body =
+    ~win ~(k : body) : body =
   let j2 = j + 1 in
   let bi1 = Reg.bnd_to_int b1 in
   let e = resolve m ~end_pc:pc2 in
+  let w = win && on_stack e in
   match second with
   | S_load (dst, size) ->
       let dO = off dst in
-      fun cpu ->
+      if w then fun cpu ->
+        ignore (guard_half cpu e ~bi1 ~lower1 ~b ~j);
+        let x = data_load mem (slot cpu e) ~size in
+        set cpu dO x;
+        k cpu
+      else fun cpu ->
         let a = guard_half cpu e ~bi1 ~lower1 ~b ~j in
         let x = load mem cpu a ~size ~b ~j:j2 in
         set cpu dO x;
         k cpu
   | S_store (src, size) ->
       let so = off src in
-      fun cpu ->
+      if w then fun cpu ->
+        ignore (guard_half cpu e ~bi1 ~lower1 ~b ~j);
+        data_store mem (slot cpu e) (get cpu so) ~size;
+        k cpu
+      else fun cpu ->
         let a = guard_half cpu e ~bi1 ~lower1 ~b ~j in
         let v = get cpu so in
         if store_direct mem a v ~size then k cpu
@@ -833,7 +959,8 @@ let term_core_of (insn : Insn.t) ~end_pc : (Cpu.t -> unit) option =
             (if holds c cpu.Cpu.flag_eq cpu.Cpu.flag_lt then tgt else end_pc))
   | _ -> None
 
-let pure_unit ~(cores : (Cpu.t -> unit) list) ~(k : body) : body =
+let pure_unit ~(cores : (Cpu.t -> unit) list) ~win:(_ : bool) ~(k : body) :
+    body =
   let ops = seq_cores cores in
   fun cpu ->
     ops cpu;
@@ -928,8 +1055,8 @@ let compile t (b : Decode_cache.block) : compiled =
     | Load _ -> Option.map (fun (ra, op) -> (None, ra, op)) (idiom_body i)
     | _ -> None
   in
-  (* the units, last first: (first instruction, the unit given its
-     continuation) *)
+  (* the units, last first: (first instruction, the unit given the body
+     it is for, plain or window, and its continuation) *)
   let units = ref [] in
   let emit i f = units := (i, f) :: !units in
   let i = ref 0 in
@@ -1023,6 +1150,15 @@ let compile t (b : Decode_cache.block) : compiled =
         cpu.Cpu.pc <- end_pc;
         U_fall
   in
+  let units = !units in
+  let window =
+    (* a block that neither loads nor stores (a pure loop) skips the scan *)
+    match if !loads + !stores = 0 then None else stack_window b.insns with
+    | None -> None
+    | Some (lo, hi, need) ->
+        let fast = List.fold_left (fun k (_, f) -> f ~win:true ~k) last units in
+        Some { lo; hi; need; fast }
+  in
   let rec c =
     {
       entry = b.entry;
@@ -1032,8 +1168,9 @@ let compile t (b : Decode_cache.block) : compiled =
       loads = !loads;
       stores = !stores;
       bound_checks = !checks;
-      body = List.fold_left (fun k (_, f) -> f ~k) last !units;
-      unit_starts = Array.of_list (List.rev_map fst !units);
+      body = List.fold_left (fun k (_, f) -> f ~win:false ~k) last units;
+      window;
+      unit_starts = Array.of_list (List.rev_map fst units);
       writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
       valid_at = mem.Mem.code_epoch;
       live = false;

@@ -40,6 +40,12 @@
     {!Mem.code_epoch} and compare the generation snapshot only when the
     epoch moved ({!valid}).
 
+    A block that writes no sp also gets a window body, in which each
+    load and store of a stack slot ([sp+d]) skips its page check: the
+    tiered loop runs it only when one test at block entry shows that
+    every such access would pass the check, which nothing a block runs
+    can make fail later ([window]).
+
     Every bound check in a block compiles to a checking body; the JIT
     never omits a check the verifier did not accept. *)
 
@@ -62,6 +68,23 @@ type body = Cpu.t -> ustat
     {!Fault.Fault} with the reference's state. It runs against the
     memory of the {!t} that compiled it. *)
 
+type window = {
+  lo : int;
+  hi : int;
+      (** the bytes [\[sp+lo, sp+hi)] that the block's loads and stores
+          of stack slots touch *)
+  need : int;
+      (** the direct bits those accesses need: {!Mem.direct_read}, and
+          {!Mem.direct_write} if one stores *)
+  fast : body;
+      (** the block's body with each of those accesses on the direct
+          path, with no page test of its own. {!Interp.run} runs it in
+          place of [body] when the window's entry test passes: the
+          window lies in [\[0, addr_mask\]] and within one page whose
+          {!Mem.direct} byte has every bit in [need]. Built from the
+          same units as [body]. *)
+}
+
 type compiled = {
   entry : int;
   src : Decode_cache.block;
@@ -76,6 +99,10 @@ type compiled = {
           reference's counts), which the caller charges before it runs
           [body] *)
   body : body;
+  window : window option;
+      (** the block's stack window; [None] when some instruction writes
+          sp, or no load or store touches a stack slot ([sp+d], no
+          index), or they span more than a page *)
   unit_starts : int array;
       (** the index of each fused unit's first instruction, in order:
           the layout the body was built from. Every memory write ends

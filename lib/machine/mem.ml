@@ -3,7 +3,8 @@
    access to them raises a page fault — exactly the mechanism §4.1 relies
    on. *)
 
-let page_size = 4096
+let page_shift = 12
+let page_size = 1 lsl page_shift
 
 type perm = { r : bool; w : bool; x : bool }
 
@@ -33,7 +34,16 @@ type t = {
      on, so the residency and accessed-bit logic of [check_access]
      always runs there, and clear at or beyond the extent. A compiled
      load or store within one page whose bit is set may use [data]
-     directly; any other access goes through the checked accessors. *)
+     directly, with no bounds check: the extent is a page multiple, so
+     a page below it lies wholly inside [data], and [grow] only ever
+     lengthens [data]. Any other access goes through the checked
+     accessors.
+
+     No user-mode access clears a bit: a checked write and [grow] only
+     grant them. Only [map], [unmap], [enable_paging] and [install]
+     clear one, and those run between quanta, never inside a compiled
+     block, so a block may test a page once at entry for every access
+     it makes to that page (docs/jit.md, "Stack window"). *)
   dirty : Bytes.t;
   (* One byte per page, '\001' once any write (checked or privileged)
      has touched it since an [install] last left it clean. A clean page
@@ -321,16 +331,28 @@ let write_bytes_priv t ~addr bytes =
          Bytes.blit bytes (a - addr) d a k;
          k))
 
-let read_u64_priv t addr =
+(* the range check, paging and storage of an 8-byte privileged access *)
+let priv_u64 t addr =
   check_range t addr 8;
   ensure_resident t ~addr ~len:8;
-  grow t (addr + 8);
+  grow t (addr + 8)
+
+let read_u64_priv t addr =
+  priv_u64 t addr;
   Bytes.get_int64_le t.data addr
 
+(* [read_u64_priv] for callers on a hot path: the [int64] never leaves
+   the function, so neither allocates. *)
+let read_int_priv t addr =
+  priv_u64 t addr;
+  Int64.to_int (Bytes.get_int64_le t.data addr)
+
+let equal_u64_priv t addr v =
+  priv_u64 t addr;
+  Int64.equal (Bytes.get_int64_le t.data addr) v
+
 let write_u64_priv t addr v =
-  check_range t addr 8;
-  ensure_resident t ~addr ~len:8;
-  grow t (addr + 8);
+  priv_u64 t addr;
   note_write t ~addr ~len:8;
   Bytes.set_int64_le t.data addr v
 

@@ -3,8 +3,11 @@
     access to them raises {!Fault.Fault} — the mechanism §4.1 of the
     paper relies on. *)
 
+val page_shift : int
+(** 12. *)
+
 val page_size : int
-(** 4096. *)
+(** 4096, [1 lsl page_shift]. *)
 
 type perm = { r : bool; w : bool; x : bool }
 
@@ -32,9 +35,12 @@ type t = private {
           executable and dirty ({!page_dirty}), so a write can neither
           fault, nor bump {!page_gen}, nor need to mark the page. Both
           bits are clear whenever paging is on. An access within one
-          page whose bit is set may use [data] directly; every other
-          access must use the checked accessors, which raise the fault
-          and mark the page dirty. *)
+          page whose bit is set may use [data] directly, unchecked: the
+          bits are clear at and past the extent, a page multiple, and
+          [data] only ever grows. Every other access must use the
+          checked accessors, which raise the fault and mark the page
+          dirty. Only {!map}, {!unmap}, {!enable_paging} and {!install}
+          clear a bit; checked writes and growth only grant them. *)
   dirty : Bytes.t;
   pages : perm option array;
   gens : int array;
@@ -150,6 +156,15 @@ val span_priv :
 val read_bytes_priv : t -> addr:int -> len:int -> Bytes.t
 val write_bytes_priv : t -> addr:int -> Bytes.t -> unit
 val read_u64_priv : t -> int -> int64
+
+val read_int_priv : t -> int -> int
+(** [read_u64_priv] taken modulo 2{^63} as [Int64.to_int] does, with the
+    same checks and paging; it allocates nothing. *)
+
+val equal_u64_priv : t -> int -> int64 -> bool
+(** [equal_u64_priv t addr v] is [Int64.equal (read_u64_priv t addr) v],
+    allocating nothing. *)
+
 val write_u64_priv : t -> int -> int64 -> unit
 val fill_priv : t -> addr:int -> len:int -> char -> unit
 

@@ -42,10 +42,6 @@ val guard_redundant : state -> Insn.mem -> bool
 (** A mem_guard on this operand is redundant: its operand is index-free
     and the state proves its whole 8-byte window. *)
 
-val written_regs : Insn.t -> int list
-(** The registers an instruction writes (a stack op writes {!sp}; an
-    add of a constant counts as a write). *)
-
 val guard_effect : Insn.mem -> state -> state
 (** A mem_guard on the operand: its checked address is in D. *)
 

@@ -26,7 +26,7 @@ include Occlum_range.Range_lattice
 (* Which registers does an item write? Used by hoist trace-back. *)
 let item_writes (item : Asm.item) =
   match item with
-  | Ins i -> written_regs i
+  | Ins i -> List.map Reg.to_int (Insn.written_regs i)
   | Lea_code (r, _) -> [ Reg.to_int r ]
   | Cfi_guard _ -> [ Reg.to_int Reg.scratch ]
   | Call_l _ -> [ sp ]

@@ -404,6 +404,22 @@ if grep -nE 'compile_ea|Cpu\.t -> int\b' lib/machine/jit.ml; then
   exit 1
 fi
 
+# The direct path: the JIT reads and writes Mem.data unchecked only in
+# data_load and data_store, whose callers proved the access lies in a
+# page with a direct bit (per access, or once for a block's stack
+# window), so inside the store. An unchecked accessor on mem.Mem.data
+# anywhere else in lib/machine/jit.ml must not appear.
+unchecked=$(awk '
+  /^let/ { def = $0; sub(/^let(\[@[a-z ]*\])? +(rec +)?/, "", def); sub(/[^A-Za-z0-9_].*/, "", def) }
+  /(unsafe_get|unsafe_set|get64u|set64u)[ (]*mem\.Mem\.data/ && def != "data_load" && def != "data_store" {
+    print FILENAME ":" FNR ": " $0 }
+' lib/machine/jit.ml)
+if [ -n "$unchecked" ]; then
+  echo "FAIL: an unchecked Mem.data access outside Jit.data_load/data_store (see docs/jit.md, The page-check byte):" >&2
+  printf '%s\n' "$unchecked" >&2
+  exit 1
+fi
+
 # A compiled block charges its counters once, on entry, and only its
 # cold paths rebuild the reference's counters and pc. A per-unit charge,
 # or the wrapper that compared the code epoch around every writing unit

@@ -920,6 +920,167 @@ let test_page_check_agrees () =
     states;
   Alcotest.(check bool) "every case ran compiled" true (!compiled > 0)
 
+(* --- the stack window ------------------------------------------------------ *)
+
+(* A block that writes no sp gets a window body whose stack-slot
+   accesses skip the page test, chosen by one test at entry. Which body
+   runs must never show. Each case runs one block of stack-slot loads and
+   stores in every unit shape (a lone load, a run and its store, a
+   guard-fused load, the binop idiom) through the reference loop and the
+   tiered loop and compares registers, flags, counters, the fault, and
+   each stack page's bytes, generation, dirty mark and accessed bit. The
+   slots are [sp+d0 .. sp+d0+31]; the stack page is page 8, page 9 is
+   left unmapped and page 10 is stored, so both lie inside [Mem.data]. *)
+let win_page = 8
+
+let win_prog d0 =
+  let at d = Insn.Sib { base = Reg.sp; index = None; scale = 1; disp = d0 + d } in
+  [
+    Insn.Load { dst = Reg.r1; src = at 0; size = 8 };
+    Insn.Alu (Add, Reg.r1, O_imm 1L);
+    Insn.Store { dst = at 8; src = Reg.r1; size = 8 };
+    Insn.Bndcl (Reg.bnd0, Ea_mem (at 16));
+    Insn.Load { dst = Reg.r3; src = at 16; size = 8 };
+    Insn.Mov_imm (Reg.r4, 5L);
+    Insn.Load { dst = Reg.r5; src = at 16; size = 8 };
+    Insn.Alu (Add, Reg.r5, O_reg Reg.r4);
+    Insn.Mov_reg (Reg.r4, Reg.r5);
+    Insn.Load { dst = Reg.r2; src = at 24; size = 1 };
+    Insn.Store { dst = at 31; src = Reg.r2; size = 1 };
+    Insn.Syscall_gate;
+  ]
+
+(* [prep mem] sets the stack page up; [between mem] runs between the
+   block's first and second quantum *)
+let win_case ?(code_perm = Mem.perm_rx) ?(d0 = 0) ?(between = ignore) ~sp
+    name prep =
+  let ps = Mem.page_size in
+  let run tiered =
+    let mem = Mem.create ~size:(16 * ps) in
+    Mem.map mem ~addr:ps ~len:ps ~perm:code_perm;
+    let code, _ = Codec.encode_program (win_prog d0) in
+    Mem.write_bytes_priv mem ~addr:ps code;
+    Mem.map mem ~addr:(10 * ps) ~len:ps ~perm:Mem.perm_rw;
+    Mem.write_bytes_priv mem ~addr:(10 * ps) (Bytes.make 8 'z');
+    prep mem;
+    let cpu = Cpu.create () in
+    let jit = Jit.create mem in
+    let quantum () =
+      cpu.Cpu.pc <- ps;
+      Cpu.set cpu Reg.sp sp;
+      let stop =
+        if tiered then Interp.run ~jit mem cpu ~fuel:100
+        else Interp.run mem cpu ~fuel:100
+      in
+      let page p =
+        let raw = Mem.raw mem in
+        Printf.sprintf "[%d gen=%d dirty=%b accessed=%b bytes=%d]" p
+          (Mem.page_gen mem p) (Mem.page_dirty mem p) (Mem.page_accessed mem p)
+          (Hashtbl.hash
+             (Bytes.init ps (fun k ->
+                  let a = (p * ps) + k in
+                  if a < Bytes.length raw then Bytes.get raw a else '\x00')))
+      in
+      state_str stop cpu ^ page win_page ^ page (win_page + 1)
+    in
+    let first = quantum () in
+    between mem;
+    let second = quantum () in
+    (first, second, jit)
+  in
+  let r1, r2, _ = run false and t1, t2, jit = run true in
+  Alcotest.(check string) (name ^ ": first quantum") r1 t1;
+  Alcotest.(check string) (name ^ ": second quantum") r2 t2;
+  let compiles, _, _ = Jit.stats jit in
+  Alcotest.(check bool) (name ^ ": ran compiled") true (compiles > 0)
+
+let win_base = win_page * 4096
+
+(* a stack page mapped [perm] holding a pattern, so dirty *)
+let win_stack ?(page = win_page) perm mem =
+  Mem.map mem ~addr:(page * 4096) ~len:4096 ~perm;
+  Mem.write_bytes_priv mem ~addr:(page * 4096)
+    (Bytes.init 4096 (fun k -> Char.chr ((k * 13) land 0xFF)))
+
+let test_window_layout () =
+  let mem = Mem.create ~size:(16 * 4096) in
+  Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
+  let compiled prog =
+    let code, _ = Codec.encode_program prog in
+    Mem.write_bytes_priv mem ~addr:4096 code;
+    match Decode_cache.build mem 4096 with
+    | Some b -> Jit.compile (Jit.create mem) b
+    | None -> Alcotest.fail "block failed to build"
+  in
+  let window prog =
+    Option.map
+      (fun (w : Jit.window) -> (w.Jit.lo, w.Jit.hi, w.Jit.need))
+      (compiled prog).Jit.window
+  in
+  let wt = Alcotest.(option (triple int int int)) in
+  Alcotest.check wt "window [sp+40, sp+72), read and write"
+    (Some (40, 72, Mem.direct_read lor Mem.direct_write))
+    (window (win_prog 40));
+  Alcotest.check wt "loads need only the read bit"
+    (Some (0, 8, Mem.direct_read))
+    (window [ List.hd (win_prog 0); Insn.Syscall_gate ]);
+  List.iter
+    (fun (name, insn) ->
+      Alcotest.check wt (name ^ ": no window") None (window (insn :: win_prog 0)))
+    [
+      ("pop", Insn.Pop Reg.r9);
+      ("push", Insn.Push Reg.r9);
+      ("add sp", Insn.Alu (Add, Reg.sp, O_imm 8L));
+      ("load into sp", Insn.Load { dst = Reg.sp; src = Abs 0L; size = 8 });
+      ( "a slot a page away",
+        Insn.Store
+          { dst = Sib { base = Reg.sp; index = None; scale = 1; disp = 4096 };
+            src = Reg.r1; size = 1 } );
+    ]
+
+let test_window_agrees () =
+  let rw = win_stack Mem.perm_rw in
+  let in_page = Int64.of_int (win_base + 64) in
+  win_case ~sp:in_page "dirty rw- page" rw;
+  win_case ~code_perm:Mem.perm_rwx ~sp:in_page "dirty rw- page, rwx code" rw;
+  win_case ~sp:(Int64.of_int (win_base + 4096 - 32)) "window ends at the page end" rw;
+  win_case ~sp:(Int64.of_int (win_base + 4096 - 16))
+    "straddling into an unmapped page" rw;
+  win_case ~sp:(Int64.of_int (win_base + 4096 - 16))
+    "straddling into a dirty rw- page" (fun mem ->
+      rw mem;
+      win_stack ~page:(win_page + 1) Mem.perm_rw mem);
+  win_case ~sp:(Int64.of_int (win_base + 4096 - 16))
+    "straddling into an r-- page" (fun mem ->
+      rw mem;
+      win_stack ~page:(win_page + 1) Mem.perm_ro mem);
+  win_case ~sp:(Int64.sub 0x100_0000_0000L 16L) "window past addr_mask" rw;
+  win_case ~sp:(Int64.sub 0x100_0000_0000L 8L) "window across addr_mask" rw;
+  win_case ~sp:(Int64.add Int64.min_int in_page)
+    "negative sp aliasing the stack page" rw;
+  win_case ~sp:(Int64.add 0x100_0000_0000L in_page)
+    "sp one address space up" rw;
+  win_case ~d0:(2 * 4096) ~sp:(Int64.of_int (win_base + 64 - (2 * 4096)))
+    "negative sp, window inside the page" rw;
+  win_case ~sp:(-64L) "negative sp, window below 0" rw;
+  win_case ~d0:(4096 + 64) ~sp:0L "r-x code page as the stack" rw;
+  win_case ~sp:in_page "clean rw- page: the first store is checked" (fun mem ->
+      Mem.map mem ~addr:win_base ~len:4096 ~perm:Mem.perm_rw);
+  win_case ~sp:in_page "r-- page under a store" (win_stack Mem.perm_ro);
+  win_case ~sp:in_page "rwx page" (win_stack Mem.perm_rwx);
+  win_case ~sp:in_page "unmapped page" ignore;
+  win_case ~sp:in_page "unmapped between quanta" rw ~between:(fun mem ->
+      Mem.unmap mem ~addr:win_base ~len:4096);
+  win_case ~sp:in_page "reprotected r-- between quanta" rw ~between:(fun mem ->
+      Mem.map mem ~addr:win_base ~len:4096 ~perm:Mem.perm_ro);
+  win_case ~sp:in_page "reinstalled clean between quanta" rw ~between:(fun mem ->
+      Mem.install mem ~addr:win_base ~len:4096 Bytes.empty);
+  win_case ~sp:in_page "paging on" (fun mem ->
+      rw mem;
+      Mem.enable_paging mem ~pager:(fun p -> Mem.set_resident mem p true));
+  win_case ~sp:in_page "paging on between quanta" rw ~between:(fun mem ->
+      Mem.enable_paging mem ~pager:(fun p -> Mem.set_resident mem p true))
+
 (* --- the compiled hot path allocates nothing ------------------------------ *)
 
 (* A compiled self-loop in the MMDSFI shape of real SIP code: guarded
@@ -1594,4 +1755,6 @@ let suite =
       test_store_grows_mid_block;
     Alcotest.test_case "a fault at every unit position" `Quick
       test_fault_at_every_unit;
+    Alcotest.test_case "stack window: layout" `Quick test_window_layout;
+    Alcotest.test_case "stack window agrees with Mem" `Quick test_window_agrees;
   ]

@@ -1805,6 +1805,16 @@ let test_epc_paging_differential () =
    free byte returns 1, and the LibOS allocates the same either way. *)
 let test_untrusted_len_no_alloc () =
   let big = 3 * 1024 * 1024 in
+  (* Words allocated so far: minor, plus those allocated directly in the
+     major heap. OCaml 5.1 adds a large major allocation to
+     [major_words] only at the next major slice, which may fall inside
+     or outside a window; a minor collection first settles the count,
+     so a window counts exactly what it allocated. *)
+  let allocated_words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
   let prog len =
     rt
       [
@@ -1847,9 +1857,9 @@ let test_untrusted_len_no_alloc () =
     in
     Os.install_binary os "/bin/app" oelf;
     let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
-    let a0 = Gc.allocated_bytes () in
+    let w0 = allocated_words () in
     let status = Os.run ~max_steps:2_000_000 os in
-    let alloc = Gc.allocated_bytes () -. a0 in
+    let alloc = (allocated_words () -. w0) *. float (Stdlib.Sys.word_size / 8) in
     Alcotest.(check bool) "finished" true (status = Os.All_exited);
     let code =
       match Os.find_proc os pid with Some p -> p.exit_code | None -> -1
@@ -1865,6 +1875,48 @@ let test_untrusted_len_no_alloc () =
     (Printf.sprintf "3 MiB len allocates like 16 (%.0f vs %.0f bytes)" large small)
     true
     (Float.abs (large -. small) < 65536.)
+
+(* The gate's return check runs on every syscall completion outside
+   Linux mode, so it must not allocate: it reads the return address and
+   compares the label through [Mem]'s unboxed privileged accessors. A
+   SIP blocked in [nanosleep] holds a real return address at its sp;
+   [Gc.minor_words] over many checks is exact on native code. *)
+let test_return_check_no_alloc () =
+  let nap =
+    rt
+      [
+        func "main" []
+          [ Expr (Syscall (Sys.nanosleep, [ i 1_000_000 ])); Return (i 0) ];
+      ]
+  in
+  let os = Os.boot () in
+  (match
+     Occlum_verifier.Verify.verify_and_sign
+       (Occlum_toolchain.Compile.compile_exn
+          ~config:Occlum_toolchain.Codegen.sfi nap)
+   with
+  | Ok s -> Os.install_binary os "/bin/nap" s
+  | Error rs -> failwith (Occlum_verifier.Verify.rejection_to_string (List.hd rs)));
+  let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/nap" ~args:[] in
+  let p = Option.get (Os.find_proc os pid) in
+  while p.Os.state <> `Blocked && Os.step os do () done;
+  Alcotest.(check bool) "blocked in its syscall" true (p.Os.state = `Blocked);
+  let ok () = Occlum_libos.Loader.return_target_ok os.Os.mem p.Os.img p.Os.cpu in
+  Alcotest.(check bool) "its return target passes" true (ok ());
+  let calls = 100_000 in
+  let passed = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    if ok () then incr passed
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every check passes" calls !passed;
+  match Stdlib.Sys.backend_type with
+  | Stdlib.Sys.Native ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d checks allocated %.0f words, at most 16" calls words)
+        true (words <= 16.)
+  | Stdlib.Sys.Bytecode | Stdlib.Sys.Other _ -> ()
 
 (* The direct pipe/socket path under EPC paging. A SIP writes a
    20 KiB pattern through a pipe and through a loopback socket, from and
@@ -2110,4 +2162,6 @@ let suite =
       test_boot_stores_on_demand;
     Alcotest.test_case "idle sockets hold no ring storage" `Quick
       test_idle_sockets_hold_no_storage;
+    Alcotest.test_case "gate return check allocates nothing" `Quick
+      test_return_check_no_alloc;
   ]

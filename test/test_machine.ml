@@ -814,6 +814,85 @@ let prop_lazy_mem_matches_eager =
       in
       go 40)
 
+(* The JIT reads and writes a page with a direct bit through [Mem.data]
+   with no bounds check, and tests a block's stack page once at entry.
+   Both rest on this: after any mix of map, unmap, install,
+   enable_paging, checked and privileged writes, every page whose
+   direct byte is nonzero lies inside [Mem.data], and each bit is
+   exactly what the page's mapping, dirty mark and paging imply. *)
+let prop_direct_inside_data =
+  let ps = Mem.page_size and pages = 12 in
+  let size = pages * ps in
+  let perms = [| Mem.perm_ro; Mem.perm_rw; Mem.perm_rx; Mem.perm_rwx |] in
+  QCheck.Test.make ~name:"direct pages lie inside Mem.data" ~count:300
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed; 47 |] in
+      let int n = Random.State.int st n in
+      let m = Mem.create ~size in
+      let span () =
+        let first = int pages in
+        (first * ps, int (pages - first + 1) * ps)
+      in
+      let draw () =
+        match int 9 with
+        | 0 | 1 ->
+            let a, len = span () and perm = perms.(int 4) in
+            ("map", fun () -> Mem.map m ~addr:a ~len ~perm)
+        | 2 ->
+            let a, len = span () in
+            ("unmap", fun () -> Mem.unmap m ~addr:a ~len)
+        | 3 ->
+            let a, len = span () in
+            let b = Bytes.make (int (len + 1)) (if int 2 = 0 then '\x00' else 'i') in
+            ("install", fun () -> Mem.install m ~addr:a ~len b)
+        | 4 ->
+            ( "enable_paging",
+              fun () ->
+                if int 6 = 0 then
+                  Mem.enable_paging m ~pager:(fun p -> Mem.set_resident m p true) )
+        | 5 ->
+            let a = int size in
+            ("write_u8", fun () -> Mem.write_u8 m a 1)
+        | 6 ->
+            let a = int size in
+            ("write_u64", fun () -> Mem.write_u64 m a 7L)
+        | 7 ->
+            let a = int size in
+            ("write_u64_priv", fun () -> Mem.write_u64_priv m a 9L)
+        | _ ->
+            let a = int size and len = int (2 * ps) in
+            ("fill_priv", fun () -> Mem.fill_priv m ~addr:a ~len 'f')
+      in
+      let expected p ext =
+        match Mem.perm_at m (p * ps) with
+        | Some perm when (not (Mem.paging_enabled m)) && (p + 1) * ps <= ext ->
+            (if perm.r then Mem.direct_read else 0)
+            lor
+            if perm.w && (not perm.x) && Mem.page_dirty m p then Mem.direct_write
+            else 0
+        | _ -> 0
+      in
+      let rec go k =
+        k = 0
+        ||
+        let name, op = draw () in
+        (try op () with Fault.Fault _ | Invalid_argument _ -> ());
+        let ext = Bytes.length (Mem.raw m) in
+        match
+          List.find_opt
+            (fun p ->
+              let d = Char.code (Bytes.get m.Mem.direct p) in
+              (d <> 0 && (p + 1) * ps > ext) || d <> expected p ext)
+            (List.init pages Fun.id)
+        with
+        | Some p ->
+            QCheck.Test.fail_reportf "after %s: page %d direct %d, extent %d" name
+              p (Char.code (Bytes.get m.Mem.direct p)) ext
+        | None -> go (k - 1)
+      in
+      go 40)
+
 (* An instruction whose tail lies in pages not stored yet decodes as it
    would over stored zeros: the fetch check stores 16 bytes past the pc
    before the decode, which the store bounds. [mov_imm r1, 0] is its
@@ -872,4 +951,5 @@ let suite =
     Alcotest.test_case "range check does not wrap" `Quick test_range_does_not_wrap;
     QCheck_alcotest.to_alcotest prop_lazy_mem_matches_eager;
     Alcotest.test_case "fetch past the extent" `Quick test_fetch_past_extent;
+    QCheck_alcotest.to_alcotest prop_direct_inside_data;
   ]
